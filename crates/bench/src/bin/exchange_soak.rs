@@ -139,7 +139,7 @@ fn with_saturated_slot<T>(d: &Deployment, f: impl FnOnce() -> T) -> T {
 struct RunRecord {
     query_id: &'static str,
     finished: bool,
-    batch: Option<pixels_common::RecordBatch>,
+    batch: Option<std::sync::Arc<pixels_common::RecordBatch>>,
     scan_bytes: u64,
     price: f64,
     shuffle_dollars: f64,

@@ -120,18 +120,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Number(n) => {
-                if n.is_finite() {
-                    if n.fract() == 0.0 && n.abs() < 1e15 {
-                        out.push_str(&format!("{}", *n as i64));
-                    } else {
-                        out.push_str(&format!("{n}"));
-                    }
-                } else {
-                    // JSON has no Inf/NaN; emit null like most encoders.
-                    out.push_str("null");
-                }
-            }
+            Json::Number(n) => write_number(*n, out),
             Json::String(s) => write_escaped(s, out),
             Json::Array(items) => {
                 out.push('[');
@@ -165,7 +154,25 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Append `n` as JSON text, as [`Json::to_compact_string`] writes numbers:
+/// integral values below 1e15 without a fraction, non-finite values as
+/// `null`. Public so a writer that skips the [`Json`] tree stays
+/// byte-identical to one that builds it.
+pub fn write_number(n: f64, out: &mut String) {
+    use fmt::Write as _;
+    // Writing to a `String` cannot fail.
+    let _ = if !n.is_finite() {
+        // JSON has no Inf/NaN; emit null like most encoders.
+        out.write_str("null")
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    };
+}
+
+/// Append `s` as a quoted, escaped JSON string (see [`write_number`]).
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -175,7 +182,8 @@ fn write_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                use fmt::Write as _;
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

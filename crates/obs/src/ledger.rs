@@ -134,10 +134,22 @@ impl LedgerSummary {
     }
 }
 
+/// The entries and their running sums, under one lock. Every sum is
+/// advanced in [`Ledger::append`] — the same left fold, in append order, as a
+/// rescan of `entries` — so reading a summary never grows with history and
+/// stays bit-identical to that rescan.
+#[derive(Default)]
+struct Book {
+    entries: Vec<LedgerEntry>,
+    total: LedgerSummary,
+    by_level: BTreeMap<String, LedgerSummary>,
+    by_tenant: BTreeMap<String, LedgerSummary>,
+}
+
 /// The append-only ledger.
 #[derive(Default)]
 pub struct Ledger {
-    entries: Mutex<Vec<LedgerEntry>>,
+    book: Mutex<Book>,
     /// Per-level entry counts already pushed to a registry, so export emits
     /// deltas and scraped counters stay monotonic.
     published_entries: Mutex<BTreeMap<String, u64>>,
@@ -155,11 +167,24 @@ impl Ledger {
     }
 
     pub fn append(&self, entry: LedgerEntry) {
-        self.entries.lock().push(entry);
+        let mut book = self.book.lock();
+        let book = &mut *book;
+        book.total.add(&entry);
+        // `get_mut` first: the common append clones no key.
+        for (groups, key) in [
+            (&mut book.by_level, &entry.level),
+            (&mut book.by_tenant, &entry.tenant),
+        ] {
+            match groups.get_mut(key) {
+                Some(group) => group.add(&entry),
+                None => groups.entry(key.clone()).or_default().add(&entry),
+            }
+        }
+        book.entries.push(entry);
     }
 
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.book.lock().entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -167,34 +192,22 @@ impl Ledger {
     }
 
     pub fn entries(&self) -> Vec<LedgerEntry> {
-        self.entries.lock().clone()
+        self.book.lock().entries.clone()
     }
 
     /// Summary over every entry, in append order.
     pub fn summary(&self) -> LedgerSummary {
-        let mut s = LedgerSummary::default();
-        for e in self.entries.lock().iter() {
-            s.add(e);
-        }
-        s
+        self.book.lock().total.clone()
     }
 
     /// Per-level summaries, in append order within each level.
     pub fn by_level(&self) -> BTreeMap<String, LedgerSummary> {
-        let mut out: BTreeMap<String, LedgerSummary> = BTreeMap::new();
-        for e in self.entries.lock().iter() {
-            out.entry(e.level.clone()).or_default().add(e);
-        }
-        out
+        self.book.lock().by_level.clone()
     }
 
     /// Per-tenant summaries, in append order within each tenant.
     pub fn by_tenant(&self) -> BTreeMap<String, LedgerSummary> {
-        let mut out: BTreeMap<String, LedgerSummary> = BTreeMap::new();
-        for e in self.entries.lock().iter() {
-            out.entry(e.tenant.clone()).or_default().add(e);
-        }
-        out
+        self.book.lock().by_tenant.clone()
     }
 
     /// The `GET /ledger` payload: the overall summary plus per-level and
@@ -415,6 +428,43 @@ mod tests {
                 .as_i64(),
             Some(3)
         );
+    }
+
+    #[test]
+    fn running_sums_equal_a_rescan_bit_for_bit() {
+        let l = Ledger::new();
+        // Revenues whose sum depends on the order of addition.
+        for (i, revenue) in [0.1, 0.2, 0.3, 1e-9, 1e9, 0.7, 1e-17].iter().enumerate() {
+            let mut e = entry(&format!("q-{i}"), ["immediate", "relaxed"][i % 2], *revenue);
+            e.tenant = format!("t{}", i % 3);
+            e.provider_cf_dollars = 0.003 + *revenue / 7.0;
+            l.append(e);
+        }
+        let entries = l.entries();
+        let rescan = |pick: &dyn Fn(&LedgerEntry) -> bool| {
+            let mut s = LedgerSummary::default();
+            entries.iter().filter(|e| pick(e)).for_each(|e| s.add(e));
+            s
+        };
+        let same = |a: &LedgerSummary, b: &LedgerSummary| {
+            assert_eq!(a, b);
+            for (x, y) in [
+                (a.revenue_dollars, b.revenue_dollars),
+                (a.provider_cf_dollars, b.provider_cf_dollars),
+                (a.waste_dollars, b.waste_dollars),
+            ] {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        };
+        same(&l.summary(), &rescan(&|_| true));
+        for (level, s) in l.by_level() {
+            same(&s, &rescan(&|e| e.level == level));
+        }
+        let by_tenant = l.by_tenant();
+        assert_eq!(by_tenant.len(), 3);
+        for (tenant, s) in by_tenant {
+            same(&s, &rescan(&|e| e.tenant == tenant));
+        }
     }
 
     #[test]

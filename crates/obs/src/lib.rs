@@ -51,4 +51,4 @@ pub use prometheus::{require_families, validate_exposition};
 pub use registry::{Counter, Gauge, Histogram, MetricKind, MetricsRegistry};
 pub use selftime::{operator_rollup, render_operator_table, OperatorTiming};
 pub use slo::{SloObjective, SloTracker};
-pub use span::{AttrValue, Span, SpanData, Trace, TraceCtx};
+pub use span::{AttrValue, Profile, Span, SpanData, Trace, TraceCtx};

@@ -13,6 +13,7 @@
 
 use crate::clock::{ClockRef, WallClock};
 use parking_lot::Mutex;
+use pixels_common::json::{write_escaped, write_number};
 use pixels_common::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -98,6 +99,11 @@ impl Trace {
         self.spans.lock().clone()
     }
 
+    /// How many spans have finished so far.
+    pub fn span_count(&self) -> usize {
+        self.spans.lock().len()
+    }
+
     /// Sum of a numeric attribute over every finished span — e.g. the total
     /// `bytes` attributed across storage opens and morsel reads, which must
     /// reconcile with `bytes_scanned` billing.
@@ -120,6 +126,19 @@ impl Trace {
         Json::array(forest.iter().map(|n| n.to_json(&selfs)))
     }
 
+    /// The span tree serialized once, straight from the finished spans,
+    /// into the compact text of [`Trace::to_json`] — byte for byte — without
+    /// building the `Json` tree. This is what a terminal query retains.
+    pub fn profile(&self) -> Profile {
+        // Under the lock rather than on a copy: the query is over, no span
+        // is waiting to publish.
+        let spans = self.spans.lock();
+        let selfs = crate::selftime::self_times(&spans);
+        let mut out = String::new();
+        write_nodes(&assemble(&spans), &selfs, &mut out);
+        Profile(out.into())
+    }
+
     /// The span tree as indented text (one span per line), for
     /// `EXPLAIN ANALYZE` and terminal clients.
     pub fn render_text(&self) -> String {
@@ -133,6 +152,27 @@ impl Trace {
     }
 }
 
+/// A finished query's profile: its span tree as compact JSON text (see
+/// [`Trace::profile`]), shared so reading a query's status copies a pointer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Profile(Arc<str>);
+
+impl Profile {
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// The compact JSON text, as `Json::to_compact_string` would give it.
+    pub fn to_compact_string(&self) -> String {
+        self.0.to_string()
+    }
+
+    /// The tree parsed back into a [`Json`] value, for callers that walk it.
+    pub fn to_json(&self) -> Json {
+        Json::parse(&self.0).expect("a profile is the JSON this module wrote")
+    }
+}
+
 /// A node of the reassembled span tree.
 struct TreeNode<'a> {
     span: &'a SpanData,
@@ -140,11 +180,15 @@ struct TreeNode<'a> {
 }
 
 impl TreeNode<'_> {
-    fn to_json(&self, selfs: &BTreeMap<u64, u64>) -> Json {
-        let self_us = selfs
+    fn self_us(&self, selfs: &BTreeMap<u64, u64>) -> u64 {
+        selfs
             .get(&self.span.id)
             .copied()
-            .unwrap_or_else(|| self.span.duration_us());
+            .unwrap_or_else(|| self.span.duration_us())
+    }
+
+    fn to_json(&self, selfs: &BTreeMap<u64, u64>) -> Json {
+        let self_us = self.self_us(selfs);
         let mut fields: Vec<(String, Json)> = vec![
             ("name".into(), Json::string(self.span.name.clone())),
             ("start_us".into(), Json::number(self.span.start_us as f64)),
@@ -175,6 +219,50 @@ impl TreeNode<'_> {
         Json::Object(fields.into_iter().collect())
     }
 
+    /// [`TreeNode::to_json`] as text: keys in sorted order and, among
+    /// attributes recorded twice, the last one — what collecting into a
+    /// `Json::Object` (a `BTreeMap`) does.
+    fn write_json(&self, selfs: &BTreeMap<u64, u64>, out: &mut String) {
+        let number = |key: &str, v: u64, out: &mut String| {
+            out.push_str(key);
+            write_number(v as f64, out);
+        };
+        out.push('{');
+        if !self.span.attrs.is_empty() {
+            let attrs: BTreeMap<&str, &AttrValue> = self
+                .span
+                .attrs
+                .iter()
+                .map(|(k, v)| (k.as_str(), v))
+                .collect();
+            out.push_str("\"attrs\":{");
+            for (i, (k, v)) in attrs.into_iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_escaped(k, out);
+                out.push(':');
+                match v {
+                    AttrValue::U64(v) => write_number(*v as f64, out),
+                    AttrValue::F64(v) => write_number(*v, out),
+                    AttrValue::Str(s) => write_escaped(s, out),
+                }
+            }
+            out.push_str("},");
+        }
+        if !self.children.is_empty() {
+            out.push_str("\"children\":");
+            write_nodes(&self.children, selfs, out);
+            out.push(',');
+        }
+        number("\"duration_us\":", self.span.duration_us(), out);
+        out.push_str(",\"name\":");
+        write_escaped(&self.span.name, out);
+        number(",\"self_us\":", self.self_us(selfs), out);
+        number(",\"start_us\":", self.span.start_us, out);
+        out.push('}');
+    }
+
     fn render(&self, out: &mut String, depth: usize) {
         let _ = write!(
             out,
@@ -202,6 +290,17 @@ impl TreeNode<'_> {
             child.render(out, depth + 1);
         }
     }
+}
+
+fn write_nodes(nodes: &[TreeNode<'_>], selfs: &BTreeMap<u64, u64>, out: &mut String) {
+    out.push('[');
+    for (i, node) in nodes.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        node.write_json(selfs, out);
+    }
+    out.push(']');
 }
 
 fn format_micros(us: u64) -> String {
@@ -489,6 +588,39 @@ mod tests {
             let duration = child.get("duration_us").unwrap().as_i64().unwrap();
             assert!((0..=duration).contains(&self_us));
         }
+    }
+
+    #[test]
+    fn profile_text_is_the_compact_form_of_the_json_tree() {
+        let clock = SimClock::shared();
+        let trace = Trace::with_clock(clock.clone());
+        {
+            let mut query = TraceCtx::root(&trace).span("query");
+            query.record_str("sql", "SELECT \"a\"\n\tFROM t -- \u{1}");
+            query.record_f64("dollars", 0.000125);
+            query.record_f64("ratio", f64::NAN);
+            // Recorded twice: the tree keeps the last value.
+            query.record_u64("bytes", 1);
+            query.record_u64("bytes", u64::MAX);
+            clock.set_micros(5);
+            let mut scan = query.ctx().span("scan");
+            scan.record_u64("z", 1);
+            scan.record_u64("a", 2);
+            clock.set_micros(9);
+            query.ctx().span("bare").finish();
+            scan.ctx().span("morsel").finish();
+            clock.set_micros(30);
+        }
+        TraceCtx::root(&trace).span("second_root").finish();
+        let profile = trace.profile();
+        assert_eq!(profile.as_str(), trace.to_json().to_compact_string());
+        // NaN went out as null, so compare the parsed tree as text.
+        assert_eq!(profile.to_json().to_compact_string(), profile.as_str());
+        assert_eq!(profile.to_compact_string(), profile.as_str());
+        // An empty trace is an empty forest either way.
+        let empty = Trace::wall();
+        assert_eq!(empty.profile().as_str(), "[]");
+        assert_eq!(empty.to_json().to_compact_string(), "[]");
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Real-mode query server: the REST-API surface of the paper, in-process.
 //!
 //! Pixels-Rover submits queries here with a service level and result-size
-//! limit (the submission form of Figure 3), polls statuses (pending /
+//! limit (the submission form of Figure 3), reads statuses (pending /
 //! running / finished / failed), and fetches results plus execution
 //! statistics (pending time, execution time, monetary cost). Each query
-//! runs on its own thread against the [`TurboEngine`]. Service-level
+//! runs on its own thread against the [`TurboEngine`] and owns a slot — its
+//! record plus a condvar — so whoever wants the outcome (a held status
+//! `GET`, [`QueryServer::wait`]) waits on that query's signal instead of
+//! polling, and the server-wide map lock is held only to find or insert a
+//! slot. Service-level
 //! semantics come from the same [`SchedulerPolicy`] the simulator runs:
 //! immediate dispatches now with CF acceleration, relaxed waits for
 //! headroom no longer than the *actual* grace period (at expiry the engine
@@ -17,20 +21,25 @@ use crate::scheduler::{Admission, AdmissionMode, LoadSignal, QueueVerdict, Sched
 use crate::service_level::ServiceLevel;
 use crate::shared::{SharedWork, SharingConfig};
 use crate::tenant::TenantDirectory;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use pixels_common::{Error, Json, QueryId, RecordBatch, Result};
 use pixels_obs::{
-    JournalEntry, Ledger, LedgerEntry, MetricsRegistry, QueryJournal, SloTracker, Trace, TraceCtx,
-    WallClock,
+    JournalEntry, Ledger, LedgerEntry, MetricsRegistry, Profile, QueryJournal, SloTracker, Trace,
+    TraceCtx, WallClock,
 };
 use pixels_storage::StoreMetricsSnapshot;
 use pixels_turbo::{
     CostBreakdown, Decision, ExchangeStats, ExecMetricsSnapshot, QueryEvent, TurboEngine,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a queued query waits between looks at the queue when nothing
+/// signals it: the bound on noticing what no one announces — a deadline or
+/// grace period running out, an engine slot coming free.
+const QUEUE_RECHECK: Duration = Duration::from_millis(5);
 
 /// Lifecycle of a submitted query (paper §4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +62,11 @@ impl QueryStatus {
             QueryStatus::Failed => "failed",
             QueryStatus::Rejected => "rejected",
         }
+    }
+
+    /// Finished, failed or rejected: the record will not change again.
+    pub fn is_terminal(self) -> bool {
+        !matches!(self, QueryStatus::Pending | QueryStatus::Running)
     }
 }
 
@@ -93,7 +107,8 @@ pub struct QueryInfo {
     pub id: QueryId,
     pub submission: QuerySubmission,
     pub status: QueryStatus,
-    pub result: Option<RecordBatch>,
+    /// Shared, so copying a record never copies rows.
+    pub result: Option<Arc<RecordBatch>>,
     pub error: Option<String>,
     pub pending: Duration,
     pub execution: Duration,
@@ -113,8 +128,9 @@ pub struct QueryInfo {
     /// masked by the retry policy).
     pub retries: u64,
     /// The query's span tree — scheduler wait, tier dispatch, operators,
-    /// and storage accesses — once the query is terminal.
-    pub profile: Option<Json>,
+    /// and storage accesses — once the query is terminal: compact JSON text
+    /// written once from the finished spans.
+    pub profile: Option<Profile>,
     /// Ordered policy-core decisions (CF dispatch, speculation, degradation)
     /// made while executing this query.
     pub decisions: Vec<Decision>,
@@ -184,15 +200,46 @@ impl QueryInfo {
     }
 }
 
+/// One query's slot: its record and the signal that the record changed.
+struct QuerySlot {
+    /// Behind an `Arc` so a read copies a pointer under the lock and
+    /// whatever else it needs outside it.
+    record: Mutex<Arc<QueryInfo>>,
+    changed: Condvar,
+}
+
+impl QuerySlot {
+    fn snapshot(&self) -> Arc<QueryInfo> {
+        self.record.lock().clone()
+    }
+
+    /// Change the record and wake everyone waiting on it.
+    fn update(&self, change: impl FnOnce(&mut QueryInfo)) {
+        change(Arc::make_mut(&mut self.record.lock()));
+        self.changed.notify_all();
+    }
+}
+
+/// The fair queue and the signal that a query left it, so the next in line
+/// looks at once. A freed engine slot is deliberately *not* signalled: a
+/// queued light query woken the instant the slot frees takes it a fraction
+/// of a millisecond before the next immediate query arrives, which then finds
+/// the engine busy and goes to CF — measured on `overload_mixed` as +36 %
+/// provider dollars per query. Queued queries find a free slot at their
+/// next [`QUEUE_RECHECK`], as they always have.
+struct AdmissionQueue {
+    fair: Mutex<FairQueue>,
+    changed: Condvar,
+}
+
 /// The in-process query server.
 pub struct QueryServer {
     engine: Arc<TurboEngine>,
     prices: PriceSchedule,
     /// Admission policy shared with the simulator.
     policy: SchedulerPolicy,
-    /// How often queued query threads re-poll the load signal.
-    poll: Duration,
-    state: Arc<Mutex<HashMap<QueryId, QueryInfo>>>,
+    /// Every query submitted, by id. Held to find or insert a slot only.
+    state: Mutex<HashMap<QueryId, Arc<QuerySlot>>>,
     next_id: AtomicU64,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Storage counters already published to the registry; `/metrics`
@@ -203,7 +250,7 @@ pub struct QueryServer {
     obs: ObsSinks,
     /// Tenant-aware queue shared by every waiting query thread: deficit-
     /// weighted fair queueing across tenants, EDF over deadline work.
-    fair: Arc<Mutex<FairQueue>>,
+    queue: Arc<AdmissionQueue>,
     /// Per-tenant weights and budgets.
     tenants: Arc<TenantDirectory>,
     /// Shared-work front (single-flight + result cache); disabled unless
@@ -250,12 +297,14 @@ impl QueryServer {
             prices,
             obs: ObsSinks::for_policy(&policy),
             policy,
-            poll: Duration::from_millis(5),
-            state: Arc::new(Mutex::new(HashMap::new())),
+            state: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
             handles: Mutex::new(Vec::new()),
             absorbed_storage: Mutex::new(StoreMetricsSnapshot::default()),
-            fair: Arc::new(Mutex::new(FairQueue::new())),
+            queue: Arc::new(AdmissionQueue {
+                fair: Mutex::new(FairQueue::new()),
+                changed: Condvar::new(),
+            }),
             tenants: Arc::new(TenantDirectory::new()),
             sharing: Arc::new(SharedWork::new(SharingConfig::default())),
             epoch: std::time::Instant::now(),
@@ -273,7 +322,7 @@ impl QueryServer {
     /// into the fair queue as tenants are registered.
     pub fn with_tenants(mut self, tenants: Arc<TenantDirectory>) -> Self {
         for (name, policy) in tenants.registered() {
-            self.fair.lock().set_weight(&name, policy.weight);
+            self.queue.fair.lock().set_weight(&name, policy.weight);
         }
         self.tenants = tenants;
         self
@@ -310,7 +359,7 @@ impl QueryServer {
             }
         }
         names.sort();
-        let fair = self.fair.lock();
+        let fair = self.queue.fair.lock();
         let rows: Vec<Json> = names
             .iter()
             .map(|name| {
@@ -471,7 +520,11 @@ impl QueryServer {
             provider_shuffle_dollars: 0.0,
             exchange: ExchangeStats::default(),
         };
-        self.state.lock().insert(id, info);
+        let slot = Arc::new(QuerySlot {
+            record: Mutex::new(Arc::new(info)),
+            changed: Condvar::new(),
+        });
+        self.state.lock().insert(id, slot.clone());
         let mode = submission.mode();
         self.registry()
             .gauge_with(
@@ -504,7 +557,7 @@ impl QueryServer {
             {
                 finalize_rejection(
                     self.registry(),
-                    &self.state,
+                    &slot,
                     &self.obs,
                     id,
                     &submission,
@@ -513,24 +566,23 @@ impl QueryServer {
                 return id;
             }
         }
-        self.fair
+        self.queue
+            .fair
             .lock()
             .set_weight(submission.tenant_name(), tenant_policy.weight);
 
         let engine = self.engine.clone();
-        let state = self.state.clone();
         let prices = self.prices;
         let policy = self.policy;
-        let poll = self.poll;
         let obs = self.obs.clone();
-        let fair = self.fair.clone();
+        let queue = self.queue.clone();
         let sharing = self.sharing.clone();
         let epoch = self.epoch;
         let spend = self.spend.clone();
         let handle = std::thread::spawn(move || {
             run_query_thread(
-                engine, state, prices, policy, poll, id, submission, obs, fair, sharing, epoch,
-                spend, reserved,
+                engine, slot, prices, policy, id, submission, obs, queue, sharing, epoch, spend,
+                reserved,
             );
         });
         let mut handles = self.handles.lock();
@@ -541,14 +593,13 @@ impl QueryServer {
         id
     }
 
-    /// The query's execution profile: its span tree as JSON. `None` until
-    /// the query is terminal.
-    pub fn profile(&self, id: QueryId) -> Result<Option<Json>> {
-        Ok(self.status(id)?.profile)
+    /// The query's execution profile: its span tree as compact JSON. `None`
+    /// until the query is terminal.
+    pub fn profile(&self, id: QueryId) -> Result<Option<Profile>> {
+        Ok(self.snapshot(id)?.profile.clone())
     }
 
-    /// Status/result of one query.
-    pub fn status(&self, id: QueryId) -> Result<QueryInfo> {
+    fn slot(&self, id: QueryId) -> Result<Arc<QuerySlot>> {
         self.state
             .lock()
             .get(&id)
@@ -556,24 +607,67 @@ impl QueryServer {
             .ok_or_else(|| Error::NotFound(format!("unknown query: {id}")))
     }
 
+    /// The query's record as it stands, shared: nothing is copied.
+    pub(crate) fn snapshot(&self, id: QueryId) -> Result<Arc<QueryInfo>> {
+        Ok(self.slot(id)?.snapshot())
+    }
+
+    /// Status/result of one query.
+    pub fn status(&self, id: QueryId) -> Result<QueryInfo> {
+        Ok(Arc::unwrap_or_clone(self.snapshot(id)?))
+    }
+
     /// All queries in submission order (the Query Result pane).
     pub fn list(&self) -> Vec<QueryInfo> {
-        let mut all: Vec<QueryInfo> = self.state.lock().values().cloned().collect();
+        let records: Vec<Arc<QueryInfo>> =
+            self.state.lock().values().map(|s| s.snapshot()).collect();
+        let mut all: Vec<QueryInfo> = records.into_iter().map(Arc::unwrap_or_clone).collect();
         all.sort_by_key(|q| q.seq);
         all
     }
 
-    /// Block until `id` reaches a terminal status (test/demo helper).
-    pub fn wait(&self, id: QueryId) -> Result<QueryInfo> {
-        loop {
-            let info = self.status(id)?;
-            match info.status {
-                QueryStatus::Finished | QueryStatus::Failed | QueryStatus::Rejected => {
-                    return Ok(info)
-                }
-                _ => std::thread::sleep(Duration::from_millis(2)),
+    /// Wait on the query's own signal until it is terminal, `bound` has
+    /// passed, or `cancel` is set (the setter then calls
+    /// [`QueryServer::wake_waiters`]) — whichever comes first — and return
+    /// the record as it then stands, terminal or not.
+    pub(crate) fn await_terminal(
+        &self,
+        id: QueryId,
+        bound: Duration,
+        cancel: &AtomicBool,
+    ) -> Result<Arc<QueryInfo>> {
+        let slot = self.slot(id)?;
+        let give_up = Instant::now() + bound;
+        let mut record = slot.record.lock();
+        while !record.status.is_terminal() && !cancel.load(Ordering::SeqCst) {
+            let left = give_up.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
             }
+            slot.changed.wait_for(&mut record, left);
         }
+        Ok(record.clone())
+    }
+
+    /// Wake every [`QueryServer::await_terminal`] so it reads its cancel
+    /// flag again.
+    pub(crate) fn wake_waiters(&self) {
+        for slot in self.state.lock().values() {
+            // Through the slot's lock, so no waiter is between reading the
+            // flag and starting to wait.
+            drop(slot.record.lock());
+            slot.changed.notify_all();
+        }
+    }
+
+    /// Block until `id` reaches a terminal status.
+    pub fn wait(&self, id: QueryId) -> Result<QueryInfo> {
+        let slot = self.slot(id)?;
+        let mut record = slot.record.lock();
+        while !record.status.is_terminal() {
+            slot.changed.wait(&mut record);
+        }
+        Ok(QueryInfo::clone(&record))
     }
 
     /// Block until every submitted query is terminal.
@@ -590,7 +684,7 @@ impl QueryServer {
 /// ledger entry and no result-cache write.
 fn finalize_rejection(
     registry: &Arc<MetricsRegistry>,
-    state: &Arc<Mutex<HashMap<QueryId, QueryInfo>>>,
+    slot: &QuerySlot,
     obs: &ObsSinks,
     id: QueryId,
     submission: &QuerySubmission,
@@ -604,13 +698,6 @@ fn finalize_rejection(
             &[("level", level)],
         )
         .add(-1.0);
-    {
-        let mut s = state.lock();
-        if let Some(info) = s.get_mut(&id) {
-            info.status = QueryStatus::Rejected;
-            info.error = Some(reason.to_string());
-        }
-    }
     let slo_good = obs.slo.record(level, u64::MAX);
     obs.journal.append(JournalEntry {
         query: id.to_string(),
@@ -642,19 +729,23 @@ fn finalize_rejection(
             &[("level", level), ("status", QueryStatus::Rejected.name())],
         )
         .add(1);
+    // Last, so whoever sees the terminal status also sees its obs records.
+    slot.update(|info| {
+        info.status = QueryStatus::Rejected;
+        info.error = Some(reason.to_string());
+    });
 }
 
 #[allow(clippy::too_many_arguments)]
 fn run_query_thread(
     engine: Arc<TurboEngine>,
-    state: Arc<Mutex<HashMap<QueryId, QueryInfo>>>,
+    slot: Arc<QuerySlot>,
     prices: PriceSchedule,
     policy: SchedulerPolicy,
-    poll: Duration,
     id: QueryId,
     submission: QuerySubmission,
     obs: ObsSinks,
-    fair: Arc<Mutex<FairQueue>>,
+    queue: Arc<AdmissionQueue>,
     sharing: Arc<SharedWork>,
     epoch: std::time::Instant,
     spend: Arc<crate::tenant::SpendBook>,
@@ -680,31 +771,30 @@ fn run_query_thread(
         AdmissionMode::Level(_) => 0,
     };
 
-    let queued = std::time::Instant::now();
+    let queued = Instant::now();
     // Admission runs the same policy as the simulator; this thread supplies
     // the live load signal (engine busyness + fair-queue depths) and clock
     // (micros since the shared server-start epoch — one origin for every
     // thread, so queued deadlines and poll times compare like the
     // simulator's absolute virtual clock) and executes the verdicts.
     let now_us = || epoch.elapsed().as_micros() as u64;
-    let load = |engine: &TurboEngine, fair: &Mutex<FairQueue>| {
-        let q = fair.lock();
-        LoadSignal {
-            overloaded: engine.is_busy(),
-            nearly_idle: !engine.is_busy(),
-            tenant_depth: q.tenant_class_depth(submission.tenant_name(), mode),
-            total_depth: q.depth(),
-        }
+    let load = |fair: &FairQueue| LoadSignal {
+        overloaded: engine.is_busy(),
+        nearly_idle: !engine.is_busy(),
+        tenant_depth: fair.tenant_class_depth(submission.tenant_name(), mode),
+        total_depth: fair.depth(),
     };
     let mut forced = false;
     let mut admission = "dispatch_now";
     {
         let wait_span = query_span.ctx().span("scheduler_wait");
-        match policy.admit_mode(mode, load(&engine, &fair), now_us(), est_us) {
-            Admission::DispatchNow => {}
+        let mut fair = queue.fair.lock();
+        let verdict = policy.admit_mode(mode, load(&fair), now_us(), est_us);
+        match verdict {
+            Admission::DispatchNow => drop(fair),
             Admission::Queue { deadline_us } => {
                 admission = "queued";
-                fair.lock().push(QueuedQuery {
+                fair.push(QueuedQuery {
                     id: id.0,
                     tenant: submission.tenant_name().to_string(),
                     mode,
@@ -713,9 +803,8 @@ fn run_query_thread(
                     batch_key: None,
                 });
                 loop {
-                    let snapshot = load(&engine, &fair);
-                    let verdict = fair.lock().poll(&policy, snapshot, now_us(), id.0);
-                    match verdict {
+                    let snapshot = load(&fair);
+                    match fair.poll(&policy, snapshot, now_us(), id.0) {
                         QueueVerdict::Dispatch { forced: f } => {
                             forced = f;
                             if f {
@@ -723,15 +812,23 @@ fn run_query_thread(
                             }
                             break;
                         }
-                        QueueVerdict::Wait => std::thread::sleep(poll),
+                        // Woken when a query leaves the queue; otherwise
+                        // look again after `QUEUE_RECHECK`.
+                        QueueVerdict::Wait => {
+                            queue.changed.wait_for(&mut fair, QUEUE_RECHECK);
+                        }
                     }
                 }
+                drop(fair);
+                // This query left the queue: the next in line may go.
+                queue.changed.notify_all();
             }
             Admission::Reject { reason } => {
+                drop(fair);
                 drop(wait_span);
                 drop(query_span);
                 spend.settle(submission.tenant_name(), reserved, 0.0);
-                finalize_rejection(&registry, &state, &obs, id, &submission, reason);
+                finalize_rejection(&registry, &slot, &obs, id, &submission, reason);
                 return;
             }
         }
@@ -763,13 +860,10 @@ fn run_query_thread(
             &[("level", mode.name())],
         )
         .add(-1.0);
-    {
-        let mut s = state.lock();
-        if let Some(info) = s.get_mut(&id) {
-            info.status = QueryStatus::Running;
-            info.pending = queued.elapsed();
-        }
-    }
+    slot.update(|info| {
+        info.status = QueryStatus::Running;
+        info.pending = queued.elapsed();
+    });
     let (outcome, _share_kind) = sharing.execute(
         &engine,
         &submission.database,
@@ -779,13 +873,11 @@ fn run_query_thread(
         slot_wait_limit,
     );
     drop(query_span);
-    let profile = trace.to_json();
 
-    let mut s = state.lock();
-    let Some(info) = s.get_mut(&id) else {
-        spend.settle(submission.tenant_name(), reserved, 0.0);
-        return;
-    };
+    // The slot stays locked until the obs records are appended, so whoever
+    // sees the terminal status also sees the query's obs records.
+    let mut record = slot.record.lock();
+    let info = Arc::make_mut(&mut record);
     match outcome {
         Ok(mut out) => {
             if let Some(limit) = submission.result_limit {
@@ -810,14 +902,14 @@ fn run_query_thread(
             info.provider_cf_dollars = out.provider_cf_dollars;
             info.provider_shuffle_dollars = out.provider_shuffle_dollars;
             info.exchange = out.exchange;
-            info.result = Some(out.batch);
+            info.result = Some(Arc::new(out.batch));
         }
         Err(e) => {
             info.status = QueryStatus::Failed;
             info.error = Some(e.to_string());
         }
     }
-    info.profile = Some(profile);
+    info.profile = Some(trace.profile());
     // Reconcile the budget reservation against the real bill: release the
     // estimate, commit what was actually billed (zero on failure).
     spend.settle(submission.tenant_name(), reserved, info.price);
@@ -881,7 +973,7 @@ fn run_query_thread(
         speculative,
         slo_good,
         slo_threshold_us: obs.slo.threshold_us(level).unwrap_or(0),
-        trace_spans: trace.finished_spans().len() as u64,
+        trace_spans: trace.span_count() as u64,
         at_us,
     });
     registry
@@ -907,6 +999,8 @@ fn run_query_thread(
             None,
         )
         .observe(info.execution.as_secs_f64());
+    drop(record);
+    slot.changed.notify_all();
 }
 
 #[cfg(test)]
@@ -1087,7 +1181,9 @@ mod tests {
             ServiceLevel::Immediate,
         ));
         let info = s.wait(id).unwrap();
-        let profile = s.profile(id).unwrap().expect("terminal query has profile");
+        let retained = s.profile(id).unwrap().expect("terminal query has profile");
+        assert_eq!(Some(&retained), info.profile.as_ref());
+        let profile = retained.to_json();
         // The profile is a forest; its root is the `query` span.
         let roots = profile.as_array().expect("profile is a span forest");
         assert!(!roots.is_empty());
@@ -1493,7 +1589,11 @@ mod tests {
             .filter(|i| i.status == QueryStatus::Rejected)
             .count();
         assert_eq!((finished, rejected), (1, 5));
-        assert_eq!(s.ledger().entries().len(), 1, "only the admitted query bills");
+        assert_eq!(
+            s.ledger().entries().len(),
+            1,
+            "only the admitted query bills"
+        );
     }
 
     #[test]

@@ -97,12 +97,14 @@ fn main() {
     );
     let id = submitted.get("id").unwrap().as_str().unwrap().to_string();
 
-    // 4. Poll until finished, then show rows + bill.
+    // 4. Ask for the status: the server holds the GET until the query is
+    //    terminal (or a second has passed — then ask again), so there is
+    //    nothing to sleep on here. Then show rows + bill.
     let final_state = loop {
         let state = http(addr, "GET", &format!("/queries/{id}"), "");
         match state.get("status").and_then(|s| s.as_str()) {
-            Some("finished") | Some("failed") => break state,
-            _ => std::thread::sleep(std::time::Duration::from_millis(20)),
+            Some("pending") | Some("running") => {}
+            _ => break state,
         }
     };
     assert_eq!(
