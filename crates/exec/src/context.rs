@@ -10,6 +10,11 @@ pub fn default_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// Rows per output batch unless a caller overrides `ExecContext::batch_size`.
+/// The CF finish stage chunks its MV by this same value, which is what keeps
+/// a shuffled plan's MV bytes identical to the single-stage path's.
+pub const DEFAULT_BATCH_SIZE: usize = 8192;
+
 /// Shared state an executing plan needs: the object store, a metrics sink,
 /// and the parallelism/caching knobs. Cheap to clone.
 #[derive(Clone)]
@@ -47,7 +52,7 @@ impl ExecContext {
         ExecContext {
             store,
             metrics: Arc::new(ExecMetrics::default()),
-            batch_size: 8192,
+            batch_size: DEFAULT_BATCH_SIZE,
             parallelism: default_parallelism(),
             footer_cache: FooterCache::shared(),
             chunk_cache: None,

@@ -29,6 +29,7 @@ pub mod sort;
 
 pub use context::{
     default_parallelism, ExecContext, ExecMetrics, ExecMetricsSnapshot, ScanPipelineSnapshot,
+    DEFAULT_BATCH_SIZE,
 };
 pub use engine::{execute, execute_collect, operator_name};
 pub use evaluate::{evaluate, fused_filter_mask, predicate_mask};

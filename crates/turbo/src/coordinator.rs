@@ -242,7 +242,7 @@ impl Coordinator {
             self.inflight.push((id, info));
         } else if cf_enabled {
             let mut fx = self.effects(id, work);
-            let race = CfRace::start(true, &mut fx);
+            let race = CfRace::start(&mut fx);
             let cancelled = fx.cancelled;
             self.stats.speculative_cancelled += cancelled;
             self.record_all(id, &race.decisions.clone());
@@ -297,7 +297,7 @@ impl Coordinator {
             self.inflight.push((id, info));
         } else {
             let mut fx = self.effects(id, work.stage_works()[0]);
-            let race = CfRace::start(true, &mut fx);
+            let race = CfRace::start(&mut fx);
             let cancelled = fx.cancelled;
             self.stats.speculative_cancelled += cancelled;
             self.record_all(id, &race.decisions.clone());
@@ -520,7 +520,7 @@ impl Coordinator {
                     s.speculated |= spec0;
                 }
                 let mut fx = self.effects(id, stage1);
-                let race = CfRace::start(true, &mut fx);
+                let race = CfRace::start(&mut fx);
                 let cancelled = fx.cancelled;
                 self.stats.speculative_cancelled += cancelled;
                 self.record_all(id, &race.decisions.clone());

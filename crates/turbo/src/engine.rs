@@ -20,17 +20,15 @@ use pixels_common::{
 };
 use pixels_exec::{
     default_parallelism, exchange, execute, execute_collect, materialize, ExchangeStats,
-    ExecContext, ExecMetricsSnapshot, JoinSide, ScanPipelineSnapshot,
+    ExecContext, ExecMetricsSnapshot, JoinSide, ScanPipelineSnapshot, DEFAULT_BATCH_SIZE,
 };
-use pixels_obs::{MetricsRegistry, Trace, TraceCtx, WallClock};
+use pixels_obs::{MetricsRegistry, Span, Trace, TraceCtx, WallClock};
 use pixels_planner::{
     plan_query, plan_shuffle_sized, split_for_acceleration, PhysicalPlan, ShuffleKind, ShufflePlan,
     ShuffleSizing,
 };
 use pixels_sql::ast::Statement;
 use pixels_storage::{exchange_stack, ChunkCache, FooterCache, ObjectStore, ObjectStoreRef};
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,12 +48,6 @@ pub struct EngineConfig {
     /// Floor on the straggler deadline, so estimate noise on tiny queries
     /// never triggers spurious speculation.
     pub straggler_min_wait: Duration,
-    /// Launch a speculative duplicate fleet when a straggler is detected
-    /// (first result wins; the loser is reaped in the background).
-    pub speculative_enabled: bool,
-    /// Fall back to the VM path when every CF attempt fails, instead of
-    /// failing the query.
-    pub cf_to_vm_fallback: bool,
     /// Capacity of the engine-wide chunk-data cache (raw encoded column
     /// chunks shared across all queries). `0` disables the cache. Hits skip
     /// the storage GET but are billed exactly like misses — billing is
@@ -83,8 +75,6 @@ impl Default for EngineConfig {
             cf_fleet_threads: 4,
             straggler_factor: 4.0,
             straggler_min_wait: Duration::from_millis(250),
-            speculative_enabled: true,
-            cf_to_vm_fallback: true,
             chunk_cache_bytes: 64 << 20,
             prefetch_depth: 2,
             exchange_partitions: 1,
@@ -186,26 +176,59 @@ pub struct ExecOutcome {
     pub provider_shuffle_dollars: f64,
 }
 
+impl Default for ExecOutcome {
+    /// An empty, unbilled, VM-tier outcome: every execution path overrides
+    /// only the fields it actually produced.
+    fn default() -> Self {
+        ExecOutcome {
+            batch: RecordBatch::empty(Arc::new(Schema::empty())),
+            used_cf: false,
+            pending: Duration::ZERO,
+            execution: Duration::ZERO,
+            bytes_scanned: 0,
+            metrics: ExecMetricsSnapshot::default(),
+            events: Vec::new(),
+            retries: 0,
+            decisions: Vec::new(),
+            resource_cost: CostBreakdown::default(),
+            provider_cf_dollars: 0.0,
+            exchange: ExchangeStats::default(),
+            provider_shuffle_dollars: 0.0,
+        }
+    }
+}
+
 struct Slots {
     free: Mutex<usize>,
     cv: Condvar,
 }
 
+/// One held VM slot. The slot returns to the pool when the guard drops, so
+/// an execution that panics or returns early can never leak it.
+struct SlotGuard<'a>(&'a Slots);
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        *self.0.free.lock() += 1;
+        self.0.cv.notify_one();
+    }
+}
+
 impl Slots {
-    fn acquire(&self) -> Duration {
+    fn acquire(&self) -> (SlotGuard<'_>, Duration) {
         let start = Instant::now();
         let mut free = self.free.lock();
         while *free == 0 {
             self.cv.wait(&mut free);
         }
         *free -= 1;
-        start.elapsed()
+        (SlotGuard(self), start.elapsed())
     }
 
-    /// Acquire with an optional wait bound. Returns `Some(waited)` on
-    /// success, `None` once `limit` expires with every slot still busy (the
-    /// caller then force-starts the query unslotted).
-    fn acquire_until(&self, limit: Option<Duration>) -> Option<Duration> {
+    /// Acquire with an optional wait bound. Returns the slot and the time
+    /// waited, or `None` once `limit` expires with every slot still busy
+    /// (the caller then force-starts the query unslotted).
+    fn acquire_until(&self, limit: Option<Duration>) -> Option<(SlotGuard<'_>, Duration)> {
         let Some(limit) = limit else {
             return Some(self.acquire());
         };
@@ -218,22 +241,16 @@ impl Slots {
             }
         }
         *free -= 1;
-        Some(start.elapsed())
+        Some((SlotGuard(self), start.elapsed()))
     }
 
-    fn try_acquire(&self) -> bool {
+    fn try_acquire(&self) -> Option<SlotGuard<'_>> {
         let mut free = self.free.lock();
         if *free == 0 {
-            false
-        } else {
-            *free -= 1;
-            true
+            return None;
         }
-    }
-
-    fn release(&self) {
-        *self.free.lock() += 1;
-        self.cv.notify_one();
+        *free -= 1;
+        Some(SlotGuard(self))
     }
 }
 
@@ -242,7 +259,7 @@ pub struct TurboEngine {
     catalog: CatalogRef,
     store: ObjectStoreRef,
     cfg: EngineConfig,
-    slots: Arc<Slots>,
+    slots: Slots,
     mv_ids: IdGenerator,
     /// Footer cache shared across every query the engine runs: repeated
     /// opens of the same table skip the footer GETs (and are billed once).
@@ -276,10 +293,10 @@ impl TurboEngine {
             catalog,
             store,
             cfg,
-            slots: Arc::new(Slots {
+            slots: Slots {
                 free: Mutex::new(cfg.vm_slots.max(1)),
                 cv: Condvar::new(),
-            }),
+            },
             mv_ids: IdGenerator::new(),
             footer_cache: FooterCache::shared(),
             chunk_cache: (cfg.chunk_cache_bytes > 0)
@@ -411,21 +428,7 @@ impl TurboEngine {
                     }
                     other => format!("{other}\n"),
                 };
-                Ok(ExecOutcome {
-                    batch: text_batch("plan", text.lines()),
-                    used_cf: false,
-                    pending: Duration::ZERO,
-                    execution: Duration::ZERO,
-                    bytes_scanned: 0,
-                    metrics: ExecMetricsSnapshot::default(),
-                    events: Vec::new(),
-                    retries: 0,
-                    decisions: Vec::new(),
-                    resource_cost: CostBreakdown::default(),
-                    provider_cf_dollars: 0.0,
-                    exchange: ExchangeStats::default(),
-                    provider_shuffle_dollars: 0.0,
-                })
+                Ok(meta_outcome(text_batch("plan", text.lines())))
             }
             Statement::ExplainAnalyze(inner) => {
                 let Statement::Query(_) = inner.as_ref() else {
@@ -598,24 +601,14 @@ impl TurboEngine {
         };
 
         // Fast path: a free VM slot.
-        if self.slots.try_acquire() {
-            let r = self.run_in_vm(&plan, &trace);
-            self.slots.release();
-            return r;
+        if let Some(_slot) = self.slots.try_acquire() {
+            return self.run_in_vm(&plan, &trace);
         }
 
-        // Slots saturated. With CF enabled, accelerate via plan splitting —
-        // multi-stage with an object-store exchange when the fan-out is
-        // configured (or cost-derived) and the cut point shuffles,
-        // single-stage otherwise.
+        // Slots saturated. With CF enabled, accelerate via plan splitting.
         if cf_enabled {
-            if let Some(shuffle) =
-                plan_shuffle_sized(&plan, &self.next_mv_path(), &self.shuffle_sizing())
-            {
-                return self.run_with_shuffle(&plan, shuffle, &trace);
-            }
-            if let Some(split) = split_for_acceleration(&plan, &self.next_mv_path()) {
-                return self.run_with_cf(&plan, split, &trace);
+            if let Some(stages) = self.cf_stages(&plan) {
+                return self.run_cf(&plan, stages, &trace);
             }
         }
 
@@ -631,22 +624,12 @@ impl TurboEngine {
             &[],
             None,
         );
-        match waited {
-            Some(pending) => {
-                slot_histogram.observe(pending.as_secs_f64());
-                let r = self.run_in_vm(&plan, &trace);
-                self.slots.release();
-                r.map(|mut o| {
-                    o.pending = pending;
-                    o
-                })
-            }
+        let (_slot, pending) = match waited {
+            Some((slot, pending)) => (Some(slot), pending),
             None => {
                 // Deadline expired while waiting: forced start. The query
-                // runs unslotted (no slot acquired, none released) so the
-                // grace-period promise holds even on a saturated engine.
-                let pending = slot_wait_limit.unwrap_or_default();
-                slot_histogram.observe(pending.as_secs_f64());
+                // runs unslotted (no slot held) so the grace-period promise
+                // holds even on a saturated engine.
                 self.registry
                     .counter(
                         "pixels_turbo_forced_starts_total",
@@ -654,12 +637,13 @@ impl TurboEngine {
                          deadline expired while waiting for a VM slot",
                     )
                     .add(1);
-                self.run_in_vm(&plan, &trace).map(|mut o| {
-                    o.pending = pending;
-                    o
-                })
+                (None, slot_wait_limit.unwrap_or_default())
             }
-        }
+        };
+        slot_histogram.observe(pending.as_secs_f64());
+        let mut out = self.run_in_vm(&plan, &trace)?;
+        out.pending = pending;
+        Ok(out)
     }
 
     fn next_mv_path(&self) -> String {
@@ -680,8 +664,12 @@ impl TurboEngine {
     /// [`QueryEvent::StorageRetries`] event. Approximate when queries run
     /// concurrently (the counters are shared), exact when serialized — which
     /// is how the chaos soak measures it.
-    fn storage_retries_since(&self, before: u64) -> u64 {
-        self.store.metrics().retries.saturating_sub(before)
+    fn note_storage_retries(&self, before: u64, events: &mut Vec<QueryEvent>) -> u64 {
+        let retries = self.store.metrics().retries.saturating_sub(before);
+        if retries > 0 {
+            events.push(QueryEvent::StorageRetries { count: retries });
+        }
+        retries
     }
 
     fn run_in_vm(&self, plan: &PhysicalPlan, trace: &TraceCtx) -> Result<ExecOutcome> {
@@ -696,15 +684,10 @@ impl TurboEngine {
         let metrics = ctx.metrics.snapshot();
         self.absorb_exec_metrics(&metrics, false);
         self.absorb_pipeline_metrics(&ctx.metrics.pipeline_snapshot());
-        let retries = self.storage_retries_since(retries_before);
         let mut events = Vec::new();
-        if retries > 0 {
-            events.push(QueryEvent::StorageRetries { count: retries });
-        }
+        let retries = self.note_storage_retries(retries_before, &mut events);
         Ok(ExecOutcome {
             batch,
-            used_cf: false,
-            pending: Duration::ZERO,
             execution: start.elapsed(),
             bytes_scanned: metrics.bytes_scanned,
             metrics,
@@ -717,257 +700,366 @@ impl TurboEngine {
                 vm_dollars: self.pricing.vm_cost(QueryWork::from_plan(plan).cpu_seconds),
                 cf_dollars: 0.0,
             },
-            provider_cf_dollars: 0.0,
-            exchange: ExchangeStats::default(),
-            provider_shuffle_dollars: 0.0,
+            ..ExecOutcome::default()
         })
     }
 
-    /// Launch one ephemeral CF fleet for `split`'s sub-plan: execute it off
-    /// the VM slots (as CF workers would), materialize the result to the
-    /// attempt's own MV path, and report on `tx`. The fleet's faults were
-    /// decided *at launch* by the shared policy rule
-    /// ([`policy::decide_launch_faults`]) — the thread only applies them —
-    /// so a seeded plan yields the same fault sequence as the simulator. An
-    /// injected crash fails before any work, so it costs no scan bytes.
-    fn launch_cf_attempt(
-        &self,
-        attempt: u32,
-        faults: LaunchFaults,
-        split: &pixels_planner::SplitPlan,
-        trace: &TraceCtx,
-        tx: std::sync::mpsc::Sender<(u32, Result<ExecMetricsSnapshot>)>,
-    ) {
-        let store = self.store.clone();
-        let registry = self.registry.clone();
-        let sub_plan = split.sub_plan.clone();
-        let mv_path = split.mv_path.clone();
-        // The fleet's intra-plan parallelism comes from the resource model,
-        // capped by the configured workers per fleet.
-        let sub_ctx = self.exec_context(&sub_plan, self.cfg.cf_fleet_threads);
-        let mut fleet_span = trace.span("cf_fleet");
-        fleet_span.record_u64("workers", sub_ctx.parallelism as u64);
-        fleet_span.record_u64("attempt", attempt as u64);
-        let sub_ctx = sub_ctx.under(&fleet_span);
-        std::thread::spawn(move || {
-            let _span = fleet_span; // closes when the fleet exits
-            let result = (|| -> Result<ExecMetricsSnapshot> {
-                if faults.extra_startup.as_micros() > 0 {
-                    // Cold-start storm: the whole fleet starts late.
-                    std::thread::sleep(Duration::from_micros(faults.extra_startup.as_micros()));
-                }
-                if faults.crash {
-                    return Err(Error::Exec(format!(
-                        "injected CF worker crash (attempt {attempt})"
-                    )));
-                }
-                if faults.straggle.as_micros() > 0 {
-                    std::thread::sleep(Duration::from_micros(faults.straggle.as_micros()));
-                }
-                let batches = execute(&sub_plan, &sub_ctx)?;
-                let mut mat_span = sub_ctx.trace.span("materialize");
-                let written = materialize(store.as_ref(), &mv_path, sub_plan.schema(), &batches)?;
-                // `bytes_written` deliberately, not `bytes`: MV output is not
-                // billed scan traffic, and the span byte sum must still equal
-                // `bytes_scanned` exactly.
-                mat_span.record_u64("bytes_written", written);
-                Ok(sub_ctx.metrics.snapshot())
-            })();
-            // Pipeline counters are not part of the snapshot sent back, so
-            // the fleet publishes its own prefetcher activity.
-            absorb_prefetch_metrics(&registry, &sub_ctx.metrics.pipeline_snapshot());
-            let _ = tx.send((attempt, result));
-        });
+    /// The stage list a saturated engine accelerates `plan` with, or `None`
+    /// when the plan has no expensive operator to push down. A shuffleable
+    /// cut point (aggregate, equi-join) with a configured or cost-derived
+    /// fan-out runs as a spill stage plus a finish stage; every other plan is
+    /// one stage that materializes the MV directly.
+    fn cf_stages(&self, plan: &PhysicalPlan) -> Option<Vec<Stage<'_>>> {
+        // The path is a placeholder: only the lower half of the cut is used
+        // here. Every attempt picks its own MV path, and the tail re-cuts the
+        // plan around whichever one is accepted.
+        if let Some(shuffle) = plan_shuffle_sized(plan, "", &self.shuffle_sizing()) {
+            return Some(self.shuffle_stages(plan, shuffle));
+        }
+        let split = split_for_acceleration(plan, "")?;
+        Some(vec![self.single_stage(plan, split.sub_plan)])
     }
 
-    /// Drain attempts that are still in flight after the race is decided:
-    /// delete their intermediate results and account their wasted scan bytes
-    /// (provider-side cost — never part of the query's bill). Runs detached
-    /// so losers can't delay the winning query's response.
-    fn reap_stale_attempts(
+    /// The single-stage CF plan: one fleet executes the whole sub-plan off
+    /// the VM slots (as CF workers would) and materializes it to the
+    /// attempt's own MV path.
+    fn single_stage(&self, plan: &PhysicalPlan, sub_plan: PhysicalPlan) -> Stage<'_> {
+        let sub_plan = Arc::new(sub_plan);
+        Stage {
+            // Priced by the full plan, matching the sim coordinator which
+            // charges CF fleets for the whole query. Fleet right-sizing
+            // shrinks startup-dominated fleets; the sim side of the parity
+            // harness applies the same transform, so costs stay bit-identical.
+            priced: self.cost_model.sized_work(&QueryWork::from_plan(plan)),
+            deadline: self.cost_model.sized_work(&QueryWork::from_plan(&sub_plan)),
+            prepare: Box::new(move |_attempt, _input, span| {
+                let mv_path = self.next_mv_path();
+                let ctx = self
+                    .exec_context(&sub_plan, self.cfg.cf_fleet_threads)
+                    .under(span);
+                let (sub_plan, store, dest) =
+                    (sub_plan.clone(), self.store.clone(), mv_path.clone());
+                Attempt {
+                    artifact: Artifact::Mv(mv_path),
+                    ctxs: vec![ctx],
+                    body: Box::new(move |ctxs, _span| {
+                        let ctx = &ctxs[0];
+                        let batches = execute(&sub_plan, ctx)?;
+                        let mut mat_span = ctx.trace.span("materialize");
+                        let written =
+                            materialize(store.as_ref(), &dest, sub_plan.schema(), &batches)?;
+                        // `bytes_written` deliberately, not `bytes`: MV output
+                        // is not billed scan traffic, and the span byte sum
+                        // must still equal `bytes_scanned` exactly.
+                        mat_span.record_u64("bytes_written", written);
+                        Ok((ctx.metrics.snapshot(), ExchangeStats::default()))
+                    }),
+                }
+            }),
+        }
+    }
+
+    /// The two stages of a shuffled CF plan, exchanging hash-partitioned
+    /// spill files through the object store (§3.1 extended the Starling way —
+    /// functions cannot talk to each other, so the store is the network).
+    ///
+    /// The spill stage executes the shuffled operator's input(s) and spills
+    /// combining/pre-aggregated hash partitions under the attempt's own
+    /// prefix. The finish stage reads the *accepted* spill attempt's
+    /// partition set, finishes the operator and materializes the MV the top
+    /// plan reads. A broadcast join is the same two stages with a 1-partition
+    /// spill of the build side only: the probe side never crosses the
+    /// exchange, the finish stage executes it directly.
+    ///
+    /// Billing: spill PUT/GET traffic is provider-side (priced per GB into
+    /// `provider_shuffle_dollars`), never part of `bytes_scanned`. The user
+    /// bill equals the single-stage path's exactly: the stages scan the same
+    /// table bytes one fleet would, spill reads go through scratch contexts,
+    /// and the MV is byte-identical so the top plan reads the same bytes too.
+    fn shuffle_stages(&self, plan: &PhysicalPlan, shuffle: ShufflePlan) -> Vec<Stage<'_>> {
+        let ShufflePlan {
+            kind,
+            partitions,
+            broadcast,
+            ..
+        } = shuffle;
+        let kind = Arc::new(kind);
+        // Fleet right-sizing applies to the whole-query work before the
+        // per-stage split, exactly as the sim coordinator does.
+        let [spill_work, finish_work] = self
+            .cost_model
+            .sized_work(&QueryWork::from_plan(plan))
+            .stage_works();
+        let spill_base = format!("pixels-turbo/intermediate/shuffle-{}/", self.mv_ids.next());
+        // Spill I/O runs under its own chaos/retry stack: the exchange_put /
+        // exchange_get fault sites with the standard object-store backoff.
+        let exchange_store = exchange_stack(
+            self.store.clone(),
+            self.injector.clone(),
+            RetryPolicy::object_store(),
+            WallClock::shared(),
+        );
+        let fleet_threads = self.cfg.cf_fleet_threads;
+
+        let spill = {
+            let (kind, exchange_store) = (kind.clone(), exchange_store.clone());
+            Stage {
+                priced: spill_work,
+                deadline: spill_work,
+                prepare: Box::new(move |attempt, _input, span| {
+                    // The attempt index in the prefix means a crashed or
+                    // losing attempt can never poison its replacement's reads.
+                    let prefix = format!("{spill_base}s0-a{attempt}/");
+                    // A join stage executes each input under its own context.
+                    let ctxs = spill_inputs(&kind, broadcast)
+                        .into_iter()
+                        .map(|input| self.exec_context(input, fleet_threads).under(span))
+                        .collect();
+                    let (kind, store, dest) =
+                        (kind.clone(), exchange_store.clone(), prefix.clone());
+                    Attempt {
+                        artifact: Artifact::Spill(prefix),
+                        ctxs,
+                        body: Box::new(move |ctxs, _span| {
+                            spill_partitions(
+                                &kind,
+                                broadcast,
+                                partitions,
+                                ctxs,
+                                store.as_ref(),
+                                &dest,
+                            )
+                        }),
+                    }
+                }),
+            }
+        };
+        let finish = Stage {
+            priced: finish_work,
+            deadline: finish_work,
+            prepare: Box::new(move |_attempt, input, span| {
+                let source = input
+                    .expect("a finish stage follows a spill stage")
+                    .location()
+                    .to_string();
+                let mv_path = self.next_mv_path();
+                // Only a broadcast join scans in this stage: its probe side.
+                let ctxs = match kind.as_ref() {
+                    ShuffleKind::Join { left, .. } if broadcast => {
+                        vec![self.exec_context(left, fleet_threads).under(span)]
+                    }
+                    _ => Vec::new(),
+                };
+                let (kind, exchange_store, store, dest) = (
+                    kind.clone(),
+                    exchange_store.clone(),
+                    self.store.clone(),
+                    mv_path.clone(),
+                );
+                Attempt {
+                    artifact: Artifact::Mv(mv_path),
+                    ctxs,
+                    body: Box::new(move |ctxs, span| {
+                        let (snapshot, batches, stats) = finish_partitions(
+                            &kind,
+                            partitions,
+                            ctxs.first(),
+                            &exchange_store,
+                            &source,
+                        )?;
+                        span.record_u64("spill_bytes_read", stats.get_bytes);
+                        let written =
+                            materialize(store.as_ref(), &dest, kind.output_schema(), &batches)?;
+                        span.record_u64("bytes_written", written);
+                        Ok((snapshot, stats))
+                    }),
+                }
+            }),
+        };
+        vec![spill, finish]
+    }
+
+    /// CF path: run `stages` in order, each one a full [`CfRace`] whose
+    /// accepted artifact is the next stage's input, then finish the cheap top
+    /// plan locally over the last stage's MV — the §3.1 data path.
+    ///
+    /// Billing: every attempt's modelled cost is provider spend (the provider
+    /// charges for every invocation, crashed and cancelled ones included),
+    /// but the query bills only the scanned bytes of the *accepted* attempts,
+    /// so the $/TB price is the same with and without recovery work.
+    fn run_cf(
         &self,
-        rx: std::sync::mpsc::Receiver<(u32, Result<ExecMetricsSnapshot>)>,
-        mv_paths: Vec<String>,
-        outstanding: usize,
+        plan: &PhysicalPlan,
+        stages: Vec<Stage<'_>>,
+        trace: &TraceCtx,
+    ) -> Result<ExecOutcome> {
+        let start = Instant::now();
+        let retries_before = self.store.metrics().retries;
+        let mut run = CfRun::default();
+        for (index, stage) in stages.iter().enumerate() {
+            if !self.run_stage(index, stage, trace, &mut run) {
+                return self.degrade_to_vm(plan, trace, run);
+            }
+        }
+
+        let mv_path = run
+            .accepted
+            .last()
+            .expect("a CF plan has at least one stage")
+            .location();
+        let top_plan = split_for_acceleration(plan, mv_path)
+            .expect("the plan split when its stages were built")
+            .top_plan;
+        let top_span = trace.span("top_plan");
+        let ctx = self.exec_context(&top_plan, usize::MAX).under(&top_span);
+        let result = execute_collect(&top_plan, &ctx);
+        drop(top_span);
+        // The accepted intermediates are ephemeral CF output and have been
+        // fully consumed — or have no reader left, if the top plan failed.
+        // Losing attempts clean up after themselves in the stage reapers.
+        for artifact in &run.accepted {
+            self.discard(artifact);
+        }
+        let batch = result?;
+
+        // Billed bytes: every accepted stage's table scans plus the top
+        // plan's MV read. Spill traffic never reaches `bytes_scanned`.
+        let metrics = run.metrics.merged(&ctx.metrics.snapshot());
+        self.absorb_exec_metrics(&metrics, true);
+        self.absorb_pipeline_metrics(&ctx.metrics.pipeline_snapshot());
+        publish_exchange_metrics(&self.registry, &run.exchange);
+        let retries = self.note_storage_retries(retries_before, &mut run.events);
+        Ok(ExecOutcome {
+            batch,
+            used_cf: true,
+            execution: start.elapsed(),
+            bytes_scanned: metrics.bytes_scanned,
+            metrics,
+            events: run.events,
+            retries,
+            decisions: run.decisions,
+            // The accepted execution's modelled cost: the winning fleet of
+            // each stage (same formula the sim's CfService charges).
+            resource_cost: CostBreakdown {
+                vm_dollars: 0.0,
+                cf_dollars: run.accepted_cf_dollars,
+            },
+            provider_cf_dollars: run.provider_cf_dollars,
+            provider_shuffle_dollars: self.pricing.exchange_cost(run.exchange.total_bytes()),
+            exchange: run.exchange,
+            ..ExecOutcome::default()
+        })
+    }
+
+    /// Race one stage's fleets to an accepted attempt, folding its decisions,
+    /// events, costs, metrics and artifact into `run`. Returns `false` when
+    /// every attempt failed (`Decision::Degrade`).
+    ///
+    /// Every recovery decision — when to relaunch a crashed fleet, when to
+    /// race a speculative duplicate, when to give up — is made by the shared
+    /// policy core ([`CfRace`]); this driver only *detects* (a channel wait
+    /// with a deadline) and *executes* (threads, artifact cleanup).
+    fn run_stage(
+        &self,
+        index: usize,
+        stage: &Stage<'_>,
+        trace: &TraceCtx,
+        run: &mut CfRun,
+    ) -> bool {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut fleets = StageFleets {
+            engine: self,
+            stage,
+            index: index as u64,
+            input: run.accepted.last().cloned(),
+            trace,
+            tx,
+            artifacts: Vec::new(),
+            costs: Vec::new(),
+        };
+        let mut race = CfRace::start(&mut fleets);
+        // Straggler deadline: the model's estimate for the stage on this
+        // fleet, scaled and floored by the shared policy rule.
+        let straggler_wait = self.straggler_wait(&stage.deadline);
+        let winner = self.drive_race(&mut race, &mut fleets, &rx, straggler_wait, run);
+        // Dropping the launcher's sender lets the reaper's drain end once the
+        // last in-flight fleet has reported.
+        let StageFleets {
+            artifacts, costs, ..
+        } = fleets;
+        run.decisions.extend(race.decisions.iter().copied());
+        run.provider_cf_dollars += costs.iter().sum::<f64>();
+        let Some((attempt, metrics, stats)) = winner else {
+            self.reap(rx, artifacts, race.outstanding());
+            return false;
+        };
+        if race.speculated() {
+            run.events.push(QueryEvent::SpeculativeWin { attempt });
+        }
+        run.accepted_cf_dollars += costs[attempt as usize];
+        run.metrics = run.metrics.merged(&metrics);
+        run.exchange.merge(&stats);
+        run.accepted.push(artifacts[attempt as usize].clone());
+        self.reap(rx, artifacts, race.outstanding() - 1);
+        true
+    }
+
+    /// Drain attempts still in flight after their race is decided: account
+    /// their wasted scan bytes, publish their exchange traffic to the
+    /// telemetry counters (provider dollars only ever price *accepted*
+    /// attempts, keeping bills deterministic), and discard each one's
+    /// artifact. Runs detached so losers can't delay the winning query.
+    fn reap(
+        &self,
+        rx: std::sync::mpsc::Receiver<StageResult>,
+        artifacts: Vec<Artifact>,
+        in_flight: u32,
     ) {
-        if outstanding == 0 {
+        if in_flight == 0 {
             return;
         }
         let store = self.store.clone();
-        let cache = self.footer_cache.clone();
+        let footer_cache = self.footer_cache.clone();
         let chunk_cache = self.chunk_cache.clone();
         let registry = self.registry.clone();
         std::thread::spawn(move || {
-            for (idx, result) in rx {
-                if let Ok(m) = result {
+            for (attempt, result) in rx {
+                if let Ok((metrics, stats)) = result {
                     registry
                         .counter(
                             "pixels_turbo_speculative_wasted_bytes_total",
                             "Bytes scanned by cancelled speculative CF attempts \
                              (provider-side cost, never billed to the query)",
                         )
-                        .add(m.bytes_scanned);
+                        .add(metrics.bytes_scanned);
+                    publish_exchange_metrics(&registry, &stats);
                 }
-                if let Some(path) = mv_paths.get(idx as usize) {
-                    let _ = store.delete(path);
-                    cache.invalidate(path);
-                    if let Some(c) = &chunk_cache {
-                        c.invalidate_path(path);
-                    }
+                if let Some(artifact) = artifacts.get(attempt as usize) {
+                    discard_artifact(
+                        store.as_ref(),
+                        &footer_cache,
+                        chunk_cache.as_deref(),
+                        artifact,
+                    );
                 }
             }
         });
     }
 
-    /// CF path with straggler mitigation and graceful degradation.
-    ///
-    /// Every recovery decision here — when to relaunch a crashed fleet, when
-    /// to race a speculative duplicate, when to give up and degrade — is made
-    /// by the shared policy core ([`CfRace`]); this driver only *detects*
-    /// (a channel wait with a deadline) and *executes* (threads, MV cleanup).
-    /// If the first fleet exceeds the resource model's latency estimate by
-    /// `straggler_factor`, a duplicate fleet races it and the first
-    /// successful result wins (both fleets' resource cost is paid — the
-    /// provider charges for every invocation — but the query bills only the
-    /// winner's scanned bytes, so the $/TB price is unchanged). A crashed
-    /// fleet is relaunched once; when every CF attempt fails, the query
-    /// degrades to the VM path rather than failing, preserving
-    /// Immediate/Relaxed semantics.
-    fn run_with_cf(
-        &self,
-        plan: &PhysicalPlan,
-        split: pixels_planner::SplitPlan,
-        trace: &TraceCtx,
-    ) -> Result<ExecOutcome> {
-        use std::sync::mpsc;
-
-        let start = Instant::now();
-        let retries_before = self.store.metrics().retries;
-        let mut events: Vec<QueryEvent> = Vec::new();
-        let (tx, rx) = mpsc::channel();
-
-        // Straggler deadline: the model's estimate for the sub-plan on this
-        // fleet, scaled and floored by the shared policy rule. Detection
-        // stays driver-specific (a bounded channel wait); the *reaction* is
-        // the policy's.
-        let straggler_wait = self.straggler_wait(
-            &self
-                .cost_model
-                .sized_work(&QueryWork::from_plan(&split.sub_plan)),
+    /// Delete one attempt's intermediate output and drop its (now dangling)
+    /// cache entries — winner GC, failed-attempt cleanup and the reaper all
+    /// go through [`discard_artifact`].
+    fn discard(&self, artifact: &Artifact) {
+        discard_artifact(
+            self.store.as_ref(),
+            &self.footer_cache,
+            self.chunk_cache.as_deref(),
+            artifact,
         );
-
-        let attempts: Rc<RefCell<Vec<pixels_planner::SplitPlan>>> = Rc::default();
-        let attempt_costs: Rc<RefCell<Vec<f64>>> = Rc::default();
-        let mut fx = EngineEffects {
-            engine: self,
-            plan,
-            trace,
-            tx: tx.clone(),
-            // Fleet right-sizing: the cost model shrinks startup-dominated
-            // fleets; the sim side of the parity harness applies the same
-            // transform, so modelled costs stay bit-identical.
-            work: self.cost_model.sized_work(&QueryWork::from_plan(plan)),
-            first_split: Some(split),
-            attempts: attempts.clone(),
-            attempt_costs: attempt_costs.clone(),
-        };
-        let mut race = CfRace::start(self.cfg.speculative_enabled, &mut fx);
-        let mut on_failed = |idx: u32| {
-            // Failed attempts can't have materialized; delete is a no-op
-            // unless the failure raced materialization.
-            let path = attempts.borrow()[idx as usize].mv_path.clone();
-            let _ = self.store.delete(&path);
-            self.footer_cache.invalidate(&path);
-        };
-        let end = self.drive_race(
-            &mut race,
-            &mut fx,
-            &rx,
-            straggler_wait,
-            &mut events,
-            &mut on_failed,
-        );
-        drop(fx);
-        drop(tx);
-        let decisions = race.decisions.clone();
-        let speculated = race.speculated();
-        let attempts = attempts.take();
-        let attempt_costs = attempt_costs.take();
-        let provider_cf_dollars: f64 = attempt_costs.iter().sum();
-        let mv_paths: Vec<String> = attempts.iter().map(|a| a.mv_path.clone()).collect();
-
-        let Some((winner_idx, sub_metrics)) = end.winner else {
-            // Every CF attempt failed (`Decision::Degrade`). Degrade to the
-            // VM tier: the query still completes (and bills the plain
-            // VM-path bytes), it just loses the acceleration.
-            self.reap_stale_attempts(rx, mv_paths, attempts.len() - end.received);
-            return self.degrade_to_vm_path(
-                plan,
-                trace,
-                events,
-                decisions,
-                end.last_err,
-                provider_cf_dollars,
-                ExchangeStats::default(),
-            );
-        };
-
-        if speculated {
-            events.push(QueryEvent::SpeculativeWin {
-                attempt: winner_idx,
-            });
-        }
-        let received = end.received;
-        let winning_top = attempts[winner_idx as usize].top_plan.clone();
-        let winning_mv = attempts[winner_idx as usize].mv_path.clone();
-        let top_span = trace.span("top_plan");
-        let ctx = self.exec_context(&winning_top, usize::MAX).under(&top_span);
-        let batch = execute_collect(&winning_top, &ctx)?;
-        drop(top_span);
-        // Clean up the intermediate result like ephemeral CF output, and
-        // drop its (now dangling) footer-cache entry.
-        let _ = self.store.delete(&winning_mv);
-        self.footer_cache.invalidate(&winning_mv);
-        if let Some(c) = &self.chunk_cache {
-            c.invalidate_path(&winning_mv);
-        }
-        // Losers still in flight are drained in the background.
-        self.reap_stale_attempts(rx, mv_paths, attempts.len() - received);
-        let metrics = sub_metrics.merged(&ctx.metrics.snapshot());
-        self.absorb_exec_metrics(&metrics, true);
-        self.absorb_pipeline_metrics(&ctx.metrics.pipeline_snapshot());
-        let retries = self.storage_retries_since(retries_before);
-        if retries > 0 {
-            events.push(QueryEvent::StorageRetries { count: retries });
-        }
-        Ok(ExecOutcome {
-            batch,
-            used_cf: true,
-            pending: Duration::ZERO,
-            execution: start.elapsed(),
-            bytes_scanned: metrics.bytes_scanned,
-            metrics,
-            events,
-            retries,
-            decisions,
-            // The accepted execution's modelled cost: the winning fleet's
-            // invocation (same formula the sim's CfService charges).
-            resource_cost: CostBreakdown {
-                vm_dollars: 0.0,
-                cf_dollars: attempt_costs
-                    .get(winner_idx as usize)
-                    .copied()
-                    .unwrap_or(0.0),
-            },
-            provider_cf_dollars,
-            exchange: ExchangeStats::default(),
-            provider_shuffle_dollars: 0.0,
-        })
     }
 
     /// Straggler deadline for one fleet: `factor` × the model's estimate on
-    /// this fleet's threads, floored by `straggler_min_wait` — shared by the
-    /// single-stage race and each stage of a shuffle.
+    /// this fleet's threads, floored by `straggler_min_wait`.
     fn straggler_wait(&self, work: &QueryWork) -> Duration {
         let est = work.exec_time_on_cores(self.cfg.cf_fleet_threads.max(1) as f64);
         Duration::from_micros(
@@ -980,59 +1072,58 @@ impl TurboEngine {
         )
     }
 
-    /// Drive one [`CfRace`] to completion against a result channel. The loop
-    /// only *detects* (a channel wait bounded by the straggler deadline) and
-    /// records events/counters; every reaction is the policy's. Shared by the
-    /// single-stage CF path and both stages of a shuffle, so stage races and
-    /// plain races are the same state machine end to end.
-    fn drive_race<T>(
+    /// Drive one stage's [`CfRace`] to completion against its result channel
+    /// and return the accepted attempt, if any. The loop only *detects* (a
+    /// channel wait bounded by the straggler deadline), records
+    /// events/counters and discards failed attempts' artifacts; every
+    /// reaction is the policy's.
+    fn drive_race(
         &self,
         race: &mut CfRace,
-        fx: &mut dyn CfEffects,
-        rx: &std::sync::mpsc::Receiver<(u32, Result<T>)>,
+        fleets: &mut StageFleets<'_>,
+        rx: &std::sync::mpsc::Receiver<StageResult>,
         straggler_wait: Duration,
-        events: &mut Vec<QueryEvent>,
-        on_failed: &mut dyn FnMut(u32),
-    ) -> RaceEnd<T> {
+        run: &mut CfRun,
+    ) -> Option<(u32, ExecMetricsSnapshot, ExchangeStats)> {
         use std::sync::mpsc;
 
         let mut deadline_fired = false;
-        let mut failed_count = 0usize;
-        let mut last_err: Option<Error> = None;
-        let mut winner: Option<(u32, T)> = None;
+        let mut winner = None;
         while !race.is_finished() {
             // Before the deadline fires, wake when it expires; after (the
             // policy reacts to it at most once), the only thing left to wait
             // for is a result or total failure.
-            let timeout = if deadline_fired || !self.cfg.speculative_enabled {
+            let timeout = if deadline_fired {
                 Duration::from_secs(3600)
             } else {
                 straggler_wait
             };
             let input = match rx.recv_timeout(timeout) {
-                Ok((idx, Ok(payload))) => {
-                    winner = Some((idx, payload));
+                Ok((attempt, Ok((metrics, stats)))) => {
+                    winner = Some((attempt, metrics, stats));
                     RaceInput::AttemptFinished {
-                        attempt: idx,
+                        attempt,
                         failed: false,
                     }
                 }
-                Ok((idx, Err(e))) => {
-                    failed_count += 1;
+                Ok((attempt, Err(e))) => {
                     self.registry
                         .counter(
                             "pixels_turbo_cf_crashes_total",
                             "CF fleet attempts that crashed or failed",
                         )
                         .add(1);
-                    events.push(QueryEvent::CfAttemptFailed {
-                        attempt: idx,
+                    run.events.push(QueryEvent::CfAttemptFailed {
+                        attempt,
                         reason: e.to_string(),
                     });
-                    last_err = Some(e);
-                    on_failed(idx);
+                    run.last_err = Some(e);
+                    // A crash before any write leaves nothing; a storage
+                    // failure mid-write may have left partial output — GC
+                    // either way.
+                    self.discard(&fleets.artifacts[attempt as usize]);
                     RaceInput::AttemptFinished {
-                        attempt: idx,
+                        attempt,
                         failed: true,
                     }
                 }
@@ -1042,10 +1133,10 @@ impl TurboEngine {
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             };
-            for d in race.step(input, fx) {
+            for d in race.step(input, fleets) {
                 match d {
                     Decision::Relaunch { attempt } => {
-                        events.push(QueryEvent::CfRetried { attempt });
+                        run.events.push(QueryEvent::CfRetried { attempt });
                         self.registry
                             .counter(
                                 "pixels_turbo_cf_retries_total",
@@ -1054,10 +1145,10 @@ impl TurboEngine {
                             .add(1);
                     }
                     Decision::StragglerSpeculate { attempt } => {
-                        events.push(QueryEvent::StragglerDetected {
+                        run.events.push(QueryEvent::StragglerDetected {
                             waited_ms: straggler_wait.as_millis() as u64,
                         });
-                        events.push(QueryEvent::SpeculativeLaunch { attempt });
+                        run.events.push(QueryEvent::SpeculativeLaunch { attempt });
                         self.registry
                             .counter(
                                 "pixels_turbo_cf_stragglers_total",
@@ -1075,709 +1166,61 @@ impl TurboEngine {
                 }
             }
         }
-        let received = failed_count + usize::from(winner.is_some());
-        RaceEnd {
-            winner,
-            received,
-            last_err,
-        }
+        winner
     }
 
-    /// Common CF→VM degradation tail: every attempt of a race (or a stage
-    /// race) failed. Re-acquires a VM slot, runs the whole plan there, and
-    /// prepends the CF events/decisions and provider-side spend.
-    #[allow(clippy::too_many_arguments)]
-    fn degrade_to_vm_path(
+    /// The one CF→VM degradation path: every attempt of some stage failed.
+    /// The query still completes (and bills the plain VM-path bytes), it
+    /// just loses the acceleration: re-acquire a VM slot, run the whole plan
+    /// there, and prepend the CF events/decisions and provider-side spend.
+    fn degrade_to_vm(
         &self,
         plan: &PhysicalPlan,
         trace: &TraceCtx,
-        mut events: Vec<QueryEvent>,
-        decisions: Vec<Decision>,
-        last_err: Option<Error>,
-        provider_cf_dollars: f64,
-        exchange: ExchangeStats,
+        run: CfRun,
     ) -> Result<ExecOutcome> {
-        let reason = last_err
-            .map(|e| e.to_string())
-            .unwrap_or_else(|| "cf fleet unavailable".into());
-        if !self.cfg.cf_to_vm_fallback {
-            return Err(Error::Exec(format!("cf path failed: {reason}")));
+        // Earlier stages' accepted output has no reader anymore.
+        for artifact in &run.accepted {
+            self.discard(artifact);
         }
-        events.push(QueryEvent::CfDegradedToVm { reason });
+        let CfRun {
+            mut events,
+            mut decisions,
+            last_err,
+            provider_cf_dollars,
+            exchange,
+            ..
+        } = run;
+        events.push(QueryEvent::CfDegradedToVm {
+            reason: last_err
+                .map(|e| e.to_string())
+                .unwrap_or_else(|| "cf fleet unavailable".into()),
+        });
         self.registry
             .counter(
                 "pixels_turbo_cf_degradations_total",
                 "Queries that fell back from the CF tier to the VM tier",
             )
             .add(1);
-        self.publish_exchange_metrics(&exchange);
-        let pending = {
+        publish_exchange_metrics(&self.registry, &exchange);
+        let (_slot, pending) = {
             let _span = trace.span("vm_slot_wait");
             self.slots.acquire()
         };
-        let r = self.run_in_vm(plan, trace);
-        self.slots.release();
-        r.map(|mut o| {
-            o.pending = pending;
-            // Degradation events precede whatever the VM run recorded.
-            events.extend(std::mem::take(&mut o.events));
-            o.events = events;
-            // The policy's decision log precedes the VM dispatch.
-            let mut all = decisions;
-            all.extend(o.decisions);
-            o.decisions = all;
-            o.provider_cf_dollars = provider_cf_dollars;
-            // Exchange traffic the accepted stages produced before the plan
-            // degraded stays a provider cost; it never reaches the bill.
-            o.provider_shuffle_dollars = self.pricing.exchange_cost(exchange.total_bytes());
-            o.exchange = exchange;
-            o
-        })
-    }
-
-    /// Multi-stage CF path: the shuffled cut point runs as two CF stage
-    /// races exchanging hash-partitioned spill files through the object
-    /// store (§3.1 extended the Starling way — functions cannot talk to each
-    /// other, so the store is the network).
-    ///
-    /// Stage 0 executes the shuffled operator's input(s) and spills
-    /// combining/pre-aggregated hash partitions under the attempt's own
-    /// prefix; stage 1 reads the *winning* stage-0 attempt's partition set,
-    /// finishes the operator, and materializes the MV the top plan reads.
-    /// Each stage is a full [`CfRace`] — crash relaunch, straggler
-    /// speculation, degradation — driven by the same loop as the
-    /// single-stage path, with per-stage work from
-    /// [`QueryWork::stage_works`].
-    ///
-    /// Billing: spill PUT/GET traffic is provider-side (priced per GB into
-    /// `provider_shuffle_dollars`), never part of `bytes_scanned`. The user
-    /// bill equals the single-stage path's exactly: stage 0 scans the same
-    /// bytes the single-stage fleet would, stage 1 bills nothing, and the MV
-    /// is byte-identical so the top plan reads the same bytes too.
-    fn run_with_shuffle(
-        &self,
-        plan: &PhysicalPlan,
-        shuffle: ShufflePlan,
-        trace: &TraceCtx,
-    ) -> Result<ExecOutcome> {
-        use std::sync::mpsc;
-
-        let start = Instant::now();
-        let retries_before = self.store.metrics().retries;
-        let mut events: Vec<QueryEvent> = Vec::new();
-        let partitions = shuffle.partitions;
-        let broadcast = shuffle.broadcast;
-        let kind = Arc::new(shuffle.kind);
-        // Fleet right-sizing applies to the whole-query work before the
-        // per-stage split, exactly as the sim coordinator does.
-        let stage_works = self
-            .cost_model
-            .sized_work(&QueryWork::from_plan(plan))
-            .stage_works();
-        let spill_base = format!("pixels-turbo/intermediate/shuffle-{}/", self.mv_ids.next());
-        // Spill I/O runs under its own chaos/retry stack: the exchange_put /
-        // exchange_get fault sites with the standard object-store backoff.
-        let exchange_store = exchange_stack(
-            self.store.clone(),
-            self.injector.clone(),
-            RetryPolicy::object_store(),
-            WallClock::shared(),
-        );
-
-        // ---- Stage 0: execute inputs, spill hash partitions. ----
-        let (tx0, rx0) = mpsc::channel();
-        let prefixes0: Rc<RefCell<Vec<String>>> = Rc::default();
-        let costs0: Rc<RefCell<Vec<f64>>> = Rc::default();
-        let mut fx0 = {
-            let prefixes0 = prefixes0.clone();
-            let costs0 = costs0.clone();
-            let kind = kind.clone();
-            let exchange_store = exchange_store.clone();
-            let spill_base = spill_base.clone();
-            let tx0 = tx0.clone();
-            FnEffects(move |attempt: u32| {
-                let prefix = format!("{spill_base}s0-a{attempt}/");
-                let faults = policy::decide_launch_faults(
-                    &self.injector,
-                    self.cost_model.startup(),
-                    self.cost_model.nominal_runtime(&stage_works[0]),
-                );
-                costs0
-                    .borrow_mut()
-                    .push(self.cost_model.attempt_cost(&stage_works[0], &faults));
-                self.launch_shuffle_stage0(
-                    attempt,
-                    faults,
-                    &kind,
-                    partitions,
-                    broadcast,
-                    exchange_store.clone(),
-                    prefix.clone(),
-                    trace,
-                    tx0.clone(),
-                );
-                prefixes0.borrow_mut().push(prefix);
-            })
-        };
-        let mut race0 = CfRace::start(self.cfg.speculative_enabled, &mut fx0);
-        let mut on_failed0 = |idx: u32| {
-            // A crash before any write leaves nothing; a storage failure
-            // mid-spill may have left partial partitions — GC either way.
-            let prefix = prefixes0.borrow()[idx as usize].clone();
-            delete_spill_prefix(self.store.as_ref(), &prefix);
-        };
-        let end0 = self.drive_race(
-            &mut race0,
-            &mut fx0,
-            &rx0,
-            self.straggler_wait(&stage_works[0]),
-            &mut events,
-            &mut on_failed0,
-        );
-        drop(fx0);
-        drop(tx0);
-        let mut decisions = race0.decisions.clone();
-        let speculated0 = race0.speculated();
-        let costs0 = costs0.take();
-        let prefixes0 = prefixes0.take();
-        let stage0_artifacts: Vec<ShuffleArtifact> = prefixes0
-            .iter()
-            .cloned()
-            .map(ShuffleArtifact::Spill)
-            .collect();
-
-        let Some((w0, (stage0_metrics, stats0))) = end0.winner else {
-            // Every stage-0 attempt failed: reap outstanding fleets (their
-            // spill prefixes die with them) and degrade the whole query.
-            self.reap_shuffle_attempts(
-                rx0,
-                stage0_artifacts,
-                prefixes0.len() - end0.received,
-                |p: &(ExecMetricsSnapshot, ExchangeStats)| (p.0.bytes_scanned, p.1),
-            );
-            return self.degrade_to_vm_path(
-                plan,
-                trace,
-                events,
-                decisions,
-                end0.last_err,
-                costs0.iter().sum(),
-                ExchangeStats::default(),
-            );
-        };
-        if speculated0 {
-            events.push(QueryEvent::SpeculativeWin { attempt: w0 });
-        }
-        let winner_prefix = prefixes0[w0 as usize].clone();
-        // Stage-0 losers still in flight are drained (and their spill
-        // prefixes deleted) in the background.
-        self.reap_shuffle_attempts(
-            rx0,
-            stage0_artifacts,
-            prefixes0.len() - end0.received,
-            |p: &(ExecMetricsSnapshot, ExchangeStats)| (p.0.bytes_scanned, p.1),
-        );
-
-        // ---- Stage 1: read the winner's partitions, finish, materialize. ----
-        let (tx1, rx1) = mpsc::channel();
-        let attempts1: Rc<RefCell<Vec<(String, PhysicalPlan)>>> = Rc::default();
-        let costs1: Rc<RefCell<Vec<f64>>> = Rc::default();
-        let mut fx1 = {
-            let attempts1 = attempts1.clone();
-            let costs1 = costs1.clone();
-            let kind = kind.clone();
-            let exchange_store = exchange_store.clone();
-            let winner_prefix = winner_prefix.clone();
-            let tx1 = tx1.clone();
-            FnEffects(move |attempt: u32| {
-                // Each stage-1 attempt materializes to its own MV; the top
-                // plan of the accepted attempt reads it back. Sizing is a
-                // pure function of plan + config, so every relaunch re-plans
-                // the identical shuffle under its own MV path.
-                let mv_path = self.next_mv_path();
-                let sp = plan_shuffle_sized(plan, &mv_path, &self.shuffle_sizing())
-                    .expect("plan shuffled for the first attempt");
-                let faults = policy::decide_launch_faults(
-                    &self.injector,
-                    self.cost_model.startup(),
-                    self.cost_model.nominal_runtime(&stage_works[1]),
-                );
-                costs1
-                    .borrow_mut()
-                    .push(self.cost_model.attempt_cost(&stage_works[1], &faults));
-                self.launch_shuffle_stage1(
-                    attempt,
-                    faults,
-                    &kind,
-                    partitions,
-                    broadcast,
-                    exchange_store.clone(),
-                    winner_prefix.clone(),
-                    mv_path.clone(),
-                    trace,
-                    tx1.clone(),
-                );
-                attempts1.borrow_mut().push((mv_path, sp.top_plan));
-            })
-        };
-        let mut race1 = CfRace::start(self.cfg.speculative_enabled, &mut fx1);
-        let mut on_failed1 = |idx: u32| {
-            let path = attempts1.borrow()[idx as usize].0.clone();
-            let _ = self.store.delete(&path);
-            self.footer_cache.invalidate(&path);
-        };
-        let end1 = self.drive_race(
-            &mut race1,
-            &mut fx1,
-            &rx1,
-            self.straggler_wait(&stage_works[1]),
-            &mut events,
-            &mut on_failed1,
-        );
-        drop(fx1);
-        drop(tx1);
-        decisions.extend(race1.decisions.iter().copied());
-        let speculated1 = race1.speculated();
-        let costs1 = costs1.take();
-        let attempts1 = attempts1.take();
-        let stage1_artifacts: Vec<ShuffleArtifact> = attempts1
-            .iter()
-            .map(|(p, _)| ShuffleArtifact::Mv(p.clone()))
-            .collect();
-        let provider_cf_dollars: f64 = costs0.iter().sum::<f64>() + costs1.iter().sum::<f64>();
-
-        let Some((w1, (stage1_metrics, stats1))) = end1.winner else {
-            // Every stage-1 attempt failed. The accepted stage-0 spills have
-            // no reader anymore — GC them now, reap in-flight stage-1 MVs,
-            // and degrade.
-            delete_spill_prefix(self.store.as_ref(), &winner_prefix);
-            self.reap_shuffle_attempts(
-                rx1,
-                stage1_artifacts,
-                attempts1.len() - end1.received,
-                |p: &(ExecMetricsSnapshot, ExchangeStats)| (p.0.bytes_scanned, p.1),
-            );
-            return self.degrade_to_vm_path(
-                plan,
-                trace,
-                events,
-                decisions,
-                end1.last_err,
-                provider_cf_dollars,
-                stats0,
-            );
-        };
-        if speculated1 {
-            events.push(QueryEvent::SpeculativeWin { attempt: w1 });
-        }
-
-        let (winning_mv, winning_top) = attempts1[w1 as usize].clone();
-        let top_span = trace.span("top_plan");
-        let ctx = self.exec_context(&winning_top, usize::MAX).under(&top_span);
-        let batch = execute_collect(&winning_top, &ctx)?;
-        drop(top_span);
-        // Winner GC: the MV is ephemeral CF output like the single-stage
-        // path's, and the accepted spill prefix has been fully consumed.
-        // Loser attempts clean up after themselves in the reapers.
-        let _ = self.store.delete(&winning_mv);
-        self.footer_cache.invalidate(&winning_mv);
-        if let Some(c) = &self.chunk_cache {
-            c.invalidate_path(&winning_mv);
-        }
-        delete_spill_prefix(self.store.as_ref(), &winner_prefix);
-        self.reap_shuffle_attempts(
-            rx1,
-            stage1_artifacts,
-            attempts1.len() - end1.received,
-            |p: &(ExecMetricsSnapshot, ExchangeStats)| (p.0.bytes_scanned, p.1),
-        );
-
-        // Billed bytes: stage-0 scans + stage-1 scans + the top plan's MV
-        // read. In a symmetric exchange stage 1 only touches spills through
-        // its scratch context (its snapshot is empty); in a broadcast join
-        // stage 1 executes the probe side, whose scan *is* billed — the same
-        // bytes the single-stage path would bill. Spill traffic never leaks
-        // into `bytes_scanned` either way.
-        let metrics = stage0_metrics
-            .merged(&stage1_metrics)
-            .merged(&ctx.metrics.snapshot());
-        self.absorb_exec_metrics(&metrics, true);
-        self.absorb_pipeline_metrics(&ctx.metrics.pipeline_snapshot());
-        let mut exchange = stats0;
-        exchange.merge(&stats1);
-        self.publish_exchange_metrics(&exchange);
-        let retries = self.storage_retries_since(retries_before);
-        if retries > 0 {
-            events.push(QueryEvent::StorageRetries { count: retries });
-        }
-        Ok(ExecOutcome {
-            batch,
-            used_cf: true,
-            pending: Duration::ZERO,
-            execution: start.elapsed(),
-            bytes_scanned: metrics.bytes_scanned,
-            metrics,
-            events,
-            retries,
-            decisions,
-            // Accepted execution: the winning fleet of each stage.
-            resource_cost: CostBreakdown {
-                vm_dollars: 0.0,
-                cf_dollars: costs0[w0 as usize] + costs1[w1 as usize],
-            },
-            provider_cf_dollars,
-            provider_shuffle_dollars: self.pricing.exchange_cost(exchange.total_bytes()),
-            exchange,
-        })
-    }
-
-    /// Launch one stage-0 shuffle fleet: execute the shuffled operator's
-    /// input(s) with the fleet's parallelism, then spill hash partitions
-    /// under the attempt's prefix through the exchange (chaos/retry) stack.
-    /// For a broadcast join, stage 0 executes *only* the small build (right)
-    /// side and spills it whole as a single partition; the probe side never
-    /// crosses the exchange (stage 1 executes it directly).
-    #[allow(clippy::too_many_arguments)]
-    fn launch_shuffle_stage0(
-        &self,
-        attempt: u32,
-        faults: LaunchFaults,
-        kind: &Arc<ShuffleKind>,
-        partitions: usize,
-        broadcast: bool,
-        exchange_store: ObjectStoreRef,
-        prefix: String,
-        trace: &TraceCtx,
-        tx: std::sync::mpsc::Sender<(u32, Result<(ExecMetricsSnapshot, ExchangeStats)>)>,
-    ) {
-        let registry = self.registry.clone();
-        let kind = kind.clone();
-        let mut fleet_span = trace.span("cf_fleet");
-        fleet_span.record_u64("attempt", attempt as u64);
-        fleet_span.record_u64("stage", 0);
-        // Contexts are built on the caller thread (they borrow engine state);
-        // a join stage executes each input under its own context and merges.
-        let ctxs: Vec<ExecContext> = match kind.as_ref() {
-            ShuffleKind::Aggregate { input, .. } => vec![self
-                .exec_context(input, self.cfg.cf_fleet_threads)
-                .under(&fleet_span)],
-            ShuffleKind::Join { right, .. } if broadcast => vec![self
-                .exec_context(right, self.cfg.cf_fleet_threads)
-                .under(&fleet_span)],
-            ShuffleKind::Join { left, right, .. } => vec![
-                self.exec_context(left, self.cfg.cf_fleet_threads)
-                    .under(&fleet_span),
-                self.exec_context(right, self.cfg.cf_fleet_threads)
-                    .under(&fleet_span),
-            ],
-        };
-        std::thread::spawn(move || {
-            let span = fleet_span;
-            let result = (|| -> Result<(ExecMetricsSnapshot, ExchangeStats)> {
-                if faults.extra_startup.as_micros() > 0 {
-                    std::thread::sleep(Duration::from_micros(faults.extra_startup.as_micros()));
-                }
-                if faults.crash {
-                    return Err(Error::Exec(format!(
-                        "injected CF worker crash (attempt {attempt})"
-                    )));
-                }
-                if faults.straggle.as_micros() > 0 {
-                    std::thread::sleep(Duration::from_micros(faults.straggle.as_micros()));
-                }
-                match kind.as_ref() {
-                    ShuffleKind::Aggregate {
-                        input,
-                        group_exprs,
-                        aggs,
-                        ..
-                    } => {
-                        let ctx = &ctxs[0];
-                        let batches = execute(input, ctx)?;
-                        let mut spill_span = ctx.trace.span("exchange_spill");
-                        let stats = exchange::write_agg_partitions(
-                            &batches,
-                            group_exprs,
-                            aggs,
-                            ctx.parallelism,
-                            exchange_store.as_ref(),
-                            &prefix,
-                            partitions,
-                        )?;
-                        // `bytes_spilled`, never `bytes`: spill PUTs are
-                        // provider traffic, and the span byte sum must still
-                        // equal `bytes_scanned` exactly.
-                        spill_span.record_u64("bytes_spilled", stats.put_bytes);
-                        Ok((ctx.metrics.snapshot(), stats))
-                    }
-                    ShuffleKind::Join {
-                        right, right_keys, ..
-                    } if broadcast => {
-                        let ctx = &ctxs[0];
-                        let rb = execute(right, ctx)?;
-                        let mut spill_span = ctx.trace.span("exchange_spill");
-                        let stats = exchange::write_join_partitions(
-                            &rb,
-                            &right.schema(),
-                            right_keys,
-                            JoinSide::Right,
-                            exchange_store.as_ref(),
-                            &prefix,
-                            1,
-                        )?;
-                        spill_span.record_u64("bytes_spilled", stats.put_bytes);
-                        Ok((ctx.metrics.snapshot(), stats))
-                    }
-                    ShuffleKind::Join {
-                        left,
-                        right,
-                        left_keys,
-                        right_keys,
-                        ..
-                    } => {
-                        let lb = execute(left, &ctxs[0])?;
-                        let rb = execute(right, &ctxs[1])?;
-                        let mut spill_span = ctxs[0].trace.span("exchange_spill");
-                        let mut stats = exchange::write_join_partitions(
-                            &lb,
-                            &left.schema(),
-                            left_keys,
-                            JoinSide::Left,
-                            exchange_store.as_ref(),
-                            &prefix,
-                            partitions,
-                        )?;
-                        let rs = exchange::write_join_partitions(
-                            &rb,
-                            &right.schema(),
-                            right_keys,
-                            JoinSide::Right,
-                            exchange_store.as_ref(),
-                            &prefix,
-                            partitions,
-                        )?;
-                        stats.merge(&rs);
-                        spill_span.record_u64("bytes_spilled", stats.put_bytes);
-                        Ok((
-                            ctxs[0]
-                                .metrics
-                                .snapshot()
-                                .merged(&ctxs[1].metrics.snapshot()),
-                            stats,
-                        ))
-                    }
-                }
-            })();
-            for ctx in &ctxs {
-                absorb_prefetch_metrics(&registry, &ctx.metrics.pipeline_snapshot());
-            }
-            // Finish the span before handing over the result: the race
-            // winner's trace may be rendered the moment the send lands.
-            drop(span);
-            let _ = tx.send((attempt, result));
-        });
-    }
-
-    /// Launch one stage-1 shuffle fleet: read the winning stage-0 attempt's
-    /// partition set back through the exchange stack (scratch contexts —
-    /// spill GETs are never billed), finish the shuffled operator, and
-    /// materialize the attempt's MV for the top plan.
-    ///
-    /// For a broadcast join this stage also *executes the probe side* (it
-    /// never crossed the exchange) under a billed context — the snapshot in
-    /// the payload carries those scanned bytes, exactly the bytes the
-    /// single-stage path would have billed for the same side. Symmetric
-    /// exchanges send an empty snapshot.
-    #[allow(clippy::too_many_arguments)]
-    fn launch_shuffle_stage1(
-        &self,
-        attempt: u32,
-        faults: LaunchFaults,
-        kind: &Arc<ShuffleKind>,
-        partitions: usize,
-        broadcast: bool,
-        exchange_store: ObjectStoreRef,
-        source_prefix: String,
-        mv_path: String,
-        trace: &TraceCtx,
-        tx: std::sync::mpsc::Sender<(u32, Result<(ExecMetricsSnapshot, ExchangeStats)>)>,
-    ) {
-        let store = self.store.clone();
-        let registry = self.registry.clone();
-        let kind = kind.clone();
-        // The same chunking the in-process join uses, so the MV's batches —
-        // and therefore its bytes — are identical to the single-stage path.
-        let batch_size = ExecContext::new(self.store.clone()).batch_size;
-        let mut fleet_span = trace.span("cf_fleet");
-        fleet_span.record_u64("attempt", attempt as u64);
-        fleet_span.record_u64("stage", 1);
-        // Broadcast probe context, built on the caller thread like stage 0's.
-        let probe_ctx: Option<ExecContext> = match kind.as_ref() {
-            ShuffleKind::Join { left, .. } if broadcast => Some(
-                self.exec_context(left, self.cfg.cf_fleet_threads)
-                    .under(&fleet_span),
-            ),
-            _ => None,
-        };
-        std::thread::spawn(move || {
-            let mut span = fleet_span;
-            let result = (|| -> Result<(ExecMetricsSnapshot, ExchangeStats)> {
-                if faults.extra_startup.as_micros() > 0 {
-                    std::thread::sleep(Duration::from_micros(faults.extra_startup.as_micros()));
-                }
-                if faults.crash {
-                    return Err(Error::Exec(format!(
-                        "injected CF worker crash (attempt {attempt})"
-                    )));
-                }
-                if faults.straggle.as_micros() > 0 {
-                    std::thread::sleep(Duration::from_micros(faults.straggle.as_micros()));
-                }
-                let (snapshot, batches, stats) = match (kind.as_ref(), &probe_ctx) {
-                    (
-                        ShuffleKind::Join {
-                            left,
-                            right,
-                            join_type,
-                            left_keys,
-                            right_keys,
-                            residual,
-                            output_schema,
-                        },
-                        Some(ctx),
-                    ) => {
-                        let probe = execute(left, ctx)?;
-                        let (batches, stats) = exchange::read_broadcast_join(
-                            &exchange_store,
-                            &source_prefix,
-                            &probe,
-                            *join_type,
-                            left_keys,
-                            right_keys,
-                            residual.as_ref(),
-                            output_schema,
-                            &left.schema(),
-                            &right.schema(),
-                            batch_size,
-                        )?;
-                        (ctx.metrics.snapshot(), batches, stats)
-                    }
-                    (
-                        ShuffleKind::Aggregate {
-                            group_exprs,
-                            aggs,
-                            output_schema,
-                            ..
-                        },
-                        _,
-                    ) => {
-                        let (batches, stats) = exchange::read_agg_partitions(
-                            &exchange_store,
-                            &source_prefix,
-                            partitions,
-                            group_exprs,
-                            aggs,
-                            output_schema,
-                        )?;
-                        (ExecMetricsSnapshot::default(), batches, stats)
-                    }
-                    (
-                        ShuffleKind::Join {
-                            left,
-                            right,
-                            join_type,
-                            left_keys,
-                            right_keys,
-                            residual,
-                            output_schema,
-                        },
-                        None,
-                    ) => {
-                        let (batches, stats) = exchange::read_join_partitions(
-                            &exchange_store,
-                            &source_prefix,
-                            partitions,
-                            *join_type,
-                            left_keys,
-                            right_keys,
-                            residual.as_ref(),
-                            output_schema,
-                            &left.schema(),
-                            &right.schema(),
-                            batch_size,
-                        )?;
-                        (ExecMetricsSnapshot::default(), batches, stats)
-                    }
-                };
-                span.record_u64("spill_bytes_read", stats.get_bytes);
-                let written =
-                    materialize(store.as_ref(), &mv_path, kind.output_schema(), &batches)?;
-                span.record_u64("bytes_written", written);
-                Ok((snapshot, stats))
-            })();
-            if let Some(ctx) = &probe_ctx {
-                absorb_prefetch_metrics(&registry, &ctx.metrics.pipeline_snapshot());
-            }
-            // Finish the span before handing over the result: the race
-            // winner's trace may be rendered the moment the send lands.
-            drop(span);
-            let _ = tx.send((attempt, result));
-        });
-    }
-
-    /// Drain shuffle stage attempts still in flight after their race is
-    /// decided: account wasted scan bytes, publish loser exchange traffic to
-    /// the telemetry counters (provider dollars only ever price *accepted*
-    /// attempts, keeping bills deterministic), and delete each attempt's
-    /// artifact — spill prefix or MV. Runs detached like
-    /// [`reap_stale_attempts`](Self::reap_stale_attempts).
-    fn reap_shuffle_attempts<T: Send + 'static>(
-        &self,
-        rx: std::sync::mpsc::Receiver<(u32, Result<T>)>,
-        artifacts: Vec<ShuffleArtifact>,
-        outstanding: usize,
-        stats_of: fn(&T) -> (u64, ExchangeStats),
-    ) {
-        if outstanding == 0 {
-            return;
-        }
-        let store = self.store.clone();
-        let cache = self.footer_cache.clone();
-        let chunk_cache = self.chunk_cache.clone();
-        let registry = self.registry.clone();
-        std::thread::spawn(move || {
-            for (idx, result) in rx {
-                if let Ok(payload) = result {
-                    let (wasted, stats) = stats_of(&payload);
-                    registry
-                        .counter(
-                            "pixels_turbo_speculative_wasted_bytes_total",
-                            "Bytes scanned by cancelled speculative CF attempts \
-                             (provider-side cost, never billed to the query)",
-                        )
-                        .add(wasted);
-                    publish_exchange_metrics_to(&registry, &stats);
-                }
-                match artifacts.get(idx as usize) {
-                    Some(ShuffleArtifact::Spill(prefix)) => {
-                        delete_spill_prefix(store.as_ref(), prefix)
-                    }
-                    Some(ShuffleArtifact::Mv(path)) => {
-                        let _ = store.delete(path);
-                        cache.invalidate(path);
-                        if let Some(c) = &chunk_cache {
-                            c.invalidate_path(path);
-                        }
-                    }
-                    None => {}
-                }
-            }
-        });
-    }
-
-    /// Add accepted exchange traffic to the `pixels_exchange_*` families.
-    fn publish_exchange_metrics(&self, s: &ExchangeStats) {
-        publish_exchange_metrics_to(&self.registry, s);
+        let mut out = self.run_in_vm(plan, trace)?;
+        out.pending = pending;
+        // Degradation events and the policy's decision log precede whatever
+        // the VM run recorded.
+        events.append(&mut out.events);
+        out.events = events;
+        decisions.append(&mut out.decisions);
+        out.decisions = decisions;
+        out.provider_cf_dollars = provider_cf_dollars;
+        // Exchange traffic the accepted stages produced before the plan
+        // degraded stays a provider cost; it never reaches the bill.
+        out.provider_shuffle_dollars = self.pricing.exchange_cost(exchange.total_bytes());
+        out.exchange = exchange;
+        Ok(out)
     }
 
     /// Publish one query's execution counters into the engine's registry —
@@ -1824,7 +1267,7 @@ impl TurboEngine {
         }
         // Ensure the exchange families exist even before the first shuffle,
         // so `/metrics` gates can require them unconditionally.
-        publish_exchange_metrics_to(r, &ExchangeStats::default());
+        publish_exchange_metrics(r, &ExchangeStats::default());
     }
 
     /// Publish one execution context's scan-pipeline counters (prefetcher
@@ -1915,53 +1358,137 @@ fn absorb_prefetch_metrics(registry: &MetricsRegistry, p: &ScanPipelineSnapshot)
         .add(p.prefetch_wasted);
 }
 
-/// Real-engine effect handler: [`CfRace`] decisions become spawned executor
-/// threads ("CF fleets"). Per-attempt faults and modelled costs are decided
-/// at launch by the shared policy rules, so a seeded fault plan produces the
-/// same attempt outcomes — and the same provider cost accrual — as the
-/// simulator's `CfService`.
-struct EngineEffects<'a> {
-    engine: &'a TurboEngine,
-    plan: &'a PhysicalPlan,
-    trace: &'a TraceCtx,
-    tx: std::sync::mpsc::Sender<(u32, Result<ExecMetricsSnapshot>)>,
-    /// Full-plan work estimate: the basis for modelled fleet cost, matching
-    /// the sim coordinator which charges CF fleets for the whole query.
-    work: QueryWork,
-    /// The initial split, computed by the caller before deciding on the CF
-    /// path; relaunches re-split the plan with a fresh MV path.
-    first_split: Option<pixels_planner::SplitPlan>,
-    /// Shared with the race driver's failure handler, which needs the MV
-    /// path of whichever attempt just failed.
-    attempts: Rc<RefCell<Vec<pixels_planner::SplitPlan>>>,
-    attempt_costs: Rc<RefCell<Vec<f64>>>,
+/// What one stage attempt leaves in the object store, and therefore what has
+/// to be deleted once it is consumed, fails or loses its race.
+#[derive(Debug, Clone)]
+enum Artifact {
+    /// Prefix of a spill stage attempt's partition objects.
+    Spill(String),
+    /// Path of the materialized view the top plan reads.
+    Mv(String),
 }
 
-impl CfEffects for EngineEffects<'_> {
+impl Artifact {
+    fn location(&self) -> &str {
+        match self {
+            Artifact::Spill(prefix) => prefix,
+            Artifact::Mv(path) => path,
+        }
+    }
+}
+
+/// What a fleet reports back: its billed scan counters and its exchange
+/// traffic (zero for stages that don't touch the exchange).
+type StagePayload = (ExecMetricsSnapshot, ExchangeStats);
+type StageResult = (u32, Result<StagePayload>);
+/// The work one fleet runs on its own thread, under its `cf_fleet` span.
+type StageBody = Box<dyn FnOnce(&[ExecContext], &mut Span) -> Result<StagePayload> + Send>;
+/// Caller-thread setup of attempt `n` of a stage, under its fleet span: pick
+/// the artifact it writes and build its contexts. The second argument is the
+/// previous stage's accepted artifact (`None` for the first stage).
+type Prepare<'a> = dyn Fn(u32, Option<&Artifact>, &Span) -> Attempt + 'a;
+
+/// One attempt of a stage, set up on the caller thread (contexts borrow
+/// engine state) and then moved onto the fleet's thread.
+struct Attempt {
+    artifact: Artifact,
+    /// Billed execution contexts the body scans under; the fleet publishes
+    /// their prefetcher counters when it exits.
+    ctxs: Vec<ExecContext>,
+    body: StageBody,
+}
+
+/// One stage of a CF execution — everything that differs between stages;
+/// [`TurboEngine::run_stage`] owns everything that doesn't.
+struct Stage<'a> {
+    /// Work every attempt is priced by, and the nominal runtime its fault
+    /// draw scales from.
+    priced: QueryWork,
+    /// Work the straggler deadline is estimated from.
+    deadline: QueryWork,
+    prepare: Box<Prepare<'a>>,
+}
+
+/// What a CF execution has accumulated across the stages run so far.
+#[derive(Default)]
+struct CfRun {
+    events: Vec<QueryEvent>,
+    decisions: Vec<Decision>,
+    last_err: Option<Error>,
+    /// Modelled cost of every attempt launched, stage sums added in order.
+    provider_cf_dollars: f64,
+    /// Modelled cost of the accepted attempt of each stage.
+    accepted_cf_dollars: f64,
+    /// Billed scan counters of the accepted attempts.
+    metrics: ExecMetricsSnapshot,
+    /// Exchange traffic of the accepted attempts.
+    exchange: ExchangeStats,
+    /// The accepted attempt's artifact, per finished stage.
+    accepted: Vec<Artifact>,
+}
+
+/// The engine's effect handler: [`CfRace`] launch decisions become spawned
+/// executor threads ("CF fleets"). Per-attempt faults and modelled costs are
+/// decided at launch, on the driver thread, by the shared policy rules — the
+/// thread only applies them — so a seeded fault plan produces the same
+/// attempt outcomes and the same provider cost accrual as the simulator's
+/// `CfService`.
+struct StageFleets<'a> {
+    engine: &'a TurboEngine,
+    stage: &'a Stage<'a>,
+    index: u64,
+    input: Option<Artifact>,
+    trace: &'a TraceCtx,
+    tx: std::sync::mpsc::Sender<StageResult>,
+    /// Artifact and modelled cost of every attempt launched, by attempt.
+    artifacts: Vec<Artifact>,
+    costs: Vec<f64>,
+}
+
+impl CfEffects for StageFleets<'_> {
     fn launch(&mut self, attempt: u32) {
-        let split = match self.first_split.take() {
-            Some(s) => s,
-            // Splitting is a pure function of the plan; it succeeded for
-            // attempt 0, so it succeeds for every relaunch.
-            None => split_for_acceleration(self.plan, &self.engine.next_mv_path())
-                .expect("plan split succeeded for the first attempt"),
-        };
+        let engine = self.engine;
         let faults = policy::decide_launch_faults(
-            &self.engine.injector,
-            self.engine.cost_model.startup(),
-            self.engine.cost_model.nominal_runtime(&self.work),
+            &engine.injector,
+            engine.cost_model.startup(),
+            engine.cost_model.nominal_runtime(&self.stage.priced),
         );
-        self.attempt_costs
-            .borrow_mut()
-            .push(self.engine.cost_model.attempt_cost(&self.work, &faults));
-        self.engine
-            .launch_cf_attempt(attempt, faults, &split, self.trace, self.tx.clone());
-        self.attempts.borrow_mut().push(split);
+        self.costs
+            .push(engine.cost_model.attempt_cost(&self.stage.priced, &faults));
+        let mut span = self.trace.span("cf_fleet");
+        span.record_u64("attempt", attempt as u64);
+        span.record_u64("stage", self.index);
+        let Attempt {
+            artifact,
+            ctxs,
+            body,
+        } = (self.stage.prepare)(attempt, self.input.as_ref(), &span);
+        // The fleet's intra-plan parallelism comes from the resource model,
+        // capped by the configured workers per fleet; a stage that only
+        // reads spills back is a single worker.
+        let workers = ctxs.iter().map(|c| c.parallelism).max().unwrap_or(1);
+        span.record_u64("workers", workers as u64);
+        self.artifacts.push(artifact);
+        let registry = engine.registry.clone();
+        let tx = self.tx.clone();
+        std::thread::spawn(move || {
+            let result =
+                apply_launch_faults(attempt, &faults).and_then(|()| body(&ctxs, &mut span));
+            // Pipeline counters are not part of the snapshot sent back, so
+            // the fleet publishes its own prefetcher activity.
+            for ctx in &ctxs {
+                absorb_prefetch_metrics(&registry, &ctx.metrics.pipeline_snapshot());
+            }
+            // Finish the span before handing over the result: the race
+            // winner's trace may be rendered the moment the send lands.
+            drop(span);
+            let _ = tx.send((attempt, result));
+        });
     }
 
     fn cancel_losers(&mut self, _winner: u32) {
         // The engine can't interrupt a running fleet thread; losers are
-        // drained in the background by `reap_stale_attempts` after the race.
+        // drained in the background by the stage's reaper.
     }
 
     fn degrade_to_vm(&mut self) {
@@ -1970,44 +1497,214 @@ impl CfEffects for EngineEffects<'_> {
     }
 }
 
-/// Closure-backed effect handler for shuffle stage races: all the launch
-/// bookkeeping (fault draw, cost accrual, thread spawn) lives in the stage's
-/// launch closure; cancel/degrade are no-ops for the same reasons as
-/// [`EngineEffects`].
-struct FnEffects<F: FnMut(u32)>(F);
-
-impl<F: FnMut(u32)> CfEffects for FnEffects<F> {
-    fn launch(&mut self, attempt: u32) {
-        (self.0)(attempt)
+/// Apply a fleet's launch-time faults before its body runs. An injected
+/// crash fails before any work, so it costs no scan bytes.
+fn apply_launch_faults(attempt: u32, faults: &LaunchFaults) -> Result<()> {
+    if faults.extra_startup.as_micros() > 0 {
+        // Cold-start storm: the whole fleet starts late.
+        std::thread::sleep(Duration::from_micros(faults.extra_startup.as_micros()));
     }
-    fn cancel_losers(&mut self, _winner: u32) {}
-    fn degrade_to_vm(&mut self) {}
+    if faults.crash {
+        return Err(Error::Exec(format!(
+            "injected CF worker crash (attempt {attempt})"
+        )));
+    }
+    if faults.straggle.as_micros() > 0 {
+        std::thread::sleep(Duration::from_micros(faults.straggle.as_micros()));
+    }
+    Ok(())
 }
 
-/// How one [`CfRace`] ended, from the driver's perspective.
-struct RaceEnd<T> {
-    /// The accepted attempt and its payload, if any attempt succeeded.
-    winner: Option<(u32, T)>,
-    /// Attempt results received (success + failures); the rest are still in
-    /// flight and must be reaped.
-    received: usize,
-    last_err: Option<Error>,
+/// The plans a spill stage executes, one context each: an aggregate's input,
+/// both sides of a partitioned join, or only the (small) build side of a
+/// broadcast join.
+fn spill_inputs(kind: &ShuffleKind, broadcast: bool) -> Vec<&PhysicalPlan> {
+    match kind {
+        ShuffleKind::Aggregate { input, .. } => vec![input],
+        ShuffleKind::Join { right, .. } if broadcast => vec![right],
+        ShuffleKind::Join { left, right, .. } => vec![left, right],
+    }
 }
 
-/// Cleanup target of one in-flight shuffle attempt: a stage-0 attempt owns a
-/// spill prefix, a stage-1 attempt owns an MV.
-enum ShuffleArtifact {
-    Spill(String),
-    Mv(String),
+/// Spill stage body: execute the shuffled operator's input(s) with the
+/// fleet's parallelism, then spill hash partitions under `prefix` through
+/// the exchange (chaos/retry) stack. `ctxs` pairs up with
+/// [`spill_inputs`]; a broadcast join's `partitions` is 1.
+fn spill_partitions(
+    kind: &ShuffleKind,
+    broadcast: bool,
+    partitions: usize,
+    ctxs: &[ExecContext],
+    exchange_store: &dyn ObjectStore,
+    prefix: &str,
+) -> Result<StagePayload> {
+    // `bytes_spilled`, never `bytes`: spill PUTs are provider traffic, and
+    // the span byte sum must still equal `bytes_scanned` exactly.
+    match kind {
+        ShuffleKind::Aggregate {
+            input,
+            group_exprs,
+            aggs,
+            ..
+        } => {
+            let ctx = &ctxs[0];
+            let batches = execute(input, ctx)?;
+            let mut spill_span = ctx.trace.span("exchange_spill");
+            let stats = exchange::write_agg_partitions(
+                &batches,
+                group_exprs,
+                aggs,
+                ctx.parallelism,
+                exchange_store,
+                prefix,
+                partitions,
+            )?;
+            spill_span.record_u64("bytes_spilled", stats.put_bytes);
+            Ok((ctx.metrics.snapshot(), stats))
+        }
+        ShuffleKind::Join {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            ..
+        } => {
+            let sides = [
+                (left, left_keys, JoinSide::Left),
+                (right, right_keys, JoinSide::Right),
+            ];
+            // Only the build (right) side of a broadcast join is spilled.
+            let sides = &sides[usize::from(broadcast)..];
+            let executed = sides
+                .iter()
+                .zip(ctxs)
+                .map(|((input, ..), ctx)| execute(input, ctx))
+                .collect::<Result<Vec<_>>>()?;
+            let mut spill_span = ctxs[0].trace.span("exchange_spill");
+            let mut stats = ExchangeStats::default();
+            let mut snapshot = ExecMetricsSnapshot::default();
+            for (((input, keys, side), batches), ctx) in sides.iter().zip(&executed).zip(ctxs) {
+                stats.merge(&exchange::write_join_partitions(
+                    batches,
+                    &input.schema(),
+                    keys,
+                    *side,
+                    exchange_store,
+                    prefix,
+                    partitions,
+                )?);
+                snapshot = snapshot.merged(&ctx.metrics.snapshot());
+            }
+            spill_span.record_u64("bytes_spilled", stats.put_bytes);
+            Ok((snapshot, stats))
+        }
+    }
 }
 
-/// Best-effort deletion of every object under a spill prefix (stage attempt
-/// GC). Spills are plain objects on the engine store, so listing the prefix
-/// sees exactly what the attempt wrote.
-fn delete_spill_prefix(store: &dyn ObjectStore, prefix: &str) {
-    if let Ok(paths) = store.list(prefix) {
-        for p in paths {
-            let _ = store.delete(&p);
+/// Finish stage body: read the accepted spill attempt's partition set back
+/// through the exchange stack (scratch contexts — spill GETs are never
+/// billed) and finish the shuffled operator, returning the batches to
+/// materialize.
+///
+/// A broadcast join passes the context to *execute the probe side* under (it
+/// never crossed the exchange): the returned snapshot carries those scanned
+/// bytes, exactly the bytes the single-stage path would have billed for the
+/// same side. Symmetric exchanges return an empty snapshot.
+fn finish_partitions(
+    kind: &ShuffleKind,
+    partitions: usize,
+    probe_ctx: Option<&ExecContext>,
+    exchange_store: &ObjectStoreRef,
+    source_prefix: &str,
+) -> Result<(ExecMetricsSnapshot, Vec<RecordBatch>, ExchangeStats)> {
+    match kind {
+        ShuffleKind::Aggregate {
+            group_exprs,
+            aggs,
+            output_schema,
+            ..
+        } => {
+            let (batches, stats) = exchange::read_agg_partitions(
+                exchange_store,
+                source_prefix,
+                partitions,
+                group_exprs,
+                aggs,
+                output_schema,
+            )?;
+            Ok((ExecMetricsSnapshot::default(), batches, stats))
+        }
+        ShuffleKind::Join {
+            left,
+            right,
+            join_type,
+            left_keys,
+            right_keys,
+            residual,
+            output_schema,
+        } => {
+            // `DEFAULT_BATCH_SIZE` is the chunking the in-process join uses,
+            // so the MV's batches — and therefore its bytes — are identical
+            // to the single-stage path.
+            let Some(ctx) = probe_ctx else {
+                let (batches, stats) = exchange::read_join_partitions(
+                    exchange_store,
+                    source_prefix,
+                    partitions,
+                    *join_type,
+                    left_keys,
+                    right_keys,
+                    residual.as_ref(),
+                    output_schema,
+                    &left.schema(),
+                    &right.schema(),
+                    DEFAULT_BATCH_SIZE,
+                )?;
+                return Ok((ExecMetricsSnapshot::default(), batches, stats));
+            };
+            let probe = execute(left, ctx)?;
+            let (batches, stats) = exchange::read_broadcast_join(
+                exchange_store,
+                source_prefix,
+                &probe,
+                *join_type,
+                left_keys,
+                right_keys,
+                residual.as_ref(),
+                output_schema,
+                &left.schema(),
+                &right.schema(),
+                DEFAULT_BATCH_SIZE,
+            )?;
+            Ok((ctx.metrics.snapshot(), batches, stats))
+        }
+    }
+}
+
+/// Best-effort deletion of one attempt's intermediate output, with the
+/// cache entries that would otherwise dangle. Spills are plain objects on
+/// the engine store, so listing the prefix sees exactly what the attempt
+/// wrote; they are read through scratch contexts and never cached.
+fn discard_artifact(
+    store: &dyn ObjectStore,
+    footer_cache: &FooterCache,
+    chunk_cache: Option<&ChunkCache>,
+    artifact: &Artifact,
+) {
+    match artifact {
+        Artifact::Spill(prefix) => {
+            if let Ok(paths) = store.list(prefix) {
+                for p in paths {
+                    let _ = store.delete(&p);
+                }
+            }
+        }
+        Artifact::Mv(path) => {
+            let _ = store.delete(path);
+            footer_cache.invalidate(path);
+            if let Some(c) = chunk_cache {
+                c.invalidate_path(path);
+            }
         }
     }
 }
@@ -2015,7 +1712,7 @@ fn delete_spill_prefix(store: &dyn ObjectStore, prefix: &str) {
 /// Add one stage attempt's exchange traffic to the cumulative
 /// `pixels_exchange_*_total` families. A free function so reaper threads can
 /// publish loser traffic too.
-fn publish_exchange_metrics_to(registry: &MetricsRegistry, s: &ExchangeStats) {
+fn publish_exchange_metrics(registry: &MetricsRegistry, s: &ExchangeStats) {
     registry
         .counter(
             "pixels_exchange_partitions_total",
@@ -2051,21 +1748,11 @@ fn text_batch<'a>(column: &str, lines: impl Iterator<Item = &'a str>) -> RecordB
     RecordBatch::try_new(schema, vec![b.finish()]).expect("text batch")
 }
 
+/// Outcome of a statement that executes nothing (EXPLAIN, DDL, SHOW).
 fn meta_outcome(batch: RecordBatch) -> ExecOutcome {
     ExecOutcome {
         batch,
-        used_cf: false,
-        pending: Duration::ZERO,
-        execution: Duration::ZERO,
-        bytes_scanned: 0,
-        metrics: ExecMetricsSnapshot::default(),
-        events: Vec::new(),
-        retries: 0,
-        decisions: Vec::new(),
-        resource_cost: CostBreakdown::default(),
-        provider_cf_dollars: 0.0,
-        exchange: ExchangeStats::default(),
-        provider_shuffle_dollars: 0.0,
+        ..ExecOutcome::default()
     }
 }
 
@@ -2207,60 +1894,132 @@ mod tests {
         }
     }
 
+    /// Every dispatch shape, clean and with the first fleet launch crashing:
+    /// same rows, same bill, the per-stage decision log, one `cf_fleet` span
+    /// per launch, and nothing left under `pixels-turbo/intermediate/`.
     #[test]
-    fn shuffled_plan_matches_single_stage_bit_for_bit() {
+    fn every_dispatch_shape_agrees_clean_and_after_a_crash() {
+        use pixels_chaos::{FaultPlan, FaultSite, SiteSpec};
         let agg = "SELECT o_orderstatus, COUNT(*) AS n FROM orders \
                    GROUP BY o_orderstatus ORDER BY n DESC";
         let join = "SELECT c_name, o_orderkey FROM customer \
                     JOIN orders ON c_custkey = o_custkey \
                     ORDER BY o_orderkey, c_name LIMIT 20";
-        for sql in [agg, join] {
-            // Reference: single-stage CF on a plain engine.
-            let single = Arc::new(engine(1));
-            let direct = single.execute_sql("tpch", sql, false).unwrap();
-            let single_out =
-                with_saturated_slot(&single, || single.execute_sql("tpch", sql, true).unwrap());
-            assert!(single_out.used_cf, "{sql}");
+        // (shape, `exchange_partitions` or `None` for the VM tier, then per
+        // query [agg, join]: CF stages run, exchange fan-out).
+        let shapes = [
+            ("vm", None, [0u64, 0], [0u64, 0]),
+            // A fan-out of 1 must take the exact single-stage path.
+            ("single-stage", Some(1), [1, 1], [0, 0]),
+            // Cost-based sizing: the tiny aggregate's exchange would cost
+            // more than it saves and stays single-stage; the join's small
+            // build side is broadcast as one partition.
+            ("auto", Some(0), [1, 2], [0, 1]),
+            ("4-way shuffle", Some(4), [2, 2], [4, 4]),
+        ];
+        for (q, sql) in [agg, join].into_iter().enumerate() {
+            let mut reference: Option<RecordBatch> = None;
+            // Billed bytes by tier (VM, CF): the CF tiers add the MV read.
+            let mut billed: [Option<u64>; 2] = [None, None];
+            let mut single_stage_dollars = 0.0;
+            for (shape, partitions, stages, fan_out) in shapes {
+                for crash in [false, true] {
+                    let case = format!("{shape}, crash={crash}: {sql}");
+                    let (e, store) = shuffle_engine(partitions.unwrap_or(1));
+                    // Exactly one crash: the first fleet launched dies.
+                    let plan = FaultPlan::none(42)
+                        .with(FaultSite::CfCrash, SiteSpec::errors(1.0).capped(1));
+                    let e = Arc::new(if crash {
+                        e.with_chaos(Arc::new(FaultInjector::new(&plan)))
+                    } else {
+                        e
+                    });
+                    // The same VM warm-up everywhere, so every shape sees the
+                    // same cache state and billed bytes are comparable.
+                    let direct = e.execute_sql("tpch", sql, false).unwrap();
+                    let trace = Trace::wall();
+                    let run = |cf| {
+                        e.execute_sql_traced("tpch", sql, cf, TraceCtx::root(&trace))
+                            .unwrap()
+                    };
+                    let out = match partitions {
+                        None => run(false),
+                        Some(_) => with_saturated_slot(&e, || run(true)),
+                    };
 
-            // Same query as a two-stage plan with a 4-way exchange. Warm the
-            // chunk cache with the same VM run the reference engine did, so
-            // both CF paths see identical cache state and billed bytes are
-            // comparable.
-            let (shuffled, store) = shuffle_engine(4);
-            let shuffled = Arc::new(shuffled);
-            let shuffled_direct = shuffled.execute_sql("tpch", sql, false).unwrap();
-            assert_eq!(shuffled_direct.batch, direct.batch, "{sql}");
-            let out = with_saturated_slot(&shuffled, || {
-                shuffled.execute_sql("tpch", sql, true).unwrap()
-            });
-            assert!(out.used_cf, "{sql}");
-            assert_eq!(out.batch, direct.batch, "{sql}: vs VM");
-            assert_eq!(out.batch, single_out.batch, "{sql}: vs single-stage CF");
-            // Equal user bills: billed bytes never include exchange traffic.
-            assert_eq!(out.bytes_scanned, single_out.bytes_scanned, "{sql}");
-            // Two clean races, one per stage.
-            assert_eq!(
-                out.decisions,
-                vec![
-                    Decision::DispatchCf { attempt: 0 },
-                    Decision::Accept { attempt: 0 },
-                    Decision::DispatchCf { attempt: 0 },
-                    Decision::Accept { attempt: 0 },
-                ],
-                "{sql}"
-            );
-            assert_eq!(out.exchange.partitions, 4, "{sql}");
-            assert!(
-                out.exchange.put_bytes > 0 && out.exchange.get_bytes > 0,
-                "{sql}"
-            );
-            assert!(out.exchange.spilled_rows > 0, "{sql}");
-            assert!(out.provider_shuffle_dollars > 0.0, "{sql}");
-            assert!(
-                out.provider_cf_dollars > single_out.provider_cf_dollars,
-                "{sql}: two stages must cost the provider more than one"
-            );
-            assert_no_spills(&store);
+                    assert_eq!(out.batch, direct.batch, "{case}");
+                    assert_eq!(&out.batch, reference.get_or_insert(direct.batch), "{case}");
+                    assert_eq!(out.used_cf, stages[q] > 0, "{case}");
+                    // Equal user bills: neither exchange traffic nor a crashed
+                    // attempt (it fails before any work) is ever billed.
+                    let tier = usize::from(out.used_cf);
+                    assert_eq!(
+                        out.bytes_scanned,
+                        *billed[tier].get_or_insert(out.bytes_scanned),
+                        "{case}"
+                    );
+                    assert_eq!(trace.attr_sum("bytes") as u64, out.bytes_scanned, "{case}");
+
+                    // One race per stage; the crash hits stage 0's first fleet.
+                    let mut decisions = Vec::new();
+                    let mut fleets = Vec::new();
+                    for stage in 0..stages[q] {
+                        if crash && stage == 0 {
+                            decisions.extend([
+                                Decision::DispatchCf { attempt: 0 },
+                                Decision::AttemptFailed { attempt: 0 },
+                                Decision::Relaunch { attempt: 1 },
+                                Decision::Accept { attempt: 1 },
+                            ]);
+                            fleets.extend([(0, 0), (0, 1)]);
+                        } else {
+                            decisions.extend([
+                                Decision::DispatchCf { attempt: 0 },
+                                Decision::Accept { attempt: 0 },
+                            ]);
+                            fleets.push((stage, 0));
+                        }
+                    }
+                    if decisions.is_empty() {
+                        decisions.push(Decision::DispatchVm);
+                    }
+                    assert_eq!(out.decisions, decisions, "{case}");
+                    let attr = |s: &pixels_obs::SpanData, key| {
+                        s.attr(key).and_then(|v| v.as_f64()).unwrap_or(-1.0) as i64
+                    };
+                    let mut seen: Vec<(u64, u64)> = trace
+                        .finished_spans()
+                        .iter()
+                        .filter(|s| s.name == "cf_fleet")
+                        .map(|s| {
+                            assert!(attr(s, "workers") >= 1, "{case}");
+                            (attr(s, "stage") as u64, attr(s, "attempt") as u64)
+                        })
+                        .collect();
+                    seen.sort_unstable();
+                    assert_eq!(seen, fleets, "{case}");
+
+                    assert_eq!(out.exchange.partitions, fan_out[q], "{case}");
+                    if fan_out[q] > 0 {
+                        let x = out.exchange;
+                        assert!(x.put_bytes > 0 && x.get_bytes > 0, "{case}");
+                        assert!(x.spilled_rows > 0, "{case}");
+                        assert!(out.provider_shuffle_dollars > 0.0, "{case}");
+                    } else {
+                        assert_eq!(out.exchange, ExchangeStats::default(), "{case}");
+                        assert_eq!(out.provider_shuffle_dollars, 0.0, "{case}");
+                    }
+                    if !crash && stages[q] == 1 {
+                        single_stage_dollars = out.provider_cf_dollars;
+                    } else if !crash && stages[q] == 2 {
+                        assert!(
+                            out.provider_cf_dollars > single_stage_dollars,
+                            "{case}: two stages must cost the provider more than one"
+                        );
+                    }
+                    assert_no_spills(&store);
+                }
+            }
         }
     }
 
@@ -2323,28 +2082,6 @@ mod tests {
             out.exchange,
             ExchangeStats::default(),
             "sub-threshold exchange must stay single-stage"
-        );
-        assert_no_spills(&store);
-    }
-
-    #[test]
-    fn partition_count_one_degenerates_to_single_stage() {
-        // exchange_partitions = 1 must take the exact single-stage path.
-        let (e, store) = shuffle_engine(1);
-        let e = Arc::new(e);
-        let sql = "SELECT o_orderstatus, COUNT(*) AS n FROM orders GROUP BY o_orderstatus";
-        let direct = e.execute_sql("tpch", sql, false).unwrap();
-        let out = with_saturated_slot(&e, || e.execute_sql("tpch", sql, true).unwrap());
-        assert!(out.used_cf);
-        assert_eq!(out.batch, direct.batch);
-        assert_eq!(out.exchange, ExchangeStats::default());
-        assert_eq!(out.provider_shuffle_dollars, 0.0);
-        assert_eq!(
-            out.decisions,
-            vec![
-                Decision::DispatchCf { attempt: 0 },
-                Decision::Accept { attempt: 0 },
-            ]
         );
         assert_no_spills(&store);
     }

@@ -80,20 +80,18 @@ pub struct CfRace {
     failed: u32,
     speculated: bool,
     finished: bool,
-    speculative_enabled: bool,
     /// Ordered log of every decision made for this query.
     pub decisions: Vec<Decision>,
 }
 
 impl CfRace {
     /// Start the race: launches fleet 0 immediately.
-    pub fn start(speculative_enabled: bool, effects: &mut dyn CfEffects) -> CfRace {
+    pub fn start(effects: &mut dyn CfEffects) -> CfRace {
         let mut race = CfRace {
             launched: 0,
             failed: 0,
             speculated: false,
             finished: false,
-            speculative_enabled,
             decisions: Vec::new(),
         };
         race.decisions.push(Decision::DispatchCf { attempt: 0 });
@@ -158,10 +156,7 @@ impl CfRace {
                     }
                 }
                 RaceInput::StragglerDeadline => {
-                    if self.speculative_enabled
-                        && !self.speculated
-                        && self.launched < MAX_CF_ATTEMPTS
-                    {
+                    if !self.speculated && self.launched < MAX_CF_ATTEMPTS {
                         let next = self.launched;
                         self.speculated = true;
                         self.decisions
@@ -345,7 +340,7 @@ mod tests {
     #[test]
     fn clean_run_accepts_first_attempt() {
         let mut fx = Recorder::default();
-        let mut race = CfRace::start(true, &mut fx);
+        let mut race = CfRace::start(&mut fx);
         race.step(finished(0, false), &mut fx);
         assert_eq!(
             race.decisions,
@@ -363,7 +358,7 @@ mod tests {
     #[test]
     fn crash_once_relaunches_then_accepts() {
         let mut fx = Recorder::default();
-        let mut race = CfRace::start(true, &mut fx);
+        let mut race = CfRace::start(&mut fx);
         race.step(finished(0, true), &mut fx);
         race.step(finished(1, false), &mut fx);
         assert_eq!(
@@ -382,7 +377,7 @@ mod tests {
     #[test]
     fn repeated_crashes_degrade_after_max_attempts() {
         let mut fx = Recorder::default();
-        let mut race = CfRace::start(true, &mut fx);
+        let mut race = CfRace::start(&mut fx);
         race.step(finished(0, true), &mut fx);
         let last = race.step(finished(1, true), &mut fx);
         assert_eq!(
@@ -398,7 +393,7 @@ mod tests {
     #[test]
     fn straggler_deadline_launches_duplicate_and_first_result_wins() {
         let mut fx = Recorder::default();
-        let mut race = CfRace::start(true, &mut fx);
+        let mut race = CfRace::start(&mut fx);
         race.step(RaceInput::StragglerDeadline, &mut fx);
         assert!(race.speculated());
         race.step(finished(1, false), &mut fx);
@@ -418,7 +413,7 @@ mod tests {
         // Duplicate launched, then the original crashes: the duplicate keeps
         // running — no relaunch, no degrade.
         let mut fx = Recorder::default();
-        let mut race = CfRace::start(true, &mut fx);
+        let mut race = CfRace::start(&mut fx);
         race.step(RaceInput::StragglerDeadline, &mut fx);
         let out = race.step(finished(0, true), &mut fx);
         assert_eq!(out, vec![Decision::AttemptFailed { attempt: 0 }]);
@@ -434,30 +429,24 @@ mod tests {
     }
 
     #[test]
-    fn deadline_is_ignored_when_disabled_speculated_or_out_of_budget() {
-        // Speculation disabled.
-        let mut fx = Recorder::default();
-        let mut race = CfRace::start(false, &mut fx);
-        assert!(race.step(RaceInput::StragglerDeadline, &mut fx).is_empty());
-        assert_eq!(fx.launched, vec![0]);
-
+    fn deadline_is_ignored_when_speculated_or_out_of_budget() {
         // Already speculated: a second deadline is a no-op.
         let mut fx = Recorder::default();
-        let mut race = CfRace::start(true, &mut fx);
+        let mut race = CfRace::start(&mut fx);
         race.step(RaceInput::StragglerDeadline, &mut fx);
         assert!(race.step(RaceInput::StragglerDeadline, &mut fx).is_empty());
         assert_eq!(fx.launched, vec![0, 1]);
 
         // Out of attempt budget after a relaunch.
         let mut fx = Recorder::default();
-        let mut race = CfRace::start(true, &mut fx);
+        let mut race = CfRace::start(&mut fx);
         race.step(finished(0, true), &mut fx);
         assert_eq!(race.attempts(), MAX_CF_ATTEMPTS);
         assert!(race.step(RaceInput::StragglerDeadline, &mut fx).is_empty());
 
         // Finished race ignores everything.
         let mut fx = Recorder::default();
-        let mut race = CfRace::start(true, &mut fx);
+        let mut race = CfRace::start(&mut fx);
         race.step(finished(0, false), &mut fx);
         assert!(race.step(RaceInput::StragglerDeadline, &mut fx).is_empty());
         assert!(race.step(finished(1, true), &mut fx).is_empty());
