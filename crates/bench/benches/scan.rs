@@ -2,15 +2,23 @@
 //! chunks (dictionary-code predicates, RLE-run aggregation, late
 //! materialization) and serving chunk bytes from the chunk cache, each
 //! against the decode-everything baseline (`with_encoded_scan(false)`).
-//! Headline ratios are recorded in EXPERIMENTS.md.
+//! The `remote_scan` group runs a lineitem scan over a store that sleeps per
+//! request, at prefetch depths 0, 1 and 4: the depth sweep of the vectored,
+//! overlapped fetch. Headline ratios are recorded in EXPERIMENTS.md.
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pixels_catalog::{Catalog, CatalogRef, CreateTable};
-use pixels_common::{DataType, Field, RecordBatch, Schema, Value};
+use pixels_common::{DataType, Field, RecordBatch, Result, Schema, Value};
 use pixels_exec::{execute, ExecContext};
 use pixels_planner::{plan_query, PhysicalPlan};
-use pixels_storage::{ChunkCache, InMemoryObjectStore, ObjectStoreRef, PixelsReader, PixelsWriter};
+use pixels_storage::{
+    ChunkCache, InMemoryObjectStore, LatencyModel, ObjectStore, ObjectStoreRef, PixelsReader,
+    PixelsWriter, StoreMetricsSnapshot,
+};
+use pixels_workload::{load_tpch, TpchConfig};
 use std::sync::Arc;
+use std::time::Duration;
 
 const ROWS: usize = 1 << 18;
 const ROW_GROUP_ROWS: usize = 4096;
@@ -149,5 +157,99 @@ fn bench_scan_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(scan, bench_scan_pipeline);
+/// A store one network hop away: every GET sleeps for what `model` says the
+/// request costs. Knows nothing but the `ObjectStore` trait.
+struct RemoteStore {
+    inner: InMemoryObjectStore,
+    model: LatencyModel,
+}
+
+impl RemoteStore {
+    fn delayed(&self, data: Bytes) -> Bytes {
+        let micros = self.model.request_latency_us(data.len() as u64);
+        std::thread::sleep(Duration::from_micros(micros));
+        data
+    }
+}
+
+impl ObjectStore for RemoteStore {
+    fn put(&self, path: &str, data: Bytes) -> Result<()> {
+        self.inner.put(path, data)
+    }
+    fn get(&self, path: &str) -> Result<Bytes> {
+        self.inner.get(path).map(|d| self.delayed(d))
+    }
+    fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
+        self.inner
+            .get_range(path, offset, len)
+            .map(|d| self.delayed(d))
+    }
+    fn size(&self, path: &str) -> Result<u64> {
+        self.inner.size(path)
+    }
+    fn list(&self, prefix: &str) -> Result<Vec<String>> {
+        self.inner.list(prefix)
+    }
+    fn delete(&self, path: &str) -> Result<()> {
+        self.inner.delete(path)
+    }
+    fn generation(&self, path: &str) -> Result<u64> {
+        self.inner.generation(path)
+    }
+    fn metrics(&self) -> StoreMetricsSnapshot {
+        self.inner.metrics()
+    }
+}
+
+fn bench_remote_scan(c: &mut Criterion) {
+    // The benchmark's `remote_cold` store: 0.5 ms a request, 11 ms a MB.
+    let store = Arc::new(RemoteStore {
+        inner: InMemoryObjectStore::new(),
+        model: LatencyModel {
+            per_request_us: 500,
+            per_mb_us: 11_000,
+        },
+    });
+    let catalog = Catalog::shared();
+    load_tpch(
+        &catalog,
+        store.as_ref(),
+        "tpch",
+        &TpchConfig {
+            scale: 0.02,
+            seed: 42,
+            row_group_rows: ROW_GROUP_ROWS,
+            files_per_table: 1,
+        },
+    )
+    .expect("load TPC-H");
+    let store: ObjectStoreRef = store;
+    let plan = plan_query(
+        &catalog,
+        "tpch",
+        "SELECT l_orderkey, l_quantity, l_extendedprice, l_shipdate FROM lineitem \
+         WHERE l_discount > 0.05",
+    )
+    .expect("plan");
+
+    let mut g = c.benchmark_group("remote_scan");
+    g.sample_size(10);
+    // No chunk cache: every iteration is cold, as under a cache much
+    // smaller than the table.
+    for depth in [0usize, 1, 4] {
+        g.bench_function(&format!("lineitem/depth_{depth}"), |b| {
+            b.iter(|| {
+                run(
+                    &plan,
+                    &ExecContext::new(store.clone())
+                        .with_parallelism(1)
+                        .with_prefetch_depth(depth),
+                )
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(scan, bench_scan_pipeline, bench_remote_scan);
 criterion_main!(scan);

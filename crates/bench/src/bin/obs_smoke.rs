@@ -37,6 +37,8 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "pixels_scan_prefetch_issued_total",
     "pixels_scan_prefetch_hits_total",
     "pixels_scan_prefetch_wasted_total",
+    "pixels_scan_coalesced_gets_total",
+    "pixels_scan_gap_bytes_total",
     // cache
     "pixels_cache_footer_hits_total",
     "pixels_cache_chunk_hits_total",

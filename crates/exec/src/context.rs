@@ -1,7 +1,7 @@
 //! Execution context and per-query metrics.
 
 use pixels_obs::{Span, TraceCtx};
-use pixels_storage::{ChunkCache, FooterCache, ObjectStoreRef};
+use pixels_storage::{ChunkCache, FetchStats, FooterCache, ObjectStoreRef};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -34,8 +34,9 @@ pub struct ExecContext {
     /// GET (and its latency) but bill exactly like a fetch — `bytes_scanned`
     /// is metered from chunk metadata, never from store counters.
     pub chunk_cache: Option<Arc<ChunkCache>>,
-    /// How many fetched-but-unconsumed morsels the scan prefetcher may hold
-    /// (double buffering = 2, the default). `0` disables prefetching.
+    /// How many morsels the scan may have fetched or be fetching ahead of
+    /// the decoding workers, which is also how many fetches it keeps in
+    /// flight (default 4). `0` fetches on the workers themselves.
     pub prefetch_depth: usize,
     /// Execute scans on encoded chunks (dictionary/RLE short cuts, chunk
     /// zone-map checks, late materialization). `false` restores the
@@ -56,7 +57,7 @@ impl ExecContext {
             parallelism: default_parallelism(),
             footer_cache: FooterCache::shared(),
             chunk_cache: None,
-            prefetch_depth: 2,
+            prefetch_depth: 4,
             encoded_scan: true,
             trace: TraceCtx::disabled(),
         }
@@ -136,10 +137,13 @@ pub struct ExecMetrics {
     pub prefetch_wasted: AtomicU64,
     pub chunk_cache_hits: AtomicU64,
     pub chunk_cache_misses: AtomicU64,
+    pub coalesced_gets: AtomicU64,
+    pub gap_bytes: AtomicU64,
 }
 
-/// Point-in-time copy of the scan-pipeline counters (prefetcher + chunk
-/// cache). Telemetry only: none of these affect results or billing.
+/// Point-in-time copy of the scan-pipeline counters (prefetcher, chunk
+/// cache, vectored GETs). Telemetry only: none of these affect results or
+/// billing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanPipelineSnapshot {
     /// Morsel fetches started by the prefetcher.
@@ -150,6 +154,11 @@ pub struct ScanPipelineSnapshot {
     pub prefetch_wasted: u64,
     pub chunk_cache_hits: u64,
     pub chunk_cache_misses: u64,
+    /// Ranged GETs issued for chunk data, one per run of merged chunks.
+    pub coalesced_gets: u64,
+    /// Bytes transferred between merged chunks: store traffic the provider
+    /// pays for, never part of `bytes_scanned`.
+    pub gap_bytes: u64,
 }
 
 /// Point-in-time copy of [`ExecMetrics`].
@@ -232,9 +241,14 @@ impl ExecMetrics {
         self.prefetch_wasted.fetch_add(wasted, Ordering::Relaxed);
     }
 
-    pub fn add_chunk_cache(&self, hits: u64, misses: u64) {
-        self.chunk_cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.chunk_cache_misses.fetch_add(misses, Ordering::Relaxed);
+    /// Record how one row group's chunks were obtained.
+    pub fn add_fetch(&self, f: &FetchStats) {
+        self.chunk_cache_hits
+            .fetch_add(f.cache_hits, Ordering::Relaxed);
+        self.chunk_cache_misses
+            .fetch_add(f.cache_misses, Ordering::Relaxed);
+        self.coalesced_gets.fetch_add(f.gets, Ordering::Relaxed);
+        self.gap_bytes.fetch_add(f.gap_bytes, Ordering::Relaxed);
     }
 
     /// Snapshot of the scan-pipeline counters (separate from
@@ -246,6 +260,8 @@ impl ExecMetrics {
             prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
             chunk_cache_hits: self.chunk_cache_hits.load(Ordering::Relaxed),
             chunk_cache_misses: self.chunk_cache_misses.load(Ordering::Relaxed),
+            coalesced_gets: self.coalesced_gets.load(Ordering::Relaxed),
+            gap_bytes: self.gap_bytes.load(Ordering::Relaxed),
         }
     }
 

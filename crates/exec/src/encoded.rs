@@ -30,7 +30,7 @@ use crate::evaluate::{
     BatchRow, NumSlice,
 };
 use crate::parallel;
-use crate::scan::open_metered;
+use crate::scan::{fetch_metered, open_metered};
 use pixels_common::{
     Column, ColumnBuilder, ColumnData, DataType, Error, RecordBatch, Result, SchemaRef, Value,
 };
@@ -384,7 +384,6 @@ pub fn execute_encoded_aggregate(
         .map(|&(fi, rg)| readers[fi].footer().row_groups[rg].num_rows as usize)
         .collect();
     let partitions = partition_morsels(&rows, ctx.parallelism);
-    let cache = ctx.chunk_cache.as_deref();
 
     let partials = parallel::run_indexed(partitions.len(), ctx.parallelism, |p| {
         let mut states: Vec<AggState> = aggs.iter().map(AggState::new).collect();
@@ -393,21 +392,7 @@ pub fn execute_encoded_aggregate(
             let (fi, rg) = morsels[i];
             let reader = &readers[fi];
             let mut span = sctx.trace.span("morsel");
-            let mut hits = 0u64;
-            let mut misses = 0u64;
-            let chunks = projection
-                .iter()
-                .map(|&col| {
-                    let (chunk, hit) = reader.read_encoded_chunk(rg, col, cache)?;
-                    if hit {
-                        hits += 1;
-                    } else {
-                        misses += 1;
-                    }
-                    Ok(chunk)
-                })
-                .collect::<Result<Vec<EncodedChunk>>>()?;
-            sctx.metrics.add_chunk_cache(hits, misses);
+            let chunks = fetch_metered(&sctx, &mut span, reader, rg, projection)?;
             let num_rows = rows[i];
             let lazy = LazyRowGroup::new(schemas[fi].clone(), chunks, num_rows);
             for (ai, agg) in aggs.iter().enumerate() {

@@ -1,20 +1,28 @@
-//! Morsel prefetching: overlap the next morsel's object-store GET with the
-//! current morsel's decode.
+//! Morsel prefetching: keep several morsels' object-store reads in flight
+//! ahead of the workers that decode them.
 //!
 //! [`run_prefetched`] splits each morsel into a *fetch* (I/O) and a *work*
-//! (decode/filter) phase. A single I/O thread runs fetches strictly in
-//! morsel order, keeping at most `depth` fetched-but-unconsumed morsels
-//! resident (`depth = 2` is classic double buffering); workers claim morsel
-//! indices exactly like [`crate::parallel::run_indexed`] and block only when
-//! their morsel's fetch has not completed yet.
+//! (decode/filter) phase. `min(depth, morsels)` I/O threads claim morsel
+//! indices in order and fetch them, never letting more than `depth` morsels
+//! be fetched-or-fetching ahead of consumption: `depth` is at once the
+//! read-ahead window, the memory bound (in morsels) and the number of
+//! requests in flight, which is what hides a remote store's per-request
+//! latency. Workers claim morsel indices exactly like
+//! [`crate::parallel::run_indexed`] and block only while their morsel's
+//! fetch has not completed.
 //!
-//! Two properties matter beyond the overlap itself:
+//! What callers rely on, and what they do not:
 //!
-//! - **Deterministic GET order.** All store GETs are issued by the one I/O
-//!   thread in morsel order — the same order the non-prefetching serial path
-//!   uses. Seeded fault injection therefore sees the identical per-site call
-//!   sequence with prefetch on or off, which is what keeps the chaos
-//!   differential gates meaningful.
+//! - **Results, not request order.** Output is in morsel order and a fetch
+//!   hands its morsel exactly the bytes a synchronous read would, so rows,
+//!   billed bytes and bills do not depend on `depth`. The *order in which
+//!   GETs reach the store* does: fetches start in morsel order but overlap
+//!   and finish in any order. The chaos gates compare rows, billed bytes and
+//!   bills between a faulted and a fault-free run (`chaos_soak`'s
+//!   `check_pair`), never the GET sequence, and the fault injector
+//!   serialises concurrent draws into one per-site stream, so *which*
+//!   request a seeded fault lands on may differ between depths while how
+//!   many are drawn per request, and what a retry returns, may not.
 //! - **Error semantics.** A fetch error surfaces at its morsel index when a
 //!   worker consumes the slot, so the lowest-index error still wins, exactly
 //!   as on the synchronous path. Morsels fetched but never consumed after an
@@ -29,7 +37,7 @@ use crate::parallel::run_indexed;
 /// What the prefetcher did during one [`run_prefetched`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchStats {
-    /// Fetches started by the I/O thread.
+    /// Fetches started by the I/O threads.
     pub issued: u64,
     /// Morsels already resident when their worker asked for them.
     pub hits: u64,
@@ -45,15 +53,18 @@ enum Slot<T> {
 
 struct State<T> {
     slots: Vec<Slot<T>>,
-    /// Ready-but-not-taken slots; the I/O thread stalls at `depth`.
-    resident: usize,
+    /// Next morsel an I/O thread will claim; everything below is claimed.
+    next: usize,
+    /// Claimed-but-not-taken morsels (fetching or ready); I/O threads stall
+    /// at `depth`.
+    ahead: usize,
     stop: bool,
 }
 
 /// Run `work(i, fetch(i)?)` for every `i in 0..n` with results in index
-/// order, prefetching up to `depth` morsels ahead of the workers. With
-/// `depth == 0` (or nothing to pipeline) the phases run fused on the worker
-/// threads — the synchronous path.
+/// order, fetching up to `depth` morsels ahead of the workers on as many I/O
+/// threads. With `depth == 0` (or nothing to pipeline) the phases run fused
+/// on the worker threads — the synchronous path.
 pub fn run_prefetched<T, R, Fetch, Work>(
     n: usize,
     parallelism: usize,
@@ -74,36 +85,35 @@ where
 
     let state = Mutex::new(State {
         slots: (0..n).map(|_| Slot::Pending).collect(),
-        resident: 0,
+        next: 0,
+        ahead: 0,
         stop: false,
     });
     let cv = Condvar::new();
     let issued = AtomicU64::new(0);
     let hits = AtomicU64::new(0);
 
-    let result = std::thread::scope(|s| {
-        let io = s.spawn(|| {
-            for i in 0..n {
-                {
-                    let mut st = state.lock();
-                    while st.resident >= depth && !st.stop {
-                        cv.wait(&mut st);
-                    }
-                    if st.stop {
-                        return;
-                    }
-                }
-                let fetched = fetch(i);
-                issued.fetch_add(1, Ordering::Relaxed);
-                let mut st = state.lock();
-                st.slots[i] = Slot::Ready(fetched);
-                st.resident += 1;
-                cv.notify_all();
-                if st.stop {
-                    return;
-                }
+    let io_loop = || loop {
+        let i = {
+            let mut st = state.lock();
+            while st.ahead >= depth && st.next < n && !st.stop {
+                cv.wait(&mut st);
             }
-        });
+            if st.stop || st.next >= n {
+                return;
+            }
+            st.next += 1;
+            st.ahead += 1;
+            st.next - 1
+        };
+        issued.fetch_add(1, Ordering::Relaxed);
+        let fetched = fetch(i);
+        state.lock().slots[i] = Slot::Ready(fetched);
+        cv.notify_all();
+    };
+
+    let result = std::thread::scope(|s| {
+        let io_threads: Vec<_> = (0..depth.min(n)).map(|_| s.spawn(io_loop)).collect();
 
         let result = run_indexed(n, parallelism, |i| {
             let fetched = {
@@ -115,7 +125,7 @@ where
                             if first_check {
                                 hits.fetch_add(1, Ordering::Relaxed);
                             }
-                            st.resident -= 1;
+                            st.ahead -= 1;
                             cv.notify_all();
                             break r;
                         }
@@ -131,12 +141,11 @@ where
             work(i, fetched)
         });
 
-        {
-            let mut st = state.lock();
-            st.stop = true;
-            cv.notify_all();
+        state.lock().stop = true;
+        cv.notify_all();
+        for io in io_threads {
+            io.join().expect("prefetch I/O thread panicked");
         }
-        io.join().expect("prefetch I/O thread panicked");
         result
     });
 
@@ -172,31 +181,78 @@ mod tests {
     }
 
     #[test]
-    fn fetches_happen_in_morsel_order() {
-        // The I/O thread must issue fetches 0..n in order no matter how
-        // workers race — this is what keeps seeded fault injection stable.
-        for p in [1, 4] {
+    fn fetches_start_in_morsel_order_within_the_window() {
+        // I/O threads claim indices in order under the window. So when fetch
+        // `i` starts, every earlier fetch has been claimed and all but at
+        // most `depth - 1` of them (one per other I/O thread) have started;
+        // and no fetch starts more than `depth` morsels past what the
+        // workers have taken. `done` counts finished work, which trails
+        // "taken" by at most one morsel per worker. With one worker, which
+        // takes morsels strictly in order, a late starter also holds the
+        // window shut: at most `depth - 1` later fetches can overtake it.
+        for (p, depth) in [(1, 1), (1, 2), (4, 2), (1, 4), (4, 4)] {
+            let n = 40;
             let order = Mutex::new(Vec::new());
+            let done = AtomicUsize::new(0);
             let (result, stats) = run_prefetched(
-                20,
+                n,
                 p,
-                2,
+                depth,
                 |i| {
+                    let done = done.load(Ordering::SeqCst);
+                    assert!(
+                        i < done + p + depth,
+                        "fetch {i} started with only {done} morsels done (p {p}, depth {depth})"
+                    );
                     order.lock().push(i);
                     Ok(i)
                 },
-                |_, v: usize| Ok(v),
+                |_, v: usize| {
+                    done.fetch_add(1, Ordering::SeqCst);
+                    Ok(v)
+                },
             );
-            result.unwrap();
-            assert_eq!(order.into_inner(), (0..20).collect::<Vec<_>>());
-            assert_eq!(stats.issued, 20);
+            assert_eq!(result.unwrap(), (0..n).collect::<Vec<_>>());
+            let order = order.into_inner();
+            for (pos, &i) in order.iter().enumerate() {
+                assert!(
+                    pos + depth > i && (p > 1 || pos < i + depth),
+                    "fetch {i} started {pos}th (p {p}, depth {depth}): {order:?}"
+                );
+            }
+            assert_eq!(stats.issued, n as u64);
             assert_eq!(stats.wasted, 0);
         }
     }
 
     #[test]
+    fn slow_fetches_overlap_up_to_depth() {
+        // A fetch that takes time (a remote GET) must not be waited for
+        // alone: several are in flight at once, never more than `depth`.
+        let depth = 4;
+        let in_flight = AtomicUsize::new(0);
+        let max_in_flight = AtomicUsize::new(0);
+        let (result, _) = run_prefetched(
+            24,
+            1,
+            depth,
+            |i| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                max_in_flight.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                Ok(i)
+            },
+            |_, v: usize| Ok(v),
+        );
+        result.unwrap();
+        let max = max_in_flight.into_inner();
+        assert!((2..=depth).contains(&max), "max in flight {max}");
+    }
+
+    #[test]
     fn depth_bounds_readahead() {
-        // With slow consumers the I/O thread may never run more than
+        // With slow consumers the I/O threads may never run more than
         // `depth` fetches ahead of what has been consumed.
         let depth = 2;
         let consumed = AtomicUsize::new(0);

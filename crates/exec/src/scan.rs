@@ -2,13 +2,16 @@
 //! filtering, and morsel-driven parallelism.
 //!
 //! With [`ExecContext::encoded_scan`] on (the default), each morsel is split
-//! into a fetch phase and a decode/filter phase: a prefetcher
-//! ([`crate::prefetch::run_prefetched`]) overlaps the next row group's GETs
-//! with the current group's decode, raw chunk bytes are served from the
-//! optional [`pixels_storage::ChunkCache`], and residual filters run on
+//! into a fetch phase and a decode/filter phase. The fetch is one vectored
+//! read per row group ([`PixelsReader::fetch_row_group`]: cache first, then
+//! one ranged GET per run of neighbouring chunks); a prefetcher
+//! ([`crate::prefetch::run_prefetched`]) keeps up to `prefetch_depth` of them
+//! in flight ahead of the decoding workers, unless the chunk cache already
+//! holds everything the scan will read, in which case there is nothing to
+//! overlap and the workers fetch for themselves. Residual filters run on
 //! encoded chunks ([`crate::encoded`]) with late materialization. Billing is
-//! metered from chunk metadata in both modes, so results *and* bills are
-//! identical with the pipeline on or off.
+//! metered from chunk metadata in every mode, so results *and* bills are
+//! identical however the bytes arrived.
 
 use crate::context::ExecContext;
 use crate::encoded::{encoded_filter_mask, LazyRowGroup};
@@ -16,6 +19,7 @@ use crate::evaluate::fused_filter_mask;
 use crate::parallel;
 use crate::prefetch::run_prefetched;
 use pixels_common::{RecordBatch, Result, SchemaRef};
+use pixels_obs::Span;
 use pixels_planner::BoundExpr;
 use pixels_storage::{ColumnPredicate, ColumnStats, EncodedChunk, PixelsReader};
 use std::sync::Arc;
@@ -47,6 +51,27 @@ pub(crate) fn open_metered<'a>(ctx: &'a ExecContext, path: &str) -> Result<Pixel
         ctx.metrics.add_open(reader.open_bytes());
     }
     Ok(reader)
+}
+
+/// Fetch one morsel's projected chunks through the context's chunk cache,
+/// counting how they were obtained in the metrics and on `span`. The one
+/// call site of the reader's vectored fetch for encoded execution: the
+/// scan's fetch phase and the encoded aggregate both come through here.
+pub(crate) fn fetch_metered(
+    ctx: &ExecContext,
+    span: &mut Span,
+    reader: &PixelsReader,
+    rg: usize,
+    projection: &[usize],
+) -> Result<Vec<EncodedChunk>> {
+    let fetched = reader.fetch_row_group(rg, Some(projection), ctx.chunk_cache.as_deref())?;
+    ctx.metrics.add_fetch(&fetched.stats);
+    if span.enabled() {
+        span.record_u64("cache_hits", fetched.stats.cache_hits);
+        span.record_u64("gets", fetched.stats.gets);
+        span.record_u64("gap_bytes", fetched.stats.gap_bytes);
+    }
+    Ok(fetched.chunks)
 }
 
 /// Execute a Pixels table scan over `paths`.
@@ -92,43 +117,38 @@ pub fn execute_scan(
         schemas.push(Arc::new(reader.schema().project(projection)));
         readers.push(reader);
     }
-    let cache = ctx.chunk_cache.as_deref();
+    // A scan whose every chunk is already in the chunk cache has no store
+    // latency to hide: I/O threads and a hand-off per morsel would only add
+    // cost, so the workers fetch (from the cache) themselves. A chunk
+    // evicted between this probe and its read is simply fetched there.
+    let resident = ctx.chunk_cache.as_deref().is_some_and(|cache| {
+        morsels
+            .iter()
+            .all(|&(fi, rg)| readers[fi].row_group_resident(rg, Some(projection), cache))
+    });
+    let depth = if resident { 0 } else { ctx.prefetch_depth };
 
     let (batches, stats) = run_prefetched(
         morsels.len(),
         ctx.parallelism,
-        ctx.prefetch_depth,
-        // Fetch phase (runs on the single prefetch I/O thread, in morsel
-        // order): GET or cache-serve the morsel's projected chunks. The span
-        // records `prefetch_bytes`, never `bytes` — the bytes are billed by
-        // the consuming morsel span, and double-counting would break
-        // span-vs-bill reconciliation.
+        depth,
+        // Fetch phase (on the prefetcher's I/O threads, or fused on the
+        // workers at depth 0): cache-serve or GET the morsel's projected
+        // chunks. The span records `prefetch_bytes`, never `bytes` — the
+        // bytes are billed by the consuming morsel span, and double-counting
+        // would break span-vs-bill reconciliation. `gap_bytes` are traffic
+        // the bill never sees at all.
         |i| {
             let (fi, rg) = morsels[i];
             let reader = &readers[fi];
             let mut span = ctx.trace.span("prefetch");
-            let mut hits = 0u64;
-            let mut misses = 0u64;
-            let chunks = projection
-                .iter()
-                .map(|&col| {
-                    let (chunk, hit) = reader.read_encoded_chunk(rg, col, cache)?;
-                    if hit {
-                        hits += 1;
-                    } else {
-                        misses += 1;
-                    }
-                    Ok(chunk)
-                })
-                .collect::<Result<Vec<EncodedChunk>>>()?;
-            ctx.metrics.add_chunk_cache(hits, misses);
+            let chunks = fetch_metered(ctx, &mut span, reader, rg, projection)?;
             if span.enabled() {
                 span.record_u64("row_group", rg as u64);
                 span.record_u64(
                     "prefetch_bytes",
                     reader.row_group_bytes(rg, Some(projection)),
                 );
-                span.record_u64("cache_hits", hits);
             }
             Ok(chunks)
         },

@@ -42,6 +42,8 @@ pub use meta_cache::{ChunkCache, FileMeta, FooterCache};
 pub use object_store::{
     InMemoryObjectStore, LatencyModel, ObjectStore, ObjectStoreRef, StoreMetricsSnapshot,
 };
-pub use reader::{ColumnPredicate, PixelsReader, PredicateOp};
+pub use reader::{
+    ColumnPredicate, FetchStats, PixelsReader, PredicateOp, RowGroupFetch, COALESCE_GAP_BYTES,
+};
 pub use stats::ColumnStats;
 pub use writer::{write_table, PixelsWriter, DEFAULT_ROW_GROUP_ROWS};

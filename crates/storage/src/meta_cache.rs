@@ -20,7 +20,7 @@
 use bytes::Bytes;
 use parking_lot::RwLock;
 use pixels_common::SchemaRef;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -113,28 +113,48 @@ impl FooterCache {
     }
 }
 
-/// Key of one cached column-chunk payload. The write generation is part of
-/// the key, so a rewritten object's chunks can never be confused with the
-/// original's even at identical offsets.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ChunkKey {
-    path: String,
-    generation: u64,
-    offset: u64,
-}
+/// Where one cached chunk lives within its file: `(write generation, chunk
+/// offset)`. The generation is part of the key, so a rewritten object's
+/// chunks can never be confused with the original's even at identical
+/// offsets.
+type ChunkSlot = (u64, u64);
 
 #[derive(Debug)]
 struct ChunkEntry {
     data: Bytes,
-    /// Logical timestamp of the last hit, for LRU-style eviction.
+    /// Logical timestamp of the last hit or insert; this entry's key in
+    /// [`ChunkCacheInner::lru`].
     last_used: u64,
 }
 
 #[derive(Debug, Default)]
 struct ChunkCacheInner {
-    entries: HashMap<ChunkKey, ChunkEntry>,
+    /// path → slot → entry. Two levels so a probe borrows the caller's
+    /// `&str` instead of building an owned key, and invalidating a path is
+    /// one removal. A path with no resident chunk has no entry here.
+    files: HashMap<Arc<str>, HashMap<ChunkSlot, ChunkEntry>>,
+    /// `last_used` tick → key, oldest first: the eviction order. Ticks are
+    /// unique (one per lookup or insert), so this holds exactly one entry
+    /// per cached chunk.
+    lru: BTreeMap<u64, (Arc<str>, ChunkSlot)>,
     resident_bytes: u64,
     tick: u64,
+}
+
+impl ChunkCacheInner {
+    /// Remove one chunk's entry and its share of the byte budget; the
+    /// caller has already taken it out of `lru`.
+    fn remove_entry(&mut self, path: &str, slot: ChunkSlot) {
+        let Some(chunks) = self.files.get_mut(path) else {
+            return;
+        };
+        if let Some(e) = chunks.remove(&slot) {
+            self.resident_bytes -= e.data.len() as u64;
+        }
+        if chunks.is_empty() {
+            self.files.remove(path);
+        }
+    }
 }
 
 /// A bounded cache of raw (still-encoded) column-chunk bytes.
@@ -144,7 +164,7 @@ struct ChunkCacheInner {
 ///   admitted — one giant chunk must not wipe the whole cache.
 /// - **Eviction**: least-recently-used entries are evicted until the new
 ///   entry fits. "Recently used" is a logical tick bumped on every hit and
-///   insert.
+///   insert; victims come off the front of a tick-ordered index.
 ///
 /// Billing: the cache sits *below* the billing layer. `bytes_scanned` is
 /// computed from chunk metadata, not from store counters, so hits change
@@ -181,24 +201,41 @@ impl ChunkCache {
     /// Cached payload for the chunk at `offset` of `path`'s generation
     /// `generation`, if resident.
     pub fn lookup(&self, path: &str, generation: u64, offset: u64) -> Option<Bytes> {
-        let key = ChunkKey {
-            path: path.to_string(),
-            generation,
-            offset,
-        };
-        let mut inner = self.inner.write();
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.data.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let entry = inner
+            .files
+            .get_mut(path)
+            .and_then(|chunks| chunks.get_mut(&(generation, offset)));
+        let Some(entry) = entry else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        let key = inner
+            .lru
+            .remove(&entry.last_used)
+            .expect("every cached chunk is indexed by its tick");
+        inner.lru.insert(tick, key);
+        entry.last_used = tick;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(entry.data.clone())
+    }
+
+    /// Whether every chunk of `path`'s generation `generation` at `offsets`
+    /// is resident. A planning probe, not an access: it takes the shared
+    /// lock, leaves the LRU order alone and counts neither hits nor misses.
+    pub fn contains_all(
+        &self,
+        path: &str,
+        generation: u64,
+        mut offsets: impl Iterator<Item = u64>,
+    ) -> bool {
+        let inner = self.inner.read();
+        match inner.files.get(path) {
+            Some(chunks) => offsets.all(|offset| chunks.contains_key(&(generation, offset))),
+            None => offsets.next().is_none(),
         }
     }
 
@@ -208,34 +245,36 @@ impl ChunkCache {
         if len > self.capacity_bytes / 4 {
             return false;
         }
-        let key = ChunkKey {
-            path: path.to_string(),
-            generation,
-            offset,
-        };
-        let mut inner = self.inner.write();
+        let slot = (generation, offset);
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(old) = inner.entries.remove(&key) {
-            inner.resident_bytes -= old.data.len() as u64;
+        let replaced = inner
+            .files
+            .get(path)
+            .and_then(|chunks| chunks.get(&slot))
+            .map(|old| old.last_used);
+        if let Some(old_tick) = replaced {
+            inner.lru.remove(&old_tick);
+            inner.remove_entry(path, slot);
         }
         while inner.resident_bytes + len > self.capacity_bytes {
-            let Some(victim) = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
+            let Some((_, (victim_path, victim_slot))) = inner.lru.pop_first() else {
                 break;
             };
-            if let Some(evicted) = inner.entries.remove(&victim) {
-                inner.resident_bytes -= evicted.data.len() as u64;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+            inner.remove_entry(&victim_path, victim_slot);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
+        // One shared path allocation per file, however many chunks it has.
+        let path: Arc<str> = match inner.files.get_key_value(path) {
+            Some((shared, _)) => shared.clone(),
+            None => Arc::from(path),
+        };
         inner.resident_bytes += len;
-        inner.entries.insert(
-            key,
+        inner.lru.insert(tick, (path.clone(), slot));
+        inner.files.entry(path).or_default().insert(
+            slot,
             ChunkEntry {
                 data,
                 last_used: tick,
@@ -246,17 +285,16 @@ impl ChunkCache {
 
     /// Drop every cached chunk of `path` (any generation).
     pub fn invalidate_path(&self, path: &str) {
-        let mut inner = self.inner.write();
-        let stale: Vec<ChunkKey> = inner
-            .entries
-            .keys()
-            .filter(|k| k.path == path)
-            .cloned()
-            .collect();
-        for key in stale {
-            if let Some(e) = inner.entries.remove(&key) {
-                inner.resident_bytes -= e.data.len() as u64;
-            }
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
+        for entry in inner
+            .files
+            .remove(path)
+            .into_iter()
+            .flat_map(HashMap::into_values)
+        {
+            inner.lru.remove(&entry.last_used);
+            inner.resident_bytes -= entry.data.len() as u64;
         }
     }
 
@@ -265,11 +303,11 @@ impl ChunkCache {
     }
 
     pub fn len(&self) -> usize {
-        self.inner.read().entries.len()
+        self.inner.read().lru.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.inner.read().entries.is_empty()
+        self.inner.read().lru.is_empty()
     }
 
     pub fn hits(&self) -> u64 {
@@ -377,6 +415,45 @@ mod tests {
         assert!(cache.lookup("f", 1, 0).is_some());
         assert_eq!(cache.evictions(), 1);
         assert!(cache.resident_bytes() <= 1000);
+    }
+
+    #[test]
+    fn chunk_cache_evicts_oldest_first_across_files() {
+        // Victims leave in tick order whichever file they belong to, a
+        // touched entry moves to the back, and a file whose last chunk left
+        // is forgotten entirely.
+        let cache = ChunkCache::new(1000);
+        for (i, path) in ["a", "b", "a", "c"].into_iter().enumerate() {
+            assert!(cache.insert(path, 1, i as u64, chunk(250)));
+        }
+        assert!(cache.lookup("a", 1, 0).is_some()); // order is now b, a@2, c, a@0
+        assert!(cache.insert("d", 1, 0, chunk(250)));
+        assert!(cache.insert("d", 1, 1, chunk(250)));
+        assert_eq!(cache.evictions(), 2);
+        assert!(!cache.contains_all("b", 1, [1].into_iter()));
+        assert!(!cache.contains_all("a", 1, [2].into_iter()));
+        assert!(cache.contains_all("a", 1, [0].into_iter()));
+        assert!(cache.contains_all("c", 1, [3].into_iter()));
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.resident_bytes(), 1000);
+        assert_eq!(cache.inner.read().files.len(), 3, "`b` is forgotten");
+    }
+
+    #[test]
+    fn chunk_cache_probe_is_not_an_access() {
+        let cache = ChunkCache::new(1000);
+        for offset in 0..4 {
+            assert!(cache.insert("f", 1, offset, chunk(250)));
+        }
+        assert!(cache.contains_all("f", 1, 0..4));
+        assert!(!cache.contains_all("f", 1, 0..5));
+        assert!(!cache.contains_all("f", 2, 0..1), "other generation");
+        assert!(!cache.contains_all("g", 1, 0..1), "unknown path");
+        assert!(cache.contains_all("g", 1, 0..0), "nothing asked for");
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        // Probing offset 0 did not refresh it: it is still the LRU victim.
+        assert!(cache.insert("f", 1, 9, chunk(250)));
+        assert!(!cache.contains_all("f", 1, 0..1));
     }
 
     #[test]

@@ -53,9 +53,11 @@ pub struct EngineConfig {
     /// the storage GET but are billed exactly like misses — billing is
     /// metered from chunk metadata, never from store traffic.
     pub chunk_cache_bytes: u64,
-    /// Scan prefetch depth: how many row groups the scan's I/O thread may
-    /// fetch ahead of the decoding workers (2 = double buffering). `0` runs
-    /// fetch and decode fused on the workers — the synchronous path.
+    /// Scan prefetch depth: how many row groups a scan may have fetched or
+    /// be fetching ahead of its decoding workers, and so how many reads it
+    /// keeps in flight against the store. `0` runs fetch and decode fused on
+    /// the workers — the synchronous path, which a scan also takes by itself
+    /// when the chunk cache already holds everything it will read.
     pub prefetch_depth: usize,
     /// Hash-partition fan-out of multi-stage CF plans. At `1` (the default)
     /// every CF plan is single-stage; above `1`, shuffleable cut points
@@ -76,7 +78,7 @@ impl Default for EngineConfig {
             straggler_factor: 4.0,
             straggler_min_wait: Duration::from_millis(250),
             chunk_cache_bytes: 64 << 20,
-            prefetch_depth: 2,
+            prefetch_depth: 4,
             exchange_partitions: 1,
         }
     }
@@ -498,6 +500,16 @@ impl TurboEngine {
                     m.row_groups_total - m.row_groups_read,
                     m.footer_cache_hits,
                 ));
+                if let Some(t) = exec_trace.trace() {
+                    // Summed over the `prefetch` spans: how the scanned
+                    // chunks arrived. None of it is billed.
+                    text.push_str(&format!(
+                        "chunk fetches    : {} cache hits, {} GETs, {} gap bytes\n",
+                        t.attr_sum("cache_hits"),
+                        t.attr_sum("gets"),
+                        t.attr_sum("gap_bytes"),
+                    ));
+                }
                 if !out.decisions.is_empty() {
                     let seq: Vec<String> = out.decisions.iter().map(|d| format!("{d:?}")).collect();
                     text.push_str(&format!("decisions        : {}\n", seq.join(" -> ")));
@@ -1334,8 +1346,8 @@ struct CachePublished {
     evictions: AtomicU64,
 }
 
-/// Add one context's prefetcher counters to the cumulative
-/// `pixels_scan_prefetch_*_total` families. A free function so CF fleet
+/// Add one context's prefetcher and vectored-GET counters to the cumulative
+/// `pixels_scan_*_total` families. A free function so CF fleet
 /// threads (which own their context but not the engine) can publish too.
 fn absorb_prefetch_metrics(registry: &MetricsRegistry, p: &ScanPipelineSnapshot) {
     registry
@@ -1356,6 +1368,18 @@ fn absorb_prefetch_metrics(registry: &MetricsRegistry, p: &ScanPipelineSnapshot)
             "Prefetched morsels never consumed (scan aborted first)",
         )
         .add(p.prefetch_wasted);
+    registry
+        .counter(
+            "pixels_scan_coalesced_gets_total",
+            "Ranged GETs issued for chunk data, one per run of merged neighbouring chunks",
+        )
+        .add(p.coalesced_gets);
+    registry
+        .counter(
+            "pixels_scan_gap_bytes_total",
+            "Bytes transferred between merged chunks: store traffic, never billed",
+        )
+        .add(p.gap_bytes);
 }
 
 /// What one stage attempt leaves in the object store, and therefore what has
@@ -2274,6 +2298,13 @@ mod tests {
         assert!(text.contains("self%"), "{text}");
         let attribution_at = text.find("operator time attribution").unwrap();
         assert!(attribution_at < text.find("--- trace ---").unwrap());
+        // How the chunks arrived sits beside the cache counters: one column
+        // of two row groups is two chunks, each read cold in one GET.
+        assert!(
+            text.contains("chunk fetches    : 0 cache hits, 2 GETs, 0 gap bytes"),
+            "{text}"
+        );
+        assert!(text.contains("gets=1"), "{text}");
     }
 
     /// Saturate the engine's only VM slot with a long-running query so that
