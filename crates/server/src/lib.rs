@@ -11,9 +11,14 @@
 //! | best-of-effort | unbounded | disabled | $0.5/TB |
 //!
 //! Two modes are provided: a deterministic [`sim::ServerSim`] on the virtual
-//! clock (drives all scheduling/pricing experiments) and a threaded
-//! real-mode [`api::QueryServer`] over [`pixels_turbo::TurboEngine`] that
-//! Pixels-Rover talks to.
+//! clock and a threaded real-mode [`api::QueryServer`] over
+//! [`pixels_turbo::TurboEngine`] that Pixels-Rover talks to. `ServerSim` is
+//! the one simulated admission driver — an event loop on
+//! [`pixels_sim::EventQueue`] over a plug-in [`pixels_turbo::Capacity`]
+//! model: the [`pixels_turbo::Coordinator`] cluster micro-model for every
+//! scheduling/pricing experiment, [`soak::AnalyticFleet`] for the
+//! million-user [`soak::run_soak`], which is a configuration of the same
+//! driver.
 
 pub mod api;
 pub mod auth;

@@ -1,16 +1,25 @@
-//! The full scheduling simulation: query server + coordinator + cluster on
-//! the virtual clock. This is the experiment driver behind every
-//! service-level, autoscaling, and pricing figure in EXPERIMENTS.md.
+//! The simulated query server: one event-driven driver over a plug-in
+//! capacity model — the experiment driver behind every service-level,
+//! autoscaling, and pricing figure in EXPERIMENTS.md and, over the analytic
+//! fleet of [`crate::soak`], behind the million-user admission soak.
 //!
-//! Since the multi-tenant refactor the simulated server runs the same
-//! tenant-aware admission core as the live one: submissions carry an
-//! [`AdmissionMode`] (fixed tier or per-query deadline) and a tenant, queued
-//! work is parked in a [`FairQueue`] (deficit-weighted fair queueing across
-//! tenants, EDF over deadline work), and infeasible deadlines are rejected
-//! at admission. The legacy [`ServerSim::run`] entry point maps the old
-//! single-tenant, three-level [`Submission`] workloads onto that core
-//! unchanged — every pre-existing experiment reproduces bit-for-bit
-//! semantics (single tenant ⇒ the fair queue degenerates to FIFO).
+//! [`ServerSim`] runs the same tenant-aware admission core as the live
+//! server: the [`SchedulerPolicy`] decides dispatch/queue/reject for each
+//! [`AdmissionMode`], queued work is parked in a [`FairQueue`], same-class
+//! best-of-effort entries may merge into one shared scan, and every
+//! completion becomes a priced [`QueryRecord`]. What runs the queries is a
+//! [`Capacity`] model chosen by type: the [`Coordinator`] cluster
+//! micro-model (woken every [`ServerConfig::tick`]) or the soak's analytic
+//! fleet (woken at each finish).
+//!
+//! Time advances by popping one [`EventQueue`]: arrivals, the force-start
+//! bound of every queued query, capacity wakes and the post-trace drain
+//! checks; after every event the fair queue is drained until the load signal
+//! says stop. Same-instant events pop in scheduling order, arrivals first
+//! (they are scheduled before anything else). An event the capacity model
+//! has not reached yet is put back at the time it will have
+//! ([`Capacity::defer_until`]): the fixed-step cluster model completes a
+//! step before admitting the arrivals that fell inside it.
 
 use crate::fair::{FairQueue, QueuedQuery};
 use crate::pricing::PriceSchedule;
@@ -18,10 +27,11 @@ use crate::scheduler::{Admission, AdmissionMode, LoadSignal, SchedulerPolicy, DE
 use crate::service_level::ServiceLevel;
 use pixels_chaos::FaultInjector;
 use pixels_common::QueryId;
-use pixels_sim::{DurationStats, SimDuration, SimTime};
+use pixels_exec::batch;
+use pixels_sim::{DurationStats, EventQueue, SimDuration, SimTime};
 use pixels_turbo::{
-    CfConfig, Coordinator, CostBreakdown, FaultStats, Placement, QueryWork, ResourcePricing,
-    VmConfig,
+    Capacity, CfConfig, Coordinator, CostBreakdown, FaultStats, Placement, QueryCompletion,
+    QueryWork, ResourcePricing, VmConfig,
 };
 use pixels_workload::QueryClass;
 use std::collections::HashMap;
@@ -86,6 +96,41 @@ impl QueryRecord {
     pub fn total_latency(&self) -> SimDuration {
         self.finished_at.since(self.submitted_at)
     }
+
+    /// The latency this query's SLO objective bounds
+    /// ([`SchedulerPolicy::slo_objectives`]): pending time for a fixed level,
+    /// completion-latency excess over its own target for a deadline query
+    /// (objective zero: good iff the deadline was met).
+    pub fn slo_latency_us(&self) -> u64 {
+        match self.mode {
+            AdmissionMode::Level(_) => self.pending().as_micros(),
+            AdmissionMode::Deadline { target_us } => {
+                self.total_latency().as_micros().saturating_sub(target_us)
+            }
+        }
+    }
+
+    /// This query's economics-ledger entry: exactly the dollars and bytes
+    /// the record carries, so reconciliation against records is bit-for-bit.
+    pub fn ledger_entry(&self, tenant: &str) -> pixels_obs::LedgerEntry {
+        pixels_obs::LedgerEntry {
+            query: self.id.to_string(),
+            tenant: tenant.to_string(),
+            level: self.mode.name().to_string(),
+            bytes_billed: self.scan_bytes,
+            revenue_dollars: self.price,
+            vm_dollars: self.resource_cost.vm_dollars,
+            cf_dollars: self.resource_cost.cf_dollars,
+            provider_cf_dollars: self.resource_cost.cf_dollars,
+            // The workload simulator submits single-stage queries only;
+            // shuffle provider dollars are exercised by the parity and
+            // exchange differential harnesses.
+            shuffle_dollars: 0.0,
+            degraded: self.degraded,
+            speculative: self.speculative,
+            at_us: self.finished_at.as_micros(),
+        }
+    }
 }
 
 /// A submission refused at admission (infeasible deadline). Rejected
@@ -132,67 +177,75 @@ impl Default for ServerConfig {
     }
 }
 
-/// Execution-side facts about a queued query the fair queue doesn't hold.
-struct WaitingMeta {
-    class: QueryClass,
-    work: QueryWork,
-    submitted_at: SimTime,
-    tenant: u32,
-    mode: AdmissionMode,
+/// A query between admission and its record: its index in the trace, and
+/// when it was admitted.
+type Ticket = (u32, SimTime);
+
+/// One submission as the driver takes it: tenant already interned
+/// ([`ServerSim::intern`]). A trace is sorted by `at`; a query's id is its
+/// index in the trace.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Arrival {
+    pub at: SimTime,
+    pub class: QueryClass,
+    pub mode: AdmissionMode,
+    pub tenant: u32,
 }
 
-struct PendingMeta {
-    class: QueryClass,
-    mode: AdmissionMode,
-    tenant: u32,
-    submitted_at: SimTime,
-    dispatched_at: SimTime,
+/// What a run hands its sink, as it happens.
+pub(crate) enum Outcome {
+    Completed(QueryRecord),
+    Rejected(RejectedRecord),
 }
 
-struct BatchMember {
-    id: QueryId,
-    class: QueryClass,
-    mode: AdmissionMode,
-    tenant: u32,
-    submitted_at: SimTime,
+/// Driver-side counters the records do not carry.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct DriveStats {
+    pub forced_starts: u64,
+    pub batches: u64,
+    /// Riders merged into a carrier's execution (the carrier not counted).
+    pub batched_members: u64,
 }
 
-/// The simulated query server driving a [`Coordinator`].
-pub struct ServerSim {
-    pub coordinator: Coordinator,
+enum Event {
+    /// Index into the trace.
+    Arrive(u32),
+    /// Some queued query's force-start bound expires now; the drain that
+    /// follows every event finds it through the fair queue's expiry index.
+    ForceBound,
+    /// The capacity model asked to be woken.
+    Wake,
+    /// After the trace: stop once everything finished or the drain budget
+    /// ran out, looking once a second.
+    DrainCheck,
+}
+
+/// The simulated query server driving a [`Capacity`] model.
+pub struct ServerSim<C: Capacity = Coordinator> {
+    pub capacity: C,
     cfg: ServerConfig,
     queue: FairQueue,
-    waiting: HashMap<u64, WaitingMeta>,
-    dispatched: Vec<(QueryId, PendingMeta)>,
-    /// Carrier query id -> member queries of a best-of-effort batch.
-    batches: Vec<(QueryId, Vec<BatchMember>)>,
-    records: Vec<QueryRecord>,
-    rejected: Vec<RejectedRecord>,
+    events: EventQueue<Event>,
+    trace: Vec<Arrival>,
+    /// Queued queries: id -> when admitted.
+    waiting: HashMap<u64, SimTime>,
+    /// Carrier id -> the queries riding on that execution: one, or the
+    /// members of a best-of-effort batch (carrier first).
+    running: HashMap<QueryId, Vec<Ticket>>,
     tenant_names: Vec<String>,
     tenant_ids: HashMap<String, u32>,
-    now: SimTime,
+    pub(crate) stats: DriveStats,
 }
 
-impl ServerSim {
+impl ServerSim<Coordinator> {
     pub fn new(
         vm_cfg: VmConfig,
         cf_cfg: CfConfig,
         pricing: ResourcePricing,
         cfg: ServerConfig,
     ) -> Self {
-        ServerSim {
-            coordinator: Coordinator::new(vm_cfg, cf_cfg, pricing, SimTime::ZERO),
-            cfg,
-            queue: FairQueue::new(),
-            waiting: HashMap::new(),
-            dispatched: Vec::new(),
-            batches: Vec::new(),
-            records: Vec::new(),
-            rejected: Vec::new(),
-            tenant_names: Vec::new(),
-            tenant_ids: HashMap::new(),
-            now: SimTime::ZERO,
-        }
+        let cluster = Coordinator::new(vm_cfg, cf_cfg, pricing, SimTime::ZERO).with_step(cfg.tick);
+        ServerSim::over(cluster, cfg)
     }
 
     pub fn with_defaults() -> Self {
@@ -206,284 +259,8 @@ impl ServerSim {
 
     /// Install a seeded fault injector on the underlying coordinator.
     pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.coordinator = self.coordinator.with_fault_injector(injector);
+        self.capacity = self.capacity.with_fault_injector(injector);
         self
-    }
-
-    /// Set a tenant's fair-share weight before running.
-    pub fn set_tenant_weight(&mut self, tenant: &str, weight: f64) {
-        self.queue.set_weight(tenant, weight);
-    }
-
-    pub fn config(&self) -> &ServerConfig {
-        &self.cfg
-    }
-
-    /// The admission policy shared with the live server, built from this
-    /// sim's knobs.
-    fn policy(&self) -> SchedulerPolicy {
-        SchedulerPolicy {
-            grace: self.cfg.grace_period,
-            besteffort_max_wait: self.cfg.besteffort_max_wait,
-        }
-    }
-
-    fn load(&self) -> LoadSignal {
-        LoadSignal::basic(
-            self.coordinator.is_overloaded(),
-            self.coordinator.is_nearly_idle(),
-        )
-    }
-
-    fn intern(&mut self, tenant: &str) -> u32 {
-        if let Some(&i) = self.tenant_ids.get(tenant) {
-            return i;
-        }
-        let i = self.tenant_names.len() as u32;
-        self.tenant_names.push(tenant.to_string());
-        self.tenant_ids.insert(tenant.to_string(), i);
-        i
-    }
-
-    /// Submit a query at the current simulation time (paper §3.2 admission).
-    /// The dispatch-vs-queue-vs-reject decision is the [`SchedulerPolicy`]'s;
-    /// this driver only executes the verdict.
-    fn submit(&mut self, id: QueryId, class: QueryClass, mode: AdmissionMode, tenant: u32) {
-        let work = QueryWork::from_class(class);
-        // Feasibility estimate for deadline admission: the class's execution
-        // time at its own parallelism — the same model the live server gets
-        // from the planner.
-        let est_us = match mode {
-            AdmissionMode::Deadline { .. } => {
-                work.exec_time_on_cores(work.parallelism as f64).as_micros()
-            }
-            AdmissionMode::Level(_) => 0,
-        };
-        let tenant_name = self.tenant_names[tenant as usize].clone();
-        let mut load = self.load();
-        load.tenant_depth = self.queue.tenant_class_depth(&tenant_name, mode);
-        load.total_depth = self.queue.depth();
-        match self
-            .policy()
-            .admit_mode(mode, load, self.now.as_micros(), est_us)
-        {
-            Admission::DispatchNow => self.dispatch(id, class, mode, tenant, work, self.now, false),
-            Admission::Queue { deadline_us } => {
-                let batch_key = if self.cfg.batch_besteffort
-                    && mode == AdmissionMode::Level(ServiceLevel::BestEffort)
-                {
-                    Some(class as u64)
-                } else {
-                    None
-                };
-                self.queue.push(QueuedQuery {
-                    id: id.0,
-                    tenant: tenant_name,
-                    mode,
-                    deadline_us,
-                    enqueued_us: self.now.as_micros(),
-                    batch_key,
-                });
-                self.waiting.insert(
-                    id.0,
-                    WaitingMeta {
-                        class,
-                        work,
-                        submitted_at: self.now,
-                        tenant,
-                        mode,
-                    },
-                );
-            }
-            Admission::Reject { reason } => self.rejected.push(RejectedRecord {
-                id,
-                tenant,
-                mode,
-                at: self.now,
-                reason,
-            }),
-        }
-    }
-
-    /// Hand a query to the coordinator. A forced start (deadline expiry)
-    /// bypasses the coordinator's overload check so the pending-time bound
-    /// holds even on a cluster with no headroom.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        &mut self,
-        id: QueryId,
-        class: QueryClass,
-        mode: AdmissionMode,
-        tenant: u32,
-        work: QueryWork,
-        submitted_at: SimTime,
-        forced: bool,
-    ) {
-        if forced {
-            self.coordinator.submit_forced(id, work, self.now);
-        } else {
-            self.coordinator
-                .submit(id, work, mode.cf_enabled(), self.now);
-        }
-        self.dispatched.push((
-            id,
-            PendingMeta {
-                class,
-                mode,
-                tenant,
-                submitted_at,
-                dispatched_at: self.now,
-            },
-        ));
-    }
-
-    fn drain_queues(&mut self) {
-        loop {
-            // Load is re-read every selection, so a dispatch that flips the
-            // watermark stops further backfill within the same tick — the
-            // same one-at-a-time behaviour the single-queue server had.
-            let load = self.load();
-            let Some(grant) = self.queue.select(load, self.now.as_micros()) else {
-                break;
-            };
-            let meta = self
-                .waiting
-                .remove(&grant.id)
-                .expect("grant for unknown waiting query");
-            let id = QueryId(grant.id);
-            if grant.forced {
-                // Forced starts never batch: merged members would jump
-                // *their* pending bounds.
-                self.dispatch(
-                    id,
-                    meta.class,
-                    meta.mode,
-                    meta.tenant,
-                    meta.work,
-                    meta.submitted_at,
-                    true,
-                );
-                continue;
-            }
-            if self.cfg.batch_besteffort
-                && meta.mode == AdmissionMode::Level(ServiceLevel::BestEffort)
-            {
-                let extras = self
-                    .queue
-                    .take_batch(meta.class as u64, self.cfg.max_batch.saturating_sub(1));
-                if !extras.is_empty() {
-                    let mut members = vec![BatchMember {
-                        id,
-                        class: meta.class,
-                        mode: meta.mode,
-                        tenant: meta.tenant,
-                        submitted_at: meta.submitted_at,
-                    }];
-                    for e in &extras {
-                        let em = self.waiting.remove(&e.id).expect("batch member meta");
-                        members.push(BatchMember {
-                            id: QueryId(e.id),
-                            class: em.class,
-                            mode: em.mode,
-                            tenant: em.tenant,
-                            submitted_at: em.submitted_at,
-                        });
-                    }
-                    // Shared scan: the table is read once; per-query CPU
-                    // beyond the scan still scales with members, at the
-                    // shared-work discount (one implementation of that
-                    // arithmetic: `pixels_exec::batch`).
-                    let n = members.len();
-                    let single = QueryWork::from_class(meta.class);
-                    let batch_work = QueryWork {
-                        scan_bytes: single.scan_bytes,
-                        cpu_seconds: pixels_exec::batch::merged_cpu_seconds(single.cpu_seconds, n),
-                        parallelism: single.parallelism,
-                    };
-                    self.coordinator.submit(id, batch_work, false, self.now);
-                    self.batches.push((id, members));
-                    continue;
-                }
-            }
-            self.dispatch(
-                id,
-                meta.class,
-                meta.mode,
-                meta.tenant,
-                meta.work,
-                meta.submitted_at,
-                false,
-            );
-        }
-    }
-
-    fn advance(&mut self, to: SimTime) {
-        while self.now < to {
-            let next = self.now + self.cfg.tick;
-            self.now = next;
-            self.coordinator
-                .set_server_queue_depth(self.queue.relaxed_depth());
-            for done in self.coordinator.tick(next, self.cfg.tick) {
-                // A best-of-effort batch completion fans out into one record
-                // per member, splitting the shared scan and its cost.
-                if let Some(pos) = self.batches.iter().position(|(id, _)| *id == done.id) {
-                    let (_, members) = self.batches.swap_remove(pos);
-                    let n = members.len();
-                    for (i, m) in members.iter().enumerate() {
-                        let share = pixels_exec::batch::member_share(done.scan_bytes, n, i);
-                        self.records.push(QueryRecord {
-                            id: m.id,
-                            class: m.class,
-                            mode: m.mode,
-                            tenant: m.tenant,
-                            submitted_at: m.submitted_at,
-                            dispatched_at: done.submitted_at,
-                            started_at: done.started_at,
-                            finished_at: done.finished_at,
-                            placement: done.placement,
-                            resource_cost: CostBreakdown {
-                                vm_dollars: pixels_exec::batch::member_cost_share(
-                                    done.cost.vm_dollars,
-                                    n,
-                                ),
-                                cf_dollars: pixels_exec::batch::member_cost_share(
-                                    done.cost.cf_dollars,
-                                    n,
-                                ),
-                            },
-                            price: self.cfg.prices.bill_mode(m.mode, share),
-                            scan_bytes: share,
-                            degraded: done.degraded,
-                            speculative: done.speculative,
-                        });
-                    }
-                    continue;
-                }
-                let pos = self
-                    .dispatched
-                    .iter()
-                    .position(|(id, _)| *id == done.id)
-                    .expect("completion for unknown dispatch");
-                let (_, meta) = self.dispatched.swap_remove(pos);
-                self.records.push(QueryRecord {
-                    id: done.id,
-                    class: meta.class,
-                    mode: meta.mode,
-                    tenant: meta.tenant,
-                    submitted_at: meta.submitted_at,
-                    dispatched_at: meta.dispatched_at,
-                    started_at: done.started_at,
-                    finished_at: done.finished_at,
-                    placement: done.placement,
-                    resource_cost: done.cost,
-                    price: self.cfg.prices.bill_mode(meta.mode, done.scan_bytes),
-                    scan_bytes: done.scan_bytes,
-                    degraded: done.degraded,
-                    speculative: done.speculative,
-                });
-            }
-            self.drain_queues();
-        }
     }
 
     /// Run a legacy single-tenant workload trace to completion (plus a
@@ -510,44 +287,290 @@ impl ServerSim {
         max_drain: SimDuration,
     ) -> SimReport {
         submissions.sort_by_key(|s| s.at);
-        for (next_id, s) in submissions.iter().enumerate() {
-            self.advance(s.at);
-            let tenant = self.intern(&s.tenant);
-            self.submit(QueryId(next_id as u64), s.class, s.mode, tenant);
-        }
-        // Drain: run until everything completes or the drain budget ends.
-        let drain_end = self.now + max_drain;
-        while self.now < drain_end {
-            let all_done =
-                self.dispatched.is_empty() && self.queue.depth() == 0 && self.batches.is_empty();
-            if all_done {
-                break;
-            }
-            let step = self.now + SimDuration::from_secs(1);
-            self.advance(step);
-        }
-        let unfinished = self.dispatched.len()
-            + self.queue.depth()
-            + self.batches.iter().map(|(_, m)| m.len()).sum::<usize>();
-        let policy = self.policy();
-        let mut records = self.records;
+        let trace: Vec<Arrival> = submissions
+            .iter()
+            .map(|s| Arrival {
+                at: s.at,
+                class: s.class,
+                mode: s.mode,
+                tenant: self.intern(&s.tenant),
+            })
+            .collect();
+        let (mut records, mut rejected) = (Vec::new(), Vec::new());
+        let end_time = self.drive(trace, max_drain, &mut |outcome| match outcome {
+            Outcome::Completed(r) => records.push(r),
+            Outcome::Rejected(r) => rejected.push(r),
+        });
         records.sort_by_key(|r| (r.submitted_at, r.id));
+        let cluster = &self.capacity;
         SimReport {
             records,
-            rejected: self.rejected,
+            rejected,
+            policy: self.policy(),
+            unfinished: self.unfinished(),
+            end_time,
+            vm_worker_series: cluster.vm.worker_series.clone(),
+            concurrency_series: cluster.vm.concurrency_series.clone(),
+            cf_worker_series: cluster.cf.worker_series.clone(),
+            scale_out_events: cluster.vm.scale_out_events,
+            scale_in_events: cluster.vm.scale_in_events,
+            scale_out_times: cluster.vm.scale_out_times.clone(),
+            scale_in_times: cluster.vm.scale_in_times.clone(),
+            total_resource_cost: cluster.total_resource_cost(),
+            fault_stats: cluster.stats,
             tenant_names: self.tenant_names,
-            policy,
-            unfinished,
-            end_time: self.now,
-            vm_worker_series: self.coordinator.vm.worker_series.clone(),
-            concurrency_series: self.coordinator.vm.concurrency_series.clone(),
-            cf_worker_series: self.coordinator.cf.worker_series.clone(),
-            scale_out_events: self.coordinator.vm.scale_out_events,
-            scale_in_events: self.coordinator.vm.scale_in_events,
-            scale_out_times: self.coordinator.vm.scale_out_times.clone(),
-            scale_in_times: self.coordinator.vm.scale_in_times.clone(),
-            total_resource_cost: self.coordinator.total_resource_cost(),
-            fault_stats: self.coordinator.stats,
+        }
+    }
+}
+
+impl<C: Capacity> ServerSim<C> {
+    /// A server over any capacity model (`cfg.tick` is the cluster model's
+    /// step; other models ignore it).
+    pub(crate) fn over(capacity: C, cfg: ServerConfig) -> Self {
+        ServerSim {
+            capacity,
+            cfg,
+            queue: FairQueue::new(),
+            events: EventQueue::new(),
+            trace: Vec::new(),
+            waiting: HashMap::new(),
+            running: HashMap::new(),
+            tenant_names: Vec::new(),
+            tenant_ids: HashMap::new(),
+            stats: DriveStats::default(),
+        }
+    }
+
+    /// Set a tenant's fair-share weight before running.
+    pub fn set_tenant_weight(&mut self, tenant: &str, weight: f64) {
+        self.queue.set_weight(tenant, weight);
+    }
+
+    /// The admission policy shared with the live server, built from this
+    /// sim's knobs.
+    pub(crate) fn policy(&self) -> SchedulerPolicy {
+        SchedulerPolicy {
+            grace: self.cfg.grace_period,
+            besteffort_max_wait: self.cfg.besteffort_max_wait,
+        }
+    }
+
+    /// The index [`QueryRecord::tenant`] carries for `tenant`, in order of
+    /// first mention.
+    pub(crate) fn intern(&mut self, tenant: &str) -> u32 {
+        if let Some(&i) = self.tenant_ids.get(tenant) {
+            return i;
+        }
+        let i = self.tenant_names.len() as u32;
+        self.tenant_names.push(tenant.to_string());
+        self.tenant_ids.insert(tenant.to_string(), i);
+        i
+    }
+
+    /// Queries admitted but not completed: queued, or riding an execution.
+    pub(crate) fn unfinished(&self) -> usize {
+        self.queue.depth() + self.running.values().map(Vec::len).sum::<usize>()
+    }
+
+    /// Run `trace` (sorted by arrival time) and then drain: until everything
+    /// completed or `max_drain` has passed since the last admission, checked
+    /// once a second. Records and rejections go to `sink` as they happen;
+    /// returns the time the run stopped.
+    pub(crate) fn drive(
+        &mut self,
+        trace: Vec<Arrival>,
+        max_drain: SimDuration,
+        sink: &mut dyn FnMut(Outcome),
+    ) -> SimTime {
+        debug_assert!(trace.windows(2).all(|w| w[0].at <= w[1].at));
+        // Arrivals go in first so they lead every same-instant event.
+        for (i, a) in trace.iter().enumerate() {
+            self.events.schedule(a.at, Event::Arrive(i as u32));
+        }
+        let last_arrival = trace.last().map_or(SimTime::ZERO, |a| a.at);
+        self.events.schedule(last_arrival, Event::DrainCheck);
+        self.trace = trace;
+        let (_, first_wake) = self.capacity.wake(SimTime::ZERO);
+        self.schedule_wake(first_wake);
+        let mut drain_end = None;
+        loop {
+            let next = self.events.pop();
+            let (now, event) = next.expect("the drain check ends the run");
+            if !matches!(event, Event::Wake) {
+                if let Some(at) = self.capacity.defer_until(now) {
+                    self.events.schedule(at, event);
+                    continue;
+                }
+            }
+            match event {
+                Event::Arrive(i) => self.submit(i, now, sink),
+                Event::ForceBound => {}
+                Event::Wake => {
+                    self.capacity.relaxed_backlog(self.queue.relaxed_depth());
+                    let (done, next) = self.capacity.wake(now);
+                    self.schedule_wake(next);
+                    for d in done {
+                        self.complete(d, sink);
+                    }
+                }
+                Event::DrainCheck => {
+                    let end = *drain_end.get_or_insert(now + max_drain);
+                    if self.unfinished() == 0 || now >= end {
+                        return now;
+                    }
+                    self.events
+                        .schedule(now + SimDuration::from_secs(1), Event::DrainCheck);
+                }
+            }
+            self.drain_queues(now);
+        }
+    }
+
+    fn schedule_wake(&mut self, at: Option<SimTime>) {
+        if let Some(at) = at {
+            self.events.schedule(at, Event::Wake);
+        }
+    }
+
+    fn load(&self) -> LoadSignal {
+        LoadSignal::basic(self.capacity.overloaded(), self.capacity.nearly_idle())
+    }
+
+    /// Admit trace entry `i` at `now` (paper §3.2 admission). The
+    /// dispatch-vs-queue-vs-reject decision is the [`SchedulerPolicy`]'s;
+    /// this driver only executes the verdict.
+    fn submit(&mut self, i: u32, now: SimTime, sink: &mut dyn FnMut(Outcome)) {
+        let Arrival {
+            class,
+            mode,
+            tenant,
+            ..
+        } = self.trace[i as usize];
+        let work = QueryWork::from_class(class);
+        // Feasibility estimate for deadline admission: the class's execution
+        // time at its own parallelism — the same model the live server gets
+        // from the planner.
+        let est_us = match mode {
+            AdmissionMode::Deadline { .. } => {
+                work.exec_time_on_cores(work.parallelism as f64).as_micros()
+            }
+            AdmissionMode::Level(_) => 0,
+        };
+        let tenant_name = &self.tenant_names[tenant as usize];
+        let load = LoadSignal {
+            tenant_depth: self.queue.tenant_class_depth(tenant_name, mode),
+            total_depth: self.queue.depth(),
+            ..self.load()
+        };
+        match self
+            .policy()
+            .admit_mode(mode, load, now.as_micros(), est_us)
+        {
+            Admission::DispatchNow => self.start(vec![(i, now)], work, false, now),
+            Admission::Queue { deadline_us } => {
+                let batchable = self.cfg.batch_besteffort
+                    && mode == AdmissionMode::Level(ServiceLevel::BestEffort);
+                self.queue.push(QueuedQuery {
+                    id: i as u64,
+                    tenant: tenant_name.clone(),
+                    mode,
+                    deadline_us,
+                    enqueued_us: now.as_micros(),
+                    batch_key: batchable.then_some(class as u64),
+                });
+                self.waiting.insert(i as u64, now);
+                // Fires exactly at the bound: a deadline query forced at its
+                // latest feasible start still finishes on target.
+                self.events
+                    .schedule(SimTime::from_micros(deadline_us), Event::ForceBound);
+            }
+            Admission::Reject { reason } => sink(Outcome::Rejected(RejectedRecord {
+                id: QueryId(i as u64),
+                tenant,
+                mode,
+                at: now,
+                reason,
+            })),
+        }
+    }
+
+    /// Hand one execution — a query, or a batch under its carrier
+    /// `members[0]` — to the capacity model.
+    fn start(&mut self, members: Vec<Ticket>, work: QueryWork, forced: bool, now: SimTime) {
+        let carrier = QueryId(members[0].0 as u64);
+        let cf_enabled = self.trace[members[0].0 as usize].mode.cf_enabled();
+        let wake = self.capacity.start(carrier, work, cf_enabled, forced, now);
+        self.schedule_wake(wake);
+        self.running.insert(carrier, members);
+    }
+
+    /// Dispatch from the fair queue until the load signal says stop. Load is
+    /// re-read every selection: each dispatch can flip the watermarks.
+    fn drain_queues(&mut self, now: SimTime) {
+        while let Some(grant) = self.queue.select(self.load(), now.as_micros()) {
+            let mut ticket = |id: u64| {
+                let admitted = self.waiting.remove(&id);
+                (id as u32, admitted.expect("queued query has a ticket"))
+            };
+            let mut members = vec![ticket(grant.id)];
+            let Arrival { class, mode, .. } = self.trace[grant.id as usize];
+            let mut work = QueryWork::from_class(class);
+            if grant.forced {
+                // Forced starts never batch: the bound is the carrier's own
+                // promise, and merged members would jump *their* bounds.
+                self.stats.forced_starts += 1;
+            } else if self.cfg.batch_besteffort
+                && mode == AdmissionMode::Level(ServiceLevel::BestEffort)
+            {
+                let limit = self.cfg.max_batch.saturating_sub(1);
+                let riders = self.queue.take_batch(class as u64, limit);
+                members.extend(riders.iter().map(|q| ticket(q.id)));
+                if !riders.is_empty() {
+                    // Shared scan: the table is read once; per-query CPU
+                    // beyond the scan still scales with members, at the
+                    // shared-work discount.
+                    work.cpu_seconds = batch::merged_cpu_seconds(work.cpu_seconds, members.len());
+                    self.stats.batches += 1;
+                    self.stats.batched_members += riders.len() as u64;
+                }
+            }
+            self.start(members, work, grant.forced, now);
+        }
+    }
+
+    /// One completed execution fans out into a record per member, splitting
+    /// the scan and its provider cost (a lone query is a batch of one).
+    fn complete(&mut self, done: QueryCompletion, sink: &mut dyn FnMut(Outcome)) {
+        let members = self.running.remove(&done.id);
+        let members = members.expect("completion for unknown dispatch");
+        let n = members.len();
+        for (m, &(i, submitted_at)) in members.iter().enumerate() {
+            let Arrival {
+                class,
+                mode,
+                tenant,
+                ..
+            } = self.trace[i as usize];
+            let share = batch::member_share(done.scan_bytes, n, m);
+            sink(Outcome::Completed(QueryRecord {
+                id: QueryId(i as u64),
+                class,
+                mode,
+                tenant,
+                submitted_at,
+                dispatched_at: done.submitted_at,
+                started_at: done.started_at,
+                finished_at: done.finished_at,
+                placement: done.placement,
+                resource_cost: CostBreakdown {
+                    vm_dollars: batch::member_cost_share(done.cost.vm_dollars, n),
+                    cf_dollars: batch::member_cost_share(done.cost.cf_dollars, n),
+                },
+                price: self.cfg.prices.bill_mode(mode, share),
+                scan_bytes: share,
+                degraded: done.degraded,
+                speculative: done.speculative,
+            }));
         }
     }
 }
@@ -609,29 +632,12 @@ impl SimReport {
     }
 
     /// Build the economics ledger for this run: one entry per completed
-    /// query, in record order, carrying exactly the dollars the records
-    /// carry — so reconciliation against `records` is bit-for-bit. Rejected
+    /// query, in record order ([`QueryRecord::ledger_entry`]). Rejected
     /// submissions deliberately never appear here.
     pub fn ledger(&self) -> pixels_obs::Ledger {
         let ledger = pixels_obs::Ledger::new();
         for r in &self.records {
-            ledger.append(pixels_obs::LedgerEntry {
-                query: r.id.to_string(),
-                tenant: self.tenant_name(r.tenant).to_string(),
-                level: r.mode.name().to_string(),
-                bytes_billed: r.scan_bytes,
-                revenue_dollars: r.price,
-                vm_dollars: r.resource_cost.vm_dollars,
-                cf_dollars: r.resource_cost.cf_dollars,
-                provider_cf_dollars: r.resource_cost.cf_dollars,
-                // The workload simulator submits single-stage queries only;
-                // shuffle provider dollars are exercised by the parity and
-                // exchange differential harnesses.
-                shuffle_dollars: 0.0,
-                degraded: r.degraded,
-                speculative: r.speculative,
-                at_us: r.finished_at.as_micros(),
-            });
+            ledger.append(r.ledger_entry(self.tenant_name(r.tenant)));
         }
         ledger
     }
@@ -648,18 +654,7 @@ impl SimReport {
         clock.set_micros(self.end_time.as_micros());
         let tracker = pixels_obs::SloTracker::new(clock, self.policy.slo_objectives());
         for r in &self.records {
-            match r.mode {
-                AdmissionMode::Level(_) => tracker.record_at(
-                    r.mode.name(),
-                    r.pending().as_micros(),
-                    r.finished_at.as_micros(),
-                ),
-                AdmissionMode::Deadline { target_us } => tracker.record_at(
-                    DEADLINE_LEVEL,
-                    r.total_latency().as_micros().saturating_sub(target_us),
-                    r.finished_at.as_micros(),
-                ),
-            };
+            tracker.record_at(r.mode.name(), r.slo_latency_us(), r.finished_at.as_micros());
         }
         for rej in &self.rejected {
             tracker.record_at(rej.mode.name(), u64::MAX, rej.at.as_micros());
@@ -667,11 +662,11 @@ impl SimReport {
         tracker
     }
 
-    /// Mean user price per query at a level.
-    pub fn mean_price(&self, level: ServiceLevel) -> f64 {
+    /// Mean of `f` over a level's records (0 when there are none).
+    fn mean_at(&self, level: ServiceLevel, f: impl Fn(&QueryRecord) -> f64) -> f64 {
         let (mut total, mut n) = (0.0, 0usize);
         for r in self.records_at(level) {
-            total += r.price;
+            total += f(r);
             n += 1;
         }
         if n == 0 {
@@ -681,101 +676,76 @@ impl SimReport {
         }
     }
 
+    /// Mean user price per query at a level.
+    pub fn mean_price(&self, level: ServiceLevel) -> f64 {
+        self.mean_at(level, |r| r.price)
+    }
+
+    /// Fraction of queries at a level that ran in CF.
+    pub fn cf_fraction(&self, level: ServiceLevel) -> f64 {
+        self.mean_at(level, |r| {
+            matches!(r.placement, Placement::Cf { .. }) as u64 as f64
+        })
+    }
+
     /// Publish this run's scheduler/autoscaler statistics into a metrics
     /// registry, under the same naming convention the live server uses —
     /// one `/metrics` surface serves real executions and simulations alike.
     pub fn export_metrics(&self, registry: &pixels_obs::MetricsRegistry) {
-        let groups: Vec<(&'static str, Vec<&QueryRecord>)> = ServiceLevel::ALL
-            .iter()
-            .map(|&level| (level.name(), self.records_at(level).collect()))
-            .chain(std::iter::once((
-                DEADLINE_LEVEL,
-                self.deadline_records().collect(),
-            )))
-            .collect();
-        for (name, group) in &groups {
-            let mut cf = 0u64;
-            for r in group {
-                if matches!(r.placement, Placement::Cf { .. }) {
-                    cf += 1;
-                }
-                registry
-                    .histogram(
+        let levels = ServiceLevel::ALL.map(ServiceLevel::name);
+        for level in levels.into_iter().chain([DEADLINE_LEVEL]) {
+            let (mut n, mut cf) = (0u64, 0u64);
+            for r in self.records.iter().filter(|r| r.mode.name() == level) {
+                n += 1;
+                cf += matches!(r.placement, Placement::Cf { .. }) as u64;
+                for (name, help, value) in [
+                    (
                         "pixels_sim_query_pending_seconds",
                         "Simulated time from submission to execution start",
-                        &[],
-                        None,
-                    )
-                    .observe(r.pending().as_secs_f64());
-                registry
-                    .histogram(
+                        r.pending(),
+                    ),
+                    (
                         "pixels_sim_query_execution_seconds",
                         "Simulated query execution time",
-                        &[],
-                        None,
-                    )
-                    .observe(r.execution().as_secs_f64());
+                        r.execution(),
+                    ),
+                ] {
+                    let histogram = registry.histogram(name, help, &[], None);
+                    histogram.observe(value.as_secs_f64());
+                }
             }
-            registry
-                .counter_with(
+            for (name, help, value) in [
+                (
                     "pixels_sim_queries_total",
                     "Simulated queries completed, per service level",
-                    &[("level", name)],
-                )
-                .add(group.len() as u64);
-            registry
-                .counter_with(
+                    n,
+                ),
+                (
                     "pixels_sim_cf_queries_total",
                     "Simulated queries placed on the cloud-function tier",
-                    &[("level", name)],
-                )
-                .add(cf);
+                    cf,
+                ),
+            ] {
+                let counter = registry.counter_with(name, help, &[("level", level)]);
+                counter.add(value);
+            }
         }
-        registry
-            .counter(
+        for (name, help, value) in [
+            (
                 "pixels_sim_rejected_total",
                 "Simulated submissions refused at admission (infeasible deadline)",
-            )
-            .add(self.rejected.len() as u64);
-        registry
-            .counter(
+                self.rejected.len() as u64,
+            ),
+            (
                 "pixels_turbo_vm_scale_out_events_total",
                 "VM cluster scale-out decisions",
-            )
-            .add(self.scale_out_events as u64);
-        registry
-            .counter(
+                self.scale_out_events as u64,
+            ),
+            (
                 "pixels_turbo_vm_scale_in_events_total",
                 "VM cluster scale-in decisions",
-            )
-            .add(self.scale_in_events as u64);
-        let peak = self.vm_worker_series.max_over(
-            SimTime::ZERO,
-            self.end_time + pixels_sim::SimDuration::from_secs(1),
-        );
-        if peak.is_finite() {
-            registry
-                .gauge(
-                    "pixels_sim_vm_workers_peak",
-                    "Peak VM worker count over the simulated run",
-                )
-                .set(peak);
-        }
-        registry
-            .gauge_with(
-                "pixels_sim_resource_cost_dollars",
-                "Provider-side resource cost of the simulated run",
-                &[("component", "vm")],
-            )
-            .set(self.total_resource_cost.vm_dollars);
-        registry
-            .gauge_with(
-                "pixels_sim_resource_cost_dollars",
-                "Provider-side resource cost of the simulated run",
-                &[("component", "cf")],
-            )
-            .set(self.total_resource_cost.cf_dollars);
-        for (name, help, value) in [
+                self.scale_in_events as u64,
+            ),
             (
                 "pixels_turbo_cf_crashes_total",
                 "CF fleets that crashed mid-run",
@@ -809,6 +779,13 @@ impl SimReport {
         ] {
             registry.counter(name, help).add(value);
         }
+        let peak = self
+            .vm_worker_series
+            .max_over(SimTime::ZERO, self.end_time + SimDuration::from_secs(1));
+        if peak.is_finite() {
+            let help = "Peak VM worker count over the simulated run";
+            registry.gauge("pixels_sim_vm_workers_peak", help).set(peak);
+        }
         // SLO and economics families, via the exact exporters the live
         // server mounts — one dollar/burn-rate surface for both drivers.
         self.slo_tracker().export(registry);
@@ -817,28 +794,29 @@ impl SimReport {
         // CF spend the per-query attribution cannot explain (e.g. fleets
         // that crashed before any query completed on them).
         let attributed: f64 = ledger.entries().iter().map(|e| e.cf_dollars).sum();
-        registry
-            .gauge_with(
+        let cost = self.total_resource_cost;
+        for (name, help, component, dollars) in [
+            (
+                "pixels_sim_resource_cost_dollars",
+                "Provider-side resource cost of the simulated run",
+                "vm",
+                cost.vm_dollars,
+            ),
+            (
+                "pixels_sim_resource_cost_dollars",
+                "Provider-side resource cost of the simulated run",
+                "cf",
+                cost.cf_dollars,
+            ),
+            (
                 "pixels_ledger_provider_dollars",
                 "Provider spend recorded in the ledger, by component.",
-                &[("component", "cf_unattributed")],
-            )
-            .set((self.total_resource_cost.cf_dollars - attributed).max(0.0));
-    }
-
-    /// Fraction of queries at a level that ran in CF.
-    pub fn cf_fraction(&self, level: ServiceLevel) -> f64 {
-        let (mut cf, mut n) = (0usize, 0usize);
-        for r in self.records_at(level) {
-            if matches!(r.placement, Placement::Cf { .. }) {
-                cf += 1;
-            }
-            n += 1;
-        }
-        if n == 0 {
-            0.0
-        } else {
-            cf as f64 / n as f64
+                "cf_unattributed",
+                (cost.cf_dollars - attributed).max(0.0),
+            ),
+        ] {
+            let gauge = registry.gauge_with(name, help, &[("component", component)]);
+            gauge.set(dollars);
         }
     }
 }

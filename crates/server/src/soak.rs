@@ -1,36 +1,36 @@
 //! Long-horizon admission soak: millions of simulated users driven through
-//! the tenant-aware admission core on an event-driven virtual clock.
+//! the tenant-aware admission core.
 //!
-//! The tick-based [`crate::sim::ServerSim`] runs the full coordinator
-//! (autoscaling, CF fleets, stragglers) and is the right tool for
-//! fine-grained experiments, but a 100 ms tick cannot cover weeks of
-//! simulated time with millions of queries. This harness trades the
-//! cluster micro-model for an analytic capacity model (a VM fleet of
-//! `vm_cores` cores plus an elastic CF tier) and advances time event by
-//! event — arrival, completion, force-start — so a 1M-user soak finishes
-//! in seconds of wall time while exercising the *same* admission core the
-//! live server uses: [`SchedulerPolicy::admit_mode`] verdicts, the
-//! deficit-weighted [`FairQueue`], EDF deadline ordering, feasibility
-//! rejection, and best-of-effort shared-scan batching via
-//! [`pixels_exec::batch`].
+//! The soak is a configuration of the one simulated server,
+//! [`crate::sim::ServerSim`], not a second driver: admission verdicts, the
+//! deficit-weighted fair queue, EDF deadline ordering, feasibility
+//! rejection, best-of-effort shared-scan batching, record pricing and the
+//! event clock are the driver's. What this module adds is the traffic
+//! ([`plan_submissions`]), a capacity model cheap enough for weeks of
+//! virtual time ([`AnalyticFleet`]: closed-form placement, runtime and cost,
+//! woken only when a run finishes — where the cluster micro-model steps
+//! every 100 ms), and a record sink that folds each outcome into running
+//! totals, so a 1M-user soak finishes in seconds of wall time and holds no
+//! per-query record.
 //!
 //! Billing discipline matches the live path bit-for-bit: every completed
-//! query appends exactly the dollars it accumulated (in completion order),
-//! rejected queries never bill, and batch members split one scan's bytes
-//! with [`pixels_exec::batch::member_share`] — so the report's per-tenant
-//! revenue reconciles exactly against a [`pixels_obs::Ledger`] replay.
+//! query appends exactly the dollars its record carries (in completion
+//! order), rejected queries never bill, and batch members split one scan's
+//! bytes with [`pixels_exec::batch::member_share`] — so the report's
+//! per-tenant revenue reconciles exactly against a [`pixels_obs::Ledger`]
+//! replay.
 
-use crate::fair::{FairQueue, QueuedQuery};
-use crate::pricing::PriceSchedule;
-use crate::scheduler::{Admission, AdmissionMode, LoadSignal, SchedulerPolicy, DEADLINE_LEVEL};
+use crate::scheduler::{AdmissionMode, DEADLINE_LEVEL};
 use crate::service_level::ServiceLevel;
-use pixels_common::Json;
+use crate::sim::{Arrival, DriveStats, Outcome, QueryRecord, ServerConfig, ServerSim};
+use pixels_common::{Json, QueryId};
 use pixels_obs::{Ledger, LedgerEntry, MetricsRegistry};
 use pixels_sim::{SimDuration, SimTime};
-use pixels_turbo::{QueryWork, ResourcePricing};
-use pixels_workload::{arrivals, QueryClass, WorkloadTrace};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use pixels_turbo::{
+    Capacity, CostBreakdown, Placement, QueryCompletion, QueryWork, ResourcePricing,
+};
+use pixels_workload::{arrivals, WorkloadTrace};
+use std::collections::BTreeMap;
 
 /// Configuration of one soak run. All times are virtual.
 #[derive(Debug, Clone)]
@@ -110,7 +110,7 @@ impl SoakConfig {
 }
 
 /// Per-admission-mode outcome summary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ModeStats {
     pub name: String,
     pub completed: u64,
@@ -123,7 +123,7 @@ pub struct ModeStats {
 }
 
 /// Per-tenant outcome summary (the fairness evidence).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantStats {
     pub name: String,
     pub completed: u64,
@@ -134,7 +134,7 @@ pub struct TenantStats {
 }
 
 /// Result of one soak run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SoakReport {
     pub submitted: u64,
     pub completed: u64,
@@ -164,7 +164,16 @@ pub struct SoakReport {
     pub revenue_fold_bits: u64,
 }
 
-const MODE_GROUPS: [&str; 4] = ["immediate", "relaxed", "best_effort", DEADLINE_LEVEL];
+/// Report groups: the name in the report, and one mode of the group.
+const MODE_GROUPS: [(&str, AdmissionMode); 4] = [
+    ("immediate", AdmissionMode::Level(ServiceLevel::Immediate)),
+    ("relaxed", AdmissionMode::Level(ServiceLevel::Relaxed)),
+    (
+        "best_effort",
+        AdmissionMode::Level(ServiceLevel::BestEffort),
+    ),
+    (DEADLINE_LEVEL, AdmissionMode::Deadline { target_us: 0 }),
+];
 
 fn mode_group(mode: AdmissionMode) -> usize {
     match mode {
@@ -204,57 +213,194 @@ pub fn nearest_tier(target_us: u64) -> ServiceLevel {
 
 /// One pre-generated submission.
 struct Planned {
-    at_us: u64,
-    class: QueryClass,
-    tenant: u32,
-    mode: AdmissionMode,
+    arrival: Arrival,
     /// Original deadline target, kept even when the mode was mapped to a
     /// fixed tier — the yardstick for `deadline_target_violations`.
     orig_target_us: Option<u64>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKind {
-    /// Index into the planned-submission table.
-    Arrive(u32),
-    /// Query id whose force-start bound expires now.
-    Recheck(u64),
-    /// Query id finishing execution.
-    Finish(u64),
+/// The analytic capacity model: a VM fleet of `vm_cores` cores plus an
+/// elastic CF tier. `overloaded` at ≥ capacity, `nearly_idle` at ≤ a quarter
+/// of it. CF absorbs overload for CF-eligible modes (immediate always, and
+/// deadline queries — including their forced starts); everything else runs
+/// on (possibly over-committed) VM cores. A run takes the work's execution
+/// time at its own parallelism on either tier: CF elasticity offsets the
+/// per-worker efficiency penalty, so latency matches the VM tier but the
+/// provider pays the CF premium (efficiency-inflated GB-seconds plus
+/// invocations).
+#[derive(Default)]
+pub struct AnalyticFleet {
+    vm_cores: u64,
+    busy_cores: u64,
+    pricing: ResourcePricing,
+    /// Runs in flight by (finish time, start order), with the cores each
+    /// holds.
+    running: BTreeMap<(SimTime, u64), (QueryCompletion, u64)>,
+    started: u64,
 }
 
-struct Running {
-    ids: Vec<u64>,
-    cores: u64,
-    cf_workers: u32,
-    scan_bytes: u64,
-    vm_dollars: f64,
-    cf_dollars: f64,
-}
-
-struct InFlight {
-    idx: u32,
-    submitted_us: u64,
-    started_us: u64,
-}
-
-struct Accum {
-    completed: u64,
-    rejected: u64,
-    wait_sum_us: u128,
-    wait_max_us: u64,
-    revenue: f64,
-}
-
-impl Accum {
-    fn new() -> Accum {
-        Accum {
-            completed: 0,
-            rejected: 0,
-            wait_sum_us: 0,
-            wait_max_us: 0,
-            revenue: 0.0,
+impl AnalyticFleet {
+    pub fn new(vm_cores: u64, pricing: ResourcePricing) -> Self {
+        AnalyticFleet {
+            vm_cores,
+            pricing,
+            ..AnalyticFleet::default()
         }
+    }
+}
+
+impl Capacity for AnalyticFleet {
+    fn overloaded(&self) -> bool {
+        self.busy_cores >= self.vm_cores
+    }
+
+    fn nearly_idle(&self) -> bool {
+        self.busy_cores * 4 <= self.vm_cores
+    }
+
+    fn start(
+        &mut self,
+        id: QueryId,
+        work: QueryWork,
+        cf_enabled: bool,
+        _forced: bool,
+        now: SimTime,
+    ) -> Option<SimTime> {
+        let workers = work.parallelism.max(1);
+        let (cores, placement, vm_dollars, cf_dollars) = if self.overloaded() && cf_enabled {
+            let per_worker = SimDuration::from_secs_f64(
+                work.cpu_seconds / self.pricing.cf_efficiency / workers as f64,
+            );
+            let cf_dollars = self.pricing.cf_cost(workers, per_worker);
+            (0, Placement::Cf { workers }, 0.0, cf_dollars)
+        } else {
+            let vm_dollars = self.pricing.vm_cost(work.cpu_seconds);
+            (work.parallelism as u64, Placement::Vm, vm_dollars, 0.0)
+        };
+        let exec = work.exec_time_on_cores(work.parallelism as f64);
+        let finished_at = now + exec.max(SimDuration::from_micros(1));
+        self.busy_cores += cores;
+        let done = QueryCompletion {
+            id,
+            submitted_at: now,
+            started_at: now,
+            finished_at,
+            placement,
+            cost: CostBreakdown {
+                vm_dollars,
+                cf_dollars,
+            },
+            scan_bytes: work.scan_bytes,
+            degraded: false,
+            speculative: false,
+            shuffle_dollars: 0.0,
+        };
+        self.running
+            .insert((finished_at, self.started), (done, cores));
+        self.started += 1;
+        Some(finished_at)
+    }
+
+    /// Every start asked for its own wake, so each wake retires exactly one
+    /// run: same-instant finishes then interleave with the driver's other
+    /// events (and the queue drain after each) in the order the runs began.
+    fn wake(&mut self, now: SimTime) -> (Vec<QueryCompletion>, Option<SimTime>) {
+        let due = self.running.first_entry().filter(|e| e.key().0 <= now);
+        let done = due.map(|e| {
+            let (done, cores) = e.remove();
+            self.busy_cores -= cores;
+            done
+        });
+        (done.into_iter().collect(), None)
+    }
+}
+
+/// The soak's record sink: each outcome is folded into the report the moment
+/// the driver emits it.
+struct Tally<'a> {
+    report: SoakReport,
+    plan: &'a [Planned],
+    collect_ledger: bool,
+    /// SLO bound per [`MODE_GROUPS`] entry, from the run's own policy.
+    slo_bound_us: [u64; 4],
+    /// Completion latencies per mode group, for the percentiles.
+    latency_us: [Vec<u64>; 4],
+    /// Summed wait per tenant, for the means.
+    wait_sum_us: Vec<u128>,
+    last_finish: SimTime,
+}
+
+impl Tally<'_> {
+    fn fold(&mut self, outcome: Outcome) {
+        match outcome {
+            Outcome::Rejected(r) => {
+                self.report.tenants[r.tenant as usize].rejected += 1;
+                self.report.modes[mode_group(r.mode)].rejected += 1;
+                // The user never got an answer: missed, whatever the target.
+                self.against_target(r.id, u64::MAX);
+            }
+            Outcome::Completed(r) => self.completed(r),
+        }
+    }
+
+    /// Score a deadline-assigned query against its *original* target.
+    fn against_target(&mut self, id: QueryId, latency_us: u64) {
+        if let Some(target_us) = self.plan[id.0 as usize].orig_target_us {
+            self.report.deadline_population += 1;
+            self.report.deadline_target_violations += (latency_us > target_us) as u64;
+        }
+    }
+
+    fn completed(&mut self, r: QueryRecord) {
+        let g = mode_group(r.mode);
+        let total = r.total_latency().as_micros();
+        let mode = &mut self.report.modes[g];
+        mode.completed += 1;
+        mode.revenue_dollars += r.price;
+        mode.sla_violations += (r.slo_latency_us() > self.slo_bound_us[g]) as u64;
+        self.latency_us[g].push(total);
+        self.against_target(r.id, total);
+        let wait = r.pending().as_micros();
+        let tenant = &mut self.report.tenants[r.tenant as usize];
+        tenant.completed += 1;
+        tenant.max_wait_us = tenant.max_wait_us.max(wait);
+        tenant.revenue_dollars += r.price;
+        self.wait_sum_us[r.tenant as usize] += wait as u128;
+        self.report.revenue_dollars += r.price;
+        self.report.provider_dollars += r.resource_cost.vm_dollars + r.resource_cost.cf_dollars;
+        self.report.cf_placements += matches!(r.placement, Placement::Cf { .. }) as u64;
+        self.last_finish = self.last_finish.max(r.finished_at);
+        if self.collect_ledger {
+            let entry = r.ledger_entry(&tenant.name);
+            self.report.ledger_entries.push(entry);
+        }
+    }
+
+    fn finish(mut self, stats: DriveStats) -> SoakReport {
+        let mut report = self.report;
+        for (mode, latency_us) in report.modes.iter_mut().zip(&mut self.latency_us) {
+            latency_us.sort_unstable();
+            mode.p50_latency_us = percentile(latency_us, 0.50);
+            mode.p95_latency_us = percentile(latency_us, 0.95);
+            mode.p99_latency_us = percentile(latency_us, 0.99);
+        }
+        for (tenant, wait_sum_us) in report.tenants.iter_mut().zip(&self.wait_sum_us) {
+            tenant.mean_wait_us = (wait_sum_us / tenant.completed.max(1) as u128) as u64;
+        }
+        report.completed = report.modes.iter().map(|m| m.completed).sum();
+        report.rejected = report.modes.iter().map(|m| m.rejected).sum();
+        let first = self.plan.first().map_or(SimTime::ZERO, |p| p.arrival.at);
+        let span_us = self
+            .last_finish
+            .as_micros()
+            .saturating_sub(first.as_micros());
+        report.sim_duration = SimDuration::from_micros(span_us.max(1));
+        report.throughput_qps = report.completed as f64 / report.sim_duration.as_secs_f64();
+        report.revenue_fold_bits = report.revenue_dollars.to_bits();
+        report.forced_starts = stats.forced_starts;
+        report.batches = stats.batches;
+        report.batched_members = stats.batched_members;
+        report
     }
 }
 
@@ -265,451 +411,61 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         "need an adversary and at least one victim"
     );
     let plan = plan_submissions(cfg);
-    let policy = SchedulerPolicy {
-        grace: cfg.grace,
-        besteffort_max_wait: cfg.besteffort_max_wait,
-    };
-    let prices = PriceSchedule::default();
-    let resource = ResourcePricing::default();
-    let class_work: [QueryWork; 3] = [
-        QueryWork::from_class(QueryClass::Light),
-        QueryWork::from_class(QueryClass::Medium),
-        QueryWork::from_class(QueryClass::Heavy),
-    ];
-    let class_idx = |c: QueryClass| match c {
-        QueryClass::Light => 0usize,
-        QueryClass::Medium => 1,
-        QueryClass::Heavy => 2,
-    };
-    let est_us: [u64; 3] = std::array::from_fn(|i| vm_exec_us(&class_work[i]));
-
-    let tenant_names: Vec<String> = (0..cfg.tenants)
-        .map(|i| {
-            if i == 0 {
-                "adversary".to_string()
-            } else {
-                format!("t-{i:03}")
-            }
-        })
-        .collect();
-
-    // --- event loop state -------------------------------------------------
-    let mut heap: BinaryHeap<Reverse<(u64, u64, EventKind)>> = BinaryHeap::new();
-    let mut seq: u64 = 0;
-    let mut push_event = |heap: &mut BinaryHeap<_>, seq: &mut u64, at: u64, kind: EventKind| {
-        *seq += 1;
-        heap.push(Reverse((at, *seq, kind)));
-    };
-    for (i, p) in plan.iter().enumerate() {
-        push_event(&mut heap, &mut seq, p.at_us, EventKind::Arrive(i as u32));
-    }
-
-    let mut fair = FairQueue::new();
-    let mut waiting: HashMap<u64, InFlight> = HashMap::new();
-    let mut running: HashMap<u64, Running> = HashMap::new();
-    let mut flight: HashMap<u64, InFlight> = HashMap::new();
-    let mut busy_cores: u64 = 0;
-    let mut next_qid: u64 = 0;
-    let mut next_run: u64 = 0;
-
-    // --- accounting -------------------------------------------------------
-    let mut per_tenant: Vec<Accum> = (0..cfg.tenants).map(|_| Accum::new()).collect();
-    let mut mode_completed = [0u64; 4];
-    let mut mode_rejected = [0u64; 4];
-    let mut mode_violations = [0u64; 4];
-    let mut mode_revenue = [0.0f64; 4];
-    let mut mode_latency: [Vec<u64>; 4] = Default::default();
-    let mut revenue_fold = 0.0f64;
-    let mut provider_dollars = 0.0f64;
-    let mut ledger_entries: Vec<LedgerEntry> = Vec::new();
-    let mut forced_starts = 0u64;
-    let mut batches = 0u64;
-    let mut batched_members = 0u64;
-    let mut cf_placements = 0u64;
-    let mut deadline_violations = 0u64;
-    let mut deadline_population = 0u64;
-    let mut last_finish_us = 0u64;
-
-    let load = |fair: &FairQueue, busy: u64, tenant: &str, mode: AdmissionMode| LoadSignal {
-        overloaded: busy >= cfg.vm_cores,
-        nearly_idle: busy * 4 <= cfg.vm_cores,
-        tenant_depth: fair.tenant_class_depth(tenant, mode),
-        total_depth: fair.depth(),
-    };
-
-    while let Some(Reverse((now_us, _, kind))) = heap.pop() {
-        match kind {
-            EventKind::Arrive(i) => {
-                let p = &plan[i as usize];
-                let tenant = &tenant_names[p.tenant as usize];
-                let work = &class_work[class_idx(p.class)];
-                let est = est_us[class_idx(p.class)];
-                let sig = load(&fair, busy_cores, tenant, p.mode);
-                let id = next_qid;
-                next_qid += 1;
-                match policy.admit_mode(p.mode, sig, now_us, est) {
-                    Admission::DispatchNow => {
-                        let fl = InFlight {
-                            idx: i,
-                            submitted_us: now_us,
-                            started_us: now_us,
-                        };
-                        start(
-                            now_us,
-                            vec![(id, fl)],
-                            p.mode,
-                            work,
-                            sig.overloaded,
-                            false,
-                            &resource,
-                            &mut busy_cores,
-                            &mut running,
-                            &mut flight,
-                            &mut next_run,
-                            &mut heap,
-                            &mut seq,
-                            &mut push_event,
-                            &mut forced_starts,
-                        );
-                    }
-                    Admission::Queue { deadline_us } => {
-                        let batch_key = match p.mode {
-                            AdmissionMode::Level(ServiceLevel::BestEffort)
-                                if cfg.batch_besteffort =>
-                            {
-                                Some(class_idx(p.class) as u64)
-                            }
-                            _ => None,
-                        };
-                        fair.push(QueuedQuery {
-                            id,
-                            tenant: tenant.clone(),
-                            mode: p.mode,
-                            deadline_us,
-                            enqueued_us: now_us,
-                            batch_key,
-                        });
-                        waiting.insert(
-                            id,
-                            InFlight {
-                                idx: i,
-                                submitted_us: now_us,
-                                started_us: 0,
-                            },
-                        );
-                        // Fires exactly at the force-start bound: a queued
-                        // deadline query forced at its latest feasible
-                        // start still finishes on target, not 1 µs late.
-                        push_event(&mut heap, &mut seq, deadline_us, EventKind::Recheck(id));
-                    }
-                    Admission::Reject { .. } => {
-                        per_tenant[p.tenant as usize].rejected += 1;
-                        mode_rejected[mode_group(p.mode)] += 1;
-                        if p.orig_target_us.is_some() {
-                            deadline_population += 1;
-                            deadline_violations += 1;
-                        }
-                    }
-                }
-            }
-            EventKind::Recheck(_) => {
-                // The entry's force-start bound expired (or it already
-                // dispatched); the drain below picks it up via the fair
-                // queue's expiry index.
-            }
-            EventKind::Finish(run_id) => {
-                let done = running.remove(&run_id).expect("unknown run");
-                busy_cores -= done.cores;
-                last_finish_us = last_finish_us.max(now_us);
-                if done.cf_workers > 0 {
-                    cf_placements += done.ids.len() as u64;
-                }
-                let n = done.ids.len();
-                for (mi, qid) in done.ids.iter().enumerate() {
-                    let fl = flight.remove(qid).expect("unknown flight");
-                    let p = &plan[fl.idx as usize];
-                    let bytes = pixels_exec::batch::member_share(done.scan_bytes, n, mi);
-                    let price = prices.bill_mode(p.mode, bytes);
-                    let vm = pixels_exec::batch::member_cost_share(done.vm_dollars, n);
-                    let cf = pixels_exec::batch::member_cost_share(done.cf_dollars, n);
-                    let wait = fl.started_us - fl.submitted_us;
-                    let total = now_us - fl.submitted_us;
-                    let g = mode_group(p.mode);
-                    mode_completed[g] += 1;
-                    mode_revenue[g] += price;
-                    mode_latency[g].push(total);
-                    let violated = match p.mode {
-                        AdmissionMode::Level(ServiceLevel::Immediate) => {
-                            wait > crate::scheduler::IMMEDIATE_SLO_US
-                        }
-                        AdmissionMode::Level(ServiceLevel::Relaxed) => wait > cfg.grace.as_micros(),
-                        AdmissionMode::Level(ServiceLevel::BestEffort) => {
-                            wait > cfg.besteffort_max_wait.as_micros()
-                        }
-                        AdmissionMode::Deadline { target_us } => total > target_us,
-                    };
-                    if violated {
-                        mode_violations[g] += 1;
-                    }
-                    if let Some(target) = p.orig_target_us {
-                        deadline_population += 1;
-                        if total > target {
-                            deadline_violations += 1;
-                        }
-                    }
-                    let acc = &mut per_tenant[p.tenant as usize];
-                    acc.completed += 1;
-                    acc.wait_sum_us += wait as u128;
-                    acc.wait_max_us = acc.wait_max_us.max(wait);
-                    acc.revenue += price;
-                    revenue_fold += price;
-                    provider_dollars += vm + cf;
-                    if cfg.collect_ledger {
-                        ledger_entries.push(LedgerEntry {
-                            query: format!("q-{qid}"),
-                            tenant: tenant_names[p.tenant as usize].clone(),
-                            level: p.mode.name().to_string(),
-                            bytes_billed: bytes,
-                            revenue_dollars: price,
-                            vm_dollars: vm,
-                            cf_dollars: cf,
-                            provider_cf_dollars: cf,
-                            shuffle_dollars: 0.0,
-                            degraded: false,
-                            speculative: false,
-                            at_us: now_us,
-                        });
-                    }
-                }
-            }
-        }
-
-        // Drain the fair queue until the load signal says stop. Load is
-        // recomputed per grant: each dispatch occupies cores and can flip
-        // the cluster to overloaded / out of nearly-idle.
-        loop {
-            let sig = LoadSignal {
-                overloaded: busy_cores >= cfg.vm_cores,
-                nearly_idle: busy_cores * 4 <= cfg.vm_cores,
-                tenant_depth: 0,
-                total_depth: fair.depth(),
-            };
-            let Some(grant) = fair.select(sig, now_us) else {
-                break;
-            };
-            let fl = waiting.remove(&grant.id).expect("granted unknown id");
-            let p = &plan[fl.idx as usize];
-            let work = &class_work[class_idx(p.class)];
-            let mut members = vec![(
-                grant.id,
-                InFlight {
-                    idx: fl.idx,
-                    submitted_us: fl.submitted_us,
-                    started_us: now_us,
-                },
-            )];
-            // Carrier dispatching on merit may pull same-key
-            // best-of-effort members into one shared-scan execution.
-            // Forced starts never batch: the force bound is the carrier's
-            // own promise, not its batch-mates'.
-            if !grant.forced
-                && cfg.batch_besteffort
-                && matches!(p.mode, AdmissionMode::Level(ServiceLevel::BestEffort))
-            {
-                let key = class_idx(p.class) as u64;
-                for q in fair.take_batch(key, cfg.max_batch.saturating_sub(1)) {
-                    let wfl = waiting.remove(&q.id).expect("batch member unknown");
-                    members.push((
-                        q.id,
-                        InFlight {
-                            idx: wfl.idx,
-                            submitted_us: wfl.submitted_us,
-                            started_us: now_us,
-                        },
-                    ));
-                }
-            }
-            if members.len() > 1 {
-                batches += 1;
-                batched_members += members.len() as u64 - 1;
-            }
-            start(
-                now_us,
-                members,
-                p.mode,
-                work,
-                sig.overloaded,
-                grant.forced,
-                &resource,
-                &mut busy_cores,
-                &mut running,
-                &mut flight,
-                &mut next_run,
-                &mut heap,
-                &mut seq,
-                &mut push_event,
-                &mut forced_starts,
-            );
-        }
-    }
-
-    // --- report -----------------------------------------------------------
-    let completed: u64 = mode_completed.iter().sum();
-    let rejected: u64 = mode_rejected.iter().sum();
-    let first_us = plan.first().map(|p| p.at_us).unwrap_or(0);
-    let span_us = last_finish_us.saturating_sub(first_us).max(1);
-    let modes = MODE_GROUPS
-        .iter()
-        .enumerate()
-        .map(|(g, name)| {
-            let lat = &mut mode_latency[g];
-            lat.sort_unstable();
-            ModeStats {
-                name: name.to_string(),
-                completed: mode_completed[g],
-                rejected: mode_rejected[g],
-                sla_violations: mode_violations[g],
-                p50_latency_us: percentile(lat, 0.50),
-                p95_latency_us: percentile(lat, 0.95),
-                p99_latency_us: percentile(lat, 0.99),
-                revenue_dollars: mode_revenue[g],
-            }
-        })
-        .collect();
-    let tenants = per_tenant
-        .iter()
-        .enumerate()
-        .map(|(i, a)| TenantStats {
-            name: tenant_names[i].clone(),
-            completed: a.completed,
-            rejected: a.rejected,
-            mean_wait_us: if a.completed > 0 {
-                (a.wait_sum_us / a.completed as u128) as u64
-            } else {
-                0
-            },
-            max_wait_us: a.wait_max_us,
-            revenue_dollars: a.revenue,
-        })
-        .collect();
-    SoakReport {
-        submitted: plan.len() as u64,
-        completed,
-        rejected,
-        sim_duration: SimDuration::from_micros(span_us),
-        throughput_qps: completed as f64 / (span_us as f64 / 1e6),
-        revenue_dollars: revenue_fold,
-        provider_dollars,
-        forced_starts,
-        batches,
-        batched_members,
-        cf_placements,
-        deadline_target_violations: deadline_violations,
-        deadline_population,
-        modes,
-        tenants,
-        ledger_entries,
-        revenue_fold_bits: revenue_fold.to_bits(),
-    }
-}
-
-/// VM execution time in micros at the work's own parallelism.
-fn vm_exec_us(work: &QueryWork) -> u64 {
-    work.exec_time_on_cores(work.parallelism as f64).as_micros()
-}
-
-/// Dispatch one execution (single query or best-of-effort batch) onto the
-/// VM fleet or, when the VM tier has no headroom and the mode allows it,
-/// onto the elastic CF tier.
-#[allow(clippy::too_many_arguments)]
-fn start(
-    now_us: u64,
-    members: Vec<(u64, InFlight)>,
-    mode: AdmissionMode,
-    work: &QueryWork,
-    overloaded: bool,
-    forced: bool,
-    resource: &ResourcePricing,
-    busy_cores: &mut u64,
-    running: &mut HashMap<u64, Running>,
-    flight: &mut HashMap<u64, InFlight>,
-    next_run: &mut u64,
-    heap: &mut BinaryHeap<Reverse<(u64, u64, EventKind)>>,
-    seq: &mut u64,
-    push_event: &mut impl FnMut(
-        &mut BinaryHeap<Reverse<(u64, u64, EventKind)>>,
-        &mut u64,
-        u64,
-        EventKind,
-    ),
-    forced_starts: &mut u64,
-) {
-    if forced {
-        *forced_starts += 1;
-    }
-    let n = members.len();
-    let cpu = if n > 1 {
-        pixels_exec::batch::merged_cpu_seconds(work.cpu_seconds, n)
-    } else {
-        work.cpu_seconds
-    };
-    let merged = QueryWork {
-        scan_bytes: work.scan_bytes,
-        cpu_seconds: cpu,
-        parallelism: work.parallelism,
-    };
-    // CF absorbs overload for CF-eligible modes (immediate always, and
-    // forced deadline starts); everything else runs on (possibly
-    // over-committed) VM cores.
-    let on_cf = overloaded && mode.cf_enabled();
-    let (exec_us, cores, cf_workers, vm_dollars, cf_dollars) = if on_cf {
-        // CF elasticity offsets the per-worker efficiency penalty:
-        // latency matches the VM tier, but the provider pays the CF
-        // premium (efficiency-inflated GB-seconds plus invocations).
-        let workers = merged.parallelism.max(1);
-        let per_worker = SimDuration::from_secs_f64(
-            merged.cpu_seconds / resource.cf_efficiency / workers as f64,
-        );
-        (
-            vm_exec_us(&merged),
-            0u64,
-            workers,
-            0.0,
-            resource.cf_cost(workers, per_worker),
-        )
-    } else {
-        (
-            vm_exec_us(&merged),
-            merged.parallelism as u64,
-            0u32,
-            resource.vm_cost(merged.cpu_seconds),
-            0.0,
-        )
-    };
-    *busy_cores += cores;
-    let run_id = *next_run;
-    *next_run += 1;
-    let ids: Vec<u64> = members.iter().map(|(id, _)| *id).collect();
-    for (id, fl) in members {
-        flight.insert(id, fl);
-    }
-    running.insert(
-        run_id,
-        Running {
-            ids,
-            cores,
-            cf_workers,
-            scan_bytes: merged.scan_bytes,
-            vm_dollars,
-            cf_dollars,
+    let trace: Vec<Arrival> = plan.iter().map(|p| p.arrival).collect();
+    let fleet = AnalyticFleet::new(cfg.vm_cores, ResourcePricing::default());
+    let mut sim = ServerSim::over(
+        fleet,
+        ServerConfig {
+            grace_period: cfg.grace,
+            besteffort_max_wait: cfg.besteffort_max_wait,
+            batch_besteffort: cfg.batch_besteffort,
+            max_batch: cfg.max_batch,
+            ..ServerConfig::default()
         },
     );
-    push_event(
-        heap,
-        seq,
-        now_us + exec_us.max(1),
-        EventKind::Finish(run_id),
-    );
+    // Interned in plan order, so a record's tenant index is the plan's.
+    let tenants: Vec<TenantStats> = (0..cfg.tenants)
+        .map(|i| {
+            let name = match i {
+                0 => "adversary".to_string(),
+                _ => format!("t-{i:03}"),
+            };
+            sim.intern(&name);
+            TenantStats {
+                name,
+                ..TenantStats::default()
+            }
+        })
+        .collect();
+    let objectives = sim.policy().slo_objectives();
+    let mut tally = Tally {
+        plan: &plan,
+        collect_ledger: cfg.collect_ledger,
+        slo_bound_us: MODE_GROUPS.map(|(_, mode)| {
+            let objective = objectives.iter().find(|o| o.level == mode.name());
+            objective.expect("an objective per mode").threshold_us
+        }),
+        latency_us: Default::default(),
+        wait_sum_us: vec![0; cfg.tenants],
+        last_finish: SimTime::ZERO,
+        report: SoakReport {
+            submitted: plan.len() as u64,
+            modes: MODE_GROUPS
+                .iter()
+                .map(|(name, _)| ModeStats {
+                    name: name.to_string(),
+                    ..ModeStats::default()
+                })
+                .collect(),
+            tenants,
+            ..SoakReport::default()
+        },
+    };
+    // No drain budget: every queued query force-starts at its bound and the
+    // fleet finishes whatever it starts.
+    let unbounded = SimDuration::from_secs(u32::MAX as u64);
+    sim.drive(trace, unbounded, &mut |outcome| tally.fold(outcome));
+    tally.finish(sim.stats)
 }
 
 /// Generate the deterministic submission plan: diurnal base load plus a
@@ -781,10 +537,12 @@ fn plan_submissions(cfg: &SoakConfig) -> Vec<Planned> {
                 (AdmissionMode::Level(level), None)
             };
             Planned {
-                at_us: e.at.since(SimTime::ZERO).as_micros(),
-                class: e.class,
-                tenant,
-                mode,
+                arrival: Arrival {
+                    at: e.at,
+                    class: e.class,
+                    mode,
+                    tenant,
+                },
                 orig_target_us,
             }
         })
@@ -809,31 +567,29 @@ impl SoakReport {
         if self.revenue_fold_bits != self.revenue_dollars.to_bits() {
             return false;
         }
-        if self.ledger_entries.is_empty() {
-            return self.completed == 0 || !self.ledger_collected();
-        }
-        let ledger = Ledger::new();
-        for e in &self.ledger_entries {
-            ledger.append(e.clone());
-        }
+        let Some(ledger) = self.collected_ledger() else {
+            return true;
+        };
         if ledger.len() as u64 != self.completed {
             return false;
         }
         let by_tenant = ledger.by_tenant();
-        for t in &self.tenants {
+        self.tenants.iter().all(|t| {
             let summary = by_tenant.get(&t.name);
-            let (entries, revenue) = summary
-                .map(|s| (s.entries, s.revenue_dollars))
-                .unwrap_or((0, 0.0));
-            if entries != t.completed || revenue.to_bits() != t.revenue_dollars.to_bits() {
-                return false;
-            }
-        }
-        true
+            let (entries, revenue) = summary.map_or((0, 0.0), |s| (s.entries, s.revenue_dollars));
+            entries == t.completed && revenue.to_bits() == t.revenue_dollars.to_bits()
+        })
     }
 
-    fn ledger_collected(&self) -> bool {
-        !self.ledger_entries.is_empty()
+    /// The ledger rebuilt from the collected entries, if any were kept.
+    fn collected_ledger(&self) -> Option<Ledger> {
+        (!self.ledger_entries.is_empty()).then(|| {
+            let ledger = Ledger::new();
+            for e in &self.ledger_entries {
+                ledger.append(e.clone());
+            }
+            ledger
+        })
     }
 
     /// Victim tenants' (everyone but the adversary) mean wait, averaged.
@@ -863,51 +619,47 @@ impl SoakReport {
     /// collected.
     pub fn export_metrics(&self, registry: &MetricsRegistry) {
         for m in &self.modes {
-            registry
-                .counter_with(
+            for (name, help, value) in [
+                (
                     "pixels_soak_queries_total",
                     "Soak queries completed, per admission mode",
-                    &[("mode", &m.name)],
-                )
-                .add(m.completed);
-            registry
-                .counter_with(
+                    m.completed,
+                ),
+                (
                     "pixels_soak_rejected_total",
                     "Soak queries rejected at admission, per mode",
-                    &[("mode", &m.name)],
-                )
-                .add(m.rejected);
-            registry
-                .counter_with(
+                    m.rejected,
+                ),
+                (
                     "pixels_soak_sla_violations_total",
                     "Soak SLA violations, per admission mode",
-                    &[("mode", &m.name)],
-                )
-                .add(m.sla_violations);
+                    m.sla_violations,
+                ),
+            ] {
+                let counter = registry.counter_with(name, help, &[("mode", &m.name)]);
+                counter.add(value);
+            }
         }
-        registry
-            .gauge(
+        for (name, help, value) in [
+            (
                 "pixels_soak_revenue_dollars",
                 "Total user revenue across the soak",
-            )
-            .set(self.revenue_dollars);
-        registry
-            .gauge(
+                self.revenue_dollars,
+            ),
+            (
                 "pixels_soak_provider_dollars",
                 "Total provider resource cost across the soak",
-            )
-            .set(self.provider_dollars);
-        registry
-            .gauge(
+                self.provider_dollars,
+            ),
+            (
                 "pixels_soak_throughput_qps",
                 "Completed queries per simulated second",
-            )
-            .set(self.throughput_qps);
-        if !self.ledger_entries.is_empty() {
-            let ledger = Ledger::new();
-            for e in &self.ledger_entries {
-                ledger.append(e.clone());
-            }
+                self.throughput_qps,
+            ),
+        ] {
+            registry.gauge(name, help).set(value);
+        }
+        if let Some(ledger) = self.collected_ledger() {
             ledger.export_tenants(registry, 8);
         }
     }
@@ -969,6 +721,7 @@ impl SoakReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pixels_workload::QueryClass;
 
     fn small(users: usize) -> SoakConfig {
         SoakConfig {
@@ -1087,6 +840,165 @@ mod tests {
             native.deadline_target_violations,
             mapped.deadline_target_violations
         );
+    }
+
+    #[test]
+    fn analytic_fleet_places_on_cf_only_under_overload_and_prices_by_the_book() {
+        let pricing = ResourcePricing::default();
+        let medium = QueryWork::from_class(QueryClass::Medium);
+        let mut fleet = AnalyticFleet::new(medium.parallelism as u64, pricing);
+        let t0 = SimTime::from_secs(1);
+        let run = |fleet: &mut AnalyticFleet, id, cf_enabled, forced| {
+            let finish = fleet
+                .start(QueryId(id), medium, cf_enabled, forced, t0)
+                .unwrap();
+            assert_eq!(
+                finish,
+                t0 + medium.exec_time_on_cores(medium.parallelism as f64)
+            );
+        };
+        // Idle fleet: CF-enabled work still runs on VM cores, and fills them.
+        assert!(fleet.nearly_idle() && !fleet.overloaded());
+        run(&mut fleet, 0, true, false);
+        assert!(fleet.overloaded() && !fleet.nearly_idle());
+        // Full fleet: CF-disabled work over-commits the VMs; CF-enabled work
+        // — an immediate query, or a deadline query forced at its bound —
+        // goes to CF and holds no cores.
+        run(&mut fleet, 1, false, false);
+        run(&mut fleet, 2, true, false);
+        run(&mut fleet, 3, true, true);
+        // One wake per start, each retiring one run, in start order.
+        let finish = t0 + medium.exec_time_on_cores(medium.parallelism as f64);
+        assert!(fleet.wake(t0).0.is_empty(), "nothing is due yet");
+        let mut done = Vec::new();
+        for _ in 0..4 {
+            let (retired, next) = fleet.wake(finish);
+            assert_eq!((retired.len(), next), (1, None));
+            done.extend(retired);
+        }
+        assert!(fleet.nearly_idle(), "every core was handed back");
+        assert_eq!(
+            done.iter().map(|d| d.id.0).collect::<Vec<_>>(),
+            [0, 1, 2, 3]
+        );
+        let workers = medium.parallelism;
+        let per_worker =
+            SimDuration::from_secs_f64(medium.cpu_seconds / pricing.cf_efficiency / workers as f64);
+        for d in &done {
+            let on_cf = d.id.0 >= 2;
+            assert_eq!(d.placement == Placement::Cf { workers }, on_cf);
+            let expected = if on_cf {
+                CostBreakdown {
+                    vm_dollars: 0.0,
+                    cf_dollars: pricing.cf_cost(workers, per_worker),
+                }
+            } else {
+                CostBreakdown {
+                    vm_dollars: pricing.vm_cost(medium.cpu_seconds),
+                    cf_dollars: 0.0,
+                }
+            };
+            assert_eq!(d.cost, expected);
+            assert_eq!((d.started_at, d.finished_at), (t0, finish));
+        }
+    }
+
+    /// The admission core is the driver's, so it cannot depend on which
+    /// capacity model sits under it: with capacity that never binds, the
+    /// cluster micro-model and the analytic fleet must produce the same
+    /// verdicts, rejections, billed bytes, prices and per-tenant revenue.
+    #[test]
+    fn both_capacity_models_see_the_same_admission_core() {
+        use pixels_turbo::{CfConfig, Coordinator, VmConfig};
+        const TENANTS: [&str; 3] = ["acme", "globex", "initech"];
+        let modes = [
+            AdmissionMode::Level(ServiceLevel::Immediate),
+            AdmissionMode::Level(ServiceLevel::Relaxed),
+            AdmissionMode::Level(ServiceLevel::BestEffort),
+            AdmissionMode::Deadline {
+                target_us: 120_000_000,
+            },
+        ];
+        // On step boundaries, so both models admit at the arrival instant.
+        let mut trace: Vec<Arrival> = (0..24u64)
+            .map(|i| Arrival {
+                at: SimTime::from_millis(500 * (i / 3)),
+                class: QueryClass::ALL[(i % 3) as usize],
+                mode: modes[(i % 4) as usize],
+                tenant: (i % 3) as u32,
+            })
+            .collect();
+        // A heavy query cannot finish in 100 ms: refused at admission.
+        trace.push(Arrival {
+            at: SimTime::from_secs(4),
+            class: QueryClass::Heavy,
+            mode: AdmissionMode::Deadline { target_us: 100_000 },
+            tenant: 1,
+        });
+        let cfg = ServerConfig {
+            batch_besteffort: true,
+            ..ServerConfig::default()
+        };
+        fn outcomes<C: Capacity>(
+            capacity: C,
+            cfg: ServerConfig,
+            trace: &[Arrival],
+        ) -> (Vec<QueryRecord>, Vec<crate::sim::RejectedRecord>) {
+            let mut sim = ServerSim::over(capacity, cfg);
+            for t in TENANTS {
+                sim.intern(t);
+            }
+            let (mut done, mut rejected) = (Vec::new(), Vec::new());
+            sim.drive(
+                trace.to_vec(),
+                SimDuration::from_secs(3600),
+                &mut |o| match o {
+                    Outcome::Completed(r) => done.push(r),
+                    Outcome::Rejected(r) => rejected.push(r),
+                },
+            );
+            assert_eq!(sim.unfinished(), 0);
+            done.sort_by_key(|r| r.id);
+            (done, rejected)
+        }
+        let roomy = VmConfig {
+            high_watermark: f64::INFINITY,
+            low_watermark: f64::INFINITY,
+            ..VmConfig::default()
+        };
+        let cluster = Coordinator::new(
+            roomy,
+            CfConfig::default(),
+            ResourcePricing::default(),
+            SimTime::ZERO,
+        );
+        let fleet = AnalyticFleet::new(u64::MAX / 8, ResourcePricing::default());
+        let (on_cluster, cluster_rejects) = outcomes(cluster, cfg, &trace);
+        let (on_fleet, fleet_rejects) = outcomes(fleet, cfg, &trace);
+
+        assert_eq!(cluster_rejects, fleet_rejects);
+        assert_eq!(cluster_rejects.len(), 1);
+        assert!(cluster_rejects[0].reason.contains("infeasible deadline"));
+        assert_eq!(on_cluster.len(), 24);
+        assert_eq!(on_cluster.len(), on_fleet.len());
+        let revenue_by_tenant = |records: &[QueryRecord]| {
+            let ledger = Ledger::new();
+            for r in records {
+                ledger.append(r.ledger_entry(TENANTS[r.tenant as usize]));
+            }
+            let by_tenant = ledger.by_tenant();
+            TENANTS.map(|t| by_tenant[t].revenue_dollars.to_bits())
+        };
+        for (c, f) in on_cluster.iter().zip(&on_fleet) {
+            assert_eq!((c.id, c.mode, c.tenant), (f.id, f.mode, f.tenant));
+            // Same verdict at the same instant: dispatched on arrival.
+            assert_eq!(c.submitted_at, f.submitted_at);
+            assert_eq!(c.dispatched_at, f.dispatched_at);
+            assert_eq!(c.dispatched_at, c.submitted_at);
+            assert_eq!(c.scan_bytes, f.scan_bytes);
+            assert_eq!(c.price.to_bits(), f.price.to_bits());
+        }
+        assert_eq!(revenue_by_tenant(&on_cluster), revenue_by_tenant(&on_fleet));
     }
 
     #[test]

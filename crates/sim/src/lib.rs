@@ -5,8 +5,10 @@
 //! startup, admission queues), which runs on the virtual clock provided here.
 //! The kernel is deliberately tiny: a virtual [`clock`], a deterministic
 //! [`event::EventQueue`], and [`metrics`] for recording experiment output.
-//! Domain event loops (the cluster simulation) live in `pixels-turbo` and
-//! `pixels-server`.
+//! The one domain event loop over it is the simulated query server
+//! (`pixels_server::sim::ServerSim`), which pops arrivals, force-start
+//! bounds and the wakes its capacity model (`pixels_turbo::Capacity`) asks
+//! for from a single `EventQueue`.
 
 pub mod clock;
 pub mod event;

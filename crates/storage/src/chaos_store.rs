@@ -2,10 +2,10 @@
 //!
 //! Two composable decorators around any [`ObjectStore`]:
 //!
-//! - [`ChaosObjectStore`] consults a `pixels-chaos` [`FaultInjector`]
-//!   *before* delegating, so an injected GET failure transfers zero bytes
-//!   and touches none of the inner store's counters — billed byte totals
-//!   only ever reflect successful reads.
+//! - [`ChaosObjectStore`] consults a `pixels-chaos` [`FaultInjector`] at its
+//!   (PUT, GET) fault sites *before* delegating, so an injected GET failure
+//!   transfers zero bytes and touches none of the inner store's counters —
+//!   billed byte totals only ever reflect successful reads.
 //! - [`RetryingObjectStore`] re-issues transiently-failed GETs under a
 //!   seeded [`RetryPolicy`], sleeping on the supplied [`Clock`] between
 //!   attempts (wall time in the engine, virtual time in the simulator).
@@ -31,30 +31,34 @@ pub fn is_transient(e: &Error) -> bool {
 }
 
 /// An [`ObjectStore`] decorator that injects faults from a deterministic
-/// fault plan at the `storage_get` / `storage_put` sites.
+/// fault plan at one (PUT, GET) pair of sites: `storage_put`/`storage_get`
+/// for the scan path, `exchange_put`/`exchange_get` for the store the engine
+/// hands to exchange spill writers/readers — so shuffle traffic draws from
+/// its own fault streams and ordinary scan GET sequences stay unperturbed.
 pub struct ChaosObjectStore {
     inner: ObjectStoreRef,
     injector: Arc<FaultInjector>,
     clock: ClockRef,
+    put_site: FaultSite,
+    get_site: FaultSite,
     gets_failed: AtomicU64,
 }
 
 impl ChaosObjectStore {
-    pub fn new(inner: ObjectStoreRef, injector: Arc<FaultInjector>, clock: ClockRef) -> Self {
+    pub fn new(
+        inner: ObjectStoreRef,
+        injector: Arc<FaultInjector>,
+        clock: ClockRef,
+        (put_site, get_site): (FaultSite, FaultSite),
+    ) -> Self {
         ChaosObjectStore {
             inner,
             injector,
             clock,
+            put_site,
+            get_site,
             gets_failed: AtomicU64::new(0),
         }
-    }
-
-    pub fn shared(
-        inner: ObjectStoreRef,
-        injector: Arc<FaultInjector>,
-        clock: ClockRef,
-    ) -> ObjectStoreRef {
-        Arc::new(ChaosObjectStore::new(inner, injector, clock))
     }
 
     pub fn injector(&self) -> &Arc<FaultInjector> {
@@ -62,7 +66,7 @@ impl ChaosObjectStore {
     }
 
     /// Apply the injector's verdict for `site`; `Ok(())` means proceed.
-    fn gate(&self, site: FaultSite, what: &str, path: &str) -> Result<()> {
+    fn gate(&self, site: FaultSite, path: &str) -> Result<()> {
         match self.injector.decide(site) {
             Inject::None => Ok(()),
             Inject::Delay { micros } => {
@@ -70,11 +74,14 @@ impl ChaosObjectStore {
                 Ok(())
             }
             Inject::Error => {
+                // Only scan GETs count: `gets_failed` is the scan path's
+                // failed-read metric.
                 if site == FaultSite::StorageGet {
                     self.gets_failed.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(Error::Storage(format!(
-                    "injected object-store {what} failure for {path}"
+                    "injected {} failure for {path}",
+                    site.name()
                 )))
             }
         }
@@ -83,17 +90,17 @@ impl ChaosObjectStore {
 
 impl ObjectStore for ChaosObjectStore {
     fn put(&self, path: &str, data: Bytes) -> Result<()> {
-        self.gate(FaultSite::StoragePut, "PUT", path)?;
+        self.gate(self.put_site, path)?;
         self.inner.put(path, data)
     }
 
     fn get(&self, path: &str) -> Result<Bytes> {
-        self.gate(FaultSite::StorageGet, "GET", path)?;
+        self.gate(self.get_site, path)?;
         self.inner.get(path)
     }
 
     fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-        self.gate(FaultSite::StorageGet, "ranged GET", path)?;
+        self.gate(self.get_site, path)?;
         self.inner.get_range(path, offset, len)
     }
 
@@ -120,85 +127,6 @@ impl ObjectStore for ChaosObjectStore {
         let mut m = self.inner.metrics();
         m.gets_failed += self.gets_failed.load(Ordering::Relaxed);
         m
-    }
-}
-
-/// An [`ObjectStore`] decorator that injects faults at the exchange spill
-/// sites (`exchange_put` / `exchange_get`). The engine wraps the store it
-/// hands to exchange spill writers/readers in this decorator instead of
-/// [`ChaosObjectStore`], so shuffle traffic draws from its own fault
-/// streams and ordinary scan GET sequences stay unperturbed.
-pub struct ExchangeChaosStore {
-    inner: ObjectStoreRef,
-    injector: Arc<FaultInjector>,
-    clock: ClockRef,
-}
-
-impl ExchangeChaosStore {
-    pub fn new(inner: ObjectStoreRef, injector: Arc<FaultInjector>, clock: ClockRef) -> Self {
-        ExchangeChaosStore {
-            inner,
-            injector,
-            clock,
-        }
-    }
-
-    pub fn shared(
-        inner: ObjectStoreRef,
-        injector: Arc<FaultInjector>,
-        clock: ClockRef,
-    ) -> ObjectStoreRef {
-        Arc::new(ExchangeChaosStore::new(inner, injector, clock))
-    }
-
-    fn gate(&self, site: FaultSite, what: &str, path: &str) -> Result<()> {
-        match self.injector.decide(site) {
-            Inject::None => Ok(()),
-            Inject::Delay { micros } => {
-                self.clock.sleep_micros(micros);
-                Ok(())
-            }
-            Inject::Error => Err(Error::Storage(format!(
-                "injected exchange {what} failure for {path}"
-            ))),
-        }
-    }
-}
-
-impl ObjectStore for ExchangeChaosStore {
-    fn put(&self, path: &str, data: Bytes) -> Result<()> {
-        self.gate(FaultSite::ExchangePut, "PUT", path)?;
-        self.inner.put(path, data)
-    }
-
-    fn get(&self, path: &str) -> Result<Bytes> {
-        self.gate(FaultSite::ExchangeGet, "GET", path)?;
-        self.inner.get(path)
-    }
-
-    fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-        self.gate(FaultSite::ExchangeGet, "ranged GET", path)?;
-        self.inner.get_range(path, offset, len)
-    }
-
-    fn size(&self, path: &str) -> Result<u64> {
-        self.inner.size(path)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, path: &str) -> Result<()> {
-        self.inner.delete(path)
-    }
-
-    fn generation(&self, path: &str) -> Result<u64> {
-        self.inner.generation(path)
-    }
-
-    fn metrics(&self) -> StoreMetricsSnapshot {
-        self.inner.metrics()
     }
 }
 
@@ -301,14 +229,14 @@ pub fn chaos_stack(
     clock: ClockRef,
 ) -> ObjectStoreRef {
     let seed = injector.seed();
-    let chaotic = ChaosObjectStore::shared(inner, injector, clock.clone());
+    let sites = (FaultSite::StoragePut, FaultSite::StorageGet);
+    let chaotic = Arc::new(ChaosObjectStore::new(inner, injector, clock.clone(), sites));
     RetryingObjectStore::shared(chaotic, policy, clock, seed)
 }
 
-/// The exchange spill stack: `Retrying(ExchangeChaos(inner))`. Same layering
-/// as [`chaos_stack`], but faults fire at the `exchange_put`/`exchange_get`
-/// sites and the retry jitter stream is offset so it does not replay the
-/// scan stack's schedule.
+/// The exchange spill stack: same layering as [`chaos_stack`], but faults
+/// fire at the `exchange_put`/`exchange_get` sites and the retry jitter
+/// stream is offset so it does not replay the scan stack's schedule.
 pub fn exchange_stack(
     inner: ObjectStoreRef,
     injector: Arc<FaultInjector>,
@@ -316,7 +244,8 @@ pub fn exchange_stack(
     clock: ClockRef,
 ) -> ObjectStoreRef {
     let seed = injector.seed().wrapping_add(0x5348_5546); // "SHUF"
-    let chaotic = ExchangeChaosStore::shared(inner, injector, clock.clone());
+    let sites = (FaultSite::ExchangePut, FaultSite::ExchangeGet);
+    let chaotic = Arc::new(ChaosObjectStore::new(inner, injector, clock.clone(), sites));
     RetryingObjectStore::shared(chaotic, policy, clock, seed)
 }
 

@@ -32,9 +32,7 @@ pub mod reader;
 pub mod stats;
 pub mod writer;
 
-pub use chaos_store::{
-    chaos_stack, exchange_stack, ChaosObjectStore, ExchangeChaosStore, RetryingObjectStore,
-};
+pub use chaos_store::{chaos_stack, exchange_stack, ChaosObjectStore, RetryingObjectStore};
 pub use encoded::{DictView, EncodedChunk, RleRuns};
 pub use encoding::Encoding;
 pub use format::{ColumnChunkMeta, Footer, RowGroupMeta};

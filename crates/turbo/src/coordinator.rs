@@ -14,7 +14,7 @@ use crate::vm_cluster::{VmCluster, VmConfig};
 use pixels_chaos::{FaultInjector, FaultSite, Inject};
 use pixels_common::QueryId;
 use pixels_sim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Everything the coordinator remembers about an in-flight query.
@@ -22,8 +22,6 @@ use std::sync::Arc;
 struct InFlight {
     submitted_at: SimTime,
     work: QueryWork,
-    #[allow(dead_code)]
-    cf_enabled: bool,
     /// Shared policy state machine for the CF attempt race (`None` for
     /// VM-only queries). All relaunch/speculation/degradation decisions are
     /// made by [`CfRace::step`], never here.
@@ -103,13 +101,56 @@ impl QueryCompletion {
     }
 }
 
+/// What the query server's driver needs from "the thing that runs queries":
+/// a load signal for admission, a way to start work, and completions on the
+/// virtual clock. The driver owns admission, queueing, batching and billing;
+/// a capacity model only decides where a started query runs, how long it
+/// takes and what it costs the provider. Two models exist: [`Coordinator`]
+/// (the cluster micro-model: autoscaled VMs, CF fleets, faults) and the
+/// server's analytic fleet (closed-form, for million-query soaks).
+pub trait Capacity {
+    /// No headroom for relaxed work.
+    fn overloaded(&self) -> bool;
+
+    /// Capacity that would otherwise be wasted: where best-of-effort belongs.
+    fn nearly_idle(&self) -> bool;
+
+    /// Begin executing `work` at `now`. `forced` means the server's
+    /// pending-time bound expired, so the query must start whatever the
+    /// load. Returns a time at which the model wants a [`Capacity::wake`]
+    /// on account of this start, if it does not already have one coming.
+    fn start(
+        &mut self,
+        id: QueryId,
+        work: QueryWork,
+        cf_enabled: bool,
+        forced: bool,
+        now: SimTime,
+    ) -> Option<SimTime>;
+
+    /// Advance to `now`: the executions that completed, and when to wake the
+    /// model next. A wake at the model's current time advances nothing and
+    /// only reports the next wake — the driver's first call.
+    fn wake(&mut self, now: SimTime) -> (Vec<QueryCompletion>, Option<SimTime>);
+
+    /// A model that only exists at discrete steps cannot take a driver event
+    /// (arrival, drain check) that falls between two of them: `Some(t)` asks
+    /// for the event again at `t`, once the step to `t` has run.
+    fn defer_until(&self, _at: SimTime) -> Option<SimTime> {
+        None
+    }
+
+    /// Relaxed queries the server is holding back, reported before each
+    /// wake for models that size themselves on it.
+    fn relaxed_backlog(&mut self, _queued: usize) {}
+}
+
 /// Sim-side effect handler: [`CfRace`] decisions become modelled CF fleet
 /// launches, cancellations, and degradation flags.
 struct CoordEffects<'a> {
     id: QueryId,
     now: SimTime,
     work: QueryWork,
-    straggler_factor: f64,
     cf: &'a mut CfService,
     injector: &'a FaultInjector,
     pending_spec: &'a mut Vec<(QueryId, SimTime)>,
@@ -125,8 +166,11 @@ impl CfEffects for CoordEffects<'_> {
             .cf
             .launch_attempt(self.id, self.work, self.now, attempt, faults);
         // Arm the modelled straggler watchdog if this fleet will overshoot.
-        let window =
-            policy::straggler_deadline(startup + nominal, self.straggler_factor, SimDuration::ZERO);
+        let window = policy::straggler_deadline(
+            startup + nominal,
+            policy::SIM_STRAGGLER_FACTOR,
+            SimDuration::ZERO,
+        );
         if let Some(due) = policy::watchdog_due(self.now, window, run.finish_at) {
             self.pending_spec.push((self.id, due));
         }
@@ -150,14 +194,11 @@ pub struct Coordinator {
     /// FIFO of queries forced to wait for VM capacity (CF disabled or
     /// acceleration not warranted).
     vm_queue: VecDeque<(QueryId, InFlight)>,
-    inflight: Vec<(QueryId, InFlight)>,
+    inflight: HashMap<QueryId, InFlight>,
     server_queue_depth: u32,
     /// Deterministic fault source (disabled unless installed via
     /// [`Coordinator::with_fault_injector`]).
     injector: Arc<FaultInjector>,
-    /// Launch a speculative duplicate when a fleet runs this many times
-    /// longer than the model's startup + runtime estimate.
-    straggler_factor: f64,
     /// Speculative launches armed for stragglers: (query, due time).
     pending_spec: Vec<(QueryId, SimTime)>,
     /// Next sim-second boundary at which VM preemption is rolled.
@@ -167,6 +208,8 @@ pub struct Coordinator {
     /// Ordered policy decision log per query (kept past completion so
     /// differential harnesses can compare against the real engine).
     decisions: BTreeMap<QueryId, Vec<Decision>>,
+    /// Fixed step of the [`Capacity`] wake cadence.
+    step: SimDuration,
     now: SimTime,
 }
 
@@ -177,16 +220,23 @@ impl Coordinator {
             cf: CfService::new(cf_cfg, pricing, now),
             pricing,
             vm_queue: VecDeque::new(),
-            inflight: Vec::new(),
+            inflight: HashMap::new(),
             server_queue_depth: 0,
             injector: Arc::new(FaultInjector::disabled()),
-            straggler_factor: 2.0,
             pending_spec: Vec::new(),
             last_preempt_check: now,
             stats: FaultStats::default(),
             decisions: BTreeMap::new(),
+            step: SimDuration::from_millis(100),
             now,
         }
+    }
+
+    /// Set the step at which a driver wakes this model (default 100 ms):
+    /// processor sharing, the autoscaler and the series sample once per step.
+    pub fn with_step(mut self, step: SimDuration) -> Self {
+        self.step = step;
+        self
     }
 
     /// Install a seeded fault injector; CF launches, VM workers, and the
@@ -194,10 +244,6 @@ impl Coordinator {
     pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
         self.injector = injector;
         self
-    }
-
-    pub fn fault_injector(&self) -> &Arc<FaultInjector> {
-        &self.injector
     }
 
     pub fn pricing(&self) -> &ResourcePricing {
@@ -227,30 +273,7 @@ impl Coordinator {
     /// - Cluster overloaded and CF enabled → launch a CF fleet immediately.
     /// - Cluster overloaded and CF disabled → wait in the VM queue.
     pub fn submit(&mut self, id: QueryId, work: QueryWork, cf_enabled: bool, now: SimTime) {
-        self.now = now;
-        let mut info = InFlight {
-            submitted_at: now,
-            work,
-            cf_enabled,
-            race: None,
-            degraded: false,
-            shuffle: None,
-        };
-        if !self.vm.is_overloaded() && self.vm_queue.is_empty() {
-            self.record(id, Decision::DispatchVm);
-            self.vm.start(id, work);
-            self.inflight.push((id, info));
-        } else if cf_enabled {
-            let mut fx = self.effects(id, work);
-            let race = CfRace::start(&mut fx);
-            let cancelled = fx.cancelled;
-            self.stats.speculative_cancelled += cancelled;
-            self.record_all(id, &race.decisions.clone());
-            info.race = Some(race);
-            self.inflight.push((id, info));
-        } else {
-            self.vm_queue.push_back((id, info));
-        }
+        self.place(id, work, cf_enabled.then_some(work), None, false, now);
     }
 
     /// Submit a query whose CF execution runs as a two-stage exchange plan
@@ -274,56 +297,65 @@ impl Coordinator {
         get_bytes: u64,
         now: SimTime,
     ) {
+        let shuffle = ShuffleInfo {
+            stage: 0,
+            stage_cost: 0.0,
+            speculated: false,
+            put_bytes,
+            get_bytes,
+        };
+        self.place(
+            id,
+            work,
+            Some(work.stage_works()[0]),
+            Some(shuffle),
+            false,
+            now,
+        );
+    }
+
+    /// The one placement branch. `cf_work` is what the first CF fleet would
+    /// run (`None`: CF disabled); `forced` starts on the VM tier whatever
+    /// the load — the server's pending-time bound has expired.
+    fn place(
+        &mut self,
+        id: QueryId,
+        work: QueryWork,
+        cf_work: Option<QueryWork>,
+        shuffle: Option<ShuffleInfo>,
+        forced: bool,
+        now: SimTime,
+    ) {
         self.now = now;
         let mut info = InFlight {
             submitted_at: now,
             work,
-            cf_enabled: true,
             race: None,
             degraded: false,
-            shuffle: Some(ShuffleInfo {
-                stage: 0,
-                stage_cost: 0.0,
-                speculated: false,
-                put_bytes,
-                get_bytes,
-            }),
+            shuffle,
         };
-        if !self.vm.is_overloaded() && self.vm_queue.is_empty() {
-            // Headroom: no CF, no exchange — plain VM execution.
+        if forced || (!self.vm.is_overloaded() && self.vm_queue.is_empty()) {
+            // Plain VM execution: no CF, no exchange.
             self.record(id, Decision::DispatchVm);
             info.shuffle = None;
             self.vm.start(id, work);
-            self.inflight.push((id, info));
+            self.inflight.insert(id, info);
+        } else if let Some(cf_work) = cf_work {
+            info.race = Some(self.start_race(id, cf_work));
+            self.inflight.insert(id, info);
         } else {
-            let mut fx = self.effects(id, work.stage_works()[0]);
-            let race = CfRace::start(&mut fx);
-            let cancelled = fx.cancelled;
-            self.stats.speculative_cancelled += cancelled;
-            self.record_all(id, &race.decisions.clone());
-            info.race = Some(race);
-            self.inflight.push((id, info));
+            self.vm_queue.push_back((id, info));
         }
     }
 
-    /// Start a query on the VM tier immediately, bypassing the overload
-    /// check — the server scheduler's forced start when a Relaxed grace
-    /// period or BestEffort wait bound expires.
-    pub fn submit_forced(&mut self, id: QueryId, work: QueryWork, now: SimTime) {
-        self.now = now;
-        self.record(id, Decision::DispatchVm);
-        self.vm.start(id, work);
-        self.inflight.push((
-            id,
-            InFlight {
-                submitted_at: now,
-                work,
-                cf_enabled: false,
-                race: None,
-                degraded: false,
-                shuffle: None,
-            },
-        ));
+    /// Launch the first fleet of a new [`CfRace`] over `work`.
+    fn start_race(&mut self, id: QueryId, work: QueryWork) -> CfRace {
+        let mut fx = self.effects(id, work);
+        let race = CfRace::start(&mut fx);
+        let cancelled = fx.cancelled;
+        self.stats.speculative_cancelled += cancelled;
+        self.record_all(id, &race.decisions);
+        race
     }
 
     /// The ordered policy decision log for a query (empty if unknown).
@@ -347,7 +379,6 @@ impl Coordinator {
             id,
             now: self.now,
             work,
-            straggler_factor: self.straggler_factor,
             cf: &mut self.cf,
             injector: &self.injector,
             pending_spec: &mut self.pending_spec,
@@ -357,19 +388,19 @@ impl Coordinator {
 
     /// Feed one observation into a query's CF race, translate the resulting
     /// decisions into fault-stat counters, and return them.
-    fn step_race(&mut self, idx: usize, input: RaceInput) -> Vec<Decision> {
-        let id = self.inflight[idx].0;
-        let work = match &self.inflight[idx].1.shuffle {
+    fn step_race(&mut self, id: QueryId, input: RaceInput) -> Vec<Decision> {
+        let info = self.inflight.get_mut(&id).expect("query in flight");
+        let work = match info.shuffle {
             // Relaunches inside a stage-1 race model the cheaper finish
             // stage, not the whole query.
-            Some(s) if s.stage == 1 => self.inflight[idx].1.work.stage_works()[1],
-            _ => self.inflight[idx].1.work,
+            Some(s) if s.stage == 1 => info.work.stage_works()[1],
+            _ => info.work,
         };
-        let mut race = self.inflight[idx].1.race.take().expect("CF race present");
+        let mut race = info.race.take().expect("CF race present");
         let mut fx = self.effects(id, work);
         let new = race.step(input, &mut fx);
         let cancelled = fx.cancelled;
-        self.inflight[idx].1.race = Some(race);
+        self.inflight.get_mut(&id).expect("query in flight").race = Some(race);
         self.stats.speculative_cancelled += cancelled;
         for d in &new {
             match d {
@@ -423,20 +454,17 @@ impl Coordinator {
                 .collect();
             self.pending_spec.retain(|(_, t)| *t > now);
             for id in due {
-                if !self.cf.has_active(id) {
-                    continue;
+                if self.cf.has_active(id) && self.inflight.contains_key(&id) {
+                    self.step_race(id, RaceInput::StragglerDeadline);
                 }
-                let Some(idx) = self.inflight.iter().position(|(qid, _)| *qid == id) else {
-                    continue;
-                };
-                self.step_race(idx, RaceInput::StragglerDeadline);
             }
         }
 
         self.vm
             .set_external_demand(self.vm_queue.len() as u32 + self.server_queue_depth);
         for done in self.vm.tick(now, dt) {
-            let info = self.take_inflight(done.id);
+            let info = self.inflight.remove(&done.id);
+            let info = info.expect("completion for unknown query");
             // A shuffle that degraded after its spill stage was accepted
             // still moved (and pays for) the PUT traffic; one degraded
             // earlier moved nothing.
@@ -466,68 +494,42 @@ impl Coordinator {
         }
 
         for run in self.cf.tick(now) {
-            let Some(idx) = self.inflight.iter().position(|(qid, _)| *qid == run.id) else {
+            if !self.inflight.contains_key(&run.id) {
                 continue;
+            }
+            // Clear any armed watchdog; a relaunch re-arms its own. The first
+            // successful fleet wins: the policy cancels any sibling still
+            // flying (its cost stays charged — both invocations billed).
+            self.pending_spec.retain(|(id, _)| *id != run.id);
+            let finished = RaceInput::AttemptFinished {
+                attempt: run.attempt,
+                failed: run.crashed,
             };
+            let new = self.step_race(run.id, finished);
             if run.crashed {
-                // Clear any armed watchdog; a relaunch re-arms its own.
-                self.pending_spec.retain(|(id, _)| *id != run.id);
-                let new = self.step_race(
-                    idx,
-                    RaceInput::AttemptFinished {
-                        attempt: run.attempt,
-                        failed: true,
-                    },
-                );
                 if new.contains(&Decision::Degrade) {
                     // Out of CF budget: degrade gracefully to the VM tier
                     // instead of losing the query.
-                    let (id, mut info) = self.inflight.swap_remove(idx);
+                    let mut info = self.inflight.remove(&run.id).expect("checked above");
                     info.degraded = true;
-                    self.vm_queue.push_back((id, info));
+                    self.vm_queue.push_back((run.id, info));
                 }
                 continue;
             }
-            // First successful fleet wins; the policy cancels any sibling
-            // still flying (its cost stays charged — both invocations
-            // billed).
-            self.step_race(
-                idx,
-                RaceInput::AttemptFinished {
-                    attempt: run.attempt,
-                    failed: false,
-                },
-            );
-            self.pending_spec.retain(|(id, _)| *id != run.id);
             // A shuffle's stage-0 acceptance hands off to the stage-1 race
             // instead of completing the query.
-            let stage0_done = matches!(
-                &self.inflight[idx].1.shuffle,
-                Some(s) if s.stage == 0
-            );
-            if stage0_done {
-                let id = self.inflight[idx].0;
-                let stage1 = self.inflight[idx].1.work.stage_works()[1];
-                let spec0 = self.inflight[idx]
-                    .1
-                    .race
-                    .as_ref()
-                    .is_some_and(CfRace::speculated);
-                {
-                    let s = self.inflight[idx].1.shuffle.as_mut().expect("shuffle");
-                    s.stage = 1;
-                    s.stage_cost += run.cost;
-                    s.speculated |= spec0;
-                }
-                let mut fx = self.effects(id, stage1);
-                let race = CfRace::start(&mut fx);
-                let cancelled = fx.cancelled;
-                self.stats.speculative_cancelled += cancelled;
-                self.record_all(id, &race.decisions.clone());
-                self.inflight[idx].1.race = Some(race);
+            let info = self.inflight.get_mut(&run.id).expect("checked above");
+            let speculated = info.race.as_ref().is_some_and(CfRace::speculated);
+            if let Some(s) = info.shuffle.as_mut().filter(|s| s.stage == 0) {
+                s.stage = 1;
+                s.stage_cost += run.cost;
+                s.speculated |= speculated;
+                let stage1 = info.work.stage_works()[1];
+                let race = self.start_race(run.id, stage1);
+                self.inflight.get_mut(&run.id).expect("checked above").race = Some(race);
                 continue;
             }
-            let info = self.take_inflight(run.id);
+            let info = self.inflight.remove(&run.id).expect("checked above");
             let (stage_cost, shuffle_dollars, spec_sticky) = match &info.shuffle {
                 Some(s) => (
                     s.stage_cost,
@@ -571,20 +573,11 @@ impl Coordinator {
             };
             self.record(id, Decision::DispatchVm);
             self.vm.start(id, info.work);
-            self.inflight.push((id, info));
+            self.inflight.insert(id, info);
         }
 
         out.sort_by_key(|c| (c.finished_at, c.id));
         out
-    }
-
-    fn take_inflight(&mut self, id: QueryId) -> InFlight {
-        let pos = self
-            .inflight
-            .iter()
-            .position(|(qid, _)| *qid == id)
-            .expect("completion for unknown query");
-        self.inflight.swap_remove(pos).1
     }
 
     /// Total provider-side cost so far: provisioned VM time plus CF charges.
@@ -593,6 +586,50 @@ impl Coordinator {
             vm_dollars: self.pricing.vm_cost(self.vm.provisioned_core_seconds),
             cf_dollars: self.cf.total_cost,
         }
+    }
+}
+
+impl Capacity for Coordinator {
+    fn overloaded(&self) -> bool {
+        self.is_overloaded()
+    }
+
+    fn nearly_idle(&self) -> bool {
+        self.is_nearly_idle()
+    }
+
+    fn start(
+        &mut self,
+        id: QueryId,
+        work: QueryWork,
+        cf_enabled: bool,
+        forced: bool,
+        now: SimTime,
+    ) -> Option<SimTime> {
+        self.place(id, work, cf_enabled.then_some(work), None, forced, now);
+        None
+    }
+
+    fn wake(&mut self, now: SimTime) -> (Vec<QueryCompletion>, Option<SimTime>) {
+        let done = if now > self.now {
+            self.tick(now, self.step)
+        } else {
+            Vec::new()
+        };
+        (done, Some(now + self.step))
+    }
+
+    fn defer_until(&self, at: SimTime) -> Option<SimTime> {
+        if at <= self.now {
+            return None;
+        }
+        let step = self.step.as_micros().max(1);
+        let steps = at.since(self.now).as_micros().div_ceil(step);
+        Some(self.now + SimDuration::from_micros(steps * step))
+    }
+
+    fn relaxed_backlog(&mut self, queued: usize) {
+        self.set_server_queue_depth(queued);
     }
 }
 
@@ -1117,11 +1154,15 @@ mod tests {
         let mut c = coordinator();
         overload(&mut c);
         let before = c.concurrency();
-        c.submit_forced(
+        let wake = Capacity::start(
+            &mut c,
             QueryId(99),
             QueryWork::from_class(QueryClass::Light),
+            false,
+            true,
             SimTime::ZERO,
         );
+        assert_eq!(wake, None, "the cluster model wakes on its own cadence");
         assert_eq!(c.concurrency(), before + 1, "started despite overload");
         assert_eq!(c.queue_depth(), 0);
         let mut done = Vec::new();

@@ -42,12 +42,6 @@ pub struct EngineConfig {
     /// up to this much intra-plan parallelism, further bounded by the
     /// query's own parallelism estimate from the resource model.
     pub cf_fleet_threads: usize,
-    /// A CF run is declared a straggler once it exceeds the resource
-    /// model's latency estimate by this factor.
-    pub straggler_factor: f64,
-    /// Floor on the straggler deadline, so estimate noise on tiny queries
-    /// never triggers spurious speculation.
-    pub straggler_min_wait: Duration,
     /// Capacity of the engine-wide chunk-data cache (raw encoded column
     /// chunks shared across all queries). `0` disables the cache. Hits skip
     /// the storage GET but are billed exactly like misses — billing is
@@ -75,8 +69,6 @@ impl Default for EngineConfig {
         EngineConfig {
             vm_slots: 4,
             cf_fleet_threads: 4,
-            straggler_factor: 4.0,
-            straggler_min_wait: Duration::from_millis(250),
             chunk_cache_bytes: 64 << 20,
             prefetch_depth: 4,
             exchange_partitions: 1,
@@ -1070,15 +1062,15 @@ impl TurboEngine {
         );
     }
 
-    /// Straggler deadline for one fleet: `factor` × the model's estimate on
-    /// this fleet's threads, floored by `straggler_min_wait`.
+    /// Straggler deadline for one fleet: the engine's straggler factor × the
+    /// model's estimate on this fleet's threads, floored.
     fn straggler_wait(&self, work: &QueryWork) -> Duration {
         let est = work.exec_time_on_cores(self.cfg.cf_fleet_threads.max(1) as f64);
         Duration::from_micros(
             policy::straggler_deadline(
                 est,
-                self.cfg.straggler_factor,
-                pixels_sim::SimDuration::from_micros(self.cfg.straggler_min_wait.as_micros() as u64),
+                policy::ENGINE_STRAGGLER_FACTOR,
+                policy::ENGINE_STRAGGLER_MIN_WAIT,
             )
             .as_micros(),
         )
@@ -2415,12 +2407,11 @@ mod tests {
             FaultSite::CfStraggler,
             SiteSpec::delays(1.0, 1_500_000, 1_500_000).capped(1),
         );
-        let mut cfg = EngineConfig {
+        let cfg = EngineConfig {
             vm_slots: 1,
             cf_fleet_threads: 2,
             ..EngineConfig::default()
         };
-        cfg.straggler_min_wait = Duration::from_millis(50);
         let catalog = pixels_catalog::Catalog::shared();
         let store = InMemoryObjectStore::shared();
         load_tpch(

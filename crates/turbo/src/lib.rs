@@ -25,7 +25,7 @@ pub mod vm_cluster;
 
 pub use billing::{CostBreakdown, Placement, ResourcePricing};
 pub use cf_service::{CfConfig, CfRun, CfService, LaunchFaults};
-pub use coordinator::{Coordinator, FaultStats, QueryCompletion};
+pub use coordinator::{Capacity, Coordinator, FaultStats, QueryCompletion};
 pub use engine::{EngineConfig, ExecOutcome, QueryEvent, TurboEngine};
 pub use model::QueryWork;
 pub use pixels_exec::{ExchangeStats, ExecMetricsSnapshot};

@@ -31,6 +31,21 @@ use pixels_sim::{SimDuration, SimTime};
 /// speculative duplicate) before the policy degrades it to the VM tier.
 pub const MAX_CF_ATTEMPTS: u32 = 2;
 
+/// The real engine declares a CF fleet a straggler once it has run this many
+/// times the resource model's estimate. Wall-clock estimates on small data
+/// are noisy, hence the wide factor and the floor below.
+pub const ENGINE_STRAGGLER_FACTOR: f64 = 4.0;
+
+/// Floor on the real engine's straggler deadline, so estimate noise on tiny
+/// queries never triggers spurious speculation.
+pub const ENGINE_STRAGGLER_MIN_WAIT: SimDuration = SimDuration::from_millis(250);
+
+/// The simulated coordinator's straggler factor. It differs from the
+/// engine's on purpose: modelled fleets finish exactly on the estimate unless
+/// a fault is injected, so a tight factor and no floor detect every injected
+/// straggler without false positives.
+pub const SIM_STRAGGLER_FACTOR: f64 = 2.0;
+
 /// One scheduling/recovery decision the policy made for a query. The ordered
 /// decision log is the unit of sim/real differential comparison, so it
 /// deliberately carries no clock values — only *what* was decided.
@@ -172,8 +187,8 @@ impl CfRace {
 }
 
 /// The straggler deadline: `factor` times the model's estimate, floored (the
-/// real engine floors at `straggler_min_wait` so tiny queries don't speculate
-/// on scheduler jitter; the sim uses a zero floor).
+/// real engine floors at [`ENGINE_STRAGGLER_MIN_WAIT`] so tiny queries don't
+/// speculate on scheduler jitter; the sim uses a zero floor).
 pub fn straggler_deadline(estimate: SimDuration, factor: f64, floor: SimDuration) -> SimDuration {
     std::cmp::max(estimate.mul_f64(factor), floor)
 }
