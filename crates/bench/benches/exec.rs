@@ -358,9 +358,8 @@ fn bench_vector_kernels(c: &mut Criterion) {
             lineitem
                 .iter()
                 .map(|batch| {
-                    pixels_exec::scan::apply_filters(&filters, batch.clone())
-                        .unwrap()
-                        .num_rows()
+                    let mask = pixels_exec::fused_filter_mask(&filters, batch).unwrap();
+                    batch.filter(&mask).unwrap().num_rows()
                 })
                 .sum::<usize>()
         })

@@ -1,7 +1,8 @@
 //! Microbenchmarks for the encoded scan pipeline: executing on encoded
 //! chunks (dictionary-code predicates, RLE-run aggregation, late
-//! materialization) and serving chunk bytes from the chunk cache, each
-//! against the decode-everything baseline (`with_encoded_scan(false)`).
+//! materialization), with and without the chunk cache serving the bytes.
+//! (The decode-everything scan these were once measured against is gone;
+//! EXPERIMENTS.md keeps the PR 14 ratios.)
 //! The `remote_scan` group runs a lineitem scan over a store that sleeps per
 //! request, at prefetch depths 0, 1 and 4: the depth sweep of the vectored,
 //! overlapped fetch. Headline ratios are recorded in EXPERIMENTS.md.
@@ -103,14 +104,6 @@ fn bench_scan_pipeline(c: &mut Criterion) {
     g.bench_function("dict_filter/encoded", |b| {
         b.iter(|| run(&dict_plan, &ExecContext::new(store.clone())))
     });
-    g.bench_function("dict_filter/decoded", |b| {
-        b.iter(|| {
-            run(
-                &dict_plan,
-                &ExecContext::new(store.clone()).with_encoded_scan(false),
-            )
-        })
-    });
 
     // Grand-total aggregation over RLE runs.
     let agg_plan = plan_query(
@@ -121,14 +114,6 @@ fn bench_scan_pipeline(c: &mut Criterion) {
     .expect("plan");
     g.bench_function("rle_count_sum/encoded", |b| {
         b.iter(|| run(&agg_plan, &ExecContext::new(store.clone())))
-    });
-    g.bench_function("rle_count_sum/decoded", |b| {
-        b.iter(|| {
-            run(
-                &agg_plan,
-                &ExecContext::new(store.clone()).with_encoded_scan(false),
-            )
-        })
     });
 
     // Chunk cache: cold (no cache) vs warm (pre-warmed shared cache).

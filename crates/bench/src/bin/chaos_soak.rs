@@ -21,17 +21,16 @@
 //! written to `results/chaos_soak.json` (uploaded as a CI artifact; the
 //! headline numbers are recorded in EXPERIMENTS.md).
 
+use pixels_bench::soak::{
+    check_pair, conclude, count_equivalent, metric_value, shuffle_config, Deployment,
+    ScenarioResult, SHUFFLE_QUERIES,
+};
 use pixels_bench::TextTable;
-use pixels_catalog::Catalog;
-use pixels_chaos::{FaultInjector, FaultPlan, FaultSite, RetryPolicy, SiteSpec};
+use pixels_chaos::{FaultPlan, FaultSite, SiteSpec};
 use pixels_common::Json;
-use pixels_obs::{MetricsRegistry, WallClock};
-use pixels_server::{PriceSchedule, QueryServer, QueryStatus, QuerySubmission, ServiceLevel};
-use pixels_storage::{chaos_stack, InMemoryObjectStore, ObjectStoreRef};
-use pixels_turbo::{EngineConfig, TurboEngine};
-use pixels_workload::{all_queries, load_tpch, TpchConfig};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use pixels_server::{QueryStatus, ServiceLevel};
+use pixels_turbo::EngineConfig;
+use pixels_workload::all_queries;
 
 /// One seed for the whole matrix: re-running the binary replays the exact
 /// same fault sequence at every site.
@@ -43,182 +42,6 @@ fn cf_config() -> EngineConfig {
         cf_fleet_threads: 2,
         ..EngineConfig::default()
     }
-}
-
-/// A full stack behind one fault plan: TPC-H loaded into an in-memory
-/// store, wrapped `Retrying(Chaos(inner))`, under a query server.
-struct Deployment {
-    server: QueryServer,
-    injector: Arc<FaultInjector>,
-    /// The raw inner store, for spill-leak sweeps under the chaos wrapper.
-    store: ObjectStoreRef,
-}
-
-fn deploy(plan: &FaultPlan, cfg: EngineConfig) -> Deployment {
-    let catalog = Catalog::shared();
-    let inner = InMemoryObjectStore::shared();
-    load_tpch(
-        &catalog,
-        inner.as_ref(),
-        "tpch",
-        &TpchConfig {
-            scale: 0.001,
-            seed: 11,
-            row_group_rows: 512,
-            files_per_table: 2,
-        },
-    )
-    .expect("load tpch");
-    let injector = Arc::new(FaultInjector::new(plan));
-    let store = chaos_stack(
-        inner.clone(),
-        injector.clone(),
-        RetryPolicy::object_store(),
-        WallClock::shared(),
-    );
-    let engine = Arc::new(
-        TurboEngine::new(catalog, store, cfg)
-            // Private registry per deployment so scenarios don't bleed into
-            // each other's /metrics assertions.
-            .with_registry(MetricsRegistry::shared())
-            .with_chaos(injector.clone()),
-    );
-    Deployment {
-        server: QueryServer::new(engine, PriceSchedule::default()),
-        injector,
-        store: inner,
-    }
-}
-
-/// Multi-stage CF plans spill exchange partitions under
-/// `pixels-turbo/intermediate/`; winner acceptance and loser reaping must
-/// delete every one of them, under every fault plan. The reapers run
-/// detached, so poll briefly before calling a leftover object a leak.
-fn assert_no_spill_leaks(tag: &str, d: &Deployment, failures: &mut Vec<String>) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let leaked = d
-            .store
-            .list("pixels-turbo/intermediate/")
-            .unwrap_or_default();
-        if leaked.is_empty() {
-            return;
-        }
-        if Instant::now() >= deadline {
-            failures.push(format!("{tag}: leaked spill objects: {leaked:?}"));
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// Saturate the single VM slot for the duration of `f`, so an Immediate
-/// query submitted inside is dispatched to the CF tier.
-fn with_saturated_slot<T>(d: &Deployment, f: impl FnOnce() -> T) -> T {
-    let engine = d.server.engine().clone();
-    let blocker = std::thread::spawn(move || {
-        engine
-            .execute_sql(
-                "tpch",
-                "SELECT COUNT(*) FROM lineitem CROSS JOIN nation",
-                false,
-            )
-            .unwrap()
-    });
-    while !d.server.engine().is_busy() {
-        std::thread::yield_now();
-    }
-    let r = f();
-    blocker.join().unwrap();
-    r
-}
-
-#[derive(Clone)]
-struct RunRecord {
-    query_id: &'static str,
-    finished: bool,
-    batch: Option<std::sync::Arc<pixels_common::RecordBatch>>,
-    scan_bytes: u64,
-    price: f64,
-    retries: u64,
-    latency: Duration,
-}
-
-fn run_query(d: &Deployment, sql: &str, qid: &'static str, level: ServiceLevel) -> RunRecord {
-    let start = Instant::now();
-    let id = d.server.submit(QuerySubmission {
-        database: "tpch".into(),
-        sql: sql.into(),
-        level,
-        result_limit: None,
-        tenant: None,
-        deadline_us: None,
-    });
-    let info = d.server.wait(id).expect("query record");
-    RunRecord {
-        query_id: qid,
-        finished: info.status == QueryStatus::Finished,
-        batch: info.result,
-        scan_bytes: info.scan_bytes,
-        price: info.price,
-        retries: info.retries,
-        latency: start.elapsed(),
-    }
-}
-
-/// Per-scenario aggregate for the report/table.
-struct ScenarioResult {
-    name: String,
-    level: &'static str,
-    queries: usize,
-    equivalent: usize,
-    faults_injected: u64,
-    retries: u64,
-    availability: f64,
-    baseline_latency_ms: f64,
-    chaos_latency_ms: f64,
-    baseline_bill: f64,
-    chaos_bill: f64,
-}
-
-fn mean_latency_ms(runs: &[RunRecord]) -> f64 {
-    if runs.is_empty() {
-        return 0.0;
-    }
-    runs.iter()
-        .map(|r| r.latency.as_secs_f64() * 1e3)
-        .sum::<f64>()
-        / runs.len() as f64
-}
-
-/// Compare one chaos run against its fault-free twin. Returns an error
-/// string on the first divergence.
-fn check_pair(base: &RunRecord, chaos: &RunRecord) -> Result<(), String> {
-    if !base.finished || !chaos.finished {
-        return Err(format!(
-            "{}: availability broken (baseline finished={}, chaos finished={})",
-            base.query_id, base.finished, chaos.finished
-        ));
-    }
-    if base.batch != chaos.batch {
-        return Err(format!(
-            "{}: results diverged under faults (bit-identity violated)",
-            base.query_id
-        ));
-    }
-    if base.scan_bytes != chaos.scan_bytes {
-        return Err(format!(
-            "{}: billed bytes diverged: fault-free {} vs chaos {}",
-            base.query_id, base.scan_bytes, chaos.scan_bytes
-        ));
-    }
-    if base.price != chaos.price {
-        return Err(format!(
-            "{}: user bill diverged: fault-free ${} vs chaos ${}",
-            base.query_id, base.price, chaos.price
-        ));
-    }
-    Ok(())
 }
 
 /// The economics ledger must reconcile exactly — bit-for-bit — against the
@@ -262,13 +85,6 @@ fn reconcile_ledger(tag: &str, d: &Deployment, failures: &mut Vec<String>) {
     }
 }
 
-fn metric_value(text: &str, needle: &str) -> f64 {
-    text.lines()
-        .find(|l| l.starts_with(needle))
-        .and_then(|l| l.rsplit(' ').next().unwrap().parse().ok())
-        .unwrap_or(0.0)
-}
-
 fn main() {
     let mut failures: Vec<String> = Vec::new();
     let queries: Vec<_> = all_queries()
@@ -293,21 +109,20 @@ fn main() {
             ServiceLevel::Relaxed,
             ServiceLevel::BestEffort,
         ] {
-            let base_d = deploy(&FaultPlan::none(SEED), EngineConfig::default());
-            let chaos_d = deploy(&plan, EngineConfig::default());
+            let base_d = Deployment::new(&FaultPlan::none(SEED), EngineConfig::default());
+            let chaos_d = Deployment::new(&plan, EngineConfig::default());
             let mut base_runs = Vec::new();
             let mut chaos_runs = Vec::new();
             for q in &queries {
-                base_runs.push(run_query(&base_d, q.sql, q.id, level));
-                chaos_runs.push(run_query(&chaos_d, q.sql, q.id, level));
+                base_runs.push(base_d.run_query(q.sql, q.id, level));
+                chaos_runs.push(chaos_d.run_query(q.sql, q.id, level));
             }
-            let mut equivalent = 0;
-            for (b, c) in base_runs.iter().zip(&chaos_runs) {
-                match check_pair(b, c) {
-                    Ok(()) => equivalent += 1,
-                    Err(e) => failures.push(format!("{name}/{}: {e}", level.name())),
-                }
-            }
+            let equivalent = count_equivalent(
+                &format!("{name}/{}", level.name()),
+                &base_runs,
+                &chaos_runs,
+                &mut failures,
+            );
             let text = chaos_d.server.metrics_text();
             if let Err(e) = pixels_obs::validate_exposition(&text) {
                 failures.push(format!("{name}/{}: bad exposition: {e}", level.name()));
@@ -322,16 +137,9 @@ fn main() {
                 &chaos_d,
                 &mut failures,
             );
-            assert_no_spill_leaks(
-                &format!("{name}/{}/baseline", level.name()),
-                &base_d,
-                &mut failures,
-            );
-            assert_no_spill_leaks(
-                &format!("{name}/{}/chaos", level.name()),
-                &chaos_d,
-                &mut failures,
-            );
+            base_d
+                .assert_no_spill_leaks(&format!("{name}/{}/baseline", level.name()), &mut failures);
+            chaos_d.assert_no_spill_leaks(&format!("{name}/{}/chaos", level.name()), &mut failures);
             let injected =
                 metric_value(&text, "pixels_faults_injected_total{site=\"storage_get\"}");
             if injected <= 0.0 {
@@ -355,20 +163,14 @@ fn main() {
                     ));
                 }
             }
-            scenarios.push(ScenarioResult {
-                name: name.into(),
-                level: level.name(),
-                queries: queries.len(),
+            scenarios.push(ScenarioResult::new(
+                name,
+                level.name(),
                 equivalent,
-                faults_injected: chaos_d.injector.injected_total(),
-                retries: chaos_runs.iter().map(|r| r.retries).sum(),
-                availability: chaos_runs.iter().filter(|r| r.finished).count() as f64
-                    / chaos_runs.len() as f64,
-                baseline_latency_ms: mean_latency_ms(&base_runs),
-                chaos_latency_ms: mean_latency_ms(&chaos_runs),
-                baseline_bill: base_runs.iter().map(|r| r.price).sum(),
-                chaos_bill: chaos_runs.iter().map(|r| r.price).sum(),
-            });
+                chaos_d.injector.injected_total(),
+                &base_runs,
+                &chaos_runs,
+            ));
         }
     }
 
@@ -389,28 +191,28 @@ fn main() {
             prefetch_depth,
             ..EngineConfig::default()
         };
-        let base_d = deploy(&FaultPlan::none(SEED), EngineConfig::default());
-        let chaos_sync = deploy(&plan, with_depth(0));
+        let base_d = Deployment::new(&FaultPlan::none(SEED), EngineConfig::default());
+        let chaos_sync = Deployment::new(&plan, with_depth(0));
         let base_runs: Vec<_> = queries
             .iter()
-            .map(|q| run_query(&base_d, q.sql, q.id, ServiceLevel::Immediate))
+            .map(|q| base_d.run_query(q.sql, q.id, ServiceLevel::Immediate))
             .collect();
         let sync_runs: Vec<_> = queries
             .iter()
-            .map(|q| run_query(&chaos_sync, q.sql, q.id, ServiceLevel::Immediate))
+            .map(|q| chaos_sync.run_query(q.sql, q.id, ServiceLevel::Immediate))
             .collect();
         reconcile_ledger(&format!("{name}/sync"), &chaos_sync, &mut failures);
-        assert_no_spill_leaks(&format!("{name}/baseline"), &base_d, &mut failures);
-        assert_no_spill_leaks(&format!("{name}/sync"), &chaos_sync, &mut failures);
+        base_d.assert_no_spill_leaks(&format!("{name}/baseline"), &mut failures);
+        chaos_sync.assert_no_spill_leaks(&format!("{name}/sync"), &mut failures);
 
         for (side, cfg) in [
             ("prefetch", EngineConfig::default()),
             ("prefetch_depth4", with_depth(4)),
         ] {
-            let chaos_pre = deploy(&plan, cfg);
+            let chaos_pre = Deployment::new(&plan, cfg);
             let pre_runs: Vec<_> = queries
                 .iter()
-                .map(|q| run_query(&chaos_pre, q.sql, q.id, ServiceLevel::Immediate))
+                .map(|q| chaos_pre.run_query(q.sql, q.id, ServiceLevel::Immediate))
                 .collect();
             let mut equivalent = 0;
             for ((b, p), s) in base_runs.iter().zip(&pre_runs).zip(&sync_runs) {
@@ -422,7 +224,7 @@ fn main() {
                 }
             }
             reconcile_ledger(&format!("{name}/{side}"), &chaos_pre, &mut failures);
-            assert_no_spill_leaks(&format!("{name}/{side}"), &chaos_pre, &mut failures);
+            chaos_pre.assert_no_spill_leaks(&format!("{name}/{side}"), &mut failures);
             let text = chaos_pre.server.metrics_text();
             if metric_value(&text, "pixels_scan_prefetch_issued_total") <= 0.0 {
                 failures.push(format!("{name}/{side}: prefetcher never issued a fetch"));
@@ -441,20 +243,14 @@ fn main() {
             // One report row, for the default deployment; the depth-4 twin
             // only has to pass the checks above.
             if side == "prefetch" {
-                scenarios.push(ScenarioResult {
-                    name: name.into(),
-                    level: "immediate",
-                    queries: queries.len(),
+                scenarios.push(ScenarioResult::new(
+                    name,
+                    "immediate",
                     equivalent,
-                    faults_injected: chaos_pre.injector.injected_total(),
-                    retries,
-                    availability: pre_runs.iter().filter(|r| r.finished).count() as f64
-                        / pre_runs.len() as f64,
-                    baseline_latency_ms: mean_latency_ms(&base_runs),
-                    chaos_latency_ms: mean_latency_ms(&pre_runs),
-                    baseline_bill: base_runs.iter().map(|r| r.price).sum(),
-                    chaos_bill: pre_runs.iter().map(|r| r.price).sum(),
-                });
+                    chaos_pre.injector.injected_total(),
+                    &base_runs,
+                    &pre_runs,
+                ));
             }
         }
     }
@@ -486,22 +282,25 @@ fn main() {
         let mut speculated = 0.0;
         let mut cf_retried = 0.0;
         for q in &queries {
-            let base_d = deploy(&FaultPlan::none(SEED), cf_config());
-            let chaos_d = deploy(&plan, cf_config());
+            let base_d = Deployment::new(&FaultPlan::none(SEED), cf_config());
+            let chaos_d = Deployment::new(&plan, cf_config());
             // Warm each deployment identically (one VM-path run) so the
             // measured CF run bills from the same cache state on both sides.
-            run_query(&base_d, q.sql, q.id, ServiceLevel::Relaxed);
-            run_query(&chaos_d, q.sql, q.id, ServiceLevel::Relaxed);
-            base_runs.push(with_saturated_slot(&base_d, || {
-                run_query(&base_d, q.sql, q.id, ServiceLevel::Immediate)
-            }));
-            chaos_runs.push(with_saturated_slot(&chaos_d, || {
-                run_query(&chaos_d, q.sql, q.id, ServiceLevel::Immediate)
-            }));
+            base_d.run_query(q.sql, q.id, ServiceLevel::Relaxed);
+            chaos_d.run_query(q.sql, q.id, ServiceLevel::Relaxed);
+            base_runs
+                .push(base_d.with_saturated_slot(|| {
+                    base_d.run_query(q.sql, q.id, ServiceLevel::Immediate)
+                }));
+            chaos_runs.push(
+                chaos_d.with_saturated_slot(|| {
+                    chaos_d.run_query(q.sql, q.id, ServiceLevel::Immediate)
+                }),
+            );
             injected_total += chaos_d.injector.injected_total();
             reconcile_ledger(&format!("{name}/{}", q.id), &chaos_d, &mut failures);
-            assert_no_spill_leaks(&format!("{name}/{}/baseline", q.id), &base_d, &mut failures);
-            assert_no_spill_leaks(&format!("{name}/{}/chaos", q.id), &chaos_d, &mut failures);
+            base_d.assert_no_spill_leaks(&format!("{name}/{}/baseline", q.id), &mut failures);
+            chaos_d.assert_no_spill_leaks(&format!("{name}/{}/chaos", q.id), &mut failures);
             let text = chaos_d.server.metrics_text();
             if pixels_obs::validate_exposition(&text).is_err() {
                 metrics_ok = false;
@@ -509,13 +308,12 @@ fn main() {
             speculated += metric_value(&text, "pixels_speculative_launches_total");
             cf_retried += metric_value(&text, "pixels_turbo_cf_retries_total");
         }
-        let mut equivalent = 0;
-        for (b, c) in base_runs.iter().zip(&chaos_runs) {
-            match check_pair(b, c) {
-                Ok(()) => equivalent += 1,
-                Err(e) => failures.push(format!("{name}/immediate: {e}")),
-            }
-        }
+        let equivalent = count_equivalent(
+            &format!("{name}/immediate"),
+            &base_runs,
+            &chaos_runs,
+            &mut failures,
+        );
         if !metrics_ok {
             failures.push(format!("{name}: invalid exposition"));
         }
@@ -528,45 +326,20 @@ fn main() {
         if name == "cf_straggler_speculate" && speculated <= 0.0 {
             failures.push(format!("{name}: expected speculative launches"));
         }
-        scenarios.push(ScenarioResult {
-            name: name.into(),
-            level: "immediate",
-            queries: queries.len(),
+        scenarios.push(ScenarioResult::new(
+            name,
+            "immediate",
             equivalent,
-            faults_injected: injected_total,
-            retries: chaos_runs.iter().map(|r| r.retries).sum(),
-            availability: chaos_runs.iter().filter(|r| r.finished).count() as f64
-                / chaos_runs.len() as f64,
-            baseline_latency_ms: mean_latency_ms(&base_runs),
-            chaos_latency_ms: mean_latency_ms(&chaos_runs),
-            baseline_bill: base_runs.iter().map(|r| r.price).sum(),
-            chaos_bill: chaos_runs.iter().map(|r| r.price).sum(),
-        });
+            injected_total,
+            &base_runs,
+            &chaos_runs,
+        ));
     }
 
     // ---- Shuffle scenarios: two-stage exchange plans (4-way fan-out) under
     // spill PUT/GET faults and a stage crash. The exchange stack must retry
     // every injected spill error invisibly: results and bills bit-identical
     // to the fault-free twin, and no spill object may outlive its query.
-    let shuffle_cfg = EngineConfig {
-        vm_slots: 1,
-        cf_fleet_threads: 2,
-        exchange_partitions: 4,
-        ..EngineConfig::default()
-    };
-    let shuffle_queries: [(&str, &str); 2] = [
-        (
-            "shuffle_agg",
-            "SELECT o_orderstatus, COUNT(*) AS n FROM orders \
-             GROUP BY o_orderstatus ORDER BY n DESC",
-        ),
-        (
-            "shuffle_join",
-            "SELECT c_name, o_orderkey FROM customer \
-             JOIN orders ON c_custkey = o_custkey \
-             ORDER BY o_orderkey, c_name LIMIT 20",
-        ),
-    ];
     let shuffle_matrix: [(&str, FaultPlan, Option<FaultSite>); 3] = [
         (
             "shuffle_exchange_put_errors",
@@ -590,21 +363,22 @@ fn main() {
         let mut injected_total = 0;
         let mut site_faults = 0.0;
         let mut spilled = 0.0;
-        for (qid, sql) in shuffle_queries {
-            let base_d = deploy(&FaultPlan::none(SEED), shuffle_cfg);
-            let chaos_d = deploy(&plan, shuffle_cfg);
-            run_query(&base_d, sql, qid, ServiceLevel::Relaxed);
-            run_query(&chaos_d, sql, qid, ServiceLevel::Relaxed);
-            base_runs.push(with_saturated_slot(&base_d, || {
-                run_query(&base_d, sql, qid, ServiceLevel::Immediate)
-            }));
-            chaos_runs.push(with_saturated_slot(&chaos_d, || {
-                run_query(&chaos_d, sql, qid, ServiceLevel::Immediate)
-            }));
+        for (qid, sql) in SHUFFLE_QUERIES {
+            let base_d = Deployment::new(&FaultPlan::none(SEED), shuffle_config());
+            let chaos_d = Deployment::new(&plan, shuffle_config());
+            base_d.run_query(sql, qid, ServiceLevel::Relaxed);
+            chaos_d.run_query(sql, qid, ServiceLevel::Relaxed);
+            base_runs.push(
+                base_d.with_saturated_slot(|| base_d.run_query(sql, qid, ServiceLevel::Immediate)),
+            );
+            chaos_runs.push(
+                chaos_d
+                    .with_saturated_slot(|| chaos_d.run_query(sql, qid, ServiceLevel::Immediate)),
+            );
             injected_total += chaos_d.injector.injected_total();
             reconcile_ledger(&format!("{name}/{qid}"), &chaos_d, &mut failures);
-            assert_no_spill_leaks(&format!("{name}/{qid}/baseline"), &base_d, &mut failures);
-            assert_no_spill_leaks(&format!("{name}/{qid}/chaos"), &chaos_d, &mut failures);
+            base_d.assert_no_spill_leaks(&format!("{name}/{qid}/baseline"), &mut failures);
+            chaos_d.assert_no_spill_leaks(&format!("{name}/{qid}/chaos"), &mut failures);
             let text = chaos_d.server.metrics_text();
             if pixels_obs::validate_exposition(&text).is_err() {
                 failures.push(format!("{name}/{qid}: invalid exposition"));
@@ -626,27 +400,20 @@ fn main() {
         if injected_total == 0 {
             failures.push(format!("{name}: no faults injected"));
         }
-        let mut equivalent = 0;
-        for (b, c) in base_runs.iter().zip(&chaos_runs) {
-            match check_pair(b, c) {
-                Ok(()) => equivalent += 1,
-                Err(e) => failures.push(format!("{name}/immediate: {e}")),
-            }
-        }
-        scenarios.push(ScenarioResult {
-            name: name.into(),
-            level: "immediate",
-            queries: shuffle_queries.len(),
+        let equivalent = count_equivalent(
+            &format!("{name}/immediate"),
+            &base_runs,
+            &chaos_runs,
+            &mut failures,
+        );
+        scenarios.push(ScenarioResult::new(
+            name,
+            "immediate",
             equivalent,
-            faults_injected: injected_total,
-            retries: chaos_runs.iter().map(|r| r.retries).sum(),
-            availability: chaos_runs.iter().filter(|r| r.finished).count() as f64
-                / chaos_runs.len() as f64,
-            baseline_latency_ms: mean_latency_ms(&base_runs),
-            chaos_latency_ms: mean_latency_ms(&chaos_runs),
-            baseline_bill: base_runs.iter().map(|r| r.price).sum(),
-            chaos_bill: chaos_runs.iter().map(|r| r.price).sum(),
-        });
+            injected_total,
+            &base_runs,
+            &chaos_runs,
+        ));
     }
 
     // ---- Report.
@@ -686,17 +453,10 @@ fn main() {
             ]),
         )
     }));
-    std::fs::create_dir_all("results").expect("mkdir results");
-    std::fs::write("results/chaos_soak.json", report.to_compact_string())
-        .expect("write chaos_soak.json");
-    println!("wrote results/chaos_soak.json");
-
-    if !failures.is_empty() {
-        println!("\n{} divergence(s):", failures.len());
-        for f in &failures {
-            println!("FAIL {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("\nall scenarios equivalent: identical results and bills under every fault plan");
+    conclude(
+        "chaos_soak.json",
+        report,
+        &failures,
+        "all scenarios equivalent: identical results and bills under every fault plan",
+    );
 }

@@ -19,192 +19,16 @@
 //! Results are printed as a table and written to
 //! `results/exchange_soak.json` (uploaded as a CI artifact).
 
+use pixels_bench::soak::{
+    conclude, count_equivalent, metric_value, shuffle_config, Deployment, ScenarioResult,
+    SHUFFLE_QUERIES,
+};
 use pixels_bench::TextTable;
-use pixels_catalog::Catalog;
-use pixels_chaos::{FaultInjector, FaultPlan, FaultSite, RetryPolicy, SiteSpec};
+use pixels_chaos::{FaultPlan, FaultSite, SiteSpec};
 use pixels_common::Json;
-use pixels_obs::{MetricsRegistry, WallClock};
-use pixels_server::{PriceSchedule, QueryServer, QueryStatus, QuerySubmission, ServiceLevel};
-use pixels_storage::{chaos_stack, InMemoryObjectStore, ObjectStoreRef};
-use pixels_turbo::{EngineConfig, TurboEngine};
-use pixels_workload::{load_tpch, TpchConfig};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use pixels_server::ServiceLevel;
 
 const SEED: u64 = 20260807;
-
-/// Shuffleable TPC-H queries: one aggregation, one equi-join.
-const QUERIES: [(&str, &str); 2] = [
-    (
-        "shuffle_agg",
-        "SELECT o_orderstatus, COUNT(*) AS n FROM orders \
-         GROUP BY o_orderstatus ORDER BY n DESC",
-    ),
-    (
-        "shuffle_join",
-        "SELECT c_name, o_orderkey FROM customer \
-         JOIN orders ON c_custkey = o_custkey \
-         ORDER BY o_orderkey, c_name LIMIT 20",
-    ),
-];
-
-fn shuffle_config() -> EngineConfig {
-    EngineConfig {
-        vm_slots: 1,
-        cf_fleet_threads: 2,
-        exchange_partitions: 4,
-        ..EngineConfig::default()
-    }
-}
-
-struct Deployment {
-    server: QueryServer,
-    injector: Arc<FaultInjector>,
-    /// The raw inner store, for spill-leak sweeps under the chaos wrapper.
-    store: ObjectStoreRef,
-}
-
-fn deploy(plan: &FaultPlan) -> Deployment {
-    let catalog = Catalog::shared();
-    let inner = InMemoryObjectStore::shared();
-    load_tpch(
-        &catalog,
-        inner.as_ref(),
-        "tpch",
-        &TpchConfig {
-            scale: 0.001,
-            seed: 11,
-            row_group_rows: 512,
-            files_per_table: 2,
-        },
-    )
-    .expect("load tpch");
-    let injector = Arc::new(FaultInjector::new(plan));
-    let store = chaos_stack(
-        inner.clone(),
-        injector.clone(),
-        RetryPolicy::object_store(),
-        WallClock::shared(),
-    );
-    let engine = Arc::new(
-        TurboEngine::new(catalog, store, shuffle_config())
-            .with_registry(MetricsRegistry::shared())
-            .with_chaos(injector.clone()),
-    );
-    Deployment {
-        server: QueryServer::new(engine, PriceSchedule::default()),
-        injector,
-        store: inner,
-    }
-}
-
-fn assert_no_spill_leaks(tag: &str, d: &Deployment, failures: &mut Vec<String>) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let leaked = d
-            .store
-            .list("pixels-turbo/intermediate/")
-            .unwrap_or_default();
-        if leaked.is_empty() {
-            return;
-        }
-        if Instant::now() >= deadline {
-            failures.push(format!("{tag}: leaked spill objects: {leaked:?}"));
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn with_saturated_slot<T>(d: &Deployment, f: impl FnOnce() -> T) -> T {
-    let engine = d.server.engine().clone();
-    let blocker = std::thread::spawn(move || {
-        engine
-            .execute_sql(
-                "tpch",
-                "SELECT COUNT(*) FROM lineitem CROSS JOIN nation",
-                false,
-            )
-            .unwrap()
-    });
-    while !d.server.engine().is_busy() {
-        std::thread::yield_now();
-    }
-    let r = f();
-    blocker.join().unwrap();
-    r
-}
-
-#[derive(Clone)]
-struct RunRecord {
-    query_id: &'static str,
-    finished: bool,
-    batch: Option<std::sync::Arc<pixels_common::RecordBatch>>,
-    scan_bytes: u64,
-    price: f64,
-    shuffle_dollars: f64,
-    latency: Duration,
-}
-
-fn run_query(d: &Deployment, sql: &str, qid: &'static str, level: ServiceLevel) -> RunRecord {
-    let start = Instant::now();
-    let id = d.server.submit(QuerySubmission {
-        database: "tpch".into(),
-        sql: sql.into(),
-        level,
-        result_limit: None,
-        tenant: None,
-        deadline_us: None,
-    });
-    let info = d.server.wait(id).expect("query record");
-    RunRecord {
-        query_id: qid,
-        finished: info.status == QueryStatus::Finished,
-        batch: info.result,
-        scan_bytes: info.scan_bytes,
-        price: info.price,
-        shuffle_dollars: info.provider_shuffle_dollars,
-        latency: start.elapsed(),
-    }
-}
-
-/// Compare one faulted run against its fault-free twin. Shuffle dollars are
-/// compared bit-for-bit: they are priced from the *accepted* stage attempts
-/// only, so faults (retried PUT/GETs, crashed and relaunched stages) must
-/// never move them.
-fn check_pair(base: &RunRecord, chaos: &RunRecord) -> Result<(), String> {
-    if !base.finished || !chaos.finished {
-        return Err(format!(
-            "{}: availability broken (baseline finished={}, chaos finished={})",
-            base.query_id, base.finished, chaos.finished
-        ));
-    }
-    if base.batch != chaos.batch {
-        return Err(format!(
-            "{}: results diverged under faults (bit-identity violated)",
-            base.query_id
-        ));
-    }
-    if base.scan_bytes != chaos.scan_bytes {
-        return Err(format!(
-            "{}: billed bytes diverged: fault-free {} vs chaos {}",
-            base.query_id, base.scan_bytes, chaos.scan_bytes
-        ));
-    }
-    if base.price != chaos.price {
-        return Err(format!(
-            "{}: user bill diverged: fault-free ${} vs chaos ${}",
-            base.query_id, base.price, chaos.price
-        ));
-    }
-    if base.shuffle_dollars.to_bits() != chaos.shuffle_dollars.to_bits() {
-        return Err(format!(
-            "{}: provider shuffle dollars diverged: fault-free ${} vs chaos ${}",
-            base.query_id, base.shuffle_dollars, chaos.shuffle_dollars
-        ));
-    }
-    Ok(())
-}
 
 /// The ledger's `cf_shuffle` component must reconcile bit-for-bit against
 /// each query record's provider shuffle spend.
@@ -227,39 +51,10 @@ fn reconcile_shuffle_ledger(tag: &str, d: &Deployment, failures: &mut Vec<String
     }
 }
 
-fn metric_value(text: &str, needle: &str) -> f64 {
-    text.lines()
-        .find(|l| l.starts_with(needle))
-        .and_then(|l| l.rsplit(' ').next().unwrap().parse().ok())
-        .unwrap_or(0.0)
-}
-
-struct ScenarioResult {
-    name: String,
-    level: &'static str,
-    queries: usize,
-    equivalent: usize,
-    faults_injected: u64,
-    exchange_faults: f64,
-    put_bytes: f64,
-    shuffle_dollars: f64,
-    baseline_latency_ms: f64,
-    chaos_latency_ms: f64,
-}
-
-fn mean_latency_ms(runs: &[RunRecord]) -> f64 {
-    if runs.is_empty() {
-        return 0.0;
-    }
-    runs.iter()
-        .map(|r| r.latency.as_secs_f64() * 1e3)
-        .sum::<f64>()
-        / runs.len() as f64
-}
-
 fn main() {
     let mut failures: Vec<String> = Vec::new();
-    let mut scenarios: Vec<ScenarioResult> = Vec::new();
+    // Each scenario's roll-up, exchange faults and exchange PUT bytes.
+    let mut scenarios: Vec<(ScenarioResult, f64, f64)> = Vec::new();
 
     // Error bursts sized to the retry budget (4 retries): the first spill
     // PUT/GET absorbs the whole burst and succeeds on its final retry, so
@@ -296,29 +91,27 @@ fn main() {
             let mut injected_total = 0;
             let mut exchange_faults = 0.0;
             let mut put_bytes = 0.0;
-            for (qid, sql) in QUERIES {
-                let base_d = deploy(&FaultPlan::none(SEED));
-                let chaos_d = deploy(plan);
+            for (qid, sql) in SHUFFLE_QUERIES {
+                let base_d = Deployment::new(&FaultPlan::none(SEED), shuffle_config());
+                let chaos_d = Deployment::new(plan, shuffle_config());
                 if cf_level {
                     // Warm both deployments identically (one VM run each) so
                     // the measured CF run bills from the same cache state,
                     // then saturate the slot to force the CF shuffle path.
-                    run_query(&base_d, sql, qid, ServiceLevel::Relaxed);
-                    run_query(&chaos_d, sql, qid, ServiceLevel::Relaxed);
-                    base_runs.push(with_saturated_slot(&base_d, || {
-                        run_query(&base_d, sql, qid, level)
-                    }));
-                    chaos_runs.push(with_saturated_slot(&chaos_d, || {
-                        run_query(&chaos_d, sql, qid, level)
-                    }));
+                    base_d.run_query(sql, qid, ServiceLevel::Relaxed);
+                    chaos_d.run_query(sql, qid, ServiceLevel::Relaxed);
+                    base_runs
+                        .push(base_d.with_saturated_slot(|| base_d.run_query(sql, qid, level)));
+                    chaos_runs
+                        .push(chaos_d.with_saturated_slot(|| chaos_d.run_query(sql, qid, level)));
                 } else {
-                    base_runs.push(run_query(&base_d, sql, qid, level));
-                    chaos_runs.push(run_query(&chaos_d, sql, qid, level));
+                    base_runs.push(base_d.run_query(sql, qid, level));
+                    chaos_runs.push(chaos_d.run_query(sql, qid, level));
                 }
                 injected_total += chaos_d.injector.injected_total();
                 reconcile_shuffle_ledger(&format!("{name}/{qid}"), &chaos_d, &mut failures);
-                assert_no_spill_leaks(&format!("{name}/{qid}/baseline"), &base_d, &mut failures);
-                assert_no_spill_leaks(&format!("{name}/{qid}/chaos"), &chaos_d, &mut failures);
+                base_d.assert_no_spill_leaks(&format!("{name}/{qid}/baseline"), &mut failures);
+                chaos_d.assert_no_spill_leaks(&format!("{name}/{qid}/chaos"), &mut failures);
                 let text = chaos_d.server.metrics_text();
                 if pixels_obs::validate_exposition(&text).is_err() {
                     failures.push(format!("{name}/{qid}: invalid exposition"));
@@ -357,25 +150,24 @@ fn main() {
                     ));
                 }
             }
-            let mut equivalent = 0;
-            for (b, c) in base_runs.iter().zip(&chaos_runs) {
-                match check_pair(b, c) {
-                    Ok(()) => equivalent += 1,
-                    Err(e) => failures.push(format!("{name}/{lname}: {e}")),
-                }
-            }
-            scenarios.push(ScenarioResult {
-                name: (*name).into(),
-                level: lname,
-                queries: QUERIES.len(),
-                equivalent,
-                faults_injected: injected_total,
+            let equivalent = count_equivalent(
+                &format!("{name}/{lname}"),
+                &base_runs,
+                &chaos_runs,
+                &mut failures,
+            );
+            scenarios.push((
+                ScenarioResult::new(
+                    name,
+                    lname,
+                    equivalent,
+                    injected_total,
+                    &base_runs,
+                    &chaos_runs,
+                ),
                 exchange_faults,
                 put_bytes,
-                shuffle_dollars: chaos_runs.iter().map(|r| r.shuffle_dollars).sum(),
-                baseline_latency_ms: mean_latency_ms(&base_runs),
-                chaos_latency_ms: mean_latency_ms(&chaos_runs),
-            });
+            ));
         }
     }
 
@@ -391,15 +183,15 @@ fn main() {
         "base ms",
         "chaos ms",
     ]);
-    for s in &scenarios {
+    for (s, exchange_faults, put_bytes) in &scenarios {
         table.row(&[
             s.name.clone(),
             s.level.to_string(),
             s.queries.to_string(),
             s.equivalent.to_string(),
             s.faults_injected.to_string(),
-            format!("{:.0}", s.exchange_faults),
-            format!("{:.1}", s.put_bytes / 1024.0),
+            format!("{exchange_faults:.0}"),
+            format!("{:.1}", put_bytes / 1024.0),
             format!("{:.9}", s.shuffle_dollars),
             format!("{:.1}", s.baseline_latency_ms),
             format!("{:.1}", s.chaos_latency_ms),
@@ -407,32 +199,25 @@ fn main() {
     }
     table.print();
 
-    let report = Json::object(scenarios.iter().map(|s| {
+    let report = Json::object(scenarios.iter().map(|(s, exchange_faults, put_bytes)| {
         (
             format!("{}/{}", s.name, s.level),
             Json::object([
                 ("queries", Json::number(s.queries as f64)),
                 ("equivalent", Json::number(s.equivalent as f64)),
                 ("faults_injected", Json::number(s.faults_injected as f64)),
-                ("exchange_faults", Json::number(s.exchange_faults)),
-                ("exchange_put_bytes", Json::number(s.put_bytes)),
+                ("exchange_faults", Json::number(*exchange_faults)),
+                ("exchange_put_bytes", Json::number(*put_bytes)),
                 ("shuffle_dollars", Json::number(s.shuffle_dollars)),
                 ("baseline_latency_ms", Json::number(s.baseline_latency_ms)),
                 ("chaos_latency_ms", Json::number(s.chaos_latency_ms)),
             ]),
         )
     }));
-    std::fs::create_dir_all("results").expect("mkdir results");
-    std::fs::write("results/exchange_soak.json", report.to_compact_string())
-        .expect("write exchange_soak.json");
-    println!("wrote results/exchange_soak.json");
-
-    if !failures.is_empty() {
-        println!("\n{} divergence(s):", failures.len());
-        for f in &failures {
-            println!("FAIL {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("\nall scenarios equivalent: shuffles survive exchange faults with identical results and bills");
+    conclude(
+        "exchange_soak.json",
+        report,
+        &failures,
+        "all scenarios equivalent: shuffles survive exchange faults with identical results and bills",
+    );
 }

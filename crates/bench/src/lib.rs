@@ -5,6 +5,7 @@
 //! Criterion microbenchmarks live in `benches/`.
 
 pub mod parity;
+pub mod soak;
 
 use pixels_catalog::{Catalog, CatalogRef};
 use pixels_storage::{InMemoryObjectStore, ObjectStoreRef};

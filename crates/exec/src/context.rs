@@ -38,10 +38,6 @@ pub struct ExecContext {
     /// the decoding workers, which is also how many fetches it keeps in
     /// flight (default 4). `0` fetches on the workers themselves.
     pub prefetch_depth: usize,
-    /// Execute scans on encoded chunks (dictionary/RLE short cuts, chunk
-    /// zone-map checks, late materialization). `false` restores the
-    /// decode-everything path — kept as the benchmark baseline.
-    pub encoded_scan: bool,
     /// Where in the query's trace this context executes: operators open
     /// child spans under it. Disabled by default — a disabled context makes
     /// every span operation a no-op.
@@ -58,7 +54,6 @@ impl ExecContext {
             footer_cache: FooterCache::shared(),
             chunk_cache: None,
             prefetch_depth: 4,
-            encoded_scan: true,
             trace: TraceCtx::disabled(),
         }
     }
@@ -84,13 +79,6 @@ impl ExecContext {
     /// Same context with a different prefetch depth (`0` = no prefetch).
     pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = depth;
-        self
-    }
-
-    /// Same context with encoded execution toggled. `false` is the
-    /// decode-everything baseline.
-    pub fn with_encoded_scan(mut self, enabled: bool) -> Self {
-        self.encoded_scan = enabled;
         self
     }
 

@@ -2,7 +2,8 @@
 //! directly on encoded chunks, decoding as little as possible.
 //!
 //! Three decode-avoidance techniques, all proven bit-identical to the
-//! decode-everything path by the differential suite:
+//! scalar oracle's decode-everything scan ([`crate::scalar`]) by the
+//! differential suite:
 //!
 //! - **Dictionary shortcut** — a `col <op> literal` predicate over a
 //!   dictionary chunk is evaluated once per *distinct* value, then mapped
@@ -30,7 +31,7 @@ use crate::evaluate::{
     BatchRow, NumSlice,
 };
 use crate::parallel;
-use crate::scan::{fetch_metered, open_metered};
+use crate::scan::ScanMorsels;
 use pixels_common::{
     Column, ColumnBuilder, ColumnData, DataType, Error, RecordBatch, Result, SchemaRef, Value,
 };
@@ -39,7 +40,6 @@ use pixels_planner::{AggExpr, AggFunc, BoundExpr};
 use pixels_sql::ast::BinaryOp;
 use pixels_storage::{ColumnPredicate, ColumnStats, EncodedChunk, Encoding, PredicateOp};
 use std::cell::OnceCell;
-use std::sync::Arc;
 
 /// One row group's projected chunks, decoded lazily and at most once per
 /// column. Lives on a single worker thread for the duration of one morsel.
@@ -326,8 +326,8 @@ fn encoded_conjunct_mask(
 // ---------------------------------------------------------------------------
 
 /// Replicate [`crate::aggregate::partition_batches`] over per-morsel row
-/// counts, so the encoded path merges float partial sums in exactly the
-/// partition structure the decoded path uses at equal parallelism.
+/// counts, so the grand total merges float partial sums in exactly the
+/// partition structure scan-then-aggregate uses at equal parallelism.
 fn partition_morsels(rows: &[usize], parts: usize) -> Vec<std::ops::Range<usize>> {
     let parts = parts.clamp(1, rows.len().max(1));
     let total: usize = rows.iter().sum();
@@ -366,47 +366,21 @@ pub fn execute_encoded_aggregate(
     let mut scan_span = ctx.trace.span("scan");
     let sctx = ctx.under(&scan_span);
 
-    let mut readers = Vec::with_capacity(paths.len());
-    let mut schemas: Vec<SchemaRef> = Vec::with_capacity(paths.len());
-    let mut morsels: Vec<(usize, usize)> = Vec::new();
-    for (fi, path) in paths.iter().enumerate() {
-        let reader = open_metered(&sctx, path)?;
-        let retained = reader.prune_row_groups(zone_predicates);
-        sctx.metrics
-            .add_row_groups(reader.num_row_groups() as u64, retained.len() as u64);
-        morsels.extend(retained.into_iter().map(|rg| (fi, rg)));
-        schemas.push(Arc::new(reader.schema().project(projection)));
-        readers.push(reader);
-    }
-
-    let rows: Vec<usize> = morsels
-        .iter()
-        .map(|&(fi, rg)| readers[fi].footer().row_groups[rg].num_rows as usize)
-        .collect();
+    let scan = ScanMorsels::open(&sctx, paths, projection, zone_predicates)?;
+    let rows: Vec<usize> = (0..scan.len()).map(|i| scan.num_rows(i)).collect();
     let partitions = partition_morsels(&rows, ctx.parallelism);
 
     let partials = parallel::run_indexed(partitions.len(), ctx.parallelism, |p| {
         let mut states: Vec<AggState> = aggs.iter().map(AggState::new).collect();
         let mut any_rows = false;
         for i in partitions[p].clone() {
-            let (fi, rg) = morsels[i];
-            let reader = &readers[fi];
             let mut span = sctx.trace.span("morsel");
-            let chunks = fetch_metered(&sctx, &mut span, reader, rg, projection)?;
-            let num_rows = rows[i];
-            let lazy = LazyRowGroup::new(schemas[fi].clone(), chunks, num_rows);
+            let lazy = scan.lazy(i, scan.fetch(&mut span, i)?);
             for (ai, agg) in aggs.iter().enumerate() {
                 fold_agg(&mut states[ai], agg, &lazy)?;
             }
-            any_rows |= num_rows > 0;
-            let bytes = reader.row_group_bytes(rg, Some(projection));
-            if span.enabled() {
-                span.record_u64("row_group", rg as u64);
-                span.record_u64("rows", num_rows as u64);
-                span.record_u64("bytes", bytes);
-            }
-            sctx.metrics.add_scan(bytes, num_rows as u64);
-            sctx.metrics.add_produced(num_rows as u64);
+            any_rows |= rows[i] > 0;
+            scan.meter(&mut span, i, rows[i]);
         }
         Ok(any_rows.then_some(states))
     })?;

@@ -60,19 +60,14 @@ fn execute_inner(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBat
             filters,
             output_schema,
             ..
-        } => {
-            let mut out = Vec::new();
-            execute_scan(
-                ctx,
-                paths,
-                projection,
-                zone_predicates,
-                filters,
-                output_schema,
-                &mut out,
-            )?;
-            Ok(out)
-        }
+        } => execute_scan(
+            ctx,
+            paths,
+            projection,
+            zone_predicates,
+            filters,
+            output_schema,
+        ),
         PhysicalPlan::MaterializedScan { path, .. } => {
             let reader = open_metered(ctx, path)?;
             let mut span = ctx.trace.span("read");
@@ -156,7 +151,7 @@ fn execute_inner(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBat
             // dictionary entries — skipping row materialization entirely.
             // Gated on exactly the shapes whose per-row semantics the
             // encoded path reproduces bit-identically.
-            if ctx.encoded_scan && group_exprs.is_empty() {
+            if group_exprs.is_empty() {
                 if let PhysicalPlan::Scan {
                     paths,
                     projection,

@@ -3,9 +3,13 @@
 //! This is the pre-vectorization execution path, retained verbatim as a
 //! differential oracle: `scalar::execute` runs a physical plan through
 //! `Vec<Value>`-keyed hash tables, per-row builder pushes, and per-filter
-//! mask/filter passes, with identical scan metering to the vectorized
-//! engine. `tests/vectorized_differential.rs` asserts the two paths produce
-//! bit-identical rows, row order, and billed bytes on every TPC-H template.
+//! mask/filter passes. Its scan shares the production scan's open, column
+//! check, pruning and metering ([`crate::scan::ScanMorsels`]) — so billed
+//! bytes agree by construction — and nothing else: each row group is decoded
+//! whole and filtered row by row, which is what makes it an independent
+//! reference for rows. `tests/vectorized_differential.rs` and
+//! `tests/encoded_scan_differential.rs` assert the two paths produce
+//! bit-identical rows, row order, and billed bytes.
 //! It is not wired into any production code path.
 
 use crate::aggregate::{partition_batches, GroupState};
@@ -13,7 +17,7 @@ use crate::context::ExecContext;
 use crate::evaluate::{eval_row, evaluate, BatchRow};
 use crate::join::RowSink;
 use crate::parallel;
-use crate::scan::{execute_scan_with, open_metered};
+use crate::scan::{open_metered, scan_output, ScanMorsels};
 use crate::sort::execute_limit;
 use pixels_common::{ColumnBuilder, RecordBatch, Result, SchemaRef, Value};
 use pixels_planner::eval::{eval_expr, NoRow};
@@ -23,9 +27,10 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// Execute a plan entirely on the scalar operator implementations. Scans
-/// share the vectorized engine's morsel fan-out and byte metering (the
-/// billed quantity is identical by construction); every post-scan operator
-/// is the row-at-a-time original.
+/// share the production scan's morsel list and byte metering (the billed
+/// quantity is identical by construction) but decode every projected chunk
+/// and filter row-at-a-time; every post-scan operator is the row-at-a-time
+/// original.
 pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch>> {
     match plan {
         PhysicalPlan::Scan {
@@ -36,18 +41,15 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch
             output_schema,
             ..
         } => {
-            let mut out = Vec::new();
-            execute_scan_with(
-                ctx,
-                paths,
-                projection,
-                zone_predicates,
-                filters,
-                output_schema,
-                &mut out,
-                apply_filters,
-            )?;
-            Ok(out)
+            let scan = ScanMorsels::open(ctx, paths, projection, zone_predicates)?;
+            let batches = parallel::run_indexed(scan.len(), ctx.parallelism, |i| {
+                let mut span = ctx.trace.span("morsel");
+                let (reader, rg) = scan.reader(i);
+                let batch = apply_filters(filters, reader.read_row_group(rg, Some(projection))?)?;
+                scan.meter(&mut span, i, batch.num_rows());
+                Ok(batch)
+            })?;
+            Ok(scan_output(batches, output_schema))
         }
         PhysicalPlan::MaterializedScan { path, .. } => {
             let reader = open_metered(ctx, path)?;

@@ -526,13 +526,7 @@ impl QueryServer {
         });
         self.state.lock().insert(id, slot.clone());
         let mode = submission.mode();
-        self.registry()
-            .gauge_with(
-                "pixels_scheduler_queue_depth",
-                "Queries submitted but not yet running, per service level",
-                &[("level", mode.name())],
-            )
-            .add(1.0);
+        queue_depth(self.registry(), mode).add(1.0);
 
         // Budget admission: a tenant whose committed-plus-reserved spend has
         // reached its budget is refused before a thread ever spawns.
@@ -550,19 +544,12 @@ impl QueryServer {
                 .estimate_work(&submission.database, &submission.sql)
                 .map(|w| w.scan_bytes)
                 .unwrap_or(0);
-            reserved = self.prices.bill_mode(mode, est_bytes);
+            reserved = self.prices.bill(mode, est_bytes);
             if !self
                 .spend
                 .try_reserve(submission.tenant_name(), reserved, budget)
             {
-                finalize_rejection(
-                    self.registry(),
-                    &slot,
-                    &self.obs,
-                    id,
-                    &submission,
-                    "budget_exhausted",
-                );
+                reject(self.registry(), &self.obs, &slot, "budget_exhausted");
                 return id;
             }
         }
@@ -679,58 +666,137 @@ impl QueryServer {
     }
 }
 
-/// Terminal bookkeeping for a rejected submission: status, journal record,
-/// SLO violation, and the terminal-status counter — deliberately *no*
-/// ledger entry and no result-cache write.
-fn finalize_rejection(
-    registry: &Arc<MetricsRegistry>,
-    slot: &QuerySlot,
+fn queue_depth(registry: &MetricsRegistry, mode: AdmissionMode) -> Arc<pixels_obs::Gauge> {
+    registry.gauge_with(
+        "pixels_scheduler_queue_depth",
+        "Queries submitted but not yet running, per service level",
+        &[("level", mode.name())],
+    )
+}
+
+/// The one terminal step: budget rejection, admission rejection, failure and
+/// success all end here. `end` writes the terminal status, and whatever the
+/// outcome carries, into the record; then the SLO verdict, the ledger entry
+/// (finished queries only), the journal record and the terminal counters
+/// are appended, in that order, while the slot is still locked — so whoever
+/// sees the terminal status also sees the query's obs records. `trace` is
+/// the query's trace when it got far enough to execute.
+fn settle(
+    registry: &MetricsRegistry,
     obs: &ObsSinks,
-    id: QueryId,
-    submission: &QuerySubmission,
-    reason: &'static str,
+    slot: &QuerySlot,
+    admission: &str,
+    trace: Option<&Trace>,
+    end: impl FnOnce(&mut QueryInfo),
 ) {
-    let level = submission.mode().name();
-    registry
-        .gauge_with(
-            "pixels_scheduler_queue_depth",
-            "Queries submitted but not yet running, per service level",
-            &[("level", level)],
-        )
-        .add(-1.0);
-    let slo_good = obs.slo.record(level, u64::MAX);
+    let mut record = slot.record.lock();
+    let info = Arc::make_mut(&mut record);
+    end(info);
+    let mode = info.submission.mode();
+    let level = mode.name();
+    // Stamped on the query's own trace clock (micros since the query
+    // started); a rejection has no trace and is stamped 0.
+    let at_us = trace.map_or(0, Trace::now_micros);
+    let rejected = info.status == QueryStatus::Rejected;
+    let degraded = info
+        .decisions
+        .iter()
+        .any(|d| matches!(d, Decision::Degrade));
+    let speculative = info
+        .decisions
+        .iter()
+        .any(|d| matches!(d, Decision::StragglerSpeculate { .. }));
+    let slo_good = match (info.status, mode) {
+        // Rejected and failed queries always burn budget, whatever their
+        // pending time.
+        (QueryStatus::Rejected | QueryStatus::Failed, _) => obs.slo.record(level, u64::MAX),
+        // A deadline query is judged on completion latency: the excess over
+        // its own target, against the zero-threshold "deadline" objective.
+        (_, AdmissionMode::Deadline { target_us }) => {
+            let total = (info.pending + info.execution).as_micros() as u64;
+            obs.slo.record(level, total.saturating_sub(target_us))
+        }
+        (_, AdmissionMode::Level(_)) => obs.slo.record(level, info.pending.as_micros() as u64),
+    };
+    if info.status == QueryStatus::Finished {
+        obs.ledger.append(LedgerEntry {
+            query: info.id.to_string(),
+            tenant: info.submission.tenant_name().to_string(),
+            level: level.to_string(),
+            bytes_billed: info.scan_bytes,
+            revenue_dollars: info.price,
+            vm_dollars: info.resource_cost.vm_dollars,
+            cf_dollars: info.resource_cost.cf_dollars,
+            provider_cf_dollars: info.provider_cf_dollars,
+            shuffle_dollars: info.provider_shuffle_dollars,
+            degraded,
+            speculative,
+            at_us,
+        });
+    }
     obs.journal.append(JournalEntry {
-        query: id.to_string(),
-        tenant: submission.tenant_name().to_string(),
+        query: info.id.to_string(),
+        tenant: info.submission.tenant_name().to_string(),
         level: level.to_string(),
-        status: QueryStatus::Rejected.name().to_string(),
-        admission: "rejected".to_string(),
-        decisions: vec![reason.to_string()],
-        retries: 0,
-        pending_us: 0,
-        execution_us: 0,
-        scan_bytes: 0,
-        revenue_dollars: 0.0,
-        vm_dollars: 0.0,
-        cf_dollars: 0.0,
-        provider_cf_dollars: 0.0,
-        used_cf: false,
-        degraded: false,
-        speculative: false,
+        status: info.status.name().to_string(),
+        admission: admission.to_string(),
+        decisions: if rejected {
+            info.error.iter().cloned().collect()
+        } else {
+            info.decisions.iter().map(|d| format!("{d:?}")).collect()
+        },
+        retries: info.retries,
+        pending_us: info.pending.as_micros() as u64,
+        execution_us: info.execution.as_micros() as u64,
+        scan_bytes: info.scan_bytes,
+        revenue_dollars: info.price,
+        vm_dollars: info.resource_cost.vm_dollars,
+        cf_dollars: info.resource_cost.cf_dollars,
+        provider_cf_dollars: info.provider_cf_dollars,
+        used_cf: info.used_cf,
+        degraded,
+        speculative,
         slo_good,
         slo_threshold_us: obs.slo.threshold_us(level).unwrap_or(0),
-        trace_spans: 0,
-        at_us: pixels_obs::WallClock::shared().now_micros(),
+        trace_spans: trace.map_or(0, |t| t.span_count() as u64),
+        at_us,
     });
     registry
         .counter_with(
             "pixels_queries_total",
             "Queries reaching a terminal status, per service level",
-            &[("level", level), ("status", QueryStatus::Rejected.name())],
+            &[("level", level), ("status", info.status.name())],
         )
         .add(1);
-    // Last, so whoever sees the terminal status also sees its obs records.
-    slot.update(|info| {
+    // The latency histograms describe queries that ran.
+    if !rejected {
+        registry
+            .histogram(
+                "pixels_query_pending_seconds",
+                "Time from submission to execution start",
+                &[],
+                None,
+            )
+            .observe(info.pending.as_secs_f64());
+        registry
+            .histogram(
+                "pixels_query_execution_seconds",
+                "Query execution wall time",
+                &[],
+                None,
+            )
+            .observe(info.execution.as_secs_f64());
+    }
+    drop(record);
+    slot.changed.notify_all();
+}
+
+/// End a submission that never runs: it leaves the queue-depth gauge, its
+/// journal record carries `reason`, and — being rejected — it burns SLO
+/// budget but touches neither the ledger nor the result cache.
+fn reject(registry: &MetricsRegistry, obs: &ObsSinks, slot: &QuerySlot, reason: &'static str) {
+    settle(registry, obs, slot, "rejected", None, |info| {
+        queue_depth(registry, info.submission.mode()).add(-1.0);
         info.status = QueryStatus::Rejected;
         info.error = Some(reason.to_string());
     });
@@ -789,7 +855,7 @@ fn run_query_thread(
     {
         let wait_span = query_span.ctx().span("scheduler_wait");
         let mut fair = queue.fair.lock();
-        let verdict = policy.admit_mode(mode, load(&fair), now_us(), est_us);
+        let verdict = policy.admit(mode, load(&fair), now_us(), est_us);
         match verdict {
             Admission::DispatchNow => drop(fair),
             Admission::Queue { deadline_us } => {
@@ -828,7 +894,7 @@ fn run_query_thread(
                 drop(wait_span);
                 drop(query_span);
                 spend.settle(submission.tenant_name(), reserved, 0.0);
-                finalize_rejection(&registry, &slot, &obs, id, &submission, reason);
+                reject(&registry, &obs, &slot, reason);
                 return;
             }
         }
@@ -853,13 +919,7 @@ fn run_query_thread(
             AdmissionMode::Level(_) => None,
         }
     };
-    registry
-        .gauge_with(
-            "pixels_scheduler_queue_depth",
-            "Queries submitted but not yet running, per service level",
-            &[("level", mode.name())],
-        )
-        .add(-1.0);
+    queue_depth(&registry, mode).add(-1.0);
     slot.update(|info| {
         info.status = QueryStatus::Running;
         info.pending = queued.elapsed();
@@ -874,133 +934,43 @@ fn run_query_thread(
     );
     drop(query_span);
 
-    // The slot stays locked until the obs records are appended, so whoever
-    // sees the terminal status also sees the query's obs records.
-    let mut record = slot.record.lock();
-    let info = Arc::make_mut(&mut record);
-    match outcome {
-        Ok(mut out) => {
-            if let Some(limit) = submission.result_limit {
-                if out.batch.num_rows() > limit {
-                    out.batch = out
-                        .batch
-                        .slice(0, limit)
-                        .unwrap_or_else(|_| out.batch.clone());
+    settle(&registry, &obs, &slot, admission, Some(&trace), |info| {
+        match outcome {
+            Ok(mut out) => {
+                if let Some(limit) = submission.result_limit {
+                    if out.batch.num_rows() > limit {
+                        out.batch = out
+                            .batch
+                            .slice(0, limit)
+                            .unwrap_or_else(|_| out.batch.clone());
+                    }
                 }
+                info.status = QueryStatus::Finished;
+                info.pending += out.pending;
+                info.execution = out.execution;
+                info.scan_bytes = out.bytes_scanned;
+                info.price = prices.bill(mode, out.bytes_scanned);
+                info.used_cf = out.used_cf;
+                info.metrics = out.metrics;
+                info.events = out.events;
+                info.retries = out.retries;
+                info.decisions = out.decisions;
+                info.resource_cost = out.resource_cost;
+                info.provider_cf_dollars = out.provider_cf_dollars;
+                info.provider_shuffle_dollars = out.provider_shuffle_dollars;
+                info.exchange = out.exchange;
+                info.result = Some(Arc::new(out.batch));
             }
-            info.status = QueryStatus::Finished;
-            info.pending += out.pending;
-            info.execution = out.execution;
-            info.scan_bytes = out.bytes_scanned;
-            info.price = prices.bill_mode(mode, out.bytes_scanned);
-            info.used_cf = out.used_cf;
-            info.metrics = out.metrics;
-            info.events = out.events;
-            info.retries = out.retries;
-            info.decisions = out.decisions;
-            info.resource_cost = out.resource_cost;
-            info.provider_cf_dollars = out.provider_cf_dollars;
-            info.provider_shuffle_dollars = out.provider_shuffle_dollars;
-            info.exchange = out.exchange;
-            info.result = Some(Arc::new(out.batch));
+            Err(e) => {
+                info.status = QueryStatus::Failed;
+                info.error = Some(e.to_string());
+            }
         }
-        Err(e) => {
-            info.status = QueryStatus::Failed;
-            info.error = Some(e.to_string());
-        }
-    }
-    info.profile = Some(trace.profile());
-    // Reconcile the budget reservation against the real bill: release the
-    // estimate, commit what was actually billed (zero on failure).
-    spend.settle(submission.tenant_name(), reserved, info.price);
-    // SLO verdict, ledger entry, and journal record — appended while the
-    // state lock is held, so anyone who observes the terminal status also
-    // observes the query's obs records.
-    let level = mode.name();
-    let at_us = trace.now_micros();
-    let degraded = info
-        .decisions
-        .iter()
-        .any(|d| matches!(d, Decision::Degrade));
-    let speculative = info
-        .decisions
-        .iter()
-        .any(|d| matches!(d, Decision::StragglerSpeculate { .. }));
-    let slo_good = match (info.status, mode) {
-        // Failed queries always burn budget, whatever their pending time.
-        (QueryStatus::Failed, _) => obs.slo.record(level, u64::MAX),
-        // A deadline query is judged on completion latency: the excess over
-        // its own target, against the zero-threshold "deadline" objective.
-        (_, AdmissionMode::Deadline { target_us }) => {
-            let total = (info.pending + info.execution).as_micros() as u64;
-            obs.slo.record(level, total.saturating_sub(target_us))
-        }
-        (_, AdmissionMode::Level(_)) => obs.slo.record(level, info.pending.as_micros() as u64),
-    };
-    if info.status == QueryStatus::Finished {
-        obs.ledger.append(LedgerEntry {
-            query: id.to_string(),
-            tenant: submission.tenant_name().to_string(),
-            level: level.to_string(),
-            bytes_billed: info.scan_bytes,
-            revenue_dollars: info.price,
-            vm_dollars: info.resource_cost.vm_dollars,
-            cf_dollars: info.resource_cost.cf_dollars,
-            provider_cf_dollars: info.provider_cf_dollars,
-            shuffle_dollars: info.provider_shuffle_dollars,
-            degraded,
-            speculative,
-            at_us,
-        });
-    }
-    obs.journal.append(JournalEntry {
-        query: id.to_string(),
-        tenant: submission.tenant_name().to_string(),
-        level: level.to_string(),
-        status: info.status.name().to_string(),
-        admission: admission.to_string(),
-        decisions: info.decisions.iter().map(|d| format!("{d:?}")).collect(),
-        retries: info.retries,
-        pending_us: info.pending.as_micros() as u64,
-        execution_us: info.execution.as_micros() as u64,
-        scan_bytes: info.scan_bytes,
-        revenue_dollars: info.price,
-        vm_dollars: info.resource_cost.vm_dollars,
-        cf_dollars: info.resource_cost.cf_dollars,
-        provider_cf_dollars: info.provider_cf_dollars,
-        used_cf: info.used_cf,
-        degraded,
-        speculative,
-        slo_good,
-        slo_threshold_us: obs.slo.threshold_us(level).unwrap_or(0),
-        trace_spans: trace.span_count() as u64,
-        at_us,
+        info.profile = Some(trace.profile());
+        // Reconcile the budget reservation against the real bill: release
+        // the estimate, commit what was actually billed (zero on failure).
+        spend.settle(submission.tenant_name(), reserved, info.price);
     });
-    registry
-        .counter_with(
-            "pixels_queries_total",
-            "Queries reaching a terminal status, per service level",
-            &[("level", level), ("status", info.status.name())],
-        )
-        .add(1);
-    registry
-        .histogram(
-            "pixels_query_pending_seconds",
-            "Time from submission to execution start",
-            &[],
-            None,
-        )
-        .observe(info.pending.as_secs_f64());
-    registry
-        .histogram(
-            "pixels_query_execution_seconds",
-            "Query execution wall time",
-            &[],
-            None,
-        )
-        .observe(info.execution.as_secs_f64());
-    drop(record);
-    slot.changed.notify_all();
 }
 
 #[cfg(test)]

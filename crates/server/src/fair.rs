@@ -374,7 +374,7 @@ impl FairQueue {
         };
         // The entry's own pending bound expired: start regardless of grants.
         if matches!(
-            policy.recheck_mode(entry.mode, load, now_us, entry.deadline_us),
+            policy.recheck(entry.mode, load, now_us, entry.deadline_us),
             QueueVerdict::Dispatch { forced: true }
         ) {
             self.remove(id);

@@ -3,7 +3,7 @@
 //! The demo prices match the paper: immediate = $5/TB (the AWS Athena
 //! price), relaxed = $1/TB (20%), best-of-effort = $0.5/TB (10%).
 
-use crate::service_level::ServiceLevel;
+use crate::scheduler::AdmissionMode;
 use pixels_common::bytesize::as_terabytes;
 use pixels_common::prices;
 
@@ -23,31 +23,23 @@ impl Default for PriceSchedule {
 }
 
 impl PriceSchedule {
-    /// $/TB at a service level.
-    pub fn per_tb(&self, level: ServiceLevel) -> f64 {
-        self.immediate_per_tb * level.price_fraction()
+    /// $/TB for a service level or any other admission mode: fixed levels
+    /// use their tier fraction, deadline mode interpolates between them by
+    /// target tightness.
+    pub fn per_tb(&self, mode: impl Into<AdmissionMode>) -> f64 {
+        self.immediate_per_tb * mode.into().price_fraction()
     }
 
     /// The bill for one query.
-    pub fn bill(&self, level: ServiceLevel, scan_bytes: u64) -> f64 {
-        self.per_tb(level) * as_terabytes(scan_bytes)
-    }
-
-    /// $/TB for an admission mode: fixed levels use their tier fraction,
-    /// deadline mode interpolates between them by target tightness.
-    pub fn per_tb_mode(&self, mode: crate::scheduler::AdmissionMode) -> f64 {
-        self.immediate_per_tb * mode.price_fraction()
-    }
-
-    /// The bill for one query in any admission mode.
-    pub fn bill_mode(&self, mode: crate::scheduler::AdmissionMode, scan_bytes: u64) -> f64 {
-        self.per_tb_mode(mode) * as_terabytes(scan_bytes)
+    pub fn bill(&self, mode: impl Into<AdmissionMode>, scan_bytes: u64) -> f64 {
+        self.per_tb(mode) * as_terabytes(scan_bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service_level::ServiceLevel;
     use pixels_common::bytesize::TB;
 
     #[test]
@@ -68,11 +60,10 @@ mod tests {
 
     #[test]
     fn deadline_mode_bills_between_the_tiers() {
-        use crate::scheduler::AdmissionMode;
         let p = PriceSchedule::default();
         // A 60 s deadline prices like Immediate, 300 s like Relaxed.
         assert_eq!(
-            p.bill_mode(
+            p.bill(
                 AdmissionMode::Deadline {
                     target_us: 60_000_000
                 },
@@ -81,7 +72,7 @@ mod tests {
             p.bill(ServiceLevel::Immediate, TB)
         );
         assert_eq!(
-            p.bill_mode(
+            p.bill(
                 AdmissionMode::Deadline {
                     target_us: 300_000_000
                 },
@@ -89,13 +80,6 @@ mod tests {
             ),
             p.bill(ServiceLevel::Relaxed, TB)
         );
-        // Fixed levels agree with the level API bit-for-bit.
-        for level in ServiceLevel::ALL {
-            assert_eq!(
-                p.bill_mode(AdmissionMode::Level(level), TB / 3),
-                p.bill(level, TB / 3)
-            );
-        }
     }
 
     #[test]

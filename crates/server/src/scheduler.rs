@@ -174,108 +174,43 @@ impl SchedulerPolicy {
         ]
     }
 
-    /// Decide a fresh submission in any admission mode. The fixed levels
-    /// defer to [`SchedulerPolicy::admit`]; `Deadline` is feasibility-gated:
-    /// reject iff the estimated execution time `est_exec_us` already exceeds
-    /// the target (it cannot finish in time even starting now), dispatch on
-    /// headroom, otherwise queue with the *latest feasible start* as the
-    /// deadline — which makes deadline-queue ordering EDF by latest start.
-    /// Queue-eligible work whose tenant already has queued entries queues
-    /// behind them (`load.tenant_depth > 0`): fairness forbids overtaking
-    /// your own parked queries.
-    pub fn admit_mode(
+    /// Decide a fresh submission at absolute time `now_us`. Immediate starts
+    /// now regardless of load — CF acceleration (a placement concern, not an
+    /// admission one) absorbs the overload. Every other mode dispatches on
+    /// headroom and otherwise queues with a deadline: the level's
+    /// pending-time bound for the fixed levels, the *latest feasible start*
+    /// for `Deadline` — which makes deadline-queue ordering EDF by latest
+    /// start. `Deadline` is also feasibility-gated: rejected iff the
+    /// estimated execution time `est_exec_us` already exceeds the target (it
+    /// cannot finish in time even starting now). Queue-eligible work whose
+    /// tenant already has queued entries queues behind them
+    /// (`load.tenant_depth > 0`): fairness forbids overtaking your own
+    /// parked queries.
+    pub fn admit(
         &self,
         mode: AdmissionMode,
         load: LoadSignal,
         now_us: u64,
         est_exec_us: u64,
     ) -> Admission {
-        match mode {
-            AdmissionMode::Level(level) => {
-                let verdict = self.admit(level, load, now_us);
-                match verdict {
-                    Admission::DispatchNow
-                        if level != ServiceLevel::Immediate && load.tenant_depth > 0 =>
-                    {
-                        Admission::Queue {
-                            deadline_us: now_us + self.queue_bound(level).as_micros(),
-                        }
-                    }
-                    other => other,
-                }
-            }
-            AdmissionMode::Deadline { target_us } => {
-                if target_us < est_exec_us {
-                    Admission::Reject {
+        let bound_us = match mode {
+            AdmissionMode::Level(ServiceLevel::Immediate) => return Admission::DispatchNow,
+            AdmissionMode::Level(ServiceLevel::Relaxed) => self.grace.as_micros(),
+            AdmissionMode::Level(ServiceLevel::BestEffort) => self.besteffort_max_wait.as_micros(),
+            AdmissionMode::Deadline { target_us } => match target_us.checked_sub(est_exec_us) {
+                Some(slack_us) => slack_us,
+                None => {
+                    return Admission::Reject {
                         reason: "infeasible deadline: target below estimated execution time",
                     }
-                } else if !load.overloaded && load.tenant_depth == 0 {
-                    Admission::DispatchNow
-                } else {
-                    Admission::Queue {
-                        deadline_us: now_us + (target_us - est_exec_us),
-                    }
                 }
-            }
-        }
-    }
-
-    /// Re-evaluate a queued query in any admission mode. Deadline work
-    /// treats "not overloaded" as headroom (like Relaxed) and force-starts
-    /// at its latest feasible start.
-    pub fn recheck_mode(
-        &self,
-        mode: AdmissionMode,
-        load: LoadSignal,
-        now_us: u64,
-        deadline_us: u64,
-    ) -> QueueVerdict {
-        match mode {
-            AdmissionMode::Level(level) => self.recheck(level, load, now_us, deadline_us),
-            AdmissionMode::Deadline { .. } => {
-                if !load.overloaded {
-                    QueueVerdict::Dispatch { forced: false }
-                } else if now_us >= deadline_us {
-                    QueueVerdict::Dispatch { forced: true }
-                } else {
-                    QueueVerdict::Wait
-                }
-            }
-        }
-    }
-
-    /// The pending-time bound a queued query of `level` carries.
-    fn queue_bound(&self, level: ServiceLevel) -> SimDuration {
-        match level {
-            ServiceLevel::Immediate => SimDuration::ZERO,
-            ServiceLevel::Relaxed => self.grace,
-            ServiceLevel::BestEffort => self.besteffort_max_wait,
-        }
-    }
-
-    /// Decide a fresh submission at absolute time `now_us`.
-    pub fn admit(&self, level: ServiceLevel, load: LoadSignal, now_us: u64) -> Admission {
-        match level {
-            // Immediate: starts now regardless of load; CF acceleration (a
-            // placement concern, not an admission one) absorbs the overload.
-            ServiceLevel::Immediate => Admission::DispatchNow,
-            ServiceLevel::Relaxed => {
-                if !load.overloaded {
-                    Admission::DispatchNow
-                } else {
-                    Admission::Queue {
-                        deadline_us: now_us + self.grace.as_micros(),
-                    }
-                }
-            }
-            ServiceLevel::BestEffort => {
-                if load.nearly_idle {
-                    Admission::DispatchNow
-                } else {
-                    Admission::Queue {
-                        deadline_us: now_us + self.besteffort_max_wait.as_micros(),
-                    }
-                }
+            },
+        };
+        if headroom(mode, load) && load.tenant_depth == 0 {
+            Admission::DispatchNow
+        } else {
+            Admission::Queue {
+                deadline_us: now_us + bound_us,
             }
         }
     }
@@ -284,23 +219,30 @@ impl SchedulerPolicy {
     /// its deadline, otherwise keep waiting.
     pub fn recheck(
         &self,
-        level: ServiceLevel,
+        mode: AdmissionMode,
         load: LoadSignal,
         now_us: u64,
         deadline_us: u64,
     ) -> QueueVerdict {
-        let headroom = match level {
-            ServiceLevel::Immediate => true,
-            ServiceLevel::Relaxed => !load.overloaded,
-            ServiceLevel::BestEffort => load.nearly_idle,
-        };
-        if headroom {
+        if headroom(mode, load) {
             QueueVerdict::Dispatch { forced: false }
         } else if now_us >= deadline_us {
             QueueVerdict::Dispatch { forced: true }
         } else {
             QueueVerdict::Wait
         }
+    }
+}
+
+/// Whether `load` leaves room to start a `mode` query without force.
+/// Deadline work treats "not overloaded" as headroom, like Relaxed.
+fn headroom(mode: AdmissionMode, load: LoadSignal) -> bool {
+    match mode {
+        AdmissionMode::Level(ServiceLevel::Immediate) => true,
+        AdmissionMode::Level(ServiceLevel::Relaxed) | AdmissionMode::Deadline { .. } => {
+            !load.overloaded
+        }
+        AdmissionMode::Level(ServiceLevel::BestEffort) => load.nearly_idle,
     }
 }
 
@@ -332,7 +274,7 @@ mod tests {
         let p = SchedulerPolicy::default();
         for load in [BUSY, IDLE, STEADY] {
             assert_eq!(
-                p.admit(ServiceLevel::Immediate, load, 7),
+                p.admit(ServiceLevel::Immediate.into(), load, 7, 0),
                 Admission::DispatchNow
             );
         }
@@ -342,26 +284,38 @@ mod tests {
     fn relaxed_queues_under_overload_with_grace_deadline() {
         let p = SchedulerPolicy::default();
         assert_eq!(
-            p.admit(ServiceLevel::Relaxed, STEADY, 7),
+            p.admit(ServiceLevel::Relaxed.into(), STEADY, 7, 0),
             Admission::DispatchNow
         );
-        let Admission::Queue { deadline_us } = p.admit(ServiceLevel::Relaxed, BUSY, 1_000) else {
+        let Admission::Queue { deadline_us } =
+            p.admit(ServiceLevel::Relaxed.into(), BUSY, 1_000, 0)
+        else {
             panic!("overloaded relaxed must queue");
         };
         assert_eq!(deadline_us, 1_000 + 300_000_000);
         // Still overloaded one tick before the deadline: wait.
         assert_eq!(
-            p.recheck(ServiceLevel::Relaxed, BUSY, deadline_us - 1, deadline_us),
+            p.recheck(
+                ServiceLevel::Relaxed.into(),
+                BUSY,
+                deadline_us - 1,
+                deadline_us
+            ),
             QueueVerdict::Wait
         );
         // Exactly at the deadline: forced start, load notwithstanding.
         assert_eq!(
-            p.recheck(ServiceLevel::Relaxed, BUSY, deadline_us, deadline_us),
+            p.recheck(ServiceLevel::Relaxed.into(), BUSY, deadline_us, deadline_us),
             QueueVerdict::Dispatch { forced: true }
         );
         // Headroom before the deadline wins without force.
         assert_eq!(
-            p.recheck(ServiceLevel::Relaxed, STEADY, deadline_us - 1, deadline_us),
+            p.recheck(
+                ServiceLevel::Relaxed.into(),
+                STEADY,
+                deadline_us - 1,
+                deadline_us
+            ),
             QueueVerdict::Dispatch { forced: false }
         );
     }
@@ -402,17 +356,19 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            p.admit(ServiceLevel::BestEffort, IDLE, 0),
+            p.admit(ServiceLevel::BestEffort.into(), IDLE, 0, 0),
             Admission::DispatchNow
         );
         // A steady (not overloaded, not idle) cluster still queues BE work.
-        let Admission::Queue { deadline_us } = p.admit(ServiceLevel::BestEffort, STEADY, 0) else {
+        let Admission::Queue { deadline_us } =
+            p.admit(ServiceLevel::BestEffort.into(), STEADY, 0, 0)
+        else {
             panic!("non-idle cluster must queue best-of-effort");
         };
         assert_eq!(deadline_us, 30_000_000);
         assert_eq!(
             p.recheck(
-                ServiceLevel::BestEffort,
+                ServiceLevel::BestEffort.into(),
                 STEADY,
                 deadline_us - 1,
                 deadline_us
@@ -420,11 +376,16 @@ mod tests {
             QueueVerdict::Wait
         );
         assert_eq!(
-            p.recheck(ServiceLevel::BestEffort, BUSY, deadline_us, deadline_us),
+            p.recheck(
+                ServiceLevel::BestEffort.into(),
+                BUSY,
+                deadline_us,
+                deadline_us
+            ),
             QueueVerdict::Dispatch { forced: true }
         );
         assert_eq!(
-            p.recheck(ServiceLevel::BestEffort, IDLE, 5, deadline_us),
+            p.recheck(ServiceLevel::BestEffort.into(), IDLE, 5, deadline_us),
             QueueVerdict::Dispatch { forced: false }
         );
     }
@@ -437,32 +398,29 @@ mod tests {
         };
         // Infeasible: estimated execution alone exceeds the target.
         assert!(matches!(
-            p.admit_mode(mode, IDLE, 0, 10_000_001),
+            p.admit(mode, IDLE, 0, 10_000_001),
             Admission::Reject { .. }
         ));
         // Feasible + headroom: dispatch now.
-        assert_eq!(
-            p.admit_mode(mode, STEADY, 0, 4_000_000),
-            Admission::DispatchNow
-        );
+        assert_eq!(p.admit(mode, STEADY, 0, 4_000_000), Admission::DispatchNow);
         // Feasible + overloaded: queue with latest feasible start as deadline.
         assert_eq!(
-            p.admit_mode(mode, BUSY, 1_000, 4_000_000),
+            p.admit(mode, BUSY, 1_000, 4_000_000),
             Admission::Queue {
                 deadline_us: 1_000 + 6_000_000
             }
         );
         // Queued deadline work force-starts at its latest feasible start.
         assert_eq!(
-            p.recheck_mode(mode, BUSY, 6_000_999, 6_001_000),
+            p.recheck(mode, BUSY, 6_000_999, 6_001_000),
             QueueVerdict::Wait
         );
         assert_eq!(
-            p.recheck_mode(mode, BUSY, 6_001_000, 6_001_000),
+            p.recheck(mode, BUSY, 6_001_000, 6_001_000),
             QueueVerdict::Dispatch { forced: true }
         );
         assert_eq!(
-            p.recheck_mode(mode, STEADY, 5, 6_001_000),
+            p.recheck(mode, STEADY, 5, 6_001_000),
             QueueVerdict::Dispatch { forced: false }
         );
     }
@@ -478,20 +436,20 @@ mod tests {
         };
         // Immediate still cuts through — its promise is unconditional.
         assert_eq!(
-            p.admit_mode(ServiceLevel::Immediate.into(), parked, 0, 0),
+            p.admit(ServiceLevel::Immediate.into(), parked, 0, 0),
             Admission::DispatchNow
         );
         // Relaxed/BE/Deadline queue behind the tenant's parked entries.
         assert!(matches!(
-            p.admit_mode(ServiceLevel::Relaxed.into(), parked, 0, 0),
+            p.admit(ServiceLevel::Relaxed.into(), parked, 0, 0),
             Admission::Queue { .. }
         ));
         assert!(matches!(
-            p.admit_mode(ServiceLevel::BestEffort.into(), parked, 0, 0),
+            p.admit(ServiceLevel::BestEffort.into(), parked, 0, 0),
             Admission::Queue { .. }
         ));
         assert!(matches!(
-            p.admit_mode(
+            p.admit(
                 AdmissionMode::Deadline {
                     target_us: 60_000_000
                 },

@@ -462,10 +462,7 @@ impl<C: Capacity> ServerSim<C> {
             total_depth: self.queue.depth(),
             ..self.load()
         };
-        match self
-            .policy()
-            .admit_mode(mode, load, now.as_micros(), est_us)
-        {
+        match self.policy().admit(mode, load, now.as_micros(), est_us) {
             Admission::DispatchNow => self.start(vec![(i, now)], work, false, now),
             Admission::Queue { deadline_us } => {
                 let batchable = self.cfg.batch_besteffort
@@ -566,7 +563,7 @@ impl<C: Capacity> ServerSim<C> {
                     vm_dollars: batch::member_cost_share(done.cost.vm_dollars, n),
                     cf_dollars: batch::member_cost_share(done.cost.cf_dollars, n),
                 },
-                price: self.cfg.prices.bill_mode(mode, share),
+                price: self.cfg.prices.bill(mode, share),
                 scan_bytes: share,
                 degraded: done.degraded,
                 speculative: done.speculative,

@@ -2,17 +2,17 @@
 //! chunks (dictionary-code predicates, RLE-run aggregation, zone shortcuts,
 //! late materialization) behind an async prefetcher and an optional chunk
 //! cache must be invisible in every observable except latency. Every TPC-H
-//! template is compared against *two* oracles — the decode-everything
-//! vectorized path (`with_encoded_scan(false)`) and the row-at-a-time
-//! scalar reference (`exec::scalar`) — at parallelism 1 and 4, with the
-//! chunk cache off, cold, and warm. Rows, row order, float bit patterns,
-//! billed `bytes_scanned`, and user-facing prices must all be identical.
+//! template is compared against the row-at-a-time scalar reference
+//! (`exec::scalar`, which decodes every projected chunk) at parallelism 1 and
+//! 4, with the chunk cache off, cold, and warm. Rows, row order, float bit
+//! patterns, billed `bytes_scanned`, and user-facing prices must all be
+//! identical.
 //!
 //! Also covers the encoding edge cases end-to-end: NULL runs in dictionary
 //! and RLE chunks, single-value chunks, predicates on non-dictionary
 //! columns, flipped literal comparisons, IS NULL / IS NOT NULL, always-false
 //! predicates (schema-carrying empty batch), all-pruned scans, empty
-//! tables, and SUM overflow parity.
+//! tables, SUM overflow parity, and a data file narrower than its table.
 
 use pixelsdb::catalog::{Catalog, CreateTable};
 use pixelsdb::common::{DataType, Field, RecordBatch, Schema, Value};
@@ -76,8 +76,8 @@ fn assert_rows_identical(enc: &[Vec<Value>], oracle: &[Vec<Value>], label: &str)
     }
 }
 
-/// Run `sql` on the encoded path (optionally with a chunk cache) and on both
-/// oracles, asserting identical rows, order, and billed bytes.
+/// Run `sql` on the production path (optionally with a chunk cache) and on
+/// the oracle, asserting identical rows, order, and billed bytes.
 fn assert_differential(
     catalog: &Catalog,
     store: &ObjectStoreRef,
@@ -95,40 +95,17 @@ fn assert_differential(
     }
     let enc = execute(&plan, &enc_ctx).unwrap();
 
-    let dec_ctx = ExecContext::new(store.clone())
-        .with_parallelism(parallelism)
-        .with_encoded_scan(false);
-    let dec = execute(&plan, &dec_ctx).unwrap();
-
     let ref_ctx = ExecContext::new(store.clone()).with_parallelism(parallelism);
     let refb = scalar::execute(&plan, &ref_ctx).unwrap();
 
-    let enc_rows = ordered_rows(&enc);
-    assert_rows_identical(
-        &enc_rows,
-        &ordered_rows(&dec),
-        &format!("{label} vs decoded"),
-    );
-    assert_rows_identical(
-        &enc_rows,
-        &ordered_rows(&refb),
-        &format!("{label} vs scalar"),
-    );
+    assert_rows_identical(&ordered_rows(&enc), &ordered_rows(&refb), label);
 
-    let (em, dm, rm) = (
-        enc_ctx.metrics.snapshot(),
-        dec_ctx.metrics.snapshot(),
-        ref_ctx.metrics.snapshot(),
-    );
-    assert_eq!(
-        em.bytes_scanned, dm.bytes_scanned,
-        "{label}: billed bytes diverged from decoded path"
-    );
+    let (em, rm) = (enc_ctx.metrics.snapshot(), ref_ctx.metrics.snapshot());
     assert_eq!(
         em.bytes_scanned, rm.bytes_scanned,
         "{label}: billed bytes diverged from scalar path"
     );
-    assert_eq!(em.rows_scanned, dm.rows_scanned, "{label}: rows scanned");
+    assert_eq!(em.rows_scanned, rm.rows_scanned, "{label}: rows scanned");
 }
 
 #[test]
@@ -362,7 +339,7 @@ fn edge_fixture_hits_dictionary_rle_and_plain() {
 }
 
 #[test]
-fn encoding_edge_cases_match_both_oracles() {
+fn encoding_edge_cases_match_the_oracle() {
     let (catalog, store) = edge_fixture();
     let cache = ChunkCache::shared(1 << 20);
     let queries = [
@@ -475,11 +452,89 @@ fn sum_overflow_errors_on_both_paths() {
 
     let plan = plan_query(&catalog, "edge", "SELECT SUM(big) FROM huge").unwrap();
     let enc = execute(&plan, &ExecContext::new(store.clone())).unwrap_err();
-    let dec = execute(
-        &plan,
-        &ExecContext::new(store.clone()).with_encoded_scan(false),
-    )
-    .unwrap_err();
+    let oracle = scalar::execute(&plan, &ExecContext::new(store.clone())).unwrap_err();
     assert!(enc.to_string().contains("SUM overflow"), "{enc}");
-    assert!(dec.to_string().contains("SUM overflow"), "{dec}");
+    assert!(oracle.to_string().contains("SUM overflow"), "{oracle}");
+}
+
+/// A registered data file overwritten by one with fewer columns than the
+/// catalog lists: the plan's column indices no longer fit the file. Every
+/// scan shape reports that as an error — through `execute`, through the
+/// oracle, and through the server, where the query must reach `Failed`
+/// rather than stay `Running` behind a dead thread.
+#[test]
+fn narrower_file_than_catalog_is_an_error_not_a_panic() {
+    let catalog = Catalog::shared();
+    let store: ObjectStoreRef = InMemoryObjectStore::shared();
+    catalog.create_database("edge");
+    let wide = Arc::new(Schema::new(vec![
+        Field::required("a", DataType::Int64),
+        Field::required("b", DataType::Int64),
+    ]));
+    catalog
+        .create_table(CreateTable {
+            database: "edge".into(),
+            name: "t".into(),
+            schema: wide.clone(),
+            primary_key: None,
+            foreign_keys: vec![],
+            comment: None,
+        })
+        .unwrap();
+    let path = "edge/t/part-0.pxl";
+    let rows: Vec<Vec<Value>> = (0..8)
+        .map(|i| vec![Value::Int64(i), Value::Int64(i)])
+        .collect();
+    let mut w = PixelsWriter::new(store.as_ref(), path, wide.clone());
+    w.write_batch(&RecordBatch::from_rows(wide, &rows).unwrap())
+        .unwrap();
+    let size = w.finish().unwrap();
+    let reader = PixelsReader::open(store.as_ref(), path).unwrap();
+    catalog
+        .register_data_file("edge", "t", path, reader.footer(), size)
+        .unwrap();
+
+    let narrow = Arc::new(Schema::new(vec![Field::required("a", DataType::Int64)]));
+    let rows: Vec<Vec<Value>> = (0..8).map(|i| vec![Value::Int64(i)]).collect();
+    let mut w = PixelsWriter::new(store.as_ref(), path, narrow.clone());
+    w.write_batch(&RecordBatch::from_rows(narrow, &rows).unwrap())
+        .unwrap();
+    w.finish().unwrap();
+
+    let queries = [
+        "SELECT b FROM t",
+        "SELECT b FROM t WHERE b > 1",
+        "SELECT SUM(b) FROM t",
+    ];
+    for sql in queries {
+        let plan = plan_query(&catalog, "edge", sql).unwrap();
+        for parallelism in [1usize, 4] {
+            let ctx = || ExecContext::new(store.clone()).with_parallelism(parallelism);
+            let err = execute(&plan, &ctx()).expect_err(sql);
+            assert!(err.to_string().contains("column 1"), "{sql}: {err}");
+            scalar::execute(&plan, &ctx()).expect_err(sql);
+        }
+    }
+
+    let server = QueryServer::new(
+        Arc::new(TurboEngine::new(
+            catalog.clone(),
+            store.clone(),
+            EngineConfig::default(),
+        )),
+        PriceSchedule::default(),
+    );
+    for sql in queries {
+        let id = server.submit(QuerySubmission {
+            database: "edge".into(),
+            sql: sql.into(),
+            level: ServiceLevel::Immediate,
+            result_limit: None,
+            tenant: None,
+            deadline_us: None,
+        });
+        let info = server.wait(id).unwrap();
+        assert_eq!(info.status, QueryStatus::Failed, "{sql}");
+        assert!(info.error.is_some(), "{sql}");
+    }
 }
