@@ -97,21 +97,9 @@ fn main() {
     // 2 + 3. Replay and diff against the live exposition.
     let aggregates = replay(&entries);
     let metrics = server.metrics_text();
-    if let Err(e) = pixels_obs::require_families(
-        &metrics,
-        &[
-            "pixels_queries_total",
-            "pixels_slo_good_total",
-            "pixels_slo_violation_total",
-            "pixels_slo_burn_rate",
-            "pixels_ledger_entries_total",
-            "pixels_ledger_revenue_dollars",
-            "pixels_exchange_partitions_total",
-            "pixels_exchange_put_bytes_total",
-            "pixels_exchange_get_bytes_total",
-            "pixels_exchange_spilled_rows_total",
-        ],
-    ) {
+    let required = pixels_bench::catalog_families();
+    let required: Vec<&str> = required.iter().map(String::as_str).collect();
+    if let Err(e) = pixels_obs::require_families(&metrics, &required) {
         check("required families", false, &e);
     } else {
         check("required families", true, "");

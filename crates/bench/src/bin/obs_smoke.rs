@@ -3,8 +3,9 @@
 //! Starts the real HTTP server, runs one traced query end-to-end over the
 //! wire, then:
 //!
-//! 1. scrapes `GET /metrics` and validates the Prometheus text exposition
-//!    (syntax + required metric families),
+//! 1. scrapes `GET /metrics` — once before the query, once after — and
+//!    validates the Prometheus text exposition (syntax + every family the
+//!    catalogs register, [`pixels_bench::catalog_families`]),
 //! 2. fetches the query's span-tree profile from `GET /queries/<id>/profile`
 //!    and checks that its byte attribution sums exactly to the billed
 //!    `scan_bytes`,
@@ -18,50 +19,10 @@ use pixels_bench::demo_data;
 use pixels_common::Json;
 use pixels_server::{HttpServer, PriceSchedule, QueryServer};
 use pixels_turbo::{EngineConfig, TurboEngine};
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-
-const REQUIRED_FAMILIES: &[&str] = &[
-    // query
-    "pixels_queries_total",
-    "pixels_query_pending_seconds",
-    "pixels_query_execution_seconds",
-    // scheduler
-    "pixels_scheduler_queue_depth",
-    // exec
-    "pixels_exec_bytes_scanned_total",
-    "pixels_exec_rows_scanned_total",
-    "pixels_exec_row_groups_read_total",
-    // scan pipeline
-    "pixels_scan_prefetch_issued_total",
-    "pixels_scan_prefetch_hits_total",
-    "pixels_scan_prefetch_wasted_total",
-    "pixels_scan_coalesced_gets_total",
-    "pixels_scan_gap_bytes_total",
-    // cache
-    "pixels_cache_footer_hits_total",
-    "pixels_cache_chunk_hits_total",
-    "pixels_cache_chunk_misses_total",
-    "pixels_cache_chunk_evictions_total",
-    // storage
-    "pixels_storage_get_requests_total",
-    "pixels_storage_bytes_read_total",
-    // SLO
-    "pixels_slo_good_total",
-    "pixels_slo_violation_total",
-    "pixels_slo_burn_rate",
-    "pixels_slo_threshold_seconds",
-    // economics ledger
-    "pixels_ledger_entries_total",
-    "pixels_ledger_revenue_dollars",
-    "pixels_ledger_provider_dollars",
-    // exchange (multi-stage CF shuffles)
-    "pixels_exchange_partitions_total",
-    "pixels_exchange_put_bytes_total",
-    "pixels_exchange_get_bytes_total",
-    "pixels_exchange_spilled_rows_total",
-];
 
 fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -78,6 +39,32 @@ fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> 
         head.lines().next().unwrap_or("").to_string(),
         payload.to_string(),
     )
+}
+
+/// Scrape `/metrics` and judge it: 200, a valid exposition, every `required`
+/// family present. Returns (check name, passed, detail) per check.
+fn scrape(
+    addr: std::net::SocketAddr,
+    required: &BTreeSet<String>,
+    when: &str,
+) -> Vec<(String, bool, String)> {
+    let (status, text) = request(addr, "GET", "/metrics", "");
+    let mut checks = vec![(
+        format!("metrics endpoint 200 ({when})"),
+        status.contains("200"),
+        status,
+    )];
+    match pixels_obs::validate_exposition(&text) {
+        Ok(families) => {
+            println!("     {} metric families exposed ({when})", families.len());
+            for f in required {
+                let present = families.contains(f);
+                checks.push((format!("family {f} ({when})"), present, "missing".into()));
+            }
+        }
+        Err(e) => checks.push((format!("exposition valid ({when})"), false, e)),
+    }
+    checks
 }
 
 /// Check `self_us` on every node of a profile forest: present, and never
@@ -134,6 +121,13 @@ fn main() {
     let addr = http.addr();
     println!("server listening on {addr}");
 
+    // 0. Before any query: the catalogs registered eagerly, so an idle
+    //    server already serves every family, at zero.
+    let required = pixels_bench::catalog_families();
+    for (name, ok, detail) in scrape(addr, &required, "idle") {
+        check(&name, ok, &detail);
+    }
+
     // Submit one query over the wire and poll to completion.
     let (status, body) = request(
         addr,
@@ -170,16 +164,8 @@ fn main() {
     check("query billed bytes", scan_bytes > 0.0, "scan_bytes == 0");
 
     // 1. /metrics: valid exposition with every required family.
-    let (status, text) = request(addr, "GET", "/metrics", "");
-    check("metrics endpoint 200", status.contains("200"), &status);
-    match pixels_obs::validate_exposition(&text) {
-        Ok(families) => {
-            println!("     {} metric families exposed", families.len());
-            for f in REQUIRED_FAMILIES {
-                check(&format!("family {f}"), families.contains(*f), "missing");
-            }
-        }
-        Err(e) => check("exposition valid", false, &e),
+    for (name, ok, detail) in scrape(addr, &required, "after a query") {
+        check(&name, ok, &detail);
     }
 
     // 2. Profile: span tree whose byte attribution matches billing.

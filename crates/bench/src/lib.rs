@@ -8,8 +8,11 @@ pub mod parity;
 pub mod soak;
 
 use pixels_catalog::{Catalog, CatalogRef};
-use pixels_storage::{InMemoryObjectStore, ObjectStoreRef};
+use pixels_obs::{Ledger, MetricsRegistry, SloTracker, WallClock};
+use pixels_server::{SchedulerPolicy, SharedWork, SharingConfig};
+use pixels_storage::{InMemoryObjectStore, ObjectStoreRef, StoreMetricsSnapshot};
 use pixels_workload::{load_tpch, load_weblog, TpchConfig, WeblogConfig};
+use std::collections::BTreeSet;
 
 /// Bootstrap a demo deployment (catalog + store with TPC-H and web logs).
 pub fn demo_data(scale: f64) -> (CatalogRef, ObjectStoreRef) {
@@ -39,6 +42,22 @@ pub fn demo_data(scale: f64) -> (CatalogRef, ObjectStoreRef) {
     )
     .expect("load weblog");
     (catalog, store)
+}
+
+/// The families a server serves before its first query, for the `/metrics`
+/// gates to require: what the engine and server catalogs register into a
+/// fresh registry, plus what the scrape-time sources (store, SLO tracker,
+/// ledger, shared work) export with nothing recorded.
+pub fn catalog_families() -> BTreeSet<String> {
+    let r = MetricsRegistry::new();
+    pixels_turbo::EngineMetrics::new(&r);
+    pixels_server::ServerMetrics::new(&r);
+    StoreMetricsSnapshot::default().export(&r);
+    let objectives = SchedulerPolicy::default().slo_objectives();
+    SloTracker::new(WallClock::shared(), objectives).export(&r);
+    Ledger::new().export(&r);
+    SharedWork::new(SharingConfig::default()).export(&r);
+    pixels_obs::validate_exposition(&r.render()).expect("the catalogs render a valid exposition")
 }
 
 /// Simple fixed-width text table printer for experiment output.

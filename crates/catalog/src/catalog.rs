@@ -5,7 +5,7 @@
 //! the planner. It is the component the paper's Coordinator consults to
 //! "fetch database schema" and that Pixels-Rover's schema browser renders.
 
-use crate::statistics::{ColumnSummary, TableStats};
+use crate::statistics::TableStats;
 use crate::table::{ForeignKey, TableDef};
 use parking_lot::RwLock;
 use pixels_common::{Error, IdGenerator, Result, SchemaRef, TableId};
@@ -177,11 +177,6 @@ impl Catalog {
             .ok_or_else(|| Error::NotFound(format!("database not found: {database}")))?;
         db.remove(&table.to_ascii_lowercase())
             .ok_or_else(|| Error::NotFound(format!("table not found: {database}.{table}")))
-    }
-
-    /// Column summaries for a table (planner convenience).
-    pub fn column_summaries(&self, database: &str, table: &str) -> Result<Vec<ColumnSummary>> {
-        Ok(self.get_table(database, table)?.stats.columns)
     }
 }
 

@@ -41,9 +41,6 @@ impl InjectorSnapshot {
 pub struct FaultInjector {
     seed: u64,
     sites: BTreeMap<FaultSite, SiteState>,
-    /// Last counts pushed to a registry, so repeated exports emit monotone
-    /// deltas instead of re-adding the running total.
-    exported: Mutex<BTreeMap<FaultSite, u64>>,
 }
 
 impl FaultInjector {
@@ -66,7 +63,6 @@ impl FaultInjector {
         FaultInjector {
             seed: plan.seed,
             sites,
-            exported: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -149,25 +145,17 @@ impl FaultInjector {
         }
     }
 
-    /// Publish per-site injected counts into
-    /// `pixels_faults_injected_total{site=...}`. Deltas since the previous
-    /// export are added, so the scraped counters stay monotone however often
-    /// this is called.
+    /// Set `pixels_faults_injected_total{site=...}` to each configured
+    /// site's injected count; a disabled injector has no site and no series.
     pub fn export_metrics(&self, registry: &MetricsRegistry) {
-        let mut exported = self.exported.lock().unwrap();
-        for (&site, state) in &self.sites {
-            let now = state.injected.load(Ordering::Relaxed);
-            let prev = exported.get(&site).copied().unwrap_or(0);
-            if now > prev {
-                registry
-                    .counter_with(
-                        "pixels_faults_injected_total",
-                        "Faults injected by the chaos fault plan, by site",
-                        &[("site", site.name())],
-                    )
-                    .add(now - prev);
-            }
-            exported.insert(site, now);
+        for (site, state) in &self.sites {
+            registry
+                .counter_with(
+                    "pixels_faults_injected_total",
+                    "Faults injected by the chaos fault plan, by site",
+                    &[("site", site.name())],
+                )
+                .advance_to(state.injected.load(Ordering::Relaxed));
         }
     }
 }

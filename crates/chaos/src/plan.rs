@@ -180,14 +180,6 @@ impl FaultPlan {
         FaultPlan::none(seed).with(FaultSite::CfCrash, SiteSpec::errors(rate))
     }
 
-    /// Straggling CF fleets at `rate`, delayed by `[lo_ms, hi_ms]`.
-    pub fn cf_stragglers(seed: u64, rate: f64, lo_ms: u64, hi_ms: u64) -> FaultPlan {
-        FaultPlan::none(seed).with(
-            FaultSite::CfStraggler,
-            SiteSpec::delays(rate, lo_ms * 1_000, hi_ms * 1_000),
-        )
-    }
-
     /// Flaky exchange spill writes: PUT errors at `rate`.
     pub fn exchange_put_errors(seed: u64, rate: f64) -> FaultPlan {
         FaultPlan::none(seed).with(FaultSite::ExchangePut, SiteSpec::errors(rate))

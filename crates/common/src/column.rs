@@ -170,12 +170,6 @@ impl Column {
         }
     }
 
-    /// Iterate the column as scalars (allocates per string row; intended for
-    /// tests and row-oriented sinks, not for hot operator loops).
-    pub fn iter_values(&self) -> impl Iterator<Item = Value> + '_ {
-        (0..self.len()).map(move |i| self.value(i))
-    }
-
     /// Keep only rows where `mask[i]` is true.
     pub fn filter(&self, mask: &[bool]) -> Result<Column> {
         if mask.len() != self.len() {

@@ -8,7 +8,7 @@
 //! filtered batches.
 
 use pixels_common::{Column, ColumnBuilder, ColumnData, DataType, RecordBatch, Result, Value};
-use pixels_planner::eval::{eval_binary, eval_expr, RowAccess};
+use pixels_planner::eval::{eval_expr, RowAccess};
 use pixels_planner::BoundExpr;
 use pixels_sql::ast::BinaryOp;
 
@@ -379,11 +379,6 @@ pub(crate) fn ord_matches(ord: std::cmp::Ordering, op: BinaryOp, flipped: bool) 
 /// residuals). Exposed for operator implementations.
 pub fn eval_row(expr: &BoundExpr, row: &[Value]) -> Result<Value> {
     eval_expr(expr, &row.to_vec())
-}
-
-/// Re-export used by aggregation for constant expressions.
-pub fn eval_const_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
-    eval_binary(op, l, r)
 }
 
 #[cfg(test)]

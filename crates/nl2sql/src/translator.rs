@@ -115,11 +115,6 @@ impl Translator {
         };
         p.parse()
     }
-
-    /// The pruned schema for a question (exposed for the pruning experiment).
-    pub fn pruned_schema(&self, question: &str) -> PrunedSchema {
-        prune_schema(question, &self.tables, self.prune_cfg)
-    }
 }
 
 struct Parser<'a> {

@@ -10,9 +10,14 @@
 //! against a live `/metrics` scrape — any mismatch means a query bypassed
 //! the journal or the metrics pipeline double-counted.
 
+use crate::{ledger, slo};
 use parking_lot::Mutex;
 use pixels_common::{Error, Json, Result};
 use std::collections::BTreeMap;
+
+/// The family of terminal queries per level × status, which the query server
+/// counts as it appends here and [`replay`] reproduces.
+pub const QUERIES_TOTAL: &str = "pixels_queries_total";
 
 /// One terminal query's lifecycle record.
 #[derive(Debug, Clone, PartialEq)]
@@ -316,26 +321,23 @@ impl ReplayAggregates {
             .iter()
             .map(|((l, s), n)| (format!("{l}/{s}"), *n))
             .collect();
-        check_counts("pixels_queries_total", &by_level_status, &queries);
-        check_counts("pixels_slo_good_total", &by_level, &self.slo_good);
-        check_counts("pixels_slo_violation_total", &by_level, &self.slo_violation);
-        check_counts(
-            "pixels_ledger_entries_total",
-            &by_level,
-            &self.ledger_entries,
-        );
+        check_counts(QUERIES_TOTAL, &by_level_status, &queries);
+        check_counts(slo::GOOD_TOTAL, &by_level, &self.slo_good);
+        check_counts(slo::VIOLATION_TOTAL, &by_level, &self.slo_violation);
+        check_counts(ledger::ENTRIES_TOTAL, &by_level, &self.ledger_entries);
         // Revenue gauges: bit-for-bit. The "all" series folds the per-level
         // sums in sorted level order — replicate that fold here.
         let mut want_revenue = self.revenue_dollars.clone();
         want_revenue.insert("all".into(), self.revenue_dollars.values().sum());
-        for (labels, got) in family_samples(text, "pixels_ledger_revenue_dollars") {
+        for (labels, got) in family_samples(text, ledger::REVENUE_DOLLARS) {
             let Some(level) = labels.get("level") else {
                 continue;
             };
             let want = want_revenue.get(level).copied().unwrap_or(0.0);
             if got.to_bits() != want.to_bits() {
                 diffs.push(format!(
-                    "pixels_ledger_revenue_dollars[{level}]: journal says {want}, registry says {got}"
+                    "{}[{level}]: journal says {want}, registry says {got}",
+                    ledger::REVENUE_DOLLARS
                 ));
             }
         }

@@ -10,10 +10,15 @@
 //! reconcile *exactly* (bit-for-bit f64) against the billing pipeline and
 //! the policy core; the chaos and parity suites assert that invariant.
 
-use crate::registry::MetricsRegistry;
+use crate::registry::{Gauge, MetricsRegistry};
 use parking_lot::Mutex;
 use pixels_common::Json;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// The per-level families [`Ledger::export`] sets.
+pub const ENTRIES_TOTAL: &str = "pixels_ledger_entries_total";
+pub const REVENUE_DOLLARS: &str = "pixels_ledger_revenue_dollars";
 
 /// One query's economics.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,9 +155,6 @@ struct Book {
 #[derive(Default)]
 pub struct Ledger {
     book: Mutex<Book>,
-    /// Per-level entry counts already pushed to a registry, so export emits
-    /// deltas and scraped counters stay monotonic.
-    published_entries: Mutex<BTreeMap<String, u64>>,
     /// Tenant labels emitted by the previous [`Ledger::export_tenants`]
     /// call. Series whose tenant drops out of the top-K are zeroed on the
     /// next export — otherwise a stale gauge would keep its last value
@@ -233,59 +235,34 @@ impl Ledger {
     }
 
     /// Publish to a metrics registry: a per-level entry counter plus revenue
-    /// and provider-spend gauges. Base series are seeded even with zero
-    /// entries so the metric families always exist for `require_families`.
+    /// and provider-spend gauges, each set to the book's current total — an
+    /// export remembers nothing, so repeated and concurrent scrapes agree.
+    /// The `level="all"` and per-component series exist with zero entries too.
     pub fn export(&self, registry: &MetricsRegistry) {
-        registry.counter_with(
-            "pixels_ledger_entries_total",
-            "Ledger entries appended (one per finished query).",
-            &[("level", "all")],
-        );
-        registry.gauge_with(
-            "pixels_ledger_revenue_dollars",
-            "User revenue recorded in the ledger, by service level.",
-            &[("level", "all")],
-        );
-        let by_level = self.by_level();
-        let mut published = self.published_entries.lock();
+        let entries = |level: &str| {
+            registry.counter_with(
+                ENTRIES_TOTAL,
+                "Ledger entries appended (one per finished query).",
+                &[("level", level)],
+            )
+        };
+        let revenue = |level: &str| {
+            registry.gauge_with(
+                REVENUE_DOLLARS,
+                "User revenue recorded in the ledger, by service level.",
+                &[("level", level)],
+            )
+        };
         let mut all = 0u64;
         let mut all_revenue = 0.0f64;
-        for (level, s) in &by_level {
+        for (level, s) in &self.by_level() {
             all += s.entries;
             all_revenue += s.revenue_dollars;
-            let mark = published.entry(level.clone()).or_insert(0);
-            registry
-                .counter_with(
-                    "pixels_ledger_entries_total",
-                    "Ledger entries appended (one per finished query).",
-                    &[("level", level)],
-                )
-                .add(s.entries - *mark);
-            *mark = s.entries;
-            registry
-                .gauge_with(
-                    "pixels_ledger_revenue_dollars",
-                    "User revenue recorded in the ledger, by service level.",
-                    &[("level", level)],
-                )
-                .set(s.revenue_dollars);
+            entries(level).advance_to(s.entries);
+            revenue(level).set(s.revenue_dollars);
         }
-        let all_mark = published.entry("all".to_string()).or_insert(0);
-        registry
-            .counter_with(
-                "pixels_ledger_entries_total",
-                "Ledger entries appended (one per finished query).",
-                &[("level", "all")],
-            )
-            .add(all - *all_mark);
-        *all_mark = all;
-        registry
-            .gauge_with(
-                "pixels_ledger_revenue_dollars",
-                "User revenue recorded in the ledger, by service level.",
-                &[("level", "all")],
-            )
-            .set(all_revenue);
+        entries("all").advance_to(all);
+        revenue("all").set(all_revenue);
         let total = self.summary();
         for (component, dollars) in [
             ("vm", total.vm_dollars),
@@ -293,14 +270,17 @@ impl Ledger {
             ("cf_waste", total.waste_dollars),
             ("cf_shuffle", total.shuffle_dollars),
         ] {
-            registry
-                .gauge_with(
-                    "pixels_ledger_provider_dollars",
-                    "Provider spend recorded in the ledger, by component.",
-                    &[("component", component)],
-                )
-                .set(dollars);
+            Ledger::provider_gauge(registry, component).set(dollars);
         }
+    }
+
+    /// The `pixels_ledger_provider_dollars` series of one spend component.
+    pub fn provider_gauge(registry: &MetricsRegistry, component: &str) -> Arc<Gauge> {
+        registry.gauge_with(
+            "pixels_ledger_provider_dollars",
+            "Provider spend recorded in the ledger, by component.",
+            &[("component", component)],
+        )
     }
 
     /// Publish per-tenant revenue and entry-count gauges, capped at the

@@ -12,8 +12,10 @@
 //!   simulator ([`SimClock`], virtual time) produce one coherent trace
 //!   format. Disabled tracing is a no-op — no allocation, no locking.
 //! - **Metrics** ([`MetricsRegistry`]): named counters (sharded for morsel
-//!   workers), gauges, and histograms with labels, absorbed from exec
-//!   metrics, storage accounting, cache stats, and scheduler state.
+//!   workers), gauges, and histograms with labels. Owners register their
+//!   families once and hold the handles; totals kept elsewhere (storage
+//!   accounting, cache stats, ledger, SLO) are set with
+//!   [`Counter::advance_to`] at scrape time.
 //! - **Exposition** ([`MetricsRegistry::render`],
 //!   [`prometheus::validate_exposition`]): the `/metrics` text format plus a
 //!   validator used by tests and CI.

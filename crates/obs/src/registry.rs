@@ -9,6 +9,18 @@
 //! Counters are sharded across cache-line-padded atomics so the morsel
 //! workers of a parallel scan never contend on one cell; gauges and
 //! histogram buckets are plain atomics.
+//!
+//! One path to `/metrics`: a component registers its families once, at
+//! construction, in a catalog struct ([`counter`](MetricsRegistry::counter) /
+//! [`gauge`](MetricsRegistry::gauge) / [`histogram`](MetricsRegistry::histogram)
+//! return `Arc` handles) and from then on touches the handles only — the
+//! registry map and its lock are for registration and
+//! [`render`](MetricsRegistry::render), never for a running query. Events are
+//! [`Counter::add`]ed as they happen; a total that some other component
+//! already keeps (store requests, cache hits, ledger entries) is *set* with
+//! [`Counter::advance_to`] at scrape time, which is idempotent — no exporter
+//! remembers what it published. Only series whose label values are known at
+//! run time (level × status, tenant, fault site) are looked up by label.
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -36,6 +48,8 @@ fn shard_index() -> usize {
 #[derive(Default)]
 pub struct Counter {
     shards: [PaddedU64; COUNTER_SHARDS],
+    /// The cell [`advance_to`](Counter::advance_to) raises.
+    total: AtomicU64,
 }
 
 impl Counter {
@@ -47,11 +61,21 @@ impl Counter {
         self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raise the counter to `total`, the running total some other component
+    /// keeps of the same quantity; a smaller `total` changes nothing, so
+    /// repeated and concurrent callers publish each event once. A series
+    /// fed this way has one owner: nothing else `add`s to it or advances it
+    /// from a second source, or it stops equalling its source.
+    pub fn advance_to(&self, total: u64) {
+        self.total.fetch_max(total, Ordering::Relaxed);
+    }
+
     pub fn get(&self) -> u64 {
         self.shards
             .iter()
             .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+            .sum::<u64>()
+            + self.total.load(Ordering::Relaxed)
     }
 }
 
@@ -208,6 +232,7 @@ struct Family {
 #[derive(Default)]
 pub struct MetricsRegistry {
     families: RwLock<BTreeMap<String, Family>>,
+    lookups: AtomicU64,
 }
 
 fn valid_name(name: &str) -> bool {
@@ -267,6 +292,7 @@ impl MetricsRegistry {
         select: impl FnOnce(&Instrument) -> Option<Arc<T>>,
     ) -> Arc<T> {
         assert!(valid_name(name), "invalid metric name: {name}");
+        self.lookups.fetch_add(1, Ordering::Relaxed);
         let key = render_labels(labels);
         let mut families = self.families.write();
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
@@ -280,6 +306,14 @@ impl MetricsRegistry {
         );
         let instrument = family.series.entry(key).or_insert_with(make);
         select(instrument).expect("family kind matches series kind")
+    }
+
+    /// How many times a series has been registered or looked up by name so
+    /// far. Tests use the difference over a query to show its hot path goes
+    /// through held handles only.
+    #[doc(hidden)]
+    pub fn lookups(&self) -> u64 {
+        self.lookups.load(Ordering::Relaxed)
     }
 
     /// Register (or fetch) an unlabeled counter.
@@ -409,6 +443,39 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 8000);
+    }
+
+    #[test]
+    fn advance_to_never_decreases_and_sums_with_adds() {
+        let c = Counter::default();
+        c.advance_to(7);
+        c.advance_to(3);
+        assert_eq!(c.get(), 7, "a smaller total changes nothing");
+        c.advance_to(7);
+        assert_eq!(c.get(), 7, "the same total twice is published once");
+        c.add(5);
+        c.advance_to(9);
+        assert_eq!(c.get(), 14, "get() is the sharded adds plus the total");
+    }
+
+    #[test]
+    fn concurrent_advance_to_ends_at_the_max() {
+        let c = Counter::default();
+        let gate = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (c, gate) = (&c, &gate);
+                s.spawn(move || {
+                    gate.wait();
+                    // Every thread walks its own interleaved totals upward
+                    // and back down; the largest any of them names is 8007.
+                    for i in (0..1000u64).chain((0..1000).rev()) {
+                        c.advance_to(i * 8 + t + 8);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 999 * 8 + 7 + 8);
     }
 
     #[test]

@@ -42,6 +42,10 @@ impl SloObjective {
     }
 }
 
+/// The per-level counter families [`SloTracker::export`] sets.
+pub const GOOD_TOTAL: &str = "pixels_slo_good_total";
+pub const VIOLATION_TOTAL: &str = "pixels_slo_violation_total";
+
 /// Burn-rate look-back windows: (label, width in microseconds).
 pub const DEFAULT_WINDOWS: &[(&str, u64)] = &[("5m", 300_000_000), ("1h", 3_600_000_000)];
 
@@ -55,10 +59,6 @@ struct LevelState {
     /// Recent events, oldest first: (event time, was_good). Pruned to the
     /// widest burn window on every record.
     events: VecDeque<(u64, bool)>,
-    /// Counter values already pushed to a registry (export publishes deltas
-    /// so repeated scrapes stay monotonic).
-    published_good: u64,
-    published_violation: u64,
 }
 
 impl LevelState {
@@ -129,8 +129,6 @@ impl SloTracker {
                         good_total: 0,
                         violation_total: 0,
                         events: VecDeque::new(),
-                        published_good: 0,
-                        published_violation: 0,
                     },
                 )
             })
@@ -178,27 +176,28 @@ impl SloTracker {
         good
     }
 
-    /// Publish to a metrics registry: monotonic good/violation counters per
-    /// level, burn-rate gauges per (level, window), and the threshold as a
-    /// gauge so dashboards can label the objective they're plotting.
+    /// Publish to a metrics registry: good/violation counters per level set
+    /// to the tracker's totals, burn-rate gauges per (level, window), and
+    /// the threshold as a gauge so dashboards can label the objective
+    /// they're plotting.
     pub fn export(&self, registry: &MetricsRegistry) {
         let now = self.clock.now_micros();
-        let mut levels = self.levels.lock();
-        for (level, state) in levels.iter_mut() {
-            let good = registry.counter_with(
-                "pixels_slo_good_total",
-                "Queries that met their service-level latency objective.",
-                &[("level", level)],
-            );
-            good.add(state.good_total - state.published_good);
-            state.published_good = state.good_total;
-            let bad = registry.counter_with(
-                "pixels_slo_violation_total",
-                "Queries that violated their service-level latency objective.",
-                &[("level", level)],
-            );
-            bad.add(state.violation_total - state.published_violation);
-            state.published_violation = state.violation_total;
+        let levels = self.levels.lock();
+        for (level, state) in levels.iter() {
+            registry
+                .counter_with(
+                    GOOD_TOTAL,
+                    "Queries that met their service-level latency objective.",
+                    &[("level", level)],
+                )
+                .advance_to(state.good_total);
+            registry
+                .counter_with(
+                    VIOLATION_TOTAL,
+                    "Queries that violated their service-level latency objective.",
+                    &[("level", level)],
+                )
+                .advance_to(state.violation_total);
             registry
                 .gauge_with(
                     "pixels_slo_threshold_seconds",

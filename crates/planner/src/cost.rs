@@ -514,6 +514,17 @@ fn project_est(input: NodeEst, exprs: &[BoundExpr]) -> NodeEst {
 /// `MaterializedScan` — whose true size is only known at run time — reports
 /// an unreliable default).
 pub fn estimate_physical(plan: &PhysicalPlan) -> NodeEst {
+    physical_node_est(plan, &mut |input| estimate_physical(input))
+}
+
+/// Cardinality estimate of one physical node from its inputs' estimates,
+/// which `input_est` supplies: it is called exactly once per input, the left
+/// of a join before the right, so a caller can fold more than cardinalities
+/// in the same bottom-up pass ([`PhysicalPlan::estimate`] does).
+pub(crate) fn physical_node_est(
+    plan: &PhysicalPlan,
+    input_est: &mut dyn FnMut(&PhysicalPlan) -> NodeEst,
+) -> NodeEst {
     match plan {
         PhysicalPlan::Scan {
             stats,
@@ -523,11 +534,11 @@ pub fn estimate_physical(plan: &PhysicalPlan) -> NodeEst {
         } => estimate_scan(stats, projection, filters),
         PhysicalPlan::MaterializedScan { schema, .. } => NodeEst::unknown(schema.len(), 1000.0),
         PhysicalPlan::Filter { input, predicate } => {
-            let mut est = estimate_physical(input);
+            let mut est = input_est(input);
             est.rows = mul_rows(est.rows, selectivity(predicate, &est));
             est.cap_ndv()
         }
-        PhysicalPlan::Project { input, exprs, .. } => project_est(estimate_physical(input), exprs),
+        PhysicalPlan::Project { input, exprs, .. } => project_est(input_est(input), exprs),
         PhysicalPlan::HashJoin {
             left,
             right,
@@ -536,21 +547,24 @@ pub fn estimate_physical(plan: &PhysicalPlan) -> NodeEst {
             right_keys,
             residual,
             ..
-        } => join_est(
-            &estimate_physical(left),
-            &estimate_physical(right),
-            *join_type,
-            left_keys,
-            right_keys,
-            residual.as_ref(),
-        ),
+        } => {
+            let (left, right) = (input_est(left), input_est(right));
+            join_est(
+                &left,
+                &right,
+                *join_type,
+                left_keys,
+                right_keys,
+                residual.as_ref(),
+            )
+        }
         PhysicalPlan::HashAggregate {
             input,
             group_exprs,
             output_schema,
             ..
         } => {
-            let in_est = estimate_physical(input);
+            let in_est = input_est(input);
             let rows = group_rows(&in_est, group_exprs);
             let mut cols: Vec<ColStat> = group_exprs
                 .iter()
@@ -570,16 +584,16 @@ pub fn estimate_physical(plan: &PhysicalPlan) -> NodeEst {
             .cap_ndv()
         }
         PhysicalPlan::Distinct { input } => {
-            let in_est = estimate_physical(input);
+            let in_est = input_est(input);
             NodeEst {
                 rows: (in_est.rows * 0.5).max(1.0f64.min(in_est.rows)),
                 ..in_est
             }
             .cap_ndv()
         }
-        PhysicalPlan::Sort { input, .. } => estimate_physical(input),
+        PhysicalPlan::Sort { input, .. } => input_est(input),
         PhysicalPlan::TopK { input, fetch, .. } => {
-            let mut est = estimate_physical(input);
+            let mut est = input_est(input);
             est.rows = est.rows.min(*fetch as f64);
             est
         }
@@ -588,7 +602,7 @@ pub fn estimate_physical(plan: &PhysicalPlan) -> NodeEst {
             limit,
             offset,
         } => {
-            let mut est = estimate_physical(input);
+            let mut est = input_est(input);
             if let Some(l) = limit {
                 est.rows = est.rows.min((*l + *offset) as f64);
             }

@@ -225,14 +225,6 @@ impl BoundExpr {
         }
     }
 
-    /// A short display name used when a projection has no alias.
-    pub fn default_name(&self) -> String {
-        match self {
-            BoundExpr::ColumnRef { name, .. } => name.clone(),
-            other => other.to_string(),
-        }
-    }
-
     /// Collect the input-column indices this expression references.
     pub fn collect_columns(&self, out: &mut Vec<usize>) {
         match self {

@@ -130,12 +130,28 @@ impl PhysicalPlan {
         }
     }
 
-    /// Recursive cost/size estimate. Output rows come from the statistics
-    /// estimator (`crate::cost`); scan bytes and CPU work accumulate
-    /// structurally.
+    /// Cost/size estimate of the whole subtree. Output rows come from the
+    /// statistics estimator (`crate::cost`); scan bytes and CPU work
+    /// accumulate structurally.
     pub fn estimate(&self) -> PlanEstimate {
-        let rows = crate::cost::estimate_physical(self).rows;
-        match self {
+        self.estimate_node().1
+    }
+
+    /// One bottom-up pass yielding this node's cardinality estimate and its
+    /// subtree's [`PlanEstimate`] together: every node is visited once.
+    fn estimate_node(&self) -> (crate::cost::NodeEst, PlanEstimate) {
+        // Filled as the cardinality estimator asks for each input's
+        // estimate: one entry, or left then right under a join.
+        let mut inputs = [PlanEstimate::default(); 2];
+        let mut seen = 0;
+        let est = crate::cost::physical_node_est(self, &mut |input| {
+            let (est, subtree) = input.estimate_node();
+            inputs[seen] = subtree;
+            seen += 1;
+            est
+        });
+        let [e, r] = inputs;
+        let (scan_bytes, cpu_work) = match self {
             PhysicalPlan::Scan {
                 stats,
                 projection,
@@ -148,61 +164,33 @@ impl PhysicalPlan {
                     .map(|&i| file_schema.field(i).data_type.byte_width())
                     .sum();
                 let frac = proj_width as f64 / full_width as f64;
-                let scan_bytes = (stats.total_bytes as f64 * frac) as u64;
-                PlanEstimate {
-                    rows,
-                    scan_bytes,
-                    cpu_work: stats.row_count as f64,
-                }
+                (
+                    (stats.total_bytes as f64 * frac) as u64,
+                    stats.row_count as f64,
+                )
             }
-            PhysicalPlan::MaterializedScan { .. } => PlanEstimate {
-                rows,
-                scan_bytes: 0,
-                cpu_work: 1000.0,
-            },
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::HashAggregate { input, .. }
-            | PhysicalPlan::Distinct { input }
-            | PhysicalPlan::TopK { input, .. } => {
-                let e = input.estimate();
-                PlanEstimate {
-                    rows,
-                    scan_bytes: e.scan_bytes,
-                    cpu_work: e.cpu_work + e.rows,
-                }
+            PhysicalPlan::MaterializedScan { .. } => (0, 1000.0),
+            PhysicalPlan::Filter { .. }
+            | PhysicalPlan::Project { .. }
+            | PhysicalPlan::HashAggregate { .. }
+            | PhysicalPlan::Distinct { .. }
+            | PhysicalPlan::TopK { .. } => (e.scan_bytes, e.cpu_work + e.rows),
+            PhysicalPlan::HashJoin { .. } => (
+                e.scan_bytes + r.scan_bytes,
+                e.cpu_work + r.cpu_work + e.rows + r.rows,
+            ),
+            PhysicalPlan::Sort { .. } => {
+                (e.scan_bytes, e.cpu_work + e.rows * (e.rows.max(2.0)).log2())
             }
-            PhysicalPlan::HashJoin { left, right, .. } => {
-                let l = left.estimate();
-                let r = right.estimate();
-                PlanEstimate {
-                    rows,
-                    scan_bytes: l.scan_bytes + r.scan_bytes,
-                    cpu_work: l.cpu_work + r.cpu_work + l.rows + r.rows,
-                }
-            }
-            PhysicalPlan::Sort { input, .. } => {
-                let e = input.estimate();
-                PlanEstimate {
-                    rows,
-                    scan_bytes: e.scan_bytes,
-                    cpu_work: e.cpu_work + e.rows * (e.rows.max(2.0)).log2(),
-                }
-            }
-            PhysicalPlan::Limit { input, .. } => {
-                let e = input.estimate();
-                PlanEstimate {
-                    rows,
-                    scan_bytes: e.scan_bytes,
-                    cpu_work: e.cpu_work,
-                }
-            }
-            PhysicalPlan::Values { rows: r, .. } => PlanEstimate {
-                rows,
-                scan_bytes: 0,
-                cpu_work: r.len() as f64,
-            },
-        }
+            PhysicalPlan::Limit { .. } => (e.scan_bytes, e.cpu_work),
+            PhysicalPlan::Values { rows, .. } => (0, rows.len() as f64),
+        };
+        let subtree = PlanEstimate {
+            rows: est.rows,
+            scan_bytes,
+            cpu_work,
+        };
+        (est, subtree)
     }
 
     /// Indented EXPLAIN rendering.

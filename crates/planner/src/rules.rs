@@ -1140,15 +1140,11 @@ fn attach_residuals(
 // Build-side selection
 // ---------------------------------------------------------------------------
 
-/// For inner equi-joins, make the smaller estimated input the right (build)
-/// side. The executor always builds its hash table on the right input.
-pub fn choose_build_side(plan: LogicalPlan) -> LogicalPlan {
-    choose_build_side_with(plan, EstMode::Normal)
-}
-
-/// Build-side selection with an explicit estimate mode. When either side
-/// lacks real statistics (`reliable == false`), the decision falls back to
-/// the schema byte-width heuristic: build on the narrower side.
+/// For inner equi-joins, make the smaller estimated input (as `mode` reads
+/// the estimates) the right (build) side: the executor always builds its
+/// hash table on the right input. When either side lacks real statistics
+/// (`reliable == false`), the decision falls back to the schema byte-width
+/// heuristic: build on the narrower side.
 pub fn choose_build_side_with(plan: LogicalPlan, mode: EstMode) -> LogicalPlan {
     match plan {
         LogicalPlan::Join {

@@ -16,18 +16,18 @@
 //! bounded by the starvation limit.
 
 use crate::fair::{FairQueue, QueuedQuery};
+use crate::metrics::ServerMetrics;
 use crate::pricing::PriceSchedule;
 use crate::scheduler::{Admission, AdmissionMode, LoadSignal, QueueVerdict, SchedulerPolicy};
 use crate::service_level::ServiceLevel;
 use crate::shared::{SharedWork, SharingConfig};
-use crate::tenant::TenantDirectory;
+use crate::tenant::{SpendBook, TenantDirectory};
 use parking_lot::{Condvar, Mutex};
 use pixels_common::{Error, Json, QueryId, RecordBatch, Result};
 use pixels_obs::{
     JournalEntry, Ledger, LedgerEntry, MetricsRegistry, Profile, QueryJournal, SloTracker, Trace,
     TraceCtx, WallClock,
 };
-use pixels_storage::StoreMetricsSnapshot;
 use pixels_turbo::{
     CostBreakdown, Decision, ExchangeStats, ExecMetricsSnapshot, QueryEvent, TurboEngine,
 };
@@ -234,25 +234,30 @@ struct AdmissionQueue {
 
 /// The in-process query server.
 pub struct QueryServer {
-    engine: Arc<TurboEngine>,
-    prices: PriceSchedule,
-    /// Admission policy shared with the simulator.
-    policy: SchedulerPolicy,
+    /// What every query thread shares with the server.
+    ctx: Arc<QueryCtx>,
     /// Every query submitted, by id. Held to find or insert a slot only.
     state: Mutex<HashMap<QueryId, Arc<QuerySlot>>>,
     next_id: AtomicU64,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Storage counters already published to the registry; `/metrics`
-    /// scrapes absorb only the delta since this snapshot, so the exposed
-    /// `pixels_storage_*` counters stay cumulative and monotone.
-    absorbed_storage: Mutex<StoreMetricsSnapshot>,
+    /// Per-tenant weights and budgets.
+    tenants: Arc<TenantDirectory>,
+}
+
+/// The per-query shared state: `submit` clones one `Arc` of it into the
+/// query's thread, and the terminal step borrows it. The `with_*` builders
+/// change it in place — they run before the first `submit`, while the server
+/// still holds the only reference.
+struct QueryCtx {
+    engine: Arc<TurboEngine>,
+    prices: PriceSchedule,
+    /// Admission policy shared with the simulator.
+    policy: SchedulerPolicy,
     /// SLO, ledger, and journal sinks every query thread reports into.
     obs: ObsSinks,
     /// Tenant-aware queue shared by every waiting query thread: deficit-
     /// weighted fair queueing across tenants, EDF over deadline work.
-    queue: Arc<AdmissionQueue>,
-    /// Per-tenant weights and budgets.
-    tenants: Arc<TenantDirectory>,
+    queue: AdmissionQueue,
     /// Shared-work front (single-flight + result cache); disabled unless
     /// [`QueryServer::with_sharing`] opts in.
     sharing: Arc<SharedWork>,
@@ -261,15 +266,15 @@ pub struct QueryServer {
     /// deadlines and poll times are all absolute against this instant, so
     /// expiry and EDF comparisons across entries share one origin — exactly
     /// like the simulator's absolute virtual clock.
-    epoch: std::time::Instant,
+    epoch: Instant,
     /// Per-tenant committed + reserved spend, consulted atomically at
     /// budget admission (see [`crate::tenant::SpendBook`]).
-    spend: Arc<crate::tenant::SpendBook>,
+    spend: SpendBook,
+    /// The server's families in the engine's registry, held as handles.
+    metrics: ServerMetrics,
 }
 
 /// The observability sinks a query thread appends to at its terminal state.
-/// Bundled so [`run_query_thread`] takes one handle.
-#[derive(Clone)]
 struct ObsSinks {
     slo: Arc<SloTracker>,
     ledger: Arc<Ledger>,
@@ -293,28 +298,34 @@ impl QueryServer {
     pub fn new(engine: Arc<TurboEngine>, prices: PriceSchedule) -> Self {
         let policy = SchedulerPolicy::default();
         QueryServer {
-            engine,
-            prices,
-            obs: ObsSinks::for_policy(&policy),
-            policy,
+            ctx: Arc::new(QueryCtx {
+                metrics: ServerMetrics::new(engine.registry()),
+                engine,
+                prices,
+                obs: ObsSinks::for_policy(&policy),
+                policy,
+                queue: AdmissionQueue {
+                    fair: Mutex::new(FairQueue::new()),
+                    changed: Condvar::new(),
+                },
+                sharing: Arc::new(SharedWork::new(SharingConfig::default())),
+                epoch: Instant::now(),
+                spend: SpendBook::new(),
+            }),
             state: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
             handles: Mutex::new(Vec::new()),
-            absorbed_storage: Mutex::new(StoreMetricsSnapshot::default()),
-            queue: Arc::new(AdmissionQueue {
-                fair: Mutex::new(FairQueue::new()),
-                changed: Condvar::new(),
-            }),
             tenants: Arc::new(TenantDirectory::new()),
-            sharing: Arc::new(SharedWork::new(SharingConfig::default())),
-            epoch: std::time::Instant::now(),
-            spend: Arc::new(crate::tenant::SpendBook::new()),
         }
+    }
+
+    fn ctx_mut(&mut self) -> &mut QueryCtx {
+        Arc::get_mut(&mut self.ctx).expect("the builders run before the first submit")
     }
 
     /// Enable (or reconfigure) the shared-work layer.
     pub fn with_sharing(mut self, cfg: SharingConfig) -> Self {
-        self.sharing = Arc::new(SharedWork::new(cfg));
+        self.ctx_mut().sharing = Arc::new(SharedWork::new(cfg));
         self
     }
 
@@ -322,7 +333,7 @@ impl QueryServer {
     /// into the fair queue as tenants are registered.
     pub fn with_tenants(mut self, tenants: Arc<TenantDirectory>) -> Self {
         for (name, policy) in tenants.registered() {
-            self.queue.fair.lock().set_weight(&name, policy.weight);
+            self.ctx.queue.fair.lock().set_weight(&name, policy.weight);
         }
         self.tenants = tenants;
         self
@@ -335,18 +346,18 @@ impl QueryServer {
 
     /// The shared-work layer (single-flight + result cache).
     pub fn shared(&self) -> &Arc<SharedWork> {
-        &self.sharing
+        &self.ctx.sharing
     }
 
     /// Drop cached results for `db` — call on any mutation to its data.
     pub fn invalidate_results(&self, db: &str) {
-        self.sharing.invalidate_db(db);
+        self.ctx.sharing.invalidate_db(db);
     }
 
     /// The `GET /tenants` payload: per-tenant policy, spend, and queue
     /// depth, for every tenant known to the directory or the ledger.
     pub fn tenants_json(&self) -> Json {
-        let by_tenant = self.obs.ledger.by_tenant();
+        let by_tenant = self.ctx.obs.ledger.by_tenant();
         let mut names: Vec<String> = self
             .tenants
             .registered()
@@ -359,7 +370,7 @@ impl QueryServer {
             }
         }
         names.sort();
-        let fair = self.queue.fair.lock();
+        let fair = self.ctx.queue.fair.lock();
         let rows: Vec<Json> = names
             .iter()
             .map(|name| {
@@ -396,102 +407,67 @@ impl QueryServer {
     /// The SLO tracker is rebuilt so its objectives stay derived from the
     /// bounds admission actually enforces.
     pub fn with_scheduler(mut self, policy: SchedulerPolicy) -> Self {
-        self.policy = policy;
-        self.obs = ObsSinks::for_policy(&policy);
+        let ctx = self.ctx_mut();
+        ctx.policy = policy;
+        ctx.obs = ObsSinks::for_policy(&policy);
         self
     }
 
     /// The per-level SLO tracker (latency objectives + burn rates).
     pub fn slo(&self) -> &Arc<SloTracker> {
-        &self.obs.slo
+        &self.ctx.obs.slo
     }
 
     /// The economics ledger (one entry per finished query).
     pub fn ledger(&self) -> &Arc<Ledger> {
-        &self.obs.ledger
+        &self.ctx.obs.ledger
     }
 
     /// The structured query journal (one record per terminal query).
     pub fn journal(&self) -> &Arc<QueryJournal> {
-        &self.obs.journal
+        &self.ctx.obs.journal
     }
 
     /// The `GET /slo` payload.
     pub fn slo_json(&self) -> Json {
-        self.obs.slo.to_json()
+        self.ctx.obs.slo.to_json()
     }
 
     /// The `GET /ledger` payload.
     pub fn ledger_json(&self) -> Json {
-        self.obs.ledger.to_json()
+        self.ctx.obs.ledger.to_json()
     }
 
     /// The `GET /journal` payload: JSON lines, one terminal query each.
     pub fn journal_jsonl(&self) -> String {
-        self.obs.journal.render_jsonl()
+        self.ctx.obs.journal.render_jsonl()
     }
 
     pub fn engine(&self) -> &Arc<TurboEngine> {
-        &self.engine
+        &self.ctx.engine
     }
 
     /// The registry backing `/metrics` (the engine's).
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        self.engine.registry()
+        self.ctx.engine.registry()
     }
 
     /// Render the whole registry in Prometheus text exposition format,
-    /// first folding in the object store's cumulative counters.
+    /// first setting every family whose source keeps its own running total
+    /// — object store, fault injector, SLO tracker, ledger, shared work — to
+    /// that total. Nothing here remembers a previous scrape, so concurrent
+    /// scrapes agree.
     pub fn metrics_text(&self) -> String {
         let r = self.registry();
-        let now = self.engine.store().metrics();
-        {
-            let mut absorbed = self.absorbed_storage.lock();
-            let delta = now.delta_since(&absorbed);
-            *absorbed = now;
-            r.counter(
-                "pixels_storage_get_requests_total",
-                "GET requests issued to object storage",
-            )
-            .add(delta.get_requests);
-            r.counter(
-                "pixels_storage_put_requests_total",
-                "PUT requests issued to object storage",
-            )
-            .add(delta.put_requests);
-            r.counter(
-                "pixels_storage_bytes_read_total",
-                "Bytes read from object storage",
-            )
-            .add(delta.bytes_read);
-            r.counter(
-                "pixels_storage_bytes_written_total",
-                "Bytes written to object storage",
-            )
-            .add(delta.bytes_written);
-            r.counter(
-                "pixels_storage_gets_failed_total",
-                "GET requests that failed (never added to billed bytes)",
-            )
-            .add(delta.gets_failed);
-            r.counter_with(
-                "pixels_retries_total",
-                "Operations retried after transient failures",
-                &[("site", "storage_get")],
-            )
-            .add(delta.retries);
-        }
-        // Fold in whatever the fault injector did since the last scrape
-        // (no-op when chaos is disabled).
-        self.engine.fault_injector().export_metrics(r);
-        // SLO and ledger families (good/violation counters, burn rates,
-        // revenue and provider spend), published as deltas at scrape time.
-        self.obs.slo.export(r);
-        self.obs.ledger.export(r);
+        let ctx = &self.ctx;
+        ctx.engine.store().metrics().export(r);
+        ctx.engine.fault_injector().export_metrics(r);
+        ctx.obs.slo.export(r);
+        ctx.obs.ledger.export(r);
         // Per-tenant revenue, capped at the top-K tenants plus an "other"
         // bucket so a million-tenant fleet cannot blow up label cardinality.
-        self.obs.ledger.export_tenants(r, 8);
-        self.sharing.export(r);
+        ctx.obs.ledger.export_tenants(r, 8);
+        ctx.sharing.export(r);
         r.render()
     }
 
@@ -525,8 +501,9 @@ impl QueryServer {
             changed: Condvar::new(),
         });
         self.state.lock().insert(id, slot.clone());
+        let ctx = &self.ctx;
         let mode = submission.mode();
-        queue_depth(self.registry(), mode).add(1.0);
+        ctx.metrics.queue_depth(mode.name()).add(1.0);
 
         // Budget admission: a tenant whose committed-plus-reserved spend has
         // reached its budget is refused before a thread ever spawns.
@@ -539,39 +516,28 @@ impl QueryServer {
         let tenant_policy = self.tenants.policy(submission.tenant_name());
         let mut reserved = 0.0;
         if let Some(budget) = tenant_policy.budget_dollars {
-            let est_bytes = self
+            let est_bytes = ctx
                 .engine
                 .estimate_work(&submission.database, &submission.sql)
                 .map(|w| w.scan_bytes)
                 .unwrap_or(0);
-            reserved = self.prices.bill(mode, est_bytes);
-            if !self
+            reserved = ctx.prices.bill(mode, est_bytes);
+            if !ctx
                 .spend
                 .try_reserve(submission.tenant_name(), reserved, budget)
             {
-                reject(self.registry(), &self.obs, &slot, "budget_exhausted");
+                reject(ctx, &slot, "budget_exhausted");
                 return id;
             }
         }
-        self.queue
+        ctx.queue
             .fair
             .lock()
             .set_weight(submission.tenant_name(), tenant_policy.weight);
 
-        let engine = self.engine.clone();
-        let prices = self.prices;
-        let policy = self.policy;
-        let obs = self.obs.clone();
-        let queue = self.queue.clone();
-        let sharing = self.sharing.clone();
-        let epoch = self.epoch;
-        let spend = self.spend.clone();
-        let handle = std::thread::spawn(move || {
-            run_query_thread(
-                engine, slot, prices, policy, id, submission, obs, queue, sharing, epoch, spend,
-                reserved,
-            );
-        });
+        let ctx = ctx.clone();
+        let handle =
+            std::thread::spawn(move || run_query_thread(&ctx, &slot, id, submission, reserved));
         let mut handles = self.handles.lock();
         // Reap finished query threads so a long-running server doesn't
         // accumulate one handle per query forever.
@@ -666,14 +632,6 @@ impl QueryServer {
     }
 }
 
-fn queue_depth(registry: &MetricsRegistry, mode: AdmissionMode) -> Arc<pixels_obs::Gauge> {
-    registry.gauge_with(
-        "pixels_scheduler_queue_depth",
-        "Queries submitted but not yet running, per service level",
-        &[("level", mode.name())],
-    )
-}
-
 /// The one terminal step: budget rejection, admission rejection, failure and
 /// success all end here. `end` writes the terminal status, and whatever the
 /// outcome carries, into the record; then the SLO verdict, the ledger entry
@@ -682,13 +640,13 @@ fn queue_depth(registry: &MetricsRegistry, mode: AdmissionMode) -> Arc<pixels_ob
 /// sees the terminal status also sees the query's obs records. `trace` is
 /// the query's trace when it got far enough to execute.
 fn settle(
-    registry: &MetricsRegistry,
-    obs: &ObsSinks,
+    ctx: &QueryCtx,
     slot: &QuerySlot,
     admission: &str,
     trace: Option<&Trace>,
     end: impl FnOnce(&mut QueryInfo),
 ) {
+    let obs = &ctx.obs;
     let mut record = slot.record.lock();
     let info = Arc::make_mut(&mut record);
     end(info);
@@ -761,32 +719,7 @@ fn settle(
         trace_spans: trace.map_or(0, |t| t.span_count() as u64),
         at_us,
     });
-    registry
-        .counter_with(
-            "pixels_queries_total",
-            "Queries reaching a terminal status, per service level",
-            &[("level", level), ("status", info.status.name())],
-        )
-        .add(1);
-    // The latency histograms describe queries that ran.
-    if !rejected {
-        registry
-            .histogram(
-                "pixels_query_pending_seconds",
-                "Time from submission to execution start",
-                &[],
-                None,
-            )
-            .observe(info.pending.as_secs_f64());
-        registry
-            .histogram(
-                "pixels_query_execution_seconds",
-                "Query execution wall time",
-                &[],
-                None,
-            )
-            .observe(info.execution.as_secs_f64());
-    }
+    ctx.metrics.terminal(info);
     drop(record);
     slot.changed.notify_all();
 }
@@ -794,30 +727,22 @@ fn settle(
 /// End a submission that never runs: it leaves the queue-depth gauge, its
 /// journal record carries `reason`, and — being rejected — it burns SLO
 /// budget but touches neither the ledger nor the result cache.
-fn reject(registry: &MetricsRegistry, obs: &ObsSinks, slot: &QuerySlot, reason: &'static str) {
-    settle(registry, obs, slot, "rejected", None, |info| {
-        queue_depth(registry, info.submission.mode()).add(-1.0);
+fn reject(ctx: &QueryCtx, slot: &QuerySlot, reason: &'static str) {
+    settle(ctx, slot, "rejected", None, |info| {
+        let level = info.submission.mode().name();
+        ctx.metrics.queue_depth(level).add(-1.0);
         info.status = QueryStatus::Rejected;
         info.error = Some(reason.to_string());
     });
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_query_thread(
-    engine: Arc<TurboEngine>,
-    slot: Arc<QuerySlot>,
-    prices: PriceSchedule,
-    policy: SchedulerPolicy,
+    ctx: &QueryCtx,
+    slot: &QuerySlot,
     id: QueryId,
     submission: QuerySubmission,
-    obs: ObsSinks,
-    queue: Arc<AdmissionQueue>,
-    sharing: Arc<SharedWork>,
-    epoch: std::time::Instant,
-    spend: Arc<crate::tenant::SpendBook>,
     reserved: f64,
 ) {
-    let registry = engine.registry().clone();
     let mode = submission.mode();
     // One trace per query: the root `query` span covers scheduler wait,
     // tier dispatch, every operator, and every storage access beneath it.
@@ -830,7 +755,8 @@ fn run_query_thread(
     // model supplies it. An unplannable query estimates zero — it will fail
     // with its real error during execution, not a confusing rejection.
     let est_us = match mode {
-        AdmissionMode::Deadline { .. } => engine
+        AdmissionMode::Deadline { .. } => ctx
+            .engine
             .estimate_work(&submission.database, &submission.sql)
             .map(|w| w.exec_time_on_cores(w.parallelism as f64).as_micros())
             .unwrap_or(0),
@@ -843,10 +769,10 @@ fn run_query_thread(
     // (micros since the shared server-start epoch — one origin for every
     // thread, so queued deadlines and poll times compare like the
     // simulator's absolute virtual clock) and executes the verdicts.
-    let now_us = || epoch.elapsed().as_micros() as u64;
+    let now_us = || ctx.epoch.elapsed().as_micros() as u64;
     let load = |fair: &FairQueue| LoadSignal {
-        overloaded: engine.is_busy(),
-        nearly_idle: !engine.is_busy(),
+        overloaded: ctx.engine.is_busy(),
+        nearly_idle: !ctx.engine.is_busy(),
         tenant_depth: fair.tenant_class_depth(submission.tenant_name(), mode),
         total_depth: fair.depth(),
     };
@@ -854,8 +780,8 @@ fn run_query_thread(
     let mut admission = "dispatch_now";
     {
         let wait_span = query_span.ctx().span("scheduler_wait");
-        let mut fair = queue.fair.lock();
-        let verdict = policy.admit(mode, load(&fair), now_us(), est_us);
+        let mut fair = ctx.queue.fair.lock();
+        let verdict = ctx.policy.admit(mode, load(&fair), now_us(), est_us);
         match verdict {
             Admission::DispatchNow => drop(fair),
             Admission::Queue { deadline_us } => {
@@ -870,7 +796,7 @@ fn run_query_thread(
                 });
                 loop {
                     let snapshot = load(&fair);
-                    match fair.poll(&policy, snapshot, now_us(), id.0) {
+                    match fair.poll(&ctx.policy, snapshot, now_us(), id.0) {
                         QueueVerdict::Dispatch { forced: f } => {
                             forced = f;
                             if f {
@@ -881,20 +807,20 @@ fn run_query_thread(
                         // Woken when a query leaves the queue; otherwise
                         // look again after `QUEUE_RECHECK`.
                         QueueVerdict::Wait => {
-                            queue.changed.wait_for(&mut fair, QUEUE_RECHECK);
+                            ctx.queue.changed.wait_for(&mut fair, QUEUE_RECHECK);
                         }
                     }
                 }
                 drop(fair);
                 // This query left the queue: the next in line may go.
-                queue.changed.notify_all();
+                ctx.queue.changed.notify_all();
             }
             Admission::Reject { reason } => {
                 drop(fair);
                 drop(wait_span);
                 drop(query_span);
-                spend.settle(submission.tenant_name(), reserved, 0.0);
-                reject(&registry, &obs, &slot, reason);
+                ctx.spend.settle(submission.tenant_name(), reserved, 0.0);
+                reject(ctx, slot, reason);
                 return;
             }
         }
@@ -909,7 +835,7 @@ fn run_query_thread(
     } else {
         match mode {
             AdmissionMode::Level(ServiceLevel::Relaxed) => {
-                let grace = Duration::from_micros(policy.grace.as_micros());
+                let grace = Duration::from_micros(ctx.policy.grace.as_micros());
                 Some(grace.saturating_sub(queued.elapsed()))
             }
             AdmissionMode::Deadline { target_us } => {
@@ -919,13 +845,13 @@ fn run_query_thread(
             AdmissionMode::Level(_) => None,
         }
     };
-    queue_depth(&registry, mode).add(-1.0);
+    ctx.metrics.queue_depth(mode.name()).add(-1.0);
     slot.update(|info| {
         info.status = QueryStatus::Running;
         info.pending = queued.elapsed();
     });
-    let (outcome, _share_kind) = sharing.execute(
-        &engine,
+    let (outcome, _share_kind) = ctx.sharing.execute(
+        &ctx.engine,
         &submission.database,
         &submission.sql,
         mode.cf_enabled(),
@@ -934,7 +860,7 @@ fn run_query_thread(
     );
     drop(query_span);
 
-    settle(&registry, &obs, &slot, admission, Some(&trace), |info| {
+    settle(ctx, slot, admission, Some(&trace), |info| {
         match outcome {
             Ok(mut out) => {
                 if let Some(limit) = submission.result_limit {
@@ -949,7 +875,7 @@ fn run_query_thread(
                 info.pending += out.pending;
                 info.execution = out.execution;
                 info.scan_bytes = out.bytes_scanned;
-                info.price = prices.bill(mode, out.bytes_scanned);
+                info.price = ctx.prices.bill(mode, out.bytes_scanned);
                 info.used_cf = out.used_cf;
                 info.metrics = out.metrics;
                 info.events = out.events;
@@ -969,7 +895,8 @@ fn run_query_thread(
         info.profile = Some(trace.profile());
         // Reconcile the budget reservation against the real bill: release
         // the estimate, commit what was actually billed (zero on failure).
-        spend.settle(submission.tenant_name(), reserved, info.price);
+        ctx.spend
+            .settle(submission.tenant_name(), reserved, info.price);
     });
 }
 
@@ -1233,6 +1160,318 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(gets(&text), gets(&text2));
+    }
+
+    #[test]
+    fn idle_server_already_serves_every_catalog_family() {
+        let s = server();
+        let text = s.metrics_text();
+        let served =
+            pixels_obs::validate_exposition(&text).expect("an idle exposition must be valid");
+        // What the two catalogs register into a registry of their own.
+        let fresh = MetricsRegistry::new();
+        pixels_turbo::EngineMetrics::new(&fresh);
+        ServerMetrics::new(&fresh);
+        let catalog = pixels_obs::validate_exposition(&fresh.render()).unwrap();
+        assert!(catalog.len() > 30, "{catalog:?}");
+        for family in &catalog {
+            assert!(served.contains(family), "idle server lacks {family}");
+        }
+        // The scrape-time sources export with nothing recorded, too.
+        for family in [
+            pixels_obs::slo::GOOD_TOTAL,
+            pixels_obs::slo::VIOLATION_TOTAL,
+            "pixels_slo_burn_rate",
+            "pixels_slo_threshold_seconds",
+            pixels_obs::ledger::ENTRIES_TOTAL,
+            pixels_obs::ledger::REVENUE_DOLLARS,
+            "pixels_ledger_provider_dollars",
+            "pixels_shared_work_total",
+            "pixels_storage_get_requests_total",
+            "pixels_retries_total",
+        ] {
+            assert!(served.contains(family), "idle server lacks {family}");
+        }
+        // Nothing ran: every series a query moves is there and reads zero.
+        let moved_by_queries = text.lines().filter(|l| {
+            ["pixels_queries_total", "pixels_exec_", "pixels_scheduler_"]
+                .iter()
+                .any(|p| l.starts_with(p))
+        });
+        assert!(moved_by_queries.clone().count() >= 4 * 3 + 5 + 4);
+        for line in moved_by_queries {
+            assert!(line.ends_with(" 0"), "{line}");
+        }
+    }
+
+    #[test]
+    fn a_vm_query_looks_no_family_up_between_submit_and_terminal() {
+        let s = server();
+        let registry = s.registry().clone();
+        for sql in ["SELECT COUNT(*) FROM orders", "SELECT no_such FROM orders"] {
+            let before = registry.lookups();
+            let info = s
+                .wait(s.submit(submission(sql, ServiceLevel::Immediate)))
+                .unwrap();
+            assert!(info.status.is_terminal() && !info.used_cf);
+            assert_eq!(
+                registry.lookups(),
+                before,
+                "submit, dispatch, execution and settle go through held handles"
+            );
+        }
+        // A budget rejection settles on the submitting thread: same rule.
+        s.tenants().set_policy(
+            "capped",
+            crate::tenant::TenantPolicy {
+                weight: 1.0,
+                budget_dollars: Some(0.0),
+            },
+        );
+        let mut refused = submission("SELECT COUNT(*) FROM orders", ServiceLevel::Relaxed);
+        refused.tenant = Some("capped".into());
+        let before = registry.lookups();
+        let info = s.wait(s.submit(refused)).unwrap();
+        assert_eq!(info.status, QueryStatus::Rejected);
+        assert_eq!(registry.lookups(), before);
+        // The handles were the registry's own series: the scrape shows them.
+        let text = s.metrics_text();
+        for series in [
+            r#"pixels_queries_total{level="immediate",status="finished"} 1"#,
+            r#"pixels_queries_total{level="immediate",status="failed"} 1"#,
+            r#"pixels_queries_total{level="relaxed",status="rejected"} 1"#,
+            "pixels_query_execution_seconds_count 2",
+        ] {
+            assert!(text.contains(series), "missing `{series}` in {text}");
+        }
+    }
+
+    /// A scrape-time source: something that keeps its own running totals and
+    /// sets registry series to them when exported.
+    struct Source<'a> {
+        name: &'static str,
+        /// Move the source's totals; the argument counts the calls.
+        update: Box<dyn Fn(u64) + Sync + 'a>,
+        export: Box<dyn Fn(&MetricsRegistry) + Sync + 'a>,
+        /// (family, labels, the source's own total) per exported counter.
+        totals: Box<dyn Fn() -> Vec<Total> + Sync + 'a>,
+    }
+    type Total = (&'static str, Vec<(&'static str, &'static str)>, u64);
+
+    #[test]
+    fn every_scrape_time_export_ends_at_its_sources_total() {
+        use pixels_chaos::{FaultInjector, FaultPlan, FaultSite};
+        use pixels_obs::{ledger, slo, SloObjective};
+        use pixels_storage::ChunkCache;
+
+        let registry = MetricsRegistry::new();
+        let store = InMemoryObjectStore::shared();
+        let cache = ChunkCache::new(2 << 10);
+        let engine_metrics = pixels_turbo::EngineMetrics::new(&registry);
+        let engine = server().engine().clone();
+        let shared = SharedWork::new(SharingConfig {
+            enabled: true,
+            cache_entries: 4,
+        });
+        let book = Ledger::new();
+        let tracker = SloTracker::new(
+            WallClock::shared(),
+            vec![
+                SloObjective::new("immediate", 10),
+                SloObjective::new("relaxed", 10),
+            ],
+        );
+        let faults = FaultInjector::new(&FaultPlan::get_errors(7, 0.5));
+        let level = |n: u64| ["immediate", "relaxed"][(n % 2) as usize];
+        let slo_total = |level: &str, which: &str| {
+            let json = tracker.to_json();
+            let total = json.get("levels").unwrap().get(level).unwrap().get(which);
+            total.unwrap().as_i64().unwrap() as u64
+        };
+
+        let sources = [
+            Source {
+                name: "store totals",
+                update: Box::new(|n| {
+                    let path = format!("obj-{}", n % 3);
+                    store.put(&path, vec![0u8; 16 + n as usize].into()).unwrap();
+                    store.get(&path).unwrap();
+                    assert!(store.get("missing").is_err());
+                }),
+                export: Box::new(|r| store.metrics().export(r)),
+                totals: Box::new(|| {
+                    let m = store.metrics();
+                    vec![
+                        ("pixels_storage_get_requests_total", vec![], m.get_requests),
+                        ("pixels_storage_put_requests_total", vec![], m.put_requests),
+                        ("pixels_storage_bytes_read_total", vec![], m.bytes_read),
+                        (
+                            "pixels_storage_bytes_written_total",
+                            vec![],
+                            m.bytes_written,
+                        ),
+                        ("pixels_storage_gets_failed_total", vec![], m.gets_failed),
+                        (
+                            "pixels_retries_total",
+                            vec![("site", "storage_get")],
+                            m.retries,
+                        ),
+                    ]
+                }),
+            },
+            Source {
+                name: "chunk cache",
+                update: Box::new(|n| {
+                    // 512-byte chunks in a 2 KiB cache: inserts evict.
+                    cache.insert("t.pxl", 1, n * 512, vec![0u8; 512].into());
+                    assert!(cache.lookup("t.pxl", 1, n * 512).is_some());
+                    assert!(cache.lookup("t.pxl", 2, n * 512).is_none());
+                }),
+                export: Box::new(|_| engine_metrics.chunk_cache(&cache)),
+                totals: Box::new(|| {
+                    vec![
+                        ("pixels_cache_chunk_hits_total", vec![], cache.hits()),
+                        ("pixels_cache_chunk_misses_total", vec![], cache.misses()),
+                        (
+                            "pixels_cache_chunk_evictions_total",
+                            vec![],
+                            cache.evictions(),
+                        ),
+                    ]
+                }),
+            },
+            Source {
+                name: "shared work",
+                update: Box::new(|n| {
+                    let sql = format!("SELECT COUNT(*) FROM region WHERE r_regionkey < {}", n % 3);
+                    let (out, _) =
+                        shared.execute(&engine, "tpch", &sql, false, TraceCtx::disabled(), None);
+                    out.unwrap();
+                }),
+                export: Box::new(|r| shared.export(r)),
+                totals: Box::new(|| {
+                    let (hits, coalesced, executed) = shared.stats();
+                    let family = "pixels_shared_work_total";
+                    vec![
+                        (family, vec![("kind", "cache_hit")], hits),
+                        (family, vec![("kind", "coalesced")], coalesced),
+                        (family, vec![("kind", "executed")], executed),
+                    ]
+                }),
+            },
+            Source {
+                name: "ledger by level",
+                update: Box::new(|n| {
+                    book.append(LedgerEntry {
+                        query: format!("q-{n}"),
+                        tenant: "default".into(),
+                        level: level(n).into(),
+                        bytes_billed: 1,
+                        revenue_dollars: 0.5,
+                        vm_dollars: 0.0,
+                        cf_dollars: 0.0,
+                        provider_cf_dollars: 0.0,
+                        shuffle_dollars: 0.0,
+                        degraded: false,
+                        speculative: false,
+                        at_us: n,
+                    })
+                }),
+                export: Box::new(|r| book.export(r)),
+                totals: Box::new(|| {
+                    let by_level = book.by_level();
+                    let entries = |l: &str| by_level.get(l).map_or(0, |s| s.entries);
+                    let family = ledger::ENTRIES_TOTAL;
+                    vec![
+                        (family, vec![("level", "immediate")], entries("immediate")),
+                        (family, vec![("level", "relaxed")], entries("relaxed")),
+                        (family, vec![("level", "all")], book.len() as u64),
+                    ]
+                }),
+            },
+            Source {
+                name: "slo good/violation",
+                update: Box::new(|n| {
+                    tracker.record(level(n), if n % 3 == 0 { u64::MAX } else { 1 });
+                }),
+                export: Box::new(|r| tracker.export(r)),
+                totals: Box::new(|| {
+                    let mut totals = Vec::new();
+                    for l in ["immediate", "relaxed"] {
+                        let (good, bad) =
+                            (slo_total(l, "good_total"), slo_total(l, "violation_total"));
+                        totals.push((slo::GOOD_TOTAL, vec![("level", l)], good));
+                        totals.push((slo::VIOLATION_TOTAL, vec![("level", l)], bad));
+                    }
+                    totals
+                }),
+            },
+            Source {
+                name: "injected faults",
+                update: Box::new(|_| {
+                    faults.decide(FaultSite::StorageGet);
+                }),
+                export: Box::new(|r| faults.export_metrics(r)),
+                totals: Box::new(|| {
+                    vec![(
+                        "pixels_faults_injected_total",
+                        vec![("site", "storage_get")],
+                        faults.injected_at(FaultSite::StorageGet),
+                    )]
+                }),
+            },
+        ];
+
+        const ROUNDS: u64 = 25;
+        const EXPORTERS: usize = 4;
+        let shown = |(family, labels, _): &Total| registry.counter_with(family, "", labels).get();
+        for source in &sources {
+            let gate = std::sync::Barrier::new(EXPORTERS + 1);
+            // Checked after the scope: a panic between two `gate.wait()`s
+            // would leave the exporters waiting for ever.
+            let mut ahead = None;
+            std::thread::scope(|s| {
+                for _ in 0..EXPORTERS {
+                    s.spawn(|| {
+                        for _ in 0..ROUNDS {
+                            gate.wait();
+                            (source.export)(&registry);
+                            (source.export)(&registry);
+                            gate.wait();
+                        }
+                    });
+                }
+                for round in 0..ROUNDS {
+                    (source.update)(2 * round);
+                    gate.wait();
+                    // The exporters race each other, this update and this
+                    // thread's own export; none may publish an event twice.
+                    (source.update)(2 * round + 1);
+                    (source.export)(&registry);
+                    gate.wait();
+                    for total in (source.totals)() {
+                        if shown(&total) > total.2 {
+                            ahead = ahead.or(Some((round, total.0, shown(&total), total.2)));
+                        }
+                    }
+                }
+            });
+            assert_eq!(
+                ahead, None,
+                "{}: (round, family, shown, source)",
+                source.name
+            );
+            (source.export)(&registry);
+            let totals = (source.totals)();
+            assert!(
+                totals.iter().any(|t| t.2 > 0),
+                "{} never moved",
+                source.name
+            );
+            for total in totals {
+                assert_eq!(shown(&total), total.2, "{}: {total:?}", source.name);
+            }
+        }
     }
 
     #[test]

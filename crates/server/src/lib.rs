@@ -24,6 +24,7 @@ pub mod api;
 pub mod auth;
 pub mod fair;
 pub mod http;
+pub mod metrics;
 pub mod pricing;
 pub mod scheduler;
 pub mod service_level;
@@ -36,6 +37,7 @@ pub use api::{QueryInfo, QueryServer, QueryStatus, QuerySubmission};
 pub use auth::{AuthService, SessionToken};
 pub use fair::{FairQueue, Grant, QueuedQuery};
 pub use http::{HttpServer, TranslateBackend};
+pub use metrics::ServerMetrics;
 pub use pricing::PriceSchedule;
 pub use scheduler::{Admission, AdmissionMode, LoadSignal, QueueVerdict, SchedulerPolicy};
 pub use service_level::ServiceLevel;

@@ -128,10 +128,6 @@ pub struct SharedWork {
     cache_hits: AtomicU64,
     coalesced: AtomicU64,
     executed: AtomicU64,
-    /// What [`SharedWork::export`] has published of the three counters
-    /// above; held for the whole export, so concurrent scrapes cannot both
-    /// add the same delta.
-    published: Mutex<[u64; 3]>,
 }
 
 impl SharedWork {
@@ -147,7 +143,6 @@ impl SharedWork {
             cache_hits: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             executed: AtomicU64::new(0),
-            published: Mutex::new([0; 3]),
         }
     }
 
@@ -312,26 +307,21 @@ impl SharedWork {
         fresh
     }
 
-    /// Publish the layer's counters.
+    /// Set `pixels_shared_work_total{kind}` to the layer's counters.
     pub fn export(&self, registry: &pixels_obs::MetricsRegistry) {
-        let mut published = self.published.lock();
         let (hits, coalesced, executed) = self.stats();
-        for ((kind, value), already) in [
-            ("cache_hit", hits),
-            ("coalesced", coalesced),
-            ("executed", executed),
-        ]
-        .into_iter()
-        .zip(published.iter_mut())
-        {
+        for (kind, total) in [
+            (ShareKind::CacheHit, hits),
+            (ShareKind::Coalesced, coalesced),
+            (ShareKind::Executed, executed),
+        ] {
             registry
                 .counter_with(
                     "pixels_shared_work_total",
                     "Queries served by the shared-work layer, by kind",
-                    &[("kind", kind)],
+                    &[("kind", kind.name())],
                 )
-                .add(value - *already);
-            *already = value;
+                .advance_to(total);
         }
     }
 }
@@ -605,64 +595,6 @@ mod tests {
         // Nation's re-execution re-entered the cache and evicted region
         // (the least recent of {region, supplier}); supplier stays warm.
         assert_eq!(run("SELECT COUNT(*) FROM supplier"), ShareKind::CacheHit);
-    }
-
-    #[test]
-    fn concurrent_exports_publish_each_query_once() {
-        // `/metrics` is scraped from one thread per HTTP connection. Each
-        // round moves the counters with a query that runs while four
-        // exporters, released together, race each other; a delta published
-        // twice leaves the registry ahead of `stats()`.
-        const ROUNDS: u64 = 3000;
-        let e = engine();
-        let sw = enabled();
-        let registry = pixels_obs::MetricsRegistry::new();
-        let shown = |kind| {
-            registry
-                .counter_with("pixels_shared_work_total", "", &[("kind", kind)])
-                .get()
-        };
-        let gate = std::sync::Barrier::new(5);
-        // Checked after the scope: a panic between two `gate.wait()`s would
-        // leave the exporters waiting for ever.
-        let mut ahead = None;
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..ROUNDS {
-                        gate.wait();
-                        sw.export(&registry);
-                        gate.wait();
-                    }
-                });
-            }
-            for round in 0..ROUNDS {
-                let sql = format!(
-                    "SELECT COUNT(*) FROM region WHERE r_regionkey < {}",
-                    round % 7
-                );
-                let run = || {
-                    let (out, _) = sw.execute(&e, "tpch", &sql, false, TraceCtx::disabled(), None);
-                    out.unwrap();
-                };
-                run();
-                gate.wait();
-                run();
-                gate.wait();
-                let published = (shown("cache_hit"), shown("coalesced"), shown("executed"));
-                let actual = sw.stats();
-                if published.0 > actual.0 || published.1 > actual.1 || published.2 > actual.2 {
-                    ahead = ahead.or(Some((round, published, actual)));
-                }
-            }
-        });
-        assert_eq!(ahead, None, "(round, published, counted)");
-        sw.export(&registry);
-        assert_eq!(
-            (shown("cache_hit"), shown("coalesced"), shown("executed")),
-            sw.stats()
-        );
-        assert_eq!(sw.stats().0 + sw.stats().2, 2 * ROUNDS);
     }
 
     #[test]

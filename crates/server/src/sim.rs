@@ -341,11 +341,6 @@ impl<C: Capacity> ServerSim<C> {
         }
     }
 
-    /// Set a tenant's fair-share weight before running.
-    pub fn set_tenant_weight(&mut self, tenant: &str, weight: f64) {
-        self.queue.set_weight(tenant, weight);
-    }
-
     /// The admission policy shared with the live server, built from this
     /// sim's knobs.
     pub(crate) fn policy(&self) -> SchedulerPolicy {
@@ -792,29 +787,17 @@ impl SimReport {
         // that crashed before any query completed on them).
         let attributed: f64 = ledger.entries().iter().map(|e| e.cf_dollars).sum();
         let cost = self.total_resource_cost;
-        for (name, help, component, dollars) in [
-            (
-                "pixels_sim_resource_cost_dollars",
-                "Provider-side resource cost of the simulated run",
-                "vm",
-                cost.vm_dollars,
-            ),
-            (
-                "pixels_sim_resource_cost_dollars",
-                "Provider-side resource cost of the simulated run",
-                "cf",
-                cost.cf_dollars,
-            ),
-            (
-                "pixels_ledger_provider_dollars",
-                "Provider spend recorded in the ledger, by component.",
-                "cf_unattributed",
-                (cost.cf_dollars - attributed).max(0.0),
-            ),
-        ] {
-            let gauge = registry.gauge_with(name, help, &[("component", component)]);
-            gauge.set(dollars);
+        for (component, dollars) in [("vm", cost.vm_dollars), ("cf", cost.cf_dollars)] {
+            registry
+                .gauge_with(
+                    "pixels_sim_resource_cost_dollars",
+                    "Provider-side resource cost of the simulated run",
+                    &[("component", component)],
+                )
+                .set(dollars);
         }
+        pixels_obs::Ledger::provider_gauge(registry, "cf_unattributed")
+            .set((cost.cf_dollars - attributed).max(0.0));
     }
 }
 

@@ -164,11 +164,6 @@ impl RetryingObjectStore {
         Arc::new(RetryingObjectStore::new(inner, policy, clock, seed))
     }
 
-    /// Retries performed so far (for `pixels_retries_total`).
-    pub fn retries_total(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
     fn run_with_retry<T>(&self, op: impl FnMut() -> Result<T>) -> Result<T> {
         let op_seed = self
             .seed

@@ -10,6 +10,7 @@
 use bytes::Bytes;
 use parking_lot::RwLock;
 use pixels_common::{Error, Result};
+use pixels_obs::MetricsRegistry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,6 +65,47 @@ impl StoreMetricsSnapshot {
             gets_failed: self.gets_failed - earlier.gets_failed,
             retries: self.retries - earlier.retries,
         }
+    }
+
+    /// Set the `pixels_storage_*` families, and the storage site of
+    /// `pixels_retries_total`, to these totals.
+    pub fn export(&self, registry: &MetricsRegistry) {
+        for (name, help, total) in [
+            (
+                "pixels_storage_get_requests_total",
+                "GET requests issued to object storage",
+                self.get_requests,
+            ),
+            (
+                "pixels_storage_put_requests_total",
+                "PUT requests issued to object storage",
+                self.put_requests,
+            ),
+            (
+                "pixels_storage_bytes_read_total",
+                "Bytes read from object storage",
+                self.bytes_read,
+            ),
+            (
+                "pixels_storage_bytes_written_total",
+                "Bytes written to object storage",
+                self.bytes_written,
+            ),
+            (
+                "pixels_storage_gets_failed_total",
+                "GET requests that failed (never added to billed bytes)",
+                self.gets_failed,
+            ),
+        ] {
+            registry.counter(name, help).advance_to(total);
+        }
+        registry
+            .counter_with(
+                "pixels_retries_total",
+                "Operations retried after transient failures",
+                &[("site", "storage_get")],
+            )
+            .advance_to(self.retries);
     }
 }
 

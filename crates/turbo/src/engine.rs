@@ -7,9 +7,15 @@
 //! (mirroring ephemeral function workers), materializes its result to
 //! object storage, and finishes the cheap top-level plan locally — exactly
 //! the §3.1 data path.
+//!
+//! What the engine counts goes to `/metrics` through the handles of one
+//! [`EngineMetrics`] catalog, shared with fleet threads and reapers; a
+//! plan's [`QueryWork`] is estimated once, where the plan is made, and every
+//! tier prices, sizes and times from that value.
 
 use crate::billing::{CostBreakdown, ResourcePricing};
 use crate::cf_service::{CfConfig, LaunchFaults};
+use crate::metrics::EngineMetrics;
 use crate::model::QueryWork;
 use crate::policy::{self, CfCostModel, CfEffects, CfRace, Decision, RaceInput};
 use parking_lot::{Condvar, Mutex};
@@ -20,7 +26,7 @@ use pixels_common::{
 };
 use pixels_exec::{
     default_parallelism, exchange, execute, execute_collect, materialize, ExchangeStats,
-    ExecContext, ExecMetricsSnapshot, JoinSide, ScanPipelineSnapshot, DEFAULT_BATCH_SIZE,
+    ExecContext, ExecMetricsSnapshot, JoinSide, DEFAULT_BATCH_SIZE,
 };
 use pixels_obs::{MetricsRegistry, Span, Trace, TraceCtx, WallClock};
 use pixels_planner::{
@@ -29,7 +35,6 @@ use pixels_planner::{
 };
 use pixels_sql::ast::Statement;
 use pixels_storage::{exchange_stack, ChunkCache, FooterCache, ObjectStore, ObjectStoreRef};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -262,13 +267,11 @@ pub struct TurboEngine {
     /// `chunk_cache_bytes: 0`). Serves raw encoded chunk bytes; hits skip
     /// the GET but bill identically to misses.
     chunk_cache: Option<Arc<ChunkCache>>,
-    /// High-water marks of the shared chunk cache's cumulative counters
-    /// already published to the registry; `publish_chunk_cache_metrics`
-    /// adds only the delta since the last publish.
-    cache_published: CachePublished,
-    /// Registry every query's counters are absorbed into after execution
-    /// (defaults to the process-wide registry backing `/metrics`).
+    /// Registry backing `/metrics` (the process-wide one by default).
     registry: Arc<MetricsRegistry>,
+    /// The engine's families in `registry`, held as handles: queries, fleet
+    /// threads and reapers count into these and never look a family up.
+    metrics: Arc<EngineMetrics>,
     /// Fault injector consulted at the CF sites (crash, straggler,
     /// cold-start storm). Inert by default; tests and the chaos soak attach
     /// a seeded plan via [`with_chaos`](Self::with_chaos). Storage-site
@@ -295,8 +298,8 @@ impl TurboEngine {
             footer_cache: FooterCache::shared(),
             chunk_cache: (cfg.chunk_cache_bytes > 0)
                 .then(|| ChunkCache::shared(cfg.chunk_cache_bytes)),
-            cache_published: CachePublished::default(),
             registry: MetricsRegistry::global().clone(),
+            metrics: Arc::new(EngineMetrics::new(MetricsRegistry::global())),
             injector: Arc::new(FaultInjector::disabled()),
             cost_model: CfCostModel::new(&CfConfig::default(), ResourcePricing::default()),
             pricing: ResourcePricing::default(),
@@ -316,6 +319,7 @@ impl TurboEngine {
     /// Same engine publishing metrics to `registry` instead of the global
     /// one — tests use this to observe values without cross-test bleed.
     pub fn with_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
+        self.metrics = Arc::new(EngineMetrics::new(&registry));
         self.registry = registry;
         self
     }
@@ -324,11 +328,10 @@ impl TurboEngine {
         &self.registry
     }
 
-    /// Execution context for `plan`, with parallelism taken from the
-    /// resource model (scannable partitions) capped by `limit` and the
-    /// machine's cores, and the engine-wide footer cache attached.
-    fn exec_context(&self, plan: &PhysicalPlan, limit: usize) -> ExecContext {
-        let work = QueryWork::from_plan(plan);
+    /// Execution context for a plan of estimated `work`, with parallelism
+    /// taken from the resource model (scannable partitions) capped by `limit`
+    /// and the machine's cores, and the engine-wide footer cache attached.
+    fn exec_context(&self, work: &QueryWork, limit: usize) -> ExecContext {
         let parallelism = (work.parallelism as usize)
             .min(limit.max(1))
             .min(default_parallelism());
@@ -603,16 +606,18 @@ impl TurboEngine {
             let _span = trace.span("plan");
             plan_query(&self.catalog, db, sql)?
         };
+        // Estimated once per plan; every tier prices and sizes from it.
+        let work = QueryWork::from_plan(&plan);
 
         // Fast path: a free VM slot.
         if let Some(_slot) = self.slots.try_acquire() {
-            return self.run_in_vm(&plan, &trace);
+            return self.run_in_vm(&plan, &work, &trace);
         }
 
         // Slots saturated. With CF enabled, accelerate via plan splitting.
         if cf_enabled {
-            if let Some(stages) = self.cf_stages(&plan) {
-                return self.run_cf(&plan, stages, &trace);
+            if let Some(stages) = self.cf_stages(&plan, &work) {
+                return self.run_cf(&plan, &work, stages, &trace);
             }
         }
 
@@ -622,30 +627,18 @@ impl TurboEngine {
             let _span = trace.span("vm_slot_wait");
             self.slots.acquire_until(slot_wait_limit)
         };
-        let slot_histogram = self.registry.histogram(
-            "pixels_turbo_vm_slot_wait_seconds",
-            "Time queries spent waiting for a free VM slot",
-            &[],
-            None,
-        );
         let (_slot, pending) = match waited {
             Some((slot, pending)) => (Some(slot), pending),
             None => {
                 // Deadline expired while waiting: forced start. The query
                 // runs unslotted (no slot held) so the grace-period promise
                 // holds even on a saturated engine.
-                self.registry
-                    .counter(
-                        "pixels_turbo_forced_starts_total",
-                        "Queries force-started unslotted after their scheduler \
-                         deadline expired while waiting for a VM slot",
-                    )
-                    .add(1);
+                self.metrics.forced_starts.inc();
                 (None, slot_wait_limit.unwrap_or_default())
             }
         };
-        slot_histogram.observe(pending.as_secs_f64());
-        let mut out = self.run_in_vm(&plan, &trace)?;
+        self.metrics.vm_slot_wait.observe(pending.as_secs_f64());
+        let mut out = self.run_in_vm(&plan, &work, &trace)?;
         out.pending = pending;
         Ok(out)
     }
@@ -676,9 +669,14 @@ impl TurboEngine {
         retries
     }
 
-    fn run_in_vm(&self, plan: &PhysicalPlan, trace: &TraceCtx) -> Result<ExecOutcome> {
+    fn run_in_vm(
+        &self,
+        plan: &PhysicalPlan,
+        work: &QueryWork,
+        trace: &TraceCtx,
+    ) -> Result<ExecOutcome> {
         let retries_before = self.store.metrics().retries;
-        let ctx = self.exec_context(plan, usize::MAX);
+        let ctx = self.exec_context(work, usize::MAX);
         let mut span = trace.span("vm_execute");
         span.record_u64("parallelism", ctx.parallelism as u64);
         let ctx = ctx.under(&span);
@@ -686,8 +684,7 @@ impl TurboEngine {
         let batch = execute_collect(plan, &ctx)?;
         drop(span);
         let metrics = ctx.metrics.snapshot();
-        self.absorb_exec_metrics(&metrics, false);
-        self.absorb_pipeline_metrics(&ctx.metrics.pipeline_snapshot());
+        self.count_execution(&metrics, &ctx);
         let mut events = Vec::new();
         let retries = self.note_storage_retries(retries_before, &mut events);
         Ok(ExecOutcome {
@@ -701,7 +698,7 @@ impl TurboEngine {
             // Model-based VM cost for the plan's CPU demand — identical to
             // how the sim coordinator prices a VM completion.
             resource_cost: CostBreakdown {
-                vm_dollars: self.pricing.vm_cost(QueryWork::from_plan(plan).cpu_seconds),
+                vm_dollars: self.pricing.vm_cost(work.cpu_seconds),
                 cf_dollars: 0.0,
             },
             ..ExecOutcome::default()
@@ -713,33 +710,34 @@ impl TurboEngine {
     /// cut point (aggregate, equi-join) with a configured or cost-derived
     /// fan-out runs as a spill stage plus a finish stage; every other plan is
     /// one stage that materializes the MV directly.
-    fn cf_stages(&self, plan: &PhysicalPlan) -> Option<Vec<Stage<'_>>> {
+    fn cf_stages(&self, plan: &PhysicalPlan, work: &QueryWork) -> Option<Vec<Stage<'_>>> {
         // The path is a placeholder: only the lower half of the cut is used
         // here. Every attempt picks its own MV path, and the tail re-cuts the
         // plan around whichever one is accepted.
         if let Some(shuffle) = plan_shuffle_sized(plan, "", &self.shuffle_sizing()) {
-            return Some(self.shuffle_stages(plan, shuffle));
+            return Some(self.shuffle_stages(work, shuffle));
         }
         let split = split_for_acceleration(plan, "")?;
-        Some(vec![self.single_stage(plan, split.sub_plan)])
+        Some(vec![self.single_stage(work, split.sub_plan)])
     }
 
     /// The single-stage CF plan: one fleet executes the whole sub-plan off
     /// the VM slots (as CF workers would) and materializes it to the
     /// attempt's own MV path.
-    fn single_stage(&self, plan: &PhysicalPlan, sub_plan: PhysicalPlan) -> Stage<'_> {
+    fn single_stage(&self, work: &QueryWork, sub_plan: PhysicalPlan) -> Stage<'_> {
         let sub_plan = Arc::new(sub_plan);
+        let sub_work = QueryWork::from_plan(&sub_plan);
         Stage {
             // Priced by the full plan, matching the sim coordinator which
             // charges CF fleets for the whole query. Fleet right-sizing
             // shrinks startup-dominated fleets; the sim side of the parity
             // harness applies the same transform, so costs stay bit-identical.
-            priced: self.cost_model.sized_work(&QueryWork::from_plan(plan)),
-            deadline: self.cost_model.sized_work(&QueryWork::from_plan(&sub_plan)),
+            priced: self.cost_model.sized_work(work),
+            deadline: self.cost_model.sized_work(&sub_work),
             prepare: Box::new(move |_attempt, _input, span| {
                 let mv_path = self.next_mv_path();
                 let ctx = self
-                    .exec_context(&sub_plan, self.cfg.cf_fleet_threads)
+                    .exec_context(&sub_work, self.cfg.cf_fleet_threads)
                     .under(span);
                 let (sub_plan, store, dest) =
                     (sub_plan.clone(), self.store.clone(), mv_path.clone());
@@ -780,7 +778,7 @@ impl TurboEngine {
     /// bill equals the single-stage path's exactly: the stages scan the same
     /// table bytes one fleet would, spill reads go through scratch contexts,
     /// and the MV is byte-identical so the top plan reads the same bytes too.
-    fn shuffle_stages(&self, plan: &PhysicalPlan, shuffle: ShufflePlan) -> Vec<Stage<'_>> {
+    fn shuffle_stages(&self, work: &QueryWork, shuffle: ShufflePlan) -> Vec<Stage<'_>> {
         let ShufflePlan {
             kind,
             partitions,
@@ -790,10 +788,7 @@ impl TurboEngine {
         let kind = Arc::new(kind);
         // Fleet right-sizing applies to the whole-query work before the
         // per-stage split, exactly as the sim coordinator does.
-        let [spill_work, finish_work] = self
-            .cost_model
-            .sized_work(&QueryWork::from_plan(plan))
-            .stage_works();
+        let [spill_work, finish_work] = self.cost_model.sized_work(work).stage_works();
         let spill_base = format!("pixels-turbo/intermediate/shuffle-{}/", self.mv_ids.next());
         // Spill I/O runs under its own chaos/retry stack: the exchange_put /
         // exchange_get fault sites with the standard object-store backoff.
@@ -817,7 +812,10 @@ impl TurboEngine {
                     // A join stage executes each input under its own context.
                     let ctxs = spill_inputs(&kind, broadcast)
                         .into_iter()
-                        .map(|input| self.exec_context(input, fleet_threads).under(span))
+                        .map(|input| {
+                            self.exec_context(&QueryWork::from_plan(input), fleet_threads)
+                                .under(span)
+                        })
                         .collect();
                     let (kind, store, dest) =
                         (kind.clone(), exchange_store.clone(), prefix.clone());
@@ -850,7 +848,8 @@ impl TurboEngine {
                 // Only a broadcast join scans in this stage: its probe side.
                 let ctxs = match kind.as_ref() {
                     ShuffleKind::Join { left, .. } if broadcast => {
-                        vec![self.exec_context(left, fleet_threads).under(span)]
+                        let work = QueryWork::from_plan(left);
+                        vec![self.exec_context(&work, fleet_threads).under(span)]
                     }
                     _ => Vec::new(),
                 };
@@ -894,6 +893,7 @@ impl TurboEngine {
     fn run_cf(
         &self,
         plan: &PhysicalPlan,
+        work: &QueryWork,
         stages: Vec<Stage<'_>>,
         trace: &TraceCtx,
     ) -> Result<ExecOutcome> {
@@ -902,7 +902,7 @@ impl TurboEngine {
         let mut run = CfRun::default();
         for (index, stage) in stages.iter().enumerate() {
             if !self.run_stage(index, stage, trace, &mut run) {
-                return self.degrade_to_vm(plan, trace, run);
+                return self.degrade_to_vm(plan, work, trace, run);
             }
         }
 
@@ -915,7 +915,9 @@ impl TurboEngine {
             .expect("the plan split when its stages were built")
             .top_plan;
         let top_span = trace.span("top_plan");
-        let ctx = self.exec_context(&top_plan, usize::MAX).under(&top_span);
+        let ctx = self
+            .exec_context(&QueryWork::from_plan(&top_plan), usize::MAX)
+            .under(&top_span);
         let result = execute_collect(&top_plan, &ctx);
         drop(top_span);
         // The accepted intermediates are ephemeral CF output and have been
@@ -929,9 +931,9 @@ impl TurboEngine {
         // Billed bytes: every accepted stage's table scans plus the top
         // plan's MV read. Spill traffic never reaches `bytes_scanned`.
         let metrics = run.metrics.merged(&ctx.metrics.snapshot());
-        self.absorb_exec_metrics(&metrics, true);
-        self.absorb_pipeline_metrics(&ctx.metrics.pipeline_snapshot());
-        publish_exchange_metrics(&self.registry, &run.exchange);
+        self.count_execution(&metrics, &ctx);
+        self.metrics.cf_invocations.inc();
+        self.metrics.exchange(&run.exchange);
         let retries = self.note_storage_retries(retries_before, &mut run.events);
         Ok(ExecOutcome {
             batch,
@@ -1009,7 +1011,7 @@ impl TurboEngine {
     }
 
     /// Drain attempts still in flight after their race is decided: account
-    /// their wasted scan bytes, publish their exchange traffic to the
+    /// their wasted scan bytes, add their exchange traffic to the
     /// telemetry counters (provider dollars only ever price *accepted*
     /// attempts, keeping bills deterministic), and discard each one's
     /// artifact. Runs detached so losers can't delay the winning query.
@@ -1025,18 +1027,12 @@ impl TurboEngine {
         let store = self.store.clone();
         let footer_cache = self.footer_cache.clone();
         let chunk_cache = self.chunk_cache.clone();
-        let registry = self.registry.clone();
+        let counters = self.metrics.clone();
         std::thread::spawn(move || {
             for (attempt, result) in rx {
                 if let Ok((metrics, stats)) = result {
-                    registry
-                        .counter(
-                            "pixels_turbo_speculative_wasted_bytes_total",
-                            "Bytes scanned by cancelled speculative CF attempts \
-                             (provider-side cost, never billed to the query)",
-                        )
-                        .add(metrics.bytes_scanned);
-                    publish_exchange_metrics(&registry, &stats);
+                    counters.wasted_bytes.add(metrics.bytes_scanned);
+                    counters.exchange(&stats);
                 }
                 if let Some(artifact) = artifacts.get(attempt as usize) {
                     discard_artifact(
@@ -1111,12 +1107,7 @@ impl TurboEngine {
                     }
                 }
                 Ok((attempt, Err(e))) => {
-                    self.registry
-                        .counter(
-                            "pixels_turbo_cf_crashes_total",
-                            "CF fleet attempts that crashed or failed",
-                        )
-                        .add(1);
+                    self.metrics.cf_crashes.inc();
                     run.events.push(QueryEvent::CfAttemptFailed {
                         attempt,
                         reason: e.to_string(),
@@ -1141,30 +1132,15 @@ impl TurboEngine {
                 match d {
                     Decision::Relaunch { attempt } => {
                         run.events.push(QueryEvent::CfRetried { attempt });
-                        self.registry
-                            .counter(
-                                "pixels_turbo_cf_retries_total",
-                                "CF sub-plans relaunched on a fresh fleet after a failure",
-                            )
-                            .add(1);
+                        self.metrics.cf_retries.inc();
                     }
                     Decision::StragglerSpeculate { attempt } => {
                         run.events.push(QueryEvent::StragglerDetected {
                             waited_ms: straggler_wait.as_millis() as u64,
                         });
                         run.events.push(QueryEvent::SpeculativeLaunch { attempt });
-                        self.registry
-                            .counter(
-                                "pixels_turbo_cf_stragglers_total",
-                                "CF runs that exceeded the straggler deadline",
-                            )
-                            .add(1);
-                        self.registry
-                            .counter(
-                                "pixels_speculative_launches_total",
-                                "Speculative duplicate CF fleets launched against stragglers",
-                            )
-                            .add(1);
+                        self.metrics.cf_stragglers.inc();
+                        self.metrics.speculative_launches.inc();
                     }
                     _ => {}
                 }
@@ -1180,6 +1156,7 @@ impl TurboEngine {
     fn degrade_to_vm(
         &self,
         plan: &PhysicalPlan,
+        work: &QueryWork,
         trace: &TraceCtx,
         run: CfRun,
     ) -> Result<ExecOutcome> {
@@ -1200,18 +1177,13 @@ impl TurboEngine {
                 .map(|e| e.to_string())
                 .unwrap_or_else(|| "cf fleet unavailable".into()),
         });
-        self.registry
-            .counter(
-                "pixels_turbo_cf_degradations_total",
-                "Queries that fell back from the CF tier to the VM tier",
-            )
-            .add(1);
-        publish_exchange_metrics(&self.registry, &exchange);
+        self.metrics.cf_degradations.inc();
+        self.metrics.exchange(&exchange);
         let (_slot, pending) = {
             let _span = trace.span("vm_slot_wait");
             self.slots.acquire()
         };
-        let mut out = self.run_in_vm(plan, trace)?;
+        let mut out = self.run_in_vm(plan, work, trace)?;
         out.pending = pending;
         // Degradation events and the policy's decision log precede whatever
         // the VM run recorded.
@@ -1227,151 +1199,16 @@ impl TurboEngine {
         Ok(out)
     }
 
-    /// Publish one query's execution counters into the engine's registry —
-    /// the bridge from per-query [`ExecMetricsSnapshot`]s to the cumulative
-    /// families served at `/metrics`.
-    fn absorb_exec_metrics(&self, m: &ExecMetricsSnapshot, used_cf: bool) {
-        let r = &self.registry;
-        r.counter(
-            "pixels_exec_bytes_scanned_total",
-            "Bytes fetched from object storage by query execution (the billed quantity)",
-        )
-        .add(m.bytes_scanned);
-        r.counter(
-            "pixels_exec_rows_scanned_total",
-            "Rows decoded from storage by scans",
-        )
-        .add(m.rows_scanned);
-        r.counter(
-            "pixels_exec_rows_produced_total",
-            "Rows emitted by scans after residual filtering",
-        )
-        .add(m.rows_produced);
-        r.counter(
-            "pixels_exec_row_groups_read_total",
-            "Row groups actually decoded",
-        )
-        .add(m.row_groups_read);
-        r.counter(
-            "pixels_exec_row_groups_pruned_total",
-            "Row groups skipped via zone-map pruning",
-        )
-        .add(m.row_groups_total.saturating_sub(m.row_groups_read));
-        r.counter(
-            "pixels_cache_footer_hits_total",
-            "File opens served from the footer/metadata cache (billed zero bytes)",
-        )
-        .add(m.footer_cache_hits);
-        if used_cf {
-            r.counter(
-                "pixels_turbo_cf_invocations_total",
-                "Queries accelerated by the cloud-function tier",
-            )
-            .add(1);
+    /// Count one finished execution on the calling thread: the query's
+    /// billed counters, that context's scan-pipeline activity, and the
+    /// shared chunk cache's totals as they now stand.
+    fn count_execution(&self, billed: &ExecMetricsSnapshot, ctx: &ExecContext) {
+        self.metrics.exec(billed);
+        self.metrics.pipeline(&ctx.metrics.pipeline_snapshot());
+        if let Some(cache) = &self.chunk_cache {
+            self.metrics.chunk_cache(cache);
         }
-        // Ensure the exchange families exist even before the first shuffle,
-        // so `/metrics` gates can require them unconditionally.
-        publish_exchange_metrics(r, &ExchangeStats::default());
     }
-
-    /// Publish one execution context's scan-pipeline counters (prefetcher
-    /// activity) and refresh the shared chunk-cache families. Kept separate
-    /// from [`absorb_exec_metrics`](Self::absorb_exec_metrics) because
-    /// pipeline counters are *not* part of `ExecMetricsSnapshot` — prefetch
-    /// overlap and cache residency legitimately differ between runs whose
-    /// results and bills are identical.
-    fn absorb_pipeline_metrics(&self, p: &ScanPipelineSnapshot) {
-        absorb_prefetch_metrics(&self.registry, p);
-        self.publish_chunk_cache_metrics();
-    }
-
-    /// Bring the registry's chunk-cache families up to date with the shared
-    /// cache's cumulative counters. Deltas are computed against published
-    /// high-water marks so concurrent publishers never double-count.
-    fn publish_chunk_cache_metrics(&self) {
-        let Some(cache) = &self.chunk_cache else {
-            return;
-        };
-        let r = &self.registry;
-        let pairs = [
-            (
-                "pixels_cache_chunk_hits_total",
-                "Chunk reads served from the chunk-data cache (no storage GET; billed like a miss)",
-                cache.hits(),
-                &self.cache_published.hits,
-            ),
-            (
-                "pixels_cache_chunk_misses_total",
-                "Chunk reads that went to object storage and were offered to the cache",
-                cache.misses(),
-                &self.cache_published.misses,
-            ),
-            (
-                "pixels_cache_chunk_evictions_total",
-                "Chunks evicted from the chunk-data cache to admit new entries",
-                cache.evictions(),
-                &self.cache_published.evictions,
-            ),
-        ];
-        for (name, help, current, published) in pairs {
-            let prev = published.fetch_max(current, Ordering::Relaxed);
-            if current > prev {
-                r.counter(name, help).add(current - prev);
-            } else {
-                // Ensure the family exists even before the first hit.
-                r.counter(name, help);
-            }
-        }
-        r.gauge(
-            "pixels_cache_chunk_resident_bytes",
-            "Bytes currently resident in the chunk-data cache",
-        )
-        .set(cache.resident_bytes() as f64);
-    }
-}
-
-/// Published high-water marks of the shared [`ChunkCache`] counters.
-#[derive(Debug, Default)]
-struct CachePublished {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// Add one context's prefetcher and vectored-GET counters to the cumulative
-/// `pixels_scan_*_total` families. A free function so CF fleet
-/// threads (which own their context but not the engine) can publish too.
-fn absorb_prefetch_metrics(registry: &MetricsRegistry, p: &ScanPipelineSnapshot) {
-    registry
-        .counter(
-            "pixels_scan_prefetch_issued_total",
-            "Morsel fetches started by the scan prefetcher",
-        )
-        .add(p.prefetch_issued);
-    registry
-        .counter(
-            "pixels_scan_prefetch_hits_total",
-            "Morsels whose fetch had already completed when a worker asked for them",
-        )
-        .add(p.prefetch_hits);
-    registry
-        .counter(
-            "pixels_scan_prefetch_wasted_total",
-            "Prefetched morsels never consumed (scan aborted first)",
-        )
-        .add(p.prefetch_wasted);
-    registry
-        .counter(
-            "pixels_scan_coalesced_gets_total",
-            "Ranged GETs issued for chunk data, one per run of merged neighbouring chunks",
-        )
-        .add(p.coalesced_gets);
-    registry
-        .counter(
-            "pixels_scan_gap_bytes_total",
-            "Bytes transferred between merged chunks: store traffic, never billed",
-        )
-        .add(p.gap_bytes);
 }
 
 /// What one stage attempt leaves in the object store, and therefore what has
@@ -1485,7 +1322,7 @@ impl CfEffects for StageFleets<'_> {
         let workers = ctxs.iter().map(|c| c.parallelism).max().unwrap_or(1);
         span.record_u64("workers", workers as u64);
         self.artifacts.push(artifact);
-        let registry = engine.registry.clone();
+        let counters = engine.metrics.clone();
         let tx = self.tx.clone();
         std::thread::spawn(move || {
             let result =
@@ -1493,7 +1330,7 @@ impl CfEffects for StageFleets<'_> {
             // Pipeline counters are not part of the snapshot sent back, so
             // the fleet publishes its own prefetcher activity.
             for ctx in &ctxs {
-                absorb_prefetch_metrics(&registry, &ctx.metrics.pipeline_snapshot());
+                counters.pipeline(&ctx.metrics.pipeline_snapshot());
             }
             // Finish the span before handing over the result: the race
             // winner's trace may be rendered the moment the send lands.
@@ -1723,36 +1560,6 @@ fn discard_artifact(
             }
         }
     }
-}
-
-/// Add one stage attempt's exchange traffic to the cumulative
-/// `pixels_exchange_*_total` families. A free function so reaper threads can
-/// publish loser traffic too.
-fn publish_exchange_metrics(registry: &MetricsRegistry, s: &ExchangeStats) {
-    registry
-        .counter(
-            "pixels_exchange_partitions_total",
-            "Hash partitions written across object-store exchanges",
-        )
-        .add(s.partitions);
-    registry
-        .counter(
-            "pixels_exchange_put_bytes_total",
-            "Bytes PUT as exchange spill objects (provider-side, never billed)",
-        )
-        .add(s.put_bytes);
-    registry
-        .counter(
-            "pixels_exchange_get_bytes_total",
-            "Bytes GET reading exchange spill objects back (provider-side, never billed)",
-        )
-        .add(s.get_bytes);
-    registry
-        .counter(
-            "pixels_exchange_spilled_rows_total",
-            "Rows that crossed an object-store exchange (post-combining)",
-        )
-        .add(s.spilled_rows);
 }
 
 fn text_batch<'a>(column: &str, lines: impl Iterator<Item = &'a str>) -> RecordBatch {

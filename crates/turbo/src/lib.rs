@@ -19,6 +19,7 @@ pub mod billing;
 pub mod cf_service;
 pub mod coordinator;
 pub mod engine;
+pub mod metrics;
 pub mod model;
 pub mod policy;
 pub mod vm_cluster;
@@ -27,6 +28,7 @@ pub use billing::{CostBreakdown, Placement, ResourcePricing};
 pub use cf_service::{CfConfig, CfRun, CfService, LaunchFaults};
 pub use coordinator::{Capacity, Coordinator, FaultStats, QueryCompletion};
 pub use engine::{EngineConfig, ExecOutcome, QueryEvent, TurboEngine};
+pub use metrics::EngineMetrics;
 pub use model::QueryWork;
 pub use pixels_exec::{ExchangeStats, ExecMetricsSnapshot};
 pub use policy::{CfCostModel, CfEffects, CfRace, Decision, RaceInput, MAX_CF_ATTEMPTS};
