@@ -3,6 +3,9 @@
 //! materialization), with and without the chunk cache serving the bytes.
 //! (The decode-everything scan these were once measured against is gone;
 //! EXPERIMENTS.md keeps the PR 14 ratios.)
+//! The `string_chunks` group times the string column itself — `decode_filtered`
+//! of dictionary and plain chunks at 1 % / 50 % / 100 % selectivity, and
+//! `concat` of 16 decoded row groups — below any operator.
 //! The `remote_scan` group runs a lineitem scan over a store that sleeps per
 //! request, at prefetch depths 0, 1 and 4: the depth sweep of the vectored,
 //! overlapped fetch. Headline ratios are recorded in EXPERIMENTS.md.
@@ -10,12 +13,12 @@
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pixels_catalog::{Catalog, CatalogRef, CreateTable};
-use pixels_common::{DataType, Field, RecordBatch, Result, Schema, Value};
+use pixels_common::{Column, DataType, Field, RecordBatch, Result, Schema, Value};
 use pixels_exec::{execute, ExecContext};
 use pixels_planner::{plan_query, PhysicalPlan};
 use pixels_storage::{
-    ChunkCache, InMemoryObjectStore, LatencyModel, ObjectStore, ObjectStoreRef, PixelsReader,
-    PixelsWriter, StoreMetricsSnapshot,
+    ChunkCache, EncodedChunk, Encoding, InMemoryObjectStore, LatencyModel, ObjectStore,
+    ObjectStoreRef, PixelsReader, PixelsWriter, StoreMetricsSnapshot,
 };
 use pixels_workload::{load_tpch, TpchConfig};
 use std::sync::Arc;
@@ -142,6 +145,70 @@ fn bench_scan_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
+/// 16 row groups of two string columns: `status` (16 distinct values →
+/// Dictionary) and `comment` (distinct per row → Plain), as fetched chunks.
+fn string_chunks() -> Vec<Vec<EncodedChunk>> {
+    const GROUPS: usize = 16;
+    let schema = Arc::new(Schema::new(vec![
+        Field::required("status", DataType::Utf8),
+        Field::required("comment", DataType::Utf8),
+    ]));
+    let rows: Vec<Vec<Value>> = (0..GROUPS * ROW_GROUP_ROWS)
+        .map(|i| {
+            vec![
+                Value::Utf8(format!("status-{}", (i * 7) % 16)),
+                Value::Utf8(format!(
+                    "comment {i}: carefully final deposits detect slyly"
+                )),
+            ]
+        })
+        .collect();
+    let batch = RecordBatch::from_rows(schema.clone(), &rows).expect("batch");
+    let store = InMemoryObjectStore::new();
+    let mut w = PixelsWriter::with_row_group_rows(&store, "s.pxl", schema, ROW_GROUP_ROWS);
+    w.write_batch(&batch).expect("write");
+    w.finish().expect("finish");
+    let reader = PixelsReader::open(&store, "s.pxl").expect("open");
+    (0..GROUPS)
+        .map(|rg| {
+            reader
+                .fetch_row_group(rg, None, None)
+                .expect("fetch")
+                .chunks
+        })
+        .collect()
+}
+
+fn bench_string_chunks(c: &mut Criterion) {
+    let groups = string_chunks();
+    assert_eq!(groups[0][0].encoding(), Encoding::Dictionary);
+    assert_eq!(groups[0][1].encoding(), Encoding::Plain);
+    let mut g = c.benchmark_group("string_chunks");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements((groups.len() * ROW_GROUP_ROWS) as u64));
+    for (name, col) in [("dictionary", 0), ("plain", 1)] {
+        for (selectivity, every) in [("1pct", 100), ("50pct", 2), ("100pct", 1)] {
+            let mask: Vec<bool> = (0..ROW_GROUP_ROWS).map(|i| i % every == 0).collect();
+            g.bench_function(&format!("{name}/decode_filtered_{selectivity}"), |b| {
+                b.iter(|| {
+                    groups
+                        .iter()
+                        .map(|rg| rg[col].decode_filtered(&mask).expect("decode").len())
+                        .sum::<usize>()
+                })
+            });
+        }
+        let decoded: Vec<Column> = groups
+            .iter()
+            .map(|rg| rg[col].decode().expect("decode"))
+            .collect();
+        g.bench_function(&format!("{name}/concat_16_row_groups"), |b| {
+            b.iter(|| Column::concat(&decoded).expect("concat").len())
+        });
+    }
+    g.finish();
+}
+
 /// A store one network hop away: every GET sleeps for what `model` says the
 /// request costs. Knows nothing but the `ObjectStore` trait.
 struct RemoteStore {
@@ -236,5 +303,10 @@ fn bench_remote_scan(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(scan, bench_scan_pipeline, bench_remote_scan);
+criterion_group!(
+    scan,
+    bench_scan_pipeline,
+    bench_string_chunks,
+    bench_remote_scan
+);
 criterion_main!(scan);

@@ -179,7 +179,7 @@ impl RecordBatch {
         let schema = first.schema.clone();
         let mut columns = Vec::with_capacity(schema.len());
         for i in 0..schema.len() {
-            let cols: Vec<Column> = batches.iter().map(|b| b.columns[i].clone()).collect();
+            let cols: Vec<&Column> = batches.iter().map(|b| &b.columns[i]).collect();
             columns.push(Column::concat(&cols)?);
         }
         let num_rows = batches.iter().map(|b| b.num_rows).sum();
@@ -188,11 +188,6 @@ impl RecordBatch {
             columns,
             num_rows,
         })
-    }
-
-    /// In-memory footprint estimate in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.columns.iter().map(|c| c.byte_size()).sum()
     }
 
     /// Render as an ASCII table (used by Rover and the examples).

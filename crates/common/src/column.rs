@@ -4,9 +4,17 @@
 //! typed vector plus an optional per-row validity vector. All executor
 //! operators and the storage encoders work on columns rather than on
 //! individual values.
+//!
+//! Fixed-width types hold one `Vec<T>`. `Utf8` holds a [`StrVec`]: a shared,
+//! immutable string pool plus one `u32` per row, so `filter`, `gather`,
+//! `gather_or_null` and `slice` move indices and share the pool, and only
+//! `concat` ever copies string bytes. A `String` is built only where a
+//! [`Value::Utf8`] is ([`Column::value`]).
 
 use crate::error::{Error, Result};
+use crate::strvec::StrVec;
 use crate::value::{DataType, Value};
+use std::borrow::Borrow;
 
 /// The typed payload of a column.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,7 +23,7 @@ pub enum ColumnData {
     Int32(Vec<i32>),
     Int64(Vec<i64>),
     Float64(Vec<f64>),
-    Utf8(Vec<String>),
+    Utf8(StrVec),
     /// Days since the Unix epoch.
     Date(Vec<i32>),
     /// Milliseconds since the Unix epoch.
@@ -58,11 +66,31 @@ impl ColumnData {
             DataType::Int32 => ColumnData::Int32(Vec::new()),
             DataType::Int64 => ColumnData::Int64(Vec::new()),
             DataType::Float64 => ColumnData::Float64(Vec::new()),
-            DataType::Utf8 => ColumnData::Utf8(Vec::new()),
+            DataType::Utf8 => ColumnData::Utf8(StrVec::default()),
             DataType::Date => ColumnData::Date(Vec::new()),
             DataType::Timestamp => ColumnData::Timestamp(Vec::new()),
         }
     }
+}
+
+/// Run one row-selection kernel over whichever payload `$data` holds. The
+/// kernel sees a slice (`$v`) and returns the selected `Vec`; for `Utf8` the
+/// slice is the pool indices and the result shares the pool.
+macro_rules! select_rows {
+    ($data:expr, |$v:ident| $kernel:expr) => {
+        match $data {
+            ColumnData::Boolean($v) => ColumnData::Boolean($kernel),
+            ColumnData::Int32($v) => ColumnData::Int32($kernel),
+            ColumnData::Int64($v) => ColumnData::Int64($kernel),
+            ColumnData::Float64($v) => ColumnData::Float64($kernel),
+            ColumnData::Utf8(s) => {
+                let $v = s.indices();
+                ColumnData::Utf8(s.with_indices($kernel))
+            }
+            ColumnData::Date($v) => ColumnData::Date($kernel),
+            ColumnData::Timestamp($v) => ColumnData::Timestamp($kernel),
+        }
+    };
 }
 
 /// A typed vector of values with an optional validity vector.
@@ -164,7 +192,7 @@ impl Column {
             ColumnData::Int32(v) => Value::Int32(v[i]),
             ColumnData::Int64(v) => Value::Int64(v[i]),
             ColumnData::Float64(v) => Value::Float64(v[i]),
-            ColumnData::Utf8(v) => Value::Utf8(v[i].clone()),
+            ColumnData::Utf8(v) => Value::Utf8(v.get(i).to_owned()),
             ColumnData::Date(v) => Value::Date(v[i]),
             ColumnData::Timestamp(v) => Value::Timestamp(v[i]),
         }
@@ -179,23 +207,15 @@ impl Column {
                 self.len()
             )));
         }
-        fn keep<T: Clone>(v: &[T], mask: &[bool]) -> Vec<T> {
-            v.iter()
-                .zip(mask)
-                .filter(|&(_, &m)| m)
-                .map(|(x, _)| x.clone())
-                .collect()
+        // Sized once from the mask, so each payload is one allocation.
+        let kept = mask.iter().filter(|&&m| m).count();
+        fn keep<T: Copy>(v: &[T], mask: &[bool], kept: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(kept);
+            out.extend(v.iter().zip(mask).filter(|&(_, &m)| m).map(|(&x, _)| x));
+            out
         }
-        let data = match &self.data {
-            ColumnData::Boolean(v) => ColumnData::Boolean(keep(v, mask)),
-            ColumnData::Int32(v) => ColumnData::Int32(keep(v, mask)),
-            ColumnData::Int64(v) => ColumnData::Int64(keep(v, mask)),
-            ColumnData::Float64(v) => ColumnData::Float64(keep(v, mask)),
-            ColumnData::Utf8(v) => ColumnData::Utf8(keep(v, mask)),
-            ColumnData::Date(v) => ColumnData::Date(keep(v, mask)),
-            ColumnData::Timestamp(v) => ColumnData::Timestamp(keep(v, mask)),
-        };
-        let validity = self.validity.as_ref().map(|v| keep(v, mask));
+        let data = select_rows!(&self.data, |v| keep(v, mask, kept));
+        let validity = self.validity.as_ref().map(|v| keep(v, mask, kept));
         Column::with_validity(data, validity)
     }
 
@@ -207,18 +227,10 @@ impl Column {
                 "gather index {bad} out of bounds for column of length {n}"
             )));
         }
-        fn take<T: Clone>(v: &[T], idx: &[usize]) -> Vec<T> {
-            idx.iter().map(|&i| v[i].clone()).collect()
+        fn take<T: Copy>(v: &[T], idx: &[usize]) -> Vec<T> {
+            idx.iter().map(|&i| v[i]).collect()
         }
-        let data = match &self.data {
-            ColumnData::Boolean(v) => ColumnData::Boolean(take(v, indices)),
-            ColumnData::Int32(v) => ColumnData::Int32(take(v, indices)),
-            ColumnData::Int64(v) => ColumnData::Int64(take(v, indices)),
-            ColumnData::Float64(v) => ColumnData::Float64(take(v, indices)),
-            ColumnData::Utf8(v) => ColumnData::Utf8(take(v, indices)),
-            ColumnData::Date(v) => ColumnData::Date(take(v, indices)),
-            ColumnData::Timestamp(v) => ColumnData::Timestamp(take(v, indices)),
-        };
+        let data = select_rows!(&self.data, |v| take(v, indices));
         let validity = self.validity.as_ref().map(|v| take(v, indices));
         Column::with_validity(data, validity)
     }
@@ -234,25 +246,21 @@ impl Column {
                 "gather index {bad} out of bounds for column of length {n}"
             )));
         }
-        fn take<T: Clone + Default>(v: &[T], idx: &[i64]) -> Vec<T> {
+        fn take<T: Copy>(v: &[T], idx: &[i64], absent: T) -> Vec<T> {
             idx.iter()
-                .map(|&i| {
-                    if i < 0 {
-                        T::default()
-                    } else {
-                        v[i as usize].clone()
-                    }
-                })
+                .map(|&i| if i < 0 { absent } else { v[i as usize] })
                 .collect()
         }
         let data = match &self.data {
-            ColumnData::Boolean(v) => ColumnData::Boolean(take(v, indices)),
-            ColumnData::Int32(v) => ColumnData::Int32(take(v, indices)),
-            ColumnData::Int64(v) => ColumnData::Int64(take(v, indices)),
-            ColumnData::Float64(v) => ColumnData::Float64(take(v, indices)),
-            ColumnData::Utf8(v) => ColumnData::Utf8(take(v, indices)),
-            ColumnData::Date(v) => ColumnData::Date(take(v, indices)),
-            ColumnData::Timestamp(v) => ColumnData::Timestamp(take(v, indices)),
+            ColumnData::Boolean(v) => ColumnData::Boolean(take(v, indices, false)),
+            ColumnData::Int32(v) => ColumnData::Int32(take(v, indices, 0)),
+            ColumnData::Int64(v) => ColumnData::Int64(take(v, indices, 0)),
+            ColumnData::Float64(v) => ColumnData::Float64(take(v, indices, 0.0)),
+            ColumnData::Utf8(v) => {
+                ColumnData::Utf8(v.with_indices(take(v.indices(), indices, StrVec::NO_ENTRY)))
+            }
+            ColumnData::Date(v) => ColumnData::Date(take(v, indices, 0)),
+            ColumnData::Timestamp(v) => ColumnData::Timestamp(take(v, indices, 0)),
         };
         let validity: Vec<bool> = indices
             .iter()
@@ -270,19 +278,23 @@ impl Column {
                 self.len()
             )));
         }
-        let indices: Vec<usize> = (offset..offset + len).collect();
-        self.gather(&indices)
+        let range = offset..offset + len;
+        let data = select_rows!(&self.data, |v| v[range.clone()].to_vec());
+        let validity = self.validity.as_ref().map(|v| v[range].to_vec());
+        Column::with_validity(data, validity)
     }
 
     /// Concatenate columns of the same type into one. Payloads are extended
     /// slice-wise into pre-reserved vectors rather than rebuilt value by
-    /// value.
-    pub fn concat(columns: &[Column]) -> Result<Column> {
+    /// value; strings follow [`StrVec::concat`]. Accepts owned or borrowed
+    /// columns.
+    pub fn concat<C: Borrow<Column>>(columns: &[C]) -> Result<Column> {
+        let columns: Vec<&Column> = columns.iter().map(|c| c.borrow()).collect();
         let ty = columns
             .first()
             .ok_or_else(|| Error::Invalid("concat of zero columns".into()))?
             .data_type();
-        for c in columns {
+        for c in &columns {
             if c.data_type() != ty {
                 return Err(Error::Invalid(format!(
                     "concat type mismatch: {} vs {}",
@@ -295,7 +307,7 @@ impl Column {
         macro_rules! splice {
             ($variant:ident) => {{
                 let mut out = Vec::with_capacity(total);
-                for c in columns {
+                for c in &columns {
                     match c.data() {
                         ColumnData::$variant(v) => out.extend_from_slice(v),
                         _ => unreachable!("types checked above"),
@@ -309,13 +321,22 @@ impl Column {
             DataType::Int32 => splice!(Int32),
             DataType::Int64 => splice!(Int64),
             DataType::Float64 => splice!(Float64),
-            DataType::Utf8 => splice!(Utf8),
+            DataType::Utf8 => {
+                let parts: Vec<&StrVec> = columns
+                    .iter()
+                    .map(|c| match c.data() {
+                        ColumnData::Utf8(v) => v,
+                        _ => unreachable!("types checked above"),
+                    })
+                    .collect();
+                ColumnData::Utf8(StrVec::concat(&parts)?)
+            }
             DataType::Date => splice!(Date),
             DataType::Timestamp => splice!(Timestamp),
         };
         let validity = if columns.iter().any(|c| c.validity().is_some()) {
             let mut v = Vec::with_capacity(total);
-            for c in columns {
+            for c in &columns {
                 match c.validity() {
                     Some(bits) => v.extend_from_slice(bits),
                     None => v.resize(v.len() + c.len(), true),
@@ -326,18 +347,6 @@ impl Column {
             None
         };
         Column::with_validity(data, validity)
-    }
-
-    /// In-memory footprint estimate in bytes (payload only).
-    pub fn byte_size(&self) -> usize {
-        let payload = match &self.data {
-            ColumnData::Boolean(v) => v.len(),
-            ColumnData::Int32(v) | ColumnData::Date(v) => v.len() * 4,
-            ColumnData::Int64(v) | ColumnData::Timestamp(v) => v.len() * 8,
-            ColumnData::Float64(v) => v.len() * 8,
-            ColumnData::Utf8(v) => v.iter().map(|s| s.len() + 8).sum(),
-        };
-        payload + self.validity.as_ref().map_or(0, |v| v.len())
     }
 }
 
@@ -369,7 +378,7 @@ impl ColumnBuilder {
             DataType::Int32 => ColumnData::Int32(vec(cap)),
             DataType::Int64 => ColumnData::Int64(vec(cap)),
             DataType::Float64 => ColumnData::Float64(vec(cap)),
-            DataType::Utf8 => ColumnData::Utf8(vec(cap)),
+            DataType::Utf8 => ColumnData::Utf8(StrVec::with_capacity(cap)),
             DataType::Date => ColumnData::Date(vec(cap)),
             DataType::Timestamp => ColumnData::Timestamp(vec(cap)),
         };
@@ -397,7 +406,7 @@ impl ColumnBuilder {
             ColumnData::Int32(v) => v.push(0),
             ColumnData::Int64(v) => v.push(0),
             ColumnData::Float64(v) => v.push(0.0),
-            ColumnData::Utf8(v) => v.push(String::new()),
+            ColumnData::Utf8(v) => v.push_no_entry(),
             ColumnData::Date(v) => v.push(0),
             ColumnData::Timestamp(v) => v.push(0),
         }
@@ -426,7 +435,7 @@ impl ColumnBuilder {
             (ColumnData::Float64(v), Value::Float64(x)) => v.push(*x),
             (ColumnData::Float64(v), Value::Int32(x)) => v.push(*x as f64),
             (ColumnData::Float64(v), Value::Int64(x)) => v.push(*x as f64),
-            (ColumnData::Utf8(v), Value::Utf8(x)) => v.push(x.clone()),
+            (ColumnData::Utf8(v), Value::Utf8(x)) => v.push(x)?,
             (ColumnData::Date(v), Value::Date(x)) => v.push(*x),
             (ColumnData::Timestamp(v), Value::Timestamp(x)) => v.push(*x),
             _ => return Err(mismatch(self)),

@@ -100,6 +100,16 @@ impl AggState {
         Ok(())
     }
 
+    /// [`AggState::update`] for a string: MIN/MAX compare against the running
+    /// extreme in place and build a `String` only when it is replaced.
+    pub(crate) fn update_str(&mut self, s: &str) -> Result<()> {
+        match self {
+            AggState::Min(Some(Value::Utf8(m))) if s >= m.as_str() => Ok(()),
+            AggState::Max(Some(Value::Utf8(m))) if s <= m.as_str() => Ok(()),
+            _ => self.update(&Value::Utf8(s.to_owned())),
+        }
+    }
+
     /// Fold another partial state for the same group into this one.
     pub(crate) fn merge(&mut self, other: &AggState) -> Result<()> {
         match (self, other) {
@@ -424,6 +434,15 @@ fn update_agg_column(
                     return Ok(());
                 }
                 _ => {}
+            }
+            if let ColumnData::Utf8(strings) = col.data() {
+                // MIN/MAX over strings: no `Value` per row.
+                for (row, &g) in gidx.iter().enumerate() {
+                    if valid(row) {
+                        states[g as usize].states[ai].update_str(strings.get(row))?;
+                    }
+                }
+                return Ok(());
             }
         } else {
             // COUNT(*): no argument column, every row counts.

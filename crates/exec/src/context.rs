@@ -3,11 +3,14 @@
 use pixels_obs::{Span, TraceCtx};
 use pixels_storage::{ChunkCache, FetchStats, FooterCache, ObjectStoreRef};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Worker threads to use when the caller does not say: every available core.
+/// Asked of the OS once per process — the answer comes from cgroup and
+/// `/proc` files, which is too much to read again for every query.
 pub fn default_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Rows per output batch unless a caller overrides `ExecContext::batch_size`.

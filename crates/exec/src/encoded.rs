@@ -5,9 +5,11 @@
 //! scalar oracle's decode-everything scan ([`crate::scalar`]) by the
 //! differential suite:
 //!
-//! - **Dictionary shortcut** — a `col <op> literal` predicate over a
-//!   dictionary chunk is evaluated once per *distinct* value, then mapped
-//!   over the per-row codes.
+//! - **Dictionary shortcut** — a dictionary chunk decodes, without copying a
+//!   row, to a string column whose pool is the dictionary and whose indices
+//!   are the codes; a `col <op> literal` predicate over it is evaluated once
+//!   per pool entry ([`crate::evaluate`]'s kernel does that for any column
+//!   with fewer entries than rows), then mapped over the per-row indices.
 //! - **RLE shortcut** — the same predicate over an RLE chunk is evaluated
 //!   once per *run*; COUNT/SUM/MIN/MAX fold runs without expanding them
 //!   (float sums still perform one add per row so accumulation order — and
@@ -244,23 +246,6 @@ fn encoded_conjunct_mask(
         }
     }
     match chunk.encoding() {
-        Encoding::Dictionary => {
-            let Value::Utf8(s) = lit else {
-                return Ok(None);
-            };
-            let view = chunk.dict_view()?;
-            // One comparison per distinct value, mapped over the codes.
-            let verdicts: Vec<bool> = view
-                .dict
-                .iter()
-                .map(|e| ord_matches(e.as_str().cmp(s.as_str()), *op, flipped))
-                .collect();
-            let mut mask: Vec<bool> = view.codes.iter().map(|&c| verdicts[c as usize]).collect();
-            if let Some(validity) = chunk.validity() {
-                and_into(&mut mask, validity);
-            }
-            Ok(Some(mask))
-        }
         Encoding::Rle => {
             let runs = chunk.rle_runs()?;
             // One comparison per run, reproducing compare_literal_mask's
@@ -317,7 +302,11 @@ fn encoded_conjunct_mask(
             }
             Ok(Some(mask))
         }
-        Encoding::Plain => Ok(compare_literal_mask(lazy.column(idx)?, *op, lit, flipped)),
+        // A dictionary chunk decodes to its dictionary plus codes without
+        // copying a row, and the kernel then compares once per entry.
+        Encoding::Plain | Encoding::Dictionary => {
+            Ok(compare_literal_mask(lazy.column(idx)?, *op, lit, flipped))
+        }
     }
 }
 
@@ -351,7 +340,7 @@ fn partition_morsels(rows: &[usize], parts: usize) -> Vec<std::ops::Range<usize>
 
 /// Execute `SELECT agg(..), ..` (no GROUP BY, no residual filters) directly
 /// over encoded chunks: COUNT from validity headers, SUM/MIN/MAX over RLE
-/// runs and dictionary entries, decoding only Plain chunks. Metering, spans,
+/// runs, decoding only Plain and Dictionary chunks. Metering, spans,
 /// and results are bit-identical to scanning then aggregating.
 pub fn execute_encoded_aggregate(
     ctx: &ExecContext,
@@ -565,8 +554,8 @@ fn try_fold_rle_numeric(state: &mut AggState, chunk: &EncodedChunk) -> Result<bo
     Ok(true)
 }
 
-/// MIN/MAX over one chunk: one strict update per RLE run / used dictionary
-/// entry (order-independent under `total_cmp`), decoded loop for Plain.
+/// MIN/MAX over one chunk: one strict update per RLE run (order-independent
+/// under `total_cmp`), decoded loop for Plain and Dictionary.
 fn fold_minmax(state: &mut AggState, lazy: &LazyRowGroup, idx: usize) -> Result<()> {
     let chunk = lazy.chunk(idx);
     match chunk.encoding() {
@@ -587,29 +576,20 @@ fn fold_minmax(state: &mut AggState, lazy: &LazyRowGroup, idx: usize) -> Result<
             }
             Ok(())
         }
-        Encoding::Dictionary => {
-            let view = chunk.dict_view()?;
-            let validity = chunk.validity();
-            let mut used = vec![false; view.dict.len()];
-            for (row, &code) in view.codes.iter().enumerate() {
-                if validity.is_none_or(|v| v[row]) {
-                    used[code as usize] = true;
-                }
-            }
-            for (entry, used) in view.dict.iter().zip(used) {
-                if used {
-                    state.update(&Value::Utf8(entry.clone()))?;
-                }
-            }
-            Ok(())
-        }
-        Encoding::Plain => fold_general(state, lazy.column(idx)?),
+        Encoding::Plain | Encoding::Dictionary => fold_general(state, lazy.column(idx)?),
     }
 }
 
-/// The general per-row fold — exactly `update_agg_column`'s tail loop for a
-/// single group without DISTINCT.
+/// The general per-row fold — exactly `update_agg_column`'s tail loops for a
+/// single group without DISTINCT (strings compared in place, no `Value` per
+/// row).
 fn fold_general(state: &mut AggState, col: &Column) -> Result<()> {
+    if let ColumnData::Utf8(strings) = col.data() {
+        for row in (0..col.len()).filter(|&row| !col.is_null(row)) {
+            state.update_str(strings.get(row))?;
+        }
+        return Ok(());
+    }
     for row in 0..col.len() {
         let v = col.value(row);
         if v.is_null() {
@@ -629,6 +609,6 @@ fn run_value(values: &ColumnData, i: usize) -> Value {
         ColumnData::Int64(v) => Value::Int64(v[i]),
         ColumnData::Timestamp(v) => Value::Timestamp(v[i]),
         ColumnData::Float64(v) => Value::Float64(v[i]),
-        ColumnData::Utf8(v) => Value::Utf8(v[i].clone()),
+        ColumnData::Utf8(v) => Value::Utf8(v.get(i).to_owned()),
     }
 }

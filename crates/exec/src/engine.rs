@@ -147,8 +147,8 @@ fn execute_inner(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBat
             output_schema,
         } => {
             // Grand totals over a bare scan fold encoded chunks directly —
-            // COUNT from validity headers, SUM/MIN/MAX over RLE runs and
-            // dictionary entries — skipping row materialization entirely.
+            // COUNT from validity headers, SUM/MIN/MAX over RLE runs —
+            // skipping row materialization entirely.
             // Gated on exactly the shapes whose per-row semantics the
             // encoded path reproduces bit-identically.
             if group_exprs.is_empty() {

@@ -237,7 +237,7 @@ fn compare_columns_fast_path(expr: &BoundExpr, batch: &RecordBatch) -> Option<Ve
     let n = batch.num_rows();
     let mut mask: Vec<bool> = match (lc.data(), rc.data()) {
         (ColumnData::Utf8(a), ColumnData::Utf8(b)) => (0..n)
-            .map(|i| ord_matches(a[i].as_str().cmp(b[i].as_str()), *op, false))
+            .map(|i| ord_matches(a.get(i).cmp(b.get(i)), *op, false))
             .collect(),
         (ColumnData::Date(a), ColumnData::Date(b)) => (0..n)
             .map(|i| ord_matches(a[i].cmp(&b[i]), *op, false))
@@ -326,10 +326,21 @@ pub(crate) fn compare_literal_mask(
                 .map(|x| ord_matches(x.total_cmp(&target), op, flipped))
                 .collect()
         }
-        (ColumnData::Utf8(v), Value::Utf8(s)) => v
-            .iter()
-            .map(|x| ord_matches(x.as_str().cmp(s.as_str()), op, flipped))
-            .collect(),
+        (ColumnData::Utf8(v), Value::Utf8(s)) => {
+            let verdict = |x: &str| ord_matches(x.cmp(s.as_str()), op, flipped);
+            let pool = v.pool();
+            if pool.len() < v.len() {
+                // Fewer pool entries than rows (a dictionary): one comparison
+                // per entry, mapped over the rows' indices.
+                let by_entry: Vec<bool> = pool.iter().map(verdict).collect();
+                let no_entry = verdict("");
+                (v.indices().iter())
+                    .map(|&i| by_entry.get(i as usize).copied().unwrap_or(no_entry))
+                    .collect()
+            } else {
+                v.iter().map(verdict).collect()
+            }
+        }
         // Mixed-type comparisons (e.g. Int32 column vs Float64 literal) fall
         // back to the scalar path for exact widening semantics.
         _ => return None,

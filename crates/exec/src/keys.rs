@@ -139,7 +139,7 @@ impl KeyEncoder {
                 ColumnData::Float64(v) => buf.extend_from_slice(&v[row].to_bits().to_le_bytes()),
                 ColumnData::Boolean(v) => buf.push(v[row] as u8),
                 ColumnData::Utf8(v) => {
-                    let s = v[row].as_bytes();
+                    let s = v.get(row).as_bytes();
                     buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
                     buf.extend_from_slice(s);
                 }

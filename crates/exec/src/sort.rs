@@ -9,7 +9,7 @@
 //! through `f64::total_cmp`, everything else by its natural ordering.
 
 use crate::evaluate::{evaluate_ref, NumSlice};
-use pixels_common::{Column, ColumnData, RecordBatch, Result};
+use pixels_common::{Column, ColumnData, RecordBatch, Result, StrVec};
 use pixels_planner::BoundExpr;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -25,7 +25,7 @@ struct SortKey<'a> {
 enum View<'a> {
     Num(NumSlice<'a>),
     Bool(&'a [bool]),
-    Str(&'a [String]),
+    Str(&'a StrVec),
     Date(&'a [i32]),
     Ts(&'a [i64]),
 }
@@ -56,7 +56,7 @@ impl<'a> SortKey<'a> {
                 // (identical ordering quirks past 2^53).
                 View::Num(ns) => ns.get(a).total_cmp(&ns.get(b)),
                 View::Bool(v) => v[a].cmp(&v[b]),
-                View::Str(v) => v[a].cmp(&v[b]),
+                View::Str(v) => v.get(a).cmp(v.get(b)),
                 View::Date(v) => v[a].cmp(&v[b]),
                 View::Ts(v) => v[a].cmp(&v[b]),
             },

@@ -190,9 +190,13 @@ impl<'a> Reader<'a> {
     }
 
     pub fn get_str(&mut self) -> Result<String> {
+        self.get_str_ref().map(str::to_owned)
+    }
+
+    /// A length-prefixed string, validated and borrowed from the input.
+    pub fn get_str_ref(&mut self) -> Result<&'a str> {
         let len = self.get_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(len)?)
             .map_err(|_| Error::Storage("invalid UTF-8 in string".into()))
     }
 

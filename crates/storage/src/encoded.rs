@@ -6,23 +6,27 @@
 //! per chunk how much to decode:
 //!
 //! - [`EncodedChunk::decode`] — the full decode, byte-identical to the
-//!   classic path (it runs the very same [`crate::encoding::decode`]).
-//! - [`EncodedChunk::decode_filtered`] — materialize only selected rows,
-//!   skipping string copies for filtered-out rows.
-//! - [`EncodedChunk::dict_view`] — dictionary + codes, so a predicate can be
-//!   evaluated once per distinct value instead of once per row.
+//!   classic path (it runs the very same [`crate::encoding::decode`]). A
+//!   dictionary chunk decodes to *pool = its dictionary, indices = its
+//!   codes*, so it is also the dictionary view: a predicate or MIN/MAX can
+//!   run once per pool entry, and no row's string is copied.
+//! - [`EncodedChunk::decode_filtered`] — materialize only selected rows. A
+//!   dictionary chunk keeps the selected codes over the shared dictionary; a
+//!   plain string chunk copies only the selected rows' bytes, so a one-row
+//!   result does not hold the chunk's strings alive.
 //! - [`EncodedChunk::rle_runs`] — run headers + one value per run, so
 //!   COUNT/SUM/MIN/MAX can fold runs without expanding them.
 //!
 //! Every view validates exactly what the full decode validates (run counts,
-//! dictionary widths and codes), with identical error text, so switching the
-//! execution path never changes which corrupt files are detected.
+//! dictionary widths and codes, UTF-8 of every string), with identical error
+//! text, so switching the execution path never changes which corrupt files
+//! are detected.
 
 use bytes::Bytes;
-use pixels_common::{Column, ColumnData, DataType, Error, Result};
+use pixels_common::{Column, ColumnData, DataType, Error, Result, StrVec};
 
 use crate::codec::Reader as ByteReader;
-use crate::encoding::{self, bitpack, Encoding};
+use crate::encoding::{self, bitpack, plain, Encoding};
 
 /// One fetched-but-not-decoded column chunk.
 #[derive(Debug, Clone)]
@@ -33,14 +37,6 @@ pub struct EncodedChunk {
     validity: Option<Vec<bool>>,
     /// Encoded payload, after the validity header.
     payload: Bytes,
-}
-
-/// A dictionary chunk split into its parts: distinct values plus one code
-/// per row. All codes are validated against the dictionary.
-#[derive(Debug)]
-pub struct DictView {
-    pub dict: Vec<String>,
-    pub codes: Vec<u32>,
 }
 
 /// An RLE chunk split into runs: `counts[i]` repetitions of `values[i]`.
@@ -118,9 +114,9 @@ impl EncodedChunk {
     }
 
     /// Decode only the rows selected by `mask` (length = chunk rows).
-    /// Equivalent to `decode()?.filter(mask)`, but skips materializing
-    /// filtered-out values for dictionary and RLE chunks. Validation is the
-    /// same as the full decode.
+    /// Equal to `decode()?.filter(mask)`, with the same validation, but RLE
+    /// runs are never expanded for rejected rows and a plain string chunk
+    /// copies only the selected rows' bytes.
     pub fn decode_filtered(&self, mask: &[bool]) -> Result<Column> {
         if mask.len() != self.num_rows {
             return Err(Error::Storage(format!(
@@ -129,26 +125,22 @@ impl EncodedChunk {
                 self.num_rows
             )));
         }
-        let validity = self.validity.as_ref().map(|v| {
-            v.iter()
-                .zip(mask)
-                .filter(|(_, &keep)| keep)
-                .map(|(&b, _)| b)
-                .collect::<Vec<bool>>()
-        });
-        match self.encoding {
-            Encoding::Plain => self.decode()?.filter(mask),
-            Encoding::Dictionary => {
-                let view = self.dict_view()?;
-                let out: Vec<String> = view
-                    .codes
-                    .iter()
+        let validity = || {
+            self.validity.as_ref().map(|v| {
+                v.iter()
                     .zip(mask)
                     .filter(|(_, &keep)| keep)
-                    .map(|(&code, _)| view.dict[code as usize].clone())
-                    .collect();
-                Column::with_validity(ColumnData::Utf8(out), validity)
+                    .map(|(&b, _)| b)
+                    .collect::<Vec<bool>>()
+            })
+        };
+        match self.encoding {
+            Encoding::Plain if self.ty == DataType::Utf8 => {
+                let mut r = ByteReader::new(&self.payload);
+                let pool = plain::read_pool(&mut r, self.num_rows, Some(mask))?;
+                Column::with_validity(ColumnData::Utf8(StrVec::from_pool(pool)), validity())
             }
+            Encoding::Plain | Encoding::Dictionary => self.decode()?.filter(mask),
             Encoding::Rle => {
                 let runs = self.rle_runs()?;
                 fn expand<T: Copy>(counts: &[u32], values: &[T], mask: &[bool]) -> Vec<T> {
@@ -177,49 +169,9 @@ impl EncodedChunk {
                         return Err(Error::Storage("RLE does not support strings".into()))
                     }
                 };
-                Column::with_validity(data, validity)
+                Column::with_validity(data, validity())
             }
         }
-    }
-
-    /// Dictionary + per-row codes of a dictionary chunk, with every code
-    /// validated (same errors as the full decode).
-    pub fn dict_view(&self) -> Result<DictView> {
-        if self.encoding != Encoding::Dictionary {
-            return Err(Error::Storage(format!(
-                "dict_view on a {:?}-encoded chunk",
-                self.encoding
-            )));
-        }
-        if self.ty != DataType::Utf8 {
-            return Err(Error::Storage(format!(
-                "dictionary encoding on non-string column of type {}",
-                self.ty
-            )));
-        }
-        let mut r = ByteReader::new(&self.payload);
-        let dict_len = r.get_u32()? as usize;
-        let mut dict = Vec::with_capacity(dict_len);
-        for _ in 0..dict_len {
-            dict.push(r.get_str()?);
-        }
-        let width = r.get_u8()?;
-        if !(1..=32).contains(&width) {
-            return Err(Error::Storage(format!(
-                "corrupt dictionary bit width {width}"
-            )));
-        }
-        let packed_len = (self.num_rows * width as usize).div_ceil(8);
-        let packed = r.get_raw(packed_len)?;
-        let codes = bitpack::unpack_u32(packed, self.num_rows, width);
-        for &code in &codes {
-            if code as usize >= dict_len {
-                return Err(Error::Storage(format!(
-                    "dictionary code {code} out of range ({dict_len} entries)"
-                )));
-            }
-        }
-        Ok(DictView { dict, codes })
     }
 
     /// Run headers and per-run values of an RLE chunk, validated like the
@@ -310,7 +262,7 @@ mod tests {
     }
 
     fn utf8(values: &[&str]) -> ColumnData {
-        ColumnData::Utf8(values.iter().map(|s| s.to_string()).collect())
+        ColumnData::Utf8(values.iter().collect())
     }
 
     #[test]
@@ -368,31 +320,131 @@ mod tests {
     }
 
     #[test]
-    fn dict_view_exposes_codes_and_validates() {
+    fn dictionary_chunk_decodes_to_its_dictionary_and_codes() {
         let data = utf8(&["b", "a", "b", "b", "c"]);
         let raw = encode_chunk(&data, None, Encoding::Dictionary);
         let chunk = EncodedChunk::parse(raw, DataType::Utf8, Encoding::Dictionary, 5).unwrap();
-        let view = chunk.dict_view().unwrap();
-        // First-appearance order.
-        assert_eq!(view.dict, vec!["b", "a", "c"]);
-        assert_eq!(view.codes, vec![0, 1, 0, 0, 2]);
+        let col = chunk.decode().unwrap();
+        let ColumnData::Utf8(v) = col.data() else {
+            panic!("wrong type");
+        };
+        // The pool is the dictionary, in first-appearance order.
+        assert_eq!(v.pool().iter().collect::<Vec<_>>(), ["b", "a", "c"]);
+        assert_eq!(v.indices(), [0, 1, 0, 0, 2]);
+    }
 
-        // Corrupt code detected exactly like the full decode.
-        let mut w = Writer::new();
-        w.put_u8(0); // no validity
-        w.put_u32(1);
-        w.put_str("a");
-        w.put_u8(2);
-        w.put_raw(&bitpack::pack_u32(&[3], 2));
-        let chunk = EncodedChunk::parse(
-            Bytes::from(w.into_bytes()),
-            DataType::Utf8,
-            Encoding::Dictionary,
-            1,
-        )
-        .unwrap();
-        let err = chunk.dict_view().unwrap_err().to_string();
-        assert!(err.contains("out of range"), "{err}");
+    /// Every way a string chunk can be corrupt is the same error, with the
+    /// same text, from the full decode and from the filtered one — also when
+    /// the filter rejects the corrupt row.
+    #[test]
+    fn corrupt_string_chunks_fail_alike_on_every_decode_path() {
+        let dictionary = |entries: &[&[u8]], width: u8, codes: &[u32]| {
+            let mut w = Writer::new();
+            w.put_u8(0); // no validity
+            w.put_u32(entries.len() as u32);
+            for e in entries {
+                w.put_bytes(e);
+            }
+            w.put_u8(width);
+            w.put_raw(&bitpack::pack_u32(codes, width.clamp(1, 32)));
+            w.into_bytes()
+        };
+        let plain = |values: &[&[u8]]| {
+            let mut w = Writer::new();
+            w.put_u8(0);
+            for v in values {
+                w.put_bytes(v);
+            }
+            w.into_bytes()
+        };
+        let truncated = |mut bytes: Vec<u8>, by: usize| {
+            bytes.truncate(bytes.len() - by);
+            bytes
+        };
+        use DataType::{Int32, Utf8};
+        use Encoding::{Dictionary, Plain};
+        let cases: Vec<(&str, Vec<u8>, DataType, Encoding, &str)> = vec![
+            (
+                "invalid UTF-8 in a dictionary entry",
+                dictionary(&[b"ok", b"\xff\xfe"], 1, &[0, 1]),
+                Utf8,
+                Dictionary,
+                "storage error: invalid UTF-8 in string",
+            ),
+            (
+                "invalid UTF-8 in a plain value",
+                plain(&[b"ok", b"\xc3"]),
+                Utf8,
+                Plain,
+                "storage error: invalid UTF-8 in string",
+            ),
+            (
+                "code past the dictionary",
+                dictionary(&[b"a"], 2, &[0, 3]),
+                Utf8,
+                Dictionary,
+                "storage error: dictionary code 3 out of range (1 entries)",
+            ),
+            (
+                "bit width 0",
+                dictionary(&[b"a"], 0, &[0, 0]),
+                Utf8,
+                Dictionary,
+                "storage error: corrupt dictionary bit width 0",
+            ),
+            (
+                "bit width 33",
+                dictionary(&[b"a"], 33, &[0, 0]),
+                Utf8,
+                Dictionary,
+                "storage error: corrupt dictionary bit width 33",
+            ),
+            (
+                "dictionary cut inside an entry",
+                truncated(dictionary(&[b"abcdef"], 1, &[0, 0]), 4),
+                Utf8,
+                Dictionary,
+                "storage error: truncated data: needed 6 bytes, 4 remaining",
+            ),
+            (
+                "codes cut short",
+                truncated(dictionary(&[b"a", b"b"], 1, &[0, 1]), 1),
+                Utf8,
+                Dictionary,
+                "storage error: truncated data: needed 1 bytes, 0 remaining",
+            ),
+            (
+                "plain value cut short",
+                truncated(plain(&[b"ok", b"abcdef"]), 2),
+                Utf8,
+                Plain,
+                "storage error: truncated data: needed 6 bytes, 4 remaining",
+            ),
+            (
+                "dictionary on a non-string column",
+                dictionary(&[b"a"], 1, &[0, 0]),
+                Int32,
+                Dictionary,
+                "storage error: dictionary encoding on non-string column of type INTEGER",
+            ),
+        ];
+        for (what, bytes, ty, encoding, expected) in cases {
+            let chunk = EncodedChunk::parse(Bytes::from(bytes), ty, encoding, 2).unwrap();
+            for (path, result) in [
+                ("decode", chunk.decode()),
+                (
+                    "decode_filtered, all rows",
+                    chunk.decode_filtered(&[true, true]),
+                ),
+                (
+                    "decode_filtered, no row",
+                    chunk.decode_filtered(&[false, false]),
+                ),
+            ] {
+                let err = result.expect_err(what).to_string();
+                assert_eq!(err, expected, "{what}, {path}");
+            }
+        }
     }
 
     #[test]

@@ -48,20 +48,20 @@ pub fn pack_u32(values: &[u32], width: u8) -> Vec<u8> {
 
 /// Unpack `n` values of `width` bits each, packed by [`pack_u32`].
 pub fn unpack_u32(bytes: &[u8], n: usize, width: u8) -> Vec<u32> {
-    let mut out = Vec::with_capacity(n);
-    let mut bit_pos = 0usize;
-    for _ in 0..n {
-        let mut v = 0u32;
-        for b in 0..width as usize {
-            let idx = bit_pos + b;
-            if bytes[idx / 8] & (1 << (idx % 8)) != 0 {
-                v |= 1 << b;
-            }
-        }
-        out.push(v);
-        bit_pos += width as usize;
-    }
-    out
+    let width = width as usize;
+    let mask = (1u64 << width) - 1;
+    // A value of up to 32 bits starting at any bit of a byte lies within the
+    // eight bytes from that byte on; pad so the last values have them too.
+    let mut padded = Vec::with_capacity(bytes.len() + 8);
+    padded.extend_from_slice(bytes);
+    padded.extend_from_slice(&[0; 8]);
+    (0..n)
+        .map(|i| {
+            let bit = i * width;
+            let window: [u8; 8] = padded[bit / 8..bit / 8 + 8].try_into().expect("8 bytes");
+            ((u64::from_le_bytes(window) >> (bit % 8)) & mask) as u32
+        })
+        .collect()
 }
 
 #[cfg(test)]

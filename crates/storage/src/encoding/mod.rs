@@ -91,7 +91,7 @@ pub fn decode(
                     "dictionary encoding on non-string column of type {ty}"
                 )));
             }
-            dict::decode(r, num_rows)
+            dict::decode(r, num_rows).map(ColumnData::Utf8)
         }
     }
 }
@@ -144,7 +144,7 @@ mod tests {
             let out = decode(&mut Reader::new(&bytes), enc, DataType::Int64, 8).unwrap();
             assert_eq!(out, ints);
         }
-        let strings = ColumnData::Utf8(vec!["a".into(), "b".into(), "a".into()]);
+        let strings = ColumnData::Utf8(["a", "b", "a"].iter().collect());
         for enc in [Encoding::Plain, Encoding::Dictionary] {
             let mut w = Writer::new();
             encode(&strings, enc, &mut w).unwrap();

@@ -3,7 +3,7 @@
 
 use super::bitpack;
 use crate::codec::{Reader, Writer};
-use pixels_common::{ColumnData, DataType, Result};
+use pixels_common::{ColumnData, DataType, Result, StrPool, StrVec};
 
 pub fn encode(data: &ColumnData, w: &mut Writer) {
     match data {
@@ -24,11 +24,32 @@ pub fn encode(data: &ColumnData, w: &mut Writer) {
             }
         }
         ColumnData::Utf8(v) => {
-            for s in v {
+            for s in v.iter() {
                 w.put_str(s);
             }
         }
     }
+}
+
+/// Read `n` length-prefixed strings into a pool sized exactly for what it
+/// holds. Every string is validated; under `keep` (one flag per string) only
+/// the selected ones are copied, so the pool holds no byte it does not show.
+pub(crate) fn read_pool(r: &mut Reader<'_>, n: usize, keep: Option<&[bool]>) -> Result<StrPool> {
+    let kept = keep.map_or(n, |k| k.iter().filter(|&&k| k).count());
+    // A string takes at least its 4-byte length in the input.
+    let mut strings: Vec<&str> = Vec::with_capacity(kept.min(r.remaining() / 4));
+    for i in 0..n {
+        let s = r.get_str_ref()?;
+        if keep.is_none_or(|k| k[i]) {
+            strings.push(s);
+        }
+    }
+    let bytes = strings.iter().map(|s| s.len()).sum();
+    let mut pool = StrPool::with_capacity(strings.len(), bytes);
+    for s in strings {
+        pool.push(s)?;
+    }
+    Ok(pool)
 }
 
 pub fn decode(r: &mut Reader<'_>, ty: DataType, num_rows: usize) -> Result<ColumnData> {
@@ -66,13 +87,7 @@ pub fn decode(r: &mut Reader<'_>, ty: DataType, num_rows: usize) -> Result<Colum
             }
             ColumnData::Float64(v)
         }
-        DataType::Utf8 => {
-            let mut v = Vec::with_capacity(num_rows);
-            for _ in 0..num_rows {
-                v.push(r.get_str()?);
-            }
-            ColumnData::Utf8(v)
-        }
+        DataType::Utf8 => ColumnData::Utf8(StrVec::from_pool(read_pool(r, num_rows, None)?)),
     })
 }
 
@@ -96,11 +111,7 @@ mod tests {
         roundtrip(ColumnData::Int32(vec![-1, 0, i32::MAX]));
         roundtrip(ColumnData::Int64(vec![i64::MIN, 7]));
         roundtrip(ColumnData::Float64(vec![0.5, -2.25, f64::MAX]));
-        roundtrip(ColumnData::Utf8(vec![
-            "".into(),
-            "abc".into(),
-            "日本".into(),
-        ]));
+        roundtrip(ColumnData::Utf8(["", "abc", "日本"].iter().collect()));
         roundtrip(ColumnData::Date(vec![0, 19000]));
         roundtrip(ColumnData::Timestamp(vec![1_700_000_000_000]));
     }
@@ -108,7 +119,7 @@ mod tests {
     #[test]
     fn empty_columns() {
         roundtrip(ColumnData::Int32(vec![]));
-        roundtrip(ColumnData::Utf8(vec![]));
+        roundtrip(ColumnData::Utf8(StrVec::default()));
         roundtrip(ColumnData::Boolean(vec![]));
     }
 

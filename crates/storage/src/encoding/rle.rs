@@ -99,7 +99,7 @@ pub fn avg_run_length(data: &ColumnData) -> f64 {
         ColumnData::Int32(v) | ColumnData::Date(v) => (v.len(), runs(v)),
         ColumnData::Int64(v) | ColumnData::Timestamp(v) => (v.len(), runs(v)),
         ColumnData::Float64(v) => (v.len(), runs(v)),
-        ColumnData::Utf8(v) => (v.len(), runs(v)),
+        ColumnData::Utf8(_) => return 0.0, // strings are never run-length encoded
     };
     if r == 0 {
         0.0
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn rejects_strings() {
-        let data = ColumnData::Utf8(vec!["a".into()]);
+        let data = ColumnData::Utf8(["a"].iter().collect());
         let mut w = Writer::new();
         assert!(encode(&data, &mut w).is_err());
         assert!(!supports(DataType::Utf8));

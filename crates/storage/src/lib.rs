@@ -12,8 +12,9 @@
 //! - [`encoding`] — plain, run-length, and dictionary encodings with a
 //!   per-chunk chooser.
 //! - [`stats`] — min/max/null statistics used for pruning and costing.
-//! - [`encoded`] — encoded chunks as first-class values: filtered decode,
-//!   dictionary views, and RLE run views for decode-avoiding execution.
+//! - [`encoded`] — encoded chunks as first-class values: filtered decode
+//!   and RLE run views for decode-avoiding execution (a dictionary chunk's
+//!   full decode already is its dictionary plus codes).
 //! - [`meta_cache`] — a shared footer/schema cache so repeated opens of the
 //!   same object skip the footer GETs entirely (and are not billed twice),
 //!   plus a bounded chunk-data cache with LRU-style eviction.
@@ -33,7 +34,7 @@ pub mod stats;
 pub mod writer;
 
 pub use chaos_store::{chaos_stack, exchange_stack, ChaosObjectStore, RetryingObjectStore};
-pub use encoded::{DictView, EncodedChunk, RleRuns};
+pub use encoded::{EncodedChunk, RleRuns};
 pub use encoding::Encoding;
 pub use format::{ColumnChunkMeta, Footer, RowGroupMeta};
 pub use meta_cache::{ChunkCache, FileMeta, FooterCache};

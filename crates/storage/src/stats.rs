@@ -5,7 +5,7 @@
 //! estimation in the planner's cost model.
 
 use crate::codec::{Reader, Writer};
-use pixels_common::{Column, Result, Value};
+use pixels_common::{Column, ColumnData, Result, Value};
 
 /// Min/max/null statistics for one column chunk.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,6 +32,18 @@ impl ColumnStats {
     pub fn from_column(col: &Column) -> Self {
         let mut stats = ColumnStats::empty();
         stats.row_count = col.len() as u64;
+        if let ColumnData::Utf8(strings) = col.data() {
+            // Compare in place; a `String` is built for the two extremes only.
+            let valid = || {
+                (0..col.len())
+                    .filter(|&i| !col.is_null(i))
+                    .map(|i| strings.get(i))
+            };
+            stats.null_count = col.null_count() as u64;
+            stats.min = valid().min().map(|s| Value::Utf8(s.to_owned()));
+            stats.max = valid().max().map(|s| Value::Utf8(s.to_owned()));
+            return stats;
+        }
         for i in 0..col.len() {
             let v = col.value(i);
             if v.is_null() {

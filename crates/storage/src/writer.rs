@@ -77,38 +77,31 @@ impl<'a> PixelsWriter<'a> {
                 self.schema
             )));
         }
-        self.buffered_rows += batch.num_rows();
-        self.buffered.push(batch.clone());
-        while self.buffered_rows >= self.row_group_rows {
-            self.flush_row_group(self.row_group_rows)?;
+        // Cut the batch at row-group boundaries as it arrives: each row is
+        // copied into the buffer once, and the buffer never holds more than
+        // one row group.
+        let mut offset = 0;
+        while offset < batch.num_rows() {
+            let take = (self.row_group_rows - self.buffered_rows).min(batch.num_rows() - offset);
+            self.buffered.push(batch.slice(offset, take)?);
+            self.buffered_rows += take;
+            offset += take;
+            if self.buffered_rows == self.row_group_rows {
+                self.flush_row_group()?;
+            }
         }
         Ok(())
     }
 
-    fn flush_row_group(&mut self, rows: usize) -> Result<()> {
-        let rows = rows.min(self.buffered_rows);
-        if rows == 0 {
+    /// Encode the buffered rows (at most one row group's worth) as a row
+    /// group.
+    fn flush_row_group(&mut self) -> Result<()> {
+        if self.buffered_rows == 0 {
             return Ok(());
         }
-        // Assemble exactly `rows` rows from the buffer.
-        let mut assembled: Vec<RecordBatch> = Vec::new();
-        let mut remaining = rows;
-        let mut leftover: Vec<RecordBatch> = Vec::new();
-        for b in self.buffered.drain(..) {
-            if remaining == 0 {
-                leftover.push(b);
-            } else if b.num_rows() <= remaining {
-                remaining -= b.num_rows();
-                assembled.push(b);
-            } else {
-                assembled.push(b.slice(0, remaining)?);
-                leftover.push(b.slice(remaining, b.num_rows() - remaining)?);
-                remaining = 0;
-            }
-        }
-        self.buffered = leftover;
-        self.buffered_rows -= rows;
-        let group = RecordBatch::concat(&assembled)?;
+        let group = RecordBatch::concat(&self.buffered)?;
+        self.buffered.clear();
+        self.buffered_rows = 0;
         self.encode_row_group(&group)
     }
 
@@ -154,9 +147,7 @@ impl<'a> PixelsWriter<'a> {
             return Err(Error::Storage("writer already finished".into()));
         }
         self.finished = true;
-        while self.buffered_rows > 0 {
-            self.flush_row_group(self.row_group_rows)?;
-        }
+        self.flush_row_group()?;
         let footer = Footer {
             version: FORMAT_VERSION,
             schema: self.schema.as_ref().clone(),

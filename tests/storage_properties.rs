@@ -23,6 +23,10 @@ fn value_strategy(ty: DataType) -> BoxedStrategy<Value> {
         .boxed(),
         DataType::Utf8 => prop_oneof![
             3 => "[a-z]{0,12}".prop_map(Value::Utf8),
+            // Few distinct values (dictionary chunks), multi-byte, and long.
+            2 => "[xy]{0,1}".prop_map(Value::Utf8),
+            1 => "[aé日🙂 ]{0,8}".prop_map(Value::Utf8),
+            1 => "\\PC{20,80}".prop_map(Value::Utf8),
             1 => Just(Value::Null),
         ]
         .boxed(),
