@@ -216,21 +216,24 @@ fn bench_vector_kernels(c: &mut Criterion) {
         let ctx = ExecContext::new(store.clone());
         execute(&plan, &ctx).unwrap()
     };
-    // l_orderkey, l_quantity, l_extendedprice, l_discount, l_returnflag
+    // l_orderkey, l_quantity, l_extendedprice, l_discount, l_returnflag,
+    // l_linestatus
     let lineitem = collect(
-        "SELECT l_orderkey, l_quantity, l_extendedprice, l_discount, l_returnflag FROM lineitem",
+        "SELECT l_orderkey, l_quantity, l_extendedprice, l_discount, l_returnflag, l_linestatus \
+         FROM lineitem",
     );
     // o_orderkey, o_totalprice
     let orders = collect("SELECT o_orderkey, o_totalprice FROM orders");
     let li_rows: u64 = lineitem.iter().map(|b| b.num_rows() as u64).sum();
 
     let col = |i: usize, ty: DataType| BoundExpr::column(i, ty, format!("c{i}"));
-    let cmp = |l: BoundExpr, op: BinaryOp, r: BoundExpr| BoundExpr::BinaryOp {
+    let binary = |l: BoundExpr, op: BinaryOp, r: BoundExpr, ty: DataType| BoundExpr::BinaryOp {
         left: Box::new(l),
         op,
         right: Box::new(r),
-        data_type: DataType::Boolean,
+        data_type: ty,
     };
+    let cmp = |l: BoundExpr, op: BinaryOp, r: BoundExpr| binary(l, op, r, DataType::Boolean);
 
     let mut g = c.benchmark_group("vector_kernels");
     g.sample_size(10);
@@ -277,6 +280,34 @@ fn bench_vector_kernels(c: &mut Criterion) {
                 None,
                 &join_schema,
                 left_width,
+                8192,
+            )
+            .unwrap()
+            .len()
+        })
+    });
+
+    // The same join over the key columns alone, so that encoding, interning
+    // and probing the Int64 keys is all there is to it.
+    let project = |batches: &[RecordBatch]| -> Vec<RecordBatch> {
+        batches.iter().map(|b| b.project(&[0]).unwrap()).collect()
+    };
+    let (li_keys, o_keys) = (project(&lineitem), project(&orders));
+    let key_schema = Arc::new(Schema::new(vec![
+        Field::required("l_orderkey", DataType::Int64),
+        Field::required("o_orderkey", DataType::Int64),
+    ]));
+    g.bench_function("join_build_probe/int_key", |b| {
+        b.iter(|| {
+            pixels_exec::join::execute_join(
+                &li_keys,
+                &o_keys,
+                JoinType::Inner,
+                &join_args.0,
+                &join_args.1,
+                None,
+                &key_schema,
+                1,
                 8192,
             )
             .unwrap()
@@ -333,6 +364,66 @@ fn bench_vector_kernels(c: &mut Criterion) {
                 .len()
         })
     });
+
+    // q1's group keys: two dictionary-encoded string columns, four groups.
+    let dict_group = vec![col(4, DataType::Utf8), col(5, DataType::Utf8)];
+    let dict_schema = Arc::new(Schema::new(vec![
+        Field::required("flag", DataType::Utf8),
+        Field::required("status", DataType::Utf8),
+        Field::required("n", DataType::Int64),
+        Field::required("qty", DataType::Float64),
+    ]));
+    g.bench_function("group_by/dict_keys", |b| {
+        b.iter(|| {
+            pixels_exec::aggregate::execute_aggregate(
+                &lineitem,
+                &dict_group,
+                &aggs[..2],
+                &dict_schema,
+                1,
+            )
+            .unwrap()
+            .len()
+        })
+    });
+
+    // Expression evaluation: q1's discounted price over Float64 columns, and
+    // checked Int64 arithmetic.
+    let discounted = binary(
+        col(2, DataType::Float64),
+        BinaryOp::Multiply,
+        binary(
+            BoundExpr::literal(Value::Int64(1)),
+            BinaryOp::Minus,
+            col(3, DataType::Float64),
+            DataType::Float64,
+        ),
+        DataType::Float64,
+    );
+    let int_poly = binary(
+        binary(
+            col(0, DataType::Int64),
+            BinaryOp::Multiply,
+            BoundExpr::literal(Value::Int64(3)),
+            DataType::Int64,
+        ),
+        BinaryOp::Plus,
+        col(0, DataType::Int64),
+        DataType::Int64,
+    );
+    for (name, expr) in [
+        ("evaluate/arith_f64", &discounted),
+        ("evaluate/arith_i64_checked", &int_poly),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                lineitem
+                    .iter()
+                    .map(|batch| pixels_exec::evaluate(expr, batch).unwrap().len())
+                    .sum::<usize>()
+            })
+        });
+    }
 
     // Residual filter chain: one fused mask over the original batch vs one
     // mask + materialized batch per conjunct.

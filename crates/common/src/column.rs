@@ -160,6 +160,11 @@ impl Column {
         self.validity.as_deref()
     }
 
+    /// The payload and validity vector, by value.
+    pub fn into_parts(self) -> (ColumnData, Option<Vec<bool>>) {
+        (self.data, self.validity)
+    }
+
     pub fn data_type(&self) -> DataType {
         self.data.data_type()
     }
@@ -207,11 +212,22 @@ impl Column {
                 self.len()
             )));
         }
-        // Sized once from the mask, so each payload is one allocation.
         let kept = mask.iter().filter(|&&m| m).count();
-        fn keep<T: Copy>(v: &[T], mask: &[bool], kept: usize) -> Vec<T> {
-            let mut out = Vec::with_capacity(kept);
-            out.extend(v.iter().zip(mask).filter(|&(_, &m)| m).map(|(&x, _)| x));
+        if kept == mask.len() {
+            return Ok(self.clone());
+        }
+        // Branch-free compaction: every row is written at the cursor and only
+        // a kept row advances it, so the loop carries no data-dependent
+        // branch. The spare slot takes the writes that follow the last kept
+        // row.
+        fn keep<T: Copy + Default>(v: &[T], mask: &[bool], kept: usize) -> Vec<T> {
+            let mut out = vec![T::default(); kept + 1];
+            let mut at = 0;
+            for (&x, &m) in v.iter().zip(mask) {
+                out[at] = x;
+                at += m as usize;
+            }
+            out.truncate(kept);
             out
         }
         let data = select_rows!(&self.data, |v| keep(v, mask, kept));
@@ -515,6 +531,31 @@ mod tests {
         assert_eq!(f.value(0), Value::Int64(1));
         assert_eq!(f.value(1), Value::Null);
         assert_eq!(f.value(2), Value::Null);
+    }
+
+    #[test]
+    fn filter_compaction_matches_a_row_by_row_model() {
+        // Every mask shape the compaction loop has an edge for: nothing
+        // kept, everything kept (a plain copy), the last row kept or not.
+        let n = 67;
+        let vals: Vec<Option<i64>> = (0..n)
+            .map(|i| (i % 5 != 0).then_some(i as i64 * 3))
+            .collect();
+        let c = int_col(&vals);
+        let masks: Vec<Vec<bool>> = vec![
+            vec![false; n],
+            vec![true; n],
+            (0..n).map(|i| i % 3 == 0).collect(),
+            (0..n).map(|i| i % 7 != 0 || i == n - 1).collect(),
+            (0..n).map(|i| i != n - 1).collect(),
+        ];
+        for mask in masks {
+            let kept: Vec<Option<i64>> = (vals.iter().zip(&mask))
+                .filter(|&(_, &m)| m)
+                .map(|(v, _)| *v)
+                .collect();
+            assert_eq!(c.filter(&mask).unwrap(), int_col(&kept), "{mask:?}");
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! reassociate the additions.
 //!
 //! Group keys are interned through the compact byte-row encoding in
-//! [`crate::keys`] (FNV-1a + memcmp) instead of a `HashMap<Vec<Value>, _>`;
+//! [`crate::keys`] (a whole column at a time) instead of a
+//! `HashMap<Vec<Value>, _>`;
 //! the `Vec<Value>` form of a key is materialized once per *group* (for
 //! output building), not once per input row.
 
@@ -489,7 +490,6 @@ pub(crate) fn build_partial(
             .map(|g| g.data_type())
             .collect::<Vec<_>>(),
     );
-    let mut buf = Vec::new();
     let mut gidx: Vec<u32> = Vec::new();
     for &batch in input {
         let group_cols: Vec<Cow<Column>> = group_exprs
@@ -506,19 +506,16 @@ pub(crate) fn build_partial(
             })
             .collect::<Result<_>>()?;
         gidx.clear();
-        gidx.reserve(batch.num_rows());
-        for row in 0..batch.num_rows() {
-            // Group keys treat NULLs as equal, so the any-null flag from
-            // the encoder is irrelevant here (unlike joins).
-            encoder.encode_row(&group_cols, row, &mut buf);
-            let (gi, is_new) = partial.table.intern(&buf);
-            if is_new {
+        // Group keys treat NULLs as equal (unlike join keys).
+        (partial.table).intern_rows(&encoder, &group_cols, 0..batch.num_rows(), &mut gidx);
+        for (row, &gi) in gidx.iter().enumerate() {
+            // Entries are dense: the next unseen index is a new group.
+            if gi as usize == partial.states.len() {
                 partial
                     .keys
                     .push(group_cols.iter().map(|c| c.value(row)).collect());
                 partial.states.push(GroupState::new(aggs));
             }
-            gidx.push(gi as u32);
         }
         for (ai, agg) in aggs.iter().enumerate() {
             update_agg_column(&mut partial.states, ai, agg, agg_cols[ai].as_deref(), &gidx)?;
@@ -670,7 +667,6 @@ pub fn execute_distinct(input: &[RecordBatch]) -> Result<Vec<RecordBatch>> {
     let types: Vec<DataType> = schema.fields().iter().map(|f| f.data_type).collect();
     let encoder = KeyEncoder::new(&types);
     let mut table = KeyTable::new();
-    let mut buf = Vec::new();
 
     // Coalesce so kept-row indices are global and one gather per column
     // materializes the output.
@@ -682,12 +678,18 @@ pub fn execute_distinct(input: &[RecordBatch]) -> Result<Vec<RecordBatch>> {
             &all
         }
     };
+    // DISTINCT treats NULLs as equal, like group keys.
+    let mut entries = Vec::new();
+    table.intern_rows(
+        &encoder,
+        source.columns(),
+        0..source.num_rows(),
+        &mut entries,
+    );
+    // Entries are dense: the next unseen index is a row's first appearance.
     let mut kept: Vec<usize> = Vec::new();
-    for row in 0..source.num_rows() {
-        // DISTINCT treats NULLs as equal; the any-null flag is irrelevant.
-        encoder.encode_row(source.columns(), row, &mut buf);
-        let (_, is_new) = table.intern(&buf);
-        if is_new {
+    for (row, &entry) in entries.iter().enumerate() {
+        if entry as usize == kept.len() {
             kept.push(row);
         }
     }

@@ -22,22 +22,22 @@
 //!
 //! Conjuncts whose shape has no infallible encoded kernel fall back to the
 //! decoded batch with exactly the semantics of
-//! [`crate::evaluate::fused_filter_mask`] — including only evaluating
-//! scalar-fallback conjuncts on still-selected rows, so a row rejected
-//! early never reaches a later, possibly erroring, expression.
+//! [`crate::evaluate::fused_filter_mask`] (they share
+//! [`crate::evaluate::and_conjunct`]) — including only running the row loop
+//! on still-selected rows, so a row rejected early never reaches a later,
+//! possibly erroring, expression.
 
 use crate::aggregate::{int_view, AggState};
 use crate::context::ExecContext;
 use crate::evaluate::{
-    collect_conjuncts, compare_literal_mask, literal_comparable, ord_matches, vector_mask,
-    BatchRow, NumSlice,
+    and_conjunct, and_into, collect_conjuncts, compare_literal, compare_literal_mask,
+    literal_comparable, NumSlice,
 };
 use crate::parallel;
 use crate::scan::ScanMorsels;
 use pixels_common::{
     Column, ColumnBuilder, ColumnData, DataType, Error, RecordBatch, Result, SchemaRef, Value,
 };
-use pixels_planner::eval::eval_expr;
 use pixels_planner::{AggExpr, AggFunc, BoundExpr};
 use pixels_sql::ast::BinaryOp;
 use pixels_storage::{ColumnPredicate, ColumnStats, EncodedChunk, Encoding, PredicateOp};
@@ -83,7 +83,7 @@ impl LazyRowGroup {
     }
 
     /// The fully decoded batch, built on first use and memoized. Only the
-    /// scalar/vector fallback paths need it.
+    /// decoded-batch fallback needs it.
     pub fn full_batch(&self) -> Result<&RecordBatch> {
         if self.full.get().is_none() {
             let cols: Vec<Column> = (0..self.chunks.len())
@@ -125,12 +125,6 @@ impl LazyRowGroup {
     }
 }
 
-fn and_into(mask: &mut [bool], m: &[bool]) {
-    for (acc, &v) in mask.iter_mut().zip(m) {
-        *acc &= v;
-    }
-}
-
 /// Evaluate the residual filter conjunction against encoded chunks,
 /// producing the same mask [`crate::evaluate::fused_filter_mask`] would
 /// produce over the decoded batch. `stats` holds the per-chunk zone maps,
@@ -147,23 +141,16 @@ pub fn encoded_filter_mask(
         collect_conjuncts(f, &mut conjuncts);
     }
     for conj in conjuncts {
-        // All-false masks can stop early: remaining vectorized conjuncts are
-        // infallible and scalar conjuncts only run on selected rows (none).
+        // All-false masks can stop early: a conjunct the kernels cannot
+        // finish only runs on selected rows (none), so nothing is left that
+        // could change the mask or raise an error.
         if !mask.contains(&true) {
             break;
         }
         if let Some(m) = encoded_conjunct_mask(conj, lazy, stats)? {
             and_into(&mut mask, &m);
-        } else if let Some(m) = vector_mask(conj, lazy.full_batch()?)? {
-            and_into(&mut mask, &m);
         } else {
-            let batch = lazy.full_batch()?;
-            for (row, acc) in mask.iter_mut().enumerate() {
-                if *acc {
-                    let v = eval_expr(conj, &BatchRow { batch, row })?;
-                    *acc = matches!(v, Value::Boolean(true));
-                }
-            }
+            and_conjunct(conj, lazy.full_batch()?, &mut mask)?;
         }
     }
     Ok(mask)
@@ -183,8 +170,7 @@ fn zone_op(op: BinaryOp, flipped: bool) -> Option<PredicateOp> {
 }
 
 /// Evaluate one conjunct against the encoded chunks when an infallible
-/// encoded kernel exists; `None` sends the conjunct to the decoded
-/// vector/scalar fallback.
+/// encoded kernel exists; `None` sends the conjunct to the decoded batch.
 fn encoded_conjunct_mask(
     conj: &BoundExpr,
     lazy: &LazyRowGroup,
@@ -248,49 +234,8 @@ fn encoded_conjunct_mask(
     match chunk.encoding() {
         Encoding::Rle => {
             let runs = chunk.rle_runs()?;
-            // One comparison per run, reproducing compare_literal_mask's
-            // per-element semantics exactly.
-            let verdicts: Option<Vec<bool>> = match (&runs.values, lit) {
-                (ColumnData::Int64(v), _) if lit.as_i64().is_some() => {
-                    let t = lit.as_i64().unwrap();
-                    Some(
-                        v.iter()
-                            .map(|x| ord_matches(x.cmp(&t), *op, flipped))
-                            .collect(),
-                    )
-                }
-                (ColumnData::Timestamp(v), Value::Timestamp(t)) => Some(
-                    v.iter()
-                        .map(|x| ord_matches(x.cmp(t), *op, flipped))
-                        .collect(),
-                ),
-                (ColumnData::Int32(v), _) if lit.as_i64().is_some() => {
-                    let t = lit.as_i64().unwrap();
-                    Some(
-                        v.iter()
-                            .map(|&x| ord_matches((x as i64).cmp(&t), *op, flipped))
-                            .collect(),
-                    )
-                }
-                (ColumnData::Date(v), Value::Date(d)) => {
-                    let t = *d as i64;
-                    Some(
-                        v.iter()
-                            .map(|&x| ord_matches((x as i64).cmp(&t), *op, flipped))
-                            .collect(),
-                    )
-                }
-                (ColumnData::Float64(v), _) if lit.as_f64().is_some() => {
-                    let t = lit.as_f64().unwrap();
-                    Some(
-                        v.iter()
-                            .map(|x| ord_matches(x.total_cmp(&t), *op, flipped))
-                            .collect(),
-                    )
-                }
-                _ => None,
-            };
-            let Some(verdicts) = verdicts else {
+            // One comparison per run, by the kernel that compares per row.
+            let Some(verdicts) = compare_literal(&runs.values, *op, lit, flipped) else {
                 return Ok(compare_literal_mask(lazy.column(idx)?, *op, lit, flipped));
             };
             let mut mask = Vec::with_capacity(n);

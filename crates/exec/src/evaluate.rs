@@ -1,16 +1,43 @@
-//! Vectorized-interface expression evaluation over record batches.
+//! Column-at-a-time expression evaluation over record batches.
 //!
-//! Semantics live in `pixels_planner::eval`; this module adapts them to
-//! columns, with fast paths for the comparison shapes that dominate scan
-//! filters and join residuals (`column <op> literal`, `column <op> column`,
-//! `IS [NOT] NULL`) and a fused-conjunction mask that evaluates an AND
-//! chain into a single selection vector without materializing intermediate
-//! filtered batches.
+//! `pixels_planner::eval` is the single definition of expression semantics;
+//! this module reproduces it a column at a time. [`evaluate`] walks the
+//! [`BoundExpr`] tree bottom-up, each node producing a whole column from its
+//! children's columns through a typed kernel:
+//!
+//! - `+ - * / %` with `eval_binary`'s widening (Float64 if either side is,
+//!   else checked `i64`, narrowed back when both sides are Int32), Date ±
+//!   integer and Date − Date;
+//! - `Negate`, numeric `Cast`, the six comparisons, three-valued
+//!   `AND`/`OR`/`NOT`, `IS [NOT] NULL`.
+//!
+//! A literal operand stays a scalar (it is never broadcast), validity is
+//! combined once per node, and a NULL row's payload is the builder's
+//! placeholder (zero), as the row loop would have written it.
+//!
+//! Two rules keep the result indistinguishable from the row loop
+//! ([`crate::scalar::evaluate`]):
+//!
+//! - **Fallback rule.** A node without a kernel (`LIKE`, `IN`, `CASE`, scalar
+//!   functions, `||`, a literal-only subtree, operand types the kernels do
+//!   not cover) is evaluated by a row loop *for that subtree only*, and only
+//!   when every row's value has exactly the subtree's declared type.
+//! - **Error rule.** A kernel never produces error text. Whenever one meets a
+//!   row the scalar semantics would reject (overflow, division by zero, a
+//!   failing cast, an error inside a fallback subtree) the whole attempt is
+//!   dropped and the caller runs the row loop instead — over every row for
+//!   [`evaluate`] and [`predicate_mask`], over the still-selected rows for a
+//!   conjunct of a filter chain — and returns what *it* returns. A kernel
+//!   evaluates eagerly what `AND`/`OR`/`CASE`/`COALESCE` evaluate lazily, so
+//!   it can fail where the row loop succeeds; it can never succeed where the
+//!   row loop fails.
 
+use crate::scalar;
 use pixels_common::{Column, ColumnBuilder, ColumnData, DataType, RecordBatch, Result, Value};
 use pixels_planner::eval::{eval_expr, RowAccess};
 use pixels_planner::BoundExpr;
 use pixels_sql::ast::BinaryOp;
+use std::borrow::Cow;
 
 /// One row of a batch, viewed through [`RowAccess`].
 pub struct BatchRow<'a> {
@@ -24,111 +51,101 @@ impl RowAccess for BatchRow<'_> {
     }
 }
 
-/// True when `v` can be appended to a builder of type `target` without a
-/// cast — exactly the combinations [`ColumnBuilder::push`] accepts. Checked
-/// before pushing so the mismatch case never pays `push`'s formatted-error
-/// allocation (it used to be paid once per mismatched row).
-fn value_fits(target: DataType, v: &Value) -> bool {
-    matches!(
-        (target, v),
-        (DataType::Boolean, Value::Boolean(_))
-            | (DataType::Int32, Value::Int32(_))
-            | (DataType::Int64, Value::Int64(_) | Value::Int32(_))
-            | (
-                DataType::Float64,
-                Value::Float64(_) | Value::Int32(_) | Value::Int64(_)
-            )
-            | (DataType::Utf8, Value::Utf8(_))
-            | (DataType::Date, Value::Date(_))
-            | (DataType::Timestamp, Value::Timestamp(_))
-    )
-}
-
 /// Like [`evaluate`], but borrows the batch's column when the expression is
 /// a bare column reference instead of cloning its payload — the common case
 /// for join/group/sort keys and aggregate arguments.
-pub fn evaluate_ref<'a>(
-    expr: &BoundExpr,
-    batch: &'a RecordBatch,
-) -> Result<std::borrow::Cow<'a, Column>> {
+pub fn evaluate_ref<'a>(expr: &BoundExpr, batch: &'a RecordBatch) -> Result<Cow<'a, Column>> {
     if let BoundExpr::ColumnRef { index, .. } = expr {
-        return Ok(std::borrow::Cow::Borrowed(batch.column(*index)));
+        return Ok(Cow::Borrowed(batch.column(*index)));
     }
-    evaluate(expr, batch).map(std::borrow::Cow::Owned)
+    evaluate(expr, batch).map(Cow::Owned)
 }
 
 /// Evaluate `expr` for every row of `batch`, producing a column of the
 /// expression's output type.
 pub fn evaluate(expr: &BoundExpr, batch: &RecordBatch) -> Result<Column> {
-    // Fast path: bare column reference.
-    if let BoundExpr::ColumnRef { index, .. } = expr {
-        return Ok(batch.column(*index).clone());
+    match evaluate_columnar(expr, batch) {
+        Some(col) => Ok(col),
+        None => scalar::evaluate(expr, batch),
     }
-    // The cast decision is resolved per value-type up front (`value_fits`):
-    // rows whose runtime type mismatches the expression type (e.g. an Int32
-    // literal flowing into an Int64 expression) cast directly instead of
-    // attempting a push that fails with a freshly formatted error.
-    let out_ty = expr.data_type();
-    let mut builder = ColumnBuilder::with_capacity(out_ty, batch.num_rows());
-    for row in 0..batch.num_rows() {
-        let v = eval_expr(expr, &BatchRow { batch, row })?;
-        if v.is_null() {
-            builder.push_null();
-        } else if value_fits(out_ty, &v) {
-            builder.push(&v)?;
-        } else {
-            builder.push(&v.cast_to(out_ty)?)?;
-        }
+}
+
+/// The kernels' answer for `expr`, adapted to its declared type the way the
+/// row loop adapts each value; `None` sends the caller to the row loop.
+fn evaluate_columnar(expr: &BoundExpr, batch: &RecordBatch) -> Option<Column> {
+    let Operand::Col(col) = eval_node(expr, batch)? else {
+        return None;
+    };
+    if col.data_type() == expr.data_type() {
+        Some(col.into_owned())
+    } else {
+        cast(&col, expr.data_type()).ok()
     }
-    Ok(builder.finish())
 }
 
 /// Evaluate a boolean predicate into a selection mask. SQL semantics: NULL
 /// counts as not-selected.
 pub fn predicate_mask(expr: &BoundExpr, batch: &RecordBatch) -> Result<Vec<bool>> {
-    if let Some(mask) = vector_mask(expr, batch)? {
-        return Ok(mask);
+    match columnar_mask(expr, batch) {
+        Some(mask) => Ok(mask),
+        None => scalar::predicate_mask(expr, batch),
     }
-    let mut mask = Vec::with_capacity(batch.num_rows());
-    for row in 0..batch.num_rows() {
-        let v = eval_expr(expr, &BatchRow { batch, row })?;
-        mask.push(matches!(v, Value::Boolean(true)));
+}
+
+/// The kernels' mask for a predicate: true where the value is a valid `true`.
+fn columnar_mask(expr: &BoundExpr, batch: &RecordBatch) -> Option<Vec<bool>> {
+    let Operand::Col(col) = eval_node(expr, batch)? else {
+        return None;
+    };
+    let (ColumnData::Boolean(mut mask), validity) = col.into_owned().into_parts() else {
+        return None;
+    };
+    if let Some(validity) = validity {
+        and_into(&mut mask, &validity);
     }
-    Ok(mask)
+    Some(mask)
 }
 
 /// Evaluate a conjunction of predicates into one selection mask without
 /// materializing intermediate filtered batches.
 ///
 /// Top-level `AND` chains inside each predicate are flattened and each
-/// conjunct is evaluated against the *original* batch: vectorizable
-/// conjuncts (comparisons, `IS NULL`) produce whole masks that are ANDed
-/// in, and scalar-fallback conjuncts are only evaluated on rows still
-/// selected — preserving the short-circuit evaluation order the sequential
-/// filter chain had (a row rejected by an earlier conjunct never reaches a
-/// later, possibly erroring, expression).
+/// conjunct is evaluated against the *original* batch, see [`and_conjunct`].
 pub fn fused_filter_mask(filters: &[BoundExpr], batch: &RecordBatch) -> Result<Vec<bool>> {
-    let n = batch.num_rows();
-    let mut mask = vec![true; n];
+    let mut mask = vec![true; batch.num_rows()];
     let mut conjuncts = Vec::new();
     for f in filters {
         collect_conjuncts(f, &mut conjuncts);
     }
     for conj in conjuncts {
-        if let Some(m) = vector_mask(conj, batch)? {
-            for (acc, v) in mask.iter_mut().zip(m) {
-                *acc &= v;
-            }
-        } else {
-            for (row, acc) in mask.iter_mut().enumerate() {
-                if *acc {
-                    let v = eval_expr(conj, &BatchRow { batch, row })?;
-                    *acc = matches!(v, Value::Boolean(true));
-                }
-            }
-        }
+        and_conjunct(conj, batch, &mut mask)?;
     }
     Ok(mask)
+}
+
+/// AND one conjunct's verdict into `mask`. The kernels evaluate it over the
+/// whole batch; when they cannot, the row loop evaluates it on the rows still
+/// selected — the short-circuit order of a sequential filter chain, where a
+/// row rejected by an earlier conjunct never reaches a later, possibly
+/// erroring, expression.
+pub(crate) fn and_conjunct(conj: &BoundExpr, batch: &RecordBatch, mask: &mut [bool]) -> Result<()> {
+    if let Some(m) = columnar_mask(conj, batch) {
+        and_into(mask, &m);
+        return Ok(());
+    }
+    for (row, acc) in mask.iter_mut().enumerate() {
+        if *acc {
+            let v = eval_expr(conj, &BatchRow { batch, row })?;
+            *acc = matches!(v, Value::Boolean(true));
+        }
+    }
+    Ok(())
+}
+
+pub(crate) fn and_into(mask: &mut [bool], m: &[bool]) {
+    for (acc, &v) in mask.iter_mut().zip(m) {
+        *acc &= v;
+    }
 }
 
 /// Flatten nested `a AND b AND c` into its conjuncts, in evaluation order.
@@ -147,40 +164,413 @@ pub(crate) fn collect_conjuncts<'a>(expr: &'a BoundExpr, out: &mut Vec<&'a Bound
     }
 }
 
-/// Fully vectorized mask evaluation for the supported predicate shapes;
-/// `None` when the shape has no fast path. Every path here is infallible
-/// per-row (no casts, no incomparable types), so evaluating rows that a
-/// fused conjunction already rejected is safe.
-pub(crate) fn vector_mask(expr: &BoundExpr, batch: &RecordBatch) -> Result<Option<Vec<bool>>> {
-    if let Some(mask) = is_null_fast_path(expr, batch) {
-        return Ok(Some(mask));
-    }
-    if let Some(mask) = compare_fast_path(expr, batch)? {
-        return Ok(Some(mask));
-    }
-    Ok(Some(match compare_columns_fast_path(expr, batch) {
-        Some(mask) => mask,
-        None => return Ok(None),
-    }))
+// ---------------------------------------------------------------------------
+// The tree walk
+// ---------------------------------------------------------------------------
+
+/// What a node evaluates to: a column, or a non-NULL literal kept as a scalar.
+enum Operand<'a> {
+    Col(Cow<'a, Column>),
+    Lit(&'a Value),
 }
 
-/// `col IS [NOT] NULL` straight off the validity vector.
-fn is_null_fast_path(expr: &BoundExpr, batch: &RecordBatch) -> Option<Vec<bool>> {
-    let BoundExpr::IsNull {
-        expr: inner,
-        negated,
-    } = expr
-    else {
-        return None;
+impl Operand<'_> {
+    fn data_type(&self) -> DataType {
+        match self {
+            Operand::Col(c) => c.data_type(),
+            Operand::Lit(v) => v.data_type().expect("a literal operand is not NULL"),
+        }
+    }
+
+    fn validity(&self) -> Option<&[bool]> {
+        match self {
+            Operand::Col(c) => c.validity(),
+            Operand::Lit(_) => None,
+        }
+    }
+}
+
+/// Why a kernel produced no column.
+enum Miss {
+    /// Nothing covers this node kind or these operand types: the subtree
+    /// goes to the row loop.
+    NoKernel,
+    /// A row the scalar semantics reject: the whole expression goes to the
+    /// row loop, which decides what the error is — or that there is none.
+    Failed,
+}
+
+type Kernel<T> = std::result::Result<T, Miss>;
+
+/// Evaluate one node over the whole batch; `None` means [`Miss::Failed`]
+/// somewhere beneath it.
+fn eval_node<'a>(expr: &'a BoundExpr, batch: &'a RecordBatch) -> Option<Operand<'a>> {
+    let kernel = match expr {
+        BoundExpr::ColumnRef { index, .. } => {
+            return Some(Operand::Col(Cow::Borrowed(batch.column(*index))))
+        }
+        BoundExpr::Literal(v) if !v.is_null() => return Some(Operand::Lit(v)),
+        BoundExpr::BinaryOp {
+            left, op, right, ..
+        } if *op != BinaryOp::Concat => {
+            let (l, r) = (eval_node(left, batch)?, eval_node(right, batch)?);
+            match op {
+                BinaryOp::And | BinaryOp::Or => logical(*op, &l, &r),
+                op if op.is_comparison() => compare(*op, &l, &r),
+                op => arithmetic(*op, &l, &r),
+            }
+        }
+        BoundExpr::Negate(e) => negate(&eval_node(e, batch)?),
+        BoundExpr::Not(e) => not(&eval_node(e, batch)?),
+        BoundExpr::IsNull { expr: e, negated } => is_null(&eval_node(e, batch)?, *negated),
+        BoundExpr::Cast { expr: e, to } => match eval_node(e, batch)? {
+            Operand::Col(col) => cast(&col, *to),
+            Operand::Lit(_) => Err(Miss::NoKernel),
+        },
+        _ => Err(Miss::NoKernel),
     };
-    let BoundExpr::ColumnRef { index, .. } = inner.as_ref() else {
-        return None;
-    };
-    let col = batch.column(*index);
-    Some(match col.validity() {
-        Some(bits) => bits.iter().map(|&valid| valid == *negated).collect(),
-        None => vec![*negated; batch.num_rows()],
+    match kernel {
+        Ok(col) => Some(Operand::Col(Cow::Owned(col))),
+        Err(Miss::NoKernel) => subtree_row_loop(expr, batch),
+        Err(Miss::Failed) => None,
+    }
+}
+
+/// The fallback rule: `expr` one row at a time, kept only when every value is
+/// NULL or exactly of `expr`'s declared type — a column holds one type, and a
+/// value the row loop would have carried upward as another (an Int32 branch of
+/// an Int64 `CASE`) must not be widened before its parent sees it.
+fn subtree_row_loop<'a>(expr: &BoundExpr, batch: &RecordBatch) -> Option<Operand<'a>> {
+    let ty = expr.data_type();
+    let mut out = ColumnBuilder::with_capacity(ty, batch.num_rows());
+    for row in 0..batch.num_rows() {
+        let v = eval_expr(expr, &BatchRow { batch, row }).ok()?;
+        if v.data_type().is_some_and(|t| t != ty) {
+            return None;
+        }
+        out.push(&v).ok()?;
+    }
+    Some(Operand::Col(Cow::Owned(out.finish())))
+}
+
+// ---------------------------------------------------------------------------
+// Kernels
+// ---------------------------------------------------------------------------
+
+/// One side of a binary kernel: a column's values, or a literal.
+#[derive(Clone, Copy)]
+enum Arg<'a, T> {
+    Slice(&'a [T]),
+    Const(T),
+}
+
+/// `f` over the rows of `a` and `b`, one tight loop per operand shape. Two
+/// literals are not a shape: a node over literals alone has no kernel.
+fn zip_with<A: Copy, B: Copy, T>(
+    a: Arg<'_, A>,
+    b: Arg<'_, B>,
+    mut f: impl FnMut(A, B) -> T,
+) -> Vec<T> {
+    match (a, b) {
+        (Arg::Slice(a), Arg::Slice(b)) => a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect(),
+        (Arg::Slice(a), Arg::Const(y)) => a.iter().map(|&x| f(x, y)).collect(),
+        (Arg::Const(x), Arg::Slice(b)) => b.iter().map(|&y| f(x, y)).collect(),
+        (Arg::Const(_), Arg::Const(_)) => unreachable!("a kernel has a column operand"),
+    }
+}
+
+/// [`zip_with`] for an operation that can fail: `f` returns `None` where the
+/// scalar semantics return an error. The loop only notes that some row
+/// failed; whether a *valid* row did (a NULL row's payload is a placeholder
+/// and fails nothing) is looked at only then.
+fn checked<A: Copy, B: Copy, T: Copy + Default>(
+    a: Arg<'_, A>,
+    b: Arg<'_, B>,
+    validity: Option<&[bool]>,
+    f: impl Fn(A, B) -> Option<T>,
+) -> Kernel<Vec<T>> {
+    let mut failed = false;
+    let out = zip_with(a, b, |x, y| {
+        let v = f(x, y);
+        failed |= v.is_none();
+        v.unwrap_or_default()
+    });
+    if failed {
+        let validity = validity.ok_or(Miss::Failed)?;
+        let fails = zip_with(a, b, |x, y| f(x, y).is_none());
+        if fails
+            .iter()
+            .zip(validity)
+            .any(|(&fail, &valid)| fail && valid)
+        {
+            return Err(Miss::Failed);
+        }
+    }
+    Ok(out)
+}
+
+/// Validity of a node with two operands: a row is valid when both are.
+fn both_valid(a: Option<&[bool]>, b: Option<&[bool]>) -> Option<Vec<bool>> {
+    match (a, b) {
+        (None, None) => None,
+        (Some(v), None) | (None, Some(v)) => Some(v.to_vec()),
+        (Some(a), Some(b)) => Some(a.iter().zip(b).map(|(&x, &y)| x & y).collect()),
+    }
+}
+
+/// A kernel's output as a column: NULL rows get the payload the row loop's
+/// builder would have pushed for them.
+fn finish(mut data: ColumnData, validity: Option<Vec<bool>>) -> Column {
+    fn clear<T: Copy + Default>(v: &mut [T], validity: &[bool]) {
+        for (x, &valid) in v.iter_mut().zip(validity) {
+            *x = if valid { *x } else { T::default() };
+        }
+    }
+    if let Some(validity) = &validity {
+        match &mut data {
+            ColumnData::Boolean(v) => clear(v, validity),
+            ColumnData::Int32(v) | ColumnData::Date(v) => clear(v, validity),
+            ColumnData::Int64(v) | ColumnData::Timestamp(v) => clear(v, validity),
+            ColumnData::Float64(v) => clear(v, validity),
+            ColumnData::Utf8(_) => unreachable!("no kernel produces strings"),
+        }
+    }
+    Column::with_validity(data, validity).expect("a kernel keeps the batch's row count")
+}
+
+/// A numeric operand as `f64`s; an integer column is widened into `buf`.
+fn f64_arg<'a>(operand: &'a Operand<'_>, buf: &'a mut Vec<f64>) -> Kernel<Arg<'a, f64>> {
+    Ok(match operand {
+        Operand::Lit(v) => Arg::Const(v.as_f64().ok_or(Miss::NoKernel)?),
+        Operand::Col(col) => match col.data() {
+            ColumnData::Float64(v) => Arg::Slice(v),
+            ColumnData::Int32(v) => {
+                buf.extend(v.iter().map(|&x| x as f64));
+                Arg::Slice(buf)
+            }
+            ColumnData::Int64(v) => {
+                buf.extend(v.iter().map(|&x| x as f64));
+                Arg::Slice(buf)
+            }
+            _ => return Err(Miss::NoKernel),
+        },
     })
+}
+
+/// An integer or date operand as `i64`s; a 32-bit column is widened into
+/// `buf`.
+fn i64_arg<'a>(operand: &'a Operand<'_>, buf: &'a mut Vec<i64>) -> Kernel<Arg<'a, i64>> {
+    Ok(match operand {
+        Operand::Lit(v) => Arg::Const(v.as_i64().ok_or(Miss::NoKernel)?),
+        Operand::Col(col) => match col.data() {
+            ColumnData::Int64(v) => Arg::Slice(v),
+            ColumnData::Int32(v) | ColumnData::Date(v) => {
+                buf.extend(v.iter().map(|&x| i64::from(x)));
+                Arg::Slice(buf)
+            }
+            _ => return Err(Miss::NoKernel),
+        },
+    })
+}
+
+/// `+ - * / %`, following `eval_binary` case by case: date arithmetic first,
+/// then the common numeric type of the two sides.
+fn arithmetic(op: BinaryOp, l: &Operand<'_>, r: &Operand<'_>) -> Kernel<Column> {
+    use BinaryOp::{Divide, Minus, Modulo, Multiply, Plus};
+    use DataType::{Date, Float64, Int32, Int64};
+    if let (Operand::Lit(_), Operand::Lit(_)) = (l, r) {
+        return Err(Miss::NoKernel);
+    }
+    let validity = both_valid(l.validity(), r.validity());
+    let valid = validity.as_deref();
+    let (mut lf, mut rf) = (Vec::new(), Vec::new());
+    let (mut li, mut ri) = (Vec::new(), Vec::new());
+    let data = match (op, l.data_type(), r.data_type()) {
+        (Plus, Date, Int32 | Int64)
+        | (Plus, Int32 | Int64, Date)
+        | (Minus, Date, Int32 | Int64) => {
+            let (a, b) = (i64_arg(l, &mut li)?, i64_arg(r, &mut ri)?);
+            let day = |days: Option<i64>| days.and_then(|d| i32::try_from(d).ok());
+            ColumnData::Date(if op == Plus {
+                checked(a, b, valid, |x, y| day(x.checked_add(y)))?
+            } else {
+                checked(a, b, valid, |x, y| day(x.checked_sub(y)))?
+            })
+        }
+        (Minus, Date, Date) => {
+            let (a, b) = (i64_arg(l, &mut li)?, i64_arg(r, &mut ri)?);
+            ColumnData::Int64(zip_with(a, b, |x, y| x - y))
+        }
+        (_, lt, rt) => match DataType::common_numeric(lt, rt).ok_or(Miss::NoKernel)? {
+            Float64 => {
+                let (a, b) = (f64_arg(l, &mut lf)?, f64_arg(r, &mut rf)?);
+                ColumnData::Float64(match op {
+                    Plus => zip_with(a, b, |x, y| x + y),
+                    Minus => zip_with(a, b, |x, y| x - y),
+                    Multiply => zip_with(a, b, |x, y| x * y),
+                    Divide => checked(a, b, valid, |x, y| (y != 0.0).then(|| x / y))?,
+                    Modulo => checked(a, b, valid, |x, y| (y != 0.0).then(|| x % y))?,
+                    _ => return Err(Miss::NoKernel),
+                })
+            }
+            common => {
+                let (a, b) = (i64_arg(l, &mut li)?, i64_arg(r, &mut ri)?);
+                // `checked_div`/`checked_rem` are `None` for a zero divisor
+                // and for `MIN / -1`: both are errors in `eval_binary`.
+                let wide = match op {
+                    Plus => checked(a, b, valid, i64::checked_add)?,
+                    Minus => checked(a, b, valid, i64::checked_sub)?,
+                    Multiply => checked(a, b, valid, i64::checked_mul)?,
+                    Divide => checked(a, b, valid, i64::checked_div)?,
+                    Modulo => checked(a, b, valid, i64::checked_rem)?,
+                    _ => return Err(Miss::NoKernel),
+                };
+                if common == Int32 {
+                    ColumnData::Int32(wide.into_iter().map(|v| v as i32).collect())
+                } else {
+                    ColumnData::Int64(wide)
+                }
+            }
+        },
+    };
+    Ok(finish(data, validity))
+}
+
+fn negate(operand: &Operand<'_>) -> Kernel<Column> {
+    let Operand::Col(col) = operand else {
+        return Err(Miss::NoKernel);
+    };
+    let data = match col.data() {
+        ColumnData::Int32(v) => ColumnData::Int32(v.iter().map(|x| x.wrapping_neg()).collect()),
+        ColumnData::Int64(v) => ColumnData::Int64(v.iter().map(|x| x.wrapping_neg()).collect()),
+        ColumnData::Float64(v) => ColumnData::Float64(v.iter().map(|x| -x).collect()),
+        _ => return Err(Miss::NoKernel),
+    };
+    Ok(finish(data, col.validity().map(<[bool]>::to_vec)))
+}
+
+/// Lossless numeric widening — the pairs `ColumnBuilder::push` accepts a
+/// value of one type into a column of another for. `None` for any other pair.
+pub(crate) fn widen(col: &Column, to: DataType) -> Option<Column> {
+    let data = match (col.data(), to) {
+        (ColumnData::Int32(v), DataType::Int64) => {
+            ColumnData::Int64(v.iter().map(|&x| i64::from(x)).collect())
+        }
+        (ColumnData::Int32(v), DataType::Float64) => {
+            ColumnData::Float64(v.iter().map(|&x| f64::from(x)).collect())
+        }
+        (ColumnData::Int64(v), DataType::Float64) => {
+            ColumnData::Float64(v.iter().map(|&x| x as f64).collect())
+        }
+        _ => return None,
+    };
+    Some(finish(data, col.validity().map(<[bool]>::to_vec)))
+}
+
+/// `CAST` between numeric types, value by value what `Value::cast_to` does.
+fn cast(col: &Column, to: DataType) -> Kernel<Column> {
+    let validity = || col.validity().map(<[bool]>::to_vec);
+    if col.data_type() == to && to.is_numeric() {
+        return Ok(finish(col.data().clone(), validity()));
+    }
+    if let Some(wider) = widen(col, to) {
+        return Ok(wider);
+    }
+    let data = match (col.data(), to) {
+        (ColumnData::Int64(v), DataType::Int32) => {
+            let narrow = |x: i64, ()| i32::try_from(x).ok();
+            let unit = Arg::Const(());
+            ColumnData::Int32(checked(Arg::Slice(v), unit, col.validity(), narrow)?)
+        }
+        (ColumnData::Float64(v), DataType::Int32) => {
+            ColumnData::Int32(v.iter().map(|&x| x as i32).collect())
+        }
+        (ColumnData::Float64(v), DataType::Int64) => {
+            ColumnData::Int64(v.iter().map(|&x| x as i64).collect())
+        }
+        _ => return Err(Miss::NoKernel),
+    };
+    Ok(finish(data, validity()))
+}
+
+/// A Boolean column operand's values and validity.
+fn bools<'a>(operand: &'a Operand<'_>) -> Kernel<(&'a [bool], Option<&'a [bool]>)> {
+    match operand {
+        Operand::Col(col) => match col.data() {
+            ColumnData::Boolean(v) => Ok((v, col.validity())),
+            _ => Err(Miss::NoKernel),
+        },
+        Operand::Lit(_) => Err(Miss::NoKernel),
+    }
+}
+
+/// Three-valued `AND`/`OR`: FALSE (for `OR`: TRUE) on either side decides the
+/// row even when the other side is NULL.
+fn logical(op: BinaryOp, l: &Operand<'_>, r: &Operand<'_>) -> Kernel<Column> {
+    let ((a, a_valid), (b, b_valid)) = (bools(l)?, bools(r)?);
+    let and = op == BinaryOp::And;
+    if a_valid.is_none() && b_valid.is_none() {
+        let values = zip_with(Arg::Slice(a), Arg::Slice(b), |x, y| {
+            if and {
+                x & y
+            } else {
+                x | y
+            }
+        });
+        return Ok(Column::new(ColumnData::Boolean(values)));
+    }
+    let (mut values, mut validity) = (Vec::with_capacity(a.len()), Vec::with_capacity(a.len()));
+    for i in 0..a.len() {
+        let (xv, yv) = (a_valid.is_none_or(|v| v[i]), b_valid.is_none_or(|v| v[i]));
+        // Each side as "valid and true" / "valid and false".
+        let (xt, xf, yt, yf) = (xv & a[i], xv & !a[i], yv & b[i], yv & !b[i]);
+        let (value, valid) = if and {
+            (xt & yt, (xv & yv) | xf | yf)
+        } else {
+            (xt | yt, (xv & yv) | xt | yt)
+        };
+        values.push(value);
+        validity.push(valid);
+    }
+    Ok(finish(ColumnData::Boolean(values), Some(validity)))
+}
+
+fn not(operand: &Operand<'_>) -> Kernel<Column> {
+    let (values, validity) = bools(operand)?;
+    let data = ColumnData::Boolean(values.iter().map(|&x| !x).collect());
+    Ok(finish(data, validity.map(<[bool]>::to_vec)))
+}
+
+/// `IS [NOT] NULL` straight off the validity vector.
+fn is_null(operand: &Operand<'_>, negated: bool) -> Kernel<Column> {
+    let Operand::Col(col) = operand else {
+        return Err(Miss::NoKernel);
+    };
+    Ok(Column::new(ColumnData::Boolean(match col.validity() {
+        Some(bits) => bits.iter().map(|&valid| valid == negated).collect(),
+        None => vec![negated; col.len()],
+    })))
+}
+
+/// The six comparisons between two columns or a column and a literal.
+fn compare(op: BinaryOp, l: &Operand<'_>, r: &Operand<'_>) -> Kernel<Column> {
+    let (values, validity) = match (l, r) {
+        (Operand::Col(col), Operand::Lit(lit)) => (
+            compare_literal(col.data(), op, lit, false),
+            col.validity().map(<[bool]>::to_vec),
+        ),
+        (Operand::Lit(lit), Operand::Col(col)) => (
+            compare_literal(col.data(), op, lit, true),
+            col.validity().map(<[bool]>::to_vec),
+        ),
+        (Operand::Col(a), Operand::Col(b)) => (
+            compare_columns(a.data(), b.data(), op),
+            both_valid(a.validity(), b.validity()),
+        ),
+        (Operand::Lit(_), Operand::Lit(_)) => (None, None),
+    };
+    let values = values.ok_or(Miss::NoKernel)?;
+    Ok(finish(ColumnData::Boolean(values), validity))
 }
 
 /// Numeric column payload viewed as f64, the widening `Value::sql_cmp`
@@ -213,121 +603,114 @@ impl<'a> NumSlice<'a> {
     }
 }
 
-/// Vectorized `left_col <op> right_col` for same-class column pairs
-/// (numeric×numeric via f64 widening, and Utf8/Date/Timestamp/Boolean
-/// against themselves) — the shape join residuals and self-filters take.
-/// Mismatched classes fall back to the scalar path so its per-row
-/// "cannot compare" error semantics are preserved.
-fn compare_columns_fast_path(expr: &BoundExpr, batch: &RecordBatch) -> Option<Vec<bool>> {
-    let BoundExpr::BinaryOp {
-        left, op, right, ..
-    } = expr
-    else {
-        return None;
-    };
-    if !op.is_comparison() {
-        return None;
+/// Which orderings of `left` against `right` satisfy a comparison operator,
+/// as three flags so that a kernel's loop carries no branch on the operator.
+#[derive(Clone, Copy)]
+struct Accept {
+    less: bool,
+    equal: bool,
+    greater: bool,
+}
+
+impl Accept {
+    /// The flags of `left <op> right`; with `flipped`, of `right <op> left`.
+    fn new(op: BinaryOp, flipped: bool) -> Accept {
+        let (less, equal, greater) = match op {
+            BinaryOp::Eq => (false, true, false),
+            BinaryOp::NotEq => (true, false, true),
+            BinaryOp::Lt => (true, false, false),
+            BinaryOp::LtEq => (true, true, false),
+            BinaryOp::Gt => (false, false, true),
+            BinaryOp::GtEq => (false, true, true),
+            _ => unreachable!("not a comparison: {op:?}"),
+        };
+        let (less, greater) = if flipped {
+            (greater, less)
+        } else {
+            (less, greater)
+        };
+        Accept {
+            less,
+            equal,
+            greater,
+        }
     }
-    let (BoundExpr::ColumnRef { index: li, .. }, BoundExpr::ColumnRef { index: ri, .. }) =
-        (left.as_ref(), right.as_ref())
-    else {
-        return None;
-    };
-    let (lc, rc) = (batch.column(*li), batch.column(*ri));
-    let n = batch.num_rows();
-    let mut mask: Vec<bool> = match (lc.data(), rc.data()) {
-        (ColumnData::Utf8(a), ColumnData::Utf8(b)) => (0..n)
-            .map(|i| ord_matches(a.get(i).cmp(b.get(i)), *op, false))
+
+    /// Whether `left <op> right` holds, for fixed-width values: three
+    /// comparisons and no branch.
+    #[inline]
+    fn test<T: PartialOrd>(self, left: &T, right: &T) -> bool {
+        (self.less & (left < right))
+            | (self.equal & (left == right))
+            | (self.greater & (left > right))
+    }
+
+    /// Whether an already computed ordering satisfies the operator.
+    #[inline]
+    fn of(self, ord: std::cmp::Ordering) -> bool {
+        match ord {
+            std::cmp::Ordering::Less => self.less,
+            std::cmp::Ordering::Equal => self.equal,
+            std::cmp::Ordering::Greater => self.greater,
+        }
+    }
+}
+
+/// An `f64` as an integer that orders like `f64::total_cmp` — the order
+/// `Value::sql_cmp` gives numerics, where `-0.0 < 0.0` and NaN equals itself.
+#[inline]
+fn total_order(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// `a <op> b` per row for the pairs `Value::sql_cmp` orders — numeric with
+/// numeric through `f64::total_cmp`, and Utf8/Date/Timestamp/Boolean against
+/// themselves — ignoring validity. `None` for any other pair, which the
+/// scalar semantics reject row by row.
+fn compare_columns(a: &ColumnData, b: &ColumnData, op: BinaryOp) -> Option<Vec<bool>> {
+    let accept = Accept::new(op, false);
+    fn zip<T: PartialOrd>(accept: Accept, a: &[T], b: &[T]) -> Vec<bool> {
+        a.iter().zip(b).map(|(x, y)| accept.test(x, y)).collect()
+    }
+    Some(match (a, b) {
+        (ColumnData::Utf8(a), ColumnData::Utf8(b)) => a
+            .iter()
+            .zip(b.iter())
+            .map(|(x, y)| accept.of(x.cmp(y)))
             .collect(),
-        (ColumnData::Date(a), ColumnData::Date(b)) => (0..n)
-            .map(|i| ord_matches(a[i].cmp(&b[i]), *op, false))
-            .collect(),
-        (ColumnData::Timestamp(a), ColumnData::Timestamp(b)) => (0..n)
-            .map(|i| ord_matches(a[i].cmp(&b[i]), *op, false))
-            .collect(),
-        (ColumnData::Boolean(a), ColumnData::Boolean(b)) => (0..n)
-            .map(|i| ord_matches(a[i].cmp(&b[i]), *op, false))
-            .collect(),
+        (ColumnData::Date(a), ColumnData::Date(b)) => zip(accept, a, b),
+        (ColumnData::Timestamp(a), ColumnData::Timestamp(b)) => zip(accept, a, b),
+        (ColumnData::Boolean(a), ColumnData::Boolean(b)) => zip(accept, a, b),
         (a, b) => {
             let (na, nb) = (NumSlice::of(a)?, NumSlice::of(b)?);
-            (0..n)
-                .map(|i| ord_matches(na.get(i).total_cmp(&nb.get(i)), *op, false))
+            (0..a.len())
+                .map(|i| accept.test(&total_order(na.get(i)), &total_order(nb.get(i))))
                 .collect()
         }
-    };
-    // NULL on either side compares to NULL, which a mask renders as false.
-    for col in [lc, rc] {
-        if let Some(validity) = col.validity() {
-            for (m, &valid) in mask.iter_mut().zip(validity) {
-                *m &= valid;
-            }
-        }
-    }
-    Some(mask)
+    })
 }
 
-/// Vectorized evaluation of `col <op> literal` over i64-representable and
-/// f64 columns; returns `None` when the shape doesn't match.
-fn compare_fast_path(expr: &BoundExpr, batch: &RecordBatch) -> Result<Option<Vec<bool>>> {
-    let BoundExpr::BinaryOp {
-        left, op, right, ..
-    } = expr
-    else {
-        return Ok(None);
-    };
-    if !op.is_comparison() {
-        return Ok(None);
-    }
-    let (col_idx, lit, flipped) = match (left.as_ref(), right.as_ref()) {
-        (BoundExpr::ColumnRef { index, .. }, BoundExpr::Literal(v)) => (*index, v, false),
-        (BoundExpr::Literal(v), BoundExpr::ColumnRef { index, .. }) => (*index, v, true),
-        _ => return Ok(None),
-    };
-    Ok(compare_literal_mask(
-        batch.column(col_idx),
-        *op,
-        lit,
-        flipped,
-    ))
-}
-
-/// The kernel behind [`compare_fast_path`], shared with the encoded scan
-/// path so dictionary/RLE shortcut masks reproduce these exact semantics.
-/// `None` when the column-type/literal combination has no fast path (mixed
-/// numeric widths fall back to the scalar path for exact widening).
-pub(crate) fn compare_literal_mask(
-    col: &Column,
+/// `data <op> lit` per element (`lit <op> data` when `flipped`) for the same
+/// pairs as [`compare_columns`], ignoring validity; `lit` is not NULL. Shared
+/// with the encoded scan, which runs it over a dictionary's entries or an RLE
+/// chunk's run values.
+pub(crate) fn compare_literal(
+    data: &ColumnData,
     op: BinaryOp,
     lit: &Value,
     flipped: bool,
 ) -> Option<Vec<bool>> {
-    if lit.is_null() {
-        return Some(vec![false; col.len()]);
+    let accept = Accept::new(op, flipped);
+    fn each<T: PartialOrd>(accept: Accept, v: &[T], t: &T) -> Vec<bool> {
+        v.iter().map(|x| accept.test(x, t)).collect()
     }
-    let cmp_i64 = |target: i64, data: &[i64], small: Option<&[i32]>| -> Vec<bool> {
-        let check = |x: i64| ord_matches(x.cmp(&target), op, flipped);
-        match small {
-            Some(s) => s.iter().map(|&x| check(x as i64)).collect(),
-            None => data.iter().map(|&x| check(x)).collect(),
-        }
-    };
-    let mut mask = match (col.data(), lit) {
-        (ColumnData::Int64(v), _) if lit.as_i64().is_some() => {
-            cmp_i64(lit.as_i64().unwrap(), v, None)
-        }
-        (ColumnData::Timestamp(v), Value::Timestamp(t)) => cmp_i64(*t, v, None),
-        (ColumnData::Int32(v), _) if lit.as_i64().is_some() => {
-            cmp_i64(lit.as_i64().unwrap(), &[], Some(v))
-        }
-        (ColumnData::Date(v), Value::Date(d)) => cmp_i64(*d as i64, &[], Some(v)),
-        (ColumnData::Float64(v), _) if lit.as_f64().is_some() => {
-            let target = lit.as_f64().unwrap();
-            v.iter()
-                .map(|x| ord_matches(x.total_cmp(&target), op, flipped))
-                .collect()
-        }
+    Some(match (data, lit) {
+        (ColumnData::Date(v), Value::Date(t)) => each(accept, v, t),
+        (ColumnData::Timestamp(v), Value::Timestamp(t)) => each(accept, v, t),
+        (ColumnData::Boolean(v), Value::Boolean(t)) => each(accept, v, t),
         (ColumnData::Utf8(v), Value::Utf8(s)) => {
-            let verdict = |x: &str| ord_matches(x.cmp(s.as_str()), op, flipped);
+            let verdict = |x: &str| accept.of(x.cmp(s.as_str()));
             let pool = v.pool();
             if pool.len() < v.len() {
                 // Fewer pool entries than rows (a dictionary): one comparison
@@ -341,55 +724,44 @@ pub(crate) fn compare_literal_mask(
                 v.iter().map(verdict).collect()
             }
         }
-        // Mixed-type comparisons (e.g. Int32 column vs Float64 literal) fall
-        // back to the scalar path for exact widening semantics.
-        _ => return None,
-    };
-    if let Some(validity) = col.validity() {
-        for (m, &valid) in mask.iter_mut().zip(validity) {
-            *m &= valid;
+        // Numeric against numeric, widened to f64 like `sql_cmp` — Int64
+        // included, so keys past 2^53 compare as the scalar path compares them.
+        (data, lit) => {
+            let t = total_order(lit.as_f64()?);
+            let verdict = |x: f64| accept.test(&total_order(x), &t);
+            match data {
+                ColumnData::Int32(v) => v.iter().map(|&x| verdict(f64::from(x))).collect(),
+                ColumnData::Int64(v) => v.iter().map(|&x| verdict(x as f64)).collect(),
+                ColumnData::Float64(v) => v.iter().map(|&x| verdict(x)).collect(),
+                _ => return None,
+            }
         }
+    })
+}
+
+/// [`compare_literal`] as a selection mask over a column: a NULL row, and
+/// every row against a NULL literal, is not selected. `None` when the pair
+/// has no kernel.
+pub(crate) fn compare_literal_mask(
+    col: &Column,
+    op: BinaryOp,
+    lit: &Value,
+    flipped: bool,
+) -> Option<Vec<bool>> {
+    if lit.is_null() {
+        return Some(vec![false; col.len()]);
+    }
+    let mut mask = compare_literal(col.data(), op, lit, flipped)?;
+    if let Some(validity) = col.validity() {
+        and_into(&mut mask, validity);
     }
     Some(mask)
 }
 
-/// Whether [`compare_literal_mask`] has a fast path for this column type and
-/// (non-null) literal — i.e. whether the comparison is infallible per row.
+/// Whether [`compare_literal`] covers this column type and (non-null)
+/// literal — i.e. whether the comparison is infallible per row.
 pub(crate) fn literal_comparable(ty: DataType, lit: &Value) -> bool {
-    matches!(
-        (ty, lit),
-        (DataType::Int64, _) if lit.as_i64().is_some()
-    ) || matches!(
-        (ty, lit),
-        (DataType::Int32, _) if lit.as_i64().is_some()
-    ) || matches!(
-        (ty, lit),
-        (DataType::Float64, _) if lit.as_f64().is_some()
-    ) || matches!(
-        (ty, lit),
-        (DataType::Timestamp, Value::Timestamp(_))
-            | (DataType::Date, Value::Date(_))
-            | (DataType::Utf8, Value::Utf8(_))
-    )
-}
-
-pub(crate) fn ord_matches(ord: std::cmp::Ordering, op: BinaryOp, flipped: bool) -> bool {
-    let ord = if flipped { ord.reverse() } else { ord };
-    match op {
-        BinaryOp::Eq => ord.is_eq(),
-        BinaryOp::NotEq => ord.is_ne(),
-        BinaryOp::Lt => ord.is_lt(),
-        BinaryOp::LtEq => ord.is_le(),
-        BinaryOp::Gt => ord.is_gt(),
-        BinaryOp::GtEq => ord.is_ge(),
-        _ => unreachable!(),
-    }
-}
-
-/// Evaluate an expression against a single materialized row (used by join
-/// residuals). Exposed for operator implementations.
-pub fn eval_row(expr: &BoundExpr, row: &[Value]) -> Result<Value> {
-    eval_expr(expr, &row.to_vec())
+    lit.data_type().is_some_and(|lt| ty.comparable_with(lt))
 }
 
 #[cfg(test)]
@@ -458,9 +830,9 @@ mod tests {
 
     #[test]
     fn evaluate_casts_mismatched_widths_once_per_row_type() {
-        // An Int32 literal under an Int64-typed expression exercises the
-        // resolved-cast path (value_fits short-circuits the old
-        // push-Err-cast retry).
+        // Int32 literals under an Int64-typed expression: a literal-only
+        // subtree has no kernel, its values are not of the declared type, so
+        // the row loop evaluates it and casts each value.
         let b = batch();
         let expr = BoundExpr::BinaryOp {
             left: Box::new(BoundExpr::literal(Value::Int32(5))),
@@ -474,9 +846,9 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_mask_matches_scalar_path() {
+    fn literal_comparison_mask_either_orientation() {
         let b = batch();
-        // a >= 2 via the fast path...
+        // a >= 2 ...
         let fast = cmp(
             BoundExpr::column(0, DataType::Int64, "a"),
             BinaryOp::GtEq,
@@ -507,7 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn string_comparison_fast_path() {
+    fn string_comparison_mask() {
         let b = batch();
         let pred = cmp(
             BoundExpr::column(2, DataType::Utf8, "s"),
@@ -518,9 +890,9 @@ mod tests {
     }
 
     #[test]
-    fn column_column_fast_path_matches_scalar() {
+    fn column_column_comparison_matches_row_loop() {
         let b = batch();
-        // a < b (b nullable): fast path and scalar loop must agree row by
+        // a < b (b nullable): kernel and row loop must agree row by
         // row, including the NULL row.
         let pred = cmp(
             col_ref(0, DataType::Int64),
@@ -541,7 +913,7 @@ mod tests {
     }
 
     #[test]
-    fn is_null_fast_path_matches_scalar() {
+    fn is_null_matches_row_loop() {
         let b = batch();
         for negated in [false, true] {
             let pred = BoundExpr::IsNull {

@@ -35,7 +35,7 @@ use crate::context::ExecContext;
 use crate::engine::execute;
 use crate::evaluate::evaluate_ref;
 use crate::join::{assemble, coalesce, join_match_indices};
-use crate::keys::{hash_bytes, KeyEncoder};
+use crate::keys::{hash_bytes, key_chunks, EncodedKeys, KeyEncoder};
 use crate::materialize;
 use pixels_common::{
     Column, ColumnBuilder, DataType, Error, Field, RecordBatch, Result, Schema, SchemaRef, Value,
@@ -299,11 +299,13 @@ pub fn write_join_partitions(
             .map(|k| evaluate_ref(k, batch))
             .collect::<Result<_>>()?;
         let enc = KeyEncoder::new(&group_types(keys));
-        let mut buf = Vec::new();
-        for row in 0..batch.num_rows() {
-            enc.encode_row(&key_cols, row, &mut buf);
-            let part = (hash_bytes(&buf) % partitions as u64) as usize;
-            members[part].push(row);
+        let mut encoded = EncodedKeys::default();
+        for rows in key_chunks(0..batch.num_rows()) {
+            enc.encode(&key_cols, rows.clone(), &mut encoded);
+            for (i, row) in rows.enumerate() {
+                let part = (hash_bytes(encoded.key(i)) % partitions as u64) as usize;
+                members[part].push(row);
+            }
         }
     }
 

@@ -4,8 +4,8 @@
 //! residual (non-equi) predicates. SQL semantics: NULL keys never match.
 //!
 //! The equi-join path is vectorized: key columns are normalized into the
-//! compact byte-row encoding from [`crate::keys`] (hashed with FNV-1a,
-//! compared by memcmp — no per-row `Vec<Value>` allocation or SipHash), and
+//! compact byte-row encoding from [`crate::keys`] a whole column at a time
+//! (no per-row `Vec<Value>` allocation or SipHash), and
 //! output is late-materialized — the probe phase only records
 //! `(left_row, right_row)` match index vectors, and batches are assembled
 //! with one gather per column instead of per-row builder pushes. Row order
@@ -13,9 +13,12 @@
 //! order, each with its matches in build-insertion order, unmatched
 //! left-outer rows inline, unmatched right-outer rows as a tail.
 
-use crate::evaluate::{eval_row, evaluate_ref, predicate_mask};
-use crate::keys::{KeyEncoder, KeyTable};
-use pixels_common::{Column, ColumnBuilder, DataType, RecordBatch, Result, SchemaRef, Value};
+use crate::evaluate::{evaluate_ref, predicate_mask, widen};
+use crate::keys::{key_chunks, KeyEncoder, KeyTable, NO_ENTRY};
+use pixels_common::{
+    Column, ColumnBuilder, DataType, Error, RecordBatch, Result, SchemaRef, Value,
+};
+use pixels_planner::eval::eval_expr;
 use pixels_planner::BoundExpr;
 use pixels_sql::ast::JoinType;
 use std::borrow::Cow;
@@ -100,24 +103,24 @@ pub(crate) fn join_match_indices(
 
     // Build phase: intern the encoded right-side keys; duplicate rows for a
     // key form a chain in build-insertion order (head/tail/next), which is
-    // the candidate order the row-at-a-time join produced.
+    // the candidate order the row-at-a-time join produced. A key holding a
+    // NULL is interned like any other and never found: the probe side never
+    // looks one up.
     let mut table = KeyTable::new();
     let mut heads: Vec<u32> = Vec::new();
     let mut tails: Vec<u32> = Vec::new();
     let mut next = vec![NONE; build_rows];
-    let mut buf = Vec::new();
+    let mut entries: Vec<u32> = Vec::new();
     if let Some(rb) = right_all {
         let key_cols: Vec<Cow<Column>> = right_keys
             .iter()
             .map(|k| evaluate_ref(k, rb))
             .collect::<Result<_>>()?;
         let enc = KeyEncoder::new(&key_types(right_keys));
-        for row in 0..rb.num_rows() {
-            if enc.encode_row(&key_cols, row, &mut buf) {
-                continue; // NULL keys never participate in matches
-            }
-            let (entry, is_new) = table.intern(&buf);
-            if is_new {
+        table.intern_rows(&enc, &key_cols, 0..rb.num_rows(), &mut entries);
+        for (row, &entry) in entries.iter().enumerate() {
+            let entry = entry as usize;
+            if entry == heads.len() {
                 heads.push(row as u32);
                 tails.push(row as u32);
             } else {
@@ -140,6 +143,19 @@ pub(crate) fn join_match_indices(
             .map(|k| evaluate_ref(k, lb))
             .collect::<Result<_>>()?;
         let enc = KeyEncoder::new(&key_types(left_keys));
+        // For a run of probe rows, looked up together: the first build row
+        // matching each (`NONE` for a NULL key or no match); `next` chains
+        // the rest.
+        let mut first_matches = |rows: std::ops::Range<usize>, first: &mut Vec<u32>| {
+            first.clear();
+            table.lookup_rows(&enc, &key_cols, rows, first);
+            for entry in first {
+                *entry = match *entry {
+                    NO_ENTRY => NONE,
+                    entry => heads[entry as usize],
+                };
+            }
+        };
         if let Some(res) = residual {
             // With a residual, collect all key-matched candidate pairs
             // first, evaluate the residual as one mask over an assembled
@@ -147,19 +163,18 @@ pub(crate) fn join_match_indices(
             let mut cand_l: Vec<i64> = Vec::new();
             let mut cand_r: Vec<i64> = Vec::new();
             let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(lb.num_rows());
-            for row in 0..lb.num_rows() {
-                let start = cand_l.len() as u32;
-                if !enc.encode_row(&key_cols, row, &mut buf) {
-                    if let Some(entry) = table.lookup(&buf) {
-                        let mut b = heads[entry];
-                        while b != NONE {
-                            cand_l.push(row as i64);
-                            cand_r.push(b as i64);
-                            b = next[b as usize];
-                        }
+            for rows in key_chunks(0..lb.num_rows()) {
+                first_matches(rows.clone(), &mut entries);
+                for (row, &first) in rows.zip(&entries) {
+                    let start = cand_l.len() as u32;
+                    let mut b = first;
+                    while b != NONE {
+                        cand_l.push(row as i64);
+                        cand_r.push(b as i64);
+                        b = next[b as usize];
                     }
+                    ranges.push((start, cand_l.len() as u32));
                 }
-                ranges.push((start, cand_l.len() as u32));
             }
             let keep = if cand_l.is_empty() {
                 Vec::new()
@@ -190,23 +205,20 @@ pub(crate) fn join_match_indices(
                 }
             }
         } else {
-            for row in 0..lb.num_rows() {
-                let mut matched = false;
-                if !enc.encode_row(&key_cols, row, &mut buf) {
-                    if let Some(entry) = table.lookup(&buf) {
-                        let mut b = heads[entry];
-                        while b != NONE {
-                            matched = true;
-                            build_matched[b as usize] = true;
-                            fl.push(row as i64);
-                            fr.push(b as i64);
-                            b = next[b as usize];
-                        }
+            for rows in key_chunks(0..lb.num_rows()) {
+                first_matches(rows.clone(), &mut entries);
+                for (row, &first) in rows.zip(&entries) {
+                    if first == NONE && join_type == JoinType::Left {
+                        fl.push(row as i64);
+                        fr.push(-1);
                     }
-                }
-                if !matched && join_type == JoinType::Left {
-                    fl.push(row as i64);
-                    fr.push(-1);
+                    let mut b = first;
+                    while b != NONE {
+                        build_matched[b as usize] = true;
+                        fl.push(row as i64);
+                        fr.push(b as i64);
+                        b = next[b as usize];
+                    }
                 }
             }
         }
@@ -275,16 +287,12 @@ fn adapt_to(col: Column, ty: DataType) -> Result<Column> {
     if col.data_type() == ty {
         return Ok(col);
     }
-    let mut b = ColumnBuilder::with_capacity(ty, col.len());
-    for i in 0..col.len() {
-        let v = col.value(i);
-        if v.is_null() {
-            b.push_null();
-        } else {
-            b.push(&v)?;
-        }
-    }
-    Ok(b.finish())
+    widen(&col, ty).ok_or_else(|| {
+        Error::Invalid(format!(
+            "cannot append {} values to {ty} column",
+            col.data_type()
+        ))
+    })
 }
 
 fn cross_join(
@@ -296,7 +304,7 @@ fn cross_join(
     batch_size: usize,
 ) -> Result<Vec<RecordBatch>> {
     if !matches!(join_type, JoinType::Cross | JoinType::Inner) {
-        return Err(pixels_common::Error::Exec(
+        return Err(Error::Exec(
             "outer join without equi-keys is not supported".into(),
         ));
     }
@@ -309,7 +317,7 @@ fn cross_join(
                     let mut combined = l.clone();
                     combined.extend(rb.row(rrow));
                     if let Some(res) = residual {
-                        if !matches!(eval_row(res, &combined)?, Value::Boolean(true)) {
+                        if !matches!(eval_expr(res, combined.as_slice())?, Value::Boolean(true)) {
                             continue;
                         }
                     }

@@ -1,25 +1,31 @@
-//! Row-at-a-time reference implementations of the post-scan operators.
+//! Row-at-a-time reference implementations of expression evaluation and the
+//! post-scan operators.
 //!
 //! This is the pre-vectorization execution path, retained verbatim as a
 //! differential oracle: `scalar::execute` runs a physical plan through
-//! `Vec<Value>`-keyed hash tables, per-row builder pushes, and per-filter
-//! mask/filter passes. Its scan shares the production scan's open, column
-//! check, pruning and metering ([`crate::scan::ScanMorsels`]) — so billed
-//! bytes agree by construction — and nothing else: each row group is decoded
-//! whole and filtered row by row, which is what makes it an independent
-//! reference for rows. `tests/vectorized_differential.rs` and
+//! `Vec<Value>`-keyed hash tables, per-row builder pushes, per-filter
+//! mask/filter passes, and [`evaluate`] — one `Value` per row through
+//! `pixels_planner::eval`, sharing no code with the kernels of
+//! [`crate::evaluate`] it is compared against. Its scan shares the
+//! production scan's open, column check, pruning and metering
+//! ([`crate::scan::ScanMorsels`]) — so billed bytes agree by construction —
+//! and nothing else: each row group is decoded whole and filtered row by
+//! row, which is what makes it an independent reference for rows. `tests/vectorized_differential.rs` and
 //! `tests/encoded_scan_differential.rs` assert the two paths produce
 //! bit-identical rows, row order, and billed bytes.
-//! It is not wired into any production code path.
+//! No production operator runs here; the one production caller is
+//! [`crate::evaluate`], which hands an expression its kernels could not
+//! finish to [`evaluate`] / [`predicate_mask`] so that the answer — value or
+//! error — is by construction the reference's.
 
 use crate::aggregate::{partition_batches, GroupState};
 use crate::context::ExecContext;
-use crate::evaluate::{eval_row, evaluate, BatchRow};
+use crate::evaluate::BatchRow;
 use crate::join::RowSink;
 use crate::parallel;
 use crate::scan::{open_metered, scan_output, ScanMorsels};
 use crate::sort::execute_limit;
-use pixels_common::{ColumnBuilder, RecordBatch, Result, SchemaRef, Value};
+use pixels_common::{Column, ColumnBuilder, DataType, RecordBatch, Result, SchemaRef, Value};
 use pixels_planner::eval::{eval_expr, NoRow};
 use pixels_planner::{AggExpr, BoundExpr, PhysicalPlan};
 use pixels_sql::ast::JoinType;
@@ -175,6 +181,49 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch
     }
 }
 
+/// True when `v` can be appended to a builder of type `target` without a
+/// cast — exactly the combinations [`ColumnBuilder::push`] accepts. Checked
+/// before pushing so the mismatch case never pays `push`'s formatted-error
+/// allocation.
+fn value_fits(target: DataType, v: &Value) -> bool {
+    matches!(
+        (target, v),
+        (DataType::Boolean, Value::Boolean(_))
+            | (DataType::Int32, Value::Int32(_))
+            | (DataType::Int64, Value::Int64(_) | Value::Int32(_))
+            | (
+                DataType::Float64,
+                Value::Float64(_) | Value::Int32(_) | Value::Int64(_)
+            )
+            | (DataType::Utf8, Value::Utf8(_))
+            | (DataType::Date, Value::Date(_))
+            | (DataType::Timestamp, Value::Timestamp(_))
+    )
+}
+
+/// Evaluate `expr` for every row of `batch`, one `Value` at a time, into a
+/// column of the expression's output type. A row whose runtime type is not
+/// the expression's (an Int32 literal flowing into an Int64 expression) is
+/// cast to it.
+pub fn evaluate(expr: &BoundExpr, batch: &RecordBatch) -> Result<Column> {
+    if let BoundExpr::ColumnRef { index, .. } = expr {
+        return Ok(batch.column(*index).clone());
+    }
+    let out_ty = expr.data_type();
+    let mut builder = ColumnBuilder::with_capacity(out_ty, batch.num_rows());
+    for row in 0..batch.num_rows() {
+        let v = eval_expr(expr, &BatchRow { batch, row })?;
+        if v.is_null() {
+            builder.push_null();
+        } else if value_fits(out_ty, &v) {
+            builder.push(&v)?;
+        } else {
+            builder.push(&v.cast_to(out_ty)?)?;
+        }
+    }
+    Ok(builder.finish())
+}
+
 /// Pure per-row predicate evaluation — no vectorized fast paths at all.
 pub fn predicate_mask(expr: &BoundExpr, batch: &RecordBatch) -> Result<Vec<bool>> {
     let mut mask = Vec::with_capacity(batch.num_rows());
@@ -262,7 +311,8 @@ pub fn execute_join(
                         let mut combined = probe_row.clone();
                         combined.extend(build_rows[b].iter().cloned());
                         if let Some(res) = residual {
-                            if !matches!(eval_row(res, &combined)?, Value::Boolean(true)) {
+                            if !matches!(eval_expr(res, combined.as_slice())?, Value::Boolean(true))
+                            {
                                 continue;
                             }
                         }
@@ -316,7 +366,7 @@ fn cross_join(
                     let mut combined = l.clone();
                     combined.extend(rb.row(rrow));
                     if let Some(res) = residual {
-                        if !matches!(eval_row(res, &combined)?, Value::Boolean(true)) {
+                        if !matches!(eval_expr(res, combined.as_slice())?, Value::Boolean(true)) {
                             continue;
                         }
                     }
@@ -350,7 +400,7 @@ fn build_partial(
             .iter()
             .map(|g| evaluate(g, batch))
             .collect::<Result<_>>()?;
-        let agg_cols: Vec<Option<pixels_common::Column>> = aggs
+        let agg_cols: Vec<Option<Column>> = aggs
             .iter()
             .map(|a| a.arg.as_ref().map(|arg| evaluate(arg, batch)).transpose())
             .collect::<Result<_>>()?;

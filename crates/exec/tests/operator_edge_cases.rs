@@ -217,3 +217,28 @@ fn cross_join_with_empty_side_is_empty() {
     .unwrap();
     assert_eq!(r.row(0), vec![v_i(0)]);
 }
+
+#[test]
+fn date_overflow_from_sql_text_is_an_error_not_a_panic() {
+    // Literal date arithmetic reaches `eval_binary` twice: in the constant
+    // folder while planning, and per row at run time when a column is
+    // involved. Both used to add in `i32` unchecked.
+    let (c, s) = setup(&[(Some(1), None), (Some(i64::MAX), None)]);
+    for sql in [
+        "SELECT DATE '1995-01-01' + 9223372036854775807 FROM t",
+        "SELECT DATE '1995-01-01' - a FROM t",
+        "SELECT a FROM t WHERE DATE '1995-01-01' + a > DATE '1995-01-01'",
+    ] {
+        let err = run_query(&c, s.clone(), "d", sql).unwrap_err().to_string();
+        assert!(err.contains("date overflow"), "{sql}: {err}");
+    }
+    // In range, the same shapes are dates.
+    let ok = run_query(
+        &c,
+        s,
+        "d",
+        "SELECT DATE '1970-01-01' + a FROM t WHERE a = 1",
+    )
+    .unwrap();
+    assert_eq!(ok.to_rows(), vec![vec![Value::Date(1)]]);
+}

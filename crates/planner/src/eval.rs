@@ -39,7 +39,7 @@ impl RowAccess for NoRow {
 }
 
 /// Evaluate `expr` against one row.
-pub fn eval_expr(expr: &BoundExpr, row: &impl RowAccess) -> Result<Value> {
+pub fn eval_expr(expr: &BoundExpr, row: &(impl RowAccess + ?Sized)) -> Result<Value> {
     match expr {
         BoundExpr::ColumnRef { index, .. } => Ok(row.column_value(*index)),
         BoundExpr::Literal(v) => Ok(v.clone()),
@@ -145,7 +145,7 @@ fn eval_logical(
     left: &BoundExpr,
     op: BinaryOp,
     right: &BoundExpr,
-    row: &impl RowAccess,
+    row: &(impl RowAccess + ?Sized),
 ) -> Result<Value> {
     let as_bool3 = |v: Value| -> Result<Option<bool>> {
         match v {
@@ -207,20 +207,27 @@ pub fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
         };
         return Ok(Value::Boolean(b));
     }
-    // Date arithmetic.
+    // Date arithmetic: whole days, checked (a date is an `i32` of days).
+    let date_overflow = || Error::Exec(format!("date overflow in {l} {} {r}", op.sql()));
+    let shifted = |d: i32, n: Option<i64>| {
+        n.and_then(|n| i64::from(d).checked_add(n))
+            .and_then(|days| i32::try_from(days).ok())
+            .map(Value::Date)
+            .ok_or_else(date_overflow)
+    };
     match (op, l, r) {
         (BinaryOp::Plus, Value::Date(d), other) | (BinaryOp::Plus, other, Value::Date(d)) => {
             if let Some(n) = other.as_i64() {
-                return Ok(Value::Date(d + n as i32));
+                return shifted(*d, Some(n));
             }
         }
         (BinaryOp::Minus, Value::Date(d), other) if !matches!(other, Value::Date(_)) => {
             if let Some(n) = other.as_i64() {
-                return Ok(Value::Date(d - n as i32));
+                return shifted(*d, n.checked_neg());
             }
         }
         (BinaryOp::Minus, Value::Date(a), Value::Date(b)) => {
-            return Ok(Value::Int64((*a - *b) as i64));
+            return Ok(Value::Int64(i64::from(*a) - i64::from(*b)));
         }
         _ => {}
     }
@@ -280,7 +287,11 @@ pub fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
     }
 }
 
-fn eval_scalar_fn(func: ScalarFunc, args: &[BoundExpr], row: &impl RowAccess) -> Result<Value> {
+fn eval_scalar_fn(
+    func: ScalarFunc,
+    args: &[BoundExpr],
+    row: &(impl RowAccess + ?Sized),
+) -> Result<Value> {
     // COALESCE is lazy; everything else evaluates its arguments eagerly.
     if func == ScalarFunc::Coalesce {
         for a in args {
@@ -536,6 +547,59 @@ mod tests {
             bin(Value::Date(100), BinaryOp::Minus, Value::Date(90)),
             Value::Int64(10)
         );
+    }
+
+    #[test]
+    fn date_arithmetic_is_checked() {
+        // A day count past `i32`, an offset that does not fit `i32` at all,
+        // and the one offset that cannot be negated: each was a truncating
+        // `as i32` plus an unchecked `i32` add (a panic in a debug build, a
+        // wrapped date in release).
+        let overflows = [
+            (Value::Date(i32::MAX), BinaryOp::Plus, Value::Int32(1)),
+            (Value::Int64(1), BinaryOp::Plus, Value::Date(i32::MAX)),
+            (Value::Date(0), BinaryOp::Plus, Value::Int64(1 << 32)),
+            (Value::Date(7), BinaryOp::Plus, Value::Int64(i64::MAX)),
+            (Value::Date(i32::MIN), BinaryOp::Minus, Value::Int32(1)),
+            (Value::Date(0), BinaryOp::Minus, Value::Int64(-(1 << 32))),
+            (Value::Date(-1), BinaryOp::Minus, Value::Int64(i64::MIN)),
+        ];
+        for (l, op, r) in overflows {
+            let err = eval_binary(op, &l, &r).unwrap_err().to_string();
+            assert!(err.contains("date overflow"), "{l} {op:?} {r}: {err}");
+        }
+        // The edges themselves are dates.
+        assert_eq!(
+            bin(Value::Date(i32::MAX - 1), BinaryOp::Plus, Value::Int64(1)),
+            Value::Date(i32::MAX)
+        );
+        assert_eq!(
+            bin(
+                Value::Date(0),
+                BinaryOp::Minus,
+                Value::Int64(-i64::from(i32::MAX))
+            ),
+            Value::Date(i32::MAX)
+        );
+        // A difference of dates is widened before subtracting.
+        assert_eq!(
+            bin(
+                Value::Date(i32::MIN),
+                BinaryOp::Minus,
+                Value::Date(i32::MAX)
+            ),
+            Value::Int64(i64::from(i32::MIN) - i64::from(i32::MAX))
+        );
+        // The constant folder evaluates literal arithmetic through this
+        // function; an overflow there must be an `Err` it can leave unfolded,
+        // not a panic while planning.
+        let folded = E::BinaryOp {
+            left: Box::new(lit(Value::Date(9_000))),
+            op: BinaryOp::Plus,
+            right: Box::new(lit(Value::Int64(i64::MAX))),
+            data_type: DataType::Date,
+        };
+        assert!(eval_expr(&folded, &NoRow).is_err());
     }
 
     #[test]

@@ -143,16 +143,16 @@ impl EncodedChunk {
             Encoding::Plain | Encoding::Dictionary => self.decode()?.filter(mask),
             Encoding::Rle => {
                 let runs = self.rle_runs()?;
+                // Sized once from the mask; each run emits as many copies as
+                // its stretch of the mask keeps.
                 fn expand<T: Copy>(counts: &[u32], values: &[T], mask: &[bool]) -> Vec<T> {
-                    let mut out = Vec::new();
+                    let mut out = Vec::with_capacity(mask.iter().filter(|&&m| m).count());
                     let mut row = 0usize;
                     for (&count, &v) in counts.iter().zip(values) {
-                        for _ in 0..count {
-                            if mask[row] {
-                                out.push(v);
-                            }
-                            row += 1;
-                        }
+                        let end = row + count as usize;
+                        let kept = mask[row..end].iter().filter(|&&m| m).count();
+                        out.resize(out.len() + kept, v);
+                        row = end;
                     }
                     out
                 }

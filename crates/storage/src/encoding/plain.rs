@@ -3,7 +3,7 @@
 
 use super::bitpack;
 use crate::codec::{Reader, Writer};
-use pixels_common::{ColumnData, DataType, Result, StrPool, StrVec};
+use pixels_common::{ColumnData, DataType, Error, Result, StrPool, StrVec};
 
 pub fn encode(data: &ColumnData, w: &mut Writer) {
     match data {
@@ -52,41 +52,34 @@ pub(crate) fn read_pool(r: &mut Reader<'_>, n: usize, keep: Option<&[bool]>) -> 
     Ok(pool)
 }
 
+/// Read `n` fixed-width values with one bounds check: the input is known to
+/// hold all `n * W` bytes before anything is allocated for them.
+fn read_fixed<const W: usize, T>(
+    r: &mut Reader<'_>,
+    n: usize,
+    from_le: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>> {
+    let len = n
+        .checked_mul(W)
+        .ok_or_else(|| Error::Storage(format!("chunk of {n} {W}-byte values is too large")))?;
+    let bytes = r.get_raw(len)?;
+    Ok(bytes
+        .chunks_exact(W)
+        .map(|c| from_le(c.try_into().expect("chunks_exact yields W bytes")))
+        .collect())
+}
+
 pub fn decode(r: &mut Reader<'_>, ty: DataType, num_rows: usize) -> Result<ColumnData> {
     Ok(match ty {
         DataType::Boolean => {
             let bytes = r.get_raw(num_rows.div_ceil(8))?;
             ColumnData::Boolean(bitpack::unpack_bools(bytes, num_rows))
         }
-        DataType::Int32 | DataType::Date => {
-            let mut v = Vec::with_capacity(num_rows);
-            for _ in 0..num_rows {
-                v.push(r.get_i32()?);
-            }
-            if ty == DataType::Date {
-                ColumnData::Date(v)
-            } else {
-                ColumnData::Int32(v)
-            }
-        }
-        DataType::Int64 | DataType::Timestamp => {
-            let mut v = Vec::with_capacity(num_rows);
-            for _ in 0..num_rows {
-                v.push(r.get_i64()?);
-            }
-            if ty == DataType::Timestamp {
-                ColumnData::Timestamp(v)
-            } else {
-                ColumnData::Int64(v)
-            }
-        }
-        DataType::Float64 => {
-            let mut v = Vec::with_capacity(num_rows);
-            for _ in 0..num_rows {
-                v.push(r.get_f64()?);
-            }
-            ColumnData::Float64(v)
-        }
+        DataType::Int32 => ColumnData::Int32(read_fixed(r, num_rows, i32::from_le_bytes)?),
+        DataType::Date => ColumnData::Date(read_fixed(r, num_rows, i32::from_le_bytes)?),
+        DataType::Int64 => ColumnData::Int64(read_fixed(r, num_rows, i64::from_le_bytes)?),
+        DataType::Timestamp => ColumnData::Timestamp(read_fixed(r, num_rows, i64::from_le_bytes)?),
+        DataType::Float64 => ColumnData::Float64(read_fixed(r, num_rows, f64::from_le_bytes)?),
         DataType::Utf8 => ColumnData::Utf8(StrVec::from_pool(read_pool(r, num_rows, None)?)),
     })
 }
@@ -130,5 +123,17 @@ mod tests {
         let bytes = w.into_bytes();
         let res = decode(&mut Reader::new(&bytes[..10]), DataType::Int64, 3);
         assert!(res.is_err());
+    }
+
+    #[test]
+    fn oversized_row_counts_are_errors_before_any_allocation() {
+        // A row count from a corrupt footer: far more values than the input
+        // holds, and one whose byte length does not fit a usize.
+        for ty in [DataType::Int32, DataType::Float64, DataType::Timestamp] {
+            for n in [1 << 40, usize::MAX] {
+                let err = decode(&mut Reader::new(&[0u8; 64]), ty, n).unwrap_err();
+                assert!(matches!(err, Error::Storage(_)), "{ty} x {n}: {err}");
+            }
+        }
     }
 }

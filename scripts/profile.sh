@@ -8,6 +8,7 @@
 #
 #   scripts/profile.sh <workload> [seed, default 11] [symbolise.py options...]
 #   scripts/profile.sh scan_heavy 11 --under 'drop_in_place'
+#   scripts/profile.sh scan_heavy 11 --groups     # one table of executor layers
 set -euo pipefail
 workload=${1:?usage: scripts/profile.sh <workload> [seed] [symbolise.py options...]}
 seed=${2:-11}

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Symbol shares from a samples.<pid> file written by sampler.so.
 
-    symbolise.py samples.1234 [--top 25] [--under REGEX]
+    symbolise.py samples.1234 [--top 25] [--under REGEX] [--groups]
 
 Prints the share of samples whose innermost frame (leaf) is each symbol, and
 the share with each symbol anywhere on the stack (inclusive). With --under,
 only samples with a frame matching REGEX are counted, and the header says what
-share of all samples they are. Symbols come from `nm -C` on each mapped file;
+share of all samples they are. With --groups, prints instead one table of the
+executor's layers (GROUPS below): the share of samples with a frame of the
+layer anywhere on the stack, or for the libc rows as the leaf. Rows overlap
+(a filter inside a decode counts in both), so they do not sum to 100 %. Symbols come from `nm -C` on each mapped file;
 needs nothing else. A stripped library (the usual glibc) only has its exported
 symbols, so an address inside it is named `~<nearest export below it>`: glibc's
 malloc internals read as `~__default_morecore`, its AVX mem* routines as
@@ -17,6 +20,23 @@ import bisect
 import collections
 import re
 import subprocess
+
+
+# (layer, regex, leaf only). One row each in the --groups table.
+GROUPS = [
+    ("expression evaluation", r"pixels_exec::evaluate::|pixels_planner::eval::|pixels_exec::scalar::(evaluate|predicate_mask)", False),
+    ("  of which under evaluate()", r"pixels_exec::evaluate::evaluate(_ref|_columnar)?$", False),
+    ("  of which row loop", r"pixels_planner::eval::", False),
+    ("keys: encode, intern, lookup", r"pixels_exec::keys::", False),
+    ("  of which encode", r"pixels_exec::keys::(KeyEncoder|put_column)", False),
+    ("chunk decode", r"pixels_storage::(encoding::|encoded::EncodedChunk)", False),
+    ("  of which plain::decode", r"pixels_storage::encoding::plain::", False),
+    ("filter/compaction", r"pixels_common::(column::Column|batch::RecordBatch)::(filter|gather)", False),
+    ("aggregate update", r"pixels_exec::aggregate::", False),
+    ("join", r"pixels_exec::join::", False),
+    ("allocator (leaf)", r"^~?(__default_morecore|malloc|free|realloc|calloc|cfree|_int_malloc|_int_free)", True),
+    ("mem* (leaf)", r"^~?(__nss_database_lookup|mem(cpy|move|set|cmp)|bcmp)", True),
+]
 
 
 def symbols(path):
@@ -39,6 +59,7 @@ def main():
     ap.add_argument("samples")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--under", help="count only stacks with a frame matching this regex")
+    ap.add_argument("--groups", action="store_true", help="one table of layer shares (see GROUPS)")
     args = ap.parse_args()
 
     text = open(args.samples).read()
@@ -78,6 +99,13 @@ def main():
               f"have a frame matching /{args.under}/")
     else:
         print(f"{total} samples (one per 2 ms of process CPU time)")
+    if args.groups:
+        print("\n-- layers: share of all %d samples (rows overlap) --" % total)
+        for layer, regex, leaf_only in GROUPS:
+            pat = re.compile(regex)
+            n = sum(1 for s in stacks if any(pat.search(f) for f in (s[:1] if leaf_only else s)))
+            print(f"{100 * n / max(total, 1):6.2f} %  {n:7d}  {layer}")
+        return
     leaf = collections.Counter(s[0] for s in stacks)
     incl = collections.Counter(f for s in stacks for f in set(s))
     for title, counts in (("leaf", leaf), ("inclusive", incl)):
