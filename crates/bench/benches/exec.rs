@@ -315,6 +315,39 @@ fn bench_vector_kernels(c: &mut Criterion) {
         })
     });
 
+    // The join with its probe scan in the loop, through `engine::execute`:
+    // lineitem is clustered on l_orderkey, and the build side (orders) tells
+    // the scan which keys it holds. With 1 % of the orders (picked by date,
+    // so scattered over the key range) the scan drops ~99 % of lineitem on
+    // the encoded key chunk; with all of them the key set is the whole
+    // range, the filter is a zone check, and the join pays full price.
+    for (name, build_filter) in [
+        (
+            "join_build_probe/selective_build/1pct",
+            " WHERE o_orderdate < DATE '1992-01-25'",
+        ),
+        ("join_build_probe/selective_build/100pct", ""),
+    ] {
+        let sql = format!(
+            "SELECT SUM(l_extendedprice), COUNT(*) FROM lineitem \
+             JOIN orders ON l_orderkey = o_orderkey{build_filter}"
+        );
+        let plan = plan_query(&catalog, "tpch", &sql).unwrap();
+        let ctx = ExecContext::new(store.clone());
+        execute(&plan, &ctx).unwrap();
+        let tested = ctx.metrics.pipeline_snapshot().join_filter_rows;
+        assert_eq!(
+            tested, li_rows,
+            "{name}: lineitem is not the filtered probe scan"
+        );
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let ctx = ExecContext::new(store.clone());
+                execute(&plan, &ctx).unwrap().len()
+            })
+        });
+    }
+
     // Group-by: Utf8 group key, COUNT + two SUMs + AVG.
     let group = vec![col(4, DataType::Utf8)];
     let aggs = vec![
@@ -411,9 +444,15 @@ fn bench_vector_kernels(c: &mut Criterion) {
         col(0, DataType::Int64),
         DataType::Int64,
     );
+    let key_above = cmp(
+        col(0, DataType::Int64),
+        BinaryOp::Gt,
+        BoundExpr::literal(Value::Int64(30_000)),
+    );
     for (name, expr) in [
         ("evaluate/arith_f64", &discounted),
         ("evaluate/arith_i64_checked", &int_poly),
+        ("evaluate/cmp_i64_literal", &key_above),
     ] {
         g.bench_function(name, |b| {
             b.iter(|| {

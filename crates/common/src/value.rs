@@ -236,8 +236,9 @@ impl Value {
         })
     }
 
-    /// SQL comparison: NULLs are incomparable (`None`); numeric types compare
-    /// after widening; other types compare only against themselves.
+    /// SQL comparison: NULLs are incomparable (`None`); two integers compare
+    /// as integers, exactly; an integer and a float compare after widening
+    /// to `f64`; other types compare only against themselves.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         use Value::*;
         match (self, other) {
@@ -246,6 +247,11 @@ impl Value {
             (Utf8(a), Utf8(b)) => Some(a.cmp(b)),
             (Date(a), Date(b)) => Some(a.cmp(b)),
             (Timestamp(a), Timestamp(b)) => Some(a.cmp(b)),
+            // Through `f64` two integers past 2^53 that round together
+            // would compare equal.
+            (Int32(_) | Int64(_), Int32(_) | Int64(_)) => {
+                Some(self.as_i64()?.cmp(&other.as_i64()?))
+            }
             _ => {
                 let (a, b) = (self.as_f64()?, other.as_f64()?);
                 Some(a.total_cmp(&b))
@@ -296,9 +302,10 @@ impl Eq for Value {}
 
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Hash must agree with `eq`, which widens numerics: hash every
-        // numeric through its f64 bit pattern (integers are exact in f64 up
-        // to 2^53; TPC-H-scale keys stay well below that).
+        // Hash must agree with `eq`, under which an integer can equal a
+        // float: hash every numeric through its f64 bit pattern. Two
+        // integers past 2^53 that round together are unequal and hash
+        // alike, which a hash may.
         match self {
             Value::Null => state.write_u8(0),
             Value::Boolean(b) => {
@@ -466,6 +473,41 @@ mod tests {
             Some(Ordering::Greater)
         );
         assert_eq!(Value::Null.sql_cmp(&Value::Int32(1)), None);
+    }
+
+    #[test]
+    fn integers_compare_exactly_past_2_pow_53() {
+        const P: i64 = 1 << 53;
+        let ints = [i64::MIN, -P - 1, -P, -P + 1, P - 1, P, P + 1, i64::MAX];
+        for (i, &a) in ints.iter().enumerate() {
+            for (j, &b) in ints.iter().enumerate() {
+                assert_eq!(
+                    Value::Int64(a).sql_cmp(&Value::Int64(b)),
+                    Some(i.cmp(&j)),
+                    "{a} vs {b}"
+                );
+                assert_eq!(Value::Int64(a) == Value::Int64(b), i == j, "{a} vs {b}");
+            }
+        }
+        assert_eq!(
+            Value::Int32(i32::MAX).sql_cmp(&Value::Int64(i64::from(i32::MAX) + 1)),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            Value::Int64(i64::from(i32::MIN) - 1).sql_cmp(&Value::Int32(i32::MIN)),
+            Some(Ordering::Less)
+        );
+        // Against a float an integer still widens: 2^53 + 1 rounds onto 2^53.
+        assert_eq!(Value::Int64(P + 1), Value::Float64(P as f64));
+        // Equal values hash equally; the unequal P and P + 1 may collide.
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&Value::Int64(P)), hash(&Value::Float64(P as f64)));
     }
 
     #[test]

@@ -130,11 +130,13 @@ pub struct ExecMetrics {
     pub chunk_cache_misses: AtomicU64,
     pub coalesced_gets: AtomicU64,
     pub gap_bytes: AtomicU64,
+    pub join_filter_rows: AtomicU64,
+    pub join_filter_dropped: AtomicU64,
 }
 
 /// Point-in-time copy of the scan-pipeline counters (prefetcher, chunk
-/// cache, vectored GETs). Telemetry only: none of these affect results or
-/// billing.
+/// cache, vectored GETs, join key filters). Telemetry only: none of these
+/// affect results or billing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanPipelineSnapshot {
     /// Morsel fetches started by the prefetcher.
@@ -150,6 +152,11 @@ pub struct ScanPipelineSnapshot {
     /// Bytes transferred between merged chunks: store traffic the provider
     /// pays for, never part of `bytes_scanned`.
     pub gap_bytes: u64,
+    /// Probe-scan rows that passed the scan's own conjuncts and were tested
+    /// against a hash join's key filter.
+    pub join_filter_rows: u64,
+    /// How many of those the key filter dropped before they were decoded.
+    pub join_filter_dropped: u64,
 }
 
 /// Point-in-time copy of [`ExecMetrics`].
@@ -242,6 +249,13 @@ impl ExecMetrics {
         self.gap_bytes.fetch_add(f.gap_bytes, Ordering::Relaxed);
     }
 
+    /// Record what a join's key filter did to one probe-scan morsel.
+    pub fn add_join_filter(&self, rows: u64, dropped: u64) {
+        self.join_filter_rows.fetch_add(rows, Ordering::Relaxed);
+        self.join_filter_dropped
+            .fetch_add(dropped, Ordering::Relaxed);
+    }
+
     /// Snapshot of the scan-pipeline counters (separate from
     /// [`ExecMetrics::snapshot`], which feeds billing-equality checks).
     pub fn pipeline_snapshot(&self) -> ScanPipelineSnapshot {
@@ -253,6 +267,8 @@ impl ExecMetrics {
             chunk_cache_misses: self.chunk_cache_misses.load(Ordering::Relaxed),
             coalesced_gets: self.coalesced_gets.load(Ordering::Relaxed),
             gap_bytes: self.gap_bytes.load(Ordering::Relaxed),
+            join_filter_rows: self.join_filter_rows.load(Ordering::Relaxed),
+            join_filter_dropped: self.join_filter_dropped.load(Ordering::Relaxed),
         }
     }
 

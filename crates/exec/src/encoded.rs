@@ -33,6 +33,7 @@ use crate::evaluate::{
     and_conjunct, and_into, collect_conjuncts, compare_literal, compare_literal_mask,
     literal_comparable, NumSlice,
 };
+use crate::keys::{KeyDomain, KeyFilter, KeyInts};
 use crate::parallel;
 use crate::scan::ScanMorsels;
 use pixels_common::{
@@ -253,6 +254,133 @@ fn encoded_conjunct_mask(
             Ok(compare_literal_mask(lazy.column(idx)?, *op, lit, flipped))
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// A hash join's key filter on the probe scan
+// ---------------------------------------------------------------------------
+
+/// What a chunk's zone map and validity header say about one range of a
+/// [`KeyFilter`], before the payload is touched.
+enum KeyZone {
+    /// No row can match a build key.
+    NoRow,
+    /// Every row passes: nothing to test.
+    EveryRow,
+    Unknown,
+}
+
+/// The verdict of range `at` of `filter` on its chunk, or `None` when the
+/// chunk is not of the range's type — a data file is outside input, and a
+/// range says nothing about values of another type.
+fn key_zone(
+    filter: &KeyFilter,
+    at: usize,
+    lazy: &LazyRowGroup,
+    stats: &[&ColumnStats],
+) -> Option<KeyZone> {
+    let range = &filter.ranges()[at];
+    let chunk = lazy.chunk(range.column);
+    if KeyDomain::of(chunk.data_type()) != Some(range.domain) {
+        return None;
+    }
+    if chunk.count_valid() == 0 {
+        return Some(KeyZone::NoRow);
+    }
+    let bound = |v: &Option<Value>| match v {
+        Some(Value::Int32(x) | Value::Date(x)) => Some(i64::from(*x)),
+        Some(Value::Int64(x) | Value::Timestamp(x)) => Some(*x),
+        _ => None,
+    };
+    let zone = stats[range.column];
+    let (Some(min), Some(max)) = (bound(&zone.min), bound(&zone.max)) else {
+        return Some(KeyZone::Unknown);
+    };
+    Some(if max < range.min || min > range.max {
+        KeyZone::NoRow
+    } else if range.min <= min
+        && max <= range.max
+        && chunk.validity().is_none()
+        && !(at == 0 && filter.is_exact())
+    {
+        KeyZone::EveryRow
+    } else {
+        KeyZone::Unknown
+    })
+}
+
+/// Whether `filter` could drop a row of this morsel at all. When its every
+/// range covers the chunk's zone map (and holds no exact set) it cannot, and
+/// the scan proceeds as if it had not been given one.
+pub(crate) fn key_filter_can_drop(
+    filter: &KeyFilter,
+    lazy: &LazyRowGroup,
+    stats: &[&ColumnStats],
+) -> bool {
+    (0..filter.ranges().len()).any(|at| {
+        matches!(
+            key_zone(filter, at, lazy, stats),
+            Some(KeyZone::NoRow | KeyZone::Unknown)
+        )
+    })
+}
+
+/// Clear from `mask` every row whose key cannot match a build key of the
+/// join this scan probes for. The scan's last conjunct: it runs only while
+/// `mask` still selects a row, after every conjunct of the scan's own, so a
+/// row those reject or fail on is treated exactly as without it. Per range:
+/// the zone map first, then one test per run of an RLE chunk, else one per
+/// row, repeating the verdict while the value repeats. NULL keys are cleared.
+pub(crate) fn key_filter_mask(
+    filter: &KeyFilter,
+    lazy: &LazyRowGroup,
+    stats: &[&ColumnStats],
+    mask: &mut [bool],
+) -> Result<()> {
+    for (at, range) in filter.ranges().iter().enumerate() {
+        if !mask.contains(&true) {
+            break;
+        }
+        match key_zone(filter, at, lazy, stats) {
+            None | Some(KeyZone::EveryRow) => continue,
+            Some(KeyZone::NoRow) => {
+                mask.fill(false);
+                break;
+            }
+            Some(KeyZone::Unknown) => {}
+        }
+        let chunk = lazy.chunk(range.column);
+        if chunk.encoding() == Encoding::Rle {
+            let runs = chunk.rle_runs()?;
+            let Some((_, values)) = KeyInts::of(&runs.values) else {
+                continue;
+            };
+            let mut row = 0usize;
+            values.for_each(|run, v| {
+                let end = row + runs.counts[run] as usize;
+                if !filter.admits(at, v) {
+                    mask[row..end].fill(false);
+                }
+                row = end;
+            });
+        } else {
+            let Some((_, values)) = KeyInts::of(lazy.column(range.column)?.data()) else {
+                continue;
+            };
+            let mut last = None;
+            let mut verdict = false;
+            values.for_each(|row, v| {
+                if last != Some(v) {
+                    (last, verdict) = (Some(v), filter.admits(at, v));
+                }
+                mask[row] &= verdict;
+            });
+        }
+        if let Some(validity) = chunk.validity() {
+            and_into(mask, validity);
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

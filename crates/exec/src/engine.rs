@@ -4,13 +4,15 @@ use crate::aggregate::{execute_aggregate, execute_distinct};
 use crate::context::ExecContext;
 use crate::encoded::execute_encoded_aggregate;
 use crate::evaluate::{evaluate, fused_filter_mask};
-use crate::join::{execute_join, RowSink};
+use crate::join::{coalesce, cross_join, is_equi_join, JoinBuild, RowSink};
+use crate::keys::KeyFilter;
 use crate::parallel;
 use crate::scan::{execute_scan, open_metered};
 use crate::sort::{execute_limit, execute_sort, execute_topk};
 use pixels_common::{RecordBatch, Result, Value};
 use pixels_planner::eval::{eval_expr, NoRow};
 use pixels_planner::{BoundExpr, PhysicalPlan};
+use pixels_sql::ast::JoinType;
 
 /// Stable span name for each operator, used in query profiles.
 pub fn operator_name(plan: &PhysicalPlan) -> &'static str {
@@ -40,18 +42,35 @@ pub fn operator_name(plan: &PhysicalPlan) -> &'static str {
 /// own span (children nested under it) recording output rows and duration;
 /// with tracing disabled this wrapper adds nothing to the hot path.
 pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch>> {
+    execute_probed(plan, ctx, None)
+}
+
+/// [`execute`] for a plan that is the probe side of a hash join whose build
+/// side published `join_filter`. Only a scan can use one.
+fn execute_probed(
+    plan: &PhysicalPlan,
+    ctx: &ExecContext,
+    join_filter: Option<&KeyFilter>,
+) -> Result<Vec<RecordBatch>> {
     if !ctx.trace.enabled() {
-        return execute_inner(plan, ctx);
+        return execute_inner(plan, ctx, join_filter);
     }
     let mut span = ctx.trace.span(operator_name(plan));
+    if let Some(filter) = join_filter {
+        span.record_str("join_filter", filter.kind());
+    }
     let child_ctx = ctx.under(&span);
-    let out = execute_inner(plan, &child_ctx)?;
+    let out = execute_inner(plan, &child_ctx, join_filter)?;
     let rows: usize = out.iter().map(|b| b.num_rows()).sum();
     span.record_u64("rows_out", rows as u64);
     Ok(out)
 }
 
-fn execute_inner(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch>> {
+fn execute_inner(
+    plan: &PhysicalPlan,
+    ctx: &ExecContext,
+    join_filter: Option<&KeyFilter>,
+) -> Result<Vec<RecordBatch>> {
     match plan {
         PhysicalPlan::Scan {
             paths,
@@ -66,6 +85,7 @@ fn execute_inner(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBat
             projection,
             zone_predicates,
             filters,
+            join_filter,
             output_schema,
         ),
         PhysicalPlan::MaterializedScan { path, .. } => {
@@ -125,15 +145,37 @@ fn execute_inner(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBat
             residual,
             output_schema,
         } => {
-            let lb = execute(left, ctx)?;
+            // The build (right) side runs first, whatever the join type:
+            // what it holds decides which rows of the probe side a scan
+            // needs to hand over at all.
             let rb = execute(right, ctx)?;
             let left_width = left.schema().len();
-            execute_join(
+            if !is_equi_join(*join_type, left_keys) {
+                let lb = execute(left, ctx)?;
+                return cross_join(
+                    &lb,
+                    &rb,
+                    *join_type,
+                    residual.as_ref(),
+                    output_schema,
+                    ctx.batch_size,
+                );
+            }
+            let build = JoinBuild::new(coalesce(&rb)?, right_keys)?;
+            // A probe row without a match is dropped by an inner and a
+            // right-outer join, so the scan may drop it first; a left-outer
+            // join emits it.
+            let droppable = matches!(join_type, JoinType::Inner | JoinType::Right);
+            let filter = if droppable && matches!(left.as_ref(), PhysicalPlan::Scan { .. }) {
+                build.key_filter(right_keys, left_keys)?
+            } else {
+                None
+            };
+            let lb = execute_probed(left, ctx, filter.as_ref())?;
+            build.join(
                 &lb,
-                &rb,
                 *join_type,
                 left_keys,
-                right_keys,
                 residual.as_ref(),
                 output_schema,
                 left_width,

@@ -574,7 +574,7 @@ fn compare(op: BinaryOp, l: &Operand<'_>, r: &Operand<'_>) -> Kernel<Column> {
 }
 
 /// Numeric column payload viewed as f64, the widening `Value::sql_cmp`
-/// applies before comparing mixed numeric types. Shared with the sort
+/// applies before comparing an integer with a float. Shared with the sort
 /// kernel so permutation sorts reproduce `Value::total_cmp` exactly.
 #[derive(Clone, Copy)]
 pub(crate) enum NumSlice<'a> {
@@ -599,6 +599,17 @@ impl<'a> NumSlice<'a> {
             NumSlice::I32(v) => v[i] as f64,
             NumSlice::I64(v) => v[i] as f64,
             NumSlice::F64(v) => v[i],
+        }
+    }
+
+    /// `Value::sql_cmp` of elements `a` and `b`: integers exactly, floats
+    /// by `f64::total_cmp`.
+    #[inline]
+    pub(crate) fn compare(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        match self {
+            NumSlice::I32(v) => v[a].cmp(&v[b]),
+            NumSlice::I64(v) => v[a].cmp(&v[b]),
+            NumSlice::F64(v) => v[a].total_cmp(&v[b]),
         }
     }
 }
@@ -664,10 +675,10 @@ fn total_order(x: f64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// `a <op> b` per row for the pairs `Value::sql_cmp` orders — numeric with
-/// numeric through `f64::total_cmp`, and Utf8/Date/Timestamp/Boolean against
-/// themselves — ignoring validity. `None` for any other pair, which the
-/// scalar semantics reject row by row.
+/// `a <op> b` per row for the pairs `Value::sql_cmp` orders — integer with
+/// integer exactly, any other numeric pair through `f64::total_cmp`, and
+/// Utf8/Date/Timestamp/Boolean against themselves — ignoring validity.
+/// `None` for any other pair, which the scalar semantics reject row by row.
 fn compare_columns(a: &ColumnData, b: &ColumnData, op: BinaryOp) -> Option<Vec<bool>> {
     let accept = Accept::new(op, false);
     fn zip<T: PartialOrd>(accept: Accept, a: &[T], b: &[T]) -> Vec<bool> {
@@ -682,6 +693,14 @@ fn compare_columns(a: &ColumnData, b: &ColumnData, op: BinaryOp) -> Option<Vec<b
         (ColumnData::Date(a), ColumnData::Date(b)) => zip(accept, a, b),
         (ColumnData::Timestamp(a), ColumnData::Timestamp(b)) => zip(accept, a, b),
         (ColumnData::Boolean(a), ColumnData::Boolean(b)) => zip(accept, a, b),
+        (ColumnData::Int32(a), ColumnData::Int32(b)) => zip(accept, a, b),
+        (ColumnData::Int64(a), ColumnData::Int64(b)) => zip(accept, a, b),
+        (ColumnData::Int32(a), ColumnData::Int64(b)) => (a.iter().zip(b))
+            .map(|(&x, y)| accept.test(&i64::from(x), y))
+            .collect(),
+        (ColumnData::Int64(a), ColumnData::Int32(b)) => (a.iter().zip(b))
+            .map(|(x, &y)| accept.test(x, &i64::from(y)))
+            .collect(),
         (a, b) => {
             let (na, nb) = (NumSlice::of(a)?, NumSlice::of(b)?);
             (0..a.len())
@@ -724,8 +743,14 @@ pub(crate) fn compare_literal(
                 v.iter().map(verdict).collect()
             }
         }
-        // Numeric against numeric, widened to f64 like `sql_cmp` — Int64
-        // included, so keys past 2^53 compare as the scalar path compares them.
+        // Integer against integer, exactly, like `sql_cmp`.
+        (ColumnData::Int32(v), Value::Int32(t)) => each(accept, v, t),
+        (ColumnData::Int64(v), Value::Int64(t)) => each(accept, v, t),
+        (ColumnData::Int64(v), Value::Int32(t)) => each(accept, v, &i64::from(*t)),
+        (ColumnData::Int32(v), Value::Int64(t)) => {
+            v.iter().map(|&x| accept.test(&i64::from(x), t)).collect()
+        }
+        // A float on either side: both widened to f64, like `sql_cmp`.
         (data, lit) => {
             let t = total_order(lit.as_f64()?);
             let verdict = |x: f64| accept.test(&total_order(x), &t);
@@ -981,5 +1006,95 @@ mod tests {
         assert_eq!(fused, vec![false, false, true]);
         // The filter-list form (two separate conjuncts) agrees too.
         assert_eq!(fused_filter_mask(&[f1, f2], &b).unwrap(), fused);
+    }
+
+    /// Integer against integer is compared exactly — by the kernels, and by
+    /// the row loop they must agree with — where `f64` rounds neighbours
+    /// together: around ±2^53 and at the ends of `i64`.
+    #[test]
+    fn integer_comparisons_are_exact_past_2_pow_53() {
+        const P: i64 = 1 << 53;
+        let edges = [i64::MIN, -P - 1, -P, -P + 1, 0, P - 1, P, P + 1, i64::MAX];
+        let narrow = [i32::MIN, -1, 0, 7, i32::MAX];
+        // Every pair of edges in one row: columns `a` and `b` (Int64), and
+        // `c` (Int32) cycling through its own edges.
+        let pairs: Vec<(i64, i64)> = (edges.iter())
+            .flat_map(|&a| edges.iter().map(move |&b| (a, b)))
+            .collect();
+        let schema = Arc::new(Schema::new(vec![
+            Field::required("a", DataType::Int64),
+            Field::required("b", DataType::Int64),
+            Field::required("c", DataType::Int32),
+        ]));
+        let rows: Vec<Vec<Value>> = (pairs.iter().enumerate())
+            .map(|(i, &(a, b))| {
+                vec![
+                    Value::Int64(a),
+                    Value::Int64(b),
+                    Value::Int32(narrow[i % narrow.len()]),
+                ]
+            })
+            .collect();
+        let batch = RecordBatch::from_rows(schema, &rows).unwrap();
+        let holds = |ord: std::cmp::Ordering, op: BinaryOp| match op {
+            BinaryOp::Eq => ord.is_eq(),
+            BinaryOp::NotEq => ord.is_ne(),
+            BinaryOp::Lt => ord.is_lt(),
+            BinaryOp::LtEq => ord.is_le(),
+            BinaryOp::Gt => ord.is_gt(),
+            _ => ord.is_ge(),
+        };
+        let (a, b, c) = (
+            col_ref(0, DataType::Int64),
+            col_ref(1, DataType::Int64),
+            col_ref(2, DataType::Int32),
+        );
+        for op in [
+            BinaryOp::Eq,
+            BinaryOp::NotEq,
+            BinaryOp::Lt,
+            BinaryOp::LtEq,
+            BinaryOp::Gt,
+            BinaryOp::GtEq,
+        ] {
+            let check = |expr: BoundExpr, exact: Vec<bool>| {
+                let kernel = predicate_mask(&expr, &batch).unwrap();
+                let row_loop = scalar::predicate_mask(&expr, &batch).unwrap();
+                assert_eq!(kernel, exact, "kernel, {expr}");
+                assert_eq!(row_loop, exact, "row loop, {expr}");
+            };
+            // Column against column, both widths.
+            let exact = pairs.iter().map(|&(x, y)| holds(x.cmp(&y), op)).collect();
+            check(cmp(a.clone(), op, b.clone()), exact);
+            let exact = (pairs.iter().enumerate())
+                .map(|(i, &(x, _))| holds(x.cmp(&i64::from(narrow[i % narrow.len()])), op))
+                .collect();
+            check(cmp(a.clone(), op, c.clone()), exact);
+            // Column against literal, either side, both widths.
+            for &lit in &edges {
+                let exact = pairs.iter().map(|&(x, _)| holds(x.cmp(&lit), op)).collect();
+                check(
+                    cmp(a.clone(), op, BoundExpr::literal(Value::Int64(lit))),
+                    exact,
+                );
+                let exact = pairs.iter().map(|&(x, _)| holds(lit.cmp(&x), op)).collect();
+                check(
+                    cmp(BoundExpr::literal(Value::Int64(lit)), op, a.clone()),
+                    exact,
+                );
+                let exact = (0..pairs.len())
+                    .map(|i| holds(i64::from(narrow[i % narrow.len()]).cmp(&lit), op))
+                    .collect();
+                check(
+                    cmp(c.clone(), op, BoundExpr::literal(Value::Int64(lit))),
+                    exact,
+                );
+            }
+            let exact = pairs.iter().map(|&(x, _)| holds(x.cmp(&7), op)).collect();
+            check(
+                cmp(a.clone(), op, BoundExpr::literal(Value::Int32(7))),
+                exact,
+            );
+        }
     }
 }

@@ -34,7 +34,7 @@ use crate::aggregate::{self, AggState, GroupState, Partial};
 use crate::context::ExecContext;
 use crate::engine::execute;
 use crate::evaluate::evaluate_ref;
-use crate::join::{assemble, coalesce, join_match_indices};
+use crate::join::{coalesce, JoinBuild};
 use crate::keys::{hash_bytes, key_chunks, EncodedKeys, KeyEncoder};
 use crate::materialize;
 use pixels_common::{
@@ -415,12 +415,11 @@ pub fn read_join_partitions(
         )?;
         let (left, lord) = strip_ord(lb, left_schema)?;
         let (right, rord) = strip_ord(rb, right_schema)?;
-        let (fl, fr) = join_match_indices(
+        let mut build = JoinBuild::new(right.map(Cow::Owned), right_keys)?;
+        let (fl, fr) = build.probe(
             left.as_ref(),
-            right.as_ref(),
             join_type,
             left_keys,
-            right_keys,
             residual,
             output_schema,
             left_width,
@@ -430,14 +429,7 @@ pub fn read_join_partitions(
             let gr = if r < 0 { -1 } else { rord[r as usize] };
             order.push((l < 0, gl, gr));
         }
-        parts.push(assemble(
-            output_schema,
-            left_width,
-            left.as_ref(),
-            &fl,
-            right.as_ref(),
-            &fr,
-        )?);
+        parts.push(build.assemble(output_schema, left_width, left.as_ref(), &fl, &fr)?);
     }
 
     let all = RecordBatch::concat(&parts)?;
@@ -487,13 +479,12 @@ pub fn read_broadcast_join(
         &mut stats,
     )?;
     let (right, rord) = strip_ord(rb, right_schema)?;
-    let left = coalesce(probe_batches)?.map(Cow::into_owned);
-    let (fl, fr) = join_match_indices(
-        left.as_ref(),
-        right.as_ref(),
+    let mut build = JoinBuild::new(right.map(Cow::Owned), right_keys)?;
+    let left = coalesce(probe_batches)?;
+    let (fl, fr) = build.probe(
+        left.as_deref(),
         join_type,
         left_keys,
-        right_keys,
         residual,
         output_schema,
         left_width,
@@ -506,14 +497,7 @@ pub fn read_broadcast_join(
         let gr = if r < 0 { -1 } else { rord[r as usize] };
         order.push((l < 0, l.max(-1), gr));
     }
-    let all = assemble(
-        output_schema,
-        left_width,
-        left.as_ref(),
-        &fl,
-        right.as_ref(),
-        &fr,
-    )?;
+    let all = build.assemble(output_schema, left_width, left.as_deref(), &fl, &fr)?;
     let mut perm: Vec<usize> = (0..order.len()).collect();
     perm.sort_unstable_by_key(|&i| order[i]);
     let chunk = batch_size.max(1);

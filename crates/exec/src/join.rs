@@ -14,7 +14,7 @@
 //! left-outer rows inline, unmatched right-outer rows as a tail.
 
 use crate::evaluate::{evaluate_ref, predicate_mask, widen};
-use crate::keys::{key_chunks, KeyEncoder, KeyTable, NO_ENTRY};
+use crate::keys::{key_chunks, KeyEncoder, KeyFilter, KeyTable, NO_ENTRY};
 use pixels_common::{
     Column, ColumnBuilder, DataType, Error, RecordBatch, Result, SchemaRef, Value,
 };
@@ -25,6 +25,11 @@ use std::borrow::Cow;
 
 /// Sentinel for "end of duplicate chain" in the build table.
 const NONE: u32 = u32::MAX;
+
+/// Whether the join runs on the hash table (otherwise it is a nested loop).
+pub(crate) fn is_equi_join(join_type: JoinType, keys: &[BoundExpr]) -> bool {
+    join_type != JoinType::Cross && !keys.is_empty()
+}
 
 /// Execute a hash join between materialized inputs.
 #[allow(clippy::too_many_arguments)]
@@ -39,7 +44,7 @@ pub fn execute_join(
     left_width: usize,
     batch_size: usize,
 ) -> Result<Vec<RecordBatch>> {
-    if join_type == JoinType::Cross || left_keys.is_empty() {
+    if !is_equi_join(join_type, left_keys) {
         return cross_join(
             left_batches,
             right_batches,
@@ -49,191 +54,271 @@ pub fn execute_join(
             batch_size,
         );
     }
-
-    // Coalesce each side once so match indices are global row numbers and
-    // output columns come from a single gather source.
-    let left_all = coalesce(left_batches)?;
-    let right_all = coalesce(right_batches)?;
-    let (fl, fr) = join_match_indices(
-        left_all.as_deref(),
-        right_all.as_deref(),
+    JoinBuild::new(coalesce(right_batches)?, right_keys)?.join(
+        left_batches,
         join_type,
         left_keys,
-        right_keys,
         residual,
         output_schema,
         left_width,
-    )?;
-
-    // Materialize in batch_size chunks, one gather per column per chunk.
-    let mut out = Vec::with_capacity(fl.len().div_ceil(batch_size.max(1)));
-    let chunk = batch_size.max(1);
-    for (cl, cr) in fl.chunks(chunk).zip(fr.chunks(chunk)) {
-        out.push(assemble(
-            output_schema,
-            left_width,
-            left_all.as_deref(),
-            cl,
-            right_all.as_deref(),
-            cr,
-        )?);
-    }
-    Ok(out)
+        batch_size,
+    )
 }
 
-/// The equi-join index core: given coalesced sides, produce the
-/// `(left_row, right_row)` gather-index vectors (−1 ⇒ null-extended slot) in
-/// exactly the order the row-at-a-time join emitted rows: probe rows in
-/// input order, matches in build-insertion order, unmatched left-outer rows
-/// inline, unmatched right-outer rows as a tail in build order. Shared with
-/// the exchange partitioned-join path, which runs it per partition and maps
-/// the local indices back through per-partition row-origin vectors.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn join_match_indices(
-    left_all: Option<&RecordBatch>,
-    right_all: Option<&RecordBatch>,
-    join_type: JoinType,
-    left_keys: &[BoundExpr],
-    right_keys: &[BoundExpr],
-    residual: Option<&BoundExpr>,
-    output_schema: &SchemaRef,
-    left_width: usize,
-) -> Result<(Vec<i64>, Vec<i64>)> {
-    let build_rows = right_all.map_or(0, |b| b.num_rows());
+/// The build (right) side of an equi-join, hashed: the coalesced side, its
+/// interned keys, and each key's rows chained in build-insertion order —
+/// the candidate order the row-at-a-time join produced. A key holding a NULL
+/// is interned like any other and never found: the probe side never looks
+/// one up.
+pub(crate) struct JoinBuild<'a> {
+    side: Option<Cow<'a, RecordBatch>>,
+    table: KeyTable,
+    /// First build row of each key entry.
+    heads: Vec<u32>,
+    /// The build row after each build row under the same key, or `NONE`.
+    next: Vec<u32>,
+}
 
-    // Build phase: intern the encoded right-side keys; duplicate rows for a
-    // key form a chain in build-insertion order (head/tail/next), which is
-    // the candidate order the row-at-a-time join produced. A key holding a
-    // NULL is interned like any other and never found: the probe side never
-    // looks one up.
-    let mut table = KeyTable::new();
-    let mut heads: Vec<u32> = Vec::new();
-    let mut tails: Vec<u32> = Vec::new();
-    let mut next = vec![NONE; build_rows];
-    let mut entries: Vec<u32> = Vec::new();
-    if let Some(rb) = right_all {
-        let key_cols: Vec<Cow<Column>> = right_keys
-            .iter()
-            .map(|k| evaluate_ref(k, rb))
-            .collect::<Result<_>>()?;
-        let enc = KeyEncoder::new(&key_types(right_keys));
-        table.intern_rows(&enc, &key_cols, 0..rb.num_rows(), &mut entries);
-        for (row, &entry) in entries.iter().enumerate() {
-            let entry = entry as usize;
-            if entry == heads.len() {
-                heads.push(row as u32);
-                tails.push(row as u32);
-            } else {
-                next[tails[entry] as usize] = row as u32;
-                tails[entry] = row as u32;
+impl<'a> JoinBuild<'a> {
+    /// Hash `side` (`None`: a side without a batch) on `keys`.
+    pub(crate) fn new(side: Option<Cow<'a, RecordBatch>>, keys: &[BoundExpr]) -> Result<Self> {
+        let build_rows = side.as_ref().map_or(0, |b| b.num_rows());
+        let mut table = KeyTable::new();
+        let mut heads: Vec<u32> = Vec::new();
+        let mut tails: Vec<u32> = Vec::new();
+        let mut next = vec![NONE; build_rows];
+        if let Some(rb) = side.as_deref() {
+            let key_cols = key_columns(keys, rb)?;
+            let enc = KeyEncoder::new(&key_types(keys));
+            let mut entries: Vec<u32> = Vec::new();
+            table.intern_rows(&enc, &key_cols, 0..build_rows, &mut entries);
+            for (row, &entry) in entries.iter().enumerate() {
+                let entry = entry as usize;
+                if entry == heads.len() {
+                    heads.push(row as u32);
+                    tails.push(row as u32);
+                } else {
+                    next[tails[entry] as usize] = row as u32;
+                    tails[entry] = row as u32;
+                }
             }
         }
+        Ok(JoinBuild {
+            side,
+            table,
+            heads,
+            next,
+        })
     }
 
-    let mut build_matched = vec![false; build_rows];
-    // Late-materialized output: gather indices per side; -1 marks a
-    // null-extended slot (outer-join padding).
-    let mut fl: Vec<i64> = Vec::new();
-    let mut fr: Vec<i64> = Vec::new();
-
-    // Probe phase.
-    if let Some(lb) = left_all {
-        let key_cols: Vec<Cow<Column>> = left_keys
+    /// What the build keys let a scan of the probe side drop
+    /// ([`KeyFilter`]), for the probe keys that are bare columns of it.
+    pub(crate) fn key_filter(
+        &self,
+        keys: &[BoundExpr],
+        probe_keys: &[BoundExpr],
+    ) -> Result<Option<KeyFilter>> {
+        let probe: Vec<Option<(usize, DataType)>> = probe_keys
             .iter()
-            .map(|k| evaluate_ref(k, lb))
-            .collect::<Result<_>>()?;
-        let enc = KeyEncoder::new(&key_types(left_keys));
-        // For a run of probe rows, looked up together: the first build row
-        // matching each (`NONE` for a NULL key or no match); `next` chains
-        // the rest.
-        let mut first_matches = |rows: std::ops::Range<usize>, first: &mut Vec<u32>| {
-            first.clear();
-            table.lookup_rows(&enc, &key_cols, rows, first);
-            for entry in first {
-                *entry = match *entry {
-                    NO_ENTRY => NONE,
-                    entry => heads[entry as usize],
-                };
+            .map(|k| match k {
+                BoundExpr::ColumnRef {
+                    index, data_type, ..
+                } => Some((*index, *data_type)),
+                _ => None,
+            })
+            .collect();
+        Ok(match self.side.as_deref() {
+            Some(rb) => KeyFilter::from_build(&key_columns(keys, rb)?, &probe),
+            None => {
+                let empty: Vec<Column> = (key_types(keys).iter())
+                    .map(|&ty| Column::nulls(ty, 0))
+                    .collect();
+                KeyFilter::from_build(&empty, &probe)
             }
-        };
-        if let Some(res) = residual {
-            // With a residual, collect all key-matched candidate pairs
-            // first, evaluate the residual as one mask over an assembled
-            // candidate batch, then keep the surviving pairs.
-            let mut cand_l: Vec<i64> = Vec::new();
-            let mut cand_r: Vec<i64> = Vec::new();
-            let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(lb.num_rows());
-            for rows in key_chunks(0..lb.num_rows()) {
-                first_matches(rows.clone(), &mut entries);
-                for (row, &first) in rows.zip(&entries) {
-                    let start = cand_l.len() as u32;
-                    let mut b = first;
-                    while b != NONE {
-                        cand_l.push(row as i64);
-                        cand_r.push(b as i64);
-                        b = next[b as usize];
-                    }
-                    ranges.push((start, cand_l.len() as u32));
+        })
+    }
+
+    /// Probe with `left_batches` and materialize the join's output in
+    /// `batch_size` chunks, one gather per column per chunk.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn join(
+        mut self,
+        left_batches: &[RecordBatch],
+        join_type: JoinType,
+        left_keys: &[BoundExpr],
+        residual: Option<&BoundExpr>,
+        output_schema: &SchemaRef,
+        left_width: usize,
+        batch_size: usize,
+    ) -> Result<Vec<RecordBatch>> {
+        // Coalesced so match indices are global row numbers and output
+        // columns come from a single gather source.
+        let left_all = coalesce(left_batches)?;
+        let (fl, fr) = self.probe(
+            left_all.as_deref(),
+            join_type,
+            left_keys,
+            residual,
+            output_schema,
+            left_width,
+        )?;
+        let chunk = batch_size.max(1);
+        let mut out = Vec::with_capacity(fl.len().div_ceil(chunk));
+        for (cl, cr) in fl.chunks(chunk).zip(fr.chunks(chunk)) {
+            out.push(self.assemble(output_schema, left_width, left_all.as_deref(), cl, cr)?);
+        }
+        Ok(out)
+    }
+
+    /// [`assemble`] against this build side.
+    pub(crate) fn assemble(
+        &self,
+        output_schema: &SchemaRef,
+        left_width: usize,
+        left: Option<&RecordBatch>,
+        li: &[i64],
+        ri: &[i64],
+    ) -> Result<RecordBatch> {
+        assemble(
+            output_schema,
+            left_width,
+            left,
+            li,
+            self.side.as_deref(),
+            ri,
+        )
+    }
+
+    /// The equi-join index core: the `(left_row, right_row)` gather-index
+    /// vectors (−1 ⇒ null-extended slot) of probing with `left_all`, in
+    /// exactly the order the row-at-a-time join emitted rows: probe rows in
+    /// input order, matches in build-insertion order, unmatched left-outer
+    /// rows inline, unmatched right-outer rows as a tail in build order.
+    /// Shared with the exchange partitioned-join path, which runs it per
+    /// partition and maps the local indices back through per-partition
+    /// row-origin vectors.
+    pub(crate) fn probe(
+        &mut self,
+        left_all: Option<&RecordBatch>,
+        join_type: JoinType,
+        left_keys: &[BoundExpr],
+        residual: Option<&BoundExpr>,
+        output_schema: &SchemaRef,
+        left_width: usize,
+    ) -> Result<(Vec<i64>, Vec<i64>)> {
+        let JoinBuild {
+            side,
+            table,
+            heads,
+            next,
+        } = self;
+        let right_all = side.as_deref();
+        let mut build_matched = vec![false; next.len()];
+        // Late-materialized output: gather indices per side; -1 marks a
+        // null-extended slot (outer-join padding).
+        let mut fl: Vec<i64> = Vec::new();
+        let mut fr: Vec<i64> = Vec::new();
+
+        if let Some(lb) = left_all {
+            let key_cols = key_columns(left_keys, lb)?;
+            let enc = KeyEncoder::new(&key_types(left_keys));
+            let mut entries: Vec<u32> = Vec::new();
+            // For a run of probe rows, looked up together: the first build
+            // row matching each (`NONE` for a NULL key or no match); `next`
+            // chains the rest.
+            let mut first_matches = |rows: std::ops::Range<usize>, first: &mut Vec<u32>| {
+                first.clear();
+                table.lookup_rows(&enc, &key_cols, rows, first);
+                for entry in first {
+                    *entry = match *entry {
+                        NO_ENTRY => NONE,
+                        entry => heads[entry as usize],
+                    };
                 }
-            }
-            let keep = if cand_l.is_empty() {
-                Vec::new()
-            } else {
-                let cand = assemble(
-                    output_schema,
-                    left_width,
-                    left_all,
-                    &cand_l,
-                    right_all,
-                    &cand_r,
-                )?;
-                predicate_mask(res, &cand)?
             };
-            for (row, &(start, end)) in ranges.iter().enumerate() {
-                let mut matched = false;
-                for ci in start as usize..end as usize {
-                    if keep[ci] {
-                        matched = true;
-                        build_matched[cand_r[ci] as usize] = true;
-                        fl.push(row as i64);
-                        fr.push(cand_r[ci]);
+            if let Some(res) = residual {
+                // With a residual, collect all key-matched candidate pairs
+                // first, evaluate the residual as one mask over an assembled
+                // candidate batch, then keep the surviving pairs.
+                let mut cand_l: Vec<i64> = Vec::new();
+                let mut cand_r: Vec<i64> = Vec::new();
+                let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(lb.num_rows());
+                for rows in key_chunks(0..lb.num_rows()) {
+                    first_matches(rows.clone(), &mut entries);
+                    for (row, &first) in rows.zip(&entries) {
+                        let start = cand_l.len() as u32;
+                        let mut b = first;
+                        while b != NONE {
+                            cand_l.push(row as i64);
+                            cand_r.push(b as i64);
+                            b = next[b as usize];
+                        }
+                        ranges.push((start, cand_l.len() as u32));
                     }
                 }
-                if !matched && join_type == JoinType::Left {
-                    fl.push(row as i64);
-                    fr.push(-1);
-                }
-            }
-        } else {
-            for rows in key_chunks(0..lb.num_rows()) {
-                first_matches(rows.clone(), &mut entries);
-                for (row, &first) in rows.zip(&entries) {
-                    if first == NONE && join_type == JoinType::Left {
+                let keep = if cand_l.is_empty() {
+                    Vec::new()
+                } else {
+                    let cand = assemble(
+                        output_schema,
+                        left_width,
+                        left_all,
+                        &cand_l,
+                        right_all,
+                        &cand_r,
+                    )?;
+                    predicate_mask(res, &cand)?
+                };
+                for (row, &(start, end)) in ranges.iter().enumerate() {
+                    let mut matched = false;
+                    for ci in start as usize..end as usize {
+                        if keep[ci] {
+                            matched = true;
+                            build_matched[cand_r[ci] as usize] = true;
+                            fl.push(row as i64);
+                            fr.push(cand_r[ci]);
+                        }
+                    }
+                    if !matched && join_type == JoinType::Left {
                         fl.push(row as i64);
                         fr.push(-1);
                     }
-                    let mut b = first;
-                    while b != NONE {
-                        build_matched[b as usize] = true;
-                        fl.push(row as i64);
-                        fr.push(b as i64);
-                        b = next[b as usize];
+                }
+            } else {
+                for rows in key_chunks(0..lb.num_rows()) {
+                    first_matches(rows.clone(), &mut entries);
+                    for (row, &first) in rows.zip(&entries) {
+                        if first == NONE && join_type == JoinType::Left {
+                            fl.push(row as i64);
+                            fr.push(-1);
+                        }
+                        let mut b = first;
+                        while b != NONE {
+                            build_matched[b as usize] = true;
+                            fl.push(row as i64);
+                            fr.push(b as i64);
+                            b = next[b as usize];
+                        }
                     }
                 }
             }
         }
-    }
 
-    // Right outer: emit unmatched build rows null-extended on the left.
-    if join_type == JoinType::Right {
-        for (b, matched) in build_matched.iter().enumerate() {
-            if !matched {
-                fl.push(-1);
-                fr.push(b as i64);
+        // Right outer: emit unmatched build rows null-extended on the left.
+        if join_type == JoinType::Right {
+            for (b, matched) in build_matched.iter().enumerate() {
+                if !matched {
+                    fl.push(-1);
+                    fr.push(b as i64);
+                }
             }
         }
+        Ok((fl, fr))
     }
-    Ok((fl, fr))
+}
+
+fn key_columns<'b>(keys: &[BoundExpr], batch: &'b RecordBatch) -> Result<Vec<Cow<'b, Column>>> {
+    keys.iter().map(|k| evaluate_ref(k, batch)).collect()
 }
 
 fn key_types(keys: &[BoundExpr]) -> Vec<DataType> {
@@ -254,7 +339,7 @@ pub(crate) fn coalesce(batches: &[RecordBatch]) -> Result<Option<Cow<'_, RecordB
 /// Build an output batch by gathering `li`/`ri` (−1 ⇒ NULL) from the two
 /// sides. Gathered columns are width-adapted to the output field types the
 /// same way the row-at-a-time sink's `ColumnBuilder::push` widened values.
-pub(crate) fn assemble(
+fn assemble(
     output_schema: &SchemaRef,
     left_width: usize,
     left: Option<&RecordBatch>,
@@ -295,7 +380,7 @@ fn adapt_to(col: Column, ty: DataType) -> Result<Column> {
     })
 }
 
-fn cross_join(
+pub(crate) fn cross_join(
     left_batches: &[RecordBatch],
     right_batches: &[RecordBatch],
     join_type: JoinType,

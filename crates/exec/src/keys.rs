@@ -16,12 +16,17 @@
 //! NULL columns contribute only their bitmap bit (no tag, no payload).
 //! ```
 //!
-//! Byte equality of two encodings is exactly [`Value`] tuple equality:
+//! Byte equality of two encodings is [`Value`] tuple equality, with one known
+//! exception:
 //!
-//! - `Value::eq` widens `Int32`/`Int64`/`Float64` through `f64::total_cmp`,
+//! - `Value::eq` compares an integer with a float through `f64::total_cmp`,
 //!   and `total_cmp` equality is bit equality of the `f64` — so writing the
 //!   raw widened bit pattern makes memcmp agree with `eq` (including the
-//!   `-0.0 != 0.0` and `NaN == NaN`-same-payload corners).
+//!   `-0.0 != 0.0` and `NaN == NaN`-same-payload corners). Two *integers*
+//!   `eq` compares exactly, while here they are equal when they round to one
+//!   `f64`: distinct keys of magnitude 2^53 or more can collide (ROADMAP
+//!   item 5; fixing it changes this byte format and with it exchange
+//!   routing). [`KeyFilter`] is built around that rule, not around `eq`.
 //! - Every per-column encoding is uniquely decodable (fixed width or
 //!   length-prefixed, discriminated by the class tag), so concatenations
 //!   are injective and cross-class tuples can never collide byte-wise —
@@ -272,9 +277,9 @@ impl KeyEncoder {
             let validity = col.validity().map(|v| &v[rows.clone()]);
             let (tag, from) = (class.tag(), rows.start);
             const FIXED: &[u8] = &[];
-            // Widen every numeric through its f64 bit pattern: equal values
-            // (under Value::eq's total_cmp) have equal bits, and integers are
-            // exact in f64 up to 2^53.
+            // Widen every numeric through its f64 bit pattern: an integer and
+            // the float it equals have equal bits, and integers are exact in
+            // f64 up to 2^53.
             match col.data() {
                 ColumnData::Int32(v) => put_column(out, tag, c, validity, |i| {
                     (f64::from(v[from + i]).to_bits().to_le_bytes(), FIXED)
@@ -639,6 +644,206 @@ impl<'a> PoolSlots<'a> {
     }
 }
 
+/// The key types whose join equality is exact integer equality, so that a
+/// range or a set of build values says which probe values can match. Floats,
+/// strings and booleans have none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyDomain {
+    /// `Int32` and `Int64`, which join each other.
+    Integer,
+    Date,
+    Timestamp,
+}
+
+/// A column's values as `i64`, when its type has a [`KeyDomain`].
+#[derive(Clone, Copy)]
+pub enum KeyInts<'a> {
+    Narrow(&'a [i32]),
+    Wide(&'a [i64]),
+}
+
+impl<'a> KeyInts<'a> {
+    pub fn of(data: &'a ColumnData) -> Option<(KeyDomain, KeyInts<'a>)> {
+        let ints = match data {
+            ColumnData::Int32(v) | ColumnData::Date(v) => KeyInts::Narrow(v),
+            ColumnData::Int64(v) | ColumnData::Timestamp(v) => KeyInts::Wide(v),
+            _ => return None,
+        };
+        Some((KeyDomain::of(data.data_type())?, ints))
+    }
+
+    /// `f` over the values in row order, the width matched once.
+    pub fn for_each(self, mut f: impl FnMut(usize, i64)) {
+        match self {
+            KeyInts::Narrow(v) => (v.iter().enumerate()).for_each(|(i, &x)| f(i, i64::from(x))),
+            KeyInts::Wide(v) => (v.iter().enumerate()).for_each(|(i, &x)| f(i, x)),
+        }
+    }
+}
+
+impl KeyDomain {
+    pub fn of(ty: DataType) -> Option<KeyDomain> {
+        match ty {
+            DataType::Int32 | DataType::Int64 => Some(KeyDomain::Integer),
+            DataType::Date => Some(KeyDomain::Date),
+            DataType::Timestamp => Some(KeyDomain::Timestamp),
+            DataType::Boolean | DataType::Float64 | DataType::Utf8 => None,
+        }
+    }
+}
+
+/// [`KeyEncoder`] writes every numeric key as an `f64` bit pattern, so two
+/// integer keys of this magnitude or more that round to one `f64` are equal
+/// keys to the join. Below it an integer is its own `f64`, and no `i64` of
+/// this magnitude or more rounds to anything smaller — exact integer
+/// membership and the join's equality coincide for every `i64` probe value.
+const EXACT_INTEGER_KEYS: i64 = 1 << 53;
+
+/// The widest `[min, max]` a [`KeyFilter`] holds as an exact set, one bit per
+/// value: 512 KiB of bits, which covers the key range of a 4-million-row
+/// dimension table and is small beside the probe side it spares.
+const KEY_FILTER_BITMAP_SPAN: i128 = 1 << 22;
+
+/// The closed range of one build key column, against the probe column it is
+/// compared with. `min > max` when the build side has no key at all.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyRange {
+    /// The probe scan's output column.
+    pub column: usize,
+    pub domain: KeyDomain,
+    pub min: i64,
+    pub max: i64,
+}
+
+/// What a hash join's build side tells its probe scan: a *necessary*
+/// condition, in the join's own equality, for a probe row to find a match.
+/// Per key column a closed range; for a single integer key whose range fits
+/// [`KEY_FILTER_BITMAP_SPAN`], also the exact set of build values as bits
+/// over that range. A NULL probe key never matches and passes no range. A
+/// scan may drop every row that fails it when unmatched probe rows are not
+/// part of the join's output (inner and right-outer joins).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyFilter {
+    ranges: Vec<KeyRange>,
+    /// Bit `v - ranges[0].min` is set when `v` is a build key. Never held
+    /// when every value of the range is present: the range says as much.
+    bitmap: Option<Vec<u64>>,
+}
+
+impl KeyFilter {
+    /// The filter of build key columns `build`, where `probe[i]` is the
+    /// probe scan's output column (index and type) that key `i` is compared
+    /// with, or `None` when the probe key is not a bare column. `None` when
+    /// no key column has a range to offer.
+    ///
+    /// A build row holding a NULL in any key column matches nothing and
+    /// contributes nothing. An integer column with a value of magnitude
+    /// 2^53 or more offers no range ([`EXACT_INTEGER_KEYS`]).
+    pub fn from_build<C: std::borrow::Borrow<Column>>(
+        build: &[C],
+        probe: &[Option<(usize, DataType)>],
+    ) -> Option<KeyFilter> {
+        debug_assert_eq!(build.len(), probe.len());
+        let mut valid: Option<Vec<bool>> = None;
+        for col in build {
+            if let Some(v) = col.borrow().validity() {
+                match &mut valid {
+                    None => valid = Some(v.to_vec()),
+                    Some(all) => all.iter_mut().zip(v).for_each(|(a, &b)| *a &= b),
+                }
+            }
+        }
+        let is_valid = |row: usize| valid.as_ref().is_none_or(|v| v[row]);
+
+        let mut ranges = Vec::new();
+        let mut values = Vec::new();
+        for (col, probe) in build.iter().zip(probe) {
+            let Some((column, probe_ty)) = *probe else {
+                continue;
+            };
+            let Some((domain, ints)) = KeyInts::of(col.borrow().data()) else {
+                continue;
+            };
+            if KeyDomain::of(probe_ty) != Some(domain) {
+                continue;
+            }
+            let (mut min, mut max) = (i64::MAX, i64::MIN);
+            ints.for_each(|row, v| {
+                if is_valid(row) {
+                    min = min.min(v);
+                    max = max.max(v);
+                }
+            });
+            let exact = domain != KeyDomain::Integer
+                || min > max
+                || (min > -EXACT_INTEGER_KEYS && max < EXACT_INTEGER_KEYS);
+            if exact {
+                ranges.push(KeyRange {
+                    column,
+                    domain,
+                    min,
+                    max,
+                });
+                values.push(ints);
+            }
+        }
+        let first = ranges.first()?;
+
+        let span = i128::from(first.max) - i128::from(first.min) + 1;
+        let fits = build.len() == 1
+            && first.domain == KeyDomain::Integer
+            && (1..=KEY_FILTER_BITMAP_SPAN).contains(&span);
+        let bitmap = fits.then(|| {
+            let mut bits = vec![0u64; (span as usize).div_ceil(64)];
+            values[0].for_each(|row, v| {
+                if is_valid(row) {
+                    let at = (v - first.min) as usize;
+                    bits[at / 64] |= 1 << (at % 64);
+                }
+            });
+            bits
+        });
+        let present = |bits: &Vec<u64>| bits.iter().map(|w| w.count_ones() as i128).sum::<i128>();
+        let bitmap = bitmap.filter(|bits| present(bits) < span);
+        Some(KeyFilter { ranges, bitmap })
+    }
+
+    /// One range per filtered key column, the bitmap's (if any) first.
+    pub fn ranges(&self) -> &[KeyRange] {
+        &self.ranges
+    }
+
+    /// Whether the first range carries the exact set of build values.
+    pub fn is_exact(&self) -> bool {
+        self.bitmap.is_some()
+    }
+
+    /// How the filter reads in a profile.
+    pub fn kind(&self) -> &'static str {
+        if self.is_exact() {
+            "bitmap"
+        } else {
+            "min/max"
+        }
+    }
+
+    /// Whether probe value `v` of range `at`'s column can match a build key.
+    #[inline]
+    pub fn admits(&self, at: usize, v: i64) -> bool {
+        let range = &self.ranges[at];
+        if v < range.min || v > range.max {
+            return false;
+        }
+        match &self.bitmap {
+            Some(bits) if at == 0 => {
+                let bit = (v - range.min) as usize;
+                bits[bit / 64] >> (bit % 64) & 1 == 1
+            }
+            _ => true,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -999,6 +1204,143 @@ mod tests {
             let longest = max_probe_len(table);
             assert!(longest <= 64, "{what}: longest probe run {longest}");
         }
+    }
+
+    fn ints(vals: &[Option<i64>]) -> Column {
+        let vals: Vec<Value> = (vals.iter())
+            .map(|v| v.map_or(Value::Null, Value::Int64))
+            .collect();
+        col(DataType::Int64, &vals)
+    }
+
+    /// The filter of one build key column against probe column 3 of `probe`.
+    fn filter_of(build: &Column, probe: DataType) -> Option<KeyFilter> {
+        KeyFilter::from_build(std::slice::from_ref(build), &[Some((3, probe))])
+    }
+
+    #[test]
+    fn key_filter_holds_the_exact_set_of_a_small_integer_key() {
+        let build = ints(&[Some(40), Some(-3), None, Some(10), Some(10)]);
+        for probe in [DataType::Int64, DataType::Int32] {
+            let f = filter_of(&build, probe).unwrap();
+            let range = &f.ranges()[0];
+            assert_eq!((range.column, range.min, range.max), (3, -3, 40));
+            assert_eq!(range.domain, KeyDomain::Integer);
+            assert!(f.is_exact());
+            assert_eq!(f.kind(), "bitmap");
+            for v in -10..50 {
+                assert_eq!(f.admits(0, v), [40, -3, 10].contains(&v), "{v}");
+            }
+            assert!(!f.admits(0, i64::MIN) && !f.admits(0, i64::MAX));
+        }
+        // Every value of the range present: the range alone says as much.
+        let full = filter_of(
+            &ints(&[Some(2), Some(0), Some(1), Some(1)]),
+            DataType::Int64,
+        )
+        .unwrap();
+        assert!(!full.is_exact());
+        assert_eq!(full.kind(), "min/max");
+        assert!(full.admits(0, 0) && full.admits(0, 2) && !full.admits(0, 3));
+        // A range one value wider than the bitmap may be: min/max only.
+        let span = KEY_FILTER_BITMAP_SPAN as i64;
+        assert!(
+            filter_of(&ints(&[Some(5), Some(5 + span - 1)]), DataType::Int64)
+                .unwrap()
+                .is_exact()
+        );
+        let wide = filter_of(&ints(&[Some(5), Some(5 + span)]), DataType::Int64).unwrap();
+        assert!(!wide.is_exact());
+        assert!(wide.admits(0, 6) && !wide.admits(0, 4));
+    }
+
+    #[test]
+    fn key_filter_offers_nothing_where_join_equality_is_not_integer_equality() {
+        let p53 = EXACT_INTEGER_KEYS;
+        // Floats on either side, strings, booleans: no range, so no filter.
+        let floats = col(
+            DataType::Float64,
+            &[Value::Float64(1.0), Value::Float64(2.0)],
+        );
+        assert_eq!(filter_of(&floats, DataType::Int64), None);
+        assert_eq!(filter_of(&ints(&[Some(1)]), DataType::Float64), None);
+        let strings = col(DataType::Utf8, &[Value::Utf8("a".into())]);
+        assert_eq!(filter_of(&strings, DataType::Utf8), None);
+        // A date never equals a timestamp or an integer.
+        let dates = col(DataType::Date, &[Value::Date(3)]);
+        assert_eq!(filter_of(&dates, DataType::Timestamp), None);
+        assert_eq!(filter_of(&dates, DataType::Int32), None);
+        assert_eq!(filter_of(&dates, DataType::Date).unwrap().kind(), "min/max");
+        // An integer key of magnitude 2^53 joins its neighbours through
+        // f64: one such build value and the column offers nothing.
+        for edge in [p53, -p53, i64::MAX, i64::MIN] {
+            assert_eq!(
+                filter_of(&ints(&[Some(1), Some(edge)]), DataType::Int64),
+                None
+            );
+        }
+        for inside in [p53 - 1, -p53 + 1] {
+            let f = filter_of(&ints(&[Some(inside)]), DataType::Int64).unwrap();
+            assert!(f.admits(0, inside) && !f.admits(0, inside + inside.signum()));
+        }
+        // ... unless that value sits in a row that matches nothing anyway.
+        assert!(filter_of(&ints(&[Some(1), None]), DataType::Int64).is_some());
+        // Timestamps are compared as the integers they are, end to end of
+        // i64; the span of such a range does not fit an i64.
+        let stamps = col(
+            DataType::Timestamp,
+            &[Value::Timestamp(i64::MIN), Value::Timestamp(i64::MAX)],
+        );
+        let f = filter_of(&stamps, DataType::Timestamp).unwrap();
+        assert!(!f.is_exact() && f.admits(0, 0) && f.admits(0, i64::MIN));
+        // A probe key that is not a bare column.
+        assert_eq!(KeyFilter::from_build(&[ints(&[Some(1)])], &[None]), None);
+    }
+
+    #[test]
+    fn key_filter_of_an_empty_or_all_null_build_side_admits_nothing() {
+        for build in [ints(&[]), ints(&[None, None])] {
+            let f = filter_of(&build, DataType::Int64).unwrap();
+            assert!(!f.is_exact());
+            for v in [i64::MIN, -1, 0, 1, i64::MAX] {
+                assert!(!f.admits(0, v), "{v}");
+            }
+        }
+    }
+
+    #[test]
+    fn key_filter_of_several_columns_is_a_range_per_rangeable_column() {
+        // Keys (int, string, date); the row with the NULL string matches
+        // nothing, so its 900 and its date do not widen the ranges.
+        let a = ints(&[Some(5), Some(900), Some(7)]);
+        let s = col(
+            DataType::Utf8,
+            &[
+                Value::Utf8("x".into()),
+                Value::Null,
+                Value::Utf8("y".into()),
+            ],
+        );
+        let d = col(
+            DataType::Date,
+            &[Value::Date(30), Value::Date(-4), Value::Date(10)],
+        );
+        let probe = [
+            Some((2, DataType::Int32)),
+            Some((0, DataType::Utf8)),
+            Some((1, DataType::Date)),
+        ];
+        let f = KeyFilter::from_build(&[a, s, d], &probe).unwrap();
+        assert!(!f.is_exact(), "an exact set is for a single key column");
+        let ranges: Vec<_> = (f.ranges().iter())
+            .map(|r| (r.column, r.domain, r.min, r.max))
+            .collect();
+        assert_eq!(
+            ranges,
+            [(2, KeyDomain::Integer, 5, 7), (1, KeyDomain::Date, 10, 30)]
+        );
+        assert!(f.admits(0, 6) && !f.admits(0, 8));
+        assert!(f.admits(1, 10) && !f.admits(1, 9));
     }
 
     #[test]

@@ -108,8 +108,10 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch
             residual,
             output_schema,
         } => {
-            let lb = execute(left, ctx)?;
+            // Build side first, like `engine::execute`: when both sides
+            // fail, both executors report the build side's error.
             let rb = execute(right, ctx)?;
+            let lb = execute(left, ctx)?;
             let left_width = left.schema().len();
             execute_join(
                 &lb,

@@ -18,12 +18,15 @@
 //! in flight ahead of the decoding workers, unless the chunk cache already
 //! holds everything the scan will read, in which case there is nothing to
 //! overlap and the workers fetch for themselves. Residual filters run on
-//! encoded chunks ([`crate::encoded`]) with late materialization. Billing is
-//! metered from chunk metadata, so bills are identical however the bytes
-//! arrived.
+//! encoded chunks ([`crate::encoded`]) with late materialization; when the
+//! scan is the probe side of a hash join, the build side's [`KeyFilter`] is
+//! one more conjunct after them. Billing is metered from chunk metadata, so
+//! bills are identical however the bytes arrived and whatever a filter
+//! dropped.
 
 use crate::context::ExecContext;
-use crate::encoded::{encoded_filter_mask, LazyRowGroup};
+use crate::encoded::{encoded_filter_mask, key_filter_can_drop, key_filter_mask, LazyRowGroup};
+use crate::keys::KeyFilter;
 use crate::prefetch::run_prefetched;
 use pixels_common::{Error, RecordBatch, Result, SchemaRef};
 use pixels_obs::Span;
@@ -202,6 +205,7 @@ pub fn execute_scan(
     projection: &[usize],
     zone_predicates: &[ColumnPredicate],
     filters: &[BoundExpr],
+    join_filter: Option<&KeyFilter>,
     output_schema: &SchemaRef,
 ) -> Result<Vec<RecordBatch>> {
     let scan = ScanMorsels::open(ctx, paths, projection, zone_predicates)?;
@@ -237,21 +241,44 @@ pub fn execute_scan(
             Ok(chunks)
         },
         // Work phase (morsel workers): filter on the encoded chunks, then
-        // materialize only the selected rows.
+        // materialize only the selected rows. The join's key filter comes
+        // after the fetch and after the scan's own conjuncts: it prunes no
+        // byte, and a row they reject or fail on never reaches it.
         |i, chunks: Vec<EncodedChunk>| {
             let mut span = ctx.trace.span("morsel");
             let lazy = scan.lazy(i, chunks);
-            let batch = if filters.is_empty() {
-                lazy.materialize_all()?
+            let (reader, rg) = scan.reader(i);
+            let stats: Vec<&ColumnStats> = if filters.is_empty() && join_filter.is_none() {
+                Vec::new()
             } else {
-                let (reader, rg) = scan.reader(i);
-                let stats: Vec<&ColumnStats> = projection
+                projection
                     .iter()
                     .map(|&c| &reader.footer().row_groups[rg].columns[c].stats)
-                    .collect();
-                let mask = encoded_filter_mask(filters, &lazy, &stats)?;
+                    .collect()
+            };
+            // A filter that this morsel's zone maps show can drop nothing
+            // costs nothing.
+            let key_filter = join_filter.filter(|f| key_filter_can_drop(f, &lazy, &stats));
+            // Rows that got as far as the key filter.
+            let mut reached = lazy.num_rows();
+            let batch = if filters.is_empty() && key_filter.is_none() {
+                lazy.materialize_all()?
+            } else {
+                let mut mask = encoded_filter_mask(filters, &lazy, &stats)?;
+                if join_filter.is_some() {
+                    reached = mask.iter().filter(|&&keep| keep).count();
+                }
+                if let Some(filter) = key_filter {
+                    key_filter_mask(filter, &lazy, &stats, &mut mask)?;
+                }
                 lazy.materialize(&mask)?
             };
+            if join_filter.is_some() {
+                let dropped = (reached - batch.num_rows()) as u64;
+                span.record_u64("join_filter_rows", reached as u64);
+                span.record_u64("join_filter_dropped", dropped);
+                ctx.metrics.add_join_filter(reached as u64, dropped);
+            }
             scan.meter(&mut span, i, batch.num_rows());
             Ok(batch)
         },

@@ -5,8 +5,8 @@
 //! against typed column views, and output batches are assembled with one
 //! gather per column — no per-row `Vec<Value>` key tuples or builder
 //! pushes. The comparator reproduces `Value::total_cmp` exactly: NULLs
-//! first (then direction reversal), numerics — including Int64 — widened
-//! through `f64::total_cmp`, everything else by its natural ordering.
+//! first (then direction reversal), floats by `f64::total_cmp`, everything
+//! else — integers included — by its natural ordering.
 
 use crate::evaluate::{evaluate_ref, NumSlice};
 use pixels_common::{Column, ColumnData, RecordBatch, Result, StrVec};
@@ -52,9 +52,7 @@ impl<'a> SortKey<'a> {
             (true, false) => Ordering::Less,
             (false, true) => Ordering::Greater,
             (false, false) => match &self.view {
-                // Int64 deliberately goes through f64 like sql_cmp does
-                // (identical ordering quirks past 2^53).
-                View::Num(ns) => ns.get(a).total_cmp(&ns.get(b)),
+                View::Num(ns) => ns.compare(a, b),
                 View::Bool(v) => v[a].cmp(&v[b]),
                 View::Str(v) => v.get(a).cmp(v.get(b)),
                 View::Date(v) => v[a].cmp(&v[b]),

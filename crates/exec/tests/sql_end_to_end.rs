@@ -546,3 +546,18 @@ fn split_plan_produces_identical_results() {
     assert_eq!(direct.num_rows(), 1);
     assert_eq!(direct.row(0)[0], v_s("FR"));
 }
+
+/// Two integers are compared as integers: through `f64`, 2^53 + 1 rounds
+/// onto 2^53 and the order whose sum is exactly one above the literal was
+/// not counted.
+#[test]
+fn integer_comparison_is_exact_past_2_pow_53() {
+    let all = rows("SELECT COUNT(*) FROM orders")[0][0].clone();
+    // o_id starts at 100: 100 + (2^53 - 100) is the literal itself, every
+    // later order lies above it.
+    let above =
+        rows("SELECT COUNT(*) FROM orders WHERE o_id + 9007199254740892 > 9007199254740992");
+    assert_eq!(above[0][0], v_i(all.as_i64().unwrap() - 1));
+    let equal = rows("SELECT o_id FROM orders WHERE o_id + 9007199254740892 = 9007199254740993");
+    assert_eq!(equal, vec![vec![v_i(101)]]);
+}

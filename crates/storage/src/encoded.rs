@@ -12,8 +12,8 @@
 //!   run once per pool entry, and no row's string is copied.
 //! - [`EncodedChunk::decode_filtered`] — materialize only selected rows. A
 //!   dictionary chunk keeps the selected codes over the shared dictionary; a
-//!   plain string chunk copies only the selected rows' bytes, so a one-row
-//!   result does not hold the chunk's strings alive.
+//!   plain chunk reads only the selected rows out of the payload, so a
+//!   one-row result neither decodes the chunk nor holds its strings alive.
 //! - [`EncodedChunk::rle_runs`] — run headers + one value per run, so
 //!   COUNT/SUM/MIN/MAX can fold runs without expanding them.
 //!
@@ -23,7 +23,7 @@
 //! are detected.
 
 use bytes::Bytes;
-use pixels_common::{Column, ColumnData, DataType, Error, Result, StrVec};
+use pixels_common::{Column, ColumnData, DataType, Error, Result};
 
 use crate::codec::Reader as ByteReader;
 use crate::encoding::{self, bitpack, plain, Encoding};
@@ -115,8 +115,8 @@ impl EncodedChunk {
 
     /// Decode only the rows selected by `mask` (length = chunk rows).
     /// Equal to `decode()?.filter(mask)`, with the same validation, but RLE
-    /// runs are never expanded for rejected rows and a plain string chunk
-    /// copies only the selected rows' bytes.
+    /// runs are never expanded for rejected rows and a plain chunk reads
+    /// only the selected rows out of its payload.
     pub fn decode_filtered(&self, mask: &[bool]) -> Result<Column> {
         if mask.len() != self.num_rows {
             return Err(Error::Storage(format!(
@@ -135,12 +135,14 @@ impl EncodedChunk {
             })
         };
         match self.encoding {
-            Encoding::Plain if self.ty == DataType::Utf8 => {
+            // Only the selected rows are read out of the payload (for
+            // strings: copied into the pool).
+            Encoding::Plain => {
                 let mut r = ByteReader::new(&self.payload);
-                let pool = plain::read_pool(&mut r, self.num_rows, Some(mask))?;
-                Column::with_validity(ColumnData::Utf8(StrVec::from_pool(pool)), validity())
+                let data = plain::decode_kept(&mut r, self.ty, self.num_rows, Some(mask))?;
+                Column::with_validity(data, validity())
             }
-            Encoding::Plain | Encoding::Dictionary => self.decode()?.filter(mask),
+            Encoding::Dictionary => self.decode()?.filter(mask),
             Encoding::Rle => {
                 let runs = self.rle_runs()?;
                 // Sized once from the mask; each run emits as many copies as
@@ -189,8 +191,11 @@ impl EncodedChunk {
             num_rows: usize,
             get: impl Fn(&mut ByteReader<'_>) -> Result<T>,
         ) -> Result<(Vec<u32>, Vec<T>)> {
-            let mut counts = Vec::new();
-            let mut values = Vec::new();
+            // A run takes its 4-byte count and its value in the input, so
+            // the input bounds how many there can be.
+            let runs = num_rows.min(r.remaining() / (4 + std::mem::size_of::<T>()));
+            let mut counts = Vec::with_capacity(runs);
+            let mut values = Vec::with_capacity(runs);
             let mut decoded = 0usize;
             while decoded < num_rows {
                 let count = r.get_u32()? as usize;
@@ -289,21 +294,50 @@ mod tests {
 
     #[test]
     fn decode_filtered_equals_decode_then_filter() {
-        let data = ColumnData::Int32(vec![5, 5, 5, 7, 7, 2, 2, 2, 2, 4]);
-        let validity = [true, true, false, true, true, true, false, true, true, true];
-        for encoding in [Encoding::Plain, Encoding::Rle] {
-            let raw = encode_chunk(&data, Some(&validity), encoding);
-            let chunk = EncodedChunk::parse(raw, DataType::Int32, encoding, 10).unwrap();
-            for mask in [
-                vec![true; 10],
-                vec![false; 10],
-                vec![
-                    true, false, true, false, true, false, true, false, true, false,
-                ],
-            ] {
-                let direct = chunk.decode_filtered(&mask).unwrap();
-                let oracle = chunk.decode().unwrap().filter(&mask).unwrap();
-                assert_eq!(direct, oracle);
+        // Every fixed-width type, plain and RLE, with and without NULLs, at
+        // 0 %, 1 %, 50 % and 100 % of the rows kept.
+        let n = 300usize;
+        let run = |i: usize| (i / 7) as i64 - 20;
+        let columns = [
+            ColumnData::Boolean((0..n).map(|i| run(i) % 2 == 0).collect()),
+            ColumnData::Int32((0..n).map(|i| run(i) as i32 * 3).collect()),
+            ColumnData::Date((0..n).map(|i| 9000 + run(i) as i32).collect()),
+            ColumnData::Int64((0..n).map(|i| run(i) << 40).collect()),
+            ColumnData::Timestamp((0..n).map(|i| -run(i)).collect()),
+            ColumnData::Float64(
+                (0..n)
+                    .map(|i| [-0.0, f64::NAN, 1.5][run(i) as usize % 3])
+                    .collect(),
+            ),
+        ];
+        let validity: Vec<bool> = (0..n).map(|i| i % 5 != 2).collect();
+        let masks = [
+            vec![false; n],
+            (0..n).map(|i| i % 100 == 42).collect(),
+            (0..n).map(|i| i % 2 == 0).collect(),
+            vec![true; n],
+        ];
+        for data in &columns {
+            for encoding in [Encoding::Plain, Encoding::Rle] {
+                for validity in [None, Some(validity.as_slice())] {
+                    let raw = encode_chunk(data, validity, encoding);
+                    let chunk = EncodedChunk::parse(raw, data.data_type(), encoding, n).unwrap();
+                    for mask in &masks {
+                        let direct = chunk.decode_filtered(mask).unwrap();
+                        let oracle = chunk.decode().unwrap().filter(mask).unwrap();
+                        let what = format!("{} {encoding:?}", data.data_type());
+                        assert_eq!(direct.validity(), oracle.validity(), "{what}");
+                        // Floats by bit pattern: NaN is not equal to itself.
+                        match (direct.data(), oracle.data()) {
+                            (ColumnData::Float64(a), ColumnData::Float64(b)) => assert_eq!(
+                                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                                "{what}"
+                            ),
+                            (a, b) => assert_eq!(a, b, "{what}"),
+                        }
+                    }
+                }
             }
         }
     }
@@ -333,9 +367,10 @@ mod tests {
         assert_eq!(v.indices(), [0, 1, 0, 0, 2]);
     }
 
-    /// Every way a string chunk can be corrupt is the same error, with the
-    /// same text, from the full decode and from the filtered one — also when
-    /// the filter rejects the corrupt row.
+    /// Every way a string chunk can be corrupt, and a fixed-width chunk be
+    /// cut short, is the same error, with the same text, from the full decode
+    /// and from the filtered one — also when the filter rejects the corrupt
+    /// row.
     #[test]
     fn corrupt_string_chunks_fail_alike_on_every_decode_path() {
         let dictionary = |entries: &[&[u8]], width: u8, codes: &[u32]| {
@@ -361,7 +396,12 @@ mod tests {
             bytes.truncate(bytes.len() - by);
             bytes
         };
-        use DataType::{Int32, Utf8};
+        let fixed = |bytes: usize| {
+            let mut payload = vec![0u8]; // no validity
+            payload.resize(1 + bytes, 7);
+            payload
+        };
+        use DataType::{Boolean, Date, Float64, Int32, Int64, Timestamp, Utf8};
         use Encoding::{Dictionary, Plain};
         let cases: Vec<(&str, Vec<u8>, DataType, Encoding, &str)> = vec![
             (
@@ -419,6 +459,48 @@ mod tests {
                 Utf8,
                 Plain,
                 "storage error: truncated data: needed 6 bytes, 4 remaining",
+            ),
+            (
+                "plain 32-bit integers cut short",
+                fixed(7),
+                Int32,
+                Plain,
+                "storage error: truncated data: needed 8 bytes, 7 remaining",
+            ),
+            (
+                "plain dates cut short",
+                fixed(4),
+                Date,
+                Plain,
+                "storage error: truncated data: needed 8 bytes, 4 remaining",
+            ),
+            (
+                "plain 64-bit integers cut short",
+                fixed(15),
+                Int64,
+                Plain,
+                "storage error: truncated data: needed 16 bytes, 15 remaining",
+            ),
+            (
+                "plain timestamps cut to nothing",
+                fixed(0),
+                Timestamp,
+                Plain,
+                "storage error: truncated data: needed 16 bytes, 0 remaining",
+            ),
+            (
+                "plain floats cut short",
+                fixed(9),
+                Float64,
+                Plain,
+                "storage error: truncated data: needed 16 bytes, 9 remaining",
+            ),
+            (
+                "plain booleans cut to nothing",
+                fixed(0),
+                Boolean,
+                Plain,
+                "storage error: truncated data: needed 1 bytes, 0 remaining",
             ),
             (
                 "dictionary on a non-string column",

@@ -53,35 +53,76 @@ pub(crate) fn read_pool(r: &mut Reader<'_>, n: usize, keep: Option<&[bool]>) -> 
 }
 
 /// Read `n` fixed-width values with one bounds check: the input is known to
-/// hold all `n * W` bytes before anything is allocated for them.
+/// hold all `n * W` bytes before anything is allocated for them. Under `keep`
+/// (one flag per value) only the selected values are read out, into a vector
+/// sized for them — the bounds check, and so the error, is the same.
 fn read_fixed<const W: usize, T>(
     r: &mut Reader<'_>,
     n: usize,
+    keep: Option<&[bool]>,
     from_le: impl Fn([u8; W]) -> T,
 ) -> Result<Vec<T>> {
     let len = n
         .checked_mul(W)
         .ok_or_else(|| Error::Storage(format!("chunk of {n} {W}-byte values is too large")))?;
     let bytes = r.get_raw(len)?;
-    Ok(bytes
-        .chunks_exact(W)
-        .map(|c| from_le(c.try_into().expect("chunks_exact yields W bytes")))
-        .collect())
+    let value = |c: &[u8]| from_le(c.try_into().expect("chunks_exact yields W bytes"));
+    Ok(match keep {
+        None => bytes.chunks_exact(W).map(value).collect(),
+        Some(keep) => {
+            let mut out = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
+            // What a selective filter keeps comes in few, short stretches:
+            // the rows between them are stepped over a block at a time.
+            const BLOCK: usize = 32;
+            for (block, keep) in bytes.chunks(W * BLOCK).zip(keep.chunks(BLOCK)) {
+                if keep.iter().fold(false, |any, &k| any | k) {
+                    out.extend(
+                        (block.chunks_exact(W).zip(keep))
+                            .filter(|(_, &k)| k)
+                            .map(|(c, _)| value(c)),
+                    );
+                }
+            }
+            out
+        }
+    })
 }
 
-pub fn decode(r: &mut Reader<'_>, ty: DataType, num_rows: usize) -> Result<ColumnData> {
+/// Decode a plain chunk; under `keep` (one flag per row) only the selected
+/// rows, with exactly the validation of the full decode.
+pub(crate) fn decode_kept(
+    r: &mut Reader<'_>,
+    ty: DataType,
+    num_rows: usize,
+    keep: Option<&[bool]>,
+) -> Result<ColumnData> {
     Ok(match ty {
         DataType::Boolean => {
             let bytes = r.get_raw(num_rows.div_ceil(8))?;
-            ColumnData::Boolean(bitpack::unpack_bools(bytes, num_rows))
+            let all = bitpack::unpack_bools(bytes, num_rows);
+            ColumnData::Boolean(match keep {
+                None => all,
+                Some(keep) => (all.iter().zip(keep))
+                    .filter(|(_, &k)| k)
+                    .map(|(&b, _)| b)
+                    .collect(),
+            })
         }
-        DataType::Int32 => ColumnData::Int32(read_fixed(r, num_rows, i32::from_le_bytes)?),
-        DataType::Date => ColumnData::Date(read_fixed(r, num_rows, i32::from_le_bytes)?),
-        DataType::Int64 => ColumnData::Int64(read_fixed(r, num_rows, i64::from_le_bytes)?),
-        DataType::Timestamp => ColumnData::Timestamp(read_fixed(r, num_rows, i64::from_le_bytes)?),
-        DataType::Float64 => ColumnData::Float64(read_fixed(r, num_rows, f64::from_le_bytes)?),
-        DataType::Utf8 => ColumnData::Utf8(StrVec::from_pool(read_pool(r, num_rows, None)?)),
+        DataType::Int32 => ColumnData::Int32(read_fixed(r, num_rows, keep, i32::from_le_bytes)?),
+        DataType::Date => ColumnData::Date(read_fixed(r, num_rows, keep, i32::from_le_bytes)?),
+        DataType::Int64 => ColumnData::Int64(read_fixed(r, num_rows, keep, i64::from_le_bytes)?),
+        DataType::Timestamp => {
+            ColumnData::Timestamp(read_fixed(r, num_rows, keep, i64::from_le_bytes)?)
+        }
+        DataType::Float64 => {
+            ColumnData::Float64(read_fixed(r, num_rows, keep, f64::from_le_bytes)?)
+        }
+        DataType::Utf8 => ColumnData::Utf8(StrVec::from_pool(read_pool(r, num_rows, keep)?)),
     })
+}
+
+pub fn decode(r: &mut Reader<'_>, ty: DataType, num_rows: usize) -> Result<ColumnData> {
+    decode_kept(r, ty, num_rows, None)
 }
 
 #[cfg(test)]

@@ -277,6 +277,36 @@ mod tests {
         assert!(!ColumnStats::empty().must_match_range(None, None));
     }
 
+    /// Zone maps of integer columns are exact where `f64` is not: the
+    /// extremes are found, and the verdicts given, by integer comparison
+    /// around ±2^53 and at the ends of `i64`.
+    #[test]
+    fn integer_zone_verdicts_are_exact_past_2_pow_53() {
+        const P: i64 = 1 << 53;
+        // Through f64, P and P + 1 tie and the first seen would stay.
+        let s = ColumnStats::from_column(&col(&[Some(P), Some(P + 1), Some(P - 1)]));
+        assert_eq!(
+            (s.min, s.max),
+            (Some(Value::Int64(P - 1)), Some(Value::Int64(P + 1)))
+        );
+        let s = ColumnStats::from_column(&col(&[Some(i64::MAX - 1), Some(i64::MAX)]));
+        assert_eq!(s.min, Some(Value::Int64(i64::MAX - 1)));
+
+        let v = Value::Int64;
+        let at = |x: i64| ColumnStats::from_column(&col(&[Some(x)]));
+        for edge in [-P, P - 1, P, i64::MAX - 1, i64::MIN + 1] {
+            let (below, s, above) = (v(edge - 1), at(edge), v(edge + 1));
+            // value > edge - 1 holds for the chunk {edge}; value > edge + 1,
+            // value >= edge + 1 and value = edge + 1 cannot.
+            assert!(s.must_match_range(Some((&below, false)), None), "{edge}");
+            assert!(!s.may_match_range(Some(&above), None), "{edge}");
+            assert!(!s.may_match_range(Some(&above), Some(&above)), "{edge}");
+            assert!(!s.may_match_range(None, Some(&below)), "{edge}");
+            assert!(s.must_match_range(None, Some((&above, false))), "{edge}");
+            assert!(!s.must_match_range(Some((&above, true)), None), "{edge}");
+        }
+    }
+
     #[test]
     fn pruning_with_strings() {
         let c = Column::from_values(

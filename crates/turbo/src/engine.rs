@@ -504,6 +504,28 @@ impl TurboEngine {
                         t.attr_sum("gets"),
                         t.attr_sum("gap_bytes"),
                     ));
+                    // Summed over the `morsel` spans of probe scans that a
+                    // hash join's build side handed its keys: rows dropped
+                    // after metering, before their other columns decoded.
+                    let spans = t.finished_spans();
+                    let mut kinds: Vec<&str> = (spans.iter())
+                        .filter_map(|s| match s.attr("join_filter") {
+                            Some(pixels_obs::AttrValue::Str(kind)) => Some(kind.as_str()),
+                            _ => None,
+                        })
+                        .collect();
+                    kinds.sort_unstable();
+                    kinds.dedup();
+                    text.push_str(&if kinds.is_empty() {
+                        "join filters     : none\n".to_string()
+                    } else {
+                        format!(
+                            "join filters     : {} of {} probe rows dropped ({})\n",
+                            t.attr_sum("join_filter_dropped"),
+                            t.attr_sum("join_filter_rows"),
+                            kinds.join(", "),
+                        )
+                    });
                 }
                 if !out.decisions.is_empty() {
                     let seq: Vec<String> = out.decisions.iter().map(|d| format!("{d:?}")).collect();
@@ -2104,6 +2126,45 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("gets=1"), "{text}");
+        assert!(text.contains("join filters     : none"), "{text}");
+    }
+
+    /// "Why did this join get fast" is answerable from the report: how many
+    /// probe rows the build side's keys dropped in the scan, and with what.
+    #[test]
+    fn explain_analyze_reports_the_join_filter() {
+        let e = engine(2);
+        let out = e
+            .execute_sql(
+                "tpch",
+                "EXPLAIN ANALYZE SELECT COUNT(*) FROM lineitem JOIN orders \
+                 ON l_orderkey = o_orderkey WHERE o_orderdate < DATE '1992-03-01'",
+                false,
+            )
+            .unwrap();
+        let text = out.batch.pretty_format();
+        let line = (text.lines())
+            .find(|l| l.contains("join filters"))
+            .unwrap_or_else(|| panic!("{text}"));
+        let numbers: Vec<u64> = (line.split(|c: char| !c.is_ascii_digit()))
+            .filter_map(|n| n.parse().ok())
+            .collect();
+        let (dropped, rows) = (numbers[0], numbers[1]);
+        assert!(line.contains("probe rows dropped (bitmap)"), "{line}");
+        assert!(0 < dropped && dropped < rows, "{line}");
+        // What the filter dropped was scanned, and billed, all the same.
+        assert!(out.metrics.rows_scanned > rows, "{line}");
+        assert!(text.contains("join_filter=bitmap"), "{text}");
+        assert!(text.contains("join_filter_dropped="), "{text}");
+        // The build side runs, and is traced, first.
+        let scans: Vec<&str> = (text.lines())
+            .skip_while(|l| !l.contains("--- trace ---"))
+            .filter(|l| l.contains("scan "))
+            .collect();
+        assert!(
+            !scans[0].contains("join_filter") && scans[1].contains("join_filter"),
+            "{text}"
+        );
     }
 
     /// Saturate the engine's only VM slot with a long-running query so that

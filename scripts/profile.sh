@@ -8,7 +8,8 @@
 #
 #   scripts/profile.sh <workload> [seed, default 11] [symbolise.py options...]
 #   scripts/profile.sh scan_heavy 11 --under 'drop_in_place'
-#   scripts/profile.sh scan_heavy 11 --groups     # one table of executor layers
+#   scripts/profile.sh scan_heavy 11 --groups     # one table of executor layers,
+#                                                 # with samples per query
 set -euo pipefail
 workload=${1:?usage: scripts/profile.sh <workload> [seed] [symbolise.py options...]}
 seed=${2:-11}
@@ -20,7 +21,7 @@ gcc -O2 -shared -fPIC -o "$out/sampler.so" "$root/scripts/profile/sampler.c"
 cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.toml"
 (cd "$out" && LD_PRELOAD="$out/sampler.so" PIXELS_PROFILE_DIR="$out" \
     "$root/benchmark/target/release/pixels-benchmark" \
-    run --workload "$workload" --seed "$seed" --seconds 15 --trace 0 | tail -n 1)
+    run --workload "$workload" --seed "$seed" --seconds 15 --trace 0 | tail -n 1 | tee "$out/run.json")
 main=$(ls -S "$out"/samples.* | head -n 1)
 echo "samples in $out; symbolising $main"
-python3 "$root/scripts/profile/symbolise.py" "$main" "$@"
+python3 "$root/scripts/profile/symbolise.py" "$main" --run "$out/run.json" "$@"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Symbol shares from a samples.<pid> file written by sampler.so.
 
-    symbolise.py samples.1234 [--top 25] [--under REGEX] [--groups]
+    symbolise.py samples.1234 [--top 25] [--under REGEX] [--groups] [--run run.json]
 
 Prints the share of samples whose innermost frame (leaf) is each symbol, and
 the share with each symbol anywhere on the stack (inclusive). With --under,
@@ -9,7 +9,11 @@ only samples with a frame matching REGEX are counted, and the header says what
 share of all samples they are. With --groups, prints instead one table of the
 executor's layers (GROUPS below): the share of samples with a frame of the
 layer anywhere on the stack, or for the libc rows as the leaf. Rows overlap
-(a filter inside a decode counts in both), so they do not sum to 100 %. Symbols come from `nm -C` on each mapped file;
+(a filter inside a decode counts in both), so they do not sum to 100 %. With
+--run (the benchmark run's last stdout line, which profile.sh saves), each
+row also gives its samples per attempted query: a layer's share shrinks when
+another layer grows, its samples per query only when it does less work.
+Symbols come from `nm -C` on each mapped file;
 needs nothing else. A stripped library (the usual glibc) only has its exported
 symbols, so an address inside it is named `~<nearest export below it>`: glibc's
 malloc internals read as `~__default_morecore`, its AVX mem* routines as
@@ -18,6 +22,7 @@ malloc internals read as `~__default_morecore`, its AVX mem* routines as
 import argparse
 import bisect
 import collections
+import json
 import re
 import subprocess
 
@@ -34,6 +39,7 @@ GROUPS = [
     ("filter/compaction", r"pixels_common::(column::Column|batch::RecordBatch)::(filter|gather)", False),
     ("aggregate update", r"pixels_exec::aggregate::", False),
     ("join", r"pixels_exec::join::", False),
+    ("join key filter, in the probe scan", r"pixels_exec::encoded::key_filter_|pixels_exec::keys::KeyFilter", False),
     ("allocator (leaf)", r"^~?(__default_morecore|malloc|free|realloc|calloc|cfree|_int_malloc|_int_free)", True),
     ("mem* (leaf)", r"^~?(__nss_database_lookup|mem(cpy|move|set|cmp)|bcmp)", True),
 ]
@@ -60,6 +66,7 @@ def main():
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--under", help="count only stacks with a frame matching this regex")
     ap.add_argument("--groups", action="store_true", help="one table of layer shares (see GROUPS)")
+    ap.add_argument("--run", help="the run's result line (JSON with `attempted`): adds samples per query to --groups")
     args = ap.parse_args()
 
     text = open(args.samples).read()
@@ -100,11 +107,16 @@ def main():
     else:
         print(f"{total} samples (one per 2 ms of process CPU time)")
     if args.groups:
-        print("\n-- layers: share of all %d samples (rows overlap) --" % total)
+        queries = json.load(open(args.run))["attempted"] if args.run else None
+        per_query = f", samples per query over {queries} queries" if queries else ""
+        print(f"\n-- layers: share of all {total} samples{per_query} (rows overlap) --")
         for layer, regex, leaf_only in GROUPS:
             pat = re.compile(regex)
             n = sum(1 for s in stacks if any(pat.search(f) for f in (s[:1] if leaf_only else s)))
-            print(f"{100 * n / max(total, 1):6.2f} %  {n:7d}  {layer}")
+            rate = f"  {n / queries:6.3f}/q" if queries else ""
+            print(f"{100 * n / max(total, 1):6.2f} %  {n:7d}{rate}  {layer}")
+        if queries:
+            print(f"{100.0:6.2f} %  {total:7d}  {total / queries:6.3f}/q  all samples")
         return
     leaf = collections.Counter(s[0] for s in stacks)
     incl = collections.Counter(f for s in stacks for f in set(s))

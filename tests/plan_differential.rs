@@ -258,18 +258,41 @@ fn build_side_choice_is_invisible_in_results() {
          JOIN customer ON o_custkey = c_custkey GROUP BY o_orderstatus",
     ];
     let (catalog, store) = fixture();
+    let mut any_probe_rows_tested = false;
     for sql in singles {
         assert_eq!(join_count(&unoptimized_physical(&catalog, sql)), 1);
         let oracle_plan = unoptimized_physical(&catalog, sql);
         let oracle_ctx = ExecContext::new(store.clone());
         let oracle_batches = scalar::execute(&oracle_plan, &oracle_ctx).unwrap();
         let oracle = comparable_rows(&oracle_batches, sql);
-        for mode in [EstMode::Normal, EstMode::Inverted] {
-            let plan = physical_with(&catalog, sql, mode);
+        let normal = physical_with(&catalog, sql, EstMode::Normal);
+        let inverted = physical_with(&catalog, sql, EstMode::Inverted);
+        assert_ne!(
+            scan_order(&normal),
+            scan_order(&inverted),
+            "{sql}: inverted estimates must build on the other side"
+        );
+        // The build side tells the probe scan its keys, and the scan drops
+        // rows on their strength — after metering. Whichever side the
+        // planner builds on, and whatever got dropped, the bill is the same.
+        let mut bills = Vec::new();
+        for (mode, plan) in [("normal", &normal), ("inverted", &inverted)] {
             for p in [1usize, 4] {
-                let (rows, _) = run_plan(&plan, &store, sql, p);
-                assert_rows_equivalent(&format!("{sql} {mode:?} p{p}"), &rows, &oracle);
+                let ctx = ExecContext::new(store.clone()).with_parallelism(p);
+                let rows = comparable_rows(&execute(plan, &ctx).unwrap(), sql);
+                assert_rows_equivalent(&format!("{sql} {mode} p{p}"), &rows, &oracle);
+                let m = ctx.metrics.snapshot();
+                bills.push((m.bytes_scanned, m.rows_scanned, m.row_groups_read));
+                any_probe_rows_tested |= ctx.metrics.pipeline_snapshot().join_filter_rows > 0;
             }
         }
+        assert!(
+            bills.windows(2).all(|w| w[0] == w[1]),
+            "{sql}: the build side changed what was billed: {bills:?}"
+        );
     }
+    assert!(
+        any_probe_rows_tested,
+        "no probe scan was handed a key filter"
+    );
 }

@@ -1,9 +1,11 @@
 //! Decoding and selecting string rows allocates per column, not per row.
 //!
-//! One test in its own binary, under a counting `#[global_allocator]`: the
-//! number of heap allocations made by `decode_filtered` of a dictionary chunk
-//! and of a plain string chunk, and by `filter` + `gather` + `slice` on the
-//! result, is the same small number at 512 rows and at 4,096.
+//! In a binary of its own, under a counting `#[global_allocator]` (the count
+//! is per thread, and each test runs on one): the number of heap allocations
+//! made by `decode_filtered` of a dictionary chunk and of a plain string
+//! chunk, and by `filter` + `gather` + `slice` on the result, is the same
+//! small number at 512 rows and at 4,096; and `decode_filtered` of a plain
+//! fixed-width chunk allocates the kept rows' payload and nothing else.
 
 use pixelsdb::common::{Column, DataType, Field, RecordBatch, Schema, Value};
 use pixelsdb::storage::{EncodedChunk, Encoding, InMemoryObjectStore, PixelsReader, PixelsWriter};
@@ -106,6 +108,51 @@ fn string_decode_and_selection_allocate_per_column_not_per_row() {
         );
         for (op, n) in [("filter", filter), ("gather", gather), ("slice", slice)] {
             assert!(n <= 3, "{chunk}: {op} made {n} allocations");
+        }
+    }
+}
+
+/// A plain fixed-width chunk is not decoded whole and then compacted: the
+/// kept rows are read straight out of the payload into the one vector the
+/// column keeps.
+#[test]
+fn fixed_width_decode_filtered_allocates_its_payload_once() {
+    let rows = 4096usize;
+    let schema = Arc::new(Schema::new(vec![
+        Field::required("i32", DataType::Int32),
+        Field::required("i64", DataType::Int64),
+        Field::required("f64", DataType::Float64),
+        Field::required("date", DataType::Date),
+        Field::required("ts", DataType::Timestamp),
+    ]));
+    // Neighbouring rows differ, so the writer has no runs to encode.
+    let values: Vec<Vec<Value>> = (0..rows as i64)
+        .map(|i| {
+            let v = i * 7919 % 1009;
+            vec![
+                Value::Int32(v as i32),
+                Value::Int64(v << 33),
+                Value::Float64(v as f64 / 8.0),
+                Value::Date(9000 + v as i32),
+                Value::Timestamp(v * 1_000_003),
+            ]
+        })
+        .collect();
+    let batch = RecordBatch::from_rows(schema.clone(), &values).unwrap();
+    let store = InMemoryObjectStore::new();
+    let mut w = PixelsWriter::with_row_group_rows(&store, "t.pxl", schema.clone(), rows);
+    w.write_batch(&batch).unwrap();
+    w.finish().unwrap();
+    let reader = PixelsReader::open(&store, "t.pxl").unwrap();
+    let chunks = reader.fetch_row_group(0, None, None).unwrap().chunks;
+    for (name, kept_every) in [("1 % kept", 100), ("50 % kept", 2)] {
+        let mask: Vec<bool> = (0..rows).map(|i| i % kept_every == 1).collect();
+        for (c, chunk) in chunks.iter().enumerate() {
+            let field = &schema.fields()[c].name;
+            assert_eq!(chunk.encoding(), Encoding::Plain, "{field}");
+            let (col, allocations) = allocations_of(|| chunk.decode_filtered(&mask).unwrap());
+            assert_eq!(col, batch.column(c).filter(&mask).unwrap(), "{field}");
+            assert_eq!(allocations, 1, "{field} ({name})");
         }
     }
 }
