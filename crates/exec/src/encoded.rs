@@ -33,7 +33,7 @@ use crate::evaluate::{
     and_conjunct, and_into, collect_conjuncts, compare_literal, compare_literal_mask,
     literal_comparable, NumSlice,
 };
-use crate::keys::{KeyDomain, KeyFilter, KeyInts};
+use crate::keys::{KeyClass, KeyFilter, KeyInts};
 use crate::parallel;
 use crate::scan::ScanMorsels;
 use pixels_common::{
@@ -281,7 +281,7 @@ fn key_zone(
 ) -> Option<KeyZone> {
     let range = &filter.ranges()[at];
     let chunk = lazy.chunk(range.column);
-    if KeyDomain::of(chunk.data_type()) != Some(range.domain) {
+    if KeyClass::of(chunk.data_type()) != range.class {
         return None;
     }
     if chunk.count_valid() == 0 {

@@ -161,13 +161,13 @@ fn execute_inner(
                     ctx.batch_size,
                 );
             }
-            let build = JoinBuild::new(coalesce(&rb)?, right_keys)?;
+            let build = JoinBuild::new(coalesce(&rb)?, right_keys, left_keys)?;
             // A probe row without a match is dropped by an inner and a
             // right-outer join, so the scan may drop it first; a left-outer
             // join emits it.
             let droppable = matches!(join_type, JoinType::Inner | JoinType::Right);
             let filter = if droppable && matches!(left.as_ref(), PhysicalPlan::Scan { .. }) {
-                build.key_filter(right_keys, left_keys)?
+                build.key_filter()?
             } else {
                 None
             };
@@ -175,7 +175,6 @@ fn execute_inner(
             build.join(
                 &lb,
                 *join_type,
-                left_keys,
                 residual.as_ref(),
                 output_schema,
                 left_width,

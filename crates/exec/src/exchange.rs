@@ -12,12 +12,13 @@
 //! - **Aggregate**: stage 0 runs the *same* partial-build + chunk-order
 //!   merge as the in-process [`crate::aggregate`] path (bit-identical
 //!   states, combining before write à la Starling), then spills each group
-//!   as one row into the partition its encoded key hashes to. Stage 1
+//!   as one row into the partition its interned key's hash picks. Stage 1
 //!   unions the disjoint partitions, restores global first-appearance group
 //!   order via the spilled `__ord` column, and finishes the states.
-//! - **Join**: both sides are hash-partitioned on their encoded join keys
-//!   (numerics widened before hashing, so `Int32` and `Int64` sides agree),
-//!   each row tagged with its global row number (`__ord`). Stage 1 joins
+//! - **Join**: both sides are hash-partitioned on their join keys, encoded
+//!   alike on both sides ([`crate::keys::KeyEncoder::join`], so an `Int32`
+//!   key meets its `Int64` or `Float64` equal), each row tagged with its
+//!   global row number (`__ord`). Stage 1 joins
 //!   each partition pair with the shared equi-join index core and restores
 //!   the exact single-stage output order by sorting on the origin indices.
 //!
@@ -34,11 +35,12 @@ use crate::aggregate::{self, AggState, GroupState, Partial};
 use crate::context::ExecContext;
 use crate::engine::execute;
 use crate::evaluate::evaluate_ref;
-use crate::join::{coalesce, JoinBuild};
-use crate::keys::{hash_bytes, key_chunks, EncodedKeys, KeyEncoder};
+use crate::join::{coalesce, join_encoder, JoinBuild};
+use crate::keys::{hash_key, key_chunks, partition_of, EncodedKeys};
 use crate::materialize;
 use pixels_common::{
-    Column, ColumnBuilder, DataType, Error, Field, RecordBatch, Result, Schema, SchemaRef, Value,
+    Column, ColumnBuilder, ColumnData, DataType, Error, Field, RecordBatch, Result, Schema,
+    SchemaRef, Value,
 };
 use pixels_planner::{AggExpr, BoundExpr, PhysicalPlan};
 use pixels_sql::ast::JoinType;
@@ -118,7 +120,7 @@ fn group_types(group_exprs: &[BoundExpr]) -> Vec<DataType> {
 
 /// Stage 0 of an aggregate exchange: partially aggregate `input` exactly
 /// like the in-process path, then spill every group (one combined row) into
-/// the partition its encoded key hashes to. All `partitions` files are
+/// the partition its interned key's hash picks. All `partitions` files are
 /// always written — an empty partition is a valid zero-row Pixels object,
 /// so stage 1 never distinguishes "empty" from "missing".
 pub fn write_agg_partitions(
@@ -134,12 +136,11 @@ pub fn write_agg_partitions(
     let gt = group_types(group_exprs);
     let schema = agg_spill_schema(&gt, aggs);
 
-    // Route each group by the hash of its interned key bytes — the same
-    // bytes every stage-0 attempt interned, so routing is deterministic.
+    // Route each group by the hash its key was interned under — of the
+    // same bytes on every stage-0 attempt, so routing is deterministic.
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); partitions];
     for gi in 0..acc.keys.len() {
-        let part = (hash_bytes(acc.table.key_bytes(gi)) % partitions as u64) as usize;
-        members[part].push(gi);
+        members[partition_of(acc.table.hash(gi), partitions)].push(gi);
     }
 
     let mut stats = ExchangeStats {
@@ -224,8 +225,8 @@ pub fn read_agg_partitions(
     for part in 0..partitions {
         let path = partition_path(prefix, part, None);
         for batch in read_spill(spill_store, &path, &schema, &mut stats)? {
-            let ord_col = batch.column(gt.len() + 2 * aggs.len());
-            for row in 0..batch.num_rows() {
+            let ords = ord_values(batch.column(gt.len() + 2 * aggs.len()))?;
+            for (row, &ord) in ords.iter().enumerate() {
                 let key: Vec<Value> = (0..gt.len()).map(|c| batch.column(c).value(row)).collect();
                 let mut states = Vec::with_capacity(aggs.len());
                 for (ai, agg) in aggs.iter().enumerate() {
@@ -233,10 +234,6 @@ pub fn read_agg_partitions(
                     let b = batch.column(gt.len() + 2 * ai + 1).value(row);
                     states.push(AggState::from_spill(agg, a, b)?);
                 }
-                let ord = ord_col
-                    .value(row)
-                    .as_i64()
-                    .ok_or_else(|| Error::Exec("corrupt spill __ord column".into()))?;
                 rows.push((
                     ord,
                     key,
@@ -278,13 +275,16 @@ impl JoinSide {
 
 /// Stage 0 of one join side: hash-partition the side's rows by their
 /// encoded join keys and spill each partition with a `__ord` column holding
-/// the row's global index on that side. Rows with NULL keys route
-/// deterministically too (the encoding carries the null bitmap); they can
-/// never match, but outer joins still emit them.
+/// the row's global index on that side. Both sides' keys are given, since
+/// they are encoded alike. Rows with NULL keys route deterministically too
+/// (the encoding carries the null bitmap); they can never match, but outer
+/// joins still emit them.
+#[allow(clippy::too_many_arguments)]
 pub fn write_join_partitions(
     side_batches: &[RecordBatch],
     side_schema: &SchemaRef,
-    keys: &[BoundExpr],
+    left_keys: &[BoundExpr],
+    right_keys: &[BoundExpr],
     side: JoinSide,
     spill_store: &dyn ObjectStore,
     prefix: &str,
@@ -294,17 +294,20 @@ pub fn write_join_partitions(
     let all = coalesce(side_batches)?;
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); partitions];
     if let Some(batch) = all.as_deref() {
+        let keys = match side {
+            JoinSide::Left => left_keys,
+            JoinSide::Right => right_keys,
+        };
         let key_cols: Vec<Cow<Column>> = keys
             .iter()
             .map(|k| evaluate_ref(k, batch))
             .collect::<Result<_>>()?;
-        let enc = KeyEncoder::new(&group_types(keys));
+        let enc = join_encoder(left_keys, right_keys);
         let mut encoded = EncodedKeys::default();
         for rows in key_chunks(0..batch.num_rows()) {
             enc.encode(&key_cols, rows.clone(), &mut encoded);
-            for (i, row) in rows.enumerate() {
-                let part = (hash_bytes(encoded.key(i)) % partitions as u64) as usize;
-                members[part].push(row);
+            for (key, row) in encoded.iter().zip(rows) {
+                members[partition_of(hash_key(key), partitions)].push(row);
             }
         }
     }
@@ -335,6 +338,14 @@ pub fn write_join_partitions(
     Ok(stats)
 }
 
+/// The values of a spilled `__ord` column: `Int64`, never NULL.
+fn ord_values(col: &Column) -> Result<&[i64]> {
+    match col.data() {
+        ColumnData::Int64(ords) if col.null_count() == 0 => Ok(ords),
+        _ => Err(Error::Exec("corrupt spill __ord column".into())),
+    }
+}
+
 /// Split a spilled join-side partition back into its data batch and the
 /// `__ord` origin indices.
 fn strip_ord(
@@ -345,16 +356,7 @@ fn strip_ord(
         return Ok((None, Vec::new()));
     };
     let width = side_schema.fields().len();
-    let ord_col = all.column(width);
-    let mut ords = Vec::with_capacity(all.num_rows());
-    for row in 0..all.num_rows() {
-        ords.push(
-            ord_col
-                .value(row)
-                .as_i64()
-                .ok_or_else(|| Error::Exec("corrupt spill __ord column".into()))?,
-        );
-    }
+    let ords = ord_values(all.column(width))?.to_vec();
     let data = RecordBatch::try_new(side_schema.clone(), all.columns()[..width].to_vec())?;
     Ok((
         if data.num_rows() > 0 {
@@ -415,11 +417,10 @@ pub fn read_join_partitions(
         )?;
         let (left, lord) = strip_ord(lb, left_schema)?;
         let (right, rord) = strip_ord(rb, right_schema)?;
-        let mut build = JoinBuild::new(right.map(Cow::Owned), right_keys)?;
+        let mut build = JoinBuild::new(right.map(Cow::Owned), right_keys, left_keys)?;
         let (fl, fr) = build.probe(
             left.as_ref(),
             join_type,
-            left_keys,
             residual,
             output_schema,
             left_width,
@@ -431,16 +432,22 @@ pub fn read_join_partitions(
         }
         parts.push(build.assemble(output_schema, left_width, left.as_ref(), &fl, &fr)?);
     }
+    let out = in_origin_order(&RecordBatch::concat(&parts)?, &order, batch_size)?;
+    Ok((out, stats))
+}
 
-    let all = RecordBatch::concat(&parts)?;
+/// The rows of a stage-1 join's output, `order[i]` being row `i`'s
+/// `(is_right_tail, left_ord, right_ord)`, sorted into the single-stage
+/// order and cut into `batch_size` batches like the in-process join's.
+fn in_origin_order(
+    all: &RecordBatch,
+    order: &[(bool, i64, i64)],
+    batch_size: usize,
+) -> Result<Vec<RecordBatch>> {
     let mut perm: Vec<usize> = (0..order.len()).collect();
     perm.sort_unstable_by_key(|&i| order[i]);
     let chunk = batch_size.max(1);
-    let mut out = Vec::with_capacity(perm.len().div_ceil(chunk));
-    for idx in perm.chunks(chunk) {
-        out.push(all.gather(idx)?);
-    }
-    Ok((out, stats))
+    perm.chunks(chunk).map(|idx| all.gather(idx)).collect()
 }
 
 /// Stage 1 of a *broadcast* join: the probe (left) side never crossed the
@@ -479,12 +486,11 @@ pub fn read_broadcast_join(
         &mut stats,
     )?;
     let (right, rord) = strip_ord(rb, right_schema)?;
-    let mut build = JoinBuild::new(right.map(Cow::Owned), right_keys)?;
+    let mut build = JoinBuild::new(right.map(Cow::Owned), right_keys, left_keys)?;
     let left = coalesce(probe_batches)?;
     let (fl, fr) = build.probe(
         left.as_deref(),
         join_type,
-        left_keys,
         residual,
         output_schema,
         left_width,
@@ -498,14 +504,7 @@ pub fn read_broadcast_join(
         order.push((l < 0, l.max(-1), gr));
     }
     let all = build.assemble(output_schema, left_width, left.as_deref(), &fl, &fr)?;
-    let mut perm: Vec<usize> = (0..order.len()).collect();
-    perm.sort_unstable_by_key(|&i| order[i]);
-    let chunk = batch_size.max(1);
-    let mut out = Vec::with_capacity(perm.len().div_ceil(chunk));
-    for idx in perm.chunks(chunk) {
-        out.push(all.gather(idx)?);
-    }
-    Ok((out, stats))
+    Ok((in_origin_order(&all, &order, batch_size)?, stats))
 }
 
 #[cfg(test)]
@@ -620,6 +619,7 @@ mod tests {
                     &left,
                     &lschema,
                     &lkey,
+                    &rkey,
                     JoinSide::Left,
                     store.as_ref(),
                     "j/",
@@ -629,6 +629,7 @@ mod tests {
                 let rs = write_join_partitions(
                     &right,
                     &rschema,
+                    &lkey,
                     &rkey,
                     JoinSide::Right,
                     store.as_ref(),
@@ -691,6 +692,7 @@ mod tests {
             let rs = write_join_partitions(
                 &right,
                 &rschema,
+                &lkey,
                 &rkey,
                 JoinSide::Right,
                 store.as_ref(),

@@ -54,10 +54,9 @@ pub fn execute_join(
             batch_size,
         );
     }
-    JoinBuild::new(coalesce(right_batches)?, right_keys)?.join(
+    JoinBuild::new(coalesce(right_batches)?, right_keys, left_keys)?.join(
         left_batches,
         join_type,
-        left_keys,
         residual,
         output_schema,
         left_width,
@@ -72,6 +71,10 @@ pub fn execute_join(
 /// one up.
 pub(crate) struct JoinBuild<'a> {
     side: Option<Cow<'a, RecordBatch>>,
+    keys: &'a [BoundExpr],
+    probe_keys: &'a [BoundExpr],
+    /// Encodes the keys of both sides ([`KeyEncoder::join`]).
+    encoder: KeyEncoder,
     table: KeyTable,
     /// First build row of each key entry.
     heads: Vec<u32>,
@@ -80,18 +83,23 @@ pub(crate) struct JoinBuild<'a> {
 }
 
 impl<'a> JoinBuild<'a> {
-    /// Hash `side` (`None`: a side without a batch) on `keys`.
-    pub(crate) fn new(side: Option<Cow<'a, RecordBatch>>, keys: &[BoundExpr]) -> Result<Self> {
+    /// Hash `side` (`None`: a side without a batch) on `keys`, for probing
+    /// on `probe_keys`.
+    pub(crate) fn new(
+        side: Option<Cow<'a, RecordBatch>>,
+        keys: &'a [BoundExpr],
+        probe_keys: &'a [BoundExpr],
+    ) -> Result<Self> {
         let build_rows = side.as_ref().map_or(0, |b| b.num_rows());
+        let encoder = join_encoder(probe_keys, keys);
         let mut table = KeyTable::new();
         let mut heads: Vec<u32> = Vec::new();
         let mut tails: Vec<u32> = Vec::new();
         let mut next = vec![NONE; build_rows];
         if let Some(rb) = side.as_deref() {
             let key_cols = key_columns(keys, rb)?;
-            let enc = KeyEncoder::new(&key_types(keys));
             let mut entries: Vec<u32> = Vec::new();
-            table.intern_rows(&enc, &key_cols, 0..build_rows, &mut entries);
+            table.intern_rows(&encoder, &key_cols, 0..build_rows, &mut entries);
             for (row, &entry) in entries.iter().enumerate() {
                 let entry = entry as usize;
                 if entry == heads.len() {
@@ -105,6 +113,9 @@ impl<'a> JoinBuild<'a> {
         }
         Ok(JoinBuild {
             side,
+            keys,
+            probe_keys,
+            encoder,
             table,
             heads,
             next,
@@ -113,13 +124,8 @@ impl<'a> JoinBuild<'a> {
 
     /// What the build keys let a scan of the probe side drop
     /// ([`KeyFilter`]), for the probe keys that are bare columns of it.
-    pub(crate) fn key_filter(
-        &self,
-        keys: &[BoundExpr],
-        probe_keys: &[BoundExpr],
-    ) -> Result<Option<KeyFilter>> {
-        let probe: Vec<Option<(usize, DataType)>> = probe_keys
-            .iter()
+    pub(crate) fn key_filter(&self) -> Result<Option<KeyFilter>> {
+        let probe: Vec<Option<(usize, DataType)>> = (self.probe_keys.iter())
             .map(|k| match k {
                 BoundExpr::ColumnRef {
                     index, data_type, ..
@@ -128,10 +134,10 @@ impl<'a> JoinBuild<'a> {
             })
             .collect();
         Ok(match self.side.as_deref() {
-            Some(rb) => KeyFilter::from_build(&key_columns(keys, rb)?, &probe),
+            Some(rb) => KeyFilter::from_build(&key_columns(self.keys, rb)?, &probe),
             None => {
-                let empty: Vec<Column> = (key_types(keys).iter())
-                    .map(|&ty| Column::nulls(ty, 0))
+                let empty: Vec<Column> = (self.keys.iter())
+                    .map(|k| Column::nulls(k.data_type(), 0))
                     .collect();
                 KeyFilter::from_build(&empty, &probe)
             }
@@ -140,12 +146,10 @@ impl<'a> JoinBuild<'a> {
 
     /// Probe with `left_batches` and materialize the join's output in
     /// `batch_size` chunks, one gather per column per chunk.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn join(
         mut self,
         left_batches: &[RecordBatch],
         join_type: JoinType,
-        left_keys: &[BoundExpr],
         residual: Option<&BoundExpr>,
         output_schema: &SchemaRef,
         left_width: usize,
@@ -157,7 +161,6 @@ impl<'a> JoinBuild<'a> {
         let (fl, fr) = self.probe(
             left_all.as_deref(),
             join_type,
-            left_keys,
             residual,
             output_schema,
             left_width,
@@ -201,16 +204,18 @@ impl<'a> JoinBuild<'a> {
         &mut self,
         left_all: Option<&RecordBatch>,
         join_type: JoinType,
-        left_keys: &[BoundExpr],
         residual: Option<&BoundExpr>,
         output_schema: &SchemaRef,
         left_width: usize,
     ) -> Result<(Vec<i64>, Vec<i64>)> {
         let JoinBuild {
             side,
+            probe_keys,
+            encoder,
             table,
             heads,
             next,
+            ..
         } = self;
         let right_all = side.as_deref();
         let mut build_matched = vec![false; next.len()];
@@ -220,15 +225,14 @@ impl<'a> JoinBuild<'a> {
         let mut fr: Vec<i64> = Vec::new();
 
         if let Some(lb) = left_all {
-            let key_cols = key_columns(left_keys, lb)?;
-            let enc = KeyEncoder::new(&key_types(left_keys));
+            let key_cols = key_columns(probe_keys, lb)?;
             let mut entries: Vec<u32> = Vec::new();
             // For a run of probe rows, looked up together: the first build
             // row matching each (`NONE` for a NULL key or no match); `next`
             // chains the rest.
             let mut first_matches = |rows: std::ops::Range<usize>, first: &mut Vec<u32>| {
                 first.clear();
-                table.lookup_rows(&enc, &key_cols, rows, first);
+                table.lookup_rows(encoder, &key_cols, rows, first);
                 for entry in first {
                     *entry = match *entry {
                         NO_ENTRY => NONE,
@@ -321,8 +325,11 @@ fn key_columns<'b>(keys: &[BoundExpr], batch: &'b RecordBatch) -> Result<Vec<Cow
     keys.iter().map(|k| evaluate_ref(k, batch)).collect()
 }
 
-fn key_types(keys: &[BoundExpr]) -> Vec<DataType> {
-    keys.iter().map(|k| k.data_type()).collect()
+/// The encoder of a join's keys on both sides ([`KeyEncoder::join`]).
+pub(crate) fn join_encoder(left_keys: &[BoundExpr], right_keys: &[BoundExpr]) -> KeyEncoder {
+    let types =
+        |keys: &[BoundExpr]| -> Vec<DataType> { keys.iter().map(|k| k.data_type()).collect() };
+    KeyEncoder::join(&types(left_keys), &types(right_keys))
 }
 
 /// Concatenate a side's batches into one gather source. `None` when the

@@ -8,25 +8,23 @@
 //! ```text
 //! [null bitmap: ceil(ncols/8) bytes][col 0][col 1]...
 //! col (non-null) = class tag (1 byte) ++ payload
-//!   NUMERIC   tag 1, f64 bit pattern LE   (Int32/Int64/Float64 widened)
+//!   FLOAT     tag 1, f64 bit pattern LE   (Float64, and integers joined with it)
 //!   BOOLEAN   tag 2, 1 byte
 //!   UTF8      tag 3, u32 LE length ++ bytes
 //!   DATE      tag 4, i32 LE
 //!   TIMESTAMP tag 5, i64 LE
+//!   INTEGER   tag 6, i64 LE               (Int32/Int64 widened)
 //! NULL columns contribute only their bitmap bit (no tag, no payload).
 //! ```
 //!
-//! Byte equality of two encodings is [`Value`] tuple equality, with one known
-//! exception:
+//! Byte equality of two encodings is [`Value`] tuple equality:
 //!
-//! - `Value::eq` compares an integer with a float through `f64::total_cmp`,
-//!   and `total_cmp` equality is bit equality of the `f64` — so writing the
-//!   raw widened bit pattern makes memcmp agree with `eq` (including the
-//!   `-0.0 != 0.0` and `NaN == NaN`-same-payload corners). Two *integers*
-//!   `eq` compares exactly, while here they are equal when they round to one
-//!   `f64`: distinct keys of magnitude 2^53 or more can collide (ROADMAP
-//!   item 5; fixing it changes this byte format and with it exchange
-//!   routing). [`KeyFilter`] is built around that rule, not around `eq`.
+//! - `Value::eq` compares two integers exactly, as `i64`s, and so does
+//!   memcmp over INTEGER payloads. It compares an integer with a float after
+//!   widening to `f64`, through `f64::total_cmp`, whose equality is bit
+//!   equality: a join key pair with a float side is encoded as FLOAT on both
+//!   sides ([`KeyEncoder::join`]), which also keeps the `-0.0 != 0.0` and
+//!   `NaN == NaN`-same-payload corners.
 //! - Every per-column encoding is uniquely decodable (fixed width or
 //!   length-prefixed, discriminated by the class tag), so concatenations
 //!   are injective and cross-class tuples can never collide byte-wise —
@@ -38,31 +36,15 @@
 //!
 //! Keys are encoded a run of rows at a time ([`KeyEncoder::encode`]): one
 //! pass per key column sizes the rows, one more writes them, so the column's
-//! type is matched once per run instead of once per row. Two hashes read the
-//! bytes. [`KeyTable`] uses a word-at-a-time hash private to this module;
-//! [`hash_bytes`] (FNV-1a) is the exchange's partition function, part of the
-//! spill layout, and is used for nothing else.
+//! type is matched once per run instead of once per row. One hash reads the
+//! bytes: [`KeyTable`] indexes its buckets with the low bits of
+//! [`hash_key`], and the exchange routes a key by the high half
+//! ([`partition_of`]).
 //!
 //! [`Value`]: pixels_common::Value
 
 use pixels_common::{Column, ColumnData, DataType};
 use std::ops::Range;
-
-/// FNV-1a 64-bit over a key's bytes: which exchange partition a key is
-/// routed to. Every stage-0 attempt must route a key alike, so this function
-/// is fixed. One multiply per byte makes it too slow to index [`KeyTable`]
-/// with.
-#[inline]
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
 
 /// Eight bytes of `key` starting at `at`, as a little-endian word.
 #[inline]
@@ -70,20 +52,21 @@ fn word(key: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(key[at..at + 8].try_into().expect("an 8-byte range"))
 }
 
-/// [`KeyTable`]'s hash: the key eight bytes at a time, each word multiplied
-/// in and folded, then the 64-bit finaliser of MurmurHash3. The last word is
-/// the key's last eight bytes, overlapping the one before it when the length
-/// is no multiple of eight (the length is mixed in first, so the overlap
-/// costs nothing); a key under eight bytes is one zero-padded word.
+/// The hash of a key's bytes: the key eight bytes at a time, each word
+/// multiplied in and folded, then the 64-bit finaliser of MurmurHash3. The
+/// last word is the key's last eight bytes, overlapping the one before it
+/// when the length is no multiple of eight (the length is mixed in first, so
+/// the overlap costs nothing); a key under eight bytes is one zero-padded
+/// word.
 ///
-/// An integer key arrives as an `f64` bit pattern — its entropy sits in the
-/// exponent and the *top* of the mantissa, the low bytes are zero — and the
-/// table indexes with the low bits of the hash. A multiply alone only carries
-/// bits upward, so without the folds and the finaliser 100 k consecutive keys
-/// pile into probe runs of thousands of buckets
-/// (`consecutive_integer_keys_probe_in_bounded_steps`).
+/// Both halves must depend on every byte of the key: [`KeyTable`] indexes
+/// with the low bits and the exchange routes with the high half
+/// ([`partition_of`]). A multiply alone only carries bits upward, hence the
+/// folds and the finaliser (`consecutive_integer_keys_probe_in_bounded_steps`).
+/// Every stage-0 attempt must route a key alike, so this function is part
+/// of the spill layout.
 #[inline]
-fn hash_key(key: &[u8]) -> u64 {
+pub(crate) fn hash_key(key: &[u8]) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
     let fold = |h: u64, word: u64| {
         let h = (h ^ word).wrapping_mul(K);
@@ -109,36 +92,39 @@ fn hash_key(key: &[u8]) -> u64 {
     h ^ (h >> 33)
 }
 
-/// Equality class of a key column; values from different classes are never
-/// equal under `Value::eq`, and all numeric types share one class because
-/// they widen before comparing.
+/// Which of `partitions` exchange partitions the key with [`hash_key`]
+/// `hash` goes to: the high half of the hash scaled to the count. Not the
+/// low bits: a stage-1 partition interns its keys into a [`KeyTable`], which
+/// indexes buckets by those, and keys routed by them would all share them.
+#[inline]
+pub(crate) fn partition_of(hash: u64, partitions: usize) -> usize {
+    (((hash >> 32) * partitions as u64) >> 32) as usize
+}
+
+/// Equality class of a key column, and its tag in the encoding. Values from
+/// different classes are never equal under `Value::eq`, except an integer
+/// and a float, which [`KeyEncoder::join`] encodes alike. `Integer`, `Date`
+/// and `Timestamp` compare as exact integers ([`KeyInts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KeyClass {
-    Numeric,
-    Boolean,
-    Utf8,
-    Date,
-    Timestamp,
+pub enum KeyClass {
+    Float = 1,
+    Boolean = 2,
+    Utf8 = 3,
+    Date = 4,
+    Timestamp = 5,
+    /// `Int32` and `Int64`, which join each other.
+    Integer = 6,
 }
 
 impl KeyClass {
-    fn of(ty: DataType) -> KeyClass {
+    pub fn of(ty: DataType) -> KeyClass {
         match ty {
-            DataType::Int32 | DataType::Int64 | DataType::Float64 => KeyClass::Numeric,
+            DataType::Int32 | DataType::Int64 => KeyClass::Integer,
+            DataType::Float64 => KeyClass::Float,
             DataType::Boolean => KeyClass::Boolean,
             DataType::Utf8 => KeyClass::Utf8,
             DataType::Date => KeyClass::Date,
             DataType::Timestamp => KeyClass::Timestamp,
-        }
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            KeyClass::Numeric => 1,
-            KeyClass::Boolean => 2,
-            KeyClass::Utf8 => 3,
-            KeyClass::Date => 4,
-            KeyClass::Timestamp => 5,
         }
     }
 }
@@ -201,15 +187,35 @@ impl EncodedKeys {
 /// above. Built once per operator from the key expressions' static types.
 #[derive(Debug)]
 pub struct KeyEncoder {
+    /// Per key column, the class its values are written in. Only an integer
+    /// column reads it (FLOAT widens it to `f64`); any other column writes
+    /// the class of its type.
     classes: Vec<KeyClass>,
     bitmap_len: usize,
 }
 
 impl KeyEncoder {
+    /// The encoder of one side's keys (group keys, DISTINCT rows), each
+    /// written in the class of its type.
     pub fn new(types: &[DataType]) -> KeyEncoder {
+        KeyEncoder::join(types, types)
+    }
+
+    /// The one encoder of both sides of a join on `left[i] = right[i]`. A
+    /// pair of integers is INTEGER; a pair with a float side is FLOAT on both
+    /// sides, since `Value::sql_cmp` compares an integer with a float as
+    /// `f64`s. Any other pair keeps its left class, and its values write their
+    /// own tags, so a pair of two classes never matches.
+    pub fn join(left: &[DataType], right: &[DataType]) -> KeyEncoder {
+        debug_assert_eq!(left.len(), right.len());
+        let pair = |(&l, &r): (&DataType, &DataType)| match (KeyClass::of(l), KeyClass::of(r)) {
+            (KeyClass::Integer, KeyClass::Float) => KeyClass::Float,
+            (class, _) => class,
+        };
+        let classes: Vec<KeyClass> = left.iter().zip(right).map(pair).collect();
         KeyEncoder {
-            classes: types.iter().map(|&t| KeyClass::of(t)).collect(),
-            bitmap_len: types.len().div_ceil(8),
+            bitmap_len: classes.len().div_ceil(8),
+            classes,
         }
     }
 
@@ -272,34 +278,42 @@ impl KeyEncoder {
         out.arena.resize(end, 0);
         out.cursor.clear();
         (out.cursor).extend(out.starts[..n].iter().map(|&s| s + self.bitmap_len));
-        for (c, (col, class)) in cols.iter().zip(&self.classes).enumerate() {
+        for (c, (col, &class)) in cols.iter().zip(&self.classes).enumerate() {
             let col = col.borrow();
             let validity = col.validity().map(|v| &v[rows.clone()]);
-            let (tag, from) = (class.tag(), rows.start);
+            let from = rows.start;
             const FIXED: &[u8] = &[];
-            // Widen every numeric through its f64 bit pattern: an integer and
-            // the float it equals have equal bits, and integers are exact in
-            // f64 up to 2^53.
+            use KeyClass as K;
             match col.data() {
-                ColumnData::Int32(v) => put_column(out, tag, c, validity, |i| {
-                    (f64::from(v[from + i]).to_bits().to_le_bytes(), FIXED)
+                ColumnData::Int32(v) if class == K::Float => {
+                    put_column(out, K::Float, c, validity, |i| {
+                        (f64::from(v[from + i]).to_bits().to_le_bytes(), FIXED)
+                    })
+                }
+                ColumnData::Int64(v) if class == K::Float => {
+                    put_column(out, K::Float, c, validity, |i| {
+                        ((v[from + i] as f64).to_bits().to_le_bytes(), FIXED)
+                    })
+                }
+                ColumnData::Int32(v) => put_column(out, K::Integer, c, validity, |i| {
+                    (i64::from(v[from + i]).to_le_bytes(), FIXED)
                 }),
-                ColumnData::Int64(v) => put_column(out, tag, c, validity, |i| {
-                    ((v[from + i] as f64).to_bits().to_le_bytes(), FIXED)
+                ColumnData::Int64(v) => put_column(out, K::Integer, c, validity, |i| {
+                    (v[from + i].to_le_bytes(), FIXED)
                 }),
-                ColumnData::Float64(v) => put_column(out, tag, c, validity, |i| {
+                ColumnData::Float64(v) => put_column(out, K::Float, c, validity, |i| {
                     (v[from + i].to_bits().to_le_bytes(), FIXED)
                 }),
-                ColumnData::Boolean(v) => {
-                    put_column(out, tag, c, validity, |i| ([v[from + i] as u8], FIXED))
-                }
-                ColumnData::Date(v) => put_column(out, tag, c, validity, |i| {
+                ColumnData::Boolean(v) => put_column(out, K::Boolean, c, validity, |i| {
+                    ([v[from + i] as u8], FIXED)
+                }),
+                ColumnData::Date(v) => put_column(out, K::Date, c, validity, |i| {
                     (v[from + i].to_le_bytes(), FIXED)
                 }),
-                ColumnData::Timestamp(v) => put_column(out, tag, c, validity, |i| {
+                ColumnData::Timestamp(v) => put_column(out, K::Timestamp, c, validity, |i| {
                     (v[from + i].to_le_bytes(), FIXED)
                 }),
-                ColumnData::Utf8(v) => put_column(out, tag, c, validity, |i| {
+                ColumnData::Utf8(v) => put_column(out, K::Utf8, c, validity, |i| {
                     let s = v.get(from + i).as_bytes();
                     ((s.len() as u32).to_le_bytes(), s)
                 }),
@@ -308,12 +322,12 @@ impl KeyEncoder {
     }
 }
 
-/// Write key column `column` of a run: for each valid row `i`, the tag and
-/// the two parts of `payload(i)` at the key's cursor; for a NULL row, the
+/// Write key column `column` of a run: for each valid row `i`, the class tag
+/// and the two parts of `payload(i)` at the key's cursor; for a NULL row, the
 /// key's bitmap bit.
 fn put_column<'p, const W: usize>(
     keys: &mut EncodedKeys,
-    tag: u8,
+    class: KeyClass,
     column: usize,
     validity: Option<&[bool]>,
     payload: impl Fn(usize) -> ([u8; W], &'p [u8]),
@@ -324,6 +338,7 @@ fn put_column<'p, const W: usize>(
         cursor,
         ..
     } = keys;
+    let tag = class as u8;
     let put = |arena: &mut [u8], i: usize, at: &mut usize| {
         let (head, rest) = payload(i);
         let end = *at + 1 + W + rest.len();
@@ -415,6 +430,11 @@ impl KeyTable {
     pub fn key_bytes(&self, i: usize) -> &[u8] {
         let (off, len) = self.spans[i];
         &self.arena[off..off + len as usize]
+    }
+
+    /// The [`hash_key`] of entry `i`'s bytes, as stored.
+    pub fn hash(&self, i: usize) -> u64 {
+        self.hashes[i]
     }
 
     /// `key`'s entry, or the empty bucket its probe run ends at. `home` is
@@ -644,18 +664,7 @@ impl<'a> PoolSlots<'a> {
     }
 }
 
-/// The key types whose join equality is exact integer equality, so that a
-/// range or a set of build values says which probe values can match. Floats,
-/// strings and booleans have none.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeyDomain {
-    /// `Int32` and `Int64`, which join each other.
-    Integer,
-    Date,
-    Timestamp,
-}
-
-/// A column's values as `i64`, when its type has a [`KeyDomain`].
+/// A column's values as `i64`, when its class compares as exact integers.
 #[derive(Clone, Copy)]
 pub enum KeyInts<'a> {
     Narrow(&'a [i32]),
@@ -663,13 +672,13 @@ pub enum KeyInts<'a> {
 }
 
 impl<'a> KeyInts<'a> {
-    pub fn of(data: &'a ColumnData) -> Option<(KeyDomain, KeyInts<'a>)> {
+    pub fn of(data: &'a ColumnData) -> Option<(KeyClass, KeyInts<'a>)> {
         let ints = match data {
             ColumnData::Int32(v) | ColumnData::Date(v) => KeyInts::Narrow(v),
             ColumnData::Int64(v) | ColumnData::Timestamp(v) => KeyInts::Wide(v),
             _ => return None,
         };
-        Some((KeyDomain::of(data.data_type())?, ints))
+        Some((KeyClass::of(data.data_type()), ints))
     }
 
     /// `f` over the values in row order, the width matched once.
@@ -680,24 +689,6 @@ impl<'a> KeyInts<'a> {
         }
     }
 }
-
-impl KeyDomain {
-    pub fn of(ty: DataType) -> Option<KeyDomain> {
-        match ty {
-            DataType::Int32 | DataType::Int64 => Some(KeyDomain::Integer),
-            DataType::Date => Some(KeyDomain::Date),
-            DataType::Timestamp => Some(KeyDomain::Timestamp),
-            DataType::Boolean | DataType::Float64 | DataType::Utf8 => None,
-        }
-    }
-}
-
-/// [`KeyEncoder`] writes every numeric key as an `f64` bit pattern, so two
-/// integer keys of this magnitude or more that round to one `f64` are equal
-/// keys to the join. Below it an integer is its own `f64`, and no `i64` of
-/// this magnitude or more rounds to anything smaller — exact integer
-/// membership and the join's equality coincide for every `i64` probe value.
-const EXACT_INTEGER_KEYS: i64 = 1 << 53;
 
 /// The widest `[min, max]` a [`KeyFilter`] holds as an exact set, one bit per
 /// value: 512 KiB of bits, which covers the key range of a 4-million-row
@@ -710,7 +701,7 @@ const KEY_FILTER_BITMAP_SPAN: i128 = 1 << 22;
 pub struct KeyRange {
     /// The probe scan's output column.
     pub column: usize,
-    pub domain: KeyDomain,
+    pub class: KeyClass,
     pub min: i64,
     pub max: i64,
 }
@@ -737,8 +728,7 @@ impl KeyFilter {
     /// no key column has a range to offer.
     ///
     /// A build row holding a NULL in any key column matches nothing and
-    /// contributes nothing. An integer column with a value of magnitude
-    /// 2^53 or more offers no range ([`EXACT_INTEGER_KEYS`]).
+    /// contributes nothing.
     pub fn from_build<C: std::borrow::Borrow<Column>>(
         build: &[C],
         probe: &[Option<(usize, DataType)>],
@@ -761,10 +751,10 @@ impl KeyFilter {
             let Some((column, probe_ty)) = *probe else {
                 continue;
             };
-            let Some((domain, ints)) = KeyInts::of(col.borrow().data()) else {
+            let Some((class, ints)) = KeyInts::of(col.borrow().data()) else {
                 continue;
             };
-            if KeyDomain::of(probe_ty) != Some(domain) {
+            if KeyClass::of(probe_ty) != class {
                 continue;
             }
             let (mut min, mut max) = (i64::MAX, i64::MIN);
@@ -774,24 +764,19 @@ impl KeyFilter {
                     max = max.max(v);
                 }
             });
-            let exact = domain != KeyDomain::Integer
-                || min > max
-                || (min > -EXACT_INTEGER_KEYS && max < EXACT_INTEGER_KEYS);
-            if exact {
-                ranges.push(KeyRange {
-                    column,
-                    domain,
-                    min,
-                    max,
-                });
-                values.push(ints);
-            }
+            ranges.push(KeyRange {
+                column,
+                class,
+                min,
+                max,
+            });
+            values.push(ints);
         }
         let first = ranges.first()?;
 
         let span = i128::from(first.max) - i128::from(first.min) + 1;
         let fits = build.len() == 1
-            && first.domain == KeyDomain::Integer
+            && first.class == KeyClass::Integer
             && (1..=KEY_FILTER_BITMAP_SPAN).contains(&span);
         let bitmap = fits.then(|| {
             let mut bits = vec![0u64; (span as usize).div_ceil(64)];
@@ -869,12 +854,12 @@ mod tests {
             match col.value(row) {
                 Value::Null => key[c / 8] |= 1 << (c % 8),
                 Value::Int32(v) => {
-                    key.push(1);
-                    key.extend((v as f64).to_bits().to_le_bytes());
+                    key.push(6);
+                    key.extend(i64::from(v).to_le_bytes());
                 }
                 Value::Int64(v) => {
-                    key.push(1);
-                    key.extend((v as f64).to_bits().to_le_bytes());
+                    key.push(6);
+                    key.extend(v.to_le_bytes());
                 }
                 Value::Float64(v) => {
                     key.push(1);
@@ -1040,21 +1025,46 @@ mod tests {
         assert_eq!(found, [NO_ENTRY, NO_ENTRY, 0, NO_ENTRY]);
     }
 
+    /// Keys compare as `Value::eq` does: two integers exactly, whatever
+    /// their widths; an integer and a float, in a join, as `f64`s.
     #[test]
-    fn numeric_widening_encodes_equal() {
-        // Int32(7), Int64(7), Float64(7.0) are all equal under Value::eq
-        // and must intern to the same entry.
-        let enc32 = KeyEncoder::new(&[DataType::Int32]);
-        let enc64 = KeyEncoder::new(&[DataType::Int64]);
-        let encf = KeyEncoder::new(&[DataType::Float64]);
-        let c32 = col(DataType::Int32, &[Value::Int32(7)]);
-        let c64 = col(DataType::Int64, &[Value::Int64(7)]);
-        let cf = col(DataType::Float64, &[Value::Float64(7.0)]);
-        let (a, _) = encode(&enc32, std::slice::from_ref(&c32), 0);
-        let (b, _) = encode(&enc64, std::slice::from_ref(&c64), 0);
-        let (c, _) = encode(&encf, std::slice::from_ref(&cf), 0);
-        assert_eq!(a, b);
-        assert_eq!(b, c);
+    fn integer_keys_are_exact_and_a_float_pair_widens_both_sides() {
+        let p53 = 1i64 << 53;
+        let ints = col(
+            DataType::Int64,
+            &[Value::Int64(7), Value::Int64(p53), Value::Int64(p53 + 1)],
+        );
+        let narrow = col(DataType::Int32, &[Value::Int32(7)]);
+        let floats = col(
+            DataType::Float64,
+            &[Value::Float64(7.0), Value::Float64(p53 as f64)],
+        );
+        let (i64s, i32s) = (&[DataType::Int64][..], &[DataType::Int32][..]);
+        let key = |enc: &KeyEncoder, c: &Column, row| encode(enc, std::slice::from_ref(c), row).0;
+        let exact = KeyEncoder::new(i64s);
+        assert_eq!(
+            key(&exact, &ints, 0),
+            key(&KeyEncoder::new(i32s), &narrow, 0)
+        );
+        assert_eq!(
+            key(&exact, &ints, 0),
+            key(&KeyEncoder::join(i64s, i32s), &narrow, 0)
+        );
+        assert_ne!(
+            key(&exact, &ints, 1),
+            key(&exact, &ints, 2),
+            "2^53 + 1 is not 2^53"
+        );
+        // Alone, a float is its own class; paired with one, an integer is
+        // its `f64`, and past 2^53 several integers are one `f64`.
+        let float = KeyEncoder::new(&[DataType::Float64]);
+        assert_ne!(key(&exact, &ints, 0), key(&float, &floats, 0));
+        let pair = KeyEncoder::join(i64s, &[DataType::Float64]);
+        assert_eq!(key(&pair, &ints, 0), key(&pair, &floats, 0));
+        assert_eq!(key(&pair, &ints, 1), key(&pair, &floats, 1));
+        assert_eq!(key(&pair, &ints, 2), key(&pair, &floats, 1));
+        let flipped = KeyEncoder::join(&[DataType::Float64], i32s);
+        assert_eq!(key(&flipped, &narrow, 0), key(&flipped, &floats, 0));
     }
 
     #[test]
@@ -1173,36 +1183,71 @@ mod tests {
             .unwrap_or(0)
     }
 
+    /// `0..n` as Int64 keys, or as Float64 ones, encoded.
+    fn consecutive_keys(n: usize, float: bool) -> Vec<Vec<u8>> {
+        let ids = match float {
+            false => Column::new(ColumnData::Int64((0..n as i64).collect())),
+            true => Column::new(ColumnData::Float64((0..n).map(|i| i as f64).collect())),
+        };
+        let enc = KeyEncoder::new(&[ids.data_type()]);
+        let mut keys = EncodedKeys::default();
+        let mut out = Vec::with_capacity(n);
+        for rows in key_chunks(0..n) {
+            enc.encode(std::slice::from_ref(&ids), rows, &mut keys);
+            out.extend(keys.iter().map(<[u8]>::to_vec));
+        }
+        out
+    }
+
+    /// A table of `keys`, each new.
+    fn table_of<'k>(keys: impl IntoIterator<Item = &'k [u8]>) -> KeyTable {
+        let mut table = KeyTable::new();
+        for key in keys {
+            assert!(table.intern(key).1);
+        }
+        table
+    }
+
     #[test]
     fn consecutive_integer_keys_probe_in_bounded_steps() {
         // Consecutive integers are the join keys of every generated table.
-        // As raw little-endian words their entropy is in the low bytes; as
-        // the encoder writes them (f64 bit patterns) it is in the exponent
-        // and the top of the mantissa, and the low bytes are all zero. A
-        // hash that lets either shape cluster shows up as a long probe run.
+        // As raw little-endian words and as INTEGER keys their entropy is in
+        // the low bytes; as FLOAT keys it is in the exponent and the top of
+        // the mantissa, and the low bytes are all zero. A hash that lets
+        // either shape cluster shows up as a long probe run.
         let n = 100_000usize;
-        let mut raw = KeyTable::new();
-        for i in 0..n as u64 {
-            assert!(raw.intern(&i.to_le_bytes()).1);
-        }
-        let ids = Column::new(ColumnData::Int64((0..n as i64).collect()));
-        let enc = KeyEncoder::new(&[DataType::Int64]);
-        let mut keys = EncodedKeys::default();
-        let mut encoded = KeyTable::new();
-        for rows in key_chunks(0..n) {
-            enc.encode(std::slice::from_ref(&ids), rows.clone(), &mut keys);
-            for i in 0..rows.len() {
-                assert!(encoded.intern(keys.key(i)).1);
-            }
-        }
-        for (what, table) in [("raw i64", &raw), ("f64-encoded", &encoded)] {
+        let words: Vec<[u8; 8]> = (0..n as u64).map(u64::to_le_bytes).collect();
+        let raw = table_of(words.iter().map(|w| &w[..]));
+        let ints = table_of(consecutive_keys(n, false).iter().map(Vec::as_slice));
+        let floats = table_of(consecutive_keys(n, true).iter().map(Vec::as_slice));
+        for (what, table) in [("raw", &raw), ("INTEGER", &ints), ("FLOAT", &floats)] {
             assert_eq!(table.len(), n);
             // At a load factor under 3/4, linear probing over a uniform hash
-            // keeps the longest run in the tens (15 and 19 here); the same
-            // word hash without its folds and finaliser reads 6272 on the
-            // f64-encoded keys.
+            // keeps the longest run in the tens.
             let longest = max_probe_len(table);
             assert!(longest <= 64, "{what}: longest probe run {longest}");
+        }
+    }
+
+    #[test]
+    fn keys_routed_to_one_partition_probe_in_bounded_steps() {
+        // A stage-1 partition interns only the keys routed to it: routed by
+        // the high half of their hash, they are spread over its table's
+        // buckets, which the low bits index, as well as all keys are.
+        let keys = consecutive_keys(100_000, false);
+        let parts = 4;
+        for p in 0..parts {
+            let mine = keys
+                .iter()
+                .filter(|k| partition_of(hash_key(k), parts) == p);
+            let table = table_of(mine.map(Vec::as_slice));
+            assert!(
+                (20_000..30_000).contains(&table.len()),
+                "partition {p}: {}",
+                table.len()
+            );
+            let longest = max_probe_len(&table);
+            assert!(longest <= 64, "partition {p}: longest probe run {longest}");
         }
     }
 
@@ -1225,7 +1270,7 @@ mod tests {
             let f = filter_of(&build, probe).unwrap();
             let range = &f.ranges()[0];
             assert_eq!((range.column, range.min, range.max), (3, -3, 40));
-            assert_eq!(range.domain, KeyDomain::Integer);
+            assert_eq!(range.class, KeyClass::Integer);
             assert!(f.is_exact());
             assert_eq!(f.kind(), "bitmap");
             for v in -10..50 {
@@ -1252,11 +1297,21 @@ mod tests {
         let wide = filter_of(&ints(&[Some(5), Some(5 + span)]), DataType::Int64).unwrap();
         assert!(!wide.is_exact());
         assert!(wide.admits(0, 6) && !wide.admits(0, 4));
+        // Integer keys are exact at every magnitude, so is their filter.
+        let p53 = 1i64 << 53;
+        let f = filter_of(&ints(&[Some(p53), Some(p53 + 2)]), DataType::Int64).unwrap();
+        assert!(f.is_exact());
+        assert!(f.admits(0, p53) && !f.admits(0, p53 + 1) && f.admits(0, p53 + 2));
+        let f = filter_of(&ints(&[Some(p53)]), DataType::Int64).unwrap();
+        assert!(f.admits(0, p53) && !f.admits(0, p53 + 1) && !f.admits(0, p53 - 1));
+        for edge in [i64::MIN, i64::MAX] {
+            let f = filter_of(&ints(&[Some(edge), Some(edge)]), DataType::Int64).unwrap();
+            assert!(f.admits(0, edge) && !f.admits(0, edge ^ 1));
+        }
     }
 
     #[test]
     fn key_filter_offers_nothing_where_join_equality_is_not_integer_equality() {
-        let p53 = EXACT_INTEGER_KEYS;
         // Floats on either side, strings, booleans: no range, so no filter.
         let floats = col(
             DataType::Float64,
@@ -1271,20 +1326,6 @@ mod tests {
         assert_eq!(filter_of(&dates, DataType::Timestamp), None);
         assert_eq!(filter_of(&dates, DataType::Int32), None);
         assert_eq!(filter_of(&dates, DataType::Date).unwrap().kind(), "min/max");
-        // An integer key of magnitude 2^53 joins its neighbours through
-        // f64: one such build value and the column offers nothing.
-        for edge in [p53, -p53, i64::MAX, i64::MIN] {
-            assert_eq!(
-                filter_of(&ints(&[Some(1), Some(edge)]), DataType::Int64),
-                None
-            );
-        }
-        for inside in [p53 - 1, -p53 + 1] {
-            let f = filter_of(&ints(&[Some(inside)]), DataType::Int64).unwrap();
-            assert!(f.admits(0, inside) && !f.admits(0, inside + inside.signum()));
-        }
-        // ... unless that value sits in a row that matches nothing anyway.
-        assert!(filter_of(&ints(&[Some(1), None]), DataType::Int64).is_some());
         // Timestamps are compared as the integers they are, end to end of
         // i64; the span of such a range does not fit an i64.
         let stamps = col(
@@ -1333,22 +1374,13 @@ mod tests {
         let f = KeyFilter::from_build(&[a, s, d], &probe).unwrap();
         assert!(!f.is_exact(), "an exact set is for a single key column");
         let ranges: Vec<_> = (f.ranges().iter())
-            .map(|r| (r.column, r.domain, r.min, r.max))
+            .map(|r| (r.column, r.class, r.min, r.max))
             .collect();
         assert_eq!(
             ranges,
-            [(2, KeyDomain::Integer, 5, 7), (1, KeyDomain::Date, 10, 30)]
+            [(2, KeyClass::Integer, 5, 7), (1, KeyClass::Date, 10, 30)]
         );
         assert!(f.admits(0, 6) && !f.admits(0, 8));
         assert!(f.admits(1, 10) && !f.admits(1, 9));
-    }
-
-    #[test]
-    fn partition_hash_is_fnv1a() {
-        // The exchange routes by this function; its values are part of the
-        // spill layout.
-        assert_eq!(hash_bytes(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(hash_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(hash_bytes(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

@@ -561,3 +561,50 @@ fn integer_comparison_is_exact_past_2_pow_53() {
     let equal = rows("SELECT o_id FROM orders WHERE o_id + 9007199254740892 = 9007199254740993");
     assert_eq!(equal, vec![vec![v_i(101)]]);
 }
+
+/// TPC-H at scale 0.002: 25 nations, 3,000 orders of three statuses.
+fn tpch_rows(sqls: &[&str]) -> Vec<Vec<Vec<Value>>> {
+    let (catalog, store) = (Catalog::shared(), InMemoryObjectStore::shared());
+    let cfg = pixels_workload::TpchConfig {
+        scale: 0.002,
+        ..Default::default()
+    };
+    pixels_workload::load_tpch(&catalog, store.as_ref(), "tpch", &cfg).unwrap();
+    (sqls.iter())
+        .map(|sql| {
+            run_query(&catalog, store.clone(), "tpch", sql)
+                .unwrap()
+                .to_rows()
+        })
+        .collect()
+}
+
+/// A projection none of whose columns the outer query reads still has all
+/// its input's rows to count.
+#[test]
+fn count_over_a_derived_table_counts_its_rows() {
+    let got = tpch_rows(&[
+        "SELECT COUNT(*) FROM (SELECT * FROM nation) t",
+        "SELECT COUNT(*) FROM (SELECT o_orderstatus FROM orders GROUP BY o_orderstatus) t",
+        "SELECT COUNT(*), SUM(1) FROM (SELECT o_orderkey FROM orders LIMIT 10) t",
+    ]);
+    assert_eq!(got[0], [[v_i(25)]]);
+    assert_eq!(got[1], [[v_i(3)]]);
+    assert_eq!(got[2], [[v_i(10), v_i(10)]]);
+}
+
+/// Join, group and DISTINCT keys are exact integers: shifted by `i64::MAX`,
+/// the 3,000 order keys stay 3,000 keys. As `f64`s they were 4 keys, and
+/// the self-join 2,552,756 rows.
+#[test]
+fn integer_keys_past_2_pow_53_stay_distinct() {
+    let k = "o_orderkey - 9223372036854775807";
+    let got = tpch_rows(&[
+        &format!("SELECT COUNT(*) FROM orders a JOIN orders b ON a.{k} = b.{k}"),
+        &format!("SELECT COUNT(*) FROM (SELECT {k} AS k FROM orders GROUP BY {k}) t"),
+        &format!("SELECT COUNT(*) FROM (SELECT DISTINCT {k} FROM orders) t"),
+    ]);
+    for rows in got {
+        assert_eq!(rows, [[v_i(3_000)]]);
+    }
+}

@@ -153,7 +153,7 @@ fn column_ndv(s: &ColumnSummary, row_count: u64) -> Option<f64> {
     if let (Some(min), Some(max)) = (&s.min, &s.max) {
         if matches!(min, Value::Int32(_) | Value::Int64(_) | Value::Date(_)) {
             if let (Some(lo), Some(hi)) = (min.as_i64(), max.as_i64()) {
-                let span = (hi - lo + 1).max(1) as f64;
+                let span = (i128::from(hi) - i128::from(lo) + 1).max(1) as f64;
                 return Some(span.min(row_count.max(1) as f64));
             }
         }

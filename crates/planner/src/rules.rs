@@ -585,6 +585,13 @@ fn prune_node(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>
                 k.dedup();
                 k
             };
+            // With no output left, the projection goes: a batch of zero
+            // columns holds zero rows, while the input, pruned to nothing,
+            // keeps the row count (a scan keeps one column).
+            if kept.is_empty() {
+                let (new_input, _) = prune_node(*input, &[]);
+                return (new_input, vec![usize::MAX; exprs.len()]);
+            }
             let mut needed: BTreeSet<usize> = BTreeSet::new();
             for &i in &kept {
                 needed.extend(exprs[i].referenced_columns());

@@ -1444,25 +1444,23 @@ fn spill_partitions(
             right_keys,
             ..
         } => {
-            let sides = [
-                (left, left_keys, JoinSide::Left),
-                (right, right_keys, JoinSide::Right),
-            ];
+            let sides = [(left, JoinSide::Left), (right, JoinSide::Right)];
             // Only the build (right) side of a broadcast join is spilled.
             let sides = &sides[usize::from(broadcast)..];
             let executed = sides
                 .iter()
                 .zip(ctxs)
-                .map(|((input, ..), ctx)| execute(input, ctx))
+                .map(|((input, _), ctx)| execute(input, ctx))
                 .collect::<Result<Vec<_>>>()?;
             let mut spill_span = ctxs[0].trace.span("exchange_spill");
             let mut stats = ExchangeStats::default();
             let mut snapshot = ExecMetricsSnapshot::default();
-            for (((input, keys, side), batches), ctx) in sides.iter().zip(&executed).zip(ctxs) {
+            for (((input, side), batches), ctx) in sides.iter().zip(&executed).zip(ctxs) {
                 stats.merge(&exchange::write_join_partitions(
                     batches,
                     &input.schema(),
-                    keys,
+                    left_keys,
+                    right_keys,
                     *side,
                     exchange_store,
                     prefix,

@@ -7,20 +7,28 @@
 //! direct VM path, and the row-at-a-time scalar oracle — and bills the same
 //! bytes, because exchange traffic is provider-side. Edge cases (empty
 //! partitions, single-group skew, partition count 1) get dedicated tests,
-//! and every run asserts the spill namespace is left empty.
+//! and every run asserts the spill namespace is left empty. So do integer
+//! keys that an `f64` would merge, and joins of mixed key types.
 
-use pixelsdb::catalog::Catalog;
-use pixelsdb::common::{RecordBatch, Value};
+use pixelsdb::catalog::{Catalog, CreateTable};
+use pixelsdb::common::{DataType, Field, RecordBatch, Schema, Value};
 use pixelsdb::exec::{scalar, ExecContext};
 use pixelsdb::planner::{plan_query, plan_shuffle};
-use pixelsdb::storage::{InMemoryObjectStore, ObjectStoreRef};
+use pixelsdb::storage::{
+    InMemoryObjectStore, ObjectStore, ObjectStoreRef, PixelsReader, PixelsWriter,
+};
 use pixelsdb::turbo::{Decision, EngineConfig, ExchangeStats, TurboEngine};
 use pixelsdb::workload::{all_queries, load_tpch, TpchConfig};
 use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn fixture() -> (Arc<Catalog>, ObjectStoreRef) {
+/// The TPC-H scale of most tests here.
+const SCALE: f64 = 0.001;
+
+/// TPC-H at `scale` in database `tpch`, and the tables of [`load_keys`] in
+/// database `keys`.
+fn fixture(scale: f64) -> (Arc<Catalog>, ObjectStoreRef) {
     let catalog = Catalog::shared();
     let store: ObjectStoreRef = InMemoryObjectStore::shared();
     load_tpch(
@@ -28,20 +36,108 @@ fn fixture() -> (Arc<Catalog>, ObjectStoreRef) {
         store.as_ref(),
         "tpch",
         &TpchConfig {
-            scale: 0.001,
+            scale,
             seed: 11,
             row_group_rows: 512,
             files_per_table: 2,
         },
     )
     .unwrap();
+    load_keys(&catalog, store.as_ref());
     (catalog, store)
+}
+
+/// Integer keys where an `f64` merges distinct values (±2^53 ± 1, the ends
+/// of `i64`), the ends of `i32`, and arbitrary `i64`s.
+fn key_values() -> Vec<i64> {
+    let p53 = 1i64 << 53;
+    let mut keys = vec![
+        i64::MIN,
+        i64::MIN + 1,
+        -p53 - 1,
+        -p53,
+        -p53 + 1,
+        -1,
+        7,
+        i32::MIN.into(),
+        i32::MAX.into(),
+        p53 - 1,
+        p53,
+        p53 + 1,
+        p53 + 2,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for _ in 0..9 {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        keys.push(x as i64);
+    }
+    keys
+}
+
+/// Database `keys`: probe table `p(k, k32, v)` holds every key of
+/// [`key_values`], every third one twice, and a NULL key (`k32` is `k`
+/// clamped to `i32`); build table `b(k, f, w)` every other key, as `Int64`
+/// and as `Float64`, an arbitrary key of its own and a NULL.
+fn load_keys(catalog: &Catalog, store: &dyn ObjectStore) {
+    let keys = key_values();
+    let int = |k: i64| Value::Int64(k);
+    let narrow = |k: i64| Value::Int32(k.clamp(i32::MIN.into(), i32::MAX.into()) as i32);
+    let mut p: Vec<Vec<Value>> = (keys.iter().enumerate())
+        .flat_map(|(i, &k)| {
+            vec![vec![int(k), narrow(k), int(i as i64)]; 1 + usize::from(i % 3 == 0)]
+        })
+        .collect();
+    p.push(vec![Value::Null, Value::Null, int(-1)]);
+    let mut b: Vec<Vec<Value>> = (keys.iter().enumerate().step_by(2))
+        .map(|(i, &k)| vec![int(k), Value::Float64(k as f64), int(i as i64)])
+        .collect();
+    b.push(vec![int(42), Value::Float64(42.0), int(-2)]);
+    b.push(vec![Value::Null, Value::Null, int(-3)]);
+    let p_schema = [
+        ("k", DataType::Int64),
+        ("k32", DataType::Int32),
+        ("v", DataType::Int64),
+    ];
+    let b_schema = [
+        ("k", DataType::Int64),
+        ("f", DataType::Float64),
+        ("w", DataType::Int64),
+    ];
+    for (name, fields, rows) in [("p", p_schema, p), ("b", b_schema, b)] {
+        let schema = Arc::new(Schema::new(
+            (fields.iter())
+                .map(|&(f, ty)| Field::nullable(f, ty))
+                .collect(),
+        ));
+        catalog
+            .create_table(CreateTable {
+                database: "keys".into(),
+                name: name.into(),
+                schema: schema.clone(),
+                primary_key: None,
+                foreign_keys: vec![],
+                comment: None,
+            })
+            .unwrap();
+        let path = format!("keys/{name}/0.pxl");
+        let mut w = PixelsWriter::with_row_group_rows(store, &path, schema.clone(), 8);
+        w.write_batch(&RecordBatch::from_rows(schema, &rows).unwrap())
+            .unwrap();
+        let size = w.finish().unwrap();
+        let footer = PixelsReader::open(store, &path).unwrap().footer().clone();
+        catalog
+            .register_data_file("keys", name, &path, &footer, size)
+            .unwrap();
+    }
 }
 
 /// A fresh engine over its own copy of the fixture, so billed bytes are
 /// metered from identical cold caches on every engine compared.
-fn engine_with(partitions: usize) -> (Arc<TurboEngine>, ObjectStoreRef) {
-    let (catalog, store) = fixture();
+/// `partitions` 0 sizes exchanges by cost, which broadcasts small joins.
+fn engine_with(scale: f64, partitions: usize) -> (Arc<TurboEngine>, ObjectStoreRef) {
+    let (catalog, store) = fixture(scale);
     let engine = TurboEngine::new(
         catalog,
         store.clone(),
@@ -94,9 +190,9 @@ fn assert_no_spills(store: &ObjectStoreRef, label: &str) {
 }
 
 /// Run `sql` through the scalar (row-at-a-time) oracle on its own fixture.
-fn scalar_oracle_rows(sql: &str) -> Vec<Vec<Value>> {
-    let (catalog, store) = fixture();
-    let plan = plan_query(&catalog, "tpch", sql).unwrap();
+fn scalar_oracle_rows(scale: f64, db: &str, sql: &str) -> Vec<Vec<Value>> {
+    let (catalog, store) = fixture(scale);
+    let plan = plan_query(&catalog, db, sql).unwrap();
     let ctx = ExecContext::new(store);
     let batches = scalar::execute(&plan, &ctx).unwrap();
     batches.iter().flat_map(|b| b.to_rows()).collect()
@@ -159,7 +255,7 @@ fn comparable_rows(batch: &RecordBatch, sql: &str) -> Vec<Vec<Value>> {
 /// oracle. The exchange itself must be visible only in provider-side stats.
 #[test]
 fn shuffled_templates_match_single_stage_and_scalar_oracle() {
-    let (catalog, _store) = fixture();
+    let (catalog, _store) = fixture(SCALE);
     let shuffleable: Vec<_> = all_queries()
         .into_iter()
         .filter(|q| q.database == "tpch")
@@ -175,16 +271,16 @@ fn shuffled_templates_match_single_stage_and_scalar_oracle() {
     );
 
     for q in &shuffleable {
-        let oracle = scalar_oracle_rows(q.sql);
+        let oracle = scalar_oracle_rows(SCALE, "tpch", q.sql);
 
         // Reference: single-stage CF. The direct VM run doubles as the cache
         // warm-up both engines need for comparable billed bytes.
-        let (single, single_store) = engine_with(1);
+        let (single, single_store) = engine_with(SCALE, 1);
         let direct = single.execute_sql("tpch", q.sql, false).unwrap();
         let single_out = on_cf(&single, || single.execute_sql("tpch", q.sql, true).unwrap());
         assert!(single_out.used_cf, "{}", q.id);
 
-        let (shuffled, store) = engine_with(4);
+        let (shuffled, store) = engine_with(SCALE, 4);
         let shuffled_direct = shuffled.execute_sql("tpch", q.sql, false).unwrap();
         assert_eq!(shuffled_direct.batch, direct.batch, "{}", q.id);
         let out = on_cf(&shuffled, || {
@@ -236,7 +332,7 @@ fn empty_partitions_round_trip() {
     // Zero input rows: every partition file is empty.
     let zero = "SELECT o_orderstatus, COUNT(*) AS n FROM orders \
                 WHERE o_orderkey < 0 GROUP BY o_orderstatus";
-    let (e, store) = engine_with(8);
+    let (e, store) = engine_with(SCALE, 8);
     let direct = e.execute_sql("tpch", zero, false).unwrap();
     assert_eq!(direct.batch.num_rows(), 0);
     let out = on_cf(&e, || e.execute_sql("tpch", zero, true).unwrap());
@@ -252,7 +348,7 @@ fn empty_partitions_round_trip() {
     // Far more partitions than groups: most partition files are empty.
     let sparse = "SELECT o_orderstatus, COUNT(*) AS n FROM orders \
                   GROUP BY o_orderstatus ORDER BY n DESC";
-    let (e, store) = engine_with(16);
+    let (e, store) = engine_with(SCALE, 16);
     let direct = e.execute_sql("tpch", sparse, false).unwrap();
     let out = on_cf(&e, || e.execute_sql("tpch", sparse, true).unwrap());
     assert!(out.used_cf);
@@ -272,7 +368,7 @@ fn empty_partitions_round_trip() {
 fn skewed_partitions_round_trip() {
     let skewed_agg = "SELECT o_orderstatus, COUNT(*) AS n FROM orders \
                       WHERE o_orderstatus = 'F' GROUP BY o_orderstatus";
-    let (e, store) = engine_with(8);
+    let (e, store) = engine_with(SCALE, 8);
     let direct = e.execute_sql("tpch", skewed_agg, false).unwrap();
     assert_eq!(direct.batch.num_rows(), 1, "fixture must have 'F' orders");
     let out = on_cf(&e, || e.execute_sql("tpch", skewed_agg, true).unwrap());
@@ -287,7 +383,7 @@ fn skewed_partitions_round_trip() {
     let skewed_join = "SELECT c_name, o_orderkey FROM customer \
                        JOIN orders ON c_custkey = o_custkey \
                        WHERE c_custkey = 1 ORDER BY o_orderkey";
-    let (e, store) = engine_with(8);
+    let (e, store) = engine_with(SCALE, 8);
     let direct = e.execute_sql("tpch", skewed_join, false).unwrap();
     let out = on_cf(&e, || e.execute_sql("tpch", skewed_join, true).unwrap());
     assert!(out.used_cf);
@@ -303,11 +399,11 @@ fn partition_count_one_is_bit_identical_to_single_stage() {
     let sql = "SELECT o_orderstatus, COUNT(*) AS n FROM orders \
                GROUP BY o_orderstatus ORDER BY n DESC";
 
-    let (single, _) = engine_with(1);
+    let (single, _) = engine_with(SCALE, 1);
     let direct = single.execute_sql("tpch", sql, false).unwrap();
     let single_out = on_cf(&single, || single.execute_sql("tpch", sql, true).unwrap());
 
-    let (degenerate, store) = engine_with(1);
+    let (degenerate, store) = engine_with(SCALE, 1);
     let degenerate_direct = degenerate.execute_sql("tpch", sql, false).unwrap();
     assert_eq!(degenerate_direct.batch, direct.batch);
     let out = on_cf(&degenerate, || {
@@ -327,4 +423,103 @@ fn partition_count_one_is_bit_identical_to_single_stage() {
         ]
     );
     assert!(store.list("pixels-turbo/intermediate/").unwrap().is_empty());
+}
+
+/// The same answer in process, through a 4-way exchange (a DISTINCT over a
+/// scan has none) and, for a join, through a broadcast join, as the scalar
+/// oracle: rows in canonical order.
+fn assert_exchanges_match_oracle(scale: f64, db: &str, sql: &str) -> Vec<Vec<Value>> {
+    let oracle = canonical(scalar_oracle_rows(scale, db, sql));
+    let (e, store) = engine_with(scale, 4);
+    let direct = e.execute_sql(db, sql, false).unwrap();
+    assert_rows_equivalent(
+        &format!("{sql}: in process"),
+        &canonical(direct.batch.to_rows()),
+        &oracle,
+    );
+    let out = on_cf(&e, || e.execute_sql(db, sql, true).unwrap());
+    let partitions = if sql.contains("DISTINCT") { 0 } else { 4 };
+    assert_eq!(out.exchange.partitions, partitions, "{sql}");
+    assert_rows_equivalent(
+        &format!("{sql}: 4 partitions"),
+        &canonical(out.batch.to_rows()),
+        &oracle,
+    );
+    assert_no_spills(&store, sql);
+    if sql.contains("JOIN") {
+        let (e, store) = engine_with(scale, 0);
+        let out = on_cf(&e, || e.execute_sql(db, sql, true).unwrap());
+        assert_eq!(out.exchange.partitions, 1, "{sql}: a broadcast join");
+        assert_rows_equivalent(
+            &format!("{sql}: broadcast"),
+            &canonical(out.batch.to_rows()),
+            &oracle,
+        );
+        assert_no_spills(&store, sql);
+    }
+    oracle
+}
+
+/// Integer keys are exact through the exchange: partitioned and broadcast
+/// joins and a partitioned `GROUP BY` over keys an `f64` would merge, and
+/// joins of `Int32` with `Int64` and of `Int64` with `Float64` keys.
+#[test]
+fn exact_and_mixed_type_keys_cross_the_exchange() {
+    let (keys, p53) = (key_values(), 1i64 << 53);
+    let groups =
+        assert_exchanges_match_oracle(SCALE, "keys", "SELECT k, COUNT(*) AS n FROM p GROUP BY k");
+    assert_eq!(
+        groups.len(),
+        keys.len() + 1,
+        "every key and NULL is its own group"
+    );
+    let joined =
+        assert_exchanges_match_oracle(SCALE, "keys", "SELECT p.v, b.w FROM p JOIN b ON p.k = b.k");
+    // Every other key is built, every third probed twice: 2^53 (the tenth
+    // key) matches once, 2^53 + 1 (the eleventh) not at all.
+    let built = (0..keys.len())
+        .step_by(2)
+        .map(|i| 1 + usize::from(i % 3 == 0))
+        .sum::<usize>();
+    assert_eq!(joined.len(), built);
+    assert!(keys[10] == p53 && joined.contains(&vec![Value::Int64(10), Value::Int64(10)]));
+    assert!(keys[11] == p53 + 1 && !joined.iter().any(|r| r[0] == Value::Int64(11)));
+    // `i32::MIN` and `i32::MAX` stand in for every key beyond them.
+    let narrow = assert_exchanges_match_oracle(
+        SCALE,
+        "keys",
+        "SELECT p.v, b.w FROM p JOIN b ON p.k32 = b.k",
+    );
+    assert!(
+        narrow.contains(&vec![Value::Int64(14), Value::Int64(8)]),
+        "i64::MAX clamped to i32::MAX joins i32::MAX"
+    );
+    // Through `f64`, 2^53 + 1 meets 2^53, as `Value::sql_cmp` has it.
+    let widened =
+        assert_exchanges_match_oracle(SCALE, "keys", "SELECT p.v, b.w FROM p JOIN b ON p.k = b.f");
+    assert!(widened.contains(&vec![Value::Int64(11), Value::Int64(10)]));
+}
+
+/// Shifted by `i64::MAX`, the 3,000 order keys of scale 0.002 are 3,000 join
+/// keys, groups and DISTINCT rows, in process and on the CF path. As `f64`s
+/// they were 4 keys, and the join 2,552,756 rows.
+#[test]
+fn order_keys_past_2_pow_53_stay_distinct_across_the_exchange() {
+    let k = |t: &str| format!("{t}o_orderkey - 9223372036854775807");
+    for sql in [
+        format!(
+            "SELECT a.o_orderkey FROM orders a JOIN orders b ON {} = {}",
+            k("a."),
+            k("b.")
+        ),
+        format!(
+            "SELECT {} AS k, COUNT(*) AS n FROM orders GROUP BY {}",
+            k(""),
+            k("")
+        ),
+        format!("SELECT DISTINCT {} FROM orders", k("")),
+    ] {
+        let rows = assert_exchanges_match_oracle(0.002, "tpch", &sql);
+        assert_eq!(rows.len(), 3_000, "{sql}");
+    }
 }

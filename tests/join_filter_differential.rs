@@ -12,14 +12,14 @@
 //! The generator covers join types, residuals, scan filters (one of which
 //! fails on a row the key filter would have dropped), NULL keys on either
 //! side, empty and all-NULL build sides, duplicate build keys, mixed-width
-//! and float keys, keys at the ends of `i64` and around ±2^53, clustered
-//! (RLE), shuffled (plain) and dictionary key chunks, two-column keys, and
-//! parallelism 1/2/4.
+//! and float keys, arbitrary `i64` keys with the ends of `i64` and ±2^53 ± 1
+//! among them, clustered (RLE), shuffled (plain) and dictionary key chunks,
+//! two-column keys, and parallelism 1/2/4.
 
 use pixelsdb::catalog::TableStats;
 use pixelsdb::common::{DataType, Field, RecordBatch, Schema, SchemaRef, Value};
 use pixelsdb::exec::{execute, scalar, ExecContext};
-use pixelsdb::planner::{BoundExpr, PhysicalPlan};
+use pixelsdb::planner::{AggExpr, AggFunc, BoundExpr, PhysicalPlan};
 use pixelsdb::sql::ast::{BinaryOp, JoinType};
 use pixelsdb::storage::{
     ColumnPredicate, InMemoryObjectStore, ObjectStoreRef, PixelsWriter, PredicateOp,
@@ -29,19 +29,21 @@ use std::sync::Arc;
 
 const P53: i64 = 1 << 53;
 
-/// Integers no two of which round to one `f64`: the engine's join keys are
-/// `f64` bit patterns (see `known_bug_integer_join_keys_collide_past_2_pow_53`),
-/// the oracle's are exact, and only on such keys do the two joins agree.
-const EXTREMES: [i64; 10] = [
+/// Integers where an `f64` merges distinct keys (±2^53 ± 1, the ends of
+/// `i64`) or changes nothing, drawn often enough for keys to meet.
+const EXTREMES: [i64; 13] = [
     i64::MIN,
-    -P53 - 2,
+    i64::MIN + 1,
+    -P53 - 1,
     -P53,
     -P53 + 1,
     -1,
     7,
     P53 - 1,
     P53,
+    P53 + 1,
     P53 + 2,
+    i64::MAX - 1,
     i64::MAX,
 ];
 
@@ -98,7 +100,7 @@ enum Keys {
     Dense,
     /// Multiples of a million: a range wider than any bitmap.
     Wide,
-    /// [`EXTREMES`]: no range at all once a value reaches 2^53.
+    /// Mostly [`EXTREMES`], else any `i64`.
     Extreme,
 }
 
@@ -107,6 +109,7 @@ impl Keys {
         let v = match self {
             Keys::Dense => runner.below(24) as i64,
             Keys::Wide => (runner.below(40) as i64 - 20) * 1_000_000,
+            Keys::Extreme if runner.below(4) == 0 => runner.next_u64() as i64,
             Keys::Extreme => pick(runner, &EXTREMES),
         };
         // Narrow types take what fits, exactly.
@@ -360,17 +363,8 @@ impl Strategy for Cases {
             output_schema,
         };
 
-        // A range exists for integer, date and timestamp keys of one class
-        // whose build values all lie inside ±2^53.
-        let build_key_magnitude = (build.iter())
-            .filter(|r| !(two_columns && r[1].is_null()))
-            .filter_map(|r| r[0].as_i64())
-            .map(i64::unsigned_abs)
-            .max();
-        let ranged = build_ty != Float64
-            && (matches!(build_ty, Date | Timestamp)
-                || build_key_magnitude.is_none_or(|m| m < P53 as u64));
-        let filtered = ranged && join_type != JoinType::Left && probe_shape == "scan";
+        // A range exists for integer, date and timestamp keys of one class.
+        let filtered = build_ty != Float64 && join_type != JoinType::Left && probe_shape == "scan";
         let what = format!(
             "{probe_ty} ⋈ {build_ty}, {keys:?} keys, {join_type:?}, probe {probe_shape} \
              ({probe_rows} rows, clustered {clustered}, filter {scan_filter}), build {build_shape} \
@@ -520,38 +514,69 @@ fn engine_rows(case: &Case) -> (Vec<Vec<String>>, ExecContext) {
     (rows, ctx)
 }
 
-/// KNOWN BUG (ROADMAP item 5): `KeyEncoder` writes every numeric join key as
-/// an `f64` bit pattern, so two distinct Int64 keys past 2^53 that round to
-/// one `f64` join each other. The oracle, whose keys are exact `Value`s, does
-/// not join them. Pinned so that the day the key format is fixed this test is
-/// changed on purpose — and because a `KeyFilter` must agree with the join it
-/// serves, bug included: an exact-`i64` range or bitmap over such keys would
-/// drop the probe row 2^53 + 1 that the join goes on to match.
+/// Integer keys are exact at every magnitude: 2^53 + 1 neither joins 2^53,
+/// with or without a key filter, nor shares its group or its DISTINCT row,
+/// as in the oracle, whose keys are `Value`s.
 #[test]
-fn known_bug_integer_join_keys_collide_past_2_pow_53() {
-    let probe = [Some(P53 + 1), Some(P53), Some(5), Some(-P53 - 1), None];
+fn integer_keys_past_2_pow_53_join_group_and_distinct_exactly() {
+    let probe = [
+        Some(P53 + 1),
+        Some(P53),
+        Some(5),
+        Some(-P53 - 1),
+        None,
+        Some(P53 + 1),
+    ];
     let build = [Some(P53), Some(-P53), Some(6)];
-    let unfiltered = int64_join(&probe, &build, false);
-    let filtered = int64_join(&probe, &build, true);
-    let (expect, ctx) = engine_rows(&unfiltered);
-    assert_eq!(ctx.metrics.pipeline_snapshot().join_filter_rows, 0);
-    assert_eq!(
-        expect,
-        [
-            [format!("Int64({})", P53 + 1), format!("Int64({P53})")],
-            [format!("Int64({P53})"), format!("Int64({P53})")],
-            [format!("Int64({})", -P53 - 1), format!("Int64({})", -P53)],
-        ],
-        "2^53 + 1 joins 2^53 today"
-    );
-    let (got, _) = engine_rows(&filtered);
-    assert_eq!(got, expect, "the key filter changed what the join matches");
-    // The oracle joins exact values: only 2^53 = 2^53.
-    let oracle = ExecContext::new(unfiltered.store.clone());
-    assert_eq!(
-        image(&scalar::execute(&unfiltered.plan, &oracle).unwrap()).len(),
-        1
-    );
+    for bare_scan in [false, true] {
+        let case = int64_join(&probe, &build, bare_scan);
+        assert_same(&case);
+        let (rows, ctx) = engine_rows(&case);
+        assert_eq!(rows, [[format!("Int64({P53})"), format!("Int64({P53})")]]);
+        // The filter is the range [-2^53, 2^53]: 5 and 2^53 pass it.
+        let t = ctx.metrics.pipeline_snapshot();
+        let dropped = if bare_scan { (6, 4) } else { (0, 0) };
+        assert_eq!((t.join_filter_rows, t.join_filter_dropped), dropped);
+    }
+    let PhysicalPlan::HashJoin { left: scan, .. } = int64_join(&probe, &build, true).plan else {
+        unreachable!("int64_join plans a hash join")
+    };
+    let count = AggExpr {
+        func: AggFunc::Count,
+        arg: None,
+        distinct: false,
+        output_type: DataType::Int64,
+    };
+    let group_by = PhysicalPlan::HashAggregate {
+        input: scan.clone(),
+        group_exprs: vec![BoundExpr::column(0, DataType::Int64, "k")],
+        aggs: vec![count],
+        output_schema: schema(&[("k", DataType::Int64), ("n", DataType::Int64)]),
+    };
+    let distinct = PhysicalPlan::Distinct { input: scan };
+    for (plan, width) in [(group_by, 2), (distinct, 1)] {
+        let case = Case {
+            plan,
+            ..int64_join(&probe, &build, true)
+        };
+        assert_same(&case);
+        let (rows, _) = engine_rows(&case);
+        let keys: Vec<&str> = rows.iter().map(|r| r[0].as_str()).collect();
+        let (above, at) = (format!("Int64({})", P53 + 1), format!("Int64({P53})"));
+        let below = format!("Int64({})", -P53 - 1);
+        assert_eq!(
+            keys,
+            [&above, &at, "Int64(5)", &below, "Null"],
+            "{}",
+            case.what
+        );
+        if width == 2 {
+            assert_eq!(
+                rows[0][1], "Int64(2)",
+                "both rows of 2^53 + 1, and only they"
+            );
+        }
+    }
 }
 
 /// What the telemetry says about the filters of simple joins: an exact set
