@@ -207,8 +207,8 @@ fn bench_tracing_overhead(c: &mut Criterion) {
 
 /// Vectorized kernels vs the retained scalar reference path, on
 /// pre-materialized input so the comparison isolates operator cost from
-/// scan cost: join build+probe, multi-aggregate group-by, and the fused
-/// conjunction mask vs sequential per-filter passes.
+/// scan cost: join build+probe, multi-aggregate group-by (q1's shape among
+/// them), and the fused conjunction mask vs sequential per-filter passes.
 fn bench_vector_kernels(c: &mut Criterion) {
     let (catalog, store) = demo_data(0.01);
     let collect = |sql: &str| -> Vec<RecordBatch> {
@@ -420,8 +420,7 @@ fn bench_vector_kernels(c: &mut Criterion) {
         })
     });
 
-    // Expression evaluation: q1's discounted price over Float64 columns, and
-    // checked Int64 arithmetic.
+    // q1's discounted price over Float64 columns.
     let discounted = binary(
         col(2, DataType::Float64),
         BinaryOp::Multiply,
@@ -433,6 +432,50 @@ fn bench_vector_kernels(c: &mut Criterion) {
         ),
         DataType::Float64,
     );
+
+    // q1's shape: its two string keys (four groups) and its six aggregates,
+    // among them a SUM and an AVG of l_quantity and of l_extendedprice.
+    let float_agg = |func, arg| AggExpr {
+        func,
+        arg: Some(arg),
+        distinct: false,
+        output_type: DataType::Float64,
+    };
+    let q1_aggs = vec![
+        float_agg(AggFunc::Sum, col(1, DataType::Float64)),
+        float_agg(AggFunc::Sum, col(2, DataType::Float64)),
+        float_agg(AggFunc::Sum, discounted.clone()),
+        float_agg(AggFunc::Avg, col(1, DataType::Float64)),
+        float_agg(AggFunc::Avg, col(2, DataType::Float64)),
+        aggs[0].clone(),
+    ];
+    let q1_schema = Arc::new(Schema::new(
+        ["flag", "status"]
+            .map(|n| Field::required(n, DataType::Utf8))
+            .into_iter()
+            .chain(
+                ["sum_qty", "sum_base", "sum_disc", "avg_qty", "avg_price"]
+                    .map(|n| Field::nullable(n, DataType::Float64)),
+            )
+            .chain([Field::required("count_order", DataType::Int64)])
+            .collect::<Vec<Field>>(),
+    ));
+    g.bench_function("group_by/q1_shape", |b| {
+        b.iter(|| {
+            pixels_exec::aggregate::execute_aggregate(
+                &lineitem,
+                &dict_group,
+                &q1_aggs,
+                &q1_schema,
+                1,
+            )
+            .unwrap()
+            .len()
+        })
+    });
+
+    // Expression evaluation: q1's discounted price, and checked Int64
+    // arithmetic.
     let int_poly = binary(
         binary(
             col(0, DataType::Int64),

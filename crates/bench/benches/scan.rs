@@ -1,6 +1,7 @@
 //! Microbenchmarks for the encoded scan pipeline: executing on encoded
 //! chunks (dictionary-code predicates, RLE-run aggregation, late
-//! materialization), with and without the chunk cache serving the bytes.
+//! materialization), with and without the chunk cache serving the bytes,
+//! and a plain chunk decoded under a mask that keeps 99 % of its rows.
 //! (The decode-everything scan these were once measured against is gone;
 //! EXPERIMENTS.md keeps the PR 14 ratios.)
 //! The `string_chunks` group times the string column itself — `decode_filtered`
@@ -26,6 +27,7 @@ use std::time::Duration;
 
 const ROWS: usize = 1 << 18;
 const ROW_GROUP_ROWS: usize = 4096;
+const WIDE_PATH: &str = "bench/wide/part-0.pxl";
 
 /// A table built to exercise the encoded kernels:
 /// - `tag`: 64 distinct values in 16-row runs → Dictionary; `tag = 'v7'`
@@ -55,7 +57,7 @@ fn scan_fixture() -> (CatalogRef, ObjectStoreRef) {
             comment: None,
         })
         .expect("create table");
-    let path = "bench/wide/part-0.pxl";
+    let path = WIDE_PATH;
     let mut w =
         PixelsWriter::with_row_group_rows(store.as_ref(), path, schema.clone(), ROW_GROUP_ROWS);
     let mut rows: Vec<Vec<Value>> = Vec::with_capacity(8192);
@@ -140,6 +142,28 @@ fn bench_scan_pipeline(c: &mut Criterion) {
                 &dict_plan,
                 &ExecContext::new(store.clone()).with_chunk_cache(warm.clone()),
             )
+        })
+    });
+
+    // A lax filter's late materialization: `payload_b`'s plain Float64
+    // chunks with 99 % of the rows kept, so most 32-row blocks are kept whole.
+    let reader = PixelsReader::open(store.as_ref(), WIDE_PATH).expect("open");
+    let payload_b: Vec<EncodedChunk> = (0..reader.footer().row_groups.len())
+        .map(|rg| {
+            let mut chunks = reader
+                .fetch_row_group(rg, None, None)
+                .expect("fetch")
+                .chunks;
+            chunks.swap_remove(3)
+        })
+        .collect();
+    assert_eq!(payload_b[0].encoding(), Encoding::Plain);
+    let lax: Vec<bool> = (0..ROW_GROUP_ROWS).map(|i| i % 100 != 0).collect();
+    g.bench_function("plain_f64/decode_filtered_99pct", |b| {
+        b.iter(|| {
+            (payload_b.iter())
+                .map(|c| c.decode_filtered(&lax).expect("decode").len())
+                .sum::<usize>()
         })
     });
     g.finish();

@@ -10,17 +10,23 @@
 //! floating-point SUM/AVG may differ in the last ulps because partial sums
 //! reassociate the additions.
 //!
-//! Group keys are interned through the compact byte-row encoding in
-//! [`crate::keys`] (a whole column at a time) instead of a
-//! `HashMap<Vec<Value>, _>`;
-//! the `Vec<Value>` form of a key is materialized once per *group* (for
-//! output building), not once per input row.
+//! State is columnar. Group keys are interned through the compact byte-row
+//! encoding in [`crate::keys`] a whole column at a time, and each group's
+//! key is kept as a row of key columns gathered at its first appearance.
+//! The aggregates fold into [`Accumulators`]: one typed vector per
+//! `(function, argument)` pair, indexed by group, updated by one loop per
+//! batch that matches the argument's type and validity once. A SUM and an
+//! AVG of one Float64 argument add the same values in the same order, so
+//! they share one running sum, and a COUNT of that argument reads its count.
+//! MIN, MAX and DISTINCT aggregates keep a row-at-a-time [`AggState`] cell
+//! per group.
 
-use crate::evaluate::{evaluate_ref, NumSlice};
+use crate::evaluate::evaluate_ref;
 use crate::keys::{KeyEncoder, KeyTable};
 use crate::parallel;
 use pixels_common::{
-    Column, ColumnBuilder, ColumnData, DataType, Error, RecordBatch, Result, SchemaRef, Value,
+    Column, ColumnBuilder, ColumnData, DataType, Error, Field, RecordBatch, Result, SchemaRef,
+    Value,
 };
 use pixels_planner::{AggExpr, AggFunc, BoundExpr};
 use std::borrow::Cow;
@@ -68,9 +74,7 @@ impl AggState {
                 let x = v
                     .as_i64()
                     .ok_or_else(|| Error::Exec(format!("SUM over non-integer value {v}")))?;
-                *sum = sum
-                    .checked_add(x)
-                    .ok_or_else(|| Error::Exec("SUM overflow".into()))?;
+                *sum = sum.checked_add(x).ok_or_else(sum_overflow)?;
                 *seen = true;
             }
             AggState::SumFloat { sum, seen } => {
@@ -117,9 +121,7 @@ impl AggState {
             (AggState::Count(a), AggState::Count(b)) => *a += b,
             (AggState::SumInt { sum, seen }, AggState::SumInt { sum: s, seen: b }) => {
                 if *b {
-                    *sum = sum
-                        .checked_add(*s)
-                        .ok_or_else(|| Error::Exec("SUM overflow".into()))?;
+                    *sum = sum.checked_add(*s).ok_or_else(sum_overflow)?;
                     *seen = true;
                 }
             }
@@ -147,15 +149,14 @@ impl AggState {
                     }
                 }
             }
-            _ => return Err(Error::Exec("mismatched aggregate states".into())),
+            _ => return Err(mismatched()),
         }
         Ok(())
     }
 
     /// The primary spill-column type for this aggregate (the exchange spill
-    /// format carries each state as two columns; see [`spill_values`]).
-    ///
-    /// [`spill_values`]: AggState::spill_values
+    /// format carries each state as two columns; see
+    /// [`Accumulators::spill_columns`]).
     pub(crate) fn spill_type(agg: &AggExpr) -> DataType {
         match agg.func {
             AggFunc::Count => DataType::Int64,
@@ -163,69 +164,6 @@ impl AggState {
             AggFunc::Avg => DataType::Float64,
             AggFunc::Min | AggFunc::Max => agg.output_type,
         }
-    }
-
-    /// Encode the state as a `(primary, secondary)` value pair for the
-    /// exchange spill format. The secondary slot is `Null` for every
-    /// aggregate except AVG, which spills `(sum, count)` so the final
-    /// division happens exactly once, in the final stage.
-    pub(crate) fn spill_values(&self) -> (Value, Value) {
-        match self {
-            AggState::Count(c) => (Value::Int64(*c), Value::Null),
-            AggState::SumInt { sum, seen } => (
-                if *seen {
-                    Value::Int64(*sum)
-                } else {
-                    Value::Null
-                },
-                Value::Null,
-            ),
-            AggState::SumFloat { sum, seen } => (
-                if *seen {
-                    Value::Float64(*sum)
-                } else {
-                    Value::Null
-                },
-                Value::Null,
-            ),
-            AggState::Avg { sum, count } => (Value::Float64(*sum), Value::Int64(*count)),
-            AggState::Min(v) | AggState::Max(v) => (v.clone().unwrap_or(Value::Null), Value::Null),
-        }
-    }
-
-    /// Decode a state from its spill value pair (inverse of
-    /// [`spill_values`](AggState::spill_values)).
-    pub(crate) fn from_spill(agg: &AggExpr, a: Value, b: Value) -> Result<AggState> {
-        let bad = || Error::Exec(format!("corrupt {:?} spill state: ({a}, {b})", agg.func));
-        Ok(match agg.func {
-            AggFunc::Count => AggState::Count(a.as_i64().ok_or_else(bad)?),
-            AggFunc::Sum if agg.output_type == DataType::Float64 => match a {
-                Value::Null => AggState::SumFloat {
-                    sum: 0.0,
-                    seen: false,
-                },
-                ref v => AggState::SumFloat {
-                    sum: v.as_f64().ok_or_else(bad)?,
-                    seen: true,
-                },
-            },
-            AggFunc::Sum => match a {
-                Value::Null => AggState::SumInt {
-                    sum: 0,
-                    seen: false,
-                },
-                ref v => AggState::SumInt {
-                    sum: v.as_i64().ok_or_else(bad)?,
-                    seen: true,
-                },
-            },
-            AggFunc::Avg => AggState::Avg {
-                sum: a.as_f64().ok_or_else(bad)?,
-                count: b.as_i64().ok_or_else(bad)?,
-            },
-            AggFunc::Min => AggState::Min((!a.is_null()).then_some(a)),
-            AggFunc::Max => AggState::Max((!a.is_null()).then_some(a)),
-        })
     }
 
     /// Final value of the aggregate (SQL: SUM/AVG/MIN/MAX of no rows = NULL,
@@ -259,6 +197,14 @@ impl AggState {
     }
 }
 
+fn sum_overflow() -> Error {
+    Error::Exec("SUM overflow".into())
+}
+
+fn mismatched() -> Error {
+    Error::Exec("mismatched aggregate states".into())
+}
+
 /// Values a DISTINCT aggregate has consumed, in first-appearance order. The
 /// order matters when merging partials: replaying it keeps the update
 /// sequence identical to serial execution.
@@ -280,246 +226,685 @@ impl DistinctSet {
     }
 }
 
-/// Per-group state: one accumulator per aggregate, plus distinct-value sets
-/// for DISTINCT aggregates.
-pub(crate) struct GroupState {
-    pub(crate) states: Vec<AggState>,
-    pub(crate) distinct: Vec<Option<DistinctSet>>,
+/// One accumulator's state for every group, indexed by group. How many rows
+/// each group has is kept once, beside all of them
+/// ([`Accumulators::rows`]): an accumulator only counts its argument's NULL
+/// rows, and the values it took are the rows less those.
+#[derive(Debug)]
+pub(crate) enum State {
+    /// COUNT of an argument.
+    Nulls(Vec<i64>),
+    /// SUM over Float64 and AVG over any numeric argument.
+    Float { sums: Vec<f64>, nulls: Vec<i64> },
+    /// SUM over Int32/Int64: `i64` sums that fail on overflow.
+    Int { sums: Vec<i64>, nulls: Vec<i64> },
+    /// MIN, MAX and every DISTINCT aggregate: a row-at-a-time cell per group
+    /// (`init` is a fresh one), and for DISTINCT the values each group took.
+    Cells {
+        init: AggState,
+        cells: Vec<AggState>,
+        distinct: Option<Vec<DistinctSet>>,
+    },
 }
 
-impl GroupState {
-    pub(crate) fn new(aggs: &[AggExpr]) -> GroupState {
-        GroupState {
-            states: aggs.iter().map(AggState::new).collect(),
-            distinct: aggs
-                .iter()
-                .map(|a| a.distinct.then(DistinctSet::default))
-                .collect(),
+/// Call `add(group, x)` for every valid row, in row order, and count each
+/// group's NULL rows into `nulls`.
+#[inline]
+fn for_valid<T: Copy>(
+    gidx: &[u32],
+    xs: &[T],
+    validity: Option<&[bool]>,
+    nulls: &mut [i64],
+    mut add: impl FnMut(usize, T),
+) {
+    match validity {
+        None => {
+            for (&g, &x) in gidx.iter().zip(xs) {
+                add(g as usize, x);
+            }
+        }
+        Some(valid) => {
+            for ((&g, &x), &v) in gidx.iter().zip(xs).zip(valid) {
+                if v {
+                    add(g as usize, x);
+                } else {
+                    nulls[g as usize] += 1;
+                }
+            }
+        }
+    }
+}
+
+impl State {
+    /// Fold one batch: `col` is the argument (`None` for a DISTINCT
+    /// COUNT(*)) and `gidx[row]` the group of each row. Rows are visited in
+    /// input order, so float sums add in exactly the row-at-a-time order. The
+    /// column's type and validity are matched once, not once per row.
+    pub(crate) fn update(&mut self, col: Option<&Column>, gidx: &[u32]) -> Result<()> {
+        let validity = col.and_then(Column::validity);
+        match (self, col.map(Column::data)) {
+            (State::Nulls(nulls), _) => {
+                if let Some(valid) = validity {
+                    for (&g, &v) in gidx.iter().zip(valid) {
+                        nulls[g as usize] += i64::from(!v);
+                    }
+                }
+            }
+            (State::Float { sums, nulls }, Some(data)) => match data {
+                ColumnData::Float64(xs) => {
+                    for_valid(gidx, xs, validity, nulls, |g, x| sums[g] += x)
+                }
+                ColumnData::Int64(xs) => {
+                    for_valid(gidx, xs, validity, nulls, |g, x| sums[g] += x as f64)
+                }
+                ColumnData::Int32(xs) => {
+                    for_valid(gidx, xs, validity, nulls, |g, x| sums[g] += f64::from(x))
+                }
+                other => return Err(not_numeric(other.data_type())),
+            },
+            (State::Int { sums, nulls }, Some(data)) => {
+                // A wrapped sum is never read: any overflow fails the batch,
+                // as the first failing checked add would have.
+                let mut overflow = false;
+                let mut add = |g: usize, x: i64| {
+                    let (sum, o) = sums[g].overflowing_add(x);
+                    sums[g] = sum;
+                    overflow |= o;
+                };
+                match data {
+                    ColumnData::Int64(xs) => for_valid(gidx, xs, validity, nulls, add),
+                    ColumnData::Int32(xs) => {
+                        for_valid(gidx, xs, validity, nulls, |g, x| add(g, x.into()))
+                    }
+                    other => return Err(not_numeric(other.data_type())),
+                }
+                if overflow {
+                    return Err(sum_overflow());
+                }
+            }
+            (
+                State::Cells {
+                    cells,
+                    distinct: None,
+                    ..
+                },
+                Some(ColumnData::Utf8(strings)),
+            ) => {
+                // MIN/MAX over strings: no `Value` per row.
+                for (row, &g) in gidx.iter().enumerate() {
+                    if validity.is_none_or(|v| v[row]) {
+                        cells[g as usize].update_str(strings.get(row))?;
+                    }
+                }
+            }
+            (
+                State::Cells {
+                    cells, distinct, ..
+                },
+                _,
+            ) => {
+                for (row, &g) in gidx.iter().enumerate() {
+                    let value = col.map_or(Value::Int64(1), |c| c.value(row));
+                    if value.is_null() {
+                        continue; // aggregates skip NULLs
+                    }
+                    if let Some(sets) = distinct {
+                        if !sets[g as usize].insert(&value) {
+                            continue;
+                        }
+                    }
+                    cells[g as usize].update(&value)?;
+                }
+            }
+            (State::Float { .. } | State::Int { .. }, None) => {
+                return Err(Error::Exec("SUM/AVG without an argument".into()))
+            }
+        }
+        Ok(())
+    }
+
+    /// Each group's NULL rows, for a state that counts them.
+    fn nulls(&self) -> Option<&[i64]> {
+        match self {
+            State::Nulls(nulls) | State::Float { nulls, .. } | State::Int { nulls, .. } => {
+                Some(nulls)
+            }
+            State::Cells { .. } => None,
         }
     }
 
-    /// Fold row `row` of the (optional) aggregate argument columns into the
-    /// group. `None` columns are COUNT(*) — every row counts.
-    pub(crate) fn consume_row(&mut self, agg_cols: &[Option<Column>], row: usize) -> Result<()> {
-        for (ai, agg_col) in agg_cols.iter().enumerate() {
-            let value = match agg_col {
-                Some(col) => col.value(row),
-                None => Value::Int64(1),
-            };
-            if value.is_null() {
-                continue; // aggregates skip NULLs
+    fn resize(&mut self, groups: usize) {
+        match self {
+            State::Nulls(nulls) => nulls.resize(groups, 0),
+            State::Float { sums, nulls } => {
+                sums.resize(groups, 0.0);
+                nulls.resize(groups, 0);
             }
-            if let Some(seen) = &mut self.distinct[ai] {
-                if !seen.insert(&value) {
-                    continue;
+            State::Int { sums, nulls } => {
+                sums.resize(groups, 0);
+                nulls.resize(groups, 0);
+            }
+            State::Cells {
+                init,
+                cells,
+                distinct,
+            } => {
+                cells.resize(groups, init.clone());
+                if let Some(sets) = distinct {
+                    sets.resize_with(groups, DistinctSet::default);
                 }
             }
-            self.states[ai].update(&value)?;
+        }
+    }
+
+    /// Fold group `src` of `other` into group `targets[src]`, for every
+    /// group of `other`. A new group is a fresh state here, so merging into
+    /// it copies: sums start at `+0.0` and never become `-0.0`, so `0.0 + s`
+    /// is `s` to the bit, and adding an empty partial's `+0.0` changes
+    /// nothing.
+    fn merge(&mut self, other: &State, targets: &[usize]) -> Result<()> {
+        fn add_nulls(a: &mut [i64], b: &[i64], targets: &[usize]) {
+            for (&t, &n) in targets.iter().zip(b) {
+                a[t] += n;
+            }
+        }
+        match (self, other) {
+            (State::Nulls(a), State::Nulls(b)) => add_nulls(a, b, targets),
+            (State::Float { sums, nulls }, State::Float { sums: s, nulls: n }) => {
+                for (&t, &x) in targets.iter().zip(s) {
+                    sums[t] += x;
+                }
+                add_nulls(nulls, n, targets);
+            }
+            (State::Int { sums, nulls }, State::Int { sums: s, nulls: n }) => {
+                for (&t, &x) in targets.iter().zip(s) {
+                    sums[t] = sums[t].checked_add(x).ok_or_else(sum_overflow)?;
+                }
+                add_nulls(nulls, n, targets);
+            }
+            (
+                State::Cells {
+                    cells: a,
+                    distinct: da,
+                    ..
+                },
+                State::Cells {
+                    cells: b,
+                    distinct: db,
+                    ..
+                },
+            ) => {
+                for (src, &t) in targets.iter().enumerate() {
+                    match (da.as_mut(), db.as_ref()) {
+                        // Replay the chunk's distinct values in order; only
+                        // globally-new values update the state.
+                        (Some(da), Some(db)) => {
+                            for v in &db[src].order {
+                                if da[t].insert(v) {
+                                    a[t].update(v)?;
+                                }
+                            }
+                        }
+                        _ => a[t].merge(&b[src])?,
+                    }
+                }
+            }
+            _ => return Err(mismatched()),
         }
         Ok(())
     }
 }
 
+fn not_numeric(ty: DataType) -> Error {
+    Error::Exec(format!("SUM/AVG over a non-numeric {ty} column"))
+}
+
+/// One accumulator: a `(function, argument)` pair and its state.
+#[derive(Debug)]
+struct Acc {
+    /// Index into [`Accumulators::args`]; `None` only for a DISTINCT
+    /// COUNT(*).
+    arg: Option<usize>,
+    state: State,
+}
+
+/// Where one aggregate's value is read from: [`Accumulators::rows`], or
+/// an index into [`Accumulators::accs`].
+#[derive(Debug, Clone, Copy)]
+enum Output {
+    /// COUNT(*): the group's rows.
+    Rows,
+    /// The values an accumulator took (of a COUNT, or of a sum).
+    Count(usize),
+    /// The running sum; NULL when it took no value.
+    Sum(usize),
+    /// Sum over count; NULL when it took no value.
+    Avg(usize),
+    /// The cell's own final value.
+    Cell(usize),
+}
+
+/// The running state of every aggregate of one hash aggregate, for every
+/// group: the group's rows, and one [`State`] per distinct `(function,
+/// argument)` pair.
+#[derive(Debug)]
+pub(crate) struct Accumulators {
+    /// The distinct argument expressions, each evaluated once per batch.
+    args: Vec<BoundExpr>,
+    accs: Vec<Acc>,
+    /// One per aggregate, in the aggregate list's order.
+    outputs: Vec<Output>,
+    /// Rows per group; its length is the number of groups.
+    rows: Vec<i64>,
+}
+
+impl Accumulators {
+    /// Accumulators for `aggs`, with no group yet. A SUM and an AVG over one
+    /// Float64 argument share a running sum; a COUNT of an argument reads the
+    /// count of a sum over it. An integer SUM and an AVG keep separate
+    /// states (a checked `i64` and an `f64`), and MIN, MAX and DISTINCT
+    /// aggregates share nothing.
+    pub(crate) fn new(aggs: &[AggExpr]) -> Accumulators {
+        let mut args: Vec<BoundExpr> = Vec::new();
+        let mut accs: Vec<Acc> = Vec::new();
+        let mut outputs = vec![Output::Rows; aggs.len()];
+        // Sums first, so that a COUNT finds them wherever it is listed.
+        for counts in [false, true] {
+            for (ai, agg) in aggs.iter().enumerate() {
+                let cell = agg.distinct || matches!(agg.func, AggFunc::Min | AggFunc::Max);
+                if (cell || agg.func == AggFunc::Count) != counts {
+                    continue;
+                }
+                let arg = agg
+                    .arg
+                    .as_ref()
+                    .map(|e| match args.iter().position(|a| a == e) {
+                        Some(i) => i,
+                        None => {
+                            args.push(e.clone());
+                            args.len() - 1
+                        }
+                    });
+                if !cell && arg.is_none() {
+                    continue; // COUNT(*)
+                }
+                let state = if cell {
+                    State::Cells {
+                        init: AggState::new(agg),
+                        cells: Vec::new(),
+                        distinct: agg.distinct.then(Vec::new),
+                    }
+                } else if agg.func == AggFunc::Count {
+                    State::Nulls(Vec::new())
+                } else if agg.func == AggFunc::Sum && agg.output_type != DataType::Float64 {
+                    State::Int {
+                        sums: Vec::new(),
+                        nulls: Vec::new(),
+                    }
+                } else {
+                    State::Float {
+                        sums: Vec::new(),
+                        nulls: Vec::new(),
+                    }
+                };
+                let shares = |acc: &Acc| {
+                    acc.arg == arg
+                        && matches!(
+                            (&acc.state, &state),
+                            (State::Float { .. }, State::Float { .. })
+                                | (State::Int { .. }, State::Int { .. })
+                                | (
+                                    State::Nulls(_) | State::Float { .. } | State::Int { .. },
+                                    State::Nulls(_)
+                                )
+                        )
+                };
+                let at = match accs.iter().position(|acc| !cell && shares(acc)) {
+                    Some(at) => at,
+                    None => {
+                        accs.push(Acc { arg, state });
+                        accs.len() - 1
+                    }
+                };
+                outputs[ai] = match agg.func {
+                    _ if cell => Output::Cell(at),
+                    AggFunc::Count => Output::Count(at),
+                    AggFunc::Avg => Output::Avg(at),
+                    _ => Output::Sum(at),
+                };
+            }
+        }
+        Accumulators {
+            args,
+            accs,
+            outputs,
+            rows: Vec::new(),
+        }
+    }
+
+    /// The argument expressions, in the order [`Accumulators::update`] takes
+    /// their columns.
+    pub(crate) fn args(&self) -> &[BoundExpr] {
+        &self.args
+    }
+
+    /// Each accumulator's argument (an index into [`Accumulators::args`])
+    /// and state.
+    pub(crate) fn states_mut(&mut self) -> impl Iterator<Item = (Option<usize>, &mut State)> {
+        self.accs.iter_mut().map(|acc| (acc.arg, &mut acc.state))
+    }
+
+    pub(crate) fn groups(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Grow to `groups` groups, the new ones fresh.
+    pub(crate) fn resize(&mut self, groups: usize) {
+        self.rows.resize(groups, 0);
+        for acc in &mut self.accs {
+            acc.state.resize(groups);
+        }
+    }
+
+    /// Count `n` more rows into group `group`, for a caller that folds the
+    /// states itself.
+    pub(crate) fn add_rows(&mut self, group: usize, n: usize) {
+        self.rows[group] += n as i64;
+    }
+
+    /// Fold one batch: `cols[i]` is argument `i` over the batch, `gidx[row]`
+    /// each row's group (below [`Accumulators::groups`]).
+    ///
+    /// Float64 sums over columns without NULLs — all of q1's — add up to
+    /// four accumulators per pass ([`add_lanes`]): an add waits for the last
+    /// add to the same group's slot, and with few groups that wait is the
+    /// cost, but adds to different accumulators do not wait for each other.
+    /// Each accumulator still adds its values in row order.
+    pub(crate) fn update<C: std::borrow::Borrow<Column>>(
+        &mut self,
+        cols: &[C],
+        gidx: &[u32],
+    ) -> Result<()> {
+        let mut lanes: Vec<(&mut [f64], &[f64])> = Vec::new();
+        for acc in &mut self.accs {
+            let col = acc.arg.map(|a| cols[a].borrow());
+            let plain = col.filter(|c| c.validity().is_none()).map(Column::data);
+            match (&mut acc.state, plain) {
+                (State::Float { sums, .. }, Some(ColumnData::Float64(xs))) => {
+                    lanes.push((sums, xs));
+                }
+                (state, _) => state.update(col, gidx)?,
+            }
+        }
+        for &g in gidx {
+            self.rows[g as usize] += 1;
+        }
+        let mut fours = lanes.chunks_exact_mut(4);
+        for four in &mut fours {
+            add_lanes::<4>(gidx, four.try_into().expect("four lanes"));
+        }
+        let rest = fours.into_remainder();
+        match rest.len() {
+            1 => add_lanes::<1>(gidx, rest.try_into().expect("one lane")),
+            2 => add_lanes::<2>(gidx, rest.try_into().expect("two lanes")),
+            3 => add_lanes::<3>(gidx, rest.try_into().expect("three lanes")),
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Fold group `src` of `other` (over the same aggregates) into group
+    /// `targets[src]` of this one.
+    pub(crate) fn merge(&mut self, other: &Accumulators, targets: &[usize]) -> Result<()> {
+        for (&t, &n) in targets.iter().zip(&other.rows) {
+            self.rows[t] += n;
+        }
+        for (acc, from) in self.accs.iter_mut().zip(&other.accs) {
+            acc.state.merge(&from.state, targets)?;
+        }
+        Ok(())
+    }
+
+    /// The aggregates' output columns, one row per group; `fields` are the
+    /// aggregates' output fields.
+    pub(crate) fn finish(&self, fields: &[Field]) -> Result<Vec<Column>> {
+        (self.outputs.iter().zip(fields))
+            .map(|(&out, f)| self.output_column(out, f.data_type))
+            .collect()
+    }
+
+    /// Each aggregate's state as the exchange spill's `(primary, secondary)`
+    /// column pair, one row per group: `types` are the pairs' column types.
+    /// AVG spills `(sum, count)`, so the division happens exactly once, in
+    /// the final stage; every other aggregate spills its final value and a
+    /// NULL.
+    pub(crate) fn spill_columns(&self, types: &[DataType]) -> Result<Vec<Column>> {
+        let mut out = Vec::with_capacity(2 * self.outputs.len());
+        for (&output, &ty) in self.outputs.iter().zip(types.iter().step_by(2)) {
+            match self.sums_and_counts(output) {
+                Some(pairs) => {
+                    out.push(Column::new(ColumnData::Float64(
+                        pairs.iter().map(|p| p.0).collect(),
+                    )));
+                    out.push(Column::new(ColumnData::Int64(
+                        pairs.iter().map(|p| p.1).collect(),
+                    )));
+                }
+                None => {
+                    out.push(self.output_column(output, ty)?);
+                    out.push(Column::nulls(DataType::Int64, self.groups()));
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The values accumulator `at` took, per group.
+    fn counts(&self, at: usize) -> Result<Vec<i64>> {
+        let nulls = self.accs[at].state.nulls().ok_or_else(mismatched)?;
+        Ok(self.rows.iter().zip(nulls).map(|(r, n)| r - n).collect())
+    }
+
+    /// One aggregate's final values, as a column of type `ty`.
+    fn output_column(&self, out: Output, ty: DataType) -> Result<Column> {
+        Ok(match out {
+            Output::Rows => Column::new(ColumnData::Int64(self.rows.clone())),
+            Output::Count(at) => Column::new(ColumnData::Int64(self.counts(at)?)),
+            Output::Sum(at) => {
+                let counts = self.counts(at)?;
+                fn seen<T>((x, &n): (T, &i64)) -> Option<T> {
+                    (n > 0).then_some(x)
+                }
+                match &self.accs[at].state {
+                    State::Float { sums, .. } => nullable(
+                        sums.iter().copied().zip(&counts).map(seen),
+                        ColumnData::Float64,
+                    )?,
+                    State::Int { sums, .. } => nullable(
+                        sums.iter().copied().zip(&counts).map(seen),
+                        ColumnData::Int64,
+                    )?,
+                    _ => return Err(mismatched()),
+                }
+            }
+            Output::Avg(at) => average(self.float_pairs(at)?.into_iter())?,
+            Output::Cell(at) => {
+                let State::Cells { cells, .. } = &self.accs[at].state else {
+                    return Err(mismatched());
+                };
+                let mut b = ColumnBuilder::with_capacity(ty, cells.len());
+                for cell in cells {
+                    b.push(&cell.finish())?;
+                }
+                b.finish()
+            }
+        })
+    }
+
+    /// A Float accumulator's `(sum, count)` per group.
+    fn float_pairs(&self, at: usize) -> Result<Vec<(f64, i64)>> {
+        let State::Float { sums, .. } = &self.accs[at].state else {
+            return Err(mismatched());
+        };
+        Ok(sums.iter().copied().zip(self.counts(at)?).collect())
+    }
+
+    /// An AVG's `(sum, count)` per group, DISTINCT or not; `None` for any
+    /// other aggregate.
+    fn sums_and_counts(&self, out: Output) -> Option<Vec<(f64, i64)>> {
+        match out {
+            Output::Avg(at) => self.float_pairs(at).ok(),
+            Output::Cell(at) => match &self.accs[at].state {
+                State::Cells {
+                    init: AggState::Avg { .. },
+                    cells,
+                    ..
+                } => cells
+                    .iter()
+                    .map(|c| match c {
+                        AggState::Avg { sum, count } => Some((*sum, *count)),
+                        _ => None,
+                    })
+                    .collect(),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+}
+
+/// Add `xs[row]` into `sums[gidx[row]]` for every row, for `N` accumulators
+/// in one pass.
+fn add_lanes<const N: usize>(gidx: &[u32], lanes: &mut [(&mut [f64], &[f64]); N]) {
+    for (row, &g) in gidx.iter().enumerate() {
+        for (sums, xs) in lanes.iter_mut() {
+            sums[g as usize] += xs[row];
+        }
+    }
+}
+
+/// A column of `rows`, NULL where a row is `None`. A NULL row's payload is
+/// the builder's placeholder (zero), so the column equals one built a value
+/// at a time.
+fn nullable<T: Default>(
+    rows: impl ExactSizeIterator<Item = Option<T>>,
+    data: fn(Vec<T>) -> ColumnData,
+) -> Result<Column> {
+    let mut values = Vec::with_capacity(rows.len());
+    let mut valid = Vec::with_capacity(rows.len());
+    for row in rows {
+        valid.push(row.is_some());
+        values.push(row.unwrap_or_default());
+    }
+    Column::with_validity(data(values), Some(valid))
+}
+
+/// AVG's final values from `(sum, count)` pairs: NULL over no values.
+fn average(pairs: impl ExactSizeIterator<Item = (f64, i64)>) -> Result<Column> {
+    nullable(
+        pairs.map(|(sum, count)| (count > 0).then(|| sum / count as f64)),
+        ColumnData::Float64,
+    )
+}
+
+/// Each group's key: a row of key columns, gathered at the group's first
+/// appearance in pieces (one per batch that brought new groups) and
+/// concatenated when read.
+pub(crate) struct GroupKeys {
+    types: Vec<DataType>,
+    pieces: Vec<Vec<Column>>,
+}
+
+impl GroupKeys {
+    fn new(types: &[DataType]) -> GroupKeys {
+        GroupKeys {
+            types: types.to_vec(),
+            pieces: Vec::new(),
+        }
+    }
+
+    /// Append rows `rows` of key columns `cols` as the next groups.
+    fn push<C: std::borrow::Borrow<Column>>(&mut self, cols: &[C], rows: &[usize]) -> Result<()> {
+        if !rows.is_empty() {
+            let piece = cols.iter().map(|c| c.borrow().gather(rows));
+            self.pieces.push(piece.collect::<Result<_>>()?);
+        }
+        Ok(())
+    }
+
+    /// The key columns, one row per group. Concatenation copies a string
+    /// pool larger than the result, so the keys never pin a batch's pool.
+    pub(crate) fn columns(&self) -> Result<Vec<Column>> {
+        (self.types.iter().enumerate())
+            .map(|(c, &ty)| match self.pieces.as_slice() {
+                [] => Ok(Column::new(ColumnData::empty(ty))),
+                pieces => Column::concat(&pieces.iter().map(|p| &p[c]).collect::<Vec<_>>()),
+            })
+            .collect()
+    }
+}
+
 /// One worker's aggregation state: interned group keys (dense, in
-/// first-appearance order) and the per-group accumulators. `keys[i]` is the
-/// materialized `Vec<Value>` form of `table` entry `i`, used only to build
-/// the final output columns.
+/// first-appearance order), each group's key columns, and the accumulators.
 pub(crate) struct Partial {
     pub(crate) table: KeyTable,
-    pub(crate) keys: Vec<Vec<Value>>,
-    pub(crate) states: Vec<GroupState>,
+    pub(crate) keys: GroupKeys,
+    pub(crate) accs: Accumulators,
 }
 
 impl Partial {
-    pub(crate) fn new() -> Partial {
+    pub(crate) fn new(key_types: &[DataType], aggs: &[AggExpr]) -> Partial {
         Partial {
             table: KeyTable::new(),
-            keys: Vec::new(),
-            states: Vec::new(),
+            keys: GroupKeys::new(key_types),
+            accs: Accumulators::new(aggs),
         }
     }
 }
 
-/// Integer view of a column's raw payload, for checked integer SUM. Shared
-/// with the encoded aggregate path so both sum the identical i64 sequence.
-pub(crate) enum IntSlice<'a> {
-    I32(&'a [i32]),
-    I64(&'a [i64]),
-}
-
-impl IntSlice<'_> {
-    pub(crate) fn get(&self, i: usize) -> i64 {
-        match self {
-            IntSlice::I32(v) => v[i] as i64,
-            IntSlice::I64(v) => v[i],
-        }
-    }
-}
-
-pub(crate) fn int_view(data: &ColumnData) -> Option<IntSlice<'_>> {
-    match data {
-        ColumnData::Int32(v) => Some(IntSlice::I32(v)),
-        ColumnData::Int64(v) => Some(IntSlice::I64(v)),
-        _ => None,
-    }
-}
-
-/// Fold one aggregate's argument column into the per-group states, walking
-/// rows in input order (so float accumulation order matches the row-at-a-time
-/// path exactly). Non-distinct COUNT/SUM/AVG over numeric columns read the
-/// raw slice instead of materializing a `Value` per row; DISTINCT, MIN/MAX,
-/// and uncovered argument types take the general path, which is
-/// [`GroupState::consume_row`] restricted to this aggregate.
-fn update_agg_column(
-    states: &mut [GroupState],
-    ai: usize,
-    agg: &AggExpr,
-    col: Option<&Column>,
-    gidx: &[u32],
-) -> Result<()> {
-    if !agg.distinct {
-        if let Some(col) = col {
-            let validity = col.validity();
-            let valid = |row: usize| validity.is_none_or(|v| v[row]);
-            match (&agg.func, NumSlice::of(col.data())) {
-                (AggFunc::Count, _) => {
-                    for (row, &g) in gidx.iter().enumerate() {
-                        if valid(row) {
-                            if let AggState::Count(c) = &mut states[g as usize].states[ai] {
-                                *c += 1;
-                            }
-                        }
-                    }
-                    return Ok(());
-                }
-                (AggFunc::Sum, Some(ns)) if agg.output_type == DataType::Float64 => {
-                    for (row, &g) in gidx.iter().enumerate() {
-                        if valid(row) {
-                            if let AggState::SumFloat { sum, seen } =
-                                &mut states[g as usize].states[ai]
-                            {
-                                *sum += ns.get(row);
-                                *seen = true;
-                            }
-                        }
-                    }
-                    return Ok(());
-                }
-                (AggFunc::Sum, _) if agg.output_type != DataType::Float64 => {
-                    if let Some(xs) = int_view(col.data()) {
-                        for (row, &g) in gidx.iter().enumerate() {
-                            if valid(row) {
-                                if let AggState::SumInt { sum, seen } =
-                                    &mut states[g as usize].states[ai]
-                                {
-                                    *sum = sum
-                                        .checked_add(xs.get(row))
-                                        .ok_or_else(|| Error::Exec("SUM overflow".into()))?;
-                                    *seen = true;
-                                }
-                            }
-                        }
-                        return Ok(());
-                    }
-                }
-                (AggFunc::Avg, Some(ns)) => {
-                    for (row, &g) in gidx.iter().enumerate() {
-                        if valid(row) {
-                            if let AggState::Avg { sum, count } = &mut states[g as usize].states[ai]
-                            {
-                                *sum += ns.get(row);
-                                *count += 1;
-                            }
-                        }
-                    }
-                    return Ok(());
-                }
-                _ => {}
-            }
-            if let ColumnData::Utf8(strings) = col.data() {
-                // MIN/MAX over strings: no `Value` per row.
-                for (row, &g) in gidx.iter().enumerate() {
-                    if valid(row) {
-                        states[g as usize].states[ai].update_str(strings.get(row))?;
-                    }
-                }
-                return Ok(());
-            }
-        } else {
-            // COUNT(*): no argument column, every row counts.
-            for &g in gidx {
-                match &mut states[g as usize].states[ai] {
-                    AggState::Count(c) => *c += 1,
-                    other => other.update(&Value::Int64(1))?,
-                }
-            }
-            return Ok(());
-        }
-    }
-    for (row, &g) in gidx.iter().enumerate() {
-        let value = match col {
-            Some(c) => c.value(row),
-            None => Value::Int64(1),
-        };
-        if value.is_null() {
-            continue; // aggregates skip NULLs
-        }
-        let st = &mut states[g as usize];
-        if let Some(seen) = &mut st.distinct[ai] {
-            if !seen.insert(&value) {
-                continue;
-            }
-        }
-        st.states[ai].update(&value)?;
-    }
-    Ok(())
+fn key_types(group_exprs: &[BoundExpr]) -> Vec<DataType> {
+    group_exprs.iter().map(|g| g.data_type()).collect()
 }
 
 /// Aggregate `input` into a fresh hash table (the serial inner loop): one
 /// pass interning group keys into per-row group indices, then one typed
-/// update pass per aggregate column.
+/// update loop per accumulator.
 pub(crate) fn build_partial(
     input: &[&RecordBatch],
     group_exprs: &[BoundExpr],
     aggs: &[AggExpr],
 ) -> Result<Partial> {
-    let mut partial = Partial::new();
-    let encoder = KeyEncoder::new(
-        &group_exprs
-            .iter()
-            .map(|g| g.data_type())
-            .collect::<Vec<_>>(),
-    );
+    let types = key_types(group_exprs);
+    let mut partial = Partial::new(&types, aggs);
+    let encoder = KeyEncoder::new(&types);
     let mut gidx: Vec<u32> = Vec::new();
+    let mut first_rows: Vec<usize> = Vec::new();
     for &batch in input {
         let group_cols: Vec<Cow<Column>> = group_exprs
             .iter()
             .map(|g| evaluate_ref(g, batch))
             .collect::<Result<_>>()?;
-        let agg_cols: Vec<Option<Cow<Column>>> = aggs
-            .iter()
-            .map(|a| {
-                a.arg
-                    .as_ref()
-                    .map(|arg| evaluate_ref(arg, batch))
-                    .transpose()
-            })
+        let arg_cols: Vec<Cow<Column>> = (partial.accs.args().iter())
+            .map(|arg| evaluate_ref(arg, batch))
             .collect::<Result<_>>()?;
         gidx.clear();
+        let before = partial.table.len();
         // Group keys treat NULLs as equal (unlike join keys).
         (partial.table).intern_rows(&encoder, &group_cols, 0..batch.num_rows(), &mut gidx);
-        for (row, &gi) in gidx.iter().enumerate() {
+        if partial.table.len() > before {
             // Entries are dense: the next unseen index is a new group.
-            if gi as usize == partial.states.len() {
-                partial
-                    .keys
-                    .push(group_cols.iter().map(|c| c.value(row)).collect());
-                partial.states.push(GroupState::new(aggs));
+            first_rows.clear();
+            let mut next = before as u32;
+            for (row, &gi) in gidx.iter().enumerate() {
+                if gi == next {
+                    first_rows.push(row);
+                    next += 1;
+                }
             }
+            partial.keys.push(&group_cols, &first_rows)?;
+            partial.accs.resize(partial.table.len());
         }
-        for (ai, agg) in aggs.iter().enumerate() {
-            update_agg_column(&mut partial.states, ai, agg, agg_cols[ai].as_deref(), &gidx)?;
-        }
+        partial.accs.update(&arg_cols, &gidx)?;
     }
     Ok(partial)
 }
@@ -528,35 +913,21 @@ pub(crate) fn build_partial(
 /// (and DISTINCT values) keep their global first-appearance order. Keys are
 /// re-interned from the source partial's encoded bytes — never re-encoded.
 pub(crate) fn merge_partial(acc: &mut Partial, part: Partial) -> Result<()> {
-    let Partial {
-        table,
-        keys,
-        states,
-    } = part;
-    for (src, (key, gstate)) in keys.into_iter().zip(states).enumerate() {
-        let (gi, is_new) = acc.table.intern(table.key_bytes(src));
+    let before = acc.table.len();
+    let mut targets = Vec::with_capacity(part.table.len());
+    let mut fresh = Vec::new();
+    for src in 0..part.table.len() {
+        let (gi, is_new) = acc.table.intern(part.table.key_bytes(src));
         if is_new {
-            acc.keys.push(key);
-            acc.states.push(gstate);
-            continue;
+            fresh.push(src);
         }
-        let target = &mut acc.states[gi];
-        for (ai, incoming) in gstate.states.iter().enumerate() {
-            match (gstate.distinct[ai].as_ref(), &mut target.distinct[ai]) {
-                (Some(ds), Some(tds)) => {
-                    // Replay the chunk's distinct values in order;
-                    // only globally-new values update the state.
-                    for v in &ds.order {
-                        if tds.insert(v) {
-                            target.states[ai].update(v)?;
-                        }
-                    }
-                }
-                _ => target.states[ai].merge(incoming)?,
-            }
-        }
+        targets.push(gi);
     }
-    Ok(())
+    if acc.table.len() > before {
+        acc.keys.push(&part.keys.columns()?, &fresh)?;
+        acc.accs.resize(acc.table.len());
+    }
+    acc.accs.merge(&part.accs, &targets)
 }
 
 /// Split `input` into at most `parts` contiguous runs of whole batches,
@@ -592,7 +963,7 @@ pub fn execute_aggregate(
     parallelism: usize,
 ) -> Result<Vec<RecordBatch>> {
     let acc = merged_partial(input, group_exprs, aggs, parallelism)?;
-    finish_partial(acc, group_exprs.len(), aggs, output_schema)
+    finish_partial(acc, output_schema)
 }
 
 /// Build and merge the partial aggregates for `input` (the parallel part of
@@ -610,7 +981,10 @@ pub(crate) fn merged_partial(
         build_partial(&chunks[i], group_exprs, aggs)
     })?;
     let mut partials = partials.into_iter();
-    let mut acc = partials.next().unwrap_or_else(Partial::new);
+    let mut acc = match partials.next() {
+        Some(first) => first,
+        None => Partial::new(&key_types(group_exprs), aggs),
+    };
     for part in partials {
         merge_partial(&mut acc, part)?;
     }
@@ -623,37 +997,45 @@ pub(crate) fn merged_partial(
 /// output (including the one-row result of a global aggregate over no rows).
 pub(crate) fn finish_partial(
     mut acc: Partial,
-    group_len: usize,
+    output_schema: &SchemaRef,
+) -> Result<Vec<RecordBatch>> {
+    let group_len = acc.keys.types.len();
+    // Global aggregate over zero rows still yields one output row.
+    if group_len == 0 && acc.accs.groups() == 0 {
+        acc.accs.resize(1);
+    }
+    let mut columns = acc.keys.columns()?;
+    columns.extend(acc.accs.finish(&output_schema.fields()[group_len..])?);
+    Ok(vec![RecordBatch::try_new(output_schema.clone(), columns)?])
+}
+
+/// [`finish_partial`] of a partial that crossed the exchange: `keys` are its
+/// key columns and `states` its [`Accumulators::spill_columns`], `rows` rows
+/// in group order. Every aggregate but AVG spilled its final value.
+pub(crate) fn finish_spilled(
+    mut keys: Vec<Column>,
+    states: &[Column],
+    rows: usize,
     aggs: &[AggExpr],
     output_schema: &SchemaRef,
 ) -> Result<Vec<RecordBatch>> {
-    // Global aggregate over zero rows still yields one output row.
-    if group_len == 0 && acc.states.is_empty() {
-        acc.keys.push(Vec::new());
-        acc.states.push(GroupState::new(aggs));
+    if keys.is_empty() && rows == 0 {
+        return finish_partial(Partial::new(&[], aggs), output_schema);
     }
-
-    let mut builders: Vec<ColumnBuilder> = output_schema
-        .fields()
-        .iter()
-        .map(|f| ColumnBuilder::with_capacity(f.data_type, acc.keys.len()))
-        .collect();
-    for (key, state) in acc.keys.iter().zip(&acc.states) {
-        for (b, v) in builders.iter_mut().zip(key.iter()) {
-            b.push(v)?;
-        }
-        for (ai, s) in state.states.iter().enumerate() {
-            let v = s.finish();
-            let b = &mut builders[group_len + ai];
-            if v.is_null() {
-                b.push_null();
-            } else {
-                b.push(&v)?;
+    for (agg, pair) in aggs.iter().zip(states.chunks(2)) {
+        keys.push(match (agg.func, pair[0].data(), pair[1].data()) {
+            (AggFunc::Avg, ColumnData::Float64(sums), ColumnData::Int64(counts))
+                if pair[0].null_count() + pair[1].null_count() == 0 =>
+            {
+                average(sums.iter().copied().zip(counts.iter().copied()))?
             }
-        }
+            (AggFunc::Avg, ..) => {
+                return Err(Error::Exec("corrupt AVG spill state".into()));
+            }
+            _ => pair[0].clone(),
+        });
     }
-    let columns = builders.into_iter().map(|b| b.finish()).collect();
-    Ok(vec![RecordBatch::try_new(output_schema.clone(), columns)?])
+    Ok(vec![RecordBatch::try_new(output_schema.clone(), keys)?])
 }
 
 /// Hash-based DISTINCT preserving first-appearance order: whole rows are

@@ -11,9 +11,10 @@
 //!   per pool entry ([`crate::evaluate`]'s kernel does that for any column
 //!   with fewer entries than rows), then mapped over the per-row indices.
 //! - **RLE shortcut** — the same predicate over an RLE chunk is evaluated
-//!   once per *run*; COUNT/SUM/MIN/MAX fold runs without expanding them
+//!   once per *run*; COUNT/SUM/AVG/MIN/MAX fold runs without expanding them
 //!   (float sums still perform one add per row so accumulation order — and
-//!   therefore every last bit — matches the row-at-a-time loop).
+//!   therefore every last bit — matches the row-at-a-time loop). A chunk's
+//!   runs are parsed once per morsel, whoever reads them first.
 //! - **Chunk zone check** — per-chunk zone maps can prove a conjunct
 //!   all-false ([`pixels_storage::ColumnPredicate::may_match`]) or all-true
 //!   ([`pixels_storage::ColumnPredicate::must_match`]) before any decode.
@@ -27,7 +28,7 @@
 //! on still-selected rows, so a row rejected early never reaches a later,
 //! possibly erroring, expression.
 
-use crate::aggregate::{int_view, AggState};
+use crate::aggregate::{Accumulators, State};
 use crate::context::ExecContext;
 use crate::evaluate::{
     and_conjunct, and_into, collect_conjuncts, compare_literal, compare_literal_mask,
@@ -36,32 +37,33 @@ use crate::evaluate::{
 use crate::keys::{KeyClass, KeyFilter, KeyInts};
 use crate::parallel;
 use crate::scan::ScanMorsels;
-use pixels_common::{
-    Column, ColumnBuilder, ColumnData, DataType, Error, RecordBatch, Result, SchemaRef, Value,
-};
-use pixels_planner::{AggExpr, AggFunc, BoundExpr};
+use pixels_common::{Column, ColumnData, DataType, Error, RecordBatch, Result, SchemaRef, Value};
+use pixels_planner::{AggExpr, BoundExpr};
 use pixels_sql::ast::BinaryOp;
-use pixels_storage::{ColumnPredicate, ColumnStats, EncodedChunk, Encoding, PredicateOp};
+use pixels_storage::{ColumnPredicate, ColumnStats, EncodedChunk, Encoding, PredicateOp, RleRuns};
 use std::cell::OnceCell;
 
 /// One row group's projected chunks, decoded lazily and at most once per
-/// column. Lives on a single worker thread for the duration of one morsel.
+/// column; an RLE chunk's runs are likewise parsed at most once, by
+/// whichever of filter, key filter, materialization and fold reads them
+/// first. Lives on a single worker thread for the duration of one morsel.
 pub struct LazyRowGroup {
     schema: SchemaRef,
     chunks: Vec<EncodedChunk>,
     num_rows: usize,
     decoded: Vec<OnceCell<Column>>,
+    runs: Vec<OnceCell<RleRuns>>,
     full: OnceCell<RecordBatch>,
 }
 
 impl LazyRowGroup {
     pub fn new(schema: SchemaRef, chunks: Vec<EncodedChunk>, num_rows: usize) -> Self {
-        let decoded = (0..chunks.len()).map(|_| OnceCell::new()).collect();
         LazyRowGroup {
             schema,
+            decoded: chunks.iter().map(|_| OnceCell::new()).collect(),
+            runs: chunks.iter().map(|_| OnceCell::new()).collect(),
             chunks,
             num_rows,
-            decoded,
             full: OnceCell::new(),
         }
     }
@@ -74,10 +76,23 @@ impl LazyRowGroup {
         &self.chunks[i]
     }
 
-    /// The column at `i`, decoded on first use and memoized.
+    /// The runs of the RLE chunk at `i`, parsed on first use and memoized.
+    pub fn rle_runs(&self, i: usize) -> Result<&RleRuns> {
+        if self.runs[i].get().is_none() {
+            let runs = self.chunks[i].rle_runs()?;
+            let _ = self.runs[i].set(runs);
+        }
+        Ok(self.runs[i].get().expect("runs just parsed"))
+    }
+
+    /// The column at `i`, decoded on first use and memoized; an RLE chunk
+    /// whose runs were read already is expanded from them.
     pub fn column(&self, i: usize) -> Result<&Column> {
         if self.decoded[i].get().is_none() {
-            let col = self.chunks[i].decode()?;
+            let col = match self.runs[i].get() {
+                Some(runs) => self.chunks[i].expand_runs(runs, None)?,
+                None => self.chunks[i].decode()?,
+            };
             let _ = self.decoded[i].set(col);
         }
         Ok(self.decoded[i].get().expect("column just decoded"))
@@ -109,6 +124,9 @@ impl LazyRowGroup {
             .enumerate()
             .map(|(i, chunk)| match self.decoded[i].get() {
                 Some(col) => col.filter(mask),
+                None if chunk.encoding() == Encoding::Rle => {
+                    chunk.expand_runs(self.rle_runs(i)?, Some(mask))
+                }
                 None => chunk.decode_filtered(mask),
             })
             .collect::<Result<Vec<_>>>()?;
@@ -234,7 +252,7 @@ fn encoded_conjunct_mask(
     }
     match chunk.encoding() {
         Encoding::Rle => {
-            let runs = chunk.rle_runs()?;
+            let runs = lazy.rle_runs(idx)?;
             // One comparison per run, by the kernel that compares per row.
             let Some(verdicts) = compare_literal(&runs.values, *op, lit, flipped) else {
                 return Ok(compare_literal_mask(lazy.column(idx)?, *op, lit, flipped));
@@ -351,7 +369,7 @@ pub(crate) fn key_filter_mask(
         }
         let chunk = lazy.chunk(range.column);
         if chunk.encoding() == Encoding::Rle {
-            let runs = chunk.rle_runs()?;
+            let runs = lazy.rle_runs(range.column)?;
             let Some((_, values)) = KeyInts::of(&runs.values) else {
                 continue;
             };
@@ -412,9 +430,11 @@ fn partition_morsels(rows: &[usize], parts: usize) -> Vec<std::ops::Range<usize>
 }
 
 /// Execute `SELECT agg(..), ..` (no GROUP BY, no residual filters) directly
-/// over encoded chunks: COUNT from validity headers, SUM/MIN/MAX over RLE
-/// runs, decoding only Plain and Dictionary chunks. Metering, spans,
-/// and results are bit-identical to scanning then aggregating.
+/// over encoded chunks into the hash aggregate's accumulators, with one
+/// group: COUNT from validity headers, SUM/AVG/MIN/MAX over RLE runs,
+/// everything else through the accumulators' own update loops over the
+/// decoded column. Metering, spans, and results are bit-identical to
+/// scanning then aggregating.
 pub fn execute_encoded_aggregate(
     ctx: &ExecContext,
     paths: &[String],
@@ -433,244 +453,148 @@ pub fn execute_encoded_aggregate(
     let partitions = partition_morsels(&rows, ctx.parallelism);
 
     let partials = parallel::run_indexed(partitions.len(), ctx.parallelism, |p| {
-        let mut states: Vec<AggState> = aggs.iter().map(AggState::new).collect();
+        let mut accs = Accumulators::new(aggs);
+        accs.resize(1);
+        let columns = (accs.args().iter())
+            .map(|arg| match arg {
+                BoundExpr::ColumnRef { index, .. } => Ok(*index),
+                _ => Err(Error::Exec(
+                    "encoded aggregate requires bare column arguments".into(),
+                )),
+            })
+            .collect::<Result<Vec<usize>>>()?;
+        // Every row is in group 0.
+        let group = vec![0u32; partitions[p].clone().map(|i| rows[i]).max().unwrap_or(0)];
         let mut any_rows = false;
         for i in partitions[p].clone() {
             let mut span = sctx.trace.span("morsel");
             let lazy = scan.lazy(i, scan.fetch(&mut span, i)?);
-            for (ai, agg) in aggs.iter().enumerate() {
-                fold_agg(&mut states[ai], agg, &lazy)?;
+            accs.add_rows(0, lazy.num_rows());
+            for (arg, state) in accs.states_mut() {
+                fold(state, arg.map(|a| columns[a]), &lazy, &group)?;
             }
             any_rows |= rows[i] > 0;
             scan.meter(&mut span, i, rows[i]);
         }
-        Ok(any_rows.then_some(states))
+        Ok(any_rows.then_some(accs))
     })?;
 
     // Merge partials in partition order, mirroring merge_partial: the first
     // non-empty partial's states carry over wholesale, later ones merge.
-    let mut acc: Option<Vec<AggState>> = None;
+    let mut acc: Option<Accumulators> = None;
     for part in partials.into_iter().flatten() {
-        if let Some(a) = acc.as_mut() {
-            for (x, y) in a.iter_mut().zip(&part) {
-                x.merge(y)?;
-            }
-        } else {
-            acc = Some(part);
+        match acc.as_mut() {
+            Some(a) => a.merge(&part, &[0])?,
+            None => acc = Some(part),
         }
     }
     // A grand total over zero rows still yields one output row.
-    let states = acc.unwrap_or_else(|| aggs.iter().map(AggState::new).collect());
+    let accs = match acc {
+        Some(accs) => accs,
+        None => {
+            let mut accs = Accumulators::new(aggs);
+            accs.resize(1);
+            accs
+        }
+    };
 
     scan_span.record_u64("rows_out", rows.iter().sum::<usize>() as u64);
     drop(scan_span);
 
-    let mut builders: Vec<ColumnBuilder> = output_schema
-        .fields()
-        .iter()
-        .map(|f| ColumnBuilder::with_capacity(f.data_type, 1))
-        .collect();
-    for (ai, s) in states.iter().enumerate() {
-        let v = s.finish();
-        let b = &mut builders[ai];
-        if v.is_null() {
-            b.push_null();
-        } else {
-            b.push(&v)?;
-        }
-    }
-    let columns = builders.into_iter().map(|b| b.finish()).collect();
+    let columns = accs.finish(output_schema.fields())?;
     Ok(vec![RecordBatch::try_new(output_schema.clone(), columns)?])
 }
 
-/// Fold one morsel's chunk into one aggregate state, reproducing
-/// `update_agg_column`'s per-row semantics (including accumulation order for
-/// floats and checked overflow for integer sums).
-fn fold_agg(state: &mut AggState, agg: &AggExpr, lazy: &LazyRowGroup) -> Result<()> {
+/// Fold one morsel into one accumulator (a grand total's single group):
+/// the chunk at `column`, with `group` holding a 0 for at least every row.
+fn fold(
+    state: &mut State,
+    column: Option<usize>,
+    lazy: &LazyRowGroup,
+    group: &[u32],
+) -> Result<()> {
     let n = lazy.num_rows();
-    let Some(arg) = &agg.arg else {
-        // COUNT(*): every row counts, no chunk needed.
-        if let AggState::Count(c) = state {
-            *c += n as i64;
-        } else {
-            for _ in 0..n {
-                state.update(&Value::Int64(1))?;
-            }
-        }
-        return Ok(());
+    let Some(idx) = column else {
+        return state.update(None, &group[..n]);
     };
-    let BoundExpr::ColumnRef { index, .. } = arg else {
-        return Err(Error::Exec(
-            "encoded aggregate requires bare column arguments".into(),
-        ));
-    };
-    match agg.func {
-        AggFunc::Count => {
-            // Valid-row count straight off the validity header — no decode.
-            if let AggState::Count(c) = state {
-                *c += lazy.chunk(*index).count_valid() as i64;
-            }
-            Ok(())
-        }
-        AggFunc::Sum | AggFunc::Avg => fold_numeric(state, lazy, *index),
-        AggFunc::Min | AggFunc::Max => fold_minmax(state, lazy, *index),
-    }
-}
-
-/// SUM/AVG over one chunk. RLE chunks fold per run; everything else decodes
-/// and replicates the typed update loops exactly.
-fn fold_numeric(state: &mut AggState, lazy: &LazyRowGroup, idx: usize) -> Result<()> {
     let chunk = lazy.chunk(idx);
-    if chunk.encoding() == Encoding::Rle && try_fold_rle_numeric(state, chunk)? {
+    if let State::Nulls(nulls) = state {
+        // A COUNT of a column: its NULL rows straight off the validity
+        // header — no decode.
+        nulls[0] += chunk.null_count() as i64;
         return Ok(());
     }
-    let col = lazy.column(idx)?;
-    let validity = col.validity();
-    let valid = |row: usize| validity.is_none_or(|v| v[row]);
-    match state {
-        AggState::SumFloat { sum, seen } => {
-            if let Some(ns) = NumSlice::of(col.data()) {
-                for row in 0..col.len() {
-                    if valid(row) {
-                        *sum += ns.get(row);
-                        *seen = true;
-                    }
-                }
-                return Ok(());
-            }
-        }
-        AggState::SumInt { sum, seen } => {
-            if let Some(xs) = int_view(col.data()) {
-                for row in 0..col.len() {
-                    if valid(row) {
-                        *sum = sum
-                            .checked_add(xs.get(row))
-                            .ok_or_else(|| Error::Exec("SUM overflow".into()))?;
-                        *seen = true;
-                    }
-                }
-                return Ok(());
-            }
-        }
-        AggState::Avg { sum, count } => {
-            if let Some(ns) = NumSlice::of(col.data()) {
-                for row in 0..col.len() {
-                    if valid(row) {
-                        *sum += ns.get(row);
-                        *count += 1;
-                    }
-                }
-                return Ok(());
-            }
-        }
-        _ => {}
+    if chunk.encoding() == Encoding::Rle && fold_runs(state, lazy.rle_runs(idx)?, chunk)? {
+        return Ok(());
     }
-    fold_general(state, col)
+    state.update(Some(lazy.column(idx)?), &group[..n])
 }
 
-/// Fold an RLE chunk's runs into a SUM/AVG state without expanding them.
-/// Returns false (untouched state) when the value type has no run kernel.
-fn try_fold_rle_numeric(state: &mut AggState, chunk: &EncodedChunk) -> Result<bool> {
-    let runs = chunk.rle_runs()?;
-    // Compatibility is decided before any mutation so a bail-out leaves the
-    // state untouched.
-    match state {
-        AggState::SumInt { .. } if int_view(&runs.values).is_none() => return Ok(false),
-        AggState::SumFloat { .. } | AggState::Avg { .. }
-            if NumSlice::of(&runs.values).is_none() =>
-        {
-            return Ok(false)
-        }
-        AggState::SumInt { .. } | AggState::SumFloat { .. } | AggState::Avg { .. } => {}
-        _ => return Ok(false),
-    }
-    let validity = chunk.validity();
+/// Fold an RLE chunk's runs into group 0 of a SUM/AVG/MIN/MAX accumulator
+/// without expanding them. False, with the state untouched, when the state
+/// or the runs' type has no run kernel.
+fn fold_runs(state: &mut State, runs: &RleRuns, chunk: &EncodedChunk) -> Result<bool> {
     let mut row = 0usize;
-    for (ri, &count) in runs.counts.iter().enumerate() {
+    // The valid rows of each run, in run order.
+    let mut valid = runs.counts.iter().map(|&count| {
         let count = count as usize;
-        let valid = match validity {
-            Some(bits) => bits[row..row + count].iter().filter(|&&b| b).count(),
-            None => count,
-        };
+        let valid = chunk.validity().map_or(count, |bits| {
+            bits[row..row + count].iter().filter(|&&b| b).count()
+        });
         row += count;
-        if valid == 0 {
-            continue;
-        }
-        match state {
-            AggState::SumInt { sum, seen } => {
-                let v = int_view(&runs.values).expect("checked above").get(ri);
-                // Within a run the partial sums are monotonic, so the
-                // sequential checked adds overflow iff the endpoint does.
-                let end = *sum as i128 + v as i128 * valid as i128;
-                *sum = i64::try_from(end).map_err(|_| Error::Exec("SUM overflow".into()))?;
-                *seen = true;
-            }
-            AggState::SumFloat { sum, seen } => {
-                let v = NumSlice::of(&runs.values).expect("checked above").get(ri);
+        valid
+    });
+    match state {
+        State::Float { sums, nulls } => {
+            let Some(values) = NumSlice::of(&runs.values) else {
+                return Ok(false);
+            };
+            for (ri, valid) in valid.enumerate() {
                 // One add per valid row (not `valid * v`): float accumulation
                 // order must match the decoded loop to the bit.
+                let v = values.get(ri);
                 for _ in 0..valid {
-                    *sum += v;
+                    sums[0] += v;
                 }
-                *seen = true;
             }
-            AggState::Avg { sum, count } => {
-                let v = NumSlice::of(&runs.values).expect("checked above").get(ri);
-                for _ in 0..valid {
-                    *sum += v;
-                }
-                *count += valid as i64;
-            }
-            _ => unreachable!("filtered by the compatibility check"),
+            nulls[0] += chunk.null_count() as i64;
         }
+        State::Int { sums, nulls } => {
+            let Some((KeyClass::Integer, values)) = KeyInts::of(&runs.values) else {
+                return Ok(false);
+            };
+            let mut overflow = false;
+            values.for_each(|_, v| {
+                let valid = valid.next().expect("one count per run");
+                // Within a run the partial sums are monotonic, so the
+                // sequential checked adds overflow iff the endpoint does.
+                let end = i128::from(sums[0]) + i128::from(v) * valid as i128;
+                match i64::try_from(end) {
+                    Ok(sum) => sums[0] = sum,
+                    Err(_) => overflow = true,
+                }
+            });
+            if overflow {
+                return Err(Error::Exec("SUM overflow".into()));
+            }
+            nulls[0] += chunk.null_count() as i64;
+        }
+        // MIN/MAX: one strict update per run with a valid row
+        // (order-independent under `total_cmp`).
+        State::Cells {
+            cells,
+            distinct: None,
+            ..
+        } => {
+            for (ri, valid) in valid.enumerate() {
+                if valid > 0 {
+                    cells[0].update(&run_value(&runs.values, ri))?;
+                }
+            }
+        }
+        State::Nulls(_) | State::Cells { .. } => return Ok(false),
     }
     Ok(true)
-}
-
-/// MIN/MAX over one chunk: one strict update per RLE run (order-independent
-/// under `total_cmp`), decoded loop for Plain and Dictionary.
-fn fold_minmax(state: &mut AggState, lazy: &LazyRowGroup, idx: usize) -> Result<()> {
-    let chunk = lazy.chunk(idx);
-    match chunk.encoding() {
-        Encoding::Rle => {
-            let runs = chunk.rle_runs()?;
-            let validity = chunk.validity();
-            let mut row = 0usize;
-            for (ri, &count) in runs.counts.iter().enumerate() {
-                let count = count as usize;
-                let any_valid = match validity {
-                    Some(bits) => bits[row..row + count].iter().any(|&b| b),
-                    None => true,
-                };
-                row += count;
-                if any_valid {
-                    state.update(&run_value(&runs.values, ri))?;
-                }
-            }
-            Ok(())
-        }
-        Encoding::Plain | Encoding::Dictionary => fold_general(state, lazy.column(idx)?),
-    }
-}
-
-/// The general per-row fold — exactly `update_agg_column`'s tail loops for a
-/// single group without DISTINCT (strings compared in place, no `Value` per
-/// row).
-fn fold_general(state: &mut AggState, col: &Column) -> Result<()> {
-    if let ColumnData::Utf8(strings) = col.data() {
-        for row in (0..col.len()).filter(|&row| !col.is_null(row)) {
-            state.update_str(strings.get(row))?;
-        }
-        return Ok(());
-    }
-    for row in 0..col.len() {
-        let v = col.value(row);
-        if v.is_null() {
-            continue; // aggregates skip NULLs
-        }
-        state.update(&v)?;
-    }
-    Ok(())
 }
 
 /// One run's value as a `Value` (floats keep their exact bits).

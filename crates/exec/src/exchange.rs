@@ -31,7 +31,7 @@
 //! drained into [`ExchangeStats::get_bytes`] and never into the billed
 //! `bytes_scanned`; no `bytes` span attributes are recorded for them.
 
-use crate::aggregate::{self, AggState, GroupState, Partial};
+use crate::aggregate::{self, AggState};
 use crate::context::ExecContext;
 use crate::engine::execute;
 use crate::evaluate::evaluate_ref;
@@ -88,7 +88,8 @@ pub fn partition_path(prefix: &str, part: usize, side: Option<&str>) -> String {
 
 /// The spill schema of an aggregate exchange: the group-key columns, then
 /// per aggregate a `(primary, secondary)` state pair (see
-/// [`AggState::spill_values`]), then the global group-order column `__ord`.
+/// [`aggregate::Accumulators::spill_columns`]), then the global group-order
+/// column `__ord`.
 pub fn agg_spill_schema(group_types: &[DataType], aggs: &[AggExpr]) -> SchemaRef {
     let mut fields: Vec<Field> = group_types
         .iter()
@@ -135,54 +136,36 @@ pub fn write_agg_partitions(
     let acc = aggregate::merged_partial(input, group_exprs, aggs, parallelism)?;
     let gt = group_types(group_exprs);
     let schema = agg_spill_schema(&gt, aggs);
+    let groups = acc.table.len();
 
     // Route each group by the hash its key was interned under — of the
     // same bytes on every stage-0 attempt, so routing is deterministic.
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); partitions];
-    for gi in 0..acc.keys.len() {
+    for gi in 0..groups {
         members[partition_of(acc.table.hash(gi), partitions)].push(gi);
     }
+
+    // Every group's spill row, as columns; each partition gathers its own.
+    let state_types: Vec<DataType> = (schema.fields()[gt.len()..])
+        .iter()
+        .map(|f| f.data_type)
+        .collect();
+    let mut columns = acc.keys.columns()?;
+    columns.extend(acc.accs.spill_columns(&state_types)?);
+    columns.push(Column::new(ColumnData::Int64((0..groups as i64).collect())));
+    let all = RecordBatch::try_new(schema.clone(), columns)?;
 
     let mut stats = ExchangeStats {
         partitions: partitions as u64,
         ..ExchangeStats::default()
     };
     for (part, rows) in members.iter().enumerate() {
-        let mut builders: Vec<ColumnBuilder> = schema
-            .fields()
-            .iter()
-            .map(|f| ColumnBuilder::with_capacity(f.data_type, rows.len()))
-            .collect();
-        for &gi in rows {
-            for (b, v) in builders.iter_mut().zip(acc.keys[gi].iter()) {
-                b.push(v)?;
-            }
-            for (ai, st) in acc.states[gi].states.iter().enumerate() {
-                let (a, b) = st.spill_values();
-                push_opt(&mut builders[gt.len() + 2 * ai], &a)?;
-                push_opt(&mut builders[gt.len() + 2 * ai + 1], &b)?;
-            }
-            builders
-                .last_mut()
-                .expect("__ord builder")
-                .push(&Value::Int64(gi as i64))?;
-        }
-        let columns: Vec<Column> = builders.into_iter().map(|b| b.finish()).collect();
-        let batch = RecordBatch::try_new(schema.clone(), columns)?;
+        let batch = all.gather(rows)?;
         let path = partition_path(prefix, part, None);
         stats.put_bytes += materialize(spill_store, &path, schema.clone(), &[batch])?;
         stats.spilled_rows += rows.len() as u64;
     }
     Ok(stats)
-}
-
-fn push_opt(b: &mut ColumnBuilder, v: &Value) -> Result<()> {
-    if v.is_null() {
-        b.push_null();
-        Ok(())
-    } else {
-        b.push(v)
-    }
 }
 
 /// Read one spill object through a scratch context (metrics drained into
@@ -221,39 +204,29 @@ pub fn read_agg_partitions(
         partitions: partitions as u64,
         ..ExchangeStats::default()
     };
-    let mut rows: Vec<(i64, Vec<Value>, GroupState)> = Vec::new();
+    let mut batches = Vec::new();
     for part in 0..partitions {
         let path = partition_path(prefix, part, None);
-        for batch in read_spill(spill_store, &path, &schema, &mut stats)? {
-            let ords = ord_values(batch.column(gt.len() + 2 * aggs.len()))?;
-            for (row, &ord) in ords.iter().enumerate() {
-                let key: Vec<Value> = (0..gt.len()).map(|c| batch.column(c).value(row)).collect();
-                let mut states = Vec::with_capacity(aggs.len());
-                for (ai, agg) in aggs.iter().enumerate() {
-                    let a = batch.column(gt.len() + 2 * ai).value(row);
-                    let b = batch.column(gt.len() + 2 * ai + 1).value(row);
-                    states.push(AggState::from_spill(agg, a, b)?);
-                }
-                rows.push((
-                    ord,
-                    key,
-                    GroupState {
-                        states,
-                        distinct: aggs.iter().map(|_| None).collect(),
-                    },
-                ));
-            }
-        }
+        batches.extend(read_spill(spill_store, &path, &schema, &mut stats)?);
     }
-    // Partitions hold disjoint key sets, so ords are unique; sorting them
-    // restores the exact global first-appearance order of stage 0.
-    rows.sort_by_key(|(ord, _, _)| *ord);
-    let mut acc = Partial::new();
-    for (_, key, state) in rows {
-        acc.keys.push(key);
-        acc.states.push(state);
-    }
-    let out = aggregate::finish_partial(acc, group_exprs.len(), aggs, output_schema)?;
+    let all = match batches.as_slice() {
+        [] => RecordBatch::empty(schema.clone()),
+        _ => RecordBatch::concat(&batches)?,
+    };
+    // Partitions hold disjoint key sets, so ords are unique; one gather in
+    // ord order restores the exact global first-appearance order of stage 0.
+    let ords = ord_values(all.column(schema.len() - 1))?;
+    let mut order: Vec<usize> = (0..ords.len()).collect();
+    order.sort_unstable_by_key(|&row| ords[row]);
+    let sorted = all.gather(&order)?;
+    let (keys, states) = sorted.columns()[..schema.len() - 1].split_at(gt.len());
+    let out = aggregate::finish_spilled(
+        keys.to_vec(),
+        states,
+        sorted.num_rows(),
+        aggs,
+        output_schema,
+    )?;
     Ok((out, stats))
 }
 

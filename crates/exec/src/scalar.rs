@@ -18,7 +18,7 @@
 //! finish to [`evaluate`] / [`predicate_mask`] so that the answer — value or
 //! error — is by construction the reference's.
 
-use crate::aggregate::{partition_batches, GroupState};
+use crate::aggregate::{partition_batches, AggState, DistinctSet};
 use crate::context::ExecContext;
 use crate::evaluate::BatchRow;
 use crate::join::RowSink;
@@ -378,6 +378,46 @@ fn cross_join(
         }
     }
     sink.finish()
+}
+
+/// Per-group state: one accumulator per aggregate, plus distinct-value sets
+/// for DISTINCT aggregates.
+struct GroupState {
+    states: Vec<AggState>,
+    distinct: Vec<Option<DistinctSet>>,
+}
+
+impl GroupState {
+    fn new(aggs: &[AggExpr]) -> GroupState {
+        GroupState {
+            states: aggs.iter().map(AggState::new).collect(),
+            distinct: aggs
+                .iter()
+                .map(|a| a.distinct.then(DistinctSet::default))
+                .collect(),
+        }
+    }
+
+    /// Fold row `row` of the (optional) aggregate argument columns into the
+    /// group. `None` columns are COUNT(*) — every row counts.
+    fn consume_row(&mut self, agg_cols: &[Option<Column>], row: usize) -> Result<()> {
+        for (ai, agg_col) in agg_cols.iter().enumerate() {
+            let value = match agg_col {
+                Some(col) => col.value(row),
+                None => Value::Int64(1),
+            };
+            if value.is_null() {
+                continue; // aggregates skip NULLs
+            }
+            if let Some(seen) = &mut self.distinct[ai] {
+                if !seen.insert(&value) {
+                    continue;
+                }
+            }
+            self.states[ai].update(&value)?;
+        }
+        Ok(())
+    }
 }
 
 /// One worker's aggregation state, keyed the original way.

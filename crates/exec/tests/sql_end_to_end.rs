@@ -579,6 +579,30 @@ fn tpch_rows(sqls: &[&str]) -> Vec<Vec<Vec<Value>>> {
         .collect()
 }
 
+/// AVG, like SUM, takes only a numeric argument, and says so when the query
+/// is planned — not when a row reaches it, and not never, when none does.
+#[test]
+fn avg_of_a_non_numeric_argument_is_a_plan_error() {
+    let (catalog, store) = (Catalog::shared(), InMemoryObjectStore::shared());
+    let cfg = pixels_workload::TpchConfig {
+        scale: 0.002,
+        ..Default::default()
+    };
+    pixels_workload::load_tpch(&catalog, store.as_ref(), "tpch", &cfg).unwrap();
+    for sql in [
+        "SELECT AVG(o_orderdate) FROM orders",
+        "SELECT AVG(c_name) FROM customer WHERE c_custkey < 0",
+        "SELECT c_mktsegment, AVG(c_mktsegment) FROM customer GROUP BY c_mktsegment",
+    ] {
+        let err = run_query(&catalog, store.clone(), "tpch", sql).unwrap_err();
+        assert_eq!(err.kind(), "plan", "{sql} -> {err}");
+        assert!(
+            err.to_string().contains("AVG requires a numeric argument"),
+            "{err}"
+        );
+    }
+}
+
 /// A projection none of whose columns the outer query reads still has all
 /// its input's rows to count.
 #[test]

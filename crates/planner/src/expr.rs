@@ -103,17 +103,18 @@ impl AggFunc {
 
     /// Output type given the input type (`None` input = `COUNT(*)`).
     pub fn output_type(self, input: Option<DataType>) -> Result<DataType> {
+        let numeric =
+            |what: &str| Error::Plan(format!("{what} requires a numeric argument, got {input:?}"));
         Ok(match self {
             AggFunc::Count => DataType::Int64,
-            AggFunc::Avg => DataType::Float64,
+            AggFunc::Avg => match input {
+                Some(DataType::Int32 | DataType::Int64 | DataType::Float64) => DataType::Float64,
+                _ => return Err(numeric("AVG")),
+            },
             AggFunc::Sum => match input {
                 Some(DataType::Int32) | Some(DataType::Int64) => DataType::Int64,
                 Some(DataType::Float64) => DataType::Float64,
-                other => {
-                    return Err(Error::Plan(format!(
-                        "SUM requires a numeric argument, got {other:?}"
-                    )))
-                }
+                _ => return Err(numeric("SUM")),
             },
             AggFunc::Min | AggFunc::Max => {
                 input.ok_or_else(|| Error::Plan(format!("{} requires an argument", self.name())))?
@@ -456,6 +457,9 @@ mod tests {
             DataType::Utf8
         );
         assert!(AggFunc::Sum.output_type(Some(DataType::Utf8)).is_err());
+        for ty in [DataType::Utf8, DataType::Date, DataType::Boolean] {
+            assert!(AggFunc::Avg.output_type(Some(ty)).is_err(), "AVG of {ty}");
+        }
         assert!(AggFunc::Max.output_type(None).is_err());
     }
 

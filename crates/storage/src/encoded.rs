@@ -118,6 +118,96 @@ impl EncodedChunk {
     /// runs are never expanded for rejected rows and a plain chunk reads
     /// only the selected rows out of its payload.
     pub fn decode_filtered(&self, mask: &[bool]) -> Result<Column> {
+        self.check_mask(mask)?;
+        match self.encoding {
+            // Only the selected rows are read out of the payload (for
+            // strings: copied into the pool).
+            Encoding::Plain => {
+                let mut r = ByteReader::new(&self.payload);
+                let data = plain::decode_kept(&mut r, self.ty, self.num_rows, Some(mask))?;
+                Column::with_validity(data, self.kept_validity(Some(mask)))
+            }
+            Encoding::Dictionary => self.decode()?.filter(mask),
+            Encoding::Rle => self.expand_runs(&self.rle_runs()?, Some(mask)),
+        }
+    }
+
+    /// The rows of this RLE chunk from `runs`, its already parsed
+    /// [`EncodedChunk::rle_runs`]: all of them, equal to
+    /// [`EncodedChunk::decode`], or those `mask` keeps, equal to
+    /// [`EncodedChunk::decode_filtered`]. A caller that read the runs to
+    /// filter on them expands them without parsing the payload again.
+    pub fn expand_runs(&self, runs: &RleRuns, mask: Option<&[bool]>) -> Result<Column> {
+        if let Some(mask) = mask {
+            self.check_mask(mask)?;
+        }
+        if runs.counts.iter().map(|&c| c as usize).sum::<usize>() != self.num_rows {
+            return Err(Error::Storage(format!(
+                "RLE runs do not cover the chunk's {} rows",
+                self.num_rows
+            )));
+        }
+        fn expand<T: Copy>(counts: &[u32], values: &[T], mask: Option<&[bool]>) -> Vec<T> {
+            let Some(mask) = mask else {
+                let mut out = Vec::with_capacity(counts.iter().map(|&c| c as usize).sum());
+                for (&count, &v) in counts.iter().zip(values) {
+                    out.extend(std::iter::repeat_n(v, count as usize));
+                }
+                return out;
+            };
+            // Each kept row takes the value of the run it falls in. The run
+            // cursor only moves forward, so the walk costs O(runs + kept
+            // rows), with no count per run: the mask is read as 32-row words
+            // of bits, a word is walked by its set bits, and a word that
+            // keeps every row is copied a run at a time.
+            const BLOCK: usize = 32;
+            let mut out = Vec::with_capacity(mask.iter().filter(|&&m| m).count());
+            let mut run = 0usize;
+            let mut end = counts.first().map_or(0, |&c| c as usize);
+            let mut seek = |row: usize| {
+                while row >= end {
+                    run += 1;
+                    end += counts[run] as usize;
+                }
+                (run, end)
+            };
+            for (start, block) in (0..).step_by(BLOCK).zip(mask.chunks(BLOCK)) {
+                let mut bits = mask_bits(block);
+                if bits.count_ones() as usize == block.len() {
+                    let stop = start + block.len();
+                    let mut row = start;
+                    while row < stop {
+                        let (run, end) = seek(row);
+                        let upto = end.min(stop);
+                        out.extend(std::iter::repeat_n(values[run], upto - row));
+                        row = upto;
+                    }
+                    continue;
+                }
+                while bits != 0 {
+                    let row = start + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    out.push(values[seek(row).0]);
+                }
+            }
+            out
+        }
+        let c = &runs.counts;
+        let data = match &runs.values {
+            ColumnData::Boolean(v) => ColumnData::Boolean(expand(c, v, mask)),
+            ColumnData::Int32(v) => ColumnData::Int32(expand(c, v, mask)),
+            ColumnData::Date(v) => ColumnData::Date(expand(c, v, mask)),
+            ColumnData::Int64(v) => ColumnData::Int64(expand(c, v, mask)),
+            ColumnData::Timestamp(v) => ColumnData::Timestamp(expand(c, v, mask)),
+            ColumnData::Float64(v) => ColumnData::Float64(expand(c, v, mask)),
+            ColumnData::Utf8(_) => {
+                return Err(Error::Storage("RLE does not support strings".into()))
+            }
+        };
+        Column::with_validity(data, self.kept_validity(mask))
+    }
+
+    fn check_mask(&self, mask: &[bool]) -> Result<()> {
         if mask.len() != self.num_rows {
             return Err(Error::Storage(format!(
                 "filter mask has {} entries for a chunk of {} rows",
@@ -125,55 +215,19 @@ impl EncodedChunk {
                 self.num_rows
             )));
         }
-        let validity = || {
-            self.validity.as_ref().map(|v| {
-                v.iter()
-                    .zip(mask)
-                    .filter(|(_, &keep)| keep)
-                    .map(|(&b, _)| b)
-                    .collect::<Vec<bool>>()
-            })
-        };
-        match self.encoding {
-            // Only the selected rows are read out of the payload (for
-            // strings: copied into the pool).
-            Encoding::Plain => {
-                let mut r = ByteReader::new(&self.payload);
-                let data = plain::decode_kept(&mut r, self.ty, self.num_rows, Some(mask))?;
-                Column::with_validity(data, validity())
-            }
-            Encoding::Dictionary => self.decode()?.filter(mask),
-            Encoding::Rle => {
-                let runs = self.rle_runs()?;
-                // Sized once from the mask; each run emits as many copies as
-                // its stretch of the mask keeps.
-                fn expand<T: Copy>(counts: &[u32], values: &[T], mask: &[bool]) -> Vec<T> {
-                    let mut out = Vec::with_capacity(mask.iter().filter(|&&m| m).count());
-                    let mut row = 0usize;
-                    for (&count, &v) in counts.iter().zip(values) {
-                        let end = row + count as usize;
-                        let kept = mask[row..end].iter().filter(|&&m| m).count();
-                        out.resize(out.len() + kept, v);
-                        row = end;
-                    }
-                    out
-                }
-                let data = match &runs.values {
-                    ColumnData::Boolean(v) => ColumnData::Boolean(expand(&runs.counts, v, mask)),
-                    ColumnData::Int32(v) => ColumnData::Int32(expand(&runs.counts, v, mask)),
-                    ColumnData::Date(v) => ColumnData::Date(expand(&runs.counts, v, mask)),
-                    ColumnData::Int64(v) => ColumnData::Int64(expand(&runs.counts, v, mask)),
-                    ColumnData::Timestamp(v) => {
-                        ColumnData::Timestamp(expand(&runs.counts, v, mask))
-                    }
-                    ColumnData::Float64(v) => ColumnData::Float64(expand(&runs.counts, v, mask)),
-                    ColumnData::Utf8(_) => {
-                        return Err(Error::Storage("RLE does not support strings".into()))
-                    }
-                };
-                Column::with_validity(data, validity())
-            }
-        }
+        Ok(())
+    }
+
+    /// The validity of the rows `mask` keeps (all rows without one).
+    fn kept_validity(&self, mask: Option<&[bool]>) -> Option<Vec<bool>> {
+        let validity = self.validity.as_ref()?;
+        Some(match mask {
+            None => validity.clone(),
+            Some(mask) => (validity.iter().zip(mask))
+                .filter(|(_, &keep)| keep)
+                .map(|(&b, _)| b)
+                .collect(),
+        })
     }
 
     /// Run headers and per-run values of an RLE chunk, validated like the
@@ -247,6 +301,22 @@ impl EncodedChunk {
     }
 }
 
+/// Up to 32 flags as the bits of a word, flag `i` at bit `i`: eight at a
+/// time, by the multiply that gathers the low bit of each of eight bytes
+/// into the top byte.
+fn mask_bits(flags: &[bool]) -> u32 {
+    let mut bits = 0u32;
+    for (i, eight) in flags.chunks(8).enumerate() {
+        let mut bytes = [0u8; 8];
+        for (b, &f) in bytes.iter_mut().zip(eight) {
+            *b = u8::from(f);
+        }
+        let packed = u64::from_le_bytes(bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        bits |= (packed as u32) << (8 * i);
+    }
+    bits
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,7 +365,8 @@ mod tests {
     #[test]
     fn decode_filtered_equals_decode_then_filter() {
         // Every fixed-width type, plain and RLE, with and without NULLs, at
-        // 0 %, 1 %, 50 % and 100 % of the rows kept.
+        // 0 %, 1 %, 3 %, 50 %, 97 %, 99 % and 100 % of the rows kept; also
+        // runs of one row, and a run across 32-row block boundaries.
         let n = 300usize;
         let run = |i: usize| (i / 7) as i64 - 20;
         let columns = [
@@ -309,12 +380,21 @@ mod tests {
                     .map(|i| [-0.0, f64::NAN, 1.5][run(i) as usize % 3])
                     .collect(),
             ),
+            ColumnData::Int64((0..n).map(|i| i as i64 * 5 - 700).collect()),
+            ColumnData::Int32(
+                (0..n)
+                    .map(|i| if (20..90).contains(&i) { 7 } else { i as i32 })
+                    .collect(),
+            ),
         ];
         let validity: Vec<bool> = (0..n).map(|i| i % 5 != 2).collect();
         let masks = [
             vec![false; n],
             (0..n).map(|i| i % 100 == 42).collect(),
+            (0..n).map(|i| i % 33 == 5).collect(),
             (0..n).map(|i| i % 2 == 0).collect(),
+            (0..n).map(|i| i % 33 != 5).collect(),
+            (0..n).map(|i| i % 100 != 42).collect(),
             vec![true; n],
         ];
         for data in &columns {
@@ -322,10 +402,8 @@ mod tests {
                 for validity in [None, Some(validity.as_slice())] {
                     let raw = encode_chunk(data, validity, encoding);
                     let chunk = EncodedChunk::parse(raw, data.data_type(), encoding, n).unwrap();
-                    for mask in &masks {
-                        let direct = chunk.decode_filtered(mask).unwrap();
-                        let oracle = chunk.decode().unwrap().filter(mask).unwrap();
-                        let what = format!("{} {encoding:?}", data.data_type());
+                    let what = format!("{} {encoding:?}", data.data_type());
+                    let same = |direct: Column, oracle: Column| {
                         assert_eq!(direct.validity(), oracle.validity(), "{what}");
                         // Floats by bit pattern: NaN is not equal to itself.
                         match (direct.data(), oracle.data()) {
@@ -335,6 +413,20 @@ mod tests {
                                 "{what}"
                             ),
                             (a, b) => assert_eq!(a, b, "{what}"),
+                        }
+                    };
+                    let runs = (encoding == Encoding::Rle).then(|| chunk.rle_runs().unwrap());
+                    if let Some(runs) = &runs {
+                        same(
+                            chunk.expand_runs(runs, None).unwrap(),
+                            chunk.decode().unwrap(),
+                        );
+                    }
+                    for mask in &masks {
+                        let oracle = chunk.decode().unwrap().filter(mask).unwrap();
+                        same(chunk.decode_filtered(mask).unwrap(), oracle.clone());
+                        if let Some(runs) = &runs {
+                            same(chunk.expand_runs(runs, Some(mask)).unwrap(), oracle);
                         }
                     }
                 }
@@ -555,6 +647,23 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("corrupt RLE run"));
+
+        // Cut anywhere — inside a count, inside a value, between runs — the
+        // runs fail with the full decode's error.
+        let raw = encode_chunk(&data, None, Encoding::Rle);
+        for cut in [1, 3, 5, 12, 13, 20, 24, 26, 35] {
+            let chunk =
+                EncodedChunk::parse(raw.slice(..cut), DataType::Int64, Encoding::Rle, 6).unwrap();
+            let full = chunk.decode().unwrap_err().to_string();
+            assert!(full.contains("truncated data"), "cut at {cut}: {full}");
+            assert_eq!(
+                chunk.rle_runs().unwrap_err().to_string(),
+                full,
+                "cut at {cut}"
+            );
+            let filtered = chunk.decode_filtered(&[true; 6]).unwrap_err().to_string();
+            assert_eq!(filtered, full, "cut at {cut}");
+        }
     }
 
     #[test]

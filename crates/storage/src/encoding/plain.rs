@@ -72,10 +72,15 @@ fn read_fixed<const W: usize, T>(
         Some(keep) => {
             let mut out = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
             // What a selective filter keeps comes in few, short stretches:
-            // the rows between them are stepped over a block at a time.
+            // the rows between them are stepped over a block at a time. What
+            // a lax one keeps comes in long stretches: a block it keeps whole
+            // is copied whole.
             const BLOCK: usize = 32;
             for (block, keep) in bytes.chunks(W * BLOCK).zip(keep.chunks(BLOCK)) {
-                if keep.iter().fold(false, |any, &k| any | k) {
+                let kept = keep.iter().fold(0, |n, &k| n + usize::from(k));
+                if kept == keep.len() {
+                    out.extend(block.chunks_exact(W).map(value));
+                } else if kept > 0 {
                     out.extend(
                         (block.chunks_exact(W).zip(keep))
                             .filter(|(_, &k)| k)

@@ -27,7 +27,8 @@ import re
 import subprocess
 
 
-# (layer, regex, leaf only). One row each in the --groups table.
+# (layer, regex, leaf only[, under]). One row each in the --groups table. A
+# row with `under` counts only samples that also have a frame matching it.
 GROUPS = [
     ("expression evaluation", r"pixels_exec::evaluate::|pixels_planner::eval::|pixels_exec::scalar::(evaluate|predicate_mask)", False),
     ("  of which under evaluate()", r"pixels_exec::evaluate::evaluate(_ref|_columnar)?$", False),
@@ -36,8 +37,12 @@ GROUPS = [
     ("  of which encode", r"pixels_exec::keys::(KeyEncoder|put_column)", False),
     ("chunk decode", r"pixels_storage::(encoding::|encoded::EncodedChunk)", False),
     ("  of which plain::decode", r"pixels_storage::encoding::plain::", False),
+    ("  of which RLE runs: parse + expand", r"pixels_storage::(encoded::EncodedChunk::(rle_runs|expand_runs|decode_filtered::expand)|encoding::rle::decode)", False),
     ("filter/compaction", r"pixels_common::(column::Column|batch::RecordBatch)::(filter|gather)", False),
-    ("aggregate update", r"pixels_exec::aggregate::", False),
+    # The update loops are the leaf: inlined into `build_partial` before the
+    # accumulators, `State::update` and the rows count since.
+    ("accumulator update (leaf)", r"^pixels_exec::(aggregate::(build_partial|update_agg_column|State::|Accumulators::|AggState::)|encoded::(fold|try_fold))", True),
+    ("group keys: intern, gather", r"pixels_exec::keys::|pixels_exec::aggregate::GroupKeys|pixels_common::column::Column::(gather|concat|value)$", False, r"pixels_exec::aggregate::(build_partial|merge_partial)"),
     ("join", r"pixels_exec::join::", False),
     ("join key filter, in the probe scan", r"pixels_exec::encoded::key_filter_|pixels_exec::keys::KeyFilter", False),
     ("allocator (leaf)", r"^~?(__default_morecore|malloc|free|realloc|calloc|cfree|_int_malloc|_int_free)", True),
@@ -110,9 +115,12 @@ def main():
         queries = json.load(open(args.run))["attempted"] if args.run else None
         per_query = f", samples per query over {queries} queries" if queries else ""
         print(f"\n-- layers: share of all {total} samples{per_query} (rows overlap) --")
-        for layer, regex, leaf_only in GROUPS:
+        for layer, regex, leaf_only, *under in GROUPS:
             pat = re.compile(regex)
-            n = sum(1 for s in stacks if any(pat.search(f) for f in (s[:1] if leaf_only else s)))
+            within = [re.compile(u) for u in under]
+            n = sum(1 for s in stacks
+                    if any(pat.search(f) for f in (s[:1] if leaf_only else s))
+                    and all(any(w.search(f) for f in s) for w in within))
             rate = f"  {n / queries:6.3f}/q" if queries else ""
             print(f"{100 * n / max(total, 1):6.2f} %  {n:7d}{rate}  {layer}")
         if queries:

@@ -8,12 +8,14 @@
 //! bytes, because exchange traffic is provider-side. Edge cases (empty
 //! partitions, single-group skew, partition count 1) get dedicated tests,
 //! and every run asserts the spill namespace is left empty. So do integer
-//! keys that an `f64` would merge, and joins of mixed key types.
+//! keys that an `f64` would merge, and joins of mixed key types. Aggregate
+//! lists whose accumulators share a running sum, must not share one, keep
+//! cells or overflow cross the exchange bit for bit.
 
 use pixelsdb::catalog::{Catalog, CreateTable};
 use pixelsdb::common::{DataType, Field, RecordBatch, Schema, Value};
-use pixelsdb::exec::{scalar, ExecContext};
-use pixelsdb::planner::{plan_query, plan_shuffle};
+use pixelsdb::exec::{exchange, scalar, ExecContext};
+use pixelsdb::planner::{plan_query, plan_shuffle, AggExpr, AggFunc, BoundExpr};
 use pixelsdb::storage::{
     InMemoryObjectStore, ObjectStore, ObjectStoreRef, PixelsReader, PixelsWriter,
 };
@@ -498,6 +500,143 @@ fn exact_and_mixed_type_keys_cross_the_exchange() {
     let widened =
         assert_exchanges_match_oracle(SCALE, "keys", "SELECT p.v, b.w FROM p JOIN b ON p.k = b.f");
     assert!(widened.contains(&vec![Value::Int64(11), Value::Int64(10)]));
+}
+
+/// Five batches of rows for the aggregate lists below: a string key (with
+/// NULLs, and a group `z` whose Float64 values are all NULL), Float64 with
+/// NULLs, Float64 without, Int64 with NULLs, strings, dates, and Int64s
+/// whose sum overflows.
+fn aggregate_fixture() -> Vec<RecordBatch> {
+    let schema = Arc::new(Schema::new(vec![
+        Field::nullable("g", DataType::Utf8),
+        Field::nullable("f", DataType::Float64),
+        Field::required("f_nn", DataType::Float64),
+        Field::nullable("i", DataType::Int64),
+        Field::nullable("s", DataType::Utf8),
+        Field::nullable("d", DataType::Date),
+        Field::required("big", DataType::Int64),
+    ]));
+    let or_null = |null: bool, v: Value| if null { Value::Null } else { v };
+    let rows: Vec<Vec<Value>> = (0..40usize)
+        .map(|i| {
+            let key = ["a", "b", "c", "x"][i % 4];
+            vec![
+                match (i % 5 == 3, key) {
+                    (true, _) => Value::Utf8("z".into()),
+                    (_, "x") => Value::Null,
+                    (_, k) => Value::Utf8(k.into()),
+                },
+                or_null(
+                    i % 5 == 3,
+                    Value::Float64(((i * 37) % 11) as f64 * 0.1 + [1e15, 0.0, -3.3][i % 3]),
+                ),
+                Value::Float64((i as f64).sqrt() * 1.1),
+                or_null(i % 6 == 4, Value::Int64((i as i64 - 17) * 1_000_003)),
+                or_null(i % 9 == 8, Value::Utf8(format!("s{}", (i * 7) % 13))),
+                or_null(i % 8 == 7, Value::Date(18_000 + ((i * 11) % 50) as i32)),
+                Value::Int64(i64::MAX / 4 + i as i64),
+            ]
+        })
+        .collect();
+    (rows.chunks(8))
+        .map(|r| RecordBatch::from_rows(schema.clone(), r).unwrap())
+        .collect()
+}
+
+/// Aggregate lists whose accumulators share a running sum (SUM, AVG and
+/// COUNT of one Float64 argument, with and without NULLs), must not share
+/// one (a DISTINCT beside a plain SUM; SUM and AVG of one Int64), keep cells
+/// (MIN/MAX of strings and dates), or overflow.
+fn aggregate_lists() -> Vec<Vec<AggExpr>> {
+    let agg = |func: AggFunc, arg: Option<(usize, DataType)>, distinct: bool| AggExpr {
+        func,
+        arg: arg.map(|(i, ty)| BoundExpr::column(i, ty, format!("c{i}"))),
+        distinct,
+        output_type: func.output_type(arg.map(|a| a.1)).unwrap(),
+    };
+    use AggFunc::{Avg, Count, Max, Min, Sum};
+    use DataType::{Date, Float64, Int64, Utf8};
+    let (f, f_nn, i) = (Some((1, Float64)), Some((2, Float64)), Some((3, Int64)));
+    let (s, d, big) = (Some((4, Utf8)), Some((5, Date)), Some((6, Int64)));
+    vec![
+        vec![agg(Sum, f, false), agg(Avg, f, false), agg(Count, f, false)],
+        vec![
+            agg(Count, f_nn, false),
+            agg(Avg, f_nn, false),
+            agg(Sum, f_nn, false),
+        ],
+        vec![agg(Sum, f, true), agg(Sum, f, false), agg(Avg, f, true)],
+        vec![agg(Sum, i, false), agg(Avg, i, false), agg(Count, i, true)],
+        vec![
+            agg(Min, s, false),
+            agg(Max, s, false),
+            agg(Min, d, false),
+            agg(Max, d, false),
+        ],
+        vec![agg(Count, None, false), agg(Sum, big, false)],
+    ]
+}
+
+/// Every aggregate list, grouped and global, over the fixture and over zero
+/// rows, through a 4-partition exchange at parallelism 1 and 4: the scalar
+/// oracle's rows to the bit, in its order, or its error.
+#[test]
+fn aggregate_lists_cross_the_exchange_bit_for_bit() {
+    let input = aggregate_fixture();
+    let zero = vec![input[0].slice(0, 0).unwrap()];
+    let bits = |rows: Vec<Vec<Value>>| -> Vec<Vec<String>> {
+        let bits = |v: Value| match v {
+            Value::Float64(x) => format!("f64 {:#x}", x.to_bits()),
+            other => format!("{other:?}"),
+        };
+        (rows.into_iter())
+            .map(|r| r.into_iter().map(bits).collect())
+            .collect()
+    };
+    let mut overflowed = 0;
+    for aggs in aggregate_lists() {
+        for group in [vec![BoundExpr::column(0, DataType::Utf8, "g")], vec![]] {
+            let fields = (group.iter().map(|g| Field::nullable("g", g.data_type()))).chain(
+                aggs.iter()
+                    .map(|a| Field::nullable(a.to_string(), a.output_type)),
+            );
+            let out_schema = Arc::new(Schema::new(fields.collect()));
+            for input in [&input, &zero] {
+                for parallelism in [1usize, 4] {
+                    let label = format!("{aggs:?} by {group:?} @p{parallelism}");
+                    let oracle =
+                        scalar::execute_aggregate(input, &group, &aggs, &out_schema, parallelism);
+                    let store = InMemoryObjectStore::shared();
+                    let shuffled = exchange::write_agg_partitions(
+                        input,
+                        &group,
+                        &aggs,
+                        parallelism,
+                        store.as_ref(),
+                        "agg/",
+                        4,
+                    )
+                    .and_then(|_| {
+                        exchange::read_agg_partitions(&store, "agg/", 4, &group, &aggs, &out_schema)
+                    });
+                    match (shuffled, oracle) {
+                        (Ok((got, _)), Ok(expect)) => assert_eq!(
+                            bits(got.iter().flat_map(|b| b.to_rows()).collect()),
+                            bits(expect.iter().flat_map(|b| b.to_rows()).collect()),
+                            "{label}"
+                        ),
+                        (Err(got), Err(expect)) => {
+                            assert_eq!(got.to_string(), expect.to_string(), "{label}");
+                            overflowed += 1;
+                        }
+                        (got, expect) => panic!("{label}: {got:?} vs {expect:?}"),
+                    }
+                }
+            }
+        }
+    }
+    // The overflowing list, grouped and global, at both parallelisms.
+    assert_eq!(overflowed, 4);
 }
 
 /// Shifted by `i64::MAX`, the 3,000 order keys of scale 0.002 are 3,000 join

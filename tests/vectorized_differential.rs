@@ -11,13 +11,14 @@
 //! Also covers the key-encoding edge cases end-to-end: NULL keys never
 //! match in joins, Int32/Int64 widening keys, -0.0 vs 0.0 group keys
 //! (distinct groups under `Value::eq`'s total_cmp), and empty-string vs
-//! NULL under DISTINCT.
+//! NULL under DISTINCT; and aggregate lists whose accumulators share a
+//! running sum, must not share one, keep cells, or overflow.
 
 use pixelsdb::catalog::Catalog;
 use pixelsdb::common::{DataType, Field, RecordBatch, Schema, Value};
 use pixelsdb::exec::{execute, scalar, ExecContext};
-use pixelsdb::planner::{plan_query, BoundExpr};
-use pixelsdb::sql::ast::JoinType;
+use pixelsdb::planner::{plan_query, AggExpr, AggFunc, BoundExpr};
+use pixelsdb::sql::ast::{BinaryOp, JoinType};
 use pixelsdb::storage::{InMemoryObjectStore, ObjectStoreRef};
 use pixelsdb::workload::{all_queries, load_tpch, TpchConfig};
 use std::sync::Arc;
@@ -268,7 +269,6 @@ fn int32_int64_widening_keys_match_across_sides() {
 
 #[test]
 fn negative_zero_groups_stay_distinct_and_match_scalar() {
-    use pixelsdb::planner::{AggExpr, AggFunc};
     let s = schema(vec![
         Field::required("g", DataType::Float64),
         Field::required("v", DataType::Int64),
@@ -312,6 +312,199 @@ fn negative_zero_groups_stay_distinct_and_match_scalar() {
         assert_eq!(vr[0][0], Value::Float64(0.0));
         assert!(matches!(vr[1][0], Value::Float64(f) if f.to_bits() == (-0.0f64).to_bits()));
     }
+}
+
+/// Rows for the aggregate lists below, in five batches so that four workers
+/// merge partials: a string key (with NULLs, and a group `z` whose Float64
+/// values are all NULL), Float64 with NULLs, Float64 without, Int64 with
+/// NULLs, strings and dates, and Int64s whose sum overflows.
+fn aggregate_fixture() -> Vec<RecordBatch> {
+    let s = schema(vec![
+        Field::nullable("g", DataType::Utf8),
+        Field::nullable("f", DataType::Float64),
+        Field::required("f_nn", DataType::Float64),
+        Field::nullable("i", DataType::Int64),
+        Field::nullable("s", DataType::Utf8),
+        Field::nullable("d", DataType::Date),
+        Field::required("big", DataType::Int64),
+    ]);
+    let rows: Vec<Vec<Value>> = (0..40usize)
+        .map(|i| {
+            let null_f = i % 5 == 3;
+            vec![
+                match (null_f, i % 4) {
+                    (true, _) => Value::Utf8("z".into()),
+                    (_, 3) => Value::Null,
+                    (_, k) => Value::Utf8(["a", "b", "c"][k].into()),
+                },
+                if null_f {
+                    Value::Null
+                } else {
+                    // Magnitudes far apart, so any reassociation shows.
+                    Value::Float64(((i * 37) % 11) as f64 * 0.1 + [1e15, 0.0, -3.3][i % 3])
+                },
+                Value::Float64((i as f64).sqrt() * 1.1),
+                if i % 6 == 4 {
+                    Value::Null
+                } else {
+                    Value::Int64((i as i64 - 17) * 1_000_003)
+                },
+                if i % 9 == 8 {
+                    Value::Null
+                } else {
+                    Value::Utf8(format!("s{}", (i * 7) % 13))
+                },
+                if i % 8 == 7 {
+                    Value::Null
+                } else {
+                    Value::Date(18_000 + ((i * 11) % 50) as i32)
+                },
+                Value::Int64(i64::MAX / 4 + i as i64),
+            ]
+        })
+        .collect();
+    rows.chunks(8).map(|r| batch(&s, r)).collect()
+}
+
+/// The aggregate lists the fixture runs: accumulators that share a running
+/// sum, ones that must not, cells, and an overflow.
+fn aggregate_lists() -> Vec<(&'static str, Vec<AggExpr>)> {
+    use DataType::{Date, Float64, Int64, Utf8};
+    let agg = |func: AggFunc, arg: Option<(usize, DataType)>, distinct: bool| AggExpr {
+        func,
+        arg: arg.map(|(i, ty)| col(i, ty)),
+        distinct,
+        output_type: func.output_type(arg.map(|a| a.1)).unwrap(),
+    };
+    let (f, f_nn, i) = (Some((1, Float64)), Some((2, Float64)), Some((3, Int64)));
+    vec![
+        (
+            "SUM, AVG and COUNT of one Float64 argument with NULLs",
+            vec![
+                agg(AggFunc::Sum, f, false),
+                agg(AggFunc::Avg, f, false),
+                agg(AggFunc::Count, f, false),
+                agg(AggFunc::Count, None, false),
+            ],
+        ),
+        (
+            "COUNT, AVG and SUM of one Float64 argument without NULLs",
+            vec![
+                agg(AggFunc::Count, f_nn, false),
+                agg(AggFunc::Avg, f_nn, false),
+                agg(AggFunc::Sum, f_nn, false),
+            ],
+        ),
+        (
+            "five Float64 sums without NULLs, folded four and one per pass",
+            (1..=5)
+                .map(|k| {
+                    let scaled = BoundExpr::BinaryOp {
+                        left: Box::new(col(2, Float64)),
+                        op: BinaryOp::Multiply,
+                        right: Box::new(BoundExpr::literal(Value::Float64(k as f64 + 0.1))),
+                        data_type: Float64,
+                    };
+                    let func = if k == 3 { AggFunc::Avg } else { AggFunc::Sum };
+                    AggExpr {
+                        func,
+                        arg: Some(scaled),
+                        distinct: false,
+                        output_type: Float64,
+                    }
+                })
+                .collect(),
+        ),
+        (
+            "DISTINCT aggregates beside plain ones of the same argument",
+            vec![
+                agg(AggFunc::Sum, f, true),
+                agg(AggFunc::Sum, f, false),
+                agg(AggFunc::Avg, f, true),
+                agg(AggFunc::Count, i, true),
+                agg(AggFunc::Count, i, false),
+            ],
+        ),
+        (
+            "SUM and AVG of one Int64 argument",
+            vec![
+                agg(AggFunc::Sum, i, false),
+                agg(AggFunc::Avg, i, false),
+                agg(AggFunc::Count, i, false),
+            ],
+        ),
+        (
+            "MIN and MAX of strings and dates",
+            vec![
+                agg(AggFunc::Min, Some((4, Utf8)), false),
+                agg(AggFunc::Max, Some((4, Utf8)), false),
+                agg(AggFunc::Min, Some((5, Date)), false),
+                agg(AggFunc::Max, Some((5, Date)), false),
+            ],
+        ),
+        (
+            "a SUM that overflows",
+            vec![
+                agg(AggFunc::Count, None, false),
+                agg(AggFunc::Sum, Some((6, Int64)), false),
+            ],
+        ),
+    ]
+}
+
+/// The output schema of `aggs` grouped by `group`.
+fn aggregate_schema(group: &[BoundExpr], aggs: &[AggExpr]) -> Arc<Schema> {
+    let keys = group.iter().map(|g| Field::nullable("g", g.data_type()));
+    let values = aggs
+        .iter()
+        .map(|a| Field::nullable(a.to_string(), a.output_type));
+    schema(keys.chain(values).collect())
+}
+
+/// Every aggregate list, grouped and global, over the fixture and over zero
+/// rows, at parallelism 1 and 4: the same rows to the bit as the scalar
+/// oracle, or the same error.
+#[test]
+fn aggregate_lists_match_scalar_bit_for_bit() {
+    let input = aggregate_fixture();
+    let zero = vec![input[0].slice(0, 0).unwrap()];
+    let mut overflowed = 0;
+    for (list, aggs) in aggregate_lists() {
+        for group in [vec![col(0, DataType::Utf8)], vec![]] {
+            let out_schema = aggregate_schema(&group, &aggs);
+            for (rows, input) in [("rows", &input), ("zero rows", &zero)] {
+                for parallelism in [1usize, 4] {
+                    let label = format!("{list}, {} keys, {rows} @p{parallelism}", group.len());
+                    let v = pixelsdb::exec::aggregate::execute_aggregate(
+                        input,
+                        &group,
+                        &aggs,
+                        &out_schema,
+                        parallelism,
+                    );
+                    let r =
+                        scalar::execute_aggregate(input, &group, &aggs, &out_schema, parallelism);
+                    match (v, r) {
+                        (Ok(v), Ok(r)) => {
+                            let (vr, rr) = (ordered_rows(&v), ordered_rows(&r));
+                            assert_rows_identical(&vr, &rr, &label);
+                            if rows == "zero rows" {
+                                // A global aggregate still yields its row.
+                                assert_eq!(vr.len(), usize::from(group.is_empty()), "{label}");
+                            }
+                        }
+                        (Err(v), Err(r)) => {
+                            assert_eq!(v.to_string(), r.to_string(), "{label}");
+                            overflowed += 1;
+                        }
+                        (v, r) => panic!("{label}: {v:?} vs {r:?}"),
+                    }
+                }
+            }
+        }
+    }
+    // The overflowing list, grouped and global, at both parallelisms.
+    assert_eq!(overflowed, 4);
 }
 
 #[test]
