@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pixels_catalog::{Catalog, CatalogRef, CreateTable};
 use pixels_common::{Column, DataType, Field, RecordBatch, Result, Schema, Value};
 use pixels_exec::{execute, ExecContext};
-use pixels_planner::{plan_query, PhysicalPlan};
+use pixels_planner::{plan_query, Plan};
 use pixels_storage::{
     ChunkCache, EncodedChunk, Encoding, InMemoryObjectStore, LatencyModel, ObjectStore,
     ObjectStoreRef, PixelsReader, PixelsWriter, StoreMetricsSnapshot,
@@ -85,7 +85,7 @@ fn scan_fixture() -> (CatalogRef, ObjectStoreRef) {
     (catalog, store)
 }
 
-fn run(plan: &PhysicalPlan, ctx: &ExecContext) -> usize {
+fn run(plan: &Plan, ctx: &ExecContext) -> usize {
     execute(plan, ctx)
         .expect("execute")
         .iter()

@@ -18,8 +18,7 @@ use pixels_catalog::Catalog;
 use pixels_common::Json;
 use pixels_exec::{execute, ExecContext};
 use pixels_planner::{
-    create_physical_plan, optimize_with, plan_shuffle_sized, Binder, EstMode, PhysicalPlan,
-    ShuffleSizing,
+    create_physical_plan, optimize_with, plan_shuffle_sized, Binder, EstMode, Plan, ShuffleSizing,
 };
 use pixels_storage::{InMemoryObjectStore, ObjectStoreRef};
 use pixels_turbo::{CfConfig, CfCostModel, QueryWork, ResourcePricing};
@@ -48,10 +47,10 @@ fn fixture() -> (Arc<Catalog>, ObjectStoreRef) {
     (catalog, store)
 }
 
-fn scan_order(plan: &PhysicalPlan) -> Vec<String> {
+fn scan_order(plan: &Plan) -> Vec<String> {
     let mut out = Vec::new();
-    fn walk(p: &PhysicalPlan, out: &mut Vec<String>) {
-        if let PhysicalPlan::Scan { table, .. } = p {
+    fn walk(p: &Plan, out: &mut Vec<String>) {
+        if let Plan::Scan { table, .. } = p {
             out.push(table.clone());
         }
         for c in p.children() {
@@ -121,7 +120,7 @@ fn choices(catalog: &Catalog) -> Vec<PlanChoice> {
 }
 
 /// Wall time of the median of three runs at parallelism 4.
-fn time_plan(plan: &PhysicalPlan, store: &ObjectStoreRef) -> f64 {
+fn time_plan(plan: &Plan, store: &ObjectStoreRef) -> f64 {
     let mut runs: Vec<f64> = (0..3)
         .map(|_| {
             let ctx = ExecContext::new(store.clone()).with_parallelism(4);

@@ -13,7 +13,7 @@ pub enum Error {
     Parse(String),
     /// Name resolution, type checking, or plan construction failure.
     Plan(String),
-    /// Runtime failure while executing a physical plan.
+    /// Runtime failure while executing a plan.
     Exec(String),
     /// Columnar file format or object-store failure.
     Storage(String),

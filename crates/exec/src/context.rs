@@ -13,9 +13,9 @@ pub fn default_parallelism() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Rows per output batch unless a caller overrides `ExecContext::batch_size`.
-/// The CF finish stage chunks its MV by this same value, which is what keeps
-/// a shuffled plan's MV bytes identical to the single-stage path's.
+/// Rows per output batch of every operator. The CF finish stage chunks its MV
+/// by this same value, which is what keeps a shuffled plan's MV bytes
+/// identical to the single-stage path's.
 pub const DEFAULT_BATCH_SIZE: usize = 8192;
 
 /// Shared state an executing plan needs: the object store, a metrics sink,
@@ -24,8 +24,6 @@ pub const DEFAULT_BATCH_SIZE: usize = 8192;
 pub struct ExecContext {
     pub store: ObjectStoreRef,
     pub metrics: Arc<ExecMetrics>,
-    /// Maximum rows per output batch produced by operators.
-    pub batch_size: usize,
     /// Worker threads for morsel-driven operators (scan, filter, project,
     /// partial aggregation). `1` forces the serial path, which reproduces
     /// single-threaded execution exactly; the default is every core.
@@ -52,7 +50,6 @@ impl ExecContext {
         ExecContext {
             store,
             metrics: Arc::new(ExecMetrics::default()),
-            batch_size: DEFAULT_BATCH_SIZE,
             parallelism: default_parallelism(),
             footer_cache: FooterCache::shared(),
             chunk_cache: None,

@@ -439,7 +439,6 @@ pub fn execute_encoded_aggregate(
     ctx: &ExecContext,
     paths: &[String],
     projection: &[usize],
-    zone_predicates: &[ColumnPredicate],
     aggs: &[AggExpr],
     output_schema: &SchemaRef,
 ) -> Result<Vec<RecordBatch>> {
@@ -448,7 +447,7 @@ pub fn execute_encoded_aggregate(
     let mut scan_span = ctx.trace.span("scan");
     let sctx = ctx.under(&scan_span);
 
-    let scan = ScanMorsels::open(&sctx, paths, projection, zone_predicates)?;
+    let scan = ScanMorsels::open(&sctx, paths, projection, &[])?;
     let rows: Vec<usize> = (0..scan.len()).map(|i| scan.num_rows(i)).collect();
     let partitions = partition_morsels(&rows, ctx.parallelism);
 

@@ -1,7 +1,7 @@
-//! The execution engine: recursively evaluates physical plans.
+//! The execution engine: recursively evaluates plans.
 
 use crate::aggregate::{execute_aggregate, execute_distinct};
-use crate::context::ExecContext;
+use crate::context::{ExecContext, DEFAULT_BATCH_SIZE};
 use crate::encoded::execute_encoded_aggregate;
 use crate::evaluate::{evaluate, fused_filter_mask};
 use crate::join::{coalesce, cross_join, is_equi_join, JoinBuild, RowSink};
@@ -11,44 +11,44 @@ use crate::scan::{execute_scan, open_metered};
 use crate::sort::{execute_limit, execute_sort, execute_topk};
 use pixels_common::{RecordBatch, Result, Value};
 use pixels_planner::eval::{eval_expr, NoRow};
-use pixels_planner::{BoundExpr, PhysicalPlan};
+use pixels_planner::{BoundExpr, Plan};
 use pixels_sql::ast::JoinType;
 
 /// Stable span name for each operator, used in query profiles.
-pub fn operator_name(plan: &PhysicalPlan) -> &'static str {
+pub fn operator_name(plan: &Plan) -> &'static str {
     match plan {
-        PhysicalPlan::Scan { .. } => "scan",
-        PhysicalPlan::MaterializedScan { .. } => "materialized_scan",
-        PhysicalPlan::Filter { .. } => "filter",
-        PhysicalPlan::Project { .. } => "project",
-        PhysicalPlan::HashJoin { .. } => "hash_join",
-        PhysicalPlan::HashAggregate { .. } => "hash_aggregate",
-        PhysicalPlan::Distinct { .. } => "distinct",
-        PhysicalPlan::Sort { .. } => "sort",
-        PhysicalPlan::TopK { .. } => "topk",
-        PhysicalPlan::Limit { .. } => "limit",
-        PhysicalPlan::Values { .. } => "values",
+        Plan::Scan { .. } => "scan",
+        Plan::MaterializedScan { .. } => "materialized_scan",
+        Plan::Filter { .. } => "filter",
+        Plan::Project { .. } => "project",
+        Plan::Join { .. } => "hash_join",
+        Plan::Aggregate { .. } => "hash_aggregate",
+        Plan::Distinct { .. } => "distinct",
+        Plan::Sort { .. } => "sort",
+        Plan::TopK { .. } => "topk",
+        Plan::Limit { .. } => "limit",
+        Plan::Values { .. } => "values",
     }
 }
 
-/// Execute a physical plan to completion, returning all result batches.
+/// Execute a plan to completion, returning all result batches.
 ///
 /// Execution is fully materialized operator-by-operator; scans, filters,
 /// projections, and partial aggregation fan out over `ctx.parallelism`
 /// morsel-driven workers (`parallelism == 1` reproduces serial execution
-/// exactly). Batches respect `ctx.batch_size`.
+/// exactly). Operators emit batches of at most [`DEFAULT_BATCH_SIZE`] rows.
 ///
 /// When the context carries an enabled trace, every operator runs inside its
 /// own span (children nested under it) recording output rows and duration;
 /// with tracing disabled this wrapper adds nothing to the hot path.
-pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch>> {
+pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<Vec<RecordBatch>> {
     execute_probed(plan, ctx, None)
 }
 
 /// [`execute`] for a plan that is the probe side of a hash join whose build
 /// side published `join_filter`. Only a scan can use one.
 fn execute_probed(
-    plan: &PhysicalPlan,
+    plan: &Plan,
     ctx: &ExecContext,
     join_filter: Option<&KeyFilter>,
 ) -> Result<Vec<RecordBatch>> {
@@ -67,28 +67,19 @@ fn execute_probed(
 }
 
 fn execute_inner(
-    plan: &PhysicalPlan,
+    plan: &Plan,
     ctx: &ExecContext,
     join_filter: Option<&KeyFilter>,
 ) -> Result<Vec<RecordBatch>> {
     match plan {
-        PhysicalPlan::Scan {
+        Plan::Scan {
             paths,
             projection,
-            zone_predicates,
             filters,
             output_schema,
             ..
-        } => execute_scan(
-            ctx,
-            paths,
-            projection,
-            zone_predicates,
-            filters,
-            join_filter,
-            output_schema,
-        ),
-        PhysicalPlan::MaterializedScan { path, .. } => {
+        } => execute_scan(ctx, paths, projection, filters, join_filter, output_schema),
+        Plan::MaterializedScan { path, .. } => {
             let reader = open_metered(ctx, path)?;
             let mut span = ctx.trace.span("read");
             let batches = reader.read_all(None, &[])?;
@@ -102,7 +93,7 @@ fn execute_inner(
             ctx.metrics.add_scan(bytes, rows);
             Ok(batches)
         }
-        PhysicalPlan::Filter { input, predicate } => {
+        Plan::Filter { input, predicate } => {
             let batches = execute(input, ctx)?;
             let filtered = parallel::run_indexed(batches.len(), ctx.parallelism, |i| {
                 let b = &batches[i];
@@ -117,7 +108,7 @@ fn execute_inner(
             }
             Ok(out)
         }
-        PhysicalPlan::Project {
+        Plan::Project {
             input,
             exprs,
             output_schema,
@@ -136,7 +127,7 @@ fn execute_inner(
             }
             Ok(out)
         }
-        PhysicalPlan::HashJoin {
+        Plan::Join {
             left,
             right,
             join_type,
@@ -158,7 +149,7 @@ fn execute_inner(
                     *join_type,
                     residual.as_ref(),
                     output_schema,
-                    ctx.batch_size,
+                    DEFAULT_BATCH_SIZE,
                 );
             }
             let build = JoinBuild::new(coalesce(&rb)?, right_keys, left_keys)?;
@@ -166,7 +157,7 @@ fn execute_inner(
             // right-outer join, so the scan may drop it first; a left-outer
             // join emits it.
             let droppable = matches!(join_type, JoinType::Inner | JoinType::Right);
-            let filter = if droppable && matches!(left.as_ref(), PhysicalPlan::Scan { .. }) {
+            let filter = if droppable && matches!(left.as_ref(), Plan::Scan { .. }) {
                 build.key_filter()?
             } else {
                 None
@@ -178,10 +169,10 @@ fn execute_inner(
                 residual.as_ref(),
                 output_schema,
                 left_width,
-                ctx.batch_size,
+                DEFAULT_BATCH_SIZE,
             )
         }
-        PhysicalPlan::HashAggregate {
+        Plan::Aggregate {
             input,
             group_exprs,
             aggs,
@@ -193,10 +184,9 @@ fn execute_inner(
             // Gated on exactly the shapes whose per-row semantics the
             // encoded path reproduces bit-identically.
             if group_exprs.is_empty() {
-                if let PhysicalPlan::Scan {
+                if let Plan::Scan {
                     paths,
                     projection,
-                    zone_predicates,
                     filters,
                     ..
                 } = input.as_ref()
@@ -210,7 +200,6 @@ fn execute_inner(
                             ctx,
                             paths,
                             projection,
-                            zone_predicates,
                             aggs,
                             output_schema,
                         );
@@ -220,19 +209,19 @@ fn execute_inner(
             let batches = execute(input, ctx)?;
             execute_aggregate(&batches, group_exprs, aggs, output_schema, ctx.parallelism)
         }
-        PhysicalPlan::Distinct { input } => {
+        Plan::Distinct { input } => {
             let batches = execute(input, ctx)?;
             execute_distinct(&batches)
         }
-        PhysicalPlan::Sort { input, keys } => {
+        Plan::Sort { input, keys } => {
             let batches = execute(input, ctx)?;
-            execute_sort(&batches, keys, ctx.batch_size)
+            execute_sort(&batches, keys, DEFAULT_BATCH_SIZE)
         }
-        PhysicalPlan::TopK { input, keys, fetch } => {
+        Plan::TopK { input, keys, fetch } => {
             let batches = execute(input, ctx)?;
-            execute_topk(&batches, keys, *fetch, ctx.batch_size)
+            execute_topk(&batches, keys, *fetch, DEFAULT_BATCH_SIZE)
         }
-        PhysicalPlan::Limit {
+        Plan::Limit {
             input,
             limit,
             offset,
@@ -240,8 +229,8 @@ fn execute_inner(
             let batches = execute(input, ctx)?;
             execute_limit(batches, *limit, *offset)
         }
-        PhysicalPlan::Values { schema, rows } => {
-            let mut sink = RowSink::new(schema.clone(), ctx.batch_size);
+        Plan::Values { schema, rows } => {
+            let mut sink = RowSink::new(schema.clone(), DEFAULT_BATCH_SIZE);
             for row in rows {
                 let values: Vec<Value> = row
                     .iter()
@@ -271,7 +260,7 @@ fn execute_inner(
 }
 
 /// Execute and concatenate into a single batch (empty-schema-preserving).
-pub fn execute_collect(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<RecordBatch> {
+pub fn execute_collect(plan: &Plan, ctx: &ExecContext) -> Result<RecordBatch> {
     let batches = execute(plan, ctx)?;
     if batches.is_empty() {
         return Ok(RecordBatch::empty(plan.schema()));

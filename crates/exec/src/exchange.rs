@@ -42,7 +42,7 @@ use pixels_common::{
     Column, ColumnBuilder, ColumnData, DataType, Error, Field, RecordBatch, Result, Schema,
     SchemaRef, Value,
 };
-use pixels_planner::{AggExpr, BoundExpr, PhysicalPlan};
+use pixels_planner::{AggExpr, BoundExpr, Plan};
 use pixels_sql::ast::JoinType;
 use pixels_storage::{ObjectStore, ObjectStoreRef};
 use std::borrow::Cow;
@@ -177,7 +177,7 @@ fn read_spill(
     stats: &mut ExchangeStats,
 ) -> Result<Vec<RecordBatch>> {
     let scratch = ExecContext::new(spill_store.clone());
-    let scan = PhysicalPlan::MaterializedScan {
+    let scan = Plan::MaterializedScan {
         path: path.to_string(),
         schema: schema.clone(),
     };

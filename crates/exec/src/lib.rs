@@ -1,7 +1,9 @@
 //! `pixels-exec` — the query execution engine of PixelsDB.
 //!
-//! Executes [`pixels_planner::PhysicalPlan`]s over Pixels tables in object
-//! storage: scans with projection/zone-map pushdown, hash joins, hash
+//! Executes [`pixels_planner::Plan`]s — the tree the optimizer rewrote, with
+//! Sort + Limit fused into TopK — over Pixels tables in object storage:
+//! scans with projection/zone-map pushdown (the scan derives its pruning
+//! predicates from its filters at open), hash joins, hash
 //! aggregation (with DISTINCT), sorting, top-k, and limits. Scans, filters,
 //! projections, and partial aggregation are morsel-driven parallel (see
 //! [`parallel`]), controlled by [`ExecContext::parallelism`]. Expression

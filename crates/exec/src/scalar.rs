@@ -2,7 +2,7 @@
 //! post-scan operators.
 //!
 //! This is the pre-vectorization execution path, retained verbatim as a
-//! differential oracle: `scalar::execute` runs a physical plan through
+//! differential oracle: `scalar::execute` runs a plan through
 //! `Vec<Value>`-keyed hash tables, per-row builder pushes, per-filter
 //! mask/filter passes, and [`evaluate`] — one `Value` per row through
 //! `pixels_planner::eval`, sharing no code with the kernels of
@@ -19,7 +19,7 @@
 //! error — is by construction the reference's.
 
 use crate::aggregate::{partition_batches, AggState, DistinctSet};
-use crate::context::ExecContext;
+use crate::context::{ExecContext, DEFAULT_BATCH_SIZE};
 use crate::evaluate::BatchRow;
 use crate::join::RowSink;
 use crate::parallel;
@@ -27,7 +27,7 @@ use crate::scan::{open_metered, scan_output, ScanMorsels};
 use crate::sort::execute_limit;
 use pixels_common::{Column, ColumnBuilder, DataType, RecordBatch, Result, SchemaRef, Value};
 use pixels_planner::eval::{eval_expr, NoRow};
-use pixels_planner::{AggExpr, BoundExpr, PhysicalPlan};
+use pixels_planner::{AggExpr, BoundExpr, Plan};
 use pixels_sql::ast::JoinType;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -37,17 +37,16 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 /// quantity is identical by construction) but decode every projected chunk
 /// and filter row-at-a-time; every post-scan operator is the row-at-a-time
 /// original.
-pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch>> {
+pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<Vec<RecordBatch>> {
     match plan {
-        PhysicalPlan::Scan {
+        Plan::Scan {
             paths,
             projection,
-            zone_predicates,
             filters,
             output_schema,
             ..
         } => {
-            let scan = ScanMorsels::open(ctx, paths, projection, zone_predicates)?;
+            let scan = ScanMorsels::open(ctx, paths, projection, filters)?;
             let batches = parallel::run_indexed(scan.len(), ctx.parallelism, |i| {
                 let mut span = ctx.trace.span("morsel");
                 let (reader, rg) = scan.reader(i);
@@ -57,7 +56,7 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch
             })?;
             Ok(scan_output(batches, output_schema))
         }
-        PhysicalPlan::MaterializedScan { path, .. } => {
+        Plan::MaterializedScan { path, .. } => {
             let reader = open_metered(ctx, path)?;
             let batches = reader.read_all(None, &[])?;
             let rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
@@ -67,7 +66,7 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch
             ctx.metrics.add_scan(bytes, rows);
             Ok(batches)
         }
-        PhysicalPlan::Filter { input, predicate } => {
+        Plan::Filter { input, predicate } => {
             let batches = execute(input, ctx)?;
             let filtered = parallel::run_indexed(batches.len(), ctx.parallelism, |i| {
                 let b = &batches[i];
@@ -81,7 +80,7 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch
             }
             Ok(out)
         }
-        PhysicalPlan::Project {
+        Plan::Project {
             input,
             exprs,
             output_schema,
@@ -99,7 +98,7 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch
             }
             Ok(out)
         }
-        PhysicalPlan::HashJoin {
+        Plan::Join {
             left,
             right,
             join_type,
@@ -122,10 +121,10 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch
                 residual.as_ref(),
                 output_schema,
                 left_width,
-                ctx.batch_size,
+                DEFAULT_BATCH_SIZE,
             )
         }
-        PhysicalPlan::HashAggregate {
+        Plan::Aggregate {
             input,
             group_exprs,
             aggs,
@@ -134,19 +133,19 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch
             let batches = execute(input, ctx)?;
             execute_aggregate(&batches, group_exprs, aggs, output_schema, ctx.parallelism)
         }
-        PhysicalPlan::Distinct { input } => {
+        Plan::Distinct { input } => {
             let batches = execute(input, ctx)?;
             execute_distinct(&batches)
         }
-        PhysicalPlan::Sort { input, keys } => {
+        Plan::Sort { input, keys } => {
             let batches = execute(input, ctx)?;
-            execute_sort(&batches, keys, ctx.batch_size)
+            execute_sort(&batches, keys, DEFAULT_BATCH_SIZE)
         }
-        PhysicalPlan::TopK { input, keys, fetch } => {
+        Plan::TopK { input, keys, fetch } => {
             let batches = execute(input, ctx)?;
-            execute_topk(&batches, keys, *fetch, ctx.batch_size)
+            execute_topk(&batches, keys, *fetch, DEFAULT_BATCH_SIZE)
         }
-        PhysicalPlan::Limit {
+        Plan::Limit {
             input,
             limit,
             offset,
@@ -154,8 +153,8 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<RecordBatch
             let batches = execute(input, ctx)?;
             execute_limit(batches, *limit, *offset)
         }
-        PhysicalPlan::Values { schema, rows } => {
-            let mut sink = RowSink::new(schema.clone(), ctx.batch_size);
+        Plan::Values { schema, rows } => {
+            let mut sink = RowSink::new(schema.clone(), DEFAULT_BATCH_SIZE);
             for row in rows {
                 let values: Vec<Value> = row
                     .iter()

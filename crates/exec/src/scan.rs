@@ -30,8 +30,8 @@ use crate::keys::KeyFilter;
 use crate::prefetch::run_prefetched;
 use pixels_common::{Error, RecordBatch, Result, SchemaRef};
 use pixels_obs::Span;
-use pixels_planner::BoundExpr;
-use pixels_storage::{ColumnPredicate, ColumnStats, EncodedChunk, PixelsReader};
+use pixels_planner::{zone_predicates, BoundExpr};
+use pixels_storage::{ColumnStats, EncodedChunk, PixelsReader};
 use std::sync::Arc;
 
 /// Open `path` through the context's shared footer cache and meter the open:
@@ -75,17 +75,19 @@ pub(crate) struct ScanMorsels<'a> {
 }
 
 impl<'a> ScanMorsels<'a> {
-    /// Open and prune every file up front. `projection` and the zone
-    /// predicates index columns by the catalog's word; a data file is input
-    /// from outside the program and may have been replaced by a narrower
-    /// one, so both are checked against the file's own schema here, before
-    /// anything indexes with them.
+    /// Open and prune every file up front, by the zone predicates
+    /// [`zone_predicates`] derives from the scan's `filters`. `projection`
+    /// indexes columns by the catalog's word, and the zone predicates index
+    /// through it; a data file is input from outside the program and may
+    /// have been replaced by a narrower one, so the projection is checked
+    /// against the file's own schema here, before anything indexes with it.
     pub(crate) fn open(
         ctx: &'a ExecContext,
         paths: &[String],
         projection: &'a [usize],
-        zone_predicates: &[ColumnPredicate],
+        filters: &[BoundExpr],
     ) -> Result<Self> {
+        let zone_predicates = zone_predicates(filters, projection);
         let mut scan = ScanMorsels {
             ctx,
             projection,
@@ -93,11 +95,7 @@ impl<'a> ScanMorsels<'a> {
             schemas: Vec::with_capacity(paths.len()),
             morsels: Vec::new(),
         };
-        let widest = projection
-            .iter()
-            .copied()
-            .chain(zone_predicates.iter().map(|p| p.column))
-            .max();
+        let widest = projection.iter().copied().max();
         for (fi, path) in paths.iter().enumerate() {
             let reader = open_metered(ctx, path)?;
             let width = reader.schema().len();
@@ -107,7 +105,7 @@ impl<'a> ScanMorsels<'a> {
                      the file does not match the table it is registered under"
                 )));
             }
-            let retained = reader.prune_row_groups(zone_predicates);
+            let retained = reader.prune_row_groups(&zone_predicates);
             ctx.metrics
                 .add_row_groups(reader.num_row_groups() as u64, retained.len() as u64);
             scan.morsels.extend(retained.into_iter().map(|rg| (fi, rg)));
@@ -203,12 +201,11 @@ pub fn execute_scan(
     ctx: &ExecContext,
     paths: &[String],
     projection: &[usize],
-    zone_predicates: &[ColumnPredicate],
     filters: &[BoundExpr],
     join_filter: Option<&KeyFilter>,
     output_schema: &SchemaRef,
 ) -> Result<Vec<RecordBatch>> {
-    let scan = ScanMorsels::open(ctx, paths, projection, zone_predicates)?;
+    let scan = ScanMorsels::open(ctx, paths, projection, filters)?;
     // A scan whose every chunk is already in the chunk cache has no store
     // latency to hide: I/O threads and a hand-off per morsel would only add
     // cost, so the workers fetch (from the cache) themselves. A chunk

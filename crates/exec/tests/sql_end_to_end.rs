@@ -516,6 +516,22 @@ fn explain_physical_plan_shows_pushdown() {
 }
 
 #[test]
+fn explain_prints_a_join_residual() {
+    let (catalog, _) = setup();
+    let plan = pixels_planner::plan_query(
+        &catalog,
+        "sales",
+        "SELECT c_name, o_total FROM customer JOIN orders ON c_id = o_cid AND o_id > c_id",
+    )
+    .unwrap();
+    let text = plan.explain();
+    let join = text.lines().find(|l| l.contains("HashJoin(Inner)"));
+    let join = join.unwrap_or_else(|| panic!("no hash join: {text}"));
+    assert!(join.contains(" residual=(o_id#"), "{text}");
+    assert!(join.contains(" > c_id#"), "{text}");
+}
+
+#[test]
 fn split_plan_produces_identical_results() {
     use pixels_exec::{execute_collect, materialize};
     let (catalog, store) = setup();

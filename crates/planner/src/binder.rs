@@ -1,11 +1,11 @@
-//! Name resolution and type checking: AST → logical plan.
+//! Name resolution and type checking: AST → plan.
 //!
 //! The binder resolves table names through the catalog, column names through
 //! lexical scopes, classifies queries as aggregating or not, and produces a
-//! [`LogicalPlan`] with fully typed [`BoundExpr`]s.
+//! [`Plan`] with fully typed [`BoundExpr`]s.
 
 use crate::expr::{AggExpr, AggFunc, BoundExpr, ScalarFunc};
-use crate::logical::{schema_from_exprs, LogicalPlan};
+use crate::plan::{schema_from_exprs, Plan};
 use pixels_catalog::Catalog;
 use pixels_common::{DataType, Error, Field, Result, Schema, Value};
 use pixels_sql::ast::{
@@ -89,8 +89,8 @@ impl<'a> Binder<'a> {
         }
     }
 
-    /// Bind a SELECT query to a logical plan.
-    pub fn bind_select(&self, select: &Select) -> Result<LogicalPlan> {
+    /// Bind a SELECT query to a plan.
+    pub fn bind_select(&self, select: &Select) -> Result<Plan> {
         // FROM
         let (mut plan, scope) = match &select.from {
             Some(te) => self.bind_table_expr(te)?,
@@ -103,7 +103,7 @@ impl<'a> Binder<'a> {
         if let Some(pred) = &select.selection {
             let predicate = self.bind_scalar(pred, &scope)?;
             expect_boolean(&predicate, "WHERE")?;
-            plan = LogicalPlan::Filter {
+            plan = Plan::Filter {
                 input: Box::new(plan),
                 predicate,
             };
@@ -160,14 +160,14 @@ impl<'a> Binder<'a> {
 
         // Project (visible + hidden sort columns).
         let proj_schema = schema_from_exprs(&proj_exprs, &proj_names);
-        plan = LogicalPlan::Project {
+        plan = Plan::Project {
             input: Box::new(plan),
             exprs: proj_exprs,
             output_schema: proj_schema.clone(),
         };
 
         if select.distinct {
-            plan = LogicalPlan::Distinct {
+            plan = Plan::Distinct {
                 input: Box::new(plan),
             };
         }
@@ -186,7 +186,7 @@ impl<'a> Binder<'a> {
                     )
                 })
                 .collect();
-            plan = LogicalPlan::Sort {
+            plan = Plan::Sort {
                 input: Box::new(plan),
                 keys,
             };
@@ -207,7 +207,7 @@ impl<'a> Binder<'a> {
                 .map(|i| proj_schema.field(i).name.clone())
                 .collect();
             let output_schema = schema_from_exprs(&exprs, &names);
-            plan = LogicalPlan::Project {
+            plan = Plan::Project {
                 input: Box::new(plan),
                 exprs,
                 output_schema,
@@ -215,7 +215,7 @@ impl<'a> Binder<'a> {
         }
 
         if select.limit.is_some() || select.offset.is_some() {
-            plan = LogicalPlan::Limit {
+            plan = Plan::Limit {
                 input: Box::new(plan),
                 limit: select.limit,
                 offset: select.offset.unwrap_or(0),
@@ -225,7 +225,7 @@ impl<'a> Binder<'a> {
     }
 
     /// `SELECT <exprs>` without FROM: a single literal row.
-    fn bind_table_less(&self, select: &Select) -> Result<LogicalPlan> {
+    fn bind_table_less(&self, select: &Select) -> Result<Plan> {
         let scope = Scope::default();
         let mut exprs = Vec::new();
         let mut names = Vec::new();
@@ -244,12 +244,12 @@ impl<'a> Binder<'a> {
             }
         }
         let schema = schema_from_exprs(&exprs, &names);
-        let mut plan = LogicalPlan::Values {
+        let mut plan = Plan::Values {
             schema,
             rows: vec![exprs],
         };
         if select.limit.is_some() || select.offset.is_some() {
-            plan = LogicalPlan::Limit {
+            plan = Plan::Limit {
                 input: Box::new(plan),
                 limit: select.limit,
                 offset: select.offset.unwrap_or(0),
@@ -363,7 +363,7 @@ impl<'a> Binder<'a> {
 
     // -- FROM ---------------------------------------------------------------
 
-    fn bind_table_expr(&self, te: &TableExpr) -> Result<(LogicalPlan, Scope)> {
+    fn bind_table_expr(&self, te: &TableExpr) -> Result<(Plan, Scope)> {
         match te {
             TableExpr::Table { name, alias } => self.bind_base_table(name, alias.as_deref()),
             TableExpr::Subquery { query, alias } => {
@@ -389,12 +389,12 @@ impl<'a> Binder<'a> {
                         split_join_condition(bound, left_width)?
                     }
                 };
-                let output_schema = Arc::new(LogicalPlan::join_schema(
+                let output_schema = Arc::new(Plan::join_schema(
                     &lplan.schema(),
                     &rplan.schema(),
                     *join_type,
                 ));
-                let plan = LogicalPlan::Join {
+                let plan = Plan::Join {
                     left: Box::new(lplan),
                     right: Box::new(rplan),
                     join_type: *join_type,
@@ -408,11 +408,7 @@ impl<'a> Binder<'a> {
         }
     }
 
-    fn bind_base_table(
-        &self,
-        name: &ObjectName,
-        alias: Option<&str>,
-    ) -> Result<(LogicalPlan, Scope)> {
+    fn bind_base_table(&self, name: &ObjectName, alias: Option<&str>) -> Result<(Plan, Scope)> {
         let db = name
             .database
             .clone()
@@ -421,7 +417,7 @@ impl<'a> Binder<'a> {
         let qualifier = alias.unwrap_or(&name.table);
         let scope = Scope::from_schema(&t.schema, Some(qualifier));
         let projection: Vec<usize> = (0..t.schema.len()).collect();
-        let plan = LogicalPlan::Scan {
+        let plan = Plan::Scan {
             database: t.database.clone(),
             table: t.name.clone(),
             table_schema: t.schema.clone(),
@@ -440,10 +436,10 @@ impl<'a> Binder<'a> {
     fn bind_aggregate_query(
         &self,
         select: &Select,
-        input: LogicalPlan,
+        input: Plan,
         scope: &Scope,
         items: &[(Expr, Option<String>)],
-    ) -> Result<(LogicalPlan, Vec<BoundExpr>, Vec<String>)> {
+    ) -> Result<(Plan, Vec<BoundExpr>, Vec<String>)> {
         // Group expressions (support ordinal references: GROUP BY 1).
         let mut group_asts: Vec<Expr> = Vec::new();
         for g in &select.group_by {
@@ -494,7 +490,7 @@ impl<'a> Binder<'a> {
             fields.push(Field::nullable(a.to_string(), a.output_type));
         }
         let output_schema = Arc::new(Schema::new(fields));
-        let mut plan = LogicalPlan::Aggregate {
+        let mut plan = Plan::Aggregate {
             input: Box::new(input),
             group_exprs,
             aggs,
@@ -502,7 +498,7 @@ impl<'a> Binder<'a> {
         };
         if let Some(h) = having {
             expect_boolean(&h, "HAVING")?;
-            plan = LogicalPlan::Filter {
+            plan = Plan::Filter {
                 input: Box::new(plan),
                 predicate: h,
             };

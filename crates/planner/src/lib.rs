@@ -1,9 +1,12 @@
 //! `pixels-planner` — query planning for PixelsDB.
 //!
 //! Pipeline: `pixels_sql` AST → [`binder::Binder`] (name resolution, type
-//! checking) → [`logical::LogicalPlan`] → [`rules::optimize`] (constant
-//! folding, predicate pushdown, projection pruning, build-side selection) →
-//! [`physical::create_physical_plan`] → [`physical::PhysicalPlan`].
+//! checking) → [`plan::Plan`] → [`rules::optimize`] (constant folding,
+//! predicate pushdown, projection pruning, join ordering, build-side
+//! selection) → [`plan::create_physical_plan`] (Sort + Limit fused into
+//! TopK) → the executor. It is one tree throughout: each operator's schema,
+//! children, EXPLAIN line ([`Plan::explain`]) and cardinality rule
+//! ([`cost::estimate`]) is written once.
 //!
 //! [`split::split_for_acceleration`] implements the paper's §3.1 operator
 //! pushdown: cutting the expensive subtree (scans, joins, aggregations) out
@@ -17,17 +20,15 @@ pub mod binder;
 pub mod cost;
 pub mod eval;
 pub mod expr;
-pub mod logical;
-pub mod physical;
+pub mod plan;
 pub mod rules;
 pub mod split;
 
 pub use binder::Binder;
-pub use cost::{estimate_logical, estimate_physical, EstMode, NodeEst};
+pub use cost::{estimate, EstMode, NodeEst};
 pub use eval::{eval_binary, eval_expr, like_match, NoRow, RowAccess};
 pub use expr::{AggExpr, AggFunc, BoundExpr, ScalarFunc};
-pub use logical::LogicalPlan;
-pub use physical::{create_physical_plan, PhysicalPlan, PlanEstimate};
+pub use plan::{create_physical_plan, zone_predicates, Plan, PlanEstimate};
 pub use rules::{optimize, optimize_with};
 pub use split::{
     plan_shuffle, plan_shuffle_sized, split_for_acceleration, ShuffleKind, ShufflePlan,
@@ -37,11 +38,9 @@ pub use split::{
 use pixels_catalog::Catalog;
 use pixels_common::Result;
 
-/// Convenience: parse, bind, optimize, and lower a SQL query in one call.
-pub fn plan_query(catalog: &Catalog, default_db: &str, sql: &str) -> Result<PhysicalPlan> {
+/// Convenience: parse, bind, optimize, and ready a SQL query in one call.
+pub fn plan_query(catalog: &Catalog, default_db: &str, sql: &str) -> Result<Plan> {
     let select = pixels_sql::parse_query(sql)?;
-    let binder = Binder::new(catalog, default_db);
-    let logical = binder.bind_select(&select)?;
-    let optimized = optimize(logical);
-    create_physical_plan(&optimized)
+    let bound = Binder::new(catalog, default_db).bind_select(&select)?;
+    create_physical_plan(&optimize(bound))
 }

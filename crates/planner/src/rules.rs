@@ -1,4 +1,4 @@
-//! Logical optimizer rules.
+//! Optimizer rules: rewrites of the one plan tree.
 //!
 //! Five rewrites run in order:
 //! 1. **Constant folding** — evaluate constant subexpressions via the shared
@@ -17,23 +17,23 @@
 //!    when no statistics exist).
 
 use crate::binder::collect_conjuncts;
-use crate::cost::{estimate_logical, EstMode};
+use crate::cost::{estimate, EstMode};
 use crate::eval::{eval_expr, NoRow};
 use crate::expr::BoundExpr;
-use crate::logical::LogicalPlan;
+use crate::plan::Plan;
 use pixels_sql::ast::{BinaryOp, JoinType};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Run the full rule pipeline.
-pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
+pub fn optimize(plan: Plan) -> Plan {
     optimize_with(plan, EstMode::Normal)
 }
 
 /// Run the full rule pipeline with an explicit estimate mode. Differential
 /// tests pass [`EstMode::Inverted`] to prove that adversarially wrong
 /// estimates can slow a plan down but never change its results or bills.
-pub fn optimize_with(plan: LogicalPlan, mode: EstMode) -> LogicalPlan {
+pub fn optimize_with(plan: Plan, mode: EstMode) -> Plan {
     let plan = fold_plan(plan);
     let plan = pushdown(plan, Vec::new());
     let plan = prune(plan);
@@ -46,7 +46,7 @@ pub fn optimize_with(plan: LogicalPlan, mode: EstMode) -> LogicalPlan {
 // ---------------------------------------------------------------------------
 
 /// Fold constant subexpressions in every expression of the plan.
-pub fn fold_plan(plan: LogicalPlan) -> LogicalPlan {
+pub fn fold_plan(plan: Plan) -> Plan {
     map_expressions(plan, &fold_expr)
 }
 
@@ -128,97 +128,36 @@ pub fn fold_expr(e: &BoundExpr) -> BoundExpr {
 }
 
 /// Apply `f` to every expression in the plan.
-fn map_expressions(plan: LogicalPlan, f: &impl Fn(&BoundExpr) -> BoundExpr) -> LogicalPlan {
+fn map_expressions(mut plan: Plan, f: &impl Fn(&BoundExpr) -> BoundExpr) -> Plan {
+    for e in node_exprs_mut(&mut plan) {
+        *e = f(e);
+    }
+    map_children(plan, |c| map_expressions(c, f))
+}
+
+/// This node's own expressions, not its inputs'.
+fn node_exprs_mut(plan: &mut Plan) -> Vec<&mut BoundExpr> {
     match plan {
-        LogicalPlan::Scan {
-            database,
-            table,
-            table_schema,
-            stats,
-            paths,
-            projection,
-            filters,
-            output_schema,
-        } => LogicalPlan::Scan {
-            database,
-            table,
-            table_schema,
-            stats,
-            paths,
-            projection,
-            filters: filters.iter().map(f).collect(),
-            output_schema,
-        },
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(map_expressions(*input, f)),
-            predicate: f(&predicate),
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            output_schema,
-        } => LogicalPlan::Project {
-            input: Box::new(map_expressions(*input, f)),
-            exprs: exprs.iter().map(f).collect(),
-            output_schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
+        Plan::Scan { filters: exprs, .. } | Plan::Project { exprs, .. } => {
+            exprs.iter_mut().collect()
+        }
+        Plan::Filter { predicate, .. } => vec![predicate],
+        Plan::Join {
             left_keys,
             right_keys,
             residual,
-            output_schema,
-        } => LogicalPlan::Join {
-            left: Box::new(map_expressions(*left, f)),
-            right: Box::new(map_expressions(*right, f)),
-            join_type,
-            left_keys: left_keys.iter().map(f).collect(),
-            right_keys: right_keys.iter().map(f).collect(),
-            residual: residual.as_ref().map(f),
-            output_schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_exprs,
-            aggs,
-            output_schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(map_expressions(*input, f)),
-            group_exprs: group_exprs.iter().map(f).collect(),
-            aggs: aggs
-                .into_iter()
-                .map(|mut a| {
-                    a.arg = a.arg.as_ref().map(f);
-                    a
-                })
-                .collect(),
-            output_schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(map_expressions(*input, f)),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(map_expressions(*input, f)),
-            keys: keys.iter().map(|(e, asc)| (f(e), *asc)).collect(),
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(map_expressions(*input, f)),
-            limit,
-            offset,
-        },
-        LogicalPlan::Values { schema, rows } => LogicalPlan::Values {
-            schema,
-            rows: rows
-                .into_iter()
-                .map(|row| row.iter().map(f).collect())
-                .collect(),
-        },
+            ..
+        } => (left_keys.iter_mut().chain(right_keys).chain(residual)).collect(),
+        Plan::Aggregate {
+            group_exprs, aggs, ..
+        } => (group_exprs.iter_mut())
+            .chain(aggs.iter_mut().filter_map(|a| a.arg.as_mut()))
+            .collect(),
+        Plan::Sort { keys, .. } | Plan::TopK { keys, .. } => {
+            keys.iter_mut().map(|(e, _)| e).collect()
+        }
+        Plan::Values { rows, .. } => rows.iter_mut().flatten().collect(),
+        Plan::MaterializedScan { .. } | Plan::Distinct { .. } | Plan::Limit { .. } => vec![],
     }
 }
 
@@ -306,25 +245,25 @@ fn substitute(pred: &BoundExpr, exprs: &[BoundExpr]) -> BoundExpr {
 }
 
 /// Push `preds` (conjuncts over `plan`'s output schema) as deep as possible.
-fn pushdown(plan: LogicalPlan, mut preds: Vec<BoundExpr>) -> LogicalPlan {
+fn pushdown(plan: Plan, mut preds: Vec<BoundExpr>) -> Plan {
     match plan {
-        LogicalPlan::Filter { input, predicate } => {
+        Plan::Filter { input, predicate } => {
             collect_conjuncts(predicate, &mut preds);
             pushdown(*input, preds)
         }
-        LogicalPlan::Project {
+        Plan::Project {
             input,
             exprs,
             output_schema,
         } => {
             let lowered: Vec<BoundExpr> = preds.iter().map(|p| substitute(p, &exprs)).collect();
-            LogicalPlan::Project {
+            Plan::Project {
                 input: Box::new(pushdown(*input, lowered)),
                 exprs,
                 output_schema,
             }
         }
-        LogicalPlan::Scan {
+        Plan::Scan {
             database,
             table,
             table_schema,
@@ -335,7 +274,7 @@ fn pushdown(plan: LogicalPlan, mut preds: Vec<BoundExpr>) -> LogicalPlan {
             output_schema,
         } => {
             filters.extend(preds);
-            LogicalPlan::Scan {
+            Plan::Scan {
                 database,
                 table,
                 table_schema,
@@ -346,7 +285,7 @@ fn pushdown(plan: LogicalPlan, mut preds: Vec<BoundExpr>) -> LogicalPlan {
                 output_schema,
             }
         }
-        LogicalPlan::Join {
+        Plan::Join {
             left,
             right,
             mut join_type,
@@ -424,7 +363,7 @@ fn pushdown(plan: LogicalPlan, mut preds: Vec<BoundExpr>) -> LogicalPlan {
                 right: Box::new(b),
                 data_type: pixels_common::DataType::Boolean,
             });
-            LogicalPlan::Join {
+            Plan::Join {
                 left: Box::new(pushdown(*left, left_preds)),
                 right: Box::new(pushdown(*right, right_preds)),
                 join_type,
@@ -434,7 +373,7 @@ fn pushdown(plan: LogicalPlan, mut preds: Vec<BoundExpr>) -> LogicalPlan {
                 output_schema,
             }
         }
-        LogicalPlan::Aggregate {
+        Plan::Aggregate {
             input,
             group_exprs,
             aggs,
@@ -447,7 +386,7 @@ fn pushdown(plan: LogicalPlan, mut preds: Vec<BoundExpr>) -> LogicalPlan {
                 .partition(|p| p.referenced_columns().iter().all(|&c| c < n_groups));
             let lowered: Vec<BoundExpr> =
                 push.iter().map(|p| substitute(p, &group_exprs)).collect();
-            let node = LogicalPlan::Aggregate {
+            let node = Plan::Aggregate {
                 input: Box::new(pushdown(*input, lowered)),
                 group_exprs,
                 aggs,
@@ -455,37 +394,21 @@ fn pushdown(plan: LogicalPlan, mut preds: Vec<BoundExpr>) -> LogicalPlan {
             };
             wrap_filters(node, keep)
         }
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(pushdown(*input, preds)),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(pushdown(*input, preds)),
-            keys,
-        },
-        // A filter must NOT move below LIMIT (it would change which rows the
-        // limit keeps), so remaining predicates stay above.
-        node @ LogicalPlan::Limit { .. } => {
-            let LogicalPlan::Limit {
-                input,
-                limit,
-                offset,
-            } = node
-            else {
-                unreachable!()
-            };
-            let inner = LogicalPlan::Limit {
-                input: Box::new(pushdown(*input, Vec::new())),
-                limit,
-                offset,
-            };
-            wrap_filters(inner, preds)
+        // DISTINCT and a sort keep every row they are given.
+        node @ (Plan::Distinct { .. } | Plan::Sort { .. }) => {
+            map_children(node, |c| pushdown(c, std::mem::take(&mut preds)))
         }
-        node @ LogicalPlan::Values { .. } => wrap_filters(node, preds),
+        // A filter must NOT move below a LIMIT or a TopK (it would change
+        // which rows the limit keeps), so remaining predicates stay above.
+        node @ (Plan::Limit { .. } | Plan::TopK { .. }) => {
+            wrap_filters(map_children(node, |c| pushdown(c, Vec::new())), preds)
+        }
+        node @ (Plan::Values { .. } | Plan::MaterializedScan { .. }) => wrap_filters(node, preds),
     }
 }
 
-fn wrap_filters(plan: LogicalPlan, preds: Vec<BoundExpr>) -> LogicalPlan {
-    preds.into_iter().fold(plan, |p, pred| LogicalPlan::Filter {
+fn wrap_filters(plan: Plan, preds: Vec<BoundExpr>) -> Plan {
+    preds.into_iter().fold(plan, |p, pred| Plan::Filter {
         input: Box::new(p),
         predicate: pred,
     })
@@ -496,7 +419,7 @@ fn wrap_filters(plan: LogicalPlan, preds: Vec<BoundExpr>) -> LogicalPlan {
 // ---------------------------------------------------------------------------
 
 /// Narrow every scan to the columns the query actually uses.
-pub fn prune(plan: LogicalPlan) -> LogicalPlan {
+pub fn prune(plan: Plan) -> Plan {
     let width = plan.schema().len();
     let required: Vec<usize> = (0..width).collect();
     prune_node(plan, &required).0
@@ -504,9 +427,9 @@ pub fn prune(plan: LogicalPlan) -> LogicalPlan {
 
 /// Returns the rewritten plan and a mapping `old output index -> new output
 /// index` (defined for at least the requested indices).
-fn prune_node(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>) {
+fn prune_node(plan: Plan, required: &[usize]) -> (Plan, Vec<usize>) {
     match plan {
-        LogicalPlan::Scan {
+        Plan::Scan {
             database,
             table,
             table_schema,
@@ -546,7 +469,7 @@ fn prune_node(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>
                 .collect();
             let output_schema = Arc::new(table_schema.project(&new_projection));
             (
-                LogicalPlan::Scan {
+                Plan::Scan {
                     database,
                     table,
                     table_schema,
@@ -559,21 +482,7 @@ fn prune_node(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>
                 mapping,
             )
         }
-        LogicalPlan::Filter { input, predicate } => {
-            let mut needed: BTreeSet<usize> = required.iter().copied().collect();
-            needed.extend(predicate.referenced_columns());
-            let needed: Vec<usize> = needed.into_iter().collect();
-            let (new_input, mapping) = prune_node(*input, &needed);
-            let predicate = predicate.map_columns(&|i| mapping[i]);
-            (
-                LogicalPlan::Filter {
-                    input: Box::new(new_input),
-                    predicate,
-                },
-                mapping,
-            )
-        }
-        LogicalPlan::Project {
+        Plan::Project {
             input,
             exprs,
             output_schema,
@@ -607,7 +516,7 @@ fn prune_node(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>
                 fields.push(output_schema.field(old_idx).clone());
             }
             (
-                LogicalPlan::Project {
+                Plan::Project {
                     input: Box::new(new_input),
                     exprs: new_exprs,
                     output_schema: Arc::new(pixels_common::Schema::new(fields)),
@@ -615,7 +524,7 @@ fn prune_node(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>
                 mapping,
             )
         }
-        LogicalPlan::Join {
+        Plan::Join {
             left,
             right,
             join_type,
@@ -670,13 +579,13 @@ fn prune_node(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>
                 .map(|k| k.map_columns(&|i| rmap[i]))
                 .collect();
             let residual = residual.map(|r| r.map_columns(&|i| mapping[i]));
-            let new_schema = Arc::new(LogicalPlan::join_schema(
+            let new_schema = Arc::new(Plan::join_schema(
                 &new_left.schema(),
                 &new_right.schema(),
                 join_type,
             ));
             (
-                LogicalPlan::Join {
+                Plan::Join {
                     left: Box::new(new_left),
                     right: Box::new(new_right),
                     join_type,
@@ -688,7 +597,7 @@ fn prune_node(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>
                 mapping,
             )
         }
-        LogicalPlan::Aggregate {
+        Plan::Aggregate {
             input,
             group_exprs,
             aggs,
@@ -719,7 +628,7 @@ fn prune_node(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>
                 .collect();
             let mapping: Vec<usize> = (0..output_schema.len()).collect();
             (
-                LogicalPlan::Aggregate {
+                Plan::Aggregate {
                     input: Box::new(new_input),
                     group_exprs,
                     aggs,
@@ -728,54 +637,35 @@ fn prune_node(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>
                 mapping,
             )
         }
-        LogicalPlan::Distinct { input } => {
-            // DISTINCT compares whole rows: every column of the input is
-            // semantically required.
-            let width = input.schema().len();
-            let all: Vec<usize> = (0..width).collect();
-            let (new_input, mapping) = prune_node(*input, &all);
-            (
-                LogicalPlan::Distinct {
-                    input: Box::new(new_input),
-                },
-                mapping,
-            )
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let mut needed: BTreeSet<usize> = required.iter().copied().collect();
-            for (k, _) in &keys {
-                needed.extend(k.referenced_columns());
+        // Operators that pass their input's columns through need the
+        // required columns plus those their own expressions read.
+        mut node @ (Plan::Filter { .. }
+        | Plan::Distinct { .. }
+        | Plan::Sort { .. }
+        | Plan::TopK { .. }
+        | Plan::Limit { .. }) => {
+            // DISTINCT compares whole rows: every column is required.
+            let mut needed: BTreeSet<usize> = if matches!(node, Plan::Distinct { .. }) {
+                (0..node.schema().len()).collect()
+            } else {
+                required.iter().copied().collect()
+            };
+            for e in node_exprs_mut(&mut node) {
+                needed.extend(e.referenced_columns());
             }
             let needed: Vec<usize> = needed.into_iter().collect();
-            let (new_input, mapping) = prune_node(*input, &needed);
-            let keys = keys
-                .iter()
-                .map(|(k, asc)| (k.map_columns(&|i| mapping[i]), *asc))
-                .collect();
-            (
-                LogicalPlan::Sort {
-                    input: Box::new(new_input),
-                    keys,
-                },
-                mapping,
-            )
+            let mut mapping = Vec::new();
+            let mut node = map_children(node, |input| {
+                let (input, child_map) = prune_node(input, &needed);
+                mapping = child_map;
+                input
+            });
+            for e in node_exprs_mut(&mut node) {
+                *e = e.map_columns(&|i| mapping[i]);
+            }
+            (node, mapping)
         }
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            let (new_input, mapping) = prune_node(*input, required);
-            (
-                LogicalPlan::Limit {
-                    input: Box::new(new_input),
-                    limit,
-                    offset,
-                },
-                mapping,
-            )
-        }
-        node @ LogicalPlan::Values { .. } => {
+        node @ (Plan::Values { .. } | Plan::MaterializedScan { .. }) => {
             let width = node.schema().len();
             (node, (0..width).collect())
         }
@@ -790,7 +680,7 @@ fn prune_node(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>
 /// range `[offset, offset + width)` it occupied in the original in-order
 /// (left-deep) column numbering.
 struct SpineLeaf {
-    plan: LogicalPlan,
+    plan: Plan,
     offset: usize,
     width: usize,
 }
@@ -812,10 +702,10 @@ struct JoinEdge {
 /// join in the connected leaf that minimizes the estimated intermediate
 /// result. A final projection restores the original column order, so parent
 /// operators — and results — are unaffected by the internal order.
-pub fn reorder_joins(plan: LogicalPlan, mode: EstMode) -> LogicalPlan {
+pub fn reorder_joins(plan: Plan, mode: EstMode) -> Plan {
     let is_spine = matches!(
         plan,
-        LogicalPlan::Join {
+        Plan::Join {
             join_type: JoinType::Inner | JoinType::Cross,
             ..
         }
@@ -903,7 +793,7 @@ pub fn reorder_joins(plan: LogicalPlan, mode: EstMode) -> LogicalPlan {
     // Greedy rebuild. `pos[g]` maps a global column to its position in the
     // current intermediate plan.
     let total: usize = leaves.iter().map(|s| s.width).sum();
-    let score = |p: &LogicalPlan| mode.rows(estimate_logical(p).rows);
+    let score = |p: &Plan| mode.rows(estimate(p).rows);
     let n = leaves.len();
     let mut used = vec![false; n];
 
@@ -951,7 +841,7 @@ pub fn reorder_joins(plan: LogicalPlan, mode: EstMode) -> LogicalPlan {
     used[second] = true;
 
     loop {
-        cur = attach_residuals(cur, &pos, &mut residuals, &order, &leaves);
+        cur = attach_residuals(cur, &pos, &mut residuals, &order);
         if order.len() == n {
             break;
         }
@@ -995,7 +885,7 @@ pub fn reorder_joins(plan: LogicalPlan, mode: EstMode) -> LogicalPlan {
             )
         })
         .collect();
-    LogicalPlan::Project {
+    Plan::Project {
         input: Box::new(cur),
         exprs,
         output_schema,
@@ -1003,9 +893,9 @@ pub fn reorder_joins(plan: LogicalPlan, mode: EstMode) -> LogicalPlan {
 }
 
 /// Number of base relations in the inner/cross join spine rooted here.
-fn count_spine_leaves(plan: &LogicalPlan) -> usize {
+fn count_spine_leaves(plan: &Plan) -> usize {
     match plan {
-        LogicalPlan::Join {
+        Plan::Join {
             left,
             right,
             join_type: JoinType::Inner | JoinType::Cross,
@@ -1018,13 +908,13 @@ fn count_spine_leaves(plan: &LogicalPlan) -> usize {
 /// Flatten the spine in-order: leaves keep their original global column
 /// offsets; keys and residuals are rebased into global coordinates.
 fn flatten_spine(
-    plan: LogicalPlan,
+    plan: Plan,
     base: usize,
-    leaves: &mut Vec<(LogicalPlan, usize)>,
+    leaves: &mut Vec<(Plan, usize)>,
     pool: &mut Vec<BoundExpr>,
 ) {
     match plan {
-        LogicalPlan::Join {
+        Plan::Join {
             left,
             right,
             join_type: JoinType::Inner | JoinType::Cross,
@@ -1071,13 +961,13 @@ fn pos_for(leaves: &[SpineLeaf], order: &[usize]) -> Vec<Option<usize>> {
 /// Join leaf `k` onto `cur` as the right side, consuming every edge between
 /// the joined set and `k`. Returns the new plan and updated column map.
 fn join_leaf(
-    cur: LogicalPlan,
+    cur: Plan,
     pos: &[Option<usize>],
     leaf: &SpineLeaf,
     k: usize,
     edges: &[JoinEdge],
     order: &[usize],
-) -> (LogicalPlan, Vec<Option<usize>>) {
+) -> (Plan, Vec<Option<usize>>) {
     let lw = cur.schema().len();
     let mut left_keys = Vec::new();
     let mut right_keys = Vec::new();
@@ -1097,12 +987,12 @@ fn join_leaf(
     } else {
         JoinType::Inner
     };
-    let schema = Arc::new(LogicalPlan::join_schema(
+    let schema = Arc::new(Plan::join_schema(
         &cur.schema(),
         &leaf.plan.schema(),
         join_type,
     ));
-    let joined = LogicalPlan::Join {
+    let joined = Plan::Join {
         left: Box::new(cur),
         right: Box::new(leaf.plan.clone()),
         join_type,
@@ -1120,18 +1010,17 @@ fn join_leaf(
 
 /// Attach every pooled residual whose referenced leaves are all joined.
 fn attach_residuals(
-    mut cur: LogicalPlan,
+    mut cur: Plan,
     pos: &[Option<usize>],
     residuals: &mut Vec<(BoundExpr, u64)>,
     order: &[usize],
-    _leaves: &[SpineLeaf],
-) -> LogicalPlan {
+) -> Plan {
     let joined_mask: u64 = order.iter().fold(0, |m, &l| m | (1 << l));
     let mut rest = Vec::new();
     for (pred, mask) in residuals.drain(..) {
         if mask & !joined_mask == 0 {
             let mapped = pred.map_columns(&|g| pos[g].expect("residual column placed"));
-            cur = LogicalPlan::Filter {
+            cur = Plan::Filter {
                 input: Box::new(cur),
                 predicate: mapped,
             };
@@ -1152,9 +1041,9 @@ fn attach_residuals(
 /// hash table on the right input. When either side lacks real statistics
 /// (`reliable == false`), the decision falls back to the schema byte-width
 /// heuristic: build on the narrower side.
-pub fn choose_build_side_with(plan: LogicalPlan, mode: EstMode) -> LogicalPlan {
+pub fn choose_build_side_with(plan: Plan, mode: EstMode) -> Plan {
     match plan {
-        LogicalPlan::Join {
+        Plan::Join {
             left,
             right,
             join_type: JoinType::Inner,
@@ -1165,8 +1054,8 @@ pub fn choose_build_side_with(plan: LogicalPlan, mode: EstMode) -> LogicalPlan {
         } => {
             let left = Box::new(choose_build_side_with(*left, mode));
             let right = Box::new(choose_build_side_with(*right, mode));
-            let l_est = estimate_logical(&left);
-            let r_est = estimate_logical(&right);
+            let l_est = estimate(&left);
+            let r_est = estimate(&right);
             let swap = if l_est.reliable && r_est.reliable {
                 mode.rows(l_est.rows) < mode.rows(r_est.rows)
             } else {
@@ -1180,12 +1069,12 @@ pub fn choose_build_side_with(plan: LogicalPlan, mode: EstMode) -> LogicalPlan {
                 let rw = right.schema().len();
                 let residual =
                     residual.map(|r| r.map_columns(&|i| if i < lw { i + rw } else { i - lw }));
-                let swapped_schema = Arc::new(LogicalPlan::join_schema(
+                let swapped_schema = Arc::new(Plan::join_schema(
                     &right.schema(),
                     &left.schema(),
                     JoinType::Inner,
                 ));
-                let swapped = LogicalPlan::Join {
+                let swapped = Plan::Join {
                     left: right,
                     right: left,
                     join_type: JoinType::Inner,
@@ -1206,13 +1095,13 @@ pub fn choose_build_side_with(plan: LogicalPlan, mode: EstMode) -> LogicalPlan {
                         )
                     })
                     .collect();
-                LogicalPlan::Project {
+                Plan::Project {
                     input: Box::new(swapped),
                     exprs,
                     output_schema,
                 }
             } else {
-                LogicalPlan::Join {
+                Plan::Join {
                     left,
                     right,
                     join_type: JoinType::Inner,
@@ -1227,65 +1116,17 @@ pub fn choose_build_side_with(plan: LogicalPlan, mode: EstMode) -> LogicalPlan {
     }
 }
 
-fn map_children(plan: LogicalPlan, f: impl Fn(LogicalPlan) -> LogicalPlan + Copy) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(f(*input)),
-            predicate,
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            output_schema,
-        } => LogicalPlan::Project {
-            input: Box::new(f(*input)),
-            exprs,
-            output_schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            left_keys,
-            right_keys,
-            residual,
-            output_schema,
-        } => LogicalPlan::Join {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            join_type,
-            left_keys,
-            right_keys,
-            residual,
-            output_schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_exprs,
-            aggs,
-            output_schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(f(*input)),
-            group_exprs,
-            aggs,
-            output_schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(f(*input)),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(f(*input)),
-            keys,
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(f(*input)),
-            limit,
-            offset,
-        },
-        leaf @ (LogicalPlan::Scan { .. } | LogicalPlan::Values { .. }) => leaf,
+/// Rebuild `plan` with `f` applied to each of its inputs, left before
+/// right: the one child-mapping helper of the rewrites here, the TopK fusion
+/// and the CF split.
+pub(crate) fn map_children(mut plan: Plan, mut f: impl FnMut(Plan) -> Plan) -> Plan {
+    for input in plan.children_mut() {
+        // A cheap stand-in while `f` owns the input.
+        let hole = Plan::Values {
+            schema: Arc::default(),
+            rows: Vec::new(),
+        };
+        *input = f(std::mem::replace(input, hole));
     }
+    plan
 }

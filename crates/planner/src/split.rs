@@ -10,7 +10,8 @@
 //! either way.
 
 use crate::expr::{AggExpr, BoundExpr};
-use crate::physical::PhysicalPlan;
+use crate::plan::Plan;
+use crate::rules::map_children;
 use pixels_common::SchemaRef;
 use pixels_sql::ast::JoinType;
 
@@ -19,9 +20,9 @@ use pixels_sql::ast::JoinType;
 pub struct SplitPlan {
     /// Expensive subtree to run in cloud functions. Its result is written to
     /// `mv_path`.
-    pub sub_plan: PhysicalPlan,
+    pub sub_plan: Plan,
     /// Remaining top-level plan; reads the materialized view at `mv_path`.
-    pub top_plan: PhysicalPlan,
+    pub top_plan: Plan,
     /// Object-store path of the materialized intermediate result.
     pub mv_path: String,
 }
@@ -30,8 +31,8 @@ pub struct SplitPlan {
 ///
 /// Returns `None` for plans with no expensive operator (e.g. `SELECT 1`),
 /// which are always executed directly.
-pub fn split_for_acceleration(plan: &PhysicalPlan, mv_path: &str) -> Option<SplitPlan> {
-    let (top, sub) = cut(plan, mv_path);
+pub fn split_for_acceleration(plan: &Plan, mv_path: &str) -> Option<SplitPlan> {
+    let (top, sub) = cut(plan.clone(), mv_path);
     sub.map(|sub_plan| SplitPlan {
         sub_plan,
         top_plan: top,
@@ -39,98 +40,28 @@ pub fn split_for_acceleration(plan: &PhysicalPlan, mv_path: &str) -> Option<Spli
     })
 }
 
-/// Whether this node is one of the paper's "expensive operators".
-fn is_expensive(plan: &PhysicalPlan) -> bool {
-    matches!(
+/// Replace the topmost expensive operator — one of the paper's scans, joins
+/// and aggregations — with a `MaterializedScan` of `mv_path`, returning the
+/// rest of the plan and the cut-out subtree. Cheap operators above it are
+/// unary, so the walk down is one path.
+fn cut(plan: Plan, mv_path: &str) -> (Plan, Option<Plan>) {
+    if matches!(
         plan,
-        PhysicalPlan::Scan { .. }
-            | PhysicalPlan::HashJoin { .. }
-            | PhysicalPlan::HashAggregate { .. }
-    )
-}
-
-fn cut(plan: &PhysicalPlan, mv_path: &str) -> (PhysicalPlan, Option<PhysicalPlan>) {
-    if is_expensive(plan) {
-        let placeholder = PhysicalPlan::MaterializedScan {
+        Plan::Scan { .. } | Plan::Join { .. } | Plan::Aggregate { .. }
+    ) {
+        let placeholder = Plan::MaterializedScan {
             path: mv_path.to_string(),
             schema: plan.schema(),
         };
-        return (placeholder, Some(plan.clone()));
+        return (placeholder, Some(plan));
     }
-    match plan {
-        PhysicalPlan::Filter { input, predicate } => {
-            let (top, sub) = cut(input, mv_path);
-            (
-                PhysicalPlan::Filter {
-                    input: Box::new(top),
-                    predicate: predicate.clone(),
-                },
-                sub,
-            )
-        }
-        PhysicalPlan::Project {
-            input,
-            exprs,
-            output_schema,
-        } => {
-            let (top, sub) = cut(input, mv_path);
-            (
-                PhysicalPlan::Project {
-                    input: Box::new(top),
-                    exprs: exprs.clone(),
-                    output_schema: output_schema.clone(),
-                },
-                sub,
-            )
-        }
-        PhysicalPlan::Distinct { input } => {
-            let (top, sub) = cut(input, mv_path);
-            (
-                PhysicalPlan::Distinct {
-                    input: Box::new(top),
-                },
-                sub,
-            )
-        }
-        PhysicalPlan::Sort { input, keys } => {
-            let (top, sub) = cut(input, mv_path);
-            (
-                PhysicalPlan::Sort {
-                    input: Box::new(top),
-                    keys: keys.clone(),
-                },
-                sub,
-            )
-        }
-        PhysicalPlan::TopK { input, keys, fetch } => {
-            let (top, sub) = cut(input, mv_path);
-            (
-                PhysicalPlan::TopK {
-                    input: Box::new(top),
-                    keys: keys.clone(),
-                    fetch: *fetch,
-                },
-                sub,
-            )
-        }
-        PhysicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            let (top, sub) = cut(input, mv_path);
-            (
-                PhysicalPlan::Limit {
-                    input: Box::new(top),
-                    limit: *limit,
-                    offset: *offset,
-                },
-                sub,
-            )
-        }
-        // No expensive operator below: nothing to push down.
-        leaf => (leaf.clone(), None),
-    }
+    let mut sub = None;
+    let top = map_children(plan, |input| {
+        let (top, cut_out) = cut(input, mv_path);
+        sub = cut_out;
+        top
+    });
+    (top, sub)
 }
 
 /// The shuffled operator at the cut point of a multi-stage CF plan.
@@ -139,7 +70,7 @@ pub enum ShuffleKind {
     /// scan → partial aggregate (stage 0, spilled as hash partitions of the
     /// group key) → exchange → final aggregate (stage 1).
     Aggregate {
-        input: Box<PhysicalPlan>,
+        input: Box<Plan>,
         group_exprs: Vec<BoundExpr>,
         aggs: Vec<AggExpr>,
         output_schema: SchemaRef,
@@ -147,8 +78,8 @@ pub enum ShuffleKind {
     /// Symmetric exchange: both inputs hash-partitioned on their join keys
     /// (stage 0), partitioned hash join per partition pair (stage 1).
     Join {
-        left: Box<PhysicalPlan>,
-        right: Box<PhysicalPlan>,
+        left: Box<Plan>,
+        right: Box<Plan>,
         join_type: JoinType,
         left_keys: Vec<BoundExpr>,
         right_keys: Vec<BoundExpr>,
@@ -174,7 +105,7 @@ impl ShuffleKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShufflePlan {
     pub kind: ShuffleKind,
-    pub top_plan: PhysicalPlan,
+    pub top_plan: Plan,
     pub mv_path: String,
     pub partitions: usize,
     /// Broadcast join: stage 0 spills only the (small) build side as a single
@@ -188,43 +119,40 @@ pub struct ShufflePlan {
 /// `fixed(n)` reproduces the historical behavior exactly: `n` symmetric hash
 /// partitions, no broadcast, no bytes-based gating. `auto()` derives the
 /// exchange strategy and fan-out from the cost model's estimated intermediate
-/// bytes. A wrong estimate can only change *how* the query runs (strategy,
-/// fan-out), never what it returns or what the user is billed.
+/// bytes against the `AUTO_*` thresholds below. A wrong estimate can only
+/// change *how* the query runs (strategy, fan-out), never what it returns or
+/// what the user is billed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShuffleSizing {
     /// `Some(n)` pins exactly `n` partitions (legacy behavior); `None`
     /// enables cost-based auto sizing.
     pub fixed_partitions: Option<usize>,
-    /// Auto mode: upper bound on derived partition count.
-    pub max_partitions: usize,
-    /// Auto mode: aim for roughly this many estimated exchange bytes per
-    /// partition.
-    pub target_partition_bytes: u64,
-    /// Auto mode: below this many estimated exchange bytes, skip the
-    /// multi-stage plan entirely (single-stage is cheaper).
-    pub min_exchange_bytes: u64,
-    /// Auto mode: a reliable build-side estimate at or below this many bytes
-    /// selects a broadcast join instead of a symmetric exchange.
-    pub broadcast_max_build_bytes: u64,
 }
+
+/// Auto mode: upper bound on derived partition count.
+const AUTO_MAX_PARTITIONS: usize = 16;
+/// Auto mode: aim for roughly this many estimated exchange bytes per
+/// partition.
+const AUTO_TARGET_PARTITION_BYTES: f64 = (32 << 20) as f64;
+/// Auto mode: below this many estimated exchange bytes, skip the multi-stage
+/// plan entirely (single-stage is cheaper).
+const AUTO_MIN_EXCHANGE_BYTES: f64 = (1 << 20) as f64;
+/// Auto mode: a reliable build-side estimate at or below this many bytes
+/// selects a broadcast join instead of a symmetric exchange.
+const AUTO_BROADCAST_MAX_BUILD_BYTES: f64 = (16 << 20) as f64;
 
 impl ShuffleSizing {
     /// Pin exactly `n` symmetric partitions (the pre-cost-model behavior).
     pub fn fixed(n: usize) -> Self {
         ShuffleSizing {
             fixed_partitions: Some(n),
-            ..ShuffleSizing::auto()
         }
     }
 
-    /// Cost-based sizing with the default thresholds.
+    /// Cost-based sizing.
     pub fn auto() -> Self {
         ShuffleSizing {
             fixed_partitions: None,
-            max_partitions: 16,
-            target_partition_bytes: 32 << 20,
-            min_exchange_bytes: 1 << 20,
-            broadcast_max_build_bytes: 16 << 20,
         }
     }
 }
@@ -234,13 +162,13 @@ impl ShuffleSizing {
 /// fewer than two partitions (the single-stage split is bit-identical and
 /// cheaper), a cut point that is a bare scan (nothing to exchange), a join
 /// without equi-keys, or DISTINCT aggregates (their state does not spill).
-pub fn plan_shuffle(plan: &PhysicalPlan, mv_path: &str, partitions: usize) -> Option<ShufflePlan> {
+pub fn plan_shuffle(plan: &Plan, mv_path: &str, partitions: usize) -> Option<ShufflePlan> {
     if partitions <= 1 {
         return None;
     }
-    let (top_plan, sub) = cut(plan, mv_path);
+    let (top_plan, sub) = cut(plan.clone(), mv_path);
     let kind = match sub? {
-        PhysicalPlan::HashAggregate {
+        Plan::Aggregate {
             input,
             group_exprs,
             aggs,
@@ -256,7 +184,7 @@ pub fn plan_shuffle(plan: &PhysicalPlan, mv_path: &str, partitions: usize) -> Op
                 output_schema,
             }
         }
-        PhysicalPlan::HashJoin {
+        Plan::Join {
             left,
             right,
             join_type,
@@ -294,14 +222,16 @@ pub fn plan_shuffle(plan: &PhysicalPlan, mv_path: &str, partitions: usize) -> Op
 /// are derived from estimated intermediate bytes:
 ///
 /// - an inner join whose build side reliably estimates at or below
-///   `broadcast_max_build_bytes` becomes a broadcast join (one build spill,
-///   no probe-side exchange);
-/// - exchanges whose total estimated bytes fall below `min_exchange_bytes`
-///   are skipped (`None` — single-stage wins at that scale);
-/// - otherwise the partition count is `ceil(bytes / target_partition_bytes)`
-///   clamped to `[2, max_partitions]`.
+///   `AUTO_BROADCAST_MAX_BUILD_BYTES` becomes a broadcast join (one build
+///   spill, no probe-side exchange);
+/// - exchanges whose total estimated bytes fall below
+///   `AUTO_MIN_EXCHANGE_BYTES` are skipped (`None` — single-stage wins at
+///   that scale);
+/// - otherwise the partition count is
+///   `ceil(bytes / AUTO_TARGET_PARTITION_BYTES)` clamped to
+///   `[2, AUTO_MAX_PARTITIONS]`.
 pub fn plan_shuffle_sized(
-    plan: &PhysicalPlan,
+    plan: &Plan,
     mv_path: &str,
     sizing: &ShuffleSizing,
 ) -> Option<ShufflePlan> {
@@ -326,7 +256,7 @@ pub fn plan_shuffle_sized(
             let (probe_bytes, _) = crate::cost::estimated_output_bytes(left);
             let broadcast = *join_type == JoinType::Inner
                 && build_reliable
-                && build_bytes <= sizing.broadcast_max_build_bytes as f64;
+                && build_bytes <= AUTO_BROADCAST_MAX_BUILD_BYTES;
             (build_bytes + probe_bytes, broadcast)
         }
     };
@@ -335,10 +265,10 @@ pub fn plan_shuffle_sized(
         shuffle.broadcast = true;
         return Some(shuffle);
     }
-    if exchange_bytes < sizing.min_exchange_bytes as f64 {
+    if exchange_bytes < AUTO_MIN_EXCHANGE_BYTES {
         return None;
     }
-    let wanted = (exchange_bytes / sizing.target_partition_bytes as f64).ceil() as usize;
-    shuffle.partitions = wanted.clamp(2, sizing.max_partitions);
+    let wanted = (exchange_bytes / AUTO_TARGET_PARTITION_BYTES).ceil() as usize;
+    shuffle.partitions = wanted.clamp(2, AUTO_MAX_PARTITIONS);
     Some(shuffle)
 }

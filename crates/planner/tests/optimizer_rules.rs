@@ -4,7 +4,7 @@
 
 use pixels_catalog::{Catalog, CreateTable};
 use pixels_common::{DataType, Field, Schema};
-use pixels_planner::{plan_query, split_for_acceleration, PhysicalPlan};
+use pixels_planner::{plan_query, split_for_acceleration, zone_predicates, Plan};
 use std::sync::Arc;
 
 fn catalog() -> Catalog {
@@ -40,10 +40,10 @@ fn catalog() -> Catalog {
     catalog
 }
 
-fn find_scans(plan: &PhysicalPlan) -> Vec<&PhysicalPlan> {
+fn find_scans(plan: &Plan) -> Vec<&Plan> {
     let mut out = Vec::new();
-    fn walk<'a>(p: &'a PhysicalPlan, out: &mut Vec<&'a PhysicalPlan>) {
-        if matches!(p, PhysicalPlan::Scan { .. }) {
+    fn walk<'a>(p: &'a Plan, out: &mut Vec<&'a Plan>) {
+        if matches!(p, Plan::Scan { .. }) {
             out.push(p);
         }
         for c in p.children() {
@@ -60,19 +60,20 @@ fn predicates_push_into_the_scan() {
     let plan = plan_query(&cat, "db", "SELECT a FROM t WHERE b > 5 AND c = 'x'").unwrap();
     let scans = find_scans(&plan);
     assert_eq!(scans.len(), 1);
-    let PhysicalPlan::Scan {
+    let Plan::Scan {
         filters,
-        zone_predicates,
+        projection,
         ..
     } = scans[0]
     else {
         unreachable!()
     };
     assert_eq!(filters.len(), 2, "both conjuncts in the scan");
-    assert_eq!(zone_predicates.len(), 2, "both usable for zone maps");
+    let zone = zone_predicates(filters, projection);
+    assert_eq!(zone.len(), 2, "both usable for zone maps");
     // No residual Filter node should remain anywhere.
-    fn has_filter(p: &PhysicalPlan) -> bool {
-        matches!(p, PhysicalPlan::Filter { .. }) || p.children().iter().any(|c| has_filter(c))
+    fn has_filter(p: &Plan) -> bool {
+        matches!(p, Plan::Filter { .. }) || p.children().iter().any(|c| has_filter(c))
     }
     assert!(!has_filter(&plan), "{}", plan.explain());
 }
@@ -82,7 +83,7 @@ fn projection_pruning_narrows_the_scan() {
     let cat = catalog();
     let plan = plan_query(&cat, "db", "SELECT a FROM t WHERE d > 0.5").unwrap();
     let scans = find_scans(&plan);
-    let PhysicalPlan::Scan { projection, .. } = scans[0] else {
+    let Plan::Scan { projection, .. } = scans[0] else {
         unreachable!()
     };
     // Only `a` (output) and `d` (filter) are needed out of 4 columns.
@@ -93,7 +94,7 @@ fn projection_pruning_narrows_the_scan() {
 fn select_star_reads_everything() {
     let cat = catalog();
     let plan = plan_query(&cat, "db", "SELECT * FROM t").unwrap();
-    let PhysicalPlan::Scan { projection, .. } = find_scans(&plan)[0] else {
+    let Plan::Scan { projection, .. } = find_scans(&plan)[0] else {
         unreachable!()
     };
     assert_eq!(projection.len(), 4);
@@ -103,7 +104,7 @@ fn select_star_reads_everything() {
 fn count_star_keeps_narrowest_column() {
     let cat = catalog();
     let plan = plan_query(&cat, "db", "SELECT COUNT(*) FROM t").unwrap();
-    let PhysicalPlan::Scan { projection, .. } = find_scans(&plan)[0] else {
+    let Plan::Scan { projection, .. } = find_scans(&plan)[0] else {
         unreachable!()
     };
     assert_eq!(projection.len(), 1, "one column suffices for COUNT(*)");
@@ -113,14 +114,14 @@ fn count_star_keeps_narrowest_column() {
 fn comma_join_with_where_becomes_hash_join() {
     let cat = catalog();
     let plan = plan_query(&cat, "db", "SELECT c, y FROM t, u WHERE a = x AND b > 1").unwrap();
-    fn find_join(p: &PhysicalPlan) -> Option<&PhysicalPlan> {
-        if matches!(p, PhysicalPlan::HashJoin { .. }) {
+    fn find_join(p: &Plan) -> Option<&Plan> {
+        if matches!(p, Plan::Join { .. }) {
             return Some(p);
         }
         p.children().into_iter().find_map(find_join)
     }
     let join = find_join(&plan).expect("hash join present");
-    let PhysicalPlan::HashJoin {
+    let Plan::Join {
         join_type,
         left_keys,
         ..
@@ -135,7 +136,7 @@ fn comma_join_with_where_becomes_hash_join() {
     let t_scan = scans
         .iter()
         .find_map(|s| match s {
-            PhysicalPlan::Scan { table, filters, .. } if table == "t" => Some(filters),
+            Plan::Scan { table, filters, .. } if table == "t" => Some(filters),
             _ => None,
         })
         .unwrap();
@@ -163,7 +164,7 @@ fn filters_do_not_cross_limit() {
     )
     .unwrap();
     // The scan must NOT contain the a > 5 predicate.
-    let PhysicalPlan::Scan { filters, .. } = find_scans(&plan)[0] else {
+    let Plan::Scan { filters, .. } = find_scans(&plan)[0] else {
         unreachable!()
     };
     assert!(filters.is_empty(), "{}", plan.explain());
@@ -226,14 +227,14 @@ fn estimates_decrease_with_projection() {
 /// wide table `t` (40 bytes/row) as the probe side.
 #[test]
 fn build_side_without_stats_builds_on_narrow_schema() {
-    fn join_sides(p: &PhysicalPlan) -> Option<(&PhysicalPlan, &PhysicalPlan)> {
-        if let PhysicalPlan::HashJoin { left, right, .. } = p {
+    fn join_sides(p: &Plan) -> Option<(&Plan, &Plan)> {
+        if let Plan::Join { left, right, .. } = p {
             return Some((left, right));
         }
         p.children().into_iter().find_map(join_sides)
     }
-    fn scans_table(p: &PhysicalPlan, name: &str) -> bool {
-        if let PhysicalPlan::Scan { table, .. } = p {
+    fn scans_table(p: &Plan, name: &str) -> bool {
+        if let Plan::Scan { table, .. } = p {
             return table == name;
         }
         p.children().into_iter().any(|c| scans_table(c, name))

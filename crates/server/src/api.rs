@@ -239,7 +239,6 @@ pub struct QueryServer {
     /// Every query submitted, by id. Held to find or insert a slot only.
     state: Mutex<HashMap<QueryId, Arc<QuerySlot>>>,
     next_id: AtomicU64,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Per-tenant weights and budgets.
     tenants: Arc<TenantDirectory>,
 }
@@ -314,7 +313,6 @@ impl QueryServer {
             }),
             state: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
-            handles: Mutex::new(Vec::new()),
             tenants: Arc::new(TenantDirectory::new()),
         }
     }
@@ -535,14 +533,9 @@ impl QueryServer {
             .lock()
             .set_weight(submission.tenant_name(), tenant_policy.weight);
 
+        // The query thread runs detached: it reports through `slot`.
         let ctx = ctx.clone();
-        let handle =
-            std::thread::spawn(move || run_query_thread(&ctx, &slot, id, submission, reserved));
-        let mut handles = self.handles.lock();
-        // Reap finished query threads so a long-running server doesn't
-        // accumulate one handle per query forever.
-        handles.retain(|h| !h.is_finished());
-        handles.push(handle);
+        std::thread::spawn(move || run_query_thread(&ctx, &slot, id, submission, reserved));
         id
     }
 

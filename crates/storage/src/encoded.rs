@@ -26,7 +26,7 @@ use bytes::Bytes;
 use pixels_common::{Column, ColumnData, DataType, Error, Result};
 
 use crate::codec::Reader as ByteReader;
-use crate::encoding::{self, bitpack, plain, Encoding};
+use crate::encoding::{self, bitpack, plain, rle, Encoding};
 
 /// One fetched-but-not-decoded column chunk.
 #[derive(Debug, Clone)]
@@ -250,18 +250,10 @@ impl EncodedChunk {
             let runs = num_rows.min(r.remaining() / (4 + std::mem::size_of::<T>()));
             let mut counts = Vec::with_capacity(runs);
             let mut values = Vec::with_capacity(runs);
-            let mut decoded = 0usize;
-            while decoded < num_rows {
-                let count = r.get_u32()? as usize;
-                if count == 0 || decoded + count > num_rows {
-                    return Err(Error::Storage(format!(
-                        "corrupt RLE run: count {count} with {decoded} of {num_rows} rows decoded"
-                    )));
-                }
-                values.push(get(r)?);
+            rle::for_each_run(r, num_rows, get, |count, v| {
                 counts.push(count as u32);
-                decoded += count;
-            }
+                values.push(v);
+            })?;
             Ok((counts, values))
         }
         let n = self.num_rows;

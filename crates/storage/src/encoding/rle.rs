@@ -21,23 +21,40 @@ fn encode_runs<T: PartialEq + Copy>(values: &[T], w: &mut Writer, put: impl Fn(&
     }
 }
 
+/// Walk the runs of an RLE payload covering `num_rows` rows, calling
+/// `run(count, value)` once per run in order. Counts must be nonzero and sum
+/// to exactly `num_rows`; the first that is not is an error. The full decode
+/// and [`crate::EncodedChunk::rle_runs`] both parse through here, so they
+/// accept and reject the same payloads with the same message.
+pub(crate) fn for_each_run<T: Copy>(
+    r: &mut Reader<'_>,
+    num_rows: usize,
+    get: impl Fn(&mut Reader<'_>) -> Result<T>,
+    mut run: impl FnMut(usize, T),
+) -> Result<()> {
+    let mut decoded = 0usize;
+    while decoded < num_rows {
+        let count = r.get_u32()? as usize;
+        if count == 0 || decoded + count > num_rows {
+            return Err(Error::Storage(format!(
+                "corrupt RLE run: count {count} with {decoded} of {num_rows} rows decoded"
+            )));
+        }
+        run(count, get(r)?);
+        decoded += count;
+    }
+    Ok(())
+}
+
 fn decode_runs<T: Copy>(
     r: &mut Reader<'_>,
     num_rows: usize,
     get: impl Fn(&mut Reader<'_>) -> Result<T>,
 ) -> Result<Vec<T>> {
     let mut out: Vec<T> = Vec::with_capacity(num_rows);
-    while out.len() < num_rows {
-        let count = r.get_u32()? as usize;
-        if count == 0 || out.len() + count > num_rows {
-            return Err(Error::Storage(format!(
-                "corrupt RLE run: count {count} with {} of {num_rows} rows decoded",
-                out.len()
-            )));
-        }
-        let v = get(r)?;
-        out.extend(std::iter::repeat_n(v, count));
-    }
+    for_each_run(r, num_rows, get, |count, v| {
+        out.extend(std::iter::repeat_n(v, count))
+    })?;
     Ok(out)
 }
 

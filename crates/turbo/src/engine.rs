@@ -30,7 +30,7 @@ use pixels_exec::{
 };
 use pixels_obs::{MetricsRegistry, Span, Trace, TraceCtx, WallClock};
 use pixels_planner::{
-    plan_query, plan_shuffle_sized, split_for_acceleration, PhysicalPlan, ShuffleKind, ShufflePlan,
+    plan_query, plan_shuffle_sized, split_for_acceleration, Plan, ShuffleKind, ShufflePlan,
     ShuffleSizing,
 };
 use pixels_sql::ast::Statement;
@@ -469,7 +469,7 @@ impl TurboEngine {
                 };
                 // Estimator accountability: the optimizer's cardinality for
                 // the plan root against what actually came back.
-                let est_rows = pixels_planner::estimate_physical(&plan).rows;
+                let est_rows = pixels_planner::estimate(&plan).rows;
                 let actual_rows = out.batch.num_rows();
                 let ratio = est_rows / (actual_rows as f64).max(1.0);
                 let mut text = plan.explain();
@@ -691,12 +691,7 @@ impl TurboEngine {
         retries
     }
 
-    fn run_in_vm(
-        &self,
-        plan: &PhysicalPlan,
-        work: &QueryWork,
-        trace: &TraceCtx,
-    ) -> Result<ExecOutcome> {
+    fn run_in_vm(&self, plan: &Plan, work: &QueryWork, trace: &TraceCtx) -> Result<ExecOutcome> {
         let retries_before = self.store.metrics().retries;
         let ctx = self.exec_context(work, usize::MAX);
         let mut span = trace.span("vm_execute");
@@ -732,7 +727,7 @@ impl TurboEngine {
     /// cut point (aggregate, equi-join) with a configured or cost-derived
     /// fan-out runs as a spill stage plus a finish stage; every other plan is
     /// one stage that materializes the MV directly.
-    fn cf_stages(&self, plan: &PhysicalPlan, work: &QueryWork) -> Option<Vec<Stage<'_>>> {
+    fn cf_stages(&self, plan: &Plan, work: &QueryWork) -> Option<Vec<Stage<'_>>> {
         // The path is a placeholder: only the lower half of the cut is used
         // here. Every attempt picks its own MV path, and the tail re-cuts the
         // plan around whichever one is accepted.
@@ -746,7 +741,7 @@ impl TurboEngine {
     /// The single-stage CF plan: one fleet executes the whole sub-plan off
     /// the VM slots (as CF workers would) and materializes it to the
     /// attempt's own MV path.
-    fn single_stage(&self, work: &QueryWork, sub_plan: PhysicalPlan) -> Stage<'_> {
+    fn single_stage(&self, work: &QueryWork, sub_plan: Plan) -> Stage<'_> {
         let sub_plan = Arc::new(sub_plan);
         let sub_work = QueryWork::from_plan(&sub_plan);
         Stage {
@@ -914,7 +909,7 @@ impl TurboEngine {
     /// so the $/TB price is the same with and without recovery work.
     fn run_cf(
         &self,
-        plan: &PhysicalPlan,
+        plan: &Plan,
         work: &QueryWork,
         stages: Vec<Stage<'_>>,
         trace: &TraceCtx,
@@ -1177,7 +1172,7 @@ impl TurboEngine {
     /// there, and prepend the CF events/decisions and provider-side spend.
     fn degrade_to_vm(
         &self,
-        plan: &PhysicalPlan,
+        plan: &Plan,
         work: &QueryWork,
         trace: &TraceCtx,
         run: CfRun,
@@ -1393,7 +1388,7 @@ fn apply_launch_faults(attempt: u32, faults: &LaunchFaults) -> Result<()> {
 /// The plans a spill stage executes, one context each: an aggregate's input,
 /// both sides of a partitioned join, or only the (small) build side of a
 /// broadcast join.
-fn spill_inputs(kind: &ShuffleKind, broadcast: bool) -> Vec<&PhysicalPlan> {
+fn spill_inputs(kind: &ShuffleKind, broadcast: bool) -> Vec<&Plan> {
     match kind {
         ShuffleKind::Aggregate { input, .. } => vec![input],
         ShuffleKind::Join { right, .. } if broadcast => vec![right],

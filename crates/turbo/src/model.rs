@@ -2,10 +2,10 @@
 //!
 //! A query's *work* is summarized by the bytes it scans from object storage,
 //! the single-core CPU time it needs, and the maximum parallelism it can
-//! exploit. Work is derived from a physical plan's estimates (real queries)
+//! exploit. Work is derived from a plan's estimates (real queries)
 //! or from a size class (synthetic scheduling traces).
 
-use pixels_planner::PhysicalPlan;
+use pixels_planner::Plan;
 use pixels_sim::SimDuration;
 use pixels_workload::QueryClass;
 
@@ -28,8 +28,8 @@ impl QueryWork {
     /// columnar engines on cloud VMs.
     pub const BYTES_PER_CPU_SECOND: f64 = 200e6;
 
-    /// Work derived from a physical plan using planner estimates.
-    pub fn from_plan(plan: &PhysicalPlan) -> QueryWork {
+    /// Work derived from a plan using planner estimates.
+    pub fn from_plan(plan: &Plan) -> QueryWork {
         let est = plan.estimate();
         let cpu_from_bytes = est.scan_bytes as f64 / Self::BYTES_PER_CPU_SECOND;
         // CPU work units (rows touched) at ~10M rows/s/core.

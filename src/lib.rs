@@ -7,7 +7,7 @@
 //! - [`storage`] — the Pixels columnar file format and the object store.
 //! - [`catalog`] — database/table metadata and statistics.
 //! - [`sql`] — SQL lexer, parser, and AST.
-//! - [`planner`] — binder, logical optimizer, physical planner, CF plan split.
+//! - [`planner`] — binder, one plan tree, optimizer, TopK fusion, CF plan split.
 //! - [`exec`] — vectorized query execution.
 //! - [`sim`] — the discrete-event simulation kernel.
 //! - [`obs`] — clocks, tracing spans, and the unified metrics registry.

@@ -19,11 +19,9 @@
 use pixelsdb::catalog::TableStats;
 use pixelsdb::common::{DataType, Field, RecordBatch, Schema, SchemaRef, Value};
 use pixelsdb::exec::{execute, scalar, ExecContext};
-use pixelsdb::planner::{AggExpr, AggFunc, BoundExpr, PhysicalPlan};
+use pixelsdb::planner::{AggExpr, AggFunc, BoundExpr, Plan};
 use pixelsdb::sql::ast::{BinaryOp, JoinType};
-use pixelsdb::storage::{
-    ColumnPredicate, InMemoryObjectStore, ObjectStoreRef, PixelsWriter, PredicateOp,
-};
+use pixelsdb::storage::{InMemoryObjectStore, ObjectStoreRef, PixelsWriter};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -123,7 +121,7 @@ impl Keys {
 /// One generated join: both tables written to a store, and the plan.
 struct Case {
     store: ObjectStoreRef,
-    plan: PhysicalPlan,
+    plan: Plan,
     /// Whether the engine may hand the probe scan a key filter, and the
     /// build side offers one.
     filtered: bool,
@@ -292,38 +290,28 @@ impl Strategy for Cases {
                 lit(1),
             )
         };
-        let (filters, zone_predicates) = match scan_filter {
-            "none" => (vec![], vec![]),
-            "x > 3" => (
-                vec![cmp(x(), BinaryOp::Gt, lit(3))],
-                vec![ColumnPredicate {
-                    column: PROBE_PROJECTION[X],
-                    op: PredicateOp::Gt,
-                    value: Value::Int64(3),
-                }],
-            ),
+        let filters = match scan_filter {
+            "none" => vec![],
+            "x > 3" => vec![cmp(x(), BinaryOp::Gt, lit(3))],
             // The division fails on x = 0, which the first conjunct rejects.
-            "x <> 0 AND 100 / x > 1" => {
-                (vec![cmp(x(), BinaryOp::NotEq, lit(0)), quotient()], vec![])
-            }
+            "x <> 0 AND 100 / x > 1" => vec![cmp(x(), BinaryOp::NotEq, lit(0)), quotient()],
             // Alone it fails on any row with x = 0 — also on one whose key is
             // in no build row, which a key filter applied first would hide.
-            _ => (vec![quotient()], vec![]),
+            _ => vec![quotient()],
         };
         let probe_out = Arc::new(probe_schema.project(&PROBE_PROJECTION));
-        let mut probe_plan = PhysicalPlan::Scan {
+        let mut probe_plan = Plan::Scan {
             database: "d".into(),
             table: "probe".into(),
             paths: vec!["probe.pxl".into()],
-            file_schema: probe_schema.clone(),
+            table_schema: probe_schema.clone(),
             stats: TableStats::default(),
             projection: PROBE_PROJECTION.to_vec(),
-            zone_predicates,
             filters,
             output_schema: probe_out.clone(),
         };
         if probe_shape == "project" {
-            probe_plan = PhysicalPlan::Project {
+            probe_plan = Plan::Project {
                 input: Box::new(probe_plan),
                 exprs: (probe_out.fields().iter().enumerate())
                     .map(|(i, f)| col(i, f.data_type))
@@ -331,14 +319,13 @@ impl Strategy for Cases {
                 output_schema: probe_out.clone(),
             };
         }
-        let build_plan = PhysicalPlan::Scan {
+        let build_plan = Plan::Scan {
             database: "d".into(),
             table: "build".into(),
             paths: vec!["build.pxl".into()],
-            file_schema: build_schema.clone(),
+            table_schema: build_schema.clone(),
             stats: TableStats::default(),
             projection: vec![0, 1, 2, 3],
-            zone_predicates: vec![],
             filters: vec![],
             output_schema: build_schema.clone(),
         };
@@ -353,7 +340,7 @@ impl Strategy for Cases {
                 .cloned()
                 .collect(),
         ));
-        let plan = PhysicalPlan::HashJoin {
+        let plan = Plan::Join {
             left: Box::new(probe_plan),
             right: Box::new(build_plan),
             join_type,
@@ -469,27 +456,26 @@ fn int64_join(probe: &[Option<i64>], build: &[Option<i64>], bare_scan: bool) -> 
     let store: ObjectStoreRef = InMemoryObjectStore::shared();
     write(&store, "probe.pxl", &one, &rows(probe), 1024);
     write(&store, "build.pxl", &one, &rows(build), 1024);
-    let scan = |table: &str| PhysicalPlan::Scan {
+    let scan = |table: &str| Plan::Scan {
         database: "d".into(),
         table: table.into(),
         paths: vec![format!("{table}.pxl")],
-        file_schema: one.clone(),
+        table_schema: one.clone(),
         stats: TableStats::default(),
         projection: vec![0],
-        zone_predicates: vec![],
         filters: vec![],
         output_schema: one.clone(),
     };
     let key = || BoundExpr::column(0, DataType::Int64, "k");
     let mut left = scan("probe");
     if !bare_scan {
-        left = PhysicalPlan::Project {
+        left = Plan::Project {
             input: Box::new(left),
             exprs: vec![key()],
             output_schema: one.clone(),
         };
     }
-    let plan = PhysicalPlan::HashJoin {
+    let plan = Plan::Join {
         left: Box::new(left),
         right: Box::new(scan("build")),
         join_type: JoinType::Inner,
@@ -538,7 +524,7 @@ fn integer_keys_past_2_pow_53_join_group_and_distinct_exactly() {
         let dropped = if bare_scan { (6, 4) } else { (0, 0) };
         assert_eq!((t.join_filter_rows, t.join_filter_dropped), dropped);
     }
-    let PhysicalPlan::HashJoin { left: scan, .. } = int64_join(&probe, &build, true).plan else {
+    let Plan::Join { left: scan, .. } = int64_join(&probe, &build, true).plan else {
         unreachable!("int64_join plans a hash join")
     };
     let count = AggExpr {
@@ -547,13 +533,13 @@ fn integer_keys_past_2_pow_53_join_group_and_distinct_exactly() {
         distinct: false,
         output_type: DataType::Int64,
     };
-    let group_by = PhysicalPlan::HashAggregate {
+    let group_by = Plan::Aggregate {
         input: scan.clone(),
         group_exprs: vec![BoundExpr::column(0, DataType::Int64, "k")],
         aggs: vec![count],
         output_schema: schema(&[("k", DataType::Int64), ("n", DataType::Int64)]),
     };
-    let distinct = PhysicalPlan::Distinct { input: scan };
+    let distinct = Plan::Distinct { input: scan };
     for (plan, width) in [(group_by, 2), (distinct, 1)] {
         let case = Case {
             plan,

@@ -9,7 +9,7 @@
 use pixelsdb::catalog::Catalog;
 use pixelsdb::common::{RecordBatch, Value};
 use pixelsdb::exec::{execute, scalar, ExecContext, ExecMetricsSnapshot};
-use pixelsdb::planner::{create_physical_plan, optimize_with, Binder, EstMode, PhysicalPlan};
+use pixelsdb::planner::{create_physical_plan, optimize_with, Binder, EstMode, Plan};
 use pixelsdb::sql::parse_query;
 use pixelsdb::storage::{InMemoryObjectStore, ObjectStoreRef};
 use pixelsdb::workload::{load_tpch, TpchConfig, TPCH_QUERIES};
@@ -35,7 +35,7 @@ fn fixture() -> (Arc<Catalog>, ObjectStoreRef) {
 }
 
 /// Lower `sql` under an explicit estimate mode (full rewrite pipeline).
-fn physical_with(catalog: &Catalog, sql: &str, mode: EstMode) -> PhysicalPlan {
+fn physical_with(catalog: &Catalog, sql: &str, mode: EstMode) -> Plan {
     let select = parse_query(sql).unwrap();
     let logical = Binder::new(catalog, "tpch").bind_select(&select).unwrap();
     create_physical_plan(&optimize_with(logical, mode)).unwrap()
@@ -44,17 +44,17 @@ fn physical_with(catalog: &Catalog, sql: &str, mode: EstMode) -> PhysicalPlan {
 /// Lower `sql` with NO rewrites at all: the binder's output in syntactic
 /// join order, filters above the joins, scans reading every column. This is
 /// the oracle plan — it shares nothing with the cost-based pipeline.
-fn unoptimized_physical(catalog: &Catalog, sql: &str) -> PhysicalPlan {
+fn unoptimized_physical(catalog: &Catalog, sql: &str) -> Plan {
     let select = parse_query(sql).unwrap();
     let logical = Binder::new(catalog, "tpch").bind_select(&select).unwrap();
     create_physical_plan(&logical).unwrap()
 }
 
 /// Tables scanned, left-to-right (probe-to-build) across the plan.
-fn scan_order(plan: &PhysicalPlan) -> Vec<String> {
+fn scan_order(plan: &Plan) -> Vec<String> {
     let mut out = Vec::new();
-    fn walk(p: &PhysicalPlan, out: &mut Vec<String>) {
-        if let PhysicalPlan::Scan { table, .. } = p {
+    fn walk(p: &Plan, out: &mut Vec<String>) {
+        if let Plan::Scan { table, .. } = p {
             out.push(table.clone());
         }
         for c in p.children() {
@@ -65,8 +65,8 @@ fn scan_order(plan: &PhysicalPlan) -> Vec<String> {
     out
 }
 
-fn join_count(plan: &PhysicalPlan) -> usize {
-    let own = usize::from(matches!(plan, PhysicalPlan::HashJoin { .. }));
+fn join_count(plan: &Plan) -> usize {
+    let own = usize::from(matches!(plan, Plan::Join { .. }));
     own + plan.children().iter().map(|c| join_count(c)).sum::<usize>()
 }
 
@@ -118,10 +118,10 @@ fn comparable_rows(batches: &[RecordBatch], sql: &str) -> Vec<Vec<Value>> {
     }
 }
 
-/// Run a physical plan on a fresh (cold-cache) context at a parallelism
+/// Run a plan on a fresh (cold-cache) context at a parallelism
 /// level, returning comparable rows plus the billing-relevant metrics.
 fn run_plan(
-    plan: &PhysicalPlan,
+    plan: &Plan,
     store: &ObjectStoreRef,
     sql: &str,
     parallelism: usize,
@@ -295,4 +295,26 @@ fn build_side_choice_is_invisible_in_results() {
         any_probe_rows_tested,
         "no probe scan was handed a key filter"
     );
+}
+
+/// The optimizer's output runs as it is: without the Sort + Limit fusion,
+/// every TPC-H template executes to the same rows, order and bill as the
+/// fused plan. Each scan derives its zone predicates from its filters when
+/// it opens, so both prune the same row groups.
+#[test]
+fn unfused_optimizer_output_executes_like_the_fused_plan() {
+    let (catalog, store) = fixture();
+    let mut any_fused = false;
+    for q in TPCH_QUERIES {
+        let select = parse_query(q.sql).unwrap();
+        let bound = Binder::new(&catalog, "tpch").bind_select(&select).unwrap();
+        let optimized = optimize_with(bound, EstMode::Normal);
+        let fused = create_physical_plan(&optimized).unwrap();
+        any_fused |= fused != optimized;
+        let (rows_u, metrics_u) = run_plan(&optimized, &store, q.sql, 2);
+        let (rows_f, metrics_f) = run_plan(&fused, &store, q.sql, 2);
+        assert_eq!(rows_u, rows_f, "{}: rows", q.id);
+        assert_eq!(metrics_u, metrics_f, "{}: bill", q.id);
+    }
+    assert!(any_fused, "no template fuses a Sort under a LIMIT");
 }
