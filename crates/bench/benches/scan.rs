@@ -1,7 +1,9 @@
 //! Microbenchmarks for the encoded scan pipeline: executing on encoded
 //! chunks (dictionary-code predicates, RLE-run aggregation, late
 //! materialization), with and without the chunk cache serving the bytes,
-//! and a plain chunk decoded under a mask that keeps 99 % of its rows.
+//! q6's shape (four conjuncts over plain columns compared in place, ≈ 2 %
+//! kept), a hash join's key filter on an RLE probe key (≈ 3 % kept), and a
+//! plain chunk gathered under a selection that keeps 99 % of its rows.
 //! (The decode-everything scan these were once measured against is gone;
 //! EXPERIMENTS.md keeps the PR 14 ratios.)
 //! The `string_chunks` group times the string column itself — `decode_filtered`
@@ -14,7 +16,7 @@
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pixels_catalog::{Catalog, CatalogRef, CreateTable};
-use pixels_common::{Column, DataType, Field, RecordBatch, Result, Schema, Value};
+use pixels_common::{Column, DataType, Field, RecordBatch, Result, Schema, Selection, Value};
 use pixels_exec::{execute, ExecContext};
 use pixels_planner::{plan_query, Plan};
 use pixels_storage::{
@@ -37,6 +39,11 @@ const WIDE_PATH: &str = "bench/wide/part-0.pxl";
 ///   fold whole runs without expansion.
 /// - `payload_a`/`payload_b`: distinct per row → Plain; the columns a
 ///   selective filter should *not* have to decode.
+/// - `qty` (1–50) and `price` (0–100): scattered per row → Plain; with
+///   `payload_a` they take q6's four conjuncts.
+///
+/// Beside it, `keys`: one `k` for every 33rd `grade`, the build side of a
+/// join whose probe scan tests `grade`'s runs against the exact key set.
 fn scan_fixture() -> (CatalogRef, ObjectStoreRef) {
     let catalog = Catalog::shared();
     let store: ObjectStoreRef = InMemoryObjectStore::shared();
@@ -46,6 +53,8 @@ fn scan_fixture() -> (CatalogRef, ObjectStoreRef) {
         Field::required("grade", DataType::Int64),
         Field::required("payload_a", DataType::Int64),
         Field::required("payload_b", DataType::Float64),
+        Field::required("qty", DataType::Int32),
+        Field::required("price", DataType::Float64),
     ]));
     catalog
         .create_table(CreateTable {
@@ -71,6 +80,8 @@ fn scan_fixture() -> (CatalogRef, ObjectStoreRef) {
                 Value::Int64(i / 16),
                 Value::Int64(i * 2654435761 % 1_000_003),
                 Value::Float64(i as f64 * 0.25),
+                Value::Int32((i * 40503 % 50) as i32 + 1),
+                Value::Float64((i * 7919 % 10007) as f64 / 100.0),
             ]);
             written += 1;
         }
@@ -81,6 +92,31 @@ fn scan_fixture() -> (CatalogRef, ObjectStoreRef) {
     let reader = PixelsReader::open(store.as_ref(), path).expect("open");
     catalog
         .register_data_file("bench", "wide", path, reader.footer(), size)
+        .expect("register");
+
+    let keys = Arc::new(Schema::new(vec![Field::required("k", DataType::Int64)]));
+    catalog
+        .create_table(CreateTable {
+            database: "bench".into(),
+            name: "keys".into(),
+            schema: keys.clone(),
+            primary_key: None,
+            foreign_keys: vec![],
+            comment: None,
+        })
+        .expect("create table");
+    let rows: Vec<Vec<Value>> = (0..(ROWS / 16) as i64)
+        .step_by(33)
+        .map(|k| vec![Value::Int64(k)])
+        .collect();
+    let path = "bench/keys/part-0.pxl";
+    let mut w = PixelsWriter::new(store.as_ref(), path, keys.clone());
+    w.write_batch(&RecordBatch::from_rows(keys, &rows).expect("batch"))
+        .expect("write");
+    let size = w.finish().expect("finish");
+    let reader = PixelsReader::open(store.as_ref(), path).expect("open");
+    catalog
+        .register_data_file("bench", "keys", path, reader.footer(), size)
         .expect("register");
     (catalog, store)
 }
@@ -145,8 +181,45 @@ fn bench_scan_pipeline(c: &mut Criterion) {
         })
     });
 
+    // q6's shape: a range on `price`, `qty < 24` and `payload_a < 150000`,
+    // four conjuncts over plain chunks compared in place, keep ≈ 2 % of the
+    // rows; the second and later conjuncts only test the words still
+    // keeping a row.
+    let q6_plan = plan_query(
+        &catalog,
+        "bench",
+        "SELECT SUM(payload_b * price) FROM wide \
+         WHERE price >= 20.0 AND price <= 50.0 AND qty < 24 AND payload_a < 150000",
+    )
+    .expect("plan");
+    g.bench_function("q6_shape", |b| {
+        b.iter(|| run(&q6_plan, &ExecContext::new(store.clone())))
+    });
+
+    // A hash join's key filter on its probe scan: `grade` is RLE, and the
+    // build side's keys are an exact set holding one `grade` in 33, so the
+    // scan tests one run in 33 true and keeps ≈ 3 % of the rows.
+    let probe_plan = plan_query(
+        &catalog,
+        "bench",
+        "SELECT SUM(payload_b), COUNT(*) FROM wide JOIN keys ON grade = k",
+    )
+    .expect("plan");
+    let ctx = ExecContext::new(store.clone());
+    run(&probe_plan, &ctx);
+    let pipeline = ctx.metrics.pipeline_snapshot();
+    assert_eq!(
+        pipeline.join_filter_rows, ROWS as u64,
+        "`wide` is not the filtered probe scan"
+    );
+    assert!(pipeline.join_filter_dropped > ROWS as u64 * 96 / 100);
+    g.bench_function("probe_key_filter", |b| {
+        b.iter(|| run(&probe_plan, &ExecContext::new(store.clone())))
+    });
+
     // A lax filter's late materialization: `payload_b`'s plain Float64
-    // chunks with 99 % of the rows kept, so most 32-row blocks are kept whole.
+    // chunks with 99 % of the rows kept, so each word is gathered by the
+    // stretches between the rows it drops.
     let reader = PixelsReader::open(store.as_ref(), WIDE_PATH).expect("open");
     let payload_b: Vec<EncodedChunk> = (0..reader.footer().row_groups.len())
         .map(|rg| {
@@ -159,6 +232,7 @@ fn bench_scan_pipeline(c: &mut Criterion) {
         .collect();
     assert_eq!(payload_b[0].encoding(), Encoding::Plain);
     let lax: Vec<bool> = (0..ROW_GROUP_ROWS).map(|i| i % 100 != 0).collect();
+    let lax = Selection::from_bools(&lax);
     g.bench_function("plain_f64/decode_filtered_99pct", |b| {
         b.iter(|| {
             (payload_b.iter())
@@ -213,6 +287,7 @@ fn bench_string_chunks(c: &mut Criterion) {
     for (name, col) in [("dictionary", 0), ("plain", 1)] {
         for (selectivity, every) in [("1pct", 100), ("50pct", 2), ("100pct", 1)] {
             let mask: Vec<bool> = (0..ROW_GROUP_ROWS).map(|i| i % every == 0).collect();
+            let mask = Selection::from_bools(&mask);
             g.bench_function(&format!("{name}/decode_filtered_{selectivity}"), |b| {
                 b.iter(|| {
                     groups

@@ -3,6 +3,7 @@
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{Error, Result};
 use crate::schema::SchemaRef;
+use crate::selection::Selection;
 use crate::value::Value;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -147,6 +148,17 @@ impl RecordBatch {
             schema: self.schema.clone(),
             columns,
             num_rows,
+        })
+    }
+
+    /// Keep the rows `selection` keeps: equal to `filter` of its flags.
+    pub fn select(&self, selection: &Selection) -> Result<RecordBatch> {
+        let columns: Result<Vec<Column>> =
+            self.columns.iter().map(|c| c.select(selection)).collect();
+        Ok(RecordBatch {
+            schema: self.schema.clone(),
+            columns: columns?,
+            num_rows: selection.count(),
         })
     }
 
@@ -310,6 +322,8 @@ mod tests {
         let f = b.filter(&[true, false, true]).unwrap();
         assert_eq!(f.num_rows(), 2);
         assert_eq!(f.row(1)[0], Value::Int64(3));
+        let selection = Selection::from_bools(&[true, false, true]);
+        assert_eq!(b.select(&selection).unwrap(), f);
 
         let g = b.gather(&[2, 2, 0]).unwrap();
         assert_eq!(g.num_rows(), 3);

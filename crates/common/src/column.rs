@@ -6,12 +6,13 @@
 //! individual values.
 //!
 //! Fixed-width types hold one `Vec<T>`. `Utf8` holds a [`StrVec`]: a shared,
-//! immutable string pool plus one `u32` per row, so `filter`, `gather`,
-//! `gather_or_null` and `slice` move indices and share the pool, and only
+//! immutable string pool plus one `u32` per row, so `filter`, `select`,
+//! `gather`, `gather_or_null` and `slice` move indices and share the pool, and only
 //! `concat` ever copies string bytes. A `String` is built only where a
 //! [`Value::Utf8`] is ([`Column::value`]).
 
 use crate::error::{Error, Result};
+use crate::selection::Selection;
 use crate::strvec::StrVec;
 use crate::value::{DataType, Value};
 use std::borrow::Borrow;
@@ -232,6 +233,24 @@ impl Column {
         }
         let data = select_rows!(&self.data, |v| keep(v, mask, kept));
         let validity = self.validity.as_ref().map(|v| keep(v, mask, kept));
+        Column::with_validity(data, validity)
+    }
+
+    /// Keep only the rows `selection` keeps: a run of whole words is one
+    /// copy, any other word is walked by its set bits.
+    pub fn select(&self, selection: &Selection) -> Result<Column> {
+        if selection.len() != self.len() {
+            return Err(Error::Invalid(format!(
+                "selection of {} rows for a column of {}",
+                selection.len(),
+                self.len()
+            )));
+        }
+        if selection.count() == self.len() {
+            return Ok(self.clone());
+        }
+        let data = select_rows!(&self.data, |v| selection.gather(v));
+        let validity = self.validity.as_ref().map(|v| selection.gather(v));
         Column::with_validity(data, validity)
     }
 

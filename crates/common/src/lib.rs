@@ -3,7 +3,7 @@
 //! This crate holds everything more than one subsystem needs: the unified
 //! [`error::Error`] type, scalar [`value::Value`]s, relational
 //! [`schema::Schema`]s, columnar [`column::Column`]s (strings as a
-//! pooled [`strvec::StrVec`]) and
+//! pooled [`strvec::StrVec`]), packed row [`selection::Selection`]s and
 //! [`batch::RecordBatch`]es, typed [`ids`], a dependency-free [`json`] codec
 //! (used for the Rover ↔ text-to-SQL message format), and byte/price
 //! formatting helpers.
@@ -16,6 +16,7 @@ pub mod ids;
 pub mod json;
 pub mod prices;
 pub mod schema;
+pub mod selection;
 pub mod strvec;
 pub mod value;
 
@@ -25,5 +26,6 @@ pub use error::{Error, Result};
 pub use ids::{CfWorkerId, IdGenerator, QueryId, SessionId, TableId, VmWorkerId};
 pub use json::Json;
 pub use schema::{Field, Schema, SchemaRef};
+pub use selection::Selection;
 pub use strvec::{StrPool, StrVec};
 pub use value::{DataType, Value};

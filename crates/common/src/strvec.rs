@@ -138,8 +138,10 @@ impl StrVec {
         self.entry(self.idx[row])
     }
 
+    /// The string of pool index `i`, as a row holding it reads
+    /// (`""` for [`StrVec::NO_ENTRY`]).
     #[inline]
-    fn entry(&self, i: u32) -> &str {
+    pub fn entry(&self, i: u32) -> &str {
         if i == StrVec::NO_ENTRY {
             ""
         } else {

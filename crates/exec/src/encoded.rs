@@ -1,43 +1,50 @@
 //! Encoded execution: evaluate scan filters and grand-total aggregates
 //! directly on encoded chunks, decoding as little as possible.
 //!
-//! Three decode-avoidance techniques, all proven bit-identical to the
-//! scalar oracle's decode-everything scan ([`crate::scalar`]) by the
-//! differential suite:
+//! A morsel's filter is one [`Selection`] — a `u64` word per 64 rows — that
+//! each conjunct narrows in turn ([`encoded_selection`]), followed by the
+//! join's key filter (`key_filter_refine`), after which only the kept rows
+//! of each projected column are gathered ([`LazyRowGroup::materialize`]). A
+//! `col <op> literal` conjunct writes verdict words straight from the chunk,
+//! by the comparison kernels of `crate::compare`, with one loop per
+//! operator:
 //!
+//! - **Plain in place** — a plain fixed-width chunk is compared from its
+//!   payload bytes ([`EncodedChunk::plain_fixed`]); no column is decoded.
 //! - **Dictionary shortcut** — a dictionary chunk decodes, without copying a
 //!   row, to a string column whose pool is the dictionary and whose indices
-//!   are the codes; a `col <op> literal` predicate over it is evaluated once
-//!   per pool entry ([`crate::evaluate`]'s kernel does that for any column
-//!   with fewer entries than rows), then mapped over the per-row indices.
+//!   are the codes; the literal is compared once per pool entry, and the
+//!   verdicts are mapped through the codes into words.
 //! - **RLE shortcut** — the same predicate over an RLE chunk is evaluated
-//!   once per *run*; COUNT/SUM/AVG/MIN/MAX fold runs without expanding them
-//!   (float sums still perform one add per row so accumulation order — and
-//!   therefore every last bit — matches the row-at-a-time loop). A chunk's
-//!   runs are parsed once per morsel, whoever reads them first.
+//!   once per *run*, and each run's verdict fills the bits of its rows;
+//!   COUNT/SUM/AVG/MIN/MAX fold runs without expanding them (float sums
+//!   still perform one add per row so accumulation order — and therefore
+//!   every last bit — matches the row-at-a-time loop). A chunk's runs are
+//!   parsed once per morsel, whoever reads them first.
 //! - **Chunk zone check** — per-chunk zone maps can prove a conjunct
 //!   all-false ([`pixels_storage::ColumnPredicate::may_match`]) or all-true
 //!   ([`pixels_storage::ColumnPredicate::must_match`]) before any decode.
 //!   Floats are excluded: zone maps compare with SQL semantics
-//!   (`-0.0 == 0.0`) while row masks use `total_cmp`.
+//!   (`-0.0 == 0.0`) while the kernels use `total_cmp`.
 //!
-//! Conjuncts whose shape has no infallible encoded kernel fall back to the
-//! decoded batch with exactly the semantics of
-//! [`crate::evaluate::fused_filter_mask`] (they share
+//! A conjunct after the first ANDs into the words and skips every word that
+//! keeps nothing any more. Conjuncts whose shape has no infallible encoded
+//! kernel fall back to the decoded batch with exactly the semantics of
+//! [`crate::evaluate::fused_filter_selection`] (they share
 //! [`crate::evaluate::and_conjunct`]) — including only running the row loop
 //! on still-selected rows, so a row rejected early never reaches a later,
 //! possibly erroring, expression.
 
 use crate::aggregate::{Accumulators, State};
+use crate::compare::{compare_literal, literal_comparable, CmpOp, Lanes};
 use crate::context::ExecContext;
-use crate::evaluate::{
-    and_conjunct, and_into, collect_conjuncts, compare_literal, compare_literal_mask,
-    literal_comparable, NumSlice,
-};
+use crate::evaluate::{and_conjunct, collect_conjuncts, NumSlice};
 use crate::keys::{KeyClass, KeyFilter, KeyInts};
 use crate::parallel;
 use crate::scan::ScanMorsels;
-use pixels_common::{Column, ColumnData, DataType, Error, RecordBatch, Result, SchemaRef, Value};
+use pixels_common::{
+    Column, ColumnData, DataType, Error, RecordBatch, Result, SchemaRef, Selection, Value,
+};
 use pixels_planner::{AggExpr, BoundExpr};
 use pixels_sql::ast::BinaryOp;
 use pixels_storage::{ColumnPredicate, ColumnStats, EncodedChunk, Encoding, PredicateOp, RleRuns};
@@ -90,12 +97,29 @@ impl LazyRowGroup {
     pub fn column(&self, i: usize) -> Result<&Column> {
         if self.decoded[i].get().is_none() {
             let col = match self.runs[i].get() {
-                Some(runs) => self.chunks[i].expand_runs(runs, None)?,
+                Some(runs) => self.chunks[i].expand_runs(runs, &Selection::all(self.num_rows))?,
                 None => self.chunks[i].decode()?,
             };
             let _ = self.decoded[i].set(col);
         }
         Ok(self.decoded[i].get().expect("column just decoded"))
+    }
+
+    /// The values of the chunk at `i` as a comparison reads them: the
+    /// decoded column when one is memoized, else a plain fixed-width chunk's
+    /// payload in place, else the column, decoded now.
+    fn lanes(&self, i: usize) -> Result<Lanes<'_>> {
+        if let Some(col) = self.decoded[i].get() {
+            return Ok(Lanes::Column(col.data()));
+        }
+        let chunk = &self.chunks[i];
+        if let Some(values) = chunk.plain_fixed::<4>()? {
+            return Ok(Lanes::Le4(chunk.data_type(), values));
+        }
+        if let Some(values) = chunk.plain_fixed::<8>()? {
+            return Ok(Lanes::Le8(chunk.data_type(), values));
+        }
+        Ok(Lanes::Column(self.column(i)?.data()))
     }
 
     /// The fully decoded batch, built on first use and memoized. Only the
@@ -111,11 +135,13 @@ impl LazyRowGroup {
         Ok(self.full.get().expect("batch just built"))
     }
 
-    /// Materialize only the rows selected by `mask` (late materialization):
-    /// chunks never decoded for filtering are decoded filtered, skipping
-    /// value copies for rejected rows.
-    pub fn materialize(&self, mask: &[bool]) -> Result<RecordBatch> {
-        if mask.iter().all(|&m| m) {
+    /// Materialize only the rows `selection` keeps (late materialization):
+    /// a column decoded for filtering is gathered from its decoded values,
+    /// an RLE chunk from its runs, any other chunk from its encoded bytes —
+    /// every one of them validated like the full decode, also when no row is
+    /// kept.
+    pub fn materialize(&self, selection: &Selection) -> Result<RecordBatch> {
+        if selection.count() == self.num_rows {
             return self.materialize_all();
         }
         let cols = self
@@ -123,11 +149,11 @@ impl LazyRowGroup {
             .iter()
             .enumerate()
             .map(|(i, chunk)| match self.decoded[i].get() {
-                Some(col) => col.filter(mask),
+                Some(col) => col.select(selection),
                 None if chunk.encoding() == Encoding::Rle => {
-                    chunk.expand_runs(self.rle_runs(i)?, Some(mask))
+                    chunk.expand_runs(self.rle_runs(i)?, selection)
                 }
-                None => chunk.decode_filtered(mask),
+                None => chunk.decode_filtered(selection),
             })
             .collect::<Result<Vec<_>>>()?;
         RecordBatch::try_new(self.schema.clone(), cols)
@@ -144,35 +170,32 @@ impl LazyRowGroup {
     }
 }
 
-/// Evaluate the residual filter conjunction against encoded chunks,
-/// producing the same mask [`crate::evaluate::fused_filter_mask`] would
-/// produce over the decoded batch. `stats` holds the per-chunk zone maps,
-/// one per projected column.
-pub fn encoded_filter_mask(
+/// Evaluate the residual filter conjunction against encoded chunks into the
+/// rows it keeps — the rows [`crate::evaluate::fused_filter_selection`] would
+/// keep of the decoded batch. `stats` holds the per-chunk zone maps, one per
+/// projected column.
+pub fn encoded_selection(
     filters: &[BoundExpr],
     lazy: &LazyRowGroup,
     stats: &[&ColumnStats],
-) -> Result<Vec<bool>> {
-    let n = lazy.num_rows();
-    let mut mask = vec![true; n];
+) -> Result<Selection> {
+    let mut selection = Selection::all(lazy.num_rows());
     let mut conjuncts = Vec::new();
     for f in filters {
         collect_conjuncts(f, &mut conjuncts);
     }
     for conj in conjuncts {
-        // All-false masks can stop early: a conjunct the kernels cannot
-        // finish only runs on selected rows (none), so nothing is left that
-        // could change the mask or raise an error.
-        if !mask.contains(&true) {
+        // A selection that keeps nothing can stop early: a conjunct the
+        // kernels cannot finish only runs on kept rows (none), so nothing is
+        // left that could change it or raise an error.
+        if selection.count() == 0 {
             break;
         }
-        if let Some(m) = encoded_conjunct_mask(conj, lazy, stats)? {
-            and_into(&mut mask, &m);
-        } else {
-            and_conjunct(conj, lazy.full_batch()?, &mut mask)?;
+        if !encoded_conjunct(conj, lazy, stats, &mut selection)? {
+            and_conjunct(conj, lazy.full_batch()?, &mut selection)?;
         }
     }
-    Ok(mask)
+    Ok(selection)
 }
 
 /// Translate `col <op> literal` (either orientation) into a zone-map
@@ -188,53 +211,56 @@ fn zone_op(op: BinaryOp, flipped: bool) -> Option<PredicateOp> {
     })
 }
 
-/// Evaluate one conjunct against the encoded chunks when an infallible
-/// encoded kernel exists; `None` sends the conjunct to the decoded batch.
-fn encoded_conjunct_mask(
+/// AND one conjunct's verdict into `selection` when an infallible encoded
+/// kernel exists; false, with `selection` untouched, sends the conjunct to
+/// the decoded batch.
+fn encoded_conjunct(
     conj: &BoundExpr,
     lazy: &LazyRowGroup,
     stats: &[&ColumnStats],
-) -> Result<Option<Vec<bool>>> {
-    let n = lazy.num_rows();
+    selection: &mut Selection,
+) -> Result<bool> {
     // `col IS [NOT] NULL` straight off the chunk's validity header.
     if let BoundExpr::IsNull { expr, negated } = conj {
         let BoundExpr::ColumnRef { index, .. } = expr.as_ref() else {
-            return Ok(None);
+            return Ok(false);
         };
-        let chunk = lazy.chunk(*index);
-        return Ok(Some(match chunk.validity() {
-            Some(bits) => bits.iter().map(|&valid| valid == *negated).collect(),
-            None => vec![*negated; n],
-        }));
+        match (lazy.chunk(*index).validity(), negated) {
+            (Some(valid), true) => selection.and(valid),
+            (Some(valid), false) => selection.and_not(valid),
+            (None, true) => {}
+            (None, false) => selection.clear(),
+        }
+        return Ok(true);
     }
     let BoundExpr::BinaryOp {
         left, op, right, ..
     } = conj
     else {
-        return Ok(None);
+        return Ok(false);
     };
     if !op.is_comparison() {
-        return Ok(None);
+        return Ok(false);
     }
     let (idx, lit, flipped) = match (left.as_ref(), right.as_ref()) {
         (BoundExpr::ColumnRef { index, .. }, BoundExpr::Literal(v)) => (*index, v, false),
         (BoundExpr::Literal(v), BoundExpr::ColumnRef { index, .. }) => (*index, v, true),
-        _ => return Ok(None),
+        _ => return Ok(false),
     };
     let chunk = lazy.chunk(idx);
     if lit.is_null() {
-        // Comparing against NULL yields NULL for every row; a mask renders
-        // that as false (matches `compare_literal_mask`).
-        return Ok(Some(vec![false; n]));
+        // Comparing against NULL yields NULL for every row, which keeps none.
+        selection.clear();
+        return Ok(true);
     }
     if !literal_comparable(chunk.data_type(), lit) {
         // No infallible kernel for this combination: the fallback must see
         // the conjunct, because it may legitimately error per row.
-        return Ok(None);
+        return Ok(false);
     }
     // Chunk-level zone check: the zone map can prove the conjunct's verdict
     // for the whole chunk without touching the payload. Floats are excluded
-    // (zone maps use SQL comparison, masks use total_cmp).
+    // (zone maps use SQL comparison, the kernels total_cmp).
     if !matches!(chunk.data_type(), DataType::Float64) && !matches!(lit, Value::Float64(_)) {
         if let Some(pred_op) = zone_op(*op, flipped) {
             let pred = ColumnPredicate {
@@ -243,35 +269,58 @@ fn encoded_conjunct_mask(
                 value: lit.clone(),
             };
             if !pred.may_match(stats[idx]) {
-                return Ok(Some(vec![false; n]));
+                selection.clear();
+                return Ok(true);
             }
             if pred.must_match(stats[idx]) {
-                return Ok(Some(vec![true; n]));
+                return Ok(true);
             }
         }
     }
-    match chunk.encoding() {
-        Encoding::Rle => {
-            let runs = lazy.rle_runs(idx)?;
-            // One comparison per run, by the kernel that compares per row.
-            let Some(verdicts) = compare_literal(&runs.values, *op, lit, flipped) else {
-                return Ok(compare_literal_mask(lazy.column(idx)?, *op, lit, flipped));
-            };
-            let mut mask = Vec::with_capacity(n);
-            for (&count, &verdict) in runs.counts.iter().zip(&verdicts) {
-                mask.extend(std::iter::repeat_n(verdict, count as usize));
-            }
-            if let Some(validity) = chunk.validity() {
-                and_into(&mut mask, validity);
-            }
-            Ok(Some(mask))
+    let cmp = CmpOp::of(*op, flipped);
+    if chunk.encoding() == Encoding::Rle {
+        // One comparison per run, by the kernel that compares per row.
+        let runs = lazy.rle_runs(idx)?;
+        let mut verdicts = Vec::new();
+        if !compare_literal(&mut verdicts, Lanes::Column(&runs.values), cmp, lit) {
+            return Ok(false);
         }
-        // A dictionary chunk decodes to its dictionary plus codes without
-        // copying a row, and the kernel then compares once per entry.
-        Encoding::Plain | Encoding::Dictionary => {
-            Ok(compare_literal_mask(lazy.column(idx)?, *op, lit, flipped))
-        }
+        and_runs(selection, &runs.counts, |run| verdicts[run]);
+    } else if !compare_literal(selection, lazy.lanes(idx)?, cmp, lit) {
+        return Ok(false);
     }
+    if let Some(valid) = chunk.validity() {
+        selection.and(valid);
+    }
+    Ok(true)
+}
+
+/// AND into `selection` each run's `verdict` over the rows of the run. A run
+/// cursor that only moves forward builds each word that still keeps a row
+/// from the runs that overlap it, so `verdict` is asked only about those
+/// runs: O(runs + words), whatever the selection keeps.
+fn and_runs(selection: &mut Selection, counts: &[u32], mut verdict: impl FnMut(usize) -> bool) {
+    // `run` is the first run that ends past the last word's start, at `start`.
+    let (mut run, mut start) = (0usize, 0usize);
+    selection.refine(|rows| {
+        while start + counts[run] as usize <= rows.start {
+            start += counts[run] as usize;
+            run += 1;
+        }
+        let (mut word, mut r, mut s) = (0u64, run, start);
+        while s < rows.end {
+            let end = s + counts[r] as usize;
+            if verdict(r) {
+                let (lo, hi) = (
+                    s.max(rows.start) - rows.start,
+                    end.min(rows.end) - rows.start,
+                );
+                word |= (u64::MAX >> (64 - (hi - lo))) << lo;
+            }
+            (s, r) = (end, r + 1);
+        }
+        word
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -343,59 +392,55 @@ pub(crate) fn key_filter_can_drop(
     })
 }
 
-/// Clear from `mask` every row whose key cannot match a build key of the
-/// join this scan probes for. The scan's last conjunct: it runs only while
-/// `mask` still selects a row, after every conjunct of the scan's own, so a
-/// row those reject or fail on is treated exactly as without it. Per range:
-/// the zone map first, then one test per run of an RLE chunk, else one per
-/// row, repeating the verdict while the value repeats. NULL keys are cleared.
-pub(crate) fn key_filter_mask(
+/// Clear from `selection` every row whose key cannot match a build key of
+/// the join this scan probes for. The scan's last conjunct: it runs only
+/// while `selection` still keeps a row, after every conjunct of the scan's
+/// own, so a row those reject or fail on is treated exactly as without it.
+/// Per range: the zone map first, then one test per run of an RLE chunk that
+/// overlaps a word still keeping a row, else one per kept row, read in place
+/// from a plain chunk's payload. NULL keys are cleared.
+pub(crate) fn key_filter_refine(
     filter: &KeyFilter,
     lazy: &LazyRowGroup,
     stats: &[&ColumnStats],
-    mask: &mut [bool],
+    selection: &mut Selection,
 ) -> Result<()> {
     for (at, range) in filter.ranges().iter().enumerate() {
-        if !mask.contains(&true) {
+        if selection.count() == 0 {
             break;
         }
         match key_zone(filter, at, lazy, stats) {
             None | Some(KeyZone::EveryRow) => continue,
             Some(KeyZone::NoRow) => {
-                mask.fill(false);
+                selection.clear();
                 break;
             }
             Some(KeyZone::Unknown) => {}
         }
         let chunk = lazy.chunk(range.column);
+        let admits = |v| filter.admits(at, v);
         if chunk.encoding() == Encoding::Rle {
             let runs = lazy.rle_runs(range.column)?;
             let Some((_, values)) = KeyInts::of(&runs.values) else {
                 continue;
             };
-            let mut row = 0usize;
-            values.for_each(|run, v| {
-                let end = row + runs.counts[run] as usize;
-                if !filter.admits(at, v) {
-                    mask[row..end].fill(false);
-                }
-                row = end;
-            });
+            and_runs(selection, &runs.counts, |run| admits(values.get(run)));
         } else {
-            let Some((_, values)) = KeyInts::of(lazy.column(range.column)?.data()) else {
-                continue;
-            };
-            let mut last = None;
-            let mut verdict = false;
-            values.for_each(|row, v| {
-                if last != Some(v) {
-                    (last, verdict) = (Some(v), filter.admits(at, v));
+            match lazy.lanes(range.column)? {
+                Lanes::Le4(_, v) => {
+                    selection.retain(|row| admits(i64::from(i32::from_le_bytes(v[row]))))
                 }
-                mask[row] &= verdict;
-            });
+                Lanes::Le8(_, v) => selection.retain(|row| admits(i64::from_le_bytes(v[row]))),
+                Lanes::Column(data) => {
+                    let Some((_, values)) = KeyInts::of(data) else {
+                        continue;
+                    };
+                    selection.retain(|row| admits(values.get(row)));
+                }
+            }
         }
-        if let Some(validity) = chunk.validity() {
-            and_into(mask, validity);
+        if let Some(valid) = chunk.validity() {
+            selection.and(valid);
         }
     }
     Ok(())
@@ -537,8 +582,8 @@ fn fold_runs(state: &mut State, runs: &RleRuns, chunk: &EncodedChunk) -> Result<
     // The valid rows of each run, in run order.
     let mut valid = runs.counts.iter().map(|&count| {
         let count = count as usize;
-        let valid = chunk.validity().map_or(count, |bits| {
-            bits[row..row + count].iter().filter(|&&b| b).count()
+        let valid = chunk.validity().map_or(count, |valid| {
+            (row..row + count).filter(|&r| valid.contains(r)).count()
         });
         row += count;
         valid

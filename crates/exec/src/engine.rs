@@ -3,7 +3,7 @@
 use crate::aggregate::{execute_aggregate, execute_distinct};
 use crate::context::{ExecContext, DEFAULT_BATCH_SIZE};
 use crate::encoded::execute_encoded_aggregate;
-use crate::evaluate::{evaluate, fused_filter_mask};
+use crate::evaluate::{evaluate, fused_filter_selection};
 use crate::join::{coalesce, cross_join, is_equi_join, JoinBuild, RowSink};
 use crate::keys::KeyFilter;
 use crate::parallel;
@@ -97,8 +97,7 @@ fn execute_inner(
             let batches = execute(input, ctx)?;
             let filtered = parallel::run_indexed(batches.len(), ctx.parallelism, |i| {
                 let b = &batches[i];
-                let mask = fused_filter_mask(std::slice::from_ref(predicate), b)?;
-                b.filter(&mask)
+                b.select(&fused_filter_selection(std::slice::from_ref(predicate), b)?)
             })?;
             let mut out: Vec<RecordBatch> =
                 filtered.into_iter().filter(|f| f.num_rows() > 0).collect();

@@ -32,8 +32,11 @@
 //!   it can fail where the row loop succeeds; it can never succeed where the
 //!   row loop fails.
 
+use crate::compare::{compare_columns, compare_literal, CmpOp, Lanes};
 use crate::scalar;
-use pixels_common::{Column, ColumnBuilder, ColumnData, DataType, RecordBatch, Result, Value};
+use pixels_common::{
+    Column, ColumnBuilder, ColumnData, DataType, RecordBatch, Result, Selection, Value,
+};
 use pixels_planner::eval::{eval_expr, RowAccess};
 use pixels_planner::BoundExpr;
 use pixels_sql::ast::BinaryOp;
@@ -106,43 +109,50 @@ fn columnar_mask(expr: &BoundExpr, batch: &RecordBatch) -> Option<Vec<bool>> {
     Some(mask)
 }
 
-/// Evaluate a conjunction of predicates into one selection mask without
-/// materializing intermediate filtered batches.
+/// Evaluate a conjunction of predicates into one [`Selection`] without
+/// materializing intermediate filtered batches; the `Filter` operator
+/// gathers its batch with it ([`RecordBatch::select`]).
 ///
 /// Top-level `AND` chains inside each predicate are flattened and each
 /// conjunct is evaluated against the *original* batch, see [`and_conjunct`].
-pub fn fused_filter_mask(filters: &[BoundExpr], batch: &RecordBatch) -> Result<Vec<bool>> {
-    let mut mask = vec![true; batch.num_rows()];
+pub fn fused_filter_selection(filters: &[BoundExpr], batch: &RecordBatch) -> Result<Selection> {
+    let mut selection = Selection::all(batch.num_rows());
     let mut conjuncts = Vec::new();
     for f in filters {
         collect_conjuncts(f, &mut conjuncts);
     }
     for conj in conjuncts {
-        and_conjunct(conj, batch, &mut mask)?;
+        and_conjunct(conj, batch, &mut selection)?;
     }
-    Ok(mask)
+    Ok(selection)
 }
 
-/// AND one conjunct's verdict into `mask`. The kernels evaluate it over the
-/// whole batch; when they cannot, the row loop evaluates it on the rows still
-/// selected — the short-circuit order of a sequential filter chain, where a
-/// row rejected by an earlier conjunct never reaches a later, possibly
-/// erroring, expression.
-pub(crate) fn and_conjunct(conj: &BoundExpr, batch: &RecordBatch, mask: &mut [bool]) -> Result<()> {
-    if let Some(m) = columnar_mask(conj, batch) {
-        and_into(mask, &m);
+/// [`fused_filter_selection`] as one flag per row.
+pub fn fused_filter_mask(filters: &[BoundExpr], batch: &RecordBatch) -> Result<Vec<bool>> {
+    fused_filter_selection(filters, batch).map(|selection| selection.to_bools())
+}
+
+/// AND one conjunct's verdict into `selection`. The kernels evaluate it over
+/// the whole batch; when they cannot, the row loop evaluates it on the rows
+/// still selected — the short-circuit order of a sequential filter chain,
+/// where a row rejected by an earlier conjunct never reaches a later,
+/// possibly erroring, expression.
+pub(crate) fn and_conjunct(
+    conj: &BoundExpr,
+    batch: &RecordBatch,
+    selection: &mut Selection,
+) -> Result<()> {
+    if let Some(mask) = columnar_mask(conj, batch) {
+        selection.refine_flags(&mask, |keep| keep);
         return Ok(());
     }
-    for (row, acc) in mask.iter_mut().enumerate() {
-        if *acc {
-            let v = eval_expr(conj, &BatchRow { batch, row })?;
-            *acc = matches!(v, Value::Boolean(true));
-        }
-    }
-    Ok(())
+    selection.try_retain(|row| {
+        let v = eval_expr(conj, &BatchRow { batch, row })?;
+        Ok(matches!(v, Value::Boolean(true)))
+    })
 }
 
-pub(crate) fn and_into(mask: &mut [bool], m: &[bool]) {
+fn and_into(mask: &mut [bool], m: &[bool]) {
     for (acc, &v) in mask.iter_mut().zip(m) {
         *acc &= v;
     }
@@ -552,19 +562,30 @@ fn is_null(operand: &Operand<'_>, negated: bool) -> Kernel<Column> {
     })))
 }
 
-/// The six comparisons between two columns or a column and a literal.
+/// The six comparisons between two columns or a column and a literal, by
+/// the kernels of [`crate::compare`].
 fn compare(op: BinaryOp, l: &Operand<'_>, r: &Operand<'_>) -> Kernel<Column> {
+    let against_literal = |col: &Column, lit: &Value, flipped: bool| {
+        let mut values = Vec::new();
+        compare_literal(
+            &mut values,
+            Lanes::Column(col.data()),
+            CmpOp::of(op, flipped),
+            lit,
+        )
+        .then_some(values)
+    };
     let (values, validity) = match (l, r) {
         (Operand::Col(col), Operand::Lit(lit)) => (
-            compare_literal(col.data(), op, lit, false),
+            against_literal(col, lit, false),
             col.validity().map(<[bool]>::to_vec),
         ),
         (Operand::Lit(lit), Operand::Col(col)) => (
-            compare_literal(col.data(), op, lit, true),
+            against_literal(col, lit, true),
             col.validity().map(<[bool]>::to_vec),
         ),
         (Operand::Col(a), Operand::Col(b)) => (
-            compare_columns(a.data(), b.data(), op),
+            compare_columns(a.data(), b.data(), CmpOp::of(op, false)),
             both_valid(a.validity(), b.validity()),
         ),
         (Operand::Lit(_), Operand::Lit(_)) => (None, None),
@@ -612,181 +633,6 @@ impl<'a> NumSlice<'a> {
             NumSlice::F64(v) => v[a].total_cmp(&v[b]),
         }
     }
-}
-
-/// Which orderings of `left` against `right` satisfy a comparison operator,
-/// as three flags so that a kernel's loop carries no branch on the operator.
-#[derive(Clone, Copy)]
-struct Accept {
-    less: bool,
-    equal: bool,
-    greater: bool,
-}
-
-impl Accept {
-    /// The flags of `left <op> right`; with `flipped`, of `right <op> left`.
-    fn new(op: BinaryOp, flipped: bool) -> Accept {
-        let (less, equal, greater) = match op {
-            BinaryOp::Eq => (false, true, false),
-            BinaryOp::NotEq => (true, false, true),
-            BinaryOp::Lt => (true, false, false),
-            BinaryOp::LtEq => (true, true, false),
-            BinaryOp::Gt => (false, false, true),
-            BinaryOp::GtEq => (false, true, true),
-            _ => unreachable!("not a comparison: {op:?}"),
-        };
-        let (less, greater) = if flipped {
-            (greater, less)
-        } else {
-            (less, greater)
-        };
-        Accept {
-            less,
-            equal,
-            greater,
-        }
-    }
-
-    /// Whether `left <op> right` holds, for fixed-width values: three
-    /// comparisons and no branch.
-    #[inline]
-    fn test<T: PartialOrd>(self, left: &T, right: &T) -> bool {
-        (self.less & (left < right))
-            | (self.equal & (left == right))
-            | (self.greater & (left > right))
-    }
-
-    /// Whether an already computed ordering satisfies the operator.
-    #[inline]
-    fn of(self, ord: std::cmp::Ordering) -> bool {
-        match ord {
-            std::cmp::Ordering::Less => self.less,
-            std::cmp::Ordering::Equal => self.equal,
-            std::cmp::Ordering::Greater => self.greater,
-        }
-    }
-}
-
-/// An `f64` as an integer that orders like `f64::total_cmp` — the order
-/// `Value::sql_cmp` gives numerics, where `-0.0 < 0.0` and NaN equals itself.
-#[inline]
-fn total_order(x: f64) -> i64 {
-    let bits = x.to_bits() as i64;
-    bits ^ (((bits >> 63) as u64) >> 1) as i64
-}
-
-/// `a <op> b` per row for the pairs `Value::sql_cmp` orders — integer with
-/// integer exactly, any other numeric pair through `f64::total_cmp`, and
-/// Utf8/Date/Timestamp/Boolean against themselves — ignoring validity.
-/// `None` for any other pair, which the scalar semantics reject row by row.
-fn compare_columns(a: &ColumnData, b: &ColumnData, op: BinaryOp) -> Option<Vec<bool>> {
-    let accept = Accept::new(op, false);
-    fn zip<T: PartialOrd>(accept: Accept, a: &[T], b: &[T]) -> Vec<bool> {
-        a.iter().zip(b).map(|(x, y)| accept.test(x, y)).collect()
-    }
-    Some(match (a, b) {
-        (ColumnData::Utf8(a), ColumnData::Utf8(b)) => a
-            .iter()
-            .zip(b.iter())
-            .map(|(x, y)| accept.of(x.cmp(y)))
-            .collect(),
-        (ColumnData::Date(a), ColumnData::Date(b)) => zip(accept, a, b),
-        (ColumnData::Timestamp(a), ColumnData::Timestamp(b)) => zip(accept, a, b),
-        (ColumnData::Boolean(a), ColumnData::Boolean(b)) => zip(accept, a, b),
-        (ColumnData::Int32(a), ColumnData::Int32(b)) => zip(accept, a, b),
-        (ColumnData::Int64(a), ColumnData::Int64(b)) => zip(accept, a, b),
-        (ColumnData::Int32(a), ColumnData::Int64(b)) => (a.iter().zip(b))
-            .map(|(&x, y)| accept.test(&i64::from(x), y))
-            .collect(),
-        (ColumnData::Int64(a), ColumnData::Int32(b)) => (a.iter().zip(b))
-            .map(|(x, &y)| accept.test(x, &i64::from(y)))
-            .collect(),
-        (a, b) => {
-            let (na, nb) = (NumSlice::of(a)?, NumSlice::of(b)?);
-            (0..a.len())
-                .map(|i| accept.test(&total_order(na.get(i)), &total_order(nb.get(i))))
-                .collect()
-        }
-    })
-}
-
-/// `data <op> lit` per element (`lit <op> data` when `flipped`) for the same
-/// pairs as [`compare_columns`], ignoring validity; `lit` is not NULL. Shared
-/// with the encoded scan, which runs it over a dictionary's entries or an RLE
-/// chunk's run values.
-pub(crate) fn compare_literal(
-    data: &ColumnData,
-    op: BinaryOp,
-    lit: &Value,
-    flipped: bool,
-) -> Option<Vec<bool>> {
-    let accept = Accept::new(op, flipped);
-    fn each<T: PartialOrd>(accept: Accept, v: &[T], t: &T) -> Vec<bool> {
-        v.iter().map(|x| accept.test(x, t)).collect()
-    }
-    Some(match (data, lit) {
-        (ColumnData::Date(v), Value::Date(t)) => each(accept, v, t),
-        (ColumnData::Timestamp(v), Value::Timestamp(t)) => each(accept, v, t),
-        (ColumnData::Boolean(v), Value::Boolean(t)) => each(accept, v, t),
-        (ColumnData::Utf8(v), Value::Utf8(s)) => {
-            let verdict = |x: &str| accept.of(x.cmp(s.as_str()));
-            let pool = v.pool();
-            if pool.len() < v.len() {
-                // Fewer pool entries than rows (a dictionary): one comparison
-                // per entry, mapped over the rows' indices.
-                let by_entry: Vec<bool> = pool.iter().map(verdict).collect();
-                let no_entry = verdict("");
-                (v.indices().iter())
-                    .map(|&i| by_entry.get(i as usize).copied().unwrap_or(no_entry))
-                    .collect()
-            } else {
-                v.iter().map(verdict).collect()
-            }
-        }
-        // Integer against integer, exactly, like `sql_cmp`.
-        (ColumnData::Int32(v), Value::Int32(t)) => each(accept, v, t),
-        (ColumnData::Int64(v), Value::Int64(t)) => each(accept, v, t),
-        (ColumnData::Int64(v), Value::Int32(t)) => each(accept, v, &i64::from(*t)),
-        (ColumnData::Int32(v), Value::Int64(t)) => {
-            v.iter().map(|&x| accept.test(&i64::from(x), t)).collect()
-        }
-        // A float on either side: both widened to f64, like `sql_cmp`.
-        (data, lit) => {
-            let t = total_order(lit.as_f64()?);
-            let verdict = |x: f64| accept.test(&total_order(x), &t);
-            match data {
-                ColumnData::Int32(v) => v.iter().map(|&x| verdict(f64::from(x))).collect(),
-                ColumnData::Int64(v) => v.iter().map(|&x| verdict(x as f64)).collect(),
-                ColumnData::Float64(v) => v.iter().map(|&x| verdict(x)).collect(),
-                _ => return None,
-            }
-        }
-    })
-}
-
-/// [`compare_literal`] as a selection mask over a column: a NULL row, and
-/// every row against a NULL literal, is not selected. `None` when the pair
-/// has no kernel.
-pub(crate) fn compare_literal_mask(
-    col: &Column,
-    op: BinaryOp,
-    lit: &Value,
-    flipped: bool,
-) -> Option<Vec<bool>> {
-    if lit.is_null() {
-        return Some(vec![false; col.len()]);
-    }
-    let mut mask = compare_literal(col.data(), op, lit, flipped)?;
-    if let Some(validity) = col.validity() {
-        and_into(&mut mask, validity);
-    }
-    Some(mask)
-}
-
-/// Whether [`compare_literal`] covers this column type and (non-null)
-/// literal — i.e. whether the comparison is infallible per row.
-pub(crate) fn literal_comparable(ty: DataType, lit: &Value) -> bool {
-    lit.data_type().is_some_and(|lt| ty.comparable_with(lt))
 }
 
 #[cfg(test)]

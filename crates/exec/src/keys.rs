@@ -681,6 +681,15 @@ impl<'a> KeyInts<'a> {
         Some((KeyClass::of(data.data_type()), ints))
     }
 
+    /// The value at `i`.
+    #[inline]
+    pub fn get(self, i: usize) -> i64 {
+        match self {
+            KeyInts::Narrow(v) => i64::from(v[i]),
+            KeyInts::Wide(v) => v[i],
+        }
+    }
+
     /// `f` over the values in row order, the width matched once.
     pub fn for_each(self, mut f: impl FnMut(usize, i64)) {
         match self {

@@ -16,6 +16,7 @@
 
 pub mod aggregate;
 pub mod batch;
+mod compare;
 pub mod context;
 pub mod encoded;
 pub mod engine;
@@ -34,7 +35,7 @@ pub use context::{
     DEFAULT_BATCH_SIZE,
 };
 pub use engine::{execute, execute_collect, operator_name};
-pub use evaluate::{evaluate, fused_filter_mask, predicate_mask};
+pub use evaluate::{evaluate, fused_filter_mask, fused_filter_selection, predicate_mask};
 pub use exchange::{ExchangeStats, JoinSide};
 pub use prefetch::PrefetchStats;
 

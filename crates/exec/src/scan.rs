@@ -18,14 +18,17 @@
 //! in flight ahead of the decoding workers, unless the chunk cache already
 //! holds everything the scan will read, in which case there is nothing to
 //! overlap and the workers fetch for themselves. Residual filters run on
-//! encoded chunks ([`crate::encoded`]) with late materialization; when the
-//! scan is the probe side of a hash join, the build side's [`KeyFilter`] is
-//! one more conjunct after them. Billing is metered from chunk metadata, so
-//! bills are identical however the bytes arrived and whatever a filter
-//! dropped.
+//! encoded chunks ([`crate::encoded`]) into one packed [`Selection`] per
+//! morsel, 64 rows to a `u64` word; when the scan is the probe side of a
+//! hash join, the build side's [`KeyFilter`] narrows it after them. Only the
+//! rows the words keep are then gathered from each projected chunk (late
+//! materialization). Billing is metered from chunk metadata, so bills are
+//! identical however the bytes arrived and whatever a filter dropped.
+//!
+//! [`Selection`]: pixels_common::Selection
 
 use crate::context::ExecContext;
-use crate::encoded::{encoded_filter_mask, key_filter_can_drop, key_filter_mask, LazyRowGroup};
+use crate::encoded::{encoded_selection, key_filter_can_drop, key_filter_refine, LazyRowGroup};
 use crate::keys::KeyFilter;
 use crate::prefetch::run_prefetched;
 use pixels_common::{Error, RecordBatch, Result, SchemaRef};
@@ -237,8 +240,8 @@ pub fn execute_scan(
             }
             Ok(chunks)
         },
-        // Work phase (morsel workers): filter on the encoded chunks, then
-        // materialize only the selected rows. The join's key filter comes
+        // Work phase (morsel workers): filter on the encoded chunks into a
+        // selection, then materialize only the rows it keeps. The join's key filter comes
         // after the fetch and after the scan's own conjuncts: it prunes no
         // byte, and a row they reject or fail on never reaches it.
         |i, chunks: Vec<EncodedChunk>| {
@@ -261,14 +264,12 @@ pub fn execute_scan(
             let batch = if filters.is_empty() && key_filter.is_none() {
                 lazy.materialize_all()?
             } else {
-                let mut mask = encoded_filter_mask(filters, &lazy, &stats)?;
-                if join_filter.is_some() {
-                    reached = mask.iter().filter(|&&keep| keep).count();
-                }
+                let mut selection = encoded_selection(filters, &lazy, &stats)?;
+                reached = selection.count();
                 if let Some(filter) = key_filter {
-                    key_filter_mask(filter, &lazy, &stats, &mut mask)?;
+                    key_filter_refine(filter, &lazy, &stats, &mut selection)?;
                 }
-                lazy.materialize(&mask)?
+                lazy.materialize(&selection)?
             };
             if join_filter.is_some() {
                 let dropped = (reached - batch.num_rows()) as u64;

@@ -10,23 +10,34 @@
 //!   dictionary chunk decodes to *pool = its dictionary, indices = its
 //!   codes*, so it is also the dictionary view: a predicate or MIN/MAX can
 //!   run once per pool entry, and no row's string is copied.
-//! - [`EncodedChunk::decode_filtered`] — materialize only selected rows. A
-//!   dictionary chunk keeps the selected codes over the shared dictionary; a
-//!   plain chunk reads only the selected rows out of the payload, so a
-//!   one-row result neither decodes the chunk nor holds its strings alive.
+//! - [`EncodedChunk::decode_filtered`] — only the rows a [`Selection`]
+//!   keeps, gathered word by word: a run of words that keep all their rows
+//!   is one contiguous copy, any other word is walked by its set bits. A
+//!   plain chunk reads the kept rows straight out of its payload (a string
+//!   chunk copies only their bytes, so a one-row result neither decodes the
+//!   chunk nor holds its strings alive), a dictionary chunk keeps the kept
+//!   codes over the shared dictionary, and an RLE chunk expands only the
+//!   runs the kept rows fall in.
+//! - [`EncodedChunk::plain_fixed`] — a plain fixed-width chunk's payload as
+//!   little-endian values in place, for a scan to compare without decoding.
 //! - [`EncodedChunk::rle_runs`] — run headers + one value per run, so
-//!   COUNT/SUM/MIN/MAX can fold runs without expanding them.
+//!   filters and COUNT/SUM/MIN/MAX can work per run without expanding.
+//! - [`EncodedChunk::validity`] — the validity header as the [`Selection`]
+//!   of the non-NULL rows, read straight from the bitmap's bytes.
 //!
 //! Every view validates exactly what the full decode validates (run counts,
-//! dictionary widths and codes, UTF-8 of every string), with identical error
-//! text, so switching the execution path never changes which corrupt files
-//! are detected.
+//! dictionary widths and every code, UTF-8 of every string, the payload's
+//! length), with identical error text, also for rows a selection does not
+//! keep — so switching the execution path never changes which corrupt files
+//! are detected. A chunk header's validity flag is 0 (no bitmap) or 1 (a
+//! bitmap follows); any other byte is a corrupt chunk, never a payload read
+//! one byte off.
 
 use bytes::Bytes;
-use pixels_common::{Column, ColumnData, DataType, Error, Result};
+use pixels_common::{Column, ColumnData, DataType, Error, Result, Selection};
 
 use crate::codec::Reader as ByteReader;
-use crate::encoding::{self, bitpack, plain, rle, Encoding};
+use crate::encoding::{self, plain, rle, Encoding};
 
 /// One fetched-but-not-decoded column chunk.
 #[derive(Debug, Clone)]
@@ -34,7 +45,8 @@ pub struct EncodedChunk {
     ty: DataType,
     encoding: Encoding,
     num_rows: usize,
-    validity: Option<Vec<bool>>,
+    /// The non-NULL rows; `None` when the chunk has no validity bitmap.
+    validity: Option<Selection>,
     /// Encoded payload, after the validity header.
     payload: Bytes,
 }
@@ -53,12 +65,17 @@ impl EncodedChunk {
     /// payload encoded.
     pub fn parse(chunk: Bytes, ty: DataType, encoding: Encoding, num_rows: usize) -> Result<Self> {
         let mut r = ByteReader::new(&chunk);
-        let has_validity = r.get_u8()? == 1;
-        let validity = if has_validity {
-            let bytes = r.get_raw(num_rows.div_ceil(8))?;
-            Some(bitpack::unpack_bools(bytes, num_rows))
-        } else {
-            None
+        let validity = match r.get_u8()? {
+            0 => None,
+            1 => Some(Selection::from_bitmap(
+                r.get_raw(num_rows.div_ceil(8))?,
+                num_rows,
+            )),
+            flag => {
+                return Err(Error::Storage(format!(
+                    "corrupt validity flag {flag} in a chunk header"
+                )))
+            }
         };
         let consumed = chunk.len() - r.remaining();
         Ok(EncodedChunk {
@@ -82,16 +99,15 @@ impl EncodedChunk {
         self.num_rows
     }
 
-    /// Per-row validity, `None` when every row is valid.
-    pub fn validity(&self) -> Option<&[bool]> {
-        self.validity.as_deref()
+    /// The non-NULL rows, `None` when every row is valid.
+    pub fn validity(&self) -> Option<&Selection> {
+        self.validity.as_ref()
     }
 
     pub fn null_count(&self) -> usize {
-        match &self.validity {
-            Some(v) => v.iter().filter(|&&b| !b).count(),
-            None => 0,
-        }
+        self.validity
+            .as_ref()
+            .map_or(0, |valid| self.num_rows - valid.count())
     }
 
     /// Number of non-null rows, without decoding the payload.
@@ -110,124 +126,107 @@ impl EncodedChunk {
                 self.num_rows
             )));
         }
-        Column::with_validity(data, self.validity.clone())
+        Column::with_validity(data, self.validity.as_ref().map(Selection::to_bools))
     }
 
-    /// Decode only the rows selected by `mask` (length = chunk rows).
-    /// Equal to `decode()?.filter(mask)`, with the same validation, but RLE
-    /// runs are never expanded for rejected rows and a plain chunk reads
-    /// only the selected rows out of its payload.
-    pub fn decode_filtered(&self, mask: &[bool]) -> Result<Column> {
-        self.check_mask(mask)?;
+    /// Decode only the rows `selection` keeps. Equal to
+    /// `decode()?.select(selection)`, with the same validation — of every
+    /// row, kept or not.
+    pub fn decode_filtered(&self, selection: &Selection) -> Result<Column> {
+        self.check_selection(selection)?;
         match self.encoding {
-            // Only the selected rows are read out of the payload (for
-            // strings: copied into the pool).
             Encoding::Plain => {
                 let mut r = ByteReader::new(&self.payload);
-                let data = plain::decode_kept(&mut r, self.ty, self.num_rows, Some(mask))?;
-                Column::with_validity(data, self.kept_validity(Some(mask)))
+                let data = plain::decode_kept(&mut r, self.ty, self.num_rows, Some(selection))?;
+                Column::with_validity(data, self.kept_validity(selection))
             }
-            Encoding::Dictionary => self.decode()?.filter(mask),
-            Encoding::Rle => self.expand_runs(&self.rle_runs()?, Some(mask)),
+            // The full decode is the dictionary plus every code, each checked;
+            // the kept rows are its kept codes.
+            Encoding::Dictionary => self.decode()?.select(selection),
+            Encoding::Rle => self.expand_runs(&self.rle_runs()?, selection),
         }
     }
 
-    /// The rows of this RLE chunk from `runs`, its already parsed
-    /// [`EncodedChunk::rle_runs`]: all of them, equal to
-    /// [`EncodedChunk::decode`], or those `mask` keeps, equal to
-    /// [`EncodedChunk::decode_filtered`]. A caller that read the runs to
-    /// filter on them expands them without parsing the payload again.
-    pub fn expand_runs(&self, runs: &RleRuns, mask: Option<&[bool]>) -> Result<Column> {
-        if let Some(mask) = mask {
-            self.check_mask(mask)?;
-        }
+    /// The rows `selection` keeps of this RLE chunk, from `runs`, its
+    /// already parsed [`EncodedChunk::rle_runs`]: equal to
+    /// [`EncodedChunk::decode_filtered`], or under [`Selection::all`] to
+    /// [`EncodedChunk::decode`]. A caller that read the runs to filter on
+    /// them expands them without parsing the payload again.
+    ///
+    /// The walk costs O(runs + kept rows): a run cursor that only moves
+    /// forward gives each kept row the value of the run it falls in, and a
+    /// range of whole words is copied a run at a time.
+    pub fn expand_runs(&self, runs: &RleRuns, selection: &Selection) -> Result<Column> {
+        self.check_selection(selection)?;
         if runs.counts.iter().map(|&c| c as usize).sum::<usize>() != self.num_rows {
             return Err(Error::Storage(format!(
                 "RLE runs do not cover the chunk's {} rows",
                 self.num_rows
             )));
         }
-        fn expand<T: Copy>(counts: &[u32], values: &[T], mask: Option<&[bool]>) -> Vec<T> {
-            let Some(mask) = mask else {
-                let mut out = Vec::with_capacity(counts.iter().map(|&c| c as usize).sum());
-                for (&count, &v) in counts.iter().zip(values) {
-                    out.extend(std::iter::repeat_n(v, count as usize));
-                }
-                return out;
-            };
-            // Each kept row takes the value of the run it falls in. The run
-            // cursor only moves forward, so the walk costs O(runs + kept
-            // rows), with no count per run: the mask is read as 32-row words
-            // of bits, a word is walked by its set bits, and a word that
-            // keeps every row is copied a run at a time.
-            const BLOCK: usize = 32;
-            let mut out = Vec::with_capacity(mask.iter().filter(|&&m| m).count());
-            let mut run = 0usize;
-            let mut end = counts.first().map_or(0, |&c| c as usize);
-            let mut seek = |row: usize| {
-                while row >= end {
-                    run += 1;
-                    end += counts[run] as usize;
-                }
-                (run, end)
-            };
-            for (start, block) in (0..).step_by(BLOCK).zip(mask.chunks(BLOCK)) {
-                let mut bits = mask_bits(block);
-                if bits.count_ones() as usize == block.len() {
-                    let stop = start + block.len();
-                    let mut row = start;
-                    while row < stop {
-                        let (run, end) = seek(row);
-                        let upto = end.min(stop);
-                        out.extend(std::iter::repeat_n(values[run], upto - row));
-                        row = upto;
+        fn expand<T: Copy>(counts: &[u32], values: &[T], selection: &Selection) -> Vec<T> {
+            let mut out = Vec::with_capacity(selection.count());
+            let (mut run, mut end) = (0usize, counts.first().map_or(0, |&c| c as usize));
+            selection.for_each_range(|rows| {
+                let mut row = rows.start;
+                while row < rows.end {
+                    while row >= end {
+                        run += 1;
+                        end += counts[run] as usize;
                     }
-                    continue;
+                    let upto = end.min(rows.end);
+                    out.extend(std::iter::repeat_n(values[run], upto - row));
+                    row = upto;
                 }
-                while bits != 0 {
-                    let row = start + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    out.push(values[seek(row).0]);
-                }
-            }
+            });
             out
         }
-        let c = &runs.counts;
+        let (c, s) = (&runs.counts, selection);
         let data = match &runs.values {
-            ColumnData::Boolean(v) => ColumnData::Boolean(expand(c, v, mask)),
-            ColumnData::Int32(v) => ColumnData::Int32(expand(c, v, mask)),
-            ColumnData::Date(v) => ColumnData::Date(expand(c, v, mask)),
-            ColumnData::Int64(v) => ColumnData::Int64(expand(c, v, mask)),
-            ColumnData::Timestamp(v) => ColumnData::Timestamp(expand(c, v, mask)),
-            ColumnData::Float64(v) => ColumnData::Float64(expand(c, v, mask)),
+            ColumnData::Boolean(v) => ColumnData::Boolean(expand(c, v, s)),
+            ColumnData::Int32(v) => ColumnData::Int32(expand(c, v, s)),
+            ColumnData::Date(v) => ColumnData::Date(expand(c, v, s)),
+            ColumnData::Int64(v) => ColumnData::Int64(expand(c, v, s)),
+            ColumnData::Timestamp(v) => ColumnData::Timestamp(expand(c, v, s)),
+            ColumnData::Float64(v) => ColumnData::Float64(expand(c, v, s)),
             ColumnData::Utf8(_) => {
                 return Err(Error::Storage("RLE does not support strings".into()))
             }
         };
-        Column::with_validity(data, self.kept_validity(mask))
+        Column::with_validity(data, self.kept_validity(selection))
     }
 
-    fn check_mask(&self, mask: &[bool]) -> Result<()> {
-        if mask.len() != self.num_rows {
+    fn check_selection(&self, selection: &Selection) -> Result<()> {
+        if selection.len() != self.num_rows {
             return Err(Error::Storage(format!(
-                "filter mask has {} entries for a chunk of {} rows",
-                mask.len(),
+                "a selection of {} rows for a chunk of {} rows",
+                selection.len(),
                 self.num_rows
             )));
         }
         Ok(())
     }
 
-    /// The validity of the rows `mask` keeps (all rows without one).
-    fn kept_validity(&self, mask: Option<&[bool]>) -> Option<Vec<bool>> {
-        let validity = self.validity.as_ref()?;
-        Some(match mask {
-            None => validity.clone(),
-            Some(mask) => (validity.iter().zip(mask))
-                .filter(|(_, &keep)| keep)
-                .map(|(&b, _)| b)
-                .collect(),
-        })
+    /// The validity of the rows `selection` keeps.
+    fn kept_validity(&self, selection: &Selection) -> Option<Vec<bool>> {
+        Some(selection.gather_bits(self.validity.as_ref()?))
+    }
+
+    /// A plain chunk's payload as its `num_rows` little-endian values of `W`
+    /// bytes, in place, after the full decode's bounds check (same error).
+    /// `None` for another encoding, and for a type that is not `W` bytes wide
+    /// (Int32 and Date are 4, Int64, Timestamp and Float64 8; Boolean and
+    /// Utf8 are neither).
+    pub fn plain_fixed<const W: usize>(&self) -> Result<Option<&[[u8; W]]>> {
+        let width = match self.ty {
+            DataType::Int32 | DataType::Date => 4,
+            DataType::Int64 | DataType::Timestamp | DataType::Float64 => 8,
+            DataType::Boolean | DataType::Utf8 => 0,
+        };
+        if self.encoding != Encoding::Plain || width != W {
+            return Ok(None);
+        }
+        plain::fixed_values::<W>(&mut ByteReader::new(&self.payload), self.num_rows).map(Some)
     }
 
     /// Run headers and per-run values of an RLE chunk, validated like the
@@ -293,26 +292,11 @@ impl EncodedChunk {
     }
 }
 
-/// Up to 32 flags as the bits of a word, flag `i` at bit `i`: eight at a
-/// time, by the multiply that gathers the low bit of each of eight bytes
-/// into the top byte.
-fn mask_bits(flags: &[bool]) -> u32 {
-    let mut bits = 0u32;
-    for (i, eight) in flags.chunks(8).enumerate() {
-        let mut bytes = [0u8; 8];
-        for (b, &f) in bytes.iter_mut().zip(eight) {
-            *b = u8::from(f);
-        }
-        let packed = u64::from_le_bytes(bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
-        bits |= (packed as u32) << (8 * i);
-    }
-    bits
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::Writer;
+    use crate::encoding::bitpack;
 
     fn encode_chunk(data: &ColumnData, validity: Option<&[bool]>, encoding: Encoding) -> Bytes {
         // Mirrors the writer's chunk layout: validity header + payload.
@@ -332,6 +316,19 @@ mod tests {
         ColumnData::Utf8(values.iter().collect())
     }
 
+    /// Equal columns, floats by bit pattern (NaN is not equal to itself).
+    fn assert_same(direct: &Column, oracle: &Column, what: &str) {
+        assert_eq!(direct.validity(), oracle.validity(), "{what}");
+        match (direct.data(), oracle.data()) {
+            (ColumnData::Float64(a), ColumnData::Float64(b)) => assert_eq!(
+                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "{what}"
+            ),
+            (a, b) => assert_eq!(a, b, "{what}"),
+        }
+    }
+
     #[test]
     fn decode_matches_classic_path() {
         let data = ColumnData::Int64(vec![3, 3, 3, 9, 9, 1, 1, 1]);
@@ -347,94 +344,110 @@ mod tests {
         let validity = [true, false, true, true];
         let raw = encode_chunk(&data, Some(&validity), Encoding::Plain);
         let chunk = EncodedChunk::parse(raw, DataType::Utf8, Encoding::Plain, 4).unwrap();
-        assert_eq!(chunk.validity().unwrap(), &validity);
+        assert_eq!(chunk.validity().unwrap().to_bools(), validity);
         assert_eq!(chunk.null_count(), 1);
         assert_eq!(chunk.count_valid(), 3);
         let col = chunk.decode().unwrap();
         assert_eq!(col.null_count(), 1);
     }
 
+    /// Every selection gather — `decode_filtered` of a plain, RLE or
+    /// dictionary chunk, and `expand_runs` of parsed runs — equals the full
+    /// decode filtered by the same rows: every type, with and without NULLs,
+    /// NaN and `-0.0` among the floats, at 0, 1, 3, 50, 97, 99 and 100 % of
+    /// the rows kept, over lengths around a word, lineitem's last row group
+    /// (870 rows) and a full one (4,096); RLE runs of one or a few rows,
+    /// runs across word boundaries, and runs spanning whole words.
     #[test]
-    fn decode_filtered_equals_decode_then_filter() {
-        // Every fixed-width type, plain and RLE, with and without NULLs, at
-        // 0 %, 1 %, 3 %, 50 %, 97 %, 99 % and 100 % of the rows kept; also
-        // runs of one row, and a run across 32-row block boundaries.
-        let n = 300usize;
-        let run = |i: usize| (i / 7) as i64 - 20;
-        let columns = [
-            ColumnData::Boolean((0..n).map(|i| run(i) % 2 == 0).collect()),
-            ColumnData::Int32((0..n).map(|i| run(i) as i32 * 3).collect()),
-            ColumnData::Date((0..n).map(|i| 9000 + run(i) as i32).collect()),
-            ColumnData::Int64((0..n).map(|i| run(i) << 40).collect()),
-            ColumnData::Timestamp((0..n).map(|i| -run(i)).collect()),
-            ColumnData::Float64(
-                (0..n)
-                    .map(|i| [-0.0, f64::NAN, 1.5][run(i) as usize % 3])
-                    .collect(),
-            ),
-            ColumnData::Int64((0..n).map(|i| i as i64 * 5 - 700).collect()),
-            ColumnData::Int32(
-                (0..n)
-                    .map(|i| if (20..90).contains(&i) { 7 } else { i as i32 })
-                    .collect(),
-            ),
-        ];
-        let validity: Vec<bool> = (0..n).map(|i| i % 5 != 2).collect();
-        let masks = [
-            vec![false; n],
-            (0..n).map(|i| i % 100 == 42).collect(),
-            (0..n).map(|i| i % 33 == 5).collect(),
-            (0..n).map(|i| i % 2 == 0).collect(),
-            (0..n).map(|i| i % 33 != 5).collect(),
-            (0..n).map(|i| i % 100 != 42).collect(),
-            vec![true; n],
-        ];
-        for data in &columns {
-            for encoding in [Encoding::Plain, Encoding::Rle] {
-                for validity in [None, Some(validity.as_slice())] {
-                    let raw = encode_chunk(data, validity, encoding);
-                    let chunk = EncodedChunk::parse(raw, data.data_type(), encoding, n).unwrap();
-                    let what = format!("{} {encoding:?}", data.data_type());
-                    let same = |direct: Column, oracle: Column| {
-                        assert_eq!(direct.validity(), oracle.validity(), "{what}");
-                        // Floats by bit pattern: NaN is not equal to itself.
-                        match (direct.data(), oracle.data()) {
-                            (ColumnData::Float64(a), ColumnData::Float64(b)) => assert_eq!(
-                                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                                "{what}"
-                            ),
-                            (a, b) => assert_eq!(a, b, "{what}"),
+    fn every_selection_gather_equals_decode_then_filter() {
+        // Mostly runs of one or two rows, one of five (rows 1..5) — short
+        // runs that end inside words.
+        let run = |i: usize| (i / (1 + i % 6 / 2)) as i64 - 20;
+        let columns = |n: usize| {
+            vec![
+                ColumnData::Boolean((0..n).map(|i| run(i) % 2 == 0).collect()),
+                ColumnData::Int32((0..n).map(|i| run(i) as i32 * 3).collect()),
+                ColumnData::Date((0..n).map(|i| 9000 + run(i) as i32).collect()),
+                ColumnData::Int64((0..n).map(|i| run(i) << 40).collect()),
+                ColumnData::Timestamp((0..n).map(|i| -run(i)).collect()),
+                // One 70-row run (rows 20..90) across the first word boundary,
+                // between runs of one row.
+                ColumnData::Int32(
+                    (0..n)
+                        .map(|i| if (20..90).contains(&i) { 7 } else { i as i32 })
+                        .collect(),
+                ),
+                // Runs of 150 rows: each covers whole words and starts and
+                // ends inside others.
+                ColumnData::Int64((0..n).map(|i| (i / 150) as i64).collect()),
+                // Runs of 7 rows, some across word boundaries (rows 63..70).
+                ColumnData::Date((0..n).map(|i| (i / 7) as i32).collect()),
+                ColumnData::Float64(
+                    (0..n)
+                        .map(|i| [-0.0, f64::NAN, 1.5, 0.0][run(i).unsigned_abs() as usize % 4])
+                        .collect(),
+                ),
+                ColumnData::Utf8(
+                    (0..n)
+                        .map(|i| format!("s{}", run(i).rem_euclid(9)))
+                        .collect(),
+                ),
+            ]
+        };
+        // A pseudo-random row order, so kept rows neither line up with words
+        // nor with runs.
+        let scatter = |i: usize| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % 100;
+        for n in [1usize, 63, 64, 65, 870, 4096] {
+            let validity: Vec<bool> = (0..n).map(|i| i % 5 != 2).collect();
+            for data in columns(n) {
+                let encodings: &[Encoding] = match data {
+                    ColumnData::Utf8(_) => &[Encoding::Plain, Encoding::Dictionary],
+                    _ => &[Encoding::Plain, Encoding::Rle],
+                };
+                for &encoding in encodings {
+                    for validity in [None, Some(validity.as_slice())] {
+                        let raw = encode_chunk(&data, validity, encoding);
+                        let chunk =
+                            EncodedChunk::parse(raw, data.data_type(), encoding, n).unwrap();
+                        let full = chunk.decode().unwrap();
+                        let runs = (encoding == Encoding::Rle).then(|| chunk.rle_runs().unwrap());
+                        for percent in [0, 1, 3, 50, 97, 99, 100] {
+                            let mask: Vec<bool> = (0..n).map(|i| scatter(i) < percent).collect();
+                            let selection = Selection::from_bools(&mask);
+                            let what = format!(
+                                "{} {encoding:?} n={n} nulls={} {percent} %",
+                                data.data_type(),
+                                validity.is_some()
+                            );
+                            let oracle = full.filter(&mask).unwrap();
+                            let direct = chunk.decode_filtered(&selection).unwrap();
+                            assert_same(&direct, &oracle, &what);
+                            assert_same(&full.select(&selection).unwrap(), &oracle, &what);
+                            if let Some(runs) = &runs {
+                                let expanded = chunk.expand_runs(runs, &selection).unwrap();
+                                assert_same(&expanded, &oracle, &what);
+                            }
                         }
-                    };
-                    let runs = (encoding == Encoding::Rle).then(|| chunk.rle_runs().unwrap());
-                    if let Some(runs) = &runs {
-                        same(
-                            chunk.expand_runs(runs, None).unwrap(),
-                            chunk.decode().unwrap(),
-                        );
-                    }
-                    for mask in &masks {
-                        let oracle = chunk.decode().unwrap().filter(mask).unwrap();
-                        same(chunk.decode_filtered(mask).unwrap(), oracle.clone());
                         if let Some(runs) = &runs {
-                            same(chunk.expand_runs(runs, Some(mask)).unwrap(), oracle);
+                            let all = chunk.expand_runs(runs, &Selection::all(n)).unwrap();
+                            assert_same(&all, &full, "all rows");
                         }
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn decode_filtered_dictionary() {
-        let data = utf8(&["x", "y", "x", "z", "y", "x", "x", "z"]);
-        let raw = encode_chunk(&data, None, Encoding::Dictionary);
-        let chunk = EncodedChunk::parse(raw, DataType::Utf8, Encoding::Dictionary, 8).unwrap();
-        let mask = [true, false, false, true, true, false, true, false];
-        let direct = chunk.decode_filtered(&mask).unwrap();
-        let oracle = chunk.decode().unwrap().filter(&mask).unwrap();
-        assert_eq!(direct, oracle);
+        let chunk = EncodedChunk::parse(
+            encode_chunk(&ColumnData::Int32(vec![1, 2]), None, Encoding::Plain),
+            DataType::Int32,
+            Encoding::Plain,
+            2,
+        )
+        .unwrap();
+        let err = chunk.decode_filtered(&Selection::all(3)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "storage error: a selection of 3 rows for a chunk of 2 rows"
+        );
     }
 
     #[test]
@@ -451,10 +464,19 @@ mod tests {
         assert_eq!(v.indices(), [0, 1, 0, 0, 2]);
     }
 
+    /// `plain_fixed` at the chunk type's own width, as a scan reads it.
+    fn plain_fixed_view(chunk: &EncodedChunk) -> Result<()> {
+        match chunk.data_type() {
+            DataType::Int32 | DataType::Date => chunk.plain_fixed::<4>().map(drop),
+            _ => chunk.plain_fixed::<8>().map(drop),
+        }
+    }
+
     /// Every way a string chunk can be corrupt, and a fixed-width chunk be
-    /// cut short, is the same error, with the same text, from the full decode
-    /// and from the filtered one — also when the filter rejects the corrupt
-    /// row.
+    /// cut short, is the same error, with the same text, from the full decode,
+    /// from the selection gather — also under a selection that keeps no row,
+    /// or not the corrupt one — and, for a fixed-width chunk, from the
+    /// in-place view a scan compares.
     #[test]
     fn corrupt_string_chunks_fail_alike_on_every_decode_path() {
         let dictionary = |entries: &[&[u8]], width: u8, codes: &[u32]| {
@@ -596,19 +618,71 @@ mod tests {
         ];
         for (what, bytes, ty, encoding, expected) in cases {
             let chunk = EncodedChunk::parse(Bytes::from(bytes), ty, encoding, 2).unwrap();
-            for (path, result) in [
+            let mut paths = vec![
                 ("decode", chunk.decode()),
                 (
                     "decode_filtered, all rows",
-                    chunk.decode_filtered(&[true, true]),
+                    chunk.decode_filtered(&Selection::all(2)),
                 ),
                 (
                     "decode_filtered, no row",
-                    chunk.decode_filtered(&[false, false]),
+                    chunk.decode_filtered(&Selection::from_bools(&[false; 2])),
                 ),
-            ] {
+                (
+                    "decode_filtered, the first row only",
+                    chunk.decode_filtered(&Selection::from_bools(&[true, false])),
+                ),
+            ];
+            if encoding == Plain && !matches!(ty, Utf8 | Boolean) {
+                paths.push((
+                    "plain_fixed",
+                    plain_fixed_view(&chunk).map(|()| Column::nulls(ty, 0)),
+                ));
+            }
+            for (path, result) in paths {
                 let err = result.expect_err(what).to_string();
                 assert_eq!(err, expected, "{what}, {path}");
+            }
+        }
+    }
+
+    /// A validity flag other than 0 or 1 is a corrupt chunk. It used to read
+    /// as "no bitmap", and a plain fixed-width chunk then decoded its bitmap
+    /// bytes as the first value's, shifting every value by a byte, with no
+    /// error: the bitmap bytes make up the payload length it checks.
+    #[test]
+    fn corrupt_validity_flag_is_an_error_on_every_decode_path() {
+        let n = 16;
+        let validity: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
+        let chunks = [
+            (ColumnData::Int64((0..n as i64).collect()), Encoding::Plain),
+            (ColumnData::Int32(vec![5; n]), Encoding::Rle),
+            (
+                ColumnData::Utf8((0..n).map(|i| format!("v{}", i % 2)).collect()),
+                Encoding::Dictionary,
+            ),
+            (
+                ColumnData::Utf8((0..n).map(|i| format!("v{i}")).collect()),
+                Encoding::Plain,
+            ),
+        ];
+        for (data, encoding) in chunks {
+            let ty = data.data_type();
+            let good = encode_chunk(&data, Some(&validity), encoding);
+            let chunk = EncodedChunk::parse(good.clone(), ty, encoding, n).unwrap();
+            assert_eq!(chunk.null_count(), 6);
+            for flag in [2u8, 0x80, 0xff] {
+                let mut bytes = good.to_vec();
+                bytes[0] = flag;
+                // Parsing is the first step of every decode path: the full
+                // decode, the selection gather, the in-place view and the
+                // runs all start from a parsed chunk.
+                let err = EncodedChunk::parse(Bytes::from(bytes), ty, encoding, n).unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    format!("storage error: corrupt validity flag {flag} in a chunk header"),
+                    "{ty} {encoding:?}"
+                );
             }
         }
     }
@@ -653,8 +727,10 @@ mod tests {
                 full,
                 "cut at {cut}"
             );
-            let filtered = chunk.decode_filtered(&[true; 6]).unwrap_err().to_string();
-            assert_eq!(filtered, full, "cut at {cut}");
+            for selection in [Selection::all(6), Selection::from_bools(&[false; 6])] {
+                let filtered = chunk.decode_filtered(&selection).unwrap_err().to_string();
+                assert_eq!(filtered, full, "cut at {cut}");
+            }
         }
     }
 

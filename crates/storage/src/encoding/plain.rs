@@ -3,7 +3,7 @@
 
 use super::bitpack;
 use crate::codec::{Reader, Writer};
-use pixels_common::{ColumnData, DataType, Error, Result, StrPool, StrVec};
+use pixels_common::{ColumnData, DataType, Error, Result, Selection, StrPool, StrVec};
 
 pub fn encode(data: &ColumnData, w: &mut Writer) {
     match data {
@@ -32,15 +32,15 @@ pub fn encode(data: &ColumnData, w: &mut Writer) {
 }
 
 /// Read `n` length-prefixed strings into a pool sized exactly for what it
-/// holds. Every string is validated; under `keep` (one flag per string) only
-/// the selected ones are copied, so the pool holds no byte it does not show.
-pub(crate) fn read_pool(r: &mut Reader<'_>, n: usize, keep: Option<&[bool]>) -> Result<StrPool> {
-    let kept = keep.map_or(n, |k| k.iter().filter(|&&k| k).count());
+/// holds. Every string is validated; under `keep` (a selection of the `n`)
+/// only the kept ones are copied, so the pool holds no byte it does not show.
+pub(crate) fn read_pool(r: &mut Reader<'_>, n: usize, keep: Option<&Selection>) -> Result<StrPool> {
+    let kept = keep.map_or(n, Selection::count);
     // A string takes at least its 4-byte length in the input.
     let mut strings: Vec<&str> = Vec::with_capacity(kept.min(r.remaining() / 4));
     for i in 0..n {
         let s = r.get_str_ref()?;
-        if keep.is_none_or(|k| k[i]) {
+        if keep.is_none_or(|k| k.contains(i)) {
             strings.push(s);
         }
     }
@@ -52,54 +52,41 @@ pub(crate) fn read_pool(r: &mut Reader<'_>, n: usize, keep: Option<&[bool]>) -> 
     Ok(pool)
 }
 
-/// Read `n` fixed-width values with one bounds check: the input is known to
-/// hold all `n * W` bytes before anything is allocated for them. Under `keep`
-/// (one flag per value) only the selected values are read out, into a vector
-/// sized for them — the bounds check, and so the error, is the same.
-fn read_fixed<const W: usize, T>(
-    r: &mut Reader<'_>,
+/// The `n` values of a fixed-width payload as `W`-byte little-endian arrays,
+/// in place, after one bounds check: the input is known to hold all `n * W`
+/// bytes before anything reads or allocates for them.
+pub(crate) fn fixed_values<'a, const W: usize>(
+    r: &mut Reader<'a>,
     n: usize,
-    keep: Option<&[bool]>,
-    from_le: impl Fn([u8; W]) -> T,
-) -> Result<Vec<T>> {
+) -> Result<&'a [[u8; W]]> {
     let len = n
         .checked_mul(W)
         .ok_or_else(|| Error::Storage(format!("chunk of {n} {W}-byte values is too large")))?;
-    let bytes = r.get_raw(len)?;
-    let value = |c: &[u8]| from_le(c.try_into().expect("chunks_exact yields W bytes"));
+    Ok(r.get_raw(len)?.as_chunks::<W>().0)
+}
+
+/// Read `n` fixed-width values; under `keep` only the kept ones, into a
+/// vector sized for them. The bounds check, and so the error, is the same.
+fn read_fixed<const W: usize, T>(
+    r: &mut Reader<'_>,
+    n: usize,
+    keep: Option<&Selection>,
+    from_le: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>> {
+    let values = fixed_values::<W>(r, n)?;
     Ok(match keep {
-        None => bytes.chunks_exact(W).map(value).collect(),
-        Some(keep) => {
-            let mut out = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
-            // What a selective filter keeps comes in few, short stretches:
-            // the rows between them are stepped over a block at a time. What
-            // a lax one keeps comes in long stretches: a block it keeps whole
-            // is copied whole.
-            const BLOCK: usize = 32;
-            for (block, keep) in bytes.chunks(W * BLOCK).zip(keep.chunks(BLOCK)) {
-                let kept = keep.iter().fold(0, |n, &k| n + usize::from(k));
-                if kept == keep.len() {
-                    out.extend(block.chunks_exact(W).map(value));
-                } else if kept > 0 {
-                    out.extend(
-                        (block.chunks_exact(W).zip(keep))
-                            .filter(|(_, &k)| k)
-                            .map(|(c, _)| value(c)),
-                    );
-                }
-            }
-            out
-        }
+        None => values.iter().map(|&v| from_le(v)).collect(),
+        Some(keep) => keep.gather_map(values, from_le),
     })
 }
 
-/// Decode a plain chunk; under `keep` (one flag per row) only the selected
-/// rows, with exactly the validation of the full decode.
+/// Decode a plain chunk; under `keep` (a selection of its rows) only the
+/// kept rows, with exactly the validation of the full decode.
 pub(crate) fn decode_kept(
     r: &mut Reader<'_>,
     ty: DataType,
     num_rows: usize,
-    keep: Option<&[bool]>,
+    keep: Option<&Selection>,
 ) -> Result<ColumnData> {
     Ok(match ty {
         DataType::Boolean => {
@@ -107,10 +94,7 @@ pub(crate) fn decode_kept(
             let all = bitpack::unpack_bools(bytes, num_rows);
             ColumnData::Boolean(match keep {
                 None => all,
-                Some(keep) => (all.iter().zip(keep))
-                    .filter(|(_, &k)| k)
-                    .map(|(&b, _)| b)
-                    .collect(),
+                Some(keep) => keep.gather(&all),
             })
         }
         DataType::Int32 => ColumnData::Int32(read_fixed(r, num_rows, keep, i32::from_le_bytes)?),

@@ -37,8 +37,16 @@ GROUPS = [
     ("  of which encode", r"pixels_exec::keys::(KeyEncoder|put_column)", False),
     ("chunk decode", r"pixels_storage::(encoding::|encoded::EncodedChunk)", False),
     ("  of which plain::decode", r"pixels_storage::encoding::plain::", False),
-    ("  of which RLE runs: parse + expand", r"pixels_storage::(encoded::EncodedChunk::(rle_runs|expand_runs|decode_filtered::expand)|encoding::rle::decode)", False),
-    ("filter/compaction", r"pixels_common::(column::Column|batch::RecordBatch)::(filter|gather)", False),
+    ("  of which RLE runs: parse + expand", r"pixels_storage::(encoded::EncodedChunk::(rle_runs|expand_runs|decode_filtered::expand)|encoding::rle::)", False),
+    # Compaction by a mask or a selection, and the kernels that build one:
+    # the selection's words and gathers, the comparison loops (also
+    # `compare_literal`, which before the selection words ran the scan's
+    # conjuncts and counted under expression evaluation only), and the run
+    # and key-filter fills.
+    ("filter/compaction", r"pixels_common::(column::Column::(filter|gather|select)|batch::RecordBatch::(filter|gather)|selection::)|pixels_exec::compare::|pixels_exec::evaluate::(compare_literal|and_into)|pixels_exec::encoded::(and_runs|key_filter_(mask|refine))", False),
+    # A scan's own conjuncts on the encoded chunks, whatever they call: the
+    # comparisons, the decodes they need, the decoded-batch fallback.
+    ("scan filter: encoded conjuncts", r"pixels_exec::encoded::(encoded_selection|encoded_filter_mask)", False),
     # The update loops are the leaf: inlined into `build_partial` before the
     # accumulators, `State::update` and the rows count since.
     ("accumulator update (leaf)", r"^pixels_exec::(aggregate::(build_partial|update_agg_column|State::|Accumulators::|AggState::)|encoded::(fold|try_fold))", True),

@@ -12,7 +12,9 @@
 //! and RLE chunks, single-value chunks, predicates on non-dictionary
 //! columns, flipped literal comparisons, IS NULL / IS NOT NULL, always-false
 //! predicates (schema-carrying empty batch), all-pruned scans, empty
-//! tables, SUM overflow parity, and a data file narrower than its table.
+//! tables, SUM overflow parity, a data file narrower than its table, and a
+//! chunk whose validity flag is corrupt. Multi-conjunct filters, sparse and
+//! dense, and key-filtered probe scans are compared against the oracle too.
 
 use pixelsdb::catalog::{Catalog, CreateTable};
 use pixelsdb::common::{DataType, Field, RecordBatch, Schema, Value};
@@ -150,6 +152,159 @@ fn tpch_templates_bit_identical_across_pipeline_modes() {
         shared_cache.hits() > 0,
         "differential never hit the chunk cache"
     );
+}
+
+/// Several conjuncts narrowing one morsel's selection words, then a join's
+/// key filter narrowing them further: sparse (q6's ≈ 2 %) and dense (≈ 97 %)
+/// selections, conjuncts over plain, RLE and dictionary chunks in either
+/// literal orientation and at mixed integer widths, a decoded-batch fallback
+/// that errors only on rows an earlier conjunct rejected, and probe scans
+/// whose own conjuncts come before the build side's keys.
+#[test]
+fn multi_conjunct_selections_and_key_filtered_probes_match_the_oracle() {
+    let (catalog, store) = tpch_fixture();
+    let cache = ChunkCache::shared(4 << 20);
+    let queries = [
+        // Sparse: q6's four conjuncts (a date range, a float range, a bound).
+        "SELECT l_orderkey, l_extendedprice, l_returnflag, l_shipdate FROM lineitem \
+         WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01' \
+         AND l_discount >= 0.05 AND l_discount <= 0.07 AND l_quantity < 24",
+        // Dense: nearly every row passes every conjunct.
+        "SELECT l_orderkey, l_quantity, l_tax, l_linestatus FROM lineitem \
+         WHERE l_shipdate <= DATE '1998-09-01' AND l_quantity > 1 AND l_returnflag <> 'X'",
+        // Flipped literals, an Int32 column against an integer literal, a
+        // dictionary equality and a float inequality.
+        "SELECT l_linenumber, l_discount, l_receiptdate FROM lineitem \
+         WHERE 10 < l_quantity AND DATE '1997-01-01' > l_shipdate \
+         AND l_linenumber <= 4 AND l_linestatus = 'F' AND l_discount <> 0.0",
+        // A kernel fails on `l_linenumber = 1` rows, which the first conjunct
+        // rejected: the row loop then runs on the rows still kept, and the
+        // decoded-batch fallback (`LIKE`) on what is left after it.
+        "SELECT l_orderkey, l_linenumber FROM lineitem \
+         WHERE l_linenumber > 1 AND 100 / (l_linenumber - 1) > 20 \
+         AND l_returnflag LIKE 'R%' AND l_extendedprice > 1000",
+        // Key-filtered probes: the build side's exact key set after the
+        // probe scan's own conjuncts, sparse and dense.
+        "SELECT l_orderkey, l_extendedprice, l_discount FROM lineitem \
+         JOIN orders ON l_orderkey = o_orderkey \
+         WHERE o_orderdate < DATE '1993-01-01' AND l_quantity < 30",
+        "SELECT l_orderkey, l_linenumber, o_totalprice FROM lineitem \
+         JOIN orders ON l_orderkey = o_orderkey \
+         WHERE o_orderpriority = '1-URGENT' AND l_shipdate > DATE '1992-03-01'",
+        "SELECT c_name, o_orderkey FROM orders JOIN customer ON o_custkey = c_custkey \
+         WHERE c_mktsegment = 'BUILDING' AND o_totalprice > 1000",
+        // Negative floats compared in place: `f64::total_cmp` order, not the
+        // order of their bits as integers.
+        "SELECT c_custkey, c_acctbal FROM customer WHERE c_acctbal < -500.0",
+        "SELECT c_custkey FROM customer WHERE c_acctbal >= -0.0 AND -250.5 < c_acctbal",
+    ];
+    for sql in queries {
+        for parallelism in [1usize, 4] {
+            for (label, cache) in [("off", None), ("shared", Some(cache.clone()))] {
+                assert_differential(
+                    &catalog,
+                    &store,
+                    "tpch",
+                    sql,
+                    parallelism,
+                    cache,
+                    &format!("{sql} @p{parallelism} cache={label}"),
+                );
+            }
+        }
+    }
+}
+
+/// A key filter on a plain 32-bit key (a date) reads the key in place and
+/// drops rows, and what it keeps joins exactly as the oracle's full scan.
+#[test]
+fn a_date_key_filter_drops_rows_read_in_place() {
+    let (catalog, store) = tpch_fixture();
+    let sql = "SELECT l_orderkey, l_shipdate, o_orderkey FROM lineitem \
+               JOIN orders ON l_shipdate = o_orderdate WHERE o_orderkey < 200";
+    assert_differential(&catalog, &store, "tpch", sql, 1, None, sql);
+    let plan = plan_query(&catalog, "tpch", sql).unwrap();
+    let ctx = ExecContext::new(store.clone());
+    execute(&plan, &ctx).unwrap();
+    let pipeline = ctx.metrics.pipeline_snapshot();
+    assert!(
+        0 < pipeline.join_filter_dropped
+            && pipeline.join_filter_dropped < pipeline.join_filter_rows,
+        "{pipeline:?}"
+    );
+}
+
+/// A chunk whose validity flag is neither 0 nor 1 is corrupt on every path
+/// that reads it: the table scan with and without a filter, the encoded
+/// grand total, the oracle's decode-everything read and the reader's own.
+/// (A flag of 2 used to mean "no validity", and a plain Int64 chunk then
+/// read its bitmap byte as the first byte of its values, with no error.)
+#[test]
+fn corrupt_validity_flag_fails_every_scan_path() {
+    let catalog = Catalog::shared();
+    let store: ObjectStoreRef = InMemoryObjectStore::shared();
+    catalog.create_database("edge");
+    let schema = Arc::new(Schema::new(vec![
+        Field::nullable("v", DataType::Int64),
+        Field::required("w", DataType::Int64),
+    ]));
+    catalog
+        .create_table(CreateTable {
+            database: "edge".into(),
+            name: "t".into(),
+            schema: schema.clone(),
+            primary_key: None,
+            foreign_keys: vec![],
+            comment: None,
+        })
+        .unwrap();
+    let rows: Vec<Vec<Value>> = (0..64i64)
+        .map(|i| {
+            let v = if i % 9 == 0 {
+                Value::Null
+            } else {
+                Value::Int64(i * 7919 % 1009)
+            };
+            vec![v, Value::Int64(i)]
+        })
+        .collect();
+    let path = "edge/t/part-0.pxl";
+    let mut w = PixelsWriter::new(store.as_ref(), path, schema.clone());
+    w.write_batch(&RecordBatch::from_rows(schema, &rows).unwrap())
+        .unwrap();
+    let size = w.finish().unwrap();
+    let reader = PixelsReader::open(store.as_ref(), path).unwrap();
+    let chunk = &reader.footer().row_groups[0].columns[0];
+    assert_eq!(chunk.encoding, pixelsdb::storage::Encoding::Plain);
+    let mut bytes = store.get(path).unwrap().to_vec();
+    assert_eq!(bytes[chunk.offset as usize], 1, "a validity bitmap follows");
+    bytes[chunk.offset as usize] = 2;
+    store.put(path, bytes.into()).unwrap();
+    catalog
+        .register_data_file("edge", "t", path, reader.footer(), size)
+        .unwrap();
+
+    let expected = "storage error: corrupt validity flag 2 in a chunk header";
+    let reader = PixelsReader::open(store.as_ref(), path).unwrap();
+    assert_eq!(
+        reader.read_row_group(0, None).unwrap_err().to_string(),
+        expected
+    );
+    for sql in [
+        "SELECT v FROM t",
+        "SELECT v, w FROM t WHERE w > 3",
+        "SELECT w FROM t WHERE v > 100",
+        "SELECT COUNT(v), SUM(v) FROM t",
+    ] {
+        let plan = plan_query(&catalog, "edge", sql).unwrap();
+        for parallelism in [1usize, 4] {
+            let ctx = || ExecContext::new(store.clone()).with_parallelism(parallelism);
+            let err = execute(&plan, &ctx()).expect_err(sql);
+            assert_eq!(err.to_string(), expected, "{sql}");
+            let err = scalar::execute(&plan, &ctx()).expect_err(sql);
+            assert_eq!(err.to_string(), expected, "{sql}, oracle");
+        }
+    }
 }
 
 #[test]

@@ -3,11 +3,12 @@
 //! In a binary of its own, under a counting `#[global_allocator]` (the count
 //! is per thread, and each test runs on one): the number of heap allocations
 //! made by `decode_filtered` of a dictionary chunk and of a plain string
-//! chunk, and by `filter` + `gather` + `slice` on the result, is the same
-//! small number at 512 rows and at 4,096; and `decode_filtered` of a plain
-//! fixed-width chunk allocates the kept rows' payload and nothing else.
+//! chunk under a row selection, and by `filter` + `gather` + `slice` on the
+//! result, is the same small number at 512 rows and at 4,096; and
+//! `decode_filtered` of a plain fixed-width chunk allocates the kept rows'
+//! payload and nothing else.
 
-use pixelsdb::common::{Column, DataType, Field, RecordBatch, Schema, Value};
+use pixelsdb::common::{Column, DataType, Field, RecordBatch, Schema, Selection, Value};
 use pixelsdb::storage::{EncodedChunk, Encoding, InMemoryObjectStore, PixelsReader, PixelsWriter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -78,7 +79,7 @@ fn chunks(rows: usize) -> Vec<EncodedChunk> {
 /// Allocations of `decode_filtered` (half the rows) and of `filter`,
 /// `gather` and `slice` on what it returned, per chunk.
 fn count(rows: usize) -> Vec<[usize; 4]> {
-    let mask: Vec<bool> = (0..rows).map(|i| i % 2 == 0).collect();
+    let selection = Selection::from_bools(&(0..rows).map(|i| i % 2 == 0).collect::<Vec<_>>());
     let kept = rows / 2;
     let second: Vec<bool> = (0..kept).map(|i| i % 3 != 0).collect();
     let picks: Vec<usize> = (0..kept).map(|i| (i * 7) % kept).collect();
@@ -86,7 +87,7 @@ fn count(rows: usize) -> Vec<[usize; 4]> {
         .iter()
         .map(|chunk| {
             let (col, decode): (Column, _) =
-                allocations_of(|| chunk.decode_filtered(&mask).unwrap());
+                allocations_of(|| chunk.decode_filtered(&selection).unwrap());
             assert_eq!(col.len(), kept);
             let (_, filter) = allocations_of(|| col.filter(&second).unwrap());
             let (_, gather) = allocations_of(|| col.gather(&picks).unwrap());
@@ -147,10 +148,11 @@ fn fixed_width_decode_filtered_allocates_its_payload_once() {
     let chunks = reader.fetch_row_group(0, None, None).unwrap().chunks;
     for (name, kept_every) in [("1 % kept", 100), ("50 % kept", 2)] {
         let mask: Vec<bool> = (0..rows).map(|i| i % kept_every == 1).collect();
+        let selection = Selection::from_bools(&mask);
         for (c, chunk) in chunks.iter().enumerate() {
             let field = &schema.fields()[c].name;
             assert_eq!(chunk.encoding(), Encoding::Plain, "{field}");
-            let (col, allocations) = allocations_of(|| chunk.decode_filtered(&mask).unwrap());
+            let (col, allocations) = allocations_of(|| chunk.decode_filtered(&selection).unwrap());
             assert_eq!(col, batch.column(c).filter(&mask).unwrap(), "{field}");
             assert_eq!(allocations, 1, "{field} ({name})");
         }
