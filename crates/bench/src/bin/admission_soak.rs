@@ -24,7 +24,7 @@
 //! Results are printed as a table and written to
 //! `results/admission_soak.json` (uploaded as a CI artifact).
 
-use pixels_bench::TextTable;
+use pixels_bench::{Gate, TextTable};
 use pixels_common::Json;
 use pixels_obs::{validate_exposition, MetricsRegistry};
 use pixels_server::{run_soak, SoakConfig};
@@ -173,9 +173,7 @@ fn main() {
         ),
         ("wall_seconds", Json::number(native_wall.as_secs_f64())),
     ]);
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/admission_soak.json", out.to_compact_string())
-        .expect("write results/admission_soak.json");
-    println!("\nwrote results/admission_soak.json");
-    println!("admission_soak: OK");
+    let gate = Gate::default();
+    gate.write("admission_soak.json", &out.to_compact_string());
+    gate.finish("admission_soak: OK");
 }

@@ -15,7 +15,7 @@
 //! Exits non-zero on any diff: a journal that cannot reproduce the registry
 //! is a broken system of record.
 
-use pixels_bench::demo_data;
+use pixels_bench::{demo_data, Gate};
 use pixels_common::Json;
 use pixels_obs::journal::replay;
 use pixels_obs::QueryJournal;
@@ -36,15 +36,7 @@ const BATCH: &[&str] = &[
 ];
 
 fn main() {
-    let mut failures = 0usize;
-    let mut check = |name: &str, ok: bool, detail: &str| {
-        if ok {
-            println!("ok   {name}");
-        } else {
-            println!("FAIL {name}: {detail}");
-            failures += 1;
-        }
-    };
+    let mut gate = Gate::default();
 
     let (catalog, store) = demo_data(0.002);
     let engine = Arc::new(TurboEngine::new(catalog, store, EngineConfig::default()));
@@ -78,17 +70,17 @@ fn main() {
     let entries = match QueryJournal::parse_jsonl(&jsonl) {
         Ok(e) => e,
         Err(e) => {
-            println!("FAIL journal parse: {e}");
-            std::process::exit(1);
+            gate.check("journal parse", false, &e.to_string());
+            return gate.finish("");
         }
     };
-    check(
+    gate.check(
         "journal covers the batch",
         entries.len() == BATCH.len() + 1,
         &format!("{} entries for {} queries", entries.len(), BATCH.len() + 1),
     );
     let failed = entries.iter().filter(|e| e.status == "failed").count();
-    check(
+    gate.check(
         "failed lifecycle journaled",
         failed == 1,
         &format!("{failed}"),
@@ -99,16 +91,17 @@ fn main() {
     let metrics = server.metrics_text();
     let required = pixels_bench::catalog_families();
     let required: Vec<&str> = required.iter().map(String::as_str).collect();
-    if let Err(e) = pixels_obs::require_families(&metrics, &required) {
-        check("required families", false, &e);
-    } else {
-        check("required families", true, "");
-    }
+    let families = pixels_obs::require_families(&metrics, &required);
+    gate.check(
+        "required families",
+        families.is_ok(),
+        &families.err().unwrap_or_default(),
+    );
     let diffs = aggregates.diff_against_exposition(&metrics);
     for d in &diffs {
         println!("     diff: {d}");
     }
-    check(
+    gate.check(
         "journal reproduces the registry",
         diffs.is_empty(),
         "see diffs",
@@ -120,7 +113,7 @@ fn main() {
     //    the same sorted-level order the ledger's own export uses.
     let ledger = server.ledger();
     let replayed_entries: u64 = aggregates.ledger_entries.values().sum();
-    check(
+    gate.check(
         "ledger entry count",
         ledger.len() as u64 == replayed_entries,
         &format!("{} vs {}", ledger.len(), replayed_entries),
@@ -138,12 +131,12 @@ fn main() {
             replayed_revenue_ok = false;
         }
     }
-    check(
+    gate.check(
         "per-level revenue reconciles bit-for-bit",
         replayed_revenue_ok,
         "see mismatches",
     );
-    check(
+    gate.check(
         "total revenue is the fold of finished entries",
         summary.revenue_dollars.to_bits()
             == entries
@@ -161,17 +154,6 @@ fn main() {
     report.insert("diffs".into(), Json::number(diffs.len() as f64));
     report.insert("slo".into(), server.slo_json());
     report.insert("ledger".into(), server.ledger_json());
-    std::fs::create_dir_all("results").expect("mkdir results");
-    std::fs::write(
-        "results/slo_soak.json",
-        Json::Object(report).to_compact_string().as_bytes(),
-    )
-    .expect("write slo_soak.json");
-    println!("wrote results/slo_soak.json");
-
-    if failures > 0 {
-        println!("\n{failures} check(s) failed");
-        std::process::exit(1);
-    }
-    println!("\nall checks passed");
+    gate.write("slo_soak.json", &Json::Object(report).to_compact_string());
+    gate.finish("all checks passed");
 }

@@ -15,7 +15,7 @@
 //! Exits non-zero on any failure, so CI fails on malformed exposition,
 //! missing families, or a broken trace.
 
-use pixels_bench::demo_data;
+use pixels_bench::{demo_data, Gate};
 use pixels_common::Json;
 use pixels_server::{HttpServer, PriceSchedule, QueryServer};
 use pixels_turbo::{EngineConfig, TurboEngine};
@@ -104,15 +104,7 @@ fn sum_attr(node: &Json, key: &str) -> f64 {
 }
 
 fn main() {
-    let mut failures = 0usize;
-    let mut check = |name: &str, ok: bool, detail: &str| {
-        if ok {
-            println!("ok   {name}");
-        } else {
-            println!("FAIL {name}: {detail}");
-            failures += 1;
-        }
-    };
+    let mut gate = Gate::default();
 
     let (catalog, store) = demo_data(0.002);
     let engine = Arc::new(TurboEngine::new(catalog, store, EngineConfig::default()));
@@ -125,7 +117,7 @@ fn main() {
     //    server already serves every family, at zero.
     let required = pixels_bench::catalog_families();
     for (name, ok, detail) in scrape(addr, &required, "idle") {
-        check(&name, ok, &detail);
+        gate.check(&name, ok, &detail);
     }
 
     // Submit one query over the wire and poll to completion.
@@ -135,7 +127,7 @@ fn main() {
         "/queries",
         r#"{"database":"tpch","sql":"SELECT o_orderstatus, COUNT(*) AS n FROM orders GROUP BY o_orderstatus ORDER BY n DESC","level":"immediate"}"#,
     );
-    check("submit accepted", status.contains("202"), &status);
+    gate.check("submit accepted", status.contains("202"), &status);
     let id = Json::parse(&body)
         .ok()
         .and_then(|j| j.get("id").and_then(|v| v.as_str().map(String::from)))
@@ -152,7 +144,7 @@ fn main() {
             _ => std::thread::sleep(std::time::Duration::from_millis(5)),
         }
     }
-    check(
+    gate.check(
         "query finished",
         info.get("status").and_then(|s| s.as_str()) == Some("finished"),
         &info.to_compact_string(),
@@ -161,23 +153,23 @@ fn main() {
         .get("scan_bytes")
         .and_then(|v| v.as_f64())
         .unwrap_or(0.0);
-    check("query billed bytes", scan_bytes > 0.0, "scan_bytes == 0");
+    gate.check("query billed bytes", scan_bytes > 0.0, "scan_bytes == 0");
 
     // 1. /metrics: valid exposition with every required family.
     for (name, ok, detail) in scrape(addr, &required, "after a query") {
-        check(&name, ok, &detail);
+        gate.check(&name, ok, &detail);
     }
 
     // 2. Profile: span tree whose byte attribution matches billing.
     let (status, payload) = request(addr, "GET", &format!("/queries/{id}/profile"), "");
-    check("profile endpoint 200", status.contains("200"), &status);
+    gate.check("profile endpoint 200", status.contains("200"), &status);
     let profile = Json::parse(&payload)
         .ok()
         .and_then(|j| j.get("profile").cloned())
         .unwrap_or(Json::Null);
     let rendered = profile.to_compact_string();
     for span in ["query", "scheduler_wait", "scan", "storage_open", "morsel"] {
-        check(
+        gate.check(
             &format!("span {span}"),
             rendered.contains(&format!("\"name\":\"{span}\"")),
             "missing from profile",
@@ -187,7 +179,7 @@ fn main() {
         .as_array()
         .map(|roots| roots.iter().map(|r| sum_attr(r, "bytes")).sum())
         .unwrap_or(0.0);
-    check(
+    gate.check(
         "bytes reconcile",
         attributed == scan_bytes,
         &format!("profile attributes {attributed} bytes, billed {scan_bytes}"),
@@ -196,7 +188,7 @@ fn main() {
     let self_time_problem = profile
         .as_array()
         .and_then(|roots| roots.iter().find_map(bad_self_time));
-    check(
+    gate.check(
         "self-time attribution",
         self_time_problem.is_none(),
         self_time_problem.as_deref().unwrap_or(""),
@@ -205,19 +197,19 @@ fn main() {
     // 3. SLO tracker: the finished query must land in a bucket, with a
     //    threshold derived from the scheduler and burn rates per window.
     let (status, payload) = request(addr, "GET", "/slo", "");
-    check("slo endpoint 200", status.contains("200"), &status);
+    gate.check("slo endpoint 200", status.contains("200"), &status);
     let slo = Json::parse(&payload).unwrap_or(Json::Null);
     let immediate = slo
         .get("levels")
         .and_then(|l| l.get("immediate"))
         .cloned()
         .unwrap_or(Json::Null);
-    check(
+    gate.check(
         "slo counts the query",
         immediate.get("good_total").and_then(|v| v.as_f64()) == Some(1.0),
         &payload,
     );
-    check(
+    gate.check(
         "slo burn-rate windows",
         immediate
             .get("burn_rate")
@@ -228,29 +220,23 @@ fn main() {
 
     // 4. Economics ledger: one entry whose billed bytes equal the query's.
     let (status, payload) = request(addr, "GET", "/ledger", "");
-    check("ledger endpoint 200", status.contains("200"), &status);
+    gate.check("ledger endpoint 200", status.contains("200"), &status);
     let ledger = Json::parse(&payload).unwrap_or(Json::Null);
     let summary = ledger.get("summary").cloned().unwrap_or(Json::Null);
-    check(
+    gate.check(
         "ledger entry recorded",
         summary.get("entries").and_then(|v| v.as_f64()) == Some(1.0),
         &payload,
     );
-    check(
+    gate.check(
         "ledger bytes reconcile",
         summary.get("bytes_billed").and_then(|v| v.as_f64()) == Some(scan_bytes),
         &payload,
     );
 
     // 5. Artifact for CI.
-    std::fs::create_dir_all("results").expect("mkdir results");
-    std::fs::write("results/query_profile.json", rendered.as_bytes()).expect("write profile");
-    println!("wrote results/query_profile.json");
+    gate.write("query_profile.json", &rendered);
 
     http.shutdown();
-    if failures > 0 {
-        println!("\n{failures} check(s) failed");
-        std::process::exit(1);
-    }
-    println!("\nall checks passed");
+    gate.finish("all checks passed");
 }

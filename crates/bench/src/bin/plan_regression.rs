@@ -13,7 +13,7 @@
 //! syntactic plan) and writes the summary to `results/bench_plan.json`;
 //! timings are informational and never gate.
 
-use pixels_bench::TextTable;
+use pixels_bench::{Gate, TextTable};
 use pixels_catalog::Catalog;
 use pixels_common::Json;
 use pixels_exec::{execute, ExecContext};
@@ -26,8 +26,8 @@ use pixels_workload::{load_tpch, TpchConfig, TPCH_QUERIES};
 use std::sync::Arc;
 use std::time::Instant;
 
-const SNAPSHOT_PATH: &str = "results/plan_regression.json";
-const BENCH_PATH: &str = "results/bench_plan.json";
+/// The committed snapshot, under `results/`.
+const SNAPSHOT: &str = "plan_regression.json";
 
 fn fixture() -> (Arc<Catalog>, ObjectStoreRef) {
     let catalog = Catalog::shared();
@@ -157,32 +157,19 @@ fn main() {
     ])
     .to_compact_string();
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    let bless = std::env::var("PLAN_REGRESSION_BLESS").is_ok_and(|v| v == "1");
-    match std::fs::read_to_string(SNAPSHOT_PATH) {
-        Ok(committed) if committed == snapshot => {
-            println!("ok: {} plans match {}", picked.len(), SNAPSHOT_PATH);
-        }
-        Ok(_) if bless => {
-            std::fs::write(SNAPSHOT_PATH, &snapshot).expect("write snapshot");
-            println!("blessed: rewrote {}", SNAPSHOT_PATH);
-        }
-        Ok(committed) => {
-            eprintln!("plan_regression: chosen plans diverged from the committed snapshot.");
-            eprintln!("  committed: {committed}");
-            eprintln!("  current:   {snapshot}");
-            eprintln!("Review the change, then re-bless with PLAN_REGRESSION_BLESS=1.");
-            std::process::exit(1);
-        }
-        Err(_) if bless => {
-            std::fs::write(SNAPSHOT_PATH, &snapshot).expect("write snapshot");
-            println!("blessed: created {}", SNAPSHOT_PATH);
-        }
-        Err(_) => {
-            eprintln!("plan_regression: no committed snapshot at {SNAPSHOT_PATH}.");
-            eprintln!("Bless the initial snapshot with PLAN_REGRESSION_BLESS=1.");
-            std::process::exit(1);
-        }
+    let mut gate = Gate::default();
+    let committed = std::fs::read_to_string(format!("results/{SNAPSHOT}")).unwrap_or_default();
+    if committed != snapshot && std::env::var("PLAN_REGRESSION_BLESS").is_ok_and(|v| v == "1") {
+        gate.write(SNAPSHOT, &snapshot);
+    } else {
+        gate.check(
+            &format!("{} plans match results/{SNAPSHOT}", picked.len()),
+            committed == snapshot,
+            &format!(
+                "chosen plans diverged from the committed snapshot\n  committed: {committed}\n  \
+                 current:   {snapshot}\nReview the change, then re-bless with PLAN_REGRESSION_BLESS=1."
+            ),
+        );
     }
 
     // Informational e2e timings: the cost-based plan vs the binder's
@@ -231,6 +218,6 @@ fn main() {
         ("parallelism", Json::number(4.0)),
         ("timings", Json::array(timings)),
     ]);
-    std::fs::write(BENCH_PATH, report.to_compact_string()).expect("write bench_plan.json");
-    println!("ok: timings -> {BENCH_PATH}");
+    gate.write("bench_plan.json", &report.to_compact_string());
+    gate.finish("ok: plans match and timings written");
 }

@@ -8,7 +8,7 @@
 //! `results/policy_parity.json` on success.
 
 use pixels_bench::parity;
-use pixels_bench::TextTable;
+use pixels_bench::{Gate, TextTable};
 use pixels_common::Json;
 
 fn main() {
@@ -39,11 +39,7 @@ fn main() {
             Json::array(reports.iter().map(|r| r.to_json())),
         ),
     ]);
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/policy_parity.json", report.to_compact_string())
-        .expect("write results/policy_parity.json");
-    println!(
-        "ok: {} scenarios in parity -> results/policy_parity.json",
-        reports.len()
-    );
+    let gate = Gate::default();
+    gate.write("policy_parity.json", &report.to_compact_string());
+    gate.finish(&format!("ok: {} scenarios in parity", reports.len()));
 }

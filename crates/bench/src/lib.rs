@@ -11,8 +11,81 @@ use pixels_catalog::{Catalog, CatalogRef};
 use pixels_obs::{Ledger, MetricsRegistry, SloTracker, WallClock};
 use pixels_server::{SchedulerPolicy, SharedWork, SharingConfig};
 use pixels_storage::{InMemoryObjectStore, ObjectStoreRef, StoreMetricsSnapshot};
+use pixels_turbo::TurboEngine;
 use pixels_workload::{load_tpch, load_weblog, TpchConfig, WeblogConfig};
 use std::collections::BTreeSet;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// What a gate binary reports: named checks, printed `ok   name` or
+/// `FAIL name: detail`; its files under `results/` of the current
+/// directory; and its exit code, non-zero when any check failed.
+#[derive(Default)]
+pub struct Gate {
+    failed: usize,
+}
+
+impl Gate {
+    /// Print one named check; a failed one fails the gate.
+    pub fn check(&mut self, name: &str, ok: bool, detail: &str) {
+        if ok {
+            println!("ok   {name}");
+        } else {
+            println!("FAIL {name}: {detail}");
+            self.failed += 1;
+        }
+    }
+
+    /// Write `results/<file>`.
+    pub fn write(&self, file: &str, contents: &str) {
+        std::fs::create_dir_all("results").expect("create results/");
+        std::fs::write(format!("results/{file}"), contents).expect("write the results file");
+        println!("wrote results/{file}");
+    }
+
+    /// Exit 1 if any check failed; otherwise print `all_clear`.
+    pub fn finish(self, all_clear: &str) {
+        if self.failed > 0 {
+            println!("\n{} check(s) failed", self.failed);
+            std::process::exit(1);
+        }
+        println!("\n{all_clear}");
+    }
+}
+
+/// Run `f` on its own thread with every VM slot of `engine` held, so the
+/// CF-enabled queries it runs dispatch to CF. A CF plan that degrades to VM
+/// waits for a slot, so the slots come back when the engine counts a
+/// degradation, or when `f` returns. A query that wrongly waits for a slot
+/// gets one after `HOLD_LIMIT` rather than never, so the caller's checks
+/// fail instead of hanging.
+///
+/// `engine` must publish to a registry of its own
+/// ([`TurboEngine::with_registry`]): a degradation another engine counts in
+/// the global registry would give the slots back early.
+pub fn on_cf<T: Send>(engine: &TurboEngine, f: impl FnOnce() -> T + Send) -> T {
+    assert!(
+        !Arc::ptr_eq(engine.registry(), MetricsRegistry::global()),
+        "on_cf needs an engine with a registry of its own"
+    );
+    let degraded = (engine.registry()).counter("pixels_turbo_cf_degradations_total", "");
+    let before = degraded.get();
+    let limit = Instant::now() + HOLD_LIMIT;
+    std::thread::scope(|s| {
+        let run = engine.hold_slots(|| {
+            let run = s.spawn(f);
+            while degraded.get() == before && !run.is_finished() && Instant::now() < limit {
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            run
+        });
+        run.join().expect("the run on CF panicked")
+    })
+}
+
+/// How long [`on_cf`] holds the slots at most: far past any dispatch
+/// decision, which is all the hold has to outlast.
+const HOLD_LIMIT: Duration = Duration::from_secs(30);
 
 /// Bootstrap a demo deployment (catalog + store with TPC-H and web logs).
 pub fn demo_data(scale: f64) -> (CatalogRef, ObjectStoreRef) {

@@ -186,29 +186,15 @@ fn engine_for(plan: &FaultPlan, partitions: usize) -> Arc<TurboEngine> {
 }
 
 /// Real side: execute `SQL` on a fresh chaos-enabled engine. CF scenarios
-/// saturate the single VM slot first so the engine takes the CF path.
+/// hold the single VM slot so the engine takes the CF path.
 fn run_real(s: &Scenario) -> pixels_turbo::ExecOutcome {
     let engine = engine_for(&s.plan, s.partitions);
     if !s.level.cf_enabled() {
         return engine.execute_sql("tpch", SQL, false).expect("vm query");
     }
-    let blocker = {
-        let e = engine.clone();
-        std::thread::spawn(move || {
-            e.execute_sql(
-                "tpch",
-                "SELECT COUNT(*) FROM lineitem CROSS JOIN nation",
-                false,
-            )
-            .expect("blocker")
-        })
-    };
-    while !engine.is_busy() {
-        std::thread::yield_now();
-    }
-    let out = engine.execute_sql("tpch", SQL, true).expect("cf query");
-    blocker.join().expect("blocker join");
-    out
+    crate::on_cf(&engine, || {
+        engine.execute_sql("tpch", SQL, true).expect("cf query")
+    })
 }
 
 /// Sim side: the identical work (the real execution's measured scan bytes

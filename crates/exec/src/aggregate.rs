@@ -870,7 +870,7 @@ fn key_types(group_exprs: &[BoundExpr]) -> Vec<DataType> {
 /// pass interning group keys into per-row group indices, then one typed
 /// update loop per accumulator.
 pub(crate) fn build_partial(
-    input: &[&RecordBatch],
+    input: &[RecordBatch],
     group_exprs: &[BoundExpr],
     aggs: &[AggExpr],
 ) -> Result<Partial> {
@@ -879,7 +879,7 @@ pub(crate) fn build_partial(
     let encoder = KeyEncoder::new(&types);
     let mut gidx: Vec<u32> = Vec::new();
     let mut first_rows: Vec<usize> = Vec::new();
-    for &batch in input {
+    for batch in input {
         let group_cols: Vec<Cow<Column>> = group_exprs
             .iter()
             .map(|g| evaluate_ref(g, batch))
@@ -930,29 +930,6 @@ pub(crate) fn merge_partial(acc: &mut Partial, part: Partial) -> Result<()> {
     acc.accs.merge(&part.accs, &targets)
 }
 
-/// Split `input` into at most `parts` contiguous runs of whole batches,
-/// balanced by row count.
-pub(crate) fn partition_batches(input: &[RecordBatch], parts: usize) -> Vec<Vec<&RecordBatch>> {
-    let parts = parts.clamp(1, input.len().max(1));
-    let total: usize = input.iter().map(|b| b.num_rows()).sum();
-    let target = total.div_ceil(parts).max(1);
-    let mut chunks: Vec<Vec<&RecordBatch>> = Vec::with_capacity(parts);
-    let mut current: Vec<&RecordBatch> = Vec::new();
-    let mut current_rows = 0;
-    for b in input {
-        current.push(b);
-        current_rows += b.num_rows();
-        if current_rows >= target && chunks.len() + 1 < parts {
-            chunks.push(std::mem::take(&mut current));
-            current_rows = 0;
-        }
-    }
-    if !current.is_empty() {
-        chunks.push(current);
-    }
-    chunks
-}
-
 /// Execute a hash aggregate over materialized input with up to `parallelism`
 /// workers building partial aggregates.
 pub fn execute_aggregate(
@@ -976,9 +953,12 @@ pub(crate) fn merged_partial(
     aggs: &[AggExpr],
     parallelism: usize,
 ) -> Result<Partial> {
-    let chunks = partition_batches(input, parallelism);
+    let chunks = parallel::partition_rows(
+        &input.iter().map(RecordBatch::num_rows).collect::<Vec<_>>(),
+        parallelism,
+    );
     let partials = parallel::run_indexed(chunks.len(), parallelism, |i| {
-        build_partial(&chunks[i], group_exprs, aggs)
+        build_partial(&input[chunks[i].clone()], group_exprs, aggs)
     })?;
     let mut partials = partials.into_iter();
     let mut acc = match partials.next() {

@@ -450,30 +450,6 @@ pub(crate) fn key_filter_refine(
 // Encoded grand-total aggregation
 // ---------------------------------------------------------------------------
 
-/// Replicate [`crate::aggregate::partition_batches`] over per-morsel row
-/// counts, so the grand total merges float partial sums in exactly the
-/// partition structure scan-then-aggregate uses at equal parallelism.
-fn partition_morsels(rows: &[usize], parts: usize) -> Vec<std::ops::Range<usize>> {
-    let parts = parts.clamp(1, rows.len().max(1));
-    let total: usize = rows.iter().sum();
-    let target = total.div_ceil(parts).max(1);
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    let mut current_rows = 0;
-    for (i, &r) in rows.iter().enumerate() {
-        current_rows += r;
-        if current_rows >= target && out.len() + 1 < parts {
-            out.push(start..i + 1);
-            start = i + 1;
-            current_rows = 0;
-        }
-    }
-    if start < rows.len() {
-        out.push(start..rows.len());
-    }
-    out
-}
-
 /// Execute `SELECT agg(..), ..` (no GROUP BY, no residual filters) directly
 /// over encoded chunks into the hash aggregate's accumulators, with one
 /// group: COUNT from validity headers, SUM/AVG/MIN/MAX over RLE runs,
@@ -494,7 +470,7 @@ pub fn execute_encoded_aggregate(
 
     let scan = ScanMorsels::open(&sctx, paths, projection, &[])?;
     let rows: Vec<usize> = (0..scan.len()).map(|i| scan.num_rows(i)).collect();
-    let partitions = partition_morsels(&rows, ctx.parallelism);
+    let partitions = parallel::partition_rows(&rows, ctx.parallelism);
 
     let partials = parallel::run_indexed(partitions.len(), ctx.parallelism, |p| {
         let mut accs = Accumulators::new(aggs);

@@ -13,7 +13,31 @@
 //! the engine's historical single-threaded behaviour bit for bit.
 
 use pixels_common::Result;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+/// Split morsels of `rows` rows each into at most `parts` contiguous runs,
+/// balanced by row count: a run closes once it holds a fair share of the
+/// rows. The hash aggregate partitions its input batches with this, and the
+/// encoded grand total its row groups, so at equal parallelism both merge
+/// float partial sums in the same structure.
+pub(crate) fn partition_rows(rows: &[usize], parts: usize) -> Vec<Range<usize>> {
+    let parts = parts.clamp(1, rows.len().max(1));
+    let target = rows.iter().sum::<usize>().div_ceil(parts).max(1);
+    let mut out = Vec::with_capacity(parts);
+    let (mut start, mut current) = (0, 0);
+    for (i, &r) in rows.iter().enumerate() {
+        current += r;
+        if current >= target && out.len() + 1 < parts {
+            out.push(start..i + 1);
+            (start, current) = (i + 1, 0);
+        }
+    }
+    if start < rows.len() {
+        out.push(start..rows.len());
+    }
+    out
+}
 
 /// Run `f(0..n)` on up to `parallelism` worker threads, returning results in
 /// index order. The first error (by morsel index) aborts outstanding work
@@ -105,6 +129,19 @@ mod tests {
             };
             assert!(msg.starts_with("boom "), "{msg}");
         }
+    }
+
+    #[test]
+    fn partitions_balance_rows_over_contiguous_morsels() {
+        assert!(partition_rows(&[], 4).is_empty());
+        // More parts than morsels: one morsel each.
+        assert_eq!(partition_rows(&[5, 5], 8), vec![0..1, 1..2]);
+        // One oversized morsel fills its run alone; the rest share the others.
+        assert_eq!(partition_rows(&[1, 100, 1, 1], 3), vec![0..2, 2..4]);
+        assert_eq!(partition_rows(&[100, 1, 1, 1], 3), vec![0..1, 1..4]);
+        assert_eq!(partition_rows(&[3, 3, 3, 3], 2), vec![0..2, 2..4]);
+        // No rows at all: one run.
+        assert_eq!(partition_rows(&[0, 0, 0], 2), vec![0..3]);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! finish to [`evaluate`] / [`predicate_mask`] so that the answer — value or
 //! error — is by construction the reference's.
 
-use crate::aggregate::{partition_batches, AggState, DistinctSet};
+use crate::aggregate::{AggState, DistinctSet};
 use crate::context::{ExecContext, DEFAULT_BATCH_SIZE};
 use crate::evaluate::BatchRow;
 use crate::join::RowSink;
@@ -427,7 +427,7 @@ struct Partial {
 }
 
 fn build_partial(
-    input: &[&RecordBatch],
+    input: &[RecordBatch],
     group_exprs: &[BoundExpr],
     aggs: &[AggExpr],
 ) -> Result<Partial> {
@@ -436,7 +436,7 @@ fn build_partial(
         keys: Vec::new(),
         states: Vec::new(),
     };
-    for &batch in input {
+    for batch in input {
         let group_cols: Vec<_> = group_exprs
             .iter()
             .map(|g| evaluate(g, batch))
@@ -501,9 +501,12 @@ pub fn execute_aggregate(
     output_schema: &SchemaRef,
     parallelism: usize,
 ) -> Result<Vec<RecordBatch>> {
-    let chunks = partition_batches(input, parallelism);
+    let chunks = parallel::partition_rows(
+        &input.iter().map(RecordBatch::num_rows).collect::<Vec<_>>(),
+        parallelism,
+    );
     let partials = parallel::run_indexed(chunks.len(), parallelism, |i| {
-        build_partial(&chunks[i], group_exprs, aggs)
+        build_partial(&input[chunks[i].clone()], group_exprs, aggs)
     })?;
     let mut acc = Partial {
         index: HashMap::new(),

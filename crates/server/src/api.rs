@@ -1581,36 +1581,32 @@ mod tests {
             },
         );
 
-        // Saturate the only VM slot, then submit a relaxed query whose tiny
-        // grace period expires while the blocker still holds it: the
-        // scheduler must force-start it unslotted rather than let it drift
-        // in the FIFO queue.
-        let blocker = {
-            let e = engine.clone();
-            std::thread::spawn(move || {
-                e.execute_sql(
-                    "tpch",
-                    "SELECT COUNT(*) FROM lineitem CROSS JOIN nation",
-                    false,
-                )
-                .unwrap()
-            })
-        };
-        while !engine.is_busy() {
-            std::thread::yield_now();
-        }
-        let id = s.submit(submission(
-            "SELECT COUNT(*) AS n FROM region",
-            ServiceLevel::Relaxed,
-        ));
-        let info = s.wait(id).unwrap();
-        blocker.join().unwrap();
+        // Hold the only VM slot, then submit a relaxed query whose tiny grace
+        // period expires while it is held: the scheduler must force-start it
+        // unslotted rather than let it drift in the FIFO queue. The slot
+        // comes back once the query is forced or done, or after 10 s, so a
+        // query left queued fails the check below instead of hanging.
+        let forced = registry.counter("pixels_turbo_forced_starts_total", "");
+        let limit = Instant::now() + Duration::from_secs(10);
+        let info = std::thread::scope(|scope| {
+            let query = engine.hold_slots(|| {
+                let query = scope.spawn(|| {
+                    s.wait(s.submit(submission(
+                        "SELECT COUNT(*) AS n FROM region",
+                        ServiceLevel::Relaxed,
+                    )))
+                    .unwrap()
+                });
+                while forced.get() == 0 && !query.is_finished() && Instant::now() < limit {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                query
+            });
+            query.join().unwrap()
+        });
         assert_eq!(info.status, QueryStatus::Finished, "{:?}", info.error);
         assert!(
-            registry
-                .counter("pixels_turbo_forced_starts_total", "")
-                .get()
-                >= 1,
+            forced.get() >= 1,
             "grace expiry must force-start the query unslotted"
         );
     }

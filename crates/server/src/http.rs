@@ -688,16 +688,14 @@ mod tests {
 
     #[test]
     fn held_get_gives_up_at_the_bound_and_the_next_one_carries_on() {
-        // One VM slot, and a blocker that keeps it for well over the hold
-        // bound: its first three GETs take 700 ms each.
-        let server = query_server(1, 700, 3);
+        // One VM slot, held for well over the hold bound.
+        let server = query_server(1, 0, 0);
         let engine = server.engine().clone();
         let srv = HttpServer::start(server, None, 0).unwrap();
-        let blocker = {
+        let holder = {
             let engine = engine.clone();
             std::thread::spawn(move || {
-                let sql = "SELECT COUNT(*) FROM lineitem CROSS JOIN nation";
-                engine.execute_sql("tpch", sql, false).unwrap()
+                engine.hold_slots(|| std::thread::sleep(Duration::from_millis(2100)))
             })
         };
         while !engine.is_busy() {
@@ -721,7 +719,7 @@ mod tests {
         assert_eq!(status_of(last), "finished");
         let rows = last.get("rows").unwrap().as_array().unwrap();
         assert_eq!(rows[0].as_array().unwrap()[0].as_i64(), Some(5));
-        blocker.join().unwrap();
+        holder.join().unwrap();
         srv.shutdown();
     }
 

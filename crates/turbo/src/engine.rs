@@ -363,6 +363,20 @@ impl TurboEngine {
         *self.slots.free.lock() == 0
     }
 
+    /// Take every VM slot (waiting for running queries to give theirs back)
+    /// and hold them while `f` runs, so inside `f` a saturated engine is a
+    /// fact rather than a race: [`is_busy`](Self::is_busy) is true, a
+    /// CF-enabled query dispatches to CF, and one with a slot wait limit
+    /// force-starts when it expires. A query that needs a slot meanwhile — one
+    /// without CF, or a CF plan degrading to VM — waits until `f` returns,
+    /// so one run on `f`'s own thread never ends.
+    pub fn hold_slots<T>(&self, f: impl FnOnce() -> T) -> T {
+        let _held: Vec<SlotGuard<'_>> = (0..self.cfg.vm_slots.max(1))
+            .map(|_| self.slots.acquire().0)
+            .collect();
+        f()
+    }
+
     /// Plan `sql` and return the resource model's work estimate without
     /// executing anything. Deadline admission uses this to judge whether a
     /// completion target is feasible at all. Non-query statements (EXPLAIN,
@@ -1625,6 +1639,29 @@ mod tests {
                 ..EngineConfig::default()
             },
         )
+        .with_registry(MetricsRegistry::shared())
+    }
+
+    /// Run `f` on its own thread with every VM slot held, so the CF-enabled
+    /// queries it runs dispatch to CF. The slots come back when `f` returns,
+    /// when a CF plan degrades to VM (it then waits for a slot), or after
+    /// 30 s, so a query that wrongly waits for a slot fails the test's checks
+    /// instead of hanging it. `e` needs a registry of its own.
+    fn on_cf<T: Send>(e: &TurboEngine, f: impl FnOnce() -> T + Send) -> T {
+        assert!(!Arc::ptr_eq(e.registry(), MetricsRegistry::global()));
+        let degraded = &e.metrics.cf_degradations;
+        let before = degraded.get();
+        let limit = Instant::now() + Duration::from_secs(30);
+        std::thread::scope(|s| {
+            let run = e.hold_slots(|| {
+                let run = s.spawn(f);
+                while degraded.get() == before && !run.is_finished() && Instant::now() < limit {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                run
+            });
+            run.join().unwrap()
+        })
     }
 
     #[test]
@@ -1659,29 +1696,52 @@ mod tests {
         let e = engine(1);
         let sql = "SELECT o_orderstatus, COUNT(*) AS n FROM orders GROUP BY o_orderstatus ORDER BY n DESC";
         let direct = e.execute_sql("tpch", sql, false).unwrap();
-
-        // Saturate the only slot from another thread, then run with CF.
-        let e = Arc::new(e);
-        let blocker = {
-            let e = e.clone();
-            std::thread::spawn(move || {
-                // A query that holds the slot for a while.
-                e.execute_sql(
-                    "tpch",
-                    "SELECT COUNT(*) FROM lineitem CROSS JOIN nation",
-                    false,
-                )
-                .unwrap()
-            })
-        };
-        // Give the blocker time to grab the slot.
-        while !e.is_busy() {
-            std::thread::yield_now();
-        }
-        let accelerated = e.execute_sql("tpch", sql, true).unwrap();
+        let accelerated = on_cf(&e, || e.execute_sql("tpch", sql, true).unwrap());
         assert!(accelerated.used_cf, "should have used CF acceleration");
         assert_eq!(accelerated.batch, direct.batch, "results must be identical");
-        blocker.join().unwrap();
+    }
+
+    /// While held, the engine is saturated: busy, CF-enabled work goes to
+    /// CF, and a zero slot wait force-starts; released, the slot is free.
+    #[test]
+    fn held_slots_saturate_the_engine_until_released() {
+        let registry = MetricsRegistry::shared();
+        let e = engine(2).with_registry(registry.clone());
+        let forced = registry.counter("pixels_turbo_forced_starts_total", "");
+        let sql = "SELECT o_orderstatus, COUNT(*) AS n FROM orders GROUP BY o_orderstatus";
+        let direct = e.execute_sql("tpch", sql, false).unwrap();
+        assert!(!e.is_busy());
+        on_cf(&e, || {
+            assert!(e.is_busy(), "every slot is held");
+            let out = e.execute_sql("tpch", sql, true).unwrap();
+            assert!(out.used_cf, "an Immediate query dispatches to CF");
+            assert_eq!(out.batch, direct.batch);
+            let out = e
+                .execute_sql_scheduled(
+                    "tpch",
+                    sql,
+                    false,
+                    TraceCtx::disabled(),
+                    Some(Duration::ZERO),
+                )
+                .unwrap();
+            assert!(!out.used_cf);
+            assert_eq!(out.batch, direct.batch);
+            assert_eq!(forced.get(), 1, "a zero slot wait force-starts");
+        });
+        assert!(!e.is_busy());
+        let out = e
+            .execute_sql_scheduled(
+                "tpch",
+                sql,
+                true,
+                TraceCtx::disabled(),
+                Some(Duration::ZERO),
+            )
+            .unwrap();
+        assert!(!out.used_cf, "released, the next query gets a slot");
+        assert_eq!(out.pending, Duration::ZERO);
+        assert_eq!(forced.get(), 1);
     }
 
     /// Build a 1-slot engine whose CF path runs shuffled two-stage plans
@@ -1711,7 +1771,8 @@ mod tests {
                 exchange_partitions: partitions,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .with_registry(MetricsRegistry::shared());
         (e, store)
     }
 
@@ -1767,11 +1828,11 @@ mod tests {
                     // Exactly one crash: the first fleet launched dies.
                     let plan = FaultPlan::none(42)
                         .with(FaultSite::CfCrash, SiteSpec::errors(1.0).capped(1));
-                    let e = Arc::new(if crash {
+                    let e = if crash {
                         e.with_chaos(Arc::new(FaultInjector::new(&plan)))
                     } else {
                         e
-                    });
+                    };
                     // The same VM warm-up everywhere, so every shape sees the
                     // same cache state and billed bytes are comparable.
                     let direct = e.execute_sql("tpch", sql, false).unwrap();
@@ -1782,7 +1843,7 @@ mod tests {
                     };
                     let out = match partitions {
                         None => run(false),
-                        Some(_) => with_saturated_slot(&e, || run(true)),
+                        Some(_) => on_cf(&e, || run(true)),
                     };
 
                     assert_eq!(out.batch, direct.batch, "{case}");
@@ -1874,17 +1935,15 @@ mod tests {
 
         // Reference: single-stage CF on a plain engine (cache warmed by the
         // same VM run, so billed bytes are comparable).
-        let single = Arc::new(engine(1));
+        let single = engine(1);
         let direct = single.execute_sql("tpch", join, false).unwrap();
-        let single_out =
-            with_saturated_slot(&single, || single.execute_sql("tpch", join, true).unwrap());
+        let single_out = on_cf(&single, || single.execute_sql("tpch", join, true).unwrap());
         assert!(single_out.used_cf);
 
         let (auto, store) = shuffle_engine(0);
-        let auto = Arc::new(auto);
         let auto_direct = auto.execute_sql("tpch", join, false).unwrap();
         assert_eq!(auto_direct.batch, direct.batch);
-        let out = with_saturated_slot(&auto, || auto.execute_sql("tpch", join, true).unwrap());
+        let out = on_cf(&auto, || auto.execute_sql("tpch", join, true).unwrap());
         assert!(out.used_cf);
         assert_eq!(out.batch, direct.batch, "broadcast vs VM");
         assert_eq!(out.batch, single_out.batch, "broadcast vs single-stage CF");
@@ -1913,7 +1972,7 @@ mod tests {
         // Tiny aggregate: the exchange would cost more than it saves.
         let agg = "SELECT o_orderstatus, COUNT(*) AS n FROM orders GROUP BY o_orderstatus";
         let agg_direct = auto.execute_sql("tpch", agg, false).unwrap();
-        let out = with_saturated_slot(&auto, || auto.execute_sql("tpch", agg, true).unwrap());
+        let out = on_cf(&auto, || auto.execute_sql("tpch", agg, true).unwrap());
         assert!(out.used_cf);
         assert_eq!(out.batch, agg_direct.batch);
         assert_eq!(
@@ -1932,13 +1991,12 @@ mod tests {
         // all of stage 1 run clean.
         let plan = FaultPlan::none(42).with(FaultSite::CfCrash, SiteSpec::errors(1.0).capped(1));
         let (e, store) = shuffle_engine(4);
-        let e = Arc::new(
-            e.with_registry(registry.clone())
-                .with_chaos(Arc::new(FaultInjector::new(&plan))),
-        );
+        let e = e
+            .with_registry(registry.clone())
+            .with_chaos(Arc::new(FaultInjector::new(&plan)));
         let sql = "SELECT o_orderstatus, COUNT(*) AS n FROM orders GROUP BY o_orderstatus";
         let direct = e.execute_sql("tpch", sql, false).unwrap();
-        let out = with_saturated_slot(&e, || e.execute_sql("tpch", sql, true).unwrap());
+        let out = on_cf(&e, || e.execute_sql("tpch", sql, true).unwrap());
         assert!(out.used_cf);
         assert_eq!(out.batch, direct.batch);
         assert_eq!(
@@ -1961,27 +2019,24 @@ mod tests {
 
     #[test]
     fn without_cf_waits_for_slot() {
-        let e = Arc::new(engine(1));
-        let blocker = {
-            let e = e.clone();
-            std::thread::spawn(move || {
-                e.execute_sql(
-                    "tpch",
-                    "SELECT COUNT(*) FROM lineitem CROSS JOIN nation",
-                    false,
-                )
-                .unwrap()
-            })
-        };
-        while !e.is_busy() {
-            std::thread::yield_now();
-        }
-        let out = e
-            .execute_sql("tpch", "SELECT COUNT(*) FROM region", false)
-            .unwrap();
+        let e = engine(1);
+        let out = std::thread::scope(|s| {
+            let query = e.hold_slots(|| {
+                let query = s.spawn(|| {
+                    e.execute_sql("tpch", "SELECT COUNT(*) FROM region", false)
+                        .unwrap()
+                });
+                // Time in which a query that skipped the queue would finish.
+                std::thread::sleep(Duration::from_millis(20));
+                assert!(!query.is_finished(), "must queue behind the held slot");
+                query
+            });
+            query.join().unwrap()
+        });
         assert!(!out.used_cf);
+        // The wait starts after planning, so it is shorter than the hold by
+        // an unknown margin, but never zero.
         assert!(out.pending > Duration::ZERO, "must have queued");
-        blocker.join().unwrap();
     }
 
     #[test]
@@ -2051,31 +2106,17 @@ mod tests {
 
     #[test]
     fn cf_trace_separates_fleet_from_top_plan() {
-        let e = Arc::new(engine(1).with_registry(MetricsRegistry::shared()));
-        let blocker = {
-            let e = e.clone();
-            std::thread::spawn(move || {
-                e.execute_sql(
-                    "tpch",
-                    "SELECT COUNT(*) FROM lineitem CROSS JOIN nation",
-                    false,
-                )
-                .unwrap()
-            })
-        };
-        while !e.is_busy() {
-            std::thread::yield_now();
-        }
+        let e = engine(1).with_registry(MetricsRegistry::shared());
         let trace = Trace::wall();
-        let out = e
-            .execute_sql_traced(
+        let out = on_cf(&e, || {
+            e.execute_sql_traced(
                 "tpch",
                 "SELECT o_orderstatus, COUNT(*) AS n FROM orders GROUP BY o_orderstatus",
                 true,
                 TraceCtx::root(&trace),
             )
-            .unwrap();
-        blocker.join().unwrap();
+            .unwrap()
+        });
         assert!(out.used_cf);
         let spans = trace.finished_spans();
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
@@ -2160,42 +2201,18 @@ mod tests {
         );
     }
 
-    /// Saturate the engine's only VM slot with a long-running query so that
-    /// the next submission takes the CF path, then run `f` while blocked.
-    fn with_saturated_slot<T>(e: &Arc<TurboEngine>, f: impl FnOnce() -> T) -> T {
-        let blocker = {
-            let e = e.clone();
-            std::thread::spawn(move || {
-                e.execute_sql(
-                    "tpch",
-                    "SELECT COUNT(*) FROM lineitem CROSS JOIN nation",
-                    false,
-                )
-                .unwrap()
-            })
-        };
-        while !e.is_busy() {
-            std::thread::yield_now();
-        }
-        let r = f();
-        blocker.join().unwrap();
-        r
-    }
-
     #[test]
     fn cf_crash_relaunches_on_fresh_fleet() {
         use pixels_chaos::{FaultPlan, FaultSite, SiteSpec};
         let registry = MetricsRegistry::shared();
         // Exactly one crash: the first fleet dies, the relaunch succeeds.
         let plan = FaultPlan::none(42).with(FaultSite::CfCrash, SiteSpec::errors(1.0).capped(1));
-        let e = Arc::new(
-            engine(1)
-                .with_registry(registry.clone())
-                .with_chaos(Arc::new(FaultInjector::new(&plan))),
-        );
+        let e = engine(1)
+            .with_registry(registry.clone())
+            .with_chaos(Arc::new(FaultInjector::new(&plan)));
         let sql = "SELECT o_orderstatus, COUNT(*) AS n FROM orders GROUP BY o_orderstatus";
         let direct = e.execute_sql("tpch", sql, false).unwrap();
-        let out = with_saturated_slot(&e, || e.execute_sql("tpch", sql, true).unwrap());
+        let out = on_cf(&e, || e.execute_sql("tpch", sql, true).unwrap());
         assert!(out.used_cf, "retry should keep the query on the CF path");
         assert_eq!(out.batch, direct.batch);
         assert!(out
@@ -2222,14 +2239,12 @@ mod tests {
         let registry = MetricsRegistry::shared();
         // Every CF attempt crashes; the query must still complete via VM.
         let plan = FaultPlan::cf_crashes(7, 1.0);
-        let e = Arc::new(
-            engine(1)
-                .with_registry(registry.clone())
-                .with_chaos(Arc::new(FaultInjector::new(&plan))),
-        );
+        let e = engine(1)
+            .with_registry(registry.clone())
+            .with_chaos(Arc::new(FaultInjector::new(&plan)));
         let sql = "SELECT o_orderstatus, COUNT(*) AS n FROM orders GROUP BY o_orderstatus";
         let direct = e.execute_sql("tpch", sql, false).unwrap();
-        let out = with_saturated_slot(&e, || e.execute_sql("tpch", sql, true).unwrap());
+        let out = on_cf(&e, || e.execute_sql("tpch", sql, true).unwrap());
         assert!(!out.used_cf, "query should have degraded to the VM path");
         assert_eq!(
             out.batch, direct.batch,
@@ -2287,14 +2302,12 @@ mod tests {
             },
         )
         .unwrap();
-        let e = Arc::new(
-            TurboEngine::new(catalog, store, cfg)
-                .with_registry(registry.clone())
-                .with_chaos(Arc::new(FaultInjector::new(&plan))),
-        );
+        let e = TurboEngine::new(catalog, store, cfg)
+            .with_registry(registry.clone())
+            .with_chaos(Arc::new(FaultInjector::new(&plan)));
         let sql = "SELECT o_orderstatus, COUNT(*) AS n FROM orders GROUP BY o_orderstatus";
         let direct = e.execute_sql("tpch", sql, false).unwrap();
-        let out = with_saturated_slot(&e, || e.execute_sql("tpch", sql, true).unwrap());
+        let out = on_cf(&e, || e.execute_sql("tpch", sql, true).unwrap());
         assert!(out.used_cf);
         assert_eq!(out.batch, direct.batch);
         assert!(out

@@ -3,6 +3,7 @@
 //! degrades to the VM path without losing the query, and a hard outage
 //! still fails cleanly (and bills nothing) once the retry budget is spent.
 
+use pixels_bench::on_cf;
 use pixelsdb::catalog::Catalog;
 use pixelsdb::chaos::{FaultInjector, FaultPlan, FaultSite, RetryPolicy, SiteSpec};
 use pixelsdb::server::{PriceSchedule, QueryServer, QueryStatus, QuerySubmission, ServiceLevel};
@@ -92,9 +93,9 @@ fn transient_get_errors_are_invisible_to_results_and_billing() {
 
 #[test]
 fn failing_cf_fleet_degrades_to_vm_through_the_server() {
-    // Every CF attempt crashes. With the single VM slot saturated, an
-    // Immediate query is dispatched to CF, loses both fleets, and must
-    // still complete by degrading back to the VM path.
+    // Every CF attempt crashes. With the single VM slot held, an Immediate
+    // query is dispatched to CF, loses both fleets, and must still complete
+    // by degrading back to the VM path once the slot is given back.
     let server = deploy(
         &FaultPlan::cf_crashes(7, 1.0),
         EngineConfig {
@@ -105,21 +106,9 @@ fn failing_cf_fleet_degrades_to_vm_through_the_server() {
     );
     let baseline = run(&server, SQL, ServiceLevel::Relaxed);
 
-    let engine = server.engine().clone();
-    let blocker = std::thread::spawn(move || {
-        engine
-            .execute_sql(
-                "tpch",
-                "SELECT COUNT(*) FROM lineitem CROSS JOIN nation",
-                false,
-            )
-            .unwrap()
+    let info = on_cf(server.engine(), || {
+        run(&server, SQL, ServiceLevel::Immediate)
     });
-    while !server.engine().is_busy() {
-        std::thread::yield_now();
-    }
-    let info = run(&server, SQL, ServiceLevel::Immediate);
-    blocker.join().unwrap();
 
     assert_eq!(info.status, QueryStatus::Finished, "{:?}", info.error);
     assert!(!info.used_cf, "query must have fallen back to the VM tier");

@@ -12,9 +12,11 @@
 //! lists whose accumulators share a running sum, must not share one, keep
 //! cells or overflow cross the exchange bit for bit.
 
+use pixels_bench::on_cf;
 use pixelsdb::catalog::{Catalog, CreateTable};
 use pixelsdb::common::{DataType, Field, RecordBatch, Schema, Value};
 use pixelsdb::exec::{exchange, scalar, ExecContext};
+use pixelsdb::obs::MetricsRegistry;
 use pixelsdb::planner::{plan_query, plan_shuffle, AggExpr, AggFunc, BoundExpr};
 use pixelsdb::storage::{
     InMemoryObjectStore, ObjectStore, ObjectStoreRef, PixelsReader, PixelsWriter,
@@ -149,29 +151,9 @@ fn engine_with(scale: f64, partitions: usize) -> (Arc<TurboEngine>, ObjectStoreR
             exchange_partitions: partitions,
             ..EngineConfig::default()
         },
-    );
+    )
+    .with_registry(MetricsRegistry::shared());
     (Arc::new(engine), store)
-}
-
-/// Saturate the engine's single VM slot for the duration of `f`, so the
-/// query submitted inside dispatches to the CF tier.
-fn on_cf<T>(e: &Arc<TurboEngine>, f: impl FnOnce() -> T) -> T {
-    let blocker_engine = e.clone();
-    let blocker = std::thread::spawn(move || {
-        blocker_engine
-            .execute_sql(
-                "tpch",
-                "SELECT COUNT(*) FROM lineitem CROSS JOIN nation",
-                false,
-            )
-            .unwrap()
-    });
-    while !e.is_busy() {
-        std::thread::yield_now();
-    }
-    let r = f();
-    blocker.join().unwrap();
-    r
 }
 
 /// The reapers delete spill prefixes from detached threads; poll until the

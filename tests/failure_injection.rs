@@ -3,6 +3,7 @@
 //! server.
 
 use bytes::Bytes;
+use pixels_bench::on_cf;
 use pixelsdb::catalog::Catalog;
 use pixelsdb::common::{Error, Result};
 use pixelsdb::server::{PriceSchedule, QueryServer, QueryStatus, QuerySubmission, ServiceLevel};
@@ -112,11 +113,8 @@ fn engine_on(store: &Arc<FaultyStore>, cfg: EngineConfig) -> Arc<TurboEngine> {
         },
     )
     .unwrap();
-    Arc::new(TurboEngine::new(
-        catalog,
-        store.clone() as Arc<dyn ObjectStore>,
-        cfg,
-    ))
+    let engine = TurboEngine::new(catalog, store.clone() as Arc<dyn ObjectStore>, cfg);
+    Arc::new(engine.with_registry(pixelsdb::obs::MetricsRegistry::shared()))
 }
 
 fn deploy(store: Arc<FaultyStore>) -> (QueryServer, Arc<FaultyStore>) {
@@ -193,8 +191,8 @@ fn corrupted_reads_are_detected_not_garbage() {
     );
 }
 
-/// A 1-slot engine: one running query saturates it, so the next CF-enabled
-/// one takes the CF path.
+/// A 1-slot engine: with its slot held, a CF-enabled query takes the CF
+/// path.
 fn one_slot_engine(store: &Arc<FaultyStore>, exchange_partitions: usize) -> Arc<TurboEngine> {
     engine_on(
         store,
@@ -207,39 +205,15 @@ fn one_slot_engine(store: &Arc<FaultyStore>, exchange_partitions: usize) -> Arc<
     )
 }
 
-/// Run `f` while a long query holds the engine's only VM slot.
-fn while_saturated<T>(engine: &Arc<TurboEngine>, f: impl FnOnce() -> T) -> T {
-    let blocker_engine = engine.clone();
-    let blocker = std::thread::spawn(move || {
-        blocker_engine
-            .execute_sql(
-                "tpch",
-                "SELECT COUNT(*) FROM lineitem CROSS JOIN nation",
-                false,
-            )
-            .unwrap()
-    });
-    while !engine.is_busy() {
-        std::thread::yield_now();
-    }
-    let r = f();
-    blocker.join().unwrap();
-    r
-}
-
 const ORDERS_BY_STATUS: &str = "SELECT o_orderstatus, COUNT(*) FROM orders GROUP BY o_orderstatus";
 
 #[test]
 fn cf_acceleration_failure_surfaces() {
-    // Saturate the single slot, force CF acceleration, and kill storage mid
-    // way: the accelerated query must fail cleanly too.
+    // Hold the single slot, force CF acceleration, and kill storage mid way:
+    // the accelerated query must fail cleanly too.
     let store = Arc::new(FaultyStore::new());
     let engine = one_slot_engine(&store, 1);
-    let r = while_saturated(&engine, || {
-        // Scope the outage to the accelerated query's table: the blocker is
-        // still streaming lineitem/nation reads at this point (the prefetch
-        // pipeline issues its GETs from a single I/O thread, so its read phase
-        // spans the whole scan), and a global outage would race with it.
+    let r = on_cf(&engine, || {
         *store.fail_path_substr.lock().unwrap() = Some("tpch/orders".into());
         let r = engine.execute_sql("tpch", ORDERS_BY_STATUS, true);
         *store.fail_path_substr.lock().unwrap() = None;
@@ -258,7 +232,7 @@ fn top_plan_failure_leaves_no_intermediates() {
         let store = Arc::new(FaultyStore::new());
         let engine = one_slot_engine(&store, exchange_partitions);
         *store.fail_path_substr.lock().unwrap() = Some("intermediate/mv-".into());
-        let r = while_saturated(&engine, || {
+        let r = on_cf(&engine, || {
             engine.execute_sql("tpch", ORDERS_BY_STATUS, true)
         });
         assert!(r.is_err(), "the failed MV read must surface");
