@@ -116,6 +116,12 @@ fn main() {
     // 0. Before any query: the catalogs registered eagerly, so an idle
     //    server already serves every family, at zero.
     let required = pixels_bench::catalog_families();
+    // Named here as well, so it stays required should it leave the catalog.
+    gate.check(
+        "chunk memo hits family catalogued",
+        required.contains("pixels_cache_chunk_memo_hits_total"),
+        "missing from the engine catalog",
+    );
     for (name, ok, detail) in scrape(addr, &required, "idle") {
         gate.check(&name, ok, &detail);
     }

@@ -115,6 +115,22 @@ impl StrVec {
         Ok(StrVec { pool, idx })
     }
 
+    /// Rows `codes` over `pool`, where every code must name an entry
+    /// ([`StrVec::NO_ENTRY`] is no exception). The one check of a decoded
+    /// dictionary's codes: on failure, the first code that names none.
+    pub fn from_codes(pool: Arc<StrPool>, codes: Vec<u32>) -> std::result::Result<StrVec, u32> {
+        let n = pool.len();
+        let past_end = |code: u32| code as usize >= n;
+        // A branch-free pass first; the offender is only looked for on failure.
+        if codes.iter().fold(false, |bad, &code| bad | past_end(code)) {
+            return Err(*codes
+                .iter()
+                .find(|&&code| past_end(code))
+                .expect("seen above"));
+        }
+        Ok(StrVec { pool, idx: codes })
+    }
+
     /// One row per pool entry, in entry order.
     pub fn from_pool(pool: StrPool) -> StrVec {
         let idx = (0..pool.len() as u32).collect();

@@ -31,9 +31,10 @@ pub struct ExecContext {
     /// Footer/schema cache shared by every reader this context opens (and,
     /// when the caller shares one context-to-context, across queries).
     pub footer_cache: Arc<FooterCache>,
-    /// Optional bounded cache of raw chunk bytes. Cache hits skip the store
-    /// GET (and its latency) but bill exactly like a fetch — `bytes_scanned`
-    /// is metered from chunk metadata, never from store counters.
+    /// Optional bounded cache of parsed chunks, each with the memo of its
+    /// dictionary or runs. Cache hits skip the store GET (and its latency)
+    /// but bill exactly like a fetch — `bytes_scanned` is metered from
+    /// chunk metadata, never from store counters.
     pub chunk_cache: Option<Arc<ChunkCache>>,
     /// How many morsels the scan may have fetched or be fetching ahead of
     /// the decoding workers, which is also how many fetches it keeps in

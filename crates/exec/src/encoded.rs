@@ -19,8 +19,10 @@
 //!   once per *run*, and each run's verdict fills the bits of its rows;
 //!   COUNT/SUM/AVG/MIN/MAX fold runs without expanding them (float sums
 //!   still perform one add per row so accumulation order — and therefore
-//!   every last bit — matches the row-at-a-time loop). A chunk's runs are
-//!   parsed once per morsel, whoever reads them first.
+//!   every last bit — matches the row-at-a-time loop). A chunk's runs, like
+//!   a dictionary chunk's decode, are parsed once into the chunk's memo,
+//!   whoever reads them first, and a cached chunk keeps its memo for every
+//!   later query ([`pixels_storage::ChunkCache`]).
 //! - **Chunk zone check** — per-chunk zone maps can prove a conjunct
 //!   all-false ([`pixels_storage::ColumnPredicate::may_match`]) or all-true
 //!   ([`pixels_storage::ColumnPredicate::must_match`]) before any decode.
@@ -51,15 +53,17 @@ use pixels_storage::{ColumnPredicate, ColumnStats, EncodedChunk, Encoding, Predi
 use std::cell::OnceCell;
 
 /// One row group's projected chunks, decoded lazily and at most once per
-/// column; an RLE chunk's runs are likewise parsed at most once, by
-/// whichever of filter, key filter, materialization and fold reads them
-/// first. Lives on a single worker thread for the duration of one morsel.
+/// column. A dictionary chunk's decode and an RLE chunk's runs are not kept
+/// here but in the chunk's own memo, which a cached chunk shares with every
+/// query that reads it: whichever of filter, key filter, materialization and
+/// fold reads them first — in this morsel or an earlier query — parses them.
+/// Lives on a single worker thread for the duration of one morsel.
 pub struct LazyRowGroup {
     schema: SchemaRef,
     chunks: Vec<EncodedChunk>,
     num_rows: usize,
+    /// Full decodes of plain and RLE chunks, made for this morsel.
     decoded: Vec<OnceCell<Column>>,
-    runs: Vec<OnceCell<RleRuns>>,
     full: OnceCell<RecordBatch>,
 }
 
@@ -68,7 +72,6 @@ impl LazyRowGroup {
         LazyRowGroup {
             schema,
             decoded: chunks.iter().map(|_| OnceCell::new()).collect(),
-            runs: chunks.iter().map(|_| OnceCell::new()).collect(),
             chunks,
             num_rows,
             full: OnceCell::new(),
@@ -83,30 +86,22 @@ impl LazyRowGroup {
         &self.chunks[i]
     }
 
-    /// The runs of the RLE chunk at `i`, parsed on first use and memoized.
-    pub fn rle_runs(&self, i: usize) -> Result<&RleRuns> {
-        if self.runs[i].get().is_none() {
-            let runs = self.chunks[i].rle_runs()?;
-            let _ = self.runs[i].set(runs);
-        }
-        Ok(self.runs[i].get().expect("runs just parsed"))
-    }
-
-    /// The column at `i`, decoded on first use and memoized; an RLE chunk
-    /// whose runs were read already is expanded from them.
+    /// The column at `i`: a dictionary chunk's borrowed from its memo, any
+    /// other decoded on first use and kept for the morsel (an RLE chunk
+    /// expanded from its memoized runs).
     pub fn column(&self, i: usize) -> Result<&Column> {
+        let chunk = &self.chunks[i];
+        if chunk.encoding() == Encoding::Dictionary {
+            return chunk.dictionary();
+        }
         if self.decoded[i].get().is_none() {
-            let col = match self.runs[i].get() {
-                Some(runs) => self.chunks[i].expand_runs(runs, &Selection::all(self.num_rows))?,
-                None => self.chunks[i].decode()?,
-            };
-            let _ = self.decoded[i].set(col);
+            let _ = self.decoded[i].set(chunk.decode()?);
         }
         Ok(self.decoded[i].get().expect("column just decoded"))
     }
 
     /// The values of the chunk at `i` as a comparison reads them: the
-    /// decoded column when one is memoized, else a plain fixed-width chunk's
+    /// decoded column when one is at hand, else a plain fixed-width chunk's
     /// payload in place, else the column, decoded now.
     fn lanes(&self, i: usize) -> Result<Lanes<'_>> {
         if let Some(col) = self.decoded[i].get() {
@@ -137,9 +132,8 @@ impl LazyRowGroup {
 
     /// Materialize only the rows `selection` keeps (late materialization):
     /// a column decoded for filtering is gathered from its decoded values,
-    /// an RLE chunk from its runs, any other chunk from its encoded bytes —
-    /// every one of them validated like the full decode, also when no row is
-    /// kept.
+    /// any other chunk from its memo or its encoded bytes — every one of
+    /// them validated like the full decode, also when no row is kept.
     pub fn materialize(&self, selection: &Selection) -> Result<RecordBatch> {
         if selection.count() == self.num_rows {
             return self.materialize_all();
@@ -150,9 +144,6 @@ impl LazyRowGroup {
             .enumerate()
             .map(|(i, chunk)| match self.decoded[i].get() {
                 Some(col) => col.select(selection),
-                None if chunk.encoding() == Encoding::Rle => {
-                    chunk.expand_runs(self.rle_runs(i)?, selection)
-                }
                 None => chunk.decode_filtered(selection),
             })
             .collect::<Result<Vec<_>>>()?;
@@ -280,7 +271,7 @@ fn encoded_conjunct(
     let cmp = CmpOp::of(*op, flipped);
     if chunk.encoding() == Encoding::Rle {
         // One comparison per run, by the kernel that compares per row.
-        let runs = lazy.rle_runs(idx)?;
+        let runs = chunk.rle_runs()?;
         let mut verdicts = Vec::new();
         if !compare_literal(&mut verdicts, Lanes::Column(&runs.values), cmp, lit) {
             return Ok(false);
@@ -420,7 +411,7 @@ pub(crate) fn key_filter_refine(
         let chunk = lazy.chunk(range.column);
         let admits = |v| filter.admits(at, v);
         if chunk.encoding() == Encoding::Rle {
-            let runs = lazy.rle_runs(range.column)?;
+            let runs = chunk.rle_runs()?;
             let Some((_, values)) = KeyInts::of(&runs.values) else {
                 continue;
             };
@@ -544,7 +535,7 @@ fn fold(
         nulls[0] += chunk.null_count() as i64;
         return Ok(());
     }
-    if chunk.encoding() == Encoding::Rle && fold_runs(state, lazy.rle_runs(idx)?, chunk)? {
+    if chunk.encoding() == Encoding::Rle && fold_runs(state, chunk.rle_runs()?, chunk)? {
         return Ok(());
     }
     state.update(Some(lazy.column(idx)?), &group[..n])

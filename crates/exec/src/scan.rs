@@ -151,6 +151,7 @@ impl<'a> ScanMorsels<'a> {
         self.ctx.metrics.add_fetch(&fetched.stats);
         if span.enabled() {
             span.record_u64("cache_hits", fetched.stats.cache_hits);
+            span.record_u64("memo_hits", fetched.stats.memo_hits);
             span.record_u64("gets", fetched.stats.gets);
             span.record_u64("gap_bytes", fetched.stats.gap_bytes);
         }

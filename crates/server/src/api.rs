@@ -1254,8 +1254,9 @@ mod tests {
     #[test]
     fn every_scrape_time_export_ends_at_its_sources_total() {
         use pixels_chaos::{FaultInjector, FaultPlan, FaultSite};
+        use pixels_common::DataType;
         use pixels_obs::{ledger, slo, SloObjective};
-        use pixels_storage::ChunkCache;
+        use pixels_storage::{ChunkCache, EncodedChunk, Encoding};
 
         let registry = MetricsRegistry::new();
         let store = InMemoryObjectStore::shared();
@@ -1315,9 +1316,17 @@ mod tests {
             Source {
                 name: "chunk cache",
                 update: Box::new(|n| {
-                    // 512-byte chunks in a 2 KiB cache: inserts evict.
-                    cache.insert("t.pxl", 1, n * 512, vec![0u8; 512].into());
-                    assert!(cache.lookup("t.pxl", 1, n * 512).is_some());
+                    // 512-byte entries in a 2 KiB cache: inserts evict. Each
+                    // is a 500-byte RLE chunk of one one-row run, whose
+                    // parsed run (12 bytes) the second lookup finds in its
+                    // memo.
+                    let mut raw = vec![0u8; 500];
+                    raw[1] = 1;
+                    let chunk = EncodedChunk::parse(raw.into(), DataType::Int64, Encoding::Rle, 1);
+                    cache.insert("t.pxl", 1, n * 512, chunk.unwrap());
+                    let hit = cache.lookup("t.pxl", 1, n * 512).unwrap();
+                    assert_eq!(hit.rle_runs().unwrap().counts, [1]);
+                    assert!(cache.lookup("t.pxl", 1, n * 512).unwrap().memo_filled());
                     assert!(cache.lookup("t.pxl", 2, n * 512).is_none());
                 }),
                 export: Box::new(|_| engine_metrics.chunk_cache(&cache)),
@@ -1329,6 +1338,11 @@ mod tests {
                             "pixels_cache_chunk_evictions_total",
                             vec![],
                             cache.evictions(),
+                        ),
+                        (
+                            "pixels_cache_chunk_memo_hits_total",
+                            vec![("kind", "rle")],
+                            cache.memo_hits(Encoding::Rle),
                         ),
                     ]
                 }),

@@ -2,14 +2,10 @@
 //!
 //! The classic read path ([`crate::reader::PixelsReader::read_row_group`])
 //! decodes every fetched chunk eagerly. Encoded execution instead keeps the
-//! raw chunk bytes around as an [`EncodedChunk`] and lets the engine decide
-//! per chunk how much to decode:
+//! chunk around as an [`EncodedChunk`] — its header parsed, its payload
+//! still encoded — and lets the engine decide per chunk how much to decode:
 //!
-//! - [`EncodedChunk::decode`] — the full decode, byte-identical to the
-//!   classic path (it runs the very same [`crate::encoding::decode`]). A
-//!   dictionary chunk decodes to *pool = its dictionary, indices = its
-//!   codes*, so it is also the dictionary view: a predicate or MIN/MAX can
-//!   run once per pool entry, and no row's string is copied.
+//! - [`EncodedChunk::decode`] — the full decode, equal to the classic path.
 //! - [`EncodedChunk::decode_filtered`] — only the rows a [`Selection`]
 //!   keeps, gathered word by word: a run of words that keep all their rows
 //!   is one contiguous copy, any other word is walked by its set bits. A
@@ -18,12 +14,23 @@
 //!   chunk nor holds its strings alive), a dictionary chunk keeps the kept
 //!   codes over the shared dictionary, and an RLE chunk expands only the
 //!   runs the kept rows fall in.
+//! - [`EncodedChunk::dictionary`] — a dictionary chunk decoded to *pool =
+//!   its dictionary, indices = its codes*, so a predicate or MIN/MAX can run
+//!   once per pool entry, and no row's string is copied.
 //! - [`EncodedChunk::plain_fixed`] — a plain fixed-width chunk's payload as
 //!   little-endian values in place, for a scan to compare without decoding.
 //! - [`EncodedChunk::rle_runs`] — run headers + one value per run, so
 //!   filters and COUNT/SUM/MIN/MAX can work per run without expanding.
 //! - [`EncodedChunk::validity`] — the validity header as the [`Selection`]
-//!   of the non-NULL rows, read straight from the bitmap's bytes.
+//!   of the non-NULL rows, parsed once with the chunk.
+//!
+//! A chunk parses its dictionary or its runs at most once: both are kept in
+//! the chunk's memo, which every clone of the chunk shares — the chunk cache
+//! ([`crate::ChunkCache`]) holds parsed chunks, so a memo filled by one query
+//! is borrowed by every later one. Only a successful parse fills the memo;
+//! a failed one leaves it empty, so every read of a corrupt chunk fails
+//! alike. Plain chunks have nothing to memoize: they are compared and
+//! gathered in place.
 //!
 //! Every view validates exactly what the full decode validates (run counts,
 //! dictionary widths and every code, UTF-8 of every string, the payload's
@@ -35,13 +42,20 @@
 
 use bytes::Bytes;
 use pixels_common::{Column, ColumnData, DataType, Error, Result, Selection};
+use std::mem::size_of_val;
+use std::sync::{Arc, OnceLock};
 
 use crate::codec::Reader as ByteReader;
 use crate::encoding::{self, plain, rle, Encoding};
+use crate::meta_cache::CachedAt;
 
-/// One fetched-but-not-decoded column chunk.
+/// One fetched-but-not-decoded column chunk. Cloning it shares the payload
+/// and the memo.
 #[derive(Debug, Clone)]
-pub struct EncodedChunk {
+pub struct EncodedChunk(Arc<Parsed>);
+
+#[derive(Debug)]
+struct Parsed {
     ty: DataType,
     encoding: Encoding,
     num_rows: usize,
@@ -49,6 +63,21 @@ pub struct EncodedChunk {
     validity: Option<Selection>,
     /// Encoded payload, after the validity header.
     payload: Bytes,
+    /// Bytes of the chunk as fetched: header and payload.
+    fetched_len: usize,
+    memo: Memo,
+    /// The cache entry that holds this chunk, once admitted to a cache: told
+    /// when a memo slot fills, so the cache's budget counts the memo's bytes.
+    cached: OnceLock<CachedAt>,
+}
+
+/// What parsing the payload found, kept for every later read of the chunk.
+#[derive(Debug, Default)]
+struct Memo {
+    /// A dictionary chunk's [`EncodedChunk::dictionary`].
+    dictionary: OnceLock<Column>,
+    /// An RLE chunk's [`EncodedChunk::rle_runs`].
+    runs: OnceLock<RleRuns>,
 }
 
 /// An RLE chunk split into runs: `counts[i]` repetitions of `values[i]`.
@@ -58,6 +87,17 @@ pub struct RleRuns {
     pub counts: Vec<u32>,
     /// One entry per run (f64 values are bit-exact).
     pub values: ColumnData,
+}
+
+/// Heap bytes of a payload's values.
+fn data_bytes(data: &ColumnData) -> usize {
+    match data {
+        ColumnData::Boolean(v) => size_of_val(v.as_slice()),
+        ColumnData::Int32(v) | ColumnData::Date(v) => size_of_val(v.as_slice()),
+        ColumnData::Int64(v) | ColumnData::Timestamp(v) => size_of_val(v.as_slice()),
+        ColumnData::Float64(v) => size_of_val(v.as_slice()),
+        ColumnData::Utf8(v) => v.pool().byte_len() + 4 * v.pool().len() + size_of_val(v.indices()),
+    }
 }
 
 impl EncodedChunk {
@@ -78,92 +118,154 @@ impl EncodedChunk {
             }
         };
         let consumed = chunk.len() - r.remaining();
-        Ok(EncodedChunk {
+        Ok(EncodedChunk(Arc::new(Parsed {
             ty,
             encoding,
             num_rows,
             validity,
             payload: chunk.slice(consumed..),
-        })
+            fetched_len: chunk.len(),
+            memo: Memo::default(),
+            cached: OnceLock::new(),
+        })))
     }
 
     pub fn data_type(&self) -> DataType {
-        self.ty
+        self.0.ty
     }
 
     pub fn encoding(&self) -> Encoding {
-        self.encoding
+        self.0.encoding
     }
 
     pub fn num_rows(&self) -> usize {
-        self.num_rows
+        self.0.num_rows
     }
 
     /// The non-NULL rows, `None` when every row is valid.
     pub fn validity(&self) -> Option<&Selection> {
-        self.validity.as_ref()
+        self.0.validity.as_ref()
     }
 
     pub fn null_count(&self) -> usize {
-        self.validity
-            .as_ref()
-            .map_or(0, |valid| self.num_rows - valid.count())
+        self.validity()
+            .map_or(0, |valid| self.0.num_rows - valid.count())
     }
 
     /// Number of non-null rows, without decoding the payload.
     pub fn count_valid(&self) -> usize {
-        self.num_rows - self.null_count()
+        self.0.num_rows - self.null_count()
     }
 
-    /// Fully decode the chunk. Byte-identical to the classic read path.
+    /// Bytes this chunk holds: as fetched, its parsed validity, and what its
+    /// memo holds so far. What a [`crate::ChunkCache`] entry costs.
+    pub fn resident_bytes(&self) -> u64 {
+        let memo = &self.0.memo;
+        let validity = self.validity().map_or(0, |v| v.len().div_ceil(64) * 8);
+        let dictionary = memo.dictionary.get().map_or(0, |col| {
+            data_bytes(col.data()) + col.validity().map_or(0, <[bool]>::len)
+        });
+        let runs = memo.runs.get().map_or(0, |runs| {
+            size_of_val(runs.counts.as_slice()) + data_bytes(&runs.values)
+        });
+        (self.0.fetched_len + validity + dictionary + runs) as u64
+    }
+
+    /// Whether the memo already holds what reading this chunk parses: the
+    /// dictionary of a dictionary chunk, the runs of an RLE chunk. Never for
+    /// a plain chunk, which has nothing to memoize.
+    pub fn memo_filled(&self) -> bool {
+        match self.0.encoding {
+            Encoding::Plain => false,
+            Encoding::Dictionary => self.0.memo.dictionary.get().is_some(),
+            Encoding::Rle => self.0.memo.runs.get().is_some(),
+        }
+    }
+
+    /// Record the cache entry that holds this chunk. False when a cache
+    /// holds it already: a chunk belongs to one entry at most.
+    pub(crate) fn cache_at(&self, at: CachedAt) -> bool {
+        self.0.cached.set(at).is_ok()
+    }
+
+    /// Whether `self` and `other` are clones of one parsed chunk.
+    pub(crate) fn same(&self, other: &EncodedChunk) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// The memo's `slot`, built by `build` if empty. Two threads may both
+    /// build it; the first to finish fills the slot and both read that. An
+    /// error leaves the slot empty.
+    fn memoized<'a, T>(
+        &'a self,
+        slot: &'a OnceLock<T>,
+        build: impl FnOnce() -> Result<T>,
+    ) -> Result<&'a T> {
+        if let Some(value) = slot.get() {
+            return Ok(value);
+        }
+        if slot.set(build()?).is_ok() {
+            if let Some(at) = self.0.cached.get() {
+                at.remeasure(self);
+            }
+        }
+        Ok(slot.get().expect("the slot was just filled"))
+    }
+
+    /// Fully decode the chunk. Equal to the classic read path.
     pub fn decode(&self) -> Result<Column> {
-        let mut r = ByteReader::new(&self.payload);
-        let data = encoding::decode(&mut r, self.encoding, self.ty, self.num_rows)?;
-        if data.len() != self.num_rows {
+        match self.0.encoding {
+            Encoding::Plain => self.decode_payload(),
+            Encoding::Dictionary => self.dictionary().cloned(),
+            Encoding::Rle => self.expand_runs(self.rle_runs()?, &Selection::all(self.0.num_rows)),
+        }
+    }
+
+    /// The payload decoded whole by its encoding's one parser.
+    fn decode_payload(&self) -> Result<Column> {
+        let p = &self.0;
+        let mut r = ByteReader::new(&p.payload);
+        let data = encoding::decode(&mut r, p.encoding, p.ty, p.num_rows)?;
+        if data.len() != p.num_rows {
             return Err(Error::Storage(format!(
                 "chunk decoded {} rows, expected {}",
                 data.len(),
-                self.num_rows
+                p.num_rows
             )));
         }
-        Column::with_validity(data, self.validity.as_ref().map(Selection::to_bools))
+        Column::with_validity(data, p.validity.as_ref().map(Selection::to_bools))
     }
 
     /// Decode only the rows `selection` keeps. Equal to
     /// `decode()?.select(selection)`, with the same validation — of every
     /// row, kept or not.
     pub fn decode_filtered(&self, selection: &Selection) -> Result<Column> {
-        self.check_selection(selection)?;
-        match self.encoding {
+        if selection.len() != self.0.num_rows {
+            return Err(Error::Storage(format!(
+                "a selection of {} rows for a chunk of {} rows",
+                selection.len(),
+                self.0.num_rows
+            )));
+        }
+        match self.0.encoding {
             Encoding::Plain => {
-                let mut r = ByteReader::new(&self.payload);
-                let data = plain::decode_kept(&mut r, self.ty, self.num_rows, Some(selection))?;
+                let mut r = ByteReader::new(&self.0.payload);
+                let data = plain::decode_kept(&mut r, self.0.ty, self.0.num_rows, Some(selection))?;
                 Column::with_validity(data, self.kept_validity(selection))
             }
-            // The full decode is the dictionary plus every code, each checked;
-            // the kept rows are its kept codes.
-            Encoding::Dictionary => self.decode()?.select(selection),
-            Encoding::Rle => self.expand_runs(&self.rle_runs()?, selection),
+            // The dictionary plus every code, each checked; the kept rows
+            // are its kept codes.
+            Encoding::Dictionary => self.dictionary()?.select(selection),
+            Encoding::Rle => self.expand_runs(self.rle_runs()?, selection),
         }
     }
 
-    /// The rows `selection` keeps of this RLE chunk, from `runs`, its
-    /// already parsed [`EncodedChunk::rle_runs`]: equal to
-    /// [`EncodedChunk::decode_filtered`], or under [`Selection::all`] to
-    /// [`EncodedChunk::decode`]. A caller that read the runs to filter on
-    /// them expands them without parsing the payload again.
+    /// The rows `selection` keeps of this RLE chunk, from its `runs`.
     ///
     /// The walk costs O(runs + kept rows): a run cursor that only moves
     /// forward gives each kept row the value of the run it falls in, and a
     /// range of whole words is copied a run at a time.
-    pub fn expand_runs(&self, runs: &RleRuns, selection: &Selection) -> Result<Column> {
-        self.check_selection(selection)?;
-        if runs.counts.iter().map(|&c| c as usize).sum::<usize>() != self.num_rows {
-            return Err(Error::Storage(format!(
-                "RLE runs do not cover the chunk's {} rows",
-                self.num_rows
-            )));
-        }
+    fn expand_runs(&self, runs: &RleRuns, selection: &Selection) -> Result<Column> {
         fn expand<T: Copy>(counts: &[u32], values: &[T], selection: &Selection) -> Vec<T> {
             let mut out = Vec::with_capacity(selection.count());
             let (mut run, mut end) = (0usize, counts.first().map_or(0, |&c| c as usize));
@@ -196,20 +298,9 @@ impl EncodedChunk {
         Column::with_validity(data, self.kept_validity(selection))
     }
 
-    fn check_selection(&self, selection: &Selection) -> Result<()> {
-        if selection.len() != self.num_rows {
-            return Err(Error::Storage(format!(
-                "a selection of {} rows for a chunk of {} rows",
-                selection.len(),
-                self.num_rows
-            )));
-        }
-        Ok(())
-    }
-
     /// The validity of the rows `selection` keeps.
     fn kept_validity(&self, selection: &Selection) -> Option<Vec<bool>> {
-        Some(selection.gather_bits(self.validity.as_ref()?))
+        Some(selection.gather_bits(self.validity()?))
     }
 
     /// A plain chunk's payload as its `num_rows` little-endian values of `W`
@@ -218,27 +309,46 @@ impl EncodedChunk {
     /// (Int32 and Date are 4, Int64, Timestamp and Float64 8; Boolean and
     /// Utf8 are neither).
     pub fn plain_fixed<const W: usize>(&self) -> Result<Option<&[[u8; W]]>> {
-        let width = match self.ty {
+        let width = match self.0.ty {
             DataType::Int32 | DataType::Date => 4,
             DataType::Int64 | DataType::Timestamp | DataType::Float64 => 8,
             DataType::Boolean | DataType::Utf8 => 0,
         };
-        if self.encoding != Encoding::Plain || width != W {
+        if self.0.encoding != Encoding::Plain || width != W {
             return Ok(None);
         }
-        plain::fixed_values::<W>(&mut ByteReader::new(&self.payload), self.num_rows).map(Some)
+        plain::fixed_values::<W>(&mut ByteReader::new(&self.0.payload), self.0.num_rows).map(Some)
+    }
+
+    /// A dictionary chunk decoded: pool = its dictionary, indices = its
+    /// codes, each checked against it. Parsed on the first read of any
+    /// holder of the chunk, then borrowed from the memo.
+    pub fn dictionary(&self) -> Result<&Column> {
+        if self.0.encoding != Encoding::Dictionary {
+            return Err(Error::Storage(format!(
+                "dictionary on a {:?}-encoded chunk",
+                self.0.encoding
+            )));
+        }
+        self.memoized(&self.0.memo.dictionary, || self.decode_payload())
     }
 
     /// Run headers and per-run values of an RLE chunk, validated like the
     /// full decode (nonzero counts summing exactly to the row count).
-    pub fn rle_runs(&self) -> Result<RleRuns> {
-        if self.encoding != Encoding::Rle {
+    /// Parsed on the first read of any holder of the chunk, then borrowed
+    /// from the memo.
+    pub fn rle_runs(&self) -> Result<&RleRuns> {
+        if self.0.encoding != Encoding::Rle {
             return Err(Error::Storage(format!(
                 "rle_runs on a {:?}-encoded chunk",
-                self.encoding
+                self.0.encoding
             )));
         }
-        let mut r = ByteReader::new(&self.payload);
+        self.memoized(&self.0.memo.runs, || self.parse_runs())
+    }
+
+    fn parse_runs(&self) -> Result<RleRuns> {
+        let mut r = ByteReader::new(&self.0.payload);
         fn parse<T: Copy>(
             r: &mut ByteReader<'_>,
             num_rows: usize,
@@ -255,8 +365,8 @@ impl EncodedChunk {
             })?;
             Ok((counts, values))
         }
-        let n = self.num_rows;
-        let (counts, values) = match self.ty {
+        let n = self.0.num_rows;
+        let (counts, values) = match self.0.ty {
             DataType::Boolean => {
                 let (c, v) = parse(&mut r, n, |r| r.get_bool())?;
                 (c, ColumnData::Boolean(v))
@@ -352,8 +462,8 @@ mod tests {
     }
 
     /// Every selection gather — `decode_filtered` of a plain, RLE or
-    /// dictionary chunk, and `expand_runs` of parsed runs — equals the full
-    /// decode filtered by the same rows: every type, with and without NULLs,
+    /// dictionary chunk, the last two from their memoized runs and
+    /// dictionary — equals the full decode filtered by the same rows: every type, with and without NULLs,
     /// NaN and `-0.0` among the floats, at 0, 1, 3, 50, 97, 99 and 100 % of
     /// the rows kept, over lengths around a word, lineitem's last row group
     /// (870 rows) and a full one (4,096); RLE runs of one or a few rows,
@@ -409,8 +519,10 @@ mod tests {
                         let raw = encode_chunk(&data, validity, encoding);
                         let chunk =
                             EncodedChunk::parse(raw, data.data_type(), encoding, n).unwrap();
-                        let full = chunk.decode().unwrap();
-                        let runs = (encoding == Encoding::Rle).then(|| chunk.rle_runs().unwrap());
+                        // The payload's own parser is the oracle: `decode` of
+                        // an RLE chunk expands its memoized runs instead.
+                        let full = chunk.decode_payload().unwrap();
+                        assert_same(&chunk.decode().unwrap(), &full, "decode");
                         for percent in [0, 1, 3, 50, 97, 99, 100] {
                             let mask: Vec<bool> = (0..n).map(|i| scatter(i) < percent).collect();
                             let selection = Selection::from_bools(&mask);
@@ -423,14 +535,6 @@ mod tests {
                             let direct = chunk.decode_filtered(&selection).unwrap();
                             assert_same(&direct, &oracle, &what);
                             assert_same(&full.select(&selection).unwrap(), &oracle, &what);
-                            if let Some(runs) = &runs {
-                                let expanded = chunk.expand_runs(runs, &selection).unwrap();
-                                assert_same(&expanded, &oracle, &what);
-                            }
-                        }
-                        if let Some(runs) = &runs {
-                            let all = chunk.expand_runs(runs, &Selection::all(n)).unwrap();
-                            assert_same(&all, &full, "all rows");
                         }
                     }
                 }
@@ -473,7 +577,8 @@ mod tests {
     }
 
     /// Every way a string chunk can be corrupt, and a fixed-width chunk be
-    /// cut short, is the same error, with the same text, from the full decode,
+    /// cut short, is the same error, with the same text, on every read, from
+    /// the full decode,
     /// from the selection gather — also under a selection that keeps no row,
     /// or not the corrupt one — and, for a fixed-width chunk, from the
     /// in-place view a scan compares.
@@ -618,31 +723,36 @@ mod tests {
         ];
         for (what, bytes, ty, encoding, expected) in cases {
             let chunk = EncodedChunk::parse(Bytes::from(bytes), ty, encoding, 2).unwrap();
-            let mut paths = vec![
-                ("decode", chunk.decode()),
-                (
-                    "decode_filtered, all rows",
-                    chunk.decode_filtered(&Selection::all(2)),
-                ),
-                (
-                    "decode_filtered, no row",
-                    chunk.decode_filtered(&Selection::from_bools(&[false; 2])),
-                ),
-                (
-                    "decode_filtered, the first row only",
-                    chunk.decode_filtered(&Selection::from_bools(&[true, false])),
-                ),
-            ];
-            if encoding == Plain && !matches!(ty, Utf8 | Boolean) {
-                paths.push((
-                    "plain_fixed",
-                    plain_fixed_view(&chunk).map(|()| Column::nulls(ty, 0)),
-                ));
+            // Twice: a failed parse leaves the memo empty, so the second
+            // round parses again and fails alike.
+            for _ in 0..2 {
+                let mut paths = vec![
+                    ("decode", chunk.decode()),
+                    (
+                        "decode_filtered, all rows",
+                        chunk.decode_filtered(&Selection::all(2)),
+                    ),
+                    (
+                        "decode_filtered, no row",
+                        chunk.decode_filtered(&Selection::from_bools(&[false; 2])),
+                    ),
+                    (
+                        "decode_filtered, the first row only",
+                        chunk.decode_filtered(&Selection::from_bools(&[true, false])),
+                    ),
+                ];
+                if encoding == Plain && !matches!(ty, Utf8 | Boolean) {
+                    paths.push((
+                        "plain_fixed",
+                        plain_fixed_view(&chunk).map(|()| Column::nulls(ty, 0)),
+                    ));
+                }
+                for (path, result) in paths {
+                    let err = result.expect_err(what).to_string();
+                    assert_eq!(err, expected, "{what}, {path}");
+                }
             }
-            for (path, result) in paths {
-                let err = result.expect_err(what).to_string();
-                assert_eq!(err, expected, "{what}, {path}");
-            }
+            assert!(!chunk.memo_filled(), "{what}");
         }
     }
 
@@ -715,21 +825,110 @@ mod tests {
             .contains("corrupt RLE run"));
 
         // Cut anywhere — inside a count, inside a value, between runs — the
-        // runs fail with the full decode's error.
+        // runs, and every decode through them, fail with the error of the
+        // payload's own parser, on every read: a failed parse fills no memo.
         let raw = encode_chunk(&data, None, Encoding::Rle);
         for cut in [1, 3, 5, 12, 13, 20, 24, 26, 35] {
             let chunk =
                 EncodedChunk::parse(raw.slice(..cut), DataType::Int64, Encoding::Rle, 6).unwrap();
-            let full = chunk.decode().unwrap_err().to_string();
+            let full = chunk.decode_payload().unwrap_err().to_string();
             assert!(full.contains("truncated data"), "cut at {cut}: {full}");
+            for _ in 0..2 {
+                assert_eq!(chunk.decode().unwrap_err().to_string(), full);
+                assert_eq!(
+                    chunk.rle_runs().unwrap_err().to_string(),
+                    full,
+                    "cut at {cut}"
+                );
+                for selection in [Selection::all(6), Selection::from_bools(&[false; 6])] {
+                    let filtered = chunk.decode_filtered(&selection).unwrap_err().to_string();
+                    assert_eq!(filtered, full, "cut at {cut}");
+                }
+            }
+            assert!(!chunk.memo_filled());
+            assert_eq!(chunk.resident_bytes(), cut as u64);
+        }
+    }
+
+    /// The first read of a dictionary or RLE chunk fills its memo, which
+    /// every clone shares; later reads borrow it and answer the same. The
+    /// memo's bytes count in the chunk's resident bytes.
+    #[test]
+    fn memo_fills_once_and_is_shared_by_clones() {
+        let strings = utf8(&["b", "a", "b", "b", "c", "a"]);
+        let ints = ColumnData::Int32(vec![7, 7, 7, 1, 1, 2]);
+        for (data, encoding) in [(strings, Encoding::Dictionary), (ints, Encoding::Rle)] {
+            let raw = encode_chunk(&data, None, encoding);
+            let fetched = raw.len() as u64;
+            let chunk = EncodedChunk::parse(raw, data.data_type(), encoding, 6).unwrap();
+            let clone = chunk.clone();
+            assert!(!chunk.memo_filled());
+            assert_eq!(chunk.resident_bytes(), fetched);
+            let first = chunk.decode().unwrap();
+            assert!(clone.memo_filled(), "{encoding:?}: the clone sees the memo");
+            assert!(clone.resident_bytes() > fetched);
+            assert_eq!(clone.decode().unwrap(), first);
+            let half = Selection::from_bools(&[true, false, true, false, true, false]);
             assert_eq!(
-                chunk.rle_runs().unwrap_err().to_string(),
-                full,
-                "cut at {cut}"
+                clone.decode_filtered(&half).unwrap(),
+                first.select(&half).unwrap()
             );
-            for selection in [Selection::all(6), Selection::from_bools(&[false; 6])] {
-                let filtered = chunk.decode_filtered(&selection).unwrap_err().to_string();
-                assert_eq!(filtered, full, "cut at {cut}");
+            match encoding {
+                Encoding::Dictionary => {
+                    assert!(std::ptr::eq(
+                        chunk.dictionary().unwrap(),
+                        clone.dictionary().unwrap()
+                    ));
+                    assert!(chunk.rle_runs().is_err());
+                }
+                _ => {
+                    assert!(std::ptr::eq(
+                        chunk.rle_runs().unwrap(),
+                        clone.rle_runs().unwrap()
+                    ));
+                    assert!(chunk.dictionary().is_err());
+                }
+            }
+        }
+        // A plain chunk keeps no memo.
+        let raw = encode_chunk(&ColumnData::Int64(vec![1, 2]), None, Encoding::Plain);
+        let chunk = EncodedChunk::parse(raw.clone(), DataType::Int64, Encoding::Plain, 2).unwrap();
+        chunk.decode().unwrap();
+        assert!(!chunk.memo_filled());
+        assert_eq!(chunk.resident_bytes(), raw.len() as u64);
+    }
+
+    /// Threads that read one chunk's memo at the same time, while it is
+    /// still empty, all get what a lone reader gets.
+    #[test]
+    fn concurrent_memo_builds_agree() {
+        let strings = ColumnData::Utf8((0..4096).map(|i| format!("v{}", i % 37)).collect());
+        let ints = ColumnData::Int64((0..4096).map(|i| i / 5).collect());
+        for (data, encoding) in [(strings, Encoding::Dictionary), (ints, Encoding::Rle)] {
+            let raw = encode_chunk(&data, None, encoding);
+            let lone = EncodedChunk::parse(raw.clone(), data.data_type(), encoding, 4096)
+                .unwrap()
+                .decode()
+                .unwrap();
+            for _ in 0..20 {
+                let chunk =
+                    EncodedChunk::parse(raw.clone(), data.data_type(), encoding, 4096).unwrap();
+                let barrier = std::sync::Barrier::new(4);
+                let columns: Vec<Column> = std::thread::scope(|s| {
+                    let readers: Vec<_> = (0..4)
+                        .map(|_| {
+                            s.spawn(|| {
+                                barrier.wait();
+                                chunk.decode().unwrap()
+                            })
+                        })
+                        .collect();
+                    readers.into_iter().map(|r| r.join().unwrap()).collect()
+                });
+                for col in columns {
+                    assert_eq!(col, lone, "{encoding:?}");
+                }
+                assert!(chunk.memo_filled());
             }
         }
     }

@@ -46,22 +46,30 @@ pub fn pack_u32(values: &[u32], width: u8) -> Vec<u8> {
     out
 }
 
-/// Unpack `n` values of `width` bits each, packed by [`pack_u32`].
+/// Unpack `n` values of `width` bits each, packed by [`pack_u32`], from
+/// `bytes`, which must hold all `n * width` bits.
 pub fn unpack_u32(bytes: &[u8], n: usize, width: u8) -> Vec<u32> {
     let width = width as usize;
     let mask = (1u64 << width) - 1;
     // A value of up to 32 bits starting at any bit of a byte lies within the
-    // eight bytes from that byte on; pad so the last values have them too.
-    let mut padded = Vec::with_capacity(bytes.len() + 8);
-    padded.extend_from_slice(bytes);
-    padded.extend_from_slice(&[0; 8]);
-    (0..n)
-        .map(|i| {
-            let bit = i * width;
-            let window: [u8; 8] = padded[bit / 8..bit / 8 + 8].try_into().expect("8 bytes");
-            ((u64::from_le_bytes(window) >> (bit % 8)) & mask) as u32
-        })
-        .collect()
+    // eight bytes from that byte on. Values whose eight bytes are all in the
+    // input read them in place: those that start before bit
+    // `(len - 7) * 8`. The last few read what is left, zero-padded.
+    let in_place = (bytes.len().saturating_sub(7) * 8).div_ceil(width).min(n);
+    let value =
+        |i: usize, window: [u8; 8]| ((u64::from_le_bytes(window) >> (i * width % 8)) & mask) as u32;
+    let mut out = Vec::with_capacity(n);
+    out.extend((0..in_place).map(|i| {
+        let at = i * width / 8;
+        value(i, bytes[at..at + 8].try_into().expect("8 bytes"))
+    }));
+    out.extend((in_place..n).map(|i| {
+        let tail = &bytes[i * width / 8..];
+        let mut window = [0u8; 8];
+        window[..tail.len().min(8)].copy_from_slice(&tail[..tail.len().min(8)]);
+        value(i, window)
+    }));
+    out
 }
 
 #[cfg(test)]
@@ -125,6 +133,52 @@ mod tests {
                 values,
                 "width {width}"
             );
+        }
+    }
+
+    /// The copying implementation `unpack_u32` replaced: the input padded
+    /// with eight zero bytes, every value read from an 8-byte window.
+    fn unpack_u32_padded(bytes: &[u8], n: usize, width: u8) -> Vec<u32> {
+        let width = width as usize;
+        let mask = (1u64 << width) - 1;
+        let mut padded = bytes.to_vec();
+        padded.extend_from_slice(&[0; 8]);
+        (0..n)
+            .map(|i| {
+                let bit = i * width;
+                let window: [u8; 8] = padded[bit / 8..bit / 8 + 8].try_into().unwrap();
+                ((u64::from_le_bytes(window) >> (bit % 8)) & mask) as u32
+            })
+            .collect()
+    }
+
+    /// At every width, over row counts whose last value ends on the last
+    /// byte and ones that leave bits over, `unpack_u32` equals the padded
+    /// copy. Each input is a vector of exactly the packed length, followed
+    /// in the same allocation by nothing: a read past it would panic.
+    #[test]
+    fn unpack_in_place_equals_the_padded_copy_and_stays_in_bounds() {
+        for width in 1u8..=32 {
+            let max = if width == 32 {
+                u32::MAX
+            } else {
+                (1u32 << width) - 1
+            };
+            for n in (0..=80usize).chain([8 * 33, 1000, 4096]) {
+                let values: Vec<u32> = (0..n)
+                    .map(|i| ((i as u64 * 2654435761) as u32 ^ 0x5A5A_5A5A) & max)
+                    .collect();
+                let packed = pack_u32(&values, width);
+                assert_eq!(packed.len(), (n * width as usize).div_ceil(8));
+                let exact = packed.to_vec().into_boxed_slice();
+                let unpacked = unpack_u32(&exact, n, width);
+                assert_eq!(unpacked, values, "width {width} n {n}");
+                assert_eq!(
+                    unpacked,
+                    unpack_u32_padded(&exact, n, width),
+                    "width {width} n {n}"
+                );
+            }
         }
     }
 }

@@ -70,7 +70,8 @@ pub fn encode(data: &ColumnData, w: &mut Writer) -> Result<()> {
 }
 
 /// Parse a dictionary payload of `num_rows` rows: the dictionary becomes the
-/// pool and the unpacked codes, each checked against it, the row indices.
+/// pool and the unpacked codes the row indices, each checked against it
+/// once, by [`StrVec::from_codes`].
 pub fn decode(r: &mut Reader<'_>, num_rows: usize) -> Result<StrVec> {
     let dict_len = r.get_u32()? as usize;
     let dict = plain::read_pool(r, dict_len, None)?;
@@ -83,18 +84,11 @@ pub fn decode(r: &mut Reader<'_>, num_rows: usize) -> Result<StrVec> {
     let packed_len = (num_rows * width as usize).div_ceil(8);
     let packed = r.get_raw(packed_len)?;
     let codes = bitpack::unpack_u32(packed, num_rows, width);
-    let past_end = |code: u32| code as usize >= dict_len;
-    // A branch-free pass first; the offender is only looked for on failure.
-    if codes.iter().fold(false, |bad, &code| bad | past_end(code)) {
-        let code = codes
-            .iter()
-            .find(|&&code| past_end(code))
-            .expect("seen above");
-        return Err(Error::Storage(format!(
+    StrVec::from_codes(Arc::new(dict), codes).map_err(|code| {
+        Error::Storage(format!(
             "dictionary code {code} out of range ({dict_len} entries)"
-        )));
-    }
-    StrVec::new(Arc::new(dict), codes)
+        ))
+    })
 }
 
 #[cfg(test)]

@@ -44,6 +44,9 @@ pub const COALESCE_GAP_BYTES: u64 = 32 * 1024;
 pub struct FetchStats {
     /// Chunks served by the [`ChunkCache`].
     pub cache_hits: u64,
+    /// Of those, chunks whose memo already held their parsed dictionary or
+    /// runs ([`EncodedChunk::memo_filled`]).
+    pub memo_hits: u64,
     /// Chunks read from the store (every chunk, when there is no cache).
     pub cache_misses: u64,
     /// Ranged GETs issued: one per run of merged missing chunks.
@@ -355,11 +358,12 @@ impl<'a> PixelsReader<'a> {
     /// column), header-parsed and still encoded, consulting and populating
     /// `cache` when given. Every read of chunk data goes through here.
     ///
-    /// Chunks the cache holds cost nothing. The rest are sorted by file
-    /// offset, neighbours at most [`COALESCE_GAP_BYTES`] apart are merged,
-    /// and each merged run is one `get_range`, sliced back into per-chunk
-    /// buffers without copying. Billing is unaffected by any of it: scanned
-    /// bytes are metered from chunk metadata
+    /// Chunks the cache holds cost nothing, and come with whatever their
+    /// memo holds. The rest are sorted by file offset, neighbours at most
+    /// [`COALESCE_GAP_BYTES`] apart are merged, and each merged run is one
+    /// `get_range`, sliced back into per-chunk buffers without copying and
+    /// parsed once, for this read and the cache alike. Billing is unaffected
+    /// by any of it: scanned bytes are metered from chunk metadata
     /// ([`PixelsReader::row_group_bytes`]), not from store traffic.
     pub fn fetch_row_group(
         &self,
@@ -369,39 +373,16 @@ impl<'a> PixelsReader<'a> {
     ) -> Result<RowGroupFetch> {
         let rg = self.row_group(rg_index)?;
         let projected = self.projected_chunks(rg, projection)?;
-        let (bytes, stats) = self.fetch_chunk_bytes(&projected, cache)?;
-        let chunks = projected
-            .iter()
-            .zip(bytes)
-            .map(|(&(col, meta), bytes)| {
-                EncodedChunk::parse(
-                    bytes,
-                    self.schema.field(col).data_type,
-                    meta.encoding,
-                    rg.num_rows as usize,
-                )
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(RowGroupFetch { chunks, stats })
-    }
-
-    /// The raw bytes of the `chunks` given (column, metadata), in that order:
-    /// from `cache` where resident, otherwise by one ranged GET per merged
-    /// run.
-    fn fetch_chunk_bytes(
-        &self,
-        chunks: &[(usize, &ColumnChunkMeta)],
-        cache: Option<&ChunkCache>,
-    ) -> Result<(Vec<Bytes>, FetchStats)> {
         let mut stats = FetchStats::default();
-        let mut out: Vec<Option<Bytes>> = vec![None; chunks.len()];
-        // (offset, end, position in `chunks`) of every chunk to read.
+        let mut out: Vec<Option<EncodedChunk>> = vec![None; projected.len()];
+        // (offset, end, position in `projected`) of every chunk to read.
         let mut missing: Vec<(u64, u64, usize)> = Vec::new();
-        for (pos, (_, meta)) in chunks.iter().enumerate() {
+        for (pos, (_, meta)) in projected.iter().enumerate() {
             let cached = cache.and_then(|c| c.lookup(&self.path, self.generation, meta.offset));
-            if cached.is_some() {
-                out[pos] = cached;
+            if let Some(chunk) = cached {
                 stats.cache_hits += 1;
+                stats.memo_hits += chunk.memo_filled() as u64;
+                out[pos] = Some(chunk);
                 continue;
             }
             let end = meta.offset.checked_add(meta.len).ok_or_else(|| {
@@ -440,29 +421,35 @@ impl<'a> PixelsReader<'a> {
             stats.gets += 1;
             stats.gap_bytes += gap_bytes;
             for &(offset, chunk_end, pos) in &runs[..merged] {
-                let chunk = reply.slice((offset - start) as usize..(chunk_end - start) as usize);
+                let mut bytes =
+                    reply.slice((offset - start) as usize..(chunk_end - start) as usize);
+                // The cache's byte budget counts chunk bytes only. A slice
+                // of a reply that also holds gap bytes would keep those
+                // alive uncounted, so such a chunk is cached as its own
+                // copy; a gapless reply is chunk bytes throughout, all
+                // offered to the cache and ageing together.
+                if cache.is_some() && gap_bytes > 0 {
+                    bytes = Bytes::from(bytes.to_vec());
+                }
+                let (col, meta) = projected[pos];
+                let chunk = EncodedChunk::parse(
+                    bytes,
+                    self.schema.field(col).data_type,
+                    meta.encoding,
+                    rg.num_rows as usize,
+                )?;
                 if let Some(cache) = cache {
-                    // The cache's byte budget counts chunk bytes only. A
-                    // slice of a reply that also holds gap bytes would keep
-                    // those alive uncounted, so such a chunk is cached as
-                    // its own copy; a gapless reply is chunk bytes
-                    // throughout, all offered here and ageing together.
-                    let own = if gap_bytes == 0 {
-                        chunk.clone()
-                    } else {
-                        Bytes::from(chunk.to_vec())
-                    };
-                    cache.insert(&self.path, self.generation, offset, own);
+                    cache.insert(&self.path, self.generation, offset, chunk.clone());
                 }
                 out[pos] = Some(chunk);
             }
             runs = &runs[merged..];
         }
-        let bytes = out
+        let chunks = out
             .into_iter()
-            .map(|b| b.expect("every chunk was cached or read"))
+            .map(|c| c.expect("every chunk was cached or read"))
             .collect();
-        Ok((bytes, stats))
+        Ok(RowGroupFetch { chunks, stats })
     }
 
     /// Read one row group. `projection` selects columns by file-schema index
@@ -502,6 +489,7 @@ impl<'a> PixelsReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::Encoding;
     use crate::object_store::InMemoryObjectStore;
     use crate::writer::{write_table, PixelsWriter};
     use bytes::Bytes;
@@ -774,17 +762,21 @@ mod tests {
 
     /// The stored bytes of `rg`'s chunks under `projection`, one plain
     /// ranged GET each: what the vectored fetch must reproduce.
+    /// The projected chunks of `rg`, each read by a GET of its own range.
     fn per_chunk_reads(
         store: &InMemoryObjectStore,
         reader: &PixelsReader,
         rg: usize,
         projection: &[usize],
-    ) -> Vec<Bytes> {
+    ) -> Vec<EncodedChunk> {
+        let rg = &reader.footer().row_groups[rg];
         projection
             .iter()
             .map(|&c| {
-                let m = &reader.footer().row_groups[rg].columns[c];
-                store.get_range("t.pxl", m.offset, m.len).unwrap()
+                let m = &rg.columns[c];
+                let bytes = store.get_range("t.pxl", m.offset, m.len).unwrap();
+                let ty = reader.schema().field(c).data_type;
+                EncodedChunk::parse(bytes, ty, m.encoding, rg.num_rows as usize).unwrap()
             })
             .collect()
     }
@@ -826,10 +818,9 @@ mod tests {
             assert_eq!(
                 fetched.stats,
                 FetchStats {
-                    cache_hits: 0,
                     cache_misses: 3,
                     gets: 1,
-                    gap_bytes: 0
+                    ..FetchStats::default()
                 }
             );
         }
@@ -887,7 +878,7 @@ mod tests {
                 cache_hits: 1,
                 cache_misses: 2,
                 gets: 1,
-                gap_bytes: 0
+                ..FetchStats::default()
             }
         );
         assert_eq!(delta.get_requests, 1);
@@ -913,9 +904,10 @@ mod tests {
     }
 
     #[test]
-    fn vectored_fetch_returns_the_bytes_of_per_chunk_reads() {
+    fn vectored_fetch_returns_the_chunks_of_per_chunk_reads() {
         // Whatever the projection order, the merging and the cache state,
-        // each chunk's bytes are those a GET of its own range returns.
+        // each chunk is the one a GET of its own range returns: as many
+        // bytes, the same decode.
         for write in [
             (|s| write_sample(s, 100, 250)) as fn(&InMemoryObjectStore),
             write_wide,
@@ -926,29 +918,64 @@ mod tests {
             let cache = ChunkCache::new(1 << 20);
             for projection in [&[0usize, 1, 2][..], &[2, 0], &[1], &[1, 1, 0]] {
                 for rg in 0..reader.num_row_groups() {
-                    let rg_meta = &reader.footer().row_groups[rg];
-                    let metas: Vec<(usize, &ColumnChunkMeta)> = projection
-                        .iter()
-                        .map(|&c| (c, &rg_meta.columns[c]))
-                        .collect();
                     let expected = per_chunk_reads(&store, &reader, rg, projection);
-                    let (plain, _) = reader.fetch_chunk_bytes(&metas, None).unwrap();
-                    assert_eq!(plain, expected, "{projection:?} rg {rg}");
-                    // Twice through the cache: filling it, then served by it.
-                    for _ in 0..2 {
-                        let (cached, _) = reader.fetch_chunk_bytes(&metas, Some(&cache)).unwrap();
-                        assert_eq!(cached, expected, "{projection:?} rg {rg} cached");
-                    }
+                    let sizes: Vec<u64> =
+                        expected.iter().map(EncodedChunk::resident_bytes).collect();
                     let decoded = reader.read_row_group(rg, Some(projection)).unwrap();
-                    let fetched = reader
-                        .fetch_row_group(rg, Some(projection), Some(&cache))
-                        .unwrap();
-                    for (i, chunk) in fetched.chunks.iter().enumerate() {
-                        assert_eq!(&chunk.decode().unwrap(), decoded.column(i));
+                    // Without the cache, then twice through it: filling it,
+                    // then served by it, memos filled by the decodes.
+                    for (pass, cache) in [None, Some(&cache), Some(&cache)].into_iter().enumerate()
+                    {
+                        let what = format!("{projection:?} rg {rg} pass {pass}");
+                        let fetched = reader.fetch_row_group(rg, Some(projection), cache).unwrap();
+                        for (i, (got, want)) in fetched.chunks.iter().zip(&expected).enumerate() {
+                            // A cached chunk may hold a memo as well.
+                            if pass == 0 {
+                                assert_eq!(got.resident_bytes(), sizes[i], "{what}");
+                            }
+                            assert!(got.resident_bytes() >= sizes[i], "{what}");
+                            assert_eq!(got.decode().unwrap(), want.decode().unwrap(), "{what}");
+                            assert_eq!(&got.decode().unwrap(), decoded.column(i), "{what}");
+                        }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_warm_fetch_borrows_the_memo() {
+        // The dictionary of `tag` and the runs of a constant column, parsed
+        // by the first read, are what the second fetch serves.
+        let store = InMemoryObjectStore::new();
+        let schema = Arc::new(Schema::new(vec![
+            Field::nullable("tag", DataType::Utf8),
+            Field::required("flag", DataType::Int32),
+        ]));
+        let rows: Vec<Vec<Value>> = (0..200)
+            .map(|i| vec![Value::Utf8(format!("tag{}", i % 4)), Value::Int32(i / 50)])
+            .collect();
+        write_table(
+            &store,
+            "m.pxl",
+            schema.clone(),
+            &[RecordBatch::from_rows(schema, &rows).unwrap()],
+        )
+        .unwrap();
+        let reader = PixelsReader::open(&store, "m.pxl").unwrap();
+        let cache = ChunkCache::new(1 << 20);
+        let cold = reader.fetch_row_group(0, None, Some(&cache)).unwrap();
+        let encodings: Vec<_> = cold.chunks.iter().map(EncodedChunk::encoding).collect();
+        assert_eq!(encodings, [Encoding::Dictionary, Encoding::Rle]);
+        let resident = cache.resident_bytes();
+        let first: Vec<Column> = cold.chunks.iter().map(|c| c.decode().unwrap()).collect();
+        assert!(cache.resident_bytes() > resident, "the memos count");
+        let warm = reader.fetch_row_group(0, None, Some(&cache)).unwrap();
+        assert_eq!((warm.stats.cache_hits, warm.stats.memo_hits), (2, 2));
+        let again: Vec<Column> = warm.chunks.iter().map(|c| c.decode().unwrap()).collect();
+        assert_eq!(again, first);
+        assert_eq!(cache.memo_hits(Encoding::Dictionary), 1);
+        assert_eq!(cache.memo_hits(Encoding::Rle), 1);
     }
 
     #[test]

@@ -47,9 +47,10 @@ pub struct EngineConfig {
     /// up to this much intra-plan parallelism, further bounded by the
     /// query's own parallelism estimate from the resource model.
     pub cf_fleet_threads: usize,
-    /// Capacity of the engine-wide chunk-data cache (raw encoded column
-    /// chunks shared across all queries). `0` disables the cache. Hits skip
-    /// the storage GET but are billed exactly like misses — billing is
+    /// Capacity of the engine-wide chunk-data cache (parsed column chunks,
+    /// with the dictionaries and runs queries parsed from them, shared
+    /// across all queries), memos included. `0` disables the cache. Hits
+    /// skip the storage GET but are billed exactly like misses — billing is
     /// metered from chunk metadata, never from store traffic.
     pub chunk_cache_bytes: u64,
     /// Scan prefetch depth: how many row groups a scan may have fetched or
@@ -264,8 +265,9 @@ pub struct TurboEngine {
     /// opens of the same table skip the footer GETs (and are billed once).
     footer_cache: Arc<FooterCache>,
     /// Chunk-data cache shared across every query (None when disabled by
-    /// `chunk_cache_bytes: 0`). Serves raw encoded chunk bytes; hits skip
-    /// the GET but bill identically to misses.
+    /// `chunk_cache_bytes: 0`). Serves parsed chunks with their memoized
+    /// dictionaries and runs; hits skip the GET and the parse but bill
+    /// identically to misses.
     chunk_cache: Option<Arc<ChunkCache>>,
     /// Registry backing `/metrics` (the process-wide one by default).
     registry: Arc<MetricsRegistry>,
@@ -511,10 +513,13 @@ impl TurboEngine {
                 ));
                 if let Some(t) = exec_trace.trace() {
                     // Summed over the `prefetch` spans: how the scanned
-                    // chunks arrived. None of it is billed.
+                    // chunks arrived, and how many came with their
+                    // dictionary or runs already parsed. None of it is
+                    // billed.
                     text.push_str(&format!(
-                        "chunk fetches    : {} cache hits, {} GETs, {} gap bytes\n",
+                        "chunk fetches    : {} cache hits ({} memo hits), {} GETs, {} gap bytes\n",
                         t.attr_sum("cache_hits"),
+                        t.attr_sum("memo_hits"),
                         t.attr_sum("gets"),
                         t.attr_sum("gap_bytes"),
                     ));
@@ -2156,11 +2161,26 @@ mod tests {
         // How the chunks arrived sits beside the cache counters: one column
         // of two row groups is two chunks, each read cold in one GET.
         assert!(
-            text.contains("chunk fetches    : 0 cache hits, 2 GETs, 0 gap bytes"),
+            text.contains("chunk fetches    : 0 cache hits (0 memo hits), 2 GETs, 0 gap bytes"),
             "{text}"
         );
         assert!(text.contains("gets=1"), "{text}");
         assert!(text.contains("join filters     : none"), "{text}");
+        // A dictionary column's two chunks: the first run parses their
+        // dictionaries into the cached chunks' memos, the second borrows them.
+        let sql =
+            "EXPLAIN ANALYZE SELECT o_orderstatus, COUNT(*) FROM orders GROUP BY o_orderstatus";
+        for (hits, memo_hits, gets) in [(0, 0, 2), (2, 2, 0)] {
+            let text = e
+                .execute_sql("tpch", sql, false)
+                .unwrap()
+                .batch
+                .pretty_format();
+            let line = format!(
+                "chunk fetches    : {hits} cache hits ({memo_hits} memo hits), {gets} GETs"
+            );
+            assert!(text.contains(&line), "{text}");
+        }
     }
 
     /// "Why did this join get fast" is answerable from the report: how many

@@ -3,14 +3,16 @@
 
 use pixels_exec::{ExchangeStats, ExecMetricsSnapshot, ScanPipelineSnapshot};
 use pixels_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use pixels_storage::ChunkCache;
+use pixels_storage::{ChunkCache, Encoding};
 use std::sync::Arc;
 
 /// Declares a catalog struct and its `new`: each row gives a field, its
-/// instrument kind, the family's name and its help text — once.
+/// instrument kind, the family's name, its labels if any, and its help text
+/// — once.
 macro_rules! catalog {
     ($(#[$doc:meta])* pub struct $name:ident {
-        $($vis:vis $field:ident: $kind:ident = $family:literal, $help:literal;)*
+        $($vis:vis $field:ident: $kind:ident = $family:literal
+            $({ $($label:literal = $value:literal),* })?, $help:literal;)*
     }) => {
         $(#[$doc])*
         pub struct $name {
@@ -21,19 +23,21 @@ macro_rules! catalog {
             /// Register every family of the catalog, at zero, in `r`.
             pub fn new(r: &MetricsRegistry) -> $name {
                 $name {
-                    $($field: catalog!(@register r, $kind, $family, $help),)*
+                    $($field: catalog!(
+                        @register r, $kind, $family, $help, &[$($(($label, $value)),*)?]
+                    ),)*
                 }
             }
         }
     };
-    (@register $r:ident, Counter, $family:literal, $help:literal) => {
-        $r.counter($family, $help)
+    (@register $r:ident, Counter, $family:literal, $help:literal, $labels:expr) => {
+        $r.counter_with($family, $help, $labels)
     };
-    (@register $r:ident, Gauge, $family:literal, $help:literal) => {
-        $r.gauge($family, $help)
+    (@register $r:ident, Gauge, $family:literal, $help:literal, $labels:expr) => {
+        $r.gauge_with($family, $help, $labels)
     };
-    (@register $r:ident, Histogram, $family:literal, $help:literal) => {
-        $r.histogram($family, $help, &[], None)
+    (@register $r:ident, Histogram, $family:literal, $help:literal, $labels:expr) => {
+        $r.histogram($family, $help, $labels, None)
     };
 }
 
@@ -70,7 +74,11 @@ catalog! {
         chunk_evictions: Counter = "pixels_cache_chunk_evictions_total",
             "Chunks evicted from the chunk-data cache to admit new entries";
         chunk_resident_bytes: Gauge = "pixels_cache_chunk_resident_bytes",
-            "Bytes currently resident in the chunk-data cache";
+            "Bytes currently resident in the chunk-data cache, parsed dictionaries and runs included";
+        memo_dictionary_hits: Counter = "pixels_cache_chunk_memo_hits_total" { "kind" = "dictionary" },
+            "Chunk-cache hits that also served the chunk's parsed dictionary or RLE runs";
+        memo_rle_hits: Counter = "pixels_cache_chunk_memo_hits_total" { "kind" = "rle" },
+            "Chunk-cache hits that also served the chunk's parsed dictionary or RLE runs";
         exchange_partitions: Counter = "pixels_exchange_partitions_total",
             "Hash partitions written across object-store exchanges";
         exchange_put_bytes: Counter = "pixels_exchange_put_bytes_total",
@@ -139,6 +147,10 @@ impl EngineMetrics {
         self.chunk_hits.advance_to(cache.hits());
         self.chunk_misses.advance_to(cache.misses());
         self.chunk_evictions.advance_to(cache.evictions());
+        self.memo_dictionary_hits
+            .advance_to(cache.memo_hits(Encoding::Dictionary));
+        self.memo_rle_hits
+            .advance_to(cache.memo_hits(Encoding::Rle));
         self.chunk_resident_bytes.set(cache.resident_bytes() as f64);
     }
 }

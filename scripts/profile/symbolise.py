@@ -37,7 +37,14 @@ GROUPS = [
     ("  of which encode", r"pixels_exec::keys::(KeyEncoder|put_column)", False),
     ("chunk decode", r"pixels_storage::(encoding::|encoded::EncodedChunk)", False),
     ("  of which plain::decode", r"pixels_storage::encoding::plain::", False),
-    ("  of which RLE runs: parse + expand", r"pixels_storage::(encoded::EncodedChunk::(rle_runs|expand_runs|decode_filtered::expand)|encoding::rle::)", False),
+    ("  of which RLE runs: parse + expand", r"pixels_storage::(encoded::EncodedChunk::(rle_runs|parse_runs|expand_runs|decode_filtered::expand)|encoding::rle::)", False),
+    # The parses a cached chunk's memo saves: dictionary payloads (unpacking
+    # the codes and checking them, in `dict::decode` and, before the check
+    # moved there, again in `StrVec::new`), the RLE run headers (apart from
+    # expanding them), and the chunk header with its validity bitmap.
+    ("  of which dictionary decode (unpack + check)", r"pixels_storage::encoding::(dict::decode|bitpack::unpack_u32)|pixels_common::strvec::StrVec::(new|from_codes)", False),
+    ("  of which RLE run parse", r"pixels_storage::(encoded::EncodedChunk::(rle_runs|parse_runs)|encoding::rle::for_each_run)", False),
+    ("  of which chunk header parse", r"pixels_storage::encoded::EncodedChunk::parse$|pixels_common::selection::Selection::from_bitmap", False),
     # Compaction by a mask or a selection, and the kernels that build one:
     # the selection's words and gathers, the comparison loops (also
     # `compare_literal`, which before the selection words ran the scan's

@@ -8,6 +8,11 @@
 //! patterns, billed `bytes_scanned`, and user-facing prices must all be
 //! identical.
 //!
+//! A cold engine, the same engine's second run — chunks cached with their
+//! dictionaries and runs already parsed — and an engine without a chunk
+//! cache must agree run for run; a corrupt dictionary code or a truncated
+//! RLE chunk fails every query that reads it, the first and the second.
+//!
 //! Also covers the encoding edge cases end-to-end: NULL runs in dictionary
 //! and RLE chunks, single-value chunks, predicates on non-dictionary
 //! columns, flipped literal comparisons, IS NULL / IS NOT NULL, always-false
@@ -17,12 +22,13 @@
 //! dense, and key-filtered probe scans are compared against the oracle too.
 
 use pixelsdb::catalog::{Catalog, CreateTable};
-use pixelsdb::common::{DataType, Field, RecordBatch, Schema, Value};
+use pixelsdb::common::{DataType, Field, RecordBatch, Result, Schema, Value};
 use pixelsdb::exec::{execute, scalar, ExecContext};
 use pixelsdb::planner::plan_query;
 use pixelsdb::server::{PriceSchedule, QueryServer, QueryStatus, QuerySubmission, ServiceLevel};
 use pixelsdb::storage::{
-    ChunkCache, InMemoryObjectStore, ObjectStoreRef, PixelsReader, PixelsWriter,
+    ChunkCache, Encoding, FooterCache, InMemoryObjectStore, ObjectStoreRef, PixelsReader,
+    PixelsWriter,
 };
 use pixelsdb::turbo::{EngineConfig, TurboEngine};
 use pixelsdb::workload::{all_queries, load_tpch, TpchConfig};
@@ -154,6 +160,179 @@ fn tpch_templates_bit_identical_across_pipeline_modes() {
     );
 }
 
+/// One engine's caches, as a `TurboEngine` holds them: every context it
+/// makes shares one footer cache and, unless off, one chunk cache.
+struct Engine {
+    store: ObjectStoreRef,
+    footers: Arc<FooterCache>,
+    chunks: Option<Arc<ChunkCache>>,
+}
+
+impl Engine {
+    fn new(store: &ObjectStoreRef, chunk_cache_bytes: u64) -> Engine {
+        Engine {
+            store: store.clone(),
+            footers: FooterCache::shared(),
+            chunks: (chunk_cache_bytes > 0).then(|| ChunkCache::shared(chunk_cache_bytes)),
+        }
+    }
+
+    fn ctx(&self, parallelism: usize) -> ExecContext {
+        let ctx = ExecContext::new(self.store.clone())
+            .with_parallelism(parallelism)
+            .with_footer_cache(self.footers.clone());
+        match &self.chunks {
+            Some(cache) => ctx.with_chunk_cache(cache.clone()),
+            None => ctx,
+        }
+    }
+
+    /// Rows in order and billed bytes of one run of `sql`, or its error.
+    fn run(
+        &self,
+        catalog: &Catalog,
+        db: &str,
+        sql: &str,
+        p: usize,
+    ) -> Result<(Vec<Vec<Value>>, u64)> {
+        let plan = plan_query(catalog, db, sql)?;
+        let ctx = self.ctx(p);
+        let batches = execute(&plan, &ctx)?;
+        Ok((ordered_rows(&batches), ctx.metrics.snapshot().bytes_scanned))
+    }
+}
+
+/// A cold engine, the same engine's second run — every chunk now cached
+/// with its dictionary or runs parsed — and an engine without a chunk cache
+/// agree run for run in rows, order and billed bytes, for every TPC-H
+/// template at parallelism 1 and 4; and the cold run agrees with the
+/// oracle.
+#[test]
+fn encoded_scan_differential() {
+    let (catalog, store) = tpch_fixture();
+    let (mut dictionary_hits, mut rle_hits) = (0, 0);
+    for q in all_queries().iter().filter(|q| q.database == "tpch") {
+        for p in [1usize, 4] {
+            let cached = Engine::new(&store, 64 << 20);
+            let off = Engine::new(&store, 0);
+            let label = format!("{} @p{p}", q.id);
+            let cold = cached.run(&catalog, "tpch", q.sql, p).unwrap();
+            let warm = cached.run(&catalog, "tpch", q.sql, p).unwrap();
+            let off_first = off.run(&catalog, "tpch", q.sql, p).unwrap();
+            let off_second = off.run(&catalog, "tpch", q.sql, p).unwrap();
+            assert_rows_identical(&cold.0, &off_first.0, &format!("{label} cold vs off"));
+            assert_rows_identical(&warm.0, &off_second.0, &format!("{label} warm vs off"));
+            assert_rows_identical(&warm.0, &cold.0, &format!("{label} warm vs cold"));
+            assert_eq!(cold.1, off_first.1, "{label}: cold bill");
+            assert_eq!(warm.1, off_second.1, "{label}: warm bill");
+            assert_differential(&catalog, &store, "tpch", q.sql, p, None, &label);
+            let cache = cached.chunks.as_ref().unwrap();
+            dictionary_hits += cache.memo_hits(Encoding::Dictionary);
+            rle_hits += cache.memo_hits(Encoding::Rle);
+        }
+    }
+    // The warm runs must have borrowed memos for the comparison to mean
+    // anything.
+    assert!(
+        dictionary_hits > 0 && rle_hits > 0,
+        "{dictionary_hits} {rle_hits}"
+    );
+}
+
+/// A table `bad` of one 64-row row group whose dictionary chunk (`tag`)
+/// holds a code past its dictionary and whose RLE chunk (`grade`) ends
+/// before its runs cover its rows.
+fn corrupt_fixture() -> (Arc<Catalog>, ObjectStoreRef) {
+    let catalog = Catalog::shared();
+    let store: ObjectStoreRef = InMemoryObjectStore::shared();
+    catalog.create_database("edge");
+    let schema = Arc::new(Schema::new(vec![
+        Field::required("tag", DataType::Utf8),
+        Field::required("grade", DataType::Int64),
+    ]));
+    catalog
+        .create_table(CreateTable {
+            database: "edge".into(),
+            name: "bad".into(),
+            schema: schema.clone(),
+            primary_key: None,
+            foreign_keys: vec![],
+            comment: None,
+        })
+        .unwrap();
+    let rows: Vec<Vec<Value>> = (0..64i64)
+        .map(|i| {
+            let tag = ["alpha", "beta", "gamma"][i as usize % 3];
+            vec![Value::Utf8(tag.into()), Value::Int64(i / 8)]
+        })
+        .collect();
+    let path = "edge/bad/part-0.pxl";
+    let mut w = PixelsWriter::new(store.as_ref(), path, schema.clone());
+    w.write_batch(&RecordBatch::from_rows(schema, &rows).unwrap())
+        .unwrap();
+    let size = w.finish().unwrap();
+    let reader = PixelsReader::open(store.as_ref(), path).unwrap();
+    let [tag, grade] = &reader.footer().row_groups[0].columns[..] else {
+        panic!("two chunks");
+    };
+    assert_eq!(tag.encoding, Encoding::Dictionary);
+    assert_eq!(grade.encoding, Encoding::Rle);
+    let mut bytes = store.get(path).unwrap().to_vec();
+    // The last byte of the 2-bit codes: rows 60..64 name entry 3 of 3.
+    bytes[(tag.offset + tag.len - 1) as usize] = 0xFF;
+    // Eight runs of 8 rows, each a 4-byte count and an 8-byte value after
+    // the validity flag: the last run now covers 4, so the payload ends 4
+    // rows short.
+    let last_count = (grade.offset + 1 + 7 * 12) as usize;
+    assert_eq!(bytes[last_count..last_count + 4], 8u32.to_le_bytes());
+    bytes[last_count..last_count + 4].copy_from_slice(&4u32.to_le_bytes());
+    store.put(path, bytes.into()).unwrap();
+    catalog
+        .register_data_file("edge", "bad", path, reader.footer(), size)
+        .unwrap();
+    (catalog, store)
+}
+
+/// A corrupt dictionary code and a truncated RLE chunk fail the first and
+/// the second query on one engine alike, with the text a decode has always
+/// given them: a failed parse leaves no memo behind, so the second query
+/// parses again and fails again, and the cache charges no memo bytes.
+#[test]
+fn corrupt_dictionary_and_rle_chunks_fail_every_query() {
+    let (catalog, store) = corrupt_fixture();
+    let dictionary = "storage error: dictionary code 3 out of range (3 entries)";
+    let truncated = "storage error: truncated data: needed 4 bytes, 0 remaining";
+    let queries = [
+        ("SELECT tag FROM bad", dictionary),
+        ("SELECT COUNT(*) FROM bad WHERE tag = 'beta'", dictionary),
+        ("SELECT grade FROM bad WHERE grade < 100", truncated),
+        ("SELECT grade FROM bad", truncated),
+        ("SELECT SUM(grade) FROM bad", truncated),
+    ];
+    for (sql, expected) in queries {
+        for p in [1usize, 4] {
+            let engine = Engine::new(&store, 1 << 20);
+            let cache = engine.chunks.as_ref().unwrap();
+            let mut resident = None;
+            for round in 0..2 {
+                let err = engine.run(&catalog, "edge", sql, p).unwrap_err();
+                assert_eq!(err.to_string(), expected, "{sql} @p{p} round {round}");
+                // The chunk is cached as fetched, and stays so.
+                assert_eq!(
+                    *resident.get_or_insert(cache.resident_bytes()),
+                    cache.resident_bytes()
+                );
+            }
+            assert!(cache.hits() > 0, "{sql}: the second query read the cache");
+            let memo_hits = cache.memo_hits(Encoding::Dictionary) + cache.memo_hits(Encoding::Rle);
+            assert_eq!(memo_hits, 0, "{sql}");
+            let plan = plan_query(&catalog, "edge", sql).unwrap();
+            let oracle = scalar::execute(&plan, &engine.ctx(p)).unwrap_err();
+            assert_eq!(oracle.to_string(), expected, "{sql}, oracle");
+        }
+    }
+}
+
 /// Several conjuncts narrowing one morsel's selection words, then a join's
 /// key filter narrowing them further: sparse (q6's ≈ 2 %) and dense (≈ 97 %)
 /// selections, conjuncts over plain, RLE and dictionary chunks in either
@@ -275,7 +454,7 @@ fn corrupt_validity_flag_fails_every_scan_path() {
     let size = w.finish().unwrap();
     let reader = PixelsReader::open(store.as_ref(), path).unwrap();
     let chunk = &reader.footer().row_groups[0].columns[0];
-    assert_eq!(chunk.encoding, pixelsdb::storage::Encoding::Plain);
+    assert_eq!(chunk.encoding, Encoding::Plain);
     let mut bytes = store.get(path).unwrap().to_vec();
     assert_eq!(bytes[chunk.offset as usize], 1, "a validity bitmap follows");
     bytes[chunk.offset as usize] = 2;
@@ -483,7 +662,6 @@ fn edge_fixture() -> (Arc<Catalog>, ObjectStoreRef) {
 /// Verify the fixture actually produced the encodings the tests assume.
 #[test]
 fn edge_fixture_hits_dictionary_rle_and_plain() {
-    use pixelsdb::storage::encoding::Encoding;
     let (_, store) = edge_fixture();
     let reader = PixelsReader::open(store.as_ref(), "edge/mix/part-0.pxl").unwrap();
     let encoding_of = |col: usize| reader.footer().row_groups[0].columns[col].encoding;
