@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pixels_bench::demo_data;
-use pixels_common::{DataType, Field, RecordBatch, Schema, Value};
+use pixels_common::{Column, ColumnData, DataType, Field, RecordBatch, Schema, Value};
 use pixels_exec::{execute, scalar, ExecContext};
 use pixels_obs::{Trace, TraceCtx};
 use pixels_planner::{plan_query, AggExpr, AggFunc, BoundExpr};
@@ -309,6 +309,33 @@ fn bench_vector_kernels(c: &mut Criterion) {
             pixels_exec::join::execute_join(
                 &li_keys,
                 &o_keys,
+                JoinType::Inner,
+                &join_args.0,
+                &join_args.1,
+                None,
+                &key_schema,
+                1,
+                8192,
+            )
+            .unwrap()
+            .len()
+        })
+    });
+
+    // q3's and q10's build shape: ≈ 9 k keys spread over a 300 k span (one
+    // key in 33), probed with each of them once, in a scattered order.
+    let sparse_keys = |keys: Vec<i64>| {
+        let schema = Arc::new(Schema::new(vec![Field::required("k", DataType::Int64)]));
+        let column = Column::new(ColumnData::Int64(keys));
+        vec![RecordBatch::try_new(schema, vec![column]).unwrap()]
+    };
+    let sparse_build = sparse_keys((0..9_000).map(|i| i * 33).collect());
+    let sparse_probe = sparse_keys((0..9_000).map(|i| i * 4_099 % 9_000 * 33).collect());
+    g.bench_function("join_build_probe/sparse_build", |b| {
+        b.iter(|| {
+            pixels_exec::join::execute_join(
+                &sparse_probe,
+                &sparse_build,
                 JoinType::Inner,
                 &join_args.0,
                 &join_args.1,

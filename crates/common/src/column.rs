@@ -281,6 +281,9 @@ impl Column {
                 "gather index {bad} out of bounds for column of length {n}"
             )));
         }
+        // Without a NULL slot or a NULL source row every row is valid, and a
+        // column whose rows are all valid holds no validity.
+        let padded = indices.iter().any(|&i| i < 0);
         fn take<T: Copy>(v: &[T], idx: &[i64], absent: T) -> Vec<T> {
             idx.iter()
                 .map(|&i| if i < 0 { absent } else { v[i as usize] })
@@ -297,11 +300,12 @@ impl Column {
             ColumnData::Date(v) => ColumnData::Date(take(v, indices, 0)),
             ColumnData::Timestamp(v) => ColumnData::Timestamp(take(v, indices, 0)),
         };
-        let validity: Vec<bool> = indices
-            .iter()
-            .map(|&i| i >= 0 && !self.is_null(i as usize))
-            .collect();
-        Column::with_validity(data, Some(validity))
+        let validity = (padded || self.validity.is_some()).then(|| {
+            (indices.iter())
+                .map(|&i| i >= 0 && !self.is_null(i as usize))
+                .collect()
+        });
+        Column::with_validity(data, validity)
     }
 
     /// Rows `[offset, offset + len)` as a new column.

@@ -3,10 +3,12 @@
 //! Supports inner, left-outer, right-outer, and cross joins with optional
 //! residual (non-equi) predicates. SQL semantics: NULL keys never match.
 //!
-//! The equi-join path is vectorized: key columns are normalized into the
-//! compact byte-row encoding from [`crate::keys`] a whole column at a time
-//! (no per-row `Vec<Value>` allocation or SipHash), and
-//! output is late-materialized — the probe phase only records
+//! The equi-join path is vectorized: a single INTEGER key whose build values
+//! span few enough values finds its build rows by position ([`DenseKeys`]);
+//! any other key is normalized into the compact byte-row encoding from
+//! [`crate::keys`] a whole column at a time (no per-row `Vec<Value>`
+//! allocation or SipHash) and hashed ([`KeyTable`]). Output is
+//! late-materialized — the probe phase only records
 //! `(left_row, right_row)` match index vectors, and batches are assembled
 //! with one gather per column instead of per-row builder pushes. Row order
 //! is identical to the row-at-a-time implementation: probe rows in input
@@ -14,7 +16,7 @@
 //! left-outer rows inline, unmatched right-outer rows as a tail.
 
 use crate::evaluate::{evaluate_ref, predicate_mask, widen};
-use crate::keys::{key_chunks, KeyEncoder, KeyFilter, KeyTable, NO_ENTRY};
+use crate::keys::{key_chunks, DenseKeys, KeyClass, KeyEncoder, KeyFilter, KeyTable, NO_ENTRY};
 use pixels_common::{
     Column, ColumnBuilder, DataType, Error, RecordBatch, Result, SchemaRef, Value,
 };
@@ -64,26 +66,34 @@ pub fn execute_join(
     )
 }
 
-/// The build (right) side of an equi-join, hashed: the coalesced side, its
-/// interned keys, and each key's rows chained in build-insertion order —
-/// the candidate order the row-at-a-time join produced. A key holding a NULL
-/// is interned like any other and never found: the probe side never looks
-/// one up.
+/// The build (right) side of an equi-join, indexed: the coalesced side, an
+/// entry per distinct key, and each entry's rows chained in build-insertion
+/// order — the candidate order the row-at-a-time join produced. A key
+/// holding a NULL is never found: the probe side never looks one up.
 pub(crate) struct JoinBuild<'a> {
     side: Option<Cow<'a, RecordBatch>>,
     keys: &'a [BoundExpr],
     probe_keys: &'a [BoundExpr],
-    /// Encodes the keys of both sides ([`KeyEncoder::join`]).
-    encoder: KeyEncoder,
-    table: KeyTable,
+    lookup: BuildKeys,
     /// First build row of each key entry.
     heads: Vec<u32>,
     /// The build row after each build row under the same key, or `NONE`.
     next: Vec<u32>,
 }
 
+/// How a [`JoinBuild`] numbers its keys.
+enum BuildKeys {
+    /// One INTEGER key pair whose build values fit a bitmap: by rank.
+    Dense(DenseKeys),
+    /// Any other key: encoded ([`KeyEncoder::join`]) and hashed.
+    Hashed {
+        encoder: KeyEncoder,
+        table: Box<KeyTable>,
+    },
+}
+
 impl<'a> JoinBuild<'a> {
-    /// Hash `side` (`None`: a side without a batch) on `keys`, for probing
+    /// Index `side` (`None`: a side without a batch) on `keys`, for probing
     /// on `probe_keys`.
     pub(crate) fn new(
         side: Option<Cow<'a, RecordBatch>>,
@@ -91,32 +101,41 @@ impl<'a> JoinBuild<'a> {
         probe_keys: &'a [BoundExpr],
     ) -> Result<Self> {
         let build_rows = side.as_ref().map_or(0, |b| b.num_rows());
-        let encoder = join_encoder(probe_keys, keys);
-        let mut table = KeyTable::new();
-        let mut heads: Vec<u32> = Vec::new();
-        let mut tails: Vec<u32> = Vec::new();
+        let key_cols = side_key_columns(keys, side.as_deref())?;
+        let integer = |k: &BoundExpr| KeyClass::of(k.data_type()) == KeyClass::Integer;
+        let dense = match (&key_cols[..], keys, probe_keys) {
+            ([col], [key], [probe]) if integer(key) && integer(probe) => DenseKeys::of(col),
+            _ => None,
+        };
+        let mut entries: Vec<u32> = Vec::new();
+        let (lookup, num_entries) = match dense {
+            Some(dense) => {
+                dense.lookup_rows(&key_cols[0], 0..build_rows, &mut entries);
+                let len = dense.len();
+                (BuildKeys::Dense(dense), len)
+            }
+            None => {
+                let encoder = join_encoder(probe_keys, keys);
+                let mut table = Box::new(KeyTable::new());
+                table.intern_rows(&encoder, &key_cols, 0..build_rows, &mut entries);
+                let len = table.len();
+                (BuildKeys::Hashed { encoder, table }, len)
+            }
+        };
+        // Chained back to front, so each chain runs in build order.
+        let mut heads = vec![NONE; num_entries];
         let mut next = vec![NONE; build_rows];
-        if let Some(rb) = side.as_deref() {
-            let key_cols = key_columns(keys, rb)?;
-            let mut entries: Vec<u32> = Vec::new();
-            table.intern_rows(&encoder, &key_cols, 0..build_rows, &mut entries);
-            for (row, &entry) in entries.iter().enumerate() {
-                let entry = entry as usize;
-                if entry == heads.len() {
-                    heads.push(row as u32);
-                    tails.push(row as u32);
-                } else {
-                    next[tails[entry] as usize] = row as u32;
-                    tails[entry] = row as u32;
-                }
+        for (row, &entry) in entries.iter().enumerate().rev() {
+            if entry != NO_ENTRY {
+                next[row] = heads[entry as usize];
+                heads[entry as usize] = row as u32;
             }
         }
         Ok(JoinBuild {
             side,
             keys,
             probe_keys,
-            encoder,
-            table,
+            lookup,
             heads,
             next,
         })
@@ -133,13 +152,10 @@ impl<'a> JoinBuild<'a> {
                 _ => None,
             })
             .collect();
-        Ok(match self.side.as_deref() {
-            Some(rb) => KeyFilter::from_build(&key_columns(self.keys, rb)?, &probe),
-            None => {
-                let empty: Vec<Column> = (self.keys.iter())
-                    .map(|k| Column::nulls(k.data_type(), 0))
-                    .collect();
-                KeyFilter::from_build(&empty, &probe)
+        Ok(match &self.lookup {
+            BuildKeys::Dense(dense) => probe[0].map(|(column, _)| dense.filter(column)),
+            BuildKeys::Hashed { .. } => {
+                KeyFilter::from_build(&side_key_columns(self.keys, self.side.as_deref())?, &probe)
             }
         })
     }
@@ -211,8 +227,7 @@ impl<'a> JoinBuild<'a> {
         let JoinBuild {
             side,
             probe_keys,
-            encoder,
-            table,
+            lookup,
             heads,
             next,
             ..
@@ -232,7 +247,12 @@ impl<'a> JoinBuild<'a> {
             // chains the rest.
             let mut first_matches = |rows: std::ops::Range<usize>, first: &mut Vec<u32>| {
                 first.clear();
-                table.lookup_rows(encoder, &key_cols, rows, first);
+                match lookup {
+                    BuildKeys::Dense(dense) => dense.lookup_rows(&key_cols[0], rows, first),
+                    BuildKeys::Hashed { encoder, table } => {
+                        table.lookup_rows(encoder, &key_cols, rows, first)
+                    }
+                }
                 for entry in first {
                     *entry = match *entry {
                         NO_ENTRY => NONE,
@@ -323,6 +343,19 @@ impl<'a> JoinBuild<'a> {
 
 fn key_columns<'b>(keys: &[BoundExpr], batch: &'b RecordBatch) -> Result<Vec<Cow<'b, Column>>> {
     keys.iter().map(|k| evaluate_ref(k, batch)).collect()
+}
+
+/// A build side's key columns; empty ones for a side without a batch.
+fn side_key_columns<'b>(
+    keys: &[BoundExpr],
+    side: Option<&'b RecordBatch>,
+) -> Result<Vec<Cow<'b, Column>>> {
+    match side {
+        Some(rb) => key_columns(keys, rb),
+        None => Ok((keys.iter())
+            .map(|k| Cow::Owned(Column::nulls(k.data_type(), 0)))
+            .collect()),
+    }
 }
 
 /// The encoder of a join's keys on both sides ([`KeyEncoder::join`]).

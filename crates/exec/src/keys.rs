@@ -45,6 +45,7 @@
 
 use pixels_common::{Column, ColumnData, DataType};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Eight bytes of `key` starting at `at`, as a little-endian word.
 #[inline]
@@ -411,6 +412,8 @@ pub struct KeyTable {
     run: EncodedKeys,
     run_hashes: Vec<u64>,
     run_homes: Vec<u64>,
+    /// The [`pool_slots`] of the rows being interned.
+    run_slots: Vec<u32>,
 }
 
 impl KeyTable {
@@ -487,8 +490,8 @@ impl KeyTable {
     /// before it.
     ///
     /// When the rows can be told apart by their string-pool indices alone
-    /// ([`PoolSlots`]), a row whose indices were seen before takes the entry
-    /// they led to, and only first appearances are encoded at all.
+    /// ([`pool_slots`]), a row whose slot was seen before takes the entry it
+    /// led to, and only first appearances are encoded at all.
     pub fn intern_rows<C: std::borrow::Borrow<Column>>(
         &mut self,
         encoder: &KeyEncoder,
@@ -498,16 +501,19 @@ impl KeyTable {
     ) {
         entries.reserve(rows.len());
         let mut run = std::mem::take(&mut self.run);
-        if let Some(slots) = PoolSlots::new(cols, rows.len()) {
-            let mut seen = vec![NO_ENTRY; slots.len];
-            for row in rows {
-                let entry = &mut seen[slots.of(row)];
+        let mut slots = std::mem::take(&mut self.run_slots);
+        if let Some(len) = pool_slots(cols, rows.clone(), &mut slots) {
+            // Each slot becomes its entry in place.
+            let mut seen = vec![NO_ENTRY; len];
+            for (row, slot) in rows.zip(&mut slots) {
+                let entry = &mut seen[*slot as usize];
                 if *entry == NO_ENTRY {
                     encoder.encode(cols, row..row + 1, &mut run);
                     *entry = self.intern(run.key(0)).0 as u32;
                 }
-                entries.push(*entry);
+                *slot = *entry;
             }
+            entries.extend_from_slice(&slots);
         } else {
             for rows in key_chunks(rows) {
                 encoder.encode(cols, rows, &mut run);
@@ -515,6 +521,7 @@ impl KeyTable {
             }
         }
         self.run = run;
+        self.run_slots = slots;
     }
 
     /// Look up rows `rows` of key columns `cols` without inserting, appending
@@ -612,7 +619,9 @@ fn bucket(hash: u64, entry: usize) -> u64 {
     (hash >> 32) << 32 | (entry as u64 + 1)
 }
 
-/// Rows of key columns that are all strings, numbered by their pool indices.
+/// Number rows `rows` of key columns that are all strings by their pool
+/// indices, into `slots` (one per row, replacing what it held); the number
+/// of slots, or `None` when the columns cannot be numbered so.
 ///
 /// Within one column every row names the same pool, so two rows with equal
 /// indices in every column hold equal keys, and a row can be recognised
@@ -620,48 +629,48 @@ fn bucket(hash: u64, entry: usize) -> u64 {
 /// has no more slots than there are rows — dictionary-encoded and other
 /// low-cardinality columns, which is what analytic group keys mostly are —
 /// and trivially so for no key columns at all (a global aggregate: one slot).
-struct PoolSlots<'a> {
-    columns: Vec<SlotColumn<'a>>,
-    len: usize,
-}
-
-/// One key column of [`PoolSlots`]: pool index per row, validity, and the
-/// column's stride in the numbering.
-type SlotColumn<'a> = (&'a [u32], Option<&'a [bool]>, usize);
-
-impl<'a> PoolSlots<'a> {
-    fn new<C: std::borrow::Borrow<Column>>(cols: &'a [C], num_rows: usize) -> Option<Self> {
-        let mut len = 1usize;
-        let mut columns = Vec::with_capacity(cols.len());
-        for col in cols {
-            let col = col.borrow();
-            let ColumnData::Utf8(strings) = col.data() else {
-                return None;
-            };
-            columns.push((strings.indices(), col.validity(), len));
-            // Two slots beside the pool's entries: NULL, and a valid row
-            // without an entry (the empty string).
-            len = len.checked_mul(strings.pool().len() + 2)?;
-            if len > num_rows {
-                return None;
+///
+/// The numbering is written a column at a time: each column adds its slot
+/// (0 for NULL, 1 for a valid row without an entry, then one per pool entry)
+/// times its stride, the product of the slot counts of the columns before it.
+fn pool_slots<C: std::borrow::Borrow<Column>>(
+    cols: &[C],
+    rows: Range<usize>,
+    slots: &mut Vec<u32>,
+) -> Option<usize> {
+    let num_rows = rows.len().min(u32::MAX as usize);
+    let mut columns = Vec::with_capacity(cols.len());
+    let mut len = 1usize;
+    for col in cols {
+        let col = col.borrow();
+        let ColumnData::Utf8(strings) = col.data() else {
+            return None;
+        };
+        let validity = col.validity().map(|v| &v[rows.clone()]);
+        columns.push((&strings.indices()[rows.clone()], validity, len as u32));
+        len = len.checked_mul(strings.pool().len() + 2)?;
+        if len > num_rows {
+            return None;
+        }
+    }
+    if len > num_rows {
+        return None;
+    }
+    slots.clear();
+    slots.resize(rows.len(), 0);
+    for (codes, validity, stride) in columns {
+        // `StrVec::NO_ENTRY` is `u32::MAX`: it wraps to slot 1.
+        match validity {
+            None => (slots.iter_mut().zip(codes))
+                .for_each(|(slot, &code)| *slot += code.wrapping_add(2) * stride),
+            Some(valid) => {
+                (slots.iter_mut().zip(codes).zip(valid)).for_each(|((slot, &code), &ok)| {
+                    *slot += if ok { code.wrapping_add(2) } else { 0 } * stride
+                })
             }
         }
-        (len <= num_rows).then_some(PoolSlots { columns, len })
     }
-
-    #[inline]
-    fn of(&self, row: usize) -> usize {
-        (self.columns.iter())
-            .map(|&(indices, validity, stride)| {
-                let slot = match validity {
-                    Some(valid) if !valid[row] => 0,
-                    // `StrVec::NO_ENTRY` is `u32::MAX`: it wraps to slot 1.
-                    _ => indices[row].wrapping_add(2) as usize,
-                };
-                slot * stride
-            })
-            .sum()
-    }
+    Some(len)
 }
 
 /// A column's values as `i64`, when its class compares as exact integers.
@@ -699,10 +708,166 @@ impl<'a> KeyInts<'a> {
     }
 }
 
-/// The widest `[min, max]` a [`KeyFilter`] holds as an exact set, one bit per
-/// value: 512 KiB of bits, which covers the key range of a 4-million-row
-/// dimension table and is small beside the probe side it spares.
+/// The widest `[min, max]` a [`DenseKeys`] (and so a [`KeyFilter`]) holds as
+/// an exact set, one bit per value: 512 KiB of bits, which covers the key
+/// range of a 4-million-row dimension table and is small beside the probe
+/// side it spares.
 const KEY_FILTER_BITMAP_SPAN: i128 = 1 << 22;
+
+/// The build keys of a join on one INTEGER key pair whose range fits
+/// [`KEY_FILTER_BITMAP_SPAN`], each numbered by its rank among them: the
+/// join's table without a hash. A key's entry is the number of build values
+/// below it, found with a bounds check, one bitmap word and that word's rank
+/// — no encode, no hash, no arena. When every value of the range is
+/// present there is no bitmap, and the entry is `key − min`.
+///
+/// The bitmap is the exact set the probe scan's [`KeyFilter`] tests, shared
+/// rather than built twice.
+#[derive(Debug)]
+pub(crate) struct DenseKeys {
+    /// The closed range of the build values; `min > max` when there are none.
+    min: i64,
+    max: i64,
+    /// `max − min + 1`, or 0 when there are no values.
+    span: u64,
+    /// Bit `v − min` is set when `v` is a build key. `None` when every value
+    /// of the range is present (or none is).
+    bits: Option<Arc<[u64]>>,
+    /// Per word of `bits`, the number of bits set in the words before it.
+    ranks: Vec<u32>,
+    /// Distinct build values: entries are `0..len`.
+    len: usize,
+}
+
+impl DenseKeys {
+    /// The set of the valid values of `col`, or `None` when it is not an
+    /// INTEGER column or its range is wider than [`KEY_FILTER_BITMAP_SPAN`].
+    /// A NULL belongs to no entry.
+    pub(crate) fn of(col: &Column) -> Option<DenseKeys> {
+        match KeyInts::of(col.data()) {
+            Some((KeyClass::Integer, KeyInts::Narrow(v))) => {
+                DenseKeys::of_values(v.iter().map(|&v| i64::from(v)), col.validity())
+            }
+            Some((KeyClass::Integer, KeyInts::Wide(v))) => {
+                DenseKeys::of_values(v.iter().copied(), col.validity())
+            }
+            _ => None,
+        }
+    }
+
+    /// [`DenseKeys::of`] a column's `values`, row by row.
+    fn of_values(
+        values: impl Iterator<Item = i64> + Clone,
+        validity: Option<&[bool]>,
+    ) -> Option<DenseKeys> {
+        let present = || {
+            (values.clone().enumerate())
+                .filter(|&(row, _)| validity.is_none_or(|v| v[row]))
+                .map(|(_, v)| v)
+        };
+        let (min, max) = present().fold((i64::MAX, i64::MIN), |(min, max), v| {
+            (min.min(v), max.max(v))
+        });
+        let span = (i128::from(max) - i128::from(min) + 1).max(0);
+        if span > KEY_FILTER_BITMAP_SPAN {
+            return None;
+        }
+        let span = span as u64;
+        let mut bits = vec![0u64; span.div_ceil(64) as usize];
+        for v in present() {
+            let at = v.wrapping_sub(min) as u64;
+            bits[(at / 64) as usize] |= 1 << (at % 64);
+        }
+        let mut ranks = Vec::with_capacity(bits.len());
+        let mut len = 0u32;
+        for word in &bits {
+            ranks.push(len);
+            len += word.count_ones();
+        }
+        let full = u64::from(len) == span;
+        Some(DenseKeys {
+            min,
+            max,
+            span,
+            bits: (!full).then(|| bits.into()),
+            ranks: if full { Vec::new() } else { ranks },
+            len: len as usize,
+        })
+    }
+
+    /// Number of distinct build values.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The entry of value `v`, or [`NO_ENTRY`] when it is no build value.
+    #[inline]
+    fn entry(&self, v: i64) -> u32 {
+        // Below `min` the difference wraps past every span that fits.
+        let at = v.wrapping_sub(self.min) as u64;
+        if at >= self.span {
+            return NO_ENTRY;
+        }
+        let Some(bits) = &self.bits else {
+            return at as u32;
+        };
+        let (word, bit) = ((at / 64) as usize, at % 64);
+        let bits = bits[word];
+        if bits >> bit & 1 == 0 {
+            return NO_ENTRY;
+        }
+        self.ranks[word] + (bits & ((1 << bit) - 1)).count_ones()
+    }
+
+    /// The entry of each of rows `rows` of `col`, appended to `entries`:
+    /// [`NO_ENTRY`] for a NULL, for a value that is no build value, and for
+    /// every row of a column that is not INTEGER — as the key encoding, whose
+    /// class tags differ, never matches one.
+    pub(crate) fn lookup_rows(&self, col: &Column, rows: Range<usize>, entries: &mut Vec<u32>) {
+        let validity = col.validity().map(|v| &v[rows.clone()]);
+        match KeyInts::of(col.data()) {
+            Some((KeyClass::Integer, KeyInts::Narrow(v))) => {
+                self.lookup_values(v[rows].iter().map(|&v| i64::from(v)), validity, entries)
+            }
+            Some((KeyClass::Integer, KeyInts::Wide(v))) => {
+                self.lookup_values(v[rows].iter().copied(), validity, entries)
+            }
+            _ => entries.extend(std::iter::repeat_n(NO_ENTRY, rows.len())),
+        }
+    }
+
+    /// [`DenseKeys::lookup_rows`] over a run's `values`: one loop per width
+    /// and validity, each with [`DenseKeys::entry`] inlined.
+    fn lookup_values(
+        &self,
+        values: impl ExactSizeIterator<Item = i64>,
+        validity: Option<&[bool]>,
+        entries: &mut Vec<u32>,
+    ) {
+        match validity {
+            None => entries.extend(values.map(|v| self.entry(v))),
+            Some(valid) => {
+                entries.extend(
+                    (values.zip(valid)).map(|(v, &ok)| if ok { self.entry(v) } else { NO_ENTRY }),
+                )
+            }
+        }
+    }
+
+    /// The [`KeyFilter`] of these keys against probe column `column`: their
+    /// range, and their bitmap when it is not full.
+    pub(crate) fn filter(&self, column: usize) -> KeyFilter {
+        KeyFilter {
+            ranges: vec![KeyRange {
+                column,
+                class: KeyClass::Integer,
+                min: self.min,
+                max: self.max,
+            }],
+            bitmap: self.bits.clone(),
+        }
+    }
+}
 
 /// The closed range of one build key column, against the probe column it is
 /// compared with. `min > max` when the build side has no key at all.
@@ -719,22 +884,24 @@ pub struct KeyRange {
 /// condition, in the join's own equality, for a probe row to find a match.
 /// Per key column a closed range; for a single integer key whose range fits
 /// [`KEY_FILTER_BITMAP_SPAN`], also the exact set of build values as bits
-/// over that range. A NULL probe key never matches and passes no range. A
-/// scan may drop every row that fails it when unmatched probe rows are not
-/// part of the join's output (inner and right-outer joins).
+/// over that range — the bitmap of the join's [`DenseKeys`]. A NULL probe
+/// key never matches and passes no range. A scan may drop every row that
+/// fails it when unmatched probe rows are not part of the join's output
+/// (inner and right-outer joins).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyFilter {
     ranges: Vec<KeyRange>,
     /// Bit `v - ranges[0].min` is set when `v` is a build key. Never held
     /// when every value of the range is present: the range says as much.
-    bitmap: Option<Vec<u64>>,
+    bitmap: Option<Arc<[u64]>>,
 }
 
 impl KeyFilter {
-    /// The filter of build key columns `build`, where `probe[i]` is the
+    /// The ranges of build key columns `build`, where `probe[i]` is the
     /// probe scan's output column (index and type) that key `i` is compared
     /// with, or `None` when the probe key is not a bare column. `None` when
-    /// no key column has a range to offer.
+    /// no key column has a range to offer. The exact set of a single
+    /// integer key comes with its [`DenseKeys`] ([`DenseKeys::filter`]).
     ///
     /// A build row holding a NULL in any key column matches nothing and
     /// contributes nothing.
@@ -755,7 +922,6 @@ impl KeyFilter {
         let is_valid = |row: usize| valid.as_ref().is_none_or(|v| v[row]);
 
         let mut ranges = Vec::new();
-        let mut values = Vec::new();
         for (col, probe) in build.iter().zip(probe) {
             let Some((column, probe_ty)) = *probe else {
                 continue;
@@ -779,27 +945,11 @@ impl KeyFilter {
                 min,
                 max,
             });
-            values.push(ints);
         }
-        let first = ranges.first()?;
-
-        let span = i128::from(first.max) - i128::from(first.min) + 1;
-        let fits = build.len() == 1
-            && first.class == KeyClass::Integer
-            && (1..=KEY_FILTER_BITMAP_SPAN).contains(&span);
-        let bitmap = fits.then(|| {
-            let mut bits = vec![0u64; (span as usize).div_ceil(64)];
-            values[0].for_each(|row, v| {
-                if is_valid(row) {
-                    let at = (v - first.min) as usize;
-                    bits[at / 64] |= 1 << (at % 64);
-                }
-            });
-            bits
-        });
-        let present = |bits: &Vec<u64>| bits.iter().map(|w| w.count_ones() as i128).sum::<i128>();
-        let bitmap = bitmap.filter(|bits| present(bits) < span);
-        Some(KeyFilter { ranges, bitmap })
+        (!ranges.is_empty()).then_some(KeyFilter {
+            ranges,
+            bitmap: None,
+        })
     }
 
     /// One range per filtered key column, the bitmap's (if any) first.
@@ -954,50 +1104,72 @@ mod tests {
     }
 
     /// `intern_rows` must hand every row the entry that interning its
-    /// reference bytes one row at a time would — whether it takes the
-    /// pool-index shortcut (string-only columns) or encodes every row.
+    /// reference bytes one row at a time would — whether it numbers the rows
+    /// by their pool indices (string-only columns) or encodes every row.
     #[test]
     fn row_interning_agrees_with_interning_each_rows_bytes() {
         let n = KEY_CHUNK + 100;
-        // Dictionary columns: four pool entries (one a duplicate, one the
-        // empty string), NULL every `nulls` rows, and in one of them valid
-        // rows without a pool entry, which read as the empty string.
-        let strings = |nulls: usize, step: usize| -> Column {
-            let mut pool = pixels_common::StrPool::new();
-            for entry in ["x", "", "yy", "x"] {
-                pool.push(entry).unwrap();
+        // Dictionary columns over `pool`, the index changing every `step`
+        // rows: NULL every `nulls` rows, and one index in `pool.len() + 1`
+        // no pool entry at all, which a valid row reads as the empty string.
+        let strings = |pool: &[&str], nulls: usize, step: usize| -> Column {
+            let mut strings = pixels_common::StrPool::new();
+            for &entry in pool {
+                strings.push(entry).unwrap();
             }
-            let index = |i: usize| match (i / step) % 5 {
-                4 => StrVec::NO_ENTRY,
-                entry => entry as u32,
+            let entries = pool.len() as u32 + 1;
+            let index = |i: usize| match (i / step) as u32 % entries {
+                e if e == pool.len() as u32 => StrVec::NO_ENTRY,
+                e => e,
             };
-            let strings = StrVec::new(std::sync::Arc::new(pool), (0..n).map(index).collect());
+            let strings = StrVec::new(std::sync::Arc::new(strings), (0..n).map(index).collect());
             let validity = (0..n).map(|i| i % nulls != 0).collect();
             Column::with_validity(ColumnData::Utf8(strings.unwrap()), Some(validity)).unwrap()
         };
+        // Four pool entries, one a duplicate and one the empty string.
+        let dict = |nulls, step| strings(&["x", "", "yy", "x"], nulls, step);
+        // A pool of mostly one string: rows with different indices but equal
+        // strings share an entry.
+        let repeated = strings(&["r", "r", "s", "r", "r"], 13, 3);
         let ints = Column::new(ColumnData::Int64(
             (0..n as i64).map(|i| i / 3 % 50).collect(),
         ));
-        let cases: Vec<(&str, Vec<Column>)> = vec![
+        let cases: Vec<(&str, Vec<Column>, Range<usize>)> = vec![
             (
                 "two dictionary columns",
-                vec![strings(5, 1), strings(11, 7)],
+                vec![dict(5, 1), dict(11, 7)],
+                0..n,
             ),
-            ("a string and an integer", vec![strings(5, 1), ints.clone()]),
-            ("an integer, in runs of three", vec![ints]),
-            ("no key column", vec![]),
+            (
+                "two dictionary columns, rows from an offset",
+                vec![dict(5, 1), dict(11, 7)],
+                37..n - 5,
+            ),
+            (
+                "three dictionary columns",
+                vec![dict(5, 1), repeated.clone(), dict(7, 4)],
+                3..n,
+            ),
+            ("a pool with repeated entries", vec![repeated], 1..n),
+            (
+                "a string and an integer",
+                vec![dict(5, 1), ints.clone()],
+                0..n,
+            ),
+            ("an integer, in runs of three", vec![ints], 0..n),
+            ("no key column", vec![], 0..9),
+            ("no key column, rows from an offset", vec![], 4..9),
         ];
-        for (what, cols) in cases {
-            let rows = cols.first().map_or(9, Column::len);
+        for (what, cols, rows) in cases {
             let types: Vec<DataType> = cols.iter().map(Column::data_type).collect();
             let enc = KeyEncoder::new(&types);
             let (mut fast, mut slow) = (KeyTable::new(), KeyTable::new());
             let mut entries = vec![77]; // appended to, not cleared
-            fast.intern_rows(&enc, &cols, 0..rows, &mut entries);
-            assert_eq!(entries.len(), rows + 1, "{what}");
-            for row in 0..rows {
+            fast.intern_rows(&enc, &cols, rows.clone(), &mut entries);
+            assert_eq!(entries.len(), rows.len() + 1, "{what}");
+            for (i, row) in rows.clone().enumerate() {
                 let (entry, _) = slow.intern(&reference_key(&cols, row));
-                assert_eq!(entries[row + 1] as usize, entry, "{what}, row {row}");
+                assert_eq!(entries[i + 1] as usize, entry, "{what}, row {row}");
             }
             assert_eq!(fast.len(), slow.len(), "{what}");
             for e in 0..slow.len() {
@@ -1006,14 +1178,14 @@ mod tests {
             // Looked up again, every row finds its entry — unless it holds a
             // NULL, which never matches.
             let mut found = Vec::new();
-            fast.lookup_rows(&enc, &cols, 0..rows, &mut found);
-            for row in 0..rows {
+            fast.lookup_rows(&enc, &cols, rows.clone(), &mut found);
+            for (i, row) in rows.enumerate() {
                 let expect = if cols.iter().any(|c| c.is_null(row)) {
                     NO_ENTRY
                 } else {
-                    entries[row + 1]
+                    entries[i + 1]
                 };
-                assert_eq!(found[row], expect, "{what}, lookup of row {row}");
+                assert_eq!(found[i], expect, "{what}, lookup of row {row}");
             }
         }
         // Absent keys, and any key against an empty table.
@@ -1267,9 +1439,79 @@ mod tests {
         col(DataType::Int64, &vals)
     }
 
-    /// The filter of one build key column against probe column 3 of `probe`.
+    /// The filter of one build key column against probe column 3 of
+    /// `probe`, as a join hands it out: from its [`DenseKeys`] when the pair
+    /// is INTEGER and the build values fit them, else the ranges.
     fn filter_of(build: &Column, probe: DataType) -> Option<KeyFilter> {
-        KeyFilter::from_build(std::slice::from_ref(build), &[Some((3, probe))])
+        match DenseKeys::of(build) {
+            Some(dense) if KeyClass::of(probe) == KeyClass::Integer => Some(dense.filter(3)),
+            _ => KeyFilter::from_build(std::slice::from_ref(build), &[Some((3, probe))]),
+        }
+    }
+
+    /// The entries of `probe` in `build`'s [`DenseKeys`].
+    fn dense_entries(build: &DenseKeys, probe: &Column) -> Vec<u32> {
+        let mut entries = vec![];
+        build.lookup_rows(probe, 0..probe.len(), &mut entries);
+        entries
+    }
+
+    #[test]
+    fn dense_keys_number_the_build_values_by_rank() {
+        // Sparse over three bitmap words, with duplicates and a NULL: the
+        // entry of a value is the number of distinct build values below it.
+        let values = [130, -3, 64, 63, 0, 64, 130, 1];
+        let mut build: Vec<Option<i64>> = values.iter().copied().map(Some).collect();
+        build.insert(3, None);
+        let dense = DenseKeys::of(&ints(&build)).unwrap();
+        let mut distinct = values.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(dense.len(), distinct.len());
+        let probe: Vec<i64> = (-70..200).collect();
+        let probe_col = Column::new(ColumnData::Int64(probe.clone()));
+        let entries = dense_entries(&dense, &probe_col);
+        for (v, &entry) in probe.iter().zip(&entries) {
+            let expect = distinct.binary_search(v).map_or(NO_ENTRY, |at| at as u32);
+            assert_eq!(entry, expect, "{v}");
+        }
+        // A NULL probe row, and the same rows from an offset, in Int32.
+        let narrow = col(
+            DataType::Int32,
+            &[
+                Value::Int32(7),
+                Value::Null,
+                Value::Int32(64),
+                Value::Int32(130),
+            ],
+        );
+        let mut entries = vec![];
+        dense.lookup_rows(&narrow, 1..4, &mut entries);
+        assert_eq!(entries, [NO_ENTRY, 4, 5]);
+        // Every value of the range present: the entry is `v - min`.
+        let full = DenseKeys::of(&ints(&[Some(12), Some(10), Some(11), Some(10)])).unwrap();
+        assert_eq!(full.len(), 3);
+        let probe = Column::new(ColumnData::Int64(vec![9, 10, 11, 12, 13, i64::MIN]));
+        assert_eq!(
+            dense_entries(&full, &probe),
+            [NO_ENTRY, 0, 1, 2, NO_ENTRY, NO_ENTRY]
+        );
+        // No value at all: nothing is found, not even at the ends of i64.
+        for empty in [ints(&[]), ints(&[None, None])] {
+            let none = DenseKeys::of(&empty).unwrap();
+            assert_eq!(none.len(), 0);
+            let probe = Column::new(ColumnData::Int64(vec![i64::MIN, 0, i64::MAX]));
+            assert_eq!(dense_entries(&none, &probe), [NO_ENTRY; 3]);
+        }
+        // A range one value wider than the bitmap, a float or a date column:
+        // no dense keys. A probe column of another class finds nothing.
+        let span = KEY_FILTER_BITMAP_SPAN as i64;
+        assert!(DenseKeys::of(&ints(&[Some(5), Some(4 + span)])).is_some());
+        assert!(DenseKeys::of(&ints(&[Some(5), Some(5 + span)])).is_none());
+        assert!(DenseKeys::of(&col(DataType::Float64, &[Value::Float64(1.0)])).is_none());
+        assert!(DenseKeys::of(&col(DataType::Date, &[Value::Date(1)])).is_none());
+        let dates = col(DataType::Date, &[Value::Date(10)]);
+        assert_eq!(dense_entries(&full, &dates), [NO_ENTRY]);
     }
 
     #[test]

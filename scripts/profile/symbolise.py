@@ -57,8 +57,18 @@ GROUPS = [
     # The update loops are the leaf: inlined into `build_partial` before the
     # accumulators, `State::update` and the rows count since.
     ("accumulator update (leaf)", r"^pixels_exec::(aggregate::(build_partial|update_agg_column|State::|Accumulators::|AggState::)|encoded::(fold|try_fold))", True),
-    ("group keys: intern, gather", r"pixels_exec::keys::|pixels_exec::aggregate::GroupKeys|pixels_common::column::Column::(gather|concat|value)$", False, r"pixels_exec::aggregate::(build_partial|merge_partial)"),
+    # Numbering rows by their dictionary codes (`PoolSlots`, later
+    # `pool_slots`), interning first appearances, gathering the keys.
+    ("group keys: number, intern, gather", r"pixels_exec::keys::|pixels_exec::aggregate::GroupKeys|pixels_common::column::Column::(gather|concat|value)$", False, r"pixels_exec::aggregate::(build_partial|merge_partial)"),
     ("join", r"pixels_exec::join::", False),
+    # Indexing the build side: its key columns, the table (hashed or by
+    # rank) and the chains.
+    ("  of which table build", r"pixels_exec::join::JoinBuild::new", False),
+    # Finding each probe row's first build row: `KeyTable::lookup_rows` or
+    # `DenseKeys::lookup_rows`, and what they call.
+    ("  of which probe lookups", r"pixels_exec::keys::", False, r"pixels_exec::join::JoinBuild::probe"),
+    # Gathering output rows (and a residual's candidate rows).
+    ("  of which assemble", r"pixels_exec::join::(JoinBuild::)?assemble", False),
     ("join key filter, in the probe scan", r"pixels_exec::encoded::key_filter_|pixels_exec::keys::KeyFilter", False),
     ("allocator (leaf)", r"^~?(__default_morecore|malloc|free|realloc|calloc|cfree|_int_malloc|_int_free)", True),
     ("mem* (leaf)", r"^~?(__nss_database_lookup|mem(cpy|move|set|cmp)|bcmp)", True),

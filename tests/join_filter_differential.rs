@@ -447,6 +447,18 @@ proptest! {
 /// one row group) with `build`, the probe side a bare scan or — so that the
 /// engine can hand it no filter — a projection of one.
 fn int64_join(probe: &[Option<i64>], build: &[Option<i64>], bare_scan: bool) -> Case {
+    int64_join_as(probe, build, bare_scan, JoinType::Inner, None)
+}
+
+/// [`int64_join`] as a `join_type` join with a `residual` over the output
+/// row `(k, bk)`.
+fn int64_join_as(
+    probe: &[Option<i64>],
+    build: &[Option<i64>],
+    bare_scan: bool,
+    join_type: JoinType,
+    residual: Option<BoundExpr>,
+) -> Case {
     let one = schema(&[("k", DataType::Int64)]);
     let rows = |keys: &[Option<i64>]| -> Vec<Vec<Value>> {
         (keys.iter())
@@ -478,19 +490,23 @@ fn int64_join(probe: &[Option<i64>], build: &[Option<i64>], bare_scan: bool) -> 
     let plan = Plan::Join {
         left: Box::new(left),
         right: Box::new(scan("build")),
-        join_type: JoinType::Inner,
+        join_type,
         left_keys: vec![key()],
         right_keys: vec![key()],
-        residual: None,
+        residual,
         output_schema: schema(&[("k", DataType::Int64), ("bk", DataType::Int64)]),
+    };
+    let what = |keys: &[Option<i64>]| match keys.len() {
+        0..=8 => format!("{keys:?}"),
+        n => format!("[{:?}, {:?}, .. {n} keys]", keys[0], keys[1]),
     };
     Case {
         store,
         plan,
-        filtered: bare_scan,
+        filtered: bare_scan && join_type != JoinType::Left,
         probe_rows: probe.len(),
         parallelism: 1,
-        what: format!("{probe:?} ⋈ {build:?}"),
+        what: format!("{} ⋈ {}, {join_type:?}", what(probe), what(build)),
     }
 }
 
@@ -610,4 +626,91 @@ fn exact_sets_drop_absent_keys_and_full_ranges_cost_nothing() {
     let t = engine.metrics.pipeline_snapshot();
     assert_eq!((t.join_filter_rows, t.join_filter_dropped), (100, 100));
     assert_eq!(engine.metrics.snapshot().rows_scanned, 100);
+}
+
+/// The edges of the join's table by position (one INTEGER key pair, build
+/// values over at most 2^22 values): the widest span it holds and one value
+/// wider, which is hashed; a full range, whose entry is `key - min`; empty
+/// and all-NULL build sides. Every join type, with and without a residual,
+/// against the oracle — and what the probe scan's filter drops says which
+/// table the join took.
+#[test]
+fn dense_join_table_edges_match_the_oracle_in_every_join_type() {
+    const SPAN: i64 = 1 << 22;
+    let lo = -SPAN / 2 - 3;
+    // Probe keys: the range's ends, just outside them, an absent key inside,
+    // a key beyond the wider build side, NULLs, and repeats.
+    let probe: Vec<Option<i64>> = [
+        Some(lo),
+        Some(lo - 1),
+        Some(lo + SPAN - 1),
+        Some(lo + SPAN),
+        Some(lo + 5),
+        None,
+        Some(lo + 1),
+        Some(lo + SPAN + 1),
+        Some(lo),
+        Some(0),
+        None,
+        Some(lo + SPAN - 1),
+    ]
+    .to_vec();
+    // (what, build keys, probe rows the inner join's filter drops)
+    let edges: [(&str, Vec<Option<i64>>, u64); 5] = [
+        (
+            "span of exactly 2^22",
+            vec![Some(lo + SPAN - 1), Some(lo), Some(lo + 1), None, Some(lo)],
+            // All but lo (twice), lo + 1 and lo + SPAN - 1 (twice).
+            7,
+        ),
+        (
+            "span of 2^22 + 1, hashed",
+            vec![Some(lo + SPAN), Some(lo), Some(lo + 1), None, Some(lo)],
+            // Only lo - 1 and lo + SPAN + 1, outside [lo, lo + SPAN], and
+            // the NULLs.
+            4,
+        ),
+        (
+            "full range",
+            (0..40)
+                .rev()
+                .chain(0..40)
+                .map(|v| Some(lo + v % 7))
+                .collect(),
+            // Inside [lo, lo + 6]: lo twice, lo + 1 and lo + 5.
+            8,
+        ),
+        ("empty build side", vec![], 12),
+        ("all-NULL build side", vec![None, None, None], 12),
+    ];
+    let residuals: [(&str, Option<BoundExpr>); 2] = [
+        ("no residual", None),
+        (
+            "k <> lo + 1",
+            Some(BoundExpr::BinaryOp {
+                left: Box::new(BoundExpr::column(1, DataType::Int64, "bk")),
+                op: BinaryOp::NotEq,
+                right: Box::new(BoundExpr::literal(Value::Int64(lo + 1))),
+                data_type: DataType::Boolean,
+            }),
+        ),
+    ];
+    for (edge, build, dropped) in &edges {
+        for join_type in [JoinType::Inner, JoinType::Left, JoinType::Right] {
+            for (residual_is, residual) in &residuals {
+                let case = int64_join_as(&probe, build, true, join_type, residual.clone());
+                let engine = assert_same(&case);
+                let t = engine.metrics.pipeline_snapshot();
+                let expect = match join_type {
+                    JoinType::Left => (0, 0),
+                    _ => (probe.len() as u64, *dropped),
+                };
+                assert_eq!(
+                    (t.join_filter_rows, t.join_filter_dropped),
+                    expect,
+                    "{edge}, {join_type:?}, {residual_is}"
+                );
+            }
+        }
+    }
 }
