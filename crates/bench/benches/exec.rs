@@ -5,7 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pixels_bench::demo_data;
-use pixels_common::{Column, ColumnData, DataType, Field, RecordBatch, Schema, Value};
+use pixels_common::{
+    Column, ColumnBuilder, ColumnData, DataType, Field, RecordBatch, Schema, Value,
+};
 use pixels_exec::{execute, scalar, ExecContext};
 use pixels_obs::{Trace, TraceCtx};
 use pixels_planner::{plan_query, AggExpr, AggFunc, BoundExpr};
@@ -579,6 +581,58 @@ fn bench_vector_kernels(c: &mut Criterion) {
                     scalar::apply_filters(&filters, batch.clone())
                         .unwrap()
                         .num_rows()
+                })
+                .sum::<usize>()
+        })
+    });
+
+    // The same kernels over NULLs: one row in ten of each lineitem column is
+    // NULL, a different row per column, so validities are read, combined and
+    // written.
+    let nullable: Vec<RecordBatch> = (lineitem.iter())
+        .map(|batch| {
+            let columns = (batch.columns().iter().enumerate())
+                .map(|(c, col)| {
+                    let mut b = ColumnBuilder::with_capacity(col.data_type(), col.len());
+                    for row in 0..col.len() {
+                        if (row + c) % 10 == 0 {
+                            b.push_null();
+                        } else {
+                            b.push(&col.value(row)).unwrap();
+                        }
+                    }
+                    b.finish()
+                })
+                .collect();
+            RecordBatch::try_new(batch.schema().clone(), columns).unwrap()
+        })
+        .collect();
+    let both = binary(
+        filters[0].clone(),
+        BinaryOp::And,
+        filters[1].clone(),
+        DataType::Boolean,
+    );
+    for (name, expr) in [
+        ("evaluate/arith_f64_nullable", &discounted),
+        ("evaluate/and_or_nullable", &both),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                nullable
+                    .iter()
+                    .map(|batch| pixels_exec::evaluate(expr, batch).unwrap().len())
+                    .sum::<usize>()
+            })
+        });
+    }
+    g.bench_function("fused_filter/nullable", |b| {
+        b.iter(|| {
+            nullable
+                .iter()
+                .map(|batch| {
+                    let selection = pixels_exec::fused_filter_selection(&filters, batch).unwrap();
+                    batch.select(&selection).unwrap().num_rows()
                 })
                 .sum::<usize>()
         })

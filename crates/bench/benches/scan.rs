@@ -231,8 +231,7 @@ fn bench_scan_pipeline(c: &mut Criterion) {
         })
         .collect();
     assert_eq!(payload_b[0].encoding(), Encoding::Plain);
-    let lax: Vec<bool> = (0..ROW_GROUP_ROWS).map(|i| i % 100 != 0).collect();
-    let lax = Selection::from_bools(&lax);
+    let lax = Selection::from_fn(ROW_GROUP_ROWS, |i| i % 100 != 0);
     g.bench_function("plain_f64/decode_filtered_99pct", |b| {
         b.iter(|| {
             (payload_b.iter())
@@ -286,8 +285,7 @@ fn bench_string_chunks(c: &mut Criterion) {
     g.throughput(Throughput::Elements((groups.len() * ROW_GROUP_ROWS) as u64));
     for (name, col) in [("dictionary", 0), ("plain", 1)] {
         for (selectivity, every) in [("1pct", 100), ("50pct", 2), ("100pct", 1)] {
-            let mask: Vec<bool> = (0..ROW_GROUP_ROWS).map(|i| i % every == 0).collect();
-            let mask = Selection::from_bools(&mask);
+            let mask = Selection::from_fn(ROW_GROUP_ROWS, |i| i % every == 0);
             g.bench_function(&format!("{name}/decode_filtered_{selectivity}"), |b| {
                 b.iter(|| {
                     groups

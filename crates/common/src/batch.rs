@@ -139,47 +139,31 @@ impl RecordBatch {
         RecordBatch::try_new(schema, columns)
     }
 
-    /// Keep rows where `mask[i]` is true.
-    pub fn filter(&self, mask: &[bool]) -> Result<RecordBatch> {
-        let columns: Result<Vec<Column>> = self.columns.iter().map(|c| c.filter(mask)).collect();
-        let columns = columns?;
-        let num_rows = mask.iter().filter(|&&m| m).count();
-        Ok(RecordBatch {
-            schema: self.schema.clone(),
-            columns,
-            num_rows,
-        })
-    }
-
-    /// Keep the rows `selection` keeps: equal to `filter` of its flags.
+    /// Keep the rows `selection` keeps, in order.
     pub fn select(&self, selection: &Selection) -> Result<RecordBatch> {
-        let columns: Result<Vec<Column>> =
-            self.columns.iter().map(|c| c.select(selection)).collect();
-        Ok(RecordBatch {
-            schema: self.schema.clone(),
-            columns: columns?,
-            num_rows: selection.count(),
-        })
+        self.map_rows(selection.count(), |c| c.select(selection))
     }
 
     /// Select rows by index, in order (indices may repeat).
     pub fn gather(&self, indices: &[usize]) -> Result<RecordBatch> {
-        let columns: Result<Vec<Column>> = self.columns.iter().map(|c| c.gather(indices)).collect();
-        Ok(RecordBatch {
-            schema: self.schema.clone(),
-            columns: columns?,
-            num_rows: indices.len(),
-        })
+        self.map_rows(indices.len(), |c| c.gather(indices))
     }
 
     /// Rows `[offset, offset + len)`.
     pub fn slice(&self, offset: usize, len: usize) -> Result<RecordBatch> {
-        let columns: Result<Vec<Column>> =
-            self.columns.iter().map(|c| c.slice(offset, len)).collect();
+        self.map_rows(len, |c| c.slice(offset, len))
+    }
+
+    /// The batch of `num_rows` rows whose columns are `rows` of these.
+    fn map_rows(
+        &self,
+        num_rows: usize,
+        rows: impl Fn(&Column) -> Result<Column>,
+    ) -> Result<RecordBatch> {
         Ok(RecordBatch {
             schema: self.schema.clone(),
-            columns: columns?,
-            num_rows: len,
+            columns: self.columns.iter().map(rows).collect::<Result<_>>()?,
+            num_rows,
         })
     }
 
@@ -313,17 +297,17 @@ mod tests {
     }
 
     #[test]
-    fn project_filter_gather_slice() {
+    fn project_select_gather_slice() {
         let b = batch();
         let p = b.project(&[1]).unwrap();
         assert_eq!(p.num_columns(), 1);
         assert_eq!(p.schema().field(0).name, "name");
 
-        let f = b.filter(&[true, false, true]).unwrap();
+        let f = b.select(&Selection::from_fn(3, |row| row != 1)).unwrap();
         assert_eq!(f.num_rows(), 2);
         assert_eq!(f.row(1)[0], Value::Int64(3));
-        let selection = Selection::from_bools(&[true, false, true]);
-        assert_eq!(b.select(&selection).unwrap(), f);
+        let kept = [b.row(0), b.row(2)];
+        assert_eq!(f, RecordBatch::from_rows(schema(), &kept).unwrap());
 
         let g = b.gather(&[2, 2, 0]).unwrap();
         assert_eq!(g.num_rows(), 3);

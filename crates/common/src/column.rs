@@ -1,15 +1,16 @@
 //! Typed columnar vectors with optional validity (null) bitmaps.
 //!
 //! `Column` is the unit of vectorized execution: a contiguous, homogeneously
-//! typed vector plus an optional per-row validity vector. All executor
-//! operators and the storage encoders work on columns rather than on
-//! individual values.
+//! typed vector plus, when some row is NULL, its validity: the [`Selection`]
+//! of its valid rows, one bit per row. All executor operators and the
+//! storage encoders work on columns rather than on individual values.
 //!
 //! Fixed-width types hold one `Vec<T>`. `Utf8` holds a [`StrVec`]: a shared,
-//! immutable string pool plus one `u32` per row, so `filter`, `select`,
-//! `gather`, `gather_or_null` and `slice` move indices and share the pool, and only
+//! immutable string pool plus one `u32` per row, so `select`, `gather`,
+//! `gather_or_null` and `slice` move indices and share the pool, and only
 //! `concat` ever copies string bytes. A `String` is built only where a
-//! [`Value::Utf8`] is ([`Column::value`]).
+//! [`Value::Utf8`] is ([`Column::value`]). The same operations write the
+//! validity's words directly.
 
 use crate::error::{Error, Result};
 use crate::selection::Selection;
@@ -60,16 +61,16 @@ impl ColumnData {
         self.len() == 0
     }
 
-    /// An empty payload of the given type.
-    pub fn empty(ty: DataType) -> ColumnData {
+    /// An empty payload of the given type, with room for `cap` rows.
+    pub fn with_capacity(ty: DataType, cap: usize) -> ColumnData {
         match ty {
-            DataType::Boolean => ColumnData::Boolean(Vec::new()),
-            DataType::Int32 => ColumnData::Int32(Vec::new()),
-            DataType::Int64 => ColumnData::Int64(Vec::new()),
-            DataType::Float64 => ColumnData::Float64(Vec::new()),
-            DataType::Utf8 => ColumnData::Utf8(StrVec::default()),
-            DataType::Date => ColumnData::Date(Vec::new()),
-            DataType::Timestamp => ColumnData::Timestamp(Vec::new()),
+            DataType::Boolean => ColumnData::Boolean(Vec::with_capacity(cap)),
+            DataType::Int32 => ColumnData::Int32(Vec::with_capacity(cap)),
+            DataType::Int64 => ColumnData::Int64(Vec::with_capacity(cap)),
+            DataType::Float64 => ColumnData::Float64(Vec::with_capacity(cap)),
+            DataType::Utf8 => ColumnData::Utf8(StrVec::with_capacity(cap)),
+            DataType::Date => ColumnData::Date(Vec::with_capacity(cap)),
+            DataType::Timestamp => ColumnData::Timestamp(Vec::with_capacity(cap)),
         }
     }
 }
@@ -94,15 +95,16 @@ macro_rules! select_rows {
     };
 }
 
-/// A typed vector of values with an optional validity vector.
+/// A typed vector of values with an optional validity.
 ///
-/// `validity == None` means every row is valid (non-null); otherwise
-/// `validity[i] == false` marks row `i` as NULL. The payload slot of a NULL
-/// row holds an unspecified (but type-correct) placeholder.
+/// `validity == None` means every row is valid (non-null); otherwise row `i`
+/// is NULL where the validity does not keep it. A validity always has a NULL:
+/// one that keeps every row is dropped. The payload slot of a NULL row holds
+/// an unspecified (but type-correct) placeholder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     data: ColumnData,
-    validity: Option<Vec<bool>>,
+    validity: Option<Selection>,
 }
 
 impl Column {
@@ -114,9 +116,9 @@ impl Column {
         }
     }
 
-    /// Build a column from a payload and validity vector. The validity is
-    /// dropped if it marks every row valid.
-    pub fn with_validity(data: ColumnData, validity: Option<Vec<bool>>) -> Result<Self> {
+    /// Build a column from a payload and the selection of its valid rows.
+    /// The validity is dropped if it keeps every row.
+    pub fn with_validity(data: ColumnData, validity: Option<Selection>) -> Result<Self> {
         if let Some(v) = &validity {
             if v.len() != data.len() {
                 return Err(Error::Invalid(format!(
@@ -125,14 +127,11 @@ impl Column {
                     data.len()
                 )));
             }
-            if v.iter().all(|&b| b) {
-                return Ok(Column {
-                    data,
-                    validity: None,
-                });
-            }
         }
-        Ok(Column { data, validity })
+        Ok(Column {
+            data,
+            validity: validity.filter(|v| v.count() < v.len()),
+        })
     }
 
     /// Build a column of `ty` from scalar values, checking types row by row.
@@ -157,13 +156,9 @@ impl Column {
         &self.data
     }
 
-    pub fn validity(&self) -> Option<&[bool]> {
-        self.validity.as_deref()
-    }
-
-    /// The payload and validity vector, by value.
-    pub fn into_parts(self) -> (ColumnData, Option<Vec<bool>>) {
-        (self.data, self.validity)
+    /// The valid rows; `None` when no row is NULL.
+    pub fn validity(&self) -> Option<&Selection> {
+        self.validity.as_ref()
     }
 
     pub fn data_type(&self) -> DataType {
@@ -179,13 +174,11 @@ impl Column {
     }
 
     pub fn is_null(&self, i: usize) -> bool {
-        self.validity.as_ref().is_some_and(|v| !v[i])
+        self.validity.as_ref().is_some_and(|v| !v.contains(i))
     }
 
     pub fn null_count(&self) -> usize {
-        self.validity
-            .as_ref()
-            .map_or(0, |v| v.iter().filter(|&&b| !b).count())
+        self.validity.as_ref().map_or(0, |v| v.len() - v.count())
     }
 
     /// The scalar at row `i`.
@@ -204,38 +197,6 @@ impl Column {
         }
     }
 
-    /// Keep only rows where `mask[i]` is true.
-    pub fn filter(&self, mask: &[bool]) -> Result<Column> {
-        if mask.len() != self.len() {
-            return Err(Error::Invalid(format!(
-                "filter mask length {} != column length {}",
-                mask.len(),
-                self.len()
-            )));
-        }
-        let kept = mask.iter().filter(|&&m| m).count();
-        if kept == mask.len() {
-            return Ok(self.clone());
-        }
-        // Branch-free compaction: every row is written at the cursor and only
-        // a kept row advances it, so the loop carries no data-dependent
-        // branch. The spare slot takes the writes that follow the last kept
-        // row.
-        fn keep<T: Copy + Default>(v: &[T], mask: &[bool], kept: usize) -> Vec<T> {
-            let mut out = vec![T::default(); kept + 1];
-            let mut at = 0;
-            for (&x, &m) in v.iter().zip(mask) {
-                out[at] = x;
-                at += m as usize;
-            }
-            out.truncate(kept);
-            out
-        }
-        let data = select_rows!(&self.data, |v| keep(v, mask, kept));
-        let validity = self.validity.as_ref().map(|v| keep(v, mask, kept));
-        Column::with_validity(data, validity)
-    }
-
     /// Keep only the rows `selection` keeps: a run of whole words is one
     /// copy, any other word is walked by its set bits.
     pub fn select(&self, selection: &Selection) -> Result<Column> {
@@ -250,7 +211,7 @@ impl Column {
             return Ok(self.clone());
         }
         let data = select_rows!(&self.data, |v| selection.gather(v));
-        let validity = self.validity.as_ref().map(|v| selection.gather(v));
+        let validity = self.validity.as_ref().map(|v| v.select(selection));
         Column::with_validity(data, validity)
     }
 
@@ -266,7 +227,8 @@ impl Column {
             idx.iter().map(|&i| v[i]).collect()
         }
         let data = select_rows!(&self.data, |v| take(v, indices));
-        let validity = self.validity.as_ref().map(|v| take(v, indices));
+        let validity = (self.validity.as_ref())
+            .map(|v| Selection::from_fn(indices.len(), |k| v.contains(indices[k])));
         Column::with_validity(data, validity)
     }
 
@@ -301,9 +263,9 @@ impl Column {
             ColumnData::Timestamp(v) => ColumnData::Timestamp(take(v, indices, 0)),
         };
         let validity = (padded || self.validity.is_some()).then(|| {
-            (indices.iter())
-                .map(|&i| i >= 0 && !self.is_null(i as usize))
-                .collect()
+            Selection::from_fn(indices.len(), |k| {
+                indices[k] >= 0 && !self.is_null(indices[k] as usize)
+            })
         });
         Column::with_validity(data, validity)
     }
@@ -319,7 +281,11 @@ impl Column {
         }
         let range = offset..offset + len;
         let data = select_rows!(&self.data, |v| v[range.clone()].to_vec());
-        let validity = self.validity.as_ref().map(|v| v[range].to_vec());
+        let validity = self.validity.as_ref().map(|v| {
+            let mut rows = Selection::with_capacity(len);
+            rows.extend_from(v, range);
+            rows
+        });
         Column::with_validity(data, validity)
     }
 
@@ -373,18 +339,14 @@ impl Column {
             DataType::Date => splice!(Date),
             DataType::Timestamp => splice!(Timestamp),
         };
-        let validity = if columns.iter().any(|c| c.validity().is_some()) {
-            let mut v = Vec::with_capacity(total);
+        let validity = columns.iter().any(|c| c.validity().is_some()).then(|| {
+            let mut v = Selection::with_capacity(total);
             for c in &columns {
-                match c.validity() {
-                    Some(bits) => v.extend_from_slice(bits),
-                    None => v.resize(v.len() + c.len(), true),
-                }
+                let all = Selection::all(c.len());
+                v.extend_from(c.validity().unwrap_or(&all), 0..c.len());
             }
-            Some(v)
-        } else {
-            None
-        };
+            v
+        });
         Column::with_validity(data, validity)
     }
 }
@@ -393,38 +355,20 @@ impl Column {
 #[derive(Debug)]
 pub struct ColumnBuilder {
     data: ColumnData,
-    validity: Vec<bool>,
-    has_null: bool,
+    validity: Selection,
 }
 
 impl ColumnBuilder {
     pub fn new(ty: DataType) -> Self {
-        ColumnBuilder {
-            data: ColumnData::empty(ty),
-            validity: Vec::new(),
-            has_null: false,
-        }
+        ColumnBuilder::with_capacity(ty, 0)
     }
 
     /// A builder with payload and validity capacity reserved for `cap`
     /// rows, so hot loops with a known output size never reallocate.
     pub fn with_capacity(ty: DataType, cap: usize) -> Self {
-        fn vec<T>(cap: usize) -> Vec<T> {
-            Vec::with_capacity(cap)
-        }
-        let data = match ty {
-            DataType::Boolean => ColumnData::Boolean(vec(cap)),
-            DataType::Int32 => ColumnData::Int32(vec(cap)),
-            DataType::Int64 => ColumnData::Int64(vec(cap)),
-            DataType::Float64 => ColumnData::Float64(vec(cap)),
-            DataType::Utf8 => ColumnData::Utf8(StrVec::with_capacity(cap)),
-            DataType::Date => ColumnData::Date(vec(cap)),
-            DataType::Timestamp => ColumnData::Timestamp(vec(cap)),
-        };
         ColumnBuilder {
-            data,
-            validity: Vec::with_capacity(cap),
-            has_null: false,
+            data: ColumnData::with_capacity(ty, cap),
+            validity: Selection::with_capacity(cap),
         }
     }
 
@@ -437,7 +381,6 @@ impl ColumnBuilder {
     }
 
     pub fn push_null(&mut self) {
-        self.has_null = true;
         self.validity.push(false);
         // Push a type-correct placeholder into the payload slot.
         match &mut self.data {
@@ -484,15 +427,7 @@ impl ColumnBuilder {
     }
 
     pub fn finish(self) -> Column {
-        let validity = if self.has_null {
-            Some(self.validity)
-        } else {
-            None
-        };
-        Column {
-            data: self.data,
-            validity,
-        }
+        Column::with_validity(self.data, Some(self.validity)).expect("one flag per pushed row")
     }
 }
 
@@ -544,47 +479,6 @@ mod tests {
             b.push(&Value::Int64(1)).is_err(),
             "narrowing is not allowed"
         );
-    }
-
-    #[test]
-    fn filter_keeps_nulls_aligned() {
-        let c = int_col(&[Some(1), None, Some(3), None]);
-        let f = c.filter(&[true, true, false, true]).unwrap();
-        assert_eq!(f.len(), 3);
-        assert_eq!(f.value(0), Value::Int64(1));
-        assert_eq!(f.value(1), Value::Null);
-        assert_eq!(f.value(2), Value::Null);
-    }
-
-    #[test]
-    fn filter_compaction_matches_a_row_by_row_model() {
-        // Every mask shape the compaction loop has an edge for: nothing
-        // kept, everything kept (a plain copy), the last row kept or not.
-        let n = 67;
-        let vals: Vec<Option<i64>> = (0..n)
-            .map(|i| (i % 5 != 0).then_some(i as i64 * 3))
-            .collect();
-        let c = int_col(&vals);
-        let masks: Vec<Vec<bool>> = vec![
-            vec![false; n],
-            vec![true; n],
-            (0..n).map(|i| i % 3 == 0).collect(),
-            (0..n).map(|i| i % 7 != 0 || i == n - 1).collect(),
-            (0..n).map(|i| i != n - 1).collect(),
-        ];
-        for mask in masks {
-            let kept: Vec<Option<i64>> = (vals.iter().zip(&mask))
-                .filter(|&(_, &m)| m)
-                .map(|(v, _)| *v)
-                .collect();
-            assert_eq!(c.filter(&mask).unwrap(), int_col(&kept), "{mask:?}");
-        }
-    }
-
-    #[test]
-    fn filter_length_mismatch_errors() {
-        let c = int_col(&[Some(1)]);
-        assert!(c.filter(&[true, false]).is_err());
     }
 
     #[test]
@@ -669,5 +563,90 @@ mod tests {
         assert_eq!(c.len(), 4);
         assert_eq!(c.null_count(), 4);
         assert_eq!(c.data_type(), DataType::Utf8);
+    }
+
+    /// Every row-moving operation, on a nullable Int64 and a nullable Utf8
+    /// column at lengths around a word, equals the same rows pushed one at a
+    /// time through a `ColumnBuilder`: the validity words, `null_count` and
+    /// `is_null` of each row.
+    #[test]
+    fn row_operations_equal_a_value_by_value_build() {
+        let value = |ty: DataType, i: usize| match (i % 3 == 1, ty) {
+            (true, _) => Value::Null,
+            (_, DataType::Int64) => Value::Int64(i as i64 * 7 - 100),
+            _ => Value::Utf8(format!("s{}", i % 5)),
+        };
+        let build = |ty: DataType, rows: &[usize]| {
+            let mut b = ColumnBuilder::new(ty);
+            rows.iter().for_each(|&i| b.push(&value(ty, i)).unwrap());
+            b.finish()
+        };
+        let same = |got: &Column, want: &Column, what: &str| {
+            assert_eq!(got, want, "{what}");
+            assert_eq!(got.null_count(), want.null_count(), "{what}");
+            for row in 0..want.len() {
+                assert_eq!(got.is_null(row), want.is_null(row), "{what} row {row}");
+                assert_eq!(got.value(row), want.value(row), "{what} row {row}");
+            }
+        };
+        for ty in [DataType::Int64, DataType::Utf8] {
+            for len in [0, 1, 63, 64, 65, 129] {
+                let all: Vec<usize> = (0..len).collect();
+                let col = build(ty, &all);
+                let what = format!("{ty} len {len}");
+                let keeps: [fn(usize) -> bool; 3] = [|i| i % 2 == 0, |i| i % 64 != 5, |i| i >= 63];
+                for keep in keeps {
+                    let kept: Vec<usize> = all.iter().copied().filter(|&i| keep(i)).collect();
+                    let selection = Selection::from_fn(len, keep);
+                    same(&col.select(&selection).unwrap(), &build(ty, &kept), &what);
+                    same(&col.gather(&kept).unwrap(), &build(ty, &kept), &what);
+                }
+                let reversed: Vec<usize> = all.iter().rev().copied().collect();
+                same(
+                    &col.gather(&reversed).unwrap(),
+                    &build(ty, &reversed),
+                    &what,
+                );
+                // A NULL slot between every pair of rows, and at both ends.
+                let padded: Vec<i64> = (0..=len as i64)
+                    .flat_map(|i| [-1, i])
+                    .take(2 * len + 1)
+                    .collect();
+                let mut b = ColumnBuilder::new(ty);
+                for &i in &padded {
+                    if i < 0 {
+                        b.push_null();
+                    } else {
+                        b.push(&value(ty, i as usize)).unwrap();
+                    }
+                }
+                same(&col.gather_or_null(&padded).unwrap(), &b.finish(), &what);
+                for offset in [0, 1, 63, 64].into_iter().filter(|&o| o <= len) {
+                    let rows = &all[offset..];
+                    let what = format!("{what} slice at {offset}");
+                    same(
+                        &col.slice(offset, rows.len()).unwrap(),
+                        &build(ty, rows),
+                        &what,
+                    );
+                }
+                let parts: Vec<usize> = vec![1, 63, 65];
+                let mut next = 0;
+                let pieces: Vec<Column> = (parts.iter())
+                    .map(|&n| {
+                        let rows: Vec<usize> = (next..next + n).map(|i| i % len.max(1)).collect();
+                        next += n;
+                        build(ty, if len == 0 { &[] } else { &rows })
+                    })
+                    .collect();
+                let rows: Vec<usize> = (0..next).map(|i| i % len.max(1)).collect();
+                let want = build(ty, if len == 0 { &[] } else { &rows });
+                same(
+                    &Column::concat(&pieces).unwrap(),
+                    &want,
+                    &format!("{what} concat"),
+                );
+            }
+        }
     }
 }

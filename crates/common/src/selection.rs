@@ -1,7 +1,12 @@
 //! A selection of rows: one bit per row, 64 rows to a `u64` word.
 //!
-//! A table scan filters each morsel into a [`Selection`] and then
-//! materialises only the rows it keeps. A filter ANDs verdict words into it
+//! `Selection` is the engine's one row set: a column's valid rows
+//! ([`crate::Column::validity`], parsed from and written back to a chunk's
+//! validity header by [`Selection::from_bitmap`] and [`Selection::to_bitmap`])
+//! and the rows a predicate keeps.
+//!
+//! A table scan filters each morsel into a selection and then materialises
+//! only the rows it keeps. A filter ANDs verdict words into it
 //! ([`Selection::refine`]) or clears the kept rows it rejects
 //! ([`Selection::retain`]), and neither looks at a word that keeps nothing
 //! any more. Columns are gathered from the words ([`Selection::for_each_range`]):
@@ -9,7 +14,8 @@
 //! other word is walked by its set bits — or, when it keeps most of them, by
 //! the rows it drops, copying the stretches in between. Storage gathers
 //! encoded chunks this way (`EncodedChunk::decode_filtered`), and a decoded
-//! [`crate::Column`] is gathered the same way by [`crate::Column::select`].
+//! [`crate::Column`] is gathered the same way by [`crate::Column::select`],
+//! its validity by [`Selection::select`].
 
 use std::convert::Infallible;
 use std::ops::Range;
@@ -26,7 +32,7 @@ const DENSE: u32 = 48;
 /// Rows `0..len`, some of them kept: bit `i % 64` of word `i / 64` keeps row
 /// `i`. Bits at or past `len` are always clear, and `count` is the number of
 /// set bits.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Selection {
     words: Vec<u64>,
     len: usize,
@@ -47,11 +53,21 @@ impl Selection {
         }
     }
 
-    /// The rows whose flag is set.
-    pub fn from_bools(flags: &[bool]) -> Selection {
-        let mut selection = Selection::all(flags.len());
-        selection.refine_flags(flags, |keep| keep);
+    /// The rows of `0..len` for which `keep(row)` holds. A word's flags are
+    /// computed in one loop, then packed.
+    #[inline]
+    pub fn from_fn(len: usize, keep: impl Fn(usize) -> bool) -> Selection {
+        let mut selection = Selection::all(len);
+        selection.refine(|rows| pack(rows.map(&keep)));
         selection
+    }
+
+    /// No rows yet, with room for `rows` before a word is reallocated.
+    pub(crate) fn with_capacity(rows: usize) -> Selection {
+        Selection {
+            words: Vec::with_capacity(rows.div_ceil(WORD)),
+            ..Selection::default()
+        }
     }
 
     /// The rows of `0..len` whose bit is set in an LSB-first bitmap of
@@ -66,6 +82,14 @@ impl Selection {
         }
         selection.recount();
         selection
+    }
+
+    /// The inverse of [`Selection::from_bitmap`]: `len.div_ceil(8)` bytes,
+    /// row `i` at bit `i % 8` of byte `i / 8`, and the bits past `len` clear.
+    pub fn to_bitmap(&self) -> Vec<u8> {
+        let mut bytes: Vec<u8> = self.words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        bytes.truncate(self.len.div_ceil(8));
+        bytes
     }
 
     /// Rows covered, kept or not.
@@ -88,9 +112,46 @@ impl Selection {
         self.words[row / WORD] >> (row % WORD) & 1 == 1
     }
 
-    /// One flag per row.
-    pub fn to_bools(&self) -> Vec<bool> {
-        (0..self.len).map(|row| self.contains(row)).collect()
+    /// Rows `row..row + n` (`n` in `1..=64`, all below `len`)
+    /// as bits `0..n` of a word.
+    #[inline]
+    fn bits_at(&self, row: usize, n: usize) -> u64 {
+        let (w, at) = (row / WORD, row % WORD);
+        let next = (self.words.get(w + 1).filter(|_| at > 0)).map_or(0, |next| next << (WORD - at));
+        (self.words[w] >> at | next) & u64::MAX >> (WORD - n)
+    }
+
+    /// Append `n` rows (`n` in `1..=64`), kept as bits `0..n` of `bits` say
+    /// (no bit at or past `n` set): the low ones fill the last word's room,
+    /// the rest start a new word.
+    #[inline]
+    fn append(&mut self, bits: u64, n: usize) {
+        match self.len % WORD {
+            0 => self.words.push(bits),
+            at => {
+                *self.words.last_mut().expect("a partial word") |= bits << at;
+                if at + n > WORD {
+                    self.words.push(bits >> (WORD - at));
+                }
+            }
+        }
+        self.len += n;
+        self.count += bits.count_ones() as usize;
+    }
+
+    /// Append one row, kept or not.
+    pub fn push(&mut self, keep: bool) {
+        self.append(u64::from(keep), 1);
+    }
+
+    /// Append rows `rows` of `src`, kept as `src` keeps them: a word at a
+    /// time, shifted to where this selection ends.
+    pub fn extend_from(&mut self, src: &Selection, rows: Range<usize>) {
+        assert!(rows.end <= src.len, "rows past the end of a selection");
+        for row in rows.clone().step_by(WORD) {
+            let n = (rows.end - row).min(WORD);
+            self.append(src.bits_at(row, n), n);
+        }
     }
 
     /// Keep no row.
@@ -102,6 +163,11 @@ impl Selection {
     /// Keep only the rows `other` (over the same rows) keeps too.
     pub fn and(&mut self, other: &Selection) {
         self.combine(other, |a, b| a & b);
+    }
+
+    /// Keep the rows `other` (over the same rows) keeps as well.
+    pub fn or(&mut self, other: &Selection) {
+        self.combine(other, |a, b| a | b);
     }
 
     /// Keep only the rows `other` (over the same rows) does not keep.
@@ -241,12 +307,27 @@ impl Selection {
         self.gather_map(src, |x| x)
     }
 
-    /// Whether `of` (over the same rows) keeps each row this selection
-    /// keeps, in row order: a validity header narrowed to the kept rows.
-    pub fn gather_bits(&self, of: &Selection) -> Vec<bool> {
-        assert_eq!(self.len, of.len, "selections over different rows");
-        let mut out = Vec::with_capacity(self.count);
-        self.for_each_range(|rows| out.extend(rows.map(|row| of.contains(row))));
+    /// The rows `selection` (over the same rows) keeps, in row order, each
+    /// kept when this selection keeps it: a validity narrowed to the kept
+    /// rows, as [`crate::Column::select`] narrows the payload. A word that
+    /// keeps every row is appended whole; any other has the bits at its kept
+    /// rows moved down together, one kept row at a time.
+    pub fn select(&self, selection: &Selection) -> Selection {
+        assert_eq!(self.len, selection.len, "selections over different rows");
+        let mut out = Selection::with_capacity(selection.count);
+        for (&keep, &bits) in selection.words.iter().zip(&self.words) {
+            let n = keep.count_ones() as usize;
+            if n == WORD {
+                out.append(bits, n);
+            } else if n > 0 {
+                let (mut packed, mut rows) = (0, keep);
+                for k in 0..n {
+                    packed |= (bits >> rows.trailing_zeros() & 1) << k;
+                    rows &= rows - 1;
+                }
+                out.append(packed, n);
+            }
+        }
         out
     }
 }
@@ -273,6 +354,14 @@ fn pack(flags: impl Iterator<Item = bool>) -> u64 {
 mod tests {
     use super::*;
 
+    fn of(flags: &[bool]) -> Selection {
+        Selection::from_fn(flags.len(), |row| flags[row])
+    }
+
+    fn flags(s: &Selection) -> Vec<bool> {
+        (0..s.len()).map(|row| s.contains(row)).collect()
+    }
+
     /// Flags of every shape the words have an edge for, at lengths around a
     /// word: none, all, alternating, the first and last row of each word, and
     /// whole words beside partial ones.
@@ -296,10 +385,10 @@ mod tests {
     fn words_agree_with_flags() {
         for len in [0, 1, 63, 64, 65, 128, 200] {
             for flags in shapes(len) {
-                let s = Selection::from_bools(&flags);
+                let s = of(&flags);
                 assert_eq!(s.len(), len);
                 assert_eq!(s.count(), flags.iter().filter(|&&f| f).count());
-                assert_eq!(s.to_bools(), flags);
+                assert_eq!(self::flags(&s), flags);
                 // Bits past the end stay clear.
                 assert_eq!(Selection::all(len).count(), len);
                 let mut bitmap = vec![0xffu8; len.div_ceil(8)];
@@ -309,6 +398,17 @@ mod tests {
                     }
                 }
                 assert_eq!(Selection::from_bitmap(&bitmap, len), s, "len {len}");
+                // Written back LSB first, with the bits past `len` clear.
+                let mut lsb_first = vec![0u8; len.div_ceil(8)];
+                for (i, _) in flags.iter().enumerate().filter(|&(_, &f)| f) {
+                    lsb_first[i / 8] |= 1 << (i % 8);
+                }
+                assert_eq!(s.to_bitmap(), lsb_first, "len {len}");
+                assert_eq!(Selection::from_bitmap(&s.to_bitmap(), len), s, "len {len}");
+                // Pushed one row at a time, the same words.
+                let mut pushed = Selection::default();
+                flags.iter().for_each(|&f| pushed.push(f));
+                assert_eq!(pushed, s, "len {len}");
             }
         }
     }
@@ -318,7 +418,7 @@ mod tests {
         for len in [1, 63, 64, 65, 130, 300] {
             let src: Vec<usize> = (0..len).collect();
             for flags in shapes(len) {
-                let s = Selection::from_bools(&flags);
+                let s = of(&flags);
                 let kept: Vec<usize> = (0..len).filter(|&i| flags[i]).collect();
                 assert_eq!(s.gather(&src), kept);
                 assert_eq!(
@@ -338,11 +438,15 @@ mod tests {
                     assert_eq!(ranges.len(), 1);
                     assert_eq!(ranges[0], 0..len);
                 }
-                let other =
-                    Selection::from_bools(&(0..len).map(|i| i % 3 == 0).collect::<Vec<_>>());
+                let other = Selection::from_fn(len, |i| i % 3 == 0);
+                let narrowed = other.select(&s);
                 assert_eq!(
-                    s.gather_bits(&other),
+                    self::flags(&narrowed),
                     kept.iter().map(|i| i % 3 == 0).collect::<Vec<_>>()
+                );
+                assert_eq!(
+                    narrowed.count(),
+                    kept.iter().filter(|&i| i % 3 == 0).count()
                 );
             }
         }
@@ -351,7 +455,7 @@ mod tests {
     #[test]
     fn refine_and_retain_skip_what_is_already_gone() {
         let len = 200;
-        let mut s = Selection::from_bools(&(0..len).map(|i| i >= 64).collect::<Vec<_>>());
+        let mut s = Selection::from_fn(len, |i| i >= 64);
         let mut seen = Vec::new();
         s.refine(|rows| {
             seen.push(rows.clone());
@@ -383,5 +487,30 @@ mod tests {
         assert_eq!(t.count(), len - s.count());
         t.and(&s);
         assert_eq!(t.count(), 0);
+    }
+
+    /// Appending a range of another selection, at every offset into a word on
+    /// either side: the bits and the count match a row-by-row copy.
+    #[test]
+    fn extend_from_copies_any_range_to_any_offset() {
+        for len in [1, 63, 64, 65, 130] {
+            for src in shapes(len).iter().map(|f| of(f)) {
+                for start in [0, 1, 63, 64].into_iter().filter(|&s| s <= len) {
+                    for end in [start, start + 1, start + 64, len]
+                        .into_iter()
+                        .filter(|&e| e <= len)
+                    {
+                        for before in [0, 1, 63, 64] {
+                            let head = Selection::from_fn(before, |i| i % 2 == 1);
+                            let mut s = head.clone();
+                            s.extend_from(&src, start..end);
+                            let mut expect = flags(&head);
+                            expect.extend((start..end).map(|i| src.contains(i)));
+                            assert_eq!(s, of(&expect), "{len} {start}..{end} after {before}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -26,7 +26,7 @@ use crate::keys::{KeyEncoder, KeyTable};
 use crate::parallel;
 use pixels_common::{
     Column, ColumnBuilder, ColumnData, DataType, Error, Field, RecordBatch, Result, SchemaRef,
-    Value,
+    Selection, Value,
 };
 use pixels_planner::{AggExpr, AggFunc, BoundExpr};
 use std::borrow::Cow;
@@ -253,7 +253,7 @@ pub(crate) enum State {
 fn for_valid<T: Copy>(
     gidx: &[u32],
     xs: &[T],
-    validity: Option<&[bool]>,
+    validity: Option<&Selection>,
     nulls: &mut [i64],
     mut add: impl FnMut(usize, T),
 ) {
@@ -264,8 +264,8 @@ fn for_valid<T: Copy>(
             }
         }
         Some(valid) => {
-            for ((&g, &x), &v) in gidx.iter().zip(xs).zip(valid) {
-                if v {
+            for (row, (&g, &x)) in gidx.iter().zip(xs).enumerate() {
+                if valid.contains(row) {
                     add(g as usize, x);
                 } else {
                     nulls[g as usize] += 1;
@@ -285,8 +285,8 @@ impl State {
         match (self, col.map(Column::data)) {
             (State::Nulls(nulls), _) => {
                 if let Some(valid) = validity {
-                    for (&g, &v) in gidx.iter().zip(valid) {
-                        nulls[g as usize] += i64::from(!v);
+                    for (row, &g) in gidx.iter().enumerate() {
+                        nulls[g as usize] += i64::from(!valid.contains(row));
                     }
                 }
             }
@@ -332,7 +332,7 @@ impl State {
             ) => {
                 // MIN/MAX over strings: no `Value` per row.
                 for (row, &g) in gidx.iter().enumerate() {
-                    if validity.is_none_or(|v| v[row]) {
+                    if validity.is_none_or(|v| v.contains(row)) {
                         cells[g as usize].update_str(strings.get(row))?;
                     }
                 }
@@ -791,7 +791,7 @@ fn nullable<T: Default>(
     data: fn(Vec<T>) -> ColumnData,
 ) -> Result<Column> {
     let mut values = Vec::with_capacity(rows.len());
-    let mut valid = Vec::with_capacity(rows.len());
+    let mut valid = Selection::default();
     for row in rows {
         valid.push(row.is_some());
         values.push(row.unwrap_or_default());
@@ -837,7 +837,7 @@ impl GroupKeys {
     pub(crate) fn columns(&self) -> Result<Vec<Column>> {
         (self.types.iter().enumerate())
             .map(|(c, &ty)| match self.pieces.as_slice() {
-                [] => Ok(Column::new(ColumnData::empty(ty))),
+                [] => Ok(Column::new(ColumnData::with_capacity(ty, 0))),
                 pieces => Column::concat(&pieces.iter().map(|p| &p[c]).collect::<Vec<_>>()),
             })
             .collect()

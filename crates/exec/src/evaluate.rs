@@ -11,9 +11,11 @@
 //! - `Negate`, numeric `Cast`, the six comparisons, three-valued
 //!   `AND`/`OR`/`NOT`, `IS [NOT] NULL`.
 //!
-//! A literal operand stays a scalar (it is never broadcast), validity is
-//! combined once per node, and a NULL row's payload is the builder's
-//! placeholder (zero), as the row loop would have written it.
+//! A literal operand stays a scalar (it is never broadcast), validity (a
+//! [`Selection`]) is combined a word at a time once per node, and a NULL
+//! row's payload is the builder's placeholder (zero), as the row loop would
+//! have written it. A predicate's verdict is a [`Selection`] too: its Boolean
+//! column's valid rows, refined by its values.
 //!
 //! Two rules keep the result indistinguishable from the row loop
 //! ([`crate::scalar::evaluate`]):
@@ -86,27 +88,31 @@ fn evaluate_columnar(expr: &BoundExpr, batch: &RecordBatch) -> Option<Column> {
     }
 }
 
-/// Evaluate a boolean predicate into a selection mask. SQL semantics: NULL
-/// counts as not-selected.
-pub fn predicate_mask(expr: &BoundExpr, batch: &RecordBatch) -> Result<Vec<bool>> {
-    match columnar_mask(expr, batch) {
-        Some(mask) => Ok(mask),
-        None => scalar::predicate_mask(expr, batch),
+/// Evaluate a boolean predicate into the selection of the rows it keeps. SQL
+/// semantics: NULL counts as not-selected.
+pub fn predicate_mask(expr: &BoundExpr, batch: &RecordBatch) -> Result<Selection> {
+    let mut mask = Selection::all(batch.num_rows());
+    if and_verdict(expr, batch, &mut mask) {
+        return Ok(mask);
     }
+    scalar::predicate_mask(expr, batch)
 }
 
-/// The kernels' mask for a predicate: true where the value is a valid `true`.
-fn columnar_mask(expr: &BoundExpr, batch: &RecordBatch) -> Option<Vec<bool>> {
-    let Operand::Col(col) = eval_node(expr, batch)? else {
-        return None;
+/// AND the kernels' verdict for a predicate into `selection`: keep the rows
+/// whose value is a valid `true`. False, with `selection` untouched, when
+/// the kernels cannot finish it.
+fn and_verdict(expr: &BoundExpr, batch: &RecordBatch, selection: &mut Selection) -> bool {
+    let Some(Operand::Col(col)) = eval_node(expr, batch) else {
+        return false;
     };
-    let (ColumnData::Boolean(mut mask), validity) = col.into_owned().into_parts() else {
-        return None;
+    let ColumnData::Boolean(values) = col.data() else {
+        return false;
     };
-    if let Some(validity) = validity {
-        and_into(&mut mask, &validity);
+    selection.refine_flags(values, |keep| keep);
+    if let Some(valid) = col.validity() {
+        selection.and(valid);
     }
-    Some(mask)
+    true
 }
 
 /// Evaluate a conjunction of predicates into one [`Selection`] without
@@ -127,11 +133,6 @@ pub fn fused_filter_selection(filters: &[BoundExpr], batch: &RecordBatch) -> Res
     Ok(selection)
 }
 
-/// [`fused_filter_selection`] as one flag per row.
-pub fn fused_filter_mask(filters: &[BoundExpr], batch: &RecordBatch) -> Result<Vec<bool>> {
-    fused_filter_selection(filters, batch).map(|selection| selection.to_bools())
-}
-
 /// AND one conjunct's verdict into `selection`. The kernels evaluate it over
 /// the whole batch; when they cannot, the row loop evaluates it on the rows
 /// still selected — the short-circuit order of a sequential filter chain,
@@ -142,20 +143,13 @@ pub(crate) fn and_conjunct(
     batch: &RecordBatch,
     selection: &mut Selection,
 ) -> Result<()> {
-    if let Some(mask) = columnar_mask(conj, batch) {
-        selection.refine_flags(&mask, |keep| keep);
+    if and_verdict(conj, batch, selection) {
         return Ok(());
     }
     selection.try_retain(|row| {
         let v = eval_expr(conj, &BatchRow { batch, row })?;
         Ok(matches!(v, Value::Boolean(true)))
     })
-}
-
-fn and_into(mask: &mut [bool], m: &[bool]) {
-    for (acc, &v) in mask.iter_mut().zip(m) {
-        *acc &= v;
-    }
 }
 
 /// Flatten nested `a AND b AND c` into its conjuncts, in evaluation order.
@@ -192,7 +186,7 @@ impl Operand<'_> {
         }
     }
 
-    fn validity(&self) -> Option<&[bool]> {
+    fn validity(&self) -> Option<&Selection> {
         match self {
             Operand::Col(c) => c.validity(),
             Operand::Lit(_) => None,
@@ -274,6 +268,15 @@ enum Arg<'a, T> {
     Const(T),
 }
 
+impl<T: Copy> Arg<'_, T> {
+    fn get(self, row: usize) -> T {
+        match self {
+            Arg::Slice(v) => v[row],
+            Arg::Const(x) => x,
+        }
+    }
+}
+
 /// `f` over the rows of `a` and `b`, one tight loop per operand shape. Two
 /// literals are not a shape: a node over literals alone has no kernel.
 fn zip_with<A: Copy, B: Copy, T>(
@@ -296,7 +299,7 @@ fn zip_with<A: Copy, B: Copy, T>(
 fn checked<A: Copy, B: Copy, T: Copy + Default>(
     a: Arg<'_, A>,
     b: Arg<'_, B>,
-    validity: Option<&[bool]>,
+    validity: Option<&Selection>,
     f: impl Fn(A, B) -> Option<T>,
 ) -> Kernel<Vec<T>> {
     let mut failed = false;
@@ -306,13 +309,8 @@ fn checked<A: Copy, B: Copy, T: Copy + Default>(
         v.unwrap_or_default()
     });
     if failed {
-        let validity = validity.ok_or(Miss::Failed)?;
-        let fails = zip_with(a, b, |x, y| f(x, y).is_none());
-        if fails
-            .iter()
-            .zip(validity)
-            .any(|(&fail, &valid)| fail && valid)
-        {
+        let valid = validity.ok_or(Miss::Failed)?;
+        if (0..out.len()).any(|row| valid.contains(row) && f(a.get(row), b.get(row)).is_none()) {
             return Err(Miss::Failed);
         }
     }
@@ -320,21 +318,25 @@ fn checked<A: Copy, B: Copy, T: Copy + Default>(
 }
 
 /// Validity of a node with two operands: a row is valid when both are.
-fn both_valid(a: Option<&[bool]>, b: Option<&[bool]>) -> Option<Vec<bool>> {
-    match (a, b) {
-        (None, None) => None,
-        (Some(v), None) | (None, Some(v)) => Some(v.to_vec()),
-        (Some(a), Some(b)) => Some(a.iter().zip(b).map(|(&x, &y)| x & y).collect()),
+fn both_valid(a: Option<&Selection>, b: Option<&Selection>) -> Option<Selection> {
+    let mut both = a.or(b)?.clone();
+    if let (Some(_), Some(b)) = (a, b) {
+        both.and(b);
     }
+    Some(both)
 }
 
 /// A kernel's output as a column: NULL rows get the payload the row loop's
 /// builder would have pushed for them.
-fn finish(mut data: ColumnData, validity: Option<Vec<bool>>) -> Column {
-    fn clear<T: Copy + Default>(v: &mut [T], validity: &[bool]) {
-        for (x, &valid) in v.iter_mut().zip(validity) {
-            *x = if valid { *x } else { T::default() };
-        }
+fn finish(mut data: ColumnData, validity: Option<Selection>) -> Column {
+    // The NULL rows are the gaps between the valid rows' ranges.
+    fn clear<T: Copy + Default>(v: &mut [T], validity: &Selection) {
+        let mut from = 0;
+        validity.for_each_range(|rows| {
+            v[from..rows.start].fill(T::default());
+            from = rows.end;
+        });
+        v[from..].fill(T::default());
     }
     if let Some(validity) = &validity {
         match &mut data {
@@ -392,7 +394,7 @@ fn arithmetic(op: BinaryOp, l: &Operand<'_>, r: &Operand<'_>) -> Kernel<Column> 
         return Err(Miss::NoKernel);
     }
     let validity = both_valid(l.validity(), r.validity());
-    let valid = validity.as_deref();
+    let valid = validity.as_ref();
     let (mut lf, mut rf) = (Vec::new(), Vec::new());
     let (mut li, mut ri) = (Vec::new(), Vec::new());
     let data = match (op, l.data_type(), r.data_type()) {
@@ -456,7 +458,7 @@ fn negate(operand: &Operand<'_>) -> Kernel<Column> {
         ColumnData::Float64(v) => ColumnData::Float64(v.iter().map(|x| -x).collect()),
         _ => return Err(Miss::NoKernel),
     };
-    Ok(finish(data, col.validity().map(<[bool]>::to_vec)))
+    Ok(finish(data, col.validity().cloned()))
 }
 
 /// Lossless numeric widening — the pairs `ColumnBuilder::push` accepts a
@@ -474,12 +476,12 @@ pub(crate) fn widen(col: &Column, to: DataType) -> Option<Column> {
         }
         _ => return None,
     };
-    Some(finish(data, col.validity().map(<[bool]>::to_vec)))
+    Some(finish(data, col.validity().cloned()))
 }
 
 /// `CAST` between numeric types, value by value what `Value::cast_to` does.
 fn cast(col: &Column, to: DataType) -> Kernel<Column> {
-    let validity = || col.validity().map(<[bool]>::to_vec);
+    let validity = || col.validity().cloned();
     if col.data_type() == to && to.is_numeric() {
         return Ok(finish(col.data().clone(), validity()));
     }
@@ -504,7 +506,7 @@ fn cast(col: &Column, to: DataType) -> Kernel<Column> {
 }
 
 /// A Boolean column operand's values and validity.
-fn bools<'a>(operand: &'a Operand<'_>) -> Kernel<(&'a [bool], Option<&'a [bool]>)> {
+fn bools<'a>(operand: &'a Operand<'_>) -> Kernel<(&'a [bool], Option<&'a Selection>)> {
     match operand {
         Operand::Col(col) => match col.data() {
             ColumnData::Boolean(v) => Ok((v, col.validity())),
@@ -529,37 +531,44 @@ fn logical(op: BinaryOp, l: &Operand<'_>, r: &Operand<'_>) -> Kernel<Column> {
         });
         return Ok(Column::new(ColumnData::Boolean(values)));
     }
-    let (mut values, mut validity) = (Vec::with_capacity(a.len()), Vec::with_capacity(a.len()));
-    for i in 0..a.len() {
-        let (xv, yv) = (a_valid.is_none_or(|v| v[i]), b_valid.is_none_or(|v| v[i]));
-        // Each side as "valid and true" / "valid and false".
-        let (xt, xf, yt, yf) = (xv & a[i], xv & !a[i], yv & b[i], yv & !b[i]);
-        let (value, valid) = if and {
-            (xt & yt, (xv & yv) | xf | yf)
-        } else {
-            (xt | yt, (xv & yv) | xt | yt)
-        };
-        values.push(value);
-        validity.push(valid);
+    // Each side as the rows where it is valid and TRUE, and where it is
+    // valid and FALSE, a word at a time.
+    let n = a.len();
+    let sides = |values: &[bool], valid: Option<&Selection>| {
+        let mut t = valid.cloned().unwrap_or_else(|| Selection::all(n));
+        let mut f = t.clone();
+        t.refine_flags(values, |x| x);
+        f.refine_flags(values, |x| !x);
+        (t, f)
+    };
+    let ((mut t, mut f), (yt, yf)) = (sides(a, a_valid), sides(b, b_valid));
+    // AND is TRUE where both sides are and FALSE where either is; OR is TRUE
+    // where either is and FALSE where both are. Decided either way is valid.
+    if and {
+        t.and(&yt);
+        f.or(&yf);
+    } else {
+        t.or(&yt);
+        f.and(&yf);
     }
-    Ok(finish(ColumnData::Boolean(values), Some(validity)))
+    let values = (0..n).map(|i| t.contains(i)).collect();
+    t.or(&f);
+    Ok(finish(ColumnData::Boolean(values), Some(t)))
 }
 
 fn not(operand: &Operand<'_>) -> Kernel<Column> {
     let (values, validity) = bools(operand)?;
     let data = ColumnData::Boolean(values.iter().map(|&x| !x).collect());
-    Ok(finish(data, validity.map(<[bool]>::to_vec)))
+    Ok(finish(data, validity.cloned()))
 }
 
-/// `IS [NOT] NULL` straight off the validity vector.
+/// `IS [NOT] NULL` straight off the validity words.
 fn is_null(operand: &Operand<'_>, negated: bool) -> Kernel<Column> {
     let Operand::Col(col) = operand else {
         return Err(Miss::NoKernel);
     };
-    Ok(Column::new(ColumnData::Boolean(match col.validity() {
-        Some(bits) => bits.iter().map(|&valid| valid == negated).collect(),
-        None => vec![negated; col.len()],
-    })))
+    let values = (0..col.len()).map(|row| col.is_null(row) != negated);
+    Ok(Column::new(ColumnData::Boolean(values.collect())))
 }
 
 /// The six comparisons between two columns or a column and a literal, by
@@ -575,22 +584,16 @@ fn compare(op: BinaryOp, l: &Operand<'_>, r: &Operand<'_>) -> Kernel<Column> {
         )
         .then_some(values)
     };
-    let (values, validity) = match (l, r) {
-        (Operand::Col(col), Operand::Lit(lit)) => (
-            against_literal(col, lit, false),
-            col.validity().map(<[bool]>::to_vec),
-        ),
-        (Operand::Lit(lit), Operand::Col(col)) => (
-            against_literal(col, lit, true),
-            col.validity().map(<[bool]>::to_vec),
-        ),
-        (Operand::Col(a), Operand::Col(b)) => (
-            compare_columns(a.data(), b.data(), CmpOp::of(op, false)),
-            both_valid(a.validity(), b.validity()),
-        ),
-        (Operand::Lit(_), Operand::Lit(_)) => (None, None),
+    let values = match (l, r) {
+        (Operand::Col(col), Operand::Lit(lit)) => against_literal(col, lit, false),
+        (Operand::Lit(lit), Operand::Col(col)) => against_literal(col, lit, true),
+        (Operand::Col(a), Operand::Col(b)) => {
+            compare_columns(a.data(), b.data(), CmpOp::of(op, false))
+        }
+        (Operand::Lit(_), Operand::Lit(_)) => None,
     };
     let values = values.ok_or(Miss::NoKernel)?;
+    let validity = both_valid(l.validity(), r.validity());
     Ok(finish(ColumnData::Boolean(values), validity))
 }
 
@@ -656,6 +659,10 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    fn flags(s: &Selection) -> Vec<bool> {
+        (0..s.len()).map(|row| s.contains(row)).collect()
     }
 
     fn col_ref(i: usize, ty: DataType) -> BoundExpr {
@@ -725,7 +732,10 @@ mod tests {
             BinaryOp::GtEq,
             BoundExpr::literal(Value::Int64(2)),
         );
-        assert_eq!(predicate_mask(&fast, &b).unwrap(), vec![false, true, true]);
+        assert_eq!(
+            flags(&predicate_mask(&fast, &b).unwrap()),
+            vec![false, true, true]
+        );
         // ... flipped literal side: 2 >= a  <=>  a <= 2.
         let flipped = cmp(
             BoundExpr::literal(Value::Int64(2)),
@@ -733,7 +743,7 @@ mod tests {
             BoundExpr::column(0, DataType::Int64, "a"),
         );
         assert_eq!(
-            predicate_mask(&flipped, &b).unwrap(),
+            flags(&predicate_mask(&flipped, &b).unwrap()),
             vec![true, true, false]
         );
     }
@@ -746,7 +756,10 @@ mod tests {
             BinaryOp::Gt,
             BoundExpr::literal(Value::Int64(5)),
         );
-        assert_eq!(predicate_mask(&pred, &b).unwrap(), vec![true, false, true]);
+        assert_eq!(
+            flags(&predicate_mask(&pred, &b).unwrap()),
+            vec![true, false, true]
+        );
     }
 
     #[test]
@@ -757,7 +770,10 @@ mod tests {
             BinaryOp::Gt,
             BoundExpr::literal(Value::Utf8("x".into())),
         );
-        assert_eq!(predicate_mask(&pred, &b).unwrap(), vec![false, true, true]);
+        assert_eq!(
+            flags(&predicate_mask(&pred, &b).unwrap()),
+            vec![false, true, true]
+        );
     }
 
     #[test]
@@ -770,7 +786,7 @@ mod tests {
             BinaryOp::Lt,
             col_ref(1, DataType::Int64),
         );
-        let fast = predicate_mask(&pred, &b).unwrap();
+        let fast = flags(&predicate_mask(&pred, &b).unwrap());
         let scalar: Vec<bool> = (0..b.num_rows())
             .map(|row| {
                 matches!(
@@ -791,7 +807,7 @@ mod tests {
                 expr: Box::new(col_ref(1, DataType::Int64)),
                 negated,
             };
-            let fast = predicate_mask(&pred, &b).unwrap();
+            let fast = flags(&predicate_mask(&pred, &b).unwrap());
             let scalar: Vec<bool> = (0..b.num_rows())
                 .map(|row| {
                     matches!(
@@ -807,7 +823,7 @@ mod tests {
                 negated,
             };
             assert_eq!(
-                predicate_mask(&pred0, &b).unwrap(),
+                flags(&predicate_mask(&pred0, &b).unwrap()),
                 vec![negated; b.num_rows()]
             );
         }
@@ -833,14 +849,14 @@ mod tests {
             right: Box::new(f2.clone()),
             data_type: DataType::Boolean,
         };
-        let fused = fused_filter_mask(std::slice::from_ref(&anded), &b).unwrap();
+        let fused = flags(&fused_filter_selection(std::slice::from_ref(&anded), &b).unwrap());
         // ... must equal the two-pass sequential filter chain.
         let m1 = predicate_mask(&f1, &b).unwrap();
-        let filtered = b.filter(&m1).unwrap();
-        let m2 = predicate_mask(&f2, &filtered).unwrap();
+        let filtered = b.select(&m1).unwrap();
+        let m2 = flags(&predicate_mask(&f2, &filtered).unwrap());
         let mut sequential = Vec::new();
         let mut fi = 0;
-        for selected in m1 {
+        for selected in flags(&m1) {
             if selected {
                 sequential.push(m2[fi]);
                 fi += 1;
@@ -851,7 +867,10 @@ mod tests {
         assert_eq!(fused, sequential);
         assert_eq!(fused, vec![false, false, true]);
         // The filter-list form (two separate conjuncts) agrees too.
-        assert_eq!(fused_filter_mask(&[f1, f2], &b).unwrap(), fused);
+        assert_eq!(
+            flags(&fused_filter_selection(&[f1, f2], &b).unwrap()),
+            fused
+        );
     }
 
     /// Integer against integer is compared exactly — by the kernels, and by
@@ -904,8 +923,8 @@ mod tests {
             BinaryOp::GtEq,
         ] {
             let check = |expr: BoundExpr, exact: Vec<bool>| {
-                let kernel = predicate_mask(&expr, &batch).unwrap();
-                let row_loop = scalar::predicate_mask(&expr, &batch).unwrap();
+                let kernel = flags(&predicate_mask(&expr, &batch).unwrap());
+                let row_loop = flags(&scalar::predicate_mask(&expr, &batch).unwrap());
                 assert_eq!(kernel, exact, "kernel, {expr}");
                 assert_eq!(row_loop, exact, "row loop, {expr}");
             };

@@ -18,7 +18,7 @@
 use crate::evaluate::{evaluate_ref, predicate_mask, widen};
 use crate::keys::{key_chunks, DenseKeys, KeyClass, KeyEncoder, KeyFilter, KeyTable, NO_ENTRY};
 use pixels_common::{
-    Column, ColumnBuilder, DataType, Error, RecordBatch, Result, SchemaRef, Value,
+    Column, ColumnBuilder, DataType, Error, RecordBatch, Result, SchemaRef, Selection, Value,
 };
 use pixels_planner::eval::eval_expr;
 use pixels_planner::BoundExpr;
@@ -281,7 +281,7 @@ impl<'a> JoinBuild<'a> {
                     }
                 }
                 let keep = if cand_l.is_empty() {
-                    Vec::new()
+                    Selection::default()
                 } else {
                     let cand = assemble(
                         output_schema,
@@ -296,7 +296,7 @@ impl<'a> JoinBuild<'a> {
                 for (row, &(start, end)) in ranges.iter().enumerate() {
                     let mut matched = false;
                     for ci in start as usize..end as usize {
-                        if keep[ci] {
+                        if keep.contains(ci) {
                             matched = true;
                             build_matched[cand_r[ci] as usize] = true;
                             fl.push(row as i64);

@@ -43,7 +43,7 @@
 //!
 //! [`Value`]: pixels_common::Value
 
-use pixels_common::{Column, ColumnData, DataType};
+use pixels_common::{Column, ColumnData, DataType, Selection};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -244,11 +244,11 @@ impl KeyEncoder {
         for col in cols {
             let col = col.borrow();
             let lens = &mut out.starts[1..];
-            let validity = col.validity().map(|v| &v[rows.clone()]);
+            let (validity, from) = (col.validity(), rows.start);
             let width = match col.data() {
                 ColumnData::Utf8(strings) => {
                     for (i, len) in lens.iter_mut().enumerate() {
-                        if validity.is_none_or(|v| v[i]) {
+                        if validity.is_none_or(|v| v.contains(from + i)) {
                             *len += 5 + strings.get(rows.start + i).len();
                         }
                     }
@@ -263,8 +263,8 @@ impl KeyEncoder {
             };
             match validity {
                 None => lens.iter_mut().for_each(|len| *len += width),
-                Some(valid) => (lens.iter_mut().zip(valid))
-                    .for_each(|(len, &ok)| *len += if ok { width } else { 0 }),
+                Some(valid) => (lens.iter_mut().enumerate())
+                    .for_each(|(i, len)| *len += usize::from(valid.contains(from + i)) * width),
             }
         }
         let mut end = 0;
@@ -281,7 +281,7 @@ impl KeyEncoder {
         (out.cursor).extend(out.starts[..n].iter().map(|&s| s + self.bitmap_len));
         for (c, (col, &class)) in cols.iter().zip(&self.classes).enumerate() {
             let col = col.borrow();
-            let validity = col.validity().map(|v| &v[rows.clone()]);
+            let validity = col.validity().map(|v| (v, rows.start));
             let from = rows.start;
             const FIXED: &[u8] = &[];
             use KeyClass as K;
@@ -325,12 +325,13 @@ impl KeyEncoder {
 
 /// Write key column `column` of a run: for each valid row `i`, the class tag
 /// and the two parts of `payload(i)` at the key's cursor; for a NULL row, the
-/// key's bitmap bit.
+/// key's bitmap bit. The run's row `i` is row `from + i` of `validity`, the
+/// column's valid rows, when it has a NULL.
 fn put_column<'p, const W: usize>(
     keys: &mut EncodedKeys,
     class: KeyClass,
     column: usize,
-    validity: Option<&[bool]>,
+    validity: Option<(&Selection, usize)>,
     payload: impl Fn(usize) -> ([u8; W], &'p [u8]),
 ) {
     let EncodedKeys {
@@ -351,9 +352,9 @@ fn put_column<'p, const W: usize>(
     };
     match validity {
         None => (cursor.iter_mut().enumerate()).for_each(|(i, at)| put(arena, i, at)),
-        Some(valid) => {
+        Some((valid, from)) => {
             for (i, at) in cursor.iter_mut().enumerate() {
-                if valid[i] {
+                if valid.contains(from + i) {
                     put(arena, i, at);
                 } else {
                     arena[starts[i] + column / 8] |= 1 << (column % 8);
@@ -646,8 +647,7 @@ fn pool_slots<C: std::borrow::Borrow<Column>>(
         let ColumnData::Utf8(strings) = col.data() else {
             return None;
         };
-        let validity = col.validity().map(|v| &v[rows.clone()]);
-        columns.push((&strings.indices()[rows.clone()], validity, len as u32));
+        columns.push((&strings.indices()[rows.clone()], col.validity(), len as u32));
         len = len.checked_mul(strings.pool().len() + 2)?;
         if len > num_rows {
             return None;
@@ -664,8 +664,9 @@ fn pool_slots<C: std::borrow::Borrow<Column>>(
             None => (slots.iter_mut().zip(codes))
                 .for_each(|(slot, &code)| *slot += code.wrapping_add(2) * stride),
             Some(valid) => {
-                (slots.iter_mut().zip(codes).zip(valid)).for_each(|((slot, &code), &ok)| {
-                    *slot += if ok { code.wrapping_add(2) } else { 0 } * stride
+                (slots.iter_mut().zip(codes).enumerate()).for_each(|(i, (slot, &code))| {
+                    *slot +=
+                        u32::from(valid.contains(rows.start + i)) * code.wrapping_add(2) * stride
                 })
             }
         }
@@ -758,11 +759,11 @@ impl DenseKeys {
     /// [`DenseKeys::of`] a column's `values`, row by row.
     fn of_values(
         values: impl Iterator<Item = i64> + Clone,
-        validity: Option<&[bool]>,
+        validity: Option<&Selection>,
     ) -> Option<DenseKeys> {
         let present = || {
             (values.clone().enumerate())
-                .filter(|&(row, _)| validity.is_none_or(|v| v[row]))
+                .filter(|&(row, _)| validity.is_none_or(|v| v.contains(row)))
                 .map(|(_, v)| v)
         };
         let (min, max) = present().fold((i64::MAX, i64::MIN), |(min, max), v| {
@@ -824,32 +825,22 @@ impl DenseKeys {
     /// every row of a column that is not INTEGER — as the key encoding, whose
     /// class tags differ, never matches one.
     pub(crate) fn lookup_rows(&self, col: &Column, rows: Range<usize>, entries: &mut Vec<u32>) {
-        let validity = col.validity().map(|v| &v[rows.clone()]);
+        let start = entries.len();
         match KeyInts::of(col.data()) {
             Some((KeyClass::Integer, KeyInts::Narrow(v))) => {
-                self.lookup_values(v[rows].iter().map(|&v| i64::from(v)), validity, entries)
+                entries.extend(v[rows.clone()].iter().map(|&v| self.entry(i64::from(v))))
             }
             Some((KeyClass::Integer, KeyInts::Wide(v))) => {
-                self.lookup_values(v[rows].iter().copied(), validity, entries)
+                entries.extend(v[rows.clone()].iter().map(|&v| self.entry(v)))
             }
-            _ => entries.extend(std::iter::repeat_n(NO_ENTRY, rows.len())),
+            _ => return entries.extend(std::iter::repeat_n(NO_ENTRY, rows.len())),
         }
-    }
-
-    /// [`DenseKeys::lookup_rows`] over a run's `values`: one loop per width
-    /// and validity, each with [`DenseKeys::entry`] inlined.
-    fn lookup_values(
-        &self,
-        values: impl ExactSizeIterator<Item = i64>,
-        validity: Option<&[bool]>,
-        entries: &mut Vec<u32>,
-    ) {
-        match validity {
-            None => entries.extend(values.map(|v| self.entry(v))),
-            Some(valid) => {
-                entries.extend(
-                    (values.zip(valid)).map(|(v, &ok)| if ok { self.entry(v) } else { NO_ENTRY }),
-                )
+        // A NULL row's placeholder may be a build value; the row is none.
+        if let Some(valid) = col.validity() {
+            for (row, entry) in rows.zip(&mut entries[start..]) {
+                if !valid.contains(row) {
+                    *entry = NO_ENTRY;
+                }
             }
         }
     }
@@ -910,16 +901,14 @@ impl KeyFilter {
         probe: &[Option<(usize, DataType)>],
     ) -> Option<KeyFilter> {
         debug_assert_eq!(build.len(), probe.len());
-        let mut valid: Option<Vec<bool>> = None;
-        for col in build {
-            if let Some(v) = col.borrow().validity() {
-                match &mut valid {
-                    None => valid = Some(v.to_vec()),
-                    Some(all) => all.iter_mut().zip(v).for_each(|(a, &b)| *a &= b),
-                }
+        let mut valid: Option<Selection> = None;
+        for v in build.iter().filter_map(|col| col.borrow().validity()) {
+            match &mut valid {
+                None => valid = Some(v.clone()),
+                Some(all) => all.and(v),
             }
         }
-        let is_valid = |row: usize| valid.as_ref().is_none_or(|v| v[row]);
+        let is_valid = |row: usize| valid.as_ref().is_none_or(|v| v.contains(row));
 
         let mut ranges = Vec::new();
         for (col, probe) in build.iter().zip(probe) {
@@ -1123,7 +1112,7 @@ mod tests {
                 e => e,
             };
             let strings = StrVec::new(std::sync::Arc::new(strings), (0..n).map(index).collect());
-            let validity = (0..n).map(|i| i % nulls != 0).collect();
+            let validity = Selection::from_fn(n, |i| i % nulls != 0);
             Column::with_validity(ColumnData::Utf8(strings.unwrap()), Some(validity)).unwrap()
         };
         // Four pool entries, one a duplicate and one the empty string.

@@ -35,7 +35,7 @@ pub use context::{
     DEFAULT_BATCH_SIZE,
 };
 pub use engine::{execute, execute_collect, operator_name};
-pub use evaluate::{evaluate, fused_filter_mask, fused_filter_selection, predicate_mask};
+pub use evaluate::{evaluate, fused_filter_selection, predicate_mask};
 pub use exchange::{ExchangeStats, JoinSide};
 pub use prefetch::PrefetchStats;
 

@@ -25,7 +25,9 @@ use crate::join::RowSink;
 use crate::parallel;
 use crate::scan::{open_metered, scan_output, ScanMorsels};
 use crate::sort::execute_limit;
-use pixels_common::{Column, ColumnBuilder, DataType, RecordBatch, Result, SchemaRef, Value};
+use pixels_common::{
+    Column, ColumnBuilder, DataType, RecordBatch, Result, SchemaRef, Selection, Value,
+};
 use pixels_planner::eval::{eval_expr, NoRow};
 use pixels_planner::{AggExpr, BoundExpr, Plan};
 use pixels_sql::ast::JoinType;
@@ -70,8 +72,7 @@ pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<Vec<RecordBatch>> {
             let batches = execute(input, ctx)?;
             let filtered = parallel::run_indexed(batches.len(), ctx.parallelism, |i| {
                 let b = &batches[i];
-                let mask = predicate_mask(predicate, b)?;
-                b.filter(&mask)
+                b.select(&predicate_mask(predicate, b)?)
             })?;
             let mut out: Vec<RecordBatch> =
                 filtered.into_iter().filter(|f| f.num_rows() > 0).collect();
@@ -225,13 +226,14 @@ pub fn evaluate(expr: &BoundExpr, batch: &RecordBatch) -> Result<Column> {
     Ok(builder.finish())
 }
 
-/// Pure per-row predicate evaluation — no vectorized fast paths at all.
-pub fn predicate_mask(expr: &BoundExpr, batch: &RecordBatch) -> Result<Vec<bool>> {
-    let mut mask = Vec::with_capacity(batch.num_rows());
-    for row in 0..batch.num_rows() {
+/// Pure per-row predicate evaluation — no vectorized fast paths at all. Every
+/// row is asked in order, and the first error is the answer.
+pub fn predicate_mask(expr: &BoundExpr, batch: &RecordBatch) -> Result<Selection> {
+    let mut mask = Selection::all(batch.num_rows());
+    mask.try_retain(|row| -> Result<bool> {
         let v = eval_expr(expr, &BatchRow { batch, row })?;
-        mask.push(matches!(v, Value::Boolean(true)));
-    }
+        Ok(matches!(v, Value::Boolean(true)))
+    })?;
     Ok(mask)
 }
 
@@ -242,8 +244,7 @@ pub fn apply_filters(filters: &[BoundExpr], batch: RecordBatch) -> Result<Record
         if batch.num_rows() == 0 {
             break;
         }
-        let mask = predicate_mask(f, &batch)?;
-        batch = batch.filter(&mask)?;
+        batch = batch.select(&predicate_mask(f, &batch)?)?;
     }
     Ok(batch)
 }

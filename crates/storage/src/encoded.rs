@@ -161,10 +161,10 @@ impl EncodedChunk {
     /// memo holds so far. What a [`crate::ChunkCache`] entry costs.
     pub fn resident_bytes(&self) -> u64 {
         let memo = &self.0.memo;
-        let validity = self.validity().map_or(0, |v| v.len().div_ceil(64) * 8);
-        let dictionary = memo.dictionary.get().map_or(0, |col| {
-            data_bytes(col.data()) + col.validity().map_or(0, <[bool]>::len)
-        });
+        let words = |v: Option<&Selection>| v.map_or(0, |v| v.len().div_ceil(64) * 8);
+        let validity = words(self.validity());
+        let dictionary =
+            (memo.dictionary.get()).map_or(0, |col| data_bytes(col.data()) + words(col.validity()));
         let runs = memo.runs.get().map_or(0, |runs| {
             size_of_val(runs.counts.as_slice()) + data_bytes(&runs.values)
         });
@@ -233,7 +233,7 @@ impl EncodedChunk {
                 p.num_rows
             )));
         }
-        Column::with_validity(data, p.validity.as_ref().map(Selection::to_bools))
+        Column::with_validity(data, p.validity.clone())
     }
 
     /// Decode only the rows `selection` keeps. Equal to
@@ -299,8 +299,8 @@ impl EncodedChunk {
     }
 
     /// The validity of the rows `selection` keeps.
-    fn kept_validity(&self, selection: &Selection) -> Option<Vec<bool>> {
-        Some(selection.gather_bits(self.validity()?))
+    fn kept_validity(&self, selection: &Selection) -> Option<Selection> {
+        Some(self.validity()?.select(selection))
     }
 
     /// A plain chunk's payload as its `num_rows` little-endian values of `W`
@@ -407,6 +407,7 @@ mod tests {
     use super::*;
     use crate::codec::Writer;
     use crate::encoding::bitpack;
+    use pixels_common::Value;
 
     fn encode_chunk(data: &ColumnData, validity: Option<&[bool]>, encoding: Encoding) -> Bytes {
         // Mirrors the writer's chunk layout: validity header + payload.
@@ -454,16 +455,38 @@ mod tests {
         let validity = [true, false, true, true];
         let raw = encode_chunk(&data, Some(&validity), Encoding::Plain);
         let chunk = EncodedChunk::parse(raw, DataType::Utf8, Encoding::Plain, 4).unwrap();
-        assert_eq!(chunk.validity().unwrap().to_bools(), validity);
+        assert_eq!(
+            chunk.validity(),
+            Some(&Selection::from_fn(4, |row| row != 1))
+        );
         assert_eq!(chunk.null_count(), 1);
         assert_eq!(chunk.count_valid(), 3);
         let col = chunk.decode().unwrap();
         assert_eq!(col.null_count(), 1);
     }
 
+    /// Equal validity, and equal values in the valid rows, floats by bit
+    /// pattern: what a NULL row's payload slot holds is not compared.
+    fn assert_same_rows(direct: &Column, oracle: &Column, what: &str) {
+        assert_eq!(direct.validity(), oracle.validity(), "{what}");
+        assert_eq!(direct.len(), oracle.len(), "{what}");
+        let key = |v: Value| match v {
+            Value::Float64(f) => format!("{:x}", f.to_bits()),
+            v => format!("{v:?}"),
+        };
+        for row in 0..oracle.len() {
+            assert_eq!(
+                key(direct.value(row)),
+                key(oracle.value(row)),
+                "{what}, row {row}"
+            );
+        }
+    }
+
     /// Every selection gather — `decode_filtered` of a plain, RLE or
     /// dictionary chunk, the last two from their memoized runs and
-    /// dictionary — equals the full decode filtered by the same rows: every type, with and without NULLs,
+    /// dictionary — equals the kept rows of the full decode built value by
+    /// value: every type, with and without NULLs,
     /// NaN and `-0.0` among the floats, at 0, 1, 3, 50, 97, 99 and 100 % of
     /// the rows kept, over lengths around a word, lineitem's last row group
     /// (870 rows) and a full one (4,096); RLE runs of one or a few rows,
@@ -524,17 +547,19 @@ mod tests {
                         let full = chunk.decode_payload().unwrap();
                         assert_same(&chunk.decode().unwrap(), &full, "decode");
                         for percent in [0, 1, 3, 50, 97, 99, 100] {
-                            let mask: Vec<bool> = (0..n).map(|i| scatter(i) < percent).collect();
-                            let selection = Selection::from_bools(&mask);
+                            let keep = |i: usize| scatter(i) < percent;
+                            let selection = Selection::from_fn(n, keep);
                             let what = format!(
                                 "{} {encoding:?} n={n} nulls={} {percent} %",
                                 data.data_type(),
                                 validity.is_some()
                             );
-                            let oracle = full.filter(&mask).unwrap();
+                            let kept: Vec<Value> =
+                                (0..n).filter(|&i| keep(i)).map(|i| full.value(i)).collect();
+                            let oracle = Column::from_values(data.data_type(), &kept).unwrap();
                             let direct = chunk.decode_filtered(&selection).unwrap();
-                            assert_same(&direct, &oracle, &what);
-                            assert_same(&full.select(&selection).unwrap(), &oracle, &what);
+                            assert_same_rows(&direct, &oracle, &what);
+                            assert_same_rows(&full.select(&selection).unwrap(), &oracle, &what);
                         }
                     }
                 }
@@ -734,11 +759,11 @@ mod tests {
                     ),
                     (
                         "decode_filtered, no row",
-                        chunk.decode_filtered(&Selection::from_bools(&[false; 2])),
+                        chunk.decode_filtered(&Selection::from_fn(2, |_| false)),
                     ),
                     (
                         "decode_filtered, the first row only",
-                        chunk.decode_filtered(&Selection::from_bools(&[true, false])),
+                        chunk.decode_filtered(&Selection::from_fn(2, |row| row == 0)),
                     ),
                 ];
                 if encoding == Plain && !matches!(ty, Utf8 | Boolean) {
@@ -797,6 +822,67 @@ mod tests {
         }
     }
 
+    /// A nullable chunk of 65 rows (a 9-byte bitmap) in each encoding, cut
+    /// at every length from inside its header through its first payload
+    /// bytes: a cut header fails `parse`, and a cut payload fails the full
+    /// decode, every selection gather and the encoding's own view with the
+    /// error of the payload's parser. Nothing panics.
+    #[test]
+    fn nullable_chunks_cut_short_fail_alike_on_every_path() {
+        let n: usize = 65;
+        let validity: Vec<bool> = (0..n).map(|i| i % 4 != 1).collect();
+        let chunks = [
+            (ColumnData::Int64((0..n as i64).collect()), Encoding::Plain),
+            (utf8(&["x"; 65]), Encoding::Plain),
+            (
+                ColumnData::Int64((0..n as i64).map(|i| i / 5).collect()),
+                Encoding::Rle,
+            ),
+            (
+                ColumnData::Utf8((0..n).map(|i| format!("v{}", i % 3)).collect()),
+                Encoding::Dictionary,
+            ),
+        ];
+        for (data, encoding) in chunks {
+            let ty = data.data_type();
+            let raw = encode_chunk(&data, Some(&validity), encoding);
+            let header = 1 + n.div_ceil(8);
+            assert_eq!(header, 10);
+            for cut in 0..(header + 24).min(raw.len()) {
+                let what = format!("{ty} {encoding:?} cut at {cut}");
+                let parsed = EncodedChunk::parse(raw.slice(..cut), ty, encoding, n);
+                if cut < header {
+                    let err = parsed.expect_err(&what).to_string();
+                    assert!(err.contains("truncated data"), "{what}: {err}");
+                    continue;
+                }
+                let chunk = parsed.expect(&what);
+                let expected = chunk.decode_payload().expect_err(&what).to_string();
+                let view = match encoding {
+                    Encoding::Plain if ty == DataType::Utf8 => chunk.decode().map(drop),
+                    Encoding::Plain => chunk.plain_fixed::<8>().map(drop),
+                    Encoding::Dictionary => chunk.dictionary().map(drop),
+                    Encoding::Rle => chunk.rle_runs().map(drop),
+                };
+                let mut results = vec![("view", view), ("decode", chunk.decode().map(drop))];
+                for keep in [|_| true, |_| false, |row: usize| row % 64 == 63] {
+                    let selection = Selection::from_fn(n, keep);
+                    results.push((
+                        "decode_filtered",
+                        chunk.decode_filtered(&selection).map(drop),
+                    ));
+                }
+                for (path, result) in results {
+                    assert_eq!(
+                        result.expect_err(&what).to_string(),
+                        expected,
+                        "{what}, {path}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn rle_runs_exposes_runs_and_validates() {
         let data = ColumnData::Int64(vec![4, 4, 4, 9, 1, 1]);
@@ -840,7 +926,7 @@ mod tests {
                     full,
                     "cut at {cut}"
                 );
-                for selection in [Selection::all(6), Selection::from_bools(&[false; 6])] {
+                for selection in [Selection::all(6), Selection::from_fn(6, |_| false)] {
                     let filtered = chunk.decode_filtered(&selection).unwrap_err().to_string();
                     assert_eq!(filtered, full, "cut at {cut}");
                 }
@@ -868,7 +954,7 @@ mod tests {
             assert!(clone.memo_filled(), "{encoding:?}: the clone sees the memo");
             assert!(clone.resident_bytes() > fetched);
             assert_eq!(clone.decode().unwrap(), first);
-            let half = Selection::from_bools(&[true, false, true, false, true, false]);
+            let half = Selection::from_fn(6, |row| row % 2 == 0);
             assert_eq!(
                 clone.decode_filtered(&half).unwrap(),
                 first.select(&half).unwrap()

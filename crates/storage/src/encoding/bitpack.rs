@@ -84,6 +84,22 @@ mod tests {
         assert_eq!(unpack_bools(&packed, bits.len()), bits);
     }
 
+    /// A validity header is written from a column's `Selection`: the bytes
+    /// `pack_bools` writes of the same flags, so a written file does not
+    /// change by a byte, and they read back as the same selection.
+    #[test]
+    fn validity_bitmaps_are_the_packed_flags() {
+        use pixels_common::Selection;
+        for len in [0, 1, 63, 64, 65, 129] {
+            for keep in [|i: usize| i % 3 != 1, |i| i % 64 == 63, |_| true, |_| false] {
+                let flags: Vec<bool> = (0..len).map(keep).collect();
+                let valid = Selection::from_fn(len, keep);
+                assert_eq!(valid.to_bitmap(), pack_bools(&flags), "len {len}");
+                assert_eq!(Selection::from_bitmap(&valid.to_bitmap(), len), valid);
+            }
+        }
+    }
+
     #[test]
     fn empty_bools() {
         assert!(pack_bools(&[]).is_empty());

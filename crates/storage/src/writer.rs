@@ -1,7 +1,7 @@
 //! Writes record batches into a Pixels-format object.
 
 use crate::codec::Writer as ByteWriter;
-use crate::encoding::{self, bitpack};
+use crate::encoding;
 use crate::format::{
     ColumnChunkMeta, Footer, RowGroupMeta, FORMAT_VERSION, MAGIC_HEAD, MAGIC_TAIL,
 };
@@ -123,7 +123,7 @@ impl<'a> PixelsWriter<'a> {
         match col.validity() {
             Some(validity) => {
                 self.file.put_u8(1);
-                self.file.put_raw(&bitpack::pack_bools(validity));
+                self.file.put_raw(&validity.to_bitmap());
             }
             None => self.file.put_u8(0),
         }

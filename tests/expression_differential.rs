@@ -8,12 +8,13 @@
 //! generates typed `BoundExpr` trees (every node kind that has a kernel, with
 //! `LIKE`/`IN`/`CASE`/`COALESCE`/`||` subtrees that have none mixed in) over
 //! batches full of the values kernels get wrong: NULLs, `i32`/`i64` extremes,
-//! zero divisors, `-0.0`, NaN, infinities, dates at the edge of `i32`.
+//! zero divisors, `-0.0`, NaN, infinities, dates at the edge of `i32` — in
+//! batches that fit in one 64-row validity word and batches that cross one.
 
 use pixelsdb::common::{
-    Column, ColumnBuilder, ColumnData, DataType, Field, RecordBatch, Schema, Value,
+    Column, ColumnBuilder, ColumnData, DataType, Field, RecordBatch, Schema, Selection, Value,
 };
-use pixelsdb::exec::{evaluate, fused_filter_mask, predicate_mask, scalar};
+use pixelsdb::exec::{evaluate, fused_filter_selection, predicate_mask, scalar};
 use pixelsdb::planner::{BoundExpr, ScalarFunc};
 use pixelsdb::sql::ast::BinaryOp;
 use proptest::prelude::*;
@@ -103,7 +104,7 @@ impl Strategy for Batches {
     type Value = RecordBatch;
 
     fn new_value(&self, runner: &mut TestRunner) -> RecordBatch {
-        let rows = pick(runner, &[0usize, 1, 2, 7, 19, 33]);
+        let rows = pick(runner, &[0usize, 1, 2, 7, 19, 33, 63, 64, 65, 130]);
         let null_one_in = pick(runner, &[2u64, 4, 1_000_000]);
         let fields = (COLUMNS.iter().enumerate())
             .map(|(i, &(ty, nullable))| Field {
@@ -356,8 +357,12 @@ fn assert_same_column(expr: &BoundExpr, batch: &RecordBatch) {
     assert_eq!(fast, slow, "evaluate({expr})");
 }
 
+fn flags(s: &Selection) -> Vec<bool> {
+    (0..s.len()).map(|row| s.contains(row)).collect()
+}
+
 fn assert_same_mask(expr: &BoundExpr, batch: &RecordBatch) {
-    let show = |m: &Vec<bool>| format!("{m:?}");
+    let show = |m: &Selection| format!("{:?}", flags(m));
     let fast = outcome(predicate_mask(expr, batch), show);
     let slow = outcome(scalar::predicate_mask(expr, batch), show);
     assert_eq!(fast, slow, "predicate_mask({expr})");
@@ -392,7 +397,7 @@ fn assert_same_filter_chain(filters: &[BoundExpr], batch: &RecordBatch) {
         let cols: Vec<_> = b.columns().iter().map(image).collect();
         format!("{cols:?}")
     };
-    let fused = fused_filter_mask(filters, batch).and_then(|mask| batch.filter(&mask));
+    let fused = fused_filter_selection(filters, batch).and_then(|s| batch.select(&s));
     let chain = scalar::apply_filters(&conjuncts(filters), batch.clone());
     assert_eq!(
         outcome(fused, show),
@@ -460,7 +465,7 @@ fn a_conjunct_that_errors_only_on_rejected_rows_is_not_an_error() {
     // `a <> 0` first: the division never sees the zero (nor the NULL).
     let guarded = [nonzero.clone(), quotient.clone()];
     assert_eq!(
-        fused_filter_mask(&guarded, &batch).unwrap(),
+        flags(&fused_filter_selection(&guarded, &batch).unwrap()),
         [true, false, false, false]
     );
     assert_same_filter_chain(&guarded, &batch);
@@ -472,12 +477,12 @@ fn a_conjunct_that_errors_only_on_rejected_rows_is_not_an_error() {
         DataType::Boolean,
     )];
     assert_eq!(
-        fused_filter_mask(&anded, &batch).unwrap(),
+        flags(&fused_filter_selection(&anded, &batch).unwrap()),
         [true, false, false, false]
     );
     // Division first: row 1 is an error on both paths, with the same text.
     let unguarded = [quotient.clone(), nonzero];
-    let err = fused_filter_mask(&unguarded, &batch).unwrap_err();
+    let err = fused_filter_selection(&unguarded, &batch).unwrap_err();
     assert_eq!(err.to_string(), "exec error: division by zero");
     assert_same_filter_chain(&unguarded, &batch);
     // As a value, not a filter: the kernel gives up and the row loop decides.
@@ -498,7 +503,7 @@ fn a_null_rows_placeholder_is_neither_an_error_nor_visible() {
     );
     let col = evaluate(&quotient, &batch).unwrap();
     assert_eq!(col.data(), &ColumnData::Int64(vec![3, 0, -1]));
-    assert_eq!(col.validity(), Some(&[true, false, true][..]));
+    assert_eq!(col.validity(), Some(&Selection::from_fn(3, |row| row != 1)));
     assert_same_column(&quotient, &batch);
 }
 
@@ -542,4 +547,59 @@ fn a_case_with_a_narrower_branch_is_not_widened_before_its_parent_sees_it() {
         &ColumnData::Int64(vec![i32::MIN as i64, 41])
     );
     assert_same_column(&sum, &batch);
+}
+
+/// Batches at and across a validity word's edge (63, 64, 65 and 130 rows),
+/// NULLs in both columns at rows that fall on either side of the edge:
+/// three-valued AND/OR, `IS [NOT] NULL`, NULL-propagating arithmetic and
+/// casts, and a fused filter chain each match the row loop.
+#[test]
+fn word_edges_match_the_row_loop() {
+    let a = || BoundExpr::column(0, DataType::Int32, "a");
+    let b = || BoundExpr::column(1, DataType::Int64, "b");
+    let bool_of = |l, op, r| binary(l, op, r, DataType::Boolean);
+    let positive = || bool_of(a(), BinaryOp::Gt, lit(0));
+    let small = || bool_of(b(), BinaryOp::Lt, BoundExpr::literal(Value::Int64(400)));
+    let is_null = |e: BoundExpr, negated| BoundExpr::IsNull {
+        expr: Box::new(e),
+        negated,
+    };
+    let cast = |e: BoundExpr, to| BoundExpr::Cast {
+        expr: Box::new(e),
+        to,
+    };
+    let predicates = [
+        bool_of(positive(), BinaryOp::And, small()),
+        bool_of(positive(), BinaryOp::Or, small()),
+        BoundExpr::Not(Box::new(bool_of(positive(), BinaryOp::And, small()))),
+        is_null(a(), false),
+        is_null(b(), true),
+    ];
+    let values = [
+        binary(a(), BinaryOp::Plus, b(), DataType::Int64),
+        binary(a(), BinaryOp::Multiply, lit(3), DataType::Int32),
+        binary(lit(100), BinaryOp::Divide, a(), DataType::Int32),
+        cast(b(), DataType::Int32),
+        cast(a(), DataType::Float64),
+        BoundExpr::Negate(Box::new(b())),
+    ];
+    for rows in [63usize, 64, 65, 130] {
+        let a_vals: Vec<Option<i32>> = (0..rows)
+            .map(|i| (i % 3 != 0 && i % 64 != 63).then_some(i as i32 % 7 - 3))
+            .collect();
+        let b_vals: Vec<Option<i64>> = (0..rows)
+            .map(|i| (i % 5 != 0 && i != 64).then_some(i as i64 * 7))
+            .collect();
+        let batch = int_batch(&a_vals, &b_vals);
+        for p in &predicates {
+            assert_same_column(p, &batch);
+            assert_same_mask(p, &batch);
+        }
+        for v in &values {
+            assert_same_column(v, &batch);
+        }
+        let chain = [is_null(a(), true), predicates[1].clone(), positive()];
+        assert_same_filter_chain(&chain, &batch);
+        assert_same_filter_chain(&[predicates[0].clone(), is_null(b(), true)], &batch);
+    }
 }

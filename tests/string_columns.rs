@@ -8,7 +8,7 @@
 
 use pixelsdb::catalog::{Catalog, CreateTable};
 use pixelsdb::common::{
-    Column, ColumnBuilder, ColumnData, DataType, Field, RecordBatch, Schema, Value,
+    Column, ColumnBuilder, ColumnData, DataType, Field, RecordBatch, Schema, Selection, Value,
 };
 use pixelsdb::exec::run_query;
 use pixelsdb::storage::{InMemoryObjectStore, ObjectStoreRef, PixelsReader, PixelsWriter};
@@ -86,11 +86,11 @@ proptest! {
         assert_reads_as(&col, &model, "builder");
         prop_assert_eq!(col == column(&other), model == other);
 
-        // filter
+        // select
         let mask = &mask[..n];
         let kept: Model = model.iter().zip(mask).filter(|(_, &m)| m).map(|(v, _)| v.clone()).collect();
-        let filtered = col.filter(mask).unwrap();
-        assert_reads_as(&filtered, &kept, "filter");
+        let selected = col.select(&Selection::from_fn(n, |row| mask[row])).unwrap();
+        assert_reads_as(&selected, &kept, "select");
 
         // gather: repeats and reorders
         let idx: Vec<usize> = if n == 0 { vec![] } else { picks.iter().map(|&p| p as usize % n).collect() };
@@ -119,10 +119,10 @@ proptest! {
         // single small selection of a larger pool
         let rejoined = Column::concat(&[head, tail]).unwrap();
         assert_reads_as(&rejoined, &model, "concat, one pool");
-        let mixed = Column::concat(&[&filtered, &column(&other), &extended]).unwrap();
+        let mixed = Column::concat(&[&selected, &column(&other), &extended]).unwrap();
         let all: Model = kept.iter().chain(&other).chain(&expected).cloned().collect();
         assert_reads_as(&mixed, &all, "concat, three pools");
-        let alone = Column::concat(&[&filtered]).unwrap();
+        let alone = Column::concat(&[&selected]).unwrap();
         assert_reads_as(&alone, &kept, "concat of one");
         // The lifetime rule: what concat returns never names a pool with
         // more entries than it has rows.
