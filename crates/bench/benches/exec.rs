@@ -1,5 +1,6 @@
 //! Microbenchmarks for the execution engine: predicate evaluation, hash
-//! join, hash aggregation, end-to-end TPC-H-shaped queries, the
+//! join, hash aggregation, end-to-end TPC-H-shaped queries, aggregates fed
+//! straight by a scan, the
 //! serial-vs-parallel scaling of the morsel-driven scan path, and the
 //! overhead of span tracing on the hot scan path.
 
@@ -42,6 +43,34 @@ fn bench_queries(c: &mut Criterion) {
         let plan = plan_query(&catalog, "tpch", q.sql).unwrap();
         execute(&plan, &ctx()).unwrap();
         g.bench_function(id, |b| b.iter(|| execute(&plan, &ctx()).unwrap().len()));
+    }
+    g.finish();
+}
+
+/// An aggregate straight over a scan, at parallelism 1 as the benchmark runs
+/// every query: q1's shape (two dictionary group keys and six aggregates
+/// over nearly all of `lineitem`) and q6's (a grand total under a sparse
+/// filter of four conjuncts), on the warm caches of `tpch_queries`.
+fn bench_scan_aggregate(c: &mut Criterion) {
+    let (catalog, store) = demo_data(0.05);
+    let chunks = ChunkCache::shared(256 << 20);
+    let footers = FooterCache::shared();
+    let ctx = || {
+        ExecContext::new(store.clone())
+            .with_parallelism(1)
+            .with_chunk_cache(chunks.clone())
+            .with_footer_cache(footers.clone())
+    };
+    let mut g = c.benchmark_group("scan_aggregate");
+    g.sample_size(20);
+    for (name, id) in [
+        ("q1_shape", "q1_pricing_summary"),
+        ("q6_shape", "q6_forecast_revenue"),
+    ] {
+        let q = query_by_id(id).unwrap();
+        let plan = plan_query(&catalog, "tpch", q.sql).unwrap();
+        execute(&plan, &ctx()).unwrap();
+        g.bench_function(name, |b| b.iter(|| execute(&plan, &ctx()).unwrap().len()));
     }
     g.finish();
 }
@@ -643,6 +672,7 @@ fn bench_vector_kernels(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_queries,
+    bench_scan_aggregate,
     bench_operators,
     bench_parallelism,
     bench_tracing_overhead,

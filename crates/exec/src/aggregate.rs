@@ -1,14 +1,19 @@
 //! Hash aggregation with COUNT/SUM/AVG/MIN/MAX and DISTINCT variants.
 //!
-//! Aggregation is parallelized the classic way: the input batches are split
-//! into contiguous chunks, each worker builds a thread-local hash table
-//! (a [`Partial`]), and the partials are merged on the caller's thread *in
-//! chunk order*. Because merging walks chunks in input order and each
-//! partial records groups (and DISTINCT values) in first-appearance order,
-//! the merged output preserves exactly the group ordering the serial path
-//! produces. Integer aggregates are bit-identical to serial execution;
-//! floating-point SUM/AVG may differ in the last ulps because partial sums
-//! reassociate the additions.
+//! An aggregate over a table scan never sees the scan's output as a whole
+//! ([`execute_scan_aggregate`]): each morsel's rows are folded into a
+//! [`Partial`] (a hash table of groups) by the worker that scanned them. At
+//! parallelism 1 one running partial takes every morsel in morsel order;
+//! above it each morsel builds its own, and the partials merge in morsel
+//! order. Over any other input, materialized first ([`execute_aggregate`]),
+//! the batches are split into contiguous chunks, each worker builds a
+//! partial, and the partials merge on the caller's thread *in chunk order*.
+//! Because merging walks the input in order and each partial records groups
+//! (and DISTINCT values) in first-appearance order, the merged output
+//! preserves exactly the group ordering the serial path produces. Integer
+//! aggregates are bit-identical to serial execution; floating-point SUM/AVG
+//! may differ in the last ulps because partial sums reassociate the
+//! additions.
 //!
 //! State is columnar. Group keys are interned through the compact byte-row
 //! encoding in [`crate::keys`] a whole column at a time, and each group's
@@ -21,16 +26,21 @@
 //! MIN, MAX and DISTINCT aggregates keep a row-at-a-time [`AggState`] cell
 //! per group.
 
+use crate::context::ExecContext;
+use crate::encoded::{self, LazyRowGroup};
 use crate::evaluate::evaluate_ref;
 use crate::keys::{KeyEncoder, KeyTable};
 use crate::parallel;
+use crate::scan::ScanMorsels;
+use parking_lot::Mutex;
 use pixels_common::{
     Column, ColumnBuilder, ColumnData, DataType, Error, Field, RecordBatch, Result, SchemaRef,
     Selection, Value,
 };
 use pixels_planner::{AggExpr, AggFunc, BoundExpr};
 use std::borrow::Cow;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Running state of one aggregate within one group.
 #[derive(Debug, Clone)]
@@ -844,12 +854,18 @@ impl GroupKeys {
     }
 }
 
-/// One worker's aggregation state: interned group keys (dense, in
-/// first-appearance order), each group's key columns, and the accumulators.
+/// A partial aggregate — one worker's, one morsel's or a scan's running
+/// one: interned group keys (dense, in first-appearance order), each
+/// group's key columns, and the accumulators.
 pub(crate) struct Partial {
     pub(crate) table: KeyTable,
     pub(crate) keys: GroupKeys,
     pub(crate) accs: Accumulators,
+    encoder: KeyEncoder,
+    /// Scratch of the last fold: each row's group, and the rows that
+    /// brought new groups.
+    gidx: Vec<u32>,
+    first_rows: Vec<usize>,
 }
 
 impl Partial {
@@ -858,7 +874,65 @@ impl Partial {
             table: KeyTable::new(),
             keys: GroupKeys::new(key_types),
             accs: Accumulators::new(aggs),
+            encoder: KeyEncoder::new(key_types),
+            gidx: Vec::new(),
+            first_rows: Vec::new(),
         }
+    }
+
+    /// Number rows `0..rows` of key columns `group_cols` into `gidx`. A key
+    /// seen for the first time becomes the next group: its key row is kept
+    /// and its states start fresh.
+    fn intern<C: std::borrow::Borrow<Column>>(
+        &mut self,
+        group_cols: &[C],
+        rows: usize,
+    ) -> Result<()> {
+        self.gidx.clear();
+        let before = self.table.len();
+        // Group keys treat NULLs as equal (unlike join keys).
+        (self.table).intern_rows(&self.encoder, group_cols, 0..rows, &mut self.gidx);
+        if self.table.len() > before {
+            // Entries are dense: the next unseen index is a new group.
+            self.first_rows.clear();
+            let mut next = before as u32;
+            for (row, &gi) in self.gidx.iter().enumerate() {
+                if gi == next {
+                    self.first_rows.push(row);
+                    next += 1;
+                }
+            }
+            self.keys.push(group_cols, &self.first_rows)?;
+            self.accs.resize(self.table.len());
+        }
+        Ok(())
+    }
+
+    /// Fold one batch: intern its group keys into per-row group indices,
+    /// then run one typed update loop per accumulator.
+    pub(crate) fn fold(&mut self, batch: &RecordBatch, group_exprs: &[BoundExpr]) -> Result<()> {
+        let group_cols: Vec<Cow<Column>> = group_exprs
+            .iter()
+            .map(|g| evaluate_ref(g, batch))
+            .collect::<Result<_>>()?;
+        let arg_cols: Vec<Cow<Column>> = (self.accs.args().iter())
+            .map(|arg| evaluate_ref(arg, batch))
+            .collect::<Result<_>>()?;
+        self.intern(&group_cols, batch.num_rows())?;
+        self.accs.update(&arg_cols, &self.gidx)
+    }
+
+    /// Fold one unfiltered morsel of a grand total straight off its chunks
+    /// ([`encoded::fold`]): `columns[a]` is the chunk of argument `a`.
+    fn fold_chunks(&mut self, lazy: &LazyRowGroup, columns: &[usize]) -> Result<()> {
+        let rows = lazy.num_rows();
+        // Every row is in the one group.
+        self.intern(&[] as &[Column], rows)?;
+        self.accs.add_rows(0, rows);
+        for (arg, state) in self.accs.states_mut() {
+            encoded::fold(state, arg.map(|a| columns[a]), lazy, &self.gidx)?;
+        }
+        Ok(())
     }
 }
 
@@ -866,45 +940,15 @@ fn key_types(group_exprs: &[BoundExpr]) -> Vec<DataType> {
     group_exprs.iter().map(|g| g.data_type()).collect()
 }
 
-/// Aggregate `input` into a fresh hash table (the serial inner loop): one
-/// pass interning group keys into per-row group indices, then one typed
-/// update loop per accumulator.
+/// Aggregate `input` into a fresh hash table (the serial inner loop).
 pub(crate) fn build_partial(
     input: &[RecordBatch],
     group_exprs: &[BoundExpr],
     aggs: &[AggExpr],
 ) -> Result<Partial> {
-    let types = key_types(group_exprs);
-    let mut partial = Partial::new(&types, aggs);
-    let encoder = KeyEncoder::new(&types);
-    let mut gidx: Vec<u32> = Vec::new();
-    let mut first_rows: Vec<usize> = Vec::new();
+    let mut partial = Partial::new(&key_types(group_exprs), aggs);
     for batch in input {
-        let group_cols: Vec<Cow<Column>> = group_exprs
-            .iter()
-            .map(|g| evaluate_ref(g, batch))
-            .collect::<Result<_>>()?;
-        let arg_cols: Vec<Cow<Column>> = (partial.accs.args().iter())
-            .map(|arg| evaluate_ref(arg, batch))
-            .collect::<Result<_>>()?;
-        gidx.clear();
-        let before = partial.table.len();
-        // Group keys treat NULLs as equal (unlike join keys).
-        (partial.table).intern_rows(&encoder, &group_cols, 0..batch.num_rows(), &mut gidx);
-        if partial.table.len() > before {
-            // Entries are dense: the next unseen index is a new group.
-            first_rows.clear();
-            let mut next = before as u32;
-            for (row, &gi) in gidx.iter().enumerate() {
-                if gi == next {
-                    first_rows.push(row);
-                    next += 1;
-                }
-            }
-            partial.keys.push(&group_cols, &first_rows)?;
-            partial.accs.resize(partial.table.len());
-        }
-        partial.accs.update(&arg_cols, &gidx)?;
+        partial.fold(batch, group_exprs)?;
     }
     Ok(partial)
 }
@@ -941,6 +985,178 @@ pub fn execute_aggregate(
 ) -> Result<Vec<RecordBatch>> {
     let acc = merged_partial(input, group_exprs, aggs, parallelism)?;
     finish_partial(acc, output_schema)
+}
+
+/// Execute a hash aggregate whose input is a table scan: each morsel's rows
+/// are folded into the aggregate by the worker that just scanned them, while
+/// they are still in cache, so no more of the table is decoded at once than
+/// the morsels in flight.
+///
+/// At parallelism 1 every morsel folds into one running [`Partial`] in
+/// morsel order — the very calls [`execute_aggregate`] makes over the scan's
+/// batches, so every float is the same to the bit. Above it, each morsel
+/// folds into a partial of its own and the partials merge in morsel order,
+/// whichever worker took which morsel. Under a grand total of bare columns,
+/// a scan with no filter folds each morsel straight off its chunks
+/// ([`encoded::fold`]): COUNT from validity headers, SUM/AVG/MIN/MAX over
+/// RLE runs.
+///
+/// Errors come out as if the scan had finished before the aggregate began: a
+/// failed fold stops the folding, not the scan, and the lowest-index scan
+/// error wins over any fold error.
+pub(crate) fn execute_scan_aggregate(
+    ctx: &ExecContext,
+    paths: &[String],
+    projection: &[usize],
+    filters: &[BoundExpr],
+    group_exprs: &[BoundExpr],
+    aggs: &[AggExpr],
+    output_schema: &SchemaRef,
+) -> Result<Vec<RecordBatch>> {
+    // The scan operator keeps its span, so query profiles keep their shape
+    // and span byte sums still reconcile against the bill.
+    let mut scan_span = ctx.trace.span("scan");
+    let sctx = ctx.under(&scan_span);
+    let scan = ScanMorsels::open(&sctx, paths, projection, filters)?;
+    let fold = ScanFold::new(group_exprs, aggs, filters, ctx.parallelism);
+    let produced = scan.run(|span, i, lazy| {
+        let rows = match &fold.chunk_columns {
+            Some(columns) => {
+                let rows = lazy.num_rows();
+                scan.meter(span, i, rows);
+                fold.morsel(i, rows, |partial| partial.fold_chunks(&lazy, columns));
+                rows
+            }
+            None => {
+                let batch = scan.kept_rows(span, i, &lazy, None)?;
+                let rows = batch.num_rows();
+                scan.meter(span, i, rows);
+                fold.morsel(i, rows, |partial| partial.fold(&batch, group_exprs));
+                rows
+            }
+        };
+        Ok(rows)
+    })?;
+    scan_span.record_u64("rows_out", produced.iter().sum::<usize>() as u64);
+    drop(scan_span);
+    finish_partial(fold.finish()?, output_schema)
+}
+
+/// The running aggregate of [`execute_scan_aggregate`].
+struct ScanFold<'a> {
+    group_exprs: &'a [BoundExpr],
+    aggs: &'a [AggExpr],
+    /// Under a grand total of bare columns over a scan with no filter, the
+    /// chunk of each argument: morsels fold straight off their chunks.
+    chunk_columns: Option<Vec<usize>>,
+    /// Every morsel folds into the running partial (parallelism 1).
+    serial: bool,
+    /// The lowest morsel whose fold failed: no later morsel folds.
+    failed: AtomicUsize,
+    merged: Mutex<Merged>,
+}
+
+struct Merged {
+    acc: Partial,
+    /// The next morsel to merge, and the finished partials of later ones
+    /// (`None`: a morsel without rows).
+    next: usize,
+    ahead: BTreeMap<usize, Result<Option<Partial>>>,
+    /// The first fold error in morsel order.
+    error: Option<Error>,
+}
+
+impl<'a> ScanFold<'a> {
+    fn new(
+        group_exprs: &'a [BoundExpr],
+        aggs: &'a [AggExpr],
+        filters: &[BoundExpr],
+        parallelism: usize,
+    ) -> Self {
+        let acc = Partial::new(&key_types(group_exprs), aggs);
+        let unfiltered_total =
+            group_exprs.is_empty() && filters.is_empty() && !aggs.iter().any(|a| a.distinct);
+        let chunk_columns = unfiltered_total
+            .then(|| {
+                (acc.accs.args().iter())
+                    .map(|arg| match arg {
+                        BoundExpr::ColumnRef { index, .. } => Some(*index),
+                        _ => None,
+                    })
+                    .collect()
+            })
+            .flatten();
+        ScanFold {
+            group_exprs,
+            aggs,
+            chunk_columns,
+            serial: parallelism <= 1,
+            failed: AtomicUsize::new(usize::MAX),
+            merged: Mutex::new(Merged {
+                acc,
+                next: 0,
+                ahead: BTreeMap::new(),
+                error: None,
+            }),
+        }
+    }
+
+    /// Fold morsel `i`, of `rows` rows, by `fold`.
+    fn morsel(&self, i: usize, rows: usize, fold: impl FnOnce(&mut Partial) -> Result<()>) {
+        if i > self.failed.load(Ordering::Relaxed) {
+            return;
+        }
+        if self.serial {
+            let mut merged = self.merged.lock();
+            if rows > 0 {
+                if let Err(e) = fold(&mut merged.acc) {
+                    merged.error = Some(e);
+                    self.failed.store(i, Ordering::Relaxed);
+                }
+            }
+            return;
+        }
+        let part = (rows > 0)
+            .then(|| {
+                let mut part = Partial::new(&key_types(self.group_exprs), self.aggs);
+                fold(&mut part).map(|()| part)
+            })
+            .transpose();
+        if part.is_err() {
+            self.failed.fetch_min(i, Ordering::Relaxed);
+        }
+        let mut merged = self.merged.lock();
+        let merged = &mut *merged;
+        merged.ahead.insert(i, part);
+        while merged.error.is_none() {
+            let Some(part) = merged.ahead.remove(&merged.next) else {
+                break;
+            };
+            let merge = match part {
+                Ok(None) => Ok(()),
+                // The first partial is the running one as it stands.
+                Ok(Some(part)) if merged.acc.table.is_empty() => {
+                    merged.acc = part;
+                    Ok(())
+                }
+                Ok(Some(part)) => merge_partial(&mut merged.acc, part),
+                Err(e) => Err(e),
+            };
+            if let Err(e) = merge {
+                merged.error = Some(e);
+                self.failed.fetch_min(merged.next, Ordering::Relaxed);
+            }
+            merged.next += 1;
+        }
+    }
+
+    fn finish(self) -> Result<Partial> {
+        let merged = self.merged.into_inner();
+        match merged.error {
+            Some(e) => Err(e),
+            None => Ok(merged.acc),
+        }
+    }
 }
 
 /// Build and merge the partial aggregates for `input` (the parallel part of

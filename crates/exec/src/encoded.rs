@@ -1,5 +1,6 @@
-//! Encoded execution: evaluate scan filters and grand-total aggregates
-//! directly on encoded chunks, decoding as little as possible.
+//! Encoded execution: evaluate scan filters, and fold the morsels of an
+//! unfiltered grand total, directly on encoded chunks, decoding as little as
+//! possible.
 //!
 //! A morsel's filter is one [`Selection`] — a `u64` word per 64 rows — that
 //! each conjunct narrows in turn ([`encoded_selection`]), followed by the
@@ -16,10 +17,8 @@
 //!   are the codes; the literal is compared once per pool entry, and the
 //!   verdicts are mapped through the codes into words.
 //! - **RLE shortcut** — the same predicate over an RLE chunk is evaluated
-//!   once per *run*, and each run's verdict fills the bits of its rows;
-//!   COUNT/SUM/AVG/MIN/MAX fold runs without expanding them (float sums
-//!   still perform one add per row so accumulation order — and therefore
-//!   every last bit — matches the row-at-a-time loop). A chunk's runs, like
+//!   once per *run*, and each run's verdict fills the bits of its rows. A
+//!   chunk's runs, like
 //!   a dictionary chunk's decode, are parsed once into the chunk's memo,
 //!   whoever reads them first, and a cached chunk keeps its memo for every
 //!   later query ([`pixels_storage::ChunkCache`]).
@@ -36,18 +35,22 @@
 //! [`crate::evaluate::and_conjunct`]) — including only running the row loop
 //! on still-selected rows, so a row rejected early never reaches a later,
 //! possibly erroring, expression.
+//!
+//! A morsel of a grand total over a scan with no filter — every row kept —
+//! is folded by [`fold`], the per-morsel case of the scan-fed aggregate
+//! ([`crate::aggregate::execute_scan_aggregate`]): COUNT from validity
+//! headers, SUM/AVG/MIN/MAX over RLE runs without expanding them (float sums
+//! still perform one add per row so accumulation order — and therefore
+//! every last bit — matches the row-at-a-time loop).
 
-use crate::aggregate::{Accumulators, State};
+use crate::aggregate::State;
 use crate::compare::{compare_literal, literal_comparable, CmpOp, Lanes};
-use crate::context::ExecContext;
 use crate::evaluate::{and_conjunct, collect_conjuncts, NumSlice};
 use crate::keys::{KeyClass, KeyFilter, KeyInts};
-use crate::parallel;
-use crate::scan::ScanMorsels;
 use pixels_common::{
     Column, ColumnData, DataType, Error, RecordBatch, Result, SchemaRef, Selection, Value,
 };
-use pixels_planner::{AggExpr, BoundExpr};
+use pixels_planner::BoundExpr;
 use pixels_sql::ast::BinaryOp;
 use pixels_storage::{ColumnPredicate, ColumnStats, EncodedChunk, Encoding, PredicateOp, RleRuns};
 use std::cell::OnceCell;
@@ -438,87 +441,15 @@ pub(crate) fn key_filter_refine(
 }
 
 // ---------------------------------------------------------------------------
-// Encoded grand-total aggregation
+// A grand total's fold, straight off the chunks
 // ---------------------------------------------------------------------------
 
-/// Execute `SELECT agg(..), ..` (no GROUP BY, no residual filters) directly
-/// over encoded chunks into the hash aggregate's accumulators, with one
-/// group: COUNT from validity headers, SUM/AVG/MIN/MAX over RLE runs,
-/// everything else through the accumulators' own update loops over the
-/// decoded column. Metering, spans, and results are bit-identical to
-/// scanning then aggregating.
-pub fn execute_encoded_aggregate(
-    ctx: &ExecContext,
-    paths: &[String],
-    projection: &[usize],
-    aggs: &[AggExpr],
-    output_schema: &SchemaRef,
-) -> Result<Vec<RecordBatch>> {
-    // The bypassed Scan operator still gets its span, so query profiles keep
-    // the same shape and span byte sums still reconcile against the bill.
-    let mut scan_span = ctx.trace.span("scan");
-    let sctx = ctx.under(&scan_span);
-
-    let scan = ScanMorsels::open(&sctx, paths, projection, &[])?;
-    let rows: Vec<usize> = (0..scan.len()).map(|i| scan.num_rows(i)).collect();
-    let partitions = parallel::partition_rows(&rows, ctx.parallelism);
-
-    let partials = parallel::run_indexed(partitions.len(), ctx.parallelism, |p| {
-        let mut accs = Accumulators::new(aggs);
-        accs.resize(1);
-        let columns = (accs.args().iter())
-            .map(|arg| match arg {
-                BoundExpr::ColumnRef { index, .. } => Ok(*index),
-                _ => Err(Error::Exec(
-                    "encoded aggregate requires bare column arguments".into(),
-                )),
-            })
-            .collect::<Result<Vec<usize>>>()?;
-        // Every row is in group 0.
-        let group = vec![0u32; partitions[p].clone().map(|i| rows[i]).max().unwrap_or(0)];
-        let mut any_rows = false;
-        for i in partitions[p].clone() {
-            let mut span = sctx.trace.span("morsel");
-            let lazy = scan.lazy(i, scan.fetch(&mut span, i)?);
-            accs.add_rows(0, lazy.num_rows());
-            for (arg, state) in accs.states_mut() {
-                fold(state, arg.map(|a| columns[a]), &lazy, &group)?;
-            }
-            any_rows |= rows[i] > 0;
-            scan.meter(&mut span, i, rows[i]);
-        }
-        Ok(any_rows.then_some(accs))
-    })?;
-
-    // Merge partials in partition order, mirroring merge_partial: the first
-    // non-empty partial's states carry over wholesale, later ones merge.
-    let mut acc: Option<Accumulators> = None;
-    for part in partials.into_iter().flatten() {
-        match acc.as_mut() {
-            Some(a) => a.merge(&part, &[0])?,
-            None => acc = Some(part),
-        }
-    }
-    // A grand total over zero rows still yields one output row.
-    let accs = match acc {
-        Some(accs) => accs,
-        None => {
-            let mut accs = Accumulators::new(aggs);
-            accs.resize(1);
-            accs
-        }
-    };
-
-    scan_span.record_u64("rows_out", rows.iter().sum::<usize>() as u64);
-    drop(scan_span);
-
-    let columns = accs.finish(output_schema.fields())?;
-    Ok(vec![RecordBatch::try_new(output_schema.clone(), columns)?])
-}
-
-/// Fold one morsel into one accumulator (a grand total's single group):
-/// the chunk at `column`, with `group` holding a 0 for at least every row.
-fn fold(
+/// Fold one morsel with no selection into one accumulator of a grand total
+/// (its single group), bit-identical to the accumulator's update loop over
+/// the decoded column: the chunk at `column`, with `group` holding a 0 for
+/// every row. A COUNT reads the chunk's validity header, a SUM/AVG/MIN/MAX
+/// of an RLE chunk folds its runs, and anything else decodes the column.
+pub(crate) fn fold(
     state: &mut State,
     column: Option<usize>,
     lazy: &LazyRowGroup,

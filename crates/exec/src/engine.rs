@@ -1,8 +1,7 @@
 //! The execution engine: recursively evaluates plans.
 
-use crate::aggregate::{execute_aggregate, execute_distinct};
+use crate::aggregate::{execute_aggregate, execute_distinct, execute_scan_aggregate};
 use crate::context::{ExecContext, DEFAULT_BATCH_SIZE};
-use crate::encoded::execute_encoded_aggregate;
 use crate::evaluate::{evaluate, fused_filter_selection};
 use crate::join::{coalesce, cross_join, is_equi_join, JoinBuild, RowSink};
 use crate::keys::KeyFilter;
@@ -11,7 +10,7 @@ use crate::scan::{execute_scan, open_metered};
 use crate::sort::{execute_limit, execute_sort, execute_topk};
 use pixels_common::{RecordBatch, Result, Value};
 use pixels_planner::eval::{eval_expr, NoRow};
-use pixels_planner::{BoundExpr, Plan};
+use pixels_planner::Plan;
 use pixels_sql::ast::JoinType;
 
 /// Stable span name for each operator, used in query profiles.
@@ -33,10 +32,11 @@ pub fn operator_name(plan: &Plan) -> &'static str {
 
 /// Execute a plan to completion, returning all result batches.
 ///
-/// Execution is fully materialized operator-by-operator; scans, filters,
-/// projections, and partial aggregation fan out over `ctx.parallelism`
-/// morsel-driven workers (`parallelism == 1` reproduces serial execution
-/// exactly). Operators emit batches of at most [`DEFAULT_BATCH_SIZE`] rows.
+/// Execution is materialized operator-by-operator, except that an aggregate
+/// folds a scan's morsels as they are scanned; scans, filters, projections,
+/// and partial aggregation fan out over `ctx.parallelism` morsel-driven
+/// workers (`parallelism == 1` reproduces serial execution exactly).
+/// Operators emit batches of at most [`DEFAULT_BATCH_SIZE`] rows.
 ///
 /// When the context carries an enabled trace, every operator runs inside its
 /// own span (children nested under it) recording output rows and duration;
@@ -177,33 +177,24 @@ fn execute_inner(
             aggs,
             output_schema,
         } => {
-            // Grand totals over a bare scan fold encoded chunks directly —
-            // COUNT from validity headers, SUM/MIN/MAX over RLE runs —
-            // skipping row materialization entirely.
-            // Gated on exactly the shapes whose per-row semantics the
-            // encoded path reproduces bit-identically.
-            if group_exprs.is_empty() {
-                if let Plan::Scan {
+            // A scan feeds the aggregate a morsel at a time; only other
+            // inputs are materialized first.
+            if let Plan::Scan {
+                paths,
+                projection,
+                filters,
+                ..
+            } = input.as_ref()
+            {
+                return execute_scan_aggregate(
+                    ctx,
                     paths,
                     projection,
                     filters,
-                    ..
-                } = input.as_ref()
-                {
-                    let simple_args = aggs.iter().all(|a| {
-                        !a.distinct
-                            && matches!(a.arg.as_ref(), None | Some(BoundExpr::ColumnRef { .. }))
-                    });
-                    if filters.is_empty() && simple_args {
-                        return execute_encoded_aggregate(
-                            ctx,
-                            paths,
-                            projection,
-                            aggs,
-                            output_schema,
-                        );
-                    }
-                }
+                    group_exprs,
+                    aggs,
+                    output_schema,
+                );
             }
             let batches = execute(input, ctx)?;
             execute_aggregate(&batches, group_exprs, aggs, output_schema, ctx.parallelism)

@@ -233,7 +233,9 @@ impl<'a> JoinBuild<'a> {
             ..
         } = self;
         let right_all = side.as_deref();
-        let mut build_matched = vec![false; next.len()];
+        // Which build rows matched: only a right-outer join reads it.
+        let right_outer = join_type == JoinType::Right;
+        let mut build_matched = vec![false; if right_outer { next.len() } else { 0 }];
         // Late-materialized output: gather indices per side; -1 marks a
         // null-extended slot (outer-join padding).
         let mut fl: Vec<i64> = Vec::new();
@@ -298,7 +300,9 @@ impl<'a> JoinBuild<'a> {
                     for ci in start as usize..end as usize {
                         if keep.contains(ci) {
                             matched = true;
-                            build_matched[cand_r[ci] as usize] = true;
+                            if right_outer {
+                                build_matched[cand_r[ci] as usize] = true;
+                            }
                             fl.push(row as i64);
                             fr.push(cand_r[ci]);
                         }
@@ -318,7 +322,9 @@ impl<'a> JoinBuild<'a> {
                         }
                         let mut b = first;
                         while b != NONE {
-                            build_matched[b as usize] = true;
+                            if right_outer {
+                                build_matched[b as usize] = true;
+                            }
                             fl.push(row as i64);
                             fr.push(b as i64);
                             b = next[b as usize];
@@ -329,7 +335,7 @@ impl<'a> JoinBuild<'a> {
         }
 
         // Right outer: emit unmatched build rows null-extended on the left.
-        if join_type == JoinType::Right {
+        if right_outer {
             for (b, matched) in build_matched.iter().enumerate() {
                 if !matched {
                     fl.push(-1);

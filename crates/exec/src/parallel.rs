@@ -18,9 +18,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Split morsels of `rows` rows each into at most `parts` contiguous runs,
 /// balanced by row count: a run closes once it holds a fair share of the
-/// rows. The hash aggregate partitions its input batches with this, and the
-/// encoded grand total its row groups, so at equal parallelism both merge
-/// float partial sums in the same structure.
+/// rows. The hash aggregate over materialized input partitions its batches
+/// with this, and so does the scalar oracle's, so at equal parallelism both
+/// merge float partial sums in the same structure.
 pub(crate) fn partition_rows(rows: &[usize], parts: usize) -> Vec<Range<usize>> {
     let parts = parts.clamp(1, rows.len().max(1));
     let target = rows.iter().sum::<usize>().div_ceil(parts).max(1);

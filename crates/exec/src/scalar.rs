@@ -33,6 +33,7 @@ use pixels_planner::{AggExpr, BoundExpr, Plan};
 use pixels_sql::ast::JoinType;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::ops::Range;
 
 /// Execute a plan entirely on the scalar operator implementations. Scans
 /// share the production scan's morsel list and byte metering (the billed
@@ -132,7 +133,23 @@ pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<Vec<RecordBatch>> {
             output_schema,
         } => {
             let batches = execute(input, ctx)?;
-            execute_aggregate(&batches, group_exprs, aggs, output_schema, ctx.parallelism)
+            // The engine folds a scan's morsels as they come: above
+            // parallelism 1, into one partial per morsel, merged in morsel
+            // order. A morsel without rows adds nothing, and every other
+            // morsel is one batch here.
+            let chunks = if matches!(input.as_ref(), Plan::Scan { .. }) && ctx.parallelism > 1 {
+                (0..batches.len()).map(|i| i..i + 1).collect()
+            } else {
+                partition(&batches, ctx.parallelism)
+            };
+            aggregate_chunks(
+                &batches,
+                &chunks,
+                group_exprs,
+                aggs,
+                output_schema,
+                ctx.parallelism,
+            )
         }
         Plan::Distinct { input } => {
             let batches = execute(input, ctx)?;
@@ -502,10 +519,35 @@ pub fn execute_aggregate(
     output_schema: &SchemaRef,
     parallelism: usize,
 ) -> Result<Vec<RecordBatch>> {
-    let chunks = parallel::partition_rows(
+    let chunks = partition(input, parallelism);
+    aggregate_chunks(
+        input,
+        &chunks,
+        group_exprs,
+        aggs,
+        output_schema,
+        parallelism,
+    )
+}
+
+/// The vectorized aggregate's split of materialized input into partials.
+fn partition(input: &[RecordBatch], parallelism: usize) -> Vec<Range<usize>> {
+    parallel::partition_rows(
         &input.iter().map(RecordBatch::num_rows).collect::<Vec<_>>(),
         parallelism,
-    );
+    )
+}
+
+/// Aggregate each run of batches `chunks[i]` of `input` into a partial of
+/// its own, then merge the partials in order.
+fn aggregate_chunks(
+    input: &[RecordBatch],
+    chunks: &[Range<usize>],
+    group_exprs: &[BoundExpr],
+    aggs: &[AggExpr],
+    output_schema: &SchemaRef,
+    parallelism: usize,
+) -> Result<Vec<RecordBatch>> {
     let partials = parallel::run_indexed(chunks.len(), parallelism, |i| {
         build_partial(&input[chunks[i].clone()], group_exprs, aggs)
     })?;

@@ -5,24 +5,27 @@
 //! open), check the plan's column indices against the file, prune row
 //! groups, list the surviving `(file, row group)` morsels. Every scan ends a
 //! morsel with [`ScanMorsels::meter`], which bills it. The table scan
-//! ([`execute_scan`]), the encoded grand total
-//! ([`crate::encoded::execute_encoded_aggregate`]) and the scalar oracle's
+//! ([`execute_scan`]), the aggregate fed by a scan
+//! ([`crate::aggregate::execute_scan_aggregate`]) and the scalar oracle's
 //! scan arm ([`crate::scalar::execute`]) differ only in what they do with a
 //! morsel in between, so results *and* bills agree by construction.
 //!
-//! The table scan splits each morsel into a fetch phase and a decode/filter
+//! The table scan and the scan-fed aggregate run their morsels through
+//! [`ScanMorsels::run`], which splits each into a fetch phase and a work
 //! phase. The fetch is one vectored read per row group
 //! ([`PixelsReader::fetch_row_group`]: cache first, then one ranged GET per
 //! run of neighbouring chunks); a prefetcher
 //! ([`crate::prefetch::run_prefetched`]) keeps up to `prefetch_depth` of them
-//! in flight ahead of the decoding workers, unless the chunk cache already
-//! holds everything the scan will read, in which case there is nothing to
-//! overlap and the workers fetch for themselves. Residual filters run on
-//! encoded chunks ([`crate::encoded`]) into one packed [`Selection`] per
-//! morsel, 64 rows to a `u64` word; when the scan is the probe side of a
-//! hash join, the build side's [`KeyFilter`] narrows it after them. Only the
-//! rows the words keep are then gathered from each projected chunk (late
-//! materialization). Billing is metered from chunk metadata, so bills are
+//! in flight ahead of the workers, unless the chunk cache already holds
+//! everything the scan will read, in which case there is nothing to overlap
+//! and the workers fetch for themselves. In the work phase
+//! ([`ScanMorsels::kept_rows`]) residual filters run on encoded chunks
+//! ([`crate::encoded`]) into one packed [`Selection`] per morsel, 64 rows to
+//! a `u64` word; when the scan is the probe side of a hash join, the build
+//! side's [`KeyFilter`] narrows it after them. Only the rows the words keep
+//! are then gathered from each projected chunk (late materialization): the
+//! table scan hands the batch on, the scan-fed aggregate folds it in on the
+//! same worker. Billing is metered from chunk metadata, so bills are
 //! identical however the bytes arrived and whatever a filter dropped.
 //!
 //! [`Selection`]: pixels_common::Selection
@@ -71,6 +74,7 @@ pub(crate) fn open_metered<'a>(ctx: &'a ExecContext, path: &str) -> Result<Pixel
 pub(crate) struct ScanMorsels<'a> {
     ctx: &'a ExecContext,
     projection: &'a [usize],
+    filters: &'a [BoundExpr],
     readers: Vec<PixelsReader<'a>>,
     /// Each file's schema under `projection`.
     schemas: Vec<SchemaRef>,
@@ -88,12 +92,13 @@ impl<'a> ScanMorsels<'a> {
         ctx: &'a ExecContext,
         paths: &[String],
         projection: &'a [usize],
-        filters: &[BoundExpr],
+        filters: &'a [BoundExpr],
     ) -> Result<Self> {
         let zone_predicates = zone_predicates(filters, projection);
         let mut scan = ScanMorsels {
             ctx,
             projection,
+            filters,
             readers: Vec::with_capacity(paths.len()),
             schemas: Vec::with_capacity(paths.len()),
             morsels: Vec::new(),
@@ -129,13 +134,13 @@ impl<'a> ScanMorsels<'a> {
         (&self.readers[fi], rg)
     }
 
-    pub(crate) fn num_rows(&self, i: usize) -> usize {
+    fn num_rows(&self, i: usize) -> usize {
         let (reader, rg) = self.reader(i);
         reader.footer().row_groups[rg].num_rows as usize
     }
 
     /// What morsel `i` bills: its projected chunks' stored lengths.
-    pub(crate) fn bytes(&self, i: usize) -> u64 {
+    fn bytes(&self, i: usize) -> u64 {
         let (reader, rg) = self.reader(i);
         reader.row_group_bytes(rg, Some(self.projection))
     }
@@ -144,7 +149,7 @@ impl<'a> ScanMorsels<'a> {
     /// cache, counting how they were obtained in the metrics and on `span`.
     /// The one call site of the reader's vectored fetch for encoded
     /// execution.
-    pub(crate) fn fetch(&self, span: &mut Span, i: usize) -> Result<Vec<EncodedChunk>> {
+    fn fetch(&self, span: &mut Span, i: usize) -> Result<Vec<EncodedChunk>> {
         let (reader, rg) = self.reader(i);
         let fetched =
             reader.fetch_row_group(rg, Some(self.projection), self.ctx.chunk_cache.as_deref())?;
@@ -159,7 +164,7 @@ impl<'a> ScanMorsels<'a> {
     }
 
     /// Morsel `i`'s fetched chunks as a lazily decoded row group.
-    pub(crate) fn lazy(&self, i: usize, chunks: Vec<EncodedChunk>) -> LazyRowGroup {
+    fn lazy(&self, i: usize, chunks: Vec<EncodedChunk>) -> LazyRowGroup {
         let (fi, _) = self.morsels[i];
         LazyRowGroup::new(self.schemas[fi].clone(), chunks, self.num_rows(i))
     }
@@ -177,6 +182,106 @@ impl<'a> ScanMorsels<'a> {
         }
         self.ctx.metrics.add_scan(bytes, rows);
         self.ctx.metrics.add_produced(produced as u64);
+    }
+
+    /// Run `work(span, i, morsel)` on every morsel, each in its own `morsel`
+    /// span, and return the results in morsel order. Up to
+    /// `ctx.parallelism` workers claim morsels; a prefetcher
+    /// ([`run_prefetched`]) keeps up to `prefetch_depth` morsels' fetches in
+    /// flight ahead of them, so what a scan holds at once is the in-flight
+    /// morsels, never the table. The lowest-index error wins.
+    pub(crate) fn run<R: Send>(
+        &self,
+        work: impl Fn(&mut Span, usize, LazyRowGroup) -> Result<R> + Sync,
+    ) -> Result<Vec<R>> {
+        let ctx = self.ctx;
+        // A scan whose every chunk is already in the chunk cache has no
+        // store latency to hide: I/O threads and a hand-off per morsel would
+        // only add cost, so the workers fetch (from the cache) themselves. A
+        // chunk evicted between this probe and its read is simply fetched
+        // there.
+        let resident = ctx.chunk_cache.as_deref().is_some_and(|cache| {
+            (0..self.len()).all(|i| {
+                let (reader, rg) = self.reader(i);
+                reader.row_group_resident(rg, Some(self.projection), cache)
+            })
+        });
+        let depth = if resident { 0 } else { ctx.prefetch_depth };
+
+        let (results, stats) = run_prefetched(
+            self.len(),
+            ctx.parallelism,
+            depth,
+            // Fetch phase (on the prefetcher's I/O threads, or fused on the
+            // workers at depth 0): cache-serve or GET the morsel's projected
+            // chunks. The span records `prefetch_bytes`, never `bytes` — the
+            // bytes are billed by the consuming morsel span, and
+            // double-counting would break span-vs-bill reconciliation.
+            // `gap_bytes` are traffic the bill never sees at all.
+            |i| {
+                let mut span = ctx.trace.span("prefetch");
+                let chunks = self.fetch(&mut span, i)?;
+                if span.enabled() {
+                    span.record_u64("row_group", self.reader(i).1 as u64);
+                    span.record_u64("prefetch_bytes", self.bytes(i));
+                }
+                Ok(chunks)
+            },
+            // Work phase (morsel workers), while the morsel is in cache.
+            |i, chunks: Vec<EncodedChunk>| {
+                let mut span = ctx.trace.span("morsel");
+                work(&mut span, i, self.lazy(i, chunks))
+            },
+        );
+        ctx.metrics
+            .add_prefetch(stats.issued, stats.hits, stats.wasted);
+        results
+    }
+
+    /// The rows of morsel `i` that pass the scan's filters and, on the probe
+    /// side of a hash join, `join_filter`: the filters run on the encoded
+    /// chunks into a selection, and only the rows it keeps are
+    /// materialized. The join's key filter comes after the scan's own
+    /// conjuncts: it prunes no byte, and a row they reject or fail on never
+    /// reaches it.
+    pub(crate) fn kept_rows(
+        &self,
+        span: &mut Span,
+        i: usize,
+        lazy: &LazyRowGroup,
+        join_filter: Option<&KeyFilter>,
+    ) -> Result<RecordBatch> {
+        let filters = self.filters;
+        let (reader, rg) = self.reader(i);
+        let stats: Vec<&ColumnStats> = if filters.is_empty() && join_filter.is_none() {
+            Vec::new()
+        } else {
+            (self.projection.iter())
+                .map(|&c| &reader.footer().row_groups[rg].columns[c].stats)
+                .collect()
+        };
+        // A filter that this morsel's zone maps show can drop nothing costs
+        // nothing.
+        let key_filter = join_filter.filter(|f| key_filter_can_drop(f, lazy, &stats));
+        // Rows that got as far as the key filter.
+        let mut reached = lazy.num_rows();
+        let batch = if filters.is_empty() && key_filter.is_none() {
+            lazy.materialize_all()?
+        } else {
+            let mut selection = encoded_selection(filters, lazy, &stats)?;
+            reached = selection.count();
+            if let Some(filter) = key_filter {
+                key_filter_refine(filter, lazy, &stats, &mut selection)?;
+            }
+            lazy.materialize(&selection)?
+        };
+        if join_filter.is_some() {
+            let dropped = (reached - batch.num_rows()) as u64;
+            span.record_u64("join_filter_rows", reached as u64);
+            span.record_u64("join_filter_dropped", dropped);
+            self.ctx.metrics.add_join_filter(reached as u64, dropped);
+        }
+        Ok(batch)
     }
 }
 
@@ -210,79 +315,10 @@ pub fn execute_scan(
     output_schema: &SchemaRef,
 ) -> Result<Vec<RecordBatch>> {
     let scan = ScanMorsels::open(ctx, paths, projection, filters)?;
-    // A scan whose every chunk is already in the chunk cache has no store
-    // latency to hide: I/O threads and a hand-off per morsel would only add
-    // cost, so the workers fetch (from the cache) themselves. A chunk
-    // evicted between this probe and its read is simply fetched there.
-    let resident = ctx.chunk_cache.as_deref().is_some_and(|cache| {
-        (0..scan.len()).all(|i| {
-            let (reader, rg) = scan.reader(i);
-            reader.row_group_resident(rg, Some(projection), cache)
-        })
-    });
-    let depth = if resident { 0 } else { ctx.prefetch_depth };
-
-    let (batches, stats) = run_prefetched(
-        scan.len(),
-        ctx.parallelism,
-        depth,
-        // Fetch phase (on the prefetcher's I/O threads, or fused on the
-        // workers at depth 0): cache-serve or GET the morsel's projected
-        // chunks. The span records `prefetch_bytes`, never `bytes` — the
-        // bytes are billed by the consuming morsel span, and double-counting
-        // would break span-vs-bill reconciliation. `gap_bytes` are traffic
-        // the bill never sees at all.
-        |i| {
-            let mut span = ctx.trace.span("prefetch");
-            let chunks = scan.fetch(&mut span, i)?;
-            if span.enabled() {
-                span.record_u64("row_group", scan.reader(i).1 as u64);
-                span.record_u64("prefetch_bytes", scan.bytes(i));
-            }
-            Ok(chunks)
-        },
-        // Work phase (morsel workers): filter on the encoded chunks into a
-        // selection, then materialize only the rows it keeps. The join's key filter comes
-        // after the fetch and after the scan's own conjuncts: it prunes no
-        // byte, and a row they reject or fail on never reaches it.
-        |i, chunks: Vec<EncodedChunk>| {
-            let mut span = ctx.trace.span("morsel");
-            let lazy = scan.lazy(i, chunks);
-            let (reader, rg) = scan.reader(i);
-            let stats: Vec<&ColumnStats> = if filters.is_empty() && join_filter.is_none() {
-                Vec::new()
-            } else {
-                projection
-                    .iter()
-                    .map(|&c| &reader.footer().row_groups[rg].columns[c].stats)
-                    .collect()
-            };
-            // A filter that this morsel's zone maps show can drop nothing
-            // costs nothing.
-            let key_filter = join_filter.filter(|f| key_filter_can_drop(f, &lazy, &stats));
-            // Rows that got as far as the key filter.
-            let mut reached = lazy.num_rows();
-            let batch = if filters.is_empty() && key_filter.is_none() {
-                lazy.materialize_all()?
-            } else {
-                let mut selection = encoded_selection(filters, &lazy, &stats)?;
-                reached = selection.count();
-                if let Some(filter) = key_filter {
-                    key_filter_refine(filter, &lazy, &stats, &mut selection)?;
-                }
-                lazy.materialize(&selection)?
-            };
-            if join_filter.is_some() {
-                let dropped = (reached - batch.num_rows()) as u64;
-                span.record_u64("join_filter_rows", reached as u64);
-                span.record_u64("join_filter_dropped", dropped);
-                ctx.metrics.add_join_filter(reached as u64, dropped);
-            }
-            scan.meter(&mut span, i, batch.num_rows());
-            Ok(batch)
-        },
-    );
-    ctx.metrics
-        .add_prefetch(stats.issued, stats.hits, stats.wasted);
-    Ok(scan_output(batches?, output_schema))
+    let batches = scan.run(|span, i, lazy| {
+        let batch = scan.kept_rows(span, i, &lazy, join_filter)?;
+        scan.meter(span, i, batch.num_rows());
+        Ok(batch)
+    })?;
+    Ok(scan_output(batches, output_schema))
 }

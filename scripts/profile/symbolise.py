@@ -54,12 +54,21 @@ GROUPS = [
     # A scan's own conjuncts on the encoded chunks, whatever they call: the
     # comparisons, the decodes they need, the decoded-batch fallback.
     ("scan filter: encoded conjuncts", r"pixels_exec::encoded::(encoded_selection|encoded_filter_mask)", False),
+    # The whole fold of an aggregate's input into its hash table: argument
+    # evaluation, group keys and the updates. It runs inside the scan's
+    # morsel work (`Partial::fold`, and `Partial::fold_chunks` with
+    # `encoded::fold` for an unfiltered grand total) since the scan-fed
+    # aggregate; before it, after the scan, in `build_partial` (and in the
+    # encoded grand total's own `encoded::fold`). The regex names both, so the
+    # row compares across trees.
+    ("aggregate fold, inside the morsel", r"pixels_exec::aggregate::(build_partial|Partial::fold|ScanFold::)|pixels_exec::encoded::(fold|try_fold)", False),
     # The update loops are the leaf: inlined into `build_partial` before the
-    # accumulators, `State::update` and the rows count since.
-    ("accumulator update (leaf)", r"^pixels_exec::(aggregate::(build_partial|update_agg_column|State::|Accumulators::|AggState::)|encoded::(fold|try_fold))", True),
+    # accumulators, `State::update` and the rows count since (and
+    # `Partial::fold` or `encoded::fold` wherever they inline them).
+    ("accumulator update (leaf)", r"^pixels_exec::(aggregate::(build_partial|Partial::fold|update_agg_column|State::|Accumulators::|AggState::)|encoded::(fold|try_fold))", True),
     # Numbering rows by their dictionary codes (`PoolSlots`, later
     # `pool_slots`), interning first appearances, gathering the keys.
-    ("group keys: number, intern, gather", r"pixels_exec::keys::|pixels_exec::aggregate::GroupKeys|pixels_common::column::Column::(gather|concat|value)$", False, r"pixels_exec::aggregate::(build_partial|merge_partial)"),
+    ("group keys: number, intern, gather", r"pixels_exec::keys::|pixels_exec::aggregate::GroupKeys|pixels_common::column::Column::(gather|concat|value)$", False, r"pixels_exec::aggregate::(build_partial|merge_partial|Partial::(fold|intern))"),
     ("join", r"pixels_exec::join::", False),
     # Indexing the build side: its key columns, the table (hashed or by
     # rank) and the chains.

@@ -575,6 +575,7 @@ fn warm_chunk_cache_changes_neither_bills_nor_results_across_service_levels() {
 /// - `uniq`: distinct Int64 per row → Plain (the non-dictionary column)
 /// - `temp`: Float64 with runs, NaN and signed zeros → RLE or Plain
 /// - `flat`: the same single value in every row → single-value chunks
+/// - `seq`: the row's index, so a filter can keep whole 64-row morsels
 fn edge_fixture() -> (Arc<Catalog>, ObjectStoreRef) {
     let catalog = Catalog::shared();
     let store: ObjectStoreRef = InMemoryObjectStore::shared();
@@ -585,6 +586,7 @@ fn edge_fixture() -> (Arc<Catalog>, ObjectStoreRef) {
         Field::required("uniq", DataType::Int64),
         Field::nullable("temp", DataType::Float64),
         Field::required("flat", DataType::Int64),
+        Field::required("seq", DataType::Int64),
     ]));
     let mut rows: Vec<Vec<Value>> = Vec::new();
     for i in 0..400i64 {
@@ -611,6 +613,7 @@ fn edge_fixture() -> (Arc<Catalog>, ObjectStoreRef) {
             Value::Int64(i * 7919 % 10007), // distinct-ish: Plain
             temp,
             Value::Int64(42),
+            Value::Int64(i),
         ]);
     }
     let batch = RecordBatch::from_rows(schema.clone(), &rows).unwrap();
@@ -707,9 +710,29 @@ fn encoding_edge_cases_match_the_oracle() {
         // Empty table.
         "SELECT a, b FROM vacant",
         "SELECT COUNT(*), SUM(a), MIN(b) FROM vacant",
+        // Aggregates fed by the scan a morsel at a time: a filter that keeps
+        // every row of morsels 1, 3 and 5 and none of the others, which the
+        // zone maps cannot prune.
+        "SELECT tag, COUNT(*), COUNT(grade), SUM(temp), AVG(grade), MIN(uniq), MAX(tag) \
+         FROM mix WHERE seq % 128 >= 64 GROUP BY tag",
+        "SELECT SUM(temp), COUNT(tag), AVG(uniq) FROM mix WHERE seq % 128 >= 64",
+        // A filter that keeps no row of any scanned morsel: still one row.
+        "SELECT COUNT(*), COUNT(tag), SUM(temp), MIN(tag), AVG(grade) FROM mix WHERE seq % 7 = 9",
+        "SELECT tag, COUNT(*) FROM mix WHERE seq % 7 = 9 GROUP BY tag",
+        // A filtered grand total over an RLE column: not the unfiltered fold.
+        "SELECT COUNT(grade), SUM(grade), MIN(grade), MAX(grade), AVG(grade) FROM mix \
+         WHERE seq % 3 = 0",
+        // COUNT of a column with NULLs, COUNT(DISTINCT), MIN/MAX of a string
+        // and AVG, with and without group keys.
+        "SELECT COUNT(tag), MIN(tag), MAX(tag), AVG(temp), COUNT(temp), AVG(grade) FROM mix",
+        "SELECT COUNT(tag), COUNT(DISTINCT tag), COUNT(DISTINCT grade), MIN(tag), AVG(temp) \
+         FROM mix",
+        "SELECT flat, COUNT(tag), COUNT(DISTINCT tag), MIN(tag), MAX(tag), AVG(temp) FROM mix \
+         GROUP BY flat",
+        "SELECT grade, COUNT(*), SUM(temp), MAX(tag) FROM mix WHERE uniq > 100 GROUP BY grade",
     ];
     for sql in queries {
-        for parallelism in [1usize, 4] {
+        for parallelism in [1usize, 2, 4] {
             let label = format!("{sql} @p{parallelism}");
             assert_differential(
                 &catalog,
@@ -788,6 +811,74 @@ fn sum_overflow_errors_on_both_paths() {
     let oracle = scalar::execute(&plan, &ExecContext::new(store.clone())).unwrap_err();
     assert!(enc.to_string().contains("SUM overflow"), "{enc}");
     assert!(oracle.to_string().contains("SUM overflow"), "{oracle}");
+}
+
+/// The scan's errors come before the aggregate's, as if the whole scan had
+/// run first: a table whose first row group overflows an Int64 SUM and
+/// whose second holds a truncated RLE chunk fails every grouped or filtered
+/// SUM over it with the storage error, on the engine and on the oracle, at
+/// every parallelism.
+#[test]
+fn a_later_scan_error_beats_an_earlier_sum_overflow() {
+    let catalog = Catalog::shared();
+    let store: ObjectStoreRef = InMemoryObjectStore::shared();
+    catalog.create_database("edge");
+    let schema = Arc::new(Schema::new(vec![
+        Field::required("k", DataType::Int64),
+        Field::required("big", DataType::Int64),
+    ]));
+    catalog
+        .create_table(CreateTable {
+            database: "edge".into(),
+            name: "t".into(),
+            schema: schema.clone(),
+            primary_key: None,
+            foreign_keys: vec![],
+            comment: None,
+        })
+        .unwrap();
+    // Row group 0: one run of i64::MAX / 2, which overflows on its third
+    // row. Row group 1: eight runs of 8 rows.
+    let rows: Vec<Vec<Value>> = (0..128i64)
+        .map(|i| {
+            let big = if i < 64 { i64::MAX / 2 } else { i / 8 };
+            vec![Value::Int64(i % 2), Value::Int64(big)]
+        })
+        .collect();
+    let path = "edge/t/part-0.pxl";
+    let mut w = PixelsWriter::with_row_group_rows(store.as_ref(), path, schema.clone(), 64);
+    w.write_batch(&RecordBatch::from_rows(schema, &rows).unwrap())
+        .unwrap();
+    let size = w.finish().unwrap();
+    let reader = PixelsReader::open(store.as_ref(), path).unwrap();
+    let big = &reader.footer().row_groups[1].columns[1];
+    assert_eq!(big.encoding, Encoding::Rle);
+    let mut bytes = store.get(path).unwrap().to_vec();
+    // The last of eight 12-byte runs after the validity flag now covers 4
+    // rows, so the payload ends 4 rows short.
+    let last_count = (big.offset + 1 + 7 * 12) as usize;
+    assert_eq!(bytes[last_count..last_count + 4], 8u32.to_le_bytes());
+    bytes[last_count..last_count + 4].copy_from_slice(&4u32.to_le_bytes());
+    store.put(path, bytes.into()).unwrap();
+    catalog
+        .register_data_file("edge", "t", path, reader.footer(), size)
+        .unwrap();
+
+    let expected = "storage error: truncated data: needed 4 bytes, 0 remaining";
+    for sql in [
+        "SELECT k, SUM(big) FROM t GROUP BY k",
+        "SELECT SUM(big) FROM t WHERE k >= 0",
+        "SELECT SUM(big + 1) FROM t",
+    ] {
+        let plan = plan_query(&catalog, "edge", sql).unwrap();
+        for parallelism in [1usize, 2, 4] {
+            let ctx = || ExecContext::new(store.clone()).with_parallelism(parallelism);
+            let err = execute(&plan, &ctx()).expect_err(sql);
+            assert_eq!(err.to_string(), expected, "{sql} @p{parallelism}");
+            let err = scalar::execute(&plan, &ctx()).expect_err(sql);
+            assert_eq!(err.to_string(), expected, "{sql} @p{parallelism}, oracle");
+        }
+    }
 }
 
 /// A registered data file overwritten by one with fewer columns than the
