@@ -14,6 +14,8 @@ use crate::rng::ChaosRng;
 struct SiteState {
     spec: SiteSpec,
     rng: Mutex<ChaosRng>,
+    /// Seed of the site's per-request streams ([`FaultInjector::decide_request`]).
+    request_seed: u64,
     decisions: AtomicU64,
     injected: AtomicU64,
 }
@@ -38,6 +40,13 @@ impl InjectorSnapshot {
 /// function of the plan — thread interleaving *across* sites cannot change
 /// any site's fault sequence. Sites absent from the plan always answer
 /// [`Inject::None`] without touching any generator.
+///
+/// Object-store requests, which threads issue concurrently (a scan's
+/// prefetch I/O threads, an exchange's parallel writers), do not draw from
+/// the sequence: [`decide_request`](Self::decide_request) derives each
+/// verdict from the request itself, so which request fails does not depend
+/// on thread timing either *within* a site. The CF sites keep the sequence:
+/// they are decided once per fleet launch, on the thread that launches it.
 pub struct FaultInjector {
     seed: u64,
     sites: BTreeMap<FaultSite, SiteState>,
@@ -54,6 +63,7 @@ impl FaultInjector {
                     SiteState {
                         spec,
                         rng: Mutex::new(ChaosRng::derive(plan.seed, site.name())),
+                        request_seed: ChaosRng::derive(plan.seed, site.name()).next_u64(),
                         decisions: AtomicU64::new(0),
                         injected: AtomicU64::new(0),
                     },
@@ -98,19 +108,50 @@ impl FaultInjector {
             let _ = rng.next_u64();
             return Inject::None;
         }
-        let verdict = if rng.bernoulli(spec.error_rate) {
-            Inject::Error
-        } else if spec.delay_rate > 0.0 && rng.bernoulli(spec.delay_rate) {
-            Inject::Delay {
-                micros: rng.uniform_u64(spec.delay_micros.0, spec.delay_micros.1),
-            }
-        } else {
-            Inject::None
-        };
+        let verdict = draw(&spec, &mut rng);
         if verdict.is_fault() {
             state.injected.fetch_add(1, Ordering::Relaxed);
         }
         verdict
+    }
+
+    /// Ask the plan what happens to one object-store request at `site`:
+    /// `attempt` (0 for the first try) of the request for `range` of `path`.
+    /// The verdict is drawn from a stream seeded by `(plan seed, site, path,
+    /// range, attempt)` alone, so a request meets the same verdict whichever
+    /// thread issues it and whatever ran before it — a prefetched GET and a
+    /// synchronous one, or two parallel spill writers, cannot trade faults.
+    /// Only the `max_faults` cap, a count across the site, still depends on
+    /// order, and only once it is reached.
+    pub fn decide_request(
+        &self,
+        site: FaultSite,
+        path: &str,
+        range: (u64, u64),
+        attempt: u32,
+    ) -> Inject {
+        let Some(state) = self.sites.get(&site) else {
+            return Inject::None;
+        };
+        state.decisions.fetch_add(1, Ordering::Relaxed);
+        let mut h = Fnv::new(state.request_seed);
+        h.write(path.as_bytes());
+        for word in [range.0, range.1, attempt as u64] {
+            h.write(&word.to_le_bytes());
+        }
+        let verdict = draw(&state.spec, &mut ChaosRng::new(h.0));
+        let max = state.spec.max_faults;
+        let counted = !verdict.is_fault()
+            || (state.injected)
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                    (n < max).then_some(n + 1)
+                })
+                .is_ok();
+        if counted {
+            verdict
+        } else {
+            Inject::None
+        }
     }
 
     /// Faults injected so far at one site.
@@ -156,6 +197,36 @@ impl FaultInjector {
                     &[("site", site.name())],
                 )
                 .advance_to(state.injected.load(Ordering::Relaxed));
+        }
+    }
+}
+
+/// One verdict under `spec`, drawn from `rng`.
+fn draw(spec: &SiteSpec, rng: &mut ChaosRng) -> Inject {
+    if rng.bernoulli(spec.error_rate) {
+        Inject::Error
+    } else if spec.delay_rate > 0.0 && rng.bernoulli(spec.delay_rate) {
+        Inject::Delay {
+            micros: rng.uniform_u64(spec.delay_micros.0, spec.delay_micros.1),
+        }
+    } else {
+        Inject::None
+    }
+}
+
+/// FNV-1a over a request's path and words, from a site's seed: the seed of
+/// that request's verdict stream.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new(seed: u64) -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325 ^ seed)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
 }
@@ -210,6 +281,69 @@ mod tests {
             b_gets.push(b.decide(FaultSite::StorageGet));
         }
         assert_eq!(a_gets, b_gets);
+    }
+
+    #[test]
+    fn request_verdicts_do_not_depend_on_order_or_thread() {
+        let requests: Vec<(String, (u64, u64), u32)> = (0..200)
+            .map(|i| {
+                (
+                    format!("t/part-{}.pxl", i % 7),
+                    (i * 4096, 4096),
+                    (i % 5) as u32,
+                )
+            })
+            .collect();
+        let ask = |inj: &FaultInjector, (path, range, attempt): &(String, (u64, u64), u32)| {
+            inj.decide_request(FaultSite::StorageGet, path, *range, *attempt)
+        };
+        let forward = FaultInjector::new(&plan());
+        let want: Vec<Inject> = requests.iter().map(|r| ask(&forward, r)).collect();
+        assert!(want.iter().any(|v| v.is_fault()) && want.iter().any(|v| !v.is_fault()));
+
+        // Backwards, and from four threads at once: the same verdict per
+        // request, and the same count.
+        let backward = FaultInjector::new(&plan());
+        let mut got: Vec<Inject> = requests.iter().rev().map(|r| ask(&backward, r)).collect();
+        got.reverse();
+        assert_eq!(got, want);
+        let threaded = FaultInjector::new(&plan());
+        let got: Vec<Inject> = std::thread::scope(|s| {
+            let handles: Vec<_> = (requests.chunks(50))
+                .map(|chunk| {
+                    s.spawn(|| chunk.iter().map(|r| ask(&threaded, r)).collect::<Vec<_>>())
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert_eq!(got, want);
+        assert_eq!(threaded.injected_total(), forward.injected_total());
+
+        // Another attempt at the same request is a fresh draw.
+        let flips = (0..64)
+            .filter(|&a| {
+                let v = forward.decide_request(FaultSite::StorageGet, "x", (0, 10), a);
+                v.is_fault()
+            })
+            .count();
+        assert!((10..54).contains(&flips), "{flips} of 64 attempts failed");
+    }
+
+    #[test]
+    fn request_draws_respect_the_cap() {
+        let p = FaultPlan::none(9).with(FaultSite::StorageGet, SiteSpec::errors(1.0).capped(3));
+        let inj = FaultInjector::new(&p);
+        let faults = (0..20)
+            .filter(|&i| {
+                inj.decide_request(FaultSite::StorageGet, "x", (i, 1), 0)
+                    .is_fault()
+            })
+            .count();
+        assert_eq!(faults, 3);
+        assert_eq!(inj.injected_at(FaultSite::StorageGet), 3);
     }
 
     #[test]

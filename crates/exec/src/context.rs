@@ -1,5 +1,6 @@
 //! Execution context and per-query metrics.
 
+use crate::prefetch::ReadAhead;
 use pixels_obs::{Span, TraceCtx};
 use pixels_storage::{ChunkCache, FetchStats, FooterCache, ObjectStoreRef};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,10 +37,15 @@ pub struct ExecContext {
     /// but bill exactly like a fetch — `bytes_scanned` is metered from
     /// chunk metadata, never from store counters.
     pub chunk_cache: Option<Arc<ChunkCache>>,
-    /// How many morsels the scan may have fetched or be fetching ahead of
-    /// the decoding workers, which is also how many fetches it keeps in
-    /// flight (default 4). `0` fetches on the workers themselves.
+    /// The floor of a scan's read-ahead window: the fewest morsels it keeps
+    /// fetched-or-fetching ahead of the decoding workers (default 4). The
+    /// window widens while the workers stall on fetches
+    /// ([`crate::prefetch`]). `0` fetches on the workers themselves.
     pub prefetch_depth: usize,
+    /// The read-ahead depth this context's scans start from and teach. An
+    /// engine shares one across its contexts, beside its caches; without
+    /// one every scan starts at `prefetch_depth`.
+    pub(crate) read_ahead: Option<Arc<ReadAhead>>,
     /// Where in the query's trace this context executes: operators open
     /// child spans under it. Disabled by default — a disabled context makes
     /// every span operation a no-op.
@@ -55,6 +61,7 @@ impl ExecContext {
             footer_cache: FooterCache::shared(),
             chunk_cache: None,
             prefetch_depth: 4,
+            read_ahead: None,
             trace: TraceCtx::disabled(),
         }
     }
@@ -77,9 +84,15 @@ impl ExecContext {
         self
     }
 
-    /// Same context with a different prefetch depth (`0` = no prefetch).
+    /// Same context with a different read-ahead floor (`0` = synchronous).
     pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = depth;
+        self
+    }
+
+    /// Same context starting its scans from, and teaching, `read_ahead`.
+    pub fn with_read_ahead(mut self, read_ahead: Arc<ReadAhead>) -> Self {
+        self.read_ahead = Some(read_ahead);
         self
     }
 

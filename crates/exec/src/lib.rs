@@ -37,7 +37,7 @@ pub use context::{
 pub use engine::{execute, execute_collect, operator_name};
 pub use evaluate::{evaluate, fused_filter_selection, predicate_mask};
 pub use exchange::{ExchangeStats, JoinSide};
-pub use prefetch::PrefetchStats;
+pub use prefetch::{PrefetchStats, ReadAhead, MAX_READ_AHEAD};
 
 use pixels_common::{RecordBatch, Result, SchemaRef};
 use pixels_storage::{ObjectStore, PixelsWriter};

@@ -15,10 +15,11 @@
 //! phase. The fetch is one vectored read per row group
 //! ([`PixelsReader::fetch_row_group`]: cache first, then one ranged GET per
 //! run of neighbouring chunks); a prefetcher
-//! ([`crate::prefetch::run_prefetched`]) keeps up to `prefetch_depth` of them
-//! in flight ahead of the workers, unless the chunk cache already holds
-//! everything the scan will read, in which case there is nothing to overlap
-//! and the workers fetch for themselves. In the work phase
+//! ([`crate::prefetch::run_prefetched`]) keeps a window of them in flight
+//! ahead of the workers — `prefetch_depth` at least, widened while the
+//! workers stall — unless the chunk cache already holds everything the scan
+//! will read, in which case there is nothing to overlap and the workers
+//! fetch for themselves. In the work phase
 //! ([`ScanMorsels::kept_rows`]) residual filters run on encoded chunks
 //! ([`crate::encoded`]) into one packed [`Selection`] per morsel, 64 rows to
 //! a `u64` word; when the scan is the probe side of a hash join, the build
@@ -37,8 +38,9 @@ use crate::prefetch::run_prefetched;
 use pixels_common::{Error, RecordBatch, Result, SchemaRef};
 use pixels_obs::Span;
 use pixels_planner::{zone_predicates, BoundExpr};
-use pixels_storage::{ColumnStats, EncodedChunk, PixelsReader};
+use pixels_storage::{ColumnStats, EncodedChunk, FetchStats, PixelsReader};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Open `path` through the context's shared footer cache and meter the open:
 /// a miss bills the bytes actually fetched, a hit bills nothing and bumps
@@ -67,6 +69,14 @@ pub(crate) fn open_metered<'a>(ctx: &'a ExecContext, path: &str) -> Result<Pixel
         ctx.metrics.add_open(reader.open_bytes());
     }
     Ok(reader)
+}
+
+/// One morsel's fetched chunks, how they were obtained, and how long that
+/// took.
+struct Fetched {
+    chunks: Vec<EncodedChunk>,
+    stats: FetchStats,
+    fetch_us: u64,
 }
 
 /// The files of one scan, opened and pruned down to its morsels: one per
@@ -146,21 +156,20 @@ impl<'a> ScanMorsels<'a> {
     }
 
     /// Fetch morsel `i`'s projected chunks through the context's chunk
-    /// cache, counting how they were obtained in the metrics and on `span`.
-    /// The one call site of the reader's vectored fetch for encoded
-    /// execution.
-    fn fetch(&self, span: &mut Span, i: usize) -> Result<Vec<EncodedChunk>> {
+    /// cache, counting how they were obtained in the metrics and timing the
+    /// fetch for the morsel's span. The one call site of the reader's
+    /// vectored fetch for encoded execution.
+    fn fetch(&self, i: usize) -> Result<Fetched> {
+        let started = Instant::now();
         let (reader, rg) = self.reader(i);
         let fetched =
             reader.fetch_row_group(rg, Some(self.projection), self.ctx.chunk_cache.as_deref())?;
         self.ctx.metrics.add_fetch(&fetched.stats);
-        if span.enabled() {
-            span.record_u64("cache_hits", fetched.stats.cache_hits);
-            span.record_u64("memo_hits", fetched.stats.memo_hits);
-            span.record_u64("gets", fetched.stats.gets);
-            span.record_u64("gap_bytes", fetched.stats.gap_bytes);
-        }
-        Ok(fetched.chunks)
+        Ok(Fetched {
+            chunks: fetched.chunks,
+            stats: fetched.stats,
+            fetch_us: started.elapsed().as_micros() as u64,
+        })
     }
 
     /// Morsel `i`'s fetched chunks as a lazily decoded row group.
@@ -187,9 +196,11 @@ impl<'a> ScanMorsels<'a> {
     /// Run `work(span, i, morsel)` on every morsel, each in its own `morsel`
     /// span, and return the results in morsel order. Up to
     /// `ctx.parallelism` workers claim morsels; a prefetcher
-    /// ([`run_prefetched`]) keeps up to `prefetch_depth` morsels' fetches in
-    /// flight ahead of them, so what a scan holds at once is the in-flight
-    /// morsels, never the table. The lowest-index error wins.
+    /// ([`run_prefetched`]) keeps a window of morsels' fetches in flight
+    /// ahead of them — at least `prefetch_depth`, more when the workers
+    /// stall, starting where the engine's earlier scans left it — so what a
+    /// scan holds at once is the in-flight morsels, never the table. The
+    /// lowest-index error wins.
     pub(crate) fn run<R: Send>(
         &self,
         work: impl Fn(&mut Span, usize, LazyRowGroup) -> Result<R> + Sync,
@@ -206,31 +217,42 @@ impl<'a> ScanMorsels<'a> {
                 reader.row_group_resident(rg, Some(self.projection), cache)
             })
         });
-        let depth = if resident { 0 } else { ctx.prefetch_depth };
+        let floor = if resident { 0 } else { ctx.prefetch_depth };
 
         let (results, stats) = run_prefetched(
             self.len(),
             ctx.parallelism,
-            depth,
+            floor,
+            ctx.read_ahead.as_deref(),
             // Fetch phase (on the prefetcher's I/O threads, or fused on the
-            // workers at depth 0): cache-serve or GET the morsel's projected
-            // chunks. The span records `prefetch_bytes`, never `bytes` — the
-            // bytes are billed by the consuming morsel span, and
-            // double-counting would break span-vs-bill reconciliation.
-            // `gap_bytes` are traffic the bill never sees at all.
-            |i| {
-                let mut span = ctx.trace.span("prefetch");
-                let chunks = self.fetch(&mut span, i)?;
-                if span.enabled() {
-                    span.record_u64("row_group", self.reader(i).1 as u64);
-                    span.record_u64("prefetch_bytes", self.bytes(i));
-                }
-                Ok(chunks)
-            },
-            // Work phase (morsel workers), while the morsel is in cache.
-            |i, chunks: Vec<EncodedChunk>| {
+            // workers at floor 0): cache-serve or GET the morsel's projected
+            // chunks.
+            |i| self.fetch(i),
+            // Work phase (morsel workers), while the morsel is in cache. The
+            // span says how the morsel's chunks arrived, how long the fetch
+            // took and how long the worker waited for it; `gap_bytes` are
+            // traffic the bill never sees, and `bytes` stays the billed
+            // quantity (`meter`). A finished query keeps its profile, so the
+            // counts that are mostly zero are left out when they are:
+            // `attr_sum` reads a missing attribute as 0.
+            |i, fetched: Fetched, wait_us| {
                 let mut span = ctx.trace.span("morsel");
-                work(&mut span, i, self.lazy(i, chunks))
+                if span.enabled() {
+                    let f = &fetched.stats;
+                    span.record_u64("gets", f.gets);
+                    span.record_u64("fetch_us", fetched.fetch_us);
+                    for (key, value) in [
+                        ("cache_hits", f.cache_hits),
+                        ("memo_hits", f.memo_hits),
+                        ("gap_bytes", f.gap_bytes),
+                        ("wait_us", wait_us),
+                    ] {
+                        if value > 0 {
+                            span.record_u64(key, value);
+                        }
+                    }
+                }
+                work(&mut span, i, self.lazy(i, fetched.chunks))
             },
         );
         ctx.metrics

@@ -11,8 +11,11 @@
 //!   attempts (wall time in the engine, virtual time in the simulator).
 //!
 //! The intended layering is `Retrying(Chaos(real store))`: faults fire
-//! below the retry loop, exactly where S3 errors would.
+//! below the retry loop, exactly where S3 errors would. Each verdict is
+//! keyed by the request — its path, byte range and attempt — so a seeded
+//! plan fails the same requests however threads interleave them.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -22,6 +25,14 @@ use pixels_common::{Error, Result};
 use pixels_obs::ClockRef;
 
 use crate::object_store::{ObjectStore, ObjectStoreRef, StoreMetricsSnapshot};
+
+thread_local! {
+    /// Which attempt of its request the calling thread is making: set by a
+    /// [`RetryingObjectStore`] around each try, read by the
+    /// [`ChaosObjectStore`] below it to key the fault draw. 0 outside a
+    /// retry loop.
+    static ATTEMPT: Cell<u32> = const { Cell::new(0) };
+}
 
 /// Whether an object-store error is worth retrying. Missing objects are a
 /// *semantic* condition (the caller asked for something that does not
@@ -65,9 +76,11 @@ impl ChaosObjectStore {
         &self.injector
     }
 
-    /// Apply the injector's verdict for `site`; `Ok(())` means proceed.
-    fn gate(&self, site: FaultSite, path: &str) -> Result<()> {
-        match self.injector.decide(site) {
+    /// Apply the injector's verdict for this attempt at the request for
+    /// `range` of `path` at `site`; `Ok(())` means proceed.
+    fn gate(&self, site: FaultSite, path: &str, range: (u64, u64)) -> Result<()> {
+        let attempt = ATTEMPT.with(Cell::get);
+        match self.injector.decide_request(site, path, range, attempt) {
             Inject::None => Ok(()),
             Inject::Delay { micros } => {
                 self.clock.sleep_micros(micros);
@@ -90,17 +103,17 @@ impl ChaosObjectStore {
 
 impl ObjectStore for ChaosObjectStore {
     fn put(&self, path: &str, data: Bytes) -> Result<()> {
-        self.gate(self.put_site, path)?;
+        self.gate(self.put_site, path, (0, data.len() as u64))?;
         self.inner.put(path, data)
     }
 
     fn get(&self, path: &str) -> Result<Bytes> {
-        self.gate(self.get_site, path)?;
+        self.gate(self.get_site, path, (0, u64::MAX))?;
         self.inner.get(path)
     }
 
     fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-        self.gate(self.get_site, path)?;
+        self.gate(self.get_site, path, (offset, len))?;
         self.inner.get_range(path, offset, len)
     }
 
@@ -164,13 +177,22 @@ impl RetryingObjectStore {
         Arc::new(RetryingObjectStore::new(inner, policy, clock, seed))
     }
 
-    fn run_with_retry<T>(&self, op: impl FnMut() -> Result<T>) -> Result<T> {
+    /// Run `op` under the policy, telling the store below which attempt
+    /// each try is (see [`ATTEMPT`]).
+    fn run_with_retry<T>(&self, mut op: impl FnMut() -> Result<T>) -> Result<T> {
         let op_seed = self
             .seed
             .wrapping_add(self.op_seq.fetch_add(1, Ordering::Relaxed));
+        let mut attempt = 0;
         let outcome = self
             .policy
-            .run(op_seed, self.clock.as_ref(), is_transient, op);
+            .run(op_seed, self.clock.as_ref(), is_transient, || {
+                let outer = ATTEMPT.replace(attempt);
+                attempt += 1;
+                let result = op();
+                ATTEMPT.set(outer);
+                result
+            });
         if outcome.retries > 0 {
             self.retries
                 .fetch_add(outcome.retries as u64, Ordering::Relaxed);
@@ -267,11 +289,11 @@ mod tests {
 
     #[test]
     fn retries_mask_transient_get_errors_and_bill_once() {
-        // Fail roughly half of all GETs; the retry budget (4) makes
-        // eventual success overwhelmingly likely at this rate.
-        let (store, injector, _clock) = store_with(FaultPlan::get_errors(11, 0.5));
-        for _ in 0..50 {
-            assert_eq!(store.get_range("x", 0, 100).unwrap().len(), 100);
+        // Fail roughly a third of all GETs; every request of this seed
+        // succeeds within the retry budget (4).
+        let (store, injector, _clock) = store_with(FaultPlan::get_errors(11, 0.3));
+        for i in 0..50 {
+            assert_eq!(store.get_range("x", i, 100).unwrap().len(), 100);
         }
         let m = store.metrics();
         assert!(injector.injected_total() > 0, "plan injected nothing");
@@ -316,6 +338,39 @@ mod tests {
         assert_eq!(m.retries, 4);
         assert_eq!(m.bytes_read, 0);
         assert_eq!(m.get_requests, 0);
+    }
+
+    #[test]
+    fn a_request_meets_the_same_faults_on_any_thread_in_any_order() {
+        // Whether each read succeeds, and how many faults the plan injects,
+        // are fixed by the reads themselves: issued forwards, backwards, or
+        // from four threads at once.
+        let outcomes = |order: &[u64], threads: usize| {
+            let (store, injector, _clock) = store_with(FaultPlan::get_errors(77, 0.3));
+            let mut ok = vec![false; order.len()];
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (order.chunks(order.len().div_ceil(threads)))
+                    .map(|chunk| {
+                        let store = &store;
+                        s.spawn(move || {
+                            (chunk.iter())
+                                .map(|&i| (i, store.get_range("x", i, 10).is_ok()))
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                for (i, read) in handles.into_iter().flat_map(|h| h.join().unwrap()) {
+                    ok[i as usize] = read;
+                }
+            });
+            (ok, injector.injected_total())
+        };
+        let forward: Vec<u64> = (0..40).collect();
+        let backward: Vec<u64> = (0..40).rev().collect();
+        let want = outcomes(&forward, 1);
+        assert!(want.1 > 0, "the plan injected nothing");
+        assert_eq!(outcomes(&backward, 1), want);
+        assert_eq!(outcomes(&forward, 4), want);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use pixels_common::{
 };
 use pixels_exec::{
     default_parallelism, exchange, execute, execute_collect, materialize, ExchangeStats,
-    ExecContext, ExecMetricsSnapshot, JoinSide, DEFAULT_BATCH_SIZE,
+    ExecContext, ExecMetricsSnapshot, JoinSide, ReadAhead, DEFAULT_BATCH_SIZE,
 };
 use pixels_obs::{MetricsRegistry, Span, Trace, TraceCtx, WallClock};
 use pixels_planner::{
@@ -53,9 +53,11 @@ pub struct EngineConfig {
     /// skip the storage GET but are billed exactly like misses — billing is
     /// metered from chunk metadata, never from store traffic.
     pub chunk_cache_bytes: u64,
-    /// Scan prefetch depth: how many row groups a scan may have fetched or
-    /// be fetching ahead of its decoding workers, and so how many reads it
-    /// keeps in flight against the store. `0` runs fetch and decode fused on
+    /// Floor of a scan's read-ahead window: the fewest row groups a scan
+    /// keeps fetched or fetching ahead of its decoding workers. The window
+    /// starts at the depth the engine's earlier scans learned, if higher,
+    /// and widens by one fetch each time a worker stalls on one, up to
+    /// `pixels_exec::MAX_READ_AHEAD`. `0` runs fetch and decode fused on
     /// the workers — the synchronous path, which a scan also takes by itself
     /// when the chunk cache already holds everything it will read.
     pub prefetch_depth: usize,
@@ -269,6 +271,10 @@ pub struct TurboEngine {
     /// dictionaries and runs; hits skip the GET and the parse but bill
     /// identically to misses.
     chunk_cache: Option<Arc<ChunkCache>>,
+    /// The read-ahead depth the engine's scans have learned, shared by
+    /// every VM and CF context like the caches: a cold scan starts its
+    /// prefetch window here instead of at `prefetch_depth`.
+    read_ahead: Arc<ReadAhead>,
     /// Registry backing `/metrics` (the process-wide one by default).
     registry: Arc<MetricsRegistry>,
     /// The engine's families in `registry`, held as handles: queries, fleet
@@ -300,6 +306,7 @@ impl TurboEngine {
             footer_cache: FooterCache::shared(),
             chunk_cache: (cfg.chunk_cache_bytes > 0)
                 .then(|| ChunkCache::shared(cfg.chunk_cache_bytes)),
+            read_ahead: ReadAhead::shared(),
             registry: MetricsRegistry::global().clone(),
             metrics: Arc::new(EngineMetrics::new(MetricsRegistry::global())),
             injector: Arc::new(FaultInjector::disabled()),
@@ -332,7 +339,8 @@ impl TurboEngine {
 
     /// Execution context for a plan of estimated `work`, with parallelism
     /// taken from the resource model (scannable partitions) capped by `limit`
-    /// and the machine's cores, and the engine-wide footer cache attached.
+    /// and the machine's cores, and the engine-wide caches and learned
+    /// read-ahead attached.
     fn exec_context(&self, work: &QueryWork, limit: usize) -> ExecContext {
         let parallelism = (work.parallelism as usize)
             .min(limit.max(1))
@@ -340,7 +348,8 @@ impl TurboEngine {
         let ctx = ExecContext::new(self.store.clone())
             .with_parallelism(parallelism)
             .with_footer_cache(self.footer_cache.clone())
-            .with_prefetch_depth(self.cfg.prefetch_depth);
+            .with_prefetch_depth(self.cfg.prefetch_depth)
+            .with_read_ahead(self.read_ahead.clone());
         match &self.chunk_cache {
             Some(cache) => ctx.with_chunk_cache(cache.clone()),
             None => ctx,
@@ -512,16 +521,20 @@ impl TurboEngine {
                     m.footer_cache_hits,
                 ));
                 if let Some(t) = exec_trace.trace() {
-                    // Summed over the `prefetch` spans: how the scanned
-                    // chunks arrived, and how many came with their
-                    // dictionary or runs already parsed. None of it is
+                    // Summed over the `morsel` spans: how the scanned
+                    // chunks arrived, how many came with their dictionary
+                    // or runs already parsed, and how long the workers
+                    // waited for fetches still in flight. None of it is
                     // billed.
+                    let sum = |key| t.attr_sum(key) as u64;
                     text.push_str(&format!(
-                        "chunk fetches    : {} cache hits ({} memo hits), {} GETs, {} gap bytes\n",
-                        t.attr_sum("cache_hits"),
-                        t.attr_sum("memo_hits"),
-                        t.attr_sum("gets"),
-                        t.attr_sum("gap_bytes"),
+                        "chunk fetches    : {} cache hits ({} memo hits), {} GETs, {} gap bytes, \
+                         {} us waited\n",
+                        sum("cache_hits"),
+                        sum("memo_hits"),
+                        sum("gets"),
+                        sum("gap_bytes"),
+                        sum("wait_us"),
                     ));
                     // Summed over the `morsel` spans of probe scans that a
                     // hash join's build side handed its keys: rows dropped
@@ -1237,10 +1250,12 @@ impl TurboEngine {
 
     /// Count one finished execution on the calling thread: the query's
     /// billed counters, that context's scan-pipeline activity, and the
-    /// shared chunk cache's totals as they now stand.
+    /// learned read-ahead and the shared chunk cache's totals as they now
+    /// stand.
     fn count_execution(&self, billed: &ExecMetricsSnapshot, ctx: &ExecContext) {
         self.metrics.exec(billed);
         self.metrics.pipeline(&ctx.metrics.pipeline_snapshot());
+        self.metrics.read_ahead.set(self.read_ahead.depth() as f64);
         if let Some(cache) = &self.chunk_cache {
             self.metrics.chunk_cache(cache);
         }
@@ -2165,6 +2180,12 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("gets=1"), "{text}");
+        // Beside them, how long the workers waited for fetches in flight.
+        let fetches = (text.lines())
+            .find(|l| l.contains("chunk fetches"))
+            .unwrap();
+        assert!(fetches.contains(" us waited"), "{fetches}");
+        assert!(text.contains("fetch_us="), "{text}");
         assert!(text.contains("join filters     : none"), "{text}");
         // A dictionary column's two chunks: the first run parses their
         // dictionaries into the cached chunks' memos, the second borrows them.

@@ -6,32 +6,36 @@
 //! cache {off, 2 MiB, 64 MiB} × parallelism {1, 4} against one reference
 //! run, over a store wrapper that counts what the engine asks of it — which
 //! also shows that a wrapper knowing only the `ObjectStore` trait sees the
-//! vectored reads.
+//! vectored reads. The same wrapper can sleep per request like a remote
+//! store, so the read-ahead window really widens and the depth an engine
+//! learns really carries to its next query.
 
 use bytes::Bytes;
 use pixelsdb::catalog::Catalog;
 use pixelsdb::common::{RecordBatch, Result, Value};
-use pixelsdb::exec::{execute, ExecContext, ExecMetricsSnapshot};
+use pixelsdb::exec::{execute, ExecContext, ExecMetricsSnapshot, ReadAhead};
 use pixelsdb::planner::plan_query;
 use pixelsdb::server::{PriceSchedule, QueryServer, QueryStatus, QuerySubmission, ServiceLevel};
 use pixelsdb::storage::{
-    ChunkCache, InMemoryObjectStore, ObjectStore, ObjectStoreRef, StoreMetricsSnapshot,
-    COALESCE_GAP_BYTES,
+    ChunkCache, InMemoryObjectStore, LatencyModel, ObjectStore, ObjectStoreRef,
+    StoreMetricsSnapshot, COALESCE_GAP_BYTES,
 };
 use pixelsdb::turbo::{EngineConfig, TurboEngine};
 use pixelsdb::workload::{
     all_queries, load_tpch, load_weblog, QueryTemplate, TpchConfig, WeblogConfig,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
-/// Counts ranged GETs and the bytes they return; everything else passes
-/// through.
+/// Counts ranged GETs and the bytes they return, sleeping for each as
+/// `latency` models once one is set; everything else passes through.
 #[derive(Default)]
 struct CountingStore {
     inner: InMemoryObjectStore,
     ranged_gets: AtomicU64,
     ranged_bytes: AtomicU64,
+    latency: OnceLock<LatencyModel>,
 }
 
 impl CountingStore {
@@ -51,6 +55,9 @@ impl ObjectStore for CountingStore {
         self.inner.get(path)
     }
     fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
+        if let Some(model) = self.latency.get() {
+            std::thread::sleep(Duration::from_micros(model.request_latency_us(len)));
+        }
         let data = self.inner.get_range(path, offset, len)?;
         self.ranged_gets.fetch_add(1, Ordering::SeqCst);
         self.ranged_bytes
@@ -286,4 +293,95 @@ fn a_cold_scan_merges_gets_and_a_warm_one_starts_no_prefetcher() {
     let uncached = ExecContext::new(store.clone() as ObjectStoreRef).with_parallelism(2);
     execute(&plan, &uncached).unwrap();
     assert!(uncached.metrics.pipeline_snapshot().prefetch_issued > 1);
+}
+
+/// A store a few hundred µs a request away, as a remote one is.
+const REMOTE: LatencyModel = LatencyModel {
+    per_request_us: 300,
+    per_mb_us: 2_000,
+};
+
+#[test]
+fn a_widening_window_over_a_latency_store_changes_nothing() {
+    // One learned depth across the whole matrix, so later scans start wide
+    // and keep widening while the sleeping store stalls their workers: every
+    // floor and cache must still give the synchronous path's rows, order
+    // and bill.
+    let (catalog, store) = fixture(0.002, 4000);
+    store.latency.set(REMOTE).unwrap();
+    let read_ahead = ReadAhead::shared();
+    let queries = all_queries();
+    let caches = [None, Some(ChunkCache::shared(2 << 20))];
+    let run = |q: &QueryTemplate, floor: usize, cache: Option<&Arc<ChunkCache>>| {
+        let plan = plan_query(&catalog, q.database, q.sql).unwrap();
+        let mut ctx = ExecContext::new(store.clone() as ObjectStoreRef)
+            .with_parallelism(2)
+            .with_prefetch_depth(floor)
+            .with_read_ahead(read_ahead.clone());
+        if let Some(cache) = cache {
+            ctx = ctx.with_chunk_cache(cache.clone());
+        }
+        let rows = ordered_rows(&execute(&plan, &ctx).unwrap());
+        (rows, ctx.metrics.snapshot())
+    };
+    for q in &queries {
+        let (want_rows, want) = run(q, 0, None);
+        for floor in [0usize, 1, 4] {
+            for cache in &caches {
+                let label = format!("{} floor {floor} cache {}", q.id, cache.is_some());
+                let (rows, got) = run(q, floor, cache.as_ref());
+                assert!(identical(&rows, &want_rows), "{label}: rows diverged");
+                assert_eq!(got, want, "{label}: billed bytes or counters diverged");
+            }
+        }
+    }
+    assert!(
+        read_ahead.depth() > 4,
+        "no scan ever stalled: {read_ahead:?}"
+    );
+}
+
+#[test]
+fn an_engine_starts_its_next_cold_scan_at_the_depth_it_learned() {
+    let (catalog, store) = fixture(0.002, 4000);
+    store.latency.set(REMOTE).unwrap();
+    let floor = EngineConfig::default().prefetch_depth;
+    let engine = TurboEngine::new(
+        catalog,
+        store.clone() as ObjectStoreRef,
+        EngineConfig {
+            chunk_cache_bytes: 0,
+            ..EngineConfig::default()
+        },
+    )
+    .with_registry(pixelsdb::obs::MetricsRegistry::shared());
+    let learned = || {
+        let text = engine.registry().render();
+        let line = (text.lines())
+            .find(|l| l.starts_with("pixels_scan_read_ahead_depth "))
+            .unwrap_or_else(|| panic!("no read-ahead gauge in {text}"));
+        line.split_whitespace()
+            .nth(1)
+            .unwrap()
+            .parse::<f64>()
+            .unwrap() as usize
+    };
+    let sql = "SELECT l_orderkey, l_quantity, l_extendedprice, l_shipdate FROM lineitem \
+               WHERE l_discount > 0.05";
+    let first = engine.execute_sql("tpch", sql, false).unwrap();
+    // The first scan started at the floor and stalled on the sleeping
+    // store, so the engine learned a deeper window; the second starts
+    // there, above the floor, and answers and bills the same.
+    let depth = learned();
+    assert!(depth > floor, "learned {depth}, floor {floor}");
+    let second = engine.execute_sql("tpch", sql, false).unwrap();
+    assert!(
+        learned() >= depth - 1,
+        "one calm scan lowers the depth by one at most"
+    );
+    assert_eq!(
+        second.bytes_scanned,
+        first.bytes_scanned - first.metrics.open_bytes
+    );
+    assert!(identical(&second.batch.to_rows(), &first.batch.to_rows()));
 }
