@@ -10,16 +10,15 @@
 //! of dictionary and plain chunks at 1 % / 50 % / 100 % selectivity, and
 //! `concat` of 16 decoded row groups — below any operator.
 //! The `remote_scan` group runs a lineitem scan over a store that sleeps per
-//! request, at read-ahead floors 0, 1 and 4 with nothing learned, and at the
-//! default floor with a learned depth carried from iteration to iteration
-//! (`learned`, the steady state of an engine's cold scans). Headline ratios
-//! are recorded in EXPERIMENTS.md.
+//! request, at prefetch depths 0, 1, 4 and the default 16: the depth sweep of
+//! the vectored, overlapped fetch. Headline ratios are recorded in
+//! EXPERIMENTS.md.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pixels_catalog::{Catalog, CatalogRef, CreateTable};
 use pixels_common::{Column, DataType, Field, RecordBatch, Result, Schema, Selection, Value};
-use pixels_exec::{execute, ExecContext, ReadAhead};
+use pixels_exec::{execute, ExecContext, DEFAULT_PREFETCH_DEPTH};
 use pixels_planner::{plan_query, Plan};
 use pixels_storage::{
     ChunkCache, EncodedChunk, Encoding, InMemoryObjectStore, LatencyModel, ObjectStore,
@@ -387,7 +386,7 @@ fn bench_remote_scan(c: &mut Criterion) {
     g.sample_size(10);
     // No chunk cache: every iteration is cold, as under a cache much
     // smaller than the table.
-    for depth in [0usize, 1, 4] {
+    for depth in [0, 1, 4, DEFAULT_PREFETCH_DEPTH] {
         g.bench_function(&format!("lineitem/depth_{depth}"), |b| {
             b.iter(|| {
                 run(
@@ -399,24 +398,7 @@ fn bench_remote_scan(c: &mut Criterion) {
             })
         });
     }
-    // Floor 4 with a learned depth carried from scan to scan, as an engine
-    // carries it: the steady state a run of cold scans settles into.
-    let read_ahead = ReadAhead::shared();
-    g.bench_function("lineitem/learned", |b| {
-        b.iter(|| {
-            run(
-                &plan,
-                &ExecContext::new(store.clone())
-                    .with_parallelism(1)
-                    .with_read_ahead(read_ahead.clone()),
-            )
-        })
-    });
     g.finish();
-    eprintln!(
-        "remote_scan: learned read-ahead depth {}",
-        read_ahead.depth()
-    );
 }
 
 criterion_group!(

@@ -134,12 +134,16 @@ impl FaultInjector {
             return Inject::None;
         };
         state.decisions.fetch_add(1, Ordering::Relaxed);
-        let mut h = Fnv::new(state.request_seed);
-        h.write(path.as_bytes());
-        for word in [range.0, range.1, attempt as u64] {
-            h.write(&word.to_le_bytes());
-        }
-        let verdict = draw(&state.spec, &mut ChaosRng::new(h.0));
+        let mut rng = ChaosRng::keyed(
+            state.request_seed,
+            &[
+                path.as_bytes(),
+                &range.0.to_le_bytes(),
+                &range.1.to_le_bytes(),
+                &(attempt as u64).to_le_bytes(),
+            ],
+        );
+        let verdict = draw(&state.spec, &mut rng);
         let max = state.spec.max_faults;
         let counted = !verdict.is_fault()
             || (state.injected)
@@ -211,23 +215,6 @@ fn draw(spec: &SiteSpec, rng: &mut ChaosRng) -> Inject {
         }
     } else {
         Inject::None
-    }
-}
-
-/// FNV-1a over a request's path and words, from a site's seed: the seed of
-/// that request's verdict stream.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new(seed: u64) -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325 ^ seed)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
     }
 }
 

@@ -6,6 +6,15 @@
 //! xorshift64* core. Statistical quality is more than enough for Bernoulli
 //! fault draws and jitter; the contract that matters is determinism.
 
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// A small deterministic PRNG (SplitMix64-seeded xorshift64*).
 #[derive(Debug, Clone)]
 pub struct ChaosRng {
@@ -29,12 +38,13 @@ impl ChaosRng {
     /// Derive an independent stream for a named sub-domain (e.g. one fault
     /// site), so decision order at one site never perturbs another.
     pub fn derive(seed: u64, domain: &str) -> ChaosRng {
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-        for b in domain.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        ChaosRng::new(seed ^ h)
+        ChaosRng::new(seed ^ fnv1a(FNV_BASIS, domain.as_bytes()))
+    }
+
+    /// A stream keyed by `parts` (e.g. one request's path, byte range and
+    /// attempt) under `seed`: the same parts always give the same stream.
+    pub fn keyed(seed: u64, parts: &[&[u8]]) -> ChaosRng {
+        ChaosRng::new(parts.iter().fold(FNV_BASIS ^ seed, |h, p| fnv1a(h, p)))
     }
 
     pub fn next_u64(&mut self) -> u64 {

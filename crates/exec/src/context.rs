@@ -1,6 +1,5 @@
 //! Execution context and per-query metrics.
 
-use crate::prefetch::ReadAhead;
 use pixels_obs::{Span, TraceCtx};
 use pixels_storage::{ChunkCache, FetchStats, FooterCache, ObjectStoreRef};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,6 +17,14 @@ pub fn default_parallelism() -> usize {
 /// by this same value, which is what keeps a shuffled plan's MV bytes
 /// identical to the single-stage path's.
 pub const DEFAULT_BATCH_SIZE: usize = 8192;
+
+/// Morsels a scan keeps fetched-or-fetching ahead of its decoding workers
+/// when the caller does not say ([`crate::prefetch`]): sixteen ranged GETs
+/// in flight, on as many I/O threads, hide a remote store's per-request
+/// latency where four left the workers waiting on half their morsels. The
+/// widest benchmark morsel (all twelve `lineitem` columns of a row group) is
+/// about 0.3 MB, so a scan holds about 5 MB of read-ahead at most.
+pub const DEFAULT_PREFETCH_DEPTH: usize = 16;
 
 /// Shared state an executing plan needs: the object store, a metrics sink,
 /// and the parallelism/caching knobs. Cheap to clone.
@@ -37,15 +44,11 @@ pub struct ExecContext {
     /// but bill exactly like a fetch — `bytes_scanned` is metered from
     /// chunk metadata, never from store counters.
     pub chunk_cache: Option<Arc<ChunkCache>>,
-    /// The floor of a scan's read-ahead window: the fewest morsels it keeps
-    /// fetched-or-fetching ahead of the decoding workers (default 4). The
-    /// window widens while the workers stall on fetches
-    /// ([`crate::prefetch`]). `0` fetches on the workers themselves.
+    /// How many morsels the scan may have fetched or be fetching ahead of
+    /// the decoding workers, which is also how many fetches it keeps in
+    /// flight (default [`DEFAULT_PREFETCH_DEPTH`]). `0` fetches on the
+    /// workers themselves.
     pub prefetch_depth: usize,
-    /// The read-ahead depth this context's scans start from and teach. An
-    /// engine shares one across its contexts, beside its caches; without
-    /// one every scan starts at `prefetch_depth`.
-    pub(crate) read_ahead: Option<Arc<ReadAhead>>,
     /// Where in the query's trace this context executes: operators open
     /// child spans under it. Disabled by default — a disabled context makes
     /// every span operation a no-op.
@@ -60,8 +63,7 @@ impl ExecContext {
             parallelism: default_parallelism(),
             footer_cache: FooterCache::shared(),
             chunk_cache: None,
-            prefetch_depth: 4,
-            read_ahead: None,
+            prefetch_depth: DEFAULT_PREFETCH_DEPTH,
             trace: TraceCtx::disabled(),
         }
     }
@@ -84,15 +86,9 @@ impl ExecContext {
         self
     }
 
-    /// Same context with a different read-ahead floor (`0` = synchronous).
+    /// Same context with a different prefetch depth (`0` = no prefetch).
     pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = depth;
-        self
-    }
-
-    /// Same context starting its scans from, and teaching, `read_ahead`.
-    pub fn with_read_ahead(mut self, read_ahead: Arc<ReadAhead>) -> Self {
-        self.read_ahead = Some(read_ahead);
         self
     }
 

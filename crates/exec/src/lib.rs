@@ -32,12 +32,12 @@ pub mod sort;
 
 pub use context::{
     default_parallelism, ExecContext, ExecMetrics, ExecMetricsSnapshot, ScanPipelineSnapshot,
-    DEFAULT_BATCH_SIZE,
+    DEFAULT_BATCH_SIZE, DEFAULT_PREFETCH_DEPTH,
 };
 pub use engine::{execute, execute_collect, operator_name};
 pub use evaluate::{evaluate, fused_filter_selection, predicate_mask};
 pub use exchange::{ExchangeStats, JoinSide};
-pub use prefetch::{PrefetchStats, ReadAhead, MAX_READ_AHEAD};
+pub use prefetch::PrefetchStats;
 
 use pixels_common::{RecordBatch, Result, SchemaRef};
 use pixels_storage::{ObjectStore, PixelsWriter};

@@ -1,42 +1,26 @@
-//! Morsel prefetching: keep as many morsels' object-store reads in flight
-//! ahead of the workers that decode them as the workers turn out to need.
+//! Morsel prefetching: keep several morsels' object-store reads in flight
+//! ahead of the workers that decode them.
 //!
 //! [`run_prefetched`] splits each morsel into a *fetch* (I/O) and a *work*
-//! (decode/filter) phase. I/O threads claim morsel indices in order and
-//! fetch them under one *window*: at most `window` morsels are
-//! fetched-or-fetching ahead of what the workers have taken, and there is
-//! one I/O thread per morsel of window, so the window is at once the
-//! read-ahead, the memory bound (in morsels) and the number of requests in
-//! flight. Workers claim morsel indices exactly like
+//! (decode/filter) phase. `min(depth, morsels)` I/O threads claim morsel
+//! indices in order and fetch them, never letting more than `depth` morsels
+//! be fetched-or-fetching ahead of consumption: `depth` is at once the
+//! read-ahead window, the memory bound (in morsels) and the number of
+//! requests in flight, which is what hides a remote store's per-request
+//! latency. Workers claim morsel indices exactly like
 //! [`crate::parallel::run_indexed`] and block only while their morsel's
 //! fetch has not completed.
-//!
-//! The window is sized by what the store does, not by a setting:
-//!
-//! - **Floor.** The caller's `floor` (`ExecContext::prefetch_depth`) is the
-//!   smallest window; `0` runs fetch and decode fused on the workers (the
-//!   synchronous path).
-//! - **Start.** A scan starts at `max(floor, learned)`, where `learned` is
-//!   the [`ReadAhead`] depth the engine's earlier scans reached, capped by
-//!   [`MAX_READ_AHEAD`] and by the morsels there are.
-//! - **Growth.** Each *stall* — a worker asking for a morsel whose fetch has
-//!   not finished, the complement of [`PrefetchStats::hits`] — widens the
-//!   window by one fetch and starts one more I/O thread, up to the same cap.
-//!   No I/O thread starts before the window needs it.
-//! - **Learning.** At its end a scan that stalled raises the learned depth
-//!   to the window it reached; one that never stalled, having started above
-//!   its floor, lowers it by one.
 //!
 //! What callers rely on, and what they do not:
 //!
 //! - **Results, not request order.** Output is in morsel order and a fetch
 //!   hands its morsel exactly the bytes a synchronous read would, so rows,
-//!   billed bytes and bills depend neither on the window nor on what was
-//!   learned. The *order in which GETs reach the store* does: fetches start
-//!   in morsel order but overlap and finish in any order. The fault injector
-//!   draws each storage verdict from the request itself (path, byte range,
-//!   attempt), so a seeded plan fails the same requests whichever thread
-//!   issues them and in whatever order.
+//!   billed bytes and bills do not depend on `depth`. The *order in which
+//!   GETs reach the store* does: fetches start in morsel order but overlap
+//!   and finish in any order. The fault injector draws each storage verdict
+//!   from the request itself (path, byte range, attempt), so a seeded plan
+//!   fails the same requests whichever thread issues them and in whatever
+//!   order.
 //! - **Error semantics.** A fetch error surfaces at its morsel index when a
 //!   worker consumes the slot, so the lowest-index error still wins, exactly
 //!   as on the synchronous path. Morsels fetched but never consumed after an
@@ -44,56 +28,16 @@
 
 use parking_lot::{Condvar, Mutex};
 use pixels_common::Result;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::parallel::run_indexed;
 
-/// The widest window one scan opens, in morsels: its bound on I/O threads,
-/// on requests in flight and on fetched-but-unconsumed morsels. The widest
-/// benchmark morsel (all twelve `lineitem` columns of a row group) is about
-/// 0.3 MB, so a scan holds at most about 5 MB of read-ahead.
-pub const MAX_READ_AHEAD: usize = 16;
-
 /// Stack size of an I/O thread. It only fetches, so a small stack is plenty,
-/// and a cold scan starts dozens of them: the C library keeps a bounded
-/// cache of freed thread stacks, and a small stack is one it can hand to
-/// the next scan's thread instead of mapping and guarding a fresh one.
+/// and a cold scan starts one per morsel of window: the C library keeps a
+/// bounded cache of freed thread stacks, and a small stack is one it can
+/// hand to the next scan's thread instead of mapping and guarding a fresh
+/// one.
 const IO_STACK_BYTES: usize = 256 << 10;
-
-/// The read-ahead depth an engine's scans have learned: where the next
-/// scan's window starts. Shared by every context of one engine, beside its
-/// footer and chunk caches; a context without one starts every scan at its
-/// floor.
-#[derive(Debug, Default)]
-pub struct ReadAhead {
-    depth: AtomicUsize,
-}
-
-impl ReadAhead {
-    pub fn shared() -> Arc<ReadAhead> {
-        Arc::new(ReadAhead::default())
-    }
-
-    /// The learned depth (0 until a scan has stalled).
-    pub fn depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
-    }
-
-    /// Fold one finished scan in: a stall raises the depth to the window the
-    /// scan reached; a scan that started above its floor and never stalled
-    /// had more read-ahead than it used, and lowers it by one.
-    fn learn(&self, floor: usize, start: usize, reached: usize, stalled: bool) {
-        if stalled {
-            self.depth.fetch_max(reached, Ordering::Relaxed);
-        } else if start > floor {
-            let _ = (self.depth).fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                Some(d.saturating_sub(1))
-            });
-        }
-    }
-}
 
 /// What the prefetcher did during one [`run_prefetched`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -104,9 +48,6 @@ pub struct PrefetchStats {
     pub hits: u64,
     /// Fetched morsels never consumed (only possible after an abort).
     pub wasted: u64,
-    /// The window the scan ended with, which is also how many I/O threads it
-    /// started (0 on the synchronous path).
-    pub window: usize,
 }
 
 enum Slot<T> {
@@ -120,40 +61,23 @@ struct State<T> {
     /// Next morsel an I/O thread will claim; everything below is claimed.
     next: usize,
     /// Claimed-but-not-taken morsels (fetching or ready); I/O threads stall
-    /// at `window`.
+    /// at `depth`.
     ahead: usize,
-    /// Current window, and the number of I/O threads started.
-    window: usize,
     /// Morsels found fetched on their worker's first ask.
     hits: u64,
-    stalled: bool,
     stop: bool,
 }
 
-/// Points a test can hold the pipeline at, to force an interleaving without
-/// sleeping. The scan passes `()`, which holds nothing.
-trait Probe: Sync {
-    /// An I/O thread has stored morsel `i`'s fetch.
-    fn ready(&self, _i: usize) {}
-    /// A worker is about to ask for morsel `i`.
-    fn asking(&self, _i: usize) {}
-    /// A worker found morsel `i` still pending and is about to wait.
-    fn stalled(&self, _i: usize) {}
-}
-
-impl Probe for () {}
-
 /// Run `work(i, fetch(i)?, wait_us)` for every `i in 0..n` with results in
-/// index order, fetching ahead of the workers under a window that starts at
-/// `max(floor, learned)` and grows by one fetch per stall (module docs).
-/// `wait_us` is how long the worker waited for morsel `i`'s fetch (0 when
-/// it was ready). With `floor == 0` (or nothing to pipeline) the phases run
-/// fused on the worker threads — the synchronous path.
+/// index order, fetching up to `depth` morsels ahead of the workers on as
+/// many I/O threads. `wait_us` is how long the worker waited for morsel
+/// `i`'s fetch (0 when it was ready). With `depth == 0` (or nothing to
+/// pipeline) the phases run fused on the worker threads — the synchronous
+/// path.
 pub fn run_prefetched<T, R, Fetch, Work>(
     n: usize,
     parallelism: usize,
-    floor: usize,
-    learned: Option<&ReadAhead>,
+    depth: usize,
     fetch: Fetch,
     work: Work,
 ) -> (Result<Vec<R>>, PrefetchStats)
@@ -163,38 +87,16 @@ where
     Fetch: Fn(usize) -> Result<T> + Sync,
     Work: Fn(usize, T, u64) -> Result<R> + Sync,
 {
-    run_probed(n, parallelism, floor, learned, fetch, work, &())
-}
-
-fn run_probed<T, R, Fetch, Work>(
-    n: usize,
-    parallelism: usize,
-    floor: usize,
-    learned: Option<&ReadAhead>,
-    fetch: Fetch,
-    work: Work,
-    probe: &impl Probe,
-) -> (Result<Vec<R>>, PrefetchStats)
-where
-    T: Send,
-    R: Send,
-    Fetch: Fn(usize) -> Result<T> + Sync,
-    Work: Fn(usize, T, u64) -> Result<R> + Sync,
-{
-    if floor == 0 || n <= 1 {
+    if depth == 0 || n <= 1 {
         let result = run_indexed(n, parallelism, |i| work(i, fetch(i)?, 0));
         return (result, PrefetchStats::default());
     }
 
-    let cap = MAX_READ_AHEAD.min(n);
-    let start = floor.max(learned.map_or(0, ReadAhead::depth)).min(cap);
     let state = Mutex::new(State {
         slots: (0..n).map(|_| Slot::Pending).collect(),
         next: 0,
         ahead: 0,
-        window: start,
         hits: 0,
-        stalled: false,
         stop: false,
     });
     // I/O threads wait for room in the window, workers for their morsel:
@@ -205,7 +107,7 @@ where
     let io_loop = || loop {
         let i = {
             let mut st = state.lock();
-            while st.ahead >= st.window && st.next < n && !st.stop {
+            while st.ahead >= depth && st.next < n && !st.stop {
                 room.wait(&mut st);
             }
             if st.stop || st.next >= n {
@@ -217,23 +119,18 @@ where
         };
         let fetched = fetch(i);
         state.lock().slots[i] = Slot::Ready(fetched);
-        probe.ready(i);
         landed.notify_all();
     };
 
     let result = std::thread::scope(|s| {
-        let spawn_io = || {
+        for _ in 0..depth.min(n) {
             std::thread::Builder::new()
                 .stack_size(IO_STACK_BYTES)
                 .spawn_scoped(s, io_loop)
                 .expect("failed to spawn a prefetch I/O thread");
-        };
-        for _ in 0..start {
-            spawn_io();
         }
 
         let result = run_indexed(n, parallelism, |i| {
-            probe.asking(i);
             let (fetched, wait_us) = {
                 let mut st = state.lock();
                 let mut waiting: Option<Instant> = None;
@@ -250,17 +147,7 @@ where
                         }
                         Slot::Pending => {
                             st.slots[i] = Slot::Pending;
-                            if waiting.is_none() {
-                                waiting = Some(Instant::now());
-                                st.stalled = true;
-                                // A wider window is one more fetch in
-                                // flight, while there is a morsel to fetch.
-                                if st.window < cap && st.next < n {
-                                    st.window += 1;
-                                    spawn_io();
-                                }
-                                probe.stalled(i);
-                            }
+                            waiting.get_or_insert_with(Instant::now);
                             landed.wait(&mut st);
                         }
                         Slot::Taken => unreachable!("morsel {i} consumed twice"),
@@ -276,9 +163,6 @@ where
     });
 
     let state = state.into_inner();
-    if let Some(learned) = learned {
-        learned.learn(floor, start, state.window, state.stalled);
-    }
     let wasted = (state.slots.iter())
         .filter(|s| matches!(s, Slot::Ready(_)))
         .count() as u64;
@@ -287,7 +171,6 @@ where
         issued: state.next as u64,
         hits: state.hits,
         wasted,
-        window: state.window,
     };
     (result, stats)
 }
@@ -296,13 +179,7 @@ where
 mod tests {
     use super::*;
     use pixels_common::Error;
-    use std::collections::HashSet;
-    use std::sync::mpsc;
-
-    /// A fetch that takes no time and a work that takes none.
-    fn instant(i: usize) -> Result<usize> {
-        Ok(i)
-    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn pass(_: usize, v: usize, _: u64) -> Result<usize> {
         Ok(v)
@@ -311,199 +188,40 @@ mod tests {
     #[test]
     fn preserves_order_and_results() {
         for p in [1, 2, 4] {
-            for floor in [0, 1, 2, 8] {
+            for depth in [0, 1, 2, 8] {
                 let (result, _) =
-                    run_prefetched(
-                        25,
-                        p,
-                        floor,
-                        None,
-                        instant,
-                        |i, v: usize, _| Ok(i * 100 + v),
-                    );
+                    run_prefetched(25, p, depth, Ok, |i, v: usize, _| Ok(i * 100 + v));
                 let out = result.unwrap();
                 assert_eq!(out, (0..25).map(|i| i * 101).collect::<Vec<_>>());
             }
         }
     }
 
-    /// Holds each fetch until its worker has found it pending: every ask is
-    /// a stall, so the window grows on every morsel.
-    struct ReleaseOnStall {
-        release: Vec<Mutex<Option<mpsc::Sender<()>>>>,
-    }
-
-    impl Probe for ReleaseOnStall {
-        fn stalled(&self, i: usize) {
-            self.release[i].lock().take().unwrap().send(()).unwrap();
-        }
-    }
-
-    /// Run `n` morsels on one worker whose fetches finish only when their
-    /// worker stalls on them, recording how many fetches were in flight at
-    /// most.
-    fn run_stalling(n: usize, floor: usize, learned: Option<&ReadAhead>) -> (PrefetchStats, usize) {
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| mpsc::channel()).unzip();
-        let probe = ReleaseOnStall {
-            release: senders.into_iter().map(|s| Mutex::new(Some(s))).collect(),
-        };
-        let receivers: Vec<_> = receivers.into_iter().map(Mutex::new).collect();
-        let in_flight = AtomicUsize::new(0);
-        let max_in_flight = AtomicUsize::new(0);
-        let (result, stats) = run_probed(
-            n,
-            1,
-            floor,
-            learned,
-            |i| {
-                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                max_in_flight.fetch_max(now, Ordering::SeqCst);
-                receivers[i].lock().recv().unwrap();
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                Ok(i)
-            },
-            pass,
-            &probe,
-        );
-        assert_eq!(result.unwrap(), (0..n).collect::<Vec<_>>());
-        (stats, max_in_flight.into_inner())
-    }
-
-    #[test]
-    fn stalls_grow_the_window_up_to_the_cap_and_the_morsels() {
-        // Every ask stalls, and while a morsel is left unclaimed each stall
-        // widens the window: with `k` morsels taken the window is `floor + k`
-        // and at most `floor + 2k` are claimed, so the window grows at least
-        // to `floor + (n - floor) / 2`, unless the cap stops it first.
-        for (n, floor) in [(10, 1), (10, 4), (200, 1)] {
-            let (stats, max_in_flight) = run_stalling(n, floor, None);
-            let cap = MAX_READ_AHEAD.min(n);
-            let least = (floor + (n - floor).div_ceil(2)).min(cap);
-            assert_eq!(stats.hits, 0, "every ask stalls: {stats:?}");
-            assert!(stats.window >= least, "too little growth: {stats:?}");
-            assert!(stats.window <= cap, "past the cap {cap}: {stats:?}");
-            assert!(
-                max_in_flight <= stats.window,
-                "{max_in_flight} in flight: {stats:?}"
-            );
-            assert_eq!(stats.issued, n as u64);
-        }
-        assert_eq!(run_stalling(200, 1, None).0.window, MAX_READ_AHEAD);
-    }
-
-    /// Holds each worker's ask until its morsel has been stored: no ask can
-    /// stall, however the threads are scheduled.
-    struct AskWhenReady {
-        ready: Mutex<HashSet<usize>>,
-        cv: Condvar,
-    }
-
-    impl Probe for AskWhenReady {
-        fn ready(&self, i: usize) {
-            self.ready.lock().insert(i);
-            self.cv.notify_all();
-        }
-        fn asking(&self, i: usize) {
-            let mut ready = self.ready.lock();
-            while !ready.contains(&i) {
-                self.cv.wait(&mut ready);
-            }
-        }
-    }
-
-    /// Run `n` instant morsels on `p` workers that never stall, returning
-    /// the stats and how many distinct I/O threads fetched.
-    fn run_without_stalls(
-        n: usize,
-        p: usize,
-        floor: usize,
-        learned: Option<&ReadAhead>,
-    ) -> (PrefetchStats, usize) {
-        let probe = AskWhenReady {
-            ready: Mutex::new(HashSet::new()),
-            cv: Condvar::new(),
-        };
-        let threads = Mutex::new(HashSet::new());
-        let (result, stats) = run_probed(
-            n,
-            p,
-            floor,
-            learned,
-            |i| {
-                threads.lock().insert(std::thread::current().id());
-                Ok(i)
-            },
-            |i, v: usize, wait_us| {
-                assert_eq!(wait_us, 0, "morsel {i} was ready, yet its worker waited");
-                Ok(v)
-            },
-            &probe,
-        );
-        assert_eq!(result.unwrap(), (0..n).collect::<Vec<_>>());
-        (stats, threads.into_inner().len())
-    }
-
-    #[test]
-    fn instant_fetches_keep_the_floor_and_its_threads() {
-        for (p, floor) in [(1, 1), (1, 4), (2, 2), (4, 3)] {
-            let (stats, threads) = run_without_stalls(30, p, floor, None);
-            assert_eq!(stats.hits, 30, "{stats:?}");
-            assert_eq!(stats.window, floor, "no stall, no growth: {stats:?}");
-            assert!(threads <= floor, "{threads} I/O threads at floor {floor}");
-        }
-    }
-
-    #[test]
-    fn a_learned_depth_starts_the_next_scan_and_decays_without_stalls() {
-        let learned = ReadAhead::default();
-        let (stalled, _) = run_stalling(12, 2, Some(&learned));
-        let reached = stalled.window;
-        assert!(reached > 2, "{stalled:?}");
-        assert_eq!(
-            learned.depth(),
-            reached,
-            "a stalling scan teaches its window"
-        );
-
-        // The next scan starts where the last one ended, above its floor;
-        // never stalling, it had more read-ahead than it used.
-        let (calm, threads) = run_without_stalls(20, 1, 2, Some(&learned));
-        assert_eq!(calm.window, reached, "{calm:?}");
-        assert!(threads <= reached);
-        assert_eq!(learned.depth(), reached - 1);
-
-        // A scan at its floor that never stalls teaches nothing; a context
-        // without a learned depth starts at the floor.
-        let (at_floor, _) = run_without_stalls(20, 1, reached - 1, Some(&learned));
-        assert_eq!(at_floor.window, reached - 1);
-        assert_eq!(learned.depth(), reached - 1);
-        let (alone, _) = run_without_stalls(20, 1, 2, None);
-        assert_eq!(alone.window, 2);
-    }
-
     #[test]
     fn fetches_start_in_morsel_order_within_the_window() {
         // I/O threads claim indices in order under the window. So when fetch
         // `i` starts, every earlier fetch has been claimed and all but at
-        // most `window - 1` of them (one per other I/O thread) have started;
-        // and no fetch starts more than `window` morsels past what the
-        // workers have taken. The window only grows, so the one the scan
-        // ended with bounds it throughout. `done` counts finished work,
-        // which trails "taken" by at most one morsel per worker. With one
-        // worker, which takes morsels strictly in order, a late starter also
-        // holds the window shut: at most `window - 1` later fetches can
-        // overtake it.
-        for (p, floor) in [(1, 1), (1, 2), (4, 2), (1, 4), (4, 4)] {
+        // most `depth - 1` of them (one per other I/O thread) have started;
+        // and no fetch starts more than `depth` morsels past what the
+        // workers have taken. `done` counts finished work, which trails
+        // "taken" by at most one morsel per worker. With one worker, which
+        // takes morsels strictly in order, a late starter also holds the
+        // window shut: at most `depth - 1` later fetches can overtake it.
+        for (p, depth) in [(1, 1), (1, 2), (4, 2), (1, 4), (4, 4)] {
             let n = 40;
-            let starts = Mutex::new(Vec::new());
+            let order = Mutex::new(Vec::new());
             let done = AtomicUsize::new(0);
             let (result, stats) = run_prefetched(
                 n,
                 p,
-                floor,
-                None,
+                depth,
                 |i| {
-                    starts.lock().push((i, done.load(Ordering::SeqCst)));
+                    let done = done.load(Ordering::SeqCst);
+                    assert!(
+                        i < done + p + depth,
+                        "fetch {i} started with only {done} morsels done (p {p}, depth {depth})"
+                    );
+                    order.lock().push(i);
                     Ok(i)
                 },
                 |_, v: usize, _| {
@@ -512,19 +230,11 @@ mod tests {
                 },
             );
             assert_eq!(result.unwrap(), (0..n).collect::<Vec<_>>());
-            let window = stats.window;
-            assert!(
-                (floor..=MAX_READ_AHEAD.min(n)).contains(&window),
-                "{stats:?}"
-            );
-            for (pos, &(i, done)) in starts.into_inner().iter().enumerate() {
+            let order = order.into_inner();
+            for (pos, &i) in order.iter().enumerate() {
                 assert!(
-                    i < done + p + window,
-                    "fetch {i} started with only {done} morsels done (p {p}, window {window})"
-                );
-                assert!(
-                    pos + window > i && (p > 1 || pos < i + window),
-                    "fetch {i} started {pos}th (p {p}, window {window})"
+                    pos + depth > i && (p > 1 || pos < i + depth),
+                    "fetch {i} started {pos}th (p {p}, depth {depth}): {order:?}"
                 );
             }
             assert_eq!(stats.issued, n as u64);
@@ -533,17 +243,19 @@ mod tests {
     }
 
     #[test]
-    fn slow_fetches_overlap_within_the_window() {
+    fn slow_fetches_overlap_up_to_depth() {
         // A fetch that takes time (a remote GET) must not be waited for
-        // alone: several are in flight at once, never more than the window.
-        let floor = 4;
+        // alone: several are in flight at once, never more than `depth`.
+        // The worker that finds its morsel still in flight says how long it
+        // waited.
+        let depth = 4;
         let in_flight = AtomicUsize::new(0);
         let max_in_flight = AtomicUsize::new(0);
-        let (result, stats) = run_prefetched(
+        let waited = AtomicUsize::new(0);
+        let (result, _) = run_prefetched(
             24,
             1,
-            floor,
-            None,
+            depth,
             |i| {
                 let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                 max_in_flight.fetch_max(now, Ordering::SeqCst);
@@ -551,30 +263,34 @@ mod tests {
                 in_flight.fetch_sub(1, Ordering::SeqCst);
                 Ok(i)
             },
-            pass,
+            |_, v: usize, wait_us| {
+                waited.fetch_add(wait_us as usize, Ordering::SeqCst);
+                Ok(v)
+            },
         );
         result.unwrap();
         let max = max_in_flight.into_inner();
-        assert!(
-            (2..=stats.window).contains(&max),
-            "max in flight {max}, {stats:?}"
-        );
+        assert!((2..=depth).contains(&max), "max in flight {max}");
+        // Morsel 0 alone keeps its worker waiting for a whole fetch.
+        assert!(waited.into_inner() >= 10_000);
     }
 
     #[test]
-    fn readahead_stays_within_the_window_of_consumption() {
-        // With slow consumers the I/O threads may never run more than the
-        // window ahead of what has been consumed, nor past the cap.
-        let floor = 2;
+    fn depth_bounds_readahead() {
+        // With slow consumers the I/O threads may never run more than
+        // `depth` fetches ahead of what has been consumed.
+        let depth = 2;
         let consumed = AtomicUsize::new(0);
-        let starts = Mutex::new(Vec::new());
-        let (result, stats) = run_prefetched(
+        let (result, _) = run_prefetched(
             30,
             1,
-            floor,
-            None,
+            depth,
             |i| {
-                starts.lock().push((i, consumed.load(Ordering::SeqCst)));
+                let c = consumed.load(Ordering::SeqCst);
+                assert!(
+                    i <= c + depth,
+                    "fetch {i} ran more than {depth} ahead of consumption {c}"
+                );
                 Ok(i)
             },
             |i, v: usize, _| {
@@ -584,24 +300,15 @@ mod tests {
             },
         );
         result.unwrap();
-        assert!(stats.window <= MAX_READ_AHEAD);
-        for (i, c) in starts.into_inner() {
-            assert!(
-                i <= c + stats.window,
-                "fetch {i} ran more than {} ahead of consumption {c}",
-                stats.window
-            );
-        }
     }
 
     #[test]
     fn fetch_error_surfaces_at_its_index() {
-        for floor in [0, 2] {
+        for depth in [0, 2] {
             let (result, _) = run_prefetched(
                 10,
                 2,
-                floor,
-                None,
+                depth,
                 |i| {
                     if i == 3 {
                         Err(Error::Exec("fetch boom".into()))
@@ -618,7 +325,7 @@ mod tests {
 
     #[test]
     fn work_error_aborts_and_counts_waste() {
-        let (result, stats) = run_prefetched(50, 1, 4, None, instant, |i, v: usize, _| {
+        let (result, stats) = run_prefetched(50, 1, 4, Ok, |i, v: usize, _| {
             if i == 0 {
                 Err(Error::Exec("work boom".into()))
             } else {
@@ -634,7 +341,7 @@ mod tests {
     fn hits_count_overlap() {
         // Slow workers + eager fetches: every morsel after the first should
         // already be resident when asked for.
-        let (result, stats) = run_prefetched(10, 1, 2, None, instant, |_, v: usize, _| {
+        let (result, stats) = run_prefetched(10, 1, 2, Ok, |_, v: usize, _| {
             std::thread::sleep(std::time::Duration::from_millis(2));
             Ok(v)
         });
@@ -645,10 +352,10 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        let (result, stats) = run_prefetched(0, 4, 2, None, instant, pass);
+        let (result, stats) = run_prefetched(0, 4, 2, Ok, pass);
         assert!(result.unwrap().is_empty());
         assert_eq!(stats, PrefetchStats::default());
-        let (result, _) = run_prefetched(1, 4, 2, None, instant, |_, v: usize, _| Ok(v * 7));
+        let (result, _) = run_prefetched(1, 4, 2, Ok, |_, v: usize, _| Ok(v * 7));
         assert_eq!(result.unwrap(), vec![0]);
     }
 }

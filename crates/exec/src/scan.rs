@@ -15,11 +15,10 @@
 //! phase. The fetch is one vectored read per row group
 //! ([`PixelsReader::fetch_row_group`]: cache first, then one ranged GET per
 //! run of neighbouring chunks); a prefetcher
-//! ([`crate::prefetch::run_prefetched`]) keeps a window of them in flight
-//! ahead of the workers — `prefetch_depth` at least, widened while the
-//! workers stall — unless the chunk cache already holds everything the scan
-//! will read, in which case there is nothing to overlap and the workers
-//! fetch for themselves. In the work phase
+//! ([`crate::prefetch::run_prefetched`]) keeps up to `prefetch_depth` of them
+//! in flight ahead of the workers, unless the chunk cache already holds
+//! everything the scan will read, in which case there is nothing to overlap
+//! and the workers fetch for themselves. In the work phase
 //! ([`ScanMorsels::kept_rows`]) residual filters run on encoded chunks
 //! ([`crate::encoded`]) into one packed [`Selection`] per morsel, 64 rows to
 //! a `u64` word; when the scan is the probe side of a hash join, the build
@@ -196,11 +195,9 @@ impl<'a> ScanMorsels<'a> {
     /// Run `work(span, i, morsel)` on every morsel, each in its own `morsel`
     /// span, and return the results in morsel order. Up to
     /// `ctx.parallelism` workers claim morsels; a prefetcher
-    /// ([`run_prefetched`]) keeps a window of morsels' fetches in flight
-    /// ahead of them — at least `prefetch_depth`, more when the workers
-    /// stall, starting where the engine's earlier scans left it — so what a
-    /// scan holds at once is the in-flight morsels, never the table. The
-    /// lowest-index error wins.
+    /// ([`run_prefetched`]) keeps up to `prefetch_depth` morsels' fetches in
+    /// flight ahead of them, so what a scan holds at once is the in-flight
+    /// morsels, never the table. The lowest-index error wins.
     pub(crate) fn run<R: Send>(
         &self,
         work: impl Fn(&mut Span, usize, LazyRowGroup) -> Result<R> + Sync,
@@ -217,15 +214,14 @@ impl<'a> ScanMorsels<'a> {
                 reader.row_group_resident(rg, Some(self.projection), cache)
             })
         });
-        let floor = if resident { 0 } else { ctx.prefetch_depth };
+        let depth = if resident { 0 } else { ctx.prefetch_depth };
 
         let (results, stats) = run_prefetched(
             self.len(),
             ctx.parallelism,
-            floor,
-            ctx.read_ahead.as_deref(),
+            depth,
             // Fetch phase (on the prefetcher's I/O threads, or fused on the
-            // workers at floor 0): cache-serve or GET the morsel's projected
+            // workers at depth 0): cache-serve or GET the morsel's projected
             // chunks.
             |i| self.fetch(i),
             // Work phase (morsel workers), while the morsel is in cache. The

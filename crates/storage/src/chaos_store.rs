@@ -289,16 +289,20 @@ mod tests {
 
     #[test]
     fn retries_mask_transient_get_errors_and_bill_once() {
-        // Fail roughly a third of all GETs; every request of this seed
-        // succeeds within the retry budget (4).
-        let (store, injector, _clock) = store_with(FaultPlan::get_errors(11, 0.3));
+        // Fail half of all GETs, but no more than the retry budget (4) in
+        // all, so no read can run out of retries whichever draws fault.
+        let plan = FaultPlan::none(11).with(
+            FaultSite::StorageGet,
+            SiteSpec::errors(0.5).capped(RetryPolicy::object_store().max_retries as u64),
+        );
+        let (store, injector, _clock) = store_with(plan);
         for i in 0..50 {
             assert_eq!(store.get_range("x", i, 100).unwrap().len(), 100);
         }
         let m = store.metrics();
-        assert!(injector.injected_total() > 0, "plan injected nothing");
-        assert!(m.gets_failed > 0);
-        assert!(m.retries > 0);
+        assert_eq!(injector.injected_total(), 4, "the plan stopped short");
+        assert_eq!(m.gets_failed, 4);
+        assert_eq!(m.retries, 4);
         // Billing: bytes_read counts only the successful attempts — one
         // per logical read, no matter how many retries it took.
         assert_eq!(m.bytes_read, 50 * 100);

@@ -26,7 +26,7 @@ use pixels_common::{
 };
 use pixels_exec::{
     default_parallelism, exchange, execute, execute_collect, materialize, ExchangeStats,
-    ExecContext, ExecMetricsSnapshot, JoinSide, ReadAhead, DEFAULT_BATCH_SIZE,
+    ExecContext, ExecMetricsSnapshot, JoinSide, DEFAULT_BATCH_SIZE, DEFAULT_PREFETCH_DEPTH,
 };
 use pixels_obs::{MetricsRegistry, Span, Trace, TraceCtx, WallClock};
 use pixels_planner::{
@@ -53,13 +53,12 @@ pub struct EngineConfig {
     /// skip the storage GET but are billed exactly like misses — billing is
     /// metered from chunk metadata, never from store traffic.
     pub chunk_cache_bytes: u64,
-    /// Floor of a scan's read-ahead window: the fewest row groups a scan
-    /// keeps fetched or fetching ahead of its decoding workers. The window
-    /// starts at the depth the engine's earlier scans learned, if higher,
-    /// and widens by one fetch each time a worker stalls on one, up to
-    /// `pixels_exec::MAX_READ_AHEAD`. `0` runs fetch and decode fused on
-    /// the workers — the synchronous path, which a scan also takes by itself
-    /// when the chunk cache already holds everything it will read.
+    /// Scan prefetch depth: how many row groups a scan may have fetched or
+    /// be fetching ahead of its decoding workers, and so how many reads it
+    /// keeps in flight against the store (default
+    /// [`pixels_exec::DEFAULT_PREFETCH_DEPTH`]). `0` runs fetch and decode
+    /// fused on the workers — the synchronous path, which a scan also takes
+    /// by itself when the chunk cache already holds everything it will read.
     pub prefetch_depth: usize,
     /// Hash-partition fan-out of multi-stage CF plans. At `1` (the default)
     /// every CF plan is single-stage; above `1`, shuffleable cut points
@@ -78,7 +77,7 @@ impl Default for EngineConfig {
             vm_slots: 4,
             cf_fleet_threads: 4,
             chunk_cache_bytes: 64 << 20,
-            prefetch_depth: 4,
+            prefetch_depth: DEFAULT_PREFETCH_DEPTH,
             exchange_partitions: 1,
         }
     }
@@ -271,10 +270,6 @@ pub struct TurboEngine {
     /// dictionaries and runs; hits skip the GET and the parse but bill
     /// identically to misses.
     chunk_cache: Option<Arc<ChunkCache>>,
-    /// The read-ahead depth the engine's scans have learned, shared by
-    /// every VM and CF context like the caches: a cold scan starts its
-    /// prefetch window here instead of at `prefetch_depth`.
-    read_ahead: Arc<ReadAhead>,
     /// Registry backing `/metrics` (the process-wide one by default).
     registry: Arc<MetricsRegistry>,
     /// The engine's families in `registry`, held as handles: queries, fleet
@@ -306,7 +301,6 @@ impl TurboEngine {
             footer_cache: FooterCache::shared(),
             chunk_cache: (cfg.chunk_cache_bytes > 0)
                 .then(|| ChunkCache::shared(cfg.chunk_cache_bytes)),
-            read_ahead: ReadAhead::shared(),
             registry: MetricsRegistry::global().clone(),
             metrics: Arc::new(EngineMetrics::new(MetricsRegistry::global())),
             injector: Arc::new(FaultInjector::disabled()),
@@ -339,8 +333,7 @@ impl TurboEngine {
 
     /// Execution context for a plan of estimated `work`, with parallelism
     /// taken from the resource model (scannable partitions) capped by `limit`
-    /// and the machine's cores, and the engine-wide caches and learned
-    /// read-ahead attached.
+    /// and the machine's cores, and the engine-wide footer cache attached.
     fn exec_context(&self, work: &QueryWork, limit: usize) -> ExecContext {
         let parallelism = (work.parallelism as usize)
             .min(limit.max(1))
@@ -348,8 +341,7 @@ impl TurboEngine {
         let ctx = ExecContext::new(self.store.clone())
             .with_parallelism(parallelism)
             .with_footer_cache(self.footer_cache.clone())
-            .with_prefetch_depth(self.cfg.prefetch_depth)
-            .with_read_ahead(self.read_ahead.clone());
+            .with_prefetch_depth(self.cfg.prefetch_depth);
         match &self.chunk_cache {
             Some(cache) => ctx.with_chunk_cache(cache.clone()),
             None => ctx,
@@ -1250,12 +1242,10 @@ impl TurboEngine {
 
     /// Count one finished execution on the calling thread: the query's
     /// billed counters, that context's scan-pipeline activity, and the
-    /// learned read-ahead and the shared chunk cache's totals as they now
-    /// stand.
+    /// shared chunk cache's totals as they now stand.
     fn count_execution(&self, billed: &ExecMetricsSnapshot, ctx: &ExecContext) {
         self.metrics.exec(billed);
         self.metrics.pipeline(&ctx.metrics.pipeline_snapshot());
-        self.metrics.read_ahead.set(self.read_ahead.depth() as f64);
         if let Some(cache) = &self.chunk_cache {
             self.metrics.chunk_cache(cache);
         }

@@ -63,8 +63,6 @@ catalog! {
             "Morsels whose fetch had already completed when a worker asked for them";
         prefetch_wasted: Counter = "pixels_scan_prefetch_wasted_total",
             "Prefetched morsels never consumed (scan aborted first)";
-        pub(crate) read_ahead: Gauge = "pixels_scan_read_ahead_depth",
-            "Read-ahead depth the engine's scans have learned: where a cold scan's prefetch window starts";
         coalesced_gets: Counter = "pixels_scan_coalesced_gets_total",
             "Ranged GETs issued for chunk data, one per run of merged neighbouring chunks";
         gap_bytes: Counter = "pixels_scan_gap_bytes_total",

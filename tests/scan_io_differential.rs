@@ -7,13 +7,12 @@
 //! run, over a store wrapper that counts what the engine asks of it — which
 //! also shows that a wrapper knowing only the `ObjectStore` trait sees the
 //! vectored reads. The same wrapper can sleep per request like a remote
-//! store, so the read-ahead window really widens and the depth an engine
-//! learns really carries to its next query.
+//! store, so fetches really overlap and finish out of order.
 
 use bytes::Bytes;
 use pixelsdb::catalog::Catalog;
 use pixelsdb::common::{RecordBatch, Result, Value};
-use pixelsdb::exec::{execute, ExecContext, ExecMetricsSnapshot, ReadAhead};
+use pixelsdb::exec::{execute, ExecContext, ExecMetricsSnapshot, DEFAULT_PREFETCH_DEPTH};
 use pixelsdb::planner::plan_query;
 use pixelsdb::server::{PriceSchedule, QueryServer, QueryStatus, QuerySubmission, ServiceLevel};
 use pixelsdb::storage::{
@@ -302,22 +301,19 @@ const REMOTE: LatencyModel = LatencyModel {
 };
 
 #[test]
-fn a_widening_window_over_a_latency_store_changes_nothing() {
-    // One learned depth across the whole matrix, so later scans start wide
-    // and keep widening while the sleeping store stalls their workers: every
-    // floor and cache must still give the synchronous path's rows, order
-    // and bill.
+fn a_deep_window_over_a_latency_store_changes_nothing() {
+    // With every fetch sleeping, the I/O threads really run ahead of the
+    // workers and finish out of order: every depth and cache must still give
+    // the synchronous path's rows, order and bill.
     let (catalog, store) = fixture(0.002, 4000);
     store.latency.set(REMOTE).unwrap();
-    let read_ahead = ReadAhead::shared();
     let queries = all_queries();
     let caches = [None, Some(ChunkCache::shared(2 << 20))];
-    let run = |q: &QueryTemplate, floor: usize, cache: Option<&Arc<ChunkCache>>| {
+    let run = |q: &QueryTemplate, depth: usize, cache: Option<&Arc<ChunkCache>>| {
         let plan = plan_query(&catalog, q.database, q.sql).unwrap();
         let mut ctx = ExecContext::new(store.clone() as ObjectStoreRef)
             .with_parallelism(2)
-            .with_prefetch_depth(floor)
-            .with_read_ahead(read_ahead.clone());
+            .with_prefetch_depth(depth);
         if let Some(cache) = cache {
             ctx = ctx.with_chunk_cache(cache.clone());
         }
@@ -326,62 +322,13 @@ fn a_widening_window_over_a_latency_store_changes_nothing() {
     };
     for q in &queries {
         let (want_rows, want) = run(q, 0, None);
-        for floor in [0usize, 1, 4] {
+        for depth in [0, 1, 4, DEFAULT_PREFETCH_DEPTH] {
             for cache in &caches {
-                let label = format!("{} floor {floor} cache {}", q.id, cache.is_some());
-                let (rows, got) = run(q, floor, cache.as_ref());
+                let label = format!("{} depth {depth} cache {}", q.id, cache.is_some());
+                let (rows, got) = run(q, depth, cache.as_ref());
                 assert!(identical(&rows, &want_rows), "{label}: rows diverged");
                 assert_eq!(got, want, "{label}: billed bytes or counters diverged");
             }
         }
     }
-    assert!(
-        read_ahead.depth() > 4,
-        "no scan ever stalled: {read_ahead:?}"
-    );
-}
-
-#[test]
-fn an_engine_starts_its_next_cold_scan_at_the_depth_it_learned() {
-    let (catalog, store) = fixture(0.002, 4000);
-    store.latency.set(REMOTE).unwrap();
-    let floor = EngineConfig::default().prefetch_depth;
-    let engine = TurboEngine::new(
-        catalog,
-        store.clone() as ObjectStoreRef,
-        EngineConfig {
-            chunk_cache_bytes: 0,
-            ..EngineConfig::default()
-        },
-    )
-    .with_registry(pixelsdb::obs::MetricsRegistry::shared());
-    let learned = || {
-        let text = engine.registry().render();
-        let line = (text.lines())
-            .find(|l| l.starts_with("pixels_scan_read_ahead_depth "))
-            .unwrap_or_else(|| panic!("no read-ahead gauge in {text}"));
-        line.split_whitespace()
-            .nth(1)
-            .unwrap()
-            .parse::<f64>()
-            .unwrap() as usize
-    };
-    let sql = "SELECT l_orderkey, l_quantity, l_extendedprice, l_shipdate FROM lineitem \
-               WHERE l_discount > 0.05";
-    let first = engine.execute_sql("tpch", sql, false).unwrap();
-    // The first scan started at the floor and stalled on the sleeping
-    // store, so the engine learned a deeper window; the second starts
-    // there, above the floor, and answers and bills the same.
-    let depth = learned();
-    assert!(depth > floor, "learned {depth}, floor {floor}");
-    let second = engine.execute_sql("tpch", sql, false).unwrap();
-    assert!(
-        learned() >= depth - 1,
-        "one calm scan lowers the depth by one at most"
-    );
-    assert_eq!(
-        second.bytes_scanned,
-        first.bytes_scanned - first.metrics.open_bytes
-    );
-    assert!(identical(&second.batch.to_rows(), &first.batch.to_rows()));
 }
