@@ -1,5 +1,5 @@
 //! Microbenchmarks for the execution engine: predicate evaluation, hash
-//! join, hash aggregation, end-to-end TPC-H-shaped queries, aggregates fed
+//! join, hash aggregation, DISTINCT, end-to-end TPC-H-shaped queries, aggregates fed
 //! straight by a scan, the
 //! serial-vs-parallel scaling of the morsel-driven scan path, and the
 //! overhead of span tracing on the hot scan path.
@@ -94,6 +94,10 @@ fn bench_operators(c: &mut Criterion) {
         (
             "hash_aggregate",
             "SELECT l_returnflag, COUNT(*), SUM(l_quantity) FROM lineitem GROUP BY l_returnflag",
+        ),
+        (
+            "distinct",
+            "SELECT DISTINCT l_returnflag, l_linestatus, l_linenumber FROM lineitem",
         ),
         (
             "hash_join",

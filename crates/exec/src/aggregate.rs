@@ -1,19 +1,21 @@
-//! Hash aggregation with COUNT/SUM/AVG/MIN/MAX and DISTINCT variants.
+//! Hash grouping: GROUP BY with COUNT/SUM/AVG/MIN/MAX and their DISTINCT
+//! variants, and plan-level DISTINCT, which is a GROUP BY of every column
+//! with no aggregate.
 //!
-//! An aggregate over a table scan never sees the scan's output as a whole
-//! ([`execute_scan_aggregate`]): each morsel's rows are folded into a
-//! [`Partial`] (a hash table of groups) by the worker that scanned them. At
-//! parallelism 1 one running partial takes every morsel in morsel order;
-//! above it each morsel builds its own, and the partials merge in morsel
-//! order. Over any other input, materialized first ([`execute_aggregate`]),
-//! the batches are split into contiguous chunks, each worker builds a
-//! partial, and the partials merge on the caller's thread *in chunk order*.
-//! Because merging walks the input in order and each partial records groups
-//! (and DISTINCT values) in first-appearance order, the merged output
-//! preserves exactly the group ordering the serial path produces. Integer
-//! aggregates are bit-identical to serial execution; floating-point SUM/AVG
-//! may differ in the last ulps because partial sums reassociate the
-//! additions.
+//! Every one of them goes through one driver, [`fold`]: the input's morsels
+//! are folded into [`Partial`]s (hash tables of groups). A table scan's
+//! morsels are folded by the worker that scanned them; any other input is
+//! executed and its batches are split into contiguous runs, one morsel
+//! each. At parallelism 1 one running partial takes every morsel in morsel
+//! order; above it each morsel builds its own, and the partials merge in
+//! morsel order. Because merging walks the input in order and each partial
+//! records groups (and DISTINCT values) in first-appearance order, the
+//! merged output preserves exactly the group ordering the serial path
+//! produces. Integer aggregates are bit-identical to serial execution;
+//! floating-point SUM/AVG may differ in the last ulps because partial sums
+//! reassociate the additions. The aggregate exchange's stage 0 spills the
+//! partial [`fold`] returns, so it combines rows exactly as the in-process
+//! path does.
 //!
 //! State is columnar. Group keys are interned through the compact byte-row
 //! encoding in [`crate::keys`] a whole column at a time, and each group's
@@ -28,16 +30,17 @@
 
 use crate::context::ExecContext;
 use crate::encoded::{self, LazyRowGroup};
+use crate::engine::execute;
 use crate::evaluate::evaluate_ref;
 use crate::keys::{KeyEncoder, KeyTable};
 use crate::parallel;
 use crate::scan::ScanMorsels;
 use parking_lot::Mutex;
 use pixels_common::{
-    Column, ColumnBuilder, ColumnData, DataType, Error, Field, RecordBatch, Result, SchemaRef,
-    Selection, Value,
+    Column, ColumnBuilder, ColumnData, DataType, Error, Field, RecordBatch, Result, Schema,
+    SchemaRef, Selection, Value,
 };
-use pixels_planner::{AggExpr, AggFunc, BoundExpr};
+use pixels_planner::{AggExpr, AggFunc, BoundExpr, Plan};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -940,20 +943,7 @@ fn key_types(group_exprs: &[BoundExpr]) -> Vec<DataType> {
     group_exprs.iter().map(|g| g.data_type()).collect()
 }
 
-/// Aggregate `input` into a fresh hash table (the serial inner loop).
-pub(crate) fn build_partial(
-    input: &[RecordBatch],
-    group_exprs: &[BoundExpr],
-    aggs: &[AggExpr],
-) -> Result<Partial> {
-    let mut partial = Partial::new(&key_types(group_exprs), aggs);
-    for batch in input {
-        partial.fold(batch, group_exprs)?;
-    }
-    Ok(partial)
-}
-
-/// Fold `part` into `acc`. Called with partials in chunk order, so groups
+/// Fold `part` into `acc`. Called with partials in morsel order, so groups
 /// (and DISTINCT values) keep their global first-appearance order. Keys are
 /// re-interned from the source partial's encoded bytes — never re-encoded.
 pub(crate) fn merge_partial(acc: &mut Partial, part: Partial) -> Result<()> {
@@ -975,7 +965,7 @@ pub(crate) fn merge_partial(acc: &mut Partial, part: Partial) -> Result<()> {
 }
 
 /// Execute a hash aggregate over materialized input with up to `parallelism`
-/// workers building partial aggregates.
+/// workers folding it.
 pub fn execute_aggregate(
     input: &[RecordBatch],
     group_exprs: &[BoundExpr],
@@ -983,74 +973,68 @@ pub fn execute_aggregate(
     output_schema: &SchemaRef,
     parallelism: usize,
 ) -> Result<Vec<RecordBatch>> {
-    let acc = merged_partial(input, group_exprs, aggs, parallelism)?;
-    finish_partial(acc, output_schema)
+    let grouping = Grouping::new(group_exprs, aggs, parallelism);
+    grouping.batches(input)?;
+    finish_partial(grouping.finish()?, output_schema)
 }
 
-/// Execute a hash aggregate whose input is a table scan: each morsel's rows
-/// are folded into the aggregate by the worker that just scanned them, while
-/// they are still in cache, so no more of the table is decoded at once than
-/// the morsels in flight.
+/// DISTINCT over materialized input: a GROUP BY of every column with no
+/// aggregate, so rows come out in first-appearance order, in one batch.
+pub fn execute_distinct(input: &[RecordBatch]) -> Result<Vec<RecordBatch>> {
+    let Some(first) = input.first() else {
+        return Ok(Vec::new());
+    };
+    let schema = first.schema();
+    execute_aggregate(input, &distinct_keys(schema), &[], schema, 1)
+}
+
+/// The group keys of a DISTINCT over rows of `schema`: every column.
+pub(crate) fn distinct_keys(schema: &Schema) -> Vec<BoundExpr> {
+    (schema.fields().iter().enumerate())
+        .map(|(i, f)| BoundExpr::column(i, f.data_type, f.name.clone()))
+        .collect()
+}
+
+/// Fold every row of `input` into one [`Partial`]: `aggs` grouped by
+/// `group_exprs`. Every hash aggregate, every DISTINCT and the aggregate
+/// exchange's stage 0 group through here, so at equal parallelism a partial
+/// spilled by stage 0 is the very partial the single-stage path finishes.
 ///
-/// At parallelism 1 every morsel folds into one running [`Partial`] in
-/// morsel order — the very calls [`execute_aggregate`] makes over the scan's
-/// batches, so every float is the same to the bit. Above it, each morsel
-/// folds into a partial of its own and the partials merge in morsel order,
-/// whichever worker took which morsel. Under a grand total of bare columns,
-/// a scan with no filter folds each morsel straight off its chunks
-/// ([`encoded::fold`]): COUNT from validity headers, SUM/AVG/MIN/MAX over
-/// RLE runs.
-///
-/// Errors come out as if the scan had finished before the aggregate began: a
-/// failed fold stops the folding, not the scan, and the lowest-index scan
-/// error wins over any fold error.
-pub(crate) fn execute_scan_aggregate(
-    ctx: &ExecContext,
-    paths: &[String],
-    projection: &[usize],
-    filters: &[BoundExpr],
+/// A table scan feeds its morsels as they are scanned ([`Grouping::scan`]),
+/// so no more of the table is decoded at once than the morsels in flight.
+/// Any other input is executed, and its batches feed the same fold in at
+/// most `ctx.parallelism` contiguous runs of about equal rows
+/// ([`Grouping::batches`]).
+pub(crate) fn fold(
+    input: &Plan,
     group_exprs: &[BoundExpr],
     aggs: &[AggExpr],
-    output_schema: &SchemaRef,
-) -> Result<Vec<RecordBatch>> {
-    // The scan operator keeps its span, so query profiles keep their shape
-    // and span byte sums still reconcile against the bill.
-    let mut scan_span = ctx.trace.span("scan");
-    let sctx = ctx.under(&scan_span);
-    let scan = ScanMorsels::open(&sctx, paths, projection, filters)?;
-    let fold = ScanFold::new(group_exprs, aggs, filters, ctx.parallelism);
-    let produced = scan.run(|span, i, lazy| {
-        let rows = match &fold.chunk_columns {
-            Some(columns) => {
-                let rows = lazy.num_rows();
-                scan.meter(span, i, rows);
-                fold.morsel(i, rows, |partial| partial.fold_chunks(&lazy, columns));
-                rows
-            }
-            None => {
-                let batch = scan.kept_rows(span, i, &lazy, None)?;
-                let rows = batch.num_rows();
-                scan.meter(span, i, rows);
-                fold.morsel(i, rows, |partial| partial.fold(&batch, group_exprs));
-                rows
-            }
-        };
-        Ok(rows)
-    })?;
-    scan_span.record_u64("rows_out", produced.iter().sum::<usize>() as u64);
-    drop(scan_span);
-    finish_partial(fold.finish()?, output_schema)
+    ctx: &ExecContext,
+) -> Result<Partial> {
+    let grouping = Grouping::new(group_exprs, aggs, ctx.parallelism);
+    match input {
+        Plan::Scan {
+            paths,
+            projection,
+            filters,
+            ..
+        } => grouping.scan(ctx, paths, projection, filters)?,
+        other => grouping.batches(&execute(other, ctx)?)?,
+    }
+    grouping.finish()
 }
 
-/// The running aggregate of [`execute_scan_aggregate`].
-struct ScanFold<'a> {
+/// The running fold of [`fold`]: morsels in, one merged [`Partial`] out.
+///
+/// At parallelism 1 every morsel folds into one running partial in morsel
+/// order. Above it, each morsel folds into a partial of its own and the
+/// partials merge in morsel order, whichever worker took which morsel, so
+/// groups keep their first appearance. A failed fold stops the folding of
+/// later morsels, and the first error in morsel order is the one returned.
+struct Grouping<'a> {
     group_exprs: &'a [BoundExpr],
     aggs: &'a [AggExpr],
-    /// Under a grand total of bare columns over a scan with no filter, the
-    /// chunk of each argument: morsels fold straight off their chunks.
-    chunk_columns: Option<Vec<usize>>,
-    /// Every morsel folds into the running partial (parallelism 1).
-    serial: bool,
+    parallelism: usize,
     /// The lowest morsel whose fold failed: no later morsel folds.
     failed: AtomicUsize,
     merged: Mutex<Merged>,
@@ -1066,34 +1050,15 @@ struct Merged {
     error: Option<Error>,
 }
 
-impl<'a> ScanFold<'a> {
-    fn new(
-        group_exprs: &'a [BoundExpr],
-        aggs: &'a [AggExpr],
-        filters: &[BoundExpr],
-        parallelism: usize,
-    ) -> Self {
-        let acc = Partial::new(&key_types(group_exprs), aggs);
-        let unfiltered_total =
-            group_exprs.is_empty() && filters.is_empty() && !aggs.iter().any(|a| a.distinct);
-        let chunk_columns = unfiltered_total
-            .then(|| {
-                (acc.accs.args().iter())
-                    .map(|arg| match arg {
-                        BoundExpr::ColumnRef { index, .. } => Some(*index),
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .flatten();
-        ScanFold {
+impl<'a> Grouping<'a> {
+    fn new(group_exprs: &'a [BoundExpr], aggs: &'a [AggExpr], parallelism: usize) -> Self {
+        Grouping {
             group_exprs,
             aggs,
-            chunk_columns,
-            serial: parallelism <= 1,
+            parallelism,
             failed: AtomicUsize::new(usize::MAX),
             merged: Mutex::new(Merged {
-                acc,
+                acc: Partial::new(&key_types(group_exprs), aggs),
                 next: 0,
                 ahead: BTreeMap::new(),
                 error: None,
@@ -1101,12 +1066,87 @@ impl<'a> ScanFold<'a> {
         }
     }
 
+    /// Feed a table scan's morsels: each is folded by the worker that just
+    /// scanned it, while its rows are still in cache. At parallelism 1 these
+    /// are the very folds [`Grouping::batches`] makes over the scan's
+    /// batches, so every float is the same to the bit. Under a grand total
+    /// of bare columns, a scan with no filter folds each morsel straight off
+    /// its chunks ([`encoded::fold`]): COUNT from validity headers,
+    /// SUM/AVG/MIN/MAX over RLE runs.
+    ///
+    /// Errors come out as if the scan had finished before the fold began: a
+    /// failed fold stops the folding, not the scan, and the lowest-index
+    /// scan error wins over any fold error.
+    fn scan(
+        &self,
+        ctx: &ExecContext,
+        paths: &[String],
+        projection: &[usize],
+        filters: &[BoundExpr],
+    ) -> Result<()> {
+        // The scan operator keeps its span, so query profiles keep their
+        // shape and span byte sums still reconcile against the bill.
+        let mut scan_span = ctx.trace.span("scan");
+        let sctx = ctx.under(&scan_span);
+        let scan = ScanMorsels::open(&sctx, paths, projection, filters)?;
+        let unfiltered_total = self.group_exprs.is_empty()
+            && filters.is_empty()
+            && !self.aggs.iter().any(|a| a.distinct);
+        // The chunk of each argument, when every argument is a bare column.
+        let chunk_columns: Option<Vec<usize>> = unfiltered_total
+            .then(|| {
+                (Accumulators::new(self.aggs).args().iter())
+                    .map(|arg| match arg {
+                        BoundExpr::ColumnRef { index, .. } => Some(*index),
+                        _ => None,
+                    })
+                    .collect()
+            })
+            .flatten();
+        let produced = scan.run(|span, i, lazy| {
+            let rows = match &chunk_columns {
+                Some(columns) => {
+                    let rows = lazy.num_rows();
+                    scan.meter(span, i, rows);
+                    self.morsel(i, rows, |partial| partial.fold_chunks(&lazy, columns));
+                    rows
+                }
+                None => {
+                    let batch = scan.kept_rows(span, i, &lazy, None)?;
+                    let rows = batch.num_rows();
+                    scan.meter(span, i, rows);
+                    self.morsel(i, rows, |partial| partial.fold(&batch, self.group_exprs));
+                    rows
+                }
+            };
+            Ok(rows)
+        })?;
+        scan_span.record_u64("rows_out", produced.iter().sum::<usize>() as u64);
+        Ok(())
+    }
+
+    /// Feed materialized batches, one morsel per run of
+    /// [`parallel::partition_rows`] at the fold's parallelism.
+    fn batches(&self, input: &[RecordBatch]) -> Result<()> {
+        let rows: Vec<usize> = input.iter().map(RecordBatch::num_rows).collect();
+        let runs = parallel::partition_rows(&rows, self.parallelism);
+        parallel::run_indexed(runs.len(), self.parallelism, |i| {
+            let run = &input[runs[i].clone()];
+            self.morsel(i, rows[runs[i].clone()].iter().sum(), |partial| {
+                run.iter()
+                    .try_for_each(|batch| partial.fold(batch, self.group_exprs))
+            });
+            Ok(())
+        })?;
+        Ok(())
+    }
+
     /// Fold morsel `i`, of `rows` rows, by `fold`.
     fn morsel(&self, i: usize, rows: usize, fold: impl FnOnce(&mut Partial) -> Result<()>) {
         if i > self.failed.load(Ordering::Relaxed) {
             return;
         }
-        if self.serial {
+        if self.parallelism <= 1 {
             let mut merged = self.merged.lock();
             if rows > 0 {
                 if let Err(e) = fold(&mut merged.acc) {
@@ -1159,38 +1199,11 @@ impl<'a> ScanFold<'a> {
     }
 }
 
-/// Build and merge the partial aggregates for `input` (the parallel part of
-/// [`execute_aggregate`], without the output materialization). The exchange
-/// spill writer runs this same routine, so stage-0 partial states are
-/// bit-identical to the in-process merged accumulator.
-pub(crate) fn merged_partial(
-    input: &[RecordBatch],
-    group_exprs: &[BoundExpr],
-    aggs: &[AggExpr],
-    parallelism: usize,
-) -> Result<Partial> {
-    let chunks = parallel::partition_rows(
-        &input.iter().map(RecordBatch::num_rows).collect::<Vec<_>>(),
-        parallelism,
-    );
-    let partials = parallel::run_indexed(chunks.len(), parallelism, |i| {
-        build_partial(&input[chunks[i].clone()], group_exprs, aggs)
-    })?;
-    let mut partials = partials.into_iter();
-    let mut acc = match partials.next() {
-        Some(first) => first,
-        None => Partial::new(&key_types(group_exprs), aggs),
-    };
-    for part in partials {
-        merge_partial(&mut acc, part)?;
-    }
-    Ok(acc)
-}
-
 /// Materialize a merged [`Partial`] into the final output batch: group key
 /// columns followed by finished aggregate values. Shared by the in-process
-/// path above and the exchange final stage, so both produce bit-identical
-/// output (including the one-row result of a global aggregate over no rows).
+/// path and the exchange final stage ([`finish_spilled`]), so both produce
+/// bit-identical output (including the one-row result of a global aggregate
+/// over no rows).
 pub(crate) fn finish_partial(
     mut acc: Partial,
     output_schema: &SchemaRef,
@@ -1232,48 +1245,4 @@ pub(crate) fn finish_spilled(
         });
     }
     Ok(vec![RecordBatch::try_new(output_schema.clone(), keys)?])
-}
-
-/// Hash-based DISTINCT preserving first-appearance order: whole rows are
-/// interned through the key encoding and the surviving (first-appearance)
-/// row indices are gathered columnar, in 8192-row output chunks.
-pub fn execute_distinct(input: &[RecordBatch]) -> Result<Vec<RecordBatch>> {
-    let Some(first) = input.first() else {
-        return Ok(Vec::new());
-    };
-    let schema = first.schema().clone();
-    let types: Vec<DataType> = schema.fields().iter().map(|f| f.data_type).collect();
-    let encoder = KeyEncoder::new(&types);
-    let mut table = KeyTable::new();
-
-    // Coalesce so kept-row indices are global and one gather per column
-    // materializes the output.
-    let all;
-    let source = match input {
-        [single] => single,
-        many => {
-            all = RecordBatch::concat(many)?;
-            &all
-        }
-    };
-    // DISTINCT treats NULLs as equal, like group keys.
-    let mut entries = Vec::new();
-    table.intern_rows(
-        &encoder,
-        source.columns(),
-        0..source.num_rows(),
-        &mut entries,
-    );
-    // Entries are dense: the next unseen index is a row's first appearance.
-    let mut kept: Vec<usize> = Vec::new();
-    for (row, &entry) in entries.iter().enumerate() {
-        if entry as usize == kept.len() {
-            kept.push(row);
-        }
-    }
-    let mut out = Vec::with_capacity(kept.len().div_ceil(8192));
-    for chunk in kept.chunks(8192) {
-        out.push(source.gather(chunk)?);
-    }
-    Ok(out)
 }

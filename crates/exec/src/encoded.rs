@@ -37,8 +37,8 @@
 //! possibly erroring, expression.
 //!
 //! A morsel of a grand total over a scan with no filter — every row kept —
-//! is folded by [`fold`], the per-morsel case of the scan-fed aggregate
-//! ([`crate::aggregate::execute_scan_aggregate`]): COUNT from validity
+//! is folded by [`fold`], the per-morsel case of the grouping fold fed by a
+//! scan ([`crate::aggregate::fold`]): COUNT from validity
 //! headers, SUM/AVG/MIN/MAX over RLE runs without expanding them (float sums
 //! still perform one add per row so accumulation order — and therefore
 //! every last bit — matches the row-at-a-time loop).

@@ -1,6 +1,6 @@
 //! The execution engine: recursively evaluates plans.
 
-use crate::aggregate::{execute_aggregate, execute_distinct, execute_scan_aggregate};
+use crate::aggregate::{distinct_keys, finish_partial, fold};
 use crate::context::{ExecContext, DEFAULT_BATCH_SIZE};
 use crate::evaluate::{evaluate, fused_filter_selection};
 use crate::join::{coalesce, cross_join, is_equi_join, JoinBuild, RowSink};
@@ -33,10 +33,13 @@ pub fn operator_name(plan: &Plan) -> &'static str {
 /// Execute a plan to completion, returning all result batches.
 ///
 /// Execution is materialized operator-by-operator, except that an aggregate
-/// folds a scan's morsels as they are scanned; scans, filters, projections,
-/// and partial aggregation fan out over `ctx.parallelism` morsel-driven
-/// workers (`parallelism == 1` reproduces serial execution exactly).
-/// Operators emit batches of at most [`DEFAULT_BATCH_SIZE`] rows.
+/// or a DISTINCT folds a scan's morsels as they are scanned; scans, filters,
+/// projections, and partial aggregation fan out over `ctx.parallelism`
+/// morsel-driven workers (`parallelism == 1` reproduces serial execution
+/// exactly). Joins, sorts, TopK and VALUES cut their output into batches of
+/// at most [`DEFAULT_BATCH_SIZE`] rows; an aggregate or a DISTINCT emits all
+/// its groups as one batch; every other operator emits a batch per morsel or
+/// per input batch.
 ///
 /// When the context carries an enabled trace, every operator runs inside its
 /// own span (children nested under it) recording output rows and duration;
@@ -176,32 +179,20 @@ fn execute_inner(
             group_exprs,
             aggs,
             output_schema,
-        } => {
-            // A scan feeds the aggregate a morsel at a time; only other
-            // inputs are materialized first.
-            if let Plan::Scan {
-                paths,
-                projection,
-                filters,
-                ..
-            } = input.as_ref()
-            {
-                return execute_scan_aggregate(
-                    ctx,
-                    paths,
-                    projection,
-                    filters,
-                    group_exprs,
-                    aggs,
-                    output_schema,
-                );
-            }
-            let batches = execute(input, ctx)?;
-            execute_aggregate(&batches, group_exprs, aggs, output_schema, ctx.parallelism)
-        }
+        } => finish_partial(fold(input, group_exprs, aggs, ctx)?, output_schema),
         Plan::Distinct { input } => {
-            let batches = execute(input, ctx)?;
-            execute_distinct(&batches)
+            // A GROUP BY of every input column, with no aggregate. Over a
+            // projection, of the projection's expressions over its input,
+            // so a projected scan still folds a morsel at a time.
+            let every_column;
+            let (input, keys) = match input.as_ref() {
+                Plan::Project { input, exprs, .. } => (input.as_ref(), exprs),
+                other => {
+                    every_column = distinct_keys(&other.schema());
+                    (other, &every_column)
+                }
+            };
+            finish_partial(fold(input, keys, &[], ctx)?, &plan.schema())
         }
         Plan::Sort { input, keys } => {
             let batches = execute(input, ctx)?;

@@ -9,10 +9,12 @@
 //!
 //! Two shuffled operators are supported:
 //!
-//! - **Aggregate**: stage 0 runs the *same* partial-build + chunk-order
-//!   merge as the in-process [`crate::aggregate`] path (bit-identical
-//!   states, combining before write à la Starling), then spills each group
-//!   as one row into the partition its interned key's hash picks. Stage 1
+//! - **Aggregate**: stage 0 *is* the in-process fold
+//!   ([`crate::aggregate::fold`]): a scan's morsels fold as they are
+//!   scanned, any other input in row-balanced runs, so the spilled states
+//!   are the very partial the single-stage path finishes (combining before
+//!   write à la Starling). It then spills each group as one row into the
+//!   partition its interned key's hash picks. Stage 1
 //!   unions the disjoint partitions, restores global first-appearance group
 //!   order via the spilled `__ord` column, and finishes the states.
 //! - **Join**: both sides are hash-partitioned on their join keys, encoded
@@ -119,21 +121,26 @@ fn group_types(group_exprs: &[BoundExpr]) -> Vec<DataType> {
     group_exprs.iter().map(|g| g.data_type()).collect()
 }
 
-/// Stage 0 of an aggregate exchange: partially aggregate `input` exactly
-/// like the in-process path, then spill every group (one combined row) into
-/// the partition its interned key's hash picks. All `partitions` files are
+/// Stage 0 of an aggregate exchange: fold `input` through the in-process
+/// grouping driver ([`aggregate::fold`], the partial the single-stage path
+/// would finish), then spill every group (one combined row) into the
+/// partition its interned key's hash picks. All `partitions` files are
 /// always written — an empty partition is a valid zero-row Pixels object,
-/// so stage 1 never distinguishes "empty" from "missing".
+/// so stage 1 never distinguishes "empty" from "missing". The writes run in
+/// an `exchange_spill` span that records `bytes_spilled`, never `bytes`:
+/// spill PUTs are provider traffic, and span byte sums must still equal
+/// `bytes_scanned` exactly.
 pub fn write_agg_partitions(
-    input: &[RecordBatch],
+    input: &Plan,
     group_exprs: &[BoundExpr],
     aggs: &[AggExpr],
-    parallelism: usize,
+    ctx: &ExecContext,
     spill_store: &dyn ObjectStore,
     prefix: &str,
     partitions: usize,
 ) -> Result<ExchangeStats> {
-    let acc = aggregate::merged_partial(input, group_exprs, aggs, parallelism)?;
+    let acc = aggregate::fold(input, group_exprs, aggs, ctx)?;
+    let mut spill_span = ctx.trace.span("exchange_spill");
     let gt = group_types(group_exprs);
     let schema = agg_spill_schema(&gt, aggs);
     let groups = acc.table.len();
@@ -165,6 +172,7 @@ pub fn write_agg_partitions(
         stats.put_bytes += materialize(spill_store, &path, schema.clone(), &[batch])?;
         stats.spilled_rows += rows.len() as u64;
     }
+    spill_span.record_u64("bytes_spilled", stats.put_bytes);
     Ok(stats)
 }
 
@@ -188,8 +196,9 @@ fn read_spill(
 
 /// Stage 1 of an aggregate exchange: union the disjoint partitions, restore
 /// global group order via `__ord`, and finish the states. The output is
-/// bit-identical to [`aggregate::execute_aggregate`] over the same input —
-/// including the one default row of a global aggregate over zero rows.
+/// bit-identical to the in-process aggregate over the same input at the
+/// same parallelism — including the one default row of a global aggregate
+/// over zero rows.
 pub fn read_agg_partitions(
     spill_store: &ObjectStoreRef,
     prefix: &str,
@@ -527,11 +536,20 @@ mod tests {
             Field::nullable("tag", DataType::Utf8),
             Field::required("n", DataType::Int64),
         ]));
-        let direct = execute_aggregate(input, &group, &aggs, &out_schema, 2).unwrap();
-
         let store = InMemoryObjectStore::shared();
-        let stats = write_agg_partitions(input, &group, &aggs, 2, store.as_ref(), "x/", partitions)
-            .unwrap();
+        let schema = input[0].schema().clone();
+        materialize(store.as_ref(), "in.pxl", schema.clone(), input).unwrap();
+        let scan = Plan::MaterializedScan {
+            path: "in.pxl".into(),
+            schema,
+        };
+        let ctx = ExecContext::new(store.clone()).with_parallelism(2);
+        let batches = execute(&scan, &ctx).unwrap();
+        let direct = execute_aggregate(&batches, &group, &aggs, &out_schema, 2).unwrap();
+
+        let stats =
+            write_agg_partitions(&scan, &group, &aggs, &ctx, store.as_ref(), "x/", partitions)
+                .unwrap();
         assert_eq!(stats.partitions, partitions as u64);
         let (shuffled, read_stats) =
             read_agg_partitions(&store, "x/", partitions, &group, &aggs, &out_schema).unwrap();

@@ -5,12 +5,12 @@
 //! open), check the plan's column indices against the file, prune row
 //! groups, list the surviving `(file, row group)` morsels. Every scan ends a
 //! morsel with [`ScanMorsels::meter`], which bills it. The table scan
-//! ([`execute_scan`]), the aggregate fed by a scan
-//! ([`crate::aggregate::execute_scan_aggregate`]) and the scalar oracle's
+//! ([`execute_scan`]), the grouping fold fed by a scan
+//! ([`crate::aggregate::fold`]) and the scalar oracle's
 //! scan arm ([`crate::scalar::execute`]) differ only in what they do with a
 //! morsel in between, so results *and* bills agree by construction.
 //!
-//! The table scan and the scan-fed aggregate run their morsels through
+//! The table scan and the scan-fed grouping fold run their morsels through
 //! [`ScanMorsels::run`], which splits each into a fetch phase and a work
 //! phase. The fetch is one vectored read per row group
 //! ([`PixelsReader::fetch_row_group`]: cache first, then one ranged GET per
@@ -24,7 +24,7 @@
 //! a `u64` word; when the scan is the probe side of a hash join, the build
 //! side's [`KeyFilter`] narrows it after them. Only the rows the words keep
 //! are then gathered from each projected chunk (late materialization): the
-//! table scan hands the batch on, the scan-fed aggregate folds it in on the
+//! table scan hands the batch on, the grouping fold folds it in on the
 //! same worker. Billing is metered from chunk metadata, so bills are
 //! identical however the bytes arrived and whatever a filter dropped.
 //!

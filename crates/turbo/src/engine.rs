@@ -1420,9 +1420,10 @@ fn spill_inputs(kind: &ShuffleKind, broadcast: bool) -> Vec<&Plan> {
     }
 }
 
-/// Spill stage body: execute the shuffled operator's input(s) with the
-/// fleet's parallelism, then spill hash partitions under `prefix` through
-/// the exchange (chaos/retry) stack. `ctxs` pairs up with
+/// Spill stage body: run the shuffled operator's input(s) with the fleet's
+/// parallelism — an aggregate folds its input as the in-process aggregate
+/// does, a join executes each side — then spill hash partitions under
+/// `prefix` through the exchange (chaos/retry) stack. `ctxs` pairs up with
 /// [`spill_inputs`]; a broadcast join's `partitions` is 1.
 fn spill_partitions(
     kind: &ShuffleKind,
@@ -1442,18 +1443,15 @@ fn spill_partitions(
             ..
         } => {
             let ctx = &ctxs[0];
-            let batches = execute(input, ctx)?;
-            let mut spill_span = ctx.trace.span("exchange_spill");
             let stats = exchange::write_agg_partitions(
-                &batches,
+                input,
                 group_exprs,
                 aggs,
-                ctx.parallelism,
+                ctx,
                 exchange_store,
                 prefix,
                 partitions,
             )?;
-            spill_span.record_u64("bytes_spilled", stats.put_bytes);
             Ok((ctx.metrics.snapshot(), stats))
         }
         ShuffleKind::Join {

@@ -58,10 +58,11 @@ GROUPS = [
     # evaluation, group keys and the updates. It runs inside the scan's
     # morsel work (`Partial::fold`, and `Partial::fold_chunks` with
     # `encoded::fold` for an unfiltered grand total) since the scan-fed
-    # aggregate; before it, after the scan, in `build_partial` (and in the
-    # encoded grand total's own `encoded::fold`). The regex names both, so the
-    # row compares across trees.
-    ("aggregate fold, inside the morsel", r"pixels_exec::aggregate::(build_partial|Partial::fold|ScanFold::)|pixels_exec::encoded::(fold|try_fold)", False),
+    # aggregate (under `ScanFold::`, since the one grouping driver under
+    # `Grouping::`); before it, after the scan, in `build_partial` (and in the
+    # encoded grand total's own `encoded::fold`). The regex names them all, so
+    # the row compares across trees.
+    ("aggregate fold, inside the morsel", r"pixels_exec::aggregate::(build_partial|Partial::fold|ScanFold::|Grouping::)|pixels_exec::encoded::(fold|try_fold)", False),
     # The update loops are the leaf: inlined into `build_partial` before the
     # accumulators, `State::update` and the rows count since (and
     # `Partial::fold` or `encoded::fold` wherever they inline them).

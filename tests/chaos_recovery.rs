@@ -67,28 +67,49 @@ fn transient_get_errors_are_invisible_to_results_and_billing() {
         ..EngineConfig::default()
     };
     let clean = deploy(&FaultPlan::none(1), cfg);
-    let chaotic = deploy(&FaultPlan::get_errors(1, 0.3), cfg);
-
-    // Three runs draw enough from the fault stream that at least one GET
-    // fails; every run must still match the fault-free twin exactly.
-    let mut retries = 0;
-    let mut retry_events = 0;
-    for _ in 0..3 {
-        let base = run(&clean, SQL, ServiceLevel::Immediate);
-        let info = run(&chaotic, SQL, ServiceLevel::Immediate);
+    let base = run(&clean, SQL, ServiceLevel::Immediate);
+    // A chaotic run's `StorageRetries` events, once it has matched the
+    // fault-free run.
+    let retry_events_of = |info: &pixelsdb::server::QueryInfo| {
         assert_eq!(info.status, QueryStatus::Finished, "{:?}", info.error);
         assert_eq!(info.result, base.result, "results must be bit-identical");
         assert_eq!(info.scan_bytes, base.scan_bytes, "retries must not re-bill");
         assert_eq!(info.price, base.price);
-        retries += info.retries;
-        retry_events += info
-            .events
+        info.events
             .iter()
             .filter(|e| matches!(e, QueryEvent::StorageRetries { .. }))
-            .count();
+            .count()
+    };
+
+    // A request's verdict is keyed by the plan seed and the request, so one
+    // plan redraws the same verdicts on every run: three plan seeds draw
+    // three sets, enough that at least one GET fails. Every run must still
+    // match the fault-free twin exactly.
+    let mut retries = 0;
+    let mut retry_events = 0;
+    for seed in 1..=3 {
+        let chaotic = deploy(&FaultPlan::get_errors(seed, 0.3), cfg);
+        let info = run(&chaotic, SQL, ServiceLevel::Immediate);
+        retry_events += retry_events_of(&info);
+        retries += info.retries;
     }
     assert!(retries > 0, "30% GET errors must have forced retries");
     assert!(retry_events > 0, "retries must surface as QueryInfo events");
+
+    // Whatever the draws: every GET fails until the site has failed as many
+    // times as one request may retry, so no request runs out of retries and
+    // the query retries exactly that often.
+    let budget = RetryPolicy::object_store().max_retries as u64;
+    let capped = deploy(
+        &FaultPlan::none(1).with(FaultSite::StorageGet, SiteSpec::errors(1.0).capped(budget)),
+        cfg,
+    );
+    let info = run(&capped, SQL, ServiceLevel::Immediate);
+    assert!(
+        retry_events_of(&info) > 0,
+        "retries must surface as QueryInfo events"
+    );
+    assert_eq!(info.retries, budget);
 }
 
 #[test]

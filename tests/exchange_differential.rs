@@ -10,14 +10,16 @@
 //! and every run asserts the spill namespace is left empty. So do integer
 //! keys that an `f64` would merge, and joins of mixed key types. Aggregate
 //! lists whose accumulators share a running sum, must not share one, keep
-//! cells or overflow cross the exchange bit for bit.
+//! cells or overflow cross the exchange bit for bit, and an aggregate cut
+//! directly over a scan is the single-stage CF result to the bit: stage 0
+//! folds the scan's morsels as the single-stage aggregate does.
 
 use pixels_bench::on_cf;
 use pixelsdb::catalog::{Catalog, CreateTable};
 use pixelsdb::common::{DataType, Field, RecordBatch, Schema, Value};
-use pixelsdb::exec::{exchange, scalar, ExecContext};
+use pixelsdb::exec::{exchange, execute, scalar, ExecContext};
 use pixelsdb::obs::MetricsRegistry;
-use pixelsdb::planner::{plan_query, plan_shuffle, AggExpr, AggFunc, BoundExpr};
+use pixelsdb::planner::{plan_query, plan_shuffle, AggExpr, AggFunc, BoundExpr, Plan, ShuffleKind};
 use pixelsdb::storage::{
     InMemoryObjectStore, ObjectStore, ObjectStoreRef, PixelsReader, PixelsWriter,
 };
@@ -221,6 +223,17 @@ fn assert_rows_equivalent(label: &str, got: &[Vec<Value>], expect: &[Vec<Value>]
     }
 }
 
+/// Rows with every float as its bit pattern, for comparisons to the bit.
+fn float_bits(rows: Vec<Vec<Value>>) -> Vec<Vec<String>> {
+    let bits = |v: Value| match v {
+        Value::Float64(x) => format!("f64 {:#x}", x.to_bits()),
+        other => format!("{other:?}"),
+    };
+    (rows.into_iter())
+        .map(|r| r.into_iter().map(bits).collect())
+        .collect()
+}
+
 /// Rows of a batch, order-preserved when the query pins order, canonically
 /// sorted otherwise (ORDER BY-less group order is partition-major after a
 /// shuffle, chunk-major on the single-stage path — both are valid answers).
@@ -237,15 +250,24 @@ fn comparable_rows(batch: &RecordBatch, sql: &str) -> Vec<Vec<Value>> {
 /// identical rows (and order, under ORDER BY) and identical billed bytes on
 /// the two-stage exchange path, the single-stage CF path, and the scalar
 /// oracle. The exchange itself must be visible only in provider-side stats.
+/// Where the cut is an aggregate directly over a scan, stage 0 folds the
+/// scan's morsels as the single-stage aggregate does at the same fleet
+/// parallelism, so the shuffled floats are the single-stage ones to the bit;
+/// join cuts and the oracle compare floats within 1e-9.
 #[test]
 fn shuffled_templates_match_single_stage_and_scalar_oracle() {
     let (catalog, _store) = fixture(SCALE);
     let shuffleable: Vec<_> = all_queries()
         .into_iter()
         .filter(|q| q.database == "tpch")
-        .filter(|q| {
+        .filter_map(|q| {
             let plan = plan_query(&catalog, "tpch", q.sql).unwrap();
-            plan_shuffle(&plan, "pixels-turbo/intermediate/probe/mv.pxl", 4).is_some()
+            let cut = plan_shuffle(&plan, "pixels-turbo/intermediate/probe/mv.pxl", 4)?;
+            let over_scan = matches!(
+                &cut.kind,
+                ShuffleKind::Aggregate { input, .. } if matches!(input.as_ref(), Plan::Scan { .. })
+            );
+            Some((q, over_scan))
         })
         .collect();
     assert!(
@@ -253,8 +275,12 @@ fn shuffled_templates_match_single_stage_and_scalar_oracle() {
         "expected several shuffleable join/agg templates, got {}",
         shuffleable.len()
     );
+    assert!(
+        shuffleable.iter().any(|&(_, over_scan)| over_scan),
+        "expected an aggregate cut directly over a scan"
+    );
 
-    for q in &shuffleable {
+    for (q, over_scan) in &shuffleable {
         let oracle = scalar_oracle_rows(SCALE, "tpch", q.sql);
 
         // Reference: single-stage CF. The direct VM run doubles as the cache
@@ -282,11 +308,17 @@ fn shuffled_templates_match_single_stage_and_scalar_oracle() {
                 canonical(oracle)
             },
         );
-        assert_rows_equivalent(
-            &format!("{} vs single-stage CF", q.id),
-            &got,
-            &comparable_rows(&single_out.batch, q.sql),
-        );
+        let single_rows = comparable_rows(&single_out.batch, q.sql);
+        if *over_scan {
+            assert_eq!(
+                float_bits(got.clone()),
+                float_bits(single_rows),
+                "{} vs single-stage CF, to the bit",
+                q.id
+            );
+        } else {
+            assert_rows_equivalent(&format!("{} vs single-stage CF", q.id), &got, &single_rows);
+        }
         assert_rows_equivalent(
             &format!("{} vs direct VM", q.id),
             &got,
@@ -560,21 +592,27 @@ fn aggregate_lists() -> Vec<Vec<AggExpr>> {
 }
 
 /// Every aggregate list, grouped and global, over the fixture and over zero
-/// rows, through a 4-partition exchange at parallelism 1 and 4: the scalar
-/// oracle's rows to the bit, in its order, or its error.
+/// rows, each written as a Pixels file of 8-row row groups and read back by
+/// a materialized scan, through a 4-partition exchange at parallelism 1 and
+/// 4: the scalar oracle's rows over the batches the scan returns, to the
+/// bit, in its order, or its error.
 #[test]
 fn aggregate_lists_cross_the_exchange_bit_for_bit() {
     let input = aggregate_fixture();
-    let zero = vec![input[0].slice(0, 0).unwrap()];
-    let bits = |rows: Vec<Vec<Value>>| -> Vec<Vec<String>> {
-        let bits = |v: Value| match v {
-            Value::Float64(x) => format!("f64 {:#x}", x.to_bits()),
-            other => format!("{other:?}"),
-        };
-        (rows.into_iter())
-            .map(|r| r.into_iter().map(bits).collect())
-            .collect()
+    let schema = input[0].schema().clone();
+    let store: ObjectStoreRef = InMemoryObjectStore::shared();
+    let file = |path: &str, batches: &[RecordBatch]| {
+        let mut w = PixelsWriter::with_row_group_rows(store.as_ref(), path, schema.clone(), 8);
+        for batch in batches {
+            w.write_batch(batch).unwrap();
+        }
+        w.finish().unwrap();
+        Plan::MaterializedScan {
+            path: path.into(),
+            schema: schema.clone(),
+        }
     };
+    let (full, zero) = (file("in/full.pxl", &input), file("in/zero.pxl", &[]));
     let mut overflowed = 0;
     for aggs in aggregate_lists() {
         for group in [vec![BoundExpr::column(0, DataType::Utf8, "g")], vec![]] {
@@ -583,28 +621,35 @@ fn aggregate_lists_cross_the_exchange_bit_for_bit() {
                     .map(|a| Field::nullable(a.to_string(), a.output_type)),
             );
             let out_schema = Arc::new(Schema::new(fields.collect()));
-            for input in [&input, &zero] {
+            for scan in [&full, &zero] {
                 for parallelism in [1usize, 4] {
                     let label = format!("{aggs:?} by {group:?} @p{parallelism}");
-                    let oracle =
-                        scalar::execute_aggregate(input, &group, &aggs, &out_schema, parallelism);
-                    let store = InMemoryObjectStore::shared();
-                    let shuffled = exchange::write_agg_partitions(
-                        input,
+                    let ctx = ExecContext::new(store.clone()).with_parallelism(parallelism);
+                    let batches = execute(scan, &ctx).unwrap();
+                    let oracle = scalar::execute_aggregate(
+                        &batches,
                         &group,
                         &aggs,
+                        &out_schema,
                         parallelism,
-                        store.as_ref(),
+                    );
+                    let spill = InMemoryObjectStore::shared();
+                    let shuffled = exchange::write_agg_partitions(
+                        scan,
+                        &group,
+                        &aggs,
+                        &ctx,
+                        spill.as_ref(),
                         "agg/",
                         4,
                     )
                     .and_then(|_| {
-                        exchange::read_agg_partitions(&store, "agg/", 4, &group, &aggs, &out_schema)
+                        exchange::read_agg_partitions(&spill, "agg/", 4, &group, &aggs, &out_schema)
                     });
                     match (shuffled, oracle) {
                         (Ok((got, _)), Ok(expect)) => assert_eq!(
-                            bits(got.iter().flat_map(|b| b.to_rows()).collect()),
-                            bits(expect.iter().flat_map(|b| b.to_rows()).collect()),
+                            float_bits(got.iter().flat_map(|b| b.to_rows()).collect()),
+                            float_bits(expect.iter().flat_map(|b| b.to_rows()).collect()),
                             "{label}"
                         ),
                         (Err(got), Err(expect)) => {
@@ -619,6 +664,48 @@ fn aggregate_lists_cross_the_exchange_bit_for_bit() {
     }
     // The overflowing list, grouped and global, at both parallelisms.
     assert_eq!(overflowed, 4);
+}
+
+/// Stage 0 over a scan is the in-process fold: at parallelism 1, 2, 4 and 8
+/// what crosses a 4-partition exchange finishes to the in-process aggregate
+/// of the same scan, floats to the bit.
+#[test]
+fn scan_fed_stage_zero_is_the_in_process_aggregate_to_the_bit() {
+    let (catalog, store) = fixture(SCALE);
+    let sql = "SELECT l_returnflag, l_linestatus, SUM(l_quantity), SUM(l_extendedprice), \
+               AVG(l_discount), COUNT(*) FROM lineitem \
+               WHERE l_shipdate <= DATE '1998-09-01' GROUP BY l_returnflag, l_linestatus";
+    let plan = plan_query(&catalog, "tpch", sql).unwrap();
+    let cut = plan_shuffle(&plan, "shuffle/mv.pxl", 4).expect("an aggregate cut");
+    let ShuffleKind::Aggregate {
+        input,
+        group_exprs,
+        aggs,
+        output_schema,
+    } = &cut.kind
+    else {
+        panic!("the cut is not the aggregate: {:?}", cut.kind);
+    };
+    assert!(matches!(input.as_ref(), Plan::Scan { .. }), "{input:?}");
+    let in_process = Plan::Aggregate {
+        input: input.clone(),
+        group_exprs: group_exprs.clone(),
+        aggs: aggs.clone(),
+        output_schema: output_schema.clone(),
+    };
+    let rows =
+        |batches: &[RecordBatch]| float_bits(batches.iter().flat_map(|b| b.to_rows()).collect());
+    for parallelism in [1, 2, 4, 8] {
+        let ctx = || ExecContext::new(store.clone()).with_parallelism(parallelism);
+        let direct = execute(&in_process, &ctx()).unwrap();
+        let spill = InMemoryObjectStore::shared();
+        exchange::write_agg_partitions(input, group_exprs, aggs, &ctx(), spill.as_ref(), "agg/", 4)
+            .unwrap();
+        let (shuffled, _) =
+            exchange::read_agg_partitions(&spill, "agg/", 4, group_exprs, aggs, output_schema)
+                .unwrap();
+        assert_eq!(rows(&shuffled), rows(&direct), "parallelism {parallelism}");
+    }
 }
 
 /// Shifted by `i64::MAX`, the 3,000 order keys of scale 0.002 are 3,000 join

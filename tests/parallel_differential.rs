@@ -7,11 +7,13 @@
 //! preserved by the chunk-ordered partial merge, but ORDER BY-less queries
 //! make no ordering promise). Float aggregates are compared with a tiny
 //! relative tolerance because partial aggregation reassociates additions;
-//! everything else must match exactly.
+//! everything else must match exactly. A DISTINCT is held to more: its rows
+//! come out in first-appearance order at every parallelism, as the scalar
+//! oracle has them, unsorted.
 
 use pixelsdb::catalog::Catalog;
 use pixelsdb::common::{RecordBatch, Value};
-use pixelsdb::exec::{execute, ExecContext, ExecMetricsSnapshot};
+use pixelsdb::exec::{execute, scalar, ExecContext, ExecMetricsSnapshot};
 use pixelsdb::planner::plan_query;
 use pixelsdb::storage::{InMemoryObjectStore, ObjectStoreRef};
 use pixelsdb::workload::{all_queries, load_tpch, TpchConfig};
@@ -118,6 +120,39 @@ fn parallel_execution_matches_serial_rows_and_billing() {
                 (par_m.row_groups_total, par_m.row_groups_read),
                 "{}: pruning diverged at parallelism {parallelism}",
                 q.id
+            );
+        }
+    }
+}
+
+/// A DISTINCT over a scan and one over a join: at parallelism 1, 2, 4 and 8
+/// the same rows in the same (first-appearance) order as the scalar oracle,
+/// and the same billed bytes as at parallelism 1.
+#[test]
+fn distinct_keeps_first_appearance_order_at_every_parallelism() {
+    let (catalog, store) = tpch_fixture();
+    for sql in [
+        "SELECT DISTINCT l_returnflag, l_linestatus, l_linenumber FROM lineitem",
+        "SELECT DISTINCT o_orderpriority, c_mktsegment \
+         FROM orders JOIN customer ON o_custkey = c_custkey",
+    ] {
+        let plan = plan_query(&catalog, "tpch", sql).unwrap();
+        let rows = |batches: Vec<RecordBatch>| -> Vec<Vec<Value>> {
+            batches.iter().flat_map(|b| b.to_rows()).collect()
+        };
+        let oracle = rows(scalar::execute(&plan, &ExecContext::new(store.clone())).unwrap());
+        assert!(oracle.len() > 1, "{sql}: {} rows", oracle.len());
+        let mut serial: Option<ExecMetricsSnapshot> = None;
+        for parallelism in [1, 2, 4, 8] {
+            let ctx = ExecContext::new(store.clone()).with_parallelism(parallelism);
+            let got = rows(execute(&plan, &ctx).unwrap());
+            assert_eq!(got, oracle, "{sql} at parallelism {parallelism}");
+            let m = ctx.metrics.snapshot();
+            let serial = serial.get_or_insert(m);
+            assert_eq!(
+                (m.bytes_scanned, m.rows_scanned),
+                (serial.bytes_scanned, serial.rows_scanned),
+                "{sql}: billed bytes diverged at parallelism {parallelism}"
             );
         }
     }
