@@ -30,7 +30,9 @@
 //! faults on prefetched GETs retry and bill like synchronous ones.
 //!
 //! Prints one `ok`/`FAIL` line per row and level, one table, and writes
-//! `results/chaos_soak.json`; exits non-zero on any failed row.
+//! `results/chaos_soak.json`, which a rerun reproduces byte for byte, and
+//! `target/chaos_soak_latency.json`, the wall-clock means the table prints,
+//! which differ from run to run; exits non-zero on any failed row.
 
 use pixels_bench::soak::{check_pair, metric_value, Deployment, RunRecord};
 use pixels_bench::{on_cf, Gate, TextTable};
@@ -50,6 +52,9 @@ const PUT_FAULTS: &str = "pixels_faults_injected_total{site=\"exchange_put\"}";
 const GET_FAULTS: &str = "pixels_faults_injected_total{site=\"exchange_get\"}";
 const RELAUNCHES: &str = "pixels_turbo_cf_retries_total";
 const PUT_BYTES: &str = "pixels_exchange_put_bytes_total";
+
+/// Where the rows' wall-clock means go: beside the build, not in `results/`.
+const LATENCY_REPORT: &str = "target/chaos_soak_latency.json";
 
 type Queries = Vec<(&'static str, &'static str)>;
 
@@ -112,7 +117,6 @@ fn rows() -> Vec<Row> {
     // One VM slot, so a held slot sends Immediate work to CF.
     let one_slot = EngineConfig {
         vm_slots: 1,
-        cf_fleet_threads: 2,
         ..EngineConfig::default()
     };
     let cf = |name, plan, queries, counters| Row {
@@ -248,11 +252,6 @@ impl Outcome {
             ),
             ("availability", Json::number(self.availability())),
             (
-                "baseline_latency_ms",
-                Json::number(Self::mean_ms(&self.base)),
-            ),
-            ("chaos_latency_ms", Json::number(Self::mean_ms(&self.chaos))),
-            (
                 "baseline_bill_dollars",
                 Json::number(Self::sum(&self.base, |r| r.price)),
             ),
@@ -266,6 +265,18 @@ impl Outcome {
                 "shuffle_dollars",
                 Json::number(Self::sum(&self.chaos, |r| r.shuffle_dollars)),
             ),
+        ])
+    }
+
+    /// The row's wall-clock means, which differ from run to run and so stay
+    /// out of `results/`.
+    fn latency_json(&self) -> Json {
+        Json::object([
+            (
+                "baseline_latency_ms",
+                Json::number(Self::mean_ms(&self.base)),
+            ),
+            ("chaos_latency_ms", Json::number(Self::mean_ms(&self.chaos))),
         ])
     }
 
@@ -451,7 +462,13 @@ fn main() {
         table.row(&o.table_row());
     }
     table.print();
-    let report = Json::object(outcomes.iter().map(|o| (o.key.clone(), o.to_json())));
-    gate.write("chaos_soak.json", &report.to_compact_string());
+    let report = |json: fn(&Outcome) -> Json| {
+        Json::object(outcomes.iter().map(|o| (o.key.clone(), json(o)))).to_compact_string()
+    };
+    gate.write("chaos_soak.json", &report(Outcome::to_json));
+    std::fs::create_dir_all("target")
+        .and_then(|()| std::fs::write(LATENCY_REPORT, report(Outcome::latency_json)))
+        .expect("write the latency report");
+    println!("wrote {LATENCY_REPORT}");
     gate.finish("all scenarios equivalent: identical results and bills under every fault plan");
 }

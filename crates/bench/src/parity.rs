@@ -175,7 +175,6 @@ fn engine_for(plan: &FaultPlan, partitions: usize) -> Arc<TurboEngine> {
             store,
             EngineConfig {
                 vm_slots: 1,
-                cf_fleet_threads: 2,
                 exchange_partitions: partitions,
                 ..EngineConfig::default()
             },

@@ -23,6 +23,9 @@
 //!   global row number (`__ord`). Stage 1 joins
 //!   each partition pair with the shared equi-join index core and restores
 //!   the exact single-stage output order by sorting on the origin indices.
+//!   A broadcast join is the same stage 1 over one partition whose left
+//!   side never crossed the exchange: the probe side, its `__ord` its row
+//!   index ([`read_join_partitions`]'s `probe`).
 //!
 //! Both paths produce output bit-identical to their single-stage
 //! equivalents — same rows, same order, same batch boundaries — so the
@@ -353,17 +356,25 @@ fn strip_ord(
 /// Stage 1 of a join exchange: join each partition pair with the shared
 /// equi-join index core, then restore the exact single-stage output order.
 ///
+/// `probe` is the left side of a broadcast join, which never crossed the
+/// exchange: the finish stage executed it, while stage 0 spilled the build
+/// side whole (`partitions` = 1). It is partition 0's left side, and each
+/// row's `__ord` is its row index.
+///
 /// Per partition the local match indices map back through `__ord` to global
 /// `(left_row, right_row)` origins. The single-stage order is: probe rows
 /// in input order with matches in build order, then unmatched right-outer
 /// rows as a tail in build order — which is exactly the sort by
 /// `(is_right_tail, left_ord, right_ord)` over the union of partitions
-/// (matches for one probe row never span partitions).
+/// (matches for one probe row never span partitions). The output is cut into
+/// `batch_size` batches like the in-process join's, so it is bit-identical
+/// to the single-stage join over the same inputs, batch boundaries included.
 #[allow(clippy::too_many_arguments)]
 pub fn read_join_partitions(
     spill_store: &ObjectStoreRef,
     prefix: &str,
     partitions: usize,
+    probe: Option<&[RecordBatch]>,
     join_type: JoinType,
     left_keys: &[BoundExpr],
     right_keys: &[BoundExpr],
@@ -385,23 +396,29 @@ pub fn read_join_partitions(
     // (is_right_tail, left_ord, right_ord) per output row, across partitions.
     let mut order: Vec<(bool, i64, i64)> = Vec::new();
     for part in 0..partitions {
-        let lb = read_spill(
-            spill_store,
-            &partition_path(prefix, part, Some("left")),
-            &left_spill,
-            &mut stats,
-        )?;
+        let (left, lord) = match probe {
+            Some(batches) => {
+                let left = coalesce(batches)?;
+                let rows = left.as_ref().map_or(0, |b| b.num_rows() as i64);
+                (left, (0..rows).collect())
+            }
+            None => {
+                let path = partition_path(prefix, part, Some("left"));
+                let lb = read_spill(spill_store, &path, &left_spill, &mut stats)?;
+                let (left, lord) = strip_ord(lb, left_schema)?;
+                (left.map(Cow::Owned), lord)
+            }
+        };
         let rb = read_spill(
             spill_store,
             &partition_path(prefix, part, Some("right")),
             &right_spill,
             &mut stats,
         )?;
-        let (left, lord) = strip_ord(lb, left_schema)?;
         let (right, rord) = strip_ord(rb, right_schema)?;
         let mut build = JoinBuild::new(right.map(Cow::Owned), right_keys, left_keys)?;
         let (fl, fr) = build.probe(
-            left.as_ref(),
+            left.as_deref(),
             join_type,
             residual,
             output_schema,
@@ -412,81 +429,15 @@ pub fn read_join_partitions(
             let gr = if r < 0 { -1 } else { rord[r as usize] };
             order.push((l < 0, gl, gr));
         }
-        parts.push(build.assemble(output_schema, left_width, left.as_ref(), &fl, &fr)?);
+        parts.push(build.assemble(output_schema, left_width, left.as_deref(), &fl, &fr)?);
     }
-    let out = in_origin_order(&RecordBatch::concat(&parts)?, &order, batch_size)?;
-    Ok((out, stats))
-}
-
-/// The rows of a stage-1 join's output, `order[i]` being row `i`'s
-/// `(is_right_tail, left_ord, right_ord)`, sorted into the single-stage
-/// order and cut into `batch_size` batches like the in-process join's.
-fn in_origin_order(
-    all: &RecordBatch,
-    order: &[(bool, i64, i64)],
-    batch_size: usize,
-) -> Result<Vec<RecordBatch>> {
+    let all = RecordBatch::concat(&parts)?;
     let mut perm: Vec<usize> = (0..order.len()).collect();
     perm.sort_unstable_by_key(|&i| order[i]);
-    let chunk = batch_size.max(1);
-    perm.chunks(chunk).map(|idx| all.gather(idx)).collect()
-}
-
-/// Stage 1 of a *broadcast* join: the probe (left) side never crossed the
-/// exchange — this worker executed it directly and holds `probe_batches` in
-/// memory — while the small build (right) side was spilled whole as a single
-/// partition by stage 0. Reads the build spill back, joins, and restores the
-/// exact single-stage output order (probe rows in input order with matches
-/// in build order, then any right-outer tail in build order).
-///
-/// Output is bit-identical to the single-stage join over the same inputs,
-/// same batch boundaries included.
-#[allow(clippy::too_many_arguments)]
-pub fn read_broadcast_join(
-    spill_store: &ObjectStoreRef,
-    prefix: &str,
-    probe_batches: &[RecordBatch],
-    join_type: JoinType,
-    left_keys: &[BoundExpr],
-    right_keys: &[BoundExpr],
-    residual: Option<&BoundExpr>,
-    output_schema: &SchemaRef,
-    left_schema: &SchemaRef,
-    right_schema: &SchemaRef,
-    batch_size: usize,
-) -> Result<(Vec<RecordBatch>, ExchangeStats)> {
-    let right_spill = join_spill_schema(right_schema);
-    let left_width = left_schema.fields().len();
-    let mut stats = ExchangeStats {
-        partitions: 1,
-        ..ExchangeStats::default()
-    };
-    let rb = read_spill(
-        spill_store,
-        &partition_path(prefix, 0, Some("right")),
-        &right_spill,
-        &mut stats,
-    )?;
-    let (right, rord) = strip_ord(rb, right_schema)?;
-    let mut build = JoinBuild::new(right.map(Cow::Owned), right_keys, left_keys)?;
-    let left = coalesce(probe_batches)?;
-    let (fl, fr) = build.probe(
-        left.as_deref(),
-        join_type,
-        residual,
-        output_schema,
-        left_width,
-    )?;
-    // A single-partition spill preserves build-row order (`rord` is the
-    // identity), but sort through `__ord` anyway so the order contract never
-    // depends on that detail.
-    let mut order: Vec<(bool, i64, i64)> = Vec::with_capacity(fl.len());
-    for (&l, &r) in fl.iter().zip(&fr) {
-        let gr = if r < 0 { -1 } else { rord[r as usize] };
-        order.push((l < 0, l.max(-1), gr));
-    }
-    let all = build.assemble(output_schema, left_width, left.as_deref(), &fl, &fr)?;
-    Ok((in_origin_order(&all, &order, batch_size)?, stats))
+    let out = (perm.chunks(batch_size.max(1)))
+        .map(|rows| all.gather(rows))
+        .collect::<Result<_>>()?;
+    Ok((out, stats))
 }
 
 #[cfg(test)]
@@ -634,6 +585,7 @@ mod tests {
                     &store,
                     "j/",
                     partitions,
+                    None,
                     join_type,
                     &lkey,
                     &rkey,
@@ -652,63 +604,93 @@ mod tests {
         }
     }
 
+    /// A broadcast join — the build side spilled as one partition, the probe
+    /// side joined in memory — against the in-process join: with and without
+    /// a residual predicate over both sides, and with an empty build or probe
+    /// side, for every join type the exchange runs.
     #[test]
     fn broadcast_join_matches_direct_execution() {
-        let left = vec![batch(&[1, 2, 3, 4, 7], &["a", "b", "a", "c", "x"])];
-        let right = vec![batch(&[10, 20, 30], &["a", "b", "e"])];
         let lkey = vec![col_expr(1, "tag", DataType::Utf8)];
         let rkey = vec![col_expr(1, "tag", DataType::Utf8)];
-        let lschema = left[0].schema().clone();
-        let rschema = right[0].schema().clone();
         let out_schema = Arc::new(Schema::new(vec![
             Field::nullable("l_id", DataType::Int64),
             Field::nullable("l_tag", DataType::Utf8),
             Field::nullable("r_id", DataType::Int64),
             Field::nullable("r_tag", DataType::Utf8),
         ]));
-        for join_type in [JoinType::Inner, JoinType::Left, JoinType::Right] {
-            let direct = execute_join(
-                &left,
-                &right,
-                join_type,
-                &lkey,
-                &rkey,
-                None,
-                &out_schema,
-                2,
-                3,
-            )
-            .unwrap();
-            let store = InMemoryObjectStore::shared();
-            let rs = write_join_partitions(
-                &right,
-                &rschema,
-                &lkey,
-                &rkey,
-                JoinSide::Right,
-                store.as_ref(),
-                "b/",
-                1,
-            )
-            .unwrap();
-            assert_eq!(rs.partitions, 1);
-            assert_eq!(rs.spilled_rows, 3);
-            let (joined, stats) = read_broadcast_join(
-                &store,
-                "b/",
-                &left,
-                join_type,
-                &lkey,
-                &rkey,
-                None,
-                &out_schema,
-                &lschema,
-                &rschema,
-                3,
-            )
-            .unwrap();
-            assert_eq!(direct, joined, "{join_type:?} broadcast must be identical");
-            assert!(stats.get_bytes > 0, "build spill read is exchange traffic");
+        // r_id > 5 * l_id: drops the pair (3, a)–(10, a) and keeps the rest.
+        let residual = BoundExpr::BinaryOp {
+            left: Box::new(col_expr(2, "r_id", DataType::Int64)),
+            op: pixels_sql::ast::BinaryOp::Gt,
+            right: Box::new(BoundExpr::BinaryOp {
+                left: Box::new(BoundExpr::Literal(Value::Int64(5))),
+                op: pixels_sql::ast::BinaryOp::Multiply,
+                right: Box::new(col_expr(0, "l_id", DataType::Int64)),
+                data_type: DataType::Int64,
+            }),
+            data_type: DataType::Boolean,
+        };
+        let probe = vec![batch(&[1, 2, 3, 4, 7], &["a", "b", "a", "c", "x"])];
+        let build = vec![batch(&[10, 20, 30], &["a", "b", "e"])];
+        let empty = vec![batch(&[], &[])];
+        let schema = probe[0].schema().clone();
+        for (left, right) in [(&probe, &build), (&probe, &empty), (&empty, &build)] {
+            for residual in [None, Some(&residual)] {
+                for join_type in [JoinType::Inner, JoinType::Left, JoinType::Right] {
+                    let case = format!(
+                        "{join_type:?}, {} probe rows, {} build rows, residual {}",
+                        left[0].num_rows(),
+                        right[0].num_rows(),
+                        residual.is_some()
+                    );
+                    let direct = execute_join(
+                        left,
+                        right,
+                        join_type,
+                        &lkey,
+                        &rkey,
+                        residual,
+                        &out_schema,
+                        2,
+                        3,
+                    )
+                    .unwrap();
+                    let store = InMemoryObjectStore::shared();
+                    let rs = write_join_partitions(
+                        right,
+                        &schema,
+                        &lkey,
+                        &rkey,
+                        JoinSide::Right,
+                        store.as_ref(),
+                        "b/",
+                        1,
+                    )
+                    .unwrap();
+                    assert_eq!(rs.partitions, 1, "{case}");
+                    assert_eq!(rs.spilled_rows, right[0].num_rows() as u64, "{case}");
+                    let (joined, stats) = read_join_partitions(
+                        &store,
+                        "b/",
+                        1,
+                        Some(left),
+                        join_type,
+                        &lkey,
+                        &rkey,
+                        residual,
+                        &out_schema,
+                        &schema,
+                        &schema,
+                        3,
+                    )
+                    .unwrap();
+                    assert_eq!(direct, joined, "{case}");
+                    assert!(
+                        stats.get_bytes > 0,
+                        "the build spill read is exchange traffic"
+                    );
+                }
+            }
         }
     }
 }

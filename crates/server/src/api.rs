@@ -922,7 +922,6 @@ mod tests {
                 store,
                 EngineConfig {
                     vm_slots: 2,
-                    cf_fleet_threads: 2,
                     ..EngineConfig::default()
                 },
             )
@@ -1515,7 +1514,6 @@ mod tests {
                 store,
                 EngineConfig {
                     vm_slots: 2,
-                    cf_fleet_threads: 2,
                     ..EngineConfig::default()
                 },
             )
@@ -1582,7 +1580,6 @@ mod tests {
                 store,
                 EngineConfig {
                     vm_slots: 1,
-                    cf_fleet_threads: 2,
                     ..EngineConfig::default()
                 },
             )

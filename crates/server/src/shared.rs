@@ -380,7 +380,6 @@ mod tests {
             store,
             EngineConfig {
                 vm_slots: 2,
-                cf_fleet_threads: 2,
                 ..EngineConfig::default()
             },
         ))

@@ -6,35 +6,40 @@
 //! "CF acceleration" executes the split sub-plan on freshly spawned threads
 //! (mirroring ephemeral function workers), materializes its result to
 //! object storage, and finishes the cheap top-level plan locally — exactly
-//! the §3.1 data path.
+//! the §3.1 data path. The CF stages and their runner live in `stages`.
+//!
+//! A query waits for a VM slot one way (`TurboEngine::run_in_vm_when_free`),
+//! whether it never tried CF or degraded from it, and every execution
+//! context, VM or CF, is as wide as its plan's [`QueryWork::parallelism`]
+//! allows on this machine's cores.
 //!
 //! What the engine counts goes to `/metrics` through the handles of one
 //! [`EngineMetrics`] catalog, shared with fleet threads and reapers; a
-//! plan's [`QueryWork`] is estimated once, where the plan is made, and every
-//! tier prices, sizes and times from that value.
+//! query's [`QueryWork`] is estimated once, where the plan is made, and every
+//! tier prices and times from that value, while each execution context is
+//! sized from the plan it runs.
+
+mod stages;
 
 use crate::billing::{CostBreakdown, ResourcePricing};
-use crate::cf_service::{CfConfig, LaunchFaults};
+use crate::cf_service::CfConfig;
 use crate::metrics::EngineMetrics;
 use crate::model::QueryWork;
-use crate::policy::{self, CfCostModel, CfEffects, CfRace, Decision, RaceInput};
+use crate::policy::{CfCostModel, Decision};
 use parking_lot::{Condvar, Mutex};
 use pixels_catalog::CatalogRef;
-use pixels_chaos::{FaultInjector, RetryPolicy};
+use pixels_chaos::FaultInjector;
 use pixels_common::{
     ColumnBuilder, DataType, Error, Field, IdGenerator, RecordBatch, Result, Schema, Value,
 };
 use pixels_exec::{
-    default_parallelism, exchange, execute, execute_collect, materialize, ExchangeStats,
-    ExecContext, ExecMetricsSnapshot, JoinSide, DEFAULT_BATCH_SIZE, DEFAULT_PREFETCH_DEPTH,
+    default_parallelism, execute_collect, ExchangeStats, ExecContext, ExecMetricsSnapshot,
+    DEFAULT_PREFETCH_DEPTH,
 };
-use pixels_obs::{MetricsRegistry, Span, Trace, TraceCtx, WallClock};
-use pixels_planner::{
-    plan_query, plan_shuffle_sized, split_for_acceleration, Plan, ShuffleKind, ShufflePlan,
-    ShuffleSizing,
-};
+use pixels_obs::{MetricsRegistry, Trace, TraceCtx};
+use pixels_planner::{plan_query, Plan};
 use pixels_sql::ast::Statement;
-use pixels_storage::{exchange_stack, ChunkCache, FooterCache, ObjectStore, ObjectStoreRef};
+use pixels_storage::{ChunkCache, FooterCache, ObjectStoreRef};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,10 +48,6 @@ use std::time::{Duration, Instant};
 pub struct EngineConfig {
     /// Concurrent query slots the "VM cluster" provides.
     pub vm_slots: usize,
-    /// Worker threads per CF fleet: the accelerated sub-plan executes with
-    /// up to this much intra-plan parallelism, further bounded by the
-    /// query's own parallelism estimate from the resource model.
-    pub cf_fleet_threads: usize,
     /// Capacity of the engine-wide chunk-data cache (parsed column chunks,
     /// with the dictionaries and runs queries parsed from them, shared
     /// across all queries), memos included. `0` disables the cache. Hits
@@ -75,7 +76,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             vm_slots: 4,
-            cf_fleet_threads: 4,
             chunk_cache_bytes: 64 << 20,
             prefetch_depth: DEFAULT_PREFETCH_DEPTH,
             exchange_partitions: 1,
@@ -216,42 +216,25 @@ impl Drop for SlotGuard<'_> {
 }
 
 impl Slots {
-    fn acquire(&self) -> (SlotGuard<'_>, Duration) {
-        let start = Instant::now();
+    /// Take a slot, waiting until `deadline` (`None`: as long as it takes).
+    /// `None` once the deadline passes with every slot still busy.
+    fn acquire(&self, deadline: Option<Instant>) -> Option<SlotGuard<'_>> {
         let mut free = self.free.lock();
         while *free == 0 {
-            self.cv.wait(&mut free);
-        }
-        *free -= 1;
-        (SlotGuard(self), start.elapsed())
-    }
-
-    /// Acquire with an optional wait bound. Returns the slot and the time
-    /// waited, or `None` once `limit` expires with every slot still busy
-    /// (the caller then force-starts the query unslotted).
-    fn acquire_until(&self, limit: Option<Duration>) -> Option<(SlotGuard<'_>, Duration)> {
-        let Some(limit) = limit else {
-            return Some(self.acquire());
-        };
-        let start = Instant::now();
-        let mut free = self.free.lock();
-        while *free == 0 {
-            let remaining = limit.checked_sub(start.elapsed())?;
-            if self.cv.wait_for(&mut free, remaining) && *free == 0 {
-                return None;
+            match deadline {
+                None => self.cv.wait(&mut free),
+                Some(deadline) => {
+                    let remaining = deadline.checked_duration_since(Instant::now())?;
+                    self.cv.wait_for(&mut free, remaining);
+                }
             }
         }
         *free -= 1;
-        Some((SlotGuard(self), start.elapsed()))
+        Some(SlotGuard(self))
     }
 
     fn try_acquire(&self) -> Option<SlotGuard<'_>> {
-        let mut free = self.free.lock();
-        if *free == 0 {
-            return None;
-        }
-        *free -= 1;
-        Some(SlotGuard(self))
+        self.acquire(Some(Instant::now()))
     }
 }
 
@@ -331,13 +314,12 @@ impl TurboEngine {
         &self.registry
     }
 
-    /// Execution context for a plan of estimated `work`, with parallelism
-    /// taken from the resource model (scannable partitions) capped by `limit`
-    /// and the machine's cores, and the engine-wide footer cache attached.
-    fn exec_context(&self, work: &QueryWork, limit: usize) -> ExecContext {
-        let parallelism = (work.parallelism as usize)
-            .min(limit.max(1))
-            .min(default_parallelism());
+    /// Execution context for `plan`, VM or CF: parallelism from the resource
+    /// model (scannable partitions) capped by the machine's cores, and the
+    /// engine-wide caches attached.
+    fn exec_context(&self, plan: &Plan) -> ExecContext {
+        let parallelism =
+            (QueryWork::from_plan(plan).parallelism as usize).min(default_parallelism());
         let ctx = ExecContext::new(self.store.clone())
             .with_parallelism(parallelism)
             .with_footer_cache(self.footer_cache.clone())
@@ -368,14 +350,19 @@ impl TurboEngine {
 
     /// Take every VM slot (waiting for running queries to give theirs back)
     /// and hold them while `f` runs, so inside `f` a saturated engine is a
-    /// fact rather than a race: [`is_busy`](Self::is_busy) is true, a
-    /// CF-enabled query dispatches to CF, and one with a slot wait limit
-    /// force-starts when it expires. A query that needs a slot meanwhile — one
-    /// without CF, or a CF plan degrading to VM — waits until `f` returns,
-    /// so one run on `f`'s own thread never ends.
+    /// fact rather than a race: [`is_busy`](Self::is_busy) is true and a
+    /// CF-enabled query dispatches to CF. A query that needs a slot meanwhile
+    /// — one without CF, or a CF plan degrading to VM — waits until `f`
+    /// returns or its slot wait limit, counted from its start, expires, when
+    /// it force-starts. One without a limit run on `f`'s own thread never
+    /// ends.
     pub fn hold_slots<T>(&self, f: impl FnOnce() -> T) -> T {
         let _held: Vec<SlotGuard<'_>> = (0..self.cfg.vm_slots.max(1))
-            .map(|_| self.slots.acquire().0)
+            .map(|_| {
+                self.slots
+                    .acquire(None)
+                    .expect("an unbounded wait gets a slot")
+            })
             .collect();
         f()
     }
@@ -420,9 +407,10 @@ impl TurboEngine {
     /// Like [`execute_sql_traced`](Self::execute_sql_traced), with a bound
     /// on how long the query may wait for a VM slot. `None` waits forever
     /// (Immediate / unforced semantics); `Some(limit)` is the remaining
-    /// grace budget of a Relaxed/BestEffort query — when it expires with
-    /// every slot still busy the query is *force-started* unslotted, so the
-    /// scheduler's deadline promise holds even on a saturated engine.
+    /// grace budget of a Relaxed/BestEffort query or the slack of a deadline
+    /// query, counted from now — when it expires with every slot still busy
+    /// the query is *force-started* unslotted, so the scheduler's promise
+    /// holds even on a saturated engine, after a failed CF attempt too.
     pub fn execute_sql_scheduled(
         &self,
         db: &str,
@@ -648,6 +636,8 @@ impl TurboEngine {
         trace: TraceCtx,
         slot_wait_limit: Option<Duration>,
     ) -> Result<ExecOutcome> {
+        // A limit too far out to be an instant is no limit.
+        let deadline = slot_wait_limit.and_then(|limit| Instant::now().checked_add(limit));
         let plan = {
             let _span = trace.span("plan");
             plan_query(&self.catalog, db, sql)?
@@ -663,44 +653,39 @@ impl TurboEngine {
         // Slots saturated. With CF enabled, accelerate via plan splitting.
         if cf_enabled {
             if let Some(stages) = self.cf_stages(&plan, &work) {
-                return self.run_cf(&plan, &work, stages, &trace);
+                return self.run_cf(&plan, &work, stages, &trace, deadline);
             }
         }
+        self.run_in_vm_when_free(&plan, &work, &trace, deadline)
+    }
 
-        // Otherwise wait for a slot (the engine-level queue), bounded by the
-        // caller's remaining grace budget.
-        let waited = {
+    /// Run `plan` on the VM once a slot is free: the one way a query waits
+    /// for a slot (the engine-level queue), whether it never tried CF or
+    /// degraded from it. At `deadline` a query still waiting is force-started
+    /// unslotted (counted in `pixels_turbo_forced_starts_total`), so the
+    /// scheduler's promise holds even on a saturated engine. The wait is
+    /// observed in `pixels_turbo_vm_slot_wait_seconds` and is the outcome's
+    /// `pending`.
+    fn run_in_vm_when_free(
+        &self,
+        plan: &Plan,
+        work: &QueryWork,
+        trace: &TraceCtx,
+        deadline: Option<Instant>,
+    ) -> Result<ExecOutcome> {
+        let start = Instant::now();
+        let slot = {
             let _span = trace.span("vm_slot_wait");
-            self.slots.acquire_until(slot_wait_limit)
+            self.slots.acquire(deadline)
         };
-        let (_slot, pending) = match waited {
-            Some((slot, pending)) => (Some(slot), pending),
-            None => {
-                // Deadline expired while waiting: forced start. The query
-                // runs unslotted (no slot held) so the grace-period promise
-                // holds even on a saturated engine.
-                self.metrics.forced_starts.inc();
-                (None, slot_wait_limit.unwrap_or_default())
-            }
-        };
+        if slot.is_none() {
+            self.metrics.forced_starts.inc();
+        }
+        let pending = start.elapsed();
         self.metrics.vm_slot_wait.observe(pending.as_secs_f64());
-        let mut out = self.run_in_vm(&plan, &work, &trace)?;
+        let mut out = self.run_in_vm(plan, work, trace)?;
         out.pending = pending;
         Ok(out)
-    }
-
-    fn next_mv_path(&self) -> String {
-        format!("pixels-turbo/intermediate/mv-{}.pxl", self.mv_ids.next())
-    }
-
-    /// Exchange sizing from the config: an explicit `exchange_partitions`
-    /// pins that exact fan-out (the historical behavior), `0` turns on
-    /// cost-based sizing.
-    fn shuffle_sizing(&self) -> ShuffleSizing {
-        match self.cfg.exchange_partitions {
-            0 => ShuffleSizing::auto(),
-            n => ShuffleSizing::fixed(n),
-        }
     }
 
     /// Store-wide retry count delta over a query, surfaced as a
@@ -717,7 +702,7 @@ impl TurboEngine {
 
     fn run_in_vm(&self, plan: &Plan, work: &QueryWork, trace: &TraceCtx) -> Result<ExecOutcome> {
         let retries_before = self.store.metrics().retries;
-        let ctx = self.exec_context(work, usize::MAX);
+        let ctx = self.exec_context(plan);
         let mut span = trace.span("vm_execute");
         span.record_u64("parallelism", ctx.parallelism as u64);
         let ctx = ctx.under(&span);
@@ -746,500 +731,6 @@ impl TurboEngine {
         })
     }
 
-    /// The stage list a saturated engine accelerates `plan` with, or `None`
-    /// when the plan has no expensive operator to push down. A shuffleable
-    /// cut point (aggregate, equi-join) with a configured or cost-derived
-    /// fan-out runs as a spill stage plus a finish stage; every other plan is
-    /// one stage that materializes the MV directly.
-    fn cf_stages(&self, plan: &Plan, work: &QueryWork) -> Option<Vec<Stage<'_>>> {
-        // The path is a placeholder: only the lower half of the cut is used
-        // here. Every attempt picks its own MV path, and the tail re-cuts the
-        // plan around whichever one is accepted.
-        if let Some(shuffle) = plan_shuffle_sized(plan, "", &self.shuffle_sizing()) {
-            return Some(self.shuffle_stages(work, shuffle));
-        }
-        let split = split_for_acceleration(plan, "")?;
-        Some(vec![self.single_stage(work, split.sub_plan)])
-    }
-
-    /// The single-stage CF plan: one fleet executes the whole sub-plan off
-    /// the VM slots (as CF workers would) and materializes it to the
-    /// attempt's own MV path.
-    fn single_stage(&self, work: &QueryWork, sub_plan: Plan) -> Stage<'_> {
-        let sub_plan = Arc::new(sub_plan);
-        let sub_work = QueryWork::from_plan(&sub_plan);
-        Stage {
-            // Priced by the full plan, matching the sim coordinator which
-            // charges CF fleets for the whole query. Fleet right-sizing
-            // shrinks startup-dominated fleets; the sim side of the parity
-            // harness applies the same transform, so costs stay bit-identical.
-            priced: self.cost_model.sized_work(work),
-            deadline: self.cost_model.sized_work(&sub_work),
-            prepare: Box::new(move |_attempt, _input, span| {
-                let mv_path = self.next_mv_path();
-                let ctx = self
-                    .exec_context(&sub_work, self.cfg.cf_fleet_threads)
-                    .under(span);
-                let (sub_plan, store, dest) =
-                    (sub_plan.clone(), self.store.clone(), mv_path.clone());
-                Attempt {
-                    artifact: Artifact::Mv(mv_path),
-                    ctxs: vec![ctx],
-                    body: Box::new(move |ctxs, _span| {
-                        let ctx = &ctxs[0];
-                        let batches = execute(&sub_plan, ctx)?;
-                        let mut mat_span = ctx.trace.span("materialize");
-                        let written =
-                            materialize(store.as_ref(), &dest, sub_plan.schema(), &batches)?;
-                        // `bytes_written` deliberately, not `bytes`: MV output
-                        // is not billed scan traffic, and the span byte sum
-                        // must still equal `bytes_scanned` exactly.
-                        mat_span.record_u64("bytes_written", written);
-                        Ok((ctx.metrics.snapshot(), ExchangeStats::default()))
-                    }),
-                }
-            }),
-        }
-    }
-
-    /// The two stages of a shuffled CF plan, exchanging hash-partitioned
-    /// spill files through the object store (§3.1 extended the Starling way —
-    /// functions cannot talk to each other, so the store is the network).
-    ///
-    /// The spill stage executes the shuffled operator's input(s) and spills
-    /// combining/pre-aggregated hash partitions under the attempt's own
-    /// prefix. The finish stage reads the *accepted* spill attempt's
-    /// partition set, finishes the operator and materializes the MV the top
-    /// plan reads. A broadcast join is the same two stages with a 1-partition
-    /// spill of the build side only: the probe side never crosses the
-    /// exchange, the finish stage executes it directly.
-    ///
-    /// Billing: spill PUT/GET traffic is provider-side (priced per GB into
-    /// `provider_shuffle_dollars`), never part of `bytes_scanned`. The user
-    /// bill equals the single-stage path's exactly: the stages scan the same
-    /// table bytes one fleet would, spill reads go through scratch contexts,
-    /// and the MV is byte-identical so the top plan reads the same bytes too.
-    fn shuffle_stages(&self, work: &QueryWork, shuffle: ShufflePlan) -> Vec<Stage<'_>> {
-        let ShufflePlan {
-            kind,
-            partitions,
-            broadcast,
-            ..
-        } = shuffle;
-        let kind = Arc::new(kind);
-        // Fleet right-sizing applies to the whole-query work before the
-        // per-stage split, exactly as the sim coordinator does.
-        let [spill_work, finish_work] = self.cost_model.sized_work(work).stage_works();
-        let spill_base = format!("pixels-turbo/intermediate/shuffle-{}/", self.mv_ids.next());
-        // Spill I/O runs under its own chaos/retry stack: the exchange_put /
-        // exchange_get fault sites with the standard object-store backoff.
-        let exchange_store = exchange_stack(
-            self.store.clone(),
-            self.injector.clone(),
-            RetryPolicy::object_store(),
-            WallClock::shared(),
-        );
-        let fleet_threads = self.cfg.cf_fleet_threads;
-
-        let spill = {
-            let (kind, exchange_store) = (kind.clone(), exchange_store.clone());
-            Stage {
-                priced: spill_work,
-                deadline: spill_work,
-                prepare: Box::new(move |attempt, _input, span| {
-                    // The attempt index in the prefix means a crashed or
-                    // losing attempt can never poison its replacement's reads.
-                    let prefix = format!("{spill_base}s0-a{attempt}/");
-                    // A join stage executes each input under its own context.
-                    let ctxs = spill_inputs(&kind, broadcast)
-                        .into_iter()
-                        .map(|input| {
-                            self.exec_context(&QueryWork::from_plan(input), fleet_threads)
-                                .under(span)
-                        })
-                        .collect();
-                    let (kind, store, dest) =
-                        (kind.clone(), exchange_store.clone(), prefix.clone());
-                    Attempt {
-                        artifact: Artifact::Spill(prefix),
-                        ctxs,
-                        body: Box::new(move |ctxs, _span| {
-                            spill_partitions(
-                                &kind,
-                                broadcast,
-                                partitions,
-                                ctxs,
-                                store.as_ref(),
-                                &dest,
-                            )
-                        }),
-                    }
-                }),
-            }
-        };
-        let finish = Stage {
-            priced: finish_work,
-            deadline: finish_work,
-            prepare: Box::new(move |_attempt, input, span| {
-                let source = input
-                    .expect("a finish stage follows a spill stage")
-                    .location()
-                    .to_string();
-                let mv_path = self.next_mv_path();
-                // Only a broadcast join scans in this stage: its probe side.
-                let ctxs = match kind.as_ref() {
-                    ShuffleKind::Join { left, .. } if broadcast => {
-                        let work = QueryWork::from_plan(left);
-                        vec![self.exec_context(&work, fleet_threads).under(span)]
-                    }
-                    _ => Vec::new(),
-                };
-                let (kind, exchange_store, store, dest) = (
-                    kind.clone(),
-                    exchange_store.clone(),
-                    self.store.clone(),
-                    mv_path.clone(),
-                );
-                Attempt {
-                    artifact: Artifact::Mv(mv_path),
-                    ctxs,
-                    body: Box::new(move |ctxs, span| {
-                        let (snapshot, batches, stats) = finish_partitions(
-                            &kind,
-                            partitions,
-                            ctxs.first(),
-                            &exchange_store,
-                            &source,
-                        )?;
-                        span.record_u64("spill_bytes_read", stats.get_bytes);
-                        let written =
-                            materialize(store.as_ref(), &dest, kind.output_schema(), &batches)?;
-                        span.record_u64("bytes_written", written);
-                        Ok((snapshot, stats))
-                    }),
-                }
-            }),
-        };
-        vec![spill, finish]
-    }
-
-    /// CF path: run `stages` in order, each one a full [`CfRace`] whose
-    /// accepted artifact is the next stage's input, then finish the cheap top
-    /// plan locally over the last stage's MV — the §3.1 data path.
-    ///
-    /// Billing: every attempt's modelled cost is provider spend (the provider
-    /// charges for every invocation, crashed and cancelled ones included),
-    /// but the query bills only the scanned bytes of the *accepted* attempts,
-    /// so the $/TB price is the same with and without recovery work.
-    fn run_cf(
-        &self,
-        plan: &Plan,
-        work: &QueryWork,
-        stages: Vec<Stage<'_>>,
-        trace: &TraceCtx,
-    ) -> Result<ExecOutcome> {
-        let start = Instant::now();
-        let retries_before = self.store.metrics().retries;
-        let mut run = CfRun::default();
-        for (index, stage) in stages.iter().enumerate() {
-            if !self.run_stage(index, stage, trace, &mut run) {
-                return self.degrade_to_vm(plan, work, trace, run);
-            }
-        }
-
-        let mv_path = run
-            .accepted
-            .last()
-            .expect("a CF plan has at least one stage")
-            .location();
-        let top_plan = split_for_acceleration(plan, mv_path)
-            .expect("the plan split when its stages were built")
-            .top_plan;
-        let top_span = trace.span("top_plan");
-        let ctx = self
-            .exec_context(&QueryWork::from_plan(&top_plan), usize::MAX)
-            .under(&top_span);
-        let result = execute_collect(&top_plan, &ctx);
-        drop(top_span);
-        // The accepted intermediates are ephemeral CF output and have been
-        // fully consumed — or have no reader left, if the top plan failed.
-        // Losing attempts clean up after themselves in the stage reapers.
-        for artifact in &run.accepted {
-            self.discard(artifact);
-        }
-        let batch = result?;
-
-        // Billed bytes: every accepted stage's table scans plus the top
-        // plan's MV read. Spill traffic never reaches `bytes_scanned`.
-        let metrics = run.metrics.merged(&ctx.metrics.snapshot());
-        self.count_execution(&metrics, &ctx);
-        self.metrics.cf_invocations.inc();
-        self.metrics.exchange(&run.exchange);
-        let retries = self.note_storage_retries(retries_before, &mut run.events);
-        Ok(ExecOutcome {
-            batch,
-            used_cf: true,
-            execution: start.elapsed(),
-            bytes_scanned: metrics.bytes_scanned,
-            metrics,
-            events: run.events,
-            retries,
-            decisions: run.decisions,
-            // The accepted execution's modelled cost: the winning fleet of
-            // each stage (same formula the sim's CfService charges).
-            resource_cost: CostBreakdown {
-                vm_dollars: 0.0,
-                cf_dollars: run.accepted_cf_dollars,
-            },
-            provider_cf_dollars: run.provider_cf_dollars,
-            provider_shuffle_dollars: self.pricing.exchange_cost(run.exchange.total_bytes()),
-            exchange: run.exchange,
-            ..ExecOutcome::default()
-        })
-    }
-
-    /// Race one stage's fleets to an accepted attempt, folding its decisions,
-    /// events, costs, metrics and artifact into `run`. Returns `false` when
-    /// every attempt failed (`Decision::Degrade`).
-    ///
-    /// Every recovery decision — when to relaunch a crashed fleet, when to
-    /// race a speculative duplicate, when to give up — is made by the shared
-    /// policy core ([`CfRace`]); this driver only *detects* (a channel wait
-    /// with a deadline) and *executes* (threads, artifact cleanup).
-    fn run_stage(
-        &self,
-        index: usize,
-        stage: &Stage<'_>,
-        trace: &TraceCtx,
-        run: &mut CfRun,
-    ) -> bool {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut fleets = StageFleets {
-            engine: self,
-            stage,
-            index: index as u64,
-            input: run.accepted.last().cloned(),
-            trace,
-            tx,
-            artifacts: Vec::new(),
-            costs: Vec::new(),
-        };
-        let mut race = CfRace::start(&mut fleets);
-        // Straggler deadline: the model's estimate for the stage on this
-        // fleet, scaled and floored by the shared policy rule.
-        let straggler_wait = self.straggler_wait(&stage.deadline);
-        let winner = self.drive_race(&mut race, &mut fleets, &rx, straggler_wait, run);
-        // Dropping the launcher's sender lets the reaper's drain end once the
-        // last in-flight fleet has reported.
-        let StageFleets {
-            artifacts, costs, ..
-        } = fleets;
-        run.decisions.extend(race.decisions.iter().copied());
-        run.provider_cf_dollars += costs.iter().sum::<f64>();
-        let Some((attempt, metrics, stats)) = winner else {
-            self.reap(rx, artifacts, race.outstanding());
-            return false;
-        };
-        if race.speculated() {
-            run.events.push(QueryEvent::SpeculativeWin { attempt });
-        }
-        run.accepted_cf_dollars += costs[attempt as usize];
-        run.metrics = run.metrics.merged(&metrics);
-        run.exchange.merge(&stats);
-        run.accepted.push(artifacts[attempt as usize].clone());
-        self.reap(rx, artifacts, race.outstanding() - 1);
-        true
-    }
-
-    /// Drain attempts still in flight after their race is decided: account
-    /// their wasted scan bytes, add their exchange traffic to the
-    /// telemetry counters (provider dollars only ever price *accepted*
-    /// attempts, keeping bills deterministic), and discard each one's
-    /// artifact. Runs detached so losers can't delay the winning query.
-    fn reap(
-        &self,
-        rx: std::sync::mpsc::Receiver<StageResult>,
-        artifacts: Vec<Artifact>,
-        in_flight: u32,
-    ) {
-        if in_flight == 0 {
-            return;
-        }
-        let store = self.store.clone();
-        let footer_cache = self.footer_cache.clone();
-        let chunk_cache = self.chunk_cache.clone();
-        let counters = self.metrics.clone();
-        std::thread::spawn(move || {
-            for (attempt, result) in rx {
-                if let Ok((metrics, stats)) = result {
-                    counters.wasted_bytes.add(metrics.bytes_scanned);
-                    counters.exchange(&stats);
-                }
-                if let Some(artifact) = artifacts.get(attempt as usize) {
-                    discard_artifact(
-                        store.as_ref(),
-                        &footer_cache,
-                        chunk_cache.as_deref(),
-                        artifact,
-                    );
-                }
-            }
-        });
-    }
-
-    /// Delete one attempt's intermediate output and drop its (now dangling)
-    /// cache entries — winner GC, failed-attempt cleanup and the reaper all
-    /// go through [`discard_artifact`].
-    fn discard(&self, artifact: &Artifact) {
-        discard_artifact(
-            self.store.as_ref(),
-            &self.footer_cache,
-            self.chunk_cache.as_deref(),
-            artifact,
-        );
-    }
-
-    /// Straggler deadline for one fleet: the engine's straggler factor × the
-    /// model's estimate on this fleet's threads, floored.
-    fn straggler_wait(&self, work: &QueryWork) -> Duration {
-        let est = work.exec_time_on_cores(self.cfg.cf_fleet_threads.max(1) as f64);
-        Duration::from_micros(
-            policy::straggler_deadline(
-                est,
-                policy::ENGINE_STRAGGLER_FACTOR,
-                policy::ENGINE_STRAGGLER_MIN_WAIT,
-            )
-            .as_micros(),
-        )
-    }
-
-    /// Drive one stage's [`CfRace`] to completion against its result channel
-    /// and return the accepted attempt, if any. The loop only *detects* (a
-    /// channel wait bounded by the straggler deadline), records
-    /// events/counters and discards failed attempts' artifacts; every
-    /// reaction is the policy's.
-    fn drive_race(
-        &self,
-        race: &mut CfRace,
-        fleets: &mut StageFleets<'_>,
-        rx: &std::sync::mpsc::Receiver<StageResult>,
-        straggler_wait: Duration,
-        run: &mut CfRun,
-    ) -> Option<(u32, ExecMetricsSnapshot, ExchangeStats)> {
-        use std::sync::mpsc;
-
-        let mut deadline_fired = false;
-        let mut winner = None;
-        while !race.is_finished() {
-            // Before the deadline fires, wake when it expires; after (the
-            // policy reacts to it at most once), the only thing left to wait
-            // for is a result or total failure.
-            let timeout = if deadline_fired {
-                Duration::from_secs(3600)
-            } else {
-                straggler_wait
-            };
-            let input = match rx.recv_timeout(timeout) {
-                Ok((attempt, Ok((metrics, stats)))) => {
-                    winner = Some((attempt, metrics, stats));
-                    RaceInput::AttemptFinished {
-                        attempt,
-                        failed: false,
-                    }
-                }
-                Ok((attempt, Err(e))) => {
-                    self.metrics.cf_crashes.inc();
-                    run.events.push(QueryEvent::CfAttemptFailed {
-                        attempt,
-                        reason: e.to_string(),
-                    });
-                    run.last_err = Some(e);
-                    // A crash before any write leaves nothing; a storage
-                    // failure mid-write may have left partial output — GC
-                    // either way.
-                    self.discard(&fleets.artifacts[attempt as usize]);
-                    RaceInput::AttemptFinished {
-                        attempt,
-                        failed: true,
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    deadline_fired = true;
-                    RaceInput::StragglerDeadline
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            };
-            for d in race.step(input, fleets) {
-                match d {
-                    Decision::Relaunch { attempt } => {
-                        run.events.push(QueryEvent::CfRetried { attempt });
-                        self.metrics.cf_retries.inc();
-                    }
-                    Decision::StragglerSpeculate { attempt } => {
-                        run.events.push(QueryEvent::StragglerDetected {
-                            waited_ms: straggler_wait.as_millis() as u64,
-                        });
-                        run.events.push(QueryEvent::SpeculativeLaunch { attempt });
-                        self.metrics.cf_stragglers.inc();
-                        self.metrics.speculative_launches.inc();
-                    }
-                    _ => {}
-                }
-            }
-        }
-        winner
-    }
-
-    /// The one CF→VM degradation path: every attempt of some stage failed.
-    /// The query still completes (and bills the plain VM-path bytes), it
-    /// just loses the acceleration: re-acquire a VM slot, run the whole plan
-    /// there, and prepend the CF events/decisions and provider-side spend.
-    fn degrade_to_vm(
-        &self,
-        plan: &Plan,
-        work: &QueryWork,
-        trace: &TraceCtx,
-        run: CfRun,
-    ) -> Result<ExecOutcome> {
-        // Earlier stages' accepted output has no reader anymore.
-        for artifact in &run.accepted {
-            self.discard(artifact);
-        }
-        let CfRun {
-            mut events,
-            mut decisions,
-            last_err,
-            provider_cf_dollars,
-            exchange,
-            ..
-        } = run;
-        events.push(QueryEvent::CfDegradedToVm {
-            reason: last_err
-                .map(|e| e.to_string())
-                .unwrap_or_else(|| "cf fleet unavailable".into()),
-        });
-        self.metrics.cf_degradations.inc();
-        self.metrics.exchange(&exchange);
-        let (_slot, pending) = {
-            let _span = trace.span("vm_slot_wait");
-            self.slots.acquire()
-        };
-        let mut out = self.run_in_vm(plan, work, trace)?;
-        out.pending = pending;
-        // Degradation events and the policy's decision log precede whatever
-        // the VM run recorded.
-        events.append(&mut out.events);
-        out.events = events;
-        decisions.append(&mut out.decisions);
-        out.decisions = decisions;
-        out.provider_cf_dollars = provider_cf_dollars;
-        // Exchange traffic the accepted stages produced before the plan
-        // degraded stays a provider cost; it never reaches the bill.
-        out.provider_shuffle_dollars = self.pricing.exchange_cost(exchange.total_bytes());
-        out.exchange = exchange;
-        Ok(out)
-    }
-
     /// Count one finished execution on the calling thread: the query's
     /// billed counters, that context's scan-pipeline activity, and the
     /// shared chunk cache's totals as they now stand.
@@ -1248,353 +739,6 @@ impl TurboEngine {
         self.metrics.pipeline(&ctx.metrics.pipeline_snapshot());
         if let Some(cache) = &self.chunk_cache {
             self.metrics.chunk_cache(cache);
-        }
-    }
-}
-
-/// What one stage attempt leaves in the object store, and therefore what has
-/// to be deleted once it is consumed, fails or loses its race.
-#[derive(Debug, Clone)]
-enum Artifact {
-    /// Prefix of a spill stage attempt's partition objects.
-    Spill(String),
-    /// Path of the materialized view the top plan reads.
-    Mv(String),
-}
-
-impl Artifact {
-    fn location(&self) -> &str {
-        match self {
-            Artifact::Spill(prefix) => prefix,
-            Artifact::Mv(path) => path,
-        }
-    }
-}
-
-/// What a fleet reports back: its billed scan counters and its exchange
-/// traffic (zero for stages that don't touch the exchange).
-type StagePayload = (ExecMetricsSnapshot, ExchangeStats);
-type StageResult = (u32, Result<StagePayload>);
-/// The work one fleet runs on its own thread, under its `cf_fleet` span.
-type StageBody = Box<dyn FnOnce(&[ExecContext], &mut Span) -> Result<StagePayload> + Send>;
-/// Caller-thread setup of attempt `n` of a stage, under its fleet span: pick
-/// the artifact it writes and build its contexts. The second argument is the
-/// previous stage's accepted artifact (`None` for the first stage).
-type Prepare<'a> = dyn Fn(u32, Option<&Artifact>, &Span) -> Attempt + 'a;
-
-/// One attempt of a stage, set up on the caller thread (contexts borrow
-/// engine state) and then moved onto the fleet's thread.
-struct Attempt {
-    artifact: Artifact,
-    /// Billed execution contexts the body scans under; the fleet publishes
-    /// their prefetcher counters when it exits.
-    ctxs: Vec<ExecContext>,
-    body: StageBody,
-}
-
-/// One stage of a CF execution — everything that differs between stages;
-/// [`TurboEngine::run_stage`] owns everything that doesn't.
-struct Stage<'a> {
-    /// Work every attempt is priced by, and the nominal runtime its fault
-    /// draw scales from.
-    priced: QueryWork,
-    /// Work the straggler deadline is estimated from.
-    deadline: QueryWork,
-    prepare: Box<Prepare<'a>>,
-}
-
-/// What a CF execution has accumulated across the stages run so far.
-#[derive(Default)]
-struct CfRun {
-    events: Vec<QueryEvent>,
-    decisions: Vec<Decision>,
-    last_err: Option<Error>,
-    /// Modelled cost of every attempt launched, stage sums added in order.
-    provider_cf_dollars: f64,
-    /// Modelled cost of the accepted attempt of each stage.
-    accepted_cf_dollars: f64,
-    /// Billed scan counters of the accepted attempts.
-    metrics: ExecMetricsSnapshot,
-    /// Exchange traffic of the accepted attempts.
-    exchange: ExchangeStats,
-    /// The accepted attempt's artifact, per finished stage.
-    accepted: Vec<Artifact>,
-}
-
-/// The engine's effect handler: [`CfRace`] launch decisions become spawned
-/// executor threads ("CF fleets"). Per-attempt faults and modelled costs are
-/// decided at launch, on the driver thread, by the shared policy rules — the
-/// thread only applies them — so a seeded fault plan produces the same
-/// attempt outcomes and the same provider cost accrual as the simulator's
-/// `CfService`.
-struct StageFleets<'a> {
-    engine: &'a TurboEngine,
-    stage: &'a Stage<'a>,
-    index: u64,
-    input: Option<Artifact>,
-    trace: &'a TraceCtx,
-    tx: std::sync::mpsc::Sender<StageResult>,
-    /// Artifact and modelled cost of every attempt launched, by attempt.
-    artifacts: Vec<Artifact>,
-    costs: Vec<f64>,
-}
-
-impl CfEffects for StageFleets<'_> {
-    fn launch(&mut self, attempt: u32) {
-        let engine = self.engine;
-        let faults = policy::decide_launch_faults(
-            &engine.injector,
-            engine.cost_model.startup(),
-            engine.cost_model.nominal_runtime(&self.stage.priced),
-        );
-        self.costs
-            .push(engine.cost_model.attempt_cost(&self.stage.priced, &faults));
-        let mut span = self.trace.span("cf_fleet");
-        span.record_u64("attempt", attempt as u64);
-        span.record_u64("stage", self.index);
-        let Attempt {
-            artifact,
-            ctxs,
-            body,
-        } = (self.stage.prepare)(attempt, self.input.as_ref(), &span);
-        // The fleet's intra-plan parallelism comes from the resource model,
-        // capped by the configured workers per fleet; a stage that only
-        // reads spills back is a single worker.
-        let workers = ctxs.iter().map(|c| c.parallelism).max().unwrap_or(1);
-        span.record_u64("workers", workers as u64);
-        self.artifacts.push(artifact);
-        let counters = engine.metrics.clone();
-        let tx = self.tx.clone();
-        std::thread::spawn(move || {
-            let result =
-                apply_launch_faults(attempt, &faults).and_then(|()| body(&ctxs, &mut span));
-            // Pipeline counters are not part of the snapshot sent back, so
-            // the fleet publishes its own prefetcher activity.
-            for ctx in &ctxs {
-                counters.pipeline(&ctx.metrics.pipeline_snapshot());
-            }
-            // Finish the span before handing over the result: the race
-            // winner's trace may be rendered the moment the send lands.
-            drop(span);
-            let _ = tx.send((attempt, result));
-        });
-    }
-
-    fn cancel_losers(&mut self, _winner: u32) {
-        // The engine can't interrupt a running fleet thread; losers are
-        // drained in the background by the stage's reaper.
-    }
-
-    fn degrade_to_vm(&mut self) {
-        // The VM fallback runs on the caller thread once the race loop
-        // observes `Decision::Degrade`.
-    }
-}
-
-/// Apply a fleet's launch-time faults before its body runs. An injected
-/// crash fails before any work, so it costs no scan bytes.
-fn apply_launch_faults(attempt: u32, faults: &LaunchFaults) -> Result<()> {
-    if faults.extra_startup.as_micros() > 0 {
-        // Cold-start storm: the whole fleet starts late.
-        std::thread::sleep(Duration::from_micros(faults.extra_startup.as_micros()));
-    }
-    if faults.crash {
-        return Err(Error::Exec(format!(
-            "injected CF worker crash (attempt {attempt})"
-        )));
-    }
-    if faults.straggle.as_micros() > 0 {
-        std::thread::sleep(Duration::from_micros(faults.straggle.as_micros()));
-    }
-    Ok(())
-}
-
-/// The plans a spill stage executes, one context each: an aggregate's input,
-/// both sides of a partitioned join, or only the (small) build side of a
-/// broadcast join.
-fn spill_inputs(kind: &ShuffleKind, broadcast: bool) -> Vec<&Plan> {
-    match kind {
-        ShuffleKind::Aggregate { input, .. } => vec![input],
-        ShuffleKind::Join { right, .. } if broadcast => vec![right],
-        ShuffleKind::Join { left, right, .. } => vec![left, right],
-    }
-}
-
-/// Spill stage body: run the shuffled operator's input(s) with the fleet's
-/// parallelism — an aggregate folds its input as the in-process aggregate
-/// does, a join executes each side — then spill hash partitions under
-/// `prefix` through the exchange (chaos/retry) stack. `ctxs` pairs up with
-/// [`spill_inputs`]; a broadcast join's `partitions` is 1.
-fn spill_partitions(
-    kind: &ShuffleKind,
-    broadcast: bool,
-    partitions: usize,
-    ctxs: &[ExecContext],
-    exchange_store: &dyn ObjectStore,
-    prefix: &str,
-) -> Result<StagePayload> {
-    // `bytes_spilled`, never `bytes`: spill PUTs are provider traffic, and
-    // the span byte sum must still equal `bytes_scanned` exactly.
-    match kind {
-        ShuffleKind::Aggregate {
-            input,
-            group_exprs,
-            aggs,
-            ..
-        } => {
-            let ctx = &ctxs[0];
-            let stats = exchange::write_agg_partitions(
-                input,
-                group_exprs,
-                aggs,
-                ctx,
-                exchange_store,
-                prefix,
-                partitions,
-            )?;
-            Ok((ctx.metrics.snapshot(), stats))
-        }
-        ShuffleKind::Join {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            ..
-        } => {
-            let sides = [(left, JoinSide::Left), (right, JoinSide::Right)];
-            // Only the build (right) side of a broadcast join is spilled.
-            let sides = &sides[usize::from(broadcast)..];
-            let executed = sides
-                .iter()
-                .zip(ctxs)
-                .map(|((input, _), ctx)| execute(input, ctx))
-                .collect::<Result<Vec<_>>>()?;
-            let mut spill_span = ctxs[0].trace.span("exchange_spill");
-            let mut stats = ExchangeStats::default();
-            let mut snapshot = ExecMetricsSnapshot::default();
-            for (((input, side), batches), ctx) in sides.iter().zip(&executed).zip(ctxs) {
-                stats.merge(&exchange::write_join_partitions(
-                    batches,
-                    &input.schema(),
-                    left_keys,
-                    right_keys,
-                    *side,
-                    exchange_store,
-                    prefix,
-                    partitions,
-                )?);
-                snapshot = snapshot.merged(&ctx.metrics.snapshot());
-            }
-            spill_span.record_u64("bytes_spilled", stats.put_bytes);
-            Ok((snapshot, stats))
-        }
-    }
-}
-
-/// Finish stage body: read the accepted spill attempt's partition set back
-/// through the exchange stack (scratch contexts — spill GETs are never
-/// billed) and finish the shuffled operator, returning the batches to
-/// materialize.
-///
-/// A broadcast join passes the context to *execute the probe side* under (it
-/// never crossed the exchange): the returned snapshot carries those scanned
-/// bytes, exactly the bytes the single-stage path would have billed for the
-/// same side. Symmetric exchanges return an empty snapshot.
-fn finish_partitions(
-    kind: &ShuffleKind,
-    partitions: usize,
-    probe_ctx: Option<&ExecContext>,
-    exchange_store: &ObjectStoreRef,
-    source_prefix: &str,
-) -> Result<(ExecMetricsSnapshot, Vec<RecordBatch>, ExchangeStats)> {
-    match kind {
-        ShuffleKind::Aggregate {
-            group_exprs,
-            aggs,
-            output_schema,
-            ..
-        } => {
-            let (batches, stats) = exchange::read_agg_partitions(
-                exchange_store,
-                source_prefix,
-                partitions,
-                group_exprs,
-                aggs,
-                output_schema,
-            )?;
-            Ok((ExecMetricsSnapshot::default(), batches, stats))
-        }
-        ShuffleKind::Join {
-            left,
-            right,
-            join_type,
-            left_keys,
-            right_keys,
-            residual,
-            output_schema,
-        } => {
-            // `DEFAULT_BATCH_SIZE` is the chunking the in-process join uses,
-            // so the MV's batches — and therefore its bytes — are identical
-            // to the single-stage path.
-            let Some(ctx) = probe_ctx else {
-                let (batches, stats) = exchange::read_join_partitions(
-                    exchange_store,
-                    source_prefix,
-                    partitions,
-                    *join_type,
-                    left_keys,
-                    right_keys,
-                    residual.as_ref(),
-                    output_schema,
-                    &left.schema(),
-                    &right.schema(),
-                    DEFAULT_BATCH_SIZE,
-                )?;
-                return Ok((ExecMetricsSnapshot::default(), batches, stats));
-            };
-            let probe = execute(left, ctx)?;
-            let (batches, stats) = exchange::read_broadcast_join(
-                exchange_store,
-                source_prefix,
-                &probe,
-                *join_type,
-                left_keys,
-                right_keys,
-                residual.as_ref(),
-                output_schema,
-                &left.schema(),
-                &right.schema(),
-                DEFAULT_BATCH_SIZE,
-            )?;
-            Ok((ctx.metrics.snapshot(), batches, stats))
-        }
-    }
-}
-
-/// Best-effort deletion of one attempt's intermediate output, with the
-/// cache entries that would otherwise dangle. Spills are plain objects on
-/// the engine store, so listing the prefix sees exactly what the attempt
-/// wrote; they are read through scratch contexts and never cached.
-fn discard_artifact(
-    store: &dyn ObjectStore,
-    footer_cache: &FooterCache,
-    chunk_cache: Option<&ChunkCache>,
-    artifact: &Artifact,
-) {
-    match artifact {
-        Artifact::Spill(prefix) => {
-            if let Ok(paths) = store.list(prefix) {
-                for p in paths {
-                    let _ = store.delete(&p);
-                }
-            }
-        }
-        Artifact::Mv(path) => {
-            let _ = store.delete(path);
-            footer_cache.invalidate(path);
-            if let Some(c) = chunk_cache {
-                c.invalidate_path(path);
-            }
         }
     }
 }
@@ -1643,7 +787,6 @@ mod tests {
             store,
             EngineConfig {
                 vm_slots: slots,
-                cf_fleet_threads: 2,
                 ..EngineConfig::default()
             },
         )
@@ -1775,7 +918,6 @@ mod tests {
             store.clone(),
             EngineConfig {
                 vm_slots: 1,
-                cf_fleet_threads: 2,
                 exchange_partitions: partitions,
                 ..EngineConfig::default()
             },
@@ -2302,6 +1444,41 @@ mod tests {
         );
     }
 
+    /// A deadline query whose every CF attempt fails degrades to the VM and
+    /// waits there for a slot only until its slot wait limit, counted from
+    /// its start: then it force-starts, as one that never tried CF does.
+    #[test]
+    fn degraded_query_force_starts_at_its_slot_wait_limit() {
+        use pixels_chaos::FaultPlan;
+        let plan = FaultPlan::cf_crashes(7, 1.0);
+        let e = &engine(1).with_chaos(Arc::new(FaultInjector::new(&plan)));
+        let sql = "SELECT o_orderstatus, COUNT(*) AS n FROM orders GROUP BY o_orderstatus";
+        let direct = e.execute_sql("tpch", sql, false).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let out = std::thread::scope(|s| {
+            e.hold_slots(|| {
+                s.spawn(move || {
+                    let limit = Some(Duration::from_millis(50));
+                    let out =
+                        e.execute_sql_scheduled("tpch", sql, true, TraceCtx::disabled(), limit);
+                    tx.send(out).unwrap();
+                });
+                (rx.recv_timeout(Duration::from_secs(10)))
+                    .expect("a degraded query force-starts instead of waiting for a slot")
+                    .unwrap()
+            })
+        });
+        assert!(!out.used_cf);
+        assert_eq!(out.batch, direct.batch);
+        assert!(
+            (out.decisions).ends_with(&[Decision::Degrade, Decision::DispatchVm]),
+            "{:?}",
+            out.decisions
+        );
+        assert_eq!(e.metrics.forced_starts.get(), 1);
+        assert_eq!(e.metrics.vm_slot_wait.count(), 1, "the wait is observed");
+    }
+
     #[test]
     fn straggler_launches_speculative_duplicate_first_result_wins() {
         use pixels_chaos::{FaultPlan, FaultSite, SiteSpec};
@@ -2314,7 +1491,6 @@ mod tests {
         );
         let cfg = EngineConfig {
             vm_slots: 1,
-            cf_fleet_threads: 2,
             ..EngineConfig::default()
         };
         let catalog = pixels_catalog::Catalog::shared();

@@ -121,7 +121,6 @@ fn failing_cf_fleet_degrades_to_vm_through_the_server() {
         &FaultPlan::cf_crashes(7, 1.0),
         EngineConfig {
             vm_slots: 1,
-            cf_fleet_threads: 2,
             ..EngineConfig::default()
         },
     );

@@ -149,7 +149,6 @@ fn engine_with(scale: f64, partitions: usize) -> (Arc<TurboEngine>, ObjectStoreR
         store.clone(),
         EngineConfig {
             vm_slots: 1,
-            cf_fleet_threads: 2,
             exchange_partitions: partitions,
             ..EngineConfig::default()
         },

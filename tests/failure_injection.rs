@@ -198,7 +198,6 @@ fn one_slot_engine(store: &Arc<FaultyStore>, exchange_partitions: usize) -> Arc<
         store,
         EngineConfig {
             vm_slots: 1,
-            cf_fleet_threads: 2,
             exchange_partitions,
             ..EngineConfig::default()
         },
