@@ -233,6 +233,7 @@ fn bench_tracing_overhead(c: &mut Criterion) {
                 vm_dollars: 0.0,
                 cf_dollars: 0.0,
                 provider_cf_dollars: 0.0,
+                shuffle_dollars: 0.0,
                 used_cf: false,
                 degraded: false,
                 speculative: false,

@@ -72,7 +72,7 @@ fn main() {
     for t in report.tenants.iter().filter(|t| t.name != "adversary") {
         assert!(t.completed > 0, "tenant {} starved entirely", t.name);
         assert!(
-            t.mean_wait_us < cfg.grace.as_micros(),
+            t.mean_wait_us < cfg.policy.grace.as_micros(),
             "tenant {} mean wait {} us exceeds the grace bound",
             t.name,
             t.mean_wait_us

@@ -53,9 +53,6 @@ const GET_FAULTS: &str = "pixels_faults_injected_total{site=\"exchange_get\"}";
 const RELAUNCHES: &str = "pixels_turbo_cf_retries_total";
 const PUT_BYTES: &str = "pixels_exchange_put_bytes_total";
 
-/// Where the rows' wall-clock means go: beside the build, not in `results/`.
-const LATENCY_REPORT: &str = "target/chaos_soak_latency.json";
-
 type Queries = Vec<(&'static str, &'static str)>;
 
 /// The TPC-H templates.
@@ -466,9 +463,6 @@ fn main() {
         Json::object(outcomes.iter().map(|o| (o.key.clone(), json(o)))).to_compact_string()
     };
     gate.write("chaos_soak.json", &report(Outcome::to_json));
-    std::fs::create_dir_all("target")
-        .and_then(|()| std::fs::write(LATENCY_REPORT, report(Outcome::latency_json)))
-        .expect("write the latency report");
-    println!("wrote {LATENCY_REPORT}");
+    gate.write_volatile("chaos_soak_latency.json", &report(Outcome::latency_json));
     gate.finish("all scenarios equivalent: identical results and bills under every fault plan");
 }

@@ -6,7 +6,7 @@
 //! best-of-effort unbounded (waits for the cluster to drain).
 
 use pixels_bench::TextTable;
-use pixels_server::{ServerConfig, ServerSim, ServiceLevel, Submission};
+use pixels_server::{SchedulerPolicy, ServerConfig, ServerSim, ServiceLevel, Submission};
 use pixels_sim::{SimDuration, SimTime};
 use pixels_turbo::{CfConfig, ResourcePricing, VmConfig};
 use pixels_workload::QueryClass;
@@ -48,7 +48,10 @@ fn main() {
             CfConfig::default(),
             ResourcePricing::default(),
             ServerConfig {
-                grace_period: grace,
+                policy: SchedulerPolicy {
+                    grace,
+                    ..Default::default()
+                },
                 tick: SimDuration::from_millis(100),
                 ..Default::default()
             },

@@ -19,7 +19,8 @@ use std::time::{Duration, Instant};
 
 /// What a gate binary reports: named checks, printed `ok   name` or
 /// `FAIL name: detail`; its files under `results/` of the current
-/// directory; and its exit code, non-zero when any check failed.
+/// directory, and what differs from run to run under `target/`; and its
+/// exit code, non-zero when any check failed.
 #[derive(Default)]
 pub struct Gate {
     failed: usize,
@@ -36,11 +37,15 @@ impl Gate {
         }
     }
 
-    /// Write `results/<file>`.
+    /// Write `results/<file>`: committed, so a rerun must reproduce it.
     pub fn write(&self, file: &str, contents: &str) {
-        std::fs::create_dir_all("results").expect("create results/");
-        std::fs::write(format!("results/{file}"), contents).expect("write the results file");
-        println!("wrote results/{file}");
+        write_under("results", file, contents);
+    }
+
+    /// Write `target/<file>`: figures that differ from run to run, such as
+    /// wall-clock timings, so they stay beside the build, out of `results/`.
+    pub fn write_volatile(&self, file: &str, contents: &str) {
+        write_under("target", file, contents);
     }
 
     /// Exit 1 if any check failed; otherwise print `all_clear`.
@@ -51,6 +56,13 @@ impl Gate {
         }
         println!("\n{all_clear}");
     }
+}
+
+fn write_under(dir: &str, file: &str, contents: &str) {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {dir}/: {e}"));
+    let path = format!("{dir}/{file}");
+    std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
 }
 
 /// Run `f` on its own thread with every VM slot of `engine` held, so the

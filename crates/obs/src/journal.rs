@@ -10,7 +10,8 @@
 //! against a live `/metrics` scrape — any mismatch means a query bypassed
 //! the journal or the metrics pipeline double-counted.
 
-use crate::{ledger, slo};
+use crate::ledger::{self, LedgerEntry, LedgerSummary};
+use crate::slo;
 use parking_lot::Mutex;
 use pixels_common::{Error, Json, Result};
 use std::collections::BTreeMap;
@@ -40,6 +41,8 @@ pub struct JournalEntry {
     pub vm_dollars: f64,
     pub cf_dollars: f64,
     pub provider_cf_dollars: f64,
+    /// Provider cost of exchange spill traffic (multi-stage CF plans).
+    pub shuffle_dollars: f64,
     pub used_cf: bool,
     pub degraded: bool,
     pub speculative: bool,
@@ -75,6 +78,7 @@ impl JournalEntry {
                 "provider_cf_dollars",
                 Json::number(self.provider_cf_dollars),
             ),
+            ("shuffle_dollars", Json::number(self.shuffle_dollars)),
             ("used_cf", Json::Bool(self.used_cf)),
             ("degraded", Json::Bool(self.degraded)),
             ("speculative", Json::Bool(self.speculative)),
@@ -89,29 +93,18 @@ impl JournalEntry {
     }
 
     pub fn from_json(json: &Json) -> Result<JournalEntry> {
-        fn s(json: &Json, key: &str) -> Result<String> {
-            json.get_or_err(key)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| Error::Invalid(format!("journal field {key}: expected string")))
+        fn field<T>(json: &Json, key: &str, what: &str, read: fn(&Json) -> Option<T>) -> Result<T> {
+            let value = read(json.get_or_err(key)?);
+            value.ok_or_else(|| Error::Invalid(format!("journal field {key}: expected {what}")))
         }
-        fn u(json: &Json, key: &str) -> Result<u64> {
-            json.get_or_err(key)?
-                .as_f64()
-                .filter(|v| *v >= 0.0)
-                .map(|v| v as u64)
-                .ok_or_else(|| Error::Invalid(format!("journal field {key}: expected number")))
-        }
-        fn f(json: &Json, key: &str) -> Result<f64> {
-            json.get_or_err(key)?
-                .as_f64()
-                .ok_or_else(|| Error::Invalid(format!("journal field {key}: expected number")))
-        }
-        fn b(json: &Json, key: &str) -> Result<bool> {
-            json.get_or_err(key)?
-                .as_bool()
-                .ok_or_else(|| Error::Invalid(format!("journal field {key}: expected bool")))
-        }
+        let s = |key| field(json, key, "string", |v| v.as_str().map(str::to_string));
+        let u = |key| {
+            field(json, key, "number", |v| {
+                v.as_f64().filter(|v| *v >= 0.0).map(|v| v as u64)
+            })
+        };
+        let f = |key| field(json, key, "number", Json::as_f64);
+        let b = |key| field(json, key, "bool", Json::as_bool);
         let decisions = json
             .get_or_err("decisions")?
             .as_array()
@@ -124,28 +117,48 @@ impl JournalEntry {
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(JournalEntry {
-            query: s(json, "query")?,
-            tenant: s(json, "tenant")?,
-            level: s(json, "level")?,
-            status: s(json, "status")?,
-            admission: s(json, "admission")?,
+            query: s("query")?,
+            tenant: s("tenant")?,
+            level: s("level")?,
+            status: s("status")?,
+            admission: s("admission")?,
             decisions,
-            retries: u(json, "retries")?,
-            pending_us: u(json, "pending_us")?,
-            execution_us: u(json, "execution_us")?,
-            scan_bytes: u(json, "scan_bytes")?,
-            revenue_dollars: f(json, "revenue_dollars")?,
-            vm_dollars: f(json, "vm_dollars")?,
-            cf_dollars: f(json, "cf_dollars")?,
-            provider_cf_dollars: f(json, "provider_cf_dollars")?,
-            used_cf: b(json, "used_cf")?,
-            degraded: b(json, "degraded")?,
-            speculative: b(json, "speculative")?,
-            slo_good: b(json, "slo_good")?,
-            slo_threshold_us: u(json, "slo_threshold_us")?,
-            trace_spans: u(json, "trace_spans")?,
-            at_us: u(json, "at_us")?,
+            retries: u("retries")?,
+            pending_us: u("pending_us")?,
+            execution_us: u("execution_us")?,
+            scan_bytes: u("scan_bytes")?,
+            revenue_dollars: f("revenue_dollars")?,
+            vm_dollars: f("vm_dollars")?,
+            cf_dollars: f("cf_dollars")?,
+            provider_cf_dollars: f("provider_cf_dollars")?,
+            shuffle_dollars: f("shuffle_dollars")?,
+            used_cf: b("used_cf")?,
+            degraded: b("degraded")?,
+            speculative: b("speculative")?,
+            slo_good: b("slo_good")?,
+            slo_threshold_us: u("slo_threshold_us")?,
+            trace_spans: u("trace_spans")?,
+            at_us: u("at_us")?,
         })
+    }
+
+    /// The ledger entry of this query once finished: the journal's own
+    /// figures, so replaying the journal reproduces the ledger's sums.
+    pub fn ledger_entry(&self) -> LedgerEntry {
+        LedgerEntry {
+            query: self.query.clone(),
+            tenant: self.tenant.clone(),
+            level: self.level.clone(),
+            bytes_billed: self.scan_bytes,
+            revenue_dollars: self.revenue_dollars,
+            vm_dollars: self.vm_dollars,
+            cf_dollars: self.cf_dollars,
+            provider_cf_dollars: self.provider_cf_dollars,
+            shuffle_dollars: self.shuffle_dollars,
+            degraded: self.degraded,
+            speculative: self.speculative,
+            at_us: self.at_us,
+        }
     }
 }
 
@@ -211,11 +224,14 @@ pub struct ReplayAggregates {
     /// level → revenue, summed in journal order; mirrors
     /// `pixels_ledger_revenue_dollars`.
     pub revenue_dollars: BTreeMap<String, f64>,
+    /// The finished queries' ledger figures, summed in journal order; its
+    /// provider components mirror `pixels_ledger_provider_dollars`.
+    pub finished: LedgerSummary,
 }
 
-/// Recompute registry aggregates from journal entries. Revenue is summed in
-/// journal order, which is ledger append order, so the result matches the
-/// ledger bit-for-bit.
+/// Recompute registry aggregates from journal entries. Dollars are summed
+/// in journal order, which is ledger append order, so the result matches
+/// the ledger bit-for-bit.
 pub fn replay(entries: &[JournalEntry]) -> ReplayAggregates {
     let mut agg = ReplayAggregates::default();
     for e in entries {
@@ -231,6 +247,7 @@ pub fn replay(entries: &[JournalEntry]) -> ReplayAggregates {
         if e.status == "finished" {
             *agg.ledger_entries.entry(e.level.clone()).or_insert(0) += 1;
             *agg.revenue_dollars.entry(e.level.clone()).or_insert(0.0) += e.revenue_dollars;
+            agg.finished.add(&e.ledger_entry());
         }
     }
     agg
@@ -341,6 +358,20 @@ impl ReplayAggregates {
                 ));
             }
         }
+        // Provider spend: every component, bit-for-bit.
+        let provider = family_samples(text, ledger::PROVIDER_DOLLARS);
+        for (component, want) in self.finished.provider_components() {
+            let got = provider
+                .iter()
+                .find(|(labels, _)| labels.get("component").is_some_and(|c| c == component))
+                .map(|(_, v)| *v);
+            if got.map(f64::to_bits) != Some(want.to_bits()) {
+                diffs.push(format!(
+                    "{}[{component}]: journal says {want}, registry says {got:?}",
+                    ledger::PROVIDER_DOLLARS
+                ));
+            }
+        }
         diffs
     }
 }
@@ -365,6 +396,7 @@ mod tests {
             vm_dollars: 0.0,
             cf_dollars: 0.001,
             provider_cf_dollars: 0.001,
+            shuffle_dollars: 0.0,
             used_cf: true,
             degraded: false,
             speculative: false,
@@ -416,7 +448,11 @@ mod tests {
                     pixels_ledger_entries_total{level=\"all\"} 1\n\
                     pixels_ledger_entries_total{level=\"relaxed\"} 1\n\
                     pixels_ledger_revenue_dollars{level=\"all\"} 0.25\n\
-                    pixels_ledger_revenue_dollars{level=\"relaxed\"} 0.25\n";
+                    pixels_ledger_revenue_dollars{level=\"relaxed\"} 0.25\n\
+                    pixels_ledger_provider_dollars{component=\"vm\"} 0\n\
+                    pixels_ledger_provider_dollars{component=\"cf\"} 0.001\n\
+                    pixels_ledger_provider_dollars{component=\"cf_waste\"} 0\n\
+                    pixels_ledger_provider_dollars{component=\"cf_shuffle\"} 0\n";
         assert_eq!(agg.diff_against_exposition(good), Vec::<String>::new());
         let drifted = good.replace(
             "pixels_queries_total{level=\"relaxed\",status=\"finished\"} 1",
@@ -428,5 +464,51 @@ mod tests {
         // A registry series the journal can't explain is also a diff.
         let phantom = format!("{good}pixels_slo_good_total{{level=\"best_effort\"}} 3\n");
         assert!(!agg.diff_against_exposition(&phantom).is_empty());
+        // So is provider spend the journal does not account for.
+        let spent = good.replace("{component=\"vm\"} 0", "{component=\"vm\"} 0.5");
+        let diffs = agg.diff_against_exposition(&spent);
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert!(diffs[0].contains("[vm]"), "{diffs:?}");
+    }
+
+    #[test]
+    fn replay_reproduces_the_ledgers_provider_spend_bit_for_bit() {
+        let mut shuffled = entry("immediate", "finished", true, 0.5);
+        (shuffled.vm_dollars, shuffled.provider_cf_dollars) = (0.1, 0.003);
+        shuffled.shuffle_dollars = 0.0007;
+        let entries = [
+            entry("relaxed", "finished", true, 0.25),
+            shuffled,
+            entry("relaxed", "failed", false, 0.0),
+        ];
+        // The ledger the server keeps: one entry per finished query, made
+        // from its journal record, exported into a registry.
+        let ledger = ledger::Ledger::new();
+        for e in entries.iter().filter(|e| e.status == "finished") {
+            ledger.append(e.ledger_entry());
+        }
+        let registry = crate::MetricsRegistry::new();
+        ledger.export(&registry);
+        let text = registry.render();
+        let shuffle = r#"pixels_ledger_provider_dollars{component="cf_shuffle"} 0.0007"#;
+        assert!(text.contains(shuffle), "{text}");
+        let agg = replay(&entries);
+        assert_eq!(agg.finished.shuffle_dollars.to_bits(), 0.0007f64.to_bits());
+        let spend = |s: &LedgerSummary| s.provider_components().map(|(c, d)| (c, d.to_bits()));
+        assert_eq!(spend(&agg.finished), spend(&ledger.summary()));
+        let provider_diffs: Vec<String> = agg
+            .diff_against_exposition(&text)
+            .into_iter()
+            .filter(|d| d.contains(ledger::PROVIDER_DOLLARS))
+            .collect();
+        assert!(provider_diffs.is_empty(), "{provider_diffs:?}");
+        // A journal without the shuffle spend no longer reproduces it.
+        let mut unshuffled = entries.clone();
+        unshuffled[1].shuffle_dollars = 0.0;
+        let diffs = replay(&unshuffled).diff_against_exposition(&text);
+        assert!(
+            diffs.iter().any(|d| d.contains("[cf_shuffle]")),
+            "{diffs:?}"
+        );
     }
 }

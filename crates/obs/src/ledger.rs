@@ -18,6 +18,8 @@ use std::sync::Arc;
 
 /// The per-level families [`Ledger::export`] sets.
 pub const ENTRIES_TOTAL: &str = "pixels_ledger_entries_total";
+/// Provider spend by component, set by [`Ledger::export`].
+pub const PROVIDER_DOLLARS: &str = "pixels_ledger_provider_dollars";
 pub const REVENUE_DOLLARS: &str = "pixels_ledger_revenue_dollars";
 
 /// One query's economics.
@@ -107,7 +109,7 @@ pub struct LedgerSummary {
 }
 
 impl LedgerSummary {
-    fn add(&mut self, e: &LedgerEntry) {
+    pub(crate) fn add(&mut self, e: &LedgerEntry) {
         self.entries += 1;
         self.bytes_billed += e.bytes_billed;
         self.revenue_dollars += e.revenue_dollars;
@@ -118,6 +120,16 @@ impl LedgerSummary {
         self.waste_dollars += e.waste_dollars();
         self.degraded += e.degraded as u64;
         self.speculative += e.speculative as u64;
+    }
+
+    /// Provider spend as the `pixels_ledger_provider_dollars` components.
+    pub fn provider_components(&self) -> [(&'static str, f64); 4] {
+        [
+            ("vm", self.vm_dollars),
+            ("cf", self.cf_dollars),
+            ("cf_waste", self.waste_dollars),
+            ("cf_shuffle", self.shuffle_dollars),
+        ]
     }
 
     pub fn to_json(&self) -> Json {
@@ -263,13 +275,7 @@ impl Ledger {
         }
         entries("all").advance_to(all);
         revenue("all").set(all_revenue);
-        let total = self.summary();
-        for (component, dollars) in [
-            ("vm", total.vm_dollars),
-            ("cf", total.cf_dollars),
-            ("cf_waste", total.waste_dollars),
-            ("cf_shuffle", total.shuffle_dollars),
-        ] {
+        for (component, dollars) in self.summary().provider_components() {
             Ledger::provider_gauge(registry, component).set(dollars);
         }
     }
@@ -277,7 +283,7 @@ impl Ledger {
     /// The `pixels_ledger_provider_dollars` series of one spend component.
     pub fn provider_gauge(registry: &MetricsRegistry, component: &str) -> Arc<Gauge> {
         registry.gauge_with(
-            "pixels_ledger_provider_dollars",
+            PROVIDER_DOLLARS,
             "Provider spend recorded in the ledger, by component.",
             &[("component", component)],
         )

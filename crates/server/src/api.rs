@@ -4,233 +4,36 @@
 //! limit (the submission form of Figure 3), reads statuses (pending /
 //! running / finished / failed), and fetches results plus execution
 //! statistics (pending time, execution time, monetary cost). Each query
-//! runs on its own thread against the [`TurboEngine`] and owns a slot — its
-//! record plus a condvar — so whoever wants the outcome (a held status
-//! `GET`, [`QueryServer::wait`]) waits on that query's signal instead of
-//! polling, and the server-wide map lock is held only to find or insert a
-//! slot. Service-level
-//! semantics come from the same [`SchedulerPolicy`] the simulator runs:
+//! runs on its own thread against the [`TurboEngine`] and owns a
+//! [`QuerySlot`] — its record plus a condvar — so whoever wants the outcome
+//! (a held status `GET`, [`QueryServer::wait`]) waits on that query's
+//! signal instead of polling, and the server-wide map lock is held only to
+//! find or insert a slot. Admission is the step the simulator takes too
+//! ([`crate::FairQueue::admit`] under the same [`SchedulerPolicy`]):
 //! immediate dispatches now with CF acceleration, relaxed waits for
-//! headroom no longer than the *actual* grace period (at expiry the engine
-//! force-starts it unslotted), best-of-effort waits for an idle engine
-//! bounded by the starvation limit.
+//! headroom no longer than the grace period, best-of-effort waits for an
+//! idle engine bounded by the starvation limit — and what is left of a
+//! query's bound when it dispatches bounds its wait for an engine slot.
 
-use crate::fair::{FairQueue, QueuedQuery};
+use crate::admission::AdmissionQueue;
+use crate::fair::Request;
 use crate::metrics::ServerMetrics;
 use crate::pricing::PriceSchedule;
-use crate::scheduler::{Admission, AdmissionMode, LoadSignal, QueueVerdict, SchedulerPolicy};
-use crate::service_level::ServiceLevel;
+use crate::query::{QueryInfo, QuerySlot, QueryStatus, QuerySubmission};
+use crate::scheduler::SchedulerPolicy;
 use crate::shared::{SharedWork, SharingConfig};
 use crate::tenant::{SpendBook, TenantDirectory};
-use parking_lot::{Condvar, Mutex};
-use pixels_common::{Error, Json, QueryId, RecordBatch, Result};
+use parking_lot::Mutex;
+use pixels_common::{Error, Json, QueryId, Result};
 use pixels_obs::{
-    JournalEntry, Ledger, LedgerEntry, MetricsRegistry, Profile, QueryJournal, SloTracker, Trace,
-    TraceCtx, WallClock,
+    JournalEntry, Ledger, MetricsRegistry, Profile, QueryJournal, SloTracker, Trace, TraceCtx,
+    WallClock,
 };
-use pixels_turbo::{
-    CostBreakdown, Decision, ExchangeStats, ExecMetricsSnapshot, QueryEvent, TurboEngine,
-};
-use std::collections::HashMap;
+use pixels_turbo::{Decision, TurboEngine};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long a queued query waits between looks at the queue when nothing
-/// signals it: the bound on noticing what no one announces — a deadline or
-/// grace period running out, an engine slot coming free.
-const QUEUE_RECHECK: Duration = Duration::from_millis(5);
-
-/// Lifecycle of a submitted query (paper §4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryStatus {
-    Pending,
-    Running,
-    Finished,
-    Failed,
-    /// Refused at admission (infeasible deadline or exhausted tenant
-    /// budget): never executed, never billed, never cached.
-    Rejected,
-}
-
-impl QueryStatus {
-    pub fn name(self) -> &'static str {
-        match self {
-            QueryStatus::Pending => "pending",
-            QueryStatus::Running => "running",
-            QueryStatus::Finished => "finished",
-            QueryStatus::Failed => "failed",
-            QueryStatus::Rejected => "rejected",
-        }
-    }
-
-    /// Finished, failed or rejected: the record will not change again.
-    pub fn is_terminal(self) -> bool {
-        !matches!(self, QueryStatus::Pending | QueryStatus::Running)
-    }
-}
-
-/// What the user submits (the Figure 3 form).
-#[derive(Debug, Clone)]
-pub struct QuerySubmission {
-    pub database: String,
-    pub sql: String,
-    pub level: ServiceLevel,
-    /// Truncate the result to at most this many rows.
-    pub result_limit: Option<usize>,
-    /// Billing tenant for the economics ledger; `None` bills "default".
-    pub tenant: Option<String>,
-    /// Completion target in microseconds. When set, the query is admitted
-    /// in deadline mode — `level` is ignored for scheduling and pricing —
-    /// and rejected outright if the target is infeasible.
-    pub deadline_us: Option<u64>,
-}
-
-impl QuerySubmission {
-    /// The ledger tenant this submission bills to.
-    pub fn tenant_name(&self) -> &str {
-        self.tenant.as_deref().unwrap_or("default")
-    }
-
-    /// The admission mode this submission asks for.
-    pub fn mode(&self) -> AdmissionMode {
-        match self.deadline_us {
-            Some(target_us) => AdmissionMode::Deadline { target_us },
-            None => AdmissionMode::Level(self.level),
-        }
-    }
-}
-
-/// Full state of one query as reported to clients.
-#[derive(Debug, Clone)]
-pub struct QueryInfo {
-    pub id: QueryId,
-    pub submission: QuerySubmission,
-    pub status: QueryStatus,
-    /// Shared, so copying a record never copies rows.
-    pub result: Option<Arc<RecordBatch>>,
-    pub error: Option<String>,
-    pub pending: Duration,
-    pub execution: Duration,
-    /// User-facing bill in dollars.
-    pub price: f64,
-    pub scan_bytes: u64,
-    pub used_cf: bool,
-    /// Monotone submission sequence for UI ordering.
-    pub seq: u64,
-    /// Full execution counters (structured, not just the EXPLAIN text).
-    pub metrics: ExecMetricsSnapshot,
-    /// Fault-recovery events the engine emitted while running this query:
-    /// storage retries, CF crashes/relaunches, straggler speculation, and
-    /// CF→VM degradation.
-    pub events: Vec<QueryEvent>,
-    /// Object-store requests retried under this query (transient failures
-    /// masked by the retry policy).
-    pub retries: u64,
-    /// The query's span tree — scheduler wait, tier dispatch, operators,
-    /// and storage accesses — once the query is terminal: compact JSON text
-    /// written once from the finished spans.
-    pub profile: Option<Profile>,
-    /// Ordered policy-core decisions (CF dispatch, speculation, degradation)
-    /// made while executing this query.
-    pub decisions: Vec<Decision>,
-    /// Modelled provider cost of the accepted execution.
-    pub resource_cost: CostBreakdown,
-    /// Modelled provider CF spend across all attempts, crashed and
-    /// cancelled included.
-    pub provider_cf_dollars: f64,
-    /// Provider cost of exchange spill traffic (multi-stage CF plans only;
-    /// never part of the user's bill).
-    pub provider_shuffle_dollars: f64,
-    /// Spill traffic of the accepted attempts of a multi-stage CF plan.
-    pub exchange: ExchangeStats,
-}
-
-impl QueryInfo {
-    /// JSON status payload (the shape Pixels-Rover renders).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("id".to_string(), Json::string(self.id.to_string())),
-            ("status".to_string(), Json::string(self.status.name())),
-            (
-                "service_level".to_string(),
-                Json::string(self.submission.mode().name()),
-            ),
-            (
-                "tenant".to_string(),
-                Json::string(self.submission.tenant_name()),
-            ),
-            ("sql".to_string(), Json::string(self.submission.sql.clone())),
-            (
-                "pending_ms".to_string(),
-                Json::number(self.pending.as_secs_f64() * 1e3),
-            ),
-            (
-                "execution_ms".to_string(),
-                Json::number(self.execution.as_secs_f64() * 1e3),
-            ),
-            ("cost_dollars".to_string(), Json::number(self.price)),
-            (
-                "scan_bytes".to_string(),
-                Json::number(self.scan_bytes as f64),
-            ),
-            ("used_cf".to_string(), Json::Bool(self.used_cf)),
-            ("retries".to_string(), Json::number(self.retries as f64)),
-            (
-                "events".to_string(),
-                Json::Array(
-                    self.events
-                        .iter()
-                        .map(|e| Json::string(e.describe()))
-                        .collect(),
-                ),
-            ),
-            ("metrics".to_string(), self.metrics.to_json()),
-        ];
-        if let Some(err) = &self.error {
-            fields.push(("error".to_string(), Json::string(err.clone())));
-        }
-        if let Some(result) = &self.result {
-            fields.push((
-                "result_rows".to_string(),
-                Json::number(result.num_rows() as f64),
-            ));
-        }
-        Json::Object(fields.into_iter().collect())
-    }
-}
-
-/// One query's slot: its record and the signal that the record changed.
-struct QuerySlot {
-    /// Behind an `Arc` so a read copies a pointer under the lock and
-    /// whatever else it needs outside it.
-    record: Mutex<Arc<QueryInfo>>,
-    changed: Condvar,
-}
-
-impl QuerySlot {
-    fn snapshot(&self) -> Arc<QueryInfo> {
-        self.record.lock().clone()
-    }
-
-    /// Change the record and wake everyone waiting on it.
-    fn update(&self, change: impl FnOnce(&mut QueryInfo)) {
-        change(Arc::make_mut(&mut self.record.lock()));
-        self.changed.notify_all();
-    }
-}
-
-/// The fair queue and the signal that a query left it, so the next in line
-/// looks at once. A freed engine slot is deliberately *not* signalled: a
-/// queued light query woken the instant the slot frees takes it a fraction
-/// of a millisecond before the next immediate query arrives, which then finds
-/// the engine busy and goes to CF — measured on `overload_mixed` as +36 %
-/// provider dollars per query. Queued queries find a free slot at their
-/// next [`QUEUE_RECHECK`], as they always have.
-struct AdmissionQueue {
-    fair: Mutex<FairQueue>,
-    changed: Condvar,
-}
 
 /// The in-process query server.
 pub struct QueryServer {
@@ -260,12 +63,6 @@ struct QueryCtx {
     /// Shared-work front (single-flight + result cache); disabled unless
     /// [`QueryServer::with_sharing`] opts in.
     sharing: Arc<SharedWork>,
-    /// Server-start monotonic epoch: the single clock origin for every
-    /// `now_us` fed into the [`FairQueue`] and [`SchedulerPolicy`]. Queued
-    /// deadlines and poll times are all absolute against this instant, so
-    /// expiry and EDF comparisons across entries share one origin — exactly
-    /// like the simulator's absolute virtual clock.
-    epoch: Instant,
     /// Per-tenant committed + reserved spend, consulted atomically at
     /// budget admission (see [`crate::tenant::SpendBook`]).
     spend: SpendBook,
@@ -278,6 +75,10 @@ struct ObsSinks {
     slo: Arc<SloTracker>,
     ledger: Arc<Ledger>,
     journal: Arc<QueryJournal>,
+    /// Held across one query's SLO, ledger and journal appends, so the
+    /// journal lists finished queries in ledger append order: the order
+    /// [`pixels_obs::journal::replay`] folds their dollars in.
+    appending: Mutex<()>,
 }
 
 impl ObsSinks {
@@ -289,6 +90,7 @@ impl ObsSinks {
             )),
             ledger: Arc::new(Ledger::new()),
             journal: Arc::new(QueryJournal::new()),
+            appending: Mutex::new(()),
         }
     }
 }
@@ -303,12 +105,8 @@ impl QueryServer {
                 prices,
                 obs: ObsSinks::for_policy(&policy),
                 policy,
-                queue: AdmissionQueue {
-                    fair: Mutex::new(FairQueue::new()),
-                    changed: Condvar::new(),
-                },
+                queue: AdmissionQueue::new(),
                 sharing: Arc::new(SharedWork::new(SharingConfig::default())),
-                epoch: Instant::now(),
                 spend: SpendBook::new(),
             }),
             state: Mutex::new(HashMap::new()),
@@ -327,12 +125,10 @@ impl QueryServer {
         self
     }
 
-    /// Install a tenant directory (weights and budgets). Weights propagate
-    /// into the fair queue as tenants are registered.
+    /// Install a tenant directory (weights and budgets). A tenant's weight
+    /// reaches the fair queue when the tenant submits, before its query can
+    /// queue.
     pub fn with_tenants(mut self, tenants: Arc<TenantDirectory>) -> Self {
-        for (name, policy) in tenants.registered() {
-            self.ctx.queue.fair.lock().set_weight(&name, policy.weight);
-        }
         self.tenants = tenants;
         self
     }
@@ -356,49 +152,26 @@ impl QueryServer {
     /// depth, for every tenant known to the directory or the ledger.
     pub fn tenants_json(&self) -> Json {
         let by_tenant = self.ctx.obs.ledger.by_tenant();
-        let mut names: Vec<String> = self
-            .tenants
-            .registered()
-            .into_iter()
-            .map(|(name, _)| name)
-            .collect();
-        for name in by_tenant.keys() {
-            if !names.contains(name) {
-                names.push(name.clone());
-            }
-        }
-        names.sort();
+        let registered = self.tenants.registered().into_iter().map(|(name, _)| name);
+        let names: BTreeSet<String> = registered.chain(by_tenant.keys().cloned()).collect();
         let fair = self.ctx.queue.fair.lock();
-        let rows: Vec<Json> = names
-            .iter()
-            .map(|name| {
-                let policy = self.tenants.policy(name);
-                let mut fields = vec![
-                    ("tenant".to_string(), Json::string(name.clone())),
-                    ("weight".to_string(), Json::number(policy.weight)),
-                    (
-                        "queued".to_string(),
-                        Json::number(fair.tenant_depth(name) as f64),
-                    ),
-                ];
-                if let Some(budget) = policy.budget_dollars {
-                    fields.push(("budget_dollars".to_string(), Json::number(budget)));
-                }
-                if let Some(summary) = by_tenant.get(name) {
-                    fields.push((
-                        "spent_dollars".to_string(),
-                        Json::number(summary.revenue_dollars),
-                    ));
-                    fields.push(("queries".to_string(), Json::number(summary.entries as f64)));
-                }
-                Json::Object(fields.into_iter().collect())
-            })
-            .collect();
-        Json::Object(
-            vec![("tenants".to_string(), Json::Array(rows))]
-                .into_iter()
-                .collect(),
-        )
+        let rows = names.iter().map(|name| {
+            let policy = self.tenants.policy(name);
+            let mut fields = vec![
+                ("tenant", Json::string(name.clone())),
+                ("weight", Json::number(policy.weight)),
+                ("queued", Json::number(fair.tenant_depth(name) as f64)),
+            ];
+            if let Some(budget) = policy.budget_dollars {
+                fields.push(("budget_dollars", Json::number(budget)));
+            }
+            if let Some(summary) = by_tenant.get(name) {
+                fields.push(("spent_dollars", Json::number(summary.revenue_dollars)));
+                fields.push(("queries", Json::number(summary.entries as f64)));
+            }
+            Json::object(fields)
+        });
+        Json::object([("tenants", Json::array(rows))])
     }
 
     /// Replace the admission policy (grace period, best-of-effort bound).
@@ -472,32 +245,7 @@ impl QueryServer {
     /// Submit a query; returns immediately with the query id.
     pub fn submit(&self, submission: QuerySubmission) -> QueryId {
         let id = QueryId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let info = QueryInfo {
-            id,
-            submission: submission.clone(),
-            status: QueryStatus::Pending,
-            result: None,
-            error: None,
-            pending: Duration::ZERO,
-            execution: Duration::ZERO,
-            price: 0.0,
-            scan_bytes: 0,
-            used_cf: false,
-            seq: id.0,
-            metrics: ExecMetricsSnapshot::default(),
-            events: Vec::new(),
-            retries: 0,
-            profile: None,
-            decisions: Vec::new(),
-            resource_cost: CostBreakdown::default(),
-            provider_cf_dollars: 0.0,
-            provider_shuffle_dollars: 0.0,
-            exchange: ExchangeStats::default(),
-        };
-        let slot = Arc::new(QuerySlot {
-            record: Mutex::new(Arc::new(info)),
-            changed: Condvar::new(),
-        });
+        let slot = Arc::new(QuerySlot::new(QueryInfo::pending(id, submission.clone())));
         self.state.lock().insert(id, slot.clone());
         let ctx = &self.ctx;
         let mode = submission.mode();
@@ -582,38 +330,24 @@ impl QueryServer {
         bound: Duration,
         cancel: &AtomicBool,
     ) -> Result<Arc<QueryInfo>> {
-        let slot = self.slot(id)?;
         let give_up = Instant::now() + bound;
-        let mut record = slot.record.lock();
-        while !record.status.is_terminal() && !cancel.load(Ordering::SeqCst) {
-            let left = give_up.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            slot.changed.wait_for(&mut record, left);
-        }
-        Ok(record.clone())
+        Ok(self.slot(id)?.await_terminal(Some(give_up), cancel))
     }
 
     /// Wake every [`QueryServer::await_terminal`] so it reads its cancel
     /// flag again.
     pub(crate) fn wake_waiters(&self) {
         for slot in self.state.lock().values() {
-            // Through the slot's lock, so no waiter is between reading the
-            // flag and starting to wait.
-            drop(slot.record.lock());
-            slot.changed.notify_all();
+            slot.wake();
         }
     }
 
     /// Block until `id` reaches a terminal status.
     pub fn wait(&self, id: QueryId) -> Result<QueryInfo> {
-        let slot = self.slot(id)?;
-        let mut record = slot.record.lock();
-        while !record.status.is_terminal() {
-            slot.changed.wait(&mut record);
-        }
-        Ok(QueryInfo::clone(&record))
+        let never = AtomicBool::new(false);
+        Ok(QueryInfo::clone(
+            &self.slot(id)?.await_terminal(None, &never),
+        ))
     }
 
     /// Block until every submitted query is terminal.
@@ -628,10 +362,11 @@ impl QueryServer {
 /// The one terminal step: budget rejection, admission rejection, failure and
 /// success all end here. `end` writes the terminal status, and whatever the
 /// outcome carries, into the record; then the SLO verdict, the ledger entry
-/// (finished queries only), the journal record and the terminal counters
-/// are appended, in that order, while the slot is still locked — so whoever
-/// sees the terminal status also sees the query's obs records. `trace` is
-/// the query's trace when it got far enough to execute.
+/// (finished queries only) and the journal record are appended as one
+/// critical section, and the terminal counters moved, while the slot is
+/// still locked — so whoever sees the terminal status also sees the
+/// query's obs records. `trace` is the query's trace when it got far enough
+/// to execute.
 fn settle(
     ctx: &QueryCtx,
     slot: &QuerySlot,
@@ -640,81 +375,61 @@ fn settle(
     end: impl FnOnce(&mut QueryInfo),
 ) {
     let obs = &ctx.obs;
-    let mut record = slot.record.lock();
-    let info = Arc::make_mut(&mut record);
-    end(info);
-    let mode = info.submission.mode();
-    let level = mode.name();
-    // Stamped on the query's own trace clock (micros since the query
-    // started); a rejection has no trace and is stamped 0.
-    let at_us = trace.map_or(0, Trace::now_micros);
-    let rejected = info.status == QueryStatus::Rejected;
-    let degraded = info
-        .decisions
-        .iter()
-        .any(|d| matches!(d, Decision::Degrade));
-    let speculative = info
-        .decisions
-        .iter()
-        .any(|d| matches!(d, Decision::StragglerSpeculate { .. }));
-    let slo_good = match (info.status, mode) {
-        // Rejected and failed queries always burn budget, whatever their
-        // pending time.
-        (QueryStatus::Rejected | QueryStatus::Failed, _) => obs.slo.record(level, u64::MAX),
-        // A deadline query is judged on completion latency: the excess over
-        // its own target, against the zero-threshold "deadline" objective.
-        (_, AdmissionMode::Deadline { target_us }) => {
-            let total = (info.pending + info.execution).as_micros() as u64;
-            obs.slo.record(level, total.saturating_sub(target_us))
-        }
-        (_, AdmissionMode::Level(_)) => obs.slo.record(level, info.pending.as_micros() as u64),
-    };
-    if info.status == QueryStatus::Finished {
-        obs.ledger.append(LedgerEntry {
+    slot.update(|info| {
+        end(info);
+        let mode = info.submission.mode();
+        let level = mode.name();
+        let pending_us = info.pending.as_micros() as u64;
+        let slo_latency_us = match info.status {
+            // Rejected and failed queries always burn budget, whatever their
+            // pending time.
+            QueryStatus::Rejected | QueryStatus::Failed => u64::MAX,
+            _ => mode.slo_latency_us(
+                pending_us,
+                (info.pending + info.execution).as_micros() as u64,
+            ),
+        };
+        let any = |pick: fn(&Decision) -> bool| info.decisions.iter().any(pick);
+        let mut entry = JournalEntry {
             query: info.id.to_string(),
             tenant: info.submission.tenant_name().to_string(),
             level: level.to_string(),
-            bytes_billed: info.scan_bytes,
+            status: info.status.name().to_string(),
+            admission: admission.to_string(),
+            decisions: if info.status == QueryStatus::Rejected {
+                info.error.iter().cloned().collect()
+            } else {
+                info.decisions.iter().map(|d| format!("{d:?}")).collect()
+            },
+            retries: info.retries,
+            pending_us,
+            execution_us: info.execution.as_micros() as u64,
+            scan_bytes: info.scan_bytes,
             revenue_dollars: info.price,
             vm_dollars: info.resource_cost.vm_dollars,
             cf_dollars: info.resource_cost.cf_dollars,
             provider_cf_dollars: info.provider_cf_dollars,
             shuffle_dollars: info.provider_shuffle_dollars,
-            degraded,
-            speculative,
-            at_us,
-        });
-    }
-    obs.journal.append(JournalEntry {
-        query: info.id.to_string(),
-        tenant: info.submission.tenant_name().to_string(),
-        level: level.to_string(),
-        status: info.status.name().to_string(),
-        admission: admission.to_string(),
-        decisions: if rejected {
-            info.error.iter().cloned().collect()
-        } else {
-            info.decisions.iter().map(|d| format!("{d:?}")).collect()
-        },
-        retries: info.retries,
-        pending_us: info.pending.as_micros() as u64,
-        execution_us: info.execution.as_micros() as u64,
-        scan_bytes: info.scan_bytes,
-        revenue_dollars: info.price,
-        vm_dollars: info.resource_cost.vm_dollars,
-        cf_dollars: info.resource_cost.cf_dollars,
-        provider_cf_dollars: info.provider_cf_dollars,
-        used_cf: info.used_cf,
-        degraded,
-        speculative,
-        slo_good,
-        slo_threshold_us: obs.slo.threshold_us(level).unwrap_or(0),
-        trace_spans: trace.map_or(0, |t| t.span_count() as u64),
-        at_us,
+            used_cf: info.used_cf,
+            degraded: any(|d| matches!(d, Decision::Degrade)),
+            speculative: any(|d| matches!(d, Decision::StragglerSpeculate { .. })),
+            slo_good: false,
+            slo_threshold_us: obs.slo.threshold_us(level).unwrap_or(0),
+            trace_spans: trace.map_or(0, |t| t.span_count() as u64),
+            // Stamped on the query's own trace clock (micros since the query
+            // started); a rejection has no trace and is stamped 0.
+            at_us: trace.map_or(0, Trace::now_micros),
+        };
+        {
+            let _appending = obs.appending.lock();
+            entry.slo_good = obs.slo.record(level, slo_latency_us);
+            if info.status == QueryStatus::Finished {
+                obs.ledger.append(entry.ledger_entry());
+            }
+            obs.journal.append(entry);
+        }
+        ctx.metrics.terminal(info);
     });
-    ctx.metrics.terminal(info);
-    drop(record);
-    slot.changed.notify_all();
 }
 
 /// End a submission that never runs: it leaves the queue-depth gauge, its
@@ -737,6 +452,7 @@ fn run_query_thread(
     reserved: f64,
 ) {
     let mode = submission.mode();
+    let tenant = submission.tenant_name();
     // One trace per query: the root `query` span covers scheduler wait,
     // tier dispatch, every operator, and every storage access beneath it.
     let trace = Trace::wall();
@@ -747,97 +463,31 @@ fn run_query_thread(
     // Deadline feasibility needs a work estimate; the planner's resource
     // model supplies it. An unplannable query estimates zero — it will fail
     // with its real error during execution, not a confusing rejection.
-    let est_us = match mode {
-        AdmissionMode::Deadline { .. } => ctx
-            .engine
-            .estimate_work(&submission.database, &submission.sql)
-            .map(|w| w.exec_time_on_cores(w.parallelism as f64).as_micros())
-            .unwrap_or(0),
-        AdmissionMode::Level(_) => 0,
-    };
-
+    let (db, sql) = (&submission.database, &submission.sql);
+    let est_us = mode.exec_estimate_us(|| ctx.engine.estimate_work(db, sql).ok());
     let queued = Instant::now();
-    // Admission runs the same policy as the simulator; this thread supplies
-    // the live load signal (engine busyness + fair-queue depths) and clock
-    // (micros since the shared server-start epoch — one origin for every
-    // thread, so queued deadlines and poll times compare like the
-    // simulator's absolute virtual clock) and executes the verdicts.
-    let now_us = || ctx.epoch.elapsed().as_micros() as u64;
-    let load = |fair: &FairQueue| LoadSignal {
-        overloaded: ctx.engine.is_busy(),
-        nearly_idle: !ctx.engine.is_busy(),
-        tenant_depth: fair.tenant_class_depth(submission.tenant_name(), mode),
-        total_depth: fair.depth(),
+    let admitted = {
+        let _wait_span = query_span.ctx().span("scheduler_wait");
+        let request = Request {
+            id: id.0,
+            tenant,
+            mode,
+            est_exec_us: est_us,
+            batch_key: None,
+        };
+        ctx.queue.admit(&ctx.policy, &ctx.engine, request)
     };
-    let mut forced = false;
-    let mut admission = "dispatch_now";
-    {
-        let wait_span = query_span.ctx().span("scheduler_wait");
-        let mut fair = ctx.queue.fair.lock();
-        let verdict = ctx.policy.admit(mode, load(&fair), now_us(), est_us);
-        match verdict {
-            Admission::DispatchNow => drop(fair),
-            Admission::Queue { deadline_us } => {
-                admission = "queued";
-                fair.push(QueuedQuery {
-                    id: id.0,
-                    tenant: submission.tenant_name().to_string(),
-                    mode,
-                    deadline_us,
-                    enqueued_us: now_us(),
-                    batch_key: None,
-                });
-                loop {
-                    let snapshot = load(&fair);
-                    match fair.poll(&ctx.policy, snapshot, now_us(), id.0) {
-                        QueueVerdict::Dispatch { forced: f } => {
-                            forced = f;
-                            if f {
-                                admission = "forced";
-                            }
-                            break;
-                        }
-                        // Woken when a query leaves the queue; otherwise
-                        // look again after `QUEUE_RECHECK`.
-                        QueueVerdict::Wait => {
-                            ctx.queue.changed.wait_for(&mut fair, QUEUE_RECHECK);
-                        }
-                    }
-                }
-                drop(fair);
-                // This query left the queue: the next in line may go.
-                ctx.queue.changed.notify_all();
-            }
-            Admission::Reject { reason } => {
-                drop(fair);
-                drop(wait_span);
-                drop(query_span);
-                ctx.spend.settle(submission.tenant_name(), reserved, 0.0);
-                reject(ctx, slot, reason);
-                return;
-            }
-        }
-        drop(wait_span);
-    }
-    // The pending-time bound covers the engine's slot queue too: relaxed
-    // queries may wait for a VM slot only until their grace period expires
-    // (forced queries exhausted theirs already), then force-start unslotted.
-    // Deadline queries get their remaining latest-start budget.
-    let slot_wait_limit = if forced {
-        Some(Duration::ZERO)
-    } else {
-        match mode {
-            AdmissionMode::Level(ServiceLevel::Relaxed) => {
-                let grace = Duration::from_micros(ctx.policy.grace.as_micros());
-                Some(grace.saturating_sub(queued.elapsed()))
-            }
-            AdmissionMode::Deadline { target_us } => {
-                let budget = Duration::from_micros(target_us.saturating_sub(est_us));
-                Some(budget.saturating_sub(queued.elapsed()))
-            }
-            AdmissionMode::Level(_) => None,
+    let admission = match admitted {
+        Ok(admission) => admission,
+        Err(reason) => {
+            drop(query_span);
+            ctx.spend.settle(tenant, reserved, 0.0);
+            reject(ctx, slot, reason);
+            return;
         }
     };
+    let (waited, forced) = (queued.elapsed(), admission == "forced");
+    let wait_limit = ctx.policy.slot_wait_limit(mode, est_us, waited, forced);
     ctx.metrics.queue_depth(mode.name()).add(-1.0);
     slot.update(|info| {
         info.status = QueryStatus::Running;
@@ -845,11 +495,11 @@ fn run_query_thread(
     });
     let (outcome, _share_kind) = ctx.sharing.execute(
         &ctx.engine,
-        &submission.database,
-        &submission.sql,
+        db,
+        sql,
         mode.cf_enabled(),
         query_span.ctx(),
-        slot_wait_limit,
+        wait_limit,
     );
     drop(query_span);
 
@@ -888,20 +538,28 @@ fn run_query_thread(
         info.profile = Some(trace.profile());
         // Reconcile the budget reservation against the real bill: release
         // the estimate, commit what was actually billed (zero on failure).
-        ctx.spend
-            .settle(submission.tenant_name(), reserved, info.price);
+        ctx.spend.settle(tenant, reserved, info.price);
     });
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::service_level::ServiceLevel;
     use pixels_catalog::Catalog;
+    use pixels_obs::LedgerEntry;
     use pixels_storage::InMemoryObjectStore;
     use pixels_turbo::EngineConfig;
     use pixels_workload::{load_tpch, TpchConfig};
 
-    fn server() -> QueryServer {
+    pub(crate) fn server() -> QueryServer {
+        QueryServer::new(engine(2), PriceSchedule::default())
+    }
+
+    /// An engine with `vm_slots` slots over a small TPC-H database, with a
+    /// registry of its own: tests that assert metric values cannot share
+    /// the process-wide one (`cargo test` runs them in one process).
+    pub(crate) fn engine(vm_slots: usize) -> Arc<TurboEngine> {
         let catalog = Catalog::shared();
         let store = InMemoryObjectStore::shared();
         load_tpch(
@@ -916,23 +574,15 @@ mod tests {
             },
         )
         .unwrap();
-        let engine = Arc::new(
-            TurboEngine::new(
-                catalog,
-                store,
-                EngineConfig {
-                    vm_slots: 2,
-                    ..EngineConfig::default()
-                },
-            )
-            // Tests that assert metric values need a private registry:
-            // `cargo test` shares one process (and thus the global one).
-            .with_registry(MetricsRegistry::shared()),
-        );
-        QueryServer::new(engine, PriceSchedule::default())
+        let config = EngineConfig {
+            vm_slots,
+            ..EngineConfig::default()
+        };
+        let engine = TurboEngine::new(catalog, store, config);
+        Arc::new(engine.with_registry(MetricsRegistry::shared()))
     }
 
-    fn submission(sql: &str, level: ServiceLevel) -> QuerySubmission {
+    pub(crate) fn submission(sql: &str, level: ServiceLevel) -> QuerySubmission {
         QuerySubmission {
             database: "tpch".into(),
             sql: sql.into(),
@@ -1025,26 +675,6 @@ mod tests {
         assert_eq!(list.len(), 2);
         assert_eq!(list[0].id, id1);
         assert_eq!(list[1].id, id2);
-    }
-
-    #[test]
-    fn json_status_payload() {
-        let s = server();
-        let id = s.submit(submission(
-            "SELECT COUNT(*) FROM region",
-            ServiceLevel::Immediate,
-        ));
-        let info = s.wait(id).unwrap();
-        let json = info.to_json();
-        assert_eq!(json.get("status").unwrap().as_str(), Some("finished"));
-        assert_eq!(
-            json.get("service_level").unwrap().as_str(),
-            Some("immediate")
-        );
-        assert!(json.get("cost_dollars").unwrap().as_f64().unwrap() >= 0.0);
-        // Roundtrips through the wire format.
-        let text = json.to_compact_string();
-        assert_eq!(Json::parse(&text).unwrap(), json);
     }
 
     /// Sum one attribute over a profile tree (`{"name",...,"attrs","children"}`).
@@ -1555,74 +1185,6 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_grace_expiry_force_starts_on_the_live_engine() {
-        use crate::scheduler::SchedulerPolicy;
-        use pixels_sim::SimDuration;
-
-        let catalog = Catalog::shared();
-        let store = InMemoryObjectStore::shared();
-        load_tpch(
-            &catalog,
-            store.as_ref(),
-            "tpch",
-            &TpchConfig {
-                scale: 0.0005,
-                seed: 3,
-                row_group_rows: 512,
-                files_per_table: 1,
-            },
-        )
-        .unwrap();
-        let registry = MetricsRegistry::shared();
-        let engine = Arc::new(
-            TurboEngine::new(
-                catalog,
-                store,
-                EngineConfig {
-                    vm_slots: 1,
-                    ..EngineConfig::default()
-                },
-            )
-            .with_registry(registry.clone()),
-        );
-        let s = QueryServer::new(engine.clone(), PriceSchedule::default()).with_scheduler(
-            SchedulerPolicy {
-                grace: SimDuration::from_millis(10),
-                ..Default::default()
-            },
-        );
-
-        // Hold the only VM slot, then submit a relaxed query whose tiny grace
-        // period expires while it is held: the scheduler must force-start it
-        // unslotted rather than let it drift in the FIFO queue. The slot
-        // comes back once the query is forced or done, or after 10 s, so a
-        // query left queued fails the check below instead of hanging.
-        let forced = registry.counter("pixels_turbo_forced_starts_total", "");
-        let limit = Instant::now() + Duration::from_secs(10);
-        let info = std::thread::scope(|scope| {
-            let query = engine.hold_slots(|| {
-                let query = scope.spawn(|| {
-                    s.wait(s.submit(submission(
-                        "SELECT COUNT(*) AS n FROM region",
-                        ServiceLevel::Relaxed,
-                    )))
-                    .unwrap()
-                });
-                while forced.get() == 0 && !query.is_finished() && Instant::now() < limit {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-                query
-            });
-            query.join().unwrap()
-        });
-        assert_eq!(info.status, QueryStatus::Finished, "{:?}", info.error);
-        assert!(
-            forced.get() >= 1,
-            "grace expiry must force-start the query unslotted"
-        );
-    }
-
-    #[test]
     fn ledger_reconciles_bit_for_bit_with_query_state() {
         let s = server();
         for (i, level) in ServiceLevel::ALL.iter().enumerate() {
@@ -1676,6 +1238,31 @@ mod tests {
         let slo_json = s.slo_json();
         let relaxed = slo_json.get("levels").unwrap().get("relaxed").unwrap();
         assert_eq!(relaxed.get("good_total").unwrap().as_i64(), Some(1));
+    }
+
+    #[test]
+    fn the_journal_lists_finished_queries_in_ledger_order() {
+        // Queries settling at once on many threads: each one's ledger and
+        // journal appends are one critical section, so the two orders agree
+        // and the journal folds dollars in the ledger's order.
+        const QUERIES: usize = 300;
+        let s = server();
+        for i in 0..QUERIES {
+            let mut sub = submission("SELECT 1", ServiceLevel::Immediate);
+            sub.tenant = Some(["acme", "globex"][i % 2].into());
+            s.submit(sub);
+        }
+        s.wait_all();
+        let journal: Vec<String> = s
+            .journal()
+            .entries()
+            .into_iter()
+            .filter(|e| e.status == "finished")
+            .map(|e| e.query)
+            .collect();
+        let ledger: Vec<String> = s.ledger().entries().into_iter().map(|e| e.query).collect();
+        assert_eq!(journal.len(), QUERIES);
+        assert_eq!(journal, ledger);
     }
 
     #[test]

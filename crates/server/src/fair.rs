@@ -23,12 +23,13 @@
 //! idle tenants do not hoard credit.
 //!
 //! The structure is clock-free and driver-agnostic like
-//! [`crate::SchedulerPolicy`]: the simulator calls [`FairQueue::select`] in
+//! [`crate::SchedulerPolicy`]: both drivers admit through
+//! [`FairQueue::admit`]; the simulator then calls [`FairQueue::select`] in
 //! a drain loop on the virtual clock, the live server calls
 //! [`FairQueue::poll`] from per-query threads on the wall clock, and both
 //! get identical decisions for identical inputs.
 
-use crate::scheduler::{AdmissionMode, LoadSignal, QueueVerdict, SchedulerPolicy};
+use crate::scheduler::{Admission, AdmissionMode, LoadSignal, SchedulerPolicy};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
@@ -47,41 +48,40 @@ pub struct QueuedQuery {
     /// Absolute force-start time: the grace/starvation bound for fixed
     /// levels, the latest feasible start for deadline mode.
     pub deadline_us: u64,
-    pub enqueued_us: u64,
     /// Same-key best-of-effort entries may merge into one shared-scan
     /// execution (see [`FairQueue::take_batch`]).
     pub batch_key: Option<u64>,
 }
 
+/// A fresh submission as the admission step takes it.
+#[derive(Debug, Clone, Copy)]
+pub struct Request<'a> {
+    pub id: u64,
+    pub tenant: &'a str,
+    pub mode: AdmissionMode,
+    /// See [`AdmissionMode::exec_estimate_us`].
+    pub est_exec_us: u64,
+    pub batch_key: Option<u64>,
+}
+
+/// The two classes served by deficit round robin, as indices into a lane's
+/// FIFOs and the queue's rotations (and the first two of its count
+/// classes; deadline entries, class 2, are served EDF).
+const RELAXED: usize = 0;
+const BEST_EFFORT: usize = 1;
+
+/// One tenant's queued ids and its place in the two DRR rotations.
 #[derive(Debug, Default)]
 struct Lane {
     deficit: f64,
-    relaxed: VecDeque<u64>,
-    besteffort: VecDeque<u64>,
-    in_relaxed_rotation: bool,
-    in_besteffort_rotation: bool,
+    fifos: [VecDeque<u64>; 2],
+    in_rotation: [bool; 2],
 }
 
 impl Lane {
-    fn fifo(&mut self, class: DrrClass) -> &mut VecDeque<u64> {
-        match class {
-            DrrClass::Relaxed => &mut self.relaxed,
-            DrrClass::BestEffort => &mut self.besteffort,
-        }
+    fn is_empty(&self) -> bool {
+        self.fifos.iter().all(VecDeque::is_empty)
     }
-
-    fn is_drained(&self) -> bool {
-        self.relaxed.is_empty()
-            && self.besteffort.is_empty()
-            && !self.in_relaxed_rotation
-            && !self.in_besteffort_rotation
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DrrClass {
-    Relaxed,
-    BestEffort,
 }
 
 /// A dispatch decision from the fair queue.
@@ -100,8 +100,8 @@ pub struct FairQueue {
     /// Per-tenant lanes, ordered so iteration (and thus tie-breaking and
     /// batch collection) is deterministic.
     lanes: BTreeMap<String, Lane>,
-    relaxed_rotation: VecDeque<String>,
-    besteffort_rotation: VecDeque<String>,
+    /// Tenants with queued work of each DRR class, in visiting order.
+    rotations: [VecDeque<String>; 2],
     /// Deadline-mode entries ordered by latest feasible start (EDF).
     edf: BinaryHeap<Reverse<(u64, u64)>>,
     /// Every entry ordered by its force-start time.
@@ -140,8 +140,8 @@ impl FairQueue {
     /// Class index into the per-tenant count array for a queued mode.
     fn class_index(mode: AdmissionMode) -> usize {
         match mode {
-            AdmissionMode::Level(crate::service_level::ServiceLevel::Relaxed) => 0,
-            AdmissionMode::Level(_) => 1,
+            AdmissionMode::Level(crate::service_level::ServiceLevel::Relaxed) => RELAXED,
+            AdmissionMode::Level(_) => BEST_EFFORT,
             AdmissionMode::Deadline { .. } => 2,
         }
     }
@@ -151,29 +151,16 @@ impl FairQueue {
         let id = q.id;
         debug_assert!(!self.entries.contains_key(&id), "duplicate queue id {id}");
         self.expiry.push(Reverse((q.deadline_us, id)));
-        self.counts.entry(q.tenant.clone()).or_insert([0; 3])[Self::class_index(q.mode)] += 1;
-        match q.mode {
-            AdmissionMode::Deadline { .. } => {
-                self.edf.push(Reverse((q.deadline_us, id)));
-            }
-            AdmissionMode::Level(level) => {
-                let class = match level {
-                    crate::service_level::ServiceLevel::Relaxed => DrrClass::Relaxed,
-                    _ => DrrClass::BestEffort,
-                };
-                let lane = self.lanes.entry(q.tenant.clone()).or_default();
-                lane.fifo(class).push_back(id);
-                match class {
-                    DrrClass::Relaxed if !lane.in_relaxed_rotation => {
-                        lane.in_relaxed_rotation = true;
-                        self.relaxed_rotation.push_back(q.tenant.clone());
-                    }
-                    DrrClass::BestEffort if !lane.in_besteffort_rotation => {
-                        lane.in_besteffort_rotation = true;
-                        self.besteffort_rotation.push_back(q.tenant.clone());
-                    }
-                    _ => {}
-                }
+        let class = Self::class_index(q.mode);
+        self.counts.entry(q.tenant.clone()).or_insert([0; 3])[class] += 1;
+        if let AdmissionMode::Deadline { .. } = q.mode {
+            self.edf.push(Reverse((q.deadline_us, id)));
+        } else {
+            let lane = self.lanes.entry(q.tenant.clone()).or_default();
+            lane.fifos[class].push_back(id);
+            if !lane.in_rotation[class] {
+                lane.in_rotation[class] = true;
+                self.rotations[class].push_back(q.tenant.clone());
             }
         }
         self.entries.insert(id, q);
@@ -197,10 +184,6 @@ impl FairQueue {
         Some(q)
     }
 
-    pub fn get(&self, id: u64) -> Option<&QueuedQuery> {
-        self.entries.get(&id)
-    }
-
     pub fn depth(&self) -> usize {
         self.entries.len()
     }
@@ -222,15 +205,35 @@ impl FairQueue {
     /// Queued relaxed entries across all tenants (the queue-depth gauge the
     /// coordinator's autoscaler watches).
     pub fn relaxed_depth(&self) -> usize {
-        self.counts.values().map(|n| n[0]).sum()
+        self.counts.values().map(|n| n[RELAXED]).sum()
     }
 
-    /// Per-tenant queued-entry counts, tenant-ordered.
-    pub fn depths(&self) -> Vec<(String, usize)> {
-        self.counts
-            .iter()
-            .map(|(t, n)| (t.clone(), n.iter().sum()))
-            .collect()
+    /// The admission step, the same for the live server and the
+    /// simulator: `policy` decides `r` under `load` made tenant-aware from
+    /// this queue's own depths, and a query told to queue is parked here
+    /// with its force-start deadline.
+    pub fn admit(
+        &mut self,
+        policy: &SchedulerPolicy,
+        load: LoadSignal,
+        now_us: u64,
+        r: Request,
+    ) -> Admission {
+        let load = LoadSignal {
+            tenant_depth: self.tenant_class_depth(r.tenant, r.mode),
+            ..load
+        };
+        let verdict = policy.admit(r.mode, load, now_us, r.est_exec_us);
+        if let Admission::Queue { deadline_us } = verdict {
+            self.push(QueuedQuery {
+                id: r.id,
+                tenant: r.tenant.to_string(),
+                mode: r.mode,
+                deadline_us,
+                batch_key: r.batch_key,
+            });
+        }
+        verdict
     }
 
     /// Pick the next dispatch under `load` at `now_us`, removing it from the
@@ -260,12 +263,12 @@ impl FairQueue {
         }
         // 3./4. DRR per class, gated by the class's headroom condition.
         if !load.overloaded {
-            if let Some(grant) = self.drr(DrrClass::Relaxed) {
+            if let Some(grant) = self.drr(RELAXED) {
                 return Some(grant);
             }
         }
         if load.nearly_idle {
-            if let Some(grant) = self.drr(DrrClass::BestEffort) {
+            if let Some(grant) = self.drr(BEST_EFFORT) {
                 return Some(grant);
             }
         }
@@ -276,45 +279,35 @@ impl FairQueue {
     /// until one has enough deficit to dispatch, or the whole rotation has
     /// been visited once without a dispatch (then everyone gained a quantum
     /// and the next call will dispatch).
-    fn drr(&mut self, class: DrrClass) -> Option<Grant> {
-        let rotation_len = match class {
-            DrrClass::Relaxed => self.relaxed_rotation.len(),
-            DrrClass::BestEffort => self.besteffort_rotation.len(),
-        };
+    fn drr(&mut self, class: usize) -> Option<Grant> {
         // Two laps bound the spin: the first lap tops every visited tenant
         // up by its quantum, so within one more lap someone dispatches (any
         // weight >= MIN_TENANT_WEIGHT reaches 1.0 within 1/MIN quanta; the
         // deficit persists across calls, so laps are amortized).
-        for _ in 0..rotation_len.saturating_mul(2) {
-            let tenant = match class {
-                DrrClass::Relaxed => self.relaxed_rotation.pop_front()?,
-                DrrClass::BestEffort => self.besteffort_rotation.pop_front()?,
-            };
+        for _ in 0..self.rotations[class].len().saturating_mul(2) {
+            let tenant = self.rotations[class].pop_front()?;
             let weight = self.weight(&tenant);
             let Some(lane) = self.lanes.get_mut(&tenant) else {
                 continue;
             };
             // Drop ids whose entries were removed out-of-band (batched,
             // cancelled, force-started via the expiry heap).
-            let fifo = lane.fifo(class);
+            let fifo = &mut lane.fifos[class];
             while let Some(&front) = fifo.front() {
                 if self.entries.contains_key(&front) {
                     break;
                 }
                 fifo.pop_front();
             }
-            if lane.fifo(class).is_empty() {
+            if fifo.is_empty() {
                 // Lane drained for this class: leave the rotation and reset
                 // credit so an idle tenant cannot hoard it.
-                match class {
-                    DrrClass::Relaxed => lane.in_relaxed_rotation = false,
-                    DrrClass::BestEffort => lane.in_besteffort_rotation = false,
-                }
-                if lane.relaxed.is_empty() && lane.besteffort.is_empty() {
+                lane.in_rotation[class] = false;
+                if lane.is_empty() {
                     lane.deficit = 0.0;
-                }
-                if lane.is_drained() {
-                    self.lanes.remove(&tenant);
+                    if !lane.in_rotation.contains(&true) {
+                        self.lanes.remove(&tenant);
+                    }
                 }
                 continue;
             }
@@ -326,24 +319,20 @@ impl FairQueue {
             }
             if lane.deficit >= 1.0 {
                 lane.deficit -= 1.0;
-                let id = lane.fifo(class).pop_front().expect("checked non-empty");
+                let fifo = &mut lane.fifos[class];
+                let id = fifo.pop_front().expect("checked non-empty");
                 // Enough credit left for another dispatch: stay at the
                 // front so a high-weight tenant can drain its credit before
                 // the rotation moves on. Otherwise go to the back.
-                let keep_front = lane.deficit >= 1.0 && !lane.fifo(class).is_empty();
-                match (class, keep_front) {
-                    (DrrClass::Relaxed, true) => self.relaxed_rotation.push_front(tenant),
-                    (DrrClass::Relaxed, false) => self.relaxed_rotation.push_back(tenant),
-                    (DrrClass::BestEffort, true) => self.besteffort_rotation.push_front(tenant),
-                    (DrrClass::BestEffort, false) => self.besteffort_rotation.push_back(tenant),
+                if lane.deficit >= 1.0 && !fifo.is_empty() {
+                    self.rotations[class].push_front(tenant);
+                } else {
+                    self.rotations[class].push_back(tenant);
                 }
                 self.remove(id);
                 return Some(Grant { id, forced: false });
             }
-            match class {
-                DrrClass::Relaxed => self.relaxed_rotation.push_back(tenant),
-                DrrClass::BestEffort => self.besteffort_rotation.push_back(tenant),
-            }
+            self.rotations[class].push_back(tenant);
         }
         None
     }
@@ -352,45 +341,29 @@ impl FairQueue {
     /// outstanding grant for `id`, self-force at the entry's own pending
     /// bound, or run one selection and stash the grant for its owner.
     /// Grants are issued one at a time so a slow winner cannot pile up
-    /// phantom dispatches.
-    pub fn poll(
-        &mut self,
-        policy: &SchedulerPolicy,
-        load: LoadSignal,
-        now_us: u64,
-        id: u64,
-    ) -> QueueVerdict {
-        if let Some(g) = &self.granted {
-            if g.id == id {
-                let forced = g.forced;
-                self.granted = None;
-                return QueueVerdict::Dispatch { forced };
-            }
+    /// phantom dispatches. `None` means keep waiting.
+    pub fn poll(&mut self, load: LoadSignal, now_us: u64, id: u64) -> Option<Grant> {
+        if self.granted.as_ref().is_some_and(|g| g.id == id) {
+            return self.granted.take();
         }
         let Some(entry) = self.entries.get(&id) else {
             // Already granted-and-claimed or removed; treat as dispatch so
             // the caller makes progress rather than spinning forever.
-            return QueueVerdict::Dispatch { forced: false };
+            return Some(Grant { id, forced: false });
         };
         // The entry's own pending bound expired: start regardless of grants.
-        if matches!(
-            policy.recheck(entry.mode, load, now_us, entry.deadline_us),
-            QueueVerdict::Dispatch { forced: true }
-        ) {
+        if now_us >= entry.deadline_us {
             self.remove(id);
-            return QueueVerdict::Dispatch { forced: true };
+            return Some(Grant { id, forced: true });
         }
         if self.granted.is_none() {
-            if let Some(grant) = self.select(load, now_us) {
-                if grant.id == id {
-                    return QueueVerdict::Dispatch {
-                        forced: grant.forced,
-                    };
-                }
-                self.granted = Some(grant);
+            let grant = self.select(load, now_us)?;
+            if grant.id == id {
+                return Some(grant);
             }
+            self.granted = Some(grant);
         }
-        QueueVerdict::Wait
+        None
     }
 
     /// Collect up to `limit` further best-of-effort entries sharing
@@ -401,7 +374,7 @@ impl FairQueue {
     pub fn take_batch(&mut self, batch_key: u64, limit: usize) -> Vec<QueuedQuery> {
         let mut ids = Vec::new();
         for (_, lane) in self.lanes.iter() {
-            for &id in &lane.besteffort {
+            for &id in &lane.fifos[BEST_EFFORT] {
                 if ids.len() >= limit {
                     break;
                 }
@@ -425,13 +398,11 @@ mod tests {
         overloaded: false,
         nearly_idle: true,
         tenant_depth: 0,
-        total_depth: 0,
     };
     const BUSY: LoadSignal = LoadSignal {
         overloaded: true,
         nearly_idle: false,
         tenant_depth: 0,
-        total_depth: 0,
     };
 
     fn q(id: u64, tenant: &str, level: ServiceLevel, deadline_us: u64) -> QueuedQuery {
@@ -440,7 +411,6 @@ mod tests {
             tenant: tenant.to_string(),
             mode: AdmissionMode::Level(level),
             deadline_us,
-            enqueued_us: 0,
             batch_key: None,
         }
     }
@@ -453,7 +423,6 @@ mod tests {
                 target_us: 60_000_000,
             },
             deadline_us: latest_start_us,
-            enqueued_us: 0,
             batch_key: None,
         }
     }
@@ -574,29 +543,60 @@ mod tests {
 
     #[test]
     fn poll_grants_one_at_a_time_and_self_forces() {
-        let policy = SchedulerPolicy::default();
+        let started = |id, forced| Some(Grant { id, forced });
         let mut fq = FairQueue::new();
         fq.push(q(1, "t", ServiceLevel::Relaxed, 10_000));
         fq.push(q(2, "t", ServiceLevel::Relaxed, 20_000));
         // Query 2 polls first under headroom: the selection grants query 1,
         // so 2 keeps waiting while the grant is outstanding.
-        assert_eq!(fq.poll(&policy, HEADROOM, 0, 2), QueueVerdict::Wait);
-        assert_eq!(
-            fq.poll(&policy, HEADROOM, 0, 1),
-            QueueVerdict::Dispatch { forced: false }
-        );
-        assert_eq!(
-            fq.poll(&policy, HEADROOM, 0, 2),
-            QueueVerdict::Dispatch { forced: false }
-        );
+        assert_eq!(fq.poll(HEADROOM, 0, 2), None);
+        assert_eq!(fq.poll(HEADROOM, 0, 1), started(1, false));
+        assert_eq!(fq.poll(HEADROOM, 0, 2), started(2, false));
         // A queued entry whose own bound expires self-forces under load.
         fq.push(q(3, "t", ServiceLevel::Relaxed, 30_000));
-        assert_eq!(fq.poll(&policy, BUSY, 29_999, 3), QueueVerdict::Wait);
-        assert_eq!(
-            fq.poll(&policy, BUSY, 30_000, 3),
-            QueueVerdict::Dispatch { forced: true }
-        );
+        assert_eq!(fq.poll(BUSY, 29_999, 3), None);
+        assert_eq!(fq.poll(BUSY, 30_000, 3), started(3, true));
         assert_eq!(fq.depth(), 0);
+        // An entry whose bound passes while another entry's grant is
+        // outstanding still force-starts: the grant does not hold it back.
+        fq.push(q(4, "t", ServiceLevel::Relaxed, 40_000));
+        fq.push(q(5, "t", ServiceLevel::Relaxed, 50_000));
+        assert_eq!(fq.poll(HEADROOM, 39_000, 5), None, "4 is granted");
+        assert_eq!(fq.poll(BUSY, 50_000, 5), started(5, true));
+        assert_eq!(fq.poll(BUSY, 50_000, 4), started(4, false));
+        assert_eq!(fq.depth(), 0);
+    }
+
+    #[test]
+    fn admit_parks_behind_the_tenants_own_queued_work() {
+        let policy = SchedulerPolicy::default();
+        let mut fq = FairQueue::new();
+        let relaxed = |id, tenant| Request {
+            id,
+            tenant,
+            mode: ServiceLevel::Relaxed.into(),
+            est_exec_us: 0,
+            batch_key: None,
+        };
+        let grace = policy.grace.as_micros();
+        assert_eq!(
+            fq.admit(&policy, BUSY, 7, relaxed(1, "a")),
+            Admission::Queue {
+                deadline_us: 7 + grace
+            }
+        );
+        assert_eq!(fq.entries[&1].deadline_us, 7 + grace);
+        // Headroom now, but tenant a has a relaxed query parked: a fresh one
+        // queues behind it; tenant b's dispatches.
+        assert!(matches!(
+            fq.admit(&policy, HEADROOM, 8, relaxed(2, "a")),
+            Admission::Queue { .. }
+        ));
+        assert_eq!(
+            fq.admit(&policy, HEADROOM, 8, relaxed(3, "b")),
+            Admission::DispatchNow
+        );
+        assert_eq!(fq.depth(), 2);
     }
 
     #[test]

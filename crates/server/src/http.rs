@@ -41,7 +41,8 @@
 //! unreadable request line or `Content-Length` with `400`, and a client that
 //! neither sends nor reads for [`IO_TIMEOUT`] loses its connection.
 
-use crate::api::{QueryInfo, QueryServer, QuerySubmission};
+use crate::api::QueryServer;
+use crate::query::{QueryInfo, QuerySubmission};
 use crate::service_level::ServiceLevel;
 use parking_lot::{Condvar, Mutex};
 use pixels_common::{Error, Json, QueryId, Result};
@@ -420,41 +421,27 @@ fn route(
             }
             ("POST", "/queries") => {
                 let req = Json::parse(body)?;
-                let database = req
-                    .get_or_err("database")?
-                    .as_str()
-                    .ok_or_else(|| Error::Invalid("database must be a string".into()))?
-                    .to_string();
-                let sql = req
-                    .get_or_err("sql")?
-                    .as_str()
-                    .ok_or_else(|| Error::Invalid("sql must be a string".into()))?
-                    .to_string();
-                let level = match req.get("level").and_then(|l| l.as_str()) {
-                    Some(l) => ServiceLevel::parse(l)?,
-                    None => ServiceLevel::Immediate,
+                let text = |key: &str| -> Result<String> {
+                    let value = req.get_or_err(key)?.as_str().map(str::to_string);
+                    value.ok_or_else(|| Error::Invalid(format!("{key} must be a string")))
                 };
-                let result_limit = req
-                    .get("result_limit")
-                    .and_then(|v| v.as_i64())
-                    .map(|v| v.max(0) as usize);
-                let tenant = req
-                    .get("tenant")
-                    .and_then(|v| v.as_str())
-                    .map(str::to_string);
-                // A deadline target switches the query into deadline mode;
-                // `level` is then ignored for scheduling and pricing.
-                let deadline_us = req
-                    .get("deadline_us")
-                    .and_then(|v| v.as_i64())
-                    .map(|v| v.max(0) as u64);
+                let count = |key: &str| req.get(key).and_then(|v| v.as_i64()).map(|v| v.max(0));
                 let submission = QuerySubmission {
-                    database,
-                    sql,
-                    level,
-                    result_limit,
-                    tenant,
-                    deadline_us,
+                    database: text("database")?,
+                    sql: text("sql")?,
+                    level: match req.get("level").and_then(|l| l.as_str()) {
+                        Some(l) => ServiceLevel::parse(l)?,
+                        None => ServiceLevel::Immediate,
+                    },
+                    result_limit: count("result_limit").map(|v| v as usize),
+                    tenant: req
+                        .get("tenant")
+                        .and_then(|v| v.as_str())
+                        .map(str::to_string),
+                    // A deadline target switches the query into deadline
+                    // mode; `level` is then ignored for scheduling and
+                    // pricing.
+                    deadline_us: count("deadline_us").map(|v| v as u64),
                 };
                 if let Err((status, reason)) = door.admit(submission.tenant_name()) {
                     return Ok((status, error_payload(reason)));

@@ -20,12 +20,14 @@
 //! million-user [`soak::run_soak`], which is a configuration of the same
 //! driver.
 
+mod admission;
 pub mod api;
 pub mod auth;
 pub mod fair;
 pub mod http;
 pub mod metrics;
 pub mod pricing;
+pub mod query;
 pub mod scheduler;
 pub mod service_level;
 pub mod shared;
@@ -33,13 +35,14 @@ pub mod sim;
 pub mod soak;
 pub mod tenant;
 
-pub use api::{QueryInfo, QueryServer, QueryStatus, QuerySubmission};
+pub use api::QueryServer;
 pub use auth::{AuthService, SessionToken};
-pub use fair::{FairQueue, Grant, QueuedQuery};
+pub use fair::{FairQueue, Grant, QueuedQuery, Request};
 pub use http::{HttpServer, TranslateBackend};
 pub use metrics::ServerMetrics;
 pub use pricing::PriceSchedule;
-pub use scheduler::{Admission, AdmissionMode, LoadSignal, QueueVerdict, SchedulerPolicy};
+pub use query::{QueryInfo, QueryStatus, QuerySubmission};
+pub use scheduler::{Admission, AdmissionMode, LoadSignal, SchedulerPolicy};
 pub use service_level::ServiceLevel;
 pub use shared::{ShareKind, SharedWork, SharingConfig};
 pub use sim::{QueryRecord, ServerConfig, ServerSim, SimReport, Submission, TenantSubmission};

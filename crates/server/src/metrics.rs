@@ -2,7 +2,7 @@
 //! named once and held as handles, so submitting, dispatching and settling
 //! a query never touches the registry.
 
-use crate::api::{QueryInfo, QueryStatus};
+use crate::query::{QueryInfo, QueryStatus};
 use crate::scheduler::DEADLINE_LEVEL;
 use crate::service_level::ServiceLevel;
 use pixels_obs::{journal, Counter, Gauge, Histogram, MetricsRegistry};

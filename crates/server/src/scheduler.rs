@@ -15,6 +15,8 @@
 use crate::service_level::ServiceLevel;
 use pixels_obs::SloObjective;
 use pixels_sim::SimDuration;
+use pixels_turbo::QueryWork;
+use std::time::Duration;
 
 /// Pending-time objective for Immediate queries. Immediate work dispatches
 /// unconditionally, so no scheduler knob bounds its wait — the objective is
@@ -66,6 +68,28 @@ impl AdmissionMode {
             }
         }
     }
+
+    /// The execution estimate admission checks this mode against: a
+    /// deadline query's [solo execution time](QueryWork::solo_exec_time),
+    /// zero for a fixed level. Only a deadline calls `work` (which may plan
+    /// the query); work that cannot be estimated estimates zero.
+    pub fn exec_estimate_us(&self, work: impl FnOnce() -> Option<QueryWork>) -> u64 {
+        match self {
+            AdmissionMode::Deadline { .. } => work().map_or(0, |w| w.solo_exec_time().as_micros()),
+            AdmissionMode::Level(_) => 0,
+        }
+    }
+
+    /// The latency this mode's SLO objective bounds
+    /// ([`SchedulerPolicy::slo_objectives`]): pending time for a fixed
+    /// level; for a deadline query the excess of its completion latency
+    /// over its own target (objective zero: good iff the deadline was met).
+    pub fn slo_latency_us(&self, pending_us: u64, total_us: u64) -> u64 {
+        match self {
+            AdmissionMode::Level(_) => pending_us,
+            AdmissionMode::Deadline { target_us } => total_us.saturating_sub(*target_us),
+        }
+    }
 }
 
 impl From<ServiceLevel> for AdmissionMode {
@@ -108,21 +132,18 @@ pub struct LoadSignal {
     /// Queued entries from the *submitting* tenant. Non-zero means the
     /// tenant already has work parked in the fair queue, so a fresh
     /// queue-eligible submission must queue behind it (no self-overtaking).
+    /// [`crate::FairQueue::admit`] fills it in from the queue's own depths.
     pub tenant_depth: usize,
-    /// Queued entries across all tenants — exported per tenant through the
-    /// `/tenants` summary rather than as per-tenant metric labels.
-    pub total_depth: usize,
 }
 
 impl LoadSignal {
-    /// A load signal with no queue-depth information — what single-queue
-    /// call sites (and the pre-tenant tests) use.
+    /// A load signal with no queue-depth information: what a driver reads
+    /// off its engine or capacity model.
     pub fn basic(overloaded: bool, nearly_idle: bool) -> LoadSignal {
         LoadSignal {
             overloaded,
             nearly_idle,
             tenant_depth: 0,
-            total_depth: 0,
         }
     }
 }
@@ -130,27 +151,16 @@ impl LoadSignal {
 /// Admission verdict for a fresh submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
-    /// Start executing now (`forced` = started despite load, because a
-    /// deadline expired — never true at admission).
+    /// Start executing now.
     DispatchNow,
-    /// Hold in the server queue; re-poll with [`SchedulerPolicy::recheck`]
-    /// until it dispatches. `deadline_us` is absolute (same clock as
-    /// `now_us`).
+    /// Hold in the server queue until the fair queue grants it, or until
+    /// `deadline_us` (absolute, same clock as `now_us`), when it
+    /// force-starts whatever the load.
     Queue { deadline_us: u64 },
     /// Refuse the submission. Only deadline-mode queries are rejected, and
     /// only for infeasibility: the target cannot be met even starting now.
     /// Rejected queries journal and count against SLO but never bill.
     Reject { reason: &'static str },
-}
-
-/// Verdict for a queued query at a later poll.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueVerdict {
-    /// Start now. `forced` means the deadline expired while the load signal
-    /// still said wait — the pending-time bound overrides the load.
-    Dispatch { forced: bool },
-    /// Keep waiting.
-    Wait,
 }
 
 impl SchedulerPolicy {
@@ -160,32 +170,44 @@ impl SchedulerPolicy {
     /// copy of these numbers — change a scheduler knob and the SLO threshold
     /// moves with it.
     pub fn slo_objectives(&self) -> Vec<SloObjective> {
-        vec![
-            SloObjective::new(ServiceLevel::Immediate.name(), IMMEDIATE_SLO_US),
-            SloObjective::new(ServiceLevel::Relaxed.name(), self.grace.as_micros()),
-            SloObjective::new(
-                ServiceLevel::BestEffort.name(),
-                self.besteffort_max_wait.as_micros(),
-            ),
-            // Deadline targets are per-query; the tracker records the
-            // latency *excess over the query's own target*, so the shared
-            // threshold is zero: good iff the deadline was met.
-            SloObjective::new(DEADLINE_LEVEL, 0),
-        ]
+        let levels = ServiceLevel::ALL.map(|level| {
+            let bound_us = self.pending_bound_us(level.into(), 0);
+            SloObjective::new(level.name(), bound_us.unwrap_or(IMMEDIATE_SLO_US))
+        });
+        // Deadline targets are per-query; the tracker records the latency
+        // *excess over the query's own target*, so the shared threshold is
+        // zero: good iff the deadline was met.
+        let deadline = SloObjective::new(DEADLINE_LEVEL, 0);
+        levels.into_iter().chain([deadline]).collect()
+    }
+
+    /// The longest a `mode` query may stay pending, the one place each
+    /// mode's bound is written: none for Immediate (it starts now), the
+    /// grace period for Relaxed, the starvation bound for best-of-effort,
+    /// and for a deadline the slack `target − est_exec_us` — its latest
+    /// feasible start, counted from submission.
+    pub fn pending_bound_us(&self, mode: AdmissionMode, est_exec_us: u64) -> Option<u64> {
+        match mode {
+            AdmissionMode::Level(ServiceLevel::Immediate) => None,
+            AdmissionMode::Level(ServiceLevel::Relaxed) => Some(self.grace.as_micros()),
+            AdmissionMode::Level(ServiceLevel::BestEffort) => {
+                Some(self.besteffort_max_wait.as_micros())
+            }
+            AdmissionMode::Deadline { target_us } => Some(target_us.saturating_sub(est_exec_us)),
+        }
     }
 
     /// Decide a fresh submission at absolute time `now_us`. Immediate starts
     /// now regardless of load — CF acceleration (a placement concern, not an
     /// admission one) absorbs the overload. Every other mode dispatches on
-    /// headroom and otherwise queues with a deadline: the level's
-    /// pending-time bound for the fixed levels, the *latest feasible start*
-    /// for `Deadline` — which makes deadline-queue ordering EDF by latest
-    /// start. `Deadline` is also feasibility-gated: rejected iff the
-    /// estimated execution time `est_exec_us` already exceeds the target (it
-    /// cannot finish in time even starting now). Queue-eligible work whose
-    /// tenant already has queued entries queues behind them
-    /// (`load.tenant_depth > 0`): fairness forbids overtaking your own
-    /// parked queries.
+    /// headroom and otherwise queues with its [pending
+    /// bound](Self::pending_bound_us) as the force-start deadline, which
+    /// makes deadline-queue ordering EDF by latest start. `Deadline` is also
+    /// feasibility-gated: rejected iff the estimated execution time
+    /// `est_exec_us` already exceeds the target (it cannot finish in time
+    /// even starting now). Queue-eligible work whose tenant already has
+    /// queued entries queues behind them (`load.tenant_depth > 0`):
+    /// fairness forbids overtaking your own parked queries.
     pub fn admit(
         &self,
         mode: AdmissionMode,
@@ -193,18 +215,13 @@ impl SchedulerPolicy {
         now_us: u64,
         est_exec_us: u64,
     ) -> Admission {
-        let bound_us = match mode {
-            AdmissionMode::Level(ServiceLevel::Immediate) => return Admission::DispatchNow,
-            AdmissionMode::Level(ServiceLevel::Relaxed) => self.grace.as_micros(),
-            AdmissionMode::Level(ServiceLevel::BestEffort) => self.besteffort_max_wait.as_micros(),
-            AdmissionMode::Deadline { target_us } => match target_us.checked_sub(est_exec_us) {
-                Some(slack_us) => slack_us,
-                None => {
-                    return Admission::Reject {
-                        reason: "infeasible deadline: target below estimated execution time",
-                    }
-                }
-            },
+        if matches!(mode, AdmissionMode::Deadline { target_us } if est_exec_us > target_us) {
+            return Admission::Reject {
+                reason: "infeasible deadline: target below estimated execution time",
+            };
+        }
+        let Some(bound_us) = self.pending_bound_us(mode, est_exec_us) else {
+            return Admission::DispatchNow;
         };
         if headroom(mode, load) && load.tenant_depth == 0 {
             Admission::DispatchNow
@@ -215,22 +232,23 @@ impl SchedulerPolicy {
         }
     }
 
-    /// Re-evaluate a queued query: dispatch on headroom, force-dispatch at
-    /// its deadline, otherwise keep waiting.
-    pub fn recheck(
+    /// How long a dispatched `mode` query may still wait for an engine
+    /// slot before it force-starts unslotted: its pending bound less the
+    /// `waited` time it has already been pending, so the bound covers the
+    /// engine's slot queue too. A `forced` start has spent its bound and
+    /// gets zero; an Immediate query has no bound and waits for a slot.
+    pub fn slot_wait_limit(
         &self,
         mode: AdmissionMode,
-        load: LoadSignal,
-        now_us: u64,
-        deadline_us: u64,
-    ) -> QueueVerdict {
-        if headroom(mode, load) {
-            QueueVerdict::Dispatch { forced: false }
-        } else if now_us >= deadline_us {
-            QueueVerdict::Dispatch { forced: true }
-        } else {
-            QueueVerdict::Wait
+        est_exec_us: u64,
+        waited: Duration,
+        forced: bool,
+    ) -> Option<Duration> {
+        if forced {
+            return Some(Duration::ZERO);
         }
+        let bound_us = self.pending_bound_us(mode, est_exec_us)?;
+        Some(Duration::from_micros(bound_us).saturating_sub(waited))
     }
 }
 
@@ -249,25 +267,46 @@ fn headroom(mode: AdmissionMode, load: LoadSignal) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fair::{FairQueue, Request};
 
     const BUSY: LoadSignal = LoadSignal {
         overloaded: true,
         nearly_idle: false,
         tenant_depth: 0,
-        total_depth: 0,
     };
     const IDLE: LoadSignal = LoadSignal {
         overloaded: false,
         nearly_idle: true,
         tenant_depth: 0,
-        total_depth: 0,
     };
     const STEADY: LoadSignal = LoadSignal {
         overloaded: false,
         nearly_idle: false,
         tenant_depth: 0,
-        total_depth: 0,
     };
+
+    /// Admit a `mode` query through a fair queue at `queued_us` under
+    /// `BUSY`, then poll it once under `load` at `now_us`: `Some(forced)`
+    /// once it may start.
+    fn poll_queued(
+        p: &SchedulerPolicy,
+        mode: AdmissionMode,
+        queued_us: u64,
+        load: LoadSignal,
+        now_us: u64,
+    ) -> Option<bool> {
+        let mut fq = FairQueue::new();
+        let request = Request {
+            id: 1,
+            tenant: "t",
+            mode,
+            est_exec_us: 4_000_000,
+            batch_key: None,
+        };
+        let verdict = fq.admit(p, BUSY, queued_us, request);
+        assert!(matches!(verdict, Admission::Queue { .. }), "{verdict:?}");
+        fq.poll(load, now_us, 1).map(|g| g.forced)
+    }
 
     #[test]
     fn immediate_always_dispatches() {
@@ -293,31 +332,17 @@ mod tests {
             panic!("overloaded relaxed must queue");
         };
         assert_eq!(deadline_us, 1_000 + 300_000_000);
+        let relaxed = ServiceLevel::Relaxed.into();
         // Still overloaded one tick before the deadline: wait.
-        assert_eq!(
-            p.recheck(
-                ServiceLevel::Relaxed.into(),
-                BUSY,
-                deadline_us - 1,
-                deadline_us
-            ),
-            QueueVerdict::Wait
-        );
+        assert_eq!(poll_queued(&p, relaxed, 1_000, BUSY, deadline_us - 1), None);
         // Exactly at the deadline: forced start, load notwithstanding.
         assert_eq!(
-            p.recheck(ServiceLevel::Relaxed.into(), BUSY, deadline_us, deadline_us),
-            QueueVerdict::Dispatch { forced: true }
+            poll_queued(&p, relaxed, 1_000, BUSY, deadline_us),
+            Some(true)
         );
         // Headroom before the deadline wins without force.
-        assert_eq!(
-            p.recheck(
-                ServiceLevel::Relaxed.into(),
-                STEADY,
-                deadline_us - 1,
-                deadline_us
-            ),
-            QueueVerdict::Dispatch { forced: false }
-        );
+        let early = poll_queued(&p, relaxed, 1_000, STEADY, deadline_us - 1);
+        assert_eq!(early, Some(false));
     }
 
     #[test]
@@ -366,28 +391,16 @@ mod tests {
             panic!("non-idle cluster must queue best-of-effort");
         };
         assert_eq!(deadline_us, 30_000_000);
+        let besteffort = ServiceLevel::BestEffort.into();
         assert_eq!(
-            p.recheck(
-                ServiceLevel::BestEffort.into(),
-                STEADY,
-                deadline_us - 1,
-                deadline_us
-            ),
-            QueueVerdict::Wait
+            poll_queued(&p, besteffort, 0, STEADY, deadline_us - 1),
+            None
         );
         assert_eq!(
-            p.recheck(
-                ServiceLevel::BestEffort.into(),
-                BUSY,
-                deadline_us,
-                deadline_us
-            ),
-            QueueVerdict::Dispatch { forced: true }
+            poll_queued(&p, besteffort, 0, BUSY, deadline_us),
+            Some(true)
         );
-        assert_eq!(
-            p.recheck(ServiceLevel::BestEffort.into(), IDLE, 5, deadline_us),
-            QueueVerdict::Dispatch { forced: false }
-        );
+        assert_eq!(poll_queued(&p, besteffort, 0, IDLE, 5), Some(false));
     }
 
     #[test]
@@ -411,18 +424,48 @@ mod tests {
             }
         );
         // Queued deadline work force-starts at its latest feasible start.
+        assert_eq!(poll_queued(&p, mode, 1_000, BUSY, 6_000_999), None);
+        assert_eq!(poll_queued(&p, mode, 1_000, BUSY, 6_001_000), Some(true));
+        assert_eq!(poll_queued(&p, mode, 1_000, STEADY, 5), Some(false));
+    }
+
+    #[test]
+    fn each_modes_pending_bound_also_bounds_its_slot_wait() {
+        let p = SchedulerPolicy {
+            grace: SimDuration::from_secs(30),
+            besteffort_max_wait: SimDuration::from_secs(120),
+        };
+        let deadline = AdmissionMode::Deadline {
+            target_us: 10_000_000,
+        };
+        let bound = |mode| p.pending_bound_us(mode, 4_000_000);
+        assert_eq!(bound(ServiceLevel::Immediate.into()), None);
+        assert_eq!(bound(ServiceLevel::Relaxed.into()), Some(30_000_000));
+        assert_eq!(bound(ServiceLevel::BestEffort.into()), Some(120_000_000));
+        assert_eq!(bound(deadline), Some(6_000_000));
+        // A dispatched query may wait for an engine slot for what is left of
+        // its bound after the time it was pending: a best-of-effort query
+        // too, for the rest of its starvation bound (it once waited without
+        // limit), and an Immediate query still waits for a slot as long as
+        // it takes.
+        let waited = Duration::from_secs(2);
+        let limit = |mode| p.slot_wait_limit(mode, 4_000_000, waited, false);
+        let secs = |s: f64| Some(Duration::from_secs_f64(s));
+        assert_eq!(limit(ServiceLevel::BestEffort.into()), secs(118.0));
+        assert_eq!(limit(ServiceLevel::Relaxed.into()), secs(28.0));
+        assert_eq!(limit(deadline), secs(4.0));
+        assert_eq!(limit(ServiceLevel::Immediate.into()), None);
+        // Waited past the bound: no slot wait at all.
+        let late = Duration::from_secs(7);
         assert_eq!(
-            p.recheck(mode, BUSY, 6_000_999, 6_001_000),
-            QueueVerdict::Wait
+            p.slot_wait_limit(deadline, 4_000_000, late, false),
+            secs(0.0)
         );
-        assert_eq!(
-            p.recheck(mode, BUSY, 6_001_000, 6_001_000),
-            QueueVerdict::Dispatch { forced: true }
-        );
-        assert_eq!(
-            p.recheck(mode, STEADY, 5, 6_001_000),
-            QueueVerdict::Dispatch { forced: false }
-        );
+        // A forced start has spent its bound, whatever its mode.
+        for mode in [ServiceLevel::BestEffort.into(), deadline] {
+            let forced = p.slot_wait_limit(mode, 4_000_000, Duration::ZERO, true);
+            assert_eq!(forced, secs(0.0));
+        }
     }
 
     #[test]
@@ -432,7 +475,6 @@ mod tests {
             overloaded: false,
             nearly_idle: true,
             tenant_depth: 2,
-            total_depth: 5,
         };
         // Immediate still cuts through — its promise is unconditional.
         assert_eq!(

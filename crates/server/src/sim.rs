@@ -21,7 +21,7 @@
 //! ([`Capacity::defer_until`]): the fixed-step cluster model completes a
 //! step before admitting the arrivals that fell inside it.
 
-use crate::fair::{FairQueue, QueuedQuery};
+use crate::fair::{FairQueue, Request};
 use crate::pricing::PriceSchedule;
 use crate::scheduler::{Admission, AdmissionMode, LoadSignal, SchedulerPolicy, DEADLINE_LEVEL};
 use crate::service_level::ServiceLevel;
@@ -98,16 +98,11 @@ impl QueryRecord {
     }
 
     /// The latency this query's SLO objective bounds
-    /// ([`SchedulerPolicy::slo_objectives`]): pending time for a fixed level,
-    /// completion-latency excess over its own target for a deadline query
-    /// (objective zero: good iff the deadline was met).
+    /// ([`AdmissionMode::slo_latency_us`]).
     pub fn slo_latency_us(&self) -> u64 {
-        match self.mode {
-            AdmissionMode::Level(_) => self.pending().as_micros(),
-            AdmissionMode::Deadline { target_us } => {
-                self.total_latency().as_micros().saturating_sub(target_us)
-            }
-        }
+        let total_us = self.total_latency().as_micros();
+        self.mode
+            .slo_latency_us(self.pending().as_micros(), total_us)
     }
 
     /// This query's economics-ledger entry: exactly the dollars and bytes
@@ -148,11 +143,9 @@ pub struct RejectedRecord {
 /// Query-server configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Grace period for relaxed queries (paper example: 5 minutes).
-    pub grace_period: SimDuration,
-    /// Starvation bound on best-of-effort queries: a never-idle cluster
-    /// still force-starts them after this long.
-    pub besteffort_max_wait: SimDuration,
+    /// The admission policy shared with the live server: every mode's
+    /// pending bound.
+    pub policy: SchedulerPolicy,
     /// Simulation tick.
     pub tick: SimDuration,
     pub prices: PriceSchedule,
@@ -167,8 +160,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            grace_period: SimDuration::from_secs(300),
-            besteffort_max_wait: SimDuration::from_secs(3600),
+            policy: SchedulerPolicy::default(),
             tick: SimDuration::from_millis(100),
             prices: PriceSchedule::default(),
             batch_besteffort: false,
@@ -306,7 +298,7 @@ impl ServerSim<Coordinator> {
         SimReport {
             records,
             rejected,
-            policy: self.policy(),
+            policy: self.cfg.policy,
             unfinished: self.unfinished(),
             end_time,
             vm_worker_series: cluster.vm.worker_series.clone(),
@@ -338,15 +330,6 @@ impl<C: Capacity> ServerSim<C> {
             tenant_names: Vec::new(),
             tenant_ids: HashMap::new(),
             stats: DriveStats::default(),
-        }
-    }
-
-    /// The admission policy shared with the live server, built from this
-    /// sim's knobs.
-    pub(crate) fn policy(&self) -> SchedulerPolicy {
-        SchedulerPolicy {
-            grace: self.cfg.grace_period,
-            besteffort_max_wait: self.cfg.besteffort_max_wait,
         }
     }
 
@@ -431,9 +414,9 @@ impl<C: Capacity> ServerSim<C> {
         LoadSignal::basic(self.capacity.overloaded(), self.capacity.nearly_idle())
     }
 
-    /// Admit trace entry `i` at `now` (paper §3.2 admission). The
-    /// dispatch-vs-queue-vs-reject decision is the [`SchedulerPolicy`]'s;
-    /// this driver only executes the verdict.
+    /// Admit trace entry `i` at `now` (paper §3.2 admission) through the
+    /// admission step the live server takes, [`FairQueue::admit`]; this
+    /// driver only executes the verdict.
     fn submit(&mut self, i: u32, now: SimTime, sink: &mut dyn FnMut(Outcome)) {
         let Arrival {
             class,
@@ -442,34 +425,21 @@ impl<C: Capacity> ServerSim<C> {
             ..
         } = self.trace[i as usize];
         let work = QueryWork::from_class(class);
-        // Feasibility estimate for deadline admission: the class's execution
-        // time at its own parallelism — the same model the live server gets
-        // from the planner.
-        let est_us = match mode {
-            AdmissionMode::Deadline { .. } => {
-                work.exec_time_on_cores(work.parallelism as f64).as_micros()
-            }
-            AdmissionMode::Level(_) => 0,
+        let batchable =
+            self.cfg.batch_besteffort && mode == AdmissionMode::Level(ServiceLevel::BestEffort);
+        let request = Request {
+            id: i as u64,
+            tenant: &self.tenant_names[tenant as usize],
+            mode,
+            // The class's work: the model the live server gets from the
+            // planner.
+            est_exec_us: mode.exec_estimate_us(|| Some(work)),
+            batch_key: batchable.then_some(class as u64),
         };
-        let tenant_name = &self.tenant_names[tenant as usize];
-        let load = LoadSignal {
-            tenant_depth: self.queue.tenant_class_depth(tenant_name, mode),
-            total_depth: self.queue.depth(),
-            ..self.load()
-        };
-        match self.policy().admit(mode, load, now.as_micros(), est_us) {
+        let (policy, load, now_us) = (self.cfg.policy, self.load(), now.as_micros());
+        match self.queue.admit(&policy, load, now_us, request) {
             Admission::DispatchNow => self.start(vec![(i, now)], work, false, now),
             Admission::Queue { deadline_us } => {
-                let batchable = self.cfg.batch_besteffort
-                    && mode == AdmissionMode::Level(ServiceLevel::BestEffort);
-                self.queue.push(QueuedQuery {
-                    id: i as u64,
-                    tenant: tenant_name.clone(),
-                    mode,
-                    deadline_us,
-                    enqueued_us: now.as_micros(),
-                    batch_key: batchable.then_some(class as u64),
-                });
                 self.waiting.insert(i as u64, now);
                 // Fires exactly at the bound: a deadline query forced at its
                 // latest feasible start still finishes on target.
@@ -839,10 +809,7 @@ mod tests {
 
     #[test]
     fn relaxed_pending_bounded_by_grace_period() {
-        let cfg = ServerConfig {
-            grace_period: SimDuration::from_secs(300),
-            ..Default::default()
-        };
+        let cfg = ServerConfig::default();
         let sim = ServerSim::new(
             VmConfig::default(),
             CfConfig::default(),
@@ -1073,7 +1040,10 @@ mod tests {
         // exceeds the threshold and the violation counter must move.
         let grace = SimDuration::from_millis(250);
         let cfg = ServerConfig {
-            grace_period: grace,
+            policy: SchedulerPolicy {
+                grace,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let sim = ServerSim::new(
@@ -1212,7 +1182,10 @@ mod tests {
     fn grace_expiry_forces_start_exactly_at_the_deadline_tick() {
         let grace = SimDuration::from_secs(5);
         let cfg = ServerConfig {
-            grace_period: grace,
+            policy: SchedulerPolicy {
+                grace,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let sim = ServerSim::new(
@@ -1254,7 +1227,10 @@ mod tests {
     fn besteffort_starvation_is_bounded_by_max_wait() {
         let bound = SimDuration::from_secs(30);
         let cfg = ServerConfig {
-            besteffort_max_wait: bound,
+            policy: SchedulerPolicy {
+                besteffort_max_wait: bound,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let sim = ServerSim::new(

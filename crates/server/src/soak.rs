@@ -20,7 +20,7 @@
 //! per-tenant revenue reconciles exactly against a [`pixels_obs::Ledger`]
 //! replay.
 
-use crate::scheduler::{AdmissionMode, DEADLINE_LEVEL};
+use crate::scheduler::{AdmissionMode, SchedulerPolicy, DEADLINE_LEVEL};
 use crate::service_level::ServiceLevel;
 use crate::sim::{Arrival, DriveStats, Outcome, QueryRecord, ServerConfig, ServerSim};
 use pixels_common::{Json, QueryId};
@@ -57,8 +57,8 @@ pub struct SoakConfig {
     /// Counterfactual: map each deadline to the nearest fixed tier at
     /// submission (violations still counted against the original target).
     pub map_deadlines_to_tiers: bool,
-    pub grace: SimDuration,
-    pub besteffort_max_wait: SimDuration,
+    /// The admission policy: every mode's pending bound.
+    pub policy: SchedulerPolicy,
     /// Merge same-class best-of-effort queue entries into shared scans.
     pub batch_besteffort: bool,
     pub max_batch: usize,
@@ -86,8 +86,7 @@ impl Default for SoakConfig {
                 1_800_000_000, // 30 min
             ],
             map_deadlines_to_tiers: false,
-            grace: SimDuration::from_secs(300),
-            besteffort_max_wait: SimDuration::from_secs(3600),
+            policy: SchedulerPolicy::default(),
             batch_besteffort: true,
             max_batch: 8,
             collect_ledger: false,
@@ -277,7 +276,7 @@ impl Capacity for AnalyticFleet {
             let vm_dollars = self.pricing.vm_cost(work.cpu_seconds);
             (work.parallelism as u64, Placement::Vm, vm_dollars, 0.0)
         };
-        let exec = work.exec_time_on_cores(work.parallelism as f64);
+        let exec = work.solo_exec_time();
         let finished_at = now + exec.max(SimDuration::from_micros(1));
         self.busy_cores += cores;
         let done = QueryCompletion {
@@ -416,8 +415,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let mut sim = ServerSim::over(
         fleet,
         ServerConfig {
-            grace_period: cfg.grace,
-            besteffort_max_wait: cfg.besteffort_max_wait,
+            policy: cfg.policy,
             batch_besteffort: cfg.batch_besteffort,
             max_batch: cfg.max_batch,
             ..ServerConfig::default()
@@ -437,7 +435,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             }
         })
         .collect();
-    let objectives = sim.policy().slo_objectives();
+    let objectives = cfg.policy.slo_objectives();
     let mut tally = Tally {
         plan: &plan,
         collect_ledger: cfg.collect_ledger,
@@ -806,14 +804,14 @@ mod tests {
         let victims = report.victim_mean_wait_us();
         let adversary = report.adversary_mean_wait_us();
         assert!(
-            victims <= adversary || victims < cfg.grace.as_micros() / 2,
+            victims <= adversary || victims < cfg.policy.grace.as_micros() / 2,
             "victims wait {victims}us vs adversary {adversary}us"
         );
         // The adversary cannot push any victim past the relaxed grace
         // bound on mean wait.
         for t in report.tenants.iter().filter(|t| t.name != "adversary") {
             assert!(
-                t.mean_wait_us < cfg.grace.as_micros(),
+                t.mean_wait_us < cfg.policy.grace.as_micros(),
                 "tenant {} mean wait {}us exceeds grace",
                 t.name,
                 t.mean_wait_us
@@ -852,10 +850,7 @@ mod tests {
             let finish = fleet
                 .start(QueryId(id), medium, cf_enabled, forced, t0)
                 .unwrap();
-            assert_eq!(
-                finish,
-                t0 + medium.exec_time_on_cores(medium.parallelism as f64)
-            );
+            assert_eq!(finish, t0 + medium.solo_exec_time());
         };
         // Idle fleet: CF-enabled work still runs on VM cores, and fills them.
         assert!(fleet.nearly_idle() && !fleet.overloaded());
@@ -868,7 +863,7 @@ mod tests {
         run(&mut fleet, 2, true, false);
         run(&mut fleet, 3, true, true);
         // One wake per start, each retiring one run, in start order.
-        let finish = t0 + medium.exec_time_on_cores(medium.parallelism as f64);
+        let finish = t0 + medium.solo_exec_time();
         assert!(fleet.wake(t0).0.is_empty(), "nothing is due yet");
         let mut done = Vec::new();
         for _ in 0..4 {

@@ -405,12 +405,14 @@ impl TurboEngine {
     }
 
     /// Like [`execute_sql_traced`](Self::execute_sql_traced), with a bound
-    /// on how long the query may wait for a VM slot. `None` waits forever
-    /// (Immediate / unforced semantics); `Some(limit)` is the remaining
-    /// grace budget of a Relaxed/BestEffort query or the slack of a deadline
-    /// query, counted from now — when it expires with every slot still busy
-    /// the query is *force-started* unslotted, so the scheduler's promise
-    /// holds even on a saturated engine, after a failed CF attempt too.
+    /// on how long the query may wait for a VM slot, counted from now. The
+    /// query server passes what is left of the mode's pending bound: `None`
+    /// for Immediate (wait as long as it takes), the rest of the grace
+    /// period for Relaxed, of the starvation bound for best-of-effort and of
+    /// `target − est` for a deadline, and zero for a forced start. When the
+    /// limit expires with every slot still busy the query is force-started
+    /// unslotted, so the scheduler's promise holds even on a saturated
+    /// engine, after a failed CF attempt too.
     pub fn execute_sql_scheduled(
         &self,
         db: &str,

@@ -92,6 +92,13 @@ impl QueryWork {
             + self.cpu_seconds * (1.0 - SERIAL_FRACTION) / effective;
         SimDuration::from_secs_f64(t)
     }
+
+    /// Execution time with the query's own parallelism in cores: the solo
+    /// estimate deadline admission checks a target against, and how long
+    /// the soak's analytic fleet runs a query.
+    pub fn solo_exec_time(&self) -> SimDuration {
+        self.exec_time_on_cores(self.parallelism as f64)
+    }
 }
 
 #[cfg(test)]
