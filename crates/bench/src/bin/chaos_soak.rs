@@ -34,10 +34,11 @@
 //! `target/chaos_soak_latency.json`, the wall-clock means the table prints,
 //! which differ from run to run; exits non-zero on any failed row.
 
-use pixels_bench::soak::{check_pair, metric_value, Deployment, RunRecord};
+use pixels_bench::soak::{check_pair, Deployment, RunRecord};
 use pixels_bench::{on_cf, Gate, TextTable};
 use pixels_chaos::{FaultPlan, FaultSite, SiteSpec};
 use pixels_common::Json;
+use pixels_obs::prometheus::metric_value;
 use pixels_server::ServiceLevel;
 use pixels_turbo::EngineConfig;
 use pixels_workload::all_queries;

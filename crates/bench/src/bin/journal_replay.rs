@@ -10,8 +10,9 @@
 //! 3. diffs the replayed aggregates against the live `/metrics` exposition —
 //!    both directions, revenue and the four provider-spend components
 //!    (`vm`, `cf`, `cf_waste`, `cf_shuffle`) bit-for-bit,
-//! 4. cross-checks the ledger against the same journal: entry order, and
-//!    revenue bit-for-bit,
+//! 4. refolds the ledger from the same journal: its sums — entries, bytes and
+//!    every dollar, overall, per level and per tenant — must equal the live
+//!    ledger's bit-for-bit,
 //! 5. writes `target/slo_soak.json` (uploaded as a CI artifact). Which of
 //!    the concurrent queries opens a table first, and so pays for its
 //!    footer, differs from run to run, so the bills in it do too.
@@ -21,7 +22,7 @@
 
 use pixels_bench::{demo_data, Gate};
 use pixels_common::Json;
-use pixels_obs::journal::replay;
+use pixels_obs::journal::{ledger_of, replay};
 use pixels_obs::QueryJournal;
 use pixels_server::{PriceSchedule, QueryServer, QuerySubmission, ServiceLevel};
 use pixels_turbo::{EngineConfig, TurboEngine};
@@ -111,55 +112,18 @@ fn main() {
         "see diffs",
     );
 
-    // 4. The ledger holds exactly the finished queries, and the revenue the
-    //    journal folds matches the ledger summary bit-for-bit: the summary
-    //    accumulates in append order, so fold the replayed per-level sums in
-    //    the same sorted-level order the ledger's own export uses.
-    let ledger = server.ledger();
-    let replayed_entries: u64 = aggregates.ledger_entries.values().sum();
+    // 4. The ledger's sums equal the journal's fold, bit for bit. The server
+    //    appends a finished query to both in one critical section, so the
+    //    journal folds their dollars in the ledger's own order.
+    let (ledger, refolded) = (server.ledger(), ledger_of(&entries));
     gate.check(
-        "ledger entry count",
-        ledger.len() as u64 == replayed_entries,
-        &format!("{} vs {}", ledger.len(), replayed_entries),
-    );
-    let summary = ledger.summary();
-    let by_level = ledger.by_level();
-    let mut replayed_revenue_ok = true;
-    for (level, revenue) in &aggregates.revenue_dollars {
-        let ledger_level = by_level
-            .get(level)
-            .map(|s| s.revenue_dollars)
-            .unwrap_or(0.0);
-        if ledger_level.to_bits() != revenue.to_bits() {
-            println!("     revenue[{level}]: ledger {ledger_level} vs journal {revenue}");
-            replayed_revenue_ok = false;
-        }
-    }
-    gate.check(
-        "per-level revenue reconciles bit-for-bit",
-        replayed_revenue_ok,
-        "see mismatches",
-    );
-    gate.check(
-        "total revenue is the fold of finished entries",
-        summary.revenue_dollars.to_bits()
-            == entries
-                .iter()
-                .filter(|e| e.status == "finished")
-                .fold(0.0f64, |acc, e| acc + e.revenue_dollars)
-                .to_bits(),
-        &format!("{}", summary.revenue_dollars),
-    );
-    let finished: Vec<&str> = entries
-        .iter()
-        .filter(|e| e.status == "finished")
-        .map(|e| e.query.as_str())
-        .collect();
-    let ledgered: Vec<String> = ledger.entries().into_iter().map(|e| e.query).collect();
-    gate.check(
-        "journal lists finished queries in ledger order",
-        finished == ledgered,
-        &format!("{finished:?} vs {ledgered:?}"),
+        "ledger sums equal the journal fold, bit for bit",
+        refolded.same_books(ledger),
+        &format!(
+            "ledger {:?} vs journal {:?}",
+            ledger.summary(),
+            refolded.summary()
+        ),
     );
 
     // 5. Artifact for CI.

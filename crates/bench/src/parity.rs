@@ -347,7 +347,6 @@ pub fn run_scenario(s: &Scenario) -> ParityReport {
                  shuffle: f64,
                  decisions: &[Decision]| {
         pixels_obs::LedgerEntry {
-            query: "q-100".into(),
             tenant: "parity".into(),
             level: s.level.name().into(),
             bytes_billed: out.bytes_scanned,
@@ -360,7 +359,6 @@ pub fn run_scenario(s: &Scenario) -> ParityReport {
             speculative: decisions
                 .iter()
                 .any(|d| matches!(d, Decision::StragglerSpeculate { .. })),
-            at_us: 0,
         }
     };
     let real_entry = entry(

@@ -1,11 +1,13 @@
 //! The fixture of the `chaos_soak` gate: a TPC-H deployment behind a seeded
 //! fault plan, one measured query run, the audit every deployment passes
-//! (ledger against query records, spill namespace swept, `/metrics` valid),
-//! and the comparison of a faulted run against its fault-free twin.
+//! (journal against query records, ledger against the journal, spill
+//! namespace swept, `/metrics` valid), and the comparison of a faulted run
+//! against its fault-free twin.
 
 use pixels_catalog::Catalog;
 use pixels_chaos::{FaultInjector, FaultPlan, RetryPolicy};
 use pixels_common::RecordBatch;
+use pixels_obs::journal::ledger_of;
 use pixels_obs::{MetricsRegistry, WallClock};
 use pixels_server::{PriceSchedule, QueryServer, QueryStatus, QuerySubmission, ServiceLevel};
 use pixels_storage::{chaos_stack, InMemoryObjectStore, ObjectStoreRef};
@@ -88,44 +90,61 @@ impl Deployment {
 
     /// What must hold of a deployment under every fault plan, each breach
     /// pushed to `failures` under `side`:
-    /// - the economics ledger reconciles bit-for-bit against the query
-    ///   registry: one entry per finished query, carrying its mode, bytes,
-    ///   bill and every provider dollar (faults may move dollars; they may
-    ///   never unbalance the books);
+    /// - the journal holds one entry per query, with its record's status
+    ///   and mode, and each finished query's entry carries its record's
+    ///   bytes, bill and every provider dollar, bit for bit (faults may move
+    ///   dollars; they may never unbalance the books);
+    /// - the ledger holds one entry per finished query, and its sums equal
+    ///   the journal's fold, bit for bit, overall, per level and per tenant;
     /// - no exchange spill or MV under `pixels-turbo/intermediate/` outlives
     ///   its query (the reapers run detached, so poll briefly first);
     /// - `/metrics` is a valid exposition.
     pub fn audit(&self, side: &str, failures: &mut Vec<String>) {
         let infos = self.server.list();
-        let finished = (infos.iter())
-            .filter(|i| i.status == QueryStatus::Finished)
-            .count();
-        let entries = self.server.ledger().entries();
-        if entries.len() != finished {
+        let journal = self.server.journal().entries();
+        if journal.len() != infos.len() {
             failures.push(format!(
-                "{side}: ledger holds {} entries for {finished} finished queries",
-                entries.len()
+                "{side}: journal holds {} entries for {} queries",
+                journal.len(),
+                infos.len()
             ));
         }
-        for e in &entries {
-            let same = infos
-                .iter()
-                .find(|i| i.id.to_string() == e.query)
-                .is_some_and(|i| {
-                    e.level == i.submission.mode().name()
-                        && e.bytes_billed == i.scan_bytes
-                        && e.revenue_dollars.to_bits() == i.price.to_bits()
-                        && e.vm_dollars.to_bits() == i.resource_cost.vm_dollars.to_bits()
-                        && e.cf_dollars.to_bits() == i.resource_cost.cf_dollars.to_bits()
-                        && e.provider_cf_dollars.to_bits() == i.provider_cf_dollars.to_bits()
-                        && e.shuffle_dollars.to_bits() == i.provider_shuffle_dollars.to_bits()
+        for i in &infos {
+            let same = (journal.iter())
+                .find(|e| e.query == i.id.to_string())
+                .is_some_and(|e| {
+                    e.status == i.status.name()
+                        && e.level == i.submission.mode().name()
+                        && (i.status != QueryStatus::Finished
+                            || e.scan_bytes == i.scan_bytes
+                                && e.revenue_dollars.to_bits() == i.price.to_bits()
+                                && e.vm_dollars.to_bits() == i.resource_cost.vm_dollars.to_bits()
+                                && e.cf_dollars.to_bits() == i.resource_cost.cf_dollars.to_bits()
+                                && e.provider_cf_dollars.to_bits()
+                                    == i.provider_cf_dollars.to_bits()
+                                && e.shuffle_dollars.to_bits()
+                                    == i.provider_shuffle_dollars.to_bits())
                 });
             if !same {
                 failures.push(format!(
-                    "{side}: ledger entry {} diverges from its query record",
-                    e.query
+                    "{side}: the journal entry of {} diverges from its query record",
+                    i.id
                 ));
             }
+        }
+        let finished = (infos.iter())
+            .filter(|i| i.status == QueryStatus::Finished)
+            .count() as u64;
+        let ledgered = self.server.ledger().summary().entries;
+        if ledgered != finished {
+            failures.push(format!(
+                "{side}: ledger holds {ledgered} entries for {finished} finished queries"
+            ));
+        }
+        if !ledger_of(&journal).same_books(self.server.ledger()) {
+            failures.push(format!(
+                "{side}: ledger sums diverge from the journal's fold"
+            ));
         }
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
@@ -146,15 +165,6 @@ impl Deployment {
             failures.push(format!("{side}: bad exposition: {e}"));
         }
     }
-}
-
-/// The value of the `/metrics` sample whose line starts with `needle`, 0
-/// when absent.
-pub fn metric_value(text: &str, needle: &str) -> f64 {
-    text.lines()
-        .find(|l| l.starts_with(needle))
-        .and_then(|l| l.rsplit(' ').next().unwrap().parse().ok())
-        .unwrap_or(0.0)
 }
 
 #[derive(Clone)]
@@ -205,4 +215,22 @@ pub fn check_pair(base: &RunRecord, chaos: &RunRecord) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_audit_passes_a_deployment_with_a_failed_query() {
+        // A failed query is journaled as failed and never ledgered: the
+        // audit holds it to both, beside the finished ones.
+        let d = Deployment::new(&FaultPlan::none(1), EngineConfig::default());
+        let ok = d.run_query("SELECT COUNT(*) FROM region", "ok", ServiceLevel::Immediate);
+        let bad = d.run_query("SELECT zap FROM region", "bad", ServiceLevel::Relaxed);
+        assert!(ok.finished && !bad.finished);
+        let mut failures = Vec::new();
+        d.audit("test", &mut failures);
+        assert!(failures.is_empty(), "{failures:?}");
+    }
 }

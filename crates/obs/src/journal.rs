@@ -4,13 +4,16 @@
 //! Every query that reaches a terminal state appends exactly one
 //! [`JournalEntry`] capturing what the scheduler decided (admission, policy
 //! decisions, retries), what it cost (the ledger figures), and how it scored
-//! against its SLO. The journal is the system of record the registry is a
-//! *view* of: [`replay`] recomputes the aggregate metrics from the journal
-//! alone, and [`ReplayAggregates::diff_against_exposition`] diffs them
-//! against a live `/metrics` scrape — any mismatch means a query bypassed
-//! the journal or the metrics pipeline double-counted.
+//! against its SLO. The journal is the only per-query entry list, and the
+//! system of record the registry and the ledger are *views* of: [`replay`]
+//! recomputes the aggregate metrics from the journal alone,
+//! [`ReplayAggregates::diff_against_exposition`] diffs them against a live
+//! `/metrics` scrape — any mismatch means a query bypassed the journal or
+//! the metrics pipeline double-counted — and [`ledger_of`] refolds the
+//! ledger's sums, which must equal the live ledger's bit for bit.
 
-use crate::ledger::{self, LedgerEntry, LedgerSummary};
+use crate::ledger::{self, Ledger, LedgerEntry, LedgerSummary};
+use crate::prometheus::{samples, Sample};
 use crate::slo;
 use parking_lot::Mutex;
 use pixels_common::{Error, Json, Result};
@@ -146,7 +149,6 @@ impl JournalEntry {
     /// figures, so replaying the journal reproduces the ledger's sums.
     pub fn ledger_entry(&self) -> LedgerEntry {
         LedgerEntry {
-            query: self.query.clone(),
             tenant: self.tenant.clone(),
             level: self.level.clone(),
             bytes_billed: self.scan_bytes,
@@ -157,7 +159,6 @@ impl JournalEntry {
             shuffle_dollars: self.shuffle_dollars,
             degraded: self.degraded,
             speculative: self.speculative,
-            at_us: self.at_us,
         }
     }
 }
@@ -218,9 +219,9 @@ pub struct ReplayAggregates {
     pub slo_good: BTreeMap<String, u64>,
     /// level → violations; mirrors `pixels_slo_violation_total`.
     pub slo_violation: BTreeMap<String, u64>,
-    /// level → ledger entries (finished queries only); mirrors
+    /// level → finished (so ledgered) queries; mirrors
     /// `pixels_ledger_entries_total`.
-    pub ledger_entries: BTreeMap<String, u64>,
+    pub ledgered: BTreeMap<String, u64>,
     /// level → revenue, summed in journal order; mirrors
     /// `pixels_ledger_revenue_dollars`.
     pub revenue_dollars: BTreeMap<String, f64>,
@@ -245,7 +246,7 @@ pub fn replay(entries: &[JournalEntry]) -> ReplayAggregates {
         };
         *slo_bucket.entry(e.level.clone()).or_insert(0) += 1;
         if e.status == "finished" {
-            *agg.ledger_entries.entry(e.level.clone()).or_insert(0) += 1;
+            *agg.ledgered.entry(e.level.clone()).or_insert(0) += 1;
             *agg.revenue_dollars.entry(e.level.clone()).or_insert(0.0) += e.revenue_dollars;
             agg.finished.add(&e.ledger_entry());
         }
@@ -253,37 +254,16 @@ pub fn replay(entries: &[JournalEntry]) -> ReplayAggregates {
     agg
 }
 
-/// Every sample of one metric family in a rendered exposition, as
-/// (label map, value) pairs. Assumes registry-rendered text (labels contain
-/// no escapes — true for every family the replay checks).
-fn family_samples(text: &str, family: &str) -> Vec<(BTreeMap<String, String>, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(rest) = line.strip_prefix(family) else {
-            continue;
-        };
-        let (labels_part, value_part) = if let Some(rest) = rest.strip_prefix('{') {
-            match rest.split_once('}') {
-                Some((l, v)) => (l, v),
-                None => continue,
-            }
-        } else if rest.starts_with(' ') {
-            ("", rest)
-        } else {
-            continue; // longer family name sharing this prefix
-        };
-        let Ok(value) = value_part.trim().parse::<f64>() else {
-            continue;
-        };
-        let mut labels = BTreeMap::new();
-        for pair in labels_part.split(',').filter(|p| !p.is_empty()) {
-            if let Some((k, v)) = pair.split_once('=') {
-                labels.insert(k.to_string(), v.trim_matches('"').to_string());
-            }
-        }
-        out.push((labels, value));
+/// The ledger of these entries: each finished query's figures appended in
+/// journal order, which is the live ledger's append order — so a server's
+/// ledger keeps the same books as the ledger of its journal
+/// ([`Ledger::same_books`]).
+pub fn ledger_of(entries: &[JournalEntry]) -> Ledger {
+    let ledger = Ledger::new();
+    for e in entries.iter().filter(|e| e.status == "finished") {
+        ledger.append(e.ledger_entry());
     }
-    out
+    ledger
 }
 
 impl ReplayAggregates {
@@ -294,14 +274,14 @@ impl ReplayAggregates {
     pub fn diff_against_exposition(&self, text: &str) -> Vec<String> {
         let mut diffs = Vec::new();
         let mut check_counts = |family: &str,
-                                label_of: &dyn Fn(&BTreeMap<String, String>) -> Option<String>,
+                                label_of: &dyn Fn(&Sample) -> Option<String>,
                                 expected: &BTreeMap<String, u64>| {
             let mut seen: BTreeMap<String, u64> = BTreeMap::new();
-            for (labels, value) in family_samples(text, family) {
-                let Some(key) = label_of(&labels) else {
+            for sample in samples(text, family) {
+                let Some(key) = label_of(&sample) else {
                     continue;
                 };
-                seen.insert(key, value as u64);
+                seen.insert(key, sample.value as u64);
             }
             for (key, want) in expected {
                 match seen.get(key) {
@@ -322,16 +302,16 @@ impl ReplayAggregates {
                 }
             }
         };
-        let by_level_status = |labels: &BTreeMap<String, String>| -> Option<String> {
+        let by_level_status = |sample: &Sample| -> Option<String> {
             Some(format!(
                 "{}/{}",
-                labels.get("level")?,
-                labels.get("status")?
+                sample.label("level")?,
+                sample.label("status")?
             ))
         };
-        let by_level = |labels: &BTreeMap<String, String>| -> Option<String> {
-            let level = labels.get("level")?;
-            (level != "all").then(|| level.clone())
+        let by_level = |sample: &Sample| -> Option<String> {
+            let level = sample.label("level")?;
+            (level != "all").then(|| level.to_string())
         };
         let queries: BTreeMap<String, u64> = self
             .queries
@@ -341,13 +321,13 @@ impl ReplayAggregates {
         check_counts(QUERIES_TOTAL, &by_level_status, &queries);
         check_counts(slo::GOOD_TOTAL, &by_level, &self.slo_good);
         check_counts(slo::VIOLATION_TOTAL, &by_level, &self.slo_violation);
-        check_counts(ledger::ENTRIES_TOTAL, &by_level, &self.ledger_entries);
+        check_counts(ledger::ENTRIES_TOTAL, &by_level, &self.ledgered);
         // Revenue gauges: bit-for-bit. The "all" series folds the per-level
         // sums in sorted level order — replicate that fold here.
         let mut want_revenue = self.revenue_dollars.clone();
         want_revenue.insert("all".into(), self.revenue_dollars.values().sum());
-        for (labels, got) in family_samples(text, ledger::REVENUE_DOLLARS) {
-            let Some(level) = labels.get("level") else {
+        for sample in samples(text, ledger::REVENUE_DOLLARS) {
+            let (Some(level), got) = (sample.label("level"), sample.value) else {
                 continue;
             };
             let want = want_revenue.get(level).copied().unwrap_or(0.0);
@@ -359,12 +339,11 @@ impl ReplayAggregates {
             }
         }
         // Provider spend: every component, bit-for-bit.
-        let provider = family_samples(text, ledger::PROVIDER_DOLLARS);
+        let provider: Vec<Sample> = samples(text, ledger::PROVIDER_DOLLARS).collect();
         for (component, want) in self.finished.provider_components() {
-            let got = provider
-                .iter()
-                .find(|(labels, _)| labels.get("component").is_some_and(|c| c == component))
-                .map(|(_, v)| *v);
+            let got = (provider.iter())
+                .find(|sample| sample.label("component") == Some(component))
+                .map(|sample| sample.value);
             if got.map(f64::to_bits) != Some(want.to_bits()) {
                 diffs.push(format!(
                     "{}[{component}]: journal says {want}, registry says {got:?}",
@@ -431,7 +410,7 @@ mod tests {
         assert_eq!(agg.queries[&("relaxed".into(), "failed".into())], 1);
         assert_eq!(agg.slo_good["relaxed"], 1);
         assert_eq!(agg.slo_violation["relaxed"], 2);
-        assert_eq!(agg.ledger_entries["relaxed"], 2, "failed ⇒ no ledger entry");
+        assert_eq!(agg.ledgered["relaxed"], 2, "failed ⇒ no ledger entry");
         assert_eq!(
             agg.revenue_dollars["relaxed"].to_bits(),
             (0.1f64 + 0.2).to_bits()
@@ -483,10 +462,7 @@ mod tests {
         ];
         // The ledger the server keeps: one entry per finished query, made
         // from its journal record, exported into a registry.
-        let ledger = ledger::Ledger::new();
-        for e in entries.iter().filter(|e| e.status == "finished") {
-            ledger.append(e.ledger_entry());
-        }
+        let ledger = ledger_of(&entries);
         let registry = crate::MetricsRegistry::new();
         ledger.export(&registry);
         let text = registry.render();

@@ -1,14 +1,18 @@
-//! The economics ledger: one append-only entry per finished query tying the
-//! user-facing bill to the provider-side spend.
+//! The economics ledger: running sums, overall, per level and per tenant, of
+//! the entries that tie each finished query's user-facing bill to its
+//! provider-side spend.
 //!
 //! PixelsDB sells *flexible service levels and prices*: the user pays a
 //! per-TB rate discounted by level, while the provider pays for whatever
 //! resources actually ran — accepted CF/VM attempt cost (`CostBreakdown`)
 //! plus speculation waste (attempts that were cancelled or crashed but still
 //! billed by the cloud, `provider_cf_dollars` minus the accepted CF cost).
-//! The ledger records both sides per query so revenue, cost, and margin
-//! reconcile *exactly* (bit-for-bit f64) against the billing pipeline and
-//! the policy core; the chaos and parity suites assert that invariant.
+//! The ledger folds both sides of every query, in append order, so revenue,
+//! cost, and margin reconcile *exactly* (bit-for-bit f64) against the
+//! billing pipeline and the policy core; the chaos and parity suites assert
+//! that invariant. It keeps no entry list: the per-query record is the
+//! query journal's ([`crate::QueryJournal`]), whose fold in journal order
+//! reproduces these sums.
 
 use crate::registry::{Gauge, MetricsRegistry};
 use parking_lot::Mutex;
@@ -22,11 +26,9 @@ pub const ENTRIES_TOTAL: &str = "pixels_ledger_entries_total";
 pub const PROVIDER_DOLLARS: &str = "pixels_ledger_provider_dollars";
 pub const REVENUE_DOLLARS: &str = "pixels_ledger_revenue_dollars";
 
-/// One query's economics.
+/// One query's economics, as appended to the ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEntry {
-    /// Query id (e.g. "q-3").
-    pub query: String,
     pub tenant: String,
     /// Service-level name ("immediate" / "relaxed" / "best_effort").
     pub level: String,
@@ -49,8 +51,6 @@ pub struct LedgerEntry {
     pub degraded: bool,
     /// Whether a speculative duplicate attempt ran.
     pub speculative: bool,
-    /// When the entry was appended (clock micros of the owning domain).
-    pub at_us: u64,
 }
 
 impl LedgerEntry {
@@ -68,27 +68,6 @@ impl LedgerEntry {
     /// Revenue minus total provider spend.
     pub fn margin_dollars(&self) -> f64 {
         self.revenue_dollars - self.provider_total_dollars()
-    }
-
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("query", Json::string(self.query.clone())),
-            ("tenant", Json::string(self.tenant.clone())),
-            ("level", Json::string(self.level.clone())),
-            ("bytes_billed", Json::number(self.bytes_billed as f64)),
-            ("revenue_dollars", Json::number(self.revenue_dollars)),
-            ("vm_dollars", Json::number(self.vm_dollars)),
-            ("cf_dollars", Json::number(self.cf_dollars)),
-            (
-                "provider_cf_dollars",
-                Json::number(self.provider_cf_dollars),
-            ),
-            ("shuffle_dollars", Json::number(self.shuffle_dollars)),
-            ("waste_dollars", Json::number(self.waste_dollars())),
-            ("degraded", Json::Bool(self.degraded)),
-            ("speculative", Json::Bool(self.speculative)),
-            ("at_us", Json::number(self.at_us as f64)),
-        ])
     }
 }
 
@@ -122,6 +101,24 @@ impl LedgerSummary {
         self.speculative += e.speculative as u64;
     }
 
+    /// Whether `other` holds the same counts and, bit for bit, the same
+    /// dollars.
+    fn same_bits(&self, other: &LedgerSummary) -> bool {
+        let counts = |s: &LedgerSummary| [s.entries, s.bytes_billed, s.degraded, s.speculative];
+        let dollars = |s: &LedgerSummary| {
+            [
+                s.revenue_dollars,
+                s.vm_dollars,
+                s.cf_dollars,
+                s.provider_cf_dollars,
+                s.shuffle_dollars,
+                s.waste_dollars,
+            ]
+            .map(f64::to_bits)
+        };
+        counts(self) == counts(other) && dollars(self) == dollars(other)
+    }
+
     /// Provider spend as the `pixels_ledger_provider_dollars` components.
     pub fn provider_components(&self) -> [(&'static str, f64); 4] {
         [
@@ -151,20 +148,19 @@ impl LedgerSummary {
     }
 }
 
-/// The entries and their running sums, under one lock. Every sum is
-/// advanced in [`Ledger::append`] — the same left fold, in append order, as a
-/// rescan of `entries` — so reading a summary never grows with history and
-/// stays bit-identical to that rescan.
-#[derive(Default)]
+/// The running sums, under one lock. Every sum is advanced in
+/// [`Ledger::append`] — a left fold in append order — so the book's memory
+/// grows with the levels and tenants seen, never with the queries, and a
+/// rescan of the same entries in the same order reproduces it bit for bit.
+#[derive(Debug, Default)]
 struct Book {
-    entries: Vec<LedgerEntry>,
     total: LedgerSummary,
     by_level: BTreeMap<String, LedgerSummary>,
     by_tenant: BTreeMap<String, LedgerSummary>,
 }
 
 /// The append-only ledger.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Ledger {
     book: Mutex<Book>,
     /// Tenant labels emitted by the previous [`Ledger::export_tenants`]
@@ -194,19 +190,6 @@ impl Ledger {
                 None => groups.entry(key.clone()).or_default().add(&entry),
             }
         }
-        book.entries.push(entry);
-    }
-
-    pub fn len(&self) -> usize {
-        self.book.lock().entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn entries(&self) -> Vec<LedgerEntry> {
-        self.book.lock().entries.clone()
     }
 
     /// Summary over every entry, in append order.
@@ -222,6 +205,19 @@ impl Ledger {
     /// Per-tenant summaries, in append order within each tenant.
     pub fn by_tenant(&self) -> BTreeMap<String, LedgerSummary> {
         self.book.lock().by_tenant.clone()
+    }
+
+    /// Whether `other` keeps the same books: every sum, overall, per level
+    /// and per tenant, bit for bit — as two ledgers fed the same entries in
+    /// the same order do.
+    pub fn same_books(&self, other: &Ledger) -> bool {
+        let same = |a: BTreeMap<String, LedgerSummary>, b: BTreeMap<String, LedgerSummary>| {
+            a.len() == b.len()
+                && (a.iter().zip(&b)).all(|((ka, sa), (kb, sb))| ka == kb && sa.same_bits(sb))
+        };
+        self.summary().same_bits(&other.summary())
+            && same(self.by_level(), other.by_level())
+            && same(self.by_tenant(), other.by_tenant())
     }
 
     /// The `GET /ledger` payload: the overall summary plus per-level and
@@ -351,9 +347,8 @@ impl Ledger {
 mod tests {
     use super::*;
 
-    fn entry(query: &str, level: &str, revenue: f64) -> LedgerEntry {
+    fn entry(level: &str, revenue: f64) -> LedgerEntry {
         LedgerEntry {
-            query: query.to_string(),
             tenant: "default".to_string(),
             level: level.to_string(),
             bytes_billed: 1000,
@@ -364,13 +359,12 @@ mod tests {
             shuffle_dollars: 0.0,
             degraded: false,
             speculative: true,
-            at_us: 7,
         }
     }
 
     #[test]
     fn waste_and_margin_derive_from_the_entry() {
-        let e = entry("q-1", "relaxed", 0.5);
+        let e = entry("relaxed", 0.5);
         assert!((e.waste_dollars() - 0.001).abs() < 1e-12);
         assert!((e.provider_total_dollars() - 0.004).abs() < 1e-12);
         assert!((e.margin_dollars() - 0.496).abs() < 1e-12);
@@ -389,9 +383,9 @@ mod tests {
     #[test]
     fn summaries_group_by_level_and_tenant() {
         let l = Ledger::new();
-        l.append(entry("q-1", "immediate", 1.0));
-        l.append(entry("q-2", "relaxed", 0.2));
-        let mut other = entry("q-3", "relaxed", 0.3);
+        l.append(entry("immediate", 1.0));
+        l.append(entry("relaxed", 0.2));
+        let mut other = entry("relaxed", 0.3);
         other.tenant = "acme".to_string();
         l.append(other);
         let s = l.summary();
@@ -420,27 +414,24 @@ mod tests {
     fn running_sums_equal_a_rescan_bit_for_bit() {
         let l = Ledger::new();
         // Revenues whose sum depends on the order of addition.
-        for (i, revenue) in [0.1, 0.2, 0.3, 1e-9, 1e9, 0.7, 1e-17].iter().enumerate() {
-            let mut e = entry(&format!("q-{i}"), ["immediate", "relaxed"][i % 2], *revenue);
-            e.tenant = format!("t{}", i % 3);
-            e.provider_cf_dollars = 0.003 + *revenue / 7.0;
-            l.append(e);
-        }
-        let entries = l.entries();
+        let entries: Vec<LedgerEntry> = [0.1, 0.2, 0.3, 1e-9, 1e9, 0.7, 1e-17]
+            .iter()
+            .enumerate()
+            .map(|(i, revenue)| {
+                let mut e = entry(["immediate", "relaxed"][i % 2], *revenue);
+                e.tenant = format!("t{}", i % 3);
+                e.provider_cf_dollars = 0.003 + *revenue / 7.0;
+                e
+            })
+            .collect();
+        entries.iter().for_each(|e| l.append(e.clone()));
         let rescan = |pick: &dyn Fn(&LedgerEntry) -> bool| {
             let mut s = LedgerSummary::default();
             entries.iter().filter(|e| pick(e)).for_each(|e| s.add(e));
             s
         };
         let same = |a: &LedgerSummary, b: &LedgerSummary| {
-            assert_eq!(a, b);
-            for (x, y) in [
-                (a.revenue_dollars, b.revenue_dollars),
-                (a.provider_cf_dollars, b.provider_cf_dollars),
-                (a.waste_dollars, b.waste_dollars),
-            ] {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+            assert!(a.same_bits(b), "{a:?} vs {b:?}");
         };
         same(&l.summary(), &rescan(&|_| true));
         for (level, s) in l.by_level() {
@@ -451,6 +442,20 @@ mod tests {
         for (tenant, s) in by_tenant {
             same(&s, &rescan(&|e| e.tenant == tenant));
         }
+        // A second ledger fed the same entries keeps the same books; one
+        // whose first revenue is one ulp higher does not.
+        let twin = Ledger::new();
+        entries.iter().for_each(|e| twin.append(e.clone()));
+        assert!(twin.same_books(&l));
+        let nudged = Ledger::new();
+        for (i, e) in entries.iter().enumerate() {
+            let mut e = e.clone();
+            if i == 0 {
+                e.revenue_dollars = f64::from_bits(e.revenue_dollars.to_bits() + 1);
+            }
+            nudged.append(e);
+        }
+        assert!(!nudged.same_books(&l));
     }
 
     #[test]
@@ -462,7 +467,7 @@ mod tests {
         assert!(text.contains("pixels_ledger_entries_total"), "{text}");
         assert!(text.contains("pixels_ledger_revenue_dollars"), "{text}");
         assert!(text.contains("pixels_ledger_provider_dollars"), "{text}");
-        l.append(entry("q-1", "relaxed", 0.25));
+        l.append(entry("relaxed", 0.25));
         l.export(&r);
         l.export(&r); // re-scrape without new entries: counters must hold
         let text = r.render();
@@ -495,7 +500,7 @@ mod tests {
         // 100 tenants with distinct revenue; only the top 8 may get their
         // own series, everyone else folds into "other".
         for i in 0..100u32 {
-            let mut e = entry(&format!("q-{i}"), "relaxed", (i + 1) as f64 * 0.01);
+            let mut e = entry("relaxed", (i + 1) as f64 * 0.01);
             e.tenant = format!("tenant-{i:03}");
             l.append(e);
         }
@@ -522,7 +527,7 @@ mod tests {
         // A small fleet exports every tenant and no "other" bucket.
         let r2 = MetricsRegistry::new();
         let small = Ledger::new();
-        small.append(entry("q-1", "relaxed", 0.5));
+        small.append(entry("relaxed", 0.5));
         small.export_tenants(&r2, 8);
         let text2 = r2.render();
         assert!(text2.contains("tenant=\"default\""), "{text2}");
@@ -533,14 +538,14 @@ mod tests {
     fn tenants_dropping_out_of_top_k_are_zeroed_not_double_counted() {
         let r = MetricsRegistry::new();
         let l = Ledger::new();
-        let add = |q: &str, tenant: &str, rev: f64| {
-            let mut e = entry(q, "relaxed", rev);
+        let add = |tenant: &str, rev: f64| {
+            let mut e = entry("relaxed", rev);
             e.tenant = tenant.to_string();
             l.append(e);
         };
         // Scrape 1: alpha leads, beta folds into "other".
-        add("q-1", "alpha", 2.0);
-        add("q-2", "beta", 1.0);
+        add("alpha", 2.0);
+        add("beta", 1.0);
         l.export_tenants(&r, 1);
         let text = r.render();
         assert!(
@@ -550,7 +555,7 @@ mod tests {
         // Scrape 2: beta overtakes alpha, which now folds into "other".
         // Alpha's old series must be zeroed — keeping its last value while
         // its revenue also sits in "other" would double-count it.
-        add("q-3", "beta", 5.0);
+        add("beta", 5.0);
         l.export_tenants(&r, 1);
         let text = r.render();
         assert!(

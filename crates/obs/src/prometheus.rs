@@ -1,7 +1,8 @@
-//! Prometheus text-exposition helpers: a validator for scrape output and a
-//! family extractor, used by server tests and the CI observability smoke
-//! check. Rendering lives on [`crate::MetricsRegistry::render`]; this module
-//! is the other side — proving that what `/metrics` serves is well-formed.
+//! Prometheus text-exposition helpers: a validator for scrape output and the
+//! one sample reader that the validator, the journal replay and the gates
+//! ([`metric_value`]) read `/metrics` with. Rendering lives on
+//! [`crate::MetricsRegistry::render`]; this module is the other side —
+//! proving that what `/metrics` serves is well-formed.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -41,8 +42,11 @@ fn split_labels(metric: &str) -> Result<(&str, Option<&str>), String> {
     }
 }
 
+/// A sample's labels, unescaped and in written order.
+type Labels = Vec<(String, String)>;
+
 /// Parse a label body like `a="x",le="+Inf"` into pairs.
-fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
+fn parse_labels(body: &str) -> Result<Labels, String> {
     let mut out = Vec::new();
     let mut rest = body;
     while !rest.is_empty() {
@@ -86,6 +90,88 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
         rest = after[i + 1..].trim_start_matches(',').trim_start();
     }
     Ok(out)
+}
+
+/// One sample line of an exposition: its metric name (histogram suffixes
+/// included), its labels unescaped and in written order, and its value.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Sample<'a> {
+    pub(crate) name: &'a str,
+    pub(crate) labels: Labels,
+    pub(crate) value: f64,
+}
+
+impl Sample<'_> {
+    /// The value of label `key`, if the sample carries it.
+    pub(crate) fn label(&self, key: &str) -> Option<&str> {
+        (self.labels.iter())
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+/// Split `name{labels}` — a sample's metric, or a selector such as
+/// `pixels_retries_total{site="storage_get"}` — into its name and labels.
+fn parse_metric(metric: &str) -> Result<(&str, Labels), String> {
+    let (name, body) = split_labels(metric)?;
+    if !valid_metric_name(name) {
+        return Err(format!("invalid metric name {name:?}"));
+    }
+    let labels = match body {
+        Some(body) => parse_labels(body)?,
+        None => Vec::new(),
+    };
+    Ok((name, labels))
+}
+
+/// Parse one sample line, `name[{labels}] value`.
+fn parse_sample(line: &str) -> Result<Sample<'_>, String> {
+    // Label values may contain spaces inside quotes, so when a label set is
+    // present split after its closing brace; otherwise at the first
+    // whitespace.
+    let split_at = match line.rfind('}') {
+        Some(close) => close + 1,
+        None => line
+            .find(char::is_whitespace)
+            .ok_or("no value on sample line")?,
+    };
+    let (metric, value) = line.split_at(split_at);
+    let value = match value.trim() {
+        "" => return Err("no value on sample line".into()),
+        "+Inf" => f64::INFINITY,
+        "-Inf" => f64::NEG_INFINITY,
+        s => s.parse().map_err(|_| format!("bad sample value {s:?}"))?,
+    };
+    let (name, labels) = parse_metric(metric.trim())?;
+    Ok(Sample {
+        name,
+        labels,
+        value,
+    })
+}
+
+/// Every sample of metric `name` in an exposition, in text order. Comment
+/// and malformed lines are skipped: [`validate_exposition`] is the check.
+pub(crate) fn samples<'a>(text: &'a str, name: &'a str) -> impl Iterator<Item = Sample<'a>> {
+    (text.lines())
+        .filter(move |line| line.starts_with(name))
+        .filter_map(|line| parse_sample(line.trim_end()).ok())
+        .filter(move |sample| sample.name == name)
+}
+
+/// The value `selector` — `name` or `name{labels}` — selects: the sum of
+/// the samples of `name` that carry every label the selector names, in any
+/// order, whatever other labels they carry; 0 when none does.
+pub fn metric_value(text: &str, selector: &str) -> f64 {
+    let (name, labels) = parse_metric(selector).expect("a well-formed metric selector");
+    samples(text, name)
+        .filter(|sample| {
+            labels
+                .iter()
+                .all(|(k, v)| sample.label(k) == Some(v.as_str()))
+        })
+        .map(|sample| sample.value)
+        .sum()
 }
 
 /// Quotes on a line that are not preceded by a backslash. An odd count
@@ -159,37 +245,11 @@ pub fn validate_exposition(text: &str) -> Result<BTreeSet<String>, String> {
                 "line {n}: raw newline inside label value (unterminated quote)"
             ));
         }
-        // Sample line: metric and value separated by whitespace. Label
-        // values may contain spaces inside quotes, so when a label set is
-        // present split after its closing brace; otherwise at the first
-        // whitespace.
-        let split_at = match line.rfind('}') {
-            Some(close) => close + 1,
-            None => line
-                .find(char::is_whitespace)
-                .ok_or_else(|| format!("line {n}: no value on sample line"))?,
-        };
-        let (metric, value_str) = line.split_at(split_at);
-        if value_str.trim().is_empty() {
-            return Err(format!("line {n}: no value on sample line"));
-        }
-        let metric = metric.trim();
-        let value_str = value_str.trim();
-        let value: f64 = match value_str {
-            "+Inf" => f64::INFINITY,
-            "-Inf" => f64::NEG_INFINITY,
-            s => s
-                .parse()
-                .map_err(|_| format!("line {n}: bad sample value {s:?}"))?,
-        };
-        let (name, label_body) = split_labels(metric).map_err(|e| format!("line {n}: {e}"))?;
-        if !valid_metric_name(name) {
-            return Err(format!("line {n}: invalid metric name {name:?}"));
-        }
-        let labels = match label_body {
-            Some(body) => parse_labels(body).map_err(|e| format!("line {n}: {e}"))?,
-            None => Vec::new(),
-        };
+        let Sample {
+            name,
+            labels,
+            value,
+        } = parse_sample(line).map_err(|e| format!("line {n}: {e}"))?;
         let family = base_family(name, &histograms);
         if !types.contains_key(&family) {
             return Err(format!("line {n}: sample {name} has no preceding # TYPE"));
@@ -360,6 +420,36 @@ pixels_h_count 3
             labels,
             vec![("msg".to_string(), "line1\nline2".to_string())]
         );
+    }
+
+    #[test]
+    fn the_sample_reader_honours_escapes_and_exact_names() {
+        let r = MetricsRegistry::new();
+        r.counter_with("pixels_x", "x", &[("msg", "a,b=\"c\""), ("site", "s")])
+            .add(3);
+        r.counter("pixels_x_total", "x").add(5);
+        let text = r.render();
+        let found: Vec<Sample> = samples(&text, "pixels_x").collect();
+        assert_eq!(found.len(), 1, "a longer name is another metric: {found:?}");
+        assert_eq!(found[0].label("msg"), Some("a,b=\"c\""));
+        assert_eq!(found[0].label("site"), Some("s"));
+        assert_eq!(found[0].value, 3.0);
+        assert_eq!(metric_value(&text, "pixels_x_total"), 5.0);
+        assert_eq!(
+            metric_value(&text, r#"pixels_x{msg="a,b=\"c\"",site="s"}"#),
+            3.0
+        );
+        assert_eq!(
+            metric_value(&text, r#"pixels_x{site="s",msg="a,b=\"c\""}"#),
+            3.0,
+            "labels match in any order"
+        );
+        r.counter_with("pixels_x", "x", &[("msg", "d"), ("site", "s")])
+            .add(4);
+        let text = r.render();
+        assert_eq!(metric_value(&text, r#"pixels_x{site="s"}"#), 7.0);
+        assert_eq!(metric_value(&text, "pixels_x"), 7.0);
+        assert_eq!(metric_value(&text, r#"pixels_x{site="t"}"#), 0.0);
     }
 
     #[test]

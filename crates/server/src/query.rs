@@ -7,7 +7,7 @@ use crate::service_level::ServiceLevel;
 use parking_lot::{Condvar, Mutex};
 use pixels_common::{Json, QueryId, RecordBatch};
 use pixels_obs::Profile;
-use pixels_turbo::{CostBreakdown, Decision, ExchangeStats, ExecMetricsSnapshot, QueryEvent};
+use pixels_turbo::{CostBreakdown, Decision, ExchangeStats, ExecMetricsSnapshot};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,10 +91,6 @@ pub struct QueryInfo {
     pub seq: u64,
     /// Full execution counters (structured, not just the EXPLAIN text).
     pub metrics: ExecMetricsSnapshot,
-    /// Fault-recovery events the engine emitted while running this query:
-    /// storage retries, CF crashes/relaunches, straggler speculation, and
-    /// CF→VM degradation.
-    pub events: Vec<QueryEvent>,
     /// Object-store requests retried under this query (transient failures
     /// masked by the retry policy).
     pub retries: u64,
@@ -102,8 +98,9 @@ pub struct QueryInfo {
     /// and storage accesses — once the query is terminal: compact JSON text
     /// written once from the finished spans.
     pub profile: Option<Profile>,
-    /// Ordered policy-core decisions (CF dispatch, speculation, degradation)
-    /// made while executing this query.
+    /// Ordered policy-core decisions made while executing this query — its
+    /// record of recovery work too: CF crashes (`AttemptFailed`), relaunches,
+    /// straggler speculation and CF→VM degradation.
     pub decisions: Vec<Decision>,
     /// Modelled provider cost of the accepted execution.
     pub resource_cost: CostBreakdown,
@@ -133,7 +130,6 @@ impl QueryInfo {
             used_cf: false,
             seq: id.0,
             metrics: ExecMetricsSnapshot::default(),
-            events: Vec::new(),
             retries: 0,
             profile: None,
             decisions: Vec::new(),
@@ -146,7 +142,7 @@ impl QueryInfo {
 
     /// JSON status payload (the shape Pixels-Rover renders).
     pub fn to_json(&self) -> Json {
-        let events = self.events.iter().map(|e| Json::string(e.describe()));
+        let decisions = (self.decisions.iter()).map(|d| Json::string(format!("{d:?}")));
         let mut fields = vec![
             ("id", Json::string(self.id.to_string())),
             ("status", Json::string(self.status.name())),
@@ -162,7 +158,7 @@ impl QueryInfo {
             ("scan_bytes", Json::number(self.scan_bytes as f64)),
             ("used_cf", Json::Bool(self.used_cf)),
             ("retries", Json::number(self.retries as f64)),
-            ("events", Json::array(events)),
+            ("decisions", Json::array(decisions)),
             ("metrics", self.metrics.to_json()),
         ];
         if let Some(err) = &self.error {

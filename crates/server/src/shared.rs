@@ -330,7 +330,7 @@ impl SharedWork {
 /// order, warm-repeat billed bytes (the leader's scan minus its open/footer
 /// bytes — exactly what a solo re-execution against the warm footer cache
 /// would bill), zero provider cost (the leader paid), and no execution-side
-/// events of its own.
+/// decisions or retries of its own.
 fn follower_view(leader: &ExecOutcome) -> ExecOutcome {
     let mut out = leader.clone();
     let warm = leader
@@ -347,7 +347,6 @@ fn follower_view(leader: &ExecOutcome) -> ExecOutcome {
     out.exchange = ExchangeStats::default();
     out.used_cf = false;
     out.retries = 0;
-    out.events = Vec::new();
     out.decisions = Vec::new();
     out
 }

@@ -109,7 +109,6 @@ impl QueryRecord {
     /// the record carries, so reconciliation against records is bit-for-bit.
     pub fn ledger_entry(&self, tenant: &str) -> pixels_obs::LedgerEntry {
         pixels_obs::LedgerEntry {
-            query: self.id.to_string(),
             tenant: tenant.to_string(),
             level: self.mode.name().to_string(),
             bytes_billed: self.scan_bytes,
@@ -123,7 +122,6 @@ impl QueryRecord {
             shuffle_dollars: 0.0,
             degraded: self.degraded,
             speculative: self.speculative,
-            at_us: self.finished_at.as_micros(),
         }
     }
 }
@@ -755,7 +753,7 @@ impl SimReport {
         ledger.export(registry);
         // CF spend the per-query attribution cannot explain (e.g. fleets
         // that crashed before any query completed on them).
-        let attributed: f64 = ledger.entries().iter().map(|e| e.cf_dollars).sum();
+        let attributed = ledger.summary().cf_dollars;
         let cost = self.total_resource_cost;
         for (component, dollars) in [("vm", cost.vm_dollars), ("cf", cost.cf_dollars)] {
             registry
@@ -1010,27 +1008,29 @@ mod tests {
             .collect();
         let report = ServerSim::with_defaults().run(subs, SimDuration::from_secs(7200));
         assert_eq!(report.unfinished, 0);
-        let entries = report.ledger().entries();
-        assert_eq!(entries.len(), report.records.len());
         // Entries are appended in record order; every dollar and byte is the
-        // record's own, not a recomputation — equality is exact, not fuzzy.
-        for (e, r) in entries.iter().zip(report.records.iter()) {
-            assert_eq!(e.query, r.id.to_string());
-            assert_eq!(e.level, r.mode.name());
-            assert_eq!(e.tenant, "sim");
-            assert_eq!(e.bytes_billed, r.scan_bytes);
-            assert_eq!(e.revenue_dollars.to_bits(), r.price.to_bits());
-            assert_eq!(e.vm_dollars.to_bits(), r.resource_cost.vm_dollars.to_bits());
-            assert_eq!(e.cf_dollars.to_bits(), r.resource_cost.cf_dollars.to_bits());
-            assert_eq!(e.degraded, r.degraded);
-            assert_eq!(e.speculative, r.speculative);
+        // record's own, not a recomputation — so each sum is the records'
+        // own fold, overall and per level: equality is exact, not fuzzy.
+        let ledger = report.ledger();
+        assert_eq!(ledger.by_tenant().keys().collect::<Vec<_>>(), ["sim"]);
+        let mut by_level = ledger.by_level();
+        by_level.insert("all".into(), ledger.summary());
+        for (level, s) in by_level {
+            let records: Vec<&QueryRecord> = (report.records.iter())
+                .filter(|r| level == "all" || r.mode.name() == level)
+                .collect();
+            let fold = |f: fn(&QueryRecord) -> f64| {
+                (records.iter()).fold(0.0f64, |acc, r| acc + f(r)).to_bits()
+            };
+            let count = |f: fn(&QueryRecord) -> bool| records.iter().filter(|r| f(r)).count();
+            assert_eq!(s.entries as usize, records.len(), "{level}");
+            assert_eq!(s.bytes_billed, records.iter().map(|r| r.scan_bytes).sum());
+            assert_eq!(s.revenue_dollars.to_bits(), fold(|r| r.price));
+            assert_eq!(s.vm_dollars.to_bits(), fold(|r| r.resource_cost.vm_dollars));
+            assert_eq!(s.cf_dollars.to_bits(), fold(|r| r.resource_cost.cf_dollars));
+            assert_eq!(s.degraded as usize, count(|r| r.degraded));
+            assert_eq!(s.speculative as usize, count(|r| r.speculative));
         }
-        // The summary's revenue is the same fold the records produce.
-        let folded = report.records.iter().fold(0.0f64, |acc, r| acc + r.price);
-        assert_eq!(
-            report.ledger().summary().revenue_dollars.to_bits(),
-            folded.to_bits()
-        );
     }
 
     #[test]
@@ -1135,13 +1135,12 @@ mod tests {
         // an entry carrying its record's exact dollars, and CF spend the
         // entries cannot explain (crashed fleets) shows up unattributed,
         // never silently dropped.
-        let ledger = chaotic.ledger();
-        assert_eq!(ledger.len(), chaotic.records.len());
-        let summary = ledger.summary();
+        let summary = chaotic.ledger().summary();
+        assert_eq!(summary.entries as usize, chaotic.records.len());
         let folded_revenue = chaotic.records.iter().fold(0.0f64, |acc, r| acc + r.price);
         assert_eq!(summary.revenue_dollars.to_bits(), folded_revenue.to_bits());
         assert!(summary.degraded > 0, "degraded queries reach the ledger");
-        let attributed: f64 = ledger.entries().iter().map(|e| e.cf_dollars).sum();
+        let attributed = summary.cf_dollars;
         assert!(
             chaotic.total_resource_cost.cf_dollars - attributed > -1e-9,
             "attribution cannot exceed total CF spend: {attributed} vs {}",
@@ -1353,9 +1352,9 @@ mod tests {
         assert!((finished[0].price - expected).abs() < 1e-9);
         // Rejected queries never reach the ledger; the completed one does.
         let ledger = report.ledger();
-        assert_eq!(ledger.len(), 1);
-        assert_eq!(ledger.entries()[0].tenant, "acme");
-        assert_eq!(ledger.entries()[0].level, "deadline");
+        assert_eq!(ledger.summary().entries, 1);
+        assert_eq!(ledger.by_tenant()["acme"].entries, 1);
+        assert_eq!(ledger.by_level()["deadline"].entries, 1);
         // The SLO tracker saw both: one good (met target), one violation
         // (the rejection).
         let registry = pixels_obs::MetricsRegistry::new();

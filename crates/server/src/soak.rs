@@ -10,21 +10,21 @@
 //! virtual time ([`AnalyticFleet`]: closed-form placement, runtime and cost,
 //! woken only when a run finishes — where the cluster micro-model steps
 //! every 100 ms), and a record sink that folds each outcome into running
-//! totals, so a 1M-user soak finishes in seconds of wall time and holds no
-//! per-query record.
+//! totals and into a [`Ledger`] of running sums, so a 1M-user soak finishes
+//! in seconds of wall time and holds no per-query record.
 //!
 //! Billing discipline matches the live path bit-for-bit: every completed
 //! query appends exactly the dollars its record carries (in completion
 //! order), rejected queries never bill, and batch members split one scan's
 //! bytes with [`pixels_exec::batch::member_share`] — so the report's
-//! per-tenant revenue reconciles exactly against a [`pixels_obs::Ledger`]
-//! replay.
+//! per-tenant and per-mode revenue reconciles exactly against its ledger
+//! ([`SoakReport::reconciles`]), at every scale.
 
 use crate::scheduler::{AdmissionMode, SchedulerPolicy, DEADLINE_LEVEL};
 use crate::service_level::ServiceLevel;
 use crate::sim::{Arrival, DriveStats, Outcome, QueryRecord, ServerConfig, ServerSim};
 use pixels_common::{Json, QueryId};
-use pixels_obs::{Ledger, LedgerEntry, MetricsRegistry};
+use pixels_obs::{Ledger, LedgerSummary, MetricsRegistry};
 use pixels_sim::{SimDuration, SimTime};
 use pixels_turbo::{
     Capacity, CostBreakdown, Placement, QueryCompletion, QueryWork, ResourcePricing,
@@ -62,10 +62,6 @@ pub struct SoakConfig {
     /// Merge same-class best-of-effort queue entries into shared scans.
     pub batch_besteffort: bool,
     pub max_batch: usize,
-    /// Keep full ledger entries for bit-for-bit reconciliation (memory ∝
-    /// completions; leave off for multi-million-user runs, which still
-    /// verify via the running revenue fold).
-    pub collect_ledger: bool,
 }
 
 impl Default for SoakConfig {
@@ -89,7 +85,6 @@ impl Default for SoakConfig {
             policy: SchedulerPolicy::default(),
             batch_besteffort: true,
             max_batch: 8,
-            collect_ledger: false,
         }
     }
 }
@@ -102,7 +97,6 @@ impl SoakConfig {
             // Keep the mean arrival rate of the default config so queueing
             // behavior is comparable at any scale.
             duration: SimDuration::from_secs_f64(24.0 * 3600.0 * users as f64 / 50_000.0),
-            collect_ledger: users <= 200_000,
             ..SoakConfig::default()
         }
     }
@@ -133,7 +127,7 @@ pub struct TenantStats {
 }
 
 /// Result of one soak run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct SoakReport {
     pub submitted: u64,
     pub completed: u64,
@@ -156,11 +150,9 @@ pub struct SoakReport {
     pub deadline_population: u64,
     pub modes: Vec<ModeStats>,
     pub tenants: Vec<TenantStats>,
-    /// Full entries when `collect_ledger`; always in completion order.
-    pub ledger_entries: Vec<LedgerEntry>,
-    /// Bits of the running `revenue += price` fold in completion order —
-    /// the any-scale reconciliation anchor.
-    pub revenue_fold_bits: u64,
+    /// Every completion's ledger entry, appended in completion order: sums
+    /// per level and per tenant, so its memory does not grow with the run.
+    pub ledger: Ledger,
 }
 
 /// Report groups: the name in the report, and one mode of the group.
@@ -173,6 +165,15 @@ const MODE_GROUPS: [(&str, AdmissionMode); 4] = [
     ),
     (DEADLINE_LEVEL, AdmissionMode::Deadline { target_us: 0 }),
 ];
+
+/// The SLO threshold of each [`MODE_GROUPS`] entry under `policy`.
+fn slo_bounds_us(policy: &SchedulerPolicy) -> [u64; 4] {
+    let objectives = policy.slo_objectives();
+    MODE_GROUPS.map(|(_, mode)| {
+        let objective = objectives.iter().find(|o| o.level == mode.name());
+        objective.expect("an objective per mode").threshold_us
+    })
+}
 
 fn mode_group(mode: AdmissionMode) -> usize {
     match mode {
@@ -196,14 +197,16 @@ fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Map a deadline target to the nearest fixed tier in log space: the
-/// boundaries are the geometric means of adjacent tier bounds (1 s
-/// immediate SLO, 300 s relaxed grace, 3600 s starvation bound).
-pub fn nearest_tier(target_us: u64) -> ServiceLevel {
+/// Map a deadline target to the nearest fixed tier of `policy` in log
+/// space: the boundaries are the geometric means of adjacent tiers' SLO
+/// thresholds ([`SchedulerPolicy::slo_objectives`]: by default the 1 s
+/// immediate SLO, the 300 s relaxed grace and the 3600 s starvation bound).
+pub fn nearest_tier(policy: &SchedulerPolicy, target_us: u64) -> ServiceLevel {
+    let [immediate, relaxed, best_effort, _] = slo_bounds_us(policy).map(|us| us as f64 / 1e6);
     let t = target_us as f64 / 1e6;
-    if t <= (1.0f64 * 300.0).sqrt() {
+    if t <= (immediate * relaxed).sqrt() {
         ServiceLevel::Immediate
-    } else if t <= (300.0f64 * 3600.0).sqrt() {
+    } else if t <= (relaxed * best_effort).sqrt() {
         ServiceLevel::Relaxed
     } else {
         ServiceLevel::BestEffort
@@ -319,7 +322,6 @@ impl Capacity for AnalyticFleet {
 struct Tally<'a> {
     report: SoakReport,
     plan: &'a [Planned],
-    collect_ledger: bool,
     /// SLO bound per [`MODE_GROUPS`] entry, from the run's own policy.
     slo_bound_us: [u64; 4],
     /// Completion latencies per mode group, for the percentiles.
@@ -369,10 +371,7 @@ impl Tally<'_> {
         self.report.provider_dollars += r.resource_cost.vm_dollars + r.resource_cost.cf_dollars;
         self.report.cf_placements += matches!(r.placement, Placement::Cf { .. }) as u64;
         self.last_finish = self.last_finish.max(r.finished_at);
-        if self.collect_ledger {
-            let entry = r.ledger_entry(&tenant.name);
-            self.report.ledger_entries.push(entry);
-        }
+        self.report.ledger.append(r.ledger_entry(&tenant.name));
     }
 
     fn finish(mut self, stats: DriveStats) -> SoakReport {
@@ -395,7 +394,6 @@ impl Tally<'_> {
             .saturating_sub(first.as_micros());
         report.sim_duration = SimDuration::from_micros(span_us.max(1));
         report.throughput_qps = report.completed as f64 / report.sim_duration.as_secs_f64();
-        report.revenue_fold_bits = report.revenue_dollars.to_bits();
         report.forced_starts = stats.forced_starts;
         report.batches = stats.batches;
         report.batched_members = stats.batched_members;
@@ -435,14 +433,9 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             }
         })
         .collect();
-    let objectives = cfg.policy.slo_objectives();
     let mut tally = Tally {
         plan: &plan,
-        collect_ledger: cfg.collect_ledger,
-        slo_bound_us: MODE_GROUPS.map(|(_, mode)| {
-            let objective = objectives.iter().find(|o| o.level == mode.name());
-            objective.expect("an objective per mode").threshold_us
-        }),
+        slo_bound_us: slo_bounds_us(&cfg.policy),
         latency_us: Default::default(),
         wait_sum_us: vec![0; cfg.tenants],
         last_finish: SimTime::ZERO,
@@ -518,7 +511,7 @@ fn plan_submissions(cfg: &SoakConfig) -> Vec<Planned> {
                     splitmix(cfg.seed ^ 0x5EED, i as u64) as usize % cfg.deadline_targets_us.len();
                 let target_us = cfg.deadline_targets_us[pick];
                 let mode = if cfg.map_deadlines_to_tiers {
-                    AdmissionMode::Level(nearest_tier(target_us))
+                    AdmissionMode::Level(nearest_tier(&cfg.policy, target_us))
                 } else {
                     AdmissionMode::Deadline { target_us }
                 };
@@ -556,38 +549,26 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 }
 
 impl SoakReport {
-    /// Rebuild a [`Ledger`] from the collected entries and check it
-    /// reconciles with the report's own accounting: per-tenant revenue
-    /// bit-for-bit (both folds run in completion order) and total revenue
-    /// against the running fold. Without collected entries only the fold
-    /// anchor is checked.
+    /// Check the report's own accounting against its ledger, bit for bit
+    /// at every scale: completions and revenue overall, per tenant and per
+    /// admission mode. Both sides fold the same prices in completion order,
+    /// so this is not an independent recomputation of the bills: it catches
+    /// a completion one side counted and the other did not, one booked
+    /// under another tenant or level than the tally's
+    /// ([`QueryRecord::ledger_entry`]), and a report edited after the run.
     pub fn reconciles(&self) -> bool {
-        if self.revenue_fold_bits != self.revenue_dollars.to_bits() {
-            return false;
-        }
-        let Some(ledger) = self.collected_ledger() else {
-            return true;
+        let same = |summary: Option<&LedgerSummary>, completed: u64, revenue: f64| {
+            let (entries, dollars) = summary.map_or((0, 0.0), |s| (s.entries, s.revenue_dollars));
+            entries == completed && dollars.to_bits() == revenue.to_bits()
         };
-        if ledger.len() as u64 != self.completed {
-            return false;
-        }
-        let by_tenant = ledger.by_tenant();
-        self.tenants.iter().all(|t| {
-            let summary = by_tenant.get(&t.name);
-            let (entries, revenue) = summary.map_or((0, 0.0), |s| (s.entries, s.revenue_dollars));
-            entries == t.completed && revenue.to_bits() == t.revenue_dollars.to_bits()
-        })
-    }
-
-    /// The ledger rebuilt from the collected entries, if any were kept.
-    fn collected_ledger(&self) -> Option<Ledger> {
-        (!self.ledger_entries.is_empty()).then(|| {
-            let ledger = Ledger::new();
-            for e in &self.ledger_entries {
-                ledger.append(e.clone());
-            }
-            ledger
-        })
+        let (by_tenant, by_level) = (self.ledger.by_tenant(), self.ledger.by_level());
+        let summary = self.ledger.summary();
+        same(Some(&summary), self.completed, self.revenue_dollars)
+            && (self.tenants.iter())
+                .all(|t| same(by_tenant.get(&t.name), t.completed, t.revenue_dollars))
+            && (self.modes.iter().zip(MODE_GROUPS)).all(|(m, (_, mode))| {
+                same(by_level.get(mode.name()), m.completed, m.revenue_dollars)
+            })
     }
 
     /// Victim tenants' (everyone but the adversary) mean wait, averaged.
@@ -613,8 +594,7 @@ impl SoakReport {
     }
 
     /// Export the soak's headline series; per-tenant series go through the
-    /// cardinality-capped [`Ledger::export_tenants`] when entries were
-    /// collected.
+    /// cardinality-capped [`Ledger::export_tenants`].
     pub fn export_metrics(&self, registry: &MetricsRegistry) {
         for m in &self.modes {
             for (name, help, value) in [
@@ -657,9 +637,7 @@ impl SoakReport {
         ] {
             registry.gauge(name, help).set(value);
         }
-        if let Some(ledger) = self.collected_ledger() {
-            ledger.export_tenants(registry, 8);
-        }
+        self.ledger.export_tenants(registry, 8);
     }
 
     pub fn to_json(&self) -> Json {
@@ -727,7 +705,6 @@ mod tests {
             tenants: 8,
             vm_cores: 64,
             duration: SimDuration::from_secs(3600),
-            collect_ledger: true,
             ..SoakConfig::default()
         }
     }
@@ -744,7 +721,8 @@ mod tests {
         );
         assert_eq!(a.submitted, a.completed + a.rejected);
         assert_eq!(a.submitted, b.submitted);
-        assert_eq!(a.revenue_fold_bits, b.revenue_fold_bits);
+        assert_eq!(a.revenue_dollars.to_bits(), b.revenue_dollars.to_bits());
+        assert!(a.ledger.same_books(&b.ledger));
         assert_eq!(a.completed, b.completed);
         assert!(a.throughput_qps > 0.0);
         // Every tenant both submitted and completed work.
@@ -784,11 +762,8 @@ mod tests {
         assert!(deadline.rejected > 0);
         assert_eq!(deadline.revenue_dollars, 0.0);
         // No rejected query reached the ledger.
-        assert_eq!(report.ledger_entries.len() as u64, report.completed);
-        assert!(report
-            .ledger_entries
-            .iter()
-            .all(|e| e.level != DEADLINE_LEVEL));
+        assert_eq!(report.ledger.summary().entries, report.completed);
+        assert!(!report.ledger.by_level().contains_key(DEADLINE_LEVEL));
         assert!(report.reconciles());
     }
 
@@ -998,9 +973,40 @@ mod tests {
 
     #[test]
     fn nearest_tier_mapping_is_log_space() {
-        assert_eq!(nearest_tier(10_000_000), ServiceLevel::Immediate);
-        assert_eq!(nearest_tier(30_000_000), ServiceLevel::Relaxed);
-        assert_eq!(nearest_tier(600_000_000), ServiceLevel::Relaxed);
-        assert_eq!(nearest_tier(1_800_000_000), ServiceLevel::BestEffort);
+        let policy = SchedulerPolicy::default();
+        assert_eq!(nearest_tier(&policy, 10_000_000), ServiceLevel::Immediate);
+        assert_eq!(nearest_tier(&policy, 30_000_000), ServiceLevel::Relaxed);
+        assert_eq!(nearest_tier(&policy, 600_000_000), ServiceLevel::Relaxed);
+        assert_eq!(
+            nearest_tier(&policy, 1_800_000_000),
+            ServiceLevel::BestEffort
+        );
+    }
+
+    #[test]
+    fn nearest_tier_follows_the_runs_own_grace() {
+        // A one-hour grace moves the relaxed/best-of-effort boundary from
+        // √(300 s · 3600 s) ≈ 17 min to 1 h: a 30 min target is relaxed.
+        let policy = SchedulerPolicy {
+            grace: SimDuration::from_secs(3600),
+            ..SchedulerPolicy::default()
+        };
+        assert_eq!(nearest_tier(&policy, 1_800_000_000), ServiceLevel::Relaxed);
+        assert_eq!(
+            nearest_tier(&policy, 3_700_000_000),
+            ServiceLevel::BestEffort
+        );
+        // And the immediate/relaxed boundary to √(1 s · 3600 s) = 60 s.
+        assert_eq!(nearest_tier(&policy, 30_000_000), ServiceLevel::Immediate);
+    }
+
+    #[test]
+    fn a_perturbed_tenant_revenue_does_not_reconcile() {
+        let mut report = run_soak(&SoakConfig::ci_scale(2_000));
+        assert!(report.reconciles());
+        let tenant = &mut report.tenants[1];
+        assert!(tenant.revenue_dollars > 0.0);
+        tenant.revenue_dollars = f64::from_bits(tenant.revenue_dollars.to_bits() + 1);
+        assert!(!report.reconciles(), "one ulp off one tenant's revenue");
     }
 }

@@ -83,59 +83,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// Notable fault-handling events during one query, surfaced through
-/// [`ExecOutcome`] and ultimately `QueryInfo` so clients can see what
-/// recovery work their query needed. None of these change what the query is
-/// billed: the $/TB price follows the bytes of the *accepted* execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QueryEvent {
-    /// Transient object-store failures were retried under backoff.
-    StorageRetries { count: u64 },
-    /// A CF attempt failed (worker crash or a storage failure that
-    /// exhausted its retry budget).
-    CfAttemptFailed { attempt: u32, reason: String },
-    /// The engine relaunched the CF sub-plan on a fresh fleet.
-    CfRetried { attempt: u32 },
-    /// The CF run exceeded the latency estimate and was declared a
-    /// straggler.
-    StragglerDetected { waited_ms: u64 },
-    /// A speculative duplicate fleet was launched.
-    SpeculativeLaunch { attempt: u32 },
-    /// Which attempt produced the accepted result.
-    SpeculativeWin { attempt: u32 },
-    /// Every CF attempt failed; the query fell back to the VM tier.
-    CfDegradedToVm { reason: String },
-}
-
-impl QueryEvent {
-    /// One-line human/JSON form.
-    pub fn describe(&self) -> String {
-        match self {
-            QueryEvent::StorageRetries { count } => {
-                format!("storage: {count} transient GET failure(s) retried")
-            }
-            QueryEvent::CfAttemptFailed { attempt, reason } => {
-                format!("cf attempt {attempt} failed: {reason}")
-            }
-            QueryEvent::CfRetried { attempt } => {
-                format!("cf relaunched on fresh fleet (attempt {attempt})")
-            }
-            QueryEvent::StragglerDetected { waited_ms } => {
-                format!("cf straggler detected after {waited_ms} ms")
-            }
-            QueryEvent::SpeculativeLaunch { attempt } => {
-                format!("speculative duplicate fleet launched (attempt {attempt})")
-            }
-            QueryEvent::SpeculativeWin { attempt } => {
-                format!("attempt {attempt} won the speculative race")
-            }
-            QueryEvent::CfDegradedToVm { reason } => {
-                format!("cf path abandoned, degraded to vm: {reason}")
-            }
-        }
-    }
-}
-
 /// Result of executing one statement.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
@@ -152,14 +99,16 @@ pub struct ExecOutcome {
     /// cache hits); for CF queries this merges the fleet's sub-plan metrics
     /// with the top-level plan's.
     pub metrics: ExecMetricsSnapshot,
-    /// Fault-handling events, in order (empty for a clean run).
-    pub events: Vec<QueryEvent>,
     /// Object-store retries performed while this query ran. Measured as the
     /// store-wide counter delta over the query, so it is approximate when
     /// queries run concurrently.
     pub retries: u64,
     /// Ordered policy decisions ([`crate::policy::CfRace`]) made for this
-    /// query — the unit of sim/real differential comparison.
+    /// query — the unit of sim/real differential comparison, and the
+    /// query's record of recovery work: a crashed fleet shows as
+    /// `AttemptFailed` (its error is the `error` attribute of its `cf_fleet`
+    /// span), a relaunch as `Relaunch`, a straggler race as
+    /// `StragglerSpeculate` then `Accept`, a fallback to the VM as `Degrade`.
     pub decisions: Vec<Decision>,
     /// Modelled provider resource cost of the *accepted* execution (the
     /// same model the sim coordinator prices completions with).
@@ -188,7 +137,6 @@ impl Default for ExecOutcome {
             execution: Duration::ZERO,
             bytes_scanned: 0,
             metrics: ExecMetricsSnapshot::default(),
-            events: Vec::new(),
             retries: 0,
             decisions: Vec::new(),
             resource_cost: CostBreakdown::default(),
@@ -388,25 +336,15 @@ impl TurboEngine {
     /// Execute one SQL statement. `cf_enabled` controls whether adaptive CF
     /// acceleration may be used when the VM slots are saturated.
     pub fn execute_sql(&self, db: &str, sql: &str, cf_enabled: bool) -> Result<ExecOutcome> {
-        self.execute_sql_traced(db, sql, cf_enabled, TraceCtx::disabled())
+        self.execute_sql_scheduled(db, sql, cf_enabled, TraceCtx::disabled(), None)
     }
 
     /// Like [`execute_sql`](Self::execute_sql), but opening spans under
-    /// `trace` so the caller (the query server) gets one trace covering slot
-    /// wait, tier dispatch, every operator, and every storage access.
-    pub fn execute_sql_traced(
-        &self,
-        db: &str,
-        sql: &str,
-        cf_enabled: bool,
-        trace: TraceCtx,
-    ) -> Result<ExecOutcome> {
-        self.execute_sql_scheduled(db, sql, cf_enabled, trace, None)
-    }
-
-    /// Like [`execute_sql_traced`](Self::execute_sql_traced), with a bound
-    /// on how long the query may wait for a VM slot, counted from now. The
-    /// query server passes what is left of the mode's pending bound: `None`
+    /// `trace` — so the caller (the query server) gets one trace covering
+    /// slot wait, tier dispatch, every operator, and every storage access —
+    /// and with a bound on how long the query may wait for a VM slot,
+    /// counted from now (`None`: as long as it takes). The query server
+    /// passes what is left of the mode's pending bound: `None`
     /// for Immediate (wait as long as it takes), the rest of the grace
     /// period for Relaxed, of the starvation bound for best-of-effort and of
     /// `target − est` for a deadline, and zero for a forced start. When the
@@ -690,16 +628,12 @@ impl TurboEngine {
         Ok(out)
     }
 
-    /// Store-wide retry count delta over a query, surfaced as a
-    /// [`QueryEvent::StorageRetries`] event. Approximate when queries run
-    /// concurrently (the counters are shared), exact when serialized — which
-    /// is how the chaos soak measures it.
-    fn note_storage_retries(&self, before: u64, events: &mut Vec<QueryEvent>) -> u64 {
-        let retries = self.store.metrics().retries.saturating_sub(before);
-        if retries > 0 {
-            events.push(QueryEvent::StorageRetries { count: retries });
-        }
-        retries
+    /// Store-wide retry count delta over a query, its
+    /// [`ExecOutcome::retries`]. Approximate when queries run concurrently
+    /// (the counters are shared), exact when serialized — which is how the
+    /// chaos soak measures it.
+    fn storage_retries_since(&self, before: u64) -> u64 {
+        self.store.metrics().retries.saturating_sub(before)
     }
 
     fn run_in_vm(&self, plan: &Plan, work: &QueryWork, trace: &TraceCtx) -> Result<ExecOutcome> {
@@ -713,15 +647,12 @@ impl TurboEngine {
         drop(span);
         let metrics = ctx.metrics.snapshot();
         self.count_execution(&metrics, &ctx);
-        let mut events = Vec::new();
-        let retries = self.note_storage_retries(retries_before, &mut events);
         Ok(ExecOutcome {
             batch,
             execution: start.elapsed(),
             bytes_scanned: metrics.bytes_scanned,
             metrics,
-            events,
-            retries,
+            retries: self.storage_retries_since(retries_before),
             decisions: vec![Decision::DispatchVm],
             // Model-based VM cost for the plan's CPU demand — identical to
             // how the sim coordinator prices a VM completion.
@@ -766,6 +697,7 @@ fn meta_outcome(batch: RecordBatch) -> ExecOutcome {
 mod tests {
     use super::*;
     use pixels_catalog::Catalog;
+    use pixels_obs::AttrValue;
     use pixels_storage::InMemoryObjectStore;
     use pixels_workload::{load_tpch, TpchConfig};
 
@@ -990,7 +922,7 @@ mod tests {
                     let direct = e.execute_sql("tpch", sql, false).unwrap();
                     let trace = Trace::wall();
                     let run = |cf| {
-                        e.execute_sql_traced("tpch", sql, cf, TraceCtx::root(&trace))
+                        e.execute_sql_scheduled("tpch", sql, cf, TraceCtx::root(&trace), None)
                             .unwrap()
                     };
                     let out = match partitions {
@@ -1226,11 +1158,12 @@ mod tests {
         let e = engine(2).with_registry(registry.clone());
         let trace = Trace::wall();
         let out = e
-            .execute_sql_traced(
+            .execute_sql_scheduled(
                 "tpch",
                 "SELECT COUNT(*) FROM orders",
                 false,
                 TraceCtx::root(&trace),
+                None,
             )
             .unwrap();
         let names: Vec<String> = trace
@@ -1261,11 +1194,12 @@ mod tests {
         let e = engine(1).with_registry(MetricsRegistry::shared());
         let trace = Trace::wall();
         let out = on_cf(&e, || {
-            e.execute_sql_traced(
+            e.execute_sql_scheduled(
                 "tpch",
                 "SELECT o_orderstatus, COUNT(*) AS n FROM orders GROUP BY o_orderstatus",
                 true,
                 TraceCtx::root(&trace),
+                None,
             )
             .unwrap()
         });
@@ -1385,17 +1319,36 @@ mod tests {
             .with_chaos(Arc::new(FaultInjector::new(&plan)));
         let sql = "SELECT o_orderstatus, COUNT(*) AS n FROM orders GROUP BY o_orderstatus";
         let direct = e.execute_sql("tpch", sql, false).unwrap();
-        let out = on_cf(&e, || e.execute_sql("tpch", sql, true).unwrap());
+        let trace = Trace::wall();
+        let out = on_cf(&e, || {
+            (e.execute_sql_scheduled("tpch", sql, true, TraceCtx::root(&trace), None)).unwrap()
+        });
         assert!(out.used_cf, "retry should keep the query on the CF path");
         assert_eq!(out.batch, direct.batch);
-        assert!(out
-            .events
-            .iter()
-            .any(|ev| matches!(ev, QueryEvent::CfAttemptFailed { attempt: 0, .. })));
-        assert!(out
-            .events
-            .iter()
-            .any(|ev| matches!(ev, QueryEvent::CfRetried { attempt: 1 })));
+        assert_eq!(
+            out.decisions,
+            [
+                Decision::DispatchCf { attempt: 0 },
+                Decision::AttemptFailed { attempt: 0 },
+                Decision::Relaunch { attempt: 1 },
+                Decision::Accept { attempt: 1 },
+            ]
+        );
+        // The crashed fleet's span keeps its error; the relaunch's has none.
+        let fleets: Vec<_> = (trace.finished_spans().into_iter())
+            .filter(|s| s.name == "cf_fleet")
+            .map(|s| (s.attr("attempt").cloned(), s.attr("error").cloned()))
+            .collect();
+        assert_eq!(fleets.len(), 2, "{fleets:?}");
+        for (attempt, error) in fleets {
+            match (attempt, error) {
+                (Some(AttrValue::U64(0)), Some(AttrValue::Str(error))) => {
+                    assert!(error.contains("injected CF worker crash"), "{error}")
+                }
+                (Some(AttrValue::U64(1)), None) => {}
+                other => panic!("unexpected cf_fleet span {other:?}"),
+            }
+        }
         assert_eq!(
             registry.counter("pixels_turbo_cf_crashes_total", "").get(),
             1
@@ -1423,10 +1376,11 @@ mod tests {
             out.batch, direct.batch,
             "degradation must not change results"
         );
-        assert!(out
-            .events
-            .iter()
-            .any(|ev| matches!(ev, QueryEvent::CfDegradedToVm { .. })));
+        assert!(
+            (out.decisions).ends_with(&[Decision::Degrade, Decision::DispatchVm]),
+            "{:?}",
+            out.decisions
+        );
         assert_eq!(
             registry
                 .counter("pixels_turbo_cf_degradations_total", "")
@@ -1517,20 +1471,14 @@ mod tests {
         let out = on_cf(&e, || e.execute_sql("tpch", sql, true).unwrap());
         assert!(out.used_cf);
         assert_eq!(out.batch, direct.batch);
-        assert!(out
-            .events
-            .iter()
-            .any(|ev| matches!(ev, QueryEvent::StragglerDetected { .. })));
-        assert!(out
-            .events
-            .iter()
-            .any(|ev| matches!(ev, QueryEvent::SpeculativeLaunch { attempt: 1 })));
-        assert!(
-            out.events
-                .iter()
-                .any(|ev| matches!(ev, QueryEvent::SpeculativeWin { attempt: 1 })),
-            "the clean duplicate should win the race: {:?}",
-            out.events
+        assert_eq!(
+            out.decisions,
+            [
+                Decision::DispatchCf { attempt: 0 },
+                Decision::StragglerSpeculate { attempt: 1 },
+                Decision::Accept { attempt: 1 },
+            ],
+            "the clean duplicate should win the race"
         );
         assert_eq!(
             registry

@@ -21,7 +21,7 @@
 //! ([`run_attempt`]) runs it. The top plan then runs over the last stage's
 //! MV; if every attempt of some stage fails, the query degrades to the VM.
 
-use super::{ExecOutcome, QueryEvent, TurboEngine};
+use super::{ExecOutcome, TurboEngine};
 use crate::billing::CostBreakdown;
 use crate::cf_service::LaunchFaults;
 use crate::model::QueryWork;
@@ -102,9 +102,7 @@ type StageResult = (u32, Result<StagePayload>);
 /// What a CF execution has accumulated across the stages run so far.
 #[derive(Default)]
 struct CfRun {
-    events: Vec<QueryEvent>,
     decisions: Vec<Decision>,
-    last_err: Option<Error>,
     /// Modelled cost of every attempt launched, stage sums added in order.
     provider_cf_dollars: f64,
     /// Modelled cost of the accepted attempt of each stage.
@@ -259,15 +257,13 @@ impl TurboEngine {
         self.count_execution(&metrics, &ctx);
         self.metrics.cf_invocations.inc();
         self.metrics.exchange(&run.exchange);
-        let retries = self.note_storage_retries(retries_before, &mut run.events);
         Ok(ExecOutcome {
             batch,
             used_cf: true,
             execution: start.elapsed(),
             bytes_scanned: metrics.bytes_scanned,
             metrics,
-            events: run.events,
-            retries,
+            retries: self.storage_retries_since(retries_before),
             decisions: run.decisions,
             // The accepted execution's modelled cost: the winning fleet of
             // each stage (same formula the sim's CfService charges).
@@ -283,7 +279,7 @@ impl TurboEngine {
     }
 
     /// Race one stage's fleets to an accepted attempt, folding its decisions,
-    /// events, costs, metrics and artifact into `run`. Returns `false` when
+    /// costs, metrics and artifact into `run`. Returns `false` when
     /// every attempt failed (`Decision::Degrade`).
     ///
     /// Every recovery decision — when to relaunch a crashed fleet, when to
@@ -310,7 +306,7 @@ impl TurboEngine {
             costs: Vec::new(),
         };
         let mut race = CfRace::start(&mut fleets);
-        let winner = self.drive_race(&mut race, &mut fleets, &rx, straggler_wait, run);
+        let winner = self.drive_race(&mut race, &mut fleets, &rx, straggler_wait);
         // Dropping the launcher's sender lets the reaper's drain end once the
         // last in-flight fleet has reported.
         let StageFleets {
@@ -322,9 +318,6 @@ impl TurboEngine {
             self.reap(rx, artifacts, race.outstanding());
             return false;
         };
-        if race.speculated() {
-            run.events.push(QueryEvent::SpeculativeWin { attempt });
-        }
         run.accepted_cf_dollars += costs[attempt as usize];
         run.metrics = run.metrics.merged(&metrics);
         run.exchange.merge(&stats);
@@ -335,16 +328,15 @@ impl TurboEngine {
 
     /// Drive one stage's [`CfRace`] to completion against its result channel
     /// and return the accepted attempt, if any. The loop only *detects* (a
-    /// channel wait bounded by the straggler deadline), records
-    /// events/counters and discards failed attempts' artifacts; every
-    /// reaction is the policy's.
+    /// channel wait bounded by the straggler deadline), moves the counters
+    /// and discards failed attempts' artifacts; every reaction is the
+    /// policy's.
     fn drive_race(
         &self,
         race: &mut CfRace,
         fleets: &mut StageFleets<'_>,
         rx: &Receiver<StageResult>,
         straggler_wait: Duration,
-        run: &mut CfRun,
     ) -> Option<(u32, ExecMetricsSnapshot, ExchangeStats)> {
         let mut deadline_fired = false;
         let mut winner = None;
@@ -365,13 +357,9 @@ impl TurboEngine {
                         failed: false,
                     }
                 }
-                Ok((attempt, Err(e))) => {
+                Ok((attempt, Err(_))) => {
+                    // The error is on the attempt's `cf_fleet` span.
                     self.metrics.cf_crashes.inc();
-                    run.events.push(QueryEvent::CfAttemptFailed {
-                        attempt,
-                        reason: e.to_string(),
-                    });
-                    run.last_err = Some(e);
                     // A crash before any write leaves nothing; a storage
                     // failure mid-write may have left partial output — GC
                     // either way.
@@ -389,15 +377,8 @@ impl TurboEngine {
             };
             for d in race.step(input, fleets) {
                 match d {
-                    Decision::Relaunch { attempt } => {
-                        run.events.push(QueryEvent::CfRetried { attempt });
-                        self.metrics.cf_retries.inc();
-                    }
-                    Decision::StragglerSpeculate { attempt } => {
-                        run.events.push(QueryEvent::StragglerDetected {
-                            waited_ms: straggler_wait.as_millis() as u64,
-                        });
-                        run.events.push(QueryEvent::SpeculativeLaunch { attempt });
+                    Decision::Relaunch { .. } => self.metrics.cf_retries.inc(),
+                    Decision::StragglerSpeculate { .. } => {
                         self.metrics.cf_stragglers.inc();
                         self.metrics.speculative_launches.inc();
                     }
@@ -455,7 +436,7 @@ impl TurboEngine {
     /// The query still completes (and bills the plain VM-path bytes), it
     /// just loses the acceleration: wait for a VM slot until
     /// `slot_deadline` like any queued query, run the whole plan there, and
-    /// prepend the CF events/decisions and provider-side spend.
+    /// prepend the CF decisions and provider-side spend.
     fn degrade_to_vm(
         &self,
         plan: &Plan,
@@ -469,25 +450,15 @@ impl TurboEngine {
             self.discard(artifact);
         }
         let CfRun {
-            mut events,
             mut decisions,
-            last_err,
             provider_cf_dollars,
             exchange,
             ..
         } = run;
-        events.push(QueryEvent::CfDegradedToVm {
-            reason: last_err
-                .map(|e| e.to_string())
-                .unwrap_or_else(|| "cf fleet unavailable".into()),
-        });
         self.metrics.cf_degradations.inc();
         self.metrics.exchange(&exchange);
         let mut out = self.run_in_vm_when_free(plan, work, trace, slot_deadline)?;
-        // Degradation events and the policy's decision log precede whatever
-        // the VM run recorded.
-        events.append(&mut out.events);
-        out.events = events;
+        // The policy's decision log, `Degrade` last, precedes the VM run's.
         decisions.append(&mut out.decisions);
         out.decisions = decisions;
         out.provider_cf_dollars = provider_cf_dollars;
@@ -583,6 +554,9 @@ impl CfEffects for StageFleets<'_> {
             // the fleet publishes its own prefetcher activity.
             for ctx in &ctxs {
                 counters.pipeline(&ctx.metrics.pipeline_snapshot());
+            }
+            if let Err(e) = &result {
+                span.record_str("error", &e.to_string());
             }
             // Finish the span before handing over the result: the race
             // winner's trace may be rendered the moment the send lands.

@@ -9,7 +9,7 @@ use pixelsdb::chaos::{FaultInjector, FaultPlan, FaultSite, RetryPolicy, SiteSpec
 use pixelsdb::server::{PriceSchedule, QueryServer, QueryStatus, QuerySubmission, ServiceLevel};
 use pixelsdb::storage::chaos_stack;
 use pixelsdb::storage::InMemoryObjectStore;
-use pixelsdb::turbo::{EngineConfig, QueryEvent, TurboEngine};
+use pixelsdb::turbo::{Decision, EngineConfig, TurboEngine};
 use pixelsdb::workload::{load_tpch, TpchConfig};
 use std::sync::Arc;
 
@@ -68,17 +68,13 @@ fn transient_get_errors_are_invisible_to_results_and_billing() {
     };
     let clean = deploy(&FaultPlan::none(1), cfg);
     let base = run(&clean, SQL, ServiceLevel::Immediate);
-    // A chaotic run's `StorageRetries` events, once it has matched the
-    // fault-free run.
-    let retry_events_of = |info: &pixelsdb::server::QueryInfo| {
+    // A chaotic run's retries, once it has matched the fault-free run.
+    let retries_of = |info: &pixelsdb::server::QueryInfo| {
         assert_eq!(info.status, QueryStatus::Finished, "{:?}", info.error);
         assert_eq!(info.result, base.result, "results must be bit-identical");
         assert_eq!(info.scan_bytes, base.scan_bytes, "retries must not re-bill");
         assert_eq!(info.price, base.price);
-        info.events
-            .iter()
-            .filter(|e| matches!(e, QueryEvent::StorageRetries { .. }))
-            .count()
+        info.retries
     };
 
     // A request's verdict is keyed by the plan seed and the request, so one
@@ -86,15 +82,11 @@ fn transient_get_errors_are_invisible_to_results_and_billing() {
     // three sets, enough that at least one GET fails. Every run must still
     // match the fault-free twin exactly.
     let mut retries = 0;
-    let mut retry_events = 0;
     for seed in 1..=3 {
         let chaotic = deploy(&FaultPlan::get_errors(seed, 0.3), cfg);
-        let info = run(&chaotic, SQL, ServiceLevel::Immediate);
-        retry_events += retry_events_of(&info);
-        retries += info.retries;
+        retries += retries_of(&run(&chaotic, SQL, ServiceLevel::Immediate));
     }
     assert!(retries > 0, "30% GET errors must have forced retries");
-    assert!(retry_events > 0, "retries must surface as QueryInfo events");
 
     // Whatever the draws: every GET fails until the site has failed as many
     // times as one request may retry, so no request runs out of retries and
@@ -105,11 +97,7 @@ fn transient_get_errors_are_invisible_to_results_and_billing() {
         cfg,
     );
     let info = run(&capped, SQL, ServiceLevel::Immediate);
-    assert!(
-        retry_events_of(&info) > 0,
-        "retries must surface as QueryInfo events"
-    );
-    assert_eq!(info.retries, budget);
+    assert_eq!(retries_of(&info), budget);
 }
 
 #[test]
@@ -137,11 +125,9 @@ fn failing_cf_fleet_degrades_to_vm_through_the_server() {
         "degradation preserves results"
     );
     assert!(
-        info.events
-            .iter()
-            .any(|e| matches!(e, QueryEvent::CfDegradedToVm { .. })),
-        "degradation must surface in QueryInfo events: {:?}",
-        info.events
+        info.decisions.contains(&Decision::Degrade),
+        "degradation must surface in QueryInfo decisions: {:?}",
+        info.decisions
     );
 }
 
