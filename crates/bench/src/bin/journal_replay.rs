@@ -13,9 +13,11 @@
 //! 4. refolds the ledger from the same journal: its sums — entries, bytes and
 //!    every dollar, overall, per level and per tenant — must equal the live
 //!    ledger's bit-for-bit,
-//! 5. writes `target/slo_soak.json` (uploaded as a CI artifact). Which of
-//!    the concurrent queries opens a table first, and so pays for its
-//!    footer, differs from run to run, so the bills in it do too.
+//! 5. writes `results/slo_soak.json`, the part a rerun reproduces — query
+//!    and status counts, and per level and per tenant the ledger's entries
+//!    and billed bytes — and the whole report to `target/slo_soak.json`
+//!    (uploaded as a CI artifact): revenue folds in completion order and the
+//!    SLO counts follow latency, so those differ from run to run.
 //!
 //! Exits non-zero on any diff: a journal that cannot reproduce the registry
 //! is a broken system of record.
@@ -23,9 +25,10 @@
 use pixels_bench::{demo_data, Gate};
 use pixels_common::Json;
 use pixels_obs::journal::{ledger_of, replay};
-use pixels_obs::QueryJournal;
+use pixels_obs::{LedgerSummary, QueryJournal};
 use pixels_server::{PriceSchedule, QueryServer, QuerySubmission, ServiceLevel};
 use pixels_turbo::{EngineConfig, TurboEngine};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const BATCH: &[&str] = &[
@@ -126,8 +129,31 @@ fn main() {
         ),
     );
 
-    // 5. Artifact for CI.
-    let mut report: std::collections::BTreeMap<String, Json> = Default::default();
+    // 5. The reproducible counts, committed, and the whole report for CI.
+    let mut statuses: BTreeMap<&str, u64> = BTreeMap::new();
+    for e in &entries {
+        *statuses.entry(e.status.as_str()).or_default() += 1;
+    }
+    let counts = |by: BTreeMap<String, LedgerSummary>| {
+        Json::object(by.into_iter().map(|(key, sums)| {
+            let fields = [
+                ("entries", Json::number(sums.entries as f64)),
+                ("bytes_billed", Json::number(sums.bytes_billed as f64)),
+            ];
+            (key, Json::object(fields))
+        }))
+    };
+    let reproducible = Json::object([
+        ("queries", Json::number(entries.len() as f64)),
+        (
+            "status",
+            Json::object(statuses.iter().map(|(s, &n)| (*s, Json::number(n as f64)))),
+        ),
+        ("levels", counts(ledger.by_level())),
+        ("tenants", counts(ledger.by_tenant())),
+    ]);
+    gate.write("slo_soak.json", &reproducible.to_compact_string());
+    let mut report: BTreeMap<String, Json> = Default::default();
     report.insert("queries".into(), Json::number(entries.len() as f64));
     report.insert("failed".into(), Json::number(failed as f64));
     report.insert("diffs".into(), Json::number(diffs.len() as f64));

@@ -96,7 +96,7 @@ fn main() {
     }
     t.print();
     println!(
-        "\nAll three mechanisms reduce the bytes fetched from object storage, which is \
+        "\nAll three mechanisms reduce the column-chunk bytes a scan reads, which is \
          exactly the quantity the $/TB price model bills."
     );
     println!("x2_storage_ablations: OK");

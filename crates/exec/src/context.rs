@@ -108,18 +108,14 @@ impl ExecContext {
 }
 
 /// Counters describing what a query actually did. `bytes_scanned` is the
-/// exact number of footer and column-chunk bytes fetched from object storage
-/// — the quantity the query server bills at $/TB. Footer-cache hits fetch
-/// nothing and therefore bill nothing; they are counted separately.
+/// quantity the query server bills at $/TB: the column-chunk bytes the
+/// plan's table scans read, metered per morsel from chunk metadata by
+/// [`crate::scan::ScanMorsels::meter`], its one writer. Footers, MV reads
+/// and spills never bill, so neither a cache nor the choice of engine can
+/// change it; footer-cache hits are counted apart.
 #[derive(Debug, Default)]
 pub struct ExecMetrics {
     pub bytes_scanned: AtomicU64,
-    /// The subset of `bytes_scanned` fetched at file open (footer/metadata
-    /// bytes). On a warm reopen the footer cache absorbs these bytes — so
-    /// `bytes_scanned - open_bytes` is exactly what a repeat of this query
-    /// against warm caches would bill. The shared-work result cache bills
-    /// repeats that amount.
-    pub open_bytes: AtomicU64,
     pub rows_scanned: AtomicU64,
     pub rows_produced: AtomicU64,
     pub row_groups_total: AtomicU64,
@@ -170,8 +166,6 @@ pub struct ScanPipelineSnapshot {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecMetricsSnapshot {
     pub bytes_scanned: u64,
-    /// Footer/open bytes included in `bytes_scanned` (zero on warm reopens).
-    pub open_bytes: u64,
     pub rows_scanned: u64,
     pub rows_produced: u64,
     pub row_groups_total: u64,
@@ -180,12 +174,11 @@ pub struct ExecMetricsSnapshot {
 }
 
 impl ExecMetricsSnapshot {
-    /// Field-wise sum — used to combine the CF sub-plan's metrics with the
-    /// top-level plan's into one per-query snapshot.
+    /// Field-wise sum — used to combine the metrics of a CF query's
+    /// accepted stages into one per-query snapshot.
     pub fn merged(&self, other: &ExecMetricsSnapshot) -> ExecMetricsSnapshot {
         ExecMetricsSnapshot {
             bytes_scanned: self.bytes_scanned + other.bytes_scanned,
-            open_bytes: self.open_bytes + other.open_bytes,
             rows_scanned: self.rows_scanned + other.rows_scanned,
             rows_produced: self.rows_produced + other.rows_produced,
             row_groups_total: self.row_groups_total + other.row_groups_total,
@@ -199,7 +192,6 @@ impl ExecMetricsSnapshot {
         use pixels_common::Json;
         Json::object([
             ("bytes_scanned", Json::number(self.bytes_scanned as f64)),
-            ("open_bytes", Json::number(self.open_bytes as f64)),
             ("rows_scanned", Json::number(self.rows_scanned as f64)),
             ("rows_produced", Json::number(self.rows_produced as f64)),
             (
@@ -216,7 +208,7 @@ impl ExecMetricsSnapshot {
 }
 
 impl ExecMetrics {
-    pub fn add_scan(&self, bytes: u64, rows: u64) {
+    pub(crate) fn add_scan(&self, bytes: u64, rows: u64) {
         self.bytes_scanned.fetch_add(bytes, Ordering::Relaxed);
         self.rows_scanned.fetch_add(rows, Ordering::Relaxed);
     }
@@ -232,12 +224,6 @@ impl ExecMetrics {
 
     pub fn add_footer_cache_hit(&self) {
         self.footer_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record footer/open bytes (already included in `bytes_scanned` by the
-    /// accompanying [`ExecMetrics::add_scan`] call).
-    pub fn add_open(&self, bytes: u64) {
-        self.open_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     pub fn add_prefetch(&self, issued: u64, hits: u64, wasted: u64) {
@@ -282,7 +268,6 @@ impl ExecMetrics {
     pub fn snapshot(&self) -> ExecMetricsSnapshot {
         ExecMetricsSnapshot {
             bytes_scanned: self.bytes_scanned.load(Ordering::Relaxed),
-            open_bytes: self.open_bytes.load(Ordering::Relaxed),
             rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
             rows_produced: self.rows_produced.load(Ordering::Relaxed),
             row_groups_total: self.row_groups_total.load(Ordering::Relaxed),

@@ -82,18 +82,14 @@ fn execute_inner(
             output_schema,
             ..
         } => execute_scan(ctx, paths, projection, filters, join_filter, output_schema),
+        // An MV the engine itself wrote: reading it bills nothing.
         Plan::MaterializedScan { path, .. } => {
             let reader = open_metered(ctx, path)?;
             let mut span = ctx.trace.span("read");
             let batches = reader.read_all(None, &[])?;
-            let rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
-            let bytes: u64 = (0..reader.num_row_groups())
-                .map(|rg| reader.row_group_bytes(rg, None))
-                .sum();
-            span.record_u64("bytes", bytes);
-            span.record_u64("rows", rows);
-            span.finish();
-            ctx.metrics.add_scan(bytes, rows);
+            if span.enabled() {
+                span.record_u64("rows", batches.iter().map(|b| b.num_rows() as u64).sum());
+            }
             Ok(batches)
         }
         Plan::Filter { input, predicate } => {

@@ -32,13 +32,12 @@
 //! materialized view a shuffled plan writes is byte-identical too.
 //!
 //! **Billing rule**: spill PUT/GET bytes are *provider-side* exchange
-//! traffic. Spill reads run in a scratch [`ExecContext`] whose metrics are
-//! drained into [`ExchangeStats::get_bytes`] and never into the billed
+//! traffic. Spill reads bypass the executor and count what they transfer
+//! into [`ExchangeStats::get_bytes`], never into the billed
 //! `bytes_scanned`; no `bytes` span attributes are recorded for them.
 
 use crate::aggregate::{self, AggState};
 use crate::context::ExecContext;
-use crate::engine::execute;
 use crate::evaluate::evaluate_ref;
 use crate::join::{coalesce, join_encoder, JoinBuild};
 use crate::keys::{hash_key, key_chunks, partition_of, EncodedKeys};
@@ -49,7 +48,7 @@ use pixels_common::{
 };
 use pixels_planner::{AggExpr, BoundExpr, Plan};
 use pixels_sql::ast::JoinType;
-use pixels_storage::{ObjectStore, ObjectStoreRef};
+use pixels_storage::{ObjectStore, ObjectStoreRef, PixelsReader};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -179,21 +178,19 @@ pub fn write_agg_partitions(
     Ok(stats)
 }
 
-/// Read one spill object through a scratch context (metrics drained into
-/// `get_bytes`, never billed) and return its batches.
+/// Read one spill object and count what its GETs transfer, footer
+/// included, into `get_bytes`: provider traffic, never billed.
 fn read_spill(
     spill_store: &ObjectStoreRef,
     path: &str,
-    schema: &SchemaRef,
     stats: &mut ExchangeStats,
 ) -> Result<Vec<RecordBatch>> {
-    let scratch = ExecContext::new(spill_store.clone());
-    let scan = Plan::MaterializedScan {
-        path: path.to_string(),
-        schema: schema.clone(),
-    };
-    let batches = execute(&scan, &scratch)?;
-    stats.get_bytes += scratch.metrics.snapshot().bytes_scanned;
+    let reader = PixelsReader::open(spill_store.as_ref(), path)?;
+    let batches = reader.read_all(None, &[])?;
+    stats.get_bytes += reader.open_transfer()
+        + (0..reader.num_row_groups())
+            .map(|rg| reader.row_group_bytes(rg, None))
+            .sum::<u64>();
     Ok(batches)
 }
 
@@ -219,7 +216,7 @@ pub fn read_agg_partitions(
     let mut batches = Vec::new();
     for part in 0..partitions {
         let path = partition_path(prefix, part, None);
-        batches.extend(read_spill(spill_store, &path, &schema, &mut stats)?);
+        batches.extend(read_spill(spill_store, &path, &mut stats)?);
     }
     let all = match batches.as_slice() {
         [] => RecordBatch::empty(schema.clone()),
@@ -384,8 +381,6 @@ pub fn read_join_partitions(
     right_schema: &SchemaRef,
     batch_size: usize,
 ) -> Result<(Vec<RecordBatch>, ExchangeStats)> {
-    let left_spill = join_spill_schema(left_schema);
-    let right_spill = join_spill_schema(right_schema);
     let left_width = left_schema.fields().len();
     let mut stats = ExchangeStats {
         partitions: partitions as u64,
@@ -404,7 +399,7 @@ pub fn read_join_partitions(
             }
             None => {
                 let path = partition_path(prefix, part, Some("left"));
-                let lb = read_spill(spill_store, &path, &left_spill, &mut stats)?;
+                let lb = read_spill(spill_store, &path, &mut stats)?;
                 let (left, lord) = strip_ord(lb, left_schema)?;
                 (left.map(Cow::Owned), lord)
             }
@@ -412,7 +407,6 @@ pub fn read_join_partitions(
         let rb = read_spill(
             spill_store,
             &partition_path(prefix, part, Some("right")),
-            &right_spill,
             &mut stats,
         )?;
         let (right, rord) = strip_ord(rb, right_schema)?;
@@ -444,6 +438,7 @@ pub fn read_join_partitions(
 mod tests {
     use super::*;
     use crate::aggregate::execute_aggregate;
+    use crate::engine::execute;
     use crate::join::execute_join;
     use pixels_storage::InMemoryObjectStore;
 

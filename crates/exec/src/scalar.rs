@@ -59,16 +59,7 @@ pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<Vec<RecordBatch>> {
             })?;
             Ok(scan_output(batches, output_schema))
         }
-        Plan::MaterializedScan { path, .. } => {
-            let reader = open_metered(ctx, path)?;
-            let batches = reader.read_all(None, &[])?;
-            let rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
-            let bytes: u64 = (0..reader.num_row_groups())
-                .map(|rg| reader.row_group_bytes(rg, None))
-                .sum();
-            ctx.metrics.add_scan(bytes, rows);
-            Ok(batches)
-        }
+        Plan::MaterializedScan { path, .. } => open_metered(ctx, path)?.read_all(None, &[]),
         Plan::Filter { input, predicate } => {
             let batches = execute(input, ctx)?;
             let filtered = parallel::run_indexed(batches.len(), ctx.parallelism, |i| {

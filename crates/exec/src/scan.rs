@@ -1,12 +1,12 @@
 //! Table scans with projection pushdown, zone-map pruning, residual
 //! filtering, and morsel-driven parallelism.
 //!
-//! Every scan starts with [`ScanMorsels::open`]: open each file (billing the
-//! open), check the plan's column indices against the file, prune row
-//! groups, list the surviving `(file, row group)` morsels. Every scan ends a
-//! morsel with [`ScanMorsels::meter`], which bills it. The table scan
-//! ([`execute_scan`]), the grouping fold fed by a scan
-//! ([`crate::aggregate::fold`]) and the scalar oracle's
+//! Every scan starts with [`ScanMorsels::open`]: open each file (an open
+//! bills nothing), check the plan's column indices against the file, prune
+//! row groups, list the surviving `(file, row group)` morsels. Every scan
+//! ends a morsel with [`ScanMorsels::meter`], which bills it and is the one
+//! writer of `bytes_scanned`. The table scan ([`execute_scan`]), the grouping
+//! fold fed by a scan ([`crate::aggregate::fold`]) and the scalar oracle's
 //! scan arm ([`crate::scalar::execute`]) differ only in what they do with a
 //! morsel in between, so results *and* bills agree by construction.
 //!
@@ -41,31 +41,20 @@ use pixels_storage::{ColumnStats, EncodedChunk, FetchStats, PixelsReader};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Open `path` through the context's shared footer cache and meter the open:
-/// a miss bills the bytes actually fetched, a hit bills nothing and bumps
-/// the hit counter instead. When tracing, the open is a `storage_open` span
-/// whose `bytes` attribute is exactly what the open billed (zero on a hit),
-/// so span byte sums stay consistent with `bytes_scanned`.
+/// Open `path` through the context's shared footer cache, counting a hit.
+/// An open bills nothing, hit or miss: the bill is the chunks a scan reads
+/// ([`ScanMorsels::meter`]), so it cannot depend on which query opened a
+/// table first. When tracing, the open is a `storage_open` span; it carries
+/// no `bytes`, so span byte sums still equal `bytes_scanned`.
 pub(crate) fn open_metered<'a>(ctx: &'a ExecContext, path: &str) -> Result<PixelsReader<'a>> {
     let mut span = ctx.trace.span("storage_open");
     let reader = PixelsReader::open_with_cache(ctx.store.as_ref(), path, &ctx.footer_cache)?;
     if span.enabled() {
         span.record_str("path", path);
         span.record_u64("cache_hit", reader.from_cache() as u64);
-        span.record_u64(
-            "bytes",
-            if reader.from_cache() {
-                0
-            } else {
-                reader.open_bytes()
-            },
-        );
     }
     if reader.from_cache() {
         ctx.metrics.add_footer_cache_hit();
-    } else {
-        ctx.metrics.add_scan(reader.open_bytes(), 0);
-        ctx.metrics.add_open(reader.open_bytes());
     }
     Ok(reader)
 }

@@ -561,6 +561,12 @@ fn split_plan_produces_identical_results() {
     assert_eq!(direct, via_split);
     assert_eq!(direct.num_rows(), 1);
     assert_eq!(direct.row(0)[0], v_s("FR"));
+    // One bill: the sub-plan's table scans bill what the direct run does,
+    // and reading the MV back bills nothing.
+    let billed = |ctx: &ExecContext| ctx.metrics.snapshot().bytes_scanned;
+    assert!(billed(&ctx) > 0);
+    assert_eq!(billed(&ctx_sub), billed(&ctx));
+    assert_eq!(billed(&ctx_top), 0);
 }
 
 /// Two integers are compared as integers: through `f64`, 2^53 + 1 rounds

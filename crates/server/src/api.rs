@@ -634,33 +634,27 @@ pub(crate) mod tests {
 
     #[test]
     fn pricing_by_level() {
-        let s = server();
         let sql = "SELECT COUNT(*) FROM lineitem";
-        // The first run pays for the footer fetch; afterwards the engine's
-        // footer cache serves opens for free, so repeated runs bill only the
-        // column chunks — identically at every service level.
-        let cold = s
-            .wait(s.submit(submission(sql, ServiceLevel::Immediate)))
-            .unwrap();
-        let a = s
-            .wait(s.submit(submission(sql, ServiceLevel::Immediate)))
-            .unwrap();
-        let b = s
-            .wait(s.submit(submission(sql, ServiceLevel::Relaxed)))
-            .unwrap();
-        let c = s
-            .wait(s.submit(submission(sql, ServiceLevel::BestEffort)))
-            .unwrap();
-        assert!(
-            cold.scan_bytes > a.scan_bytes,
-            "cold run must bill the footer fetch: {} vs {}",
-            cold.scan_bytes,
-            a.scan_bytes
-        );
-        assert_eq!(a.scan_bytes, b.scan_bytes);
-        assert_eq!(b.scan_bytes, c.scan_bytes);
-        assert!((b.price / a.price - 0.2).abs() < 1e-6);
-        assert!((c.price / a.price - 0.1).abs() < 1e-6);
+        // A query bills the column chunks it reads, never the footers: on a
+        // fresh server the cold run and its warm repeat bill the same bytes,
+        // and so does every level.
+        let mut bytes = None;
+        let [a, b, c] = [
+            ServiceLevel::Immediate,
+            ServiceLevel::Relaxed,
+            ServiceLevel::BestEffort,
+        ]
+        .map(|level| {
+            let s = server();
+            let cold = s.wait(s.submit(submission(sql, level))).unwrap();
+            let warm = s.wait(s.submit(submission(sql, level))).unwrap();
+            assert_eq!(cold.scan_bytes, warm.scan_bytes, "{level:?}");
+            assert_eq!(cold.price.to_bits(), warm.price.to_bits(), "{level:?}");
+            assert_eq!(cold.scan_bytes, *bytes.get_or_insert(cold.scan_bytes));
+            cold.price
+        });
+        assert!((b / a - 0.2).abs() < 1e-6);
+        assert!((c / a - 0.1).abs() < 1e-6);
     }
 
     #[test]
@@ -737,7 +731,21 @@ pub(crate) mod tests {
         let m = json.get("metrics").expect("status payload carries metrics");
         assert!(m.get("bytes_scanned").unwrap().as_f64().unwrap() > 0.0);
         assert!(m.get("footer_cache_hits").unwrap().as_f64().unwrap() > 0.0);
-        assert!(m.get("row_groups_read").is_some());
+        let Json::Object(fields) = m else {
+            panic!("metrics is an object: {m:?}")
+        };
+        let keys: Vec<&str> = fields.keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            [
+                "bytes_scanned",
+                "footer_cache_hits",
+                "row_groups_read",
+                "row_groups_total",
+                "rows_produced",
+                "rows_scanned"
+            ]
+        );
     }
 
     #[test]
@@ -1418,7 +1426,9 @@ pub(crate) mod tests {
                 ServiceLevel::Immediate,
             )))
             .unwrap();
-        // Same warm-cache repeat bytes ⇒ prices compare by fraction alone.
+        // The same query bills the same bytes cold or warm, so the prices
+        // compare by fraction alone.
+        assert_eq!(info.scan_bytes, immediate.scan_bytes);
         let deadline_per_byte = info.price / info.scan_bytes as f64;
         let immediate_per_byte = immediate.price / immediate.scan_bytes as f64;
         assert!(
@@ -1457,13 +1467,12 @@ pub(crate) mod tests {
         assert_eq!(second.status, QueryStatus::Finished);
         // Identical rows in identical order.
         assert_eq!(second.result, first.result);
-        // Billed the warm-repeat bytes at the follower's own level price.
-        let warm = first.scan_bytes - first.metrics.open_bytes;
-        assert_eq!(second.scan_bytes, warm);
+        // Billed the leader's bytes at the follower's own level price.
+        assert_eq!(second.scan_bytes, first.scan_bytes);
         assert_eq!(
             second.price.to_bits(),
             PriceSchedule::default()
-                .bill(ServiceLevel::Relaxed, warm)
+                .bill(ServiceLevel::Relaxed, first.scan_bytes)
                 .to_bits()
         );
         // The leader paid the provider; the follower pays nothing.

@@ -5,10 +5,8 @@
 //! The hard billing invariant: **sharing never changes any user's rows,
 //! their order, or their billed bytes.** A served-from-shared-work query
 //! returns a bit-identical copy of the leader's result batch, and is billed
-//! exactly the bytes it would have scanned executing alone against a warm
-//! footer cache — the leader's `bytes_scanned − open_bytes` (open/footer
-//! bytes are cached engine-wide after the first execution, so a repeat run
-//! never re-fetches them whether sharing is on or off). Who pays the
+//! the leader's `bytes_scanned`: a query bills the column chunks its scans
+//! read, so executing alone it would have billed exactly that. Who pays the
 //! provider is defined once: the *leader* (the query that actually
 //! executes) carries the full resource cost; followers carry zero — the
 //! ledger then reconciles per tenant with no double-counted provider spend.
@@ -327,18 +325,10 @@ impl SharedWork {
 }
 
 /// A shared result as billed to a follower: identical rows in identical
-/// order, warm-repeat billed bytes (the leader's scan minus its open/footer
-/// bytes — exactly what a solo re-execution against the warm footer cache
-/// would bill), zero provider cost (the leader paid), and no execution-side
-/// decisions or retries of its own.
+/// order, the leader's billed bytes, zero provider cost (the leader paid),
+/// and no execution-side decisions or retries of its own.
 fn follower_view(leader: &ExecOutcome) -> ExecOutcome {
     let mut out = leader.clone();
-    let warm = leader
-        .bytes_scanned
-        .saturating_sub(leader.metrics.open_bytes);
-    out.bytes_scanned = warm;
-    out.metrics.bytes_scanned = warm;
-    out.metrics.open_bytes = 0;
     out.pending = Duration::ZERO;
     out.execution = Duration::ZERO;
     out.resource_cost = CostBreakdown::default();
@@ -404,13 +394,10 @@ mod tests {
         assert_eq!(k2, ShareKind::CacheHit);
         // Bit-identical rows in identical order.
         assert_eq!(second.batch, first.batch);
-        // Billed exactly the warm-repeat bytes: the leader's scan minus the
-        // footer bytes the engine cache would have served a solo repeat.
-        assert_eq!(
-            second.bytes_scanned,
-            first.bytes_scanned - first.metrics.open_bytes
-        );
-        assert!(first.metrics.open_bytes > 0, "cold run fetched footers");
+        // Billed exactly the leader's bytes.
+        assert!(first.bytes_scanned > 0);
+        assert_eq!(second.bytes_scanned, first.bytes_scanned);
+        assert_eq!(second.metrics, first.metrics);
         // The follower never pays the provider.
         assert_eq!(second.resource_cost.total(), 0.0);
         assert_eq!(second.provider_cf_dollars, 0.0);
@@ -418,12 +405,11 @@ mod tests {
 
     #[test]
     fn cached_bill_matches_a_solo_warm_repeat() {
-        // The invariant the differential test scales up: with sharing the
-        // repeat bills the same bytes a no-sharing repeat bills (the engine
-        // footer cache serves opens either way).
+        // The invariant the differential test scales up: the leader, its
+        // follower and a solo cold run and warm repeat all bill one amount.
         let sql = "SELECT COUNT(*) FROM lineitem";
         let solo_engine = engine();
-        let _cold = solo_engine
+        let cold = solo_engine
             .execute_sql("tpch", sql, false)
             .unwrap()
             .bytes_scanned;
@@ -431,9 +417,10 @@ mod tests {
             .execute_sql("tpch", sql, false)
             .unwrap()
             .bytes_scanned;
+        assert_eq!(cold, warm);
         let shared_engine = engine();
         let sw = enabled();
-        let (_, _) = sw.execute(
+        let (leader, _) = sw.execute(
             &shared_engine,
             "tpch",
             sql,
@@ -450,6 +437,7 @@ mod tests {
             None,
         );
         assert_eq!(kind, ShareKind::CacheHit);
+        assert_eq!(leader.unwrap().bytes_scanned, warm);
         assert_eq!(hit.unwrap().bytes_scanned, warm);
     }
 

@@ -105,8 +105,11 @@ impl Footer {
                 "unsupported format version {version} (expected {FORMAT_VERSION})"
             )));
         }
+        // Counts come off the file, so a corrupt one must give an `Err`, not
+        // a huge allocation: no more entries can follow than the bytes left
+        // hold (a field takes at least 6, a row group at least 8).
         let num_fields = r.get_u32()? as usize;
-        let mut fields = Vec::with_capacity(num_fields);
+        let mut fields = Vec::with_capacity(num_fields.min(r.remaining() / 6));
         for _ in 0..num_fields {
             let name = r.get_str()?;
             let data_type = r.get_data_type()?;
@@ -115,7 +118,7 @@ impl Footer {
         }
         let schema = Schema::new(fields);
         let num_rgs = r.get_u64()? as usize;
-        let mut row_groups = Vec::with_capacity(num_rgs);
+        let mut row_groups = Vec::with_capacity(num_rgs.min(r.remaining() / 8));
         for _ in 0..num_rgs {
             let num_rows = r.get_u64()?;
             let mut columns = Vec::with_capacity(schema.len());
@@ -210,6 +213,19 @@ mod tests {
         let mut bytes = sample_footer().encode();
         bytes.push(0);
         assert!(Footer::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn footer_with_corrupt_counts_is_an_error() {
+        let footer = |fields: u32, row_groups: u64| {
+            let mut w = Writer::new();
+            w.put_u32(FORMAT_VERSION);
+            w.put_u32(fields);
+            w.put_u64(row_groups);
+            w.into_bytes()
+        };
+        assert!(Footer::decode(&footer(0, 1 << 62)).is_err());
+        assert!(Footer::decode(&footer(u32::MAX, 0)).is_err());
     }
 
     #[test]

@@ -6,19 +6,18 @@
 //! parsed footer is cached here keyed by path and validated by object size
 //! *and* write generation — the generation plays the role of an HTTP etag,
 //! catching the case where a rewritten object happens to keep its old size.
-//! A cache hit transfers zero bytes from the store, and the billing
-//! consequence is deliberate: footer bytes are metered only on the first
-//! fetch, never again on a hit.
+//! A cache hit transfers zero bytes from the store. Neither a hit nor a miss
+//! changes a bill: footer bytes are store traffic, never billed.
 //!
 //! [`ChunkCache`] extends the same idea to column chunks: a bounded byte
 //! budget with admission control and LRU-style eviction over parsed chunks.
 //! An entry is an [`EncodedChunk`] — payload, parsed validity, and the memo
 //! that holds its checked dictionary or its RLE runs once a query has parsed
 //! them — so a warm scan re-parses nothing, and the budget counts the memo's
-//! bytes as it fills. Unlike the footer cache, chunk-cache hits do **not**
+//! bytes as it fills. Like the footer cache, chunk-cache hits do **not**
 //! change what the user is billed — `bytes_scanned` is computed from chunk
 //! metadata per morsel, so a scan bills the same whether its chunk came from
-//! the store, the cache, or the cache with its memo filled. The cache buys
+//! the store, the cache, or the cache with its memo filled. Both caches buy
 //! latency and decode work, never a discount.
 
 use parking_lot::RwLock;
@@ -31,8 +30,7 @@ use crate::encoded::EncodedChunk;
 use crate::encoding::Encoding;
 use crate::format::Footer;
 
-/// Everything `PixelsReader::open` learns about a file, plus what it cost to
-/// learn it.
+/// Everything `PixelsReader::open` learns about a file.
 #[derive(Debug)]
 pub struct FileMeta {
     pub footer: Arc<Footer>,
@@ -45,9 +43,6 @@ pub struct FileMeta {
     /// footer. Stores without generation tracking report 0 everywhere,
     /// degrading to the old size-only validation.
     pub generation: u64,
-    /// Bytes transferred from the store to open the file (magic + tail +
-    /// any footer spill). Billed once, on the fetch that populated the cache.
-    pub open_bytes: u64,
 }
 
 /// Concurrent footer cache, shared via `Arc` between execution contexts and
@@ -444,7 +439,6 @@ mod tests {
             schema: Arc::new(Schema::empty()),
             size,
             generation,
-            open_bytes: 42,
         })
     }
 

@@ -9,9 +9,10 @@
 //! zone maps prove no row can match the scan predicates, and it fetches them
 //! vectored: [`PixelsReader::fetch_row_group`] is the one place chunk data is
 //! read, and it issues one ranged GET per run of neighbouring chunks (see
-//! [`COALESCE_GAP_BYTES`]). The reader reports exactly what a read bills
-//! ([`PixelsReader::open_bytes`], [`PixelsReader::row_group_bytes`]); bytes
-//! transferred only to bridge two chunks are counted apart and never billed.
+//! [`COALESCE_GAP_BYTES`]). The reader reports what a row group's chunks
+//! bill ([`PixelsReader::row_group_bytes`]) and, apart, what an open
+//! transferred ([`PixelsReader::open_transfer`]): footers never bill, and
+//! neither do bytes transferred only to bridge two chunks.
 
 use crate::encoded::EncodedChunk;
 use crate::format::{ColumnChunkMeta, Footer, RowGroupMeta, MAGIC_HEAD, MAGIC_TAIL};
@@ -120,7 +121,7 @@ pub struct PixelsReader<'a> {
     /// validates footer-cache entries (a same-size rewrite changes it).
     generation: u64,
     /// Bytes transferred from the store by this open (0 on a cache hit).
-    open_bytes: u64,
+    open_transfer: u64,
     /// Whether the footer came from a [`FooterCache`] without store traffic.
     from_cache: bool,
 }
@@ -166,7 +167,7 @@ impl<'a> PixelsReader<'a> {
                     footer: meta.footer.clone(),
                     schema: meta.schema.clone(),
                     generation,
-                    open_bytes: 0,
+                    open_transfer: 0,
                     from_cache: true,
                 });
             }
@@ -189,13 +190,13 @@ impl<'a> PixelsReader<'a> {
         if needed.is_none_or(|n| n > size) {
             return Err(Error::Storage(format!("corrupt footer length in {path}")));
         }
-        let mut open_bytes = MAGIC_HEAD.len() as u64 + tail_len;
+        let mut open_transfer = MAGIC_HEAD.len() as u64 + tail_len;
         let footer = if footer_len + 12 <= tail_len {
             let start = tail.len() - 12 - footer_len as usize;
             Footer::decode(&tail[start..tail.len() - 12])?
         } else {
             // Footer larger than the speculative read: fetch the exact span.
-            open_bytes += footer_len;
+            open_transfer += footer_len;
             let footer_bytes = store.get_range(path, size - 12 - footer_len, footer_len)?;
             Footer::decode(&footer_bytes)?
         };
@@ -209,7 +210,6 @@ impl<'a> PixelsReader<'a> {
                     schema: schema.clone(),
                     size,
                     generation,
-                    open_bytes,
                 }),
             );
         }
@@ -219,7 +219,7 @@ impl<'a> PixelsReader<'a> {
             footer,
             schema,
             generation,
-            open_bytes,
+            open_transfer,
             from_cache: false,
         })
     }
@@ -233,10 +233,9 @@ impl<'a> PixelsReader<'a> {
     }
 
     /// Bytes this open transferred from the store (0 when the footer came
-    /// from a cache). This is what a $/TB-scanned biller should charge for
-    /// the open itself.
-    pub fn open_bytes(&self) -> u64 {
-        self.open_bytes
+    /// from a cache): store traffic, never part of a bill.
+    pub fn open_transfer(&self) -> u64 {
+        self.open_transfer
     }
 
     /// Whether the footer was served by a [`FooterCache`].
@@ -674,7 +673,7 @@ mod tests {
         let delta = store.metrics().delta_since(&before);
         // Head magic + speculative tail: exactly two GETs for a small footer.
         assert_eq!(delta.get_requests, 2);
-        assert_eq!(reader.open_bytes(), delta.bytes_read);
+        assert_eq!(reader.open_transfer(), delta.bytes_read);
         assert!(!reader.from_cache());
     }
 
@@ -688,7 +687,7 @@ mod tests {
         let reader = PixelsReader::open_inner(&store, "t.pxl", None, 64).unwrap();
         let delta = store.metrics().delta_since(&before);
         assert_eq!(delta.get_requests, 3);
-        assert_eq!(reader.open_bytes(), delta.bytes_read);
+        assert_eq!(reader.open_transfer(), delta.bytes_read);
         assert_eq!(reader.num_rows(), 250);
         let all = RecordBatch::concat(&reader.read_all(None, &[]).unwrap()).unwrap();
         assert_eq!(all, batch(0, 250));
@@ -702,7 +701,7 @@ mod tests {
 
         let first = PixelsReader::open_with_cache(&store, "t.pxl", &cache).unwrap();
         assert!(!first.from_cache());
-        assert!(first.open_bytes() > 0);
+        assert!(first.open_transfer() > 0);
 
         let before = store.metrics();
         let second = PixelsReader::open_with_cache(&store, "t.pxl", &cache).unwrap();
@@ -710,7 +709,7 @@ mod tests {
         assert_eq!(delta.get_requests, 0, "cache hit must not touch the store");
         assert_eq!(delta.bytes_read, 0);
         assert!(second.from_cache());
-        assert_eq!(second.open_bytes(), 0, "cache hits are not billed");
+        assert_eq!(second.open_transfer(), 0, "a cache hit transfers nothing");
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
 
@@ -1101,7 +1100,6 @@ mod tests {
                 schema: honest.schema().clone(),
                 size: store.size("t.pxl").unwrap(),
                 generation: honest.generation(),
-                open_bytes: 0,
             }),
         );
         let reader = PixelsReader::open_with_cache(&store, "t.pxl", &footers).unwrap();

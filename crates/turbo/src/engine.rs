@@ -93,11 +93,10 @@ pub struct ExecOutcome {
     pub pending: Duration,
     /// Wall-clock execution time.
     pub execution: Duration,
-    /// Exact bytes read from object storage.
+    /// Billed bytes: the column chunks the plan's table scans read.
     pub bytes_scanned: u64,
     /// Full execution counters (scan bytes/rows, row-group pruning, footer
-    /// cache hits); for CF queries this merges the fleet's sub-plan metrics
-    /// with the top-level plan's.
+    /// cache hits); for CF queries the accepted stages' table scans.
     pub metrics: ExecMetricsSnapshot,
     /// Object-store retries performed while this query ran. Measured as the
     /// store-wide counter delta over the query, so it is approximate when
@@ -194,7 +193,7 @@ pub struct TurboEngine {
     slots: Slots,
     mv_ids: IdGenerator,
     /// Footer cache shared across every query the engine runs: repeated
-    /// opens of the same table skip the footer GETs (and are billed once).
+    /// opens of the same table skip the footer GETs (billed never).
     footer_cache: Arc<FooterCache>,
     /// Chunk-data cache shared across every query (None when disabled by
     /// `chunk_cache_bytes: 0`). Serves parsed chunks with their memoized
@@ -902,8 +901,8 @@ mod tests {
         ];
         for (q, sql) in [agg, join].into_iter().enumerate() {
             let mut reference: Option<RecordBatch> = None;
-            // Billed bytes by tier (VM, CF): the CF tiers add the MV read.
-            let mut billed: [Option<u64>; 2] = [None, None];
+            // One bill for the query, whatever the shape, crash or cache.
+            let mut billed: Option<u64> = None;
             let mut single_stage_dollars = 0.0;
             for (shape, partitions, stages, fan_out) in shapes {
                 for crash in [false, true] {
@@ -917,8 +916,8 @@ mod tests {
                     } else {
                         e
                     };
-                    // The same VM warm-up everywhere, so every shape sees the
-                    // same cache state and billed bytes are comparable.
+                    // A cold VM run first: its rows are the reference and
+                    // its bill the one every warm shape must match.
                     let direct = e.execute_sql("tpch", sql, false).unwrap();
                     let trace = Trace::wall();
                     let run = |cf| {
@@ -933,12 +932,13 @@ mod tests {
                     assert_eq!(out.batch, direct.batch, "{case}");
                     assert_eq!(&out.batch, reference.get_or_insert(direct.batch), "{case}");
                     assert_eq!(out.used_cf, stages[q] > 0, "{case}");
-                    // Equal user bills: neither exchange traffic nor a crashed
-                    // attempt (it fails before any work) is ever billed.
-                    let tier = usize::from(out.used_cf);
+                    // Equal user bills: neither a footer, the MV read,
+                    // exchange traffic nor a crashed attempt (it fails before
+                    // any work) is ever billed.
+                    assert_eq!(out.bytes_scanned, direct.bytes_scanned, "{case}");
                     assert_eq!(
                         out.bytes_scanned,
-                        *billed[tier].get_or_insert(out.bytes_scanned),
+                        *billed.get_or_insert(out.bytes_scanned),
                         "{case}"
                     );
                     assert_eq!(trace.attr_sum("bytes") as u64, out.bytes_scanned, "{case}");

@@ -124,9 +124,9 @@ impl TurboEngine {
     ///
     /// Billing: spill PUT/GET traffic is provider-side (priced per GB into
     /// `provider_shuffle_dollars`), never part of `bytes_scanned`. The user
-    /// bill equals the single-stage path's exactly: the stages scan the same
-    /// table bytes one fleet would, spill reads go through scratch contexts,
-    /// and the MV is byte-identical so the top plan reads the same bytes too.
+    /// bill equals the VM path's exactly: the stages scan the same table
+    /// chunks one VM would, and neither the spill reads nor the top plan's
+    /// MV read bill anything.
     pub(super) fn cf_stages(&self, plan: &Plan, work: &QueryWork) -> Option<Vec<Stage>> {
         // An explicit `exchange_partitions` pins that exact fan-out, `0`
         // sizes it from the cost model.
@@ -251,9 +251,9 @@ impl TurboEngine {
         }
         let batch = result?;
 
-        // Billed bytes: every accepted stage's table scans plus the top
-        // plan's MV read. Spill traffic never reaches `bytes_scanned`.
-        let metrics = run.metrics.merged(&ctx.metrics.snapshot());
+        // Billed bytes: the accepted stages' table scans, nothing else. The
+        // top plan reads only the MV, and spills never reach `bytes_scanned`.
+        let metrics = run.metrics;
         self.count_execution(&metrics, &ctx);
         self.metrics.cf_invocations.inc();
         self.metrics.exchange(&run.exchange);
@@ -698,8 +698,7 @@ fn spill(
 }
 
 /// Finish stage: read the accepted spill attempt's partition set back
-/// through the exchange stack (scratch contexts — spill GETs are never
-/// billed) and finish the shuffled operator, joining a broadcast join's
+/// through the exchange stack (spill GETs are never billed) and finish the shuffled operator, joining a broadcast join's
 /// `probe` side with the build spill. Returns the batches to materialize.
 fn finish(
     shuffle: &Shuffle,
@@ -752,7 +751,7 @@ fn finish(
 /// Best-effort deletion of one attempt's intermediate output, with the
 /// cache entries that would otherwise dangle. Spills are plain objects on
 /// the engine store, so listing the prefix sees exactly what the attempt
-/// wrote; they are read through scratch contexts and never cached.
+/// wrote; they are read past the executor's caches and never cached.
 fn discard_artifact(
     store: &dyn ObjectStore,
     footer_cache: &FooterCache,

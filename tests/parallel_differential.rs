@@ -170,7 +170,8 @@ fn footer_cache_shared_across_queries_is_not_double_billed() {
     assert_eq!(cold.footer_cache_hits, 0);
 
     // Second query shares the first context's footer cache: zero footer
-    // GETs against the store, and only chunk bytes are billed.
+    // GETs against the store, and the same chunk bytes billed — a footer
+    // bills nothing, fetched or cached.
     let warm_ctx = ExecContext::new(store.clone()).with_footer_cache(cold_ctx.footer_cache.clone());
     let store_before = store.metrics();
     execute(&plan, &warm_ctx).unwrap();
@@ -178,12 +179,7 @@ fn footer_cache_shared_across_queries_is_not_double_billed() {
     let gets = store.metrics().delta_since(&store_before).get_requests;
 
     assert!(warm.footer_cache_hits > 0, "expected cache hits on reopen");
-    assert!(
-        warm.bytes_scanned < cold.bytes_scanned,
-        "warm run must not re-bill footer bytes: {} vs {}",
-        warm.bytes_scanned,
-        cold.bytes_scanned
-    );
+    assert_eq!(warm.bytes_scanned, cold.bytes_scanned);
     // Every GET in the warm run is a column chunk; footer ranges were
     // served from the cache. lineitem at this scale: 2 files, each with
     // several row groups of 1 projected... COUNT(*) projects one column.

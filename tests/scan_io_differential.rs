@@ -16,7 +16,7 @@ use pixelsdb::exec::{execute, ExecContext, ExecMetricsSnapshot, DEFAULT_PREFETCH
 use pixelsdb::planner::plan_query;
 use pixelsdb::server::{PriceSchedule, QueryServer, QueryStatus, QuerySubmission, ServiceLevel};
 use pixelsdb::storage::{
-    ChunkCache, InMemoryObjectStore, LatencyModel, ObjectStore, ObjectStoreRef,
+    ChunkCache, InMemoryObjectStore, LatencyModel, ObjectStore, ObjectStoreRef, PixelsReader,
     StoreMetricsSnapshot, COALESCE_GAP_BYTES,
 };
 use pixelsdb::turbo::{EngineConfig, TurboEngine};
@@ -256,8 +256,13 @@ fn a_cold_scan_merges_gets_and_a_warm_one_starts_no_prefetcher() {
             .with_chunk_cache(cache.clone())
     };
 
+    // What opening the two files transfers: store traffic, never billed.
+    let open = |path: &String| PixelsReader::open(store.as_ref(), path).unwrap();
+    let lineitem = catalog.get_table("tpch", "lineitem").unwrap();
+    let opened: u64 = lineitem.paths.iter().map(|p| open(p).open_transfer()).sum();
+
     // Cold: every chunk comes from the store, in fewer GETs than chunks, and
-    // what is transferred beyond the billed bytes is gap bytes.
+    // what is transferred beyond the billed bytes is the opens and gap bytes.
     let cold = ctx();
     let before = store.counts();
     let cold_rows = ordered_rows(&execute(&plan, &cold).unwrap());
@@ -271,12 +276,11 @@ fn a_cold_scan_merges_gets_and_a_warm_one_starts_no_prefetcher() {
     );
     let opens = 2 * 2; // two files, two GETs each
     assert_eq!(after.0 - before.0, p.coalesced_gets + opens);
-    assert_eq!(after.1 - before.1, m.bytes_scanned + p.gap_bytes);
+    assert_eq!(after.1 - before.1, opened + m.bytes_scanned + p.gap_bytes);
     assert!(p.gap_bytes <= p.coalesced_gets * 4 * COALESCE_GAP_BYTES);
 
     // Warm: the probe finds every chunk resident, so no I/O thread starts
-    // and nothing reaches the store — yet the bill is the cold one less the
-    // footer bytes the footer cache absorbed.
+    // and nothing reaches the store — yet the bill is the cold one.
     let warm = ctx();
     let before = store.counts();
     let warm_rows = ordered_rows(&execute(&plan, &warm).unwrap());
@@ -285,7 +289,7 @@ fn a_cold_scan_merges_gets_and_a_warm_one_starts_no_prefetcher() {
     assert_eq!(wp.prefetch_issued, 0, "{wp:?}");
     assert_eq!((wp.coalesced_gets, wp.gap_bytes), (0, 0));
     assert_eq!(wp.chunk_cache_hits, p.chunk_cache_misses);
-    assert_eq!(wm.bytes_scanned, m.bytes_scanned - m.open_bytes);
+    assert_eq!(wm.bytes_scanned, m.bytes_scanned);
     assert!(identical(&warm_rows, &cold_rows));
 
     // Without a cache there is nothing to probe: the scan pipelines again.
