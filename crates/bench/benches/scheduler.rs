@@ -49,10 +49,7 @@ fn bench_server_sim(c: &mut Criterion) {
                 VmConfig::default(),
                 CfConfig::default(),
                 ResourcePricing::default(),
-                ServerConfig {
-                    tick: SimDuration::from_millis(200),
-                    ..Default::default()
-                },
+                ServerConfig::default(),
             );
             sim.run(subs.clone(), SimDuration::from_secs(3600))
                 .records

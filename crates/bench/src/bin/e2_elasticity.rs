@@ -27,16 +27,13 @@ fn vm_time_to_capacity(target: u32) -> SimDuration {
                 cpu_seconds: 1e9, // effectively never finishes
                 parallelism: 4,
             },
+            SimTime::ZERO,
         );
     }
-    let dt = SimDuration::from_millis(100);
     let mut now = SimTime::ZERO;
-    while cluster.active_workers() < target {
-        now += dt;
-        cluster.tick(now, dt);
-        if now > SimTime::from_secs(3600) {
-            break;
-        }
+    while cluster.active_workers() < target && now <= SimTime::from_secs(3600) {
+        now = cluster.next_event();
+        cluster.tick(now);
     }
     now.since(SimTime::ZERO)
 }

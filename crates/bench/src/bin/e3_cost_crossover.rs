@@ -42,10 +42,7 @@ fn vm_cluster_cost(arrivals: &[SimTime], class: QueryClass) -> (f64, usize) {
         VmConfig::default(),
         CfConfig::default(),
         ResourcePricing::default(),
-        ServerConfig {
-            tick: SimDuration::from_millis(200),
-            ..Default::default()
-        },
+        ServerConfig::default(),
     );
     let report = sim.run(subs, SimDuration::from_secs(4 * 3600));
     (
@@ -148,10 +145,7 @@ fn vm_cluster_cost_padded(arrivals: &[SimTime]) -> (f64, usize) {
         VmConfig::default(),
         CfConfig::default(),
         ResourcePricing::default(),
-        ServerConfig {
-            tick: SimDuration::from_millis(200),
-            ..Default::default()
-        },
+        ServerConfig::default(),
     );
     let report = sim.run(subs, SimDuration::from_secs(2 * 3600));
     (

@@ -15,10 +15,7 @@ fn run(subs: Vec<Submission>, vm_cfg: VmConfig) -> pixels_server::SimReport {
         vm_cfg,
         CfConfig::default(),
         ResourcePricing::default(),
-        ServerConfig {
-            tick: SimDuration::from_millis(200),
-            ..Default::default()
-        },
+        ServerConfig::default(),
     );
     sim.run(subs, SimDuration::from_secs(2 * 3600))
 }
@@ -64,10 +61,12 @@ fn main() {
     );
     println!(
         "  scale-out events: {}   scale-in events: {}   unfinished: {}\n",
-        report.scale_out_events, report.scale_in_events, report.unfinished
+        report.scale_out_times.len(),
+        report.scale_in_times.len(),
+        report.unfinished
     );
     assert!(
-        report.scale_out_events > 0,
+        !report.scale_out_times.is_empty(),
         "diurnal peak must trigger scale-out"
     );
     let peak_workers = report.vm_worker_series.max_over(SimTime::ZERO, end);
@@ -155,8 +154,8 @@ fn main() {
         let pending = report.pending_stats(ServiceLevel::Relaxed);
         table.row(&[
             name.to_string(),
-            report.scale_in_events.to_string(),
-            report.scale_out_events.to_string(),
+            report.scale_in_times.len().to_string(),
+            report.scale_out_times.len().to_string(),
             format!("{:.1}", pending.mean().as_secs_f64()),
         ]);
     }

@@ -52,7 +52,6 @@ fn main() {
                     grace,
                     ..Default::default()
                 },
-                tick: SimDuration::from_millis(100),
                 ..Default::default()
             },
         );

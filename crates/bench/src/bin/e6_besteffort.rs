@@ -55,10 +55,7 @@ fn run(with_backfill: bool) -> pixels_server::SimReport {
         VmConfig::default(),
         CfConfig::default(),
         ResourcePricing::default(),
-        ServerConfig {
-            tick: SimDuration::from_millis(200),
-            ..Default::default()
-        },
+        ServerConfig::default(),
     );
     sim.run(subs, SimDuration::from_secs(4 * 3600))
 }
@@ -86,8 +83,8 @@ fn main() {
             .sum();
         table.row(&[
             name.to_string(),
-            r.scale_in_events.to_string(),
-            r.scale_out_events.to_string(),
+            r.scale_in_times.len().to_string(),
+            r.scale_out_times.len().to_string(),
             format!("{:.4}", r.total_resource_cost.vm_dollars),
             format!("{:.4}", r.total_resource_cost.cf_dollars),
             format!("{be_revenue:.6}"),
@@ -132,10 +129,10 @@ fn main() {
     // Idle capacity absorbed: backfill should keep workers busier, reducing
     // (or at least not increasing) scale-in thrash during the trough.
     assert!(
-        with.scale_in_events <= without.scale_in_events,
+        with.scale_in_times.len() <= without.scale_in_times.len(),
         "backfill avoids unnecessary scale-in ({} vs {})",
-        with.scale_in_events,
-        without.scale_in_events
+        with.scale_in_times.len(),
+        without.scale_in_times.len()
     );
     // VM cost grows little: the trough capacity was already paid for.
     let extra_cost = with.total_resource_cost.total() - without.total_resource_cost.total();

@@ -14,19 +14,16 @@ use pixels_workload::QueryClass;
 /// the core-seconds consumed — the marginal cost inside a busy cluster).
 fn vm_marginal_cost(work: QueryWork, pricing: &ResourcePricing) -> (f64, SimDuration) {
     let mut cluster = VmCluster::new(VmConfig::default(), SimTime::ZERO);
-    cluster.start(QueryId(0), work);
-    let dt = SimDuration::from_millis(50);
-    let mut now = SimTime::ZERO;
+    cluster.start(QueryId(0), work, SimTime::ZERO);
     loop {
-        now += dt;
-        let done = cluster.tick(now, dt);
-        if let Some(d) = done.first() {
+        let now = cluster.next_event();
+        assert!(now < SimTime::from_secs(7200), "query must finish");
+        if let Some(d) = cluster.tick(now).first() {
             return (
                 pricing.vm_cost(d.core_seconds),
                 d.finished_at.since(d.started_at),
             );
         }
-        assert!(now < SimTime::from_secs(7200), "query must finish");
     }
 }
 

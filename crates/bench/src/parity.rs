@@ -22,7 +22,7 @@ use pixels_server::{PriceSchedule, ServiceLevel};
 use pixels_sim::{SimDuration, SimTime};
 use pixels_storage::InMemoryObjectStore;
 use pixels_turbo::{
-    CfConfig, CfCostModel, Coordinator, CostBreakdown, Decision, EngineConfig, QueryWork,
+    Capacity, CfConfig, CfCostModel, Coordinator, CostBreakdown, Decision, EngineConfig, QueryWork,
     ResourcePricing, TurboEngine, VmConfig,
 };
 use pixels_workload::{load_tpch, QueryClass, TpchConfig};
@@ -225,7 +225,7 @@ fn run_sim(
                 t0,
             );
         }
-        assert!(coord.is_overloaded(), "foreground load must overload");
+        assert!(coord.overloaded(), "foreground load must overload");
     }
     match exchange {
         // Shuffle: the sim prices the spill traffic the real engine
@@ -234,19 +234,15 @@ fn run_sim(
         None => coord.submit(id, work, s.level.cf_enabled(), t0),
     }
 
-    let dt = SimDuration::from_millis(100);
-    let mut now = t0;
+    // Wake the model at each of its events until the query completes.
     let budget = t0 + SimDuration::from_secs(8 * 3600);
-    let mut completion = None;
-    while completion.is_none() && now < budget {
-        now += dt;
-        for done in coord.tick(now, dt) {
-            if done.id == id {
-                completion = Some(done);
-            }
+    let done = loop {
+        let at = coord.next_event();
+        assert!(at <= budget, "sim query completes within budget");
+        if let Some(done) = coord.wake(at).0.into_iter().find(|d| d.id == id) {
+            break done;
         }
-    }
-    let done = completion.expect("sim query completes within budget");
+    };
     (
         coord.decisions_for(id).to_vec(),
         done,

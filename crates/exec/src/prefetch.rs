@@ -25,9 +25,15 @@
 //!   worker consumes the slot, so the lowest-index error still wins, exactly
 //!   as on the synchronous path. Morsels fetched but never consumed after an
 //!   abort are counted as `wasted`.
+//! - **Panics.** A fetch that panics on an I/O thread leaves its payload in
+//!   the morsel's slot, and the worker that takes the slot resumes the
+//!   unwind, so the panic reaches the caller as a worker panic does in
+//!   [`run_indexed`]. While a worker unwinds, the I/O threads are stopped, so
+//!   the scope still joins.
 
 use parking_lot::{Condvar, Mutex};
 use pixels_common::Result;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use crate::parallel::run_indexed;
@@ -52,7 +58,8 @@ pub struct PrefetchStats {
 
 enum Slot<T> {
     Pending,
-    Ready(Result<T>),
+    /// The fetch's result, or the payload of its panic.
+    Ready(std::thread::Result<Result<T>>),
     Taken,
 }
 
@@ -117,7 +124,7 @@ where
             st.ahead += 1;
             st.next - 1
         };
-        let fetched = fetch(i);
+        let fetched = catch_unwind(AssertUnwindSafe(|| fetch(i)));
         state.lock().slots[i] = Slot::Ready(fetched);
         landed.notify_all();
     };
@@ -130,7 +137,12 @@ where
                 .expect("failed to spawn a prefetch I/O thread");
         }
 
-        let result = run_indexed(n, parallelism, |i| {
+        // Stops the I/O threads on return and while a worker's panic unwinds.
+        let _stop = Stop {
+            state: &state,
+            room: &room,
+        };
+        run_indexed(n, parallelism, |i| {
             let (fetched, wait_us) = {
                 let mut st = state.lock();
                 let mut waiting: Option<Instant> = None;
@@ -154,12 +166,9 @@ where
                     }
                 }
             };
+            let fetched = fetched.unwrap_or_else(|panic| resume_unwind(panic));
             work(i, fetched?, wait_us)
-        });
-
-        state.lock().stop = true;
-        room.notify_all();
-        result
+        })
     });
 
     let state = state.into_inner();
@@ -173,6 +182,19 @@ where
         wasted,
     };
     (result, stats)
+}
+
+/// Sets `stop` and wakes every I/O thread when dropped.
+struct Stop<'a, T> {
+    state: &'a Mutex<State<T>>,
+    room: &'a Condvar,
+}
+
+impl<T> Drop for Stop<'_, T> {
+    fn drop(&mut self) {
+        self.state.lock().stop = true;
+        self.room.notify_all();
+    }
 }
 
 #[cfg(test)]
@@ -348,6 +370,36 @@ mod tests {
         result.unwrap();
         assert!(stats.hits >= 5, "expected mostly hits, got {stats:?}");
         assert_eq!(stats.issued, 10);
+    }
+
+    #[test]
+    fn fetch_panic_reaches_the_caller() {
+        // A fetch panics on an I/O thread: the worker that takes its morsel
+        // re-raises it, the other I/O threads stop, and the call unwinds
+        // instead of leaving a worker waiting for a morsel that never lands.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let call = catch_unwind(|| {
+                run_prefetched(
+                    8,
+                    2,
+                    4,
+                    |i| {
+                        assert_ne!(i, 3, "fetch boom");
+                        Ok(i)
+                    },
+                    pass,
+                )
+            });
+            tx.send(call.is_err()).unwrap();
+        });
+        let panicked = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(
+            panicked,
+            Ok(true),
+            "the fetch's panic must reach the caller"
+        );
+        caller.join().expect("the calling thread caught the panic");
     }
 
     #[test]

@@ -9,17 +9,16 @@
 //! best-of-effort entries may merge into one shared scan, and every
 //! completion becomes a priced [`QueryRecord`]. What runs the queries is a
 //! [`Capacity`] model chosen by type: the [`Coordinator`] cluster
-//! micro-model (woken every [`ServerConfig::tick`]) or the soak's analytic
-//! fleet (woken at each finish).
+//! micro-model or the soak's analytic fleet. Each names the instant it next
+//! changes, and the driver wakes it exactly then.
 //!
 //! Time advances by popping one [`EventQueue`]: arrivals, the force-start
 //! bound of every queued query, capacity wakes and the post-trace drain
 //! checks; after every event the fair queue is drained until the load signal
 //! says stop. Same-instant events pop in scheduling order, arrivals first
-//! (they are scheduled before anything else). An event the capacity model
-//! has not reached yet is put back at the time it will have
-//! ([`Capacity::defer_until`]): the fixed-step cluster model completes a
-//! step before admitting the arrivals that fell inside it.
+//! (they are scheduled before anything else). No event waits for the model:
+//! a query is admitted at its arrival, forced at its bound and completed at
+//! its finish, to the microsecond.
 
 use crate::fair::{FairQueue, Request};
 use crate::pricing::PriceSchedule;
@@ -144,8 +143,6 @@ pub struct ServerConfig {
     /// The admission policy shared with the live server: every mode's
     /// pending bound.
     pub policy: SchedulerPolicy,
-    /// Simulation tick.
-    pub tick: SimDuration,
     pub prices: PriceSchedule,
     /// Batch query optimization (the paper's concluding opportunity):
     /// same-class best-of-effort queries waiting in the server are merged
@@ -159,7 +156,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             policy: SchedulerPolicy::default(),
-            tick: SimDuration::from_millis(100),
             prices: PriceSchedule::default(),
             batch_besteffort: false,
             max_batch: 8,
@@ -234,7 +230,7 @@ impl ServerSim<Coordinator> {
         pricing: ResourcePricing,
         cfg: ServerConfig,
     ) -> Self {
-        let cluster = Coordinator::new(vm_cfg, cf_cfg, pricing, SimTime::ZERO).with_step(cfg.tick);
+        let cluster = Coordinator::new(vm_cfg, cf_cfg, pricing, SimTime::ZERO);
         ServerSim::over(cluster, cfg)
     }
 
@@ -292,6 +288,9 @@ impl ServerSim<Coordinator> {
             Outcome::Rejected(r) => rejected.push(r),
         });
         records.sort_by_key(|r| (r.submitted_at, r.id));
+        // Provisioned VM time accrues up to the end of the run; an execution
+        // still running then is already counted as unfinished.
+        self.capacity.wake(end_time);
         let cluster = &self.capacity;
         SimReport {
             records,
@@ -302,8 +301,6 @@ impl ServerSim<Coordinator> {
             vm_worker_series: cluster.vm.worker_series.clone(),
             concurrency_series: cluster.vm.concurrency_series.clone(),
             cf_worker_series: cluster.cf.worker_series.clone(),
-            scale_out_events: cluster.vm.scale_out_events,
-            scale_in_events: cluster.vm.scale_in_events,
             scale_out_times: cluster.vm.scale_out_times.clone(),
             scale_in_times: cluster.vm.scale_in_times.clone(),
             total_resource_cost: cluster.total_resource_cost(),
@@ -314,8 +311,7 @@ impl ServerSim<Coordinator> {
 }
 
 impl<C: Capacity> ServerSim<C> {
-    /// A server over any capacity model (`cfg.tick` is the cluster model's
-    /// step; other models ignore it).
+    /// A server over any capacity model.
     pub(crate) fn over(capacity: C, cfg: ServerConfig) -> Self {
         ServerSim {
             capacity,
@@ -365,19 +361,12 @@ impl<C: Capacity> ServerSim<C> {
         }
         let last_arrival = trace.last().map_or(SimTime::ZERO, |a| a.at);
         self.events.schedule(last_arrival, Event::DrainCheck);
+        self.events.schedule(SimTime::ZERO, Event::Wake);
         self.trace = trace;
-        let (_, first_wake) = self.capacity.wake(SimTime::ZERO);
-        self.schedule_wake(first_wake);
         let mut drain_end = None;
         loop {
             let next = self.events.pop();
             let (now, event) = next.expect("the drain check ends the run");
-            if !matches!(event, Event::Wake) {
-                if let Some(at) = self.capacity.defer_until(now) {
-                    self.events.schedule(at, event);
-                    continue;
-                }
-            }
             match event {
                 Event::Arrive(i) => self.submit(i, now, sink),
                 Event::ForceBound => {}
@@ -553,8 +542,6 @@ pub struct SimReport {
     pub vm_worker_series: pixels_sim::TimeSeries,
     pub concurrency_series: pixels_sim::TimeSeries,
     pub cf_worker_series: pixels_sim::TimeSeries,
-    pub scale_out_events: u32,
-    pub scale_in_events: u32,
     /// Virtual times of each scaling decision.
     pub scale_out_times: Vec<SimTime>,
     pub scale_in_times: Vec<SimTime>,
@@ -699,12 +686,12 @@ impl SimReport {
             (
                 "pixels_turbo_vm_scale_out_events_total",
                 "VM cluster scale-out decisions",
-                self.scale_out_events as u64,
+                self.scale_out_times.len() as u64,
             ),
             (
                 "pixels_turbo_vm_scale_in_events_total",
                 "VM cluster scale-in decisions",
-                self.scale_in_events as u64,
+                self.scale_in_times.len() as u64,
             ),
             (
                 "pixels_turbo_cf_crashes_total",
@@ -1035,9 +1022,6 @@ mod tests {
 
     #[test]
     fn slo_tracker_derives_thresholds_from_the_run_policy() {
-        // Deliberately *not* a multiple of the 100 ms tick: the forced start
-        // lands on the tick after the deadline, so pending time strictly
-        // exceeds the threshold and the violation counter must move.
         let grace = SimDuration::from_millis(250);
         let cfg = ServerConfig {
             policy: SchedulerPolicy {
@@ -1052,21 +1036,25 @@ mod tests {
             ResourcePricing::default(),
             cfg,
         );
-        let subs = burst(
-            25,
-            SimTime::from_secs(1),
-            QueryClass::Heavy,
-            ServiceLevel::Relaxed,
-        );
-        let report = sim.run(subs, SimDuration::from_secs(4 * 3600));
+        let heavy = |mode| TenantSubmission {
+            at: SimTime::from_secs(1),
+            class: QueryClass::Heavy,
+            mode,
+            tenant: "sim".to_string(),
+        };
+        let mut subs = vec![heavy(AdmissionMode::Level(ServiceLevel::Relaxed)); 25];
+        // A heavy query cannot finish in 100 ms: refused at admission.
+        subs.push(heavy(AdmissionMode::Deadline { target_us: 100_000 }));
+        let report = sim.run_tenants(subs, SimDuration::from_secs(4 * 3600));
         assert_eq!(report.unfinished, 0);
+        assert_eq!(report.rejected.len(), 1);
         let tracker = report.slo_tracker();
         assert_eq!(tracker.threshold_us("relaxed"), Some(grace.as_micros()));
         assert_eq!(
             tracker.threshold_us("immediate"),
             Some(crate::scheduler::IMMEDIATE_SLO_US)
         );
-        // Every record lands in exactly one SLO bucket.
+        // Every record and every rejection lands in exactly one SLO bucket.
         let registry = pixels_obs::MetricsRegistry::new();
         tracker.export(&registry);
         let text = registry.render();
@@ -1081,11 +1069,14 @@ mod tests {
         };
         let good = count("pixels_slo_good_total");
         let bad = count("pixels_slo_violation_total");
-        assert_eq!(good + bad, report.records.len() as u64, "{text}");
-        // A heavy spike against a 5-second grace bound must violate: the
-        // forced starts bound *server* wait, but engine pending pushes many
-        // queries past the threshold.
-        assert!(bad > 0, "spike must burn error budget: {text}");
+        let judged = (report.records.len() + report.rejected.len()) as u64;
+        assert_eq!(good + bad, judged, "{text}");
+        // The rejection burns error budget. The spike does not: a forced
+        // start lands exactly on the bound, and the bound meets the
+        // objective.
+        assert!(bad > 0, "a rejection must burn error budget: {text}");
+        assert_eq!(count(r#"pixels_slo_violation_total{level="deadline"}"#), 1);
+        assert_eq!(count(r#"pixels_slo_violation_total{level="relaxed"}"#), 0);
     }
 
     #[test]
@@ -1177,9 +1168,10 @@ mod tests {
         assert_eq!(a.unfinished, 0);
     }
 
-    #[test]
-    fn grace_expiry_forces_start_exactly_at_the_deadline_tick() {
-        let grace = SimDuration::from_secs(5);
+    /// A heavy relaxed spike at `at`: the first few fill the cluster to the
+    /// high watermark and run far longer than `grace`; everyone else queues
+    /// and must force-start at exactly submitted + grace.
+    fn assert_spike_forced_at_grace(grace: SimDuration, at: SimTime) {
         let cfg = ServerConfig {
             policy: SchedulerPolicy {
                 grace,
@@ -1193,15 +1185,7 @@ mod tests {
             ResourcePricing::default(),
             cfg,
         );
-        // Heavy relaxed spike: the first few fill the cluster to the high
-        // watermark and run far longer than the grace period; everyone else
-        // queues and must force-start at exactly submitted + grace.
-        let subs = burst(
-            25,
-            SimTime::from_secs(1),
-            QueryClass::Heavy,
-            ServiceLevel::Relaxed,
-        );
+        let subs = burst(25, at, QueryClass::Heavy, ServiceLevel::Relaxed);
         let report = sim.run(subs, SimDuration::from_secs(4 * 3600));
         assert_eq!(report.unfinished, 0);
         let queued: Vec<_> = report
@@ -1210,6 +1194,7 @@ mod tests {
             .collect();
         assert!(queued.len() >= 10, "spike must overload: {}", queued.len());
         for r in &queued {
+            assert_eq!(r.submitted_at, at);
             assert_eq!(
                 r.dispatched_at.since(r.submitted_at),
                 grace,
@@ -1219,6 +1204,39 @@ mod tests {
                 r.started_at, r.dispatched_at,
                 "a forced start bypasses the engine queue"
             );
+        }
+    }
+
+    #[test]
+    fn grace_expiry_forces_start_exactly_at_the_bound() {
+        assert_spike_forced_at_grace(SimDuration::from_secs(5), SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn off_grid_grace_forces_start_exactly_at_the_bound() {
+        // Neither the arrival nor the bound is a multiple of any step.
+        let at = SimTime::from_micros(1_000_037);
+        assert_spike_forced_at_grace(SimDuration::from_millis(250), at);
+    }
+
+    #[test]
+    fn records_keep_their_trace_arrival() {
+        // Poisson arrivals fall anywhere: each query is admitted, and its
+        // record submitted, at its own arrival instant.
+        let arrivals = pixels_workload::poisson(0.5, SimDuration::from_secs(600), 5);
+        assert!(arrivals.iter().any(|a| a.as_micros() % 100_000 != 0));
+        let subs: Vec<Submission> = (arrivals.iter().enumerate())
+            .map(|(i, &at)| Submission {
+                at,
+                class: QueryClass::ALL[i % 3],
+                level: ServiceLevel::ALL[i % 3],
+            })
+            .collect();
+        let report = ServerSim::with_defaults().run(subs.clone(), SimDuration::from_secs(4 * 3600));
+        assert_eq!(report.unfinished, 0);
+        assert_eq!(report.records.len(), subs.len());
+        for r in &report.records {
+            assert_eq!(r.submitted_at, subs[r.id.0 as usize].at, "{r:?}");
         }
     }
 
@@ -1314,7 +1332,7 @@ mod tests {
         let a = ServerSim::with_defaults().run(subs.clone(), SimDuration::from_secs(7200));
         let b = ServerSim::with_defaults().run(subs, SimDuration::from_secs(7200));
         assert_eq!(a.records, b.records);
-        assert_eq!(a.scale_out_events, b.scale_out_events);
+        assert_eq!(a.scale_out_times, b.scale_out_times);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! event clock are the driver's. What this module adds is the traffic
 //! ([`plan_submissions`]), a capacity model cheap enough for weeks of
 //! virtual time ([`AnalyticFleet`]: closed-form placement, runtime and cost,
-//! woken only when a run finishes — where the cluster micro-model steps
-//! every 100 ms), and a record sink that folds each outcome into running
+//! woken only when a run finishes — where the cluster micro-model also
+//! wakes for processor-sharing rate changes, worker boots and autoscaler
+//! evaluations), and a record sink that folds each outcome into running
 //! totals and into a [`Ledger`] of running sums, so a 1M-user soak finishes
 //! in seconds of wall time and holds no per-query record.
 //!
@@ -889,7 +890,7 @@ mod tests {
                 target_us: 120_000_000,
             },
         ];
-        // On step boundaries, so both models admit at the arrival instant.
+        // Both models admit each query at its arrival instant.
         let mut trace: Vec<Arrival> = (0..24u64)
             .map(|i| Arrival {
                 at: SimTime::from_millis(500 * (i / 3)),

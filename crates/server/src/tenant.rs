@@ -15,7 +15,8 @@ pub struct TenantPolicy {
     /// Fair-share weight (clamped by the fair queue to its bounds).
     pub weight: f64,
     /// Hard spending cap in dollars of billed revenue; `None` = unlimited.
-    /// Enforced against the ledger's per-tenant revenue at admission.
+    /// Enforced at admission against the tenant's [`SpendBook`]: committed
+    /// bills plus the reservations of its queries in flight.
     pub budget_dollars: Option<f64>,
 }
 

@@ -81,7 +81,6 @@ pub struct CfService {
     model: CfCostModel,
     active: Vec<CfRun>,
     pub total_cost: f64,
-    pub total_invocations: u64,
     pub worker_series: TimeSeries,
     now: SimTime,
 }
@@ -94,7 +93,6 @@ impl CfService {
             model: CfCostModel::new(&cfg, pricing),
             active: Vec::new(),
             total_cost: 0.0,
-            total_invocations: 0,
             worker_series: TimeSeries::new(),
             now,
         }
@@ -102,11 +100,6 @@ impl CfService {
 
     pub fn config(&self) -> &CfConfig {
         &self.cfg
-    }
-
-    /// The duration/cost model this service prices fleets with.
-    pub fn cost_model(&self) -> &CfCostModel {
-        &self.model
     }
 
     pub fn active_workers(&self) -> u32 {
@@ -157,7 +150,6 @@ impl CfService {
             crashed: faults.crash,
         };
         self.total_cost += cost;
-        self.total_invocations += workers as u64;
         self.active.push(run);
         self.now = now;
         self.worker_series.record(now, self.active_workers() as f64);
@@ -169,21 +161,9 @@ impl CfService {
         self.active.iter().any(|r| r.id == id)
     }
 
-    /// Cancel an in-flight run (the speculative loser). Its workers are
-    /// released immediately; its cost stays charged — cancellation saves
-    /// nothing the provider already billed.
-    pub fn cancel(&mut self, id: QueryId, attempt: u32) -> Option<CfRun> {
-        let pos = self
-            .active
-            .iter()
-            .position(|r| r.id == id && r.attempt == attempt)?;
-        let run = self.active.swap_remove(pos);
-        self.worker_series
-            .record(self.now, self.active_workers() as f64);
-        Some(run)
-    }
-
     /// Cancel every fleet for `id` except `keep_attempt` (first result won).
+    /// Their workers are released at once; their cost stays charged, since
+    /// cancelling saves nothing the provider already billed.
     pub fn cancel_others(&mut self, id: QueryId, keep_attempt: u32) -> Vec<CfRun> {
         let mut cancelled = Vec::new();
         let mut i = 0;
@@ -200,6 +180,11 @@ impl CfService {
             cancelled.sort_by_key(|r| r.attempt);
         }
         cancelled
+    }
+
+    /// When the next in-flight fleet finishes (or crashes).
+    pub fn next_event(&self) -> Option<SimTime> {
+        self.active.iter().map(|r| r.finish_at).min()
     }
 
     /// Collect runs that completed by `now`.
@@ -328,7 +313,7 @@ mod tests {
         assert_eq!(cf.active_workers(), 0);
         assert_eq!(cf.active_queries(), 0);
         // Cancelling something already gone is a no-op.
-        assert!(cf.cancel(QueryId(1), 0).is_none());
+        assert!(cf.cancel_others(QueryId(1), 1).is_empty());
     }
 
     #[test]
@@ -373,7 +358,7 @@ mod tests {
             SimTime::ZERO,
         );
         assert!(big.cost > small.cost * 10.0);
-        assert_eq!(cf.total_invocations, (small.workers + big.workers) as u64);
+        assert!(big.workers > small.workers);
         assert!((cf.total_cost - small.cost - big.cost).abs() < 1e-12);
     }
 }

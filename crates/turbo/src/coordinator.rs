@@ -14,7 +14,7 @@ use crate::vm_cluster::{VmCluster, VmConfig};
 use pixels_chaos::{FaultInjector, FaultSite, Inject};
 use pixels_common::QueryId;
 use pixels_sim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Everything the coordinator remembers about an in-flight query.
@@ -129,16 +129,8 @@ pub trait Capacity {
     ) -> Option<SimTime>;
 
     /// Advance to `now`: the executions that completed, and when to wake the
-    /// model next. A wake at the model's current time advances nothing and
-    /// only reports the next wake — the driver's first call.
+    /// model next.
     fn wake(&mut self, now: SimTime) -> (Vec<QueryCompletion>, Option<SimTime>);
-
-    /// A model that only exists at discrete steps cannot take a driver event
-    /// (arrival, drain check) that falls between two of them: `Some(t)` asks
-    /// for the event again at `t`, once the step to `t` has run.
-    fn defer_until(&self, _at: SimTime) -> Option<SimTime> {
-        None
-    }
 
     /// Relaxed queries the server is holding back, reported before each
     /// wake for models that size themselves on it.
@@ -201,15 +193,17 @@ pub struct Coordinator {
     injector: Arc<FaultInjector>,
     /// Speculative launches armed for stragglers: (query, due time).
     pending_spec: Vec<(QueryId, SimTime)>,
-    /// Next sim-second boundary at which VM preemption is rolled.
+    /// Last sim-second boundary at which VM preemption was rolled.
     last_preempt_check: SimTime,
     /// Fault-recovery counters for this coordinator's lifetime.
     pub stats: FaultStats,
     /// Ordered policy decision log per query (kept past completion so
     /// differential harnesses can compare against the real engine).
     decisions: BTreeMap<QueryId, Vec<Decision>>,
-    /// Fixed step of the [`Capacity`] wake cadence.
-    step: SimDuration,
+    /// Completions reached while advancing, held for the next wake.
+    done: Vec<QueryCompletion>,
+    /// Wakes asked of the driver and not yet received.
+    asked: BTreeSet<SimTime>,
     now: SimTime,
 }
 
@@ -227,16 +221,10 @@ impl Coordinator {
             last_preempt_check: now,
             stats: FaultStats::default(),
             decisions: BTreeMap::new(),
-            step: SimDuration::from_millis(100),
+            done: Vec::new(),
+            asked: BTreeSet::new(),
             now,
         }
-    }
-
-    /// Set the step at which a driver wakes this model (default 100 ms):
-    /// processor sharing, the autoscaler and the series sample once per step.
-    pub fn with_step(mut self, step: SimDuration) -> Self {
-        self.step = step;
-        self
     }
 
     /// Install a seeded fault injector; CF launches, VM workers, and the
@@ -246,22 +234,10 @@ impl Coordinator {
         self
     }
 
-    pub fn pricing(&self) -> &ResourcePricing {
-        &self.pricing
-    }
-
     /// Load status exposed to the query server (paper: "interfaces for the
     /// query server to check the system's load status").
     pub fn concurrency(&self) -> usize {
         self.vm.concurrency()
-    }
-
-    pub fn is_overloaded(&self) -> bool {
-        self.vm.is_overloaded()
-    }
-
-    pub fn is_nearly_idle(&self) -> bool {
-        self.vm.is_nearly_idle() && self.vm_queue.is_empty()
     }
 
     pub fn queue_depth(&self) -> usize {
@@ -326,7 +302,7 @@ impl Coordinator {
         forced: bool,
         now: SimTime,
     ) {
-        self.now = now;
+        self.catch_up(now);
         let mut info = InFlight {
             submitted_at: now,
             work,
@@ -338,7 +314,7 @@ impl Coordinator {
             // Plain VM execution: no CF, no exchange.
             self.record(id, Decision::DispatchVm);
             info.shuffle = None;
-            self.vm.start(id, work);
+            self.vm.start(id, work, now);
             self.inflight.insert(id, info);
         } else if let Some(cf_work) = cf_work {
             info.race = Some(self.start_race(id, cf_work));
@@ -418,16 +394,49 @@ impl Coordinator {
         new
     }
 
-    /// Report queries the query server is holding back (relaxed queue) so
-    /// the autoscaler can size for them.
-    pub fn set_server_queue_depth(&mut self, queued: usize) {
-        self.server_queue_depth = queued as u32;
+    /// When the model next wants a wake: at once for a held completion,
+    /// else at its next change.
+    pub fn next_event(&self) -> SimTime {
+        match self.done.is_empty() {
+            true => self.next_change(),
+            false => self.now,
+        }
     }
 
-    /// Advance the engine one tick, returning completed queries.
-    pub fn tick(&mut self, now: SimTime, dt: SimDuration) -> Vec<QueryCompletion> {
+    /// When the model next changes on its own: the cluster's or the CF
+    /// service's next event, a straggler deadline, or, while a fault
+    /// injector is active, the next once-a-second preemption roll.
+    fn next_change(&self) -> SimTime {
+        let preempt_roll = (self.injector.is_active())
+            .then(|| self.last_preempt_check + SimDuration::from_secs(1));
+        (self.pending_spec.iter().map(|&(_, due)| due))
+            .chain(self.cf.next_event())
+            .chain(preempt_roll)
+            .fold(self.vm.next_event(), SimTime::min)
+    }
+
+    /// Apply every change before `now`, each at its own instant, holding
+    /// completions for the next wake. Changes due at `now` itself wait for
+    /// the wake at `now`: a query started at an instant meets the model as
+    /// admission saw it, before anything else happens then.
+    fn catch_up(&mut self, now: SimTime) {
+        loop {
+            let at = self.next_change();
+            if at >= now {
+                break;
+            }
+            self.tick(at);
+        }
         self.now = now;
-        let mut out = Vec::new();
+    }
+
+    /// Apply everything that happens at `now` (no event lies between the
+    /// model's time and `now`).
+    fn tick(&mut self, now: SimTime) {
+        self.now = now;
+        self.vm
+            .set_external_demand(self.vm_queue.len() as u32 + self.server_queue_depth);
+        let vm_done = self.vm.tick(now);
 
         // Spot reclaim: roll VM preemption once per sim-second.
         if self.injector.is_active() {
@@ -460,9 +469,7 @@ impl Coordinator {
             }
         }
 
-        self.vm
-            .set_external_demand(self.vm_queue.len() as u32 + self.server_queue_depth);
-        for done in self.vm.tick(now, dt) {
+        for done in vm_done {
             let info = self.inflight.remove(&done.id);
             let info = info.expect("completion for unknown query");
             // A shuffle that degraded after its spill stage was accepted
@@ -472,7 +479,7 @@ impl Coordinator {
                 Some(s) if s.stage == 1 => self.pricing.exchange_cost(s.put_bytes),
                 _ => 0.0,
             };
-            out.push(QueryCompletion {
+            self.done.push(QueryCompletion {
                 id: done.id,
                 submitted_at: info.submitted_at,
                 started_at: done.started_at,
@@ -546,7 +553,7 @@ impl Coordinator {
             } else {
                 run.scan_bytes
             };
-            out.push(QueryCompletion {
+            self.done.push(QueryCompletion {
                 id: run.id,
                 submitted_at: info.submitted_at,
                 started_at: run.started_at,
@@ -572,12 +579,15 @@ impl Coordinator {
                 break;
             };
             self.record(id, Decision::DispatchVm);
-            self.vm.start(id, info.work);
+            self.vm.start(id, info.work, now);
             self.inflight.insert(id, info);
         }
+    }
 
-        out.sort_by_key(|c| (c.finished_at, c.id));
-        out
+    /// Ask for a wake at the next event, unless one is already coming then.
+    fn ask_wake(&mut self) -> Option<SimTime> {
+        let next = self.next_event();
+        self.asked.insert(next).then_some(next)
     }
 
     /// Total provider-side cost so far: provisioned VM time plus CF charges.
@@ -591,11 +601,11 @@ impl Coordinator {
 
 impl Capacity for Coordinator {
     fn overloaded(&self) -> bool {
-        self.is_overloaded()
+        self.vm.is_overloaded()
     }
 
     fn nearly_idle(&self) -> bool {
-        self.is_nearly_idle()
+        self.vm.is_nearly_idle() && self.vm_queue.is_empty()
     }
 
     fn start(
@@ -607,29 +617,20 @@ impl Capacity for Coordinator {
         now: SimTime,
     ) -> Option<SimTime> {
         self.place(id, work, cf_enabled.then_some(work), None, forced, now);
-        None
+        self.ask_wake()
     }
 
     fn wake(&mut self, now: SimTime) -> (Vec<QueryCompletion>, Option<SimTime>) {
-        let done = if now > self.now {
-            self.tick(now, self.step)
-        } else {
-            Vec::new()
-        };
-        (done, Some(now + self.step))
-    }
-
-    fn defer_until(&self, at: SimTime) -> Option<SimTime> {
-        if at <= self.now {
-            return None;
-        }
-        let step = self.step.as_micros().max(1);
-        let steps = at.since(self.now).as_micros().div_ceil(step);
-        Some(self.now + SimDuration::from_micros(steps * step))
+        self.catch_up(now);
+        self.tick(now);
+        self.asked.retain(|&at| at > now);
+        let mut done = std::mem::take(&mut self.done);
+        done.sort_by_key(|c| (c.finished_at, c.id));
+        (done, self.ask_wake())
     }
 
     fn relaxed_backlog(&mut self, queued: usize) {
-        self.set_server_queue_depth(queued);
+        self.server_queue_depth = queued as u32;
     }
 }
 
@@ -647,23 +648,25 @@ mod tests {
         )
     }
 
+    /// Wake the model at each of its events until it is idle or `limit`
+    /// has passed since `start`.
     fn drive(
         c: &mut Coordinator,
         start: SimTime,
         limit: SimDuration,
         out: &mut Vec<QueryCompletion>,
-    ) -> SimTime {
-        let dt = SimDuration::from_millis(100);
-        let mut now = start;
+    ) {
         let end = start + limit;
-        while now < end {
-            now += dt;
-            out.extend(c.tick(now, dt));
+        loop {
+            let at = c.next_event();
+            if at > end {
+                return;
+            }
+            out.extend(c.wake(at).0);
             if c.concurrency() == 0 && c.queue_depth() == 0 && c.cf.active_queries() == 0 {
-                break;
+                return;
             }
         }
-        now
     }
 
     #[test]
@@ -696,7 +699,7 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        assert!(c.is_overloaded());
+        assert!(c.overloaded());
         c.submit(
             QueryId(99),
             QueryWork::from_class(QueryClass::Medium),
@@ -810,7 +813,7 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        assert!(c.is_overloaded());
+        assert!(c.overloaded());
     }
 
     #[test]
@@ -1100,7 +1103,7 @@ mod tests {
             "one clean race per stage"
         );
         // PUT + GET priced at the exchange rate.
-        let expected = c.pricing().exchange_cost(6 << 30);
+        let expected = ResourcePricing::default().exchange_cost(6 << 30);
         assert!((q.shuffle_dollars - expected).abs() < 1e-12);
         assert!(q.shuffle_dollars > 0.0);
         // Two accepted fleets cost more than one, but stage 1 is the cheap
@@ -1162,7 +1165,11 @@ mod tests {
             true,
             SimTime::ZERO,
         );
-        assert_eq!(wake, None, "the cluster model wakes on its own cadence");
+        assert_eq!(
+            wake,
+            Some(c.next_event()),
+            "a start asks for the next event"
+        );
         assert_eq!(c.concurrency(), before + 1, "started despite overload");
         assert_eq!(c.queue_depth(), 0);
         let mut done = Vec::new();
@@ -1178,14 +1185,58 @@ mod tests {
     }
 
     #[test]
+    fn lone_vm_query_finishes_on_the_microsecond() {
+        // Off any grid: started at 1.234567 s, a query of 1 CPU-second on 3
+        // of the idle worker's 8 cores finishes 333,333.3 µs later, which
+        // the model rounds up to the next whole microsecond, and the wake
+        // it asks for is exactly then.
+        let mut c = coordinator();
+        let work = QueryWork {
+            scan_bytes: 1 << 20,
+            cpu_seconds: 1.0,
+            parallelism: 3,
+        };
+        let t0 = SimTime::from_micros(1_234_567);
+        let wake = Capacity::start(&mut c, QueryId(7), work, false, false, t0);
+        let cores = f64::from(work.parallelism.min(8));
+        let exec_us = (work.cpu_seconds / cores * 1e6).ceil() as u64;
+        let finish = t0 + SimDuration::from_micros(exec_us);
+        assert_eq!(exec_us, 333_334);
+        assert_eq!(
+            wake,
+            Some(finish),
+            "the start asks for a wake at the finish"
+        );
+        let (done, _) = c.wake(finish);
+        assert_eq!(done.len(), 1);
+        assert_eq!((done[0].started_at, done[0].finished_at), (t0, finish));
+        assert_eq!(done[0].pending(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn wakes_are_asked_once_per_instant() {
+        // A start that does not move the next event asks for no second wake
+        // at it; a wake reports the event after it.
+        let mut c = coordinator();
+        let first = c
+            .wake(SimTime::ZERO)
+            .1
+            .expect("the autoscaler's next evaluation");
+        let light = QueryWork::from_class(QueryClass::Light);
+        let finish = Capacity::start(&mut c, QueryId(1), light, false, false, SimTime::ZERO);
+        let finish = finish.expect("the finish comes before the autoscaler");
+        assert!(finish < first);
+        let again = Capacity::start(&mut c, QueryId(2), light, false, false, SimTime::ZERO);
+        assert_eq!(again, None, "both finish at the same instant");
+        let (done, next) = c.wake(finish);
+        assert_eq!(done.len(), 2);
+        assert_eq!(next, None, "the autoscaler's wake is already coming");
+    }
+
+    #[test]
     fn total_cost_includes_idle_vm_time() {
         let mut c = coordinator();
-        let dt = SimDuration::from_secs(1);
-        let mut now = SimTime::ZERO;
-        for _ in 0..3600 {
-            now += dt;
-            c.tick(now, dt);
-        }
+        c.wake(SimTime::from_secs(3600));
         let cost = c.total_resource_cost();
         // 1 idle worker * 8 cores * 1h * $0.0425 = $0.34.
         assert!((cost.vm_dollars - 0.34).abs() < 0.01, "{cost:?}");

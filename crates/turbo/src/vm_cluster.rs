@@ -3,10 +3,13 @@
 //! Modeled as a processor-sharing system on the virtual clock: all active
 //! workers' cores are shared fairly among running queries (capped by each
 //! query's parallelism), which captures the MPP behaviour that an overloaded
-//! cluster slows every query down. A watermark autoscaler adds workers when
-//! query concurrency exceeds the high watermark (paper default 5) and
-//! gracefully removes them when average concurrency stays below the low
-//! watermark (paper default 0.75), with the lazy scale-in policy of [7].
+//! cluster slows every query down. Rates change only at events (a start, a
+//! completion, a worker coming online or leaving), so the cluster names its
+//! next event ([`VmCluster::next_event`]) and integrates exactly between
+//! them. A watermark autoscaler adds workers when query concurrency exceeds
+//! the high watermark (paper default 5) and gracefully removes them when
+//! average concurrency stays below the low watermark (paper default 0.75),
+//! with the lazy scale-in policy of [7].
 //! New workers take `boot_time` (1–2 minutes) to come online — the lag that
 //! motivates CF acceleration.
 
@@ -91,10 +94,6 @@ pub struct VmCluster {
     external_demand: u32,
     /// Provisioned core-seconds (what the operator pays for).
     pub provisioned_core_seconds: f64,
-    pub scale_out_events: u32,
-    pub scale_in_events: u32,
-    /// Workers lost to spot reclaim ([`preempt_worker`](Self::preempt_worker)).
-    pub preemption_events: u32,
     /// Virtual times of each scale-out / scale-in decision.
     pub scale_out_times: Vec<SimTime>,
     pub scale_in_times: Vec<SimTime>,
@@ -118,9 +117,6 @@ impl VmCluster {
             low_since: None,
             external_demand: 0,
             provisioned_core_seconds: 0.0,
-            scale_out_events: 0,
-            scale_in_events: 0,
-            preemption_events: 0,
             scale_out_times: Vec::new(),
             scale_in_times: Vec::new(),
             worker_series: TimeSeries::new(),
@@ -128,10 +124,6 @@ impl VmCluster {
         };
         cluster.record_series();
         cluster
-    }
-
-    pub fn config(&self) -> &VmConfig {
-        &self.cfg
     }
 
     pub fn active_workers(&self) -> u32 {
@@ -171,13 +163,16 @@ impl VmCluster {
         self.running.len() as f64 / self.active_workers().max(1) as f64
     }
 
-    /// Start executing a query now (admission control happens upstream).
-    pub fn start(&mut self, id: QueryId, work: QueryWork) {
+    /// Start executing a query at `now`, which is no later than the
+    /// cluster's next event (admission control happens upstream).
+    pub fn start(&mut self, id: QueryId, work: QueryWork, now: SimTime) {
+        debug_assert!(now <= self.next_event());
+        self.integrate(now);
         self.running.push(Running {
             id,
             work,
             remaining_cpu: work.cpu_seconds,
-            started_at: self.now,
+            started_at: now,
             core_seconds: 0.0,
         });
         self.record_series();
@@ -222,47 +217,76 @@ impl VmCluster {
         rates
     }
 
-    /// Advance the cluster to `now` (one tick of length `dt`), returning
-    /// queries that completed during the tick.
-    pub fn tick(&mut self, now: SimTime, dt: SimDuration) -> Vec<VmCompletion> {
-        debug_assert!(now >= self.now);
-        self.now = now;
-        let dt_s = dt.as_secs_f64();
-        self.provisioned_core_seconds +=
-            (self.active_workers() * self.cfg.cores_per_worker) as f64 * dt_s;
-
-        // Progress running queries under processor sharing.
+    /// When the cluster next changes on its own: the earliest completion
+    /// under the current processor-sharing rates (rounded up to the next
+    /// whole microsecond; a query with rate 0 has none), a booting worker
+    /// coming online, or the next autoscaler evaluation.
+    pub fn next_event(&self) -> SimTime {
         let rates = self.allocate_rates();
+        let completions = (self.running.iter().zip(rates))
+            .filter(|&(_, rate)| rate > 0.0)
+            .map(|(q, rate)| {
+                let us = (q.remaining_cpu / rate * 1e6).ceil() as u64;
+                self.now + SimDuration::from_micros(us)
+            });
+        let boots = (self.workers.iter())
+            .map(|w| w.ready_at)
+            .filter(|&at| at > self.now);
+        completions
+            .chain(boots)
+            .fold(self.next_autoscale, SimTime::min)
+    }
+
+    /// Advance the cluster to `now` through every event on the way,
+    /// returning the queries that completed, each at its own instant.
+    pub fn tick(&mut self, now: SimTime) -> Vec<VmCompletion> {
+        debug_assert!(now >= self.now);
         let mut finished = Vec::new();
-        let mut i = 0;
-        let mut rate_idx = 0;
-        while i < self.running.len() {
-            let rate = rates[rate_idx];
-            rate_idx += 1;
-            let q = &mut self.running[i];
-            let progress = rate * dt_s;
-            q.core_seconds += rate.min(q.remaining_cpu / dt_s.max(1e-12)) * dt_s;
-            q.remaining_cpu -= progress;
-            if q.remaining_cpu <= 1e-9 {
-                finished.push(VmCompletion {
-                    id: q.id,
-                    started_at: q.started_at,
-                    finished_at: now,
-                    core_seconds: q.core_seconds,
-                    scan_bytes: q.work.scan_bytes,
-                });
-                self.running.swap_remove(i);
-            } else {
-                i += 1;
+        loop {
+            let at = self.next_event().min(now);
+            self.advance(at, &mut finished);
+            if at == now {
+                return finished;
             }
         }
+    }
+
+    /// Accrue progress and provisioned core-seconds from `self.now` to
+    /// `now` at the current rates (no event lies between).
+    fn integrate(&mut self, now: SimTime) {
+        let dt_s = now.since(self.now).as_secs_f64();
+        self.provisioned_core_seconds +=
+            (self.active_workers() * self.cfg.cores_per_worker) as f64 * dt_s;
+        let rates = self.allocate_rates();
+        for (q, rate) in self.running.iter_mut().zip(rates) {
+            let progress = rate * dt_s;
+            q.core_seconds += progress.min(q.remaining_cpu);
+            q.remaining_cpu -= progress;
+        }
+        self.now = now;
+    }
+
+    /// Integrate to `now`, then apply what happens at `now`: completions
+    /// and the autoscaler.
+    fn advance(&mut self, now: SimTime, finished: &mut Vec<VmCompletion>) {
+        self.integrate(now);
+        let (done, running) = std::mem::take(&mut self.running)
+            .into_iter()
+            .partition(|q| q.remaining_cpu <= 1e-9);
+        self.running = running;
+        finished.extend(done.into_iter().map(|q: Running| VmCompletion {
+            id: q.id,
+            started_at: q.started_at,
+            finished_at: now,
+            core_seconds: q.core_seconds,
+            scan_bytes: q.work.scan_bytes,
+        }));
 
         if now >= self.next_autoscale {
             self.autoscale();
             self.next_autoscale = now + self.cfg.autoscale_interval;
         }
         self.record_series();
-        finished
     }
 
     fn autoscale(&mut self) {
@@ -290,7 +314,6 @@ impl VmCluster {
                         ready_at: self.now + self.cfg.boot_time,
                     });
                 }
-                self.scale_out_events += 1;
                 self.scale_out_times.push(self.now);
             }
             return;
@@ -308,7 +331,6 @@ impl VmCluster {
                         if let Some(pos) = self.workers.iter().position(|w| w.ready_at <= self.now)
                         {
                             self.workers.remove(pos);
-                            self.scale_in_events += 1;
                             self.scale_in_times.push(self.now);
                         }
                         self.low_since = Some(self.now);
@@ -332,7 +354,6 @@ impl VmCluster {
         self.workers.push(Worker {
             ready_at: self.now + self.cfg.boot_time,
         });
-        self.preemption_events += 1;
         self.record_series();
         true
     }
@@ -350,39 +371,27 @@ mod tests {
     use super::*;
     use pixels_workload::QueryClass;
 
+    /// Advance event by event until no query runs or `limit` has passed.
     fn tick_until(
         cluster: &mut VmCluster,
-        mut now: SimTime,
-        dt: SimDuration,
         limit: SimDuration,
         mut on_finish: impl FnMut(&VmCompletion),
-    ) -> SimTime {
-        let end = now + limit;
-        while now < end {
-            now += dt;
-            for c in cluster.tick(now, dt) {
+    ) {
+        let end = SimTime::ZERO + limit;
+        while cluster.concurrency() > 0 && cluster.next_event() <= end {
+            for c in cluster.tick(cluster.next_event()) {
                 on_finish(&c);
             }
-            if cluster.concurrency() == 0 {
-                break;
-            }
         }
-        now
     }
 
     #[test]
     fn single_query_runs_to_completion() {
         let mut cluster = VmCluster::new(VmConfig::default(), SimTime::ZERO);
         let work = QueryWork::from_class(QueryClass::Medium);
-        cluster.start(QueryId(1), work);
+        cluster.start(QueryId(1), work, SimTime::ZERO);
         let mut done = Vec::new();
-        tick_until(
-            &mut cluster,
-            SimTime::ZERO,
-            SimDuration::from_millis(100),
-            SimDuration::from_secs(600),
-            |c| done.push(*c),
-        );
+        tick_until(&mut cluster, SimDuration::from_secs(600), |c| done.push(*c));
         assert_eq!(done.len(), 1);
         // Pure processor sharing: one query on one 8-core worker runs at
         // cpu_seconds / 8.
@@ -407,16 +416,12 @@ mod tests {
         let mut cluster = VmCluster::new(cfg, SimTime::ZERO);
         let work = QueryWork::from_class(QueryClass::Medium);
         for i in 0..4 {
-            cluster.start(QueryId(i), work);
+            cluster.start(QueryId(i), work, SimTime::ZERO);
         }
         let mut finishes = Vec::new();
-        tick_until(
-            &mut cluster,
-            SimTime::ZERO,
-            SimDuration::from_millis(100),
-            SimDuration::from_secs(3600),
-            |c| finishes.push(c.finished_at),
-        );
+        tick_until(&mut cluster, SimDuration::from_secs(3600), |c| {
+            finishes.push(c.finished_at)
+        });
         assert_eq!(finishes.len(), 4);
         let solo = work.cpu_seconds / 8.0;
         let shared = finishes[0].as_secs_f64();
@@ -429,32 +434,29 @@ mod tests {
         let mut cluster = VmCluster::new(cfg, SimTime::ZERO);
         // Push concurrency over the high watermark.
         for i in 0..10 {
-            cluster.start(QueryId(i), QueryWork::from_class(QueryClass::Heavy));
+            cluster.start(
+                QueryId(i),
+                QueryWork::from_class(QueryClass::Heavy),
+                SimTime::ZERO,
+            );
         }
         assert!(cluster.is_overloaded());
-        let mut now = SimTime::ZERO;
-        let dt = SimDuration::from_secs(1);
-        // After the first autoscale tick, workers are booting but not active.
-        now += dt;
-        cluster.tick(now, dt);
+        // After the first autoscaler evaluation, workers are booting but not
+        // active.
+        cluster.tick(SimTime::from_secs(1));
         assert_eq!(cluster.active_workers(), 1);
         assert!(
             cluster.booting_workers() > 0,
             "scale-out should have triggered"
         );
-        // Before boot_time elapses: still 1 active.
-        for _ in 0..60 {
-            now += dt;
-            cluster.tick(now, dt);
-        }
+        // Still 1 active a microsecond before the boot completes.
+        let ready = SimTime::ZERO + cfg.boot_time;
+        cluster.tick(SimTime::from_micros(ready.as_micros() - 1));
         assert_eq!(cluster.active_workers(), 1, "boot lag not yet elapsed");
-        // After boot_time: new workers active.
-        for _ in 0..40 {
-            now += dt;
-            cluster.tick(now, dt);
-        }
+        // At boot_time: new workers active.
+        cluster.tick(ready);
         assert!(cluster.active_workers() > 1, "workers should be online");
-        assert!(cluster.scale_out_events >= 1);
+        assert!(!cluster.scale_out_times.is_empty());
     }
 
     #[test]
@@ -468,36 +470,33 @@ mod tests {
         // Provision extra workers by holding sustained load (medium queries
         // keep concurrency above the high watermark across autoscale ticks).
         for i in 0..12 {
-            cluster.start(QueryId(i), QueryWork::from_class(QueryClass::Medium));
+            cluster.start(
+                QueryId(i),
+                QueryWork::from_class(QueryClass::Medium),
+                SimTime::ZERO,
+            );
         }
-        let mut now = SimTime::ZERO;
-        let dt = SimDuration::from_secs(1);
         // Run everything to completion.
-        for _ in 0..1200 {
-            now += dt;
-            cluster.tick(now, dt);
-            if cluster.concurrency() == 0 {
-                break;
-            }
-        }
+        tick_until(&mut cluster, SimDuration::from_secs(1200), |_| {});
         assert_eq!(cluster.concurrency(), 0);
         let workers_after_load = cluster.workers.len();
         assert!(workers_after_load > 1, "cluster scaled out during load");
         // Idle phase: lazy scale-in must remove workers one cooldown window
         // at a time, never in a burst.
         let mut removal_times: Vec<SimTime> = Vec::new();
-        let mut last_events = cluster.scale_in_events;
-        for _ in 0..7200 {
-            now += dt;
-            cluster.tick(now, dt);
-            if cluster.scale_in_events > last_events {
+        let mut last_events = cluster.scale_in_times.len();
+        let end = cluster.next_event() + SimDuration::from_secs(7200);
+        while cluster.next_event() <= end {
+            let now = cluster.next_event();
+            cluster.tick(now);
+            if cluster.scale_in_times.len() > last_events {
                 assert_eq!(
-                    cluster.scale_in_events,
+                    cluster.scale_in_times.len(),
                     last_events + 1,
                     "workers must leave one at a time"
                 );
                 removal_times.push(now);
-                last_events = cluster.scale_in_events;
+                last_events = cluster.scale_in_times.len();
             }
         }
         assert!(
@@ -524,26 +523,22 @@ mod tests {
             ..Default::default()
         };
         let mut cluster = VmCluster::new(cfg, SimTime::ZERO);
-        cluster.start(QueryId(1), QueryWork::from_class(QueryClass::Medium));
+        cluster.start(
+            QueryId(1),
+            QueryWork::from_class(QueryClass::Medium),
+            SimTime::ZERO,
+        );
         assert_eq!(cluster.active_workers(), 2);
         assert!(cluster.preempt_worker());
         // One active worker lost, its replacement booting, query untouched.
         assert_eq!(cluster.active_workers(), 1);
         assert_eq!(cluster.booting_workers(), 1);
-        assert_eq!(cluster.preemption_events, 1);
         assert_eq!(cluster.concurrency(), 1);
         // The query still completes (slower, on fewer cores), and the
         // replacement eventually comes online.
         let mut done = Vec::new();
-        let end = tick_until(
-            &mut cluster,
-            SimTime::ZERO,
-            SimDuration::from_millis(100),
-            SimDuration::from_secs(600),
-            |c| done.push(*c),
-        );
+        tick_until(&mut cluster, SimDuration::from_secs(600), |c| done.push(*c));
         assert_eq!(done.len(), 1, "preemption must not lose the query");
-        let _ = end;
         // After boot_time the cluster is back to strength.
         assert_eq!(cluster.active_workers() + cluster.booting_workers(), 2);
     }
@@ -551,12 +546,7 @@ mod tests {
     #[test]
     fn provisioned_cost_accrues_even_when_idle() {
         let mut cluster = VmCluster::new(VmConfig::default(), SimTime::ZERO);
-        let dt = SimDuration::from_secs(1);
-        let mut now = SimTime::ZERO;
-        for _ in 0..100 {
-            now += dt;
-            cluster.tick(now, dt);
-        }
+        cluster.tick(SimTime::from_secs(100));
         // 1 worker * 8 cores * 100 s.
         assert!((cluster.provisioned_core_seconds - 800.0).abs() < 1e-6);
     }
@@ -576,6 +566,7 @@ mod tests {
                 cpu_seconds: 100.0,
                 parallelism: 2,
             },
+            SimTime::ZERO,
         );
         cluster.start(
             QueryId(2),
@@ -584,6 +575,7 @@ mod tests {
                 cpu_seconds: 100.0,
                 parallelism: 64,
             },
+            SimTime::ZERO,
         );
         let rates = cluster.allocate_rates();
         assert!((rates[0] - 2.0).abs() < 1e-9, "capped at parallelism");

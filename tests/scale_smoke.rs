@@ -30,10 +30,7 @@ fn thousand_query_scheduling_trace() {
         VmConfig::default(),
         CfConfig::default(),
         ResourcePricing::default(),
-        ServerConfig {
-            tick: SimDuration::from_millis(200),
-            ..Default::default()
-        },
+        ServerConfig::default(),
     )
     .run(subs, SimDuration::from_secs(6 * 3600));
     assert_eq!(report.unfinished, 0, "all {n} queries complete");
