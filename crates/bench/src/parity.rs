@@ -199,12 +199,13 @@ fn run_real(s: &Scenario) -> pixels_turbo::ExecOutcome {
 /// Sim side: the identical work (the real execution's measured scan bytes
 /// on the plan's modelled CPU demand) through a coordinator seeded with the
 /// same fault plan. CF scenarios overload the VM cluster first so the
-/// placement rule picks CF, mirroring the saturated real engine.
+/// placement rule picks CF, mirroring the saturated real engine. Returns the
+/// query's completion, decision log included, and the provider CF spend.
 fn run_sim(
     s: &Scenario,
     work: QueryWork,
     exchange: Option<(u64, u64)>,
-) -> (Vec<Decision>, pixels_turbo::QueryCompletion, f64) {
+) -> (pixels_turbo::QueryCompletion, f64) {
     let mut coord = Coordinator::new(
         VmConfig::default(),
         CfConfig::default(),
@@ -243,11 +244,7 @@ fn run_sim(
             break done;
         }
     };
-    (
-        coord.decisions_for(id).to_vec(),
-        done,
-        coord.total_resource_cost().cf_dollars,
-    )
+    (done, coord.total_resource_cost().cf_dollars)
 }
 
 /// Run one scenario through both drivers and assert parity. Panics with a
@@ -284,7 +281,7 @@ pub fn run_scenario(s: &Scenario) -> ParityReport {
     });
     let exchange = (s.partitions > 1 && out.used_cf)
         .then_some((out.exchange.put_bytes, out.exchange.get_bytes));
-    let (sim_decisions, done, sim_cf_total) = run_sim(s, work, exchange);
+    let (done, sim_cf_total) = run_sim(s, work, exchange);
 
     assert_eq!(
         out.provider_shuffle_dollars.to_bits(),
@@ -296,7 +293,7 @@ pub fn run_scenario(s: &Scenario) -> ParityReport {
     );
 
     assert_eq!(
-        out.decisions, sim_decisions,
+        out.decisions, done.decisions,
         "[{}] decision sequences diverged (real vs sim)",
         s.name
     );
@@ -369,7 +366,7 @@ pub fn run_scenario(s: &Scenario) -> ParityReport {
         done.cost,
         sim_cf_total,
         done.shuffle_dollars,
-        &sim_decisions,
+        &done.decisions,
     );
     for (what, a, b) in [
         (
@@ -403,7 +400,7 @@ pub fn run_scenario(s: &Scenario) -> ParityReport {
     );
     ParityReport {
         name: s.name,
-        decisions: sim_decisions,
+        decisions: done.decisions,
         bill: bill_real,
         scan_bytes: out.bytes_scanned,
         resource_cost: done.cost,

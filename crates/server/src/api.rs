@@ -25,6 +25,7 @@ use crate::shared::{SharedWork, SharingConfig};
 use crate::tenant::{SpendBook, TenantDirectory};
 use parking_lot::Mutex;
 use pixels_common::{Error, Json, QueryId, Result};
+use pixels_exec::default_parallelism;
 use pixels_obs::{
     JournalEntry, Ledger, MetricsRegistry, Profile, QueryJournal, SloTracker, Trace, TraceCtx,
     WallClock,
@@ -461,10 +462,12 @@ fn run_query_thread(
     query_span.record_str("level", mode.name());
 
     // Deadline feasibility needs a work estimate; the planner's resource
-    // model supplies it. An unplannable query estimates zero — it will fail
-    // with its real error during execution, not a confusing rejection.
+    // model supplies it, run on the engine's execution width. An
+    // unplannable query estimates zero — it will fail with its real error
+    // during execution, not a confusing rejection.
     let (db, sql) = (&submission.database, &submission.sql);
-    let est_us = mode.exec_estimate_us(|| ctx.engine.estimate_work(db, sql).ok());
+    let cores = default_parallelism() as u32;
+    let est_us = mode.exec_estimate_us(cores, || ctx.engine.estimate_work(db, sql).ok());
     let queued = Instant::now();
     let admitted = {
         let _wait_span = query_span.ctx().span("scheduler_wait");

@@ -59,7 +59,8 @@ pub struct Request<'a> {
     pub id: u64,
     pub tenant: &'a str,
     pub mode: AdmissionMode,
-    /// See [`AdmissionMode::exec_estimate_us`].
+    /// The deadline runtime estimate on the capacity's cores (zero for a
+    /// fixed level); see [`AdmissionMode::exec_estimate_us`].
     pub est_exec_us: u64,
     pub batch_key: Option<u64>,
 }

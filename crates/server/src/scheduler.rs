@@ -69,13 +69,18 @@ impl AdmissionMode {
         }
     }
 
-    /// The execution estimate admission checks this mode against: a
-    /// deadline query's [solo execution time](QueryWork::solo_exec_time),
-    /// zero for a fixed level. Only a deadline calls `work` (which may plan
-    /// the query); work that cannot be estimated estimates zero.
-    pub fn exec_estimate_us(&self, work: impl FnOnce() -> Option<QueryWork>) -> u64 {
+    /// The execution estimate admission checks this mode against: for a
+    /// deadline query, its work's [runtime](QueryWork::exec_time_on_cores)
+    /// with `cores` to itself — the cores of the capacity it would run on,
+    /// so a target is infeasible exactly when that capacity cannot meet it
+    /// even idle; zero for a fixed level. Only a deadline calls `work`
+    /// (which may plan the query); work that cannot be estimated estimates
+    /// zero.
+    pub fn exec_estimate_us(&self, cores: u32, work: impl FnOnce() -> Option<QueryWork>) -> u64 {
         match self {
-            AdmissionMode::Deadline { .. } => work().map_or(0, |w| w.solo_exec_time().as_micros()),
+            AdmissionMode::Deadline { .. } => {
+                work().map_or(0, |w| w.exec_time_on_cores(cores).as_micros())
+            }
             AdmissionMode::Level(_) => 0,
         }
     }

@@ -1,16 +1,16 @@
 //! The simulated query server: one event-driven driver over a plug-in
 //! capacity model — the experiment driver behind every service-level,
-//! autoscaling, and pricing figure in EXPERIMENTS.md and, over the analytic
-//! fleet of [`crate::soak`], behind the million-user admission soak.
+//! autoscaling, and pricing figure in EXPERIMENTS.md and, over a fixed
+//! fleet, behind the million-user admission soak of [`crate::soak`].
 //!
 //! [`ServerSim`] runs the same tenant-aware admission core as the live
 //! server: the [`SchedulerPolicy`] decides dispatch/queue/reject for each
 //! [`AdmissionMode`], queued work is parked in a [`FairQueue`], same-class
 //! best-of-effort entries may merge into one shared scan, and every
 //! completion becomes a priced [`QueryRecord`]. What runs the queries is a
-//! [`Capacity`] model chosen by type: the [`Coordinator`] cluster
-//! micro-model or the soak's analytic fleet. Each names the instant it next
-//! changes, and the driver wakes it exactly then.
+//! [`Capacity`] model, the [`Coordinator`] cluster micro-model. It names the
+//! instant it next changes, and the driver wakes it exactly then; deadline
+//! admission estimates a query's runtime on the cores it has now.
 //!
 //! Time advances by popping one [`EventQueue`]: arrivals, the force-start
 //! bound of every queued query, capacity wakes and the post-trace drain
@@ -418,9 +418,9 @@ impl<C: Capacity> ServerSim<C> {
             id: i as u64,
             tenant: &self.tenant_names[tenant as usize],
             mode,
-            // The class's work: the model the live server gets from the
-            // planner.
-            est_exec_us: mode.exec_estimate_us(|| Some(work)),
+            // The class's work (the model the live server gets from the
+            // planner) on the cores the capacity model has now.
+            est_exec_us: mode.exec_estimate_us(self.capacity.cores(), || Some(work)),
             batch_key: batchable.then_some(class as u64),
         };
         let (policy, load, now_us) = (self.cfg.policy, self.load(), now.as_micros());
@@ -1387,6 +1387,87 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("pixels_sim_rejected_total 1"), "{text}");
+    }
+
+    /// Each class at each of six targets, one query at a time (ten minutes
+    /// apart) on an idle fixed fleet of `workers` 8-core workers. Returns the
+    /// report, the submissions (a record's id indexes them) and the cores.
+    fn lone_deadlines(workers: u32) -> (SimReport, Vec<TenantSubmission>, u32) {
+        let fleet = VmConfig {
+            min_workers: workers,
+            max_workers: workers,
+            ..VmConfig::default()
+        };
+        let targets_ms = [100, 1_000, 3_000, 10_000, 20_000, 60_000];
+        let subs: Vec<TenantSubmission> = (targets_ms.iter())
+            .flat_map(|&ms| QueryClass::ALL.map(|class| (ms, class)))
+            .enumerate()
+            .map(|(i, (ms, class))| TenantSubmission {
+                at: SimTime::from_secs(600 * i as u64),
+                class,
+                mode: AdmissionMode::Deadline {
+                    target_us: ms * 1_000,
+                },
+                tenant: "acme".to_string(),
+            })
+            .collect();
+        let sim = ServerSim::new(
+            fleet,
+            CfConfig::default(),
+            ResourcePricing::default(),
+            ServerConfig::default(),
+        );
+        let report = sim.run_tenants(subs.clone(), SimDuration::from_secs(3600));
+        assert_eq!(report.unfinished, 0);
+        assert!(!report.records.is_empty() && !report.rejected.is_empty());
+        (report, subs, workers * fleet.cores_per_worker)
+    }
+
+    fn target_us(mode: AdmissionMode) -> u64 {
+        match mode {
+            AdmissionMode::Deadline { target_us } => target_us,
+            AdmissionMode::Level(_) => unreachable!("deadline submissions only"),
+        }
+    }
+
+    #[test]
+    fn an_admitted_deadline_finishes_by_its_target_on_an_idle_cluster() {
+        // Heavy work at a 20 s target runs 27.5 s on one worker (220
+        // CPU-seconds on 8 cores), so it must be refused there.
+        for workers in [1, 12] {
+            let (report, _, cores) = lone_deadlines(workers);
+            for r in report.deadline_records() {
+                let target = target_us(r.mode);
+                assert!(
+                    r.total_latency().as_micros() <= target,
+                    "{workers} workers: {:?} took {} for a {target} µs target",
+                    r.class,
+                    r.total_latency()
+                );
+                // Alone on the cluster it runs for exactly the estimate.
+                let estimate = QueryWork::from_class(r.class).exec_time_on_cores(cores);
+                assert_eq!(r.total_latency(), estimate);
+            }
+        }
+    }
+
+    #[test]
+    fn a_rejected_deadline_cannot_be_met_even_on_an_idle_cluster() {
+        // Heavy work at 10 s is refused on one worker (27.5 s) and admitted
+        // on twelve, where 64 of 96 cores run it in 3.4375 s.
+        for workers in [1, 12] {
+            let (report, subs, cores) = lone_deadlines(workers);
+            for rejected in &report.rejected {
+                let s = &subs[rejected.id.0 as usize];
+                let estimate = QueryWork::from_class(s.class).exec_time_on_cores(cores);
+                assert!(
+                    estimate.as_micros() > target_us(s.mode),
+                    "{workers} workers: {:?} estimated {estimate} was refused a {} µs target",
+                    s.class,
+                    target_us(s.mode)
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,17 +2,16 @@
 //! the tenant-aware admission core.
 //!
 //! The soak is a configuration of the one simulated server,
-//! [`crate::sim::ServerSim`], not a second driver: admission verdicts, the
-//! deficit-weighted fair queue, EDF deadline ordering, feasibility
-//! rejection, best-of-effort shared-scan batching, record pricing and the
-//! event clock are the driver's. What this module adds is the traffic
-//! ([`plan_submissions`]), a capacity model cheap enough for weeks of
-//! virtual time ([`AnalyticFleet`]: closed-form placement, runtime and cost,
-//! woken only when a run finishes — where the cluster micro-model also
-//! wakes for processor-sharing rate changes, worker boots and autoscaler
-//! evaluations), and a record sink that folds each outcome into running
-//! totals and into a [`Ledger`] of running sums, so a 1M-user soak finishes
-//! in seconds of wall time and holds no per-query record.
+//! [`crate::sim::ServerSim`], over the one capacity model,
+//! [`pixels_turbo::Coordinator`], not a second driver: admission verdicts,
+//! the deficit-weighted fair queue, EDF deadline ordering, feasibility
+//! rejection, best-of-effort shared-scan batching, record pricing, the event
+//! clock, placement, processor sharing and CF pricing are theirs. The fleet
+//! is fixed (`min_workers = max_workers`): a soak measures admission under a
+//! known capacity, not the autoscaler. What this module adds is the traffic
+//! ([`plan_submissions`]) and a record sink that folds each outcome into
+//! running totals and into a [`Ledger`] of running sums, so a 1M-user soak
+//! finishes in seconds of wall time and holds no per-query record.
 //!
 //! Billing discipline matches the live path bit-for-bit: every completed
 //! query appends exactly the dollars its record carries (in completion
@@ -27,11 +26,8 @@ use crate::sim::{Arrival, DriveStats, Outcome, QueryRecord, ServerConfig, Server
 use pixels_common::{Json, QueryId};
 use pixels_obs::{Ledger, LedgerSummary, MetricsRegistry};
 use pixels_sim::{SimDuration, SimTime};
-use pixels_turbo::{
-    Capacity, CostBreakdown, Placement, QueryCompletion, QueryWork, ResourcePricing,
-};
+use pixels_turbo::{CfConfig, Placement, ResourcePricing, VmConfig};
 use pixels_workload::{arrivals, WorkloadTrace};
-use std::collections::BTreeMap;
 
 /// Configuration of one soak run. All times are virtual.
 #[derive(Debug, Clone)]
@@ -42,8 +38,9 @@ pub struct SoakConfig {
     pub users: usize,
     /// Tenant pool size; tenant 0 is the adversary.
     pub tenants: usize,
-    /// VM fleet capacity in cores. `overloaded` at ≥ capacity,
-    /// `nearly_idle` at ≤ a quarter of it.
+    /// VM fleet size in cores, as whole workers of
+    /// [`VmConfig::cores_per_worker`] (rounded up); fixed for the run. A
+    /// deadline is feasible iff its work finishes in time on these cores.
     pub vm_cores: u64,
     /// Arrival window (diurnal period is 24 h of virtual time).
     pub duration: SimDuration,
@@ -70,13 +67,13 @@ impl Default for SoakConfig {
         SoakConfig {
             users: 50_000,
             tenants: 16,
-            vm_cores: 96,
+            vm_cores: 32,
             duration: SimDuration::from_secs(24 * 3600),
             seed: 7,
             adversary_share: 0.2,
             deadline_share: 0.25,
             deadline_targets_us: vec![
-                10_000_000,    // 10 s: infeasible for heavy queries → rejected
+                3_000_000,     // 3 s: heavy needs 6.875 s on 32 cores → rejected
                 30_000_000,    // 30 s
                 120_000_000,   // 2 min
                 600_000_000,   // 10 min
@@ -222,102 +219,6 @@ struct Planned {
     orig_target_us: Option<u64>,
 }
 
-/// The analytic capacity model: a VM fleet of `vm_cores` cores plus an
-/// elastic CF tier. `overloaded` at ≥ capacity, `nearly_idle` at ≤ a quarter
-/// of it. CF absorbs overload for CF-eligible modes (immediate always, and
-/// deadline queries — including their forced starts); everything else runs
-/// on (possibly over-committed) VM cores. A run takes the work's execution
-/// time at its own parallelism on either tier: CF elasticity offsets the
-/// per-worker efficiency penalty, so latency matches the VM tier but the
-/// provider pays the CF premium (efficiency-inflated GB-seconds plus
-/// invocations).
-#[derive(Default)]
-pub struct AnalyticFleet {
-    vm_cores: u64,
-    busy_cores: u64,
-    pricing: ResourcePricing,
-    /// Runs in flight by (finish time, start order), with the cores each
-    /// holds.
-    running: BTreeMap<(SimTime, u64), (QueryCompletion, u64)>,
-    started: u64,
-}
-
-impl AnalyticFleet {
-    pub fn new(vm_cores: u64, pricing: ResourcePricing) -> Self {
-        AnalyticFleet {
-            vm_cores,
-            pricing,
-            ..AnalyticFleet::default()
-        }
-    }
-}
-
-impl Capacity for AnalyticFleet {
-    fn overloaded(&self) -> bool {
-        self.busy_cores >= self.vm_cores
-    }
-
-    fn nearly_idle(&self) -> bool {
-        self.busy_cores * 4 <= self.vm_cores
-    }
-
-    fn start(
-        &mut self,
-        id: QueryId,
-        work: QueryWork,
-        cf_enabled: bool,
-        _forced: bool,
-        now: SimTime,
-    ) -> Option<SimTime> {
-        let workers = work.parallelism.max(1);
-        let (cores, placement, vm_dollars, cf_dollars) = if self.overloaded() && cf_enabled {
-            let per_worker = SimDuration::from_secs_f64(
-                work.cpu_seconds / self.pricing.cf_efficiency / workers as f64,
-            );
-            let cf_dollars = self.pricing.cf_cost(workers, per_worker);
-            (0, Placement::Cf { workers }, 0.0, cf_dollars)
-        } else {
-            let vm_dollars = self.pricing.vm_cost(work.cpu_seconds);
-            (work.parallelism as u64, Placement::Vm, vm_dollars, 0.0)
-        };
-        let exec = work.solo_exec_time();
-        let finished_at = now + exec.max(SimDuration::from_micros(1));
-        self.busy_cores += cores;
-        let done = QueryCompletion {
-            id,
-            submitted_at: now,
-            started_at: now,
-            finished_at,
-            placement,
-            cost: CostBreakdown {
-                vm_dollars,
-                cf_dollars,
-            },
-            scan_bytes: work.scan_bytes,
-            degraded: false,
-            speculative: false,
-            shuffle_dollars: 0.0,
-        };
-        self.running
-            .insert((finished_at, self.started), (done, cores));
-        self.started += 1;
-        Some(finished_at)
-    }
-
-    /// Every start asked for its own wake, so each wake retires exactly one
-    /// run: same-instant finishes then interleave with the driver's other
-    /// events (and the queue drain after each) in the order the runs began.
-    fn wake(&mut self, now: SimTime) -> (Vec<QueryCompletion>, Option<SimTime>) {
-        let due = self.running.first_entry().filter(|e| e.key().0 <= now);
-        let done = due.map(|e| {
-            let (done, cores) = e.remove();
-            self.busy_cores -= cores;
-            done
-        });
-        (done.into_iter().collect(), None)
-    }
-}
-
 /// The soak's record sink: each outcome is folded into the report the moment
 /// the driver emits it.
 struct Tally<'a> {
@@ -410,9 +311,17 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     );
     let plan = plan_submissions(cfg);
     let trace: Vec<Arrival> = plan.iter().map(|p| p.arrival).collect();
-    let fleet = AnalyticFleet::new(cfg.vm_cores, ResourcePricing::default());
-    let mut sim = ServerSim::over(
+    let vm = VmConfig::default();
+    let workers = (cfg.vm_cores as u32).div_ceil(vm.cores_per_worker);
+    let fleet = VmConfig {
+        min_workers: workers,
+        max_workers: workers,
+        ..vm
+    };
+    let mut sim = ServerSim::new(
         fleet,
+        CfConfig::default(),
+        ResourcePricing::default(),
         ServerConfig {
             policy: cfg.policy,
             batch_besteffort: cfg.batch_besteffort,
@@ -698,7 +607,6 @@ impl SoakReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pixels_workload::QueryClass;
 
     fn small(users: usize) -> SoakConfig {
         SoakConfig {
@@ -814,162 +722,6 @@ mod tests {
             native.deadline_target_violations,
             mapped.deadline_target_violations
         );
-    }
-
-    #[test]
-    fn analytic_fleet_places_on_cf_only_under_overload_and_prices_by_the_book() {
-        let pricing = ResourcePricing::default();
-        let medium = QueryWork::from_class(QueryClass::Medium);
-        let mut fleet = AnalyticFleet::new(medium.parallelism as u64, pricing);
-        let t0 = SimTime::from_secs(1);
-        let run = |fleet: &mut AnalyticFleet, id, cf_enabled, forced| {
-            let finish = fleet
-                .start(QueryId(id), medium, cf_enabled, forced, t0)
-                .unwrap();
-            assert_eq!(finish, t0 + medium.solo_exec_time());
-        };
-        // Idle fleet: CF-enabled work still runs on VM cores, and fills them.
-        assert!(fleet.nearly_idle() && !fleet.overloaded());
-        run(&mut fleet, 0, true, false);
-        assert!(fleet.overloaded() && !fleet.nearly_idle());
-        // Full fleet: CF-disabled work over-commits the VMs; CF-enabled work
-        // — an immediate query, or a deadline query forced at its bound —
-        // goes to CF and holds no cores.
-        run(&mut fleet, 1, false, false);
-        run(&mut fleet, 2, true, false);
-        run(&mut fleet, 3, true, true);
-        // One wake per start, each retiring one run, in start order.
-        let finish = t0 + medium.solo_exec_time();
-        assert!(fleet.wake(t0).0.is_empty(), "nothing is due yet");
-        let mut done = Vec::new();
-        for _ in 0..4 {
-            let (retired, next) = fleet.wake(finish);
-            assert_eq!((retired.len(), next), (1, None));
-            done.extend(retired);
-        }
-        assert!(fleet.nearly_idle(), "every core was handed back");
-        assert_eq!(
-            done.iter().map(|d| d.id.0).collect::<Vec<_>>(),
-            [0, 1, 2, 3]
-        );
-        let workers = medium.parallelism;
-        let per_worker =
-            SimDuration::from_secs_f64(medium.cpu_seconds / pricing.cf_efficiency / workers as f64);
-        for d in &done {
-            let on_cf = d.id.0 >= 2;
-            assert_eq!(d.placement == Placement::Cf { workers }, on_cf);
-            let expected = if on_cf {
-                CostBreakdown {
-                    vm_dollars: 0.0,
-                    cf_dollars: pricing.cf_cost(workers, per_worker),
-                }
-            } else {
-                CostBreakdown {
-                    vm_dollars: pricing.vm_cost(medium.cpu_seconds),
-                    cf_dollars: 0.0,
-                }
-            };
-            assert_eq!(d.cost, expected);
-            assert_eq!((d.started_at, d.finished_at), (t0, finish));
-        }
-    }
-
-    /// The admission core is the driver's, so it cannot depend on which
-    /// capacity model sits under it: with capacity that never binds, the
-    /// cluster micro-model and the analytic fleet must produce the same
-    /// verdicts, rejections, billed bytes, prices and per-tenant revenue.
-    #[test]
-    fn both_capacity_models_see_the_same_admission_core() {
-        use pixels_turbo::{CfConfig, Coordinator, VmConfig};
-        const TENANTS: [&str; 3] = ["acme", "globex", "initech"];
-        let modes = [
-            AdmissionMode::Level(ServiceLevel::Immediate),
-            AdmissionMode::Level(ServiceLevel::Relaxed),
-            AdmissionMode::Level(ServiceLevel::BestEffort),
-            AdmissionMode::Deadline {
-                target_us: 120_000_000,
-            },
-        ];
-        // Both models admit each query at its arrival instant.
-        let mut trace: Vec<Arrival> = (0..24u64)
-            .map(|i| Arrival {
-                at: SimTime::from_millis(500 * (i / 3)),
-                class: QueryClass::ALL[(i % 3) as usize],
-                mode: modes[(i % 4) as usize],
-                tenant: (i % 3) as u32,
-            })
-            .collect();
-        // A heavy query cannot finish in 100 ms: refused at admission.
-        trace.push(Arrival {
-            at: SimTime::from_secs(4),
-            class: QueryClass::Heavy,
-            mode: AdmissionMode::Deadline { target_us: 100_000 },
-            tenant: 1,
-        });
-        let cfg = ServerConfig {
-            batch_besteffort: true,
-            ..ServerConfig::default()
-        };
-        fn outcomes<C: Capacity>(
-            capacity: C,
-            cfg: ServerConfig,
-            trace: &[Arrival],
-        ) -> (Vec<QueryRecord>, Vec<crate::sim::RejectedRecord>) {
-            let mut sim = ServerSim::over(capacity, cfg);
-            for t in TENANTS {
-                sim.intern(t);
-            }
-            let (mut done, mut rejected) = (Vec::new(), Vec::new());
-            sim.drive(
-                trace.to_vec(),
-                SimDuration::from_secs(3600),
-                &mut |o| match o {
-                    Outcome::Completed(r) => done.push(r),
-                    Outcome::Rejected(r) => rejected.push(r),
-                },
-            );
-            assert_eq!(sim.unfinished(), 0);
-            done.sort_by_key(|r| r.id);
-            (done, rejected)
-        }
-        let roomy = VmConfig {
-            high_watermark: f64::INFINITY,
-            low_watermark: f64::INFINITY,
-            ..VmConfig::default()
-        };
-        let cluster = Coordinator::new(
-            roomy,
-            CfConfig::default(),
-            ResourcePricing::default(),
-            SimTime::ZERO,
-        );
-        let fleet = AnalyticFleet::new(u64::MAX / 8, ResourcePricing::default());
-        let (on_cluster, cluster_rejects) = outcomes(cluster, cfg, &trace);
-        let (on_fleet, fleet_rejects) = outcomes(fleet, cfg, &trace);
-
-        assert_eq!(cluster_rejects, fleet_rejects);
-        assert_eq!(cluster_rejects.len(), 1);
-        assert!(cluster_rejects[0].reason.contains("infeasible deadline"));
-        assert_eq!(on_cluster.len(), 24);
-        assert_eq!(on_cluster.len(), on_fleet.len());
-        let revenue_by_tenant = |records: &[QueryRecord]| {
-            let ledger = Ledger::new();
-            for r in records {
-                ledger.append(r.ledger_entry(TENANTS[r.tenant as usize]));
-            }
-            let by_tenant = ledger.by_tenant();
-            TENANTS.map(|t| by_tenant[t].revenue_dollars.to_bits())
-        };
-        for (c, f) in on_cluster.iter().zip(&on_fleet) {
-            assert_eq!((c.id, c.mode, c.tenant), (f.id, f.mode, f.tenant));
-            // Same verdict at the same instant: dispatched on arrival.
-            assert_eq!(c.submitted_at, f.submitted_at);
-            assert_eq!(c.dispatched_at, f.dispatched_at);
-            assert_eq!(c.dispatched_at, c.submitted_at);
-            assert_eq!(c.scan_bytes, f.scan_bytes);
-            assert_eq!(c.price.to_bits(), f.price.to_bits());
-        }
-        assert_eq!(revenue_by_tenant(&on_cluster), revenue_by_tenant(&on_fleet));
     }
 
     #[test]

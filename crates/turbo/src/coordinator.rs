@@ -14,7 +14,7 @@ use crate::vm_cluster::{VmCluster, VmConfig};
 use pixels_chaos::{FaultInjector, FaultSite, Inject};
 use pixels_common::QueryId;
 use pixels_sim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Everything the coordinator remembers about an in-flight query.
@@ -30,6 +30,9 @@ struct InFlight {
     degraded: bool,
     /// Present for two-stage exchange plans ([`Coordinator::submit_shuffle`]).
     shuffle: Option<ShuffleInfo>,
+    /// Ordered policy decision log, every stage's race concatenated; it
+    /// leaves with the query's [`QueryCompletion`].
+    decisions: Vec<Decision>,
 }
 
 /// Progress of a two-stage exchange plan through its per-stage CF races.
@@ -68,7 +71,7 @@ pub struct FaultStats {
 }
 
 /// Final record of a completed query.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryCompletion {
     pub id: QueryId,
     /// When the coordinator received the query.
@@ -88,6 +91,9 @@ pub struct QueryCompletion {
     /// Provider cost of the exchange spill traffic this query moved through
     /// the object store (zero for single-stage queries).
     pub shuffle_dollars: f64,
+    /// The ordered policy decisions made for this query — what the
+    /// differential harnesses compare against the real engine's log.
+    pub decisions: Vec<Decision>,
 }
 
 impl QueryCompletion {
@@ -105,15 +111,20 @@ impl QueryCompletion {
 /// a load signal for admission, a way to start work, and completions on the
 /// virtual clock. The driver owns admission, queueing, batching and billing;
 /// a capacity model only decides where a started query runs, how long it
-/// takes and what it costs the provider. Two models exist: [`Coordinator`]
-/// (the cluster micro-model: autoscaled VMs, CF fleets, faults) and the
-/// server's analytic fleet (closed-form, for million-query soaks).
+/// takes and what it costs the provider. [`Coordinator`] (the cluster
+/// micro-model: VMs, CF fleets, faults) is the model every simulation and
+/// the million-user soak run on.
 pub trait Capacity {
     /// No headroom for relaxed work.
     fn overloaded(&self) -> bool;
 
     /// Capacity that would otherwise be wasted: where best-of-effort belongs.
     fn nearly_idle(&self) -> bool;
+
+    /// The cores one query started now would get on the model by itself:
+    /// what deadline admission evaluates [`QueryWork::exec_time_on_cores`]
+    /// on.
+    fn cores(&self) -> u32;
 
     /// Begin executing `work` at `now`. `forced` means the server's
     /// pending-time bound expired, so the query must start whatever the
@@ -197,9 +208,6 @@ pub struct Coordinator {
     last_preempt_check: SimTime,
     /// Fault-recovery counters for this coordinator's lifetime.
     pub stats: FaultStats,
-    /// Ordered policy decision log per query (kept past completion so
-    /// differential harnesses can compare against the real engine).
-    decisions: BTreeMap<QueryId, Vec<Decision>>,
     /// Completions reached while advancing, held for the next wake.
     done: Vec<QueryCompletion>,
     /// Wakes asked of the driver and not yet received.
@@ -220,7 +228,6 @@ impl Coordinator {
             pending_spec: Vec::new(),
             last_preempt_check: now,
             stats: FaultStats::default(),
-            decisions: BTreeMap::new(),
             done: Vec::new(),
             asked: BTreeSet::new(),
             now,
@@ -309,15 +316,18 @@ impl Coordinator {
             race: None,
             degraded: false,
             shuffle,
+            decisions: Vec::new(),
         };
         if forced || (!self.vm.is_overloaded() && self.vm_queue.is_empty()) {
             // Plain VM execution: no CF, no exchange.
-            self.record(id, Decision::DispatchVm);
+            info.decisions.push(Decision::DispatchVm);
             info.shuffle = None;
             self.vm.start(id, work, now);
             self.inflight.insert(id, info);
         } else if let Some(cf_work) = cf_work {
-            info.race = Some(self.start_race(id, cf_work));
+            let race = self.start_race(id, cf_work);
+            info.decisions.extend_from_slice(&race.decisions);
+            info.race = Some(race);
             self.inflight.insert(id, info);
         } else {
             self.vm_queue.push_back((id, info));
@@ -330,24 +340,7 @@ impl Coordinator {
         let race = CfRace::start(&mut fx);
         let cancelled = fx.cancelled;
         self.stats.speculative_cancelled += cancelled;
-        self.record_all(id, &race.decisions);
         race
-    }
-
-    /// The ordered policy decision log for a query (empty if unknown).
-    pub fn decisions_for(&self, id: QueryId) -> &[Decision] {
-        self.decisions.get(&id).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    fn record(&mut self, id: QueryId, decision: Decision) {
-        self.decisions.entry(id).or_default().push(decision);
-    }
-
-    fn record_all(&mut self, id: QueryId, decisions: &[Decision]) {
-        self.decisions
-            .entry(id)
-            .or_default()
-            .extend_from_slice(decisions);
     }
 
     fn effects(&mut self, id: QueryId, work: QueryWork) -> CoordEffects<'_> {
@@ -363,7 +356,7 @@ impl Coordinator {
     }
 
     /// Feed one observation into a query's CF race, translate the resulting
-    /// decisions into fault-stat counters, and return them.
+    /// decisions into fault-stat counters, log them and return them.
     fn step_race(&mut self, id: QueryId, input: RaceInput) -> Vec<Decision> {
         let info = self.inflight.get_mut(&id).expect("query in flight");
         let work = match info.shuffle {
@@ -376,7 +369,9 @@ impl Coordinator {
         let mut fx = self.effects(id, work);
         let new = race.step(input, &mut fx);
         let cancelled = fx.cancelled;
-        self.inflight.get_mut(&id).expect("query in flight").race = Some(race);
+        let info = self.inflight.get_mut(&id).expect("query in flight");
+        info.race = Some(race);
+        info.decisions.extend_from_slice(&new);
         self.stats.speculative_cancelled += cancelled;
         for d in &new {
             match d {
@@ -390,7 +385,6 @@ impl Coordinator {
                 _ => {}
             }
         }
-        self.record_all(id, &new);
         new
     }
 
@@ -497,6 +491,7 @@ impl Coordinator {
                 speculative: info.race.as_ref().is_some_and(CfRace::speculated)
                     || info.shuffle.is_some_and(|s| s.speculated),
                 shuffle_dollars,
+                decisions: info.decisions,
             });
         }
 
@@ -533,7 +528,9 @@ impl Coordinator {
                 s.speculated |= speculated;
                 let stage1 = info.work.stage_works()[1];
                 let race = self.start_race(run.id, stage1);
-                self.inflight.get_mut(&run.id).expect("checked above").race = Some(race);
+                let info = self.inflight.get_mut(&run.id).expect("checked above");
+                info.decisions.extend_from_slice(&race.decisions);
+                info.race = Some(race);
                 continue;
             }
             let info = self.inflight.remove(&run.id).expect("checked above");
@@ -570,15 +567,16 @@ impl Coordinator {
                 degraded: info.degraded,
                 speculative: spec_sticky || info.race.as_ref().is_some_and(CfRace::speculated),
                 shuffle_dollars,
+                decisions: info.decisions,
             });
         }
 
         // Drain the VM wait queue while there is headroom.
         while !self.vm.is_overloaded() {
-            let Some((id, info)) = self.vm_queue.pop_front() else {
+            let Some((id, mut info)) = self.vm_queue.pop_front() else {
                 break;
             };
-            self.record(id, Decision::DispatchVm);
+            info.decisions.push(Decision::DispatchVm);
             self.vm.start(id, info.work, now);
             self.inflight.insert(id, info);
         }
@@ -606,6 +604,10 @@ impl Capacity for Coordinator {
 
     fn nearly_idle(&self) -> bool {
         self.vm.is_nearly_idle() && self.vm_queue.is_empty()
+    }
+
+    fn cores(&self) -> u32 {
+        self.vm.active_cores()
     }
 
     fn start(
@@ -667,6 +669,12 @@ mod tests {
                 return;
             }
         }
+    }
+
+    /// The decision log a completion in `done` carries.
+    fn decisions_of(done: &[QueryCompletion], id: u64) -> &[Decision] {
+        let q = done.iter().find(|d| d.id == QueryId(id));
+        &q.expect("the query completed").decisions
     }
 
     #[test]
@@ -1015,13 +1023,13 @@ mod tests {
             &mut done,
         );
         assert_eq!(
-            c.decisions_for(QueryId(99)),
+            decisions_of(&done, 99),
             &[
                 Decision::DispatchCf { attempt: 0 },
                 Decision::Accept { attempt: 0 }
             ]
         );
-        assert_eq!(c.decisions_for(QueryId(0)), &[Decision::DispatchVm]);
+        assert_eq!(decisions_of(&done, 0), &[Decision::DispatchVm]);
 
         // Every fleet crashes → relaunch then degrade then VM.
         let plan = FaultPlan::none(7).with(FaultSite::CfCrash, SiteSpec::errors(1.0));
@@ -1041,7 +1049,7 @@ mod tests {
             &mut done,
         );
         assert_eq!(
-            c.decisions_for(QueryId(99)),
+            decisions_of(&done, 99),
             &[
                 Decision::DispatchCf { attempt: 0 },
                 Decision::AttemptFailed { attempt: 0 },
@@ -1093,7 +1101,7 @@ mod tests {
         let q = done.iter().find(|d| d.id == QueryId(99)).unwrap();
         assert!(matches!(q.placement, Placement::Cf { .. }));
         assert_eq!(
-            c.decisions_for(QueryId(99)),
+            decisions_of(&done, 99),
             &[
                 Decision::DispatchCf { attempt: 0 },
                 Decision::Accept { attempt: 0 },
@@ -1138,7 +1146,7 @@ mod tests {
         assert!(matches!(q.placement, Placement::Cf { .. }));
         assert!(!q.degraded);
         assert_eq!(
-            c.decisions_for(QueryId(99)),
+            decisions_of(&done, 99),
             &[
                 Decision::DispatchCf { attempt: 0 },
                 Decision::AttemptFailed { attempt: 0 },
@@ -1187,9 +1195,9 @@ mod tests {
     #[test]
     fn lone_vm_query_finishes_on_the_microsecond() {
         // Off any grid: started at 1.234567 s, a query of 1 CPU-second on 3
-        // of the idle worker's 8 cores finishes 333,333.3 µs later, which
-        // the model rounds up to the next whole microsecond, and the wake
-        // it asks for is exactly then.
+        // of the idle worker's 8 cores finishes after exactly the runtime
+        // law's estimate on the model's cores (333,333.3 µs, rounded up to
+        // the next whole microsecond), and the wake it asks for is then.
         let mut c = coordinator();
         let work = QueryWork {
             scan_bytes: 1 << 20,
@@ -1197,11 +1205,10 @@ mod tests {
             parallelism: 3,
         };
         let t0 = SimTime::from_micros(1_234_567);
+        let estimate = work.exec_time_on_cores(c.cores());
         let wake = Capacity::start(&mut c, QueryId(7), work, false, false, t0);
-        let cores = f64::from(work.parallelism.min(8));
-        let exec_us = (work.cpu_seconds / cores * 1e6).ceil() as u64;
-        let finish = t0 + SimDuration::from_micros(exec_us);
-        assert_eq!(exec_us, 333_334);
+        let finish = t0 + estimate;
+        assert_eq!(estimate, SimDuration::from_micros(333_334));
         assert_eq!(
             wake,
             Some(finish),
@@ -1211,6 +1218,7 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!((done[0].started_at, done[0].finished_at), (t0, finish));
         assert_eq!(done[0].pending(), SimDuration::ZERO);
+        assert_eq!(done[0].decisions, [Decision::DispatchVm]);
     }
 
     #[test]

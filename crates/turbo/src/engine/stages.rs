@@ -474,7 +474,7 @@ impl TurboEngine {
 /// model's estimate of the stage's work on as many cores as it can use (the
 /// width every execution context gets), floored.
 fn straggler_wait(work: &QueryWork) -> Duration {
-    let est = work.exec_time_on_cores(default_parallelism() as f64);
+    let est = work.exec_time_on_cores(default_parallelism() as u32);
     Duration::from_micros(
         policy::straggler_deadline(
             est,

@@ -83,22 +83,21 @@ impl QueryWork {
         ]
     }
 
-    /// Ideal execution time when `cores` cores are dedicated to the query,
-    /// with a small non-parallelizable fraction (Amdahl).
-    pub fn exec_time_on_cores(&self, cores: f64) -> SimDuration {
-        const SERIAL_FRACTION: f64 = 0.05;
-        let effective = cores.min(self.parallelism as f64).max(0.01);
-        let t = self.cpu_seconds * SERIAL_FRACTION
-            + self.cpu_seconds * (1.0 - SERIAL_FRACTION) / effective;
-        SimDuration::from_secs_f64(t)
+    /// How long the query runs with `cores` cores to itself: its CPU time
+    /// over `min(cores, parallelism)`, rounded up to the whole microsecond
+    /// ([`run_time`]). This is the solo case of the VM cluster's processor
+    /// sharing, which completes a lone query at exactly this instant, so
+    /// deadline admission and the live straggler watchdog estimate with the
+    /// law the cluster runs by. No cores: it never finishes.
+    pub fn exec_time_on_cores(&self, cores: u32) -> SimDuration {
+        run_time(self.cpu_seconds, cores.min(self.parallelism) as f64)
     }
+}
 
-    /// Execution time with the query's own parallelism in cores: the solo
-    /// estimate deadline admission checks a target against, and how long
-    /// the soak's analytic fleet runs a query.
-    pub fn solo_exec_time(&self) -> SimDuration {
-        self.exec_time_on_cores(self.parallelism as f64)
-    }
+/// Time to burn `cpu_seconds` of reference-core work at `rate` cores,
+/// rounded up to the next whole microsecond (never, at rate 0).
+pub(crate) fn run_time(cpu_seconds: f64, rate: f64) -> SimDuration {
+    SimDuration::from_micros((cpu_seconds / rate * 1e6).ceil() as u64)
 }
 
 #[cfg(test)]
@@ -117,10 +116,10 @@ mod tests {
     #[test]
     fn more_cores_is_faster_until_parallelism_cap() {
         let w = QueryWork::from_class(QueryClass::Medium);
-        let t1 = w.exec_time_on_cores(1.0);
-        let t8 = w.exec_time_on_cores(8.0);
-        let t16 = w.exec_time_on_cores(16.0);
-        let t64 = w.exec_time_on_cores(64.0);
+        let t1 = w.exec_time_on_cores(1);
+        let t8 = w.exec_time_on_cores(8);
+        let t16 = w.exec_time_on_cores(16);
+        let t64 = w.exec_time_on_cores(64);
         assert!(t8 < t1);
         assert!(t16 < t8);
         // Parallelism capped at 16: more cores don't help.
@@ -128,16 +127,28 @@ mod tests {
     }
 
     #[test]
-    fn amdahl_floor() {
-        let w = QueryWork {
-            scan_bytes: 0,
-            cpu_seconds: 100.0,
-            parallelism: 1000,
-        };
-        let t = w.exec_time_on_cores(1e9);
-        assert!(
-            t >= SimDuration::from_secs(5),
-            "serial fraction dominates: {t}"
+    fn exec_time_is_cpu_over_usable_cores_to_the_microsecond() {
+        let w = QueryWork::from_class(QueryClass::Heavy);
+        // 220 CPU-seconds: 27.5 s on one 8-core worker, 3.4375 s on 64 of
+        // 96 cores (parallelism 64 caps it).
+        assert_eq!(
+            w.exec_time_on_cores(8),
+            SimDuration::from_micros(27_500_000)
         );
+        assert_eq!(
+            w.exec_time_on_cores(96),
+            SimDuration::from_micros(3_437_500)
+        );
+        // 1 CPU-second on 3 cores is 333,333.3 µs: rounded up.
+        let third = QueryWork {
+            scan_bytes: 0,
+            cpu_seconds: 1.0,
+            parallelism: 3,
+        };
+        assert_eq!(
+            third.exec_time_on_cores(8),
+            SimDuration::from_micros(333_334)
+        );
+        assert_eq!(third.exec_time_on_cores(0).as_micros(), u64::MAX);
     }
 }

@@ -4,16 +4,18 @@
 //! workers' cores are shared fairly among running queries (capped by each
 //! query's parallelism), which captures the MPP behaviour that an overloaded
 //! cluster slows every query down. Rates change only at events (a start, a
-//! completion, a worker coming online or leaving), so the cluster names its
-//! next event ([`VmCluster::next_event`]) and integrates exactly between
-//! them. A watermark autoscaler adds workers when query concurrency exceeds
-//! the high watermark (paper default 5) and gracefully removes them when
-//! average concurrency stays below the low watermark (paper default 0.75),
-//! with the lazy scale-in policy of [7].
+//! completion, a worker coming online or leaving), so the cluster keeps the
+//! rates in force as state, names its next event ([`VmCluster::next_event`])
+//! and integrates exactly between them. A query alone on the cluster runs
+//! for [`QueryWork::exec_time_on_cores`] of its active cores. A watermark
+//! autoscaler adds workers when query concurrency exceeds the high watermark
+//! (paper default 5) and gracefully removes them when average concurrency
+//! stays below the low watermark (paper default 0.75), with the lazy
+//! scale-in policy of [7].
 //! New workers take `boot_time` (1–2 minutes) to come online — the lag that
 //! motivates CF acceleration.
 
-use crate::model::QueryWork;
+use crate::model::{run_time, QueryWork};
 use pixels_common::QueryId;
 use pixels_sim::{SimDuration, SimTime, TimeSeries};
 
@@ -84,6 +86,12 @@ pub struct VmCluster {
     cfg: VmConfig,
     workers: Vec<Worker>,
     running: Vec<Running>,
+    /// Cores each running query holds, by index into `running`: the
+    /// water-filling of the active cores, redone whenever the running set
+    /// or the active core count changes ([`VmCluster::reshare`]).
+    rates: Vec<f64>,
+    /// Scratch of [`VmCluster::reshare`]: the queries whose cap binds.
+    capped: Vec<bool>,
     now: SimTime,
     next_autoscale: SimTime,
     low_since: Option<SimTime>,
@@ -112,6 +120,8 @@ impl VmCluster {
             cfg,
             workers,
             running: Vec::new(),
+            rates: Vec::new(),
+            capped: Vec::new(),
             now,
             next_autoscale: now,
             low_since: None,
@@ -131,6 +141,12 @@ impl VmCluster {
             .iter()
             .filter(|w| w.ready_at <= self.now)
             .count() as u32
+    }
+
+    /// Cores of the workers online now: what one query started now would
+    /// share with the running ones, or have to itself on an idle cluster.
+    pub fn active_cores(&self) -> u32 {
+        self.active_workers() * self.cfg.cores_per_worker
     }
 
     pub fn booting_workers(&self) -> u32 {
@@ -175,32 +191,32 @@ impl VmCluster {
             started_at: now,
             core_seconds: 0.0,
         });
+        self.reshare();
         self.record_series();
     }
 
-    /// Fair-share core allocation with per-query parallelism caps
-    /// (water-filling).
-    fn allocate_rates(&self) -> Vec<f64> {
+    /// Recompute the rates: fair-share core allocation with per-query
+    /// parallelism caps (water-filling) over the active cores.
+    fn reshare(&mut self) {
         let n = self.running.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let total = (self.active_workers() * self.cfg.cores_per_worker) as f64;
-        let mut rates = vec![0.0f64; n];
-        let mut capped = vec![false; n];
-        let mut remaining = total;
+        let mut remaining = self.active_cores() as f64;
+        let (rates, capped) = (&mut self.rates, &mut self.capped);
+        rates.clear();
+        rates.resize(n, 0.0);
+        capped.clear();
+        capped.resize(n, false);
         // Iterate: give each uncapped query an equal share; queries whose
         // parallelism cap binds free their surplus for the others.
         for _ in 0..n.min(16) {
-            let uncapped: Vec<usize> = (0..n).filter(|&i| !capped[i]).collect();
-            if uncapped.is_empty() || remaining <= 1e-12 {
+            let uncapped = capped.iter().filter(|&&c| !c).count();
+            if uncapped == 0 || remaining <= 1e-12 {
                 break;
             }
-            let share = remaining / uncapped.len() as f64;
+            let share = remaining / uncapped as f64;
             let mut newly_capped = false;
-            for &i in &uncapped {
-                let cap = self.running[i].work.parallelism as f64;
-                if rates[i] + share >= cap {
+            for (i, q) in self.running.iter().enumerate() {
+                let cap = q.work.parallelism as f64;
+                if !capped[i] && rates[i] + share >= cap {
                     remaining -= cap - rates[i];
                     rates[i] = cap;
                     capped[i] = true;
@@ -208,13 +224,12 @@ impl VmCluster {
                 }
             }
             if !newly_capped {
-                for &i in &uncapped {
-                    rates[i] += share;
+                for (rate, _) in rates.iter_mut().zip(&*capped).filter(|(_, &c)| !c) {
+                    *rate += share;
                 }
                 remaining = 0.0;
             }
         }
-        rates
     }
 
     /// When the cluster next changes on its own: the earliest completion
@@ -222,13 +237,9 @@ impl VmCluster {
     /// whole microsecond; a query with rate 0 has none), a booting worker
     /// coming online, or the next autoscaler evaluation.
     pub fn next_event(&self) -> SimTime {
-        let rates = self.allocate_rates();
-        let completions = (self.running.iter().zip(rates))
-            .filter(|&(_, rate)| rate > 0.0)
-            .map(|(q, rate)| {
-                let us = (q.remaining_cpu / rate * 1e6).ceil() as u64;
-                self.now + SimDuration::from_micros(us)
-            });
+        let completions = (self.running.iter().zip(&self.rates))
+            .filter(|&(_, &rate)| rate > 0.0)
+            .map(|(q, &rate)| self.now + run_time(q.remaining_cpu, rate));
         let boots = (self.workers.iter())
             .map(|w| w.ready_at)
             .filter(|&at| at > self.now);
@@ -255,10 +266,8 @@ impl VmCluster {
     /// `now` at the current rates (no event lies between).
     fn integrate(&mut self, now: SimTime) {
         let dt_s = now.since(self.now).as_secs_f64();
-        self.provisioned_core_seconds +=
-            (self.active_workers() * self.cfg.cores_per_worker) as f64 * dt_s;
-        let rates = self.allocate_rates();
-        for (q, rate) in self.running.iter_mut().zip(rates) {
+        self.provisioned_core_seconds += self.active_cores() as f64 * dt_s;
+        for (q, &rate) in self.running.iter_mut().zip(&self.rates) {
             let progress = rate * dt_s;
             q.core_seconds += progress.min(q.remaining_cpu);
             q.remaining_cpu -= progress;
@@ -286,6 +295,7 @@ impl VmCluster {
             self.autoscale();
             self.next_autoscale = now + self.cfg.autoscale_interval;
         }
+        self.reshare();
         self.record_series();
     }
 
@@ -354,6 +364,7 @@ impl VmCluster {
         self.workers.push(Worker {
             ready_at: self.now + self.cfg.boot_time,
         });
+        self.reshare();
         self.record_series();
         true
     }
@@ -577,7 +588,7 @@ mod tests {
             },
             SimTime::ZERO,
         );
-        let rates = cluster.allocate_rates();
+        let rates = &cluster.rates;
         assert!((rates[0] - 2.0).abs() < 1e-9, "capped at parallelism");
         assert!((rates[1] - 30.0).abs() < 1e-9, "surplus goes to the other");
     }
