@@ -22,6 +22,7 @@ pub mod encoded;
 pub mod engine;
 pub mod evaluate;
 pub mod exchange;
+mod io_pool;
 pub mod join;
 pub mod keys;
 pub mod parallel;

@@ -2,12 +2,15 @@
 //! ahead of the workers that decode them.
 //!
 //! [`run_prefetched`] splits each morsel into a *fetch* (I/O) and a *work*
-//! (decode/filter) phase. `min(depth, morsels)` I/O threads claim morsel
+//! (decode/filter) phase. `min(depth, morsels)` I/O loops claim morsel
 //! indices in order and fetch them, never letting more than `depth` morsels
 //! be fetched-or-fetching ahead of consumption: `depth` is at once the
 //! read-ahead window, the memory bound (in morsels) and the number of
 //! requests in flight, which is what hides a remote store's per-request
-//! latency. Workers claim morsel indices exactly like
+//! latency. Each I/O loop runs on a thread of its own borrowed from the
+//! process-wide [`IoPool`], which keeps its threads between scans, so a
+//! cold scan starts and joins no thread once the pool has grown to the
+//! scans' concurrent loops. Workers claim morsel indices exactly like
 //! [`crate::parallel::run_indexed`] and block only while their morsel's
 //! fetch has not completed.
 //!
@@ -28,22 +31,16 @@
 //! - **Panics.** A fetch that panics on an I/O thread leaves its payload in
 //!   the morsel's slot, and the worker that takes the slot resumes the
 //!   unwind, so the panic reaches the caller as a worker panic does in
-//!   [`run_indexed`]. While a worker unwinds, the I/O threads are stopped, so
-//!   the scope still joins.
+//!   [`run_indexed`]. While a worker unwinds, the I/O loops are stopped, so
+//!   the pool's scope still ends: it returns only once every loop has.
 
 use parking_lot::{Condvar, Mutex};
 use pixels_common::Result;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
+use crate::io_pool::IoPool;
 use crate::parallel::run_indexed;
-
-/// Stack size of an I/O thread. It only fetches, so a small stack is plenty,
-/// and a cold scan starts one per morsel of window: the C library keeps a
-/// bounded cache of freed thread stacks, and a small stack is one it can
-/// hand to the next scan's thread instead of mapping and guarding a fresh
-/// one.
-const IO_STACK_BYTES: usize = 256 << 10;
 
 /// What the prefetcher did during one [`run_prefetched`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -129,12 +126,9 @@ where
         landed.notify_all();
     };
 
-    let result = std::thread::scope(|s| {
+    let result = IoPool::global().scope(|s| {
         for _ in 0..depth.min(n) {
-            std::thread::Builder::new()
-                .stack_size(IO_STACK_BYTES)
-                .spawn_scoped(s, io_loop)
-                .expect("failed to spawn a prefetch I/O thread");
+            s.spawn(io_loop);
         }
 
         // Stops the I/O threads on return and while a worker's panic unwinds.

@@ -12,11 +12,12 @@
 //! instant it next changes, and the driver wakes it exactly then; deadline
 //! admission estimates a query's runtime on the cores it has now.
 //!
-//! Time advances by popping one [`EventQueue`]: arrivals, the force-start
-//! bound of every queued query, capacity wakes and the post-trace drain
-//! checks; after every event the fair queue is drained until the load signal
-//! says stop. Same-instant events pop in scheduling order, arrivals first
-//! (they are scheduled before anything else). No event waits for the model:
+//! Time advances event by event: arrivals, read in order from the sorted
+//! trace, and from one [`EventQueue`] the force-start bound of every queued
+//! query, capacity wakes and the post-trace drain checks; after every event
+//! the fair queue is drained until the load signal says stop. An arrival
+//! leads every same-instant queued event, and queued events pop in
+//! scheduling order among themselves. No event waits for the model:
 //! a query is admitted at its arrival, forced at its bound and completed at
 //! its finish, to the microsecond.
 
@@ -355,18 +356,24 @@ impl<C: Capacity> ServerSim<C> {
         sink: &mut dyn FnMut(Outcome),
     ) -> SimTime {
         debug_assert!(trace.windows(2).all(|w| w[0].at <= w[1].at));
-        // Arrivals go in first so they lead every same-instant event.
-        for (i, a) in trace.iter().enumerate() {
-            self.events.schedule(a.at, Event::Arrive(i as u32));
-        }
         let last_arrival = trace.last().map_or(SimTime::ZERO, |a| a.at);
         self.events.schedule(last_arrival, Event::DrainCheck);
         self.events.schedule(SimTime::ZERO, Event::Wake);
         self.trace = trace;
+        // Arrivals stay in the sorted trace, read through this cursor; the
+        // heap holds only in-flight events. An arrival leads every event at
+        // or after its instant.
+        let mut next_arrival = 0;
         let mut drain_end = None;
         loop {
-            let next = self.events.pop();
-            let (now, event) = next.expect("the drain check ends the run");
+            let (now, event) = match self.trace.get(next_arrival) {
+                Some(a) if self.events.peek_time().is_none_or(|t| a.at <= t) => {
+                    let i = next_arrival as u32;
+                    next_arrival += 1;
+                    (self.events.advance(a.at), Event::Arrive(i))
+                }
+                _ => self.events.pop().expect("the drain check ends the run"),
+            };
             match event {
                 Event::Arrive(i) => self.submit(i, now, sink),
                 Event::ForceBound => {}

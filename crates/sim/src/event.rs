@@ -93,6 +93,25 @@ impl<E> EventQueue<E> {
         Some((s.time, s.event))
     }
 
+    /// Advance the clock to `at`, the instant of an event kept outside the
+    /// queue (the next entry of a sorted trace), and return it. Such an
+    /// event runs before every queued one, so `at` is no later than the
+    /// earliest of them.
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the current virtual time.
+    pub fn advance(&mut self, at: SimTime) -> SimTime {
+        assert!(
+            at >= self.now,
+            "cannot advance into the past ({} < {})",
+            at,
+            self.now
+        );
+        debug_assert!(self.peek_time().is_none_or(|t| at <= t), "skipped an event");
+        self.now = at;
+        at
+    }
+
     /// The timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.time)
@@ -145,6 +164,16 @@ mod tests {
         // Scheduling relative to now works.
         q.schedule(q.now() + SimDuration::from_secs(1), ());
         assert_eq!(q.pop().unwrap().0, SimTime::from_secs(6));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule event in the past")]
+    fn advance_moves_the_clock_for_outside_events() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(5), ());
+        assert_eq!(q.advance(SimTime::from_secs(2)), SimTime::from_secs(2));
+        assert_eq!(q.now(), SimTime::from_secs(2));
+        q.schedule(SimTime::from_secs(1), ());
     }
 
     #[test]

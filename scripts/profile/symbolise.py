@@ -80,6 +80,10 @@ GROUPS = [
     # Gathering output rows (and a residual's candidate rows).
     ("  of which assemble", r"pixels_exec::join::(JoinBuild::)?assemble", False),
     ("join key filter, in the probe scan", r"pixels_exec::encoded::key_filter_|pixels_exec::keys::KeyFilter", False),
+    # Starting and ending OS threads: creation, the signal stack the Rust
+    # standard library maps for each thread and unmaps at its exit, the
+    # join. A scan's prefetch I/O threads paid it per scan before the pool.
+    ("thread start/exit", r"pthread_create|stack_overflow::imp::(make|drop)_handler|pthread_join|__nptl_death_event", False),
     ("allocator (leaf)", r"^~?(__default_morecore|malloc|free|realloc|calloc|cfree|_int_malloc|_int_free)", True),
     ("mem* (leaf)", r"^~?(__nss_database_lookup|mem(cpy|move|set|cmp)|bcmp)", True),
 ]
