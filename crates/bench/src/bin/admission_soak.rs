@@ -4,9 +4,10 @@
 //! Drives `ADMISSION_SOAK_USERS` simulated users (default 1,000,000; CI
 //! sets 50,000) through the event-driven soak harness: diurnal arrivals
 //! with a burst, an adversarial tenant flooding best-of-effort work, a
-//! deadline-mode slice with a palette of targets, shared-scan batching,
-//! and the same `SchedulerPolicy` + `FairQueue` admission core the live
-//! server runs. Asserted:
+//! deadline-mode slice with a palette of targets, shared-scan batching
+//! (each member billed the bytes its own plan reads, the carrier alone
+//! carrying provider cost), and the same `SchedulerPolicy` + `FairQueue`
+//! admission core the live server runs. Asserted:
 //!
 //! 1. **Conservation** — every submission either completes or is rejected
 //!    at admission; rejected queries never bill.

@@ -22,7 +22,7 @@ use pixels_server::{PriceSchedule, ServiceLevel};
 use pixels_sim::{SimDuration, SimTime};
 use pixels_storage::InMemoryObjectStore;
 use pixels_turbo::{
-    Capacity, CfConfig, CfCostModel, Coordinator, CostBreakdown, Decision, EngineConfig, QueryWork,
+    CfConfig, CfCostModel, Coordinator, CostBreakdown, Decision, EngineConfig, QueryWork,
     ResourcePricing, TurboEngine, VmConfig,
 };
 use pixels_workload::{load_tpch, QueryClass, TpchConfig};

@@ -15,7 +15,6 @@
 //! materialized view.
 
 pub mod aggregate;
-pub mod batch;
 mod compare;
 pub mod context;
 pub mod encoded;

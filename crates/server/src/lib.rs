@@ -14,10 +14,10 @@
 //! clock and a threaded real-mode [`api::QueryServer`] over
 //! [`pixels_turbo::TurboEngine`] that Pixels-Rover talks to. `ServerSim` is
 //! the one simulated admission driver — an event loop on
-//! [`pixels_sim::EventQueue`] over a plug-in [`pixels_turbo::Capacity`]
-//! model, the [`pixels_turbo::Coordinator`] cluster micro-model, for every
-//! scheduling/pricing experiment and the million-user [`soak::run_soak`],
-//! which is a configuration of the same driver over a fixed fleet.
+//! [`pixels_sim::EventQueue`] over the [`pixels_turbo::Coordinator`]
+//! cluster micro-model, for every scheduling/pricing experiment and the
+//! million-user [`soak::run_soak`], which is a configuration of the same
+//! driver over a fixed fleet.
 
 mod admission;
 pub mod api;

@@ -17,7 +17,6 @@
 
 use parking_lot::{Condvar, Mutex};
 use pixels_common::Result;
-use pixels_exec::batch::normalize_sql;
 use pixels_obs::TraceCtx;
 use pixels_turbo::{CostBreakdown, ExchangeStats, ExecOutcome, TurboEngine};
 use std::collections::{HashMap, VecDeque};
@@ -341,6 +340,54 @@ fn follower_view(leader: &ExecOutcome) -> ExecOutcome {
     out
 }
 
+/// Normalize a SQL text for shared-work keying: collapse runs of whitespace
+/// to single spaces, trim, and drop a trailing semicolon. Two submissions
+/// with the same normalized text are "identical" for single-flight and
+/// result-cache purposes. Quote-aware: text inside `'...'` string literals
+/// and `"..."` quoted identifiers is preserved verbatim (whitespace
+/// included), so `WHERE c = 'a  b'` and `WHERE c = 'a b'` — semantically
+/// different queries — never collapse onto one key. Deliberately
+/// conservative otherwise — no case folding, since identifiers and string
+/// literals are case-sensitive.
+fn normalize_sql(sql: &str) -> String {
+    let mut out = String::with_capacity(sql.len());
+    let mut last_space = true;
+    // The open quote character while inside a literal/quoted identifier.
+    // SQL's doubled-quote escape ('' / "") needs no special case: the first
+    // quote closes and the second immediately reopens, and both paths copy
+    // the characters verbatim.
+    let mut quote: Option<char> = None;
+    for ch in sql.chars() {
+        if let Some(q) = quote {
+            out.push(ch);
+            if ch == q {
+                quote = None;
+            }
+            last_space = false;
+        } else if ch == '\'' || ch == '"' {
+            quote = Some(ch);
+            out.push(ch);
+            last_space = false;
+        } else if ch.is_whitespace() {
+            if !last_space {
+                out.push(' ');
+                last_space = true;
+            }
+        } else {
+            out.push(ch);
+            last_space = false;
+        }
+    }
+    // Only trim when the text ends outside a quote — a malformed query that
+    // ends inside an unterminated literal keeps its tail verbatim.
+    if quote.is_none() {
+        while out.ends_with(' ') || out.ends_with(';') {
+            out.pop();
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,5 +639,44 @@ mod tests {
         let (_, k2) = sw.execute(&e, "tpch", sql, false, TraceCtx::disabled(), None);
         assert_eq!(k1, ShareKind::Executed);
         assert_eq!(k2, ShareKind::Executed, "no caching when disabled");
+    }
+
+    #[test]
+    fn normalize_sql_collapses_whitespace_and_semicolon() {
+        assert_eq!(normalize_sql("SELECT  *\n FROM   t ;"), "SELECT * FROM t");
+        assert_eq!(normalize_sql("SELECT 1"), normalize_sql(" SELECT 1;\n"));
+        // Case is preserved: 'T' and 't' may be different tables.
+        assert_ne!(
+            normalize_sql("SELECT * FROM T"),
+            normalize_sql("SELECT * FROM t")
+        );
+    }
+
+    #[test]
+    fn normalize_sql_preserves_quoted_content() {
+        // Whitespace inside a string literal is semantic: these are
+        // different queries and must key differently.
+        assert_ne!(
+            normalize_sql("SELECT * FROM t WHERE c = 'a  b'"),
+            normalize_sql("SELECT * FROM t WHERE c = 'a b'")
+        );
+        // Outside quotes still collapses; inside stays verbatim.
+        assert_eq!(
+            normalize_sql("SELECT   'a  b'  FROM   t ;"),
+            "SELECT 'a  b' FROM t"
+        );
+        // Quoted identifiers and doubled-quote escapes survive too.
+        assert_eq!(
+            normalize_sql("SELECT 'it''s  ok' ,  \"my  col\"  FROM t;"),
+            "SELECT 'it''s  ok' , \"my  col\" FROM t"
+        );
+        // A quote character closing one literal doesn't leak quote state.
+        assert_eq!(
+            normalize_sql("SELECT 'x'  ,  'y'   FROM  t"),
+            "SELECT 'x' , 'y' FROM t"
+        );
+        // Unterminated literal: the tail (trailing space and semicolon
+        // included) belongs to the literal and is kept.
+        assert_eq!(normalize_sql("SELECT 'a ;"), "SELECT 'a ;");
     }
 }

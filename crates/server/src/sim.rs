@@ -7,10 +7,16 @@
 //! server: the [`SchedulerPolicy`] decides dispatch/queue/reject for each
 //! [`AdmissionMode`], queued work is parked in a [`FairQueue`], same-class
 //! best-of-effort entries may merge into one shared scan, and every
-//! completion becomes a priced [`QueryRecord`]. What runs the queries is a
-//! [`Capacity`] model, the [`Coordinator`] cluster micro-model. It names the
-//! instant it next changes, and the driver wakes it exactly then; deadline
-//! admission estimates a query's runtime on the cores it has now.
+//! completion becomes a priced [`QueryRecord`]. What runs the queries is the
+//! [`Coordinator`] cluster micro-model. It names the instant it next
+//! changes, and the driver wakes it exactly then; deadline admission
+//! estimates a query's runtime on the cores it has now.
+//!
+//! Shared work follows the live server's rule ([`crate::shared`]): every
+//! member of a batch is billed the bytes its own plan reads, exactly what it
+//! would have been billed alone, and the query that executes (the carrier)
+//! carries the provider cost while its riders carry none. The saving of a
+//! shared scan is provider margin, never a smaller bill.
 //!
 //! Time advances event by event: arrivals, read in order from the sorted
 //! trace, and from one [`EventQueue`] the force-start bound of every queued
@@ -27,11 +33,10 @@ use crate::scheduler::{Admission, AdmissionMode, LoadSignal, SchedulerPolicy, DE
 use crate::service_level::ServiceLevel;
 use pixels_chaos::FaultInjector;
 use pixels_common::QueryId;
-use pixels_exec::batch;
 use pixels_sim::{DurationStats, EventQueue, SimDuration, SimTime};
 use pixels_turbo::{
-    Capacity, CfConfig, Coordinator, CostBreakdown, FaultStats, Placement, QueryCompletion,
-    QueryWork, ResourcePricing, VmConfig,
+    CfConfig, Coordinator, CostBreakdown, FaultStats, Placement, QueryCompletion, QueryWork,
+    ResourcePricing, VmConfig,
 };
 use pixels_workload::QueryClass;
 use std::collections::HashMap;
@@ -139,7 +144,7 @@ pub struct RejectedRecord {
 }
 
 /// Query-server configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServerConfig {
     /// The admission policy shared with the live server: every mode's
     /// pending bound.
@@ -149,19 +154,21 @@ pub struct ServerConfig {
     /// same-class best-of-effort queries waiting in the server are merged
     /// into one execution that shares a single table scan. Off by default.
     pub batch_besteffort: bool,
-    /// Maximum queries merged into one best-of-effort batch.
-    pub max_batch: usize,
 }
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            policy: SchedulerPolicy::default(),
-            prices: PriceSchedule::default(),
-            batch_besteffort: false,
-            max_batch: 8,
-        }
-    }
+/// Most queries merged into one best-of-effort batch.
+pub const MAX_BATCH: usize = 8;
+
+/// Incremental CPU a merged execution pays per additional batch member, as
+/// a fraction of one member's solo CPU: the scan is shared, and only the
+/// per-member operator work (filter, aggregate, project) repeats. An
+/// assumed figure: nothing measures it yet.
+const SHARED_MEMBER_CPU_FRACTION: f64 = 0.55;
+
+/// CPU-seconds of one merged execution carrying `members` same-class
+/// queries: one full scan plus the incremental per-member work.
+fn merged_cpu_seconds(single_cpu_seconds: f64, members: usize) -> f64 {
+    single_cpu_seconds * (1.0 + SHARED_MEMBER_CPU_FRACTION * (members.saturating_sub(1)) as f64)
 }
 
 /// A query between admission and its record: its index in the trace, and
@@ -207,9 +214,9 @@ enum Event {
     DrainCheck,
 }
 
-/// The simulated query server driving a [`Capacity`] model.
-pub struct ServerSim<C: Capacity = Coordinator> {
-    pub capacity: C,
+/// The simulated query server driving the [`Coordinator`].
+pub struct ServerSim {
+    pub capacity: Coordinator,
     cfg: ServerConfig,
     queue: FairQueue,
     events: EventQueue<Event>,
@@ -224,15 +231,25 @@ pub struct ServerSim<C: Capacity = Coordinator> {
     pub(crate) stats: DriveStats,
 }
 
-impl ServerSim<Coordinator> {
+impl ServerSim {
     pub fn new(
         vm_cfg: VmConfig,
         cf_cfg: CfConfig,
         pricing: ResourcePricing,
         cfg: ServerConfig,
     ) -> Self {
-        let cluster = Coordinator::new(vm_cfg, cf_cfg, pricing, SimTime::ZERO);
-        ServerSim::over(cluster, cfg)
+        ServerSim {
+            capacity: Coordinator::new(vm_cfg, cf_cfg, pricing, SimTime::ZERO),
+            cfg,
+            queue: FairQueue::new(),
+            events: EventQueue::new(),
+            trace: Vec::new(),
+            waiting: HashMap::new(),
+            running: HashMap::new(),
+            tenant_names: Vec::new(),
+            tenant_ids: HashMap::new(),
+            stats: DriveStats::default(),
+        }
     }
 
     pub fn with_defaults() -> Self {
@@ -307,24 +324,6 @@ impl ServerSim<Coordinator> {
             total_resource_cost: cluster.total_resource_cost(),
             fault_stats: cluster.stats,
             tenant_names: self.tenant_names,
-        }
-    }
-}
-
-impl<C: Capacity> ServerSim<C> {
-    /// A server over any capacity model.
-    pub(crate) fn over(capacity: C, cfg: ServerConfig) -> Self {
-        ServerSim {
-            capacity,
-            cfg,
-            queue: FairQueue::new(),
-            events: EventQueue::new(),
-            trace: Vec::new(),
-            waiting: HashMap::new(),
-            running: HashMap::new(),
-            tenant_names: Vec::new(),
-            tenant_ids: HashMap::new(),
-            stats: DriveStats::default(),
         }
     }
 
@@ -478,14 +477,13 @@ impl<C: Capacity> ServerSim<C> {
             } else if self.cfg.batch_besteffort
                 && mode == AdmissionMode::Level(ServiceLevel::BestEffort)
             {
-                let limit = self.cfg.max_batch.saturating_sub(1);
-                let riders = self.queue.take_batch(class as u64, limit);
+                let riders = self.queue.take_batch(class as u64, MAX_BATCH - 1);
                 members.extend(riders.iter().map(|q| ticket(q.id)));
                 if !riders.is_empty() {
                     // Shared scan: the table is read once; per-query CPU
                     // beyond the scan still scales with members, at the
                     // shared-work discount.
-                    work.cpu_seconds = batch::merged_cpu_seconds(work.cpu_seconds, members.len());
+                    work.cpu_seconds = merged_cpu_seconds(work.cpu_seconds, members.len());
                     self.stats.batches += 1;
                     self.stats.batched_members += riders.len() as u64;
                 }
@@ -494,12 +492,13 @@ impl<C: Capacity> ServerSim<C> {
         }
     }
 
-    /// One completed execution fans out into a record per member, splitting
-    /// the scan and its provider cost (a lone query is a batch of one).
+    /// One completed execution fans out into a record per member (a lone
+    /// query is a batch of one). Every member is billed the bytes its own
+    /// plan reads; the carrier carries the execution's provider cost and
+    /// every rider none, as a live follower does.
     fn complete(&mut self, done: QueryCompletion, sink: &mut dyn FnMut(Outcome)) {
         let members = self.running.remove(&done.id);
         let members = members.expect("completion for unknown dispatch");
-        let n = members.len();
         for (m, &(i, submitted_at)) in members.iter().enumerate() {
             let Arrival {
                 class,
@@ -507,7 +506,6 @@ impl<C: Capacity> ServerSim<C> {
                 tenant,
                 ..
             } = self.trace[i as usize];
-            let share = batch::member_share(done.scan_bytes, n, m);
             sink(Outcome::Completed(QueryRecord {
                 id: QueryId(i as u64),
                 class,
@@ -518,12 +516,13 @@ impl<C: Capacity> ServerSim<C> {
                 started_at: done.started_at,
                 finished_at: done.finished_at,
                 placement: done.placement,
-                resource_cost: CostBreakdown {
-                    vm_dollars: batch::member_cost_share(done.cost.vm_dollars, n),
-                    cf_dollars: batch::member_cost_share(done.cost.cf_dollars, n),
+                resource_cost: if m == 0 {
+                    done.cost
+                } else {
+                    CostBreakdown::default()
                 },
-                price: self.cfg.prices.bill(mode, share),
-                scan_bytes: share,
+                price: self.cfg.prices.bill(mode, done.scan_bytes),
+                scan_bytes: done.scan_bytes,
                 degraded: done.degraded,
                 speculative: done.speculative,
             }));
@@ -913,33 +912,60 @@ mod tests {
         let batched = make(true);
         assert_eq!(plain.unfinished, 0);
         assert_eq!(batched.unfinished, 0);
-        assert_eq!(batched.records_at(ServiceLevel::BestEffort).count(), 6);
-        let scanned = |r: &SimReport| -> u64 {
-            r.records_at(ServiceLevel::BestEffort)
-                .map(|q| q.scan_bytes)
-                .sum()
+        let be = |r: &SimReport| -> Vec<QueryRecord> {
+            r.records_at(ServiceLevel::BestEffort).copied().collect()
         };
-        let billed = |r: &SimReport| -> f64 {
-            r.records_at(ServiceLevel::BestEffort)
-                .map(|q| q.price)
-                .sum()
-        };
-        // Shared scan: total scanned bytes (and therefore total user bill)
-        // shrink; every member still gets a record and a result.
+        let (plain, batched) = (be(&plain), be(&batched));
+        assert_eq!(batched.len(), 6);
+        // Sharing never changes a bill: each query pays for the bytes its
+        // own plan reads, exactly what it pays run one by one.
+        for (p, b) in plain.iter().zip(&batched) {
+            assert_eq!(p.id, b.id);
+            assert_eq!(p.scan_bytes, b.scan_bytes, "{:?}", b.id);
+            assert_eq!(p.price.to_bits(), b.price.to_bits(), "{:?}", b.id);
+        }
+        // Members of one execution share its dispatch, start and finish.
+        // The carrier carries the execution's whole provider cost — its
+        // merged CPU on the VM tier — and every rider carries none.
+        let mut executions: HashMap<(SimTime, SimTime, SimTime), Vec<&QueryRecord>> =
+            HashMap::new();
+        for r in &batched {
+            let key = (r.dispatched_at, r.started_at, r.finished_at);
+            executions.entry(key).or_default().push(r);
+        }
         assert!(
-            scanned(&batched) < scanned(&plain) / 2,
-            "batched scan {} vs plain {}",
-            scanned(&batched),
-            scanned(&plain)
+            executions.len() < batched.len(),
+            "some queries rode on another's execution"
         );
-        assert!(billed(&batched) < billed(&plain));
-        // Provider-side cost also shrinks (less CPU than 6 separate runs).
-        let cost = |r: &SimReport| -> f64 {
-            r.records_at(ServiceLevel::BestEffort)
-                .map(|q| q.resource_cost.total())
-                .sum()
-        };
+        let solo_cpu = QueryWork::from_class(QueryClass::Medium).cpu_seconds;
+        let pricing = ResourcePricing::default();
+        for members in executions.values() {
+            let merged = merged_cpu_seconds(solo_cpu, members.len());
+            let execution = CostBreakdown {
+                vm_dollars: pricing.vm_cost(merged),
+                cf_dollars: 0.0,
+            };
+            let mut costs: Vec<_> = members.iter().map(|r| r.resource_cost).collect();
+            costs.retain(|c| *c != CostBreakdown::default());
+            assert_eq!(costs, [execution], "one carrier, riders pay nothing");
+        }
+        // Provider-side cost shrinks: less CPU than 6 separate runs.
+        let cost = |r: &[QueryRecord]| -> f64 { r.iter().map(|q| q.resource_cost.total()).sum() };
         assert!(cost(&batched) < cost(&plain));
+    }
+
+    #[test]
+    fn merged_cpu_grows_sublinearly() {
+        let solo = 10.0;
+        assert_eq!(merged_cpu_seconds(solo, 1), solo);
+        let four = merged_cpu_seconds(solo, 4);
+        assert!((four - 10.0 * (1.0 + 0.55 * 3.0)).abs() < 1e-12);
+        // A 4-way batch is much cheaper than 4 solo runs.
+        assert!(four < 4.0 * solo);
+        // ...but still monotone in members.
+        assert!(merged_cpu_seconds(solo, 5) > four);
+        // Degenerate sizes don't underflow.
+        assert_eq!(merged_cpu_seconds(solo, 0), solo);
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! running totals and into a [`Ledger`] of running sums, so a 1M-user soak
 //! finishes in seconds of wall time and holds no per-query record.
 //!
-//! Billing discipline matches the live path bit-for-bit: every completed
-//! query appends exactly the dollars its record carries (in completion
-//! order), rejected queries never bill, and batch members split one scan's
-//! bytes with [`pixels_exec::batch::member_share`] — so the report's
-//! per-tenant and per-mode revenue reconciles exactly against its ledger
-//! ([`SoakReport::reconciles`]), at every scale.
+//! Billing follows the live server's rule: every completed query appends
+//! exactly the dollars its record carries (in completion order), rejected
+//! queries never bill, and a batch member is billed the bytes its own plan
+//! reads, while only the execution's carrier carries provider cost — so the
+//! report's per-tenant and per-mode revenue reconciles exactly against its
+//! ledger ([`SoakReport::reconciles`]), at every scale, and no bill depends
+//! on who shared a scan with whom.
 
 use crate::scheduler::{AdmissionMode, SchedulerPolicy, DEADLINE_LEVEL};
 use crate::service_level::ServiceLevel;
@@ -57,9 +58,9 @@ pub struct SoakConfig {
     pub map_deadlines_to_tiers: bool,
     /// The admission policy: every mode's pending bound.
     pub policy: SchedulerPolicy,
-    /// Merge same-class best-of-effort queue entries into shared scans.
+    /// Merge same-class best-of-effort queue entries into shared scans, at
+    /// most [`crate::sim::MAX_BATCH`] to one.
     pub batch_besteffort: bool,
-    pub max_batch: usize,
 }
 
 impl Default for SoakConfig {
@@ -82,7 +83,6 @@ impl Default for SoakConfig {
             map_deadlines_to_tiers: false,
             policy: SchedulerPolicy::default(),
             batch_besteffort: true,
-            max_batch: 8,
         }
     }
 }
@@ -325,7 +325,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         ServerConfig {
             policy: cfg.policy,
             batch_besteffort: cfg.batch_besteffort,
-            max_batch: cfg.max_batch,
             ..ServerConfig::default()
         },
     );

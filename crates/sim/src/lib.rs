@@ -7,8 +7,8 @@
 //! [`event::EventQueue`], and [`metrics`] for recording experiment output.
 //! The one domain event loop over it is the simulated query server
 //! (`pixels_server::sim::ServerSim`), which pops arrivals, force-start
-//! bounds and the wakes its capacity model (`pixels_turbo::Capacity`) asks
-//! for from a single `EventQueue`.
+//! bounds and the wakes its cluster model (`pixels_turbo::Coordinator`)
+//! asks for from a single `EventQueue`.
 
 pub mod clock;
 pub mod event;

@@ -107,47 +107,6 @@ impl QueryCompletion {
     }
 }
 
-/// What the query server's driver needs from "the thing that runs queries":
-/// a load signal for admission, a way to start work, and completions on the
-/// virtual clock. The driver owns admission, queueing, batching and billing;
-/// a capacity model only decides where a started query runs, how long it
-/// takes and what it costs the provider. [`Coordinator`] (the cluster
-/// micro-model: VMs, CF fleets, faults) is the model every simulation and
-/// the million-user soak run on.
-pub trait Capacity {
-    /// No headroom for relaxed work.
-    fn overloaded(&self) -> bool;
-
-    /// Capacity that would otherwise be wasted: where best-of-effort belongs.
-    fn nearly_idle(&self) -> bool;
-
-    /// The cores one query started now would get on the model by itself:
-    /// what deadline admission evaluates [`QueryWork::exec_time_on_cores`]
-    /// on.
-    fn cores(&self) -> u32;
-
-    /// Begin executing `work` at `now`. `forced` means the server's
-    /// pending-time bound expired, so the query must start whatever the
-    /// load. Returns a time at which the model wants a [`Capacity::wake`]
-    /// on account of this start, if it does not already have one coming.
-    fn start(
-        &mut self,
-        id: QueryId,
-        work: QueryWork,
-        cf_enabled: bool,
-        forced: bool,
-        now: SimTime,
-    ) -> Option<SimTime>;
-
-    /// Advance to `now`: the executions that completed, and when to wake the
-    /// model next.
-    fn wake(&mut self, now: SimTime) -> (Vec<QueryCompletion>, Option<SimTime>);
-
-    /// Relaxed queries the server is holding back, reported before each
-    /// wake for models that size themselves on it.
-    fn relaxed_backlog(&mut self, _queued: usize) {}
-}
-
 /// Sim-side effect handler: [`CfRace`] decisions become modelled CF fleet
 /// launches, cancellations, and degradation flags.
 struct CoordEffects<'a> {
@@ -597,20 +556,34 @@ impl Coordinator {
     }
 }
 
-impl Capacity for Coordinator {
-    fn overloaded(&self) -> bool {
+/// What the query server's driver calls: a load signal for admission, a way
+/// to start work, and completions on the virtual clock. The driver owns
+/// admission, queueing, batching and billing; the coordinator only decides
+/// where a started query runs, how long it takes and what it costs the
+/// provider.
+impl Coordinator {
+    /// No headroom for relaxed work.
+    pub fn overloaded(&self) -> bool {
         self.vm.is_overloaded()
     }
 
-    fn nearly_idle(&self) -> bool {
+    /// Capacity that would otherwise be wasted: where best-of-effort belongs.
+    pub fn nearly_idle(&self) -> bool {
         self.vm.is_nearly_idle() && self.vm_queue.is_empty()
     }
 
-    fn cores(&self) -> u32 {
+    /// The cores one query started now would get by itself: what deadline
+    /// admission evaluates [`QueryWork::exec_time_on_cores`] on.
+    pub fn cores(&self) -> u32 {
         self.vm.active_cores()
     }
 
-    fn start(
+    /// Begin executing `work` at `now`. `forced` means the server's
+    /// pending-time bound expired, so the query must start whatever the
+    /// load. Returns a time at which the coordinator wants a
+    /// [`Coordinator::wake`] on account of this start, if it does not
+    /// already have one coming.
+    pub fn start(
         &mut self,
         id: QueryId,
         work: QueryWork,
@@ -622,7 +595,9 @@ impl Capacity for Coordinator {
         self.ask_wake()
     }
 
-    fn wake(&mut self, now: SimTime) -> (Vec<QueryCompletion>, Option<SimTime>) {
+    /// Advance to `now`: the executions that completed, and when to wake the
+    /// coordinator next.
+    pub fn wake(&mut self, now: SimTime) -> (Vec<QueryCompletion>, Option<SimTime>) {
         self.catch_up(now);
         self.tick(now);
         self.asked.retain(|&at| at > now);
@@ -631,7 +606,9 @@ impl Capacity for Coordinator {
         (done, self.ask_wake())
     }
 
-    fn relaxed_backlog(&mut self, queued: usize) {
+    /// Relaxed queries the server is holding back, reported before each
+    /// wake; the autoscaler sizes the fleet on it.
+    pub fn relaxed_backlog(&mut self, queued: usize) {
         self.server_queue_depth = queued as u32;
     }
 }
@@ -1165,8 +1142,7 @@ mod tests {
         let mut c = coordinator();
         overload(&mut c);
         let before = c.concurrency();
-        let wake = Capacity::start(
-            &mut c,
+        let wake = c.start(
             QueryId(99),
             QueryWork::from_class(QueryClass::Light),
             false,
@@ -1206,7 +1182,7 @@ mod tests {
         };
         let t0 = SimTime::from_micros(1_234_567);
         let estimate = work.exec_time_on_cores(c.cores());
-        let wake = Capacity::start(&mut c, QueryId(7), work, false, false, t0);
+        let wake = c.start(QueryId(7), work, false, false, t0);
         let finish = t0 + estimate;
         assert_eq!(estimate, SimDuration::from_micros(333_334));
         assert_eq!(
@@ -1231,10 +1207,10 @@ mod tests {
             .1
             .expect("the autoscaler's next evaluation");
         let light = QueryWork::from_class(QueryClass::Light);
-        let finish = Capacity::start(&mut c, QueryId(1), light, false, false, SimTime::ZERO);
+        let finish = c.start(QueryId(1), light, false, false, SimTime::ZERO);
         let finish = finish.expect("the finish comes before the autoscaler");
         assert!(finish < first);
-        let again = Capacity::start(&mut c, QueryId(2), light, false, false, SimTime::ZERO);
+        let again = c.start(QueryId(2), light, false, false, SimTime::ZERO);
         assert_eq!(again, None, "both finish at the same instant");
         let (done, next) = c.wake(finish);
         assert_eq!(done.len(), 2);

@@ -26,7 +26,7 @@ pub mod vm_cluster;
 
 pub use billing::{CostBreakdown, Placement, ResourcePricing};
 pub use cf_service::{CfConfig, CfRun, CfService, LaunchFaults};
-pub use coordinator::{Capacity, Coordinator, FaultStats, QueryCompletion};
+pub use coordinator::{Coordinator, FaultStats, QueryCompletion};
 pub use engine::{EngineConfig, ExecOutcome, TurboEngine};
 pub use metrics::EngineMetrics;
 pub use model::QueryWork;
