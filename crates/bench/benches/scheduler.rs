@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pixels_server::{ServerConfig, ServerSim, ServiceLevel, Submission};
 use pixels_sim::{EventQueue, SimDuration, SimTime};
-use pixels_turbo::{CfConfig, ResourcePricing, VmConfig};
+use pixels_turbo::VmConfig;
 use pixels_workload::{poisson, QueryClass, WorkloadTrace};
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -45,12 +45,7 @@ fn bench_server_sim(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("30min_trace", |b| {
         b.iter(|| {
-            let sim = ServerSim::new(
-                VmConfig::default(),
-                CfConfig::default(),
-                ResourcePricing::default(),
-                ServerConfig::default(),
-            );
+            let sim = ServerSim::new(VmConfig::default(), ServerConfig::default());
             sim.run(subs.clone(), SimDuration::from_secs(3600))
                 .records
                 .len()

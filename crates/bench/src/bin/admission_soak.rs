@@ -28,7 +28,7 @@
 use pixels_bench::{Gate, TextTable};
 use pixels_common::Json;
 use pixels_obs::{validate_exposition, MetricsRegistry};
-use pixels_server::{run_soak, SoakConfig};
+use pixels_server::{run_soak, SchedulerPolicy, SoakConfig};
 use std::time::Instant;
 
 fn main() {
@@ -73,7 +73,7 @@ fn main() {
     for t in report.tenants.iter().filter(|t| t.name != "adversary") {
         assert!(t.completed > 0, "tenant {} starved entirely", t.name);
         assert!(
-            t.mean_wait_us < cfg.policy.grace.as_micros(),
+            t.mean_wait_us < SchedulerPolicy::default().grace.as_micros(),
             "tenant {} mean wait {} us exceeds the grace bound",
             t.name,
             t.mean_wait_us

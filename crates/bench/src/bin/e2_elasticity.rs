@@ -6,7 +6,9 @@
 use pixels_bench::TextTable;
 use pixels_common::QueryId;
 use pixels_sim::{SimDuration, SimTime};
-use pixels_turbo::{CfConfig, CfService, QueryWork, ResourcePricing, VmCluster, VmConfig};
+use pixels_turbo::policy::CF_STARTUP;
+use pixels_turbo::vm_cluster::BOOT_TIME;
+use pixels_turbo::{CfService, QueryWork, VmCluster, VmConfig};
 
 /// Time for the VM cluster to go from 1 active worker to `target` active
 /// workers under sustained overload.
@@ -39,16 +41,9 @@ fn vm_time_to_capacity(target: u32) -> SimDuration {
 }
 
 /// Time for the CF service to reach `target` concurrent workers for one
-/// query fleet.
+/// query fleet (`target` is within the per-query fleet cap).
 fn cf_time_to_capacity(target: u32) -> SimDuration {
-    let mut cf = CfService::new(
-        CfConfig {
-            max_workers_per_query: target,
-            ..Default::default()
-        },
-        ResourcePricing::default(),
-        SimTime::ZERO,
-    );
+    let mut cf = CfService::new(SimTime::ZERO);
     cf.launch(
         QueryId(0),
         QueryWork {
@@ -59,7 +54,7 @@ fn cf_time_to_capacity(target: u32) -> SimDuration {
         SimTime::ZERO,
     );
     assert_eq!(cf.active_workers(), target);
-    cf.config().startup
+    CF_STARTUP
 }
 
 fn main() {
@@ -88,7 +83,7 @@ fn main() {
     table.print();
     println!(
         "\nVM boot lag: {} per worker batch; CF startup: sub-second for the whole fleet.",
-        VmConfig::default().boot_time
+        BOOT_TIME
     );
     println!("e2_elasticity: OK (VM needs minutes, CF needs ~1 second)");
 }

@@ -10,16 +10,12 @@ use pixels_bench::TextTable;
 use pixels_common::QueryId;
 use pixels_server::{ServerConfig, ServerSim, ServiceLevel, Submission};
 use pixels_sim::{SimDuration, SimTime};
-use pixels_turbo::{CfConfig, CfService, QueryWork, ResourcePricing, VmConfig};
+use pixels_turbo::{CfService, QueryWork, VmConfig};
 use pixels_workload::{poisson, QueryClass};
 
 /// CF-only: every query runs as its own function fleet. Returns $/query.
 fn cf_only_cost(arrivals: &[SimTime], class: QueryClass) -> f64 {
-    let mut cf = CfService::new(
-        CfConfig::default(),
-        ResourcePricing::default(),
-        SimTime::ZERO,
-    );
+    let mut cf = CfService::new(SimTime::ZERO);
     for (i, &at) in arrivals.iter().enumerate() {
         cf.launch(QueryId(i as u64), QueryWork::from_class(class), at);
     }
@@ -38,12 +34,7 @@ fn vm_cluster_cost(arrivals: &[SimTime], class: QueryClass) -> (f64, usize) {
         })
         .collect();
     let n = subs.len();
-    let sim = ServerSim::new(
-        VmConfig::default(),
-        CfConfig::default(),
-        ResourcePricing::default(),
-        ServerConfig::default(),
-    );
+    let sim = ServerSim::new(VmConfig::default(), ServerConfig::default());
     let report = sim.run(subs, SimDuration::from_secs(4 * 3600));
     (
         report.total_resource_cost.total() / n.max(1) as f64,
@@ -67,7 +58,7 @@ fn main() {
     // The paper's [7] comparison point: a provisioned MPP cluster sized to
     // the workload pays only the core-seconds the queries consume.
     let work = pixels_turbo::QueryWork::from_class(QueryClass::Medium);
-    let provisioned_per_q = ResourcePricing::default().vm_cost(work.cpu_seconds);
+    let provisioned_per_q = pixels_turbo::billing::vm_cost(work.cpu_seconds);
     let mut ratios = Vec::new();
     for rate_per_min in [0.5f64, 2.0, 6.0, 20.0, 60.0] {
         let arrivals = poisson(rate_per_min / 60.0, duration, 11);
@@ -141,12 +132,7 @@ fn vm_cluster_cost_padded(arrivals: &[SimTime]) -> (f64, usize) {
         level: ServiceLevel::Relaxed,
     });
     let n = arrivals.len();
-    let sim = ServerSim::new(
-        VmConfig::default(),
-        CfConfig::default(),
-        ResourcePricing::default(),
-        ServerConfig::default(),
-    );
+    let sim = ServerSim::new(VmConfig::default(), ServerConfig::default());
     let report = sim.run(subs, SimDuration::from_secs(2 * 3600));
     (
         report.total_resource_cost.total() / n.max(1) as f64,

@@ -7,16 +7,12 @@
 use pixels_bench::{sparkline, TextTable};
 use pixels_server::{ServerConfig, ServerSim, ServiceLevel, Submission};
 use pixels_sim::{SimDuration, SimTime};
-use pixels_turbo::{CfConfig, ResourcePricing, VmConfig};
+use pixels_turbo::vm_cluster::BOOT_TIME;
+use pixels_turbo::VmConfig;
 use pixels_workload::{diurnal, spike, WorkloadTrace};
 
 fn run(subs: Vec<Submission>, vm_cfg: VmConfig) -> pixels_server::SimReport {
-    let sim = ServerSim::new(
-        vm_cfg,
-        CfConfig::default(),
-        ResourcePricing::default(),
-        ServerConfig::default(),
-    );
+    let sim = ServerSim::new(vm_cfg, ServerConfig::default());
     sim.run(subs, SimDuration::from_secs(2 * 3600))
 }
 
@@ -104,7 +100,7 @@ fn main() {
     println!(
         "  CF absorbed {:.0}% of spike-window queries (VM boot lag = {})\n",
         report.cf_fraction(ServiceLevel::Immediate) * 100.0,
-        VmConfig::default().boot_time,
+        BOOT_TIME,
     );
 
     // Ablation: lazy vs eager scale-in on the spiky trace (two spikes).

@@ -8,7 +8,7 @@
 use pixels_bench::TextTable;
 use pixels_server::{SchedulerPolicy, ServerConfig, ServerSim, ServiceLevel, Submission};
 use pixels_sim::{SimDuration, SimTime};
-use pixels_turbo::{CfConfig, ResourcePricing, VmConfig};
+use pixels_turbo::VmConfig;
 use pixels_workload::QueryClass;
 
 fn main() {
@@ -45,8 +45,6 @@ fn main() {
         }
         let sim = ServerSim::new(
             VmConfig::default(),
-            CfConfig::default(),
-            ResourcePricing::default(),
             ServerConfig {
                 policy: SchedulerPolicy {
                     grace,

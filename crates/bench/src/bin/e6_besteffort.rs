@@ -9,7 +9,7 @@
 use pixels_bench::TextTable;
 use pixels_server::{ServerConfig, ServerSim, ServiceLevel, Submission};
 use pixels_sim::{SimDuration, SimTime};
-use pixels_turbo::{CfConfig, ResourcePricing, VmConfig};
+use pixels_turbo::VmConfig;
 use pixels_workload::QueryClass;
 
 fn foreground() -> Vec<Submission> {
@@ -51,12 +51,7 @@ fn run(with_backfill: bool) -> pixels_server::SimReport {
     if with_backfill {
         subs.extend(backfill());
     }
-    let sim = ServerSim::new(
-        VmConfig::default(),
-        CfConfig::default(),
-        ResourcePricing::default(),
-        ServerConfig::default(),
-    );
+    let sim = ServerSim::new(VmConfig::default(), ServerConfig::default());
     sim.run(subs, SimDuration::from_secs(4 * 3600))
 }
 

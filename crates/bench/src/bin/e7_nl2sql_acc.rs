@@ -1,4 +1,4 @@
-//! E7 — single-turn text-to-SQL accuracy (paper §3.3 / CodeS [9]).
+//! E7 — single-turn text-to-SQL accuracy (paper §3.3 / CodeS \[9\]).
 //!
 //! Runs the built-in Spider-style suite through the CodeS-substitute
 //! service and reports exact-match and execution accuracy plus per-question

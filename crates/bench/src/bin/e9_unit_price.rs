@@ -1,18 +1,19 @@
-//! E9 — CF resource unit price is 9–24× the VM unit price (paper §2, [7]).
+//! E9 — CF resource unit price is 9–24× the VM unit price (paper §2, \[7\]).
 //!
 //! Reports the raw and effective unit-price ratios of the cost model, then
 //! validates them against end-to-end simulated executions: the same query
 //! run purely in CF vs. on a dedicated VM worker.
 
 use pixels_bench::TextTable;
+use pixels_common::prices;
 use pixels_common::QueryId;
 use pixels_sim::{SimDuration, SimTime};
-use pixels_turbo::{CfConfig, CfService, QueryWork, ResourcePricing, VmCluster, VmConfig};
+use pixels_turbo::{billing, cf_service, CfService, QueryWork, VmCluster, VmConfig};
 use pixels_workload::QueryClass;
 
 /// Cost of running `work` alone on a dedicated VM worker (charged only for
 /// the core-seconds consumed — the marginal cost inside a busy cluster).
-fn vm_marginal_cost(work: QueryWork, pricing: &ResourcePricing) -> (f64, SimDuration) {
+fn vm_marginal_cost(work: QueryWork) -> (f64, SimDuration) {
     let mut cluster = VmCluster::new(VmConfig::default(), SimTime::ZERO);
     cluster.start(QueryId(0), work, SimTime::ZERO);
     loop {
@@ -20,45 +21,43 @@ fn vm_marginal_cost(work: QueryWork, pricing: &ResourcePricing) -> (f64, SimDura
         assert!(now < SimTime::from_secs(7200), "query must finish");
         if let Some(d) = cluster.tick(now).first() {
             return (
-                pricing.vm_cost(d.core_seconds),
+                billing::vm_cost(d.core_seconds),
                 d.finished_at.since(d.started_at),
             );
         }
     }
 }
 
-fn cf_cost(work: QueryWork, pricing: ResourcePricing) -> (f64, SimDuration) {
-    let mut cf = CfService::new(CfConfig::default(), pricing, SimTime::ZERO);
+fn cf_cost(work: QueryWork) -> (f64, SimDuration) {
+    let mut cf = CfService::new(SimTime::ZERO);
     let run = cf.launch(QueryId(0), work, SimTime::ZERO);
     (run.cost, run.finish_at.since(run.started_at))
 }
 
 fn main() {
     println!("== E9: CF vs VM resource unit prices ==\n");
-    let pricing = ResourcePricing::default();
-    let cf_service = CfService::new(CfConfig::default(), pricing, SimTime::ZERO);
 
     println!("Unit prices:");
     let mut t = TextTable::new(&["quantity", "value"]);
     t.row(&[
         "VM core-hour".into(),
-        format!("${:.4}", pricing.vm_core_hour),
+        format!("${:.4}", prices::VM_CORE_HOUR_DOLLARS),
     ]);
     t.row(&[
         "CF GB-second".into(),
-        format!("${:.9}", pricing.cf_gb_second),
+        format!("${:.9}", prices::CF_GB_SECOND_DOLLARS),
     ]);
     t.row(&[
         "CF effective core-hour".into(),
-        format!("${:.4}", pricing.cf_core_hour_equivalent()),
+        format!("${:.4}", billing::cf_core_hour_equivalent()),
     ]);
     t.row(&[
         "raw CF/VM unit ratio".into(),
-        format!("{:.1}x", pricing.cf_vm_unit_ratio()),
+        format!("{:.1}x", billing::cf_vm_unit_ratio()),
     ]);
     t.row(&[
         "effective ratio (with CF execution overheads)".into(),
-        format!("{:.1}x", cf_service.effective_unit_ratio()),
+        format!("{:.1}x", cf_service::effective_unit_ratio()),
     ]);
     t.print();
 
@@ -74,8 +73,8 @@ fn main() {
     let mut ratios = Vec::new();
     for class in QueryClass::ALL {
         let work = QueryWork::from_class(class);
-        let (vm_c, vm_t) = vm_marginal_cost(work, &pricing);
-        let (cf_c, cf_t) = cf_cost(work, pricing);
+        let (vm_c, vm_t) = vm_marginal_cost(work);
+        let (cf_c, cf_t) = cf_cost(work);
         let ratio = cf_c / vm_c;
         ratios.push(ratio);
         table.row(&[

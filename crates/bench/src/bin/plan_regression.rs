@@ -21,7 +21,7 @@ use pixels_planner::{
     create_physical_plan, optimize_with, plan_shuffle_sized, Binder, EstMode, Plan, ShuffleSizing,
 };
 use pixels_storage::{InMemoryObjectStore, ObjectStoreRef};
-use pixels_turbo::{CfConfig, CfCostModel, QueryWork, ResourcePricing};
+use pixels_turbo::{policy, QueryWork};
 use pixels_workload::{load_tpch, TpchConfig, TPCH_QUERIES};
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,7 +85,6 @@ impl PlanChoice {
 }
 
 fn choices(catalog: &Catalog) -> Vec<PlanChoice> {
-    let cost_model = CfCostModel::new(&CfConfig::default(), ResourcePricing::default());
     TPCH_QUERIES
         .iter()
         .map(|q| {
@@ -105,9 +104,7 @@ fn choices(catalog: &Catalog) -> Vec<PlanChoice> {
                 Some(s) if s.broadcast => ("broadcast", s.partitions),
                 Some(s) => ("partitioned", s.partitions),
             };
-            let fleet = cost_model
-                .sized_work(&QueryWork::from_plan(&plan))
-                .parallelism;
+            let fleet = policy::sized_work(&QueryWork::from_plan(&plan)).parallelism;
             PlanChoice {
                 id: q.id,
                 join_order: scan_order(&plan),

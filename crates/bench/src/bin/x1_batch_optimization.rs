@@ -11,7 +11,7 @@
 use pixels_bench::TextTable;
 use pixels_server::{QueryRecord, ServerConfig, ServerSim, ServiceLevel, SimReport, Submission};
 use pixels_sim::{SimDuration, SimTime};
-use pixels_turbo::{CfConfig, ResourcePricing, VmConfig};
+use pixels_turbo::VmConfig;
 use pixels_workload::QueryClass;
 
 fn run(batching: bool, n_queries: usize) -> SimReport {
@@ -35,13 +35,7 @@ fn run(batching: bool, n_queries: usize) -> SimReport {
             level: ServiceLevel::BestEffort,
         });
     }
-    ServerSim::new(
-        VmConfig::default(),
-        CfConfig::default(),
-        ResourcePricing::default(),
-        cfg,
-    )
-    .run(subs, SimDuration::from_secs(4 * 3600))
+    ServerSim::new(VmConfig::default(), cfg).run(subs, SimDuration::from_secs(4 * 3600))
 }
 
 fn main() {

@@ -22,8 +22,7 @@ use pixels_server::{PriceSchedule, ServiceLevel};
 use pixels_sim::{SimDuration, SimTime};
 use pixels_storage::InMemoryObjectStore;
 use pixels_turbo::{
-    CfConfig, CfCostModel, Coordinator, CostBreakdown, Decision, EngineConfig, QueryWork,
-    ResourcePricing, TurboEngine, VmConfig,
+    policy, Coordinator, CostBreakdown, Decision, EngineConfig, QueryWork, TurboEngine, VmConfig,
 };
 use pixels_workload::{load_tpch, QueryClass, TpchConfig};
 use std::sync::Arc;
@@ -206,13 +205,8 @@ fn run_sim(
     work: QueryWork,
     exchange: Option<(u64, u64)>,
 ) -> (pixels_turbo::QueryCompletion, f64) {
-    let mut coord = Coordinator::new(
-        VmConfig::default(),
-        CfConfig::default(),
-        ResourcePricing::default(),
-        SimTime::ZERO,
-    )
-    .with_fault_injector(Arc::new(FaultInjector::new(&s.plan)));
+    let mut coord = Coordinator::new(VmConfig::default(), SimTime::ZERO)
+        .with_fault_injector(Arc::new(FaultInjector::new(&s.plan)));
     let t0 = SimTime::from_millis(100);
     let id = QueryId(100);
     if s.level.cf_enabled() {
@@ -274,8 +268,7 @@ pub fn run_scenario(s: &Scenario) -> ParityReport {
     // receives the same sized work the engine's cost model produced (sizing
     // only touches `parallelism`, so the measured-bytes substitution
     // commutes with it).
-    let cost_model = CfCostModel::new(&CfConfig::default(), ResourcePricing::default());
-    let work = cost_model.sized_work(&QueryWork {
+    let work = policy::sized_work(&QueryWork {
         scan_bytes: out.bytes_scanned,
         ..QueryWork::from_plan(&plan)
     });

@@ -38,15 +38,6 @@ impl RetryPolicy {
         }
     }
 
-    /// No retries at all: first failure is final.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            base_micros: 0,
-            cap_micros: 0,
-            max_retries: 0,
-        }
-    }
-
     /// The deterministic backoff schedule for one operation.
     pub fn schedule(&self, seed: u64) -> RetrySchedule {
         RetrySchedule {

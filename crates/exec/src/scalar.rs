@@ -6,7 +6,7 @@
 //! `Vec<Value>`-keyed hash tables, per-row builder pushes, per-filter
 //! mask/filter passes, and [`evaluate`] — one `Value` per row through
 //! `pixels_planner::eval`, sharing no code with the kernels of
-//! [`crate::evaluate`] it is compared against. Its scan shares the
+//! [`crate::evaluate`](mod@crate::evaluate) it is compared against. Its scan shares the
 //! production scan's open, column check, pruning and metering
 //! ([`crate::scan::ScanMorsels`]) — so billed bytes agree by construction —
 //! and nothing else: each row group is decoded whole and filtered row by
@@ -14,7 +14,7 @@
 //! `tests/encoded_scan_differential.rs` assert the two paths produce
 //! bit-identical rows, row order, and billed bytes.
 //! No production operator runs here; the one production caller is
-//! [`crate::evaluate`], which hands an expression its kernels could not
+//! [`crate::evaluate`](mod@crate::evaluate), which hands an expression its kernels could not
 //! finish to [`evaluate`] / [`predicate_mask`] so that the answer — value or
 //! error — is by construction the reference's.
 

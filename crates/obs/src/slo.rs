@@ -5,10 +5,11 @@
 //! admission bounds — see `SchedulerPolicy::slo_objectives`). Every finished
 //! query is one *event*: good if it met the threshold, a violation
 //! otherwise. The tracker keeps totals plus a sliding window of recent
-//! events and reports SRE-style burn rates over multiple look-back windows:
+//! events and reports SRE-style burn rates over the look-back windows
+//! [`BURN_WINDOWS`] (5 min and 1 h) against the fixed [`ERROR_BUDGET`] (1 %):
 //!
 //! ```text
-//! burn(window) = violation_fraction(window) / error_budget
+//! burn(window) = violation_fraction(window) / ERROR_BUDGET
 //! ```
 //!
 //! A burn rate of 1.0 means the level is consuming its error budget exactly
@@ -47,10 +48,10 @@ pub const GOOD_TOTAL: &str = "pixels_slo_good_total";
 pub const VIOLATION_TOTAL: &str = "pixels_slo_violation_total";
 
 /// Burn-rate look-back windows: (label, width in microseconds).
-pub const DEFAULT_WINDOWS: &[(&str, u64)] = &[("5m", 300_000_000), ("1h", 3_600_000_000)];
+pub const BURN_WINDOWS: &[(&str, u64)] = &[("5m", 300_000_000), ("1h", 3_600_000_000)];
 
-/// Default error budget: 1% of events may violate before burn = 1.0.
-pub const DEFAULT_ERROR_BUDGET: f64 = 0.01;
+/// Error budget: 1% of events may violate before burn = 1.0.
+pub const ERROR_BUDGET: f64 = 0.01;
 
 struct LevelState {
     threshold_us: u64,
@@ -62,8 +63,9 @@ struct LevelState {
 }
 
 impl LevelState {
-    fn window_fractions(&self, now_us: u64, windows: &[(String, u64)]) -> Vec<(String, f64)> {
-        windows
+    /// The violation fraction of each of [`BURN_WINDOWS`] ending at `now_us`.
+    fn window_fractions(&self, now_us: u64) -> Vec<(&'static str, f64)> {
+        BURN_WINDOWS
             .iter()
             .map(|(label, width)| {
                 let cutoff = now_us.saturating_sub(*width);
@@ -85,7 +87,7 @@ impl LevelState {
                 } else {
                     bad as f64 / total as f64
                 };
-                (label.clone(), frac)
+                (*label, frac)
             })
             .collect()
     }
@@ -94,31 +96,13 @@ impl LevelState {
 /// The SLO tracker: per-level good/violation accounting plus burn rates.
 pub struct SloTracker {
     clock: ClockRef,
-    windows: Vec<(String, u64)>,
-    error_budget: f64,
     levels: Mutex<BTreeMap<String, LevelState>>,
 }
 
 impl SloTracker {
-    /// A tracker with the default windows and error budget.
+    /// A tracker of `objectives`, burning [`ERROR_BUDGET`] over
+    /// [`BURN_WINDOWS`].
     pub fn new(clock: ClockRef, objectives: Vec<SloObjective>) -> SloTracker {
-        SloTracker::with_windows(
-            clock,
-            objectives,
-            DEFAULT_WINDOWS
-                .iter()
-                .map(|(l, w)| (l.to_string(), *w))
-                .collect(),
-            DEFAULT_ERROR_BUDGET,
-        )
-    }
-
-    pub fn with_windows(
-        clock: ClockRef,
-        objectives: Vec<SloObjective>,
-        windows: Vec<(String, u64)>,
-        error_budget: f64,
-    ) -> SloTracker {
         let levels = objectives
             .into_iter()
             .map(|o| {
@@ -135,8 +119,6 @@ impl SloTracker {
             .collect();
         SloTracker {
             clock,
-            windows,
-            error_budget,
             levels: Mutex::new(levels),
         }
     }
@@ -157,7 +139,7 @@ impl SloTracker {
     /// Record one finished query at an explicit event time — the simulator's
     /// path, where events carry their own virtual timestamps.
     pub fn record_at(&self, level: &str, latency_us: u64, at_us: u64) -> bool {
-        let max_window = self.windows.iter().map(|(_, w)| *w).max().unwrap_or(0);
+        let max_window = BURN_WINDOWS.iter().map(|(_, w)| *w).max().unwrap_or(0);
         let mut levels = self.levels.lock();
         let Some(state) = levels.get_mut(level) else {
             return true;
@@ -205,14 +187,14 @@ impl SloTracker {
                     &[("level", level)],
                 )
                 .set(state.threshold_us as f64 / 1e6);
-            for (window, frac) in state.window_fractions(now, &self.windows) {
+            for (window, frac) in state.window_fractions(now) {
                 registry
                     .gauge_with(
                         "pixels_slo_burn_rate",
                         "Error-budget burn rate (violation fraction / budget) per window.",
-                        &[("level", level), ("window", &window)],
+                        &[("level", level), ("window", window)],
                     )
-                    .set(frac / self.error_budget);
+                    .set(frac / ERROR_BUDGET);
             }
         }
     }
@@ -224,9 +206,9 @@ impl SloTracker {
         let entries = levels.iter().map(|(level, state)| {
             let burns = Json::Object(
                 state
-                    .window_fractions(now, &self.windows)
+                    .window_fractions(now)
                     .into_iter()
-                    .map(|(w, frac)| (w, Json::number(frac / self.error_budget)))
+                    .map(|(w, frac)| (w.to_string(), Json::number(frac / ERROR_BUDGET)))
                     .collect(),
             );
             (
@@ -246,7 +228,7 @@ impl SloTracker {
             )
         });
         Json::object([
-            ("error_budget", Json::number(self.error_budget)),
+            ("error_budget", Json::number(ERROR_BUDGET)),
             ("levels", Json::Object(entries.collect())),
         ])
     }

@@ -10,7 +10,7 @@
 //! (`crates/planner/src/rules.rs`), the shuffle planner for
 //! broadcast-vs-partitioned strategy and fan-out sizing
 //! (`crates/planner/src/split.rs`), and the engines for CF fleet sizing
-//! (`turbo::policy::CfCostModel::sized_work`).
+//! (`turbo::policy::sized_work`).
 //!
 //! Estimates are advice, never truth: a wrong estimate may produce a slower
 //! plan but can never change results or user bills — every consumer is

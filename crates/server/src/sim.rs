@@ -35,8 +35,7 @@ use pixels_chaos::FaultInjector;
 use pixels_common::QueryId;
 use pixels_sim::{DurationStats, EventQueue, SimDuration, SimTime};
 use pixels_turbo::{
-    CfConfig, Coordinator, CostBreakdown, FaultStats, Placement, QueryCompletion, QueryWork,
-    ResourcePricing, VmConfig,
+    Coordinator, CostBreakdown, FaultStats, Placement, QueryCompletion, QueryWork, VmConfig,
 };
 use pixels_workload::QueryClass;
 use std::collections::HashMap;
@@ -149,7 +148,6 @@ pub struct ServerConfig {
     /// The admission policy shared with the live server: every mode's
     /// pending bound.
     pub policy: SchedulerPolicy,
-    pub prices: PriceSchedule,
     /// Batch query optimization (the paper's concluding opportunity):
     /// same-class best-of-effort queries waiting in the server are merged
     /// into one execution that shares a single table scan. Off by default.
@@ -232,14 +230,9 @@ pub struct ServerSim {
 }
 
 impl ServerSim {
-    pub fn new(
-        vm_cfg: VmConfig,
-        cf_cfg: CfConfig,
-        pricing: ResourcePricing,
-        cfg: ServerConfig,
-    ) -> Self {
+    pub fn new(vm_cfg: VmConfig, cfg: ServerConfig) -> Self {
         ServerSim {
-            capacity: Coordinator::new(vm_cfg, cf_cfg, pricing, SimTime::ZERO),
+            capacity: Coordinator::new(vm_cfg, SimTime::ZERO),
             cfg,
             queue: FairQueue::new(),
             events: EventQueue::new(),
@@ -253,12 +246,7 @@ impl ServerSim {
     }
 
     pub fn with_defaults() -> Self {
-        ServerSim::new(
-            VmConfig::default(),
-            CfConfig::default(),
-            ResourcePricing::default(),
-            ServerConfig::default(),
-        )
+        ServerSim::new(VmConfig::default(), ServerConfig::default())
     }
 
     /// Install a seeded fault injector on the underlying coordinator.
@@ -521,7 +509,7 @@ impl ServerSim {
                 } else {
                     CostBreakdown::default()
                 },
-                price: self.cfg.prices.bill(mode, done.scan_bytes),
+                price: PriceSchedule::default().bill(mode, done.scan_bytes),
                 scan_bytes: done.scan_bytes,
                 degraded: done.degraded,
                 speculative: done.speculative,
@@ -765,6 +753,7 @@ impl SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pixels_turbo::vm_cluster::CORES_PER_WORKER;
 
     fn burst(n: u64, at: SimTime, class: QueryClass, level: ServiceLevel) -> Vec<Submission> {
         (0..n).map(|_| Submission { at, class, level }).collect()
@@ -801,12 +790,7 @@ mod tests {
     #[test]
     fn relaxed_pending_bounded_by_grace_period() {
         let cfg = ServerConfig::default();
-        let sim = ServerSim::new(
-            VmConfig::default(),
-            CfConfig::default(),
-            ResourcePricing::default(),
-            cfg,
-        );
+        let sim = ServerSim::new(VmConfig::default(), cfg);
         // Overload with a spike of relaxed queries.
         let subs = burst(
             25,
@@ -886,12 +870,7 @@ mod tests {
                 batch_besteffort: batching,
                 ..Default::default()
             };
-            let sim = ServerSim::new(
-                VmConfig::default(),
-                CfConfig::default(),
-                ResourcePricing::default(),
-                cfg,
-            );
+            let sim = ServerSim::new(VmConfig::default(), cfg);
             // Keep the cluster busy briefly, then 6 identical best-effort
             // queries that the server can batch.
             let mut subs = vec![Submission {
@@ -938,11 +917,10 @@ mod tests {
             "some queries rode on another's execution"
         );
         let solo_cpu = QueryWork::from_class(QueryClass::Medium).cpu_seconds;
-        let pricing = ResourcePricing::default();
         for members in executions.values() {
             let merged = merged_cpu_seconds(solo_cpu, members.len());
             let execution = CostBreakdown {
-                vm_dollars: pricing.vm_cost(merged),
+                vm_dollars: pixels_turbo::billing::vm_cost(merged),
                 cf_dollars: 0.0,
             };
             let mut costs: Vec<_> = members.iter().map(|r| r.resource_cost).collect();
@@ -1063,12 +1041,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let sim = ServerSim::new(
-            VmConfig::default(),
-            CfConfig::default(),
-            ResourcePricing::default(),
-            cfg,
-        );
+        let sim = ServerSim::new(VmConfig::default(), cfg);
         let heavy = |mode| TenantSubmission {
             at: SimTime::from_secs(1),
             class: QueryClass::Heavy,
@@ -1212,12 +1185,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let sim = ServerSim::new(
-            VmConfig::default(),
-            CfConfig::default(),
-            ResourcePricing::default(),
-            cfg,
-        );
+        let sim = ServerSim::new(VmConfig::default(), cfg);
         let subs = burst(25, at, QueryClass::Heavy, ServiceLevel::Relaxed);
         let report = sim.run(subs, SimDuration::from_secs(4 * 3600));
         assert_eq!(report.unfinished, 0);
@@ -1283,12 +1251,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let sim = ServerSim::new(
-            VmConfig::default(),
-            CfConfig::default(),
-            ResourcePricing::default(),
-            cfg,
-        );
+        let sim = ServerSim::new(VmConfig::default(), cfg);
         // Five heavy foreground queries keep the cluster from ever dropping
         // below the low watermark within the bound; the best-of-effort query
         // still starts — exactly at the starvation limit.
@@ -1444,16 +1407,11 @@ mod tests {
                 tenant: "acme".to_string(),
             })
             .collect();
-        let sim = ServerSim::new(
-            fleet,
-            CfConfig::default(),
-            ResourcePricing::default(),
-            ServerConfig::default(),
-        );
+        let sim = ServerSim::new(fleet, ServerConfig::default());
         let report = sim.run_tenants(subs.clone(), SimDuration::from_secs(3600));
         assert_eq!(report.unfinished, 0);
         assert!(!report.records.is_empty() && !report.rejected.is_empty());
-        (report, subs, workers * fleet.cores_per_worker)
+        (report, subs, workers * CORES_PER_WORKER)
     }
 
     fn target_us(mode: AdmissionMode) -> u64 {

@@ -11,7 +11,10 @@
 //! known capacity, not the autoscaler. What this module adds is the traffic
 //! ([`plan_submissions`]) and a record sink that folds each outcome into
 //! running totals and into a [`Ledger`] of running sums, so a 1M-user soak
-//! finishes in seconds of wall time and holds no per-query record.
+//! finishes in seconds of wall time and holds no per-query record. A
+//! [`SoakConfig`] sets only the traffic and the fleet size: every soak runs
+//! the default [`SchedulerPolicy`] with best-of-effort batching on, and its
+//! trace is seeded with the fixed `SEED`.
 //!
 //! Billing follows the live server's rule: every completed query appends
 //! exactly the dollars its record carries (in completion order), rejected
@@ -26,9 +29,15 @@ use crate::service_level::ServiceLevel;
 use crate::sim::{Arrival, DriveStats, Outcome, QueryRecord, ServerConfig, ServerSim};
 use pixels_common::{Json, QueryId};
 use pixels_obs::{Ledger, LedgerSummary, MetricsRegistry};
+use pixels_sim::metrics::percentile;
 use pixels_sim::{SimDuration, SimTime};
-use pixels_turbo::{CfConfig, Placement, ResourcePricing, VmConfig};
+use pixels_turbo::vm_cluster::CORES_PER_WORKER;
+use pixels_turbo::{Placement, VmConfig};
 use pixels_workload::{arrivals, WorkloadTrace};
+
+/// Seed of the arrival generators and of the per-query tenant, mode and
+/// target hashes: one config is one fixed trace.
+const SEED: u64 = 7;
 
 /// Configuration of one soak run. All times are virtual.
 #[derive(Debug, Clone)]
@@ -39,13 +48,12 @@ pub struct SoakConfig {
     pub users: usize,
     /// Tenant pool size; tenant 0 is the adversary.
     pub tenants: usize,
-    /// VM fleet size in cores, as whole workers of
-    /// [`VmConfig::cores_per_worker`] (rounded up); fixed for the run. A
-    /// deadline is feasible iff its work finishes in time on these cores.
+    /// VM fleet size in cores, as whole workers of [`CORES_PER_WORKER`]
+    /// (rounded up); fixed for the run. A deadline is feasible iff its work
+    /// finishes in time on these cores.
     pub vm_cores: u64,
     /// Arrival window (diurnal period is 24 h of virtual time).
     pub duration: SimDuration,
-    pub seed: u64,
     /// Fraction of arrivals issued by the adversary tenant, which floods
     /// best-of-effort work to try to starve everyone else.
     pub adversary_share: f64,
@@ -56,11 +64,6 @@ pub struct SoakConfig {
     /// Counterfactual: map each deadline to the nearest fixed tier at
     /// submission (violations still counted against the original target).
     pub map_deadlines_to_tiers: bool,
-    /// The admission policy: every mode's pending bound.
-    pub policy: SchedulerPolicy,
-    /// Merge same-class best-of-effort queue entries into shared scans, at
-    /// most [`crate::sim::MAX_BATCH`] to one.
-    pub batch_besteffort: bool,
 }
 
 impl Default for SoakConfig {
@@ -70,7 +73,6 @@ impl Default for SoakConfig {
             tenants: 16,
             vm_cores: 32,
             duration: SimDuration::from_secs(24 * 3600),
-            seed: 7,
             adversary_share: 0.2,
             deadline_share: 0.25,
             deadline_targets_us: vec![
@@ -81,8 +83,6 @@ impl Default for SoakConfig {
                 1_800_000_000, // 30 min
             ],
             map_deadlines_to_tiers: false,
-            policy: SchedulerPolicy::default(),
-            batch_besteffort: true,
         }
     }
 }
@@ -224,7 +224,7 @@ struct Planned {
 struct Tally<'a> {
     report: SoakReport,
     plan: &'a [Planned],
-    /// SLO bound per [`MODE_GROUPS`] entry, from the run's own policy.
+    /// SLO bound per [`MODE_GROUPS`] entry, from the soak's policy.
     slo_bound_us: [u64; 4],
     /// Completion latencies per mode group, for the percentiles.
     latency_us: [Vec<u64>; 4],
@@ -311,21 +311,17 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     );
     let plan = plan_submissions(cfg);
     let trace: Vec<Arrival> = plan.iter().map(|p| p.arrival).collect();
-    let vm = VmConfig::default();
-    let workers = (cfg.vm_cores as u32).div_ceil(vm.cores_per_worker);
+    let workers = (cfg.vm_cores as u32).div_ceil(CORES_PER_WORKER);
     let fleet = VmConfig {
         min_workers: workers,
         max_workers: workers,
-        ..vm
+        ..VmConfig::default()
     };
     let mut sim = ServerSim::new(
         fleet,
-        CfConfig::default(),
-        ResourcePricing::default(),
         ServerConfig {
-            policy: cfg.policy,
-            batch_besteffort: cfg.batch_besteffort,
-            ..ServerConfig::default()
+            policy: SchedulerPolicy::default(),
+            batch_besteffort: true,
         },
     );
     // Interned in plan order, so a record's tenant index is the plan's.
@@ -344,7 +340,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         .collect();
     let mut tally = Tally {
         plan: &plan,
-        slo_bound_us: slo_bounds_us(&cfg.policy),
+        slo_bound_us: slo_bounds_us(&SchedulerPolicy::default()),
         latency_us: Default::default(),
         wait_sum_us: vec![0; cfg.tenants],
         last_finish: SimTime::ZERO,
@@ -382,7 +378,7 @@ fn plan_submissions(cfg: &SoakConfig) -> Vec<Planned> {
         0.6,
         SimDuration::from_secs(24 * 3600),
         cfg.duration,
-        cfg.seed,
+        SEED,
     );
     let spike_start = SimDuration::from_secs_f64(secs / 3.0);
     let spike_end = SimDuration::from_secs_f64(secs / 3.0 + (secs / 50.0).max(60.0));
@@ -393,40 +389,40 @@ fn plan_submissions(cfg: &SoakConfig) -> Vec<Planned> {
         spike_start,
         spike_end,
         cfg.duration,
-        cfg.seed ^ 0xBEE5,
+        SEED ^ 0xBEE5,
     );
     let mut all: Vec<SimTime> = base;
     all.extend(burst);
     all.sort();
-    let trace = WorkloadTrace::from_arrivals(all, [0.80, 0.17, 0.03], cfg.seed ^ 0xC1A5);
+    let trace = WorkloadTrace::from_arrivals(all, [0.80, 0.17, 0.03], SEED ^ 0xC1A5);
 
     trace
         .entries
         .iter()
         .enumerate()
         .map(|(i, e)| {
-            let h = splitmix(cfg.seed, i as u64);
+            let h = splitmix(SEED, i as u64);
             let adversary = unit(h) < cfg.adversary_share;
             let tenant = if adversary {
                 0u32
             } else {
-                1 + (splitmix(cfg.seed ^ 0x7E, i as u64) % (cfg.tenants as u64 - 1)) as u32
+                1 + (splitmix(SEED ^ 0x7E, i as u64) % (cfg.tenants as u64 - 1)) as u32
             };
             let (mode, orig_target_us) = if adversary {
                 // The adversary floods cheap best-of-effort work.
                 (AdmissionMode::Level(ServiceLevel::BestEffort), None)
-            } else if unit(splitmix(cfg.seed ^ 0xD1, i as u64)) < cfg.deadline_share {
+            } else if unit(splitmix(SEED ^ 0xD1, i as u64)) < cfg.deadline_share {
                 let pick =
-                    splitmix(cfg.seed ^ 0x5EED, i as u64) as usize % cfg.deadline_targets_us.len();
+                    splitmix(SEED ^ 0x5EED, i as u64) as usize % cfg.deadline_targets_us.len();
                 let target_us = cfg.deadline_targets_us[pick];
                 let mode = if cfg.map_deadlines_to_tiers {
-                    AdmissionMode::Level(nearest_tier(&cfg.policy, target_us))
+                    AdmissionMode::Level(nearest_tier(&SchedulerPolicy::default(), target_us))
                 } else {
                     AdmissionMode::Deadline { target_us }
                 };
                 (mode, Some(target_us))
             } else {
-                let r = unit(splitmix(cfg.seed ^ 0xF00D, i as u64));
+                let r = unit(splitmix(SEED ^ 0xF00D, i as u64));
                 let level = if r < 0.30 {
                     ServiceLevel::Immediate
                 } else if r < 0.80 {
@@ -447,14 +443,6 @@ fn plan_submissions(cfg: &SoakConfig) -> Vec<Planned> {
             }
         })
         .collect()
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 impl SoakReport {
@@ -687,14 +675,14 @@ mod tests {
         let victims = report.victim_mean_wait_us();
         let adversary = report.adversary_mean_wait_us();
         assert!(
-            victims <= adversary || victims < cfg.policy.grace.as_micros() / 2,
+            victims <= adversary || victims < SchedulerPolicy::default().grace.as_micros() / 2,
             "victims wait {victims}us vs adversary {adversary}us"
         );
         // The adversary cannot push any victim past the relaxed grace
         // bound on mean wait.
         for t in report.tenants.iter().filter(|t| t.name != "adversary") {
             assert!(
-                t.mean_wait_us < cfg.policy.grace.as_micros(),
+                t.mean_wait_us < SchedulerPolicy::default().grace.as_micros(),
                 "tenant {} mean wait {}us exceeds grace",
                 t.name,
                 t.mean_wait_us
@@ -750,6 +738,17 @@ mod tests {
         );
         // And the immediate/relaxed boundary to √(1 s · 3600 s) = 60 s.
         assert_eq!(nearest_tier(&policy, 30_000_000), ServiceLevel::Immediate);
+    }
+
+    #[test]
+    fn mode_percentiles_are_nearest_rank() {
+        // Nearest rank: p50 of four is the 2nd value (ceil(0.5 · 4) = 2),
+        // not the 3rd that rounding the interpolated index 1.5 picks.
+        let sorted = [1, 2, 3, 4];
+        assert_eq!(percentile(&sorted, 0.50), 2);
+        assert_eq!(percentile(&sorted, 0.95), 4);
+        assert_eq!(percentile(&sorted, 0.99), 4);
+        assert_eq!(percentile::<u64>(&[], 0.50), 0);
     }
 
     #[test]

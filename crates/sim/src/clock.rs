@@ -65,7 +65,7 @@ impl SimDuration {
         SimDuration(ms * 1_000)
     }
 
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000)
     }
 

@@ -16,4 +16,4 @@ pub mod metrics;
 
 pub use clock::{SimDuration, SimTime};
 pub use event::EventQueue;
-pub use metrics::{Counter, DurationStats, TimeSeries};
+pub use metrics::{DurationStats, TimeSeries};

@@ -1,6 +1,6 @@
 //! Measurement helpers for simulation experiments: time series with
-//! time-weighted averages, duration histograms with percentiles, and simple
-//! counters.
+//! time-weighted averages, duration samples with order statistics, and the
+//! one exact percentile rule, [`percentile`].
 
 use crate::clock::{SimDuration, SimTime};
 
@@ -145,49 +145,24 @@ impl DurationStats {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// The q-th percentile (0.0 ..= 1.0) using nearest-rank on the sorted
-    /// sample.
+    /// The q-th percentile (0.0 ..= 1.0) of the sample: [`percentile`].
     pub fn percentile(&self, q: f64) -> SimDuration {
-        if self.values.is_empty() {
-            return SimDuration::ZERO;
-        }
         let mut sorted = self.values.clone();
         sorted.sort_unstable();
-        let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1) - 1;
-        sorted[rank.min(sorted.len() - 1)]
-    }
-
-    /// Fraction of samples at or below `bound`.
-    pub fn fraction_within(&self, bound: SimDuration) -> f64 {
-        if self.values.is_empty() {
-            return 1.0;
-        }
-        self.values.iter().filter(|&&d| d <= bound).count() as f64 / self.values.len() as f64
+        percentile(&sorted, q)
     }
 }
 
-/// A labeled monotonically increasing counter.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    pub fn new() -> Self {
-        Counter::default()
+/// The q-th percentile (0.0 ..= 1.0) of an ascending sample by nearest
+/// rank: `sorted[ceil(q·n) − 1]`, the smallest value with at least a `q`
+/// share of the sample at or below it. `q` clamps to 0..=1 (`q = 0` is the
+/// minimum); an empty sample reads the default (zero).
+pub fn percentile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
     }
-
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    pub fn get(&self) -> u64 {
-        self.value
-    }
+    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1) - 1;
+    sorted[rank.min(sorted.len() - 1)]
 }
 
 #[cfg(test)]
@@ -252,7 +227,6 @@ mod tests {
         assert_eq!(h.min(), SimDuration::from_secs(1));
         assert_eq!(h.max(), SimDuration::from_secs(100));
         assert_eq!(h.mean(), SimDuration::from_micros(50_500_000));
-        assert!((h.fraction_within(SimDuration::from_secs(75)) - 0.75).abs() < 1e-9);
     }
 
     #[test]
@@ -260,7 +234,6 @@ mod tests {
         let h = DurationStats::new();
         assert_eq!(h.percentile(0.5), SimDuration::ZERO);
         assert_eq!(h.mean(), SimDuration::ZERO);
-        assert_eq!(h.fraction_within(SimDuration::ZERO), 1.0);
         let ts = TimeSeries::new();
         assert_eq!(
             ts.time_weighted_avg(SimTime::ZERO, SimTime::from_secs(1)),
@@ -351,13 +324,5 @@ mod tests {
         assert_eq!(h.percentile(0.0), SimDuration::from_secs(1));
         assert_eq!(h.percentile(0.5), SimDuration::from_secs(1));
         assert_eq!(h.percentile(0.51), SimDuration::from_secs(2));
-    }
-
-    #[test]
-    fn counter() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
     }
 }

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// SQL keywords recognized by PixelsDB. Matching is case-insensitive; any
-/// identifier not in this list lexes as [`Token::Ident`].
+/// identifier not in this list lexes as [`TokenKind::Ident`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Keyword {
     Select,

@@ -7,7 +7,7 @@
 //!   transfers zero bytes and touches none of the inner store's counters —
 //!   billed byte totals only ever reflect successful reads.
 //! - [`RetryingObjectStore`] re-issues transiently-failed GETs under a
-//!   seeded [`RetryPolicy`], sleeping on the supplied [`Clock`] between
+//!   seeded [`RetryPolicy`], sleeping on the supplied [`Clock`](pixels_obs::Clock) between
 //!   attempts (wall time in the engine, virtual time in the simulator).
 //!
 //! The intended layering is `Retrying(Chaos(real store))`: faults fire

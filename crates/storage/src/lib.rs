@@ -6,7 +6,7 @@
 //! - [`object_store`] — an S3-like object store trait plus an in-memory
 //!   implementation with exact byte accounting (the basis of $/TB-scan
 //!   billing) and a latency model for the simulator.
-//! - [`format`], [`writer`], [`reader`] — a from-scratch columnar file
+//! - [`format`](mod@format), [`writer`], [`reader`] — a from-scratch columnar file
 //!   format with row groups, per-chunk encodings, and zone-map statistics
 //!   enabling projection and predicate pushdown.
 //! - [`encoding`] — plain, run-length, and dictionary encodings with a

@@ -3,76 +3,48 @@
 //! Two price domains exist in PixelsDB:
 //!
 //! 1. **Resource cost** (this module): what the operator pays the cloud for
-//!    VM core-hours, CF GB-seconds, and object-store requests. The paper
-//!    reports CF resource unit prices 9–24× those of VMs [7]; the defaults
-//!    here sit inside that band.
+//!    VM core-hours, CF GB-seconds, and object-store requests, as free
+//!    functions over the constants of [`pixels_common::prices`] — one
+//!    provider price list, which no caller varies. The paper reports CF
+//!    resource unit prices 9–24× those of VMs \[7\]; those constants sit
+//!    inside that band.
 //! 2. **User price** (`pixels-server::pricing`): what the *user* pays per TB
 //!    scanned, which depends on the chosen service level.
 
 use pixels_common::prices;
 use pixels_sim::SimDuration;
 
-/// Cloud resource prices, modeled on AWS us-east-1.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResourcePricing {
-    /// Dollars per VM core-hour (on-demand, amortized).
-    pub vm_core_hour: f64,
-    /// Dollars per CF GB-second.
-    pub cf_gb_second: f64,
-    /// Dollars per CF invocation.
-    pub cf_invocation: f64,
-    /// GB of memory bundled with one CF core's worth of compute.
-    pub cf_gb_per_core: f64,
-    /// CF performance penalty relative to a VM core (cold runtime, slower
-    /// I/O): effective work rate multiplier < 1.
-    pub cf_efficiency: f64,
+/// Effective dollars per core-hour of *useful* CF compute, accounting for
+/// the memory bundle and efficiency penalty.
+pub fn cf_core_hour_equivalent() -> f64 {
+    prices::CF_GB_SECOND_DOLLARS * prices::CF_GB_PER_CORE * 3600.0 / prices::CF_EFFICIENCY
 }
 
-impl Default for ResourcePricing {
-    fn default() -> Self {
-        ResourcePricing {
-            vm_core_hour: prices::VM_CORE_HOUR_DOLLARS,
-            cf_gb_second: prices::CF_GB_SECOND_DOLLARS,
-            cf_gb_per_core: prices::CF_GB_PER_CORE,
-            cf_invocation: prices::CF_INVOCATION_DOLLARS,
-            cf_efficiency: prices::CF_EFFICIENCY,
-        }
-    }
+/// The headline ratio the paper cites: CF unit price / VM unit price. This
+/// raw ratio lands around 9–24× once CF overheads (startup waste,
+/// duplicated scan work, intermediate materialization) are charged — see
+/// [`crate::cf_service::effective_unit_ratio`], which adds those.
+pub fn cf_vm_unit_ratio() -> f64 {
+    cf_core_hour_equivalent() / prices::VM_CORE_HOUR_DOLLARS
 }
 
-impl ResourcePricing {
-    /// Effective dollars per core-hour of *useful* CF compute, accounting
-    /// for the memory bundle and efficiency penalty.
-    pub fn cf_core_hour_equivalent(&self) -> f64 {
-        self.cf_gb_second * self.cf_gb_per_core * 3600.0 / self.cf_efficiency
-    }
+/// Cost of `workers` CF workers running for `per_worker` each.
+pub fn cf_cost(workers: u32, per_worker: SimDuration) -> f64 {
+    let gb_seconds = workers as f64 * per_worker.as_secs_f64() * prices::CF_GB_PER_CORE;
+    gb_seconds * prices::CF_GB_SECOND_DOLLARS + workers as f64 * prices::CF_INVOCATION_DOLLARS
+}
 
-    /// The headline ratio the paper cites: CF unit price / VM unit price.
-    /// With the defaults this lands around 9–24× once CF overheads (startup
-    /// waste, duplicated scan work, intermediate materialization) are
-    /// charged — see `CfService` which adds those.
-    pub fn cf_vm_unit_ratio(&self) -> f64 {
-        self.cf_core_hour_equivalent() / self.vm_core_hour
-    }
+/// Cost of `core_seconds` of VM compute.
+pub fn vm_cost(core_seconds: f64) -> f64 {
+    core_seconds / 3600.0 * prices::VM_CORE_HOUR_DOLLARS
+}
 
-    /// Cost of `workers` CF workers running for `per_worker` each.
-    pub fn cf_cost(&self, workers: u32, per_worker: SimDuration) -> f64 {
-        let gb_seconds = workers as f64 * per_worker.as_secs_f64() * self.cf_gb_per_core;
-        gb_seconds * self.cf_gb_second + workers as f64 * self.cf_invocation
-    }
-
-    /// Cost of `core_seconds` of VM compute.
-    pub fn vm_cost(&self, core_seconds: f64) -> f64 {
-        core_seconds / 3600.0 * self.vm_core_hour
-    }
-
-    /// Provider cost of `bytes` of exchange spill traffic (the PUT + GET
-    /// bytes a multi-stage CF plan moves through the object store between
-    /// stages). Deterministic: priced only over the accepted attempts'
-    /// measured bytes, so sim and real engine agree bit-for-bit.
-    pub fn exchange_cost(&self, bytes: u64) -> f64 {
-        bytes as f64 / 1e9 * prices::EXCHANGE_DOLLARS_PER_GB
-    }
+/// Provider cost of `bytes` of exchange spill traffic (the PUT + GET bytes a
+/// multi-stage CF plan moves through the object store between stages).
+/// Deterministic: priced only over the accepted attempts' measured bytes, so
+/// sim and real engine agree bit-for-bit.
+pub fn exchange_cost(bytes: u64) -> f64 {
+    bytes as f64 / 1e9 * prices::EXCHANGE_DOLLARS_PER_GB
 }
 
 /// How a query was executed and what resources it consumed.
@@ -103,8 +75,7 @@ mod tests {
 
     #[test]
     fn default_ratio_is_in_the_papers_band_before_overheads() {
-        let p = ResourcePricing::default();
-        let ratio = p.cf_vm_unit_ratio();
+        let ratio = cf_vm_unit_ratio();
         // Raw unit ratio lands at ~2.5-6x; the 9-24x band in the paper
         // includes execution overheads which CfService adds on top. Check
         // the raw ratio is sane and > 1.
@@ -113,17 +84,15 @@ mod tests {
 
     #[test]
     fn cf_cost_scales_with_workers_and_time() {
-        let p = ResourcePricing::default();
-        let one = p.cf_cost(1, SimDuration::from_secs(10));
-        let many = p.cf_cost(100, SimDuration::from_secs(10));
+        let one = cf_cost(1, SimDuration::from_secs(10));
+        let many = cf_cost(100, SimDuration::from_secs(10));
         assert!(many > one * 99.0 && many < one * 101.0);
         assert!(one > 0.0);
     }
 
     #[test]
     fn vm_cost_per_hour() {
-        let p = ResourcePricing::default();
-        let c = p.vm_cost(3600.0);
+        let c = vm_cost(3600.0);
         assert!((c - 0.0425).abs() < 1e-9);
     }
 

@@ -5,34 +5,25 @@
 //! result to object storage, and disappear. They are 9–24× more expensive
 //! per resource unit than VM cores, which is exactly the trade the service
 //! levels monetize.
+//!
+//! The service holds no parameters of its own: a fleet's size, duration and
+//! provider cost come from the fleet model in [`crate::policy`] (the
+//! constants [`CF_STARTUP`](crate::policy::CF_STARTUP),
+//! [`CF_OVERHEAD_FACTOR`] and
+//! [`CF_MAX_WORKERS_PER_QUERY`](crate::policy::CF_MAX_WORKERS_PER_QUERY)),
+//! the same functions the real engine prices its thread fleets with.
 
-use crate::billing::ResourcePricing;
+use crate::billing;
 use crate::model::QueryWork;
-use crate::policy::CfCostModel;
+use crate::policy::{self, CF_OVERHEAD_FACTOR};
 use pixels_common::QueryId;
 use pixels_sim::{SimDuration, SimTime, TimeSeries};
 
-/// CF service configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct CfConfig {
-    /// Cold-start latency per worker fleet (workers spawn in parallel).
-    pub startup: SimDuration,
-    /// Cap on workers for one query.
-    pub max_workers_per_query: u32,
-    /// Work inflation from running split plans in CFs: duplicated scans at
-    /// the cut boundary, intermediate-result materialization, shuffle via
-    /// object storage. Multiplies CPU demand.
-    pub overhead_factor: f64,
-}
-
-impl Default for CfConfig {
-    fn default() -> Self {
-        CfConfig {
-            startup: SimDuration::from_millis(800),
-            max_workers_per_query: 256,
-            overhead_factor: 1.8,
-        }
-    }
+/// The effective per-core-hour unit price of CF compute including
+/// execution overheads — the number the paper compares against VM pricing
+/// (9–24×).
+pub fn effective_unit_ratio() -> f64 {
+    billing::cf_vm_unit_ratio() * CF_OVERHEAD_FACTOR
 }
 
 /// One accepted CF execution.
@@ -75,10 +66,6 @@ impl Default for LaunchFaults {
 
 /// The CF service: tracks in-flight function fleets on the virtual clock.
 pub struct CfService {
-    cfg: CfConfig,
-    pricing: ResourcePricing,
-    /// Shared duration/cost model (same formulas the real engine uses).
-    model: CfCostModel,
     active: Vec<CfRun>,
     pub total_cost: f64,
     pub worker_series: TimeSeries,
@@ -86,20 +73,13 @@ pub struct CfService {
 }
 
 impl CfService {
-    pub fn new(cfg: CfConfig, pricing: ResourcePricing, now: SimTime) -> Self {
+    pub fn new(now: SimTime) -> Self {
         CfService {
-            cfg,
-            pricing,
-            model: CfCostModel::new(&cfg, pricing),
             active: Vec::new(),
             total_cost: 0.0,
             worker_series: TimeSeries::new(),
             now,
         }
-    }
-
-    pub fn config(&self) -> &CfConfig {
-        &self.cfg
     }
 
     pub fn active_workers(&self) -> u32 {
@@ -108,13 +88,6 @@ impl CfService {
 
     pub fn active_queries(&self) -> usize {
         self.active.len()
-    }
-
-    /// The model's fault-free runtime estimate for `work` on this service
-    /// (excluding startup) — also the baseline straggler detectors compare
-    /// elapsed time against.
-    pub fn nominal_runtime(&self, work: &QueryWork) -> SimDuration {
-        self.model.nominal_runtime(work)
     }
 
     /// Launch a CF fleet for `work`. Returns the accepted run (cost is
@@ -136,9 +109,9 @@ impl CfService {
         attempt: u32,
         faults: LaunchFaults,
     ) -> CfRun {
-        let workers = self.model.workers(&work);
-        let per_worker = self.model.attempt_duration(&work, &faults);
-        let cost = self.model.attempt_cost(&work, &faults);
+        let workers = policy::cf_workers(&work);
+        let per_worker = policy::attempt_duration(&work, &faults);
+        let cost = policy::attempt_cost(&work, &faults);
         let run = CfRun {
             id,
             started_at: now,
@@ -206,13 +179,6 @@ impl CfService {
         done.sort_by_key(|r| (r.finish_at, r.id));
         done
     }
-
-    /// The effective per-core-hour unit price of this CF service including
-    /// execution overheads — the number the paper compares against VM
-    /// pricing (9–24×).
-    pub fn effective_unit_ratio(&self) -> f64 {
-        self.pricing.cf_vm_unit_ratio() * self.cfg.overhead_factor
-    }
 }
 
 #[cfg(test)]
@@ -221,11 +187,7 @@ mod tests {
     use pixels_workload::QueryClass;
 
     fn service() -> CfService {
-        CfService::new(
-            CfConfig::default(),
-            ResourcePricing::default(),
-            SimTime::ZERO,
-        )
+        CfService::new(SimTime::ZERO)
     }
 
     #[test]
@@ -268,15 +230,14 @@ mod tests {
             parallelism: 300,
         };
         let run = cf.launch(QueryId(1), work, SimTime::ZERO);
-        assert_eq!(run.workers, 256, "capped at max_workers_per_query");
+        assert_eq!(run.workers, 256, "capped at CF_MAX_WORKERS_PER_QUERY");
         // Time to full parallelism = startup < 1 s.
-        assert!(cf.config().startup <= SimDuration::from_secs(1));
+        assert!(policy::CF_STARTUP <= SimDuration::from_secs(1));
     }
 
     #[test]
     fn effective_unit_ratio_is_in_papers_band() {
-        let cf = service();
-        let ratio = cf.effective_unit_ratio();
+        let ratio = effective_unit_ratio();
         assert!(
             (4.0..pixels_common::prices::CF_VM_RATIO_MAX).contains(&ratio),
             "effective CF/VM unit ratio {ratio} outside plausible band"

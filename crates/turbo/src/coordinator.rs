@@ -6,8 +6,8 @@
 //! status for the query server's admission checks, and collects per-query
 //! statistics (pending time, execution time, resource cost).
 
-use crate::billing::{CostBreakdown, Placement, ResourcePricing};
-use crate::cf_service::{CfConfig, CfService};
+use crate::billing::{self, CostBreakdown, Placement};
+use crate::cf_service::CfService;
 use crate::model::QueryWork;
 use crate::policy::{self, CfEffects, CfRace, Decision, RaceInput};
 use crate::vm_cluster::{VmCluster, VmConfig};
@@ -121,8 +121,8 @@ struct CoordEffects<'a> {
 
 impl CfEffects for CoordEffects<'_> {
     fn launch(&mut self, attempt: u32) {
-        let startup = self.cf.config().startup;
-        let nominal = self.cf.nominal_runtime(&self.work);
+        let startup = policy::CF_STARTUP;
+        let nominal = policy::nominal_runtime(&self.work);
         let faults = policy::decide_launch_faults(self.injector, startup, nominal);
         let run = self
             .cf
@@ -152,7 +152,6 @@ impl CfEffects for CoordEffects<'_> {
 pub struct Coordinator {
     pub vm: VmCluster,
     pub cf: CfService,
-    pricing: ResourcePricing,
     /// FIFO of queries forced to wait for VM capacity (CF disabled or
     /// acceleration not warranted).
     vm_queue: VecDeque<(QueryId, InFlight)>,
@@ -175,11 +174,10 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    pub fn new(vm_cfg: VmConfig, cf_cfg: CfConfig, pricing: ResourcePricing, now: SimTime) -> Self {
+    pub fn new(vm_cfg: VmConfig, now: SimTime) -> Self {
         Coordinator {
             vm: VmCluster::new(vm_cfg, now),
-            cf: CfService::new(cf_cfg, pricing, now),
-            pricing,
+            cf: CfService::new(now),
             vm_queue: VecDeque::new(),
             inflight: HashMap::new(),
             server_queue_depth: 0,
@@ -429,7 +427,7 @@ impl Coordinator {
             // still moved (and pays for) the PUT traffic; one degraded
             // earlier moved nothing.
             let shuffle_dollars = match &info.shuffle {
-                Some(s) if s.stage == 1 => self.pricing.exchange_cost(s.put_bytes),
+                Some(s) if s.stage == 1 => billing::exchange_cost(s.put_bytes),
                 _ => 0.0,
             };
             self.done.push(QueryCompletion {
@@ -442,7 +440,7 @@ impl Coordinator {
                 // at the VM rate) so sim and real engine agree bit for bit;
                 // `total_resource_cost` still charges true provisioned time.
                 cost: CostBreakdown {
-                    vm_dollars: self.pricing.vm_cost(info.work.cpu_seconds),
+                    vm_dollars: billing::vm_cost(info.work.cpu_seconds),
                     cf_dollars: 0.0,
                 },
                 scan_bytes: done.scan_bytes,
@@ -496,7 +494,7 @@ impl Coordinator {
             let (stage_cost, shuffle_dollars, spec_sticky) = match &info.shuffle {
                 Some(s) => (
                     s.stage_cost,
-                    self.pricing.exchange_cost(s.put_bytes + s.get_bytes),
+                    billing::exchange_cost(s.put_bytes + s.get_bytes),
                     s.speculated,
                 ),
                 None => (0.0, 0.0, false),
@@ -550,7 +548,7 @@ impl Coordinator {
     /// Total provider-side cost so far: provisioned VM time plus CF charges.
     pub fn total_resource_cost(&self) -> CostBreakdown {
         CostBreakdown {
-            vm_dollars: self.pricing.vm_cost(self.vm.provisioned_core_seconds),
+            vm_dollars: billing::vm_cost(self.vm.provisioned_core_seconds),
             cf_dollars: self.cf.total_cost,
         }
     }
@@ -619,12 +617,7 @@ mod tests {
     use pixels_workload::QueryClass;
 
     fn coordinator() -> Coordinator {
-        Coordinator::new(
-            VmConfig::default(),
-            CfConfig::default(),
-            ResourcePricing::default(),
-            SimTime::ZERO,
-        )
+        Coordinator::new(VmConfig::default(), SimTime::ZERO)
     }
 
     /// Wake the model at each of its events until it is idle or `limit`
@@ -1088,7 +1081,7 @@ mod tests {
             "one clean race per stage"
         );
         // PUT + GET priced at the exchange rate.
-        let expected = ResourcePricing::default().exchange_cost(6 << 30);
+        let expected = billing::exchange_cost(6 << 30);
         assert!((q.shuffle_dollars - expected).abs() < 1e-12);
         assert!(q.shuffle_dollars > 0.0);
         // Two accepted fleets cost more than one, but stage 1 is the cheap

@@ -21,11 +21,10 @@
 
 mod stages;
 
-use crate::billing::{CostBreakdown, ResourcePricing};
-use crate::cf_service::CfConfig;
+use crate::billing::{self, CostBreakdown};
 use crate::metrics::EngineMetrics;
 use crate::model::QueryWork;
-use crate::policy::{CfCostModel, Decision};
+use crate::policy::Decision;
 use parking_lot::{Condvar, Mutex};
 use pixels_catalog::CatalogRef;
 use pixels_chaos::FaultInjector;
@@ -211,10 +210,6 @@ pub struct TurboEngine {
     /// faults are injected by wrapping the store itself
     /// (`pixels_storage::chaos_stack`), not here.
     injector: Arc<FaultInjector>,
-    /// Shared CF duration/cost model — the same formulas the sim coordinator
-    /// prices fleets with, so modelled per-attempt costs agree bit for bit.
-    cost_model: CfCostModel,
-    pricing: ResourcePricing,
 }
 
 impl TurboEngine {
@@ -234,8 +229,6 @@ impl TurboEngine {
             registry: MetricsRegistry::global().clone(),
             metrics: Arc::new(EngineMetrics::new(MetricsRegistry::global())),
             injector: Arc::new(FaultInjector::disabled()),
-            cost_model: CfCostModel::new(&CfConfig::default(), ResourcePricing::default()),
-            pricing: ResourcePricing::default(),
         }
     }
 
@@ -656,7 +649,7 @@ impl TurboEngine {
             // Model-based VM cost for the plan's CPU demand — identical to
             // how the sim coordinator prices a VM completion.
             resource_cost: CostBreakdown {
-                vm_dollars: self.pricing.vm_cost(work.cpu_seconds),
+                vm_dollars: billing::vm_cost(work.cpu_seconds),
                 cf_dollars: 0.0,
             },
             ..ExecOutcome::default()

@@ -22,7 +22,7 @@
 //! MV; if every attempt of some stage fails, the query degrades to the VM.
 
 use super::{ExecOutcome, TurboEngine};
-use crate::billing::CostBreakdown;
+use crate::billing::{self, CostBreakdown};
 use crate::cf_service::LaunchFaults;
 use crate::model::QueryWork;
 use crate::policy::{self, CfEffects, CfRace, Decision, RaceInput};
@@ -151,8 +151,8 @@ impl TurboEngine {
                 // shrinks startup-dominated fleets; the sim side of the parity
                 // harness applies the same transform, so costs stay
                 // bit-identical.
-                priced: self.cost_model.sized_work(work),
-                deadline: self.cost_model.sized_work(&QueryWork::from_plan(&sub_plan)),
+                priced: policy::sized_work(work),
+                deadline: policy::sized_work(&QueryWork::from_plan(&sub_plan)),
                 plans: vec![sub_plan],
                 output: Output::Mv,
             }]);
@@ -174,7 +174,7 @@ impl TurboEngine {
         };
         // Fleet right-sizing applies to the whole-query work before the
         // per-stage split, exactly as the sim coordinator does.
-        let [spill_work, finish_work] = self.cost_model.sized_work(work).stage_works();
+        let [spill_work, finish_work] = policy::sized_work(work).stage_works();
         let shuffle = Arc::new(Shuffle {
             kind,
             partitions,
@@ -272,7 +272,7 @@ impl TurboEngine {
                 cf_dollars: run.accepted_cf_dollars,
             },
             provider_cf_dollars: run.provider_cf_dollars,
-            provider_shuffle_dollars: self.pricing.exchange_cost(run.exchange.total_bytes()),
+            provider_shuffle_dollars: billing::exchange_cost(run.exchange.total_bytes()),
             exchange: run.exchange,
             ..ExecOutcome::default()
         })
@@ -464,7 +464,7 @@ impl TurboEngine {
         out.provider_cf_dollars = provider_cf_dollars;
         // Exchange traffic the accepted stages produced before the plan
         // degraded stays a provider cost; it never reaches the bill.
-        out.provider_shuffle_dollars = self.pricing.exchange_cost(exchange.total_bytes());
+        out.provider_shuffle_dollars = billing::exchange_cost(exchange.total_bytes());
         out.exchange = exchange;
         Ok(out)
     }
@@ -509,11 +509,11 @@ impl CfEffects for StageFleets<'_> {
         let (engine, stage) = (self.engine, &self.stage);
         let faults = policy::decide_launch_faults(
             &engine.injector,
-            engine.cost_model.startup(),
-            engine.cost_model.nominal_runtime(&stage.priced),
+            policy::CF_STARTUP,
+            policy::nominal_runtime(&stage.priced),
         );
         self.costs
-            .push(engine.cost_model.attempt_cost(&stage.priced, &faults));
+            .push(policy::attempt_cost(&stage.priced, &faults));
         let mut span = self.trace.span("cf_fleet");
         span.record_u64("attempt", attempt as u64);
         span.record_u64("stage", self.index);

@@ -17,14 +17,20 @@
 //! same workload and fault plan. That parity is enforced by
 //! `tests/policy_parity.rs` and the CI `policy_parity` job.
 //!
-//! The module also owns the shared resource-cost model ([`CfCostModel`]) and
-//! fault-decision rule ([`decide_launch_faults`]) so the two drivers model
-//! attempt durations, provider costs, and injected faults identically.
+//! The module also owns the CF fleet model and the fault-decision rule
+//! ([`decide_launch_faults`]). The fleet model is three constants — the
+//! fleet startup [`CF_STARTUP`], the work inflation [`CF_OVERHEAD_FACTOR`]
+//! and the fleet cap [`CF_MAX_WORKERS_PER_QUERY`] — and the free functions
+//! over them and [`crate::billing`]: [`cf_workers`], [`nominal_runtime`],
+//! [`attempt_duration`], [`attempt_cost`] and [`sized_work`]. Both drivers
+//! call the *same* functions, so they model attempt durations, provider
+//! costs, and injected faults identically.
 
-use crate::billing::ResourcePricing;
-use crate::cf_service::{CfConfig, LaunchFaults};
+use crate::billing;
+use crate::cf_service::LaunchFaults;
 use crate::model::QueryWork;
 use pixels_chaos::{FaultInjector, FaultSite, Inject};
+use pixels_common::prices;
 use pixels_sim::{SimDuration, SimTime};
 
 /// Most fleets a single query may launch (first + one relaunch OR one
@@ -235,92 +241,74 @@ pub fn decide_launch_faults(
     faults
 }
 
-/// Shared CF fleet duration/cost model. `CfService` (sim) prices its modelled
-/// fleets through this, and the real engine prices its thread-fleet attempts
-/// through the *same* instance — so per-attempt provider costs agree bit for
-/// bit between sim and real for identical work.
-#[derive(Debug, Clone, Copy)]
-pub struct CfCostModel {
-    pricing: ResourcePricing,
-    startup: SimDuration,
-    overhead_factor: f64,
-    max_workers: u32,
+/// Cold-start latency of one CF fleet (its workers spawn in parallel).
+pub const CF_STARTUP: SimDuration = SimDuration::from_millis(800);
+
+/// Work inflation from running split plans in CFs: duplicated scans at the
+/// cut boundary, intermediate-result materialization, shuffle via object
+/// storage. Multiplies CPU demand.
+pub const CF_OVERHEAD_FACTOR: f64 = 1.8;
+
+/// Most workers one query's CF fleet may have.
+pub const CF_MAX_WORKERS_PER_QUERY: u32 = 256;
+
+/// Minimum useful runtime per CF worker for [`sized_work`]: below this, the
+/// [`CF_STARTUP`] dominates and extra workers only add cost.
+pub const MIN_WORKER_SECONDS: f64 = 0.5;
+
+/// Fleet size for `work` (parallelism capped by the service).
+pub fn cf_workers(work: &QueryWork) -> u32 {
+    work.parallelism.clamp(1, CF_MAX_WORKERS_PER_QUERY)
 }
 
-impl CfCostModel {
-    /// Minimum useful runtime per CF worker for [`Self::sized_work`]: below
-    /// this, the ~800 ms fleet startup dominates and extra workers only add
-    /// cost.
-    pub const MIN_WORKER_SECONDS: f64 = 0.5;
+/// Fault-free runtime estimate (excluding startup) — also the baseline
+/// straggler detectors compare elapsed time against.
+pub fn nominal_runtime(work: &QueryWork) -> SimDuration {
+    let workers = cf_workers(work);
+    // Each worker provides `CF_EFFICIENCY` of a reference core.
+    let effective_cores = workers as f64 * prices::CF_EFFICIENCY;
+    SimDuration::from_secs_f64(work.cpu_seconds * CF_OVERHEAD_FACTOR / effective_cores)
+}
 
-    pub fn new(cfg: &CfConfig, pricing: ResourcePricing) -> CfCostModel {
-        CfCostModel {
-            pricing,
-            startup: cfg.startup,
-            overhead_factor: cfg.overhead_factor,
-            max_workers: cfg.max_workers_per_query,
-        }
+/// Wall/sim duration of one fleet attempt under `faults`: full startup +
+/// run, or half the run if the fleet crashes midway.
+pub fn attempt_duration(work: &QueryWork, faults: &LaunchFaults) -> SimDuration {
+    let run_time = nominal_runtime(work) + faults.straggle;
+    let startup = CF_STARTUP + faults.extra_startup;
+    if faults.crash {
+        // The fleet dies halfway through execution.
+        startup + SimDuration::from_micros(run_time.as_micros() / 2)
+    } else {
+        startup + run_time
     }
+}
 
-    pub fn startup(&self) -> SimDuration {
-        self.startup
+/// Provider cost of one fleet attempt. Charged in full at launch: crashed
+/// and cancelled fleets stay billed (the provider-side half of the paper's
+/// "both invocations billed" speculation semantics).
+pub fn attempt_cost(work: &QueryWork, faults: &LaunchFaults) -> f64 {
+    let run_time = nominal_runtime(work) + faults.straggle;
+    let startup = CF_STARTUP + faults.extra_startup;
+    billing::cf_cost(cf_workers(work), startup + run_time)
+}
+
+/// Right-size a query's CF fleet from its estimated work: never launch a
+/// worker that the query cannot keep busy for at least
+/// [`MIN_WORKER_SECONDS`] — startup-dominated fleets waste money without
+/// helping latency. The fleet only ever shrinks (`parallelism` stays the
+/// cap) so a wrong estimate changes worker count (speed and provider cost)
+/// but never results or user bills; the rule is a fixpoint, so sizing
+/// already-sized work is a no-op.
+pub fn sized_work(work: &QueryWork) -> QueryWork {
+    let full = cf_workers(work);
+    if full <= 1 {
+        return *work;
     }
-
-    /// Fleet size for `work` (parallelism capped by the service).
-    pub fn workers(&self, work: &QueryWork) -> u32 {
-        work.parallelism.clamp(1, self.max_workers)
-    }
-
-    /// Fault-free runtime estimate (excluding startup) — also the baseline
-    /// straggler detectors compare elapsed time against.
-    pub fn nominal_runtime(&self, work: &QueryWork) -> SimDuration {
-        let workers = self.workers(work);
-        // Each worker provides `cf_efficiency` of a reference core.
-        let effective_cores = workers as f64 * self.pricing.cf_efficiency;
-        SimDuration::from_secs_f64(work.cpu_seconds * self.overhead_factor / effective_cores)
-    }
-
-    /// Wall/sim duration of one fleet attempt under `faults`: full startup +
-    /// run, or half the run if the fleet crashes midway.
-    pub fn attempt_duration(&self, work: &QueryWork, faults: &LaunchFaults) -> SimDuration {
-        let run_time = self.nominal_runtime(work) + faults.straggle;
-        let startup = self.startup + faults.extra_startup;
-        if faults.crash {
-            // The fleet dies halfway through execution.
-            startup + SimDuration::from_micros(run_time.as_micros() / 2)
-        } else {
-            startup + run_time
-        }
-    }
-
-    /// Provider cost of one fleet attempt. Charged in full at launch: crashed
-    /// and cancelled fleets stay billed (the provider-side half of the
-    /// paper's "both invocations billed" speculation semantics).
-    pub fn attempt_cost(&self, work: &QueryWork, faults: &LaunchFaults) -> f64 {
-        let run_time = self.nominal_runtime(work) + faults.straggle;
-        let startup = self.startup + faults.extra_startup;
-        self.pricing.cf_cost(self.workers(work), startup + run_time)
-    }
-
-    /// Right-size a query's CF fleet from its estimated work: never launch a
-    /// worker that the query cannot keep busy for at least
-    /// [`Self::MIN_WORKER_SECONDS`] — startup-dominated fleets waste money
-    /// without helping latency. The fleet only ever shrinks (`parallelism`
-    /// stays the cap) so a wrong estimate changes worker count (speed and
-    /// provider cost) but never results or user bills; the rule is a
-    /// fixpoint, so sizing already-sized work is a no-op.
-    pub fn sized_work(&self, work: &QueryWork) -> QueryWork {
-        let full = self.workers(work);
-        if full <= 1 {
-            return *work;
-        }
-        let eff = self.pricing.cf_efficiency;
-        let need = (work.cpu_seconds * self.overhead_factor / (eff * Self::MIN_WORKER_SECONDS))
-            .ceil() as u32;
-        QueryWork {
-            parallelism: need.clamp(1, full),
-            ..*work
-        }
+    let eff = prices::CF_EFFICIENCY;
+    let need = (work.cpu_seconds * CF_OVERHEAD_FACTOR / (eff * MIN_WORKER_SECONDS)).ceil() as u32;
+    QueryWork {
+        parallelism: need.clamp(1, full),
+        ..*work
     }
 }
 
@@ -494,49 +482,40 @@ mod tests {
 
     #[test]
     fn cost_model_matches_pricing_formulas() {
-        let model = CfCostModel::new(&CfConfig::default(), ResourcePricing::default());
         let work = QueryWork {
             scan_bytes: 4 << 30,
             cpu_seconds: 22.0,
             parallelism: 16,
         };
-        assert_eq!(model.workers(&work), 16);
+        assert_eq!(cf_workers(&work), 16);
         let clean = LaunchFaults::default();
         let crash = LaunchFaults {
             crash: true,
             ..LaunchFaults::default()
         };
         // A crash halves the duration but not the bill.
-        assert!(model.attempt_duration(&work, &crash) < model.attempt_duration(&work, &clean));
-        assert_eq!(
-            model.attempt_cost(&work, &crash),
-            model.attempt_cost(&work, &clean)
-        );
-        let pricing = ResourcePricing::default();
-        let expected = pricing.cf_cost(
-            16,
-            CfConfig::default().startup + model.nominal_runtime(&work),
-        );
-        assert_eq!(model.attempt_cost(&work, &clean), expected);
+        assert!(attempt_duration(&work, &crash) < attempt_duration(&work, &clean));
+        assert_eq!(attempt_cost(&work, &crash), attempt_cost(&work, &clean));
+        let expected = billing::cf_cost(16, CF_STARTUP + nominal_runtime(&work));
+        assert_eq!(attempt_cost(&work, &clean), expected);
     }
 
     #[test]
     fn sized_work_shrinks_small_fleets_and_preserves_results_inputs() {
-        let model = CfCostModel::new(&CfConfig::default(), ResourcePricing::default());
         // A tiny query cannot shrink below one worker.
         let tiny = QueryWork {
             scan_bytes: 1 << 20,
             cpu_seconds: 0.01,
             parallelism: 1,
         };
-        assert_eq!(model.sized_work(&tiny), tiny);
+        assert_eq!(sized_work(&tiny), tiny);
         // A short query with a wide cap gets a smaller fleet...
         let short = QueryWork {
             scan_bytes: 64 << 20,
             cpu_seconds: 0.4,
             parallelism: 16,
         };
-        let sized = model.sized_work(&short);
+        let sized = sized_work(&short);
         assert!(sized.parallelism < short.parallelism, "fleet should shrink");
         assert!(sized.parallelism >= 1);
         // ...but scan bytes and CPU demand — the billed quantities — never
@@ -550,9 +529,9 @@ mod tests {
             cpu_seconds: 220.0,
             parallelism: 16,
         };
-        assert_eq!(model.sized_work(&heavy).parallelism, 16);
+        assert_eq!(sized_work(&heavy).parallelism, 16);
         // Sizing is idempotent: re-sizing the sized work is a fixpoint.
-        assert_eq!(model.sized_work(&sized), sized);
+        assert_eq!(sized_work(&sized), sized);
     }
 
     #[test]

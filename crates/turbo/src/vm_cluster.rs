@@ -8,49 +8,53 @@
 //! rates in force as state, names its next event ([`VmCluster::next_event`])
 //! and integrates exactly between them. A query alone on the cluster runs
 //! for [`QueryWork::exec_time_on_cores`] of its active cores. A watermark
-//! autoscaler adds workers when query concurrency exceeds the high watermark
-//! (paper default 5) and gracefully removes them when average concurrency
-//! stays below the low watermark (paper default 0.75), with the lazy
-//! scale-in policy of [7].
-//! New workers take `boot_time` (1–2 minutes) to come online — the lag that
-//! motivates CF acceleration.
+//! autoscaler, evaluated every [`AUTOSCALE_INTERVAL`], adds workers when
+//! query concurrency reaches [`HIGH_WATERMARK`] (the paper's 5) and
+//! gracefully removes them when average concurrency stays below
+//! [`LOW_WATERMARK`] (the paper's 0.75), with the lazy scale-in policy of
+//! \[7\]. New workers of [`CORES_PER_WORKER`] cores take [`BOOT_TIME`]
+//! (the paper's 1–2 minutes) to come online — the lag that motivates CF
+//! acceleration. These are model parameters taken from the paper and no
+//! caller varies them; [`VmConfig`] holds only what experiments set.
 
 use crate::model::{run_time, QueryWork};
 use pixels_common::QueryId;
 use pixels_sim::{SimDuration, SimTime, TimeSeries};
 
-/// VM cluster configuration. Defaults follow the paper's examples.
+/// Cores of one VM worker.
+pub const CORES_PER_WORKER: u32 = 8;
+
+/// Time from scale-out trigger to the worker accepting work.
+pub const BOOT_TIME: SimDuration = SimDuration::from_secs(90);
+
+/// Scale out when running-query concurrency reaches this.
+pub const HIGH_WATERMARK: f64 = 5.0;
+
+/// Scale in when average concurrency per worker falls below this.
+pub const LOW_WATERMARK: f64 = 0.75;
+
+/// How often the autoscaler evaluates.
+pub const AUTOSCALE_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
+/// VM cluster configuration: the fleet bounds and autoscaler knobs that
+/// experiments vary. Defaults follow the paper's examples.
 #[derive(Debug, Clone, Copy)]
 pub struct VmConfig {
-    pub cores_per_worker: u32,
-    /// Time from scale-out trigger to the worker accepting work.
-    pub boot_time: SimDuration,
     pub min_workers: u32,
     pub max_workers: u32,
-    /// Scale out when running-query concurrency exceeds this.
-    pub high_watermark: f64,
-    /// Scale in when average concurrency per worker falls below this.
-    pub low_watermark: f64,
     /// Sizing target: desired workers ≈ concurrency / this.
     pub target_per_worker: f64,
-    /// How often the autoscaler evaluates.
-    pub autoscale_interval: SimDuration,
     /// Lazy scale-in: concurrency must stay low this long before removing a
-    /// worker (avoids scaling in right before the next spike, see [7]).
+    /// worker (avoids scaling in right before the next spike, see \[7\]).
     pub scale_in_cooldown: SimDuration,
 }
 
 impl Default for VmConfig {
     fn default() -> Self {
         VmConfig {
-            cores_per_worker: 8,
-            boot_time: SimDuration::from_secs(90),
             min_workers: 1,
             max_workers: 32,
-            high_watermark: 5.0,
-            low_watermark: 0.75,
             target_per_worker: 2.0,
-            autoscale_interval: SimDuration::from_secs(10),
             scale_in_cooldown: SimDuration::from_secs(120),
         }
     }
@@ -146,7 +150,7 @@ impl VmCluster {
     /// Cores of the workers online now: what one query started now would
     /// share with the running ones, or have to itself on an idle cluster.
     pub fn active_cores(&self) -> u32 {
-        self.active_workers() * self.cfg.cores_per_worker
+        self.active_workers() * CORES_PER_WORKER
     }
 
     pub fn booting_workers(&self) -> u32 {
@@ -162,12 +166,12 @@ impl VmCluster {
     /// Paper §3.1/§3.2: the cluster is overloaded when concurrency has
     /// reached the high watermark.
     pub fn is_overloaded(&self) -> bool {
-        self.running.len() as f64 >= self.cfg.high_watermark
+        self.running.len() as f64 >= HIGH_WATERMARK
     }
 
     /// Concurrency is below the low watermark (best-of-effort admission).
     pub fn is_nearly_idle(&self) -> bool {
-        self.avg_concurrency_per_worker() < self.cfg.low_watermark
+        self.avg_concurrency_per_worker() < LOW_WATERMARK
     }
 
     /// Report upstream queued demand so the autoscaler can size for it.
@@ -293,7 +297,7 @@ impl VmCluster {
 
         if now >= self.next_autoscale {
             self.autoscale();
-            self.next_autoscale = now + self.cfg.autoscale_interval;
+            self.next_autoscale = now + AUTOSCALE_INTERVAL;
         }
         self.reshare();
         self.record_series();
@@ -310,7 +314,7 @@ impl VmCluster {
         // doubling per decision) and a new decision waits until the previous
         // batch of workers has booted — the operator sizes against observed
         // effect, not against a queue spike that the new workers will drain.
-        if demand >= self.cfg.high_watermark {
+        if demand >= HIGH_WATERMARK {
             self.low_since = None;
             if self.booting_workers() > 0 {
                 return;
@@ -321,7 +325,7 @@ impl VmCluster {
             if desired > provisioned {
                 for _ in provisioned..desired {
                     self.workers.push(Worker {
-                        ready_at: self.now + self.cfg.boot_time,
+                        ready_at: self.now + BOOT_TIME,
                     });
                 }
                 self.scale_out_times.push(self.now);
@@ -330,7 +334,7 @@ impl VmCluster {
         }
 
         // Scale in: sustained low average concurrency (lazy policy).
-        if self.avg_concurrency_per_worker() < self.cfg.low_watermark
+        if self.avg_concurrency_per_worker() < LOW_WATERMARK
             && self.active_workers() > self.cfg.min_workers
         {
             match self.low_since {
@@ -362,7 +366,7 @@ impl VmCluster {
         };
         self.workers.remove(pos);
         self.workers.push(Worker {
-            ready_at: self.now + self.cfg.boot_time,
+            ready_at: self.now + BOOT_TIME,
         });
         self.reshare();
         self.record_series();
@@ -461,10 +465,10 @@ mod tests {
             "scale-out should have triggered"
         );
         // Still 1 active a microsecond before the boot completes.
-        let ready = SimTime::ZERO + cfg.boot_time;
+        let ready = SimTime::ZERO + BOOT_TIME;
         cluster.tick(SimTime::from_micros(ready.as_micros() - 1));
         assert_eq!(cluster.active_workers(), 1, "boot lag not yet elapsed");
-        // At boot_time: new workers active.
+        // At BOOT_TIME: new workers active.
         cluster.tick(ready);
         assert!(cluster.active_workers() > 1, "workers should be online");
         assert!(!cluster.scale_out_times.is_empty());
@@ -550,7 +554,7 @@ mod tests {
         let mut done = Vec::new();
         tick_until(&mut cluster, SimDuration::from_secs(600), |c| done.push(*c));
         assert_eq!(done.len(), 1, "preemption must not lose the query");
-        // After boot_time the cluster is back to strength.
+        // After BOOT_TIME the cluster is back to strength.
         assert_eq!(cluster.active_workers() + cluster.booting_workers(), 2);
     }
 

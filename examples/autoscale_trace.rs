@@ -12,7 +12,7 @@
 
 use pixelsdb::server::{ServerConfig, ServerSim, ServiceLevel, Submission};
 use pixelsdb::sim::{SimDuration, SimTime};
-use pixelsdb::turbo::{CfConfig, Placement, ResourcePricing, VmConfig};
+use pixelsdb::turbo::{Placement, VmConfig};
 use pixelsdb::workload::QueryClass;
 
 fn main() {
@@ -32,12 +32,7 @@ fn main() {
             level: ServiceLevel::Immediate,
         });
     }
-    let sim = ServerSim::new(
-        VmConfig::default(),
-        CfConfig::default(),
-        ResourcePricing::default(),
-        ServerConfig::default(),
-    );
+    let sim = ServerSim::new(VmConfig::default(), ServerConfig::default());
     let report = sim.run(subs, SimDuration::from_secs(3600));
     assert_eq!(report.unfinished, 0);
 

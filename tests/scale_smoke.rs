@@ -7,7 +7,7 @@ use pixelsdb::exec::run_query;
 use pixelsdb::server::{AdmissionMode, ServerConfig, ServerSim, ServiceLevel, Submission};
 use pixelsdb::sim::SimDuration;
 use pixelsdb::storage::InMemoryObjectStore;
-use pixelsdb::turbo::{CfConfig, ResourcePricing, VmConfig};
+use pixelsdb::turbo::VmConfig;
 use pixelsdb::workload::{load_tpch, poisson, TpchConfig, WorkloadTrace};
 
 #[test]
@@ -26,13 +26,8 @@ fn thousand_query_scheduling_trace() {
             level: ServiceLevel::ALL[i % 3],
         })
         .collect();
-    let report = ServerSim::new(
-        VmConfig::default(),
-        CfConfig::default(),
-        ResourcePricing::default(),
-        ServerConfig::default(),
-    )
-    .run(subs, SimDuration::from_secs(6 * 3600));
+    let report = ServerSim::new(VmConfig::default(), ServerConfig::default())
+        .run(subs, SimDuration::from_secs(6 * 3600));
     assert_eq!(report.unfinished, 0, "all {n} queries complete");
     assert_eq!(report.records.len(), n);
     // Level invariants hold at scale.

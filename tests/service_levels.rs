@@ -3,7 +3,7 @@
 
 use pixelsdb::server::{AdmissionMode, ServerConfig, ServerSim, ServiceLevel, Submission};
 use pixelsdb::sim::{SimDuration, SimTime};
-use pixelsdb::turbo::{CfConfig, Placement, ResourcePricing, VmConfig};
+use pixelsdb::turbo::{Placement, VmConfig};
 use pixelsdb::workload::{poisson, QueryClass, WorkloadTrace};
 
 fn mixed_trace(seed: u64, rate: f64, secs: u64) -> Vec<Submission> {
@@ -22,13 +22,8 @@ fn mixed_trace(seed: u64, rate: f64, secs: u64) -> Vec<Submission> {
 }
 
 fn run(subs: Vec<Submission>) -> pixelsdb::server::SimReport {
-    ServerSim::new(
-        VmConfig::default(),
-        CfConfig::default(),
-        ResourcePricing::default(),
-        ServerConfig::default(),
-    )
-    .run(subs, SimDuration::from_secs(4 * 3600))
+    ServerSim::new(VmConfig::default(), ServerConfig::default())
+        .run(subs, SimDuration::from_secs(4 * 3600))
 }
 
 #[test]
